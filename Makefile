@@ -27,10 +27,18 @@ procctl-vet:
 test:
 	$(GO) test ./...
 
-# The real-concurrency layer under the race detector; the simulator is
-# single-threaded by construction and needs no race pass.
+# The real-concurrency layer under the race detector — and the
+# simulator's coroutine core. The simulator runs one goroutine at a
+# time, but "at a time" is a protocol, not a construction: process
+# bodies write kernel state themselves for requests that take no
+# virtual time, ordered only by the grant/req channel hand-offs, and one
+# immutable threads.Workload backs the concurrent runs of a figure
+# sweep. The second line checks the hand-off protocol, the third the
+# sharing.
 race:
 	$(GO) test -race ./internal/runtime/...
+	$(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/...
+	$(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns' ./internal/experiments
 
 # Short fuzz passes over the journal's frame decoder and fsck, on top of
 # the committed corpus under internal/journal/testdata/fuzz. Five

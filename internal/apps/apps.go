@@ -10,11 +10,30 @@ package apps
 
 import (
 	"fmt"
+	"strconv"
 
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
 	"procctl/internal/threads"
 )
+
+// namer assembles task names in one reused buffer, so a name costs the
+// single allocation of its string; fmt.Sprintf per task was the largest
+// source of allocations in building the Figure 4 mix (103 k tasks).
+type namer struct{ buf []byte }
+
+// add appends s followed by v in decimal, like "%s%d".
+func (n *namer) add(s string, v int) *namer {
+	n.buf = strconv.AppendInt(append(n.buf, s...), int64(v), 10)
+	return n
+}
+
+// done returns the assembled name and empties the buffer for the next.
+func (n *namer) done() string {
+	name := string(n.buf)
+	n.buf = n.buf[:0]
+	return name
+}
 
 // Matmul builds the paper's matrix multiplication: the multiplicand is
 // split by rows into independent tasks (no synchronization beyond the
@@ -24,9 +43,10 @@ func Matmul(rows, chunksPerRow int, perChunk sim.Duration) *threads.Workload {
 		panic("apps: Matmul needs positive dimensions")
 	}
 	w := threads.NewWorkload("matmul")
+	var names namer
 	for r := 0; r < rows; r++ {
 		for c := 0; c < chunksPerRow; c++ {
-			w.Add(fmt.Sprintf("row%d.%d", r, c), perChunk)
+			w.Add(names.add("row", r).add(".", c).done(), perChunk)
 		}
 	}
 	return w
@@ -41,11 +61,12 @@ func FFT(stages, tasksPerStage int, perTask sim.Duration) *threads.Workload {
 		panic("apps: FFT needs positive dimensions")
 	}
 	w := threads.NewWorkload("fft")
+	var names namer
 	var prev []threads.TaskID
 	for s := 0; s < stages; s++ {
 		cur := make([]threads.TaskID, tasksPerStage)
 		for t := 0; t < tasksPerStage; t++ {
-			cur[t] = w.Add(fmt.Sprintf("s%d.t%d", s, t), perTask)
+			cur[t] = w.Add(names.add("s", s).add(".t", t).done(), perTask)
 		}
 		w.Barrier(prev, cur)
 		prev = cur
@@ -66,10 +87,11 @@ func Gauss(n, rowsPerTask int, perElem sim.Duration) *threads.Workload {
 	}
 	const pivotLock threads.LockID = 0
 	w := threads.NewWorkload("gauss")
+	var names namer
 	var prev []threads.TaskID
 	for k := 0; k < n-1; k++ {
 		m := n - k // active submatrix dimension
-		pivot := w.Add(fmt.Sprintf("pivot%d", k), sim.Duration(m)*perElem/4+50*sim.Microsecond)
+		pivot := w.Add(names.add("pivot", k).done(), sim.Duration(m)*perElem/4+50*sim.Microsecond)
 		w.Barrier(prev, []threads.TaskID{pivot})
 
 		rows := m - 1 // rows below the pivot to update
@@ -84,7 +106,7 @@ func Gauss(n, rowsPerTask int, perElem sim.Duration) *threads.Workload {
 			if cs > work/4 {
 				cs = work / 4
 			}
-			id := w.AddLocked(fmt.Sprintf("upd%d.%d", k, r), work, pivotLock, cs)
+			id := w.AddLocked(names.add("upd", k).add(".", r).done(), work, pivotLock, cs)
 			w.Dep(pivot, id)
 			updates = append(updates, id)
 		}
@@ -109,16 +131,17 @@ func MergeSort(leaves int, leafWork sim.Duration, leafItems int, perItem sim.Dur
 		panic("apps: MergeSort needs a power-of-two leaf count >= 2")
 	}
 	w := threads.NewWorkload("sort")
+	var names namer
 	level := make([]threads.TaskID, leaves)
 	for i := range level {
-		level[i] = w.Add(fmt.Sprintf("heap%d", i), leafWork)
+		level[i] = w.Add(names.add("heap", i).done(), leafWork)
 	}
 	items := int64(leafItems)
 	for lvl := 0; len(level) > 1; lvl++ {
 		next := make([]threads.TaskID, len(level)/2)
 		work := sim.Duration(2*items) * perItem
 		for i := range next {
-			next[i] = w.Add(fmt.Sprintf("merge%d.%d", lvl, i), work)
+			next[i] = w.Add(names.add("merge", lvl).add(".", i).done(), work)
 			w.Dep(level[2*i], next[i])
 			w.Dep(level[2*i+1], next[i])
 		}

@@ -33,11 +33,12 @@ func PollSweep(o Options, intervals []sim.Duration) *PollSweepResult {
 		}
 	}
 	mix := DefaultFig4Mix()
+	wls := mixWorkloads(mix)
 	res := &PollSweepResult{Mix: mix, Intervals: intervals}
 	for _, iv := range intervals {
 		oo := o
 		oo.PollInterval = iv
-		run := fig4Run(oo, mix, true)
+		run := fig4Run(oo, mix, wls, true)
 		var sum sim.Duration
 		for _, e := range run.Elapsed {
 			sum += e
@@ -92,16 +93,17 @@ func CacheSweep(o Options, factors []float64) *CacheSweepResult {
 	}
 	res := &CacheSweepResult{Factors: factors}
 	const procs = 24
+	mm := apps.PaperMatmul()
 	for _, f := range factors {
 		oo := o
 		oo.Machine = machine.Scalable(f)
-		t1 := SeqTime(oo, apps.PaperMatmul)
+		t1 := Solo(oo, mm, 1, false)
 		var off, on []float64
 		for si := 0; si < o.Seeds; si++ {
 			os := oo
 			os.Seed = o.Seed + uint64(si)
-			off = append(off, t1.Seconds()/Solo(os, apps.PaperMatmul(), procs, false).Seconds())
-			on = append(on, t1.Seconds()/Solo(os, apps.PaperMatmul(), procs, true).Seconds())
+			off = append(off, t1.Seconds()/Solo(os, mm, procs, false).Seconds())
+			on = append(on, t1.Seconds()/Solo(os, mm, procs, true).Seconds())
 		}
 		res.Uncontrolled = append(res.Uncontrolled, mean(off))
 		res.Controlled = append(res.Controlled, mean(on))
@@ -139,17 +141,18 @@ func QuantumSweep(o Options, quanta []sim.Duration) *QuantumSweepResult {
 	}
 	res := &QuantumSweepResult{Quanta: quanta}
 	const procs = 24
+	wlmm, wlff := apps.PaperMatmul(), apps.PaperFFT()
 	for _, q := range quanta {
 		oo := o
 		oo.Kernel.Quantum = q
-		t1mm, t1ff := fig1SeqTimes(oo)
+		t1mm, t1ff := Solo(oo, wlmm, 1, false), Solo(oo, wlff, 1, false)
 		var mms, ffs []float64
 		for si := 0; si < o.Seeds; si++ {
 			os := oo
 			os.Seed = o.Seed + uint64(si)
 			s := NewSim(os, false)
-			mm := s.LaunchNow(1, apps.PaperMatmul(), procs)
-			ff := s.LaunchNow(2, apps.PaperFFT(), procs)
+			mm := s.LaunchNow(1, wlmm, procs)
+			ff := s.LaunchNow(2, wlff, procs)
 			ok := s.RunUntil(func() bool { return mm.Done() && ff.Done() })
 			s.mustFinish(ok, "quantum sweep mix")
 			mms = append(mms, t1mm.Seconds()/mm.Elapsed().Seconds())
@@ -188,6 +191,7 @@ type UncontrolledMixResult struct {
 func UncontrolledMix(o Options) *UncontrolledMixResult {
 	o = o.withDefaults()
 	res := &UncontrolledMixResult{}
+	wlGauss, wlMatmul := apps.BigGauss(), apps.BigMatmul()
 	policies := []struct {
 		name string
 		make func() kernel.Policy
@@ -207,11 +211,11 @@ func UncontrolledMix(o Options) *UncontrolledMixResult {
 			os := oo
 			os.Seed = o.Seed + uint64(si)
 			s := NewSim(os, true) // server present; only gauss registers
-			gauss := s.LaunchNow(1, apps.BigGauss(), 16)
+			gauss := s.LaunchNow(1, wlGauss, 16)
 			// The greedy application bypasses the controller.
 			cfg := os.Threads
 			cfg.Procs = 16
-			matmul := threads.Launch(s.K, 2, apps.BigMatmul(), cfg)
+			matmul := threads.Launch(s.K, 2, wlMatmul, cfg)
 			ok := s.RunUntil(func() bool { return gauss.Done() && matmul.Done() })
 			s.mustFinish(ok, "uncontrolled mix under "+pol.name)
 			var gcpu, mcpu sim.Duration

@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"procctl/internal/apps"
 	"procctl/internal/ctrl"
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
@@ -42,6 +41,7 @@ func Decentral(o Options, mix []Fig4Arrival) *DecentralResult {
 		mix = DefaultFig4Mix()
 	}
 	res := &DecentralResult{Mix: mix}
+	wls := mixWorkloads(mix)
 
 	type mode struct {
 		name string
@@ -64,7 +64,7 @@ func Decentral(o Options, mix []Fig4Arrival) *DecentralResult {
 	}
 
 	for _, m := range modes {
-		elapsed, overload, osc, scans := runControlledMix(o, mix, m.make)
+		elapsed, overload, osc, scans := runControlledMix(o, mix, wls, m.make)
 		res.Modes = append(res.Modes, m.name)
 		res.Elapsed = append(res.Elapsed, elapsed)
 		res.MeanOverload = append(res.MeanOverload, overload)
@@ -84,11 +84,11 @@ func Decentral(o Options, mix []Fig4Arrival) *DecentralResult {
 	return res
 }
 
-// runControlledMix runs the mix once (first seed) under a custom
-// controller factory and returns per-app elapsed, mean overload,
-// runnable-count standard deviation over the overlapped window, and the
-// controller's scan count.
-func runControlledMix(o Options, mix []Fig4Arrival,
+// runControlledMix runs the mix (wls: its prebuilt workloads) once
+// (first seed) under a custom controller factory and returns per-app
+// elapsed, mean overload, runnable-count standard deviation over the
+// overlapped window, and the controller's scan count.
+func runControlledMix(o Options, mix []Fig4Arrival, wls []*threads.Workload,
 	makeCtl func(k *kernel.Kernel) (threads.Controller, func() int64)) ([]sim.Duration, float64, float64, int64) {
 
 	s := NewSim(o, false)
@@ -105,7 +105,7 @@ func runControlledMix(o Options, mix []Fig4Arrival,
 			cfg.Procs = arr.Procs
 			cfg.PollInterval = s.Opts.PollInterval
 			cfg.Controller = controller
-			*slot = threads.Launch(s.K, kernel.AppID(i+1), apps.ByName(arr.App), cfg)
+			*slot = threads.Launch(s.K, kernel.AppID(i+1), wls[i], cfg)
 		})
 	}
 	ok := s.RunUntil(func() bool {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -58,5 +60,22 @@ func TestFaultsDeterministic(t *testing.T) {
 	c := Faults(Options{Seed: 8})
 	if c.Snapshot == a.Snapshot {
 		t.Error("different seeds produced identical snapshots (injector RNG not wired to seed?)")
+	}
+}
+
+// faultsSeed1GoldenSHA256 pins what `procctl-sim faults` prints at seed
+// 1 (minus its wall-clock footer) together with the run's full metrics
+// snapshot. The Fig4 trace golden never kills or force-releases; this
+// one does, so a change to the kernel's request path that shifted a
+// crash, a forced release or the lease recovery by one microsecond
+// lands here. Recorded before zero-time requests moved onto the body
+// goroutine.
+const faultsSeed1GoldenSHA256 = "9d28c79a136702c12ed2de8836653fc483da7b7adba8be2da64139255fd1d33c"
+
+func TestFaultsSeed1Golden(t *testing.T) {
+	r := Faults(Options{Seed: 1})
+	sum := sha256.Sum256([]byte(r.Render() + "\n" + r.Snapshot))
+	if got := hex.EncodeToString(sum[:]); got != faultsSeed1GoldenSHA256 {
+		t.Fatalf("faults showcase drifted from the golden:\n  got  %s\n  want %s\n%s", got, faultsSeed1GoldenSHA256, r.Render())
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"procctl/internal/apps"
-	"procctl/internal/sim"
 	"procctl/internal/trace"
 )
 
@@ -22,8 +21,11 @@ func Fig1(o Options, procsList []int) *Fig1Result {
 	if len(procsList) == 0 {
 		procsList = []int{1, 2, 4, 8, 12, 16, 20, 24}
 	}
-	t1mm := SeqTime(o, apps.PaperMatmul)
-	t1ff := SeqTime(o, apps.PaperFFT)
+	// One DAG per application for the whole figure: the baselines and
+	// every (procs, seed) cell launch the same immutable workloads.
+	wlmm, wlff := apps.PaperMatmul(), apps.PaperFFT()
+	t1mm := Solo(o, wlmm, 1, false)
+	t1ff := Solo(o, wlff, 1, false)
 
 	r := &Fig1Result{
 		Procs:  procsList,
@@ -37,8 +39,8 @@ func Fig1(o Options, procsList []int) *Fig1Result {
 		oo := o
 		oo.Seed = o.Seed + uint64(i%o.Seeds)
 		s := NewSim(oo, false)
-		mm := s.LaunchNow(1, apps.PaperMatmul(), procs)
-		ff := s.LaunchNow(2, apps.PaperFFT(), procs)
+		mm := s.LaunchNow(1, wlmm, procs)
+		ff := s.LaunchNow(2, wlff, procs)
 		ok := s.RunUntil(func() bool { return mm.Done() && ff.Done() })
 		s.mustFinish(ok, "fig1 mix")
 		cells[i] = cell{
@@ -78,10 +80,4 @@ func (r *Fig1Result) Render() string {
 		t.Row(p, r.Matmul[i], r.FFT[i])
 	}
 	return t.String()
-}
-
-// fig1SeqTimes is a helper shared with benchmarks that want the
-// baselines without rerunning them.
-func fig1SeqTimes(o Options) (mm, ff sim.Duration) {
-	return SeqTime(o, apps.PaperMatmul), SeqTime(o, apps.PaperFFT)
 }

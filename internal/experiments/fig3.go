@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"procctl/internal/apps"
 	"procctl/internal/threads"
 	"procctl/internal/trace"
 )
@@ -46,27 +45,23 @@ func Fig3(o Options, procsList []int, appNames ...string) *Fig3Result {
 }
 
 func fig3Curve(o Options, name string, procsList []int) Fig3Curve {
-	builder := func() *threads.Workload {
-		wl := apps.ByName(name)
-		if wl == nil {
-			panic(fmt.Sprintf("experiments: unknown application %q", name))
-		}
-		return wl
-	}
-	return Custom(o, builder, procsList)
+	return Custom(o, func() *threads.Workload { return mustWorkload(name) }, procsList)
 }
 
 // Custom runs an arbitrary workload (e.g. one loaded from a JSON spec)
 // through the Figure 3 protocol: speed-up versus process count with the
-// original and the process-controlled package.
+// original and the process-controlled package. builder is called once;
+// the workload it returns backs every run of the curve, concurrent ones
+// included (a built threads.Workload is immutable).
 func Custom(o Options, builder func() *threads.Workload, procsList []int) Fig3Curve {
 	o = o.withDefaults()
 	if len(procsList) == 0 {
 		procsList = []int{1, 2, 4, 8, 12, 16, 20, 24}
 	}
-	t1 := SeqTime(o, builder)
+	wl := builder()
+	t1 := Solo(o, wl, 1, false)
 	c := Fig3Curve{
-		App:          builder().Name,
+		App:          wl.Name,
 		Procs:        procsList,
 		Uncontrolled: make([]float64, len(procsList)),
 		Controlled:   make([]float64, len(procsList)),
@@ -79,8 +74,8 @@ func Custom(o Options, builder func() *threads.Workload, procsList []int) Fig3Cu
 		procs := procsList[i/o.Seeds]
 		oo := o
 		oo.Seed = o.Seed + uint64(i%o.Seeds)
-		off := Solo(oo, builder(), procs, false)
-		on := Solo(oo, builder(), procs, true)
+		off := Solo(oo, wl, procs, false)
+		on := Solo(oo, wl, procs, true)
 		cells[i] = pair{
 			off: t1.Seconds() / off.Seconds(),
 			on:  t1.Seconds() / on.Seconds(),

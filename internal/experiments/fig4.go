@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"procctl/internal/apps"
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
 	"procctl/internal/threads"
@@ -64,12 +63,15 @@ func Fig4(o Options, mix []Fig4Arrival) *Fig4Result {
 		mix = DefaultFig4Mix()
 	}
 	res := &Fig4Result{Mix: mix}
-	res.Off = fig4Run(o, mix, false)
-	res.On = fig4Run(o, mix, true)
+	wls := mixWorkloads(mix)
+	res.Off = fig4Run(o, mix, wls, false)
+	res.On = fig4Run(o, mix, wls, true)
 	return res
 }
 
-func fig4Run(o Options, mix []Fig4Arrival, control bool) Fig4Run {
+// fig4Run executes the mix once per seed; wls are the mix's prebuilt
+// workloads (mixWorkloads), shared by every seed.
+func fig4Run(o Options, mix []Fig4Arrival, wls []*threads.Workload, control bool) Fig4Run {
 	run := Fig4Run{Control: control, Elapsed: make([]sim.Duration, len(mix))}
 	sums := make([]sim.Duration, len(mix))
 	type out struct {
@@ -88,7 +90,7 @@ func fig4Run(o Options, mix []Fig4Arrival, control bool) Fig4Run {
 		ids := make([]kernel.AppID, len(mix))
 		for i, arr := range mix {
 			ids[i] = kernel.AppID(i + 1)
-			slots[i] = s.LaunchAt(arr.At, ids[i], apps.ByName(arr.App), arr.Procs)
+			slots[i] = s.LaunchAt(arr.At, ids[i], wls[i], arr.Procs)
 		}
 		ok := s.RunUntil(func() bool {
 			for _, sl := range slots {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"procctl/internal/apps"
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
 	"procctl/internal/threads"
@@ -50,18 +49,20 @@ func PolicyComparison(o Options, mix []Fig4Arrival) *PolicyResult {
 		mix = DefaultFig4Mix()
 	}
 	res := &PolicyResult{Mix: mix}
+	wls := mixWorkloads(mix)
 	names, factories := NamedPolicies()
 	for _, name := range names {
 		oo := o
 		oo.NewPolicy = factories[name]
-		res.Rows = append(res.Rows, runPolicyMix(oo, mix, name, false))
+		res.Rows = append(res.Rows, runPolicyMix(oo, mix, wls, name, false))
 	}
-	res.Rows = append(res.Rows, runPolicyMix(o, mix, "timeshare", true))
+	res.Rows = append(res.Rows, runPolicyMix(o, mix, wls, "timeshare", true))
 	return res
 }
 
-// runPolicyMix executes the mix under one policy setting.
-func runPolicyMix(o Options, mix []Fig4Arrival, name string, control bool) PolicyRow {
+// runPolicyMix executes the mix (wls: its prebuilt workloads) under one
+// policy setting.
+func runPolicyMix(o Options, mix []Fig4Arrival, wls []*threads.Workload, name string, control bool) PolicyRow {
 	row := PolicyRow{Name: name, Control: control, Elapsed: make([]sim.Duration, len(mix))}
 	type out struct {
 		elapsed  []sim.Duration
@@ -76,7 +77,7 @@ func runPolicyMix(o Options, mix []Fig4Arrival, name string, control bool) Polic
 		s := NewSim(oo, control)
 		slots := make([]**threads.App, len(mix))
 		for i, arr := range mix {
-			slots[i] = s.LaunchAt(arr.At, kernel.AppID(i+1), apps.ByName(arr.App), arr.Procs)
+			slots[i] = s.LaunchAt(arr.At, kernel.AppID(i+1), wls[i], arr.Procs)
 		}
 		ok := s.RunUntil(func() bool {
 			for _, sl := range slots {

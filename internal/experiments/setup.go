@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"procctl/internal/apps"
 	"procctl/internal/ctrl"
 	"procctl/internal/kernel"
 	"procctl/internal/machine"
@@ -195,6 +196,29 @@ func (s *Sim) mustFinish(ok bool, what string) {
 		panic(fmt.Sprintf("experiments: %s did not finish within %v (seed %d, policy %s)",
 			what, s.Opts.Horizon, s.Opts.Seed, s.K.Policy().Name()))
 	}
+}
+
+// mustWorkload builds the named application's DAG, panicking on an
+// unknown name.
+func mustWorkload(name string) *threads.Workload {
+	wl := apps.ByName(name)
+	if wl == nil {
+		panic(fmt.Sprintf("experiments: unknown application %q", name))
+	}
+	return wl
+}
+
+// mixWorkloads builds the DAG of every application of mix, once, in
+// arrival order. A built threads.Workload is immutable, so a figure
+// hands the same values to each of its runs — control off and on, every
+// seed, every policy — including runs on concurrent parallelFor
+// goroutines, instead of rebuilding identical DAGs per run.
+func mixWorkloads(mix []Fig4Arrival) []*threads.Workload {
+	wls := make([]*threads.Workload, len(mix))
+	for i, arr := range mix {
+		wls[i] = mustWorkload(arr.App)
+	}
+	return wls
 }
 
 // Solo runs wl alone with the given process count and returns its

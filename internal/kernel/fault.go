@@ -149,26 +149,13 @@ func (k *Kernel) stallPicked(p *Process) {
 // forceReleaseLocks releases every spinlock p holds, innermost first,
 // handing each to its next running waiter.
 func (k *Kernel) forceReleaseLocks(p *Process) {
-	now := k.eng.Now()
-	for i := len(p.held) - 1; i >= 0; i-- {
-		l := p.held[i]
+	for len(p.held) > 0 {
+		l := p.held[len(p.held)-1]
 		if l.holder != p {
 			panic(fmt.Sprintf("kernel: %v force-releasing %q held by %v", p, l.name, l.holder))
 		}
-		held := now.Sub(l.lockedAt)
-		l.HeldTime += held
-		l.ForcedReleases++
-		l.holder = nil
-		p.lockDepth--
-		k.met.forcedReleases.Inc()
-		if k.OnLockRelease != nil {
-			k.OnLockRelease(p, l, held, true)
-		}
-		if w := l.firstRunningWaiter(); w != nil {
-			k.grantLock(l, w)
-		}
+		k.releaseLock(l, p, true)
 	}
-	p.held = nil
 }
 
 // reap finishes the kill of a Runnable husk the scheduler just picked.

@@ -50,8 +50,11 @@ type cpuState struct {
 }
 
 // Kernel owns the processors and processes and drives dispatching. All
-// methods must be called from the simulation goroutine (experiment setup
-// code or event callbacks), never from concurrent goroutines.
+// methods must be called while the caller is the one goroutine of the
+// simulation that is running (experiment setup code, an engine event
+// callback, or a process body between two of its requests — see the
+// package comment), never from concurrent goroutines. Kill, Stall and
+// Preempt are narrower still: setup code and engine events only.
 type Kernel struct {
 	eng  *sim.Engine
 	mac  *machine.Machine
@@ -68,9 +71,17 @@ type Kernel struct {
 	wg  sync.WaitGroup
 	met *kernelMetrics
 
-	// Optional hooks for tracing. Invoked synchronously, on the
-	// simulation goroutine, at the instant of the event; installers that
-	// replace a hook must chain the previous value.
+	// rendezvous counts engine→body→engine hand-offs (calls to advance).
+	// Tests read it; it is deliberately not a metrics series, so the
+	// snapshot goldens do not depend on how requests are delivered.
+	rendezvous uint64
+
+	// Optional hooks for tracing. Invoked synchronously at the instant of
+	// the event, on whichever goroutine of the simulation is running —
+	// the engine's, or a body's for the requests a body performs itself
+	// (OnLockAcquire, OnLockRelease, and the state changes and dispatches
+	// a Wake causes). A hook must not call Kill, Stall or Preempt.
+	// Installers that replace a hook must chain the previous value.
 	OnSpawn       func(*Process)
 	OnExit        func(*Process)
 	OnStateChange func(p *Process, old, new ProcState)
@@ -225,9 +236,14 @@ func (k *Kernel) Shutdown() {
 	k.wg.Wait()
 }
 
-// advance resumes p's body until its next request and initializes the
-// request's progress state.
+// advance resumes p's body until its next blocking request and
+// initializes the request's progress state. This is the rendezvous: the
+// only place the engine goroutine hands control to a body and waits for
+// it. Requests that take no virtual time never get here — the body
+// performs them itself (Env.Acquire on a free lock, Env.Release,
+// Env.Wake).
 func (k *Kernel) advance(p *Process) {
+	k.rendezvous++
 	p.env.grant <- struct{}{}
 	p.pending = <-p.env.req
 	if p.pending.kind == reqCompute {
@@ -353,8 +369,10 @@ func (k *Kernel) beginRun(p *Process) {
 	k.runProc(p)
 }
 
-// runProc processes p's pending coroutine requests at the current
-// instant until p blocks, spins, deschedules, or starts a timed compute.
+// runProc processes p's pending blocking request at the current instant,
+// resuming the body for the next one whenever the request completes
+// without time passing (a lock found free at redispatch), until p
+// blocks, spins, deschedules, or starts a timed compute.
 func (k *Kernel) runProc(p *Process) {
 	if !p.started {
 		p.started = true
@@ -381,17 +399,7 @@ func (k *Kernel) runProc(p *Process) {
 				// still paying dispatch overhead.
 				k.advance(p)
 			case l.holder == nil:
-				l.removeWaiter(p)
-				l.holder = p
-				l.lockedAt = now
-				l.Acquires++
-				p.lockDepth++
-				p.held = append(p.held, l)
-				p.Stats.LockAcquires++
-				p.waitingLock = nil
-				if k.OnLockAcquire != nil {
-					k.OnLockAcquire(p, l, 0)
-				}
+				k.takeLock(l, p, 0)
 				k.advance(p)
 			default:
 				first := p.waitingLock == nil
@@ -409,27 +417,10 @@ func (k *Kernel) runProc(p *Process) {
 			}
 
 		case reqRelease:
-			l := r.lock
-			if l.holder != p {
-				panic(fmt.Sprintf("kernel: %v releasing %q held by %v", p, l.name, l.holder))
-			}
-			held := now.Sub(l.lockedAt)
-			l.HeldTime += held
-			p.lockDepth--
-			for i := len(p.held) - 1; i >= 0; i-- {
-				if p.held[i] == l {
-					p.held = append(p.held[:i], p.held[i+1:]...)
-					break
-				}
-			}
-			l.holder = nil
-			if k.OnLockRelease != nil {
-				k.OnLockRelease(p, l, held, false)
-			}
-			if w := l.firstRunningWaiter(); w != nil {
-				k.grantLock(l, w)
-			}
-			k.advance(p)
+			// Env.Release performs every valid release itself; what it
+			// sends here is the model bug, so that the panic unwinds
+			// Engine.Run and not a body goroutine.
+			panic(fmt.Sprintf("kernel: %v releasing %q held by %v", p, r.lock.name, r.lock.holder))
 
 		case reqSleep:
 			r.q.add(p)
@@ -442,10 +433,6 @@ func (k *Kernel) runProc(p *Process) {
 			k.unrun(p, Blocked)
 			p.sleepEv = k.eng.After(d, p.sleepFn)
 			return
-
-		case reqWake:
-			k.WakeQueue(r.q, r.n)
-			k.advance(p)
 
 		case reqYield:
 			// The yield is satisfied by descheduling; the body resumes
@@ -498,23 +485,59 @@ func (k *Kernel) computeDone(p *Process) {
 	k.runProc(p)
 }
 
+// takeLock makes p the holder of the free lock l at the current
+// instant; spun is the busy-wait time of the leg that won it. It is the
+// one definition of "acquire": runProc, Env.Acquire and grantLock all
+// end here.
+func (k *Kernel) takeLock(l *SpinLock, p *Process, spun sim.Duration) {
+	l.removeWaiter(p)
+	l.holder = p
+	l.lockedAt = k.eng.Now()
+	l.Acquires++
+	p.lockDepth++
+	p.held = append(p.held, l)
+	p.Stats.LockAcquires++
+	p.waitingLock = nil
+	if k.OnLockAcquire != nil {
+		k.OnLockAcquire(p, l, spun)
+	}
+}
+
+// releaseLock ends p's hold on l at the current instant and hands the
+// lock to the earliest waiter that is spinning on a processor, if any.
+// The caller has checked that p is the holder. It is the one definition
+// of "release": Env.Release ends here, and so does fault recovery on a
+// crashed holder's behalf (forced).
+func (k *Kernel) releaseLock(l *SpinLock, p *Process, forced bool) {
+	held := k.eng.Now().Sub(l.lockedAt)
+	l.HeldTime += held
+	p.lockDepth--
+	for i := len(p.held) - 1; i >= 0; i-- {
+		if p.held[i] == l {
+			p.held = append(p.held[:i], p.held[i+1:]...)
+			break
+		}
+	}
+	l.holder = nil
+	if forced {
+		l.ForcedReleases++
+		k.met.forcedReleases.Inc()
+	}
+	if k.OnLockRelease != nil {
+		k.OnLockRelease(p, l, held, forced)
+	}
+	if w := l.firstRunningWaiter(); w != nil {
+		k.grantLock(l, w)
+	}
+}
+
 // grantLock hands l to running waiter w and schedules w's continuation.
 func (k *Kernel) grantLock(l *SpinLock, w *Process) {
 	now := k.eng.Now()
-	l.removeWaiter(w)
-	l.holder = w
-	l.lockedAt = now
-	l.Acquires++
-	w.lockDepth++
-	w.held = append(w.held, l)
-	w.Stats.LockAcquires++
 	spun := now.Sub(w.spinStart)
 	w.Stats.SpinTime += spun
 	k.met.spinMicros.Add(int64(spun))
-	w.waitingLock = nil
-	if k.OnLockAcquire != nil {
-		k.OnLockAcquire(w, l, spun)
-	}
+	k.takeLock(l, w, spun)
 	w.grantEv = k.eng.Schedule(now, w.grantFn)
 }
 

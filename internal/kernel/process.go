@@ -5,11 +5,43 @@
 //
 // Simulated process bodies are ordinary Go functions run as coroutines:
 // each body runs on its own goroutine but in strict alternation with the
-// simulation engine (exactly one of them executes at any moment), so
-// bodies may freely share data structures and the simulation stays
-// deterministic. A body interacts with the machine only through its Env:
-// Compute consumes CPU time, Acquire/Release operate a spinlock, Sleep and
-// Wake block and unblock on a wait queue, Yield surrenders the processor.
+// simulation engine — exactly one of {the engine, one body} executes at
+// any moment — so bodies may freely share data structures and the
+// simulation stays deterministic. A body interacts with the machine only
+// through its Env: Compute consumes CPU time, Acquire/Release operate a
+// spinlock, Sleep and Wake block and unblock on a wait queue, Yield
+// surrenders the processor.
+//
+// # The request path
+//
+// A body executes only while its process is Running, past its dispatch
+// overhead, and the engine goroutine is parked in Kernel.advance waiting
+// for the body's next request; the channel operations that resumed the
+// body and will return from it order all memory between the two. While
+// it runs, the body therefore has exclusive access to the kernel.
+//
+// A request whose completion needs virtual time to pass — Compute,
+// Sleep, SleepFor, Yield, exit, Acquire of a held lock (spinning burns
+// time) — is handed to the engine: one rendezvous, two goroutine
+// switches. A request that completes at the current instant — Acquire
+// of a free lock, Release (including the hand-off to the first spinning
+// waiter), Wake — is performed by the body itself, calling the same
+// takeLock, releaseLock and WakeQueue the engine-side paths call. It
+// schedules the same events, fires the same hooks and bumps the same
+// counters in the same order, so event firing order is unchanged; it
+// just does not cross goroutines to do it. What follows from that:
+//
+//   - OnLockAcquire and OnLockRelease, and the OnStateChange and
+//     OnDispatch hooks a Wake causes, may run on a body's goroutine.
+//     Still one at a time, still at the instant of the event.
+//   - Kill, Stall and Preempt are engine-side only: call them from
+//     simulation setup code or engine events, never from a hook and
+//     never from a body.
+//   - A request that is a model bug (Release of a lock the process does
+//     not hold) is still handed to the engine, so the panic unwinds the
+//     goroutine running Engine.Run, where a driver can see it.
+//   - Process.DebugPending reports the last blocking request; requests
+//     performed on the body's goroutine never appear in it.
 package kernel
 
 import (
@@ -119,7 +151,9 @@ type Process struct {
 	grantFn   func()
 	sleepFn   func()
 
-	// Pending coroutine request not yet satisfied.
+	// The last blocking request the body handed to the engine (Compute,
+	// Sleep, SleepFor, Yield, exit, Acquire of a held lock), satisfied or
+	// not. Requests that take no virtual time never pass through here.
 	pending request
 
 	// Compute progress for the current Compute request.
@@ -200,7 +234,6 @@ const (
 	reqRelease
 	reqSleep
 	reqSleepFor
-	reqWake
 	reqYield
 	reqExit
 )
@@ -209,8 +242,7 @@ type request struct {
 	kind reqKind
 	dur  sim.Duration // reqCompute
 	lock *SpinLock    // reqAcquire, reqRelease
-	q    *WaitQueue   // reqSleep, reqWake
-	n    int          // reqWake: how many to wake
+	q    *WaitQueue   // reqSleep
 }
 
 // errKilled unwinds a process goroutine when the kernel shuts down.
@@ -263,13 +295,26 @@ func (e *Env) Compute(d sim.Duration) {
 // Acquire takes the spinlock, busy-waiting (and burning CPU) while it is
 // held by another process. Only running processes can win a released
 // lock; a waiter that is preempted resumes spinning when redispatched.
+// A free lock is taken here, on the body's goroutine (see the package
+// comment); only a held one costs a rendezvous, because only spinning
+// lets virtual time pass.
 func (e *Env) Acquire(l *SpinLock) {
+	if l.holder == nil {
+		e.k.takeLock(l, e.p, 0)
+		return
+	}
 	e.do(request{kind: reqAcquire, lock: l})
 }
 
 // Release unlocks a spinlock held by this process. Releasing a lock the
-// process does not hold panics: it is always a model bug.
+// process does not hold panics: it is always a model bug, and the
+// request goes to the engine so the panic surfaces on the goroutine
+// running Engine.Run.
 func (e *Env) Release(l *SpinLock) {
+	if l.holder == e.p {
+		e.k.releaseLock(l, e.p, false)
+		return
+	}
 	e.do(request{kind: reqRelease, lock: l})
 }
 
@@ -291,12 +336,13 @@ func (e *Env) SleepFor(d sim.Duration) {
 	e.do(request{kind: reqSleepFor, dur: d})
 }
 
-// Wake unblocks up to n processes sleeping on q, in FIFO order.
+// Wake unblocks up to n processes sleeping on q, in FIFO order. It
+// takes no virtual time, so it runs on the body's goroutine.
 func (e *Env) Wake(q *WaitQueue, n int) {
 	if n <= 0 {
 		return
 	}
-	e.do(request{kind: reqWake, q: q, n: n})
+	e.k.WakeQueue(q, n)
 }
 
 // Yield surrenders the processor, moving the process to the back of the
@@ -305,8 +351,10 @@ func (e *Env) Yield() {
 	e.do(request{kind: reqYield})
 }
 
-// DebugPending describes the process's unsatisfied request — for tests
-// and diagnostics only.
+// DebugPending describes the process's last blocking request — the one
+// it is still waiting on, if it is waiting — for tests and diagnostics
+// only. Requests performed on the body's goroutine (an uncontended
+// Acquire, Release, Wake) never show here.
 func (p *Process) DebugPending() string {
 	switch p.pending.kind {
 	case reqCompute:
@@ -319,8 +367,6 @@ func (p *Process) DebugPending() string {
 		return "sleep"
 	case reqSleepFor:
 		return "sleepfor"
-	case reqWake:
-		return "wake"
 	case reqYield:
 		return "yield"
 	case reqExit:

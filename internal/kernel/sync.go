@@ -68,8 +68,12 @@ func (l *SpinLock) firstRunningWaiter() *Process {
 // suspension queue for process control, and the workload generators use
 // them for blocking synchronization.
 type WaitQueue struct {
-	name  string
+	name string
+	// procs[head:] are the sleepers, in arrival order. pop advances head
+	// instead of re-slicing the front away, so add reuses the array; the
+	// storage rewinds when the queue drains.
 	procs []*Process
+	head  int
 
 	// Stats.
 	Sleeps int64
@@ -85,7 +89,7 @@ func NewWaitQueue(name string) *WaitQueue {
 func (q *WaitQueue) Name() string { return q.name }
 
 // Len returns the number of sleeping processes.
-func (q *WaitQueue) Len() int { return len(q.procs) }
+func (q *WaitQueue) Len() int { return len(q.procs) - q.head }
 
 func (q *WaitQueue) add(p *Process) {
 	q.procs = append(q.procs, p)
@@ -96,8 +100,8 @@ func (q *WaitQueue) add(p *Process) {
 // It does not count as a wake (fault injection uses it to tear a
 // crashed process out of the queue).
 func (q *WaitQueue) remove(p *Process) bool {
-	for i, x := range q.procs {
-		if x == p {
+	for i := q.head; i < len(q.procs); i++ {
+		if q.procs[i] == p {
 			q.procs = append(q.procs[:i], q.procs[i+1:]...)
 			return true
 		}
@@ -106,11 +110,15 @@ func (q *WaitQueue) remove(p *Process) bool {
 }
 
 func (q *WaitQueue) pop() *Process {
-	if len(q.procs) == 0 {
+	if q.head == len(q.procs) {
 		return nil
 	}
-	p := q.procs[0]
-	q.procs = q.procs[1:]
+	p := q.procs[q.head]
+	q.procs[q.head] = nil
+	q.head++
+	if q.head == len(q.procs) {
+		q.procs, q.head = q.procs[:0], 0
+	}
 	q.Wakes++
 	return p
 }

@@ -263,3 +263,66 @@ func TestHolderAccessor(t *testing.T) {
 		t.Error("lock still held at end")
 	}
 }
+
+// WaitQueue pops by advancing a head index; wake order must stay strict
+// arrival order across interleaved sleeps, wakes and removals.
+func TestWaitQueuePopsInArrivalOrder(t *testing.T) {
+	q := NewWaitQueue("q")
+	var want []*Process // reference FIFO
+	var id PID
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			id++
+			p := &Process{id: id}
+			q.add(p)
+			want = append(want, p)
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			got := q.pop()
+			if len(want) == 0 {
+				if got != nil {
+					t.Fatalf("pop on an empty queue returned %v", got)
+				}
+				continue
+			}
+			if got != want[0] {
+				t.Fatalf("pop returned pid %d, want %d", got.id, want[0].id)
+			}
+			want = want[1:]
+		}
+		if q.Len() != len(want) {
+			t.Fatalf("Len() = %d, want %d", q.Len(), len(want))
+		}
+	}
+	add(4)
+	pop(2)
+	add(3)
+	// Remove one from the middle of the live window and one already
+	// popped (must be refused).
+	gone := want[1]
+	if !q.remove(gone) {
+		t.Fatal("remove of a sleeper failed")
+	}
+	want = append(want[:1:1], want[2:]...)
+	if q.remove(gone) || q.remove(&Process{id: 1}) {
+		t.Error("remove of a process not on the queue succeeded")
+	}
+	pop(10) // drains
+	if q.head != 0 || len(q.procs) != 0 {
+		t.Errorf("drained queue did not rewind: head %d, len %d", q.head, len(q.procs))
+	}
+	add(2)
+	last := want[1]
+	pop(1)
+	if !q.remove(last) || q.Len() != 0 || q.pop() != nil {
+		t.Errorf("removing the last sleeper left Len %d", q.Len())
+	}
+	want = nil
+	add(1) // a queue emptied by removal still works
+	pop(1)
+	if q.Sleeps != 10 || q.Wakes != 8 {
+		t.Errorf("sleeps=%d wakes=%d, want 10 and 8 (removals are not wakes)", q.Sleeps, q.Wakes)
+	}
+}

@@ -108,7 +108,11 @@ type App struct {
 
 	qlock *kernel.SpinLock   // guards ready/depsLeft/remaining
 	locks []*kernel.SpinLock // application locks, by LockID
-	ready []TaskID           // FIFO ready queue
+	// FIFO ready queue: ready[head:] are the queued tasks. Popping
+	// advances head instead of re-slicing the front away, so the appends
+	// in readyDep reuse the array; the storage rewinds when it drains.
+	ready []TaskID
+	head  int
 	// depsLeft counts unresolved inbound *spans* per task (inline edges
 	// plus one per barrier group); groupsLeft counts unfinished
 	// near-side tasks per barrier group. Equivalent to per-edge
@@ -202,7 +206,7 @@ func Launch(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 	a.met = newAppMetrics(k.Metrics(), wl.Name)
 	k.Metrics().OnCollect(func() {
 		reg := k.Metrics()
-		reg.Gauge(metrics.Name("sim_app_queue_depth", "app", wl.Name), "ready tasks queued").Set(int64(len(a.ready)))
+		reg.Gauge(metrics.Name("sim_app_queue_depth", "app", wl.Name), "ready tasks queued").Set(int64(a.queued()))
 		reg.Gauge(metrics.Name("sim_app_runnable", "app", wl.Name), "workers not suspended by process control").Set(int64(a.runnable))
 		reg.Gauge(metrics.Name("sim_app_target", "app", wl.Name), "most recently polled server target").Set(int64(a.target))
 	})
@@ -344,13 +348,19 @@ func (a *App) execute(env *kernel.Env, id TaskID) {
 
 // dequeue pops the next ready task, or -1. Callers hold qlock.
 func (a *App) dequeue() TaskID {
-	if len(a.ready) == 0 {
+	if a.head == len(a.ready) {
 		return -1
 	}
-	t := a.ready[0]
-	a.ready = a.ready[1:]
+	t := a.ready[a.head]
+	a.head++
+	if a.head == len(a.ready) {
+		a.ready, a.head = a.ready[:0], 0
+	}
 	return t
 }
+
+// queued returns the number of ready tasks waiting to be dequeued.
+func (a *App) queued() int { return len(a.ready) - a.head }
 
 // complete retires a task and readies its dependents; it reports whether
 // the workload just finished. Callers hold qlock.
@@ -457,7 +467,7 @@ func (a *App) annotate(env *kernel.Env, kind string, task, target int, d sim.Dur
 }
 
 // DebugState reports internal queue state for diagnostics.
-func (a *App) DebugState() (ready, remain int) { return len(a.ready), a.remain }
+func (a *App) DebugState() (ready, remain int) { return a.queued(), a.remain }
 
 // LatencyStats summarizes per-task timing from a RecordLatency run:
 // Wait is each task's time from becoming ready to being dequeued (the

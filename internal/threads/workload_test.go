@@ -2,6 +2,7 @@ package threads
 
 import (
 	"testing"
+	"time"
 
 	"procctl/internal/sim"
 )
@@ -109,5 +110,63 @@ func TestCriticalPathIndependent(t *testing.T) {
 	}
 	if got := w.CriticalPath(); got != 5*sim.Millisecond {
 		t.Errorf("CriticalPath = %v, want 5ms (longest single task)", got)
+	}
+}
+
+func TestBarrierOverlapPanics(t *testing.T) {
+	// The shared task sits first, in the middle and last on either side;
+	// each must be rejected with Dep's message, before anything is
+	// recorded.
+	for _, tc := range []struct{ fromAt, toAt int }{{0, 0}, {0, 3}, {3, 0}, {2, 1}, {3, 3}} {
+		w := NewWorkload("overlap")
+		var from, to []TaskID
+		for i := 0; i < 4; i++ {
+			from = append(from, w.Add("f", 10))
+		}
+		for i := 0; i < 4; i++ {
+			to = append(to, w.Add("t", 10))
+		}
+		to[tc.toAt] = from[tc.fromAt]
+		func() {
+			defer func() {
+				if r := recover(); r != "threads: task depends on itself" {
+					t.Errorf("overlap at from[%d]/to[%d]: recovered %v, want the self-dependency panic", tc.fromAt, tc.toAt, r)
+				}
+			}()
+			w.Barrier(from, to)
+		}()
+		for i := 0; i < w.Len(); i++ {
+			if task := w.Task(TaskID(i)); task.ndeps != 0 || task.nspans != 0 || len(task.succs) != 0 {
+				t.Errorf("overlap at from[%d]/to[%d]: rejected barrier left edges on task %d", tc.fromAt, tc.toAt, i)
+			}
+		}
+	}
+}
+
+func TestBarrierBuildsInLinearTime(t *testing.T) {
+	// BigFFT's shape first, then a barrier wide enough that the old
+	// from×to scan (1.7e10 comparisons) could not finish inside the
+	// bound on any host, while one pass over each side takes
+	// milliseconds.
+	for _, n := range []int{4096, 1 << 17} {
+		w := NewWorkload("wide")
+		from, to := make([]TaskID, n), make([]TaskID, n)
+		for i := range from {
+			from[i] = w.Add("f", 1)
+		}
+		for i := range to {
+			to[i] = w.Add("t", 1)
+		}
+		start := time.Now()
+		w.Barrier(from, to)
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%d×%d barrier took %v to build, want well under 1s", n, n, d)
+		}
+		if got := w.Task(to[n-1]).ndeps; got != n {
+			t.Errorf("%d×%d barrier: last far-side task has %d deps, want %d", n, n, got, n)
+		}
+		if err := w.Validate(); err != nil {
+			t.Error(err)
+		}
 	}
 }
