@@ -40,15 +40,19 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/...
 	$(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns' ./internal/experiments
 
-# Short fuzz passes over the journal's frame decoder and fsck, on top of
-# the committed corpus under internal/journal/testdata/fuzz. Five
-# seconds each is a smoke, not a campaign — run longer campaigns with
+# Short fuzz passes over the journal's frame decoder and fsck and over
+# the control plane's line codec (differential against encoding/json),
+# on top of the committed corpora under internal/journal/testdata/fuzz
+# and internal/runtime/coordinator/testdata/fuzz. Five seconds each is a
+# smoke, not a campaign — run longer campaigns with
 # e.g. `go test -fuzz=FuzzFsck -fuzztime=10m ./internal/journal`.
-# (go test accepts one -fuzz pattern per invocation, hence two runs.)
+# (go test accepts one -fuzz pattern per invocation, hence one run each.)
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZ_TIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzFsck -fuzztime=$(FUZZ_TIME) ./internal/journal
+	$(GO) test -run='^$$' -fuzz=FuzzWireRequest -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
+	$(GO) test -run='^$$' -fuzz=FuzzWireResponse -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
 
 # Performance-regression harness: run the engine/kernel microbenchmarks
 # and the Fig4 end-to-end benchmark, write a schema'd BENCH_<date>.json,

@@ -691,6 +691,17 @@ func curated(fleet int) []bench {
 				pb.Poll(i&63, int64(i))
 			}
 		}},
+		// WirePoll is the rung above PollShard: the line codec's share of a
+		// served poll, one request decoded and its reply encoded. 0 allocs
+		// in the baseline, no increase tolerated.
+		{name: "WirePoll", extra: events, fn: func(b *testing.B) {
+			b.ReportAllocs()
+			pb := coordinator.NewPollBench(64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pb.WirePoll(i & 63)
+			}
+		}},
 		// FleetRebalance is a driven fleet: eight applications registered
 		// over the socket, then b.N convergence cycles — a load change
 		// re-targeting the fleet, every client acking over the wire.

@@ -22,6 +22,7 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,17 +174,16 @@ func Name(base string, labels ...string) string {
 	if len(labels) == 0 {
 		return base
 	}
-	var b strings.Builder
-	b.WriteString(base)
-	b.WriteByte('{')
+	b := append(make([]byte, 0, 64), base...)
+	b = append(b, '{')
 	for i := 0; i < len(labels); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", labels[i], labels[i+1])
+		b = append(append(b, labels[i]...), '=')
+		b = strconv.AppendQuote(b, labels[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 // baseOf strips the label block from a series name.

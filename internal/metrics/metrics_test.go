@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -75,6 +76,12 @@ func TestName(t *testing.T) {
 	want := `b{cpu="3",app="fft"}`
 	if got := Name("b", "cpu", "3", "app", "fft"); got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
+	}
+	// Label values are quoted the way %q quotes them.
+	for _, v := range []string{"", `q"b\s`, "a b\n", "é\u2028\x00\xff"} {
+		if got, want := Name("b", "app", v), fmt.Sprintf("b{app=%q}", v); got != want {
+			t.Errorf("Name() = %s, want %s", got, want)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package coordinator
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,9 +38,9 @@ func (e *BusyError) Is(target error) bool { return target == ErrBusy }
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	enc     *json.Encoder
-	dec     *json.Decoder
-	network string // for Redial; empty when built from NewClient
+	rd      lineReader // replies; unbounded, the daemon is trusted
+	out     []byte     // the request line, reused
+	network string     // for Redial; empty when built from NewClient
 	addr    string
 }
 
@@ -61,11 +59,7 @@ func Dial(network, addr string) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn: conn,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-	}
+	return &Client{conn: conn, rd: lineReader{r: conn}}
 }
 
 // Close drops the connection; the daemon unregisters this client's
@@ -100,8 +94,7 @@ func (c *Client) Redial() error {
 	c.mu.Lock()
 	old := c.conn
 	c.conn = conn
-	c.enc = json.NewEncoder(conn)
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
+	c.rd = lineReader{r: conn}
 	c.mu.Unlock()
 	old.Close()
 	return nil
@@ -109,32 +102,40 @@ func (c *Client) Redial() error {
 
 // roundTrip sends one request and reads one response. The protocol is
 // strictly request/response per connection, and c.mu IS the wire-
-// protocol serializer: holding it across the encode/decode pair is what
+// protocol serializer: holding it across the write/read pair is what
 // guarantees responses pair with their requests. Concurrent callers
 // queueing on the mutex is therefore the intended behaviour, not a
-// convoy — hence the blockinglocked pragmas below.
-func (c *Client) roundTrip(req *Request) (*Response, error) {
+// convoy — hence the blockinglocked pragmas below. Neither req nor the
+// returned Response reaches the heap: a steady-state poll allocates
+// nothing on this side either.
+func (c *Client) roundTrip(req *Request) (resp Response, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//procctl:allow-blockinglocked the mutex is the request/response wire serializer; I/O under it is the protocol
-	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("coordinator: send: %w", err)
+	if c.out, err = appendRequest(c.out[:0], req); err != nil {
+		return resp, fmt.Errorf("coordinator: send: %w", err)
 	}
-	var resp Response
 	//procctl:allow-blockinglocked the mutex is the request/response wire serializer; I/O under it is the protocol
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("coordinator: receive: %w", err)
+	if _, err = c.conn.Write(c.out); err != nil {
+		return resp, fmt.Errorf("coordinator: send: %w", err)
+	}
+	//procctl:allow-blockinglocked the mutex is the request/response wire serializer; I/O under it is the protocol
+	line, err := c.rd.readLine()
+	if err == nil {
+		err = decodeResponse(line, &resp)
+	}
+	if err != nil {
+		return resp, fmt.Errorf("coordinator: receive: %w", err)
 	}
 	if !resp.OK {
 		if resp.Busy {
-			return nil, &BusyError{
+			return resp, &BusyError{
 				Reason:     resp.Error,
 				RetryAfter: time.Duration(resp.RetryAfterMs) * time.Millisecond,
 			}
 		}
-		return nil, errors.New("coordinator: " + resp.Error)
+		return resp, errors.New("coordinator: " + resp.Error)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Register announces an application with the given process count and

@@ -27,6 +27,20 @@ import (
 //	-> {"op":"converge","limit":8}
 //	<- {"ok":true,"converge":{"open":0,"epochs":[...],"p99_us":...}}
 //
+// Framing is one message per newline-terminated line, and wire.go is
+// the only code that frames, encodes or decodes: the everyday messages
+// (register, poll, unregister and their replies, spin_pct and
+// applied_epoch included) by a scanner and appends that allocate
+// nothing, everything else by encoding/json on the same line, so the
+// bytes are the ones json.Encoder has always written. A request line
+// is at most 64 KiB (maxRequestLine); a longer one gets one error
+// reply and the connection is closed. Replies are not bounded. This is
+// narrower than the streaming decoder the server used to run: a JSON
+// value spread over several lines, or two values on one line, now
+// drops the connection as malformed input does. No client or script in
+// this repository ever sent either. An op outside the eight above is
+// refused and counted under the one label op="unknown".
+//
 // Register and poll responses carry the epoch of the rebalance that
 // computed the returned target; clients echo the highest epoch they
 // have applied back as applied_epoch, which is how the daemon's

@@ -1,8 +1,6 @@
 package coordinator
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -116,13 +114,10 @@ func (r *remoteMember) targetEpoch() (int, uint64) {
 	return int(v & (1<<targetBits - 1)), v >> targetBits
 }
 
-// noteSpin records a client-reported spin%; a nil report (old client,
-// target without instrumentation) leaves the last value in place.
-func (r *remoteMember) noteSpin(pct *float64) {
-	if pct == nil {
-		return
-	}
-	r.spin.Store(math.Float64bits(*pct))
+// noteSpin records a client-reported spin%. Requests without one (old
+// client, target without instrumentation) leave the last value in place.
+func (r *remoteMember) noteSpin(pct float64) {
+	r.spin.Store(math.Float64bits(pct))
 	r.spinSet.Store(true)
 }
 
@@ -140,20 +135,21 @@ type connState struct {
 	conn  net.Conn
 	owned map[string]*remoteMember // touched only by the handler goroutine
 
-	mu       sync.Mutex
-	lastSeen time.Time
+	accepted time.Time
+	lastSeen atomic.Int64 // nanoseconds after accepted, on its monotonic clock
 }
 
-func (cs *connState) touch() {
-	cs.mu.Lock()
-	cs.lastSeen = time.Now()
-	cs.mu.Unlock()
-}
+func (cs *connState) touch(now time.Time) { cs.lastSeen.Store(int64(now.Sub(cs.accepted))) }
 
-func (cs *connState) seen() time.Time {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.lastSeen
+func (cs *connState) seen() time.Time { return cs.accepted.Add(time.Duration(cs.lastSeen.Load())) }
+
+// appName makes a decoded app name's string: the member's own when this
+// connection registered it, so a poll's name costs no allocation.
+func (cs *connState) appName(b []byte) string {
+	if m, ok := cs.owned[string(b)]; ok {
+		return m.name
+	}
+	return string(b)
 }
 
 // Server accepts socket connections and bridges them to a Coordinator.
@@ -175,6 +171,11 @@ type Server struct {
 
 	handlers sync.WaitGroup // joins per-connection handler goroutines
 	expiries *metrics.Counter
+	// rpcs holds the request counters of every op in wireOps, resolved
+	// once; a request naming any other op counts under rpcUnknown, so a
+	// client cannot mint series.
+	rpcs       map[string]rpcCounters
+	rpcUnknown rpcCounters
 
 	// admit is the registration-admission semaphore (nil = unlimited):
 	// a buffered channel holding one token per in-flight admitted
@@ -184,6 +185,17 @@ type Server struct {
 	admitted *metrics.Counter
 	shedConn *metrics.Counter
 	shedReg  *metrics.Counter
+}
+
+// rpcCounters are one op's coordinator_rpcs_total and
+// coordinator_rpc_errors_total series.
+type rpcCounters struct{ served, rejected *metrics.Counter }
+
+func newRPCCounters(reg *metrics.Registry, op string) rpcCounters {
+	return rpcCounters{
+		served:   reg.Counter(metrics.Name("coordinator_rpcs_total", "op", op), "socket requests served"),
+		rejected: reg.Counter(metrics.Name("coordinator_rpc_errors_total", "op", op), "socket requests rejected"),
+	}
 }
 
 // NewServer wraps a coordinator and a listener with the default failure
@@ -209,6 +221,11 @@ func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Serve
 	if s.cfg.AdmitLimit > 0 {
 		s.admit = make(chan struct{}, s.cfg.AdmitLimit)
 	}
+	s.rpcs = make(map[string]rpcCounters, len(wireOps))
+	for _, op := range wireOps {
+		s.rpcs[op] = newRPCCounters(coord.Metrics(), op)
+	}
+	s.rpcUnknown = newRPCCounters(coord.Metrics(), "unknown")
 	openConns := coord.Metrics().Gauge("coordinator_open_conns", "client connections currently served")
 	coord.Metrics().OnCollect(func() {
 		s.mu.Lock()
@@ -338,7 +355,7 @@ func (s *Server) Serve() error {
 		if err != nil {
 			return err
 		}
-		cs := &connState{conn: conn, owned: make(map[string]*remoteMember), lastSeen: time.Now()}
+		cs := &connState{conn: conn, owned: make(map[string]*remoteMember), accepted: time.Now()}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -373,14 +390,31 @@ func (s *Server) rejectBusy(cs *connState) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
-	var req Request
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&req); err != nil {
+	_ = conn.SetReadDeadline(cs.accepted.Add(s.cfg.IOTimeout))
+	rd := lineReader{r: conn, max: maxRequestLine}
+	line, err := rd.readLine()
+	if err != nil {
 		return
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
+	var req Request
+	var spin float64
+	if decodeRequest(line, &req, &spin, cs.appName) != nil {
+		return
+	}
 	resp := busyResp("connection limit reached")
-	_ = json.NewEncoder(conn).Encode(&resp)
+	_, _ = s.reply(conn, nil, &resp, time.Now())
+}
+
+// reply encodes resp into buf and sends it with one write, bounded by
+// the I/O timeout counted from now. It returns buf for the next reply.
+func (s *Server) reply(conn net.Conn, buf []byte, resp *Response, now time.Time) ([]byte, error) {
+	buf, err := appendResponse(buf[:0], resp)
+	if err != nil {
+		return buf, err
+	}
+	_ = conn.SetWriteDeadline(now.Add(s.cfg.IOTimeout))
+	_, err = conn.Write(buf)
+	return buf, err
 }
 
 // sweepLoop periodically closes connections whose lease lapsed. Closing
@@ -511,40 +545,60 @@ func (s *Server) handle(cs *connState) {
 		}
 	}()
 
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	// Everything a request needs lives as long as the connection, so a
+	// steady-state poll allocates nothing. now is read once per request
+	// and serves the lease, both deadlines and the ack timestamp.
+	var (
+		rd    = lineReader{r: conn, max: maxRequestLine}
+		name  = cs.appName
+		req   Request
+		spin  float64
+		resp  Response
+		reply []byte
+		now   = cs.accepted
+	)
 	for {
 		// A healthy client speaks at least once per lease; allow one
 		// sweep interval of slack so the sweep, not the deadline, is
 		// the normal expiry path (its accounting is better).
 		if s.cfg.Lease > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.Lease + 2*s.cfg.SweepInterval))
+			_ = conn.SetReadDeadline(now.Add(s.cfg.Lease + 2*s.cfg.SweepInterval))
 		}
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		line, err := rd.readLine()
+		now = time.Now()
+		if err == errLineTooLong {
+			s.rpcUnknown.served.Inc()
+			s.rpcUnknown.rejected.Inc()
+			resp = errResp(err)
+			_, _ = s.reply(conn, reply, &resp, now)
+			return
+		}
+		if err != nil || decodeRequest(line, &req, &spin, name) != nil {
 			return // EOF, timeout, or broken peer: drop the connection
 		}
-		cs.touch() // any op renews the connection's leases
-		resp := s.dispatch(&req, cs)
-		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		if err := enc.Encode(resp); err != nil {
+		cs.touch(now) // any op renews the connection's leases
+		resp = s.dispatch(&req, cs, now)
+		if reply, err = s.reply(conn, reply, &resp, now); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) dispatch(req *Request, cs *connState) Response {
-	reg := s.coord.Metrics()
-	reg.Counter(metrics.Name("coordinator_rpcs_total", "op", req.Op), "socket requests served").Inc()
-	resp := s.dispatchOp(req, cs)
+func (s *Server) dispatch(req *Request, cs *connState, now time.Time) Response {
+	n, ok := s.rpcs[req.Op]
+	if !ok {
+		n = s.rpcUnknown
+	}
+	n.served.Inc()
+	resp := s.dispatchOp(req, cs, now)
 	if !resp.OK {
-		reg.Counter(metrics.Name("coordinator_rpc_errors_total", "op", req.Op), "socket requests rejected").Inc()
+		n.rejected.Inc()
 	}
 	s.maybeSnapshot()
 	return resp
 }
 
-func (s *Server) dispatchOp(req *Request, cs *connState) Response {
+func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response {
 	owned := cs.owned
 	switch req.Op {
 	case OpRegister:
@@ -567,7 +621,9 @@ func (s *Server) dispatchOp(req *Request, cs *connState) Response {
 		// member's pending target is its own process count: run
 		// uncontrolled rather than at zero.
 		m.SetTargetEpoch(req.Procs, 0)
-		m.noteSpin(req.SpinPct)
+		if req.SpinPct != nil {
+			m.noteSpin(*req.SpinPct)
+		}
 		s.coord.RegisterWeighted(m, req.Weight)
 		owned[req.App] = m
 		s.mu.Lock()
@@ -581,7 +637,7 @@ func (s *Server) dispatchOp(req *Request, cs *connState) Response {
 		if req.Applied > 0 {
 			// A reconnecting client may still be acking an epoch the
 			// previous incarnation of its registration was pushed.
-			s.coord.AckApplied(req.App, req.Applied, time.Now().UnixMicro())
+			s.coord.AckApplied(req.App, req.Applied, now.UnixMicro())
 		}
 		target, epoch := m.targetEpoch()
 		return Response{OK: true, Target: target, Epoch: epoch}
@@ -592,9 +648,11 @@ func (s *Server) dispatchOp(req *Request, cs *connState) Response {
 			return errResp(fmt.Errorf("app %q not registered on this connection", req.App))
 		}
 		s.coord.NotePoll(req.App)
-		m.noteSpin(req.SpinPct)
+		if req.SpinPct != nil {
+			m.noteSpin(*req.SpinPct)
+		}
 		if req.Applied > 0 {
-			s.coord.AckApplied(req.App, req.Applied, time.Now().UnixMicro())
+			s.coord.AckApplied(req.App, req.Applied, now.UnixMicro())
 		}
 		target, epoch := m.targetEpoch()
 		return Response{OK: true, Target: target, Epoch: epoch}

@@ -133,6 +133,14 @@ type PollBench struct {
 	c       *Coordinator
 	names   []string
 	members []*remoteMember
+
+	// The codec half (WirePoll): each member's poll line, the connection
+	// state that owns them all, and the buffers a handler reuses.
+	lines [][]byte
+	cs    connState
+	req   Request
+	spin  float64
+	reply []byte
 }
 
 // NewPollBench builds a coordinator with the given number of restored
@@ -142,13 +150,16 @@ func NewPollBench(members int) *PollBench {
 	if members < 1 {
 		members = 1
 	}
-	b := &PollBench{c: New(64)}
+	b := &PollBench{c: New(64), cs: connState{owned: make(map[string]*remoteMember)}}
 	for i := 0; i < members; i++ {
 		m := &remoteMember{name: benchName(i), procs: 4}
 		m.SetTargetEpoch(2, 1)
 		b.c.RestoreMember(m, 1, 2)
 		b.names = append(b.names, m.name)
 		b.members = append(b.members, m)
+		b.cs.owned[m.name] = m
+		line, _ := appendRequest(nil, &Request{Op: OpPoll, App: m.name, Applied: 1})
+		b.lines = append(b.lines, line[:len(line)-1])
 	}
 	return b
 }
@@ -172,4 +183,18 @@ func (b *PollBench) Poll(i int, at int64) int {
 	t, epoch := b.members[k].targetEpoch()
 	b.c.AckApplied(b.names[k], epoch, at)
 	return t
+}
+
+// WirePoll runs the codec's share of the i-th member's poll — its
+// request line decoded, its reply encoded — and returns the reply's
+// length. With Poll it is everything a served poll costs but the socket;
+// allocation-free under the same gate.
+func (b *PollBench) WirePoll(i int) int {
+	k := i % len(b.members)
+	if decodeRequest(b.lines[k], &b.req, &b.spin, b.cs.appName) != nil {
+		return 0
+	}
+	t, epoch := b.cs.owned[b.req.App].targetEpoch()
+	b.reply, _ = appendResponse(b.reply[:0], &Response{OK: true, Target: t, Epoch: epoch})
+	return len(b.reply)
 }

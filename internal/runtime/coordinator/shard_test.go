@@ -167,7 +167,7 @@ func TestAdmitLimitShedsRegistration(t *testing.T) {
 	srv, _ := startServerWith(t, 8, ServerConfig{AdmitLimit: 1})
 	srv.admit <- struct{}{} // occupy the only admission slot
 	cs := &connState{owned: make(map[string]*remoteMember)}
-	resp := srv.dispatch(&Request{Op: OpRegister, App: "shedme", Procs: 4}, cs)
+	resp := srv.dispatch(&Request{Op: OpRegister, App: "shedme", Procs: 4}, cs, time.Now())
 	if resp.OK || !resp.Busy {
 		t.Fatalf("register with full admission = %+v, want busy", resp)
 	}
@@ -181,7 +181,7 @@ func TestAdmitLimitShedsRegistration(t *testing.T) {
 		t.Errorf("shed registrations counter = %d, want 1", v)
 	}
 	<-srv.admit // release; the next registration is admitted
-	resp = srv.dispatch(&Request{Op: OpRegister, App: "shedme", Procs: 4}, cs)
+	resp = srv.dispatch(&Request{Op: OpRegister, App: "shedme", Procs: 4}, cs, time.Now())
 	if !resp.OK {
 		t.Fatalf("register after release failed: %+v", resp)
 	}
