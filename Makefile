@@ -31,10 +31,10 @@ test:
 # simulator's coroutine core. The simulator runs one goroutine at a
 # time, but "at a time" is a protocol, not a construction: process
 # bodies write kernel state themselves for requests that take no
-# virtual time, ordered only by the grant/req channel hand-offs, and one
-# immutable threads.Workload backs the concurrent runs of a figure
-# sweep. The second line checks the hand-off protocol, the third the
-# sharing.
+# virtual time, ordered only by the coroutine switches (iter.Pull) to
+# and from the engine, and one immutable threads.Workload backs the
+# concurrent runs of a figure sweep. The second line checks the
+# hand-off protocol, the third the sharing.
 race:
 	$(GO) test -race ./internal/runtime/...
 	$(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/...

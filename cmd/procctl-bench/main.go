@@ -604,6 +604,24 @@ func curated(fleet int) []bench {
 			b.StopTimer()
 			k.Shutdown()
 		}},
+		// One blocking request and nothing else: a Compute completes, the
+		// engine switches to the body for its next request and back, and
+		// the next completion is scheduled. One process, no preemption.
+		{name: "KernelRendezvous", fn: func(b *testing.B) {
+			b.ReportAllocs()
+			eng := sim.NewEngine(1)
+			mac := machine.New(machine.Config{NumCPU: 1})
+			k := kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{Quantum: 3600 * sim.Second, QuantumJitter: -1})
+			k.Spawn("p", 1, 0, func(env *kernel.Env) {
+				for {
+					env.Compute(sim.Microsecond)
+				}
+			})
+			b.ResetTimer()
+			eng.Run(sim.Time(sim.Duration(b.N) * sim.Microsecond))
+			b.StopTimer()
+			k.Shutdown()
+		}},
 		{name: "SimulatedSpinlock", fn: func(b *testing.B) {
 			b.ReportAllocs()
 			eng := sim.NewEngine(1)

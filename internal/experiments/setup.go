@@ -175,7 +175,7 @@ func (s *Sim) LaunchAt(at sim.Time, id kernel.AppID, wl *threads.Workload, procs
 
 // RunUntil steps the engine in 250 ms chunks until done reports true or
 // the horizon passes; it finalizes kernel accounting and unwinds process
-// goroutines, and reports whether done was reached.
+// bodies, and reports whether done was reached.
 func (s *Sim) RunUntil(done func() bool) bool {
 	horizon := sim.Time(0).Add(s.Opts.Horizon)
 	for !done() && s.Eng.Now() < horizon {

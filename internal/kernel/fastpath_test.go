@@ -96,9 +96,9 @@ func TestInlineRequestsFireHooks(t *testing.T) {
 	}
 }
 
-// Releasing a lock the process does not hold is a model bug, and the
-// panic must unwind Engine.Run — where a driver can see it — not the
-// body's goroutine, where it would take the whole program down.
+// Releasing a lock the process does not hold is a model bug, detected
+// in the body; like every body panic it must come out of Engine.Run,
+// where a driver can see it (coroutine_test.go has the general case).
 func TestReleaseOfUnheldLockPanicsOnEngineGoroutine(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

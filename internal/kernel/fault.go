@@ -176,9 +176,9 @@ func (k *Kernel) finishKill(p *Process) {
 	if k.OnExit != nil {
 		k.OnExit(p)
 	}
-	// Unwind the body goroutine: it is parked waiting for a grant that
-	// will never come.
-	close(p.env.grant)
+	// Unwind the body: its parked request panics killedError out through
+	// its deferred functions. A body that never started never runs.
+	p.env.stop()
 }
 
 // Killed reports whether the process was crashed by fault injection.

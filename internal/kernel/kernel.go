@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
 
 	"procctl/internal/machine"
 	"procctl/internal/metrics"
@@ -68,7 +67,6 @@ type Kernel struct {
 	nlive  int
 
 	rng *sim.RNG
-	wg  sync.WaitGroup
 	met *kernelMetrics
 
 	// rendezvous counts engine→body→engine hand-offs (calls to advance).
@@ -172,31 +170,29 @@ func (k *Kernel) Spawn(name string, app AppID, workingSet int64, body func(*Env)
 		id:         k.nextID,
 		name:       name,
 		app:        app,
-		body:       body,
 		workingSet: workingSet,
 		lastCPU:    -1,
 		state:      Embryo,
 	}
-	p.env = &Env{
-		p:     p,
-		k:     k,
-		req:   make(chan request),
-		grant: make(chan struct{}),
-		rng:   k.rng.Split(),
-	}
+	e := &p.env
+	e.p, e.k, e.rng = p, k, k.rng.Split()
+	e.next, e.stop = newCoroutine(func(yield func(request) bool) {
+		defer func() { // a kill is a plain return; any other panic goes on to next's caller
+			if r := recover(); r != nil && r != any(killedError{}) {
+				panic(r)
+			}
+		}()
+		e.yield = yield
+		body(e)
+	})
 	// One closure per event kind for the process's whole lifetime; the
 	// dispatch hot path then schedules them with zero allocations.
 	p.quantumFn = func() { k.quantumExpire(p) }
 	p.startFn = func() { k.beginRun(p) }
 	p.computeFn = func() { k.computeDone(p) }
-	p.grantFn = func() { k.grantRun(p) }
-	p.sleepFn = func() { k.sleepDone(p) }
 	k.procs = append(k.procs, p)
 	k.byID[p.id] = p
 	k.nlive++
-	k.wg.Add(1)
-	//procctl:allow-nondeterminism coroutine: procMain runs in strict alternation with the engine via req/grant rendezvous, never concurrently
-	go k.procMain(p)
 	k.setState(p, Runnable)
 	k.pol.Enqueue(p)
 	if k.OnSpawn != nil {
@@ -206,48 +202,31 @@ func (k *Kernel) Spawn(name string, app AppID, workingSet int64, body func(*Env)
 	return p
 }
 
-// procMain is the goroutine wrapper around a process body.
-func (k *Kernel) procMain(p *Process) {
-	defer k.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedError); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
-	if _, ok := <-p.env.grant; !ok {
-		return
-	}
-	p.body(p.env)
-	p.env.req <- request{kind: reqExit}
-}
-
-// Shutdown unwinds the goroutines of all still-live processes. Call it
-// after the engine has returned from Run; it must not be called from an
-// event callback.
+// Shutdown unwinds the bodies of all still-live processes, one after
+// the other (stop is a no-op on a body that has returned or been
+// unwound). Call it after the engine has returned from Run; it must not
+// be called from an event callback.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
-		if p.state != Exited {
-			close(p.env.grant)
-		}
+		p.env.stop()
 	}
-	k.wg.Wait()
 }
 
 // advance resumes p's body until its next blocking request and
 // initializes the request's progress state. This is the rendezvous: the
-// only place the engine goroutine hands control to a body and waits for
-// it. Requests that take no virtual time never get here — the body
-// performs them itself (Env.Acquire on a free lock, Env.Release,
-// Env.Wake).
+// only place the engine hands control to a body and waits for it. A
+// body that returns has made its last request, exit. Requests that take
+// no virtual time never get here — the body performs them itself
+// (Env.Acquire on a free lock, Env.Release, Env.Wake).
 func (k *Kernel) advance(p *Process) {
 	k.rendezvous++
-	p.env.grant <- struct{}{}
-	p.pending = <-p.env.req
-	if p.pending.kind == reqCompute {
-		p.computeLeft = p.pending.dur
+	r, ok := p.env.next()
+	if !ok {
+		r.kind = reqExit
+	}
+	p.pending = r
+	if r.kind == reqCompute {
+		p.computeLeft = r.dur
 	}
 }
 
@@ -416,12 +395,6 @@ func (k *Kernel) runProc(p *Process) {
 				return // spin: burn CPU until release or quantum expiry
 			}
 
-		case reqRelease:
-			// Env.Release performs every valid release itself; what it
-			// sends here is the model bug, so that the panic unwinds
-			// Engine.Run and not a body goroutine.
-			panic(fmt.Sprintf("kernel: %v releasing %q held by %v", p, r.lock.name, r.lock.holder))
-
 		case reqSleep:
 			r.q.add(p)
 			p.sleepQ = r.q
@@ -431,6 +404,9 @@ func (k *Kernel) runProc(p *Process) {
 		case reqSleepFor:
 			d := r.dur
 			k.unrun(p, Blocked)
+			if p.sleepFn == nil {
+				p.sleepFn = func() { k.sleepDone(p) }
+			}
 			p.sleepEv = k.eng.After(d, p.sleepFn)
 			return
 
@@ -538,6 +514,9 @@ func (k *Kernel) grantLock(l *SpinLock, w *Process) {
 	w.Stats.SpinTime += spun
 	k.met.spinMicros.Add(int64(spun))
 	k.takeLock(l, w, spun)
+	if w.grantFn == nil {
+		w.grantFn = func() { k.grantRun(w) }
+	}
 	w.grantEv = k.eng.Schedule(now, w.grantFn)
 }
 

@@ -3,45 +3,51 @@
 // with time quanta, spinlocks whose waiters burn CPU, and sleep/wakeup
 // queues (the paper's signal-based suspension).
 //
-// Simulated process bodies are ordinary Go functions run as coroutines:
-// each body runs on its own goroutine but in strict alternation with the
-// simulation engine — exactly one of {the engine, one body} executes at
-// any moment — so bodies may freely share data structures and the
-// simulation stays deterministic. A body interacts with the machine only
-// through its Env: Compute consumes CPU time, Acquire/Release operate a
-// spinlock, Sleep and Wake block and unblock on a wait queue, Yield
-// surrenders the processor.
+// Simulated process bodies are ordinary Go functions run as coroutines
+// (iter.Pull, see coroutine.go): each body has its own goroutine but
+// runs in strict alternation with the simulation engine — exactly one of
+// {the engine, one body} executes at any moment — so bodies may freely
+// share data structures and the simulation stays deterministic. A body
+// interacts with the machine only through its Env: Compute consumes CPU
+// time, Acquire/Release operate a spinlock, Sleep and Wake block and
+// unblock on a wait queue, Yield surrenders the processor.
 //
 // # The request path
 //
 // A body executes only while its process is Running, past its dispatch
-// overhead, and the engine goroutine is parked in Kernel.advance waiting
-// for the body's next request; the channel operations that resumed the
-// body and will return from it order all memory between the two. While
-// it runs, the body therefore has exclusive access to the kernel.
+// overhead, and the engine is suspended in Kernel.advance, inside the
+// coroutine's next, until the body yields its next request. The two
+// coroutine switches — a direct hand-off on the same thread, which the
+// Go scheduler never sees — order all memory between the two, with the
+// happens-before edges of a channel hand-off (`make race` checks the
+// protocol). While it runs, the body therefore has exclusive access to
+// the kernel.
 //
 // A request whose completion needs virtual time to pass — Compute,
 // Sleep, SleepFor, Yield, exit, Acquire of a held lock (spinning burns
-// time) — is handed to the engine: one rendezvous, two goroutine
+// time) — is handed to the engine: one rendezvous, two coroutine
 // switches. A request that completes at the current instant — Acquire
 // of a free lock, Release (including the hand-off to the first spinning
 // waiter), Wake — is performed by the body itself, calling the same
 // takeLock, releaseLock and WakeQueue the engine-side paths call. It
 // schedules the same events, fires the same hooks and bumps the same
 // counters in the same order, so event firing order is unchanged; it
-// just does not cross goroutines to do it. What follows from that:
+// just does not switch to the engine to do it. What follows from that:
 //
 //   - OnLockAcquire and OnLockRelease, and the OnStateChange and
-//     OnDispatch hooks a Wake causes, may run on a body's goroutine.
-//     Still one at a time, still at the instant of the event.
+//     OnDispatch hooks a Wake causes, may run on a body's goroutine
+//     (the coroutine's). Still one at a time, still at the instant of
+//     the event.
 //   - Kill, Stall and Preempt are engine-side only: call them from
 //     simulation setup code or engine events, never from a hook and
 //     never from a body.
-//   - A request that is a model bug (Release of a lock the process does
-//     not hold) is still handed to the engine, so the panic unwinds the
-//     goroutine running Engine.Run, where a driver can see it.
+//   - A panic in a body — a model bug such as Release of a lock the
+//     process does not hold, or any other — comes out of next, that is
+//     out of Engine.Run on the driver's goroutine, with its value.
+//   - Kill and Shutdown unwind a body before they return: its deferred
+//     functions have run by then.
 //   - Process.DebugPending reports the last blocking request; requests
-//     performed on the body's goroutine never appear in it.
+//     the body performed itself never appear in it.
 package kernel
 
 import (
@@ -117,8 +123,7 @@ type Process struct {
 	app  AppID
 
 	state ProcState
-	body  func(*Env)
-	env   *Env
+	env   Env
 
 	workingSet int64 // cache footprint in bytes
 
@@ -143,13 +148,14 @@ type Process struct {
 	grantEv   sim.EventID // continuation after an off-CPU lock grant
 	sleepEv   sim.EventID // wakeup of the current timed sleep
 
-	// Per-process event callbacks, allocated once at Spawn so the
+	// Per-process event callbacks, allocated once — the three every
+	// process needs at Spawn, the other two at first use — so the
 	// dispatch hot path schedules without allocating closures.
 	quantumFn func()
 	startFn   func()
 	computeFn func()
-	grantFn   func()
-	sleepFn   func()
+	grantFn   func() // first off-CPU lock grant
+	sleepFn   func() // first timed sleep
 
 	// The last blocking request the body handed to the engine (Compute,
 	// Sleep, SleepFor, Yield, exit, Acquire of a held lock), satisfied or
@@ -231,7 +237,6 @@ const (
 	reqNone reqKind = iota
 	reqCompute
 	reqAcquire
-	reqRelease
 	reqSleep
 	reqSleepFor
 	reqYield
@@ -241,30 +246,34 @@ const (
 type request struct {
 	kind reqKind
 	dur  sim.Duration // reqCompute
-	lock *SpinLock    // reqAcquire, reqRelease
+	lock *SpinLock    // reqAcquire
 	q    *WaitQueue   // reqSleep
 }
 
-// errKilled unwinds a process goroutine when the kernel shuts down.
+// killedError unwinds a process body when its process is killed or the
+// kernel shuts down.
 type killedError struct{}
 
 func (killedError) Error() string { return "kernel: process killed at shutdown" }
 
 // Env is a simulated process's handle to the machine. All methods must be
-// called only from the process body's goroutine.
+// called only from the process body.
 type Env struct {
-	p     *Process
-	k     *Kernel
-	req   chan request
-	grant chan struct{}
-	rng   *sim.RNG
+	p   *Process
+	k   *Kernel
+	rng *sim.RNG
+
+	// The body's coroutine (Spawn): the engine side calls next (advance)
+	// and stop (kill, shutdown), the body — once started — yield.
+	next  func() (request, bool)
+	stop  func()
+	yield func(request) bool
 }
 
 // do performs the rendezvous: hand the request to the kernel and wait for
 // it to be satisfied.
 func (e *Env) do(r request) {
-	e.req <- r
-	if _, ok := <-e.grant; !ok {
+	if !e.yield(r) {
 		panic(killedError{})
 	}
 }
@@ -295,7 +304,7 @@ func (e *Env) Compute(d sim.Duration) {
 // Acquire takes the spinlock, busy-waiting (and burning CPU) while it is
 // held by another process. Only running processes can win a released
 // lock; a waiter that is preempted resumes spinning when redispatched.
-// A free lock is taken here, on the body's goroutine (see the package
+// A free lock is taken here, by the body itself (see the package
 // comment); only a held one costs a rendezvous, because only spinning
 // lets virtual time pass.
 func (e *Env) Acquire(l *SpinLock) {
@@ -307,15 +316,13 @@ func (e *Env) Acquire(l *SpinLock) {
 }
 
 // Release unlocks a spinlock held by this process. Releasing a lock the
-// process does not hold panics: it is always a model bug, and the
-// request goes to the engine so the panic surfaces on the goroutine
-// running Engine.Run.
+// process does not hold panics: it is always a model bug, and like any
+// body panic it surfaces from Engine.Run.
 func (e *Env) Release(l *SpinLock) {
-	if l.holder == e.p {
-		e.k.releaseLock(l, e.p, false)
-		return
+	if l.holder != e.p {
+		panic(fmt.Sprintf("kernel: %v releasing %q held by %v", e.p, l.name, l.holder))
 	}
-	e.do(request{kind: reqRelease, lock: l})
+	e.k.releaseLock(l, e.p, false)
 }
 
 // Sleep blocks the process on q until another process wakes it. The
@@ -337,7 +344,7 @@ func (e *Env) SleepFor(d sim.Duration) {
 }
 
 // Wake unblocks up to n processes sleeping on q, in FIFO order. It
-// takes no virtual time, so it runs on the body's goroutine.
+// takes no virtual time, so the body performs it itself.
 func (e *Env) Wake(q *WaitQueue, n int) {
 	if n <= 0 {
 		return
@@ -353,16 +360,14 @@ func (e *Env) Yield() {
 
 // DebugPending describes the process's last blocking request — the one
 // it is still waiting on, if it is waiting — for tests and diagnostics
-// only. Requests performed on the body's goroutine (an uncontended
-// Acquire, Release, Wake) never show here.
+// only. Requests the body performs itself (an uncontended Acquire,
+// Release, Wake) never show here.
 func (p *Process) DebugPending() string {
 	switch p.pending.kind {
 	case reqCompute:
 		return fmt.Sprintf("compute(left=%v, computing=%v)", p.computeLeft, p.computing)
 	case reqAcquire:
 		return fmt.Sprintf("acquire(%s)", p.pending.lock.name)
-	case reqRelease:
-		return fmt.Sprintf("release(%s)", p.pending.lock.name)
 	case reqSleep:
 		return "sleep"
 	case reqSleepFor:

@@ -41,6 +41,13 @@ import (
 // this repository ever sent either. An op outside the eight above is
 // refused and counted under the one label op="unknown".
 //
+// An application name is 1-64 characters of [A-Za-z0-9._:-]
+// (validAppName): it becomes a label value of the member's metric
+// series and a field of journal records, flight events and log lines,
+// and nothing downstream quotes it. Register refuses any other name
+// with an error reply; no other op checks, because a name that was
+// never registered is not found.
+//
 // Register and poll responses carry the epoch of the rebalance that
 // computed the returned target; clients echo the highest epoch they
 // have applied back as applied_epoch, which is how the daemon's
@@ -53,6 +60,25 @@ import (
 // caught by the lease: a connection silent for longer than the server's
 // lease (default 18 s, three missed polls) is closed by the sweep and
 // cleaned up the same way.
+
+// maxAppName is the longest application name register accepts.
+const maxAppName = 64
+
+// validAppName reports whether name may be registered (see above).
+func validAppName(name string) bool {
+	if name == "" || len(name) > maxAppName {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // Request is one client message.
 type Request struct {

@@ -605,6 +605,9 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		if req.App == "" || req.Procs < 1 {
 			return errResp(errors.New("register needs app and procs >= 1"))
 		}
+		if !validAppName(req.App) {
+			return errResp(fmt.Errorf("register: app name %q is not 1-%d characters of [A-Za-z0-9._:-]", req.App, maxAppName))
+		}
 		if s.admit != nil {
 			select {
 			case s.admit <- struct{}{}:

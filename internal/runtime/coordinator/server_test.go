@@ -3,9 +3,11 @@ package coordinator
 import (
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"procctl/internal/metrics"
 	"procctl/internal/runtime/pool"
 )
 
@@ -219,4 +221,41 @@ func TestServerCloseDropsConnections(t *testing.T) {
 		t.Error("poll succeeded after server close")
 	}
 	c.Close()
+}
+
+// A name that cannot be a metric label value — a space, a quote, a
+// brace, a newline, or just too long — is refused at register with an
+// error reply and counted as a register error. It used to reach
+// metrics.Name and panic the daemon (`coordinator_target{app="a b"}` is
+// not a series name).
+func TestServerRefusesUnusableAppNames(t *testing.T) {
+	srv, sock := startServer(t, 8)
+	c, err := Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bad := []string{"a b", `a"b`, "a{b}", "a\nb", "a/b", "é", strings.Repeat("x", maxAppName+1)}
+	for _, name := range bad {
+		if _, err := c.Register(name, 4); err == nil || !strings.Contains(err.Error(), "app name") {
+			t.Errorf("Register(%q): err = %v, want the name refused", name, err)
+		}
+	}
+	for _, name := range []string{"web", "app-00017-3fa2c1", "Batch_2.v1:blue", strings.Repeat("x", maxAppName)} {
+		if _, err := c.Register(name, 4); err != nil {
+			t.Errorf("Register(%q): %v", name, err)
+		}
+	}
+	reg := srv.coord.Metrics()
+	if v, _ := reg.Value(metrics.Name("coordinator_rpc_errors_total", "op", OpRegister)); v != int64(len(bad)) {
+		t.Errorf(`coordinator_rpc_errors_total{op="register"} = %d, want %d`, v, len(bad))
+	}
+	if n := len(srv.coord.MemberInfos()); n != 4 {
+		t.Errorf("%d members registered, want the 4 well-named ones", n)
+	}
+	// The connection survived every refusal, and poll has no such check:
+	// an unregistered name is simply not found.
+	if _, err := c.Poll("a b"); err == nil || !strings.Contains(err.Error(), "not registered") {
+		t.Errorf(`Poll("a b"): err = %v, want "not registered"`, err)
+	}
 }

@@ -24,6 +24,10 @@
 #
 # Fails (exit 1) on any missing endpoint, series, or event. Used by
 # `make daemon-smoke` and the daemon-smoke CI job.
+#
+# pipefail is on, so a check at the end of a pipeline reads all of its
+# input (`grep … >/dev/null`, never `grep -q`): a grep that exits at the
+# first match can fail the pipeline with the producer's EPIPE.
 set -euo pipefail
 
 OUT="${OUT:-/tmp/procctl-daemon-smoke}"
@@ -72,9 +76,9 @@ grep -q 'coordinator_rebalance_latency_micros_p99{stage="total"}' "$OUT/metrics.
     || fail "/metrics missing the derived p99 gauge"
 
 # /debug/pprof/: the profiling index and one real profile.
-curl -sf "http://$METRICS_ADDR/debug/pprof/" | grep -q goroutine \
+curl -sf "http://$METRICS_ADDR/debug/pprof/" | grep goroutine >/dev/null \
     || fail "/debug/pprof/ index broken"
-curl -sf "http://$METRICS_ADDR/debug/pprof/goroutine?debug=1" | grep -q "goroutine profile" \
+curl -sf "http://$METRICS_ADDR/debug/pprof/goroutine?debug=1" | grep "goroutine profile" >/dev/null \
     || fail "goroutine profile broken"
 
 # /debug/vars: expvar JSON with the runtime's memstats and the
@@ -155,10 +159,10 @@ cat "$OUT/trace-check.txt"
 "$OUT/procctl-top" -connect "unix:$SOCK" -hold web:4:2 >"$OUT/hold.txt" 2>&1 &
 HOLD=$!
 for i in $(seq 1 50); do
-    "$OUT/procctl-top" -connect "unix:$SOCK" | grep -q '^web ' && break
+    "$OUT/procctl-top" -connect "unix:$SOCK" | grep '^web ' >/dev/null && break
     sleep 0.1
 done
-"$OUT/procctl-top" -connect "unix:$SOCK" | grep -q '^web ' \
+"$OUT/procctl-top" -connect "unix:$SOCK" | grep '^web ' >/dev/null \
     || fail "held member never registered"
 
 # SIGKILL: no shutdown path runs; only the journal survives.
@@ -176,11 +180,11 @@ done
 # The registry must be back — same member, procs, and weight — with no
 # client having re-registered.
 "$OUT/procctl-top" -connect "unix:$SOCK" | tee "$OUT/status-recovered.txt" \
-    | grep -Eq '^web +4 +2 ' || fail "registry not recovered after SIGKILL restart"
-curl -sf "http://$METRICS_ADDR/metrics" | grep -q 'journal_recovered_members 1' \
+    | grep -E '^web +4 +2 ' >/dev/null || fail "registry not recovered after SIGKILL restart"
+curl -sf "http://$METRICS_ADDR/metrics" | grep 'journal_recovered_members 1' >/dev/null \
     || fail "/metrics missing the recovery gauges"
 if curl -sf "http://$METRICS_ADDR/metrics" \
-    | grep -E 'coordinator_rpcs_total\{op="register"\}' | grep -vq ' 0$'; then
+    | grep -E 'coordinator_rpcs_total\{op="register"\}' | grep -v ' 0$' >/dev/null; then
     fail "restarted daemon served register RPCs before the recovery check"
 fi
 
