@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet procctl-vet test race fuzz-smoke bench bench-go trace-smoke daemon-smoke
+.PHONY: check build vet procctl-vet test benchmark-test race fuzz-smoke bench bench-go trace-smoke daemon-smoke
 
 # The full verification gate: what CI runs, in dependency order.
-check: build vet procctl-vet test race fuzz-smoke trace-smoke
+check: build vet procctl-vet test benchmark-test race fuzz-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -27,14 +27,24 @@ procctl-vet:
 test:
 	$(GO) test ./...
 
+# The repo benchmark is its own module (benchmark/go.mod), so ./... above
+# does not reach it: its smoke test runs every workload at toy size
+# against the harness's own golden and serial-pass checks (~2 s).
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
 # The real-concurrency layer under the race detector — and the
-# simulator's coroutine core. The simulator runs one goroutine at a
-# time, but "at a time" is a protocol, not a construction: process
-# bodies write kernel state themselves for requests that take no
+# simulator's core. A figure run's own bodies (threads workers,
+# background load) are resumable: they run on the engine's goroutine and
+# there is nothing to race. But function bodies (Kernel.Spawn: tests,
+# the reference worker of the threads differential test) still run as
+# coroutines, writing kernel state themselves for requests that take no
 # virtual time, ordered only by the coroutine switches (iter.Pull) to
-# and from the engine, and one immutable threads.Workload backs the
-# concurrent runs of a figure sweep. The second line checks the
-# hand-off protocol, the third the sharing.
+# and from the engine — "one at a time" is a protocol there, not a
+# construction — and one immutable threads.Workload backs the concurrent
+# runs of a figure sweep. The second line checks the hand-off protocol
+# (and runs the differential test under the detector), the third the
+# sharing.
 race:
 	$(GO) test -race ./internal/runtime/...
 	$(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/...

@@ -31,6 +31,11 @@ type namer struct {
 	num   [20]byte // scratch for one decimal
 }
 
+// grow makes room for the names of that many tasks, so the builder does
+// not re-grow (and copy) on the way there. 12 bytes each is a guess, not
+// a bound — "row3327.11" is 10 — and a wrong one only costs a regrowth.
+func (n *namer) grow(tasks int) { n.b.Grow(12 * tasks) }
+
 // add appends s followed by v in decimal, like "%s%d".
 func (n *namer) add(s string, v int) *namer {
 	n.b.WriteString(s)
@@ -54,6 +59,8 @@ func Matmul(rows, chunksPerRow int, perChunk sim.Duration) *threads.Workload {
 	}
 	w := threads.NewWorkload("matmul")
 	var names namer
+	w.Grow(rows * chunksPerRow)
+	names.grow(rows * chunksPerRow)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < chunksPerRow; c++ {
 			w.Add(names.add("row", r).add(".", c).done(), perChunk)
@@ -72,6 +79,8 @@ func FFT(stages, tasksPerStage int, perTask sim.Duration) *threads.Workload {
 	}
 	w := threads.NewWorkload("fft")
 	var names namer
+	w.Grow(stages * tasksPerStage)
+	names.grow(stages * tasksPerStage)
 	var prev []threads.TaskID
 	for s := 0; s < stages; s++ {
 		cur := make([]threads.TaskID, tasksPerStage)
@@ -98,6 +107,12 @@ func Gauss(n, rowsPerTask int, perElem sim.Duration) *threads.Workload {
 	const pivotLock threads.LockID = 0
 	w := threads.NewWorkload("gauss")
 	var names namer
+	tasks := 1 // backsub; then per step its pivot and ⌈rows/rowsPerTask⌉ updates
+	for k := 0; k < n-1; k++ {
+		tasks += 1 + (n-k-1+rowsPerTask-1)/rowsPerTask
+	}
+	w.Grow(tasks)
+	names.grow(tasks)
 	var prev []threads.TaskID
 	for k := 0; k < n-1; k++ {
 		m := n - k // active submatrix dimension
@@ -142,6 +157,8 @@ func MergeSort(leaves int, leafWork sim.Duration, leafItems int, perItem sim.Dur
 	}
 	w := threads.NewWorkload("sort")
 	var names namer
+	w.Grow(2*leaves - 1)
+	names.grow(2*leaves - 1)
 	level := make([]threads.TaskID, leaves)
 	for i := range level {
 		level[i] = w.Add(names.add("heap", i).done(), leafWork)
@@ -260,11 +277,12 @@ func ByName(name string) *threads.Workload {
 func Background(k *kernel.Kernel, n int, busy, idle sim.Duration) []*kernel.Process {
 	procs := make([]*kernel.Process, n)
 	for i := 0; i < n; i++ {
-		procs[i] = k.Spawn(fmt.Sprintf("bg%d", i), kernel.AppNone, 32<<10, func(env *kernel.Env) {
-			for {
-				env.Compute(busy)
-				env.SleepFor(idle)
+		computing := false // the request the process is in, or was last in
+		procs[i] = k.SpawnResumable(fmt.Sprintf("bg%d", i), kernel.AppNone, 32<<10, func(*kernel.Env) kernel.Request {
+			if computing = !computing; computing {
+				return kernel.Compute(busy)
 			}
+			return kernel.SleepFor(idle)
 		})
 	}
 	return procs

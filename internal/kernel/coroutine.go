@@ -9,6 +9,6 @@ import "iter"
 // return false and waits for seq to return. The switch is direct — same
 // thread, no run queue — and orders memory like a channel hand-off. Only
 // this file names iter, under a build tag: go.mod's go 1.22 predates it.
-func newCoroutine(seq func(yield func(request) bool)) (next func() (request, bool), stop func()) {
-	return iter.Pull(iter.Seq[request](seq))
+func newCoroutine(seq func(yield func(Request) bool)) (next func() (Request, bool), stop func()) {
+	return iter.Pull(iter.Seq[Request](seq))
 }

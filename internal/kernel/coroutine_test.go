@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"testing"
@@ -40,6 +41,17 @@ func TestBodyPanicSurfacesFromEngineRun(t *testing.T) {
 	}
 }
 
+// liveCoroutines counts the goroutines that are process bodies: the
+// ones iter.Pull created. (Comparing runtime.NumGoroutine with a
+// baseline also counts the goroutine of the previous subtest, which the
+// testing package lets exit in its own time: one run in ten failed on
+// it under -race.)
+func liveCoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("created by iter.Pull"))
+}
+
 // Every way a process can end gives its coroutine's goroutine back
 // before control returns to the driver: nothing is left to a later
 // scheduling round, so the count is exact.
@@ -56,6 +68,9 @@ func TestProcessGoroutinesAreReclaimed(t *testing.T) {
 			k.Spawn("runnable", 1, 0, forever)
 			k.Engine().Run(sim.Time(sim.Millisecond))
 			k.Spawn("never started", 1, 0, forever)
+			if n := liveCoroutines(); n != 4 {
+				t.Errorf("counted %d body goroutines for 4 live function bodies", n)
+			}
 			k.Shutdown()
 		}},
 		{"normal exits, no Shutdown", func(t *testing.T, k *Kernel) {
@@ -111,10 +126,9 @@ func TestProcessGoroutinesAreReclaimed(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
 			tc.run(t, testKernel(1))
-			if n := runtime.NumGoroutine(); n != base {
-				t.Errorf("%d goroutines, want the baseline %d", n, base)
+			if n := liveCoroutines(); n != 0 {
+				t.Errorf("%d body goroutines are left", n)
 			}
 		})
 	}

@@ -176,9 +176,7 @@ func (k *Kernel) finishKill(p *Process) {
 	if k.OnExit != nil {
 		k.OnExit(p)
 	}
-	// Unwind the body: its parked request panics killedError out through
-	// its deferred functions. A body that never started never runs.
-	p.env.stop()
+	p.env.unwind()
 }
 
 // Killed reports whether the process was crashed by fault injection.

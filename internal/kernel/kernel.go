@@ -76,9 +76,10 @@ type Kernel struct {
 
 	// Optional hooks for tracing. Invoked synchronously at the instant of
 	// the event, on whichever goroutine of the simulation is running —
-	// the engine's, or a body's for the requests a body performs itself
-	// (OnLockAcquire, OnLockRelease, and the state changes and dispatches
-	// a Wake causes). A hook must not call Kill, Stall or Preempt.
+	// the engine's, or a function body's coroutine for the requests that
+	// body performs itself (OnLockAcquire, OnLockRelease, and the state
+	// changes and dispatches a Wake causes). A hook must not call Kill,
+	// Stall or Preempt.
 	// Installers that replace a hook must chain the previous value.
 	OnSpawn       func(*Process)
 	OnExit        func(*Process)
@@ -161,10 +162,16 @@ func (k *Kernel) Processes() []*Process { return k.procs }
 // Lookup returns the process with the given PID, or nil.
 func (k *Kernel) Lookup(id PID) *Process { return k.byID[id] }
 
-// Spawn creates a runnable process executing body, belonging to app, with
-// the given cache working-set size in bytes. The body runs as a coroutine
-// in strict alternation with the engine.
-func (k *Kernel) Spawn(name string, app AppID, workingSet int64, body func(*Env)) *Process {
+// SpawnResumable creates a runnable process belonging to app, with the
+// given cache working-set size in bytes, whose body is resume: each time
+// the process's last blocking request has been satisfied — the first
+// time, when it first runs — the engine calls resume and the process
+// carries out the Request it returns; Exit() ends it. Between two
+// requests resume may take a free lock (Env.TryAcquire), Release, Wake
+// and read the Env; it must not call the Env's blocking methods. It runs
+// on the engine's goroutine and owns no stack between calls, so Kill and
+// Shutdown have nothing to unwind: they just never resume it again.
+func (k *Kernel) SpawnResumable(name string, app AppID, workingSet int64, resume func(*Env) Request) *Process {
 	k.nextID++
 	p := &Process{
 		id:         k.nextID,
@@ -175,16 +182,7 @@ func (k *Kernel) Spawn(name string, app AppID, workingSet int64, body func(*Env)
 		state:      Embryo,
 	}
 	e := &p.env
-	e.p, e.k, e.rng = p, k, k.rng.Split()
-	e.next, e.stop = newCoroutine(func(yield func(request) bool) {
-		defer func() { // a kill is a plain return; any other panic goes on to next's caller
-			if r := recover(); r != nil && r != any(killedError{}) {
-				panic(r)
-			}
-		}()
-		e.yield = yield
-		body(e)
-	})
+	e.p, e.k, e.rng, e.resume = p, k, k.rng.Split(), resume
 	// One closure per event kind for the process's whole lifetime; the
 	// dispatch hot path then schedules them with zero allocations.
 	p.quantumFn = func() { k.quantumExpire(p) }
@@ -202,27 +200,60 @@ func (k *Kernel) Spawn(name string, app AppID, workingSet int64, body func(*Env)
 	return p
 }
 
-// Shutdown unwinds the bodies of all still-live processes, one after
-// the other (stop is a no-op on a body that has returned or been
-// unwound). Call it after the engine has returned from Run; it must not
-// be called from an event callback.
+// Spawn creates a process like SpawnResumable whose body is an ordinary
+// Go function making its blocking requests through the Env's methods. It
+// is for general bodies and tests; hot bodies use SpawnResumable. The
+// function runs as a coroutine in strict alternation with the engine —
+// an adapter whose resume switches to it until it parks in its next
+// request — so each blocking request costs two coroutine switches, and
+// Kill and Shutdown unwind it.
+func (k *Kernel) Spawn(name string, app AppID, workingSet int64, body func(*Env)) *Process {
+	var e *Env
+	next, stop := newCoroutine(func(yield func(Request) bool) {
+		defer func() { // a kill is a plain return; any other panic goes on to next's caller
+			if r := recover(); r != nil && r != any(killedError{}) {
+				panic(r)
+			}
+		}()
+		e.yield = yield
+		body(e)
+	})
+	p := k.SpawnResumable(name, app, workingSet, func(*Env) Request {
+		r, ok := next()
+		if !ok {
+			return Exit() // the function returned
+		}
+		return r
+	})
+	e = &p.env // the body first runs from an engine event, after this
+	e.stop = stop
+	return p
+}
+
+// Shutdown unwinds the function bodies of all still-live processes, one
+// after the other (Env.unwind; a resumable body has nothing to unwind).
+// Call it after the engine has returned from Run; it must not be called
+// from an event callback.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
-		p.env.stop()
+		p.env.unwind()
 	}
 }
 
 // advance resumes p's body until its next blocking request and
 // initializes the request's progress state. This is the rendezvous: the
 // only place the engine hands control to a body and waits for it. A
-// body that returns has made its last request, exit. Requests that take
-// no virtual time never get here — the body performs them itself
-// (Env.Acquire on a free lock, Env.Release, Env.Wake).
+// Compute or SleepFor of no duration is satisfied on the spot — the body
+// is resumed again, nothing else having happened — which is the one
+// place that rule lives. Requests that take no virtual time never get
+// here: the body performs them itself (Env.TryAcquire, Env.Release,
+// Env.Wake).
 func (k *Kernel) advance(p *Process) {
 	k.rendezvous++
-	r, ok := p.env.next()
-	if !ok {
-		r.kind = reqExit
+	e := &p.env
+	r := e.resume(e)
+	for (r.kind == reqCompute || r.kind == reqSleepFor) && r.dur <= 0 {
+		r = e.resume(e)
 	}
 	p.pending = r
 	if r.kind == reqCompute {

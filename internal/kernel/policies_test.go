@@ -382,3 +382,42 @@ func TestEqualShares(t *testing.T) {
 		}
 	}
 }
+
+// Popping advances a head index and the storage rewinds when the queue
+// drains, so a queue in steady state never re-grows its array; removal
+// from the middle of the live window keeps arrival order.
+func TestFifoQueueReusesStorage(t *testing.T) {
+	q := &fifoQueue{}
+	procs := make([]*Process, 6)
+	for i := range procs {
+		procs[i] = &Process{id: PID(i + 1)}
+	}
+	for round := 0; round < 3; round++ {
+		for _, p := range procs[:4] {
+			q.push(p)
+		}
+		if q.pop() != procs[0] || q.pop() != procs[1] {
+			t.Fatal("pop order wrong")
+		}
+		q.push(procs[4])
+		q.push(procs[5])
+		if q.remove(procs[0]) {
+			t.Error("remove of an already popped process succeeded")
+		}
+		if !q.remove(procs[4]) || q.len() != 3 || q.peek() != procs[2] {
+			t.Fatalf("after removing from the middle: len %d, front %v", q.len(), q.peek())
+		}
+		if got := q.popWhere(func(p *Process) bool { return p.id > 3 }); got != procs[3] {
+			t.Fatalf("popWhere = %v, want pid 4", got)
+		}
+		if q.pop() != procs[2] || q.pop() != procs[5] || q.pop() != nil {
+			t.Fatal("drain order wrong")
+		}
+		if q.head != 0 || len(q.procs) != 0 {
+			t.Fatalf("drained queue did not rewind: head %d, len %d", q.head, len(q.procs))
+		}
+	}
+	if cap(q.procs) > 8 {
+		t.Errorf("array grew to %d slots for at most 4 queued processes", cap(q.procs))
+	}
+}

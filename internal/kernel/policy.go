@@ -1,6 +1,10 @@
 package kernel
 
-import "procctl/internal/sim"
+import (
+	"slices"
+
+	"procctl/internal/sim"
+)
 
 // Policy is a pluggable multiprocessor scheduling discipline. The kernel
 // calls Enqueue when a process becomes runnable, PickNext when a
@@ -43,46 +47,65 @@ type Policy interface {
 // fifoQueue is a deterministic FIFO of runnable processes used as a
 // building block by several policies.
 type fifoQueue struct {
+	// procs[head:] are the queued processes, in arrival order. Taking
+	// the front advances head instead of re-slicing it away, so push
+	// reuses the array; the storage rewinds when the queue drains.
 	procs []*Process
+	head  int
 }
 
 func (q *fifoQueue) push(p *Process) { q.procs = append(q.procs, p) }
-func (q *fifoQueue) len() int        { return len(q.procs) }
+func (q *fifoQueue) len() int        { return len(q.procs) - q.head }
+
+// items returns the queued processes in arrival order, valid until the
+// next change to the queue. Treat it as read-only.
+func (q *fifoQueue) items() []*Process { return q.procs[q.head:] }
+
 func (q *fifoQueue) peek() *Process {
-	if len(q.procs) == 0 {
+	if q.len() == 0 {
 		return nil
 	}
-	return q.procs[0]
+	return q.procs[q.head]
 }
 
 func (q *fifoQueue) pop() *Process {
-	if len(q.procs) == 0 {
+	if q.len() == 0 {
 		return nil
 	}
-	p := q.procs[0]
-	q.procs[0] = nil
-	q.procs = q.procs[1:]
+	return q.removeAt(0)
+}
+
+// removeAt removes and returns items()[i], preserving order.
+func (q *fifoQueue) removeAt(i int) *Process {
+	i += q.head
+	p := q.procs[i]
+	if i == q.head {
+		q.procs[i] = nil
+		q.head++
+	} else {
+		q.procs = slices.Delete(q.procs, i, i+1)
+	}
+	if q.head == len(q.procs) {
+		q.procs, q.head = q.procs[:0], 0
+	}
 	return p
 }
 
 // remove deletes p if present, preserving order, and reports success.
 func (q *fifoQueue) remove(p *Process) bool {
-	for i, x := range q.procs {
-		if x == p {
-			q.procs = append(q.procs[:i], q.procs[i+1:]...)
-			return true
-		}
+	i := slices.Index(q.items(), p)
+	if i < 0 {
+		return false
 	}
-	return false
+	q.removeAt(i)
+	return true
 }
 
 // popWhere removes and returns the first process satisfying pred, or nil.
 func (q *fifoQueue) popWhere(pred func(*Process) bool) *Process {
-	for i, x := range q.procs {
-		if pred(x) {
-			q.procs = append(q.procs[:i], q.procs[i+1:]...)
-			return x
-		}
+	i := slices.IndexFunc(q.items(), pred)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	return q.removeAt(i)
 }

@@ -3,49 +3,70 @@
 // with time quanta, spinlocks whose waiters burn CPU, and sleep/wakeup
 // queues (the paper's signal-based suspension).
 //
-// Simulated process bodies are ordinary Go functions run as coroutines
-// (iter.Pull, see coroutine.go): each body has its own goroutine but
-// runs in strict alternation with the simulation engine — exactly one of
-// {the engine, one body} executes at any moment — so bodies may freely
-// share data structures and the simulation stays deterministic. A body
-// interacts with the machine only through its Env: Compute consumes CPU
-// time, Acquire/Release operate a spinlock, Sleep and Wake block and
-// unblock on a wait queue, Yield surrenders the processor.
+// A process body is something that, each time its last blocking request
+// has been satisfied, is resumed and returns the next one. It comes in
+// two forms with that one definition:
+//
+//   - A resumable body (SpawnResumable) is literally that: a function
+//     from *Env to Request — a state machine — called on the engine's
+//     goroutine. It holds no goroutine and no stack between calls. The
+//     hot bodies are written this way: the threads runtime's worker and
+//     the background load, so a figure run creates no coroutine at all.
+//   - A function body (Spawn) is an ordinary Go function that blocks in
+//     its Env's methods — Compute consumes CPU time, Acquire/Release
+//     operate a spinlock, Sleep and Wake block and unblock on a wait
+//     queue, Yield surrenders the processor. Spawn adapts it to the
+//     definition by running it as a coroutine (iter.Pull, see
+//     coroutine.go) whose resume is "switch to it until it parks in its
+//     next request". General bodies and tests use it.
+//
+// Either way exactly one of {the engine, one body} executes at any
+// moment, so bodies may freely share data structures and the simulation
+// stays deterministic.
 //
 // # The request path
 //
 // A body executes only while its process is Running, past its dispatch
-// overhead, and the engine is suspended in Kernel.advance, inside the
-// coroutine's next, until the body yields its next request. The two
-// coroutine switches — a direct hand-off on the same thread, which the
-// Go scheduler never sees — order all memory between the two, with the
-// happens-before edges of a channel hand-off (`make race` checks the
-// protocol). While it runs, the body therefore has exclusive access to
-// the kernel.
+// overhead, and the engine is inside Kernel.advance — the only place a
+// body is resumed — until the body hands back its next request. While
+// it runs, the body therefore has exclusive access to the kernel. For a
+// resumable body that is a function call and its return; for a function
+// body it is two coroutine switches — a direct hand-off on the same
+// thread, which the Go scheduler never sees, ordering all memory between
+// the two with the happens-before edges of a channel hand-off (`make
+// race` checks the protocol).
 //
 // A request whose completion needs virtual time to pass — Compute,
-// Sleep, SleepFor, Yield, exit, Acquire of a held lock (spinning burns
-// time) — is handed to the engine: one rendezvous, two coroutine
-// switches. A request that completes at the current instant — Acquire
-// of a free lock, Release (including the hand-off to the first spinning
-// waiter), Wake — is performed by the body itself, calling the same
-// takeLock, releaseLock and WakeQueue the engine-side paths call. It
-// schedules the same events, fires the same hooks and bumps the same
-// counters in the same order, so event firing order is unchanged; it
-// just does not switch to the engine to do it. What follows from that:
+// Sleep, SleepFor, Yield, Exit, Acquire of a held lock (spinning burns
+// time) — is a Request, handed to the engine: one rendezvous. (A Compute
+// or SleepFor of no duration is the exception that proves the rule:
+// advance answers it by resuming the body again.) A request that
+// completes at the current instant — taking a free lock (Env.TryAcquire,
+// which Env.Acquire tries first), Release (including the hand-off to the
+// first spinning waiter), Wake — is performed by the body itself,
+// calling the same takeLock, releaseLock and WakeQueue the engine-side
+// paths call. It schedules the same events, fires the same hooks and
+// bumps the same counters in the same order, so event firing order does
+// not depend on the body's form or on who performed the request. What
+// follows from that:
 //
 //   - OnLockAcquire and OnLockRelease, and the OnStateChange and
-//     OnDispatch hooks a Wake causes, may run on a body's goroutine
-//     (the coroutine's). Still one at a time, still at the instant of
-//     the event.
+//     OnDispatch hooks a Wake causes, run on whatever goroutine the body
+//     runs on: the engine's for a resumable body, the coroutine's for a
+//     function body. Still one at a time, still at the instant of the
+//     event.
 //   - Kill, Stall and Preempt are engine-side only: call them from
 //     simulation setup code or engine events, never from a hook and
 //     never from a body.
 //   - A panic in a body — a model bug such as Release of a lock the
-//     process does not hold, or any other — comes out of next, that is
-//     out of Engine.Run on the driver's goroutine, with its value.
-//   - Kill and Shutdown unwind a body before they return: its deferred
-//     functions have run by then.
+//     process does not hold, or any other — comes out of advance, that
+//     is out of Engine.Run on the driver's goroutine, with its value.
+//   - Kill and Shutdown never resume a body again. A function body is
+//     unwound before they return: its deferred functions have run by
+//     then. A resumable body has nothing to unwind.
+//   - A resumable body must not call the Env's blocking methods
+//     (Compute, Acquire of a held lock, Sleep, SleepFor, Yield): it
+//     returns those requests. Doing so panics.
 //   - Process.DebugPending reports the last blocking request; requests
 //     the body performed itself never appear in it.
 package kernel
@@ -160,7 +181,7 @@ type Process struct {
 	// The last blocking request the body handed to the engine (Compute,
 	// Sleep, SleepFor, Yield, exit, Acquire of a held lock), satisfied or
 	// not. Requests that take no virtual time never pass through here.
-	pending request
+	pending Request
 
 	// Compute progress for the current Compute request.
 	computeLeft  sim.Duration
@@ -243,14 +264,44 @@ const (
 	reqExit
 )
 
-type request struct {
+// Request is a blocking request: what a body hands the engine when it
+// cannot go on until virtual time has passed. A function body (Spawn)
+// makes them through its Env's methods; a resumable body
+// (SpawnResumable) returns them, built by the constructors below. The
+// zero Request is not valid.
+type Request struct {
 	kind reqKind
-	dur  sim.Duration // reqCompute
+	dur  sim.Duration // reqCompute, reqSleepFor
 	lock *SpinLock    // reqAcquire
 	q    *WaitQueue   // reqSleep
 }
 
-// killedError unwinds a process body when its process is killed or the
+// Compute asks for d of CPU time, however many preemptions that takes.
+// A non-positive d is satisfied at once: the body is resumed again at
+// the same instant (Kernel.advance), as if the request had not been made.
+func Compute(d sim.Duration) Request { return Request{kind: reqCompute, dur: d} }
+
+// Acquire asks for the spinlock, busy-waiting (and burning CPU) while
+// another process holds it. A resumable body tries Env.TryAcquire first
+// and returns this only for a held lock, as Env.Acquire does.
+func Acquire(l *SpinLock) Request { return Request{kind: reqAcquire, lock: l} }
+
+// Sleep blocks the process on q until another process wakes it.
+func Sleep(q *WaitQueue) Request { return Request{kind: reqSleep, q: q} }
+
+// SleepFor blocks the process for d of virtual time without consuming
+// CPU. A non-positive d is satisfied at once, like Compute's.
+func SleepFor(d sim.Duration) Request { return Request{kind: reqSleepFor, dur: d} }
+
+// Yield surrenders the processor, moving the process to the back of the
+// run queue.
+func Yield() Request { return Request{kind: reqYield} }
+
+// Exit ends the process: its body is never resumed again. Exiting while
+// holding a spinlock panics, as it does for a function body that returns.
+func Exit() Request { return Request{kind: reqExit} }
+
+// killedError unwinds a function body when its process is killed or the
 // kernel shuts down.
 type killedError struct{}
 
@@ -263,18 +314,36 @@ type Env struct {
 	k   *Kernel
 	rng *sim.RNG
 
-	// The body's coroutine (Spawn): the engine side calls next (advance)
-	// and stop (kill, shutdown), the body — once started — yield.
-	next  func() (request, bool)
+	// resume is the body: called (only by Kernel.advance) each time the
+	// last blocking request has been satisfied, it returns the next one.
+	resume func(*Env) Request
+
+	// A function body's coroutine (Spawn), nil for a resumable body: the
+	// engine side calls stop (kill, shutdown), the body — once started —
+	// yield, which parks it until resume's next switch.
 	stop  func()
-	yield func(request) bool
+	yield func(Request) bool
 }
 
-// do performs the rendezvous: hand the request to the kernel and wait for
-// it to be satisfied.
-func (e *Env) do(r request) {
+// do performs the rendezvous of a function body: hand the request to the
+// kernel and wait for it to be satisfied.
+func (e *Env) do(r Request) {
+	if e.yield == nil {
+		panic(fmt.Sprintf("kernel: %v is a resumable body: it returns its blocking requests, it cannot call them", e.p))
+	}
 	if !e.yield(r) {
 		panic(killedError{})
+	}
+}
+
+// unwind ends a function body that is parked in a request (or never
+// started): the request panics killedError out through the body's
+// deferred functions, which have run when unwind returns. It is a no-op
+// on a body that has returned or been unwound, and on a resumable body,
+// which holds nothing: that one is just never resumed again.
+func (e *Env) unwind() {
+	if e.stop != nil {
+		e.stop()
 	}
 }
 
@@ -285,7 +354,7 @@ func (e *Env) Proc() *Process { return e.p }
 func (e *Env) Kernel() *Kernel { return e.k }
 
 // Now returns the current virtual time. Bodies only execute while the
-// engine is parked, so the read is race-free.
+// engine waits in advance, so the read is race-free.
 func (e *Env) Now() sim.Time { return e.k.eng.Now() }
 
 // Rand returns the process's private random stream.
@@ -293,13 +362,8 @@ func (e *Env) Rand() *sim.RNG { return e.rng }
 
 // Compute consumes d of CPU time. The call returns when the process has
 // accumulated d of execution, however many preemptions that takes.
-// Non-positive durations return immediately.
-func (e *Env) Compute(d sim.Duration) {
-	if d <= 0 {
-		return
-	}
-	e.do(request{kind: reqCompute, dur: d})
-}
+// Non-positive durations return at the same instant.
+func (e *Env) Compute(d sim.Duration) { e.do(Compute(d)) }
 
 // Acquire takes the spinlock, busy-waiting (and burning CPU) while it is
 // held by another process. Only running processes can win a released
@@ -308,11 +372,20 @@ func (e *Env) Compute(d sim.Duration) {
 // comment); only a held one costs a rendezvous, because only spinning
 // lets virtual time pass.
 func (e *Env) Acquire(l *SpinLock) {
-	if l.holder == nil {
-		e.k.takeLock(l, e.p, 0)
-		return
+	if !e.TryAcquire(l) {
+		e.do(Acquire(l))
 	}
-	e.do(request{kind: reqAcquire, lock: l})
+}
+
+// TryAcquire takes the spinlock if it is free and reports whether it
+// did. It takes no virtual time, so either body form calls it; a
+// resumable body that gets false returns Acquire(l).
+func (e *Env) TryAcquire(l *SpinLock) bool {
+	if l.holder != nil {
+		return false
+	}
+	e.k.takeLock(l, e.p, 0)
+	return true
 }
 
 // Release unlocks a spinlock held by this process. Releasing a lock the
@@ -329,19 +402,12 @@ func (e *Env) Release(l *SpinLock) {
 // process consumes no CPU while asleep. This is the simulation analogue
 // of the paper's "wait for a signal that will not ordinarily be
 // generated".
-func (e *Env) Sleep(q *WaitQueue) {
-	e.do(request{kind: reqSleep, q: q})
-}
+func (e *Env) Sleep(q *WaitQueue) { e.do(Sleep(q)) }
 
 // SleepFor blocks the process for d of virtual time without consuming
 // CPU (e.g. waiting for terminal input or a timer). Non-positive
-// durations return immediately.
-func (e *Env) SleepFor(d sim.Duration) {
-	if d <= 0 {
-		return
-	}
-	e.do(request{kind: reqSleepFor, dur: d})
-}
+// durations return at the same instant.
+func (e *Env) SleepFor(d sim.Duration) { e.do(SleepFor(d)) }
 
 // Wake unblocks up to n processes sleeping on q, in FIFO order. It
 // takes no virtual time, so the body performs it itself.
@@ -354,9 +420,7 @@ func (e *Env) Wake(q *WaitQueue, n int) {
 
 // Yield surrenders the processor, moving the process to the back of the
 // run queue.
-func (e *Env) Yield() {
-	e.do(request{kind: reqYield})
-}
+func (e *Env) Yield() { e.do(Yield()) }
 
 // DebugPending describes the process's last blocking request — the one
 // it is still waiting on, if it is waiting — for tests and diagnostics

@@ -83,15 +83,14 @@ func (t *Timeshare) PickNext(cpu int) *Process {
 	if t.q.len() == 0 {
 		return nil
 	}
-	best := -1
-	for i, p := range t.q.procs {
-		if best == -1 || p.priority < t.q.procs[best].priority {
+	queued := t.q.items()
+	best := 0
+	for i, p := range queued {
+		if p.priority < queued[best].priority {
 			best = i
 		}
 	}
-	p := t.q.procs[best]
-	t.q.procs = append(t.q.procs[:best], t.q.procs[best+1:]...)
-	return p
+	return t.q.removeAt(best)
 }
 
 // OnQuantumExpire implements Policy: always preempt.

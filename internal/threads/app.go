@@ -173,6 +173,24 @@ func newAppMetrics(reg *metrics.Registry, app string) appMetrics {
 // processes. It registers with the controller (if any) and returns
 // immediately; the application runs as the simulation advances.
 func Launch(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
+	a := newApp(k, id, wl, cfg)
+	a.spawnWorkers()
+	return a
+}
+
+// spawnWorkers creates the application's processes, each running the
+// scheduler loop (workerState.step).
+func (a *App) spawnWorkers() {
+	workers := make([]workerState, a.cfg.Procs)
+	for i := range workers {
+		workers[i].a = a
+		a.procs = append(a.procs, a.k.SpawnResumable(a.workerName(i), a.id, a.cfg.WorkingSet, workers[i].step))
+	}
+}
+
+// newApp builds the application's runtime state and registers it with
+// the controller (if any); Launch then spawns the workers.
+func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 	if id == kernel.AppNone {
 		panic("threads: Launch requires a non-zero AppID")
 	}
@@ -223,12 +241,11 @@ func Launch(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 	if cfg.Controller != nil {
 		cfg.Controller.Register(id, cfg.Procs)
 	}
-	for i := 0; i < cfg.Procs; i++ {
-		p := k.Spawn(fmt.Sprintf("%s/w%d", wl.Name, i), id, cfg.WorkingSet, a.worker)
-		a.procs = append(a.procs, p)
-	}
 	return a
 }
+
+// workerName is the debug name of the application's i-th process.
+func (a *App) workerName(i int) string { return fmt.Sprintf("%s/w%d", a.name, i) }
 
 // ID returns the application's kernel AppID.
 func (a *App) ID() kernel.AppID { return a.id }
@@ -264,86 +281,157 @@ func (a *App) Runnable() int { return a.runnable }
 // Target returns the most recently polled server target.
 func (a *App) Target() int { return a.target }
 
-// worker is the per-process body: the threads runtime's scheduler loop.
-func (a *App) worker(env *kernel.Env) {
-	for {
-		if a.done {
-			return
-		}
-		// Safe suspension point: between tasks, holding nothing.
-		a.controlPoint(env)
-		if a.done {
-			return
-		}
+// workerPC names the points at which a worker can be waiting for virtual
+// time to pass — the only places the scheduler loop ever stops.
+type workerPC uint8
 
-		env.Acquire(a.qlock)
-		t := a.dequeue()
-		if t < 0 {
-			env.Compute(a.cfg.EmptyCheckCost)
-		} else {
-			env.Compute(a.cfg.DequeueCost)
-			if a.readyAt != nil {
-				a.startAt[t] = env.Now()
-			}
-		}
-		env.Release(a.qlock)
+const (
+	pcTop        workerPC = iota // between tasks, holding nothing: the safe suspension point
+	pcResumed                    // woken from the suspend queue
+	pcDequeue                    // holding qlock: take a task
+	pcDequeued                   // the dequeue (or the empty check) has been paid for
+	pcTaskLock                   // a locked task's first half is done: take its lock
+	pcTaskLocked                 // holding the task's lock: the critical section
+	pcTaskUnlock                 // the critical section is done: release, second half
+	pcTaskDone                   // the task's last compute leg is done
+	pcComplete                   // holding qlock: pay for the retirement
+	pcCompleted                  // retire the task, ready its dependents
+)
 
-		if t < 0 {
-			if a.remain == 0 {
-				return
-			}
-			// Nothing ready (a dependency is still executing): spin a
-			// little and recheck, burning CPU like the paper's idle
-			// busy-waiting workers.
-			a.Stats.IdleSpins++
-			a.met.idleSpins.Inc()
-			a.annotate(env, "barrier_wait", -1, -1, a.cfg.IdleSpin)
-			env.Compute(a.cfg.IdleSpin)
-			continue
-		}
-
-		serviceStart := env.Now()
-		a.annotate(env, "task_start", int(t), -1, 0)
-		a.execute(env, t)
-		service := env.Now().Sub(serviceStart)
-		a.met.service.Observe(int64(service))
-		a.annotate(env, "task_done", int(t), -1, service)
-
-		env.Acquire(a.qlock)
-		env.Compute(a.cfg.CompleteCost)
-		finished := a.complete(t)
-		if a.readyAt != nil {
-			a.doneAt[t] = env.Now()
-		}
-		if a.cfg.OnTaskDone != nil {
-			a.cfg.OnTaskDone(t)
-		}
-		env.Release(a.qlock)
-		a.Stats.TasksRun++
-		a.met.tasks.Inc()
-
-		if finished {
-			a.finish(env)
-			return
-		}
-	}
+// workerState is one process's place in the threads runtime's scheduler
+// loop. Its step method is the process body (kernel.SpawnResumable): the
+// loop is cut at its blocking requests, pc says at which one, and the
+// other fields are the locals that live across it.
+type workerState struct {
+	a     *App
+	pc    workerPC
+	task  TaskID   // pcDequeued: -1 if the queue was empty; then the task in hand
+	since sim.Time // pcResumed: when the worker suspended; pcTask*: when the task started
 }
 
-// execute runs one task's compute and critical-section legs.
-func (a *App) execute(env *kernel.Env, id TaskID) {
-	t := a.wl.Task(id)
-	if t.Lock == NoLock || t.LockWork <= 0 {
-		env.Compute(t.Work)
-		return
+// step runs the scheduler loop from where the last request left it to
+// the next request that takes virtual time. Where it wants a lock it
+// sets pc to the state that holds it first: a free lock is taken on the
+// spot and the loop goes on, a held one is the request.
+func (w *workerState) step(env *kernel.Env) kernel.Request {
+	a := w.a
+	for {
+		switch w.pc {
+		case pcTop:
+			if a.done {
+				return kernel.Exit()
+			}
+			if a.controlPoint(env) {
+				w.pc, w.since = pcResumed, env.Now()
+				return kernel.Sleep(a.suspendQ)
+			}
+			w.pc = pcDequeue
+			if !env.TryAcquire(a.qlock) {
+				return kernel.Acquire(a.qlock)
+			}
+
+		case pcResumed:
+			// Woken: either resumed by a peer (already counted in runnable
+			// by the waker) or the application finished. The observed span
+			// runs to the redispatch instant, so it includes the requeue
+			// latency of the resume — the paper's suspend/resume cost.
+			span := env.Now().Sub(w.since)
+			a.met.suspended.Observe(int64(span))
+			a.annotate(env, "resume", -1, a.target, span)
+			if a.done {
+				return kernel.Exit()
+			}
+			w.pc = pcDequeue
+			if !env.TryAcquire(a.qlock) {
+				return kernel.Acquire(a.qlock)
+			}
+
+		case pcDequeue:
+			w.task = a.dequeue()
+			w.pc = pcDequeued
+			if w.task < 0 {
+				return kernel.Compute(a.cfg.EmptyCheckCost)
+			}
+			return kernel.Compute(a.cfg.DequeueCost)
+
+		case pcDequeued:
+			if w.task >= 0 && a.readyAt != nil {
+				a.startAt[w.task] = env.Now()
+			}
+			env.Release(a.qlock)
+			if w.task < 0 {
+				if a.remain == 0 {
+					return kernel.Exit()
+				}
+				// Nothing ready (a dependency is still executing): spin a
+				// little and recheck, burning CPU like the paper's idle
+				// busy-waiting workers.
+				a.Stats.IdleSpins++
+				a.met.idleSpins.Inc()
+				a.annotate(env, "barrier_wait", -1, -1, a.cfg.IdleSpin)
+				w.pc = pcTop
+				return kernel.Compute(a.cfg.IdleSpin)
+			}
+			w.since = env.Now()
+			a.annotate(env, "task_start", int(w.task), -1, 0)
+			t := a.wl.Task(w.task)
+			if t.Lock == NoLock || t.LockWork <= 0 {
+				w.pc = pcTaskDone
+				return kernel.Compute(t.Work)
+			}
+			// Split the non-critical work around the critical section so
+			// the lock is held mid-task, as real code would.
+			w.pc = pcTaskLock
+			return kernel.Compute((t.Work - t.LockWork) / 2)
+
+		case pcTaskLock:
+			w.pc = pcTaskLocked
+			if l := a.locks[a.wl.Task(w.task).Lock]; !env.TryAcquire(l) {
+				return kernel.Acquire(l)
+			}
+
+		case pcTaskLocked:
+			w.pc = pcTaskUnlock
+			return kernel.Compute(a.wl.Task(w.task).LockWork)
+
+		case pcTaskUnlock:
+			t := a.wl.Task(w.task)
+			env.Release(a.locks[t.Lock])
+			outside := t.Work - t.LockWork
+			w.pc = pcTaskDone
+			return kernel.Compute(outside - outside/2)
+
+		case pcTaskDone:
+			service := env.Now().Sub(w.since)
+			a.met.service.Observe(int64(service))
+			a.annotate(env, "task_done", int(w.task), -1, service)
+			w.pc = pcComplete
+			if !env.TryAcquire(a.qlock) {
+				return kernel.Acquire(a.qlock)
+			}
+
+		case pcComplete:
+			w.pc = pcCompleted
+			return kernel.Compute(a.cfg.CompleteCost)
+
+		case pcCompleted:
+			finished := a.complete(w.task)
+			if a.readyAt != nil {
+				a.doneAt[w.task] = env.Now()
+			}
+			if a.cfg.OnTaskDone != nil {
+				a.cfg.OnTaskDone(w.task)
+			}
+			env.Release(a.qlock)
+			a.Stats.TasksRun++
+			a.met.tasks.Inc()
+			if finished {
+				a.finish(env)
+				return kernel.Exit()
+			}
+			w.pc = pcTop
+		}
 	}
-	outside := t.Work - t.LockWork
-	// Split the non-critical work around the critical section so the
-	// lock is held mid-task, as real code would.
-	env.Compute(outside / 2)
-	env.Acquire(a.locks[t.Lock])
-	env.Compute(t.LockWork)
-	env.Release(a.locks[t.Lock])
-	env.Compute(outside - outside/2)
 }
 
 // dequeue pops the next ready task, or -1. Callers hold qlock.
@@ -411,13 +499,15 @@ func (a *App) finish(env *kernel.Env) {
 }
 
 // controlPoint is the process-control hook: poll the server when the
-// interval has elapsed, then suspend or resume to track the target. The
-// unmodified package (nil controller) does nothing here, so the added
-// overhead in the controlled-but-unloaded case is a couple of integer
-// compares — the paper's "overhead of our implementation is negligible".
-func (a *App) controlPoint(env *kernel.Env) {
+// interval has elapsed, then suspend or resume to track the target. It
+// reports whether the calling worker must now suspend itself (sleep on
+// suspendQ). The unmodified package (nil controller) does nothing here,
+// so the added overhead in the controlled-but-unloaded case is a couple
+// of integer compares — the paper's "overhead of our implementation is
+// negligible".
+func (a *App) controlPoint(env *kernel.Env) (suspend bool) {
 	if a.cfg.Controller == nil {
-		return
+		return false
 	}
 	now := env.Now()
 	if !a.polled || now.Sub(a.lastPoll) >= a.cfg.PollInterval {
@@ -432,17 +522,8 @@ func (a *App) controlPoint(env *kernel.Env) {
 		a.runnable--
 		a.Stats.Suspensions++
 		a.met.suspensions.Inc()
-		suspendedAt := now
 		a.annotate(env, "suspend", -1, a.target, 0)
-		env.Sleep(a.suspendQ)
-		// Woken: either resumed by a peer (already counted in runnable
-		// by the waker) or the application finished. The observed span
-		// runs to the redispatch instant, so it includes the requeue
-		// latency of the resume — the paper's suspend/resume cost.
-		span := env.Now().Sub(suspendedAt)
-		a.met.suspended.Observe(int64(span))
-		a.annotate(env, "resume", -1, a.target, span)
-		return
+		return true
 	}
 	for a.target > a.runnable && a.suspendQ.Len() > 0 {
 		a.runnable++
@@ -450,6 +531,7 @@ func (a *App) controlPoint(env *kernel.Env) {
 		a.met.resumes.Inc()
 		env.Wake(a.suspendQ, 1)
 	}
+	return false
 }
 
 // annotate stamps a threads-layer event into the kernel's trace stream.

@@ -9,6 +9,7 @@ package threads
 
 import (
 	"fmt"
+	"slices"
 
 	"procctl/internal/sim"
 )
@@ -98,6 +99,13 @@ type Workload struct {
 // NewWorkload returns an empty workload.
 func NewWorkload(name string) *Workload {
 	return &Workload{Name: name}
+}
+
+// Grow makes room for tasks more tasks, so that a generator that knows
+// its task count up front appends them without re-growing (and copying,
+// and clearing) the task array on the way there.
+func (w *Workload) Grow(tasks int) {
+	w.tasks = slices.Grow(w.tasks, tasks)
 }
 
 // Add appends a task with no critical section and returns its ID.
