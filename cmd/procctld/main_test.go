@@ -119,8 +119,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.Submit(func() { <-done })
 	}
-	if _, err := client.Status(); err != nil {
+	// A member's own target is served by the status op, not as a series.
+	st, err := client.Status()
+	if err != nil {
 		t.Fatalf("status: %v", err)
+	}
+	if len(st.Apps) != 1 || st.Apps[0].Name != "e2e" || st.Apps[0].Target < 1 {
+		t.Errorf("status apps = %+v, want e2e with a target >= 1", st.Apps)
 	}
 	// Let at least one poll round-trip happen so poll RPCs show up.
 	deadline := time.Now().Add(5 * time.Second)
@@ -163,7 +168,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{`coordinator_rebalance_micros_count`, 1},
 		{`coordinator_members`, 1},
 		{`coordinator_capacity`, 4},
-		{`coordinator_target{app="e2e"}`, 1},
+		{`coordinator_targets_sum`, 1},
 	}
 	for _, c := range checks {
 		v, ok := series[c.name]
@@ -176,7 +181,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Unregistering must retire the member's target series.
+	for name := range series {
+		if strings.Contains(name, `"e2e"`) {
+			t.Errorf("series %s carries a member name as a label value", name)
+		}
+	}
+
+	// Unregistering must take the member's target out of the fleet sum.
 	stop()
 	resp2, err := http.Get(fmt.Sprintf("http://%s/metrics", mln.Addr()))
 	if err != nil {
@@ -184,8 +195,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	after := parseExposition(t, resp2.Body)
-	if _, ok := after[`coordinator_target{app="e2e"}`]; ok {
-		t.Error("coordinator_target{app=\"e2e\"} still exported after unregister")
+	if v := after[`coordinator_targets_sum`]; v != 0 {
+		t.Errorf("coordinator_targets_sum = %d after unregister, want 0", v)
 	}
 	if after[`coordinator_members`] != 0 {
 		t.Errorf("coordinator_members = %d after unregister, want 0", after[`coordinator_members`])

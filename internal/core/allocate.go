@@ -19,6 +19,8 @@
 // the policy is defined — and tested — exactly once.
 package core
 
+import "slices"
+
 // Demand describes one controllable application's claim on processors.
 type Demand struct {
 	// Max is the number of processes the application has; its
@@ -64,11 +66,19 @@ func Available(numCPU, uncontrolled int) int {
 //     with Max > 0);
 //   - the result is deterministic: ties resolve in input order.
 func Allocate(capacity int, demands []Demand) []int {
+	return AllocateInto(nil, capacity, demands)
+}
+
+// AllocateInto is Allocate writing its result into out's storage, grown
+// as append would when it is too small, for a caller that decides again
+// and again over a fleet of much the same size.
+func AllocateInto(out []int, capacity int, demands []Demand) []int {
 	n := len(demands)
 	if n == 0 {
 		return nil
 	}
-	out := make([]int, n)
+	out = slices.Grow(out[:0], n)[:n]
+	clear(out)
 	if capacity < 0 {
 		capacity = 0
 	}

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"slices"
 	"sync"
 
 	"procctl/internal/flight"
@@ -34,20 +35,35 @@ const (
 	StragglerExpired = "expired" // member left the fleet with the epoch open
 )
 
-// openEpoch is one epoch awaiting acks. The pending slice is recycled
-// through the tracker's free list, so the open→ack→close cycle
-// allocates nothing in steady state.
+// openEpoch is one epoch awaiting acks: a count of the members still
+// pending (who they are is in the tracker's per-member index). Closed
+// epochs are recycled through the tracker's free list, so the
+// open→ack→close cycle allocates nothing in steady state.
 type openEpoch struct {
 	epoch    uint64
 	openedAt int64 // µs, the decision instant (allocation computed)
 	members  int   // pending members at open
-	pending  []pendingMember
+	waiting  int   // members still pending
 }
 
-// pendingMember is one member an open epoch is waiting on.
+// pendingMember is one member an epoch opens waiting on.
 type pendingMember struct {
 	name   string
 	remote bool
+}
+
+// memberWait is one open epoch a member has yet to acknowledge.
+type memberWait struct {
+	o      *openEpoch
+	remote bool
+}
+
+// memberWaits is one member's entry in the tracker's index: the open
+// epochs it is pending in, ascending, held by pointer so an Open or an
+// Ack is one map probe; first is the list's initial storage.
+type memberWaits struct {
+	list  []memberWait
+	first [1]memberWait
 }
 
 // closedRing bounds how many closed-epoch reports the converge op can
@@ -83,14 +99,20 @@ func newConvergeMetrics(reg *metrics.Registry) convergeMetrics {
 	return m
 }
 
-// convergeTracker owns the open-epoch table. Its mutex is a leaf lock
-// like pushMu: held only across in-memory bookkeeping and flight-ring
-// appends, never across member code, c.mu, or journal I/O (converge
-// events are observability-only and are not journaled).
+// convergeTracker owns the open epochs. Its mutex is a leaf lock below
+// c.mu: held only across in-memory bookkeeping and flight-ring appends,
+// never across member code or journal I/O (converge events are
+// observability-only and are not journaled).
+//
+// waits is the per-member index: the open epochs each member is pending
+// in — one, or more when epochs open out of order. Open, Ack and Drop
+// visit the named member's epochs and no others. A member keeps its
+// (empty) entry between epochs, so re-opening allocates nothing.
 type convergeTracker struct {
-	mu   sync.Mutex
-	open []*openEpoch // ascending by epoch
-	free []*openEpoch
+	mu    sync.Mutex
+	open  int // epochs still awaiting acks
+	free  []*openEpoch
+	waits map[string]*memberWaits
 
 	closed     [closedRing]ConvergeInfo
 	closedNext int
@@ -101,7 +123,7 @@ type convergeTracker struct {
 }
 
 func newConvergeTracker(reg *metrics.Registry, rec *flight.Recorder) *convergeTracker {
-	cv := &convergeTracker{rec: rec, met: newConvergeMetrics(reg)}
+	cv := &convergeTracker{rec: rec, met: newConvergeMetrics(reg), waits: make(map[string]*memberWaits)}
 	openGauge := reg.Gauge("coordinator_convergence_open_epochs", "rebalance epochs still awaiting member acks")
 	reg.OnCollect(func() { openGauge.Set(int64(cv.OpenEpochs())) })
 	return cv
@@ -113,37 +135,45 @@ func newConvergeTracker(reg *metrics.Registry, rec *flight.Recorder) *convergeTr
 // epoch with no changed members is not tracked — nothing propagates, so
 // there is nothing to converge.
 func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember) {
-	if cv == nil {
+	if cv == nil || len(changed) == 0 {
 		return
 	}
 	cv.mu.Lock()
-	if len(changed) > supersedeScanLimit {
-		cv.supersedeSetLocked(changed, at, epoch)
-	} else {
-		for _, ch := range changed {
-			cv.removeLocked(ch.name, at, epoch, ConvergeSuperseded)
+	o := cv.acquireLocked()
+	o.epoch = epoch
+	o.openedAt = at
+	o.members = len(changed)
+	o.waiting = len(changed)
+	for _, ch := range changed {
+		w := cv.waits[ch.name]
+		if w == nil {
+			w = new(memberWaits)
+			w.list = w.first[:0]
+			cv.waits[ch.name] = w
 		}
+		// What supersession leaves is newer than epoch (notifies opened
+		// out of order): the list stays ascending.
+		rest := cv.removeLocked(w.list, ch.name, at, epoch, ConvergeSuperseded)
+		w.list = slices.Insert(rest, 0, memberWait{o: o, remote: ch.remote})
 	}
-	if len(changed) > 0 {
-		o := cv.acquireLocked()
-		o.epoch = epoch
-		o.openedAt = at
-		o.members = len(changed)
-		o.pending = append(o.pending[:0], changed...)
-		cv.insertLocked(o)
-	}
+	cv.open++
 	cv.mu.Unlock()
 }
 
 // Ack acknowledges that name has applied the target it was pushed in
 // epoch `through`; because targets are delivered newest-wins, this also
-// acknowledges every older epoch still waiting on the member.
+// acknowledges every older epoch still waiting on the member. With
+// nothing open — a steady fleet's every poll — it is a lock and a check.
 func (cv *convergeTracker) Ack(name string, through uint64, at int64) {
 	if cv == nil || through == 0 {
 		return
 	}
 	cv.mu.Lock()
-	cv.removeLocked(name, at, through+1, ConvergeSettled)
+	if cv.open > 0 {
+		if w := cv.waits[name]; w != nil && len(w.list) > 0 && w.list[0].o.epoch <= through {
+			w.list = cv.removeLocked(w.list, name, at, through+1, ConvergeSettled)
+		}
+	}
 	cv.mu.Unlock()
 }
 
@@ -155,82 +185,26 @@ func (cv *convergeTracker) Drop(name string, at int64) {
 		return
 	}
 	cv.mu.Lock()
-	cv.removeLocked(name, at, ^uint64(0), ConvergeExpired)
+	if w := cv.waits[name]; w != nil {
+		cv.removeLocked(w.list, name, at, ^uint64(0), ConvergeExpired)
+		delete(cv.waits, name)
+	}
 	cv.mu.Unlock()
 }
 
-// supersedeScanLimit is where Open switches from per-member linear
-// supersede scans to the one-pass set sweep below. Small fan-outs (the
-// steady-state case the zero-alloc ConvergeTrack gate pins) stay on
-// the allocation-free path; a batched rebalance re-targeting a
-// 10k-member fleet pays one map build instead of an
-// O(changed × pending) quadratic scan.
-const supersedeScanLimit = 32
-
-// supersedeSetLocked supersedes every changed member out of all open
-// epochs below limit in one pass over each epoch's pending list,
-// closing the epochs it empties.
-func (cv *convergeTracker) supersedeSetLocked(changed []pendingMember, at int64, limit uint64) {
-	in := make(map[string]struct{}, len(changed))
-	for _, ch := range changed {
-		in[ch.name] = struct{}{}
+// removeLocked takes name out of the epochs below limit on its list ws,
+// oldest first, closing the ones it empties with the given outcome, and
+// returns the rest of the list. It is the only way a member leaves an
+// epoch.
+func (cv *convergeTracker) removeLocked(ws []memberWait, name string, at int64, limit uint64, outcome string) []memberWait {
+	n := 0
+	for ; n < len(ws) && ws[n].o.epoch < limit; n++ {
+		o := ws[n].o
+		if o.waiting--; o.waiting == 0 {
+			cv.closeLocked(o, at, outcome, name, ws[n].remote)
+		}
 	}
-	keep := cv.open[:0]
-	for _, o := range cv.open {
-		if o.epoch >= limit {
-			keep = append(keep, o)
-			continue
-		}
-		var last pendingMember
-		removed := false
-		kept := o.pending[:0]
-		for _, p := range o.pending {
-			if _, ok := in[p.name]; ok {
-				last = p
-				removed = true
-				continue
-			}
-			kept = append(kept, p)
-		}
-		o.pending = kept
-		if removed && len(o.pending) == 0 {
-			cv.closeLocked(o, at, ConvergeSuperseded, last.name, last.remote)
-			continue
-		}
-		keep = append(keep, o)
-	}
-	cv.open = keep
-}
-
-// removeLocked removes name from every open epoch below limit, closing
-// the ones it empties with the given outcome. Iteration compacts the
-// open table in place.
-func (cv *convergeTracker) removeLocked(name string, at int64, limit uint64, outcome string) {
-	keep := cv.open[:0]
-	for _, o := range cv.open {
-		if o.epoch >= limit {
-			keep = append(keep, o)
-			continue
-		}
-		remote, found := false, false
-		for i := range o.pending {
-			if o.pending[i].name == name {
-				remote = o.pending[i].remote
-				// Pending is a set: swap-remove, so a 10k-member epoch's
-				// ack storm does not memmove half the list per ack.
-				o.pending[i] = o.pending[len(o.pending)-1]
-				o.pending = o.pending[:len(o.pending)-1]
-				found = true
-				break
-			}
-		}
-		if found && len(o.pending) == 0 {
-			cv.closeLocked(o, at, outcome, name, remote)
-			continue
-		}
-		keep = append(keep, o)
-	}
-	cv.open = keep
+	return ws[:copy(ws, ws[n:])]
 }
 
 // closeLocked records an epoch's closure: histogram, counters, the
@@ -268,7 +242,7 @@ func (cv *convergeTracker) closeLocked(o *openEpoch, at int64, outcome, straggle
 		cv.rec.Append(flight.Event{At: at, Kind: flight.KindConverge,
 			App: straggler, A: latency, B: int64(o.members), Epoch: o.epoch})
 	}
-	o.pending = o.pending[:0]
+	cv.open--
 	cv.free = append(cv.free, o)
 }
 
@@ -282,24 +256,11 @@ func (cv *convergeTracker) acquireLocked() *openEpoch {
 	return &openEpoch{}
 }
 
-// insertLocked keeps the open table ascending by epoch, so supersede
-// and ack passes see "older" as a prefix even when concurrent notifies
-// open epochs out of order.
-func (cv *convergeTracker) insertLocked(o *openEpoch) {
-	i := len(cv.open)
-	for i > 0 && cv.open[i-1].epoch > o.epoch {
-		i--
-	}
-	cv.open = append(cv.open, nil)
-	copy(cv.open[i+1:], cv.open[i:])
-	cv.open[i] = o
-}
-
 // OpenEpochs returns how many epochs are still awaiting acks.
 func (cv *convergeTracker) OpenEpochs() int {
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
-	return len(cv.open)
+	return cv.open
 }
 
 // Reports returns up to limit of the most recently closed epochs,
@@ -318,11 +279,9 @@ func (cv *convergeTracker) Reports(limit int) []ConvergeInfo {
 	return out
 }
 
-// ConvergeBench drives open→ack→close cycles on a standalone tracker.
-// It exists for procctl-bench's ConvergeTrack zero-alloc gate: the full
-// rebalance path allocates for snapshots and gauges by design, so the
-// gate pins the tracker's own steady-state cycle — free list plus
-// closed ring — at zero allocations in isolation.
+// ConvergeBench drives open→ack→close cycles on a standalone tracker for
+// procctl-bench's ConvergeTrack gate, which pins the steady-state cycle —
+// index entry, free list, closed ring — at zero allocations.
 type ConvergeBench struct {
 	cv      *convergeTracker
 	pending [1]pendingMember

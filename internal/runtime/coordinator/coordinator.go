@@ -5,22 +5,28 @@
 // serving polled targets to remote ones over a JSON-lines socket
 // protocol — the modern analogue of the paper's UMAX socket IPC.
 //
-// Locking discipline: the membership table is sharded (see shard.go);
-// each shard's mutex guards only that shard's entries, c.mu guards only
-// the scalar settings, and no two shard locks — nor a shard lock and
-// c.mu — are ever held together. Every Member interface call (Name at
-// registration aside) — Workers, Backlog, SetTarget — happens OUTSIDE
-// all critical sections, on an immutable snapshot gathered shard by
-// shard. Members are arbitrary application code; calling them while
-// holding a coordinator lock would make the critical section as slow as
-// the slowest member, the convoy pattern the blockinglocked analyzer
-// rejects.
+// Locking discipline: every member sits in one pointer-stable slot
+// (entry), reachable by name through its shard (shard.go) and by
+// position through c.order, the table of all slots in registration
+// order that a rebalance copies instead of rebuilding. Locks nest only as
+// shard.mu → c.mu → convergeTracker.mu, never two shard locks; a
+// membership change holds its shard's mutex across its c.mu section, so
+// registrations of one name cannot interleave. c.mu guards the order
+// table, the scalars and the push state in the slots: one section gives
+// a rebalance its members, inputs and epoch (a newer epoch never decides
+// on an older membership), a second is where it decides what to push.
+// Every Member interface call (Name at registration aside) — Workers,
+// Backlog, SetTarget — happens OUTSIDE all critical sections, on the
+// rebalance's own copy of the order. Members are arbitrary application
+// code; calling them while holding a coordinator lock would make the
+// critical section as slow as the slowest member, the convoy pattern the
+// blockinglocked analyzer rejects.
 package coordinator
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,35 +61,42 @@ type EpochMember interface {
 	SetTargetEpoch(n int, epoch uint64) (applied bool)
 }
 
-// entry is one registered member with everything the coordinator reads
-// under a shard lock cached at registration time, so no Member method
-// runs inside a critical section. seq is the global registration
-// sequence number: shards are hashed, so it — not slice position —
-// preserves the registration order core.Allocate's weighted round-robin
-// depends on. target is the member's allotment gauge, resolved once at
-// registration so the per-member fan-out in notify is allocation-free.
+// entry is one registered member's slot: what the coordinator reads
+// about the member, cached at registration so no Member method runs
+// inside a critical section, and the push state a rebalance decides on.
+// Allocated once per registration, never copied; a same-name
+// re-registration gets a new slot that inherits the old one's last pushed
+// target. seq numbers the registrations: c.order is ascending in it.
 type entry struct {
 	m      Member
+	epochM EpochMember // m's EpochMember side, nil if it has none
+	remote bool        // m is a socket member: its acks arrive on polls
 	name   string
 	weight int
 	seq    uint64
-	target *metrics.Gauge
+
+	// Push state, guarded by c.mu.
+	pushed    int    // last target a rebalance decided to push (0 before the first)
+	hasPushed bool   // pushed is meaningful
+	examined  uint64 // newest epoch whose push decision covered this slot
+	gone      bool   // unregistered or replaced: no rebalance pushes to it again
 }
 
 // Coordinator allocates capacity among members. All methods are safe
 // for concurrent use.
 type Coordinator struct {
-	mu        sync.Mutex // scalars only; never held with a shard lock
-	capacity  int
-	external  int // uncontrollable load (processors consumed elsewhere)
-	loadAware bool
+	mu         sync.Mutex // scalars, the order table, the slots' push state
+	capacity   int
+	external   int // uncontrollable load (processors consumed elsewhere)
+	loadAware  bool
+	order      []*entry // every live slot, in registration order
+	regSeq     uint64   // registrations so far
+	rebalances int64    // lifetime rebalance count; the last epoch ID
+	targetsSum int64    // Σ pushed over live slots
 
-	shards  [shardCount]shard
-	members atomic.Int64  // live entry count across all shards
-	regSeq  atomic.Uint64 // global registration sequence
+	shards [shardCount]shard
 
-	rebalances int64
-	met        coordMetrics
+	met coordMetrics
 
 	// Batched-rebalance state: when batching is on, membership and load
 	// events mark dirty and kick the batch goroutine instead of
@@ -101,29 +114,33 @@ type Coordinator struct {
 	// journal I/O always happens outside all coordinator locks.
 	jrn atomic.Pointer[journal.Writer]
 
-	// pushMu guards the last pushed target per member, so the flight
-	// recorder logs target *changes* rather than every push. It is a
-	// leaf lock, never held across member code or c.mu.
-	pushMu     sync.Mutex
-	lastPushed map[string]int
-
 	// conv tracks open rebalance epochs until every changed member acks
 	// its applied target (see converge.go).
 	conv *convergeTracker
+
+	// snapshots recycles rebalance working sets (a pool: inline
+	// rebalances run concurrently).
+	snapshots sync.Pool
 }
 
-// snapshot is an immutable copy of the allocation inputs, gathered
-// shard by shard and consumed outside all locks. epoch is the
-// monotonically increasing identity of the rebalance the snapshot
-// feeds — the lifetime rebalance count, which RestoreState resumes
-// across daemon restarts, so epoch IDs never repeat within one
-// journal's history.
+// snapshot is one rebalance's working set: its own copy of the order
+// table and the allocation inputs, taken in one c.mu section and
+// consumed outside all locks, plus the buffers the decision fills;
+// recycled, so a steady rebalance allocates nothing. epoch is the
+// identity of the rebalance the snapshot feeds — the lifetime rebalance
+// count, which RestoreState resumes across daemon restarts, so epoch IDs
+// never repeat within one journal's history; status previews carry 0.
 type snapshot struct {
-	entries   []entry
+	entries   []*entry
 	capacity  int
 	external  int
 	loadAware bool
 	epoch     uint64
+
+	demands []core.Demand
+	alloc   []int
+	changed []changedPush
+	pending []pendingMember
 }
 
 // Rebalance span stages, in causal order: the member event waiting on
@@ -165,6 +182,11 @@ type coordMetrics struct {
 	batchFlushes   *metrics.Counter
 	batchCoalesced *metrics.Counter
 
+	// targetsSum is Σ last pushed target, to hold against
+	// coordinator_capacity. Per-member targets are in the status op:
+	// member names never become label values.
+	targetsSum *metrics.Gauge
+
 	stageMicros [len(rebalanceStages)]*metrics.Histogram
 	stageCount  [len(rebalanceStages)]*metrics.Counter
 }
@@ -176,6 +198,7 @@ func newCoordMetrics(reg *metrics.Registry) coordMetrics {
 		rebalanceMicros: reg.Histogram("coordinator_rebalance_micros", "wall-clock recompute-and-notify latency", nil),
 		batchFlushes:    reg.Counter("coordinator_batch_flushes_total", "batched rebalance windows flushed"),
 		batchCoalesced:  reg.Counter("coordinator_batch_coalesced_total", "rebalance triggers absorbed into an already-pending batch"),
+		targetsSum:      reg.Gauge("coordinator_targets_sum", "processors allotted across all members, by last pushed target"),
 	}
 	for i, stage := range rebalanceStages {
 		m.stageMicros[i] = reg.Histogram(metrics.Name("coordinator_rebalance_latency_micros", "stage", stage),
@@ -201,18 +224,19 @@ func New(capacity int) *Coordinator {
 		capacity = runtime.GOMAXPROCS(0)
 	}
 	c := &Coordinator{
-		capacity:   capacity,
-		kick:       make(chan struct{}, 1),
-		rec:        flight.New(flight.DefaultSize),
-		lastPushed: make(map[string]int),
+		capacity: capacity,
+		kick:     make(chan struct{}, 1),
+		rec:      flight.New(flight.DefaultSize),
 	}
+	c.snapshots.New = func() any { return new(snapshot) }
 	c.met = newCoordMetrics(metrics.NewRegistry())
 	c.conv = newConvergeTracker(c.met.reg, c.rec)
 	c.met.reg.OnCollect(func() {
 		c.mu.Lock()
-		capacity, external := c.capacity, c.external
+		capacity, external, members, targetsSum := c.capacity, c.external, len(c.order), c.targetsSum
 		c.mu.Unlock()
-		c.met.reg.Gauge("coordinator_members", "registered controllable applications").Set(c.members.Load())
+		c.met.targetsSum.Set(targetsSum)
+		c.met.reg.Gauge("coordinator_members", "registered controllable applications").Set(int64(members))
 		c.met.reg.Gauge("coordinator_capacity", "processors under management").Set(int64(capacity))
 		c.met.reg.Gauge("coordinator_external_load", "processors consumed by uncontrollable work").Set(int64(external))
 	})
@@ -325,23 +349,42 @@ func (c *Coordinator) RegisterWeighted(m Member, weight int) {
 	c.requestRebalance(start)
 }
 
-// insert seats a member in its shard, replacing any member with the
-// same name. Re-registration takes a fresh sequence number — the
-// member moves to the end of allocation order, exactly as the flat
-// table's remove-then-append did.
-func (c *Coordinator) insert(m Member, name string, weight int) {
-	gauge := c.met.reg.Gauge(metrics.Name("coordinator_target", "app", name), "processors allotted to this member")
-	e := entry{m: m, name: name, weight: weight, seq: c.regSeq.Add(1), target: gauge}
+// insert seats a member's new slot in its shard, replacing any slot with
+// the same name, and at the back of the order table (a re-registered
+// member moves to the end of allocation order), under the shard lock. A
+// replaced slot is retired and hands over its last pushed target as the
+// new one becomes visible to a rebalance, so the name's next target
+// record still journals the change from that value.
+func (c *Coordinator) insert(m Member, name string, weight int) *entry {
+	e := &entry{m: m, name: name, weight: weight}
+	e.epochM, _ = m.(EpochMember)
+	_, e.remote = m.(*remoteMember)
 	sh := &c.shards[shardIndex(name)]
 	sh.lock()
-	replaced := sh.removeLocked(name)
+	old := sh.removeLocked(name)
 	sh.entries = append(sh.entries, e)
 	sh.weightSum += weight
 	sh.registers++
-	sh.mu.Unlock()
-	if !replaced {
-		c.members.Add(1)
+	c.mu.Lock()
+	if old != nil {
+		c.retireLocked(old)
+		e.pushed, e.hasPushed = old.pushed, old.hasPushed
 	}
+	c.regSeq++
+	e.seq = c.regSeq
+	c.order = append(c.order, e)
+	c.mu.Unlock()
+	sh.mu.Unlock()
+	return e
+}
+
+// retireLocked takes a slot out of the order table and marks it gone: a
+// rebalance that snapshotted it neither pushes to nor journals a target
+// for a member that has left.
+func (c *Coordinator) retireLocked(e *entry) {
+	i := slices.Index(c.order, e)
+	c.order = slices.Delete(c.order, i, i+1)
+	e.gone = true
 }
 
 // RestoreMember re-seats a member recovered from the journal without
@@ -357,10 +400,11 @@ func (c *Coordinator) RestoreMember(m Member, weight, lastTarget int) {
 		weight = 1
 	}
 	name := m.Name() // interface call before taking any lock
-	c.insert(m, name, weight)
-	c.pushMu.Lock()
-	c.lastPushed[name] = lastTarget
-	c.pushMu.Unlock()
+	e := c.insert(m, name, weight)
+	c.mu.Lock()
+	c.targetsSum += int64(lastTarget - e.pushed)
+	e.pushed, e.hasPushed = lastTarget, true
+	c.mu.Unlock()
 }
 
 // RestoreState primes the scalar state recovered from the journal —
@@ -379,12 +423,16 @@ func (c *Coordinator) RestoreState(external int, rebalances int64) {
 }
 
 // LastPushed returns the last target actually pushed to the named
-// member, if one ever was.
+// member, if one ever was. It scans the order table: a diagnostic.
 func (c *Coordinator) LastPushed(name string) (int, bool) {
-	c.pushMu.Lock()
-	defer c.pushMu.Unlock()
-	t, ok := c.lastPushed[name]
-	return t, ok
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.order {
+		if e.name == name {
+			return e.pushed, e.hasPushed
+		}
+	}
+	return 0, false
 }
 
 // Unregister removes the named member and redistributes its processors.
@@ -408,23 +456,18 @@ func (c *Coordinator) unregister(name string, durable bool) {
 	start := time.Now()
 	sh := &c.shards[shardIndex(name)]
 	sh.lock()
-	removed := sh.removeLocked(name)
-	if removed {
+	e := sh.removeLocked(name)
+	if e != nil {
 		sh.unregisters++
+		c.mu.Lock()
+		c.retireLocked(e)
+		c.targetsSum -= int64(e.pushed)
+		c.mu.Unlock()
 	}
 	sh.mu.Unlock()
-	if removed {
-		c.members.Add(-1)
-		c.met.reg.Remove(metrics.Name("coordinator_target", "app", name))
-		c.pushMu.Lock()
-		last, hadTarget := c.lastPushed[name]
-		delete(c.lastPushed, name)
-		c.pushMu.Unlock()
-		var a int64
-		if hadTarget {
-			a = int64(last)
-		}
-		ev := flight.Event{At: start.UnixMicro(), Kind: flight.KindUnregister, App: name, A: a}
+	if e != nil {
+		// e.pushed is final: nothing decides for a retired slot.
+		ev := flight.Event{At: start.UnixMicro(), Kind: flight.KindUnregister, App: name, A: int64(e.pushed)}
 		c.rec.Append(ev)
 		if durable {
 			c.journalAppend(ev)
@@ -440,59 +483,43 @@ func (c *Coordinator) unregister(name string, durable bool) {
 	c.requestRebalance(start)
 }
 
-// gather copies every shard's entries, one shard at a time — no two
-// shard locks are ever held together — then sorts the union by
-// registration sequence, reconstructing the global registration order
-// the allocation policy is sensitive to.
-func (c *Coordinator) gather() []entry {
-	out := make([]entry, 0, c.members.Load()+4)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.lock()
-		out = append(out, sh.entries...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
+// snapshotNext takes the snapshot a rebalance passes to notify: the
+// bumped rebalance count doubles as its epoch ID.
+func (c *Coordinator) snapshotNext() *snapshot { return c.take(true) }
 
-// view gathers the allocation inputs without bumping the epoch: status
-// paths (Targets, MemberInfos) preview the allocation, they do not
-// perform a rebalance.
-func (c *Coordinator) view() snapshot {
-	entries := c.gather()
+// take fills a pooled snapshot in one c.mu section; the caller releases
+// it. The order table is copied as it stands: it is kept in registration
+// order, the order the allocation policy is sensitive to. Without next
+// the epoch stays 0: status paths (Targets, MemberInfos) preview the
+// allocation, they do not perform a rebalance.
+func (c *Coordinator) take(next bool) *snapshot {
+	s := c.snapshots.Get().(*snapshot)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return snapshot{
-		entries:   entries,
-		capacity:  c.capacity,
-		external:  c.external,
-		loadAware: c.loadAware,
+	s.entries = append(s.entries[:0], c.order...)
+	s.capacity, s.external, s.loadAware, s.epoch = c.capacity, c.external, c.loadAware, 0
+	if next {
+		c.rebalances++
+		s.epoch = uint64(c.rebalances)
 	}
+	return s
 }
 
-// snapshotNext is view plus the rebalance count: use it when the
-// snapshot will be passed to notify. The bumped count doubles as the
-// rebalance's epoch ID.
-func (c *Coordinator) snapshotNext() snapshot {
-	entries := c.gather()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rebalances++
-	return snapshot{
-		entries:   entries,
-		capacity:  c.capacity,
-		external:  c.external,
-		loadAware: c.loadAware,
-		epoch:     uint64(c.rebalances),
-	}
+// release returns a snapshot to the pool without its references to
+// slots and names, so a pooled one keeps no departed member alive.
+func (c *Coordinator) release(s *snapshot) {
+	clear(s.entries)
+	clear(s.changed)
+	clear(s.pending)
+	c.snapshots.Put(s)
 }
 
 // Members returns the registered member names in registration order.
 func (c *Coordinator) Members() []string {
-	entries := c.gather()
-	names := make([]string, len(entries))
-	for i, e := range entries {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	names := make([]string, len(c.order))
+	for i, e := range c.order {
 		names[i] = e.name
 	}
 	return names
@@ -604,7 +631,8 @@ func (c *Coordinator) Rebalances() int64 {
 
 // Targets returns the most recently computed target per member name.
 func (c *Coordinator) Targets() map[string]int {
-	snap := c.view()
+	snap := c.take(false)
+	defer c.release(snap)
 	alloc := c.allocate(snap)
 	out := make(map[string]int, len(snap.entries))
 	for i, e := range snap.entries {
@@ -622,6 +650,7 @@ type MemberInfo struct {
 	// Member is the registered implementation, for optional-interface
 	// probes (spin sampling). Call it only outside coordinator locks.
 	Member Member
+	pushed int // last target actually pushed, for JournalState
 }
 
 // MemberInfos returns a consistent status view of the membership: names
@@ -629,7 +658,8 @@ type MemberInfo struct {
 // member would be assigned right now. Member methods run after all
 // coordinator locks are released.
 func (c *Coordinator) MemberInfos() []MemberInfo {
-	snap := c.view()
+	snap := c.take(false)
+	defer c.release(snap)
 	alloc := c.allocate(snap)
 	out := make([]MemberInfo, len(snap.entries))
 	for i, e := range snap.entries {
@@ -641,26 +671,39 @@ func (c *Coordinator) MemberInfos() []MemberInfo {
 			Member:  e.m,
 		}
 	}
+	c.mu.Lock()
+	for i, e := range snap.entries {
+		out[i].pushed = e.pushed
+	}
+	c.mu.Unlock()
 	return out
 }
 
-// allocate computes the processor split for a snapshot. It runs outside
-// all locks: demandOf calls into member code (Workers, Backlog,
-// Executing).
-func (c *Coordinator) allocate(snap snapshot) []int {
-	demands := make([]core.Demand, len(snap.entries))
-	for i, e := range snap.entries {
-		demands[i] = demandOf(e, snap.loadAware)
+// allocate computes the processor split for a snapshot into its own
+// buffers. It runs outside all locks: demandOf calls into member code
+// (Workers, Backlog, Executing).
+func (c *Coordinator) allocate(snap *snapshot) []int {
+	snap.demands = snap.demands[:0]
+	for _, e := range snap.entries {
+		snap.demands = append(snap.demands, demandOf(e, snap.loadAware))
 	}
-	return core.Allocate(core.Available(snap.capacity, snap.external), demands)
+	snap.alloc = core.AllocateInto(snap.alloc, core.Available(snap.capacity, snap.external), snap.demands)
+	return snap.alloc
 }
 
-// notify recomputes targets for a snapshot and pushes them to every
-// member in it, entirely outside coordinator locks. Two concurrent
-// notify calls may interleave their SetTarget pushes, so a member can
-// transiently see the older of two targets; the next rebalance (or the
-// periodic StartAutoRebalance tick) converges it. That transient is
-// the price of never holding a coordinator lock across member code.
+// notify recomputes targets for a snapshot, pushes them to every member
+// in it, entirely outside coordinator locks, and recycles the snapshot.
+// Concurrent calls (inline rebalances from several connections) are
+// ordered in the c.mu section between allocation and fan-out: a
+// rebalance skips — no changed entry, no push, no target record — every
+// slot a newer epoch has already decided and every slot retired since
+// its snapshot, records in the rest what it is about to push, and opens
+// its epoch in the convergence tracker before the next decision gets in,
+// so slots, journal and tracker agree, in epoch order. The pushes still
+// run unlocked and may land out of order: a socket member refuses a
+// target older than the one it holds; an in-process member that ignores
+// epochs may briefly run the older of two racing targets, until the next
+// rebalance (each pushes to every member it decides for) corrects it.
 //
 // start is when the triggering member event entered the coordinator:
 // the span from start to the snapshot's release is the "snapshot" stage
@@ -669,40 +712,48 @@ func (c *Coordinator) allocate(snap snapshot) []int {
 // size), with "total" covering the whole span. Each stage lands in
 // coordinator_rebalance_latency_micros{stage=...}; the completed span
 // and any target changes land in the flight recorder.
-func (c *Coordinator) notify(snap snapshot, start time.Time) {
+func (c *Coordinator) notify(snap *snapshot, start time.Time) {
 	snapDone := time.Now()
 	c.met.rebalanceCount.Inc()
 	alloc := c.allocate(snap)
 	recomputeDone := time.Now()
 
-	// Decide which pushes actually change a member's target *before* the
-	// fan-out, under the pushMu leaf lock: the changed set is what the
-	// convergence tracker waits on, and the epoch must be open before
-	// any member can ack it. (Two concurrent notifies may still
-	// interleave their SetTarget pushes — the documented transient — in
-	// which case the older epoch is superseded on the spot.)
-	changed := make([]changedPush, 0, len(snap.entries))
-	c.pushMu.Lock()
-	for i, e := range snap.entries {
-		old, ok := c.lastPushed[e.name]
-		if !ok || old != alloc[i] {
-			_, remote := e.m.(*remoteMember)
-			changed = append(changed, changedPush{idx: i, old: old, member: pendingMember{name: e.name, remote: remote}})
-			c.lastPushed[e.name] = alloc[i]
+	entries, epoch := snap.entries, snap.epoch
+	changed, pending := snap.changed[:0], snap.pending[:0]
+	c.mu.Lock()
+	for i, e := range entries {
+		if e.gone || e.examined > epoch {
+			entries[i] = nil
+			continue
+		}
+		e.examined = epoch
+		if !e.hasPushed || e.pushed != alloc[i] {
+			changed = append(changed, changedPush{idx: i, old: e.pushed, name: e.name})
+			pending = append(pending, pendingMember{name: e.name, remote: e.remote})
+			c.targetsSum += int64(alloc[i] - e.pushed)
+			e.pushed, e.hasPushed = alloc[i], true
 		}
 	}
-	c.pushMu.Unlock()
-	c.conv.Open(snap.epoch, recomputeDone.UnixMicro(), pendingOf(changed))
+	// The epoch must be open before any member can ack it.
+	c.conv.Open(epoch, recomputeDone.UnixMicro(), pending)
+	c.mu.Unlock()
+	snap.changed, snap.pending = changed, pending
 
-	applied := make([]bool, len(snap.entries))
-	for i, e := range snap.entries {
-		if em, ok := e.m.(EpochMember); ok {
-			applied[i] = em.SetTargetEpoch(alloc[i], snap.epoch)
+	next := 0 // the changed entry the fan-out reaches next
+	for i, e := range entries {
+		if e == nil {
+			continue
+		}
+		applied := true
+		if e.epochM != nil {
+			applied = e.epochM.SetTargetEpoch(alloc[i], epoch)
 		} else {
 			e.m.SetTarget(alloc[i])
-			applied[i] = true
 		}
-		e.target.Set(int64(alloc[i]))
+		if next < len(changed) && changed[next].idx == i {
+			changed[next].applied = applied
+			next++
+		}
 	}
 	end := time.Now()
 	c.met.rebalanceMicros.Observe(end.Sub(snapDone).Microseconds())
@@ -710,37 +761,27 @@ func (c *Coordinator) notify(snap snapshot, start time.Time) {
 		c.met.observeStage(i, d)
 	}
 	c.RecordEvent(flight.Event{At: end.UnixMicro(), Kind: flight.KindRebalance,
-		A: end.Sub(start).Microseconds(), B: int64(len(snap.entries)), Epoch: snap.epoch})
+		A: end.Sub(start).Microseconds(), B: int64(len(entries)), Epoch: epoch})
 	for _, ch := range changed {
 		c.RecordEvent(flight.Event{At: end.UnixMicro(), Kind: flight.KindTarget,
-			App: ch.member.name, A: int64(alloc[ch.idx]), B: int64(ch.old), Epoch: snap.epoch})
+			App: ch.name, A: int64(alloc[ch.idx]), B: int64(ch.old), Epoch: epoch})
 	}
 	// Synchronous appliers ack after their change is on record, so the
 	// converge event never precedes its target event in the ring.
 	for _, ch := range changed {
-		if applied[ch.idx] {
-			c.conv.Ack(ch.member.name, snap.epoch, end.UnixMicro())
+		if ch.applied {
+			c.conv.Ack(ch.name, epoch, end.UnixMicro())
 		}
 	}
+	c.release(snap)
 }
 
-// changedPush is one target change a rebalance fan-out will deliver.
+// changedPush is one target change a rebalance fan-out delivers.
 type changedPush struct {
-	idx    int // index into the snapshot's entries
-	old    int // previous pushed target (0 if never pushed)
-	member pendingMember
-}
-
-// pendingOf projects the changed set onto what the tracker waits on.
-func pendingOf(changed []changedPush) []pendingMember {
-	if len(changed) == 0 {
-		return nil
-	}
-	out := make([]pendingMember, len(changed))
-	for i, ch := range changed {
-		out[i] = ch.member
-	}
-	return out
+	idx     int // index into the snapshot's entries
+	old     int // previous pushed target (0 if never pushed)
+	applied bool
+	name    string
 }
 
 // AckApplied records that the named member has applied the target it
@@ -791,7 +832,7 @@ func (c *Coordinator) SetLoadAware(on bool) {
 
 // demandOf computes a member's Demand. It calls into member code and
 // must therefore never run under a coordinator lock.
-func demandOf(e entry, loadAware bool) core.Demand {
+func demandOf(e *entry, loadAware bool) core.Demand {
 	d := core.Demand{Max: e.m.Workers(), Weight: e.weight}
 	if !loadAware {
 		return d

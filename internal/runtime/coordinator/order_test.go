@@ -1,0 +1,140 @@
+package coordinator
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// The golden was recorded on the tree that still rebuilt registration
+// order with a sort over per-shard copies:
+//
+//	go test ./internal/runtime/coordinator -run TestTargetsGolden -update-targets-golden
+var updateTargetsGolden = flag.Bool("update-targets-golden", false, "rewrite testdata/targets_seed17.golden instead of comparing")
+
+// TestTargetsGolden pins registration order through the one thing it
+// decides: with capacity below Σ procs the weighted round-robin hands the
+// last processors out in member order, so any member out of place moves
+// somebody's target. 500 members (weights 1–4, procs 1–16) and 60
+// same-name re-registrations, each of which sends its member to the back.
+func TestTargetsGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	c := New(1)
+	sumProcs := 0
+	members := make([]*fakeMember, 500)
+	for i := range members {
+		members[i] = &fakeMember{name: fmt.Sprintf("app-%03d", i), workers: 1 + rng.Intn(16)}
+		sumProcs += members[i].workers
+		c.RegisterWeighted(members[i], 1+rng.Intn(4))
+	}
+	for i := 0; i < 60; i++ {
+		m := members[rng.Intn(len(members))]
+		c.RegisterWeighted(&fakeMember{name: m.name, workers: m.workers}, 1+rng.Intn(4))
+	}
+	if err := c.SetCapacity(sumProcs * 3 / 5); err != nil {
+		t.Fatal(err)
+	}
+
+	var got bytes.Buffer
+	targets := c.Targets()
+	for _, name := range c.Members() {
+		fmt.Fprintf(&got, "%s %d\n", name, targets[name])
+	}
+	path := filepath.Join("testdata", "targets_seed17.golden")
+	if *updateTargetsGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("Members()/Targets() of the seeded fleet differ from %s (recorded before the order table replaced the sort)", path)
+	}
+}
+
+// TestOrderTableMatchesCallOrder drives seeded random registrations,
+// same-name re-registrations and unregistrations over names that land in
+// all sixteen shards, while a second goroutine registers and unregisters
+// names of its own (run it under -race). After every step the members
+// the driver owns must be in the order of its calls, and the table a
+// rebalance copies must be strictly ascending in registration sequence
+// with no name twice.
+func TestOrderTableMatchesCallOrder(t *testing.T) {
+	names := make([]string, 160)
+	var shardsHit [shardCount]bool
+	for i := range names {
+		names[i] = fmt.Sprintf("p-%03d", i)
+		shardsHit[shardIndex(names[i])] = true
+	}
+	if slices.Contains(shardsHit[:], false) {
+		t.Fatalf("the driver's names miss a shard: %v", shardsHit)
+	}
+
+	c := New(64)
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		rng := rand.New(rand.NewSource(2))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			name := fmt.Sprintf("bg-%02d", rng.Intn(40))
+			if i%3 == 2 {
+				c.Unregister(name)
+			} else {
+				c.Register(&fakeMember{name: name, workers: 1 + rng.Intn(8)})
+			}
+		}
+	}()
+	defer bg.Wait()
+	defer close(stop)
+
+	rng := rand.New(rand.NewSource(1))
+	var oracle []string
+	for step := 0; step < 1500; step++ {
+		name := names[rng.Intn(len(names))]
+		at := slices.Index(oracle, name)
+		if at >= 0 {
+			oracle = slices.Delete(oracle, at, at+1)
+		}
+		if at >= 0 && rng.Intn(2) == 0 {
+			c.Unregister(name)
+		} else {
+			c.RegisterWeighted(&fakeMember{name: name, workers: 1 + rng.Intn(8)}, 1+rng.Intn(4))
+			oracle = append(oracle, name)
+		}
+
+		mine := slices.DeleteFunc(c.Members(), func(n string) bool { return strings.HasPrefix(n, "bg-") })
+		if !slices.Equal(mine, oracle) {
+			t.Fatalf("step %d: Members() = %v, want call order %v", step, mine, oracle)
+		}
+		snap := c.take(false)
+		seen := make(map[string]bool, len(snap.entries))
+		for i, e := range snap.entries {
+			if i > 0 && e.seq <= snap.entries[i-1].seq {
+				t.Fatalf("step %d: order table not ascending at %d: seq %d after %d", step, i, e.seq, snap.entries[i-1].seq)
+			}
+			if seen[e.name] {
+				t.Fatalf("step %d: %s is in the order table twice", step, e.name)
+			}
+			seen[e.name] = true
+		}
+		c.release(snap)
+	}
+}

@@ -42,9 +42,9 @@ import (
 // refused and counted under the one label op="unknown".
 //
 // An application name is 1-64 characters of [A-Za-z0-9._:-]
-// (validAppName): it becomes a label value of the member's metric
-// series and a field of journal records, flight events and log lines,
-// and nothing downstream quotes it. Register refuses any other name
+// (validAppName): it becomes a field of journal records, flight events
+// and log lines (never a metric label), and nothing downstream quotes
+// it. Register refuses any other name
 // with an error reply; no other op checks, because a name that was
 // never registered is not found.
 //

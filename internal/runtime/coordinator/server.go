@@ -101,10 +101,23 @@ func (r *remoteMember) SetTarget(n int) { r.SetTargetEpoch(n, 0) }
 
 // SetTargetEpoch stores the target for the application's next poll. It
 // never applies synchronously — the ack arrives over the wire — so it
-// always answers false.
+// always answers false. Newest epoch wins: rebalances push outside the
+// coordinator's locks, so the older of two racing pushes can arrive
+// second, and must not take a poll back to a target already replaced.
+// (A remote member lives for one registration, so the epochs it compares
+// all come from this daemon's counter.) Epoch 0, the placeholder before
+// the first rebalance, always stores.
 func (r *remoteMember) SetTargetEpoch(n int, epoch uint64) bool {
-	r.tpack.Store(epoch<<targetBits | uint64(n)&(1<<targetBits-1))
-	return false
+	v := epoch<<targetBits | uint64(n)&(1<<targetBits-1)
+	for {
+		held := r.tpack.Load()
+		if epoch != 0 && held>>targetBits > epoch {
+			return false
+		}
+		if r.tpack.CompareAndSwap(held, v) {
+			return false
+		}
+	}
 }
 
 // targetEpoch returns the pending target and its epoch as one
@@ -233,26 +246,7 @@ func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Serve
 		s.mu.Unlock()
 		openConns.Set(int64(n))
 	})
-	s.coord.Metrics().OnCollect(s.collectLeases)
 	return s
-}
-
-// collectLeases refreshes the per-member remaining-lease gauges.
-func (s *Server) collectLeases() {
-	if s.cfg.Lease <= 0 {
-		return
-	}
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, cs := range s.owners {
-		rem := s.cfg.Lease - now.Sub(cs.seen())
-		if rem < 0 {
-			rem = 0
-		}
-		s.coord.Metrics().Gauge(metrics.Name("coordinator_member_lease_seconds", "app", name),
-			"seconds of lease remaining before this member is presumed dead").Set(int64(rem / time.Second))
-	}
 }
 
 // recoveredEntry is one journal-restored member awaiting a client: the
@@ -307,12 +301,11 @@ func (s *Server) JournalState(at int64) journal.State {
 	infos := s.coord.MemberInfos()
 	st.Members = make([]journal.Member, 0, len(infos))
 	for _, info := range infos {
-		target, _ := s.coord.LastPushed(info.Name)
 		st.Members = append(st.Members, journal.Member{
 			Name:     info.Name,
 			Procs:    info.Workers,
 			Weight:   info.Weight,
-			Target:   target,
+			Target:   info.pushed,
 			LastSeen: at,
 		})
 	}
@@ -487,7 +480,6 @@ func (s *Server) sweep(now time.Time) {
 		}
 		for _, name := range stale {
 			s.coord.Unregister(name)
-			s.coord.Metrics().Remove(metrics.Name("coordinator_member_lease_seconds", "app", name))
 		}
 	}
 	s.maybeSnapshot()
@@ -541,7 +533,6 @@ func (s *Server) handle(cs *connState) {
 			} else {
 				s.coord.Unregister(name)
 			}
-			s.coord.Metrics().Remove(metrics.Name("coordinator_member_lease_seconds", "app", name))
 		}
 	}()
 
@@ -669,7 +660,6 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		delete(s.owners, req.App)
 		s.mu.Unlock()
 		s.coord.Unregister(req.App)
-		s.coord.Metrics().Remove(metrics.Name("coordinator_member_lease_seconds", "app", req.App))
 		return Response{OK: true}
 
 	case OpSetLoad:

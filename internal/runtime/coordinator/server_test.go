@@ -226,8 +226,8 @@ func TestServerCloseDropsConnections(t *testing.T) {
 // A name that cannot be a metric label value — a space, a quote, a
 // brace, a newline, or just too long — is refused at register with an
 // error reply and counted as a register error. It used to reach
-// metrics.Name and panic the daemon (`coordinator_target{app="a b"}` is
-// not a series name).
+// metrics.Name and panic the daemon (names were label values then; they
+// no longer are, and the check stays for the journal and the wire).
 func TestServerRefusesUnusableAppNames(t *testing.T) {
 	srv, sock := startServer(t, 8)
 	c, err := Dial("unix", sock)

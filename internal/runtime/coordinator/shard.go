@@ -1,27 +1,29 @@
 package coordinator
 
-// Sharded member registry: the membership table is split across a
-// fixed power-of-two number of shards hashed by member name, so
-// register, poll, and unregister touch exactly one shard lock and a
-// 10k-client fleet does not serialize every membership event on one
-// mutex. The global rebalance gathers per-shard snapshots one shard at
-// a time — never holding two shard locks at once (all shards share one
-// lock class; nesting them would be a self-deadlock under a different
-// hash seed, and the lockorder analyzer rejects it) — and re-sorts the
-// union by registration sequence so allocation order, which the
-// weighted round-robin in core.Allocate depends on, is exactly what a
-// single flat table would have produced.
+// Sharded member registry: the name index of the membership is split
+// across a fixed power-of-two number of shards hashed by member name, so
+// finding a member's slot — register, unregister — searches one
+// sixteenth of the fleet under one shard lock, and a poll touches no lock
+// at all (two atomics on its shard). Shards say nothing about order: the
+// slots also sit, in registration order, in the coordinator's order table
+// (coordinator.go), which a membership change edits under its shard lock
+// and a rebalance copies as it stands. Allocation order, which the
+// weighted round-robin in core.Allocate depends on, is therefore what a
+// single flat table would have produced, with nothing to re-sort. No two
+// shard locks are ever held at once (all shards share one lock class;
+// nesting them would be a self-deadlock under a different hash seed, and
+// the lockorder analyzer rejects it).
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// shardCount is the fixed shard fan-out. Sixteen shards keep the
-// registry's lock granularity well below the contention point for 10k
-// members (~625 members/shard) while the per-rebalance gather cost
-// stays sixteen lock acquisitions, independent of fleet size.
+// shardCount is the fixed shard fan-out. Sixteen shards keep a name
+// search to ~625 slots at 10k members and the registry's lock
+// granularity well below the contention point.
 const shardCount = 16
 
 const shardMask = shardCount - 1
@@ -48,7 +50,7 @@ func shardIndex(name string) int {
 // so the poll fast path and the contention probe never take the lock.
 type shard struct {
 	mu          sync.Mutex
-	entries     []entry
+	entries     []*entry
 	weightSum   int
 	registers   int64
 	unregisters int64
@@ -70,19 +72,17 @@ func (sh *shard) lock() {
 	sh.lockWaitNanos.Add(time.Since(start).Nanoseconds())
 }
 
-// removeLocked drops the named entry from this shard. Callers hold
-// sh.mu. Order within a shard does not matter — the gather re-sorts by
-// registration sequence — but removal keeps slice order anyway so
-// same-shard scans stay cache-friendly.
-func (sh *shard) removeLocked(name string) bool {
-	for i := range sh.entries {
-		if sh.entries[i].name == name {
-			sh.weightSum -= sh.entries[i].weight
-			sh.entries = append(sh.entries[:i], sh.entries[i+1:]...)
-			return true
+// removeLocked drops the named member's slot from this shard and returns
+// it, or nil if the name is not registered. Callers hold sh.mu.
+func (sh *shard) removeLocked(name string) *entry {
+	for i, e := range sh.entries {
+		if e.name == name {
+			sh.weightSum -= e.weight
+			sh.entries = slices.Delete(sh.entries, i, i+1)
+			return e
 		}
 	}
-	return false
+	return nil
 }
 
 // ShardStat is one shard's status snapshot for introspection

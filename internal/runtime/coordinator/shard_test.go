@@ -77,9 +77,9 @@ func TestNotePollCountsIntoShard(t *testing.T) {
 }
 
 // Registration order must survive sharding: the allocation policy is a
-// weighted round-robin over members in registration order, so the
-// gather's seq sort has to reconstruct exactly the order a flat table
-// would have had — including a re-registered member moving to the end.
+// weighted round-robin over members in registration order, so the order
+// table has to be exactly what a flat table would have had — including a
+// re-registered member moving to the end.
 func TestGatherPreservesRegistrationOrder(t *testing.T) {
 	c := New(8)
 	names := []string{"delta", "alpha", "echo", "bravo", "charlie", "foxtrot"}
