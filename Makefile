@@ -50,10 +50,12 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/...
 	$(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns' ./internal/experiments
 
-# Short fuzz passes over the journal's frame decoder and fsck and over
-# the control plane's line codec (differential against encoding/json),
-# on top of the committed corpora under internal/journal/testdata/fuzz
-# and internal/runtime/coordinator/testdata/fuzz. Five seconds each is a
+# Short fuzz passes over the journal's frame decoder and fsck, over the
+# control plane's line codec (differential against encoding/json) and
+# over the simulator's event engine (op programs against a flat-list
+# reference model), on top of the committed corpora under
+# internal/journal/testdata/fuzz, internal/runtime/coordinator/testdata/fuzz
+# and internal/sim/testdata/fuzz. Five seconds each is a
 # smoke, not a campaign — run longer campaigns with
 # e.g. `go test -fuzz=FuzzFsck -fuzztime=10m ./internal/journal`.
 # (go test accepts one -fuzz pattern per invocation, hence one run each.)
@@ -63,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFsck -fuzztime=$(FUZZ_TIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzWireRequest -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
 	$(GO) test -run='^$$' -fuzz=FuzzWireResponse -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
+	$(GO) test -run='^$$' -fuzz=FuzzEngineModel -fuzztime=$(FUZZ_TIME) ./internal/sim
 
 # Performance-regression harness: run the engine/kernel microbenchmarks
 # and the Fig4 end-to-end benchmark, write a schema'd BENCH_<date>.json,

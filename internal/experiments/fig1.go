@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"procctl/internal/apps"
+	"procctl/internal/sim"
+	"procctl/internal/threads"
 	"procctl/internal/trace"
 )
 
@@ -21,38 +23,43 @@ func Fig1(o Options, procsList []int) *Fig1Result {
 	if len(procsList) == 0 {
 		procsList = []int{1, 2, 4, 8, 12, 16, 20, 24}
 	}
-	// One DAG per application for the whole figure: the baselines and
-	// every (procs, seed) cell launch the same immutable workloads.
-	wlmm, wlff := apps.PaperMatmul(), apps.PaperFFT()
-	t1mm := Solo(o, wlmm, 1, false)
-	t1ff := Solo(o, wlff, 1, false)
+	// One DAG per application for the whole figure, and one flat fan-out
+	// over every simulation: the two one-process baselines and the
+	// (procs, seed) cells.
+	builders := []func() *threads.Workload{apps.PaperMatmul, apps.PaperFFT}
+	wls := make([]*threads.Workload, len(builders))
+	parallelFor(len(wls), func(i int) { wls[i] = builders[i]() })
+
+	var t1 [2]sim.Duration
+	cells := make([][2]sim.Duration, len(procsList)*o.Seeds) // [procs][seed][matmul, fft]
+	runs := []simRun{
+		{1, func() { t1[0] = Solo(o, wls[0], 1, false) }},
+		{1, func() { t1[1] = Solo(o, wls[1], 1, false) }},
+	}
+	for i := range cells {
+		procs, oo := procsList[i/o.Seeds], o
+		oo.Seed = o.Seed + uint64(i%o.Seeds)
+		runs = append(runs, simRun{procs, func() {
+			s := NewSim(oo, false)
+			mm := s.LaunchNow(1, wls[0], procs)
+			ff := s.LaunchNow(2, wls[1], procs)
+			ok := s.RunUntil(func() bool { return mm.Done() && ff.Done() })
+			s.mustFinish(ok, "fig1 mix")
+			cells[i] = [2]sim.Duration{mm.Elapsed(), ff.Elapsed()}
+		}})
+	}
+	fanOut(runs)
 
 	r := &Fig1Result{
 		Procs:  procsList,
 		Matmul: make([]float64, len(procsList)),
 		FFT:    make([]float64, len(procsList)),
 	}
-	type cell struct{ mm, ff float64 }
-	cells := make([]cell, len(procsList)*o.Seeds)
-	parallelFor(len(cells), func(i int) {
-		procs := procsList[i/o.Seeds]
-		oo := o
-		oo.Seed = o.Seed + uint64(i%o.Seeds)
-		s := NewSim(oo, false)
-		mm := s.LaunchNow(1, wlmm, procs)
-		ff := s.LaunchNow(2, wlff, procs)
-		ok := s.RunUntil(func() bool { return mm.Done() && ff.Done() })
-		s.mustFinish(ok, "fig1 mix")
-		cells[i] = cell{
-			mm: t1mm.Seconds() / mm.Elapsed().Seconds(),
-			ff: t1ff.Seconds() / ff.Elapsed().Seconds(),
-		}
-	})
 	for pi := range procsList {
 		var mms, ffs []float64
-		for si := 0; si < o.Seeds; si++ {
-			mms = append(mms, cells[pi*o.Seeds+si].mm)
-			ffs = append(ffs, cells[pi*o.Seeds+si].ff)
+		for _, c := range cells[pi*o.Seeds : (pi+1)*o.Seeds] {
+			mms = append(mms, t1[0].Seconds()/c[0].Seconds())
+			ffs = append(ffs, t1[1].Seconds()/c[1].Seconds())
 		}
 		r.Matmul[pi] = mean(mms)
 		r.FFT[pi] = mean(ffs)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"procctl/internal/sim"
 	"procctl/internal/threads"
 	"procctl/internal/trace"
 )
@@ -31,21 +32,12 @@ type Fig3Result struct {
 // process count swept, with and without process control.
 func Fig3(o Options, procsList []int, appNames ...string) *Fig3Result {
 	o = o.withDefaults()
-	if len(procsList) == 0 {
-		procsList = []int{1, 2, 4, 8, 12, 16, 20, 24}
-	}
 	if len(appNames) == 0 {
 		appNames = Fig3Apps
 	}
-	res := &Fig3Result{}
-	for _, name := range appNames {
-		res.Curves = append(res.Curves, fig3Curve(o, name, procsList))
-	}
-	return res
-}
-
-func fig3Curve(o Options, name string, procsList []int) Fig3Curve {
-	return Custom(o, func() *threads.Workload { return mustWorkload(name) }, procsList)
+	wls := make([]*threads.Workload, len(appNames))
+	parallelFor(len(wls), func(i int) { wls[i] = mustWorkload(appNames[i]) })
+	return &Fig3Result{Curves: fig3Curves(o, wls, procsList)}
 }
 
 // Custom runs an arbitrary workload (e.g. one loaded from a JSON spec)
@@ -54,43 +46,49 @@ func fig3Curve(o Options, name string, procsList []int) Fig3Curve {
 // the workload it returns backs every run of the curve, concurrent ones
 // included (a built threads.Workload is immutable).
 func Custom(o Options, builder func() *threads.Workload, procsList []int) Fig3Curve {
-	o = o.withDefaults()
+	return fig3Curves(o.withDefaults(), []*threads.Workload{builder()}, procsList)[0]
+}
+
+// fig3Curves runs every simulation behind the panels of wls as one flat
+// fan-out: per application a one-process baseline and, per (procs,
+// seed), control off and control on as separate runs.
+func fig3Curves(o Options, wls []*threads.Workload, procsList []int) []Fig3Curve {
 	if len(procsList) == 0 {
 		procsList = []int{1, 2, 4, 8, 12, 16, 20, 24}
 	}
-	wl := builder()
-	t1 := Solo(o, wl, 1, false)
-	c := Fig3Curve{
-		App:          wl.Name,
-		Procs:        procsList,
-		Uncontrolled: make([]float64, len(procsList)),
-		Controlled:   make([]float64, len(procsList)),
-	}
-	// Two variants per (procs, seed): control off and on.
-	n := len(procsList) * o.Seeds
-	type pair struct{ off, on float64 }
-	cells := make([]pair, n)
-	parallelFor(n, func(i int) {
-		procs := procsList[i/o.Seeds]
-		oo := o
-		oo.Seed = o.Seed + uint64(i%o.Seeds)
-		off := Solo(oo, wl, procs, false)
-		on := Solo(oo, wl, procs, true)
-		cells[i] = pair{
-			off: t1.Seconds() / off.Seconds(),
-			on:  t1.Seconds() / on.Seconds(),
+	np, ns := len(procsList), o.Seeds
+	t1 := make([]sim.Duration, len(wls))
+	cells := make([][2]sim.Duration, len(wls)*np*ns) // [app][procs][seed][off, on]
+	var runs []simRun
+	for a, wl := range wls {
+		runs = append(runs, simRun{1, func() { t1[a] = Solo(o, wl, 1, false) }})
+		for pi, procs := range procsList {
+			for si := 0; si < ns; si++ {
+				oo, cell := o, &cells[(a*np+pi)*ns+si]
+				oo.Seed = o.Seed + uint64(si)
+				runs = append(runs,
+					simRun{procs, func() { cell[0] = Solo(oo, wl, procs, false) }},
+					simRun{procs, func() { cell[1] = Solo(oo, wl, procs, true) }})
+			}
 		}
-	})
-	for pi := range procsList {
-		var offs, ons []float64
-		for si := 0; si < o.Seeds; si++ {
-			offs = append(offs, cells[pi*o.Seeds+si].off)
-			ons = append(ons, cells[pi*o.Seeds+si].on)
-		}
-		c.Uncontrolled[pi] = mean(offs)
-		c.Controlled[pi] = mean(ons)
 	}
-	return c
+	fanOut(runs)
+
+	curves := make([]Fig3Curve, len(wls))
+	for a, wl := range wls {
+		c := Fig3Curve{App: wl.Name, Procs: procsList}
+		for pi := range procsList {
+			var offs, ons []float64
+			for _, cell := range cells[(a*np+pi)*ns:][:ns] {
+				offs = append(offs, t1[a].Seconds()/cell[0].Seconds())
+				ons = append(ons, t1[a].Seconds()/cell[1].Seconds())
+			}
+			c.Uncontrolled = append(c.Uncontrolled, mean(offs))
+			c.Controlled = append(c.Controlled, mean(ons))
+		}
+		curves[a] = c
+	}
+	return curves
 }
 
 // Curve returns the named panel, or nil.

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -269,6 +270,20 @@ func parallelFor(n int, fn func(i int)) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// simRun is one simulation of a sweep, and the process count it runs.
+type simRun struct {
+	procs int
+	run   func()
+}
+
+// fanOut runs every simulation of a figure through one parallelFor, the
+// largest process counts first so that the long runs do not end up alone
+// at the tail. The order cannot show in the results (see parallelFor).
+func fanOut(runs []simRun) {
+	slices.SortStableFunc(runs, func(a, b simRun) int { return b.procs - a.procs })
+	parallelFor(len(runs), func(i int) { runs[i].run() })
 }
 
 // mean averages a slice.

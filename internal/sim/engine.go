@@ -5,7 +5,7 @@ import (
 )
 
 // The event engine is the hottest code in the repository: every figure,
-// ablation, and chaos run fires millions of events through it. Three
+// ablation, and chaos run fires millions of events through it. Four
 // design choices keep the steady state allocation-free and the queue
 // operations cheap; DESIGN.md's "Performance" section records the
 // reasoning in full.
@@ -21,6 +21,15 @@ import (
 //  3. Cancel removes the entry from the heap immediately (O(log n) via
 //     the slot's back-pointer) instead of leaving a tombstone, so the
 //     run loop never drains dead events and Pending reports live count.
+//  4. Fire-and-reschedule is one heap operation. Run leaves the event
+//     it fires at the root as a hole, and the first Schedule from inside
+//     the callback puts its entry there with one sift-down (replace-top):
+//     nearly every event of a figure run schedules exactly one successor,
+//     so a pop's full-depth sift of the last leaf and the new entry's
+//     sift-up are both gone. A callback that schedules nothing pays the
+//     old pop on return. Cancel (once per ten thousand events) closes
+//     the hole first, so that removal only sees live entries instead of
+//     leaning on the fired key still ordering before them.
 //
 // Determinism is unchanged: (at, seq) is a total order (seq is unique),
 // so firing order is bit-identical to the old boxed binary heap.
@@ -61,11 +70,14 @@ func (id EventID) Valid() bool { return id.gen != 0 }
 // coroutine rendezvous in the kernel package guarantees that simulated
 // process bodies never run concurrently with the engine).
 type Engine struct {
-	now       Time
-	seq       uint64
-	heap      []heapEntry
-	events    []event
-	free      int32 // head of the free-record list, -1 when empty
+	now    Time
+	seq    uint64
+	heap   []heapEntry
+	events []event
+	free   int32 // head of the free-record list, -1 when empty
+	// hole: heap[0] is the entry of the event now firing, no longer
+	// live and not yet removed. Run sets it for the length of a callback.
+	hole      bool
 	rng       *RNG
 	stopped   bool
 	nfired    uint64
@@ -94,8 +106,13 @@ func (e *Engine) Canceled() uint64 { return e.ncanceled }
 
 // Pending reports how many live events are scheduled but not yet fired.
 // Canceled events are removed from the queue immediately, so they are
-// never included.
-func (e *Engine) Pending() int { return len(e.heap) }
+// never included, and neither is the event that is firing.
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // alloc takes a record slot from the free list, or grows the slab.
 func (e *Engine) alloc() int32 {
@@ -134,7 +151,13 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 	rec.fn = fn
 	seq := e.seq
 	e.seq++
-	e.siftUp(len(e.heap), heapEntry{at: at, seq: seq, slot: slot})
+	en := heapEntry{at: at, seq: seq, slot: slot}
+	if e.hole {
+		e.hole = false
+		e.siftDown(0, en)
+	} else {
+		e.siftUp(len(e.heap), en)
+	}
 	return EventID{slot: slot, gen: rec.gen}
 }
 
@@ -155,6 +178,7 @@ func (e *Engine) Cancel(id EventID) {
 	if rec.gen != id.gen {
 		return // already fired or canceled; the slot moved on
 	}
+	e.closeHole()
 	e.removeAt(rec.heapIdx)
 	e.release(id.slot)
 	e.ncanceled++
@@ -168,6 +192,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // stopped. Events scheduled exactly at until do fire.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
+	e.closeHole() // left by a callback that unwound the last Run by panicking
 	for len(e.heap) > 0 && !e.stopped {
 		top := e.heap[0]
 		if top.at > until {
@@ -176,13 +201,14 @@ func (e *Engine) Run(until Time) Time {
 		}
 		// Free the record before invoking the callback: the callback may
 		// cancel its own (now stale) ID or schedule a new event into the
-		// just-freed slot, and both must be safe.
+		// just-freed slot, and both must be safe. The heap entry stays.
 		fn := e.events[top.slot].fn
 		e.release(top.slot)
-		e.popMin()
+		e.hole = true
 		e.now = top.at
 		e.nfired++
 		fn()
+		e.closeHole() // it scheduled nothing
 	}
 	// Either the queue drained before the horizon (the simulation is
 	// quiescent) or Stop was called; both report the last fired instant.
@@ -275,6 +301,14 @@ func (e *Engine) siftDown(i int, en heapEntry) {
 		i = min
 	}
 	e.place(i, en)
+}
+
+// closeHole removes the fired root that no Schedule replaced.
+func (e *Engine) closeHole() {
+	if e.hole {
+		e.hole = false
+		e.popMin()
+	}
 }
 
 // popMin removes the root entry.

@@ -478,53 +478,3 @@ func TestEngineCancelRescheduleStress(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineMatchesReferenceModel drives the event heap with random
-// schedule/cancel sequences and checks the firing order against a
-// simple sorted-slice reference implementation.
-func TestEngineMatchesReferenceModel(t *testing.T) {
-	rng := NewRNG(99)
-	for trial := 0; trial < 50; trial++ {
-		e := NewEngine(1)
-		type ref struct {
-			at  Time
-			seq int
-		}
-		var model []ref
-		var got []int
-		var ids []EventID
-		n := 1 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			at := Time(rng.Intn(1000))
-			seq := i
-			ids = append(ids, e.Schedule(at, func() { got = append(got, seq) }))
-			model = append(model, ref{at, seq})
-		}
-		// Cancel a random subset.
-		canceled := map[int]bool{}
-		for i := range ids {
-			if rng.Intn(4) == 0 {
-				e.Cancel(ids[i])
-				canceled[i] = true
-			}
-		}
-		e.RunUntilIdle()
-		// Reference: stable sort by time (seq breaks ties by insertion).
-		var want []int
-		for at := Time(0); at < 1000; at++ {
-			for _, m := range model {
-				if m.at == at && !canceled[m.seq] {
-					want = append(want, m.seq)
-				}
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: fired %d, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: order %v, want %v", trial, got, want)
-			}
-		}
-	}
-}

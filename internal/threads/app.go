@@ -453,7 +453,9 @@ func (a *App) queued() int { return len(a.ready) - a.head }
 // complete retires a task and readies its dependents; it reports whether
 // the workload just finished. Callers hold qlock.
 func (a *App) complete(id TaskID) bool {
-	for _, sp := range a.wl.tasks[id].succs {
+	wl := a.wl
+	for i := wl.tasks[id].head; i >= 0; i = wl.spans[i].next {
+		sp := wl.spans[i]
 		if sp.group < 0 {
 			a.readyDep(sp.edge)
 			continue
@@ -464,7 +466,7 @@ func (a *App) complete(id TaskID) bool {
 			// group span resolves for every far-side task, in declared
 			// order — the same instant and order at which per-edge
 			// counting would have readied them.
-			for _, s := range a.wl.groups[sp.group] {
+			for _, s := range wl.groups[sp.group] {
 				a.readyDep(s)
 			}
 		}

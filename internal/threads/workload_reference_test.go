@@ -1,36 +1,24 @@
-// Package threads is the simulation analogue of the Brown University
-// Threads package as modified by the paper: a user-level task-queue
-// runtime that multiplexes an application's tasks onto kernel processes,
-// with process-control hooks at the safe suspension points (task
-// boundaries). Application code — the workload generators — only builds
-// task DAGs; the runtime and the process control are, as in the paper,
-// completely transparent to it.
 package threads
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
-	"sync"
 
 	"procctl/internal/sim"
 )
 
-// TaskID indexes a task within its workload.
-type TaskID int
+// The workload builder as it was before the successor spans moved into
+// one arena: a succs slice per task, a map per barrier, a Validate that
+// walks on every call. Kept verbatim (types renamed ref*) as the oracle
+// of TestWorkloadMatchesReference.
 
-// LockID names an application-level lock used by tasks for their
-// critical sections (e.g. a shared accumulator). Lock 0 .. NumLocks-1
-// are materialized as kernel spinlocks at launch.
-type LockID int
-
-// NoLock marks a task with no application-level critical section.
-const NoLock LockID = -1
-
-// Task is one chunk of parallel computation ("thread" in Brown package
+// refTask is one chunk of parallel computation ("thread" in Brown package
 // terms). Tasks run to completion; a logical thread that blocks is
 // modeled as a chain of tasks linked by dependencies, which is exactly
 // how the paper's runtime requeues a partially executed thread.
-type Task struct {
+type refTask struct {
 	Name string
 	// Work is the CPU time the task consumes.
 	Work sim.Duration
@@ -38,14 +26,13 @@ type Task struct {
 	// of the task's Work happens while holding Lock.
 	Lock     LockID
 	LockWork sim.Duration
-	// head and tail index the first and last of the task's successor
-	// spans in Workload.spans (-1: none): the tasks that cannot start
-	// until this one finishes, in declaration order. A span is either one
-	// inline edge (from Dep) or a reference to a successor group shared
-	// by every task on the near side of a Barrier. Sharing the group
-	// keeps an n×m barrier at O(n+m) memory instead of materializing n·m
-	// edges — BigFFT's barriers alone were ~1.5 GB of edge slices before.
-	head, tail int32
+	// succs lists the tasks that cannot start until this one finishes,
+	// as an ordered sequence of spans: a span is either one inline edge
+	// (from Dep) or a reference to a successor group shared by every
+	// task on the near side of a Barrier. Sharing the group keeps an
+	// n×m barrier at O(n+m) memory instead of materializing n·m edges —
+	// BigFFT's barriers alone were ~1.5 GB of edge slices before.
+	succs []refSpan
 	// ndeps is the number of predecessor tasks (counting barrier edges
 	// individually, exactly as if they were materialized).
 	ndeps int
@@ -59,21 +46,18 @@ type Task struct {
 	nspans int
 }
 
-// succSpan is one entry of a task's successor list: an inline edge when
-// group < 0, otherwise an index into the workload's shared groups. next
-// is the task's following span in Workload.spans, -1 after the last.
-type succSpan struct {
+// refSpan is one entry of a task's successor list: an inline edge when
+// group < 0, otherwise an index into the workload's shared groups.
+type refSpan struct {
 	group int32
-	next  int32
 	edge  TaskID
 }
 
 // eachSucc calls fn for every successor of t, in the exact order the
 // edges were declared (Dep and Barrier calls in program order; within a
 // barrier, the `to` slice in order).
-func (w *Workload) eachSucc(t TaskID, fn func(TaskID)) {
-	for i := w.tasks[t].head; i >= 0; i = w.spans[i].next {
-		sp := w.spans[i]
+func (w *refWorkload) eachSucc(t TaskID, fn func(TaskID)) {
+	for _, sp := range w.tasks[t].succs {
 		if sp.group < 0 {
 			fn(sp.edge)
 			continue
@@ -84,100 +68,61 @@ func (w *Workload) eachSucc(t TaskID, fn func(TaskID)) {
 	}
 }
 
-// Workload is a DAG of tasks plus the locks they use. Build one with the
-// Add/Dep/Barrier methods on a single goroutine. The first Validate —
-// the first Launch at the latest — seals it: the verdict is computed
-// once and kept, and Add, AddLocked, Dep, Barrier and Grow panic from
-// then on, so what was validated is what every launch runs. Every other
-// method — and the runtime, which keeps its progress state (dependency
-// counters, ready queue) in the App — only reads it, so one sealed
+// refWorkload is a DAG of tasks plus the locks they use. Build one with the
+// Add/Dep/Barrier methods on a single goroutine; from the first Launch
+// on it is immutable. Every other method — and the runtime, which keeps
+// its progress state (dependency counters, ready queue) in the App and
+// allocates its own scratch in Validate — only reads it, so one built
 // workload may back any number of launches, in any number of
 // simulations running on concurrent goroutines. The figure drivers rely
 // on this to build each DAG once per figure. Task returns a pointer into
 // the workload: treat it as read-only.
-//
-// All successor spans live in one arena, spans, chained per task through
-// succSpan.next from Task.head to Task.tail: a build appends to one
-// array, not to a slice per task (96 % of a Fig4 call's allocations).
-type Workload struct {
+type refWorkload struct {
 	Name      string
-	tasks     []Task
-	spans     []succSpan
+	tasks     []refTask
 	groups    [][]TaskID // shared barrier successor groups
 	groupFrom []int      // per group: how many near-side tasks feed it
 	numLocks  int
-
-	// Barrier's both-sides check: mark[t] == markGen while t is on the
-	// far side of the barrier being declared. Dropped at the seal.
-	mark     []uint32
-	markGen  uint32
-	validate sync.Once
-	verdict  error
-	sealed   bool
 }
 
-// NewWorkload returns an empty workload.
-func NewWorkload(name string) *Workload {
-	return &Workload{Name: name}
+// newRefWorkload returns an empty workload.
+func newRefWorkload(name string) *refWorkload {
+	return &refWorkload{Name: name}
 }
 
-// Grow makes room for tasks more tasks, and a successor span for each,
-// so that a generator that knows its task count up front appends them
-// without re-growing (and copying, and clearing) the arrays on the way
-// there.
-func (w *Workload) Grow(tasks int) {
-	w.building()
+// Grow makes room for tasks more tasks, so that a generator that knows
+// its task count up front appends them without re-growing (and copying,
+// and clearing) the task array on the way there.
+func (w *refWorkload) Grow(tasks int) {
 	w.tasks = slices.Grow(w.tasks, tasks)
-	w.spans = slices.Grow(w.spans, tasks)
 }
 
 // Add appends a task with no critical section and returns its ID.
-func (w *Workload) Add(name string, work sim.Duration) TaskID {
+func (w *refWorkload) Add(name string, work sim.Duration) TaskID {
 	return w.AddLocked(name, work, NoLock, 0)
 }
 
 // AddLocked appends a task that spends lockWork of its work holding the
 // given application lock.
-func (w *Workload) AddLocked(name string, work sim.Duration, lock LockID, lockWork sim.Duration) TaskID {
+func (w *refWorkload) AddLocked(name string, work sim.Duration, lock LockID, lockWork sim.Duration) TaskID {
 	if work < 0 || lockWork < 0 || lockWork > work {
 		panic(fmt.Sprintf("threads: task %q has invalid work %v / lockWork %v", name, work, lockWork))
 	}
-	w.building()
 	if lock != NoLock {
 		if int(lock) >= w.numLocks {
 			w.numLocks = int(lock) + 1
 		}
 	}
-	w.tasks = append(w.tasks, Task{Name: name, Work: work, Lock: lock, LockWork: lockWork, head: -1, tail: -1})
+	w.tasks = append(w.tasks, refTask{Name: name, Work: work, Lock: lock, LockWork: lockWork})
 	return TaskID(len(w.tasks) - 1)
 }
 
-// building panics once the workload is sealed: nothing joins it unchecked.
-func (w *Workload) building() {
-	if w.sealed {
-		panic(fmt.Sprintf("threads: workload %q modified after its first Validate or Launch", w.Name))
-	}
-}
-
-// addSpan appends sp to task from's successor list.
-func (w *Workload) addSpan(from TaskID, sp succSpan) {
-	i := int32(len(w.spans))
-	w.spans = append(w.spans, sp)
-	if t := &w.tasks[from]; t.tail < 0 {
-		t.head, t.tail = i, i
-	} else {
-		w.spans[t.tail].next = i
-		t.tail = i
-	}
-}
-
 // Dep records that task `to` cannot start until task `from` finishes.
-func (w *Workload) Dep(from, to TaskID) {
+func (w *refWorkload) Dep(from, to TaskID) {
 	if from == to {
 		panic("threads: task depends on itself")
 	}
-	w.building()
-	w.addSpan(from, succSpan{group: -1, next: -1, edge: to})
+	w.tasks[from].succs = append(w.tasks[from].succs, refSpan{group: -1, edge: to})
 	w.tasks[to].ndeps++
 	w.tasks[to].nspans++
 }
@@ -187,8 +132,7 @@ func (w *Workload) Dep(from, to TaskID) {
 // stored once and shared by every `from` task, so an n×m barrier costs
 // O(n+m) memory; dependency semantics (ndeps counts, readiness order)
 // are identical to declaring each of the n·m edges with Dep.
-func (w *Workload) Barrier(from, to []TaskID) {
-	w.building()
+func (w *refWorkload) Barrier(from, to []TaskID) {
 	if len(from) == 0 || len(to) == 0 {
 		return
 	}
@@ -201,15 +145,13 @@ func (w *Workload) Barrier(from, to []TaskID) {
 	}
 	// A task on both sides would wait for itself. One pass over each
 	// side, not a pass over `to` per `from` task: BigFFT's eleven
-	// 4096×4096 barriers were 184 M comparisons per build. The far side
-	// is a stamp per task in a scratch array, not a map per barrier.
-	w.mark = append(w.mark, make([]uint32, len(w.tasks)-len(w.mark))...)
-	w.markGen++
+	// 4096×4096 barriers were 184 M comparisons per build.
+	far := make(map[TaskID]struct{}, len(to))
 	for _, t := range to {
-		w.mark[t] = w.markGen
+		far[t] = struct{}{}
 	}
 	for _, f := range from {
-		if w.mark[f] == w.markGen {
+		if _, both := far[f]; both {
 			panic("threads: task depends on itself")
 		}
 	}
@@ -221,22 +163,22 @@ func (w *Workload) Barrier(from, to []TaskID) {
 	w.groups = append(w.groups, append([]TaskID(nil), to...))
 	w.groupFrom = append(w.groupFrom, len(from))
 	for _, f := range from {
-		w.addSpan(f, succSpan{group: g, next: -1, edge: -1})
+		w.tasks[f].succs = append(w.tasks[f].succs, refSpan{group: g, edge: -1})
 	}
 }
 
 // Len returns the number of tasks.
-func (w *Workload) Len() int { return len(w.tasks) }
+func (w *refWorkload) Len() int { return len(w.tasks) }
 
 // NumLocks returns how many application locks the tasks reference.
-func (w *Workload) NumLocks() int { return w.numLocks }
+func (w *refWorkload) NumLocks() int { return w.numLocks }
 
 // Task returns a read-only view of task id.
-func (w *Workload) Task(id TaskID) *Task { return &w.tasks[id] }
+func (w *refWorkload) Task(id TaskID) *refTask { return &w.tasks[id] }
 
 // TotalWork sums the work of all tasks — the sequential execution time,
 // used as the numerator of speedup.
-func (w *Workload) TotalWork() sim.Duration {
+func (w *refWorkload) TotalWork() sim.Duration {
 	var total sim.Duration
 	for i := range w.tasks {
 		total += w.tasks[i].Work
@@ -246,7 +188,7 @@ func (w *Workload) TotalWork() sim.Duration {
 
 // CriticalPath returns the longest dependency chain's work — a lower
 // bound on parallel execution time.
-func (w *Workload) CriticalPath() sim.Duration {
+func (w *refWorkload) CriticalPath() sim.Duration {
 	memo := make([]sim.Duration, len(w.tasks))
 	done := make([]bool, len(w.tasks))
 	var longest func(i TaskID) sim.Duration
@@ -279,17 +221,8 @@ func (w *Workload) CriticalPath() sim.Duration {
 // unreachable tasks under Kahn's algorithm (which also rejects cycles).
 // It runs over the span graph — barrier groups are collapsed nodes that
 // fire once all their near-side tasks are processed — so the cost is
-// O(tasks + spans + group sizes), not O(materialized edges). The first
-// call seals the workload and walks it; every call returns that verdict.
-func (w *Workload) Validate() error {
-	w.validate.Do(func() {
-		w.sealed, w.mark = true, nil
-		w.verdict = w.walk()
-	})
-	return w.verdict
-}
-
-func (w *Workload) walk() error {
+// O(tasks + spans + group sizes), not O(materialized edges).
+func (w *refWorkload) Validate() error {
 	if len(w.tasks) == 0 {
 		return fmt.Errorf("threads: workload %q has no tasks", w.Name)
 	}
@@ -314,8 +247,8 @@ func (w *Workload) walk() error {
 	}
 	seen := 0
 	for ; seen < len(queue); seen++ {
-		for i := w.tasks[queue[seen]].head; i >= 0; i = w.spans[i].next {
-			sp := w.spans[i]
+		t := queue[seen]
+		for _, sp := range w.tasks[t].succs {
 			if sp.group < 0 {
 				ready(sp.edge)
 				continue
@@ -331,6 +264,36 @@ func (w *Workload) walk() error {
 	if seen != len(w.tasks) {
 		return fmt.Errorf("threads: workload %q has a dependency cycle or unreachable tasks (%d of %d reachable)",
 			w.Name, seen, len(w.tasks))
+	}
+	return nil
+}
+
+// WriteSpec serializes the workload as an indented JSON spec —
+// round-trips with ParseSpec, and exports the built-in generators as
+// starting points.
+func (w *refWorkload) WriteSpec(out io.Writer) error {
+	spec := Spec{Name: w.Name}
+	// Reconstruct dependency lists (succs store the forward edges).
+	deps := make([][]int, len(w.tasks))
+	for i := range w.tasks {
+		w.eachSucc(TaskID(i), func(s TaskID) {
+			deps[s] = append(deps[s], i)
+		})
+	}
+	for i := range w.tasks {
+		t := &w.tasks[i]
+		ts := TaskSpec{Name: t.Name, WorkUS: int64(t.Work), Deps: deps[i]}
+		if t.Lock != NoLock {
+			lock := int(t.Lock)
+			ts.Lock = &lock
+			ts.LockWorkUS = int64(t.LockWork)
+		}
+		spec.Tasks = append(spec.Tasks, ts)
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&spec); err != nil {
+		return fmt.Errorf("threads: write spec: %w", err)
 	}
 	return nil
 }

@@ -23,7 +23,9 @@ func TestWorkloadBuild(t *testing.T) {
 	if w.TotalWork() != 60*sim.Millisecond {
 		t.Errorf("TotalWork = %v", w.TotalWork())
 	}
-	if w.Task(b).ndeps != 1 || len(w.Task(a).succs) != 2 {
+	nsucc := 0
+	w.eachSucc(a, func(TaskID) { nsucc++ })
+	if w.Task(b).ndeps != 1 || nsucc != 2 {
 		t.Error("dependency bookkeeping wrong")
 	}
 	if err := w.Validate(); err != nil {
@@ -136,7 +138,7 @@ func TestBarrierOverlapPanics(t *testing.T) {
 			w.Barrier(from, to)
 		}()
 		for i := 0; i < w.Len(); i++ {
-			if task := w.Task(TaskID(i)); task.ndeps != 0 || task.nspans != 0 || len(task.succs) != 0 {
+			if task := w.Task(TaskID(i)); task.ndeps != 0 || task.nspans != 0 || task.head >= 0 || task.tail >= 0 {
 				t.Errorf("overlap at from[%d]/to[%d]: rejected barrier left edges on task %d", tc.fromAt, tc.toAt, i)
 			}
 		}
