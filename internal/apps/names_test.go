@@ -17,7 +17,7 @@ import (
 func TestTaskNamesMatchFormat(t *testing.T) {
 	check := func(w *threads.Workload, id int, want string) {
 		t.Helper()
-		if got := w.Task(threads.TaskID(id)).Name; got != want {
+		if got := w.TaskName(threads.TaskID(id)); got != want {
 			t.Errorf("%s task %d is named %q, want %q", w.Name, id, got, want)
 		}
 	}

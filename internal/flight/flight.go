@@ -1,7 +1,11 @@
-// Package flight is an always-on flight recorder: a fixed-size ring
+// Package flight is an always-on flight recorder: a fixed-capacity ring
 // buffer of structured control-plane events (registrations, lease
 // expiries, target changes, redials, rebalance spans) that costs one
-// mutexed struct copy per event and allocates nothing in steady state.
+// mutexed struct copy per event and allocates nothing once the ring has
+// reached its capacity. Until then the storage doubles with what is
+// recorded: a daemon's ring is whole within seconds (nine allocations in
+// its lifetime), and a simulated server that ends its run holding nine
+// events pays for sixteen, not for the 295 KB of a full ring.
 // Both control servers keep one — the coordinator daemon stamps events
 // with wall-clock Unix microseconds, the simulated ctrl server with
 // virtual sim.Time microseconds — so a post-mortem can always ask "what
@@ -57,33 +61,46 @@ type Event struct {
 }
 
 // Recorder is a fixed-capacity ring of Events, safe for concurrent use.
-// Append never allocates; history beyond the capacity is overwritten
-// oldest-first.
+// History beyond the capacity is overwritten oldest-first; Append
+// allocates only while the ring is growing towards its capacity.
 type Recorder struct {
 	mu   sync.Mutex
-	buf  []Event // fixed at construction; len(buf) is the capacity
+	buf  []Event // event i is buf[i%size]; len(buf) = min(next, size)
+	size int     // the capacity, fixed at construction
 	next uint64  // total events ever appended
 }
 
 // DefaultSize is the ring capacity the control servers use: enough for
-// several minutes of a busy fleet's membership churn at a few KB per
-// thousand events.
+// several minutes of a busy fleet's membership churn, at 72 bytes an
+// event. It is a bound, not a cost: the storage follows the events, and
+// a recorder allocates nothing once the ring has reached its capacity.
 const DefaultSize = 4096
+
+// firstAlloc is the ring's first array: a simulated run's events fit.
+const firstAlloc = 16
 
 // New returns a recorder holding the last size events (minimum 1).
 func New(size int) *Recorder {
 	if size < 1 {
 		size = 1
 	}
-	return &Recorder{buf: make([]Event, size)}
+	return &Recorder{size: size}
 }
 
 // Append records ev, assigning its sequence number. The event is copied
-// into the preallocated ring: no allocation, one short critical section.
+// into the ring in one short critical section; the only allocations are
+// the doublings on the way to the capacity.
 func (r *Recorder) Append(ev Event) {
 	r.mu.Lock()
 	ev.Seq = r.next
-	r.buf[int(r.next%uint64(len(r.buf)))] = ev
+	if len(r.buf) == r.size {
+		r.buf[int(r.next%uint64(r.size))] = ev
+	} else {
+		if len(r.buf) == cap(r.buf) {
+			r.buf = append(make([]Event, 0, min(max(firstAlloc, 2*len(r.buf)), r.size)), r.buf...)
+		}
+		r.buf = append(r.buf, ev)
+	}
 	r.next++
 	r.mu.Unlock()
 }
@@ -100,33 +117,27 @@ func (r *Recorder) Total() uint64 {
 func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next <= uint64(len(r.buf)) {
-		return 0
-	}
 	return r.next - uint64(len(r.buf))
 }
 
-// Cap returns the ring capacity. (buf's length is fixed at
-// construction, but taking the lock keeps the access pattern uniform
-// for the lock-discipline analyzer.)
+// Cap returns the ring capacity. (It is fixed at construction, but
+// taking the lock keeps the access pattern uniform for the
+// lock-discipline analyzer.)
 func (r *Recorder) Cap() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.size
 }
 
 // Snapshot returns up to limit of the most recent events, oldest first
 // (limit <= 0 means everything retained). This is the dump path: it
-// allocates the returned slice; Append stays allocation-free.
+// allocates the returned slice.
 func (r *Recorder) Snapshot(limit int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.next
-	size := uint64(len(r.buf))
-	have := n
-	if have > size {
-		have = size
-	}
+	size := uint64(r.size)
+	have := uint64(len(r.buf)) // min(n, size): everything retained
 	if limit > 0 && uint64(limit) < have {
 		have = uint64(limit)
 	}

@@ -82,18 +82,46 @@ func TestMinimumCapacity(t *testing.T) {
 }
 
 // TestAppendZeroAlloc is the acceptance gate: steady-state appends —
-// including ones carrying strings — must not allocate. The ring and its
-// mutex are the only storage.
+// including ones carrying strings — must not allocate. The ring grows to
+// its capacity first; from then on it and its mutex are the only storage.
 func TestAppendZeroAlloc(t *testing.T) {
 	r := New(64)
 	ev := Event{At: 1, Kind: KindTarget, App: "fleet-member-42", A: 7, B: 3}
+	for i := 0; i < r.Cap(); i++ {
+		r.Append(ev)
+	}
 	if allocs := testing.AllocsPerRun(1000, func() { r.Append(ev) }); allocs != 0 {
 		t.Errorf("Append allocates %.1f per op, want 0", allocs)
 	}
 }
 
-// TestConcurrentAppend drives appends from many goroutines under -race;
-// every sequence number must come out exactly once.
+// TestGrowthIsADozenAllocations bounds what reaching the capacity costs:
+// a recorder nothing was appended to has no array at all, and the array
+// doubles, so a DefaultSize ring is complete after nine allocations.
+func TestGrowthIsADozenAllocations(t *testing.T) {
+	r := New(DefaultSize)
+	if cap(r.buf) != 0 {
+		t.Errorf("New allocated an array of %d events before any was appended", cap(r.buf))
+	}
+	arrays, last := 0, 0
+	for i := 0; i < 2*DefaultSize; i++ {
+		r.Append(Event{At: int64(i)})
+		if c := cap(r.buf); c != last {
+			if c > DefaultSize || (last > 0 && c != 2*last) {
+				t.Fatalf("ring array went from %d to %d events (capacity %d)", last, c, DefaultSize)
+			}
+			arrays, last = arrays+1, c
+		}
+	}
+	if arrays > 12 || last != DefaultSize {
+		t.Errorf("%d allocations for an array of %d events, want at most a dozen to reach %d", arrays, last, DefaultSize)
+	}
+}
+
+// TestConcurrentAppend drives appends from many goroutines under -race
+// — all of them while the ring is still growing, so the reallocation
+// happens under contention; every sequence number must come out exactly
+// once.
 func TestConcurrentAppend(t *testing.T) {
 	const goroutines, per = 8, 500
 	r := New(goroutines * per)

@@ -104,12 +104,13 @@ type State struct {
 	At int64 `json:"at,omitempty"`
 }
 
-// find returns the index of the named member, or -1.
+// find returns the index of the named member, or -1: a binary search
+// of the sorted Members, because replay calls it for every register,
+// unregister and target record.
 func (s *State) find(name string) int {
-	for i := range s.Members {
-		if s.Members[i].Name == name {
-			return i
-		}
+	i := sort.Search(len(s.Members), func(i int) bool { return s.Members[i].Name >= name })
+	if i < len(s.Members) && s.Members[i].Name == name {
+		return i
 	}
 	return -1
 }

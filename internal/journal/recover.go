@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // RecoverResult is what fsck found: the reconstructed registry, where
@@ -202,6 +203,9 @@ func readSnapshot(path string) (*State, error) {
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, err
 	}
+	// State looks members up by binary search. Every writer stores them
+	// sorted; a snapshot from anywhere else is put in that order here.
+	sort.SliceStable(st.Members, func(i, j int) bool { return st.Members[i].Name < st.Members[j].Name })
 	return &st, nil
 }
 

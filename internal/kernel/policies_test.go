@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"procctl/internal/sim"
@@ -419,5 +421,70 @@ func TestFifoQueueReusesStorage(t *testing.T) {
 	}
 	if cap(q.procs) > 8 {
 		t.Errorf("array grew to %d slots for at most 4 queued processes", cap(q.procs))
+	}
+}
+
+// A run queue that never drains — an oversubscribed machine's — used to
+// grow its array with every dispatch: the rewind only happened on drain,
+// so push appended behind an ever longer dead prefix. A million pop/push
+// cycles with the queue never empty must stay in an array of at most
+// twice the longest the queue has been, in arrival order throughout.
+func TestFifoQueueThatNeverDrainsStaysBounded(t *testing.T) {
+	q := &fifoQueue{}
+	procs := make([]*Process, 48)
+	for i := range procs {
+		procs[i] = &Process{id: PID(i + 1)}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var want []*Process // reference FIFO: plain slice, re-sliced
+	next, peak := 0, 0
+	push := func() {
+		p := procs[next%len(procs)]
+		next++
+		q.push(p)
+		want = append(want, p)
+		peak = max(peak, q.len())
+	}
+	for q.len() < 32 {
+		push()
+	}
+	for i := 0; i < 1_000_000; i++ {
+		// The queue hovers between 1 and 48 and takes from the middle now
+		// and then, as Timeshare.PickNext does.
+		switch {
+		case q.len() == 1 || (q.len() < len(procs) && rng.Intn(2) == 0):
+			push()
+		case rng.Intn(8) == 0:
+			at := rng.Intn(q.len())
+			if got := q.removeAt(at); got != want[at] {
+				t.Fatalf("cycle %d: removeAt(%d) = pid %d, want pid %d", i, at, got.id, want[at].id)
+			}
+			want = slices.Delete(want, at, at+1)
+		default:
+			if got := q.pop(); got != want[0] {
+				t.Fatalf("cycle %d: pop = pid %d, want pid %d", i, got.id, want[0].id)
+			}
+			want = want[1:]
+		}
+		if q.len() == 0 {
+			t.Fatalf("cycle %d: the queue drained; the test is about one that does not", i)
+		}
+		if cap(q.procs) > 2*peak {
+			t.Fatalf("cycle %d: array of %d slots for a queue that peaked at %d", i, cap(q.procs), peak)
+		}
+	}
+	if !slices.Equal(q.items(), want) {
+		t.Error("queue contents differ from the reference FIFO")
+	}
+	// Nothing dead is left for the collector to scan.
+	for i, p := range q.procs[:q.head] {
+		if p != nil {
+			t.Fatalf("dead slot %d still points at pid %d", i, p.id)
+		}
+	}
+	for i, p := range q.procs[len(q.procs):cap(q.procs)] {
+		if p != nil {
+			t.Fatalf("free slot %d still points at pid %d", len(q.procs)+i, p.id)
+		}
 	}
 }

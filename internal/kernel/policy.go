@@ -49,13 +49,37 @@ type Policy interface {
 type fifoQueue struct {
 	// procs[head:] are the queued processes, in arrival order. Taking
 	// the front advances head instead of re-slicing it away, so push
-	// reuses the array; the storage rewinds when the queue drains.
+	// reuses the array: the storage rewinds when the queue drains, and a
+	// push that finds the array full goes through MakeRoom.
 	procs []*Process
 	head  int
 }
 
-func (q *fifoQueue) push(p *Process) { q.procs = append(q.procs, p) }
-func (q *fifoQueue) len() int        { return len(q.procs) - q.head }
+func (q *fifoQueue) push(p *Process) {
+	if len(q.procs) == cap(q.procs) {
+		q.procs, q.head = MakeRoom(q.procs, q.head), 0
+	}
+	q.procs = append(q.procs, p)
+}
+
+func (q *fifoQueue) len() int { return len(q.procs) - q.head }
+
+// MakeRoom is what a FIFO kept as q[head:] does when its array is full:
+// it returns the live part at the front of an array with room behind it,
+// order kept and vacated slots zeroed. A dead prefix at least as long as
+// the live part is reclaimed in place, so a queue that never drains (an
+// oversubscribed machine's run queue) does not grow with every dispatch;
+// otherwise the live part moves to an array twice its length. Appends
+// stay amortised O(1), the capacity within twice the queue's peak length.
+func MakeRoom[T any](q []T, head int) []T {
+	live := q[head:]
+	if head == 0 || head < len(live) {
+		return append(make([]T, 0, max(8, 2*len(live))), live...)
+	}
+	n := copy(q, live)
+	clear(q[n:])
+	return q[:n]
+}
 
 // items returns the queued processes in arrival order, valid until the
 // next change to the queue. Treat it as read-only.

@@ -2,6 +2,7 @@ package threads
 
 import (
 	"fmt"
+	"slices"
 
 	"procctl/internal/kernel"
 	"procctl/internal/metrics"
@@ -108,9 +109,11 @@ type App struct {
 
 	qlock *kernel.SpinLock   // guards ready/depsLeft/remaining
 	locks []*kernel.SpinLock // application locks, by LockID
-	// FIFO ready queue: ready[head:] are the queued tasks. Popping
-	// advances head instead of re-slicing the front away, so the appends
-	// in readyDep reuse the array; the storage rewinds when it drains.
+	// FIFO ready queue: ready[head:] are the queued tasks, at launch an
+	// array of exactly the root tasks. Popping advances head instead of
+	// re-slicing the front away, so the appends in readyDep reuse the
+	// array: the storage rewinds when it drains, and an append that
+	// finds it full goes through kernel.MakeRoom.
 	ready []TaskID
 	head  int
 	// depsLeft counts unresolved inbound *spans* per task (inline edges
@@ -118,8 +121,8 @@ type App struct {
 	// near-side tasks per barrier group. Equivalent to per-edge
 	// counting, but a completion does O(spans) work instead of
 	// O(edges) — see Workload.Barrier.
-	depsLeft   []int
-	groupsLeft []int
+	depsLeft   []int32
+	groupsLeft []int32
 	remain     int
 
 	suspendQ *kernel.WaitQueue
@@ -206,7 +209,7 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 		cfg:      cfg,
 		qlock:    kernel.NewSpinLock(fmt.Sprintf("%s/queue", wl.Name)),
 		suspendQ: kernel.NewWaitQueue(fmt.Sprintf("%s/suspend", wl.Name)),
-		depsLeft: make([]int, wl.Len()),
+		depsLeft: make([]int32, wl.Len()),
 		remain:   wl.Len(),
 		target:   cfg.Procs,
 		runnable: cfg.Procs,
@@ -228,8 +231,9 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 		reg.Gauge(metrics.Name("sim_app_runnable", "app", wl.Name), "workers not suspended by process control").Set(int64(a.runnable))
 		reg.Gauge(metrics.Name("sim_app_target", "app", wl.Name), "most recently polled server target").Set(int64(a.target))
 	})
-	a.groupsLeft = append([]int(nil), wl.groupFrom...)
-	for i := 0; i < wl.Len(); i++ {
+	a.groupsLeft = slices.Clone(wl.groupFrom)
+	a.ready = make([]TaskID, 0, wl.roots)
+	for i := range wl.tasks {
 		a.depsLeft[i] = wl.tasks[i].nspans
 		if a.depsLeft[i] == 0 {
 			a.ready = append(a.ready, TaskID(i))
@@ -480,6 +484,9 @@ func (a *App) complete(id TaskID) bool {
 func (a *App) readyDep(s TaskID) {
 	a.depsLeft[s]--
 	if a.depsLeft[s] == 0 {
+		if len(a.ready) == cap(a.ready) {
+			a.ready, a.head = kernel.MakeRoom(a.ready, a.head), 0
+		}
 		a.ready = append(a.ready, s)
 		if a.readyAt != nil {
 			a.readyAt[s] = a.k.Now()

@@ -6,15 +6,20 @@ import "testing"
 // interleaving of completions (appends) and dequeues, tasks must come
 // out in exactly the order they went in.
 func TestReadyQueuePopsInArrivalOrder(t *testing.T) {
-	a := &App{}
+	// Every task has one unresolved dependency: readyDep enqueues it.
+	a := &App{depsLeft: make([]int32, 200_000)}
+	for i := range a.depsLeft {
+		a.depsLeft[i] = 1
+	}
 	var want []TaskID // reference FIFO: plain slice, re-sliced
-	next := TaskID(0)
+	next, peak := TaskID(0), 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			a.ready = append(a.ready, next)
+			a.readyDep(next)
 			want = append(want, next)
 			next++
 		}
+		peak = max(peak, a.queued())
 	}
 	pop := func(n int) {
 		for i := 0; i < n; i++ {
@@ -62,5 +67,21 @@ func TestReadyQueuePopsInArrivalOrder(t *testing.T) {
 	}
 	if cap(a.ready) != before {
 		t.Errorf("steady 64-task bursts grew the queue's array from %d to %d", before, cap(a.ready))
+	}
+	// Nor may a queue that never drains (a merge tree's: every two
+	// retirements ready one more task) grow with the tasks that pass
+	// through it: the dead prefix is reclaimed, the array stays within
+	// twice the longest the queue has been.
+	push(100)
+	for i := 0; i < 50_000; i++ {
+		pop(2)
+		push(2)
+		if cap(a.ready) > 2*peak {
+			t.Fatalf("after %d tasks: array of %d slots for a queue that peaked at %d", next, cap(a.ready), peak)
+		}
+	}
+	pop(100)
+	if a.queued() != 0 {
+		t.Errorf("%d tasks left", a.queued())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"procctl/internal/sim"
 )
@@ -65,8 +66,8 @@ func (s *Spec) Build() (*Workload, error) {
 		lock := NoLock
 		var lockWork sim.Duration
 		if t.Lock != nil {
-			if *t.Lock < 0 {
-				return nil, fmt.Errorf("threads: task %d: negative lock id", i)
+			if *t.Lock < 0 || *t.Lock >= math.MaxInt32 {
+				return nil, fmt.Errorf("threads: task %d: lock id %d out of range", i, *t.Lock)
 			}
 			lock = LockID(*t.Lock)
 			lockWork = sim.Duration(t.LockWorkUS)
@@ -104,7 +105,7 @@ func (w *Workload) WriteSpec(out io.Writer) error {
 	}
 	for i := range w.tasks {
 		t := &w.tasks[i]
-		ts := TaskSpec{Name: t.Name, WorkUS: int64(t.Work), Deps: deps[i]}
+		ts := TaskSpec{Name: w.TaskName(TaskID(i)), WorkUS: int64(t.Work), Deps: deps[i]}
 		if t.Lock != NoLock {
 			lock := int(t.Lock)
 			ts.Lock = &lock

@@ -51,6 +51,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"lockwork only": `{"name":"x","tasks":[{"work_us":1,"lock_work_us":5}]}`,
 		"lockwork big":  `{"name":"x","tasks":[{"work_us":1,"lock":0,"lock_work_us":5}]}`,
 		"negative lock": `{"name":"x","tasks":[{"work_us":1,"lock":-1}]}`,
+		"lock past 32b": `{"name":"x","tasks":[{"work_us":1,"lock":4294967296}]}`,
 		"empty":         `{"name":"x","tasks":[]}`,
 	}
 	for label, in := range cases {

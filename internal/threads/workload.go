@@ -9,6 +9,7 @@ package threads
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -21,7 +22,7 @@ type TaskID int
 // LockID names an application-level lock used by tasks for their
 // critical sections (e.g. a shared accumulator). Lock 0 .. NumLocks-1
 // are materialized as kernel spinlocks at launch.
-type LockID int
+type LockID int32
 
 // NoLock marks a task with no application-level critical section.
 const NoLock LockID = -1
@@ -29,15 +30,17 @@ const NoLock LockID = -1
 // Task is one chunk of parallel computation ("thread" in Brown package
 // terms). Tasks run to completion; a logical thread that blocks is
 // modeled as a chain of tasks linked by dependencies, which is exactly
-// how the paper's runtime requeues a partially executed thread.
+// how the paper's runtime requeues a partially executed thread. A Task
+// is 40 bytes and holds no pointer — the task array is a figure's biggest
+// allocation and the collector skips it — hence the 32-bit counts (see
+// Workload.building) and the name kept apart, in Workload.names.
 type Task struct {
-	Name string
 	// Work is the CPU time the task consumes.
 	Work sim.Duration
 	// Lock and LockWork describe an optional critical section: LockWork
 	// of the task's Work happens while holding Lock.
-	Lock     LockID
 	LockWork sim.Duration
+	Lock     LockID
 	// head and tail index the first and last of the task's successor
 	// spans in Workload.spans (-1: none): the tasks that cannot start
 	// until this one finishes, in declaration order. A span is either one
@@ -47,8 +50,9 @@ type Task struct {
 	// edges — BigFFT's barriers alone were ~1.5 GB of edge slices before.
 	head, tail int32
 	// ndeps is the number of predecessor tasks (counting barrier edges
-	// individually, exactly as if they were materialized).
-	ndeps int
+	// individually, exactly as if they were materialized; never more
+	// than the workload has spans).
+	ndeps int32
 	// nspans is the number of inbound spans: inline Dep edges plus one
 	// per barrier this task is on the far side of. The runtime counts
 	// readiness in spans (a barrier group "fires" once, when its last
@@ -56,7 +60,7 @@ type Task struct {
 	// yields readiness instants and orders identical to per-edge
 	// counting: a task's last inbound span resolves at the same moment
 	// its last inbound edge would have.
-	nspans int
+	nspans int32
 }
 
 // succSpan is one entry of a task's successor list: an inline edge when
@@ -96,15 +100,18 @@ func (w *Workload) eachSucc(t TaskID, fn func(TaskID)) {
 // on this to build each DAG once per figure. Task returns a pointer into
 // the workload: treat it as read-only.
 //
+// It is a struct of arrays indexed by TaskID: tasks holds what the
+// runtime reads on every dispatch, names what only the Spec export does.
 // All successor spans live in one arena, spans, chained per task through
 // succSpan.next from Task.head to Task.tail: a build appends to one
 // array, not to a slice per task (96 % of a Fig4 call's allocations).
 type Workload struct {
 	Name      string
 	tasks     []Task
+	names     []string
 	spans     []succSpan
 	groups    [][]TaskID // shared barrier successor groups
-	groupFrom []int      // per group: how many near-side tasks feed it
+	groupFrom []int32    // per group: how many near-side tasks feed it
 	numLocks  int
 
 	// Barrier's both-sides check: mark[t] == markGen while t is on the
@@ -114,6 +121,8 @@ type Workload struct {
 	validate sync.Once
 	verdict  error
 	sealed   bool
+	roots    int   // tasks with no predecessor, counted by the seal's walk
+	overflow error // set by building; Validate's verdict if it is
 }
 
 // NewWorkload returns an empty workload.
@@ -126,8 +135,11 @@ func NewWorkload(name string) *Workload {
 // without re-growing (and copying, and clearing) the arrays on the way
 // there.
 func (w *Workload) Grow(tasks int) {
-	w.building()
+	if !w.building(tasks, tasks) {
+		return
+	}
 	w.tasks = slices.Grow(w.tasks, tasks)
+	w.names = slices.Grow(w.names, tasks)
 	w.spans = slices.Grow(w.spans, tasks)
 }
 
@@ -142,21 +154,32 @@ func (w *Workload) AddLocked(name string, work sim.Duration, lock LockID, lockWo
 	if work < 0 || lockWork < 0 || lockWork > work {
 		panic(fmt.Sprintf("threads: task %q has invalid work %v / lockWork %v", name, work, lockWork))
 	}
-	w.building()
+	if !w.building(1, 0) {
+		return -1
+	}
 	if lock != NoLock {
 		if int(lock) >= w.numLocks {
 			w.numLocks = int(lock) + 1
 		}
 	}
-	w.tasks = append(w.tasks, Task{Name: name, Work: work, Lock: lock, LockWork: lockWork, head: -1, tail: -1})
+	w.tasks = append(w.tasks, Task{Work: work, Lock: lock, LockWork: lockWork, head: -1, tail: -1})
+	w.names = append(w.names, name)
 	return TaskID(len(w.tasks) - 1)
 }
 
-// building panics once the workload is sealed: nothing joins it unchecked.
-func (w *Workload) building() {
+// building is the gate of every builder method, told how many tasks and
+// spans it is about to add. It panics once the workload is sealed:
+// nothing joins it unchecked. And it reports whether there is room: a
+// count past math.MaxInt32 would wrap the 32-bit indices, so that call
+// and every later one adds nothing and Validate returns the error.
+func (w *Workload) building(tasks, spans int) bool {
 	if w.sealed {
 		panic(fmt.Sprintf("threads: workload %q modified after its first Validate or Launch", w.Name))
 	}
+	if w.overflow == nil && (tasks > math.MaxInt32-len(w.tasks) || spans > math.MaxInt32-len(w.spans)) {
+		w.overflow = fmt.Errorf("threads: workload %q has more than %d tasks or dependency spans", w.Name, math.MaxInt32)
+	}
+	return w.overflow == nil
 }
 
 // addSpan appends sp to task from's successor list.
@@ -173,10 +196,12 @@ func (w *Workload) addSpan(from TaskID, sp succSpan) {
 
 // Dep records that task `to` cannot start until task `from` finishes.
 func (w *Workload) Dep(from, to TaskID) {
+	if !w.building(0, 1) {
+		return
+	}
 	if from == to {
 		panic("threads: task depends on itself")
 	}
-	w.building()
 	w.addSpan(from, succSpan{group: -1, next: -1, edge: to})
 	w.tasks[to].ndeps++
 	w.tasks[to].nspans++
@@ -188,8 +213,7 @@ func (w *Workload) Dep(from, to TaskID) {
 // O(n+m) memory; dependency semantics (ndeps counts, readiness order)
 // are identical to declaring each of the n·m edges with Dep.
 func (w *Workload) Barrier(from, to []TaskID) {
-	w.building()
-	if len(from) == 0 || len(to) == 0 {
+	if !w.building(0, len(from)) || len(from) == 0 || len(to) == 0 {
 		return
 	}
 	if len(to) == 1 {
@@ -214,12 +238,12 @@ func (w *Workload) Barrier(from, to []TaskID) {
 		}
 	}
 	for _, t := range to {
-		w.tasks[t].ndeps += len(from)
+		w.tasks[t].ndeps += int32(len(from))
 		w.tasks[t].nspans++
 	}
 	g := int32(len(w.groups))
 	w.groups = append(w.groups, append([]TaskID(nil), to...))
-	w.groupFrom = append(w.groupFrom, len(from))
+	w.groupFrom = append(w.groupFrom, int32(len(from)))
 	for _, f := range from {
 		w.addSpan(f, succSpan{group: g, next: -1, edge: -1})
 	}
@@ -233,6 +257,9 @@ func (w *Workload) NumLocks() int { return w.numLocks }
 
 // Task returns a read-only view of task id.
 func (w *Workload) Task(id TaskID) *Task { return &w.tasks[id] }
+
+// TaskName returns the name task id was added under.
+func (w *Workload) TaskName(id TaskID) string { return w.names[id] }
 
 // TotalWork sums the work of all tasks — the sequential execution time,
 // used as the numerator of speedup.
@@ -284,7 +311,9 @@ func (w *Workload) CriticalPath() sim.Duration {
 func (w *Workload) Validate() error {
 	w.validate.Do(func() {
 		w.sealed, w.mark = true, nil
-		w.verdict = w.walk()
+		if w.verdict = w.overflow; w.verdict == nil {
+			w.verdict = w.walk()
+		}
 	})
 	return w.verdict
 }
@@ -293,11 +322,11 @@ func (w *Workload) walk() error {
 	if len(w.tasks) == 0 {
 		return fmt.Errorf("threads: workload %q has no tasks", w.Name)
 	}
-	deg := make([]int, len(w.tasks))
+	deg := make([]int32, len(w.tasks))
 	for i := range w.tasks {
 		deg[i] = w.tasks[i].nspans
 	}
-	gdeg := append([]int(nil), w.groupFrom...)
+	gdeg := slices.Clone(w.groupFrom)
 	// Every task enters the queue at most once, and it is walked by
 	// index, never re-sliced from the front: one array, no copying.
 	queue := make([]TaskID, 0, len(w.tasks))
@@ -306,6 +335,7 @@ func (w *Workload) walk() error {
 			queue = append(queue, TaskID(i))
 		}
 	}
+	w.roots = len(queue)
 	ready := func(s TaskID) {
 		deg[s]--
 		if deg[s] == 0 {

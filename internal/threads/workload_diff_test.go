@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -137,10 +138,10 @@ func TestWorkloadMatchesReference(t *testing.T) {
 		for i := 0; i < w.Len(); i++ {
 			id := TaskID(i)
 			got, want := w.Task(id), ref.Task(id)
-			if got.Name != want.Name || got.Work != want.Work || got.Lock != want.Lock || got.LockWork != want.LockWork {
-				t.Fatalf("%s task %d: %+v, reference %+v", name, i, *got, *want)
+			if w.TaskName(id) != want.Name || got.Work != want.Work || got.Lock != want.Lock || got.LockWork != want.LockWork {
+				t.Fatalf("%s task %d: %q %+v, reference %+v", name, i, w.TaskName(id), *got, *want)
 			}
-			if got.ndeps != want.ndeps || got.nspans != want.nspans {
+			if int(got.ndeps) != want.ndeps || int(got.nspans) != want.nspans {
 				t.Fatalf("%s task %d: ndeps %d nspans %d, reference %d and %d", name, i, got.ndeps, got.nspans, want.ndeps, want.nspans)
 			}
 			if spans := w.spansOf(id); !reflect.DeepEqual(spans, want.succs) {
@@ -153,7 +154,7 @@ func TestWorkloadMatchesReference(t *testing.T) {
 				t.Fatalf("%s task %d: successors %v, reference %v", name, i, succs, refSuccs)
 			}
 		}
-		if !reflect.DeepEqual(w.groups, ref.groups) || !reflect.DeepEqual(w.groupFrom, ref.groupFrom) {
+		if !reflect.DeepEqual(w.groups, ref.groups) || !slices.EqualFunc(w.groupFrom, ref.groupFrom, func(a int32, b int) bool { return int(a) == b }) {
 			t.Fatalf("%s: barrier groups differ from the reference", name)
 		}
 		if got, want := w.CriticalPath(), ref.CriticalPath(); got != want {

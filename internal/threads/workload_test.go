@@ -164,7 +164,7 @@ func TestBarrierBuildsInLinearTime(t *testing.T) {
 		if d := time.Since(start); d > time.Second {
 			t.Errorf("%d×%d barrier took %v to build, want well under 1s", n, n, d)
 		}
-		if got := w.Task(to[n-1]).ndeps; got != n {
+		if got := int(w.Task(to[n-1]).ndeps); got != n {
 			t.Errorf("%d×%d barrier: last far-side task has %d deps, want %d", n, n, got, n)
 		}
 		if err := w.Validate(); err != nil {
