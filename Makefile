@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet procctl-vet test benchmark-test race fuzz-smoke bench bench-go trace-smoke daemon-smoke
+.PHONY: check build vet procctl-vet test benchmark-test race fuzz-smoke bench bench-go trace-smoke daemon-smoke loc
 
 # The full verification gate: what CI runs, in dependency order.
 check: build vet procctl-vet test benchmark-test race fuzz-smoke trace-smoke
@@ -29,8 +29,9 @@ test:
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 
-# The real-concurrency layer under the race detector — and the
-# simulator's core. A figure run's own bodies (threads workers,
+# The real-concurrency layer under the race detector (its first line
+# also runs the coordinator-against-core.Registry model test, at a tenth
+# of its `make test` length) — and the simulator's core. A figure run's own bodies (threads workers,
 # background load) are resumable: they run on the engine's goroutine and
 # there is nothing to race. But function bodies (Kernel.Spawn: tests,
 # the reference worker of the threads differential test) still run as
@@ -106,3 +107,10 @@ trace-smoke:
 DAEMON_SMOKE_OUT ?= /tmp/procctl-daemon-smoke
 daemon-smoke:
 	OUT=$(DAEMON_SMOKE_OUT) ./scripts/daemon-smoke.sh
+
+# ROADMAP aim 2's number: non-test Go lines of the root module, by the
+# convention EXPERIMENTS.md has used since PERF-6 (every *.go outside
+# _test.go files, testdata/, the benchmark module and its build cache).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
+		! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

@@ -68,7 +68,7 @@ Commands:
   fsck [-repair]        verify the journal; -repair truncates torn tails
   dump                  print every decodable record, oldest first
   state                 replay the journal and print the recovered registry
-  diff [-capacity N] [-v]  replay through the sim server and diff decisions
+  diff [-capacity N] [-v]  replay through the registry state machine and diff decisions
 `)
 }
 
@@ -145,7 +145,7 @@ func runState(w io.Writer, dir string) error {
 }
 
 // runDiff is the record/replay harness: every target decision in the
-// journal must be reproduced by the sim server from the same inputs.
+// journal must be reproduced by core.Registry from the same inputs.
 func runDiff(w io.Writer, dir string, args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	capacity := fs.Int("capacity", runtime.NumCPU(), "divisible total before the journal's first setcapacity record")

@@ -231,11 +231,7 @@ func loadDaemonTimeline(daemonPath, clientPaths, journalDir string) (trace.Daemo
 		if err != nil {
 			return tl, fmt.Errorf("journal %s: %w", journalDir, err)
 		}
-		jevs := make([]flight.Event, 0, len(recs))
-		for _, rec := range recs {
-			jevs = append(jevs, journal.ToFlight(rec))
-		}
-		tl.Daemon = trace.MergeFlightEvents(tl.Daemon, jevs)
+		tl.Daemon = trace.MergeFlightEvents(tl.Daemon, recs)
 	}
 	if clientPaths != "" {
 		for _, path := range strings.Split(clientPaths, ",") {

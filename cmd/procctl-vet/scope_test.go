@@ -34,6 +34,8 @@ func TestDefaultPatternKeepsEveryPackageInScope(t *testing.T) {
 		path         string
 		sim, ordered bool // seed-deterministic; map order must not leak
 	}{
+		{"procctl/internal/core", true, true},
+		{"procctl/internal/flight", true, true},
 		{"procctl/internal/metrics", true, true},
 		{"procctl/internal/faultinject", true, true},
 		{"procctl/internal/journal", true, true},

@@ -145,10 +145,10 @@ func main() {
 		// membership the way Restore just did; then capacity, so the
 		// replayer divides the same total this incarnation does.
 		if restored > 0 {
-			coord.RecordEvent(journal.ToFlight(journal.Record{
+			coord.RecordEvent(journal.Record{
 				At: start.UnixMicro(), Kind: journal.KindRestart,
 				A: int64(restored), B: res.TruncatedBytes,
-			}))
+			})
 		}
 		if err := coord.SetCapacity(*capacity); err != nil {
 			fatal(logger, "set capacity", err)

@@ -165,7 +165,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{`coordinator_rpcs_total{op="status"}`, 1},
 		{`coordinator_rpcs_total{op="metrics"}`, 1},
 		{`coordinator_rebalances_total`, 1},
-		{`coordinator_rebalance_micros_count`, 1},
+		{`coordinator_rebalance_latency_micros_count{stage="total"}`, 1},
 		{`coordinator_members`, 1},
 		{`coordinator_capacity`, 4},
 		{`coordinator_targets_sum`, 1},

@@ -1,9 +1,10 @@
-// Package core implements the paper's central contribution as a pure,
-// reusable policy: deciding how many runnable processes each parallel
-// application should have so that the system-wide total matches the
-// number of available processors.
+// Package core is the paper's central contribution as pure, reusable
+// code, in two halves.
 //
-// The rules come from Section 5 of the paper:
+// The policy (this file) decides how many runnable processes each
+// parallel application should have so that the system-wide total matches
+// the number of available processors. The rules come from Section 5 of
+// the paper:
 //
 //   - processors consumed by uncontrollable processes are subtracted
 //     from the machine first;
@@ -14,9 +15,22 @@
 //   - every application keeps at least one runnable process, even on an
 //     overloaded machine, to avoid starvation.
 //
-// Both the simulated central server (internal/ctrl) and the real
-// coordinator (internal/runtime/coordinator) call into this package, so
-// the policy is defined — and tested — exactly once.
+// The registry (registry.go) is the state the server keeps around that
+// policy — who is registered, in what order, seen when, told what — as a
+// state machine with no clock, lock or I/O of its own: Register, Remove,
+// Expire, Reseat, SetTarget, and Decide, which runs the policy over the
+// members in registration order and reports the targets that moved.
+//
+// Who calls what: the simulated central server (internal/ctrl) is a
+// Registry keyed by application id plus a kernel scan; journal recovery
+// (internal/journal) folds records into a Registry keyed by name, and
+// the replay audit (ctrl.DiffJournal) folds the same records and
+// re-derives every journaled decision with Decide. The live coordinator
+// (internal/runtime/coordinator) keeps its own sharded, locked registry
+// and calls the policy (AllocateInto) directly; a model test holds it to
+// the Registry step by step. So the policy is defined once, and the
+// registry semantics once for everything that runs on virtual time or
+// on records.
 package core
 
 import "slices"

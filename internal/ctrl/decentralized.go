@@ -74,23 +74,13 @@ func (d *Decentralized) Poll(id kernel.AppID) int {
 	if d.Damping > 0 && target > mine+d.Damping {
 		target = mine + d.Damping
 	}
-	if max := d.liveProcs(id); target > max {
+	if max := liveProcs(d.k, id); target > max {
 		target = max
 	}
 	if target < 1 {
 		target = 1
 	}
 	return target
-}
-
-func (d *Decentralized) liveProcs(app kernel.AppID) int {
-	n := 0
-	for _, p := range d.k.Processes() {
-		if p.App() == app && p.State() != kernel.Exited {
-			n++
-		}
-	}
-	return n
 }
 
 // Registered returns the number of participating applications.

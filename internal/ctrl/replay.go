@@ -2,207 +2,14 @@ package ctrl
 
 import (
 	"fmt"
+	"slices"
 
+	"procctl/internal/core"
 	"procctl/internal/journal"
-	"procctl/internal/kernel"
-	"procctl/internal/machine"
-	"procctl/internal/sim"
 )
 
-// Replayer feeds a captured daemon journal through the deterministic
-// simulated server, reproducing the live coordinator's allocation
-// inputs record by record. Membership records mutate the sim registry
-// exactly the way the daemon's control loop mutated its own (including
-// re-register moving a member to the end of the tie-break order and a
-// restart re-seating members in name order); rebalance records trigger
-// a Scan; the target decisions each Scan produces are returned so
-// DiffJournal can hold them against the target records the live daemon
-// actually journaled. Both sides run the same policy (internal/core)
-// over the same inputs in the same order, so any diff is a real
-// divergence: a decision the daemon made that the policy does not
-// explain.
-type Replayer struct {
-	s        *Server
-	idByName map[string]kernel.AppID
-	nameByID map[kernel.AppID]string
-	nextID   kernel.AppID
-	// departed remembers the last target a member held when an
-	// unregister or lease-expiry record dropped it: the anchor for
-	// explaining a phantom re-push journaled by a departure that raced
-	// the daemon's own fan-out (see DiffJournal).
-	departed map[string]int
-}
-
-// Decision is one target change a replayed Scan produced, in the same
-// order and with the same change-only dedup as the live coordinator's
-// journaled target records.
-type Decision struct {
-	App    string
-	Target int
-	Prev   int
-}
-
-// NewReplayer builds a replayer dividing the given capacity. The sim
-// kernel underneath holds no processes — every allocation input comes
-// from the journal — and leases are disabled: expiry decisions were the
-// live daemon's to make, and arrive as records.
-func NewReplayer(capacity int) *Replayer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	eng := sim.NewEngine(1)
-	mac := machine.New(machine.Config{NumCPU: capacity})
-	k := kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
-	s := NewServer(k, 0)
-	s.SetLease(0)
-	s.capacity = capacity
-	return &Replayer{
-		s:        s,
-		idByName: make(map[string]kernel.AppID),
-		nameByID: make(map[kernel.AppID]string),
-		nextID:   1,
-	}
-}
-
-// Server exposes the underlying sim server (tests, state dumps).
-func (r *Replayer) Server() *Server { return r.s }
-
-// StandingTarget returns the target the replay currently attributes to
-// app: its live target if one has been pushed, or the last target it
-// held when a departure record dropped it.
-func (r *Replayer) StandingTarget(app string) (int, bool) {
-	if id, ok := r.idByName[app]; ok {
-		if t, ok := r.s.targets[id]; ok {
-			return t, true
-		}
-	}
-	t, ok := r.departed[app]
-	return t, ok
-}
-
-// idFor maps a journal app name to a stable sim AppID.
-func (r *Replayer) idFor(name string) kernel.AppID {
-	if id, ok := r.idByName[name]; ok {
-		return id
-	}
-	id := r.nextID
-	r.nextID++
-	r.idByName[name] = id
-	r.nameByID[id] = name
-	return id
-}
-
-// Seed primes the replayer from a snapshot base state: the position
-// ReadAll's record stream continues from. Snapshot members are name-
-// sorted, which is exactly the order a restarted daemon re-seats them
-// in, so the tie-break order matches the incarnation that wrote the
-// records that follow.
-func (r *Replayer) Seed(st journal.State) {
-	if st.Capacity > 0 {
-		r.s.capacity = st.Capacity
-	}
-	r.s.external = st.External
-	for _, m := range st.Members {
-		id := r.idFor(m.Name)
-		r.s.registered[id] = m.Procs
-		r.s.order = append(r.s.order, id)
-		if m.Weight > 0 {
-			r.s.weights[id] = m.Weight
-		}
-		r.s.targets[id] = m.Target
-	}
-}
-
-// Apply folds one non-target, non-rebalance record into the sim
-// registry. Target records are decisions (DiffJournal compares them);
-// rebalance records trigger Scan (see that method).
-func (r *Replayer) Apply(rec journal.Record) {
-	switch rec.Kind {
-	case journal.KindRegister:
-		id := r.idFor(rec.App)
-		if _, ok := r.s.registered[id]; ok {
-			// Re-register: the live coordinator moves the member to the
-			// end of the tie-break order but keeps its pushed-target
-			// memory; mirror both.
-			r.s.dropOrder(id)
-		}
-		r.s.registered[id] = int(rec.A)
-		r.s.order = append(r.s.order, id)
-		if rec.B > 0 {
-			r.s.weights[id] = int(rec.B)
-		} else {
-			delete(r.s.weights, id)
-		}
-	case journal.KindUnregister, journal.KindLeaseExpiry:
-		if id, ok := r.idByName[rec.App]; ok {
-			if t, ok := r.s.targets[id]; ok {
-				if r.departed == nil {
-					r.departed = make(map[string]int)
-				}
-				r.departed[rec.App] = t
-			}
-			r.s.drop(id)
-		}
-	case journal.KindSetLoad:
-		r.s.external = int(rec.A)
-	case journal.KindSetCapacity:
-		r.s.capacity = int(rec.A)
-	case journal.KindRestart:
-		// The restarted daemon re-seated the surviving members in name
-		// order; realign the tie-break order to match.
-		r.s.sortOrderBy(func(a, b kernel.AppID) bool {
-			return r.nameByID[a] < r.nameByID[b]
-		})
-	}
-}
-
-// Scan runs one recompute over the current replayed inputs and returns
-// the target changes it produced, in the live coordinator's
-// notification order.
-func (r *Replayer) Scan() []Decision {
-	before := make(map[kernel.AppID]int, len(r.s.order))
-	had := make(map[kernel.AppID]bool, len(r.s.order))
-	for _, id := range r.s.order {
-		if t, ok := r.s.targets[id]; ok {
-			before[id] = t
-			had[id] = true
-		}
-	}
-	r.s.Scan()
-	var out []Decision
-	for _, id := range r.s.order {
-		now, ok := r.s.targets[id]
-		if !ok {
-			continue
-		}
-		if !had[id] || before[id] != now {
-			out = append(out, Decision{App: r.nameByID[id], Target: now, Prev: before[id]})
-		}
-	}
-	return out
-}
-
-// dropOrder removes id from the registration order only.
-func (s *Server) dropOrder(id kernel.AppID) {
-	for i, a := range s.order {
-		if a == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// sortOrderBy stably insertion-sorts the registration order.
-func (s *Server) sortOrderBy(less func(a, b kernel.AppID) bool) {
-	for i := 1; i < len(s.order); i++ {
-		for j := i; j > 0 && less(s.order[j], s.order[j-1]); j-- {
-			s.order[j], s.order[j-1] = s.order[j-1], s.order[j]
-		}
-	}
-}
-
 // Mismatch is one divergence between the journal's recorded decisions
-// and the sim replay.
+// and the replay.
 type Mismatch struct {
 	Seq  uint64 // journal record the divergence was detected at (0 = end of log)
 	What string
@@ -210,29 +17,41 @@ type Mismatch struct {
 
 // DiffResult summarizes a record/replay comparison.
 type DiffResult struct {
-	Records    int // journal records fed through the replayer
+	Records    int // journal records fed through the replay
 	Scans      int // rebalance epochs replayed
 	Decisions  int // journaled target decisions checked
 	Mismatches []Mismatch
 }
 
-// OK reports whether the live daemon and the sim replay decided
+// OK reports whether the live daemon and the replay decided
 // identically.
 func (d *DiffResult) OK() bool { return len(d.Mismatches) == 0 }
 
-// epochQueue is the sim's pending decisions for one replayed rebalance
-// epoch, awaiting the journal's matching target records.
+// epochQueue is the replay's pending decisions for one replayed
+// rebalance epoch, awaiting the journal's matching target records.
 type epochQueue struct {
 	epoch     uint64
-	openedSeq uint64 // the rebalance record that opened it
-	decisions []Decision
+	decisions []core.Move[string]
 }
 
 // DiffJournal replays a captured record stream and diffs every target
-// decision the live daemon journaled against what the deterministic
-// sim server computes from the same inputs. base and recs come from
-// journal.ReadAll; capacity seeds the divisible total until the first
-// setcapacity record (a journaled daemon always writes one at boot).
+// decision the live daemon journaled against what the registry state
+// machine (core.Registry, the one the simulated server runs on) decides
+// from the same inputs. Membership, load, capacity and restart records
+// are folded in through journal.Fold exactly as recovery folds them
+// (a re-register moves the member to the end of the tie-break order, a
+// restart re-seats the members in name order); a rebalance record is not
+// believed but re-derived with Registry.Decide, and the target changes
+// that produces are held against the target records the daemon wrote.
+// Both sides run the same policy over the same inputs in the same order,
+// so any diff is a real divergence: a decision the daemon's shell —
+// batching, sharding, locking — made that the state machine does not
+// explain. Leases play no part: expiries were the daemon's to decide and
+// arrive as records.
+//
+// base and recs come from journal.ReadAll; capacity is the divisible
+// total until the first setcapacity record (a journaled daemon always
+// writes one at boot) unless base carries one.
 //
 // Decisions are matched by epoch: each rebalance record opens a
 // decision queue under its epoch ID, and every target record is held
@@ -251,8 +70,22 @@ type epochQueue struct {
 // mixed-version journals — a v1 prefix continued by an upgraded daemon
 // — still diff cleanly.
 func DiffJournal(base journal.State, recs []journal.Record, capacity int) *DiffResult {
-	r := NewReplayer(capacity)
-	r.Seed(base)
+	reg := base.Registry()
+	if base.Capacity <= 0 {
+		reg.Capacity = max(capacity, 1)
+	}
+	// departed remembers the last target a member held when an
+	// unregister or lease-expiry record dropped it: the anchor for
+	// explaining a phantom re-push journaled by a departure that raced
+	// the daemon's own fan-out (below).
+	departed := make(map[string]int)
+	standingTarget := func(app string) (int, bool) {
+		if m, ok := reg.Get(app); ok && m.HasTarget {
+			return m.Target, true
+		}
+		t, ok := departed[app]
+		return t, ok
+	}
 	res := &DiffResult{}
 	var queues []epochQueue
 	lastEpoch := uint64(base.Rebalances)
@@ -262,7 +95,7 @@ func DiffJournal(base journal.State, recs []journal.Record, capacity int) *DiffR
 			queues = queues[1:]
 			for _, d := range q.decisions {
 				res.Mismatches = append(res.Mismatches, Mismatch{Seq: seq,
-					What: fmt.Sprintf("sim decided %s -> %d (was %d) in epoch %d but the journal records no matching target", d.App, d.Target, d.Prev, q.epoch)})
+					What: fmt.Sprintf("replay decided %s -> %d (was %d) in epoch %d but the journal records no matching target", d.Key, d.Target, d.Prev, q.epoch)})
 			}
 		}
 	}
@@ -303,12 +136,12 @@ func DiffJournal(base journal.State, recs []journal.Record, capacity int) *DiffR
 				// a remembered prev or a different target is a real
 				// divergence.
 				if rec.B == 0 {
-					if cur, ok := r.StandingTarget(rec.App); ok && int64(cur) == rec.A {
+					if cur, ok := standingTarget(rec.App); ok && int64(cur) == rec.A {
 						continue
 					}
 				}
 				res.Mismatches = append(res.Mismatches, Mismatch{Seq: rec.Seq,
-					What: fmt.Sprintf("journal says %s -> %d but sim made no further decision in epoch %d", rec.App, rec.A, rec.Epoch)})
+					What: fmt.Sprintf("journal says %s -> %d but replay made no further decision in epoch %d", rec.App, rec.A, rec.Epoch)})
 				continue
 			}
 			d := queues[qi].decisions[0]
@@ -324,11 +157,11 @@ func DiffJournal(base journal.State, recs []journal.Record, capacity int) *DiffR
 			// this app, this target, this epoch — is what replay must
 			// explain; a remembered-vs-remembered disagreement is still a
 			// divergence.
-			if d.App != rec.App || int64(d.Target) != rec.A ||
+			if d.Key != rec.App || int64(d.Target) != rec.A ||
 				(rec.B != 0 && d.Prev != 0 && int64(d.Prev) != rec.B) {
 				res.Mismatches = append(res.Mismatches, Mismatch{Seq: rec.Seq,
-					What: fmt.Sprintf("journal says %s -> %d (was %d); sim decided %s -> %d (was %d)",
-						rec.App, rec.A, rec.B, d.App, d.Target, d.Prev)})
+					What: fmt.Sprintf("journal says %s -> %d (was %d); replay decided %s -> %d (was %d)",
+						rec.App, rec.A, rec.B, d.Key, d.Target, d.Prev)})
 			}
 		case journal.KindRebalance:
 			// One epoch of overlap is legal — two concurrent notifies may
@@ -341,9 +174,14 @@ func DiffJournal(base journal.State, recs []journal.Record, capacity int) *DiffR
 				epoch = lastEpoch + 1 // v1 record: the count a v2 daemon would have stamped
 			}
 			lastEpoch = epoch
-			queues = append(queues, epochQueue{epoch: epoch, openedSeq: rec.Seq, decisions: r.Scan()})
+			queues = append(queues, epochQueue{epoch: epoch, decisions: slices.Clone(reg.Decide(0, nil))})
 		default:
-			r.Apply(rec)
+			if rec.Kind == journal.KindUnregister || rec.Kind == journal.KindLeaseExpiry {
+				if m, ok := reg.Get(rec.App); ok && m.HasTarget {
+					departed[rec.App] = m.Target
+				}
+			}
+			journal.Fold(reg, rec)
 		}
 	}
 	flush(0, 0)

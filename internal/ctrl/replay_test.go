@@ -38,10 +38,10 @@ func bootJournaled(t *testing.T, capacity int, dir string) (*coordinator.Server,
 	}
 	coord.SetJournal(w)
 	if restored > 0 {
-		coord.RecordEvent(journal.ToFlight(journal.Record{
+		coord.RecordEvent(journal.Record{
 			At: now.UnixMicro(), Kind: journal.KindRestart,
 			A: int64(restored), B: res.TruncatedBytes,
-		}))
+		})
 	}
 	if err := coord.SetCapacity(capacity); err != nil {
 		t.Fatal(err)

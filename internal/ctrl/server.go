@@ -3,10 +3,17 @@
 // processes from the kernel (the paper uses a UMAX system call; here the
 // scan reads simulator state directly), subtracts the processors
 // consumed by uncontrollable processes, and divides the remainder fairly
-// among the registered applications using the policy in internal/core.
-// Applications poll for their target at their own (slower) interval, so
-// the staleness behaviour the paper reports — the few seconds of delay
-// in Figure 5 — is reproduced.
+// among the registered applications. Applications poll for their target
+// at their own (slower) interval, so the staleness behaviour the paper
+// reports — the few seconds of delay in Figure 5 — is reproduced.
+//
+// Membership, registration order, leases, targets and the division
+// itself are core.Registry; Server adds the kernel-scan adapter (live
+// process counts, uncontrollable load, partition sizes), the virtual
+// clock, and the flight events and trace annotations. The package also
+// holds the replay audit of a live daemon's journal (DiffJournal), which
+// runs the same Registry over journal records and needs no simulator,
+// and the decentralized controller the paper rejected.
 package ctrl
 
 import (
@@ -42,24 +49,13 @@ type PartitionSizer interface {
 
 // Server is the simulated central server.
 type Server struct {
-	k        *kernel.Kernel
-	interval sim.Duration
+	k *kernel.Kernel
 
-	registered map[kernel.AppID]int // app -> processes it was started with
-	order      []kernel.AppID       // registration order (deterministic)
-	targets    map[kernel.AppID]int
-	weights    map[kernel.AppID]int // fair-share weight (absent = 1)
-
-	// capacity, when positive, overrides the kernel's processor count
-	// as the divisible total; external adds uncontrollable load beyond
-	// what the kernel observes. Both exist so a journal replay can
-	// reproduce a live daemon's inputs (the daemon has no kernel to
-	// count processes from); zero values keep the classic behavior.
-	capacity int
-	external int
-
-	lease    sim.Duration
-	lastSeen map[kernel.AppID]sim.Time // last Register/Poll per app
+	// reg holds membership, registration order, leases and targets;
+	// the server adds what only a kernel can tell it: which processes
+	// are alive, and how much of the machine nobody registered for.
+	reg   *core.Registry[kernel.AppID]
+	lease sim.Duration
 
 	// Stats.
 	Scans         int64
@@ -82,17 +78,13 @@ func NewServer(k *kernel.Kernel, interval sim.Duration) *Server {
 		interval = DefaultScanInterval
 	}
 	s := &Server{
-		k:          k,
-		interval:   interval,
-		registered: make(map[kernel.AppID]int),
-		targets:    make(map[kernel.AppID]int),
-		weights:    make(map[kernel.AppID]int),
-		lease:      DefaultLease,
-		lastSeen:   make(map[kernel.AppID]sim.Time),
-		scans:      k.Metrics().Counter("sim_ctrl_scans_total", "central-server target recomputations"),
-		polls:      k.Metrics().Counter("sim_ctrl_polls_total", "application polls served"),
-		expiries:   k.Metrics().Counter("sim_ctrl_lease_expiries_total", "applications unregistered because their lease lapsed"),
-		rec:        flight.New(flight.DefaultSize),
+		k:        k,
+		reg:      core.NewRegistry[kernel.AppID](k.NumCPU()),
+		lease:    DefaultLease,
+		scans:    k.Metrics().Counter("sim_ctrl_scans_total", "central-server target recomputations"),
+		polls:    k.Metrics().Counter("sim_ctrl_polls_total", "application polls served"),
+		expiries: k.Metrics().Counter("sim_ctrl_lease_expiries_total", "applications unregistered because their lease lapsed"),
+		rec:      flight.New(flight.DefaultSize),
 	}
 	k.Engine().Every(interval, func() bool {
 		s.Scan()
@@ -105,100 +97,55 @@ func NewServer(k *kernel.Kernel, interval sim.Duration) *Server {
 // server reclaims its allocation. Non-positive disables expiry.
 func (s *Server) SetLease(d sim.Duration) { s.lease = d }
 
-// SetCapacity overrides the divisible processor total (the live
-// daemon's -capacity). Non-positive restores the kernel's count.
-func (s *Server) SetCapacity(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.capacity = n
-	s.record(flight.Event{Kind: flight.KindSetCapacity, A: int64(n)})
-}
-
-// SetExternalLoad reports uncontrollable load beyond what the kernel
-// observes, mirroring the daemon's setload op.
-func (s *Server) SetExternalLoad(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.external = n
-	s.record(flight.Event{Kind: flight.KindSetLoad, A: int64(n)})
-}
-
-// numCPU is the divisible processor total: the override when set, the
-// kernel's count otherwise.
-func (s *Server) numCPU() int {
-	if s.capacity > 0 {
-		return s.capacity
-	}
-	return s.k.NumCPU()
-}
-
 // Lease returns the current lease duration.
 func (s *Server) Lease() sim.Duration { return s.lease }
 
 // Register implements threads.Controller: a new controllable
 // application announces itself and its process count.
 func (s *Server) Register(id kernel.AppID, procs int) {
-	if _, ok := s.registered[id]; !ok {
-		s.order = append(s.order, id)
-	}
-	s.registered[id] = procs
-	s.record(flight.Event{Kind: flight.KindRegister, App: appLabel(id), A: int64(procs)})
-	s.setTarget(id, procs) // until the first scan, let it run everything
-	s.lastSeen[id] = s.k.Engine().Now()
-	s.Scan() // the paper's server reacts to creation promptly
-}
-
-// Unregister implements threads.Controller.
-func (s *Server) Unregister(id kernel.AppID) {
-	s.record(flight.Event{Kind: flight.KindUnregister, App: appLabel(id), A: int64(s.targets[id])})
-	s.drop(id)
-	s.Scan() // freed processors are redistributed promptly
+	s.RegisterWeighted(id, procs, 0)
 }
 
 // RegisterWeighted is Register with an explicit fair-share weight
 // (non-positive means 1, matching core.Demand).
 func (s *Server) RegisterWeighted(id kernel.AppID, procs, weight int) {
-	if weight > 0 {
-		s.weights[id] = weight
-	} else {
-		delete(s.weights, id)
-	}
-	s.Register(id, procs)
+	s.reg.Register(id, procs, weight, s.now())
+	s.record(flight.Event{Kind: flight.KindRegister, App: appLabel(id), A: int64(procs)})
+	s.setTarget(id, procs) // until the first scan, let it run everything
+	s.Scan()               // the paper's server reacts to creation promptly
 }
 
-// drop removes every trace of an application without rescanning.
-func (s *Server) drop(id kernel.AppID) {
-	delete(s.registered, id)
-	delete(s.targets, id)
-	delete(s.lastSeen, id)
-	delete(s.weights, id)
-	for i, a := range s.order {
-		if a == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+// Unregister implements threads.Controller.
+func (s *Server) Unregister(id kernel.AppID) {
+	m, _ := s.reg.Remove(id)
+	s.record(flight.Event{Kind: flight.KindUnregister, App: appLabel(id), A: int64(m.Target)})
+	s.Scan() // freed processors are redistributed promptly
 }
 
-// Poll implements threads.Controller: return the application's current
-// target. Unknown applications get their own process count back
-// (equivalent to no control).
+// Poll implements threads.Controller: renew the application's lease and
+// return its current target. An application the server does not know
+// but whose processes are alive — its lease lapsed while it was stalled,
+// or its polls were lost — is registered again with the processes it
+// still has, the way a procctld client answers "not registered", and
+// gets the fresh target; one with no processes left gets 0.
 func (s *Server) Poll(id kernel.AppID) int {
 	s.PollsServed++
 	s.polls.Inc()
-	if _, ok := s.registered[id]; ok {
-		s.lastSeen[id] = s.k.Engine().Now()
+	if !s.reg.Touch(id, s.now()) {
+		live := liveProcs(s.k, id)
+		if live == 0 {
+			return 0
+		}
+		s.Register(id, live)
 	}
-	if t, ok := s.targets[id]; ok {
-		return t
-	}
-	return s.registered[id]
+	return s.Target(id)
 }
 
 // Target exposes the current target for tests and traces.
-func (s *Server) Target(id kernel.AppID) int { return s.targets[id] }
+func (s *Server) Target(id kernel.AppID) int {
+	m, _ := s.reg.Get(id)
+	return m.Target
+}
 
 // Events returns up to limit of the most recent flight-recorder events,
 // oldest first (limit <= 0 means everything retained).
@@ -207,11 +154,13 @@ func (s *Server) Events(limit int) []flight.Event { return s.rec.Snapshot(limit)
 // FlightRecorder exposes the server's recorder for dump tooling.
 func (s *Server) FlightRecorder() *flight.Recorder { return s.rec }
 
+func (s *Server) now() int64 { return int64(s.k.Engine().Now()) }
+
 // record stamps ev with the current virtual time and appends it. The
 // recorder is pure state: it never feeds back into scheduling or the
 // trace/annotation stream, so goldens are unaffected.
 func (s *Server) record(ev flight.Event) {
-	ev.At = int64(s.k.Engine().Now())
+	ev.At = s.now()
 	s.rec.Append(ev)
 }
 
@@ -219,7 +168,7 @@ func (s *Server) record(ev flight.Event) {
 func appLabel(id kernel.AppID) string { return "app" + strconv.Itoa(int(id)) }
 
 // Registered returns the number of registered applications.
-func (s *Server) Registered() int { return len(s.order) }
+func (s *Server) Registered() int { return s.reg.Len() }
 
 // Scan recomputes every application's target from current kernel state.
 // It runs periodically but is exported so tests can force a recompute.
@@ -228,78 +177,55 @@ func (s *Server) Scan() {
 	s.scans.Inc()
 	s.expireLeases()
 	changed := 0
-	defer func() {
-		s.record(flight.Event{Kind: flight.KindScan, A: s.Scans, B: int64(changed), Epoch: uint64(s.Scans)})
-	}()
-
+	members := s.reg.Members()
 	if sizer, ok := s.k.Policy().(PartitionSizer); ok {
-		for _, app := range s.order {
-			t := sizer.CPUsOf(app)
-			max := s.liveProcs(app)
-			if max == 0 {
-				max = s.registered[app]
-			}
+		for _, m := range members {
+			t, limit := sizer.CPUsOf(m.Key), s.liveCap(m.Key, m.Procs)
 			if t == 0 {
 				// The partition has not materialized yet (the
 				// application registered before its processes were
 				// scheduled); do not throttle on stale data.
-				t = max
+				t = limit
 			}
-			if t > max {
-				t = max
-			}
-			if t < 1 {
-				t = 1
-			}
-			if s.setTarget(app, t) {
+			if s.setTarget(m.Key, max(min(t, limit), 1)) {
 				changed++
 			}
 		}
-		return
-	}
-
-	perApp, uncontrolled := s.k.CountByApp()
-
-	// Runnable processes of parallel applications that never registered
-	// count as uncontrollable load too, as does reported external load.
-	for app, n := range perApp {
-		if _, ok := s.registered[app]; !ok {
+	} else {
+		// Runnable processes of parallel applications that never
+		// registered count as uncontrollable load too.
+		perApp, uncontrolled := s.k.CountByApp()
+		for _, m := range members {
+			delete(perApp, m.Key)
+		}
+		for _, n := range perApp {
 			uncontrolled += n
 		}
-	}
-	uncontrolled += s.external
-
-	avail := core.Available(s.numCPU(), uncontrolled)
-	demands := make([]core.Demand, len(s.order))
-	for i, app := range s.order {
-		// Cap at the number of processes the application still has
-		// (exited workers no longer count).
-		max := s.liveProcs(app)
-		if max == 0 {
-			max = s.registered[app]
-		}
-		demands[i] = core.Demand{Max: max, Weight: s.weights[app]}
-	}
-	alloc := core.Allocate(avail, demands)
-	for i, app := range s.order {
-		if s.setTarget(app, alloc[i]) {
+		for _, mv := range s.reg.Decide(uncontrolled, s.liveCap) {
+			s.announce(mv.Key, mv.Target, mv.Prev)
 			changed++
 		}
 	}
+	s.record(flight.Event{Kind: flight.KindScan, A: s.Scans, B: int64(changed), Epoch: uint64(s.Scans)})
 }
 
-// setTarget records an application's target and, when it changed, stamps
-// a target-decision annotation into the trace stream with the scan
-// number as the causal reference, plus a flight-recorder event carrying
-// the scan number as its epoch — the sim analogue of the daemon's
-// rebalance-epoch provenance. Reports whether the target moved.
+// setTarget records a target the server set outside the fair division
+// (a registration's let-it-run-everything, a partition's size) and
+// announces it if it moved.
 func (s *Server) setTarget(app kernel.AppID, t int) bool {
-	old, had := s.targets[app]
-	if had && old == t {
-		return false
+	prev, moved := s.reg.SetTarget(app, t)
+	if moved {
+		s.announce(app, t, prev)
 	}
-	s.targets[app] = t
-	s.record(flight.Event{Kind: flight.KindTarget, App: appLabel(app), A: int64(t), B: int64(old), Epoch: uint64(s.Scans)})
+	return moved
+}
+
+// announce stamps a moved target into the trace stream as a
+// target-decision annotation with the scan number as the causal
+// reference, and into the flight recorder with the scan number as its
+// epoch — the sim analogue of the daemon's rebalance-epoch provenance.
+func (s *Server) announce(app kernel.AppID, t, prev int) {
+	s.record(flight.Event{Kind: flight.KindTarget, App: appLabel(app), A: int64(t), B: int64(prev), Epoch: uint64(s.Scans)})
 	s.k.Annotate(kernel.Annotation{
 		Layer:  "ctrl",
 		Kind:   "target",
@@ -308,7 +234,6 @@ func (s *Server) setTarget(app kernel.AppID, t int) bool {
 		Target: t,
 		Cause:  s.Scans,
 	})
-	return true
 }
 
 // expireLeases unregisters applications that have not polled within the
@@ -318,36 +243,29 @@ func (s *Server) setTarget(app kernel.AppID, t int) bool {
 // forever. Expired apps lose their entry entirely; survivors absorb the
 // freed capacity in the caller's recompute.
 func (s *Server) expireLeases() {
-	if s.lease <= 0 {
-		return
-	}
-	now := s.k.Engine().Now()
-	var expired []kernel.AppID
-	i := 0
-	for _, app := range s.order { // s.order keeps expiry deterministic
-		if now.Sub(s.lastSeen[app]) > s.lease {
-			s.LeaseExpiries++
-			s.expiries.Inc()
-			delete(s.registered, app)
-			delete(s.targets, app)
-			delete(s.lastSeen, app)
-			expired = append(expired, app)
-			continue
-		}
-		s.order[i] = app
-		i++
-	}
-	s.order = s.order[:i]
+	expired := s.reg.Expire(s.now(), int64(s.lease))
+	s.LeaseExpiries += int64(len(expired))
+	s.expiries.Add(int64(len(expired)))
 	for _, app := range expired {
 		s.record(flight.Event{Kind: flight.KindLeaseExpiry, App: appLabel(app), A: int64(len(expired))})
 	}
 }
 
+// liveCap is the cap on an application's target: the processes it still
+// has (exited workers no longer count), or the count it registered with
+// while none has been spawned yet.
+func (s *Server) liveCap(app kernel.AppID, procs int) int {
+	if n := liveProcs(s.k, app); n > 0 {
+		return n
+	}
+	return procs
+}
+
 // liveProcs counts an application's non-exited processes (runnable,
 // running, or suspended).
-func (s *Server) liveProcs(app kernel.AppID) int {
+func liveProcs(k *kernel.Kernel, app kernel.AppID) int {
 	n := 0
-	for _, p := range s.k.Processes() {
+	for _, p := range k.Processes() {
 		if p.App() == app && p.State() != kernel.Exited {
 			n++
 		}

@@ -3,6 +3,8 @@ package ctrl
 import (
 	"testing"
 
+	"procctl/internal/flight"
+
 	"procctl/internal/kernel"
 	"procctl/internal/machine"
 	"procctl/internal/sim"
@@ -260,6 +262,63 @@ func TestServerPollsServedCounter(t *testing.T) {
 	}
 	if s.PollsServed != 5 {
 		t.Errorf("PollsServed = %d", s.PollsServed)
+	}
+	k.Shutdown()
+}
+
+func TestServerExpiryForgetsWeight(t *testing.T) {
+	// App 1 registers with weight 3, goes silent past its lease, and
+	// registers again without a weight: it is a new member and shares
+	// equally. (The weight used to outlive the expiry.)
+	k := newKernel(16, kernel.NewTimeshare())
+	s := NewServer(k, 0)
+	spin(k, 1, 16, 3600*sim.Second)
+	spin(k, 2, 16, 3600*sim.Second)
+	s.RegisterWeighted(1, 16, 3)
+	s.Register(2, 16)
+	if s.Target(1) != 12 || s.Target(2) != 4 {
+		t.Fatalf("weighted targets %d/%d, want 12/4", s.Target(1), s.Target(2))
+	}
+	k.Engine().Every(6*sim.Second, func() bool { s.Poll(2); return true })
+	k.Engine().Run(sim.Time(20 * sim.Second))
+	if s.LeaseExpiries != 1 || s.Registered() != 1 {
+		t.Fatalf("expiries %d, registered %d: app 1 should have lapsed alone", s.LeaseExpiries, s.Registered())
+	}
+	s.Register(1, 16)
+	if s.Target(1) != 8 || s.Target(2) != 8 {
+		t.Errorf("targets after the unweighted re-registration %d/%d, want 8/8", s.Target(1), s.Target(2))
+	}
+	k.Shutdown()
+}
+
+func TestServerReadmitsLivePoller(t *testing.T) {
+	// A poll from an application the server has forgotten but whose
+	// processes are alive registers it again, with what it still has.
+	k := newKernel(16, kernel.NewTimeshare())
+	s := NewServer(k, 0)
+	spin(k, 1, 16, 3600*sim.Second)
+	spin(k, 2, 6, 3600*sim.Second)
+	s.Register(1, 16)
+	s.Register(2, 6)
+	k.Engine().Every(6*sim.Second, func() bool { s.Poll(1); return true })
+	k.Engine().Run(sim.Time(20 * sim.Second))
+	if s.Registered() != 1 || s.Target(1) != 10 {
+		t.Fatalf("registered %d, app 1 target %d: want app 2 lapsed and counted as load (16 - 6)", s.Registered(), s.Target(1))
+	}
+	if got := s.Poll(2); got != 6 {
+		t.Errorf("Poll(2) after its lease lapsed = %d, want its 6 live processes", got)
+	}
+	if s.Registered() != 2 || s.Target(1) != 10 || s.Target(2) != 6 {
+		t.Errorf("after re-admission: registered %d, targets %d/%d, want 2 and 10/6", s.Registered(), s.Target(1), s.Target(2))
+	}
+	var registers int
+	for _, ev := range s.Events(0) {
+		if ev.Kind == flight.KindRegister && ev.App == "app2" {
+			registers++
+		}
+	}
+	if registers != 2 {
+		t.Errorf("%d register events for app2, want the original and one re-admission", registers)
 	}
 	k.Shutdown()
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"procctl/internal/apps"
 	"procctl/internal/kernel"
+	"procctl/internal/metrics"
 	"procctl/internal/sim"
 )
 
@@ -355,19 +357,61 @@ func TestDecentralCapture(t *testing.T) {
 func TestLatencyTails(t *testing.T) {
 	o := fastOpts()
 	r := Latency(o, 24)
-	if r.Off.Count() == 0 || r.On.Count() != r.Off.Count() {
-		t.Fatalf("counts %d/%d", r.Off.Count(), r.On.Count())
+	if r.Off.Count == 0 || r.On.Count != r.Off.Count {
+		t.Fatalf("counts %d/%d", r.Off.Count, r.On.Count)
 	}
-	// The paper's FIFO requeue delay shows up as a heavy tail: without
-	// control, p99 wait blows out relative to the median; with control
-	// the distribution stays tight.
-	offTail := float64(r.Off.Quantile(0.99)) / float64(r.Off.Quantile(0.5))
-	onTail := float64(r.On.Quantile(0.99)) / float64(r.On.Quantile(0.5))
-	if !(offTail > onTail*1.5) {
-		t.Errorf("uncontrolled tail %.2f not clearly heavier than controlled %.2f", offTail, onTail)
+	// The paper's FIFO requeue delay stretches every task's wait: with
+	// control the waits are the backlog draining through 16 processors
+	// and nothing else, without it the mean and the tail both come out
+	// about twice as long. (This used to compare p99/p50 ratios, and
+	// passed only because the power-of-two buckets of the histogram it
+	// read put both medians on the same 2.097 s bucket bound; on exact
+	// quantiles both ratios are 2, as for any backlog drained at a
+	// steady rate.)
+	for _, q := range []struct {
+		what    string
+		off, on int64
+	}{
+		{"p99 wait", r.Off.Quantile(990), r.On.Quantile(990)},
+		{"mean wait", r.Off.Sum / r.Off.Count, r.On.Sum / r.On.Count},
+	} {
+		if !(float64(q.off) > 1.5*float64(q.on)) {
+			t.Errorf("uncontrolled %s %d µs not clearly longer than controlled %d µs", q.what, q.off, q.on)
+		}
 	}
 	if out := r.Render(); !strings.Contains(out, "queueing delay") {
 		t.Error("Render missing")
+	}
+}
+
+// TestLatencyRenderBars: the summary line and the bucket bars Render
+// draws from a histogram series — one row per non-empty bucket, labelled
+// with its upper bound, scaled to the fullest — and an empty series.
+func TestLatencyRenderBars(t *testing.T) {
+	reg := metrics.NewRegistry()
+	h := reg.Histogram("w", "", metrics.LatencyBuckets)
+	reg.Histogram("e", "", metrics.LatencyBuckets)
+	for i := 0; i < 10; i++ {
+		h.Observe(int64(sim.Millisecond))
+	}
+	h.Observe(int64(sim.Second))
+	snap := reg.Snapshot(0)
+	bars := waitBars(snap.Get("w"), 20)
+	want := fmt.Sprintf("%10s |%-20s 10\n%10s |%-20s 1\n", "1.000ms", strings.Repeat("#", 20), "1.000s", "##")
+	if bars != want {
+		t.Errorf("bars:\n%s\nwant:\n%s", bars, want)
+	}
+	sum := waitSummary(snap.Get("w"))
+	for _, want := range []string{"n=11", "mean=91.818ms", "p50=", "p95=", "p99="} {
+		if !strings.Contains(sum, want) {
+			t.Errorf("summary %q is missing %q", sum, want)
+		}
+	}
+	if p99 := snap.Get("w").Quantile(990); p99 > int64(sim.Second) {
+		t.Errorf("p99 %d µs is above the largest observation", p99)
+	}
+	if waitBars(snap.Get("e"), 20) != "empty\n" || waitSummary(snap.Get("e")) != "empty" {
+		t.Error("an empty series does not render as empty")
 	}
 }
 

@@ -20,15 +20,18 @@ package flight
 
 import "sync"
 
-// Event kinds shared by the recording layers. Kind is an open string —
-// a layer may record kinds of its own — but dumps and tests key on
-// these.
+// Event kinds shared by the recording layers: the one table of what a
+// kind's A and B mean, for the flight ring and for the journal, whose
+// records are these events (journal.Record is an alias of Event, and
+// journal.Durable picks out the kinds that are registry transitions).
+// Kind is an open string — a layer may record kinds of its own — but
+// dumps, replay and tests key on these.
 const (
-	KindRegister    = "register"     // App registered; A = process count
+	KindRegister    = "register"     // App registered; A = process count, B = fair-share weight (0 from the sim server: unweighted)
 	KindUnregister  = "unregister"   // App withdrew; A = its last pushed target (0 if none)
-	KindLeaseExpiry = "lease_expiry" // App's lease lapsed; A = members expired with it
-	KindTarget      = "target"       // App's target changed; A = new target, B = previous
-	KindRebalance   = "rebalance"    // one recompute-and-notify span; A = total µs, B = members notified
+	KindLeaseExpiry = "lease_expiry" // App presumed dead, its lease lapsed; A = members expired with it
+	KindTarget      = "target"       // App's target changed; A = new target, B = previous (0 if none)
+	KindRebalance   = "rebalance"    // one recompute-and-notify epoch; A = total span µs, B = members notified
 	KindRedial      = "redial"       // client lost the daemon and is re-dialing; A = attempt count
 	KindReconnect   = "reconnect"    // client re-dialed and re-registered; A = applied target
 	KindScan        = "scan"         // sim ctrl recompute; A = scan number, B = targets changed
@@ -44,8 +47,10 @@ const (
 // Event is one recorded occurrence. At is microseconds on the
 // recording layer's clock (Unix for the daemon, virtual for the sim);
 // Seq is assigned by the recorder in append order and survives ring
-// wraparound, so gaps reveal how much history was overwritten. A and B
-// carry kind-specific detail (see the Kind constants). Epoch, when
+// wraparound, so gaps reveal how much history was overwritten (in the
+// journal, whose records are Events, Seq is the Writer's instead: dense
+// from 1, the recovery continuity check). A and B carry kind-specific
+// detail (see the Kind constants). Epoch, when
 // non-zero, names the rebalance decision the event belongs to — the
 // coordinator stamps it on target/rebalance/converge events, clients
 // echo it on apply/settle — so a post-mortem can follow one decision

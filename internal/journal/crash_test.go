@@ -97,7 +97,7 @@ func checkValidPrefix(t *testing.T, dir string, states []State, minPrefix int, w
 	if idx < minPrefix {
 		t.Fatalf("%s: recovered prefix %d shorter than guaranteed %d", what, idx, minPrefix)
 	}
-	if !reflect.DeepEqual(res.State, states[idx]) {
+	if !sameState(res.State, states[idx]) {
 		t.Fatalf("%s: recovered state is not the prefix-%d state\n got %+v\nwant %+v",
 			what, idx, res.State, states[idx])
 	}

@@ -8,10 +8,16 @@
 // replays the surviving prefix to reconstruct its registry without
 // waiting for client re-registration.
 //
-// The same format doubles as a record/replay harness: a captured journal
-// is a complete input trace of the live coordinator's decisions, and
-// internal/ctrl can replay it through the deterministic simulated server
-// to diff the two target-decision sequences (cmd/procctl-replay).
+// What a record does to a registry is defined once, by Fold, over
+// core.Registry — the state machine the simulated server runs on.
+// Recovery believes every record, target and rebalance records
+// included. The same format doubles as a record/replay harness: a
+// captured journal is a complete input trace of the live coordinator's
+// decisions, and ctrl.DiffJournal folds the membership and input records
+// the same way but re-derives each rebalance with Registry.Decide, to
+// diff the daemon's journaled target decisions against the state
+// machine's (cmd/procctl-replay). State and Member are only the form a
+// snapshot takes on disk.
 //
 // On-disk layout (all files little-endian):
 //
@@ -31,51 +37,88 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"strconv"
+
+	"procctl/internal/core"
+	"procctl/internal/flight"
 )
 
-// Record kinds. They mirror the flight-recorder event kinds for the
-// transitions that are durable state changes (see FromFlight); kinds the
-// flight recorder knows but the journal does not record (scan, redial,
-// reconnect, restore) are observability-only.
-const (
-	KindRegister    = "register"     // App joined; A = process count, B = weight
-	KindUnregister  = "unregister"   // App withdrew; A = its last pushed target
-	KindLeaseExpiry = "lease_expiry" // App presumed dead; A = members expired with it
-	KindTarget      = "target"       // App's target changed; A = new, B = previous
-	KindRebalance   = "rebalance"    // one recompute epoch; A = span µs, B = members notified
-	KindSetLoad     = "setload"      // external load reported; A = new load
-	KindSetCapacity = "setcapacity"  // managed capacity changed; A = new capacity
-	KindRestart     = "restart"      // daemon recovered this journal; A = members restored, B = bytes truncated by fsck
-)
-
-// Record is one journaled transition. The field set deliberately matches
-// flight.Event: Seq is assigned by the Writer in append order (starting
-// at 1) and is the recovery continuity check; At is microseconds on the
-// recording layer's clock; A and B carry kind-specific detail.
+// Record is one journaled transition: a flight event promoted to
+// durable history, the same struct. Seq is assigned by the Writer in
+// append order (starting at 1) and is the recovery continuity check; At
+// is microseconds on the recording layer's clock; A and B carry the
+// kind's detail (see the flight kind constants).
 //
 // Epoch is the v2 field: the rebalance decision a target/rebalance
 // record belongs to. It is omitted when zero, so v2 writers produce
 // byte-identical payloads to v1 for epoch-less records and v1 decoders
 // (json.Unmarshal with the old struct) still read v2 journals — the
-// unknown field is simply dropped, matching Apply's unknown-kind rule.
-type Record struct {
-	Seq   uint64 `json:"seq"`
-	At    int64  `json:"at"`
-	Kind  string `json:"kind"`
-	App   string `json:"app,omitempty"`
-	A     int64  `json:"a,omitempty"`
-	B     int64  `json:"b,omitempty"`
-	Epoch uint64 `json:"epoch,omitempty"`
+// unknown field is simply dropped, matching Fold's unknown-kind rule.
+type Record = flight.Event
+
+// The record kinds are the flight kinds that change the registry.
+// Durable is the promotion rule.
+const (
+	KindRegister    = flight.KindRegister
+	KindUnregister  = flight.KindUnregister
+	KindLeaseExpiry = flight.KindLeaseExpiry
+	KindTarget      = flight.KindTarget
+	KindRebalance   = flight.KindRebalance
+	KindSetLoad     = flight.KindSetLoad
+	KindSetCapacity = flight.KindSetCapacity
+	KindRestart     = flight.KindRestart
+)
+
+// Durable reports whether a flight event of this kind is a registry
+// transition worth persisting. The others — scan, redial, reconnect,
+// snapshot, apply, settle, converge — describe the observation layer
+// and are not journaled.
+func Durable(kind string) bool {
+	switch kind {
+	case KindRegister, KindUnregister, KindLeaseExpiry, KindTarget,
+		KindRebalance, KindSetLoad, KindSetCapacity, KindRestart:
+		return true
+	}
+	return false
 }
 
-// Member is one application's durable registry entry.
+// Fold applies one record to a registry keyed by member name, taking
+// the record at its word: a target record sets the member's target, a
+// rebalance record counts one decision. It is the only place a record
+// kind is mapped to a registry transition. Recovery folds every record
+// through it; the replay audit (ctrl.DiffJournal) folds the membership
+// and input records through it and re-derives the other two with
+// Registry.Decide instead of believing them. Unknown kinds change
+// nothing, so new record kinds stay readable by old fsck code.
+func Fold(reg *core.Registry[string], r Record) {
+	switch r.Kind {
+	case KindRegister:
+		reg.Register(r.App, int(r.A), int(r.B), r.At)
+	case KindUnregister, KindLeaseExpiry:
+		reg.Remove(r.App)
+	case KindTarget:
+		reg.SetTarget(r.App, int(r.A))
+	case KindRebalance:
+		reg.Decisions++
+	case KindSetLoad:
+		reg.External = int(r.A)
+	case KindSetCapacity:
+		reg.Capacity = int(r.A)
+	case KindRestart:
+		// The restarted daemon re-seated the surviving members in name
+		// order; the record carries no other state.
+		reg.Reseat()
+	}
+}
+
+// Member is one application's entry in a snapshot.
 type Member struct {
 	Name   string `json:"name"`
 	Procs  int    `json:"procs"`
@@ -88,10 +131,11 @@ type Member struct {
 	LastSeen int64 `json:"last_seen,omitempty"`
 }
 
-// State is the full coordinator registry at a point in the record
-// stream: what a snapshot stores and what recovery reconstructs.
-// Members are kept sorted by name so equal states marshal to equal
-// bytes.
+// State is the registry at a point in the record stream in the form a
+// snapshot stores it: what WriteSnapshot takes and Recover returns. It
+// is a serialization, not a state machine — Registry loads one into a
+// core.Registry, Snapshot writes one back out. Members are sorted by
+// name so equal states marshal to equal bytes.
 type State struct {
 	Capacity   int      `json:"capacity,omitempty"`
 	External   int      `json:"external,omitempty"`
@@ -104,74 +148,29 @@ type State struct {
 	At int64 `json:"at,omitempty"`
 }
 
-// find returns the index of the named member, or -1: a binary search
-// of the sorted Members, because replay calls it for every register,
-// unregister and target record.
-func (s *State) find(name string) int {
-	i := sort.Search(len(s.Members), func(i int) bool { return s.Members[i].Name >= name })
-	if i < len(s.Members) && s.Members[i].Name == name {
-		return i
+// Registry loads the state into a registry, members seated in the
+// state's (name) order — the order a restarted daemon seats them in —
+// each holding its snapshotted target.
+func (s *State) Registry() *core.Registry[string] {
+	reg := core.NewRegistry[string](s.Capacity)
+	reg.External, reg.Decisions = s.External, s.Rebalances
+	for _, m := range s.Members {
+		reg.Register(m.Name, m.Procs, m.Weight, m.LastSeen)
+		reg.SetTarget(m.Name, m.Target)
 	}
-	return -1
+	return reg
 }
 
-// upsert inserts or replaces a member, keeping Members sorted by name.
-func (s *State) upsert(m Member) {
-	if i := s.find(m.Name); i >= 0 {
-		s.Members[i] = m
-		return
+// Snapshot writes a registry out as a State, members sorted by name,
+// stamped with the last record folded into it.
+func Snapshot(reg *core.Registry[string], lastSeq uint64, at int64) State {
+	st := State{Capacity: reg.Capacity, External: reg.External, Rebalances: reg.Decisions, LastSeq: lastSeq, At: at}
+	members := reg.Members()
+	slices.SortFunc(members, func(a, b core.Member[string]) int { return cmp.Compare(a.Key, b.Key) })
+	for _, m := range members {
+		st.Members = append(st.Members, Member{Name: m.Key, Procs: m.Procs, Weight: m.Weight, Target: m.Target, LastSeen: m.LastSeen})
 	}
-	i := sort.Search(len(s.Members), func(i int) bool { return s.Members[i].Name >= m.Name })
-	s.Members = append(s.Members, Member{})
-	copy(s.Members[i+1:], s.Members[i:])
-	s.Members[i] = m
-}
-
-// remove drops the named member if present.
-func (s *State) remove(name string) {
-	if i := s.find(name); i >= 0 {
-		s.Members = append(s.Members[:i], s.Members[i+1:]...)
-	}
-}
-
-// Apply folds one record into the state. This is the single definition
-// of replay semantics: startup recovery and the record/replay harness
-// both reconstruct registries through it. Unknown kinds advance LastSeq
-// and change nothing else, so new record kinds stay readable by old
-// fsck code.
-func (s *State) Apply(r Record) {
-	switch r.Kind {
-	case KindRegister:
-		target := 0
-		if i := s.find(r.App); i >= 0 {
-			target = s.Members[i].Target // re-register keeps the last target until the next rebalance
-		}
-		s.upsert(Member{Name: r.App, Procs: int(r.A), Weight: int(r.B), Target: target, LastSeen: r.At})
-	case KindUnregister, KindLeaseExpiry:
-		s.remove(r.App)
-	case KindTarget:
-		if i := s.find(r.App); i >= 0 {
-			s.Members[i].Target = int(r.A)
-		}
-	case KindRebalance:
-		s.Rebalances++
-	case KindSetLoad:
-		s.External = int(r.A)
-	case KindSetCapacity:
-		s.Capacity = int(r.A)
-	case KindRestart:
-		// A restart marker carries no state of its own: the recovered
-		// registry is exactly what the preceding records reconstruct.
-	}
-	s.LastSeq = r.Seq
-	s.At = r.At
-}
-
-// Clone returns a deep copy of the state.
-func (s *State) Clone() State {
-	out := *s
-	out.Members = append([]Member(nil), s.Members...)
-	return out
+	return st
 }
 
 // Frame format constants.

@@ -162,7 +162,7 @@ func TestWriterAppendRecoverRoundTrip(t *testing.T) {
 	if res.Dirty() {
 		t.Errorf("clean journal reported dirty: %v", res.Notes)
 	}
-	if !reflect.DeepEqual(res.State, want) {
+	if !sameState(res.State, want) {
 		t.Errorf("recovered state\n got %+v\nwant %+v", res.State, want)
 	}
 	if res.NextSeq != want.LastSeq+1 {
@@ -281,7 +281,7 @@ func TestSnapshotAndPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.State, live) {
+	if !sameState(res.State, live) {
 		t.Errorf("snapshot+replay state\n got %+v\nwant %+v", res.State, live)
 	}
 
@@ -345,7 +345,7 @@ func TestSnapshotFallbackWhenNewestCorrupt(t *testing.T) {
 	if res.SnapshotSeq != snaps[0].seq {
 		t.Errorf("fell back to snapshot %d, want %d", res.SnapshotSeq, snaps[0].seq)
 	}
-	if !reflect.DeepEqual(res.State, live) {
+	if !sameState(res.State, live) {
 		t.Errorf("fallback recovery\n got %+v\nwant %+v", res.State, live)
 	}
 }

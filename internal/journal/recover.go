@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"procctl/internal/core"
 )
 
 // RecoverResult is what fsck found: the reconstructed registry, where
@@ -89,6 +91,7 @@ func Recover(dir string) (*RecoverResult, error) {
 	}
 
 	// Rules 2+3: replay segments in order, stopping at the first break.
+	reg := res.State.Registry()
 	broken := false
 	for _, seg := range segs {
 		path := filepath.Join(dir, seg.name)
@@ -100,7 +103,7 @@ func Recover(dir string) (*RecoverResult, error) {
 			res.note("%s: beyond earlier break, dropping", seg.name)
 			continue
 		}
-		cut, reason := res.scanSegment(path)
+		cut, reason := res.scanSegment(path, reg)
 		if cut >= 0 {
 			res.truncations = append(res.truncations, truncEntry{seg.name, cut})
 			if fi, err := os.Stat(path); err == nil {
@@ -110,43 +113,54 @@ func Recover(dir string) (*RecoverResult, error) {
 			broken = true
 		}
 	}
+	res.State = Snapshot(reg, res.State.LastSeq, res.State.At)
 	return res, nil
 }
 
-// scanSegment folds one segment's valid prefix into res.State. It
-// returns the byte offset the file must be truncated to and why, or
-// (-1, "") if the whole segment is clean. A segment too short or wrong
-// in magic truncates to zero (equivalent to deletion of its content).
-func (res *RecoverResult) scanSegment(path string) (cut int64, reason string) {
+// scanSegment folds one segment's valid prefix into reg, and its last
+// record's stamps into res.State. It returns the byte offset the file
+// must be truncated to and why, or (-1, "") if the whole segment is
+// clean.
+func (res *RecoverResult) scanSegment(path string, reg *core.Registry[string]) (cut int64, reason string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Sprintf("unreadable (%v)", err)
 	}
+	return walkSegment(data, &res.NextSeq, func(rec Record) {
+		Fold(reg, rec)
+		res.State.LastSeq, res.State.At = rec.Seq, rec.At
+		res.Replayed++
+	})
+}
+
+// walkSegment is fsck rules 2 and 3 over one segment's bytes: it calls
+// fn for each record that continues the sequence at *next, advancing
+// it, skips records below *next (already folded by the snapshot, or
+// duplicates), and stops at the first torn, corrupt or undecodable frame
+// or sequence gap. It returns the offset the valid prefix ends at and
+// why, or (-1, "") for a clean segment. A segment too short or wrong in
+// magic ends at zero (equivalent to deletion of its content).
+func walkSegment(data []byte, next *uint64, fn func(Record)) (cut int64, reason string) {
 	if len(data) < magicLen || string(data[:magicLen]) != segMagic {
 		return 0, "bad segment magic"
 	}
-	off := int64(magicLen)
-	for int(off) < len(data) {
+	for off := magicLen; off < len(data); {
 		payload, n, err := DecodeFrame(data[off:])
 		if err != nil {
-			return off, "torn or corrupt frame (" + err.Error() + ")"
+			return int64(off), "torn or corrupt frame (" + err.Error() + ")"
 		}
 		rec, err := DecodeRecord(payload)
 		if err != nil {
-			return off, "undecodable record"
+			return int64(off), "undecodable record"
 		}
-		if rec.Seq < res.NextSeq {
-			// Already folded by the snapshot (or a duplicate); skip.
-			off += int64(n)
-			continue
+		if rec.Seq >= *next {
+			if rec.Seq != *next {
+				return int64(off), fmt.Sprintf("sequence gap (want %d, found %d)", *next, rec.Seq)
+			}
+			fn(rec)
+			*next = rec.Seq + 1
 		}
-		if rec.Seq != res.NextSeq {
-			return off, fmt.Sprintf("sequence gap (want %d, found %d)", res.NextSeq, rec.Seq)
-		}
-		res.State.Apply(rec)
-		res.NextSeq = rec.Seq + 1
-		res.Replayed++
-		off += int64(n)
+		off += n
 	}
 	return -1, ""
 }
@@ -203,8 +217,9 @@ func readSnapshot(path string) (*State, error) {
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, err
 	}
-	// State looks members up by binary search. Every writer stores them
-	// sorted; a snapshot from anywhere else is put in that order here.
+	// Name order is the order a restarted daemon seats the members in,
+	// so it is the order replay must seed them in. Every writer stores
+	// them sorted; a snapshot from anywhere else is put in that order here.
 	sort.SliceStable(st.Members, func(i, j int) bool { return st.Members[i].Name < st.Members[j].Name })
 	return &st, nil
 }
@@ -213,8 +228,8 @@ func readSnapshot(path string) (*State, error) {
 // snapshot's position forward — the longest contiguous record stream
 // the directory still holds — plus the base state those records apply
 // on top of (empty when the stream reaches back to genesis). This is
-// the record/replay harness's input: the replayer seeds a sim registry
-// from the base and feeds it the records in order.
+// the record/replay harness's input: the audit seeds a registry from
+// the base and feeds it the records in order.
 //
 // ReadAll shares Recover's fsck rules but anchors low instead of high:
 // where Recover wants the cheapest path to the final state, replay
@@ -257,27 +272,8 @@ func ReadAll(dir string) (base State, recs []Record, err error) {
 		if err != nil {
 			return State{}, nil, fmt.Errorf("journal: %w", err)
 		}
-		if len(data) < magicLen || string(data[:magicLen]) != segMagic {
-			return base, recs, nil // break: stream ends here
-		}
-		off := magicLen
-		for off < len(data) {
-			payload, n, err := DecodeFrame(data[off:])
-			if err != nil {
-				return base, recs, nil
-			}
-			rec, err := DecodeRecord(payload)
-			if err != nil {
-				return base, recs, nil
-			}
-			if rec.Seq >= nextSeq {
-				if rec.Seq != nextSeq {
-					return base, recs, nil
-				}
-				recs = append(recs, rec)
-				nextSeq = rec.Seq + 1
-			}
-			off += n
+		if cut, _ := walkSegment(data, &nextSeq, func(rec Record) { recs = append(recs, rec) }); cut >= 0 {
+			break // the stream ends at the first break
 		}
 	}
 	return base, recs, nil

@@ -109,7 +109,7 @@ type Coordinator struct {
 	rec *flight.Recorder
 
 	// jrn, when set, tees every durable flight event (see
-	// journal.FromFlight) into the write-ahead journal. The pointer is
+	// journal.Durable) into the write-ahead journal. The pointer is
 	// atomic so appends never serialize on a coordinator lock, and
 	// journal I/O always happens outside all coordinator locks.
 	jrn atomic.Pointer[journal.Writer]
@@ -166,14 +166,13 @@ const (
 const DefaultBatchWindow = 5 * time.Millisecond
 
 // coordMetrics is the coordinator's slice of a metrics registry. The
-// runtime layer runs on the wall clock; rebalanceMicros measures notify
-// latency — recompute plus pushing SetTarget to every member — and the
-// per-stage spans break the same control loop down so quantiles can
-// say where a large fleet bottlenecks (lock wait? allocation? fan-out?).
+// runtime layer runs on the wall clock; the per-stage spans break the
+// control loop down so quantiles can say where a large fleet
+// bottlenecks (lock wait? allocation? fan-out?), with stage "total" the
+// whole rebalance.
 type coordMetrics struct {
-	reg             *metrics.Registry
-	rebalanceCount  *metrics.Counter
-	rebalanceMicros *metrics.Histogram
+	reg            *metrics.Registry
+	rebalanceCount *metrics.Counter
 
 	// Batch coalescing: flushes is epochs actually recomputed by the
 	// batch goroutine, coalesced is membership/load events that were
@@ -193,12 +192,11 @@ type coordMetrics struct {
 
 func newCoordMetrics(reg *metrics.Registry) coordMetrics {
 	m := coordMetrics{
-		reg:             reg,
-		rebalanceCount:  reg.Counter("coordinator_rebalances_total", "target recomputations"),
-		rebalanceMicros: reg.Histogram("coordinator_rebalance_micros", "wall-clock recompute-and-notify latency", nil),
-		batchFlushes:    reg.Counter("coordinator_batch_flushes_total", "batched rebalance windows flushed"),
-		batchCoalesced:  reg.Counter("coordinator_batch_coalesced_total", "rebalance triggers absorbed into an already-pending batch"),
-		targetsSum:      reg.Gauge("coordinator_targets_sum", "processors allotted across all members, by last pushed target"),
+		reg:            reg,
+		rebalanceCount: reg.Counter("coordinator_rebalances_total", "target recomputations"),
+		batchFlushes:   reg.Counter("coordinator_batch_flushes_total", "batched rebalance windows flushed"),
+		batchCoalesced: reg.Counter("coordinator_batch_coalesced_total", "rebalance triggers absorbed into an already-pending batch"),
+		targetsSum:     reg.Gauge("coordinator_targets_sum", "processors allotted across all members, by last pushed target"),
 	}
 	for i, stage := range rebalanceStages {
 		m.stageMicros[i] = reg.Histogram(metrics.Name("coordinator_rebalance_latency_micros", "stage", stage),
@@ -276,8 +274,8 @@ func (c *Coordinator) journalAppend(ev flight.Event) {
 	if w == nil {
 		return
 	}
-	if rec, ok := journal.FromFlight(ev); ok {
-		_, _ = w.Append(rec)
+	if journal.Durable(ev.Kind) {
+		_, _ = w.Append(ev) // the Writer assigns the durable Seq
 	}
 }
 
@@ -756,7 +754,6 @@ func (c *Coordinator) notify(snap *snapshot, start time.Time) {
 		}
 	}
 	end := time.Now()
-	c.met.rebalanceMicros.Observe(end.Sub(snapDone).Microseconds())
 	for i, d := range []time.Duration{snapDone.Sub(start), recomputeDone.Sub(snapDone), end.Sub(recomputeDone), end.Sub(start)} {
 		c.met.observeStage(i, d)
 	}

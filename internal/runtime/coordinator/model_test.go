@@ -1,0 +1,193 @@
+package coordinator
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"procctl/internal/core"
+	"procctl/internal/journal"
+)
+
+// modelProgram runs one seeded random program of control-plane calls
+// against a Coordinator with in-process stub members and inline
+// rebalancing, mirrored call for call on the pure core.Registry — the
+// state machine the simulated server and journal recovery run on — with
+// one Decide wherever the coordinator rebalances. After every step the
+// shell (slots, shards, order table, push dedup, locks) must have done
+// exactly what the state machine says: same members in the same order,
+// every member's last pushed target the Registry's and the one its stub
+// last received, the same decision count, no target above its member's
+// process count and no more handed out than there is.
+//
+// With a journal directory the program is recorded, and at its end what
+// recovery folds out of the records must be, byte for byte, the snapshot
+// the live server would write.
+func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
+	rng := rand.New(rand.NewSource(seed))
+	capacity := 1 + rng.Intn(24)
+	c := New(capacity)
+	reg := core.NewRegistry[string](capacity)
+	if journalDir != "" {
+		w, err := journal.Open(journalDir, 1, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		c.SetJournal(w)
+	}
+	names := make([]string, 2+rng.Intn(10))
+	for i := range names {
+		names[i] = fmt.Sprintf("m%02d", i)
+	}
+	stubs := make(map[string]*fakeMember) // the stub each registered name currently answers with
+	workersOf := func(name string, _ int) int { return stubs[name].Workers() }
+	register := func(name string, workers, weight int) {
+		stubs[name] = &fakeMember{name: name, workers: workers}
+		c.RegisterWeighted(stubs[name], weight)
+		reg.Register(name, workers, max(weight, 1), 0)
+	}
+
+	for step := 0; step < steps; step++ {
+		name := names[rng.Intn(len(names))]
+		what := ""
+		decide := true
+		switch op := rng.Intn(10); {
+		case op < 3: // a new member, or a present one again with another stub, count and weight
+			workers, weight := rng.Intn(9), rng.Intn(5)
+			what = fmt.Sprintf("RegisterWeighted(%s procs %d, weight %d)", name, workers, weight)
+			register(name, workers, weight)
+		case op < 5: // known or not
+			what = fmt.Sprintf("Unregister(%s)", name)
+			c.Unregister(name)
+			reg.Remove(name)
+			delete(stubs, name)
+		case op < 6:
+			load := rng.Intn(8) - 1
+			what = fmt.Sprintf("SetExternalLoad(%d)", load)
+			c.SetExternalLoad(load)
+			reg.External = max(load, 0)
+		case op < 7:
+			n := rng.Intn(26) - 1
+			what = fmt.Sprintf("SetCapacity(%d)", n)
+			if err := c.SetCapacity(n); (err != nil) != (n < 1) {
+				t.Fatalf("seed %d step %d: %s: err = %v", seed, step, what, err)
+			}
+			if decide = n >= 1; decide {
+				reg.Capacity = n
+			}
+		case op < 9 && stubs[name] != nil: // the member's process count changes under the coordinator
+			workers := rng.Intn(9)
+			what = fmt.Sprintf("%s.Workers() = %d; Rebalance()", name, workers)
+			if journalDir != "" {
+				// A journal learns a process count only from a register
+				// record, as it does from a real client.
+				m, _ := reg.Get(name)
+				register(name, workers, m.Weight)
+				break
+			}
+			stubs[name].workers = workers
+			c.Rebalance()
+		default:
+			what = "Rebalance()"
+			c.Rebalance()
+		}
+		if decide {
+			reg.Decide(0, workersOf)
+		}
+
+		members := reg.Members()
+		order := make([]string, len(members))
+		sum, floor := 0, 0
+		for i, m := range members {
+			order[i] = m.Key
+			pushed, ok := c.LastPushed(m.Key)
+			if got := stubs[m.Key].got(); !ok || pushed != m.Target || got != m.Target {
+				t.Fatalf("seed %d step %d: after %s: %s has target %d in the registry, LastPushed = %d, %v, its stub received %d",
+					seed, step, what, m.Key, m.Target, pushed, ok, got)
+			}
+			procs := stubs[m.Key].Workers()
+			if m.Target > procs {
+				t.Fatalf("seed %d step %d: after %s: %s target %d exceeds its %d processes", seed, step, what, m.Key, m.Target, procs)
+			}
+			sum += m.Target
+			if procs > 0 {
+				floor++
+			}
+		}
+		if got := c.Members(); !slices.Equal(got, order) {
+			t.Fatalf("seed %d step %d: after %s: Members() = %v, registry order %v", seed, step, what, got, order)
+		}
+		if got := c.Rebalances(); got != reg.Decisions {
+			t.Fatalf("seed %d step %d: after %s: %d rebalances, %d registry decisions", seed, step, what, got, reg.Decisions)
+		}
+		if limit := max(core.Available(reg.Capacity, reg.External), floor); sum > limit {
+			t.Fatalf("seed %d step %d: after %s: targets sum to %d, over max(available, members with processes) = %d", seed, step, what, sum, limit)
+		}
+	}
+
+	if journalDir == "" {
+		return
+	}
+	if err := c.Journal().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := journal.Recover(journalDir)
+	if err != nil || res.Dirty() {
+		t.Fatalf("seed %d: Recover: %v, notes %v", seed, err, res.Notes)
+	}
+	// The journal knows a capacity only from a setcapacity record (the
+	// daemon writes one at boot), and stamps each member with its own
+	// register record where the live snapshot stamps them all with now.
+	recovered, live := res.State, NewServerWith(c, nil, ServerConfig{}).JournalState(0)
+	if recovered.Capacity == 0 {
+		live.Capacity = 0
+	}
+	for i := range recovered.Members {
+		recovered.Members[i].LastSeen = 0
+	}
+	recovered.LastSeq, recovered.At = 0, 0
+	got, err := json.Marshal(recovered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("seed %d: the recovered journal and the live snapshot differ\n journal %s\n live    %s", seed, got, want)
+	}
+}
+
+// TestCoordinatorMatchesRegistryModel is ROADMAP item 3's model test for
+// the single-caller shell: 10⁶ steps (10⁵ under the race detector, a
+// smoke under -short) of seeded programs, no divergence.
+func TestCoordinatorMatchesRegistryModel(t *testing.T) {
+	programs := 5000
+	switch {
+	case testing.Short():
+		programs = 50
+	case raceDetector:
+		programs = 500
+	}
+	for seed := int64(0); seed < int64(programs); seed++ {
+		modelProgram(t, seed, 200, "")
+	}
+}
+
+// TestJournaledCoordinatorMatchesRegistryModel is the same with a
+// journal attached: every program ends with journal.Recover's state
+// equal to Server.JournalState by marshalled bytes.
+func TestJournaledCoordinatorMatchesRegistryModel(t *testing.T) {
+	programs := 150
+	if testing.Short() || raceDetector {
+		programs = 30
+	}
+	for seed := int64(0); seed < int64(programs); seed++ {
+		modelProgram(t, 1_000_000+seed, 150, t.TempDir())
+	}
+}

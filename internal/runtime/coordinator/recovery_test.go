@@ -39,10 +39,10 @@ func startJournaledServer(t *testing.T, capacity int, dir string, cfg ServerConf
 	// way Restore just did, so the rebalances that follow see the same
 	// tie-break order on both sides.
 	if restored > 0 {
-		coord.RecordEvent(journal.ToFlight(journal.Record{
+		coord.RecordEvent(journal.Record{
 			At: now.UnixMicro(), Kind: journal.KindRestart,
 			A: int64(restored), B: res.TruncatedBytes,
-		}))
+		})
 	}
 	if err := coord.SetCapacity(capacity); err != nil {
 		t.Fatal(err)

@@ -67,21 +67,15 @@ func ReadFlightJSONL(r io.Reader) ([]flight.Event, error) {
 // MergeFlightEvents unions two event streams, dropping duplicates (the
 // journal persists a subset of what the flight ring holds, so merging
 // the two must not double-draw events) and returning the result in
-// timestamp order. Ring sequence numbers are ignored for identity:
-// journal-derived events never carried one.
+// timestamp order. Sequence numbers are ignored for identity: the ring
+// and the journal each number the same event their own way.
 func MergeFlightEvents(a, b []flight.Event) []flight.Event {
-	type key struct {
-		at    int64
-		kind  string
-		app   string
-		x, y  int64
-		epoch uint64
-	}
-	seen := make(map[key]bool, len(a)+len(b))
+	seen := make(map[flight.Event]bool, len(a)+len(b))
 	out := make([]flight.Event, 0, len(a)+len(b))
 	for _, evs := range [2][]flight.Event{a, b} {
 		for _, ev := range evs {
-			k := key{ev.At, ev.Kind, ev.App, ev.A, ev.B, ev.Epoch}
+			k := ev
+			k.Seq = 0
 			if seen[k] {
 				continue
 			}

@@ -176,14 +176,3 @@ func TestRecorderChainsHooks(t *testing.T) {
 		t.Errorf("chained hooks not called: %d/%d/%d", spawns, states, exits)
 	}
 }
-
-func TestLatencyRoundTripThroughHistogram(t *testing.T) {
-	// End-to-end: task latencies from a run feed a histogram sensibly.
-	h := NewHistogram()
-	for _, d := range []sim.Duration{sim.Millisecond, 2 * sim.Millisecond, 100 * sim.Millisecond} {
-		h.Add(d)
-	}
-	if h.Quantile(0.99) < 2*sim.Millisecond {
-		t.Errorf("p99 %v", h.Quantile(0.99))
-	}
-}
