@@ -108,9 +108,11 @@ DAEMON_SMOKE_OUT ?= /tmp/procctl-daemon-smoke
 daemon-smoke:
 	OUT=$(DAEMON_SMOKE_OUT) ./scripts/daemon-smoke.sh
 
-# ROADMAP aim 2's number: non-test Go lines of the root module, by the
-# convention EXPERIMENTS.md has used since PERF-6 (every *.go outside
-# _test.go files, testdata/, the benchmark module and its build cache).
+# ROADMAP aim 2's two numbers: non-test Go lines of the root module, by
+# the convention EXPERIMENTS.md has used since PERF-6 (every *.go outside
+# _test.go files, testdata/, the benchmark module and its build cache),
+# and how many of them are in internal/runtime.
+loc_of = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
+	! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
-		! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+	@echo "$$($(call loc_of,.)) root module, $$($(call loc_of,./internal/runtime)) of them internal/runtime"

@@ -15,8 +15,11 @@ type Member[K cmp.Ordered] struct {
 	// yet holds none, and the first decision for it is always reported.
 	Target    int
 	HasTarget bool
-	LastSeen  int64 // stamp of the last Register or Touch, on the caller's clock
 	gone      bool  // a vacated slot awaiting compaction
+	LastSeen  int64 // stamp of the last Register or Touch, on the caller's clock
+	// Handle is the caller's: whatever it keeps beside a member that the
+	// registry cannot know. The registry stores it and never reads it.
+	Handle any
 }
 
 // Move is one target a decision changed.
@@ -24,6 +27,7 @@ type Move[K cmp.Ordered] struct {
 	Key    K
 	Target int
 	Prev   int // the target it replaces; 0 when the member never had one
+	Handle any // the member's Handle, so a caller need not look it up
 }
 
 // Registry is the server's state machine: who is registered, in what
@@ -71,18 +75,27 @@ func (r *Registry[K]) Get(key K) (Member[K], bool) {
 // Members returns a copy of the members in registration order.
 func (r *Registry[K]) Members() []Member[K] {
 	out := make([]Member[K], 0, len(r.index))
+	r.Visit(func(m *Member[K]) { out = append(out, *m) })
+	return out
+}
+
+// Visit calls f on every member in registration order, without
+// allocating. f may set the member's Handle and nothing else, and must
+// not call back into the registry.
+func (r *Registry[K]) Visit(f func(m *Member[K])) {
 	for i := range r.slots {
 		if !r.slots[i].gone {
-			out = append(out, r.slots[i])
+			f(&r.slots[i])
 		}
 	}
-	return out
 }
 
 // Register seats a member at the back of the registration order. A
 // member already present moves there and keeps its target: the fleet
-// goes on running what it was last told until the next decision.
-func (r *Registry[K]) Register(key K, procs, weight int, now int64) {
+// goes on running what it was last told until the next decision. The
+// returned member is where the caller hangs its Handle, and is valid
+// until the next call.
+func (r *Registry[K]) Register(key K, procs, weight int, now int64) *Member[K] {
 	m := Member[K]{Key: key, Procs: procs, Weight: weight, LastSeen: now}
 	if i, ok := r.index[key]; ok {
 		m.Target, m.HasTarget = r.slots[i].Target, r.slots[i].HasTarget
@@ -91,6 +104,7 @@ func (r *Registry[K]) Register(key K, procs, weight int, now int64) {
 	r.index[key] = len(r.slots)
 	r.slots = append(r.slots, m)
 	r.compact()
+	return &r.slots[len(r.slots)-1] // still the last after a squeeze
 }
 
 // Remove drops a member, returning what the registry held for it.
@@ -162,11 +176,12 @@ func (r *Registry[K]) retarget(m *Member[K], target int) (prev int, moved bool) 
 // Decide is the paper's server loop, once: subtract the uncontrollable
 // load (what the caller observed plus External) from Capacity, divide
 // the rest among the members in registration order, each capped at
-// maxOf(key, procs) — its live process count; nil means Procs — and
+// maxOf(member) — its live process count, asked once of every member in
+// registration order before any target changes; nil means Procs — and
 // floored at one. It returns the members whose target moved, in
 // registration order (valid until the next call), and allocates nothing
 // once its buffers have reached the fleet's size.
-func (r *Registry[K]) Decide(uncontrolled int, maxOf func(key K, procs int) int) []Move[K] {
+func (r *Registry[K]) Decide(uncontrolled int, maxOf func(m *Member[K]) int) []Move[K] {
 	r.Decisions++
 	r.demands = r.demands[:0]
 	for i := range r.slots {
@@ -176,7 +191,7 @@ func (r *Registry[K]) Decide(uncontrolled int, maxOf func(key K, procs int) int)
 		}
 		d := Demand{Max: m.Procs, Weight: m.Weight}
 		if maxOf != nil {
-			d.Max = maxOf(m.Key, m.Procs)
+			d.Max = maxOf(m)
 		}
 		r.demands = append(r.demands, d)
 	}
@@ -189,7 +204,7 @@ func (r *Registry[K]) Decide(uncontrolled int, maxOf func(key K, procs int) int)
 			continue
 		}
 		if prev, moved := r.retarget(m, r.alloc[next]); moved {
-			r.moved = append(r.moved, Move[K]{Key: m.Key, Target: m.Target, Prev: prev})
+			r.moved = append(r.moved, Move[K]{Key: m.Key, Target: m.Target, Prev: prev, Handle: m.Handle})
 		}
 		next++
 	}

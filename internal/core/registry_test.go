@@ -163,38 +163,60 @@ func TestRegistryMatchesModel(t *testing.T) {
 }
 
 // TestRegistryDecideUsesLiveCount: the cap Decide divides under is what
-// maxOf reports, not the registered count, and maxOf sees both.
+// maxOf reports, not the registered count, and maxOf sees the member with
+// the handle its caller hung on it, as does whoever reads the moves —
+// through a re-registration's move to the back and a compaction, in
+// Visit's order.
 func TestRegistryDecideUsesLiveCount(t *testing.T) {
 	r := NewRegistry[int](16)
-	r.Register(1, 16, 0, 0)
+	live := 3
+	r.Register(1, 16, 0, 0).Handle = &live
 	r.Register(2, 16, 0, 0)
-	live := map[int]int{1: 3}
-	moved := r.Decide(0, func(key, procs int) int {
-		if n, ok := live[key]; ok {
-			return n
+	maxOf := func(m *Member[int]) int {
+		if n, ok := m.Handle.(*int); ok {
+			return *n
 		}
-		return procs
-	})
-	want := []Move[int]{{Key: 1, Target: 3}, {Key: 2, Target: 13}}
-	if !slices.Equal(moved, want) {
+		return m.Procs
+	}
+	want := []Move[int]{{Key: 1, Target: 3, Handle: &live}, {Key: 2, Target: 13}}
+	if moved := r.Decide(0, maxOf); !slices.Equal(moved, want) {
 		t.Fatalf("moved %v, want %v", moved, want)
+	}
+
+	for key := 3; key < 40; key++ { // enough departures to squeeze the slots
+		r.Register(key, 1, 0, 0)
+		r.Remove(key)
+	}
+	r.Register(2, 16, 0, 0) // to the back, its handle replaced by none
+	r.Visit(func(m *Member[int]) {
+		if m.Key == 2 {
+			m.Handle = &live
+		}
+	})
+	live = 5
+	var order []int
+	r.Visit(func(m *Member[int]) { order = append(order, m.Key) })
+	want = []Move[int]{{Key: 1, Target: 5, Prev: 3, Handle: &live}, {Key: 2, Target: 5, Prev: 13, Handle: &live}}
+	if moved := r.Decide(0, maxOf); !slices.Equal(moved, want) || !slices.Equal(order, []int{1, 2}) {
+		t.Fatalf("moved %v in order %v, want %v in order [1 2]", moved, order, want)
 	}
 }
 
 // TestRegistryDecideAllocatesNothing: a decision over a settled fleet —
 // its buffers grown, targets moving or not — costs no allocation, and
-// neither do the lookups or an Expire that finds nobody.
+// neither do the lookups, a Visit or an Expire that finds nobody.
 func TestRegistryDecideAllocatesNothing(t *testing.T) {
 	r := NewRegistry[string](64)
 	for i := 0; i < 200; i++ {
 		r.Register(fmt.Sprintf("m%03d", i), 1+i%8, 1+i%3, 0)
 	}
 	r.Decide(0, nil)
-	i := 0
+	i, sum := 0, 0
 	if avg := testing.AllocsPerRun(200, func() {
 		i++
 		r.Capacity = 64 + 64*(i%2) // every other decision moves most targets
 		r.Decide(i%3, nil)
+		r.Visit(func(m *Member[string]) { sum += m.Target })
 		r.Touch("m007", int64(i))
 		r.SetTarget("m008", i%5)
 		r.Expire(int64(i), 1<<40)

@@ -180,7 +180,7 @@ func (s *Server) Scan() {
 	members := s.reg.Members()
 	if sizer, ok := s.k.Policy().(PartitionSizer); ok {
 		for _, m := range members {
-			t, limit := sizer.CPUsOf(m.Key), s.liveCap(m.Key, m.Procs)
+			t, limit := sizer.CPUsOf(m.Key), s.liveCap(&m)
 			if t == 0 {
 				// The partition has not materialized yet (the
 				// application registered before its processes were
@@ -254,11 +254,11 @@ func (s *Server) expireLeases() {
 // liveCap is the cap on an application's target: the processes it still
 // has (exited workers no longer count), or the count it registered with
 // while none has been spawned yet.
-func (s *Server) liveCap(app kernel.AppID, procs int) int {
-	if n := liveProcs(s.k, app); n > 0 {
+func (s *Server) liveCap(m *core.Member[kernel.AppID]) int {
+	if n := liveProcs(s.k, m.Key); n > 0 {
 		return n
 	}
-	return procs
+	return m.Procs
 }
 
 // liveProcs counts an application's non-exited processes (runnable,

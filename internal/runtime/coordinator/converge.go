@@ -105,8 +105,8 @@ func newConvergeMetrics(reg *metrics.Registry) convergeMetrics {
 // observability-only and are not journaled).
 //
 // waits is the per-member index: the open epochs each member is pending
-// in — one, or more when epochs open out of order. Open, Ack and Drop
-// visit the named member's epochs and no others. A member keeps its
+// in — one, the coordinator opening them in epoch order. Open, Ack and
+// Drop visit the named member's epochs and no others. A member keeps its
 // (empty) entry between epochs, so re-opening allocates nothing.
 type convergeTracker struct {
 	mu    sync.Mutex
@@ -151,8 +151,8 @@ func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember)
 			w.list = w.first[:0]
 			cv.waits[ch.name] = w
 		}
-		// What supersession leaves is newer than epoch (notifies opened
-		// out of order): the list stays ascending.
+		// What supersession leaves is newer than epoch: the list stays
+		// ascending (the coordinator opens in epoch order and leaves none).
 		rest := cv.removeLocked(w.list, ch.name, at, epoch, ConvergeSuperseded)
 		w.list = slices.Insert(rest, 0, memberWait{o: o, remote: ch.remote})
 	}

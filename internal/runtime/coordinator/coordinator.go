@@ -5,28 +5,28 @@
 // serving polled targets to remote ones over a JSON-lines socket
 // protocol — the modern analogue of the paper's UMAX socket IPC.
 //
-// Locking discipline: every member sits in one pointer-stable slot
-// (entry), reachable by name through its shard (shard.go) and by
-// position through c.order, the table of all slots in registration
-// order that a rebalance copies instead of rebuilding. Locks nest only as
-// shard.mu → c.mu → convergeTracker.mu, never two shard locks; a
-// membership change holds its shard's mutex across its c.mu section, so
-// registrations of one name cannot interleave. c.mu guards the order
-// table, the scalars and the push state in the slots: one section gives
-// a rebalance its members, inputs and epoch (a newer epoch never decides
-// on an older membership), a second is where it decides what to push.
-// Every Member interface call (Name at registration aside) — Workers,
-// Backlog, SetTarget — happens OUTSIDE all critical sections, on the
-// rebalance's own copy of the order. Members are arbitrary application
-// code; calling them while holding a coordinator lock would make the
-// critical section as slow as the slowest member, the convoy pattern the
-// blockinglocked analyzer rejects.
+// Locking discipline: the membership — who is registered, in what order,
+// with what weight and what last decided target — is one core.Registry
+// under c.mu, the state machine the simulated server and journal
+// recovery run on. Locks nest only as c.mu → convergeTracker.mu (the
+// flight ring's own mutex is a leaf under both). A membership change is
+// one c.mu section. A rebalance is two: the first copies the members'
+// handles in registration order; the second bumps the epoch, decides,
+// records what moved and opens the epoch in the convergence tracker, so
+// epoch order is decision order and an epoch never waits on a member
+// that had left when it was decided. Every Member interface call (Name
+// at registration aside) — Workers, Backlog, SetTarget — happens OUTSIDE
+// all critical sections, on the rebalance's own copy of the handles:
+// the caps a decision divides under are sampled between the two
+// sections, the targets pushed after the second. Members are arbitrary
+// application code; calling them while holding a coordinator lock would
+// make the critical section as slow as the slowest member, the convoy
+// pattern the blockinglocked analyzer rejects.
 package coordinator
 
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,38 +61,39 @@ type EpochMember interface {
 	SetTargetEpoch(n int, epoch uint64) (applied bool)
 }
 
-// entry is one registered member's slot: what the coordinator reads
-// about the member, cached at registration so no Member method runs
-// inside a critical section, and the push state a rebalance decides on.
-// Allocated once per registration, never copied; a same-name
-// re-registration gets a new slot that inherits the old one's last pushed
-// target. seq numbers the registrations: c.order is ascending in it.
+// entry is a member's Handle in the registry: what the registry cannot
+// know about it — the member itself, cached at registration so no Member
+// method runs inside a critical section, and the cap the next decision
+// divides under. Allocated once per registration.
 type entry struct {
 	m      Member
 	epochM EpochMember // m's EpochMember side, nil if it has none
 	remote bool        // m is a socket member: its acks arrive on polls
-	name   string
-	weight int
-	seq    uint64
+	// cap is the member's demand cap — its process count, or its load
+	// when load-aware — as last sampled outside all locks, at registration
+	// and by every rebalance before it decides.
+	cap atomic.Int64
+}
 
-	// Push state, guarded by c.mu.
-	pushed    int    // last target a rebalance decided to push (0 before the first)
-	hasPushed bool   // pushed is meaningful
-	examined  uint64 // newest epoch whose push decision covered this slot
-	gone      bool   // unregistered or replaced: no rebalance pushes to it again
+func newEntry(m Member, cap int) *entry {
+	e := &entry{m: m}
+	e.epochM, _ = m.(EpochMember)
+	_, e.remote = m.(*remoteMember)
+	e.cap.Store(int64(cap))
+	return e
 }
 
 // Coordinator allocates capacity among members. All methods are safe
 // for concurrent use.
 type Coordinator struct {
-	mu         sync.Mutex // scalars, the order table, the slots' push state
-	capacity   int
-	external   int // uncontrollable load (processors consumed elsewhere)
+	mu sync.Mutex
+	// reg is the only record of membership, order, procs, weight,
+	// capacity, external load, decision count (the last epoch ID, which
+	// Restore resumes across daemon restarts, so epoch IDs never repeat
+	// within one journal's history) and last decided targets.
+	reg        *core.Registry[string]
 	loadAware  bool
-	order      []*entry // every live slot, in registration order
-	regSeq     uint64   // registrations so far
-	rebalances int64    // lifetime rebalance count; the last epoch ID
-	targetsSum int64    // Σ pushed over live slots
+	targetsSum int64 // Σ last decided target over the members
 
 	shards [shardCount]shard
 
@@ -123,32 +124,36 @@ type Coordinator struct {
 	snapshots sync.Pool
 }
 
-// snapshot is one rebalance's working set: its own copy of the order
-// table and the allocation inputs, taken in one c.mu section and
-// consumed outside all locks, plus the buffers the decision fills;
-// recycled, so a steady rebalance allocates nothing. epoch is the
-// identity of the rebalance the snapshot feeds — the lifetime rebalance
-// count, which RestoreState resumes across daemon restarts, so epoch IDs
-// never repeat within one journal's history; status previews carry 0.
+// snapshot is one rebalance's working set, recycled so a steady
+// rebalance allocates nothing: the members' handles in registration
+// order — first those whose caps it samples, then, with their targets,
+// those it pushes to — and the targets its decision moved.
 type snapshot struct {
-	entries   []*entry
-	capacity  int
-	external  int
-	loadAware bool
-	epoch     uint64
-
-	demands []core.Demand
-	alloc   []int
+	pushes  []push
 	changed []changedPush
 	pending []pendingMember
 }
 
+// push is one member's share of a fan-out.
+type push struct {
+	e      *entry
+	target int
+}
+
+// changedPush is one target a decision moved: its event, already in the
+// flight ring, and where in the fan-out its push is.
+type changedPush struct {
+	idx     int // index into the snapshot's pushes
+	applied bool
+	ev      flight.Event
+}
+
 // Rebalance span stages, in causal order: the member event waiting on
-// and copying state under the shard and scalar locks (snapshot), the
-// allocation computed from the copy (recompute), the SetTarget fan-out
-// to every member (notify), and the whole span end to end (total). The
-// client side records a fifth stage, "apply", into its own registry
-// (see DriveOptions).
+// c.mu and copying the handles (snapshot), the caps sampled and the
+// decision made (recompute), the SetTarget fan-out to every member — the
+// stage that grows with fleet size — (notify), and the whole span end to
+// end (total). The client side records a fifth stage, "apply", into its
+// own registry (see DriveOptions).
 var rebalanceStages = [...]string{StageSnapshot, StageRecompute, StageNotify, StageTotal}
 
 // Stage label values of coordinator_rebalance_latency_micros.
@@ -181,10 +186,10 @@ type coordMetrics struct {
 	batchFlushes   *metrics.Counter
 	batchCoalesced *metrics.Counter
 
-	// targetsSum is Σ last pushed target, to hold against
-	// coordinator_capacity. Per-member targets are in the status op:
-	// member names never become label values.
-	targetsSum *metrics.Gauge
+	// targetsSum is Σ last decided target, to hold against capacity.
+	// Per-member targets are in the status op: member names never become
+	// label values. All four are set when a snapshot is collected.
+	targetsSum, members, capacity, external *metrics.Gauge
 
 	stageMicros [len(rebalanceStages)]*metrics.Histogram
 	stageCount  [len(rebalanceStages)]*metrics.Counter
@@ -197,6 +202,9 @@ func newCoordMetrics(reg *metrics.Registry) coordMetrics {
 		batchFlushes:   reg.Counter("coordinator_batch_flushes_total", "batched rebalance windows flushed"),
 		batchCoalesced: reg.Counter("coordinator_batch_coalesced_total", "rebalance triggers absorbed into an already-pending batch"),
 		targetsSum:     reg.Gauge("coordinator_targets_sum", "processors allotted across all members, by last pushed target"),
+		members:        reg.Gauge("coordinator_members", "registered controllable applications"),
+		capacity:       reg.Gauge("coordinator_capacity", "processors under management"),
+		external:       reg.Gauge("coordinator_external_load", "processors consumed by uncontrollable work"),
 	}
 	for i, stage := range rebalanceStages {
 		m.stageMicros[i] = reg.Histogram(metrics.Name("coordinator_rebalance_latency_micros", "stage", stage),
@@ -222,21 +230,20 @@ func New(capacity int) *Coordinator {
 		capacity = runtime.GOMAXPROCS(0)
 	}
 	c := &Coordinator{
-		capacity: capacity,
-		kick:     make(chan struct{}, 1),
-		rec:      flight.New(flight.DefaultSize),
+		reg:  core.NewRegistry[string](capacity),
+		kick: make(chan struct{}, 1),
+		rec:  flight.New(flight.DefaultSize),
 	}
 	c.snapshots.New = func() any { return new(snapshot) }
 	c.met = newCoordMetrics(metrics.NewRegistry())
 	c.conv = newConvergeTracker(c.met.reg, c.rec)
 	c.met.reg.OnCollect(func() {
 		c.mu.Lock()
-		capacity, external, members, targetsSum := c.capacity, c.external, len(c.order), c.targetsSum
-		c.mu.Unlock()
-		c.met.targetsSum.Set(targetsSum)
-		c.met.reg.Gauge("coordinator_members", "registered controllable applications").Set(int64(members))
-		c.met.reg.Gauge("coordinator_capacity", "processors under management").Set(int64(capacity))
-		c.met.reg.Gauge("coordinator_external_load", "processors consumed by uncontrollable work").Set(int64(external))
+		defer c.mu.Unlock()
+		c.met.targetsSum.Set(c.targetsSum)
+		c.met.members.Set(int64(c.reg.Len()))
+		c.met.capacity.Set(int64(c.reg.Capacity))
+		c.met.external.Set(int64(c.reg.External))
 	})
 	return c
 }
@@ -289,7 +296,7 @@ func (c *Coordinator) Snapshot() *metrics.Snapshot {
 func (c *Coordinator) Capacity() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.capacity
+	return c.reg.Capacity
 }
 
 // SetCapacity changes the managed capacity and rebalances.
@@ -299,7 +306,7 @@ func (c *Coordinator) SetCapacity(n int) error {
 	}
 	start := time.Now()
 	c.mu.Lock()
-	c.capacity = n
+	c.reg.Capacity = n
 	c.mu.Unlock()
 	c.RecordEvent(flight.Event{At: start.UnixMicro(), Kind: flight.KindSetCapacity, A: int64(n)})
 	c.requestRebalance(start)
@@ -315,7 +322,7 @@ func (c *Coordinator) SetExternalLoad(n int) {
 	}
 	start := time.Now()
 	c.mu.Lock()
-	c.external = n
+	c.reg.External = n
 	c.mu.Unlock()
 	c.RecordEvent(flight.Event{At: start.UnixMicro(), Kind: flight.KindSetLoad, A: int64(n)})
 	c.requestRebalance(start)
@@ -325,7 +332,7 @@ func (c *Coordinator) SetExternalLoad(n int) {
 func (c *Coordinator) ExternalLoad() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.external
+	return c.reg.External
 }
 
 // Register adds a member (replacing any member with the same name) and
@@ -340,97 +347,65 @@ func (c *Coordinator) RegisterWeighted(m Member, weight int) {
 	if weight < 1 {
 		weight = 1
 	}
-	name := m.Name() // interface call before taking any lock
+	name, procs := m.Name(), m.Workers() // interface calls before taking any lock
+	e := newEntry(m, procs)
 	start := time.Now()
-	c.insert(m, name, weight)
-	c.RecordEvent(flight.Event{At: start.UnixMicro(), Kind: flight.KindRegister, App: name, A: int64(m.Workers()), B: int64(weight)})
+	sh := &c.shards[shardIndex(name)]
+	c.lockFor(sh)
+	// A name already registered moves to the end of allocation order and
+	// keeps its target: its next target record journals the change from it.
+	c.reg.Register(name, procs, weight, start.UnixMicro()).Handle = e
+	c.mu.Unlock()
+	sh.registers.Add(1)
+	c.RecordEvent(flight.Event{At: start.UnixMicro(), Kind: flight.KindRegister, App: name, A: int64(procs), B: int64(weight)})
 	c.requestRebalance(start)
 }
 
-// insert seats a member's new slot in its shard, replacing any slot with
-// the same name, and at the back of the order table (a re-registered
-// member moves to the end of allocation order), under the shard lock. A
-// replaced slot is retired and hands over its last pushed target as the
-// new one becomes visible to a rebalance, so the name's next target
-// record still journals the change from that value.
-func (c *Coordinator) insert(m Member, name string, weight int) *entry {
-	e := &entry{m: m, name: name, weight: weight}
-	e.epochM, _ = m.(EpochMember)
-	_, e.remote = m.(*remoteMember)
-	sh := &c.shards[shardIndex(name)]
-	sh.lock()
-	old := sh.removeLocked(name)
-	sh.entries = append(sh.entries, e)
-	sh.weightSum += weight
-	sh.registers++
+// restore adopts the registry recovered from a journal in place of the
+// coordinator's own, keeping only the capacity it was created with, and
+// returns the connection-less remote members it seated, in the state's
+// (name) order. It neither rebalances, flight-records nor journals:
+// recovery replays history, it does not create it. See Server.Restore.
+func (c *Coordinator) restore(st journal.State) []*remoteMember {
+	reg := st.Registry()
+	members := make([]*remoteMember, 0, reg.Len())
+	var sum int64
+	reg.Visit(func(m *core.Member[string]) {
+		rm := &remoteMember{name: m.Key, procs: m.Procs}
+		rm.SetTargetEpoch(m.Target, 0) // the restoring epoch is unknown; nothing to ack
+		m.Handle = newEntry(rm, m.Procs)
+		members = append(members, rm)
+		sum += int64(m.Target)
+	})
 	c.mu.Lock()
-	if old != nil {
-		c.retireLocked(old)
-		e.pushed, e.hasPushed = old.pushed, old.hasPushed
-	}
-	c.regSeq++
-	e.seq = c.regSeq
-	c.order = append(c.order, e)
+	reg.Capacity = c.reg.Capacity
+	c.reg, c.targetsSum = reg, sum
 	c.mu.Unlock()
-	sh.mu.Unlock()
-	return e
+	return members
 }
 
-// retireLocked takes a slot out of the order table and marks it gone: a
-// rebalance that snapshotted it neither pushes to nor journals a target
-// for a member that has left.
-func (c *Coordinator) retireLocked(e *entry) {
-	i := slices.Index(c.order, e)
-	c.order = slices.Delete(c.order, i, i+1)
-	e.gone = true
-}
-
-// RestoreMember re-seats a member recovered from the journal without
-// rebalancing, flight-recording, or journaling: recovery replays
-// history, it does not create it. lastTarget primes the target-change
-// dedup so the post-restore rebalance journals only genuine changes.
-// Members are expected to be restored before the journal is attached
-// and before the server accepts traffic. Restoration order is
-// allocation order (the recovery path restores in sorted-name order,
-// matching the journal snapshot's canonical order).
-func (c *Coordinator) RestoreMember(m Member, weight, lastTarget int) {
-	if weight < 1 {
-		weight = 1
-	}
-	name := m.Name() // interface call before taking any lock
-	e := c.insert(m, name, weight)
-	c.mu.Lock()
-	c.targetsSum += int64(lastTarget - e.pushed)
-	e.pushed, e.hasPushed = lastTarget, true
-	c.mu.Unlock()
-}
-
-// RestoreState primes the scalar state recovered from the journal —
-// external load and the lifetime rebalance count — so the restarted
-// daemon continues the old incarnation's durable history instead of
-// restarting it. Like RestoreMember, it neither rebalances nor
-// journals.
-func (c *Coordinator) RestoreState(external int, rebalances int64) {
-	if external < 0 {
-		external = 0
-	}
-	c.mu.Lock()
-	c.external = external
-	c.rebalances = rebalances
-	c.mu.Unlock()
-}
-
-// LastPushed returns the last target actually pushed to the named
-// member, if one ever was. It scans the order table: a diagnostic.
-func (c *Coordinator) LastPushed(name string) (int, bool) {
+// members returns a copy of the membership, handles included, for the
+// status paths to work on outside c.mu.
+func (c *Coordinator) members() []core.Member[string] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.order {
-		if e.name == name {
-			return e.pushed, e.hasPushed
-		}
+	return c.reg.Members()
+}
+
+// registryCopy returns a registry of its own holding what c.reg holds
+// now, seated outside c.mu the way journal.State.Registry seats one:
+// what the journal snapshots.
+func (c *Coordinator) registryCopy() *core.Registry[string] {
+	c.mu.Lock()
+	cp := core.NewRegistry[string](c.reg.Capacity)
+	cp.External, cp.Decisions = c.reg.External, c.reg.Decisions
+	members := c.reg.Members()
+	c.mu.Unlock()
+	for _, m := range members {
+		cp.Register(m.Key, m.Procs, m.Weight, m.LastSeen)
+		cp.SetTarget(m.Key, m.Target)
 	}
-	return 0, false
+	return cp
 }
 
 // Unregister removes the named member and redistributes its processors.
@@ -453,73 +428,37 @@ func (c *Coordinator) UnregisterQuiet(name string) {
 func (c *Coordinator) unregister(name string, durable bool) {
 	start := time.Now()
 	sh := &c.shards[shardIndex(name)]
-	sh.lock()
-	e := sh.removeLocked(name)
-	if e != nil {
-		sh.unregisters++
-		c.mu.Lock()
-		c.retireLocked(e)
-		c.targetsSum -= int64(e.pushed)
-		c.mu.Unlock()
-	}
-	sh.mu.Unlock()
-	if e != nil {
-		// e.pushed is final: nothing decides for a retired slot.
-		ev := flight.Event{At: start.UnixMicro(), Kind: flight.KindUnregister, App: name, A: int64(e.pushed)}
-		c.rec.Append(ev)
+	c.lockFor(sh)
+	m, ok := c.reg.Remove(name)
+	if ok {
+		c.targetsSum -= int64(m.Target)
 		if durable {
-			c.journalAppend(ev)
-			// A departed member will never ack: expire it out of every
-			// epoch still waiting on it before the epoch its departure
-			// opens.
+			// A departed member will never ack: it leaves every epoch
+			// still waiting on it as it leaves the registry, so no epoch
+			// decided from here on can find it in either.
 			c.conv.Drop(name, start.UnixMicro())
 		}
 	}
-	if !durable {
-		return
+	c.mu.Unlock()
+	if ok {
+		sh.unregisters.Add(1)
+		ev := flight.Event{At: start.UnixMicro(), Kind: flight.KindUnregister, App: name, A: int64(m.Target)}
+		c.rec.Append(ev)
+		if durable {
+			c.journalAppend(ev)
+		}
 	}
-	c.requestRebalance(start)
-}
-
-// snapshotNext takes the snapshot a rebalance passes to notify: the
-// bumped rebalance count doubles as its epoch ID.
-func (c *Coordinator) snapshotNext() *snapshot { return c.take(true) }
-
-// take fills a pooled snapshot in one c.mu section; the caller releases
-// it. The order table is copied as it stands: it is kept in registration
-// order, the order the allocation policy is sensitive to. Without next
-// the epoch stays 0: status paths (Targets, MemberInfos) preview the
-// allocation, they do not perform a rebalance.
-func (c *Coordinator) take(next bool) *snapshot {
-	s := c.snapshots.Get().(*snapshot)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s.entries = append(s.entries[:0], c.order...)
-	s.capacity, s.external, s.loadAware, s.epoch = c.capacity, c.external, c.loadAware, 0
-	if next {
-		c.rebalances++
-		s.epoch = uint64(c.rebalances)
+	if durable {
+		c.requestRebalance(start)
 	}
-	return s
-}
-
-// release returns a snapshot to the pool without its references to
-// slots and names, so a pooled one keeps no departed member alive.
-func (c *Coordinator) release(s *snapshot) {
-	clear(s.entries)
-	clear(s.changed)
-	clear(s.pending)
-	c.snapshots.Put(s)
 }
 
 // Members returns the registered member names in registration order.
 func (c *Coordinator) Members() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	names := make([]string, len(c.order))
-	for i, e := range c.order {
-		names[i] = e.name
-	}
+	names := make([]string, 0, c.reg.Len())
+	c.reg.Visit(func(m *core.Member[string]) { names = append(names, m.Key) })
 	return names
 }
 
@@ -547,11 +486,6 @@ func (c *Coordinator) requestRebalance(start time.Time) {
 		return
 	}
 	c.met.batchCoalesced.Inc()
-}
-
-// rebalanceNow performs one recompute+notify epoch immediately.
-func (c *Coordinator) rebalanceNow(start time.Time) {
-	c.notify(c.snapshotNext(), start)
 }
 
 // StartBatching switches the coordinator to epoch-batched rebalancing
@@ -624,19 +558,27 @@ func (c *Coordinator) flushBatch() {
 func (c *Coordinator) Rebalances() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rebalances
+	return c.reg.Decisions
 }
 
-// Targets returns the most recently computed target per member name.
+// Targets returns the most recently decided target per member name.
 func (c *Coordinator) Targets() map[string]int {
-	snap := c.take(false)
-	defer c.release(snap)
-	alloc := c.allocate(snap)
-	out := make(map[string]int, len(snap.entries))
-	for i, e := range snap.entries {
-		out[e.name] = alloc[i]
+	members := c.members()
+	out := make(map[string]int, len(members))
+	for i := range members {
+		out[members[i].Key] = running(&members[i])
 	}
 	return out
+}
+
+// running is what a member runs on: its last decided target, or all of
+// the processes it registered while no decision has reached it yet (a
+// registration inside a batch window).
+func running(m *core.Member[string]) int {
+	if m.HasTarget {
+		return m.Target
+	}
+	return m.Procs
 }
 
 // MemberInfo describes one registered member for status reporting.
@@ -648,105 +590,96 @@ type MemberInfo struct {
 	// Member is the registered implementation, for optional-interface
 	// probes (spin sampling). Call it only outside coordinator locks.
 	Member Member
-	pushed int // last target actually pushed, for JournalState
 }
 
 // MemberInfos returns a consistent status view of the membership: names
-// and weights as registered, live Workers counts, and the target each
-// member would be assigned right now. Member methods run after all
-// coordinator locks are released.
+// and weights as registered, the last decided targets, and live Workers
+// counts. Member methods run after all coordinator locks are released.
 func (c *Coordinator) MemberInfos() []MemberInfo {
-	snap := c.take(false)
-	defer c.release(snap)
-	alloc := c.allocate(snap)
-	out := make([]MemberInfo, len(snap.entries))
-	for i, e := range snap.entries {
-		out[i] = MemberInfo{
-			Name:    e.name,
-			Weight:  e.weight,
-			Workers: e.m.Workers(),
-			Target:  alloc[i],
-			Member:  e.m,
-		}
+	members := c.members()
+	out := make([]MemberInfo, len(members))
+	for i := range members {
+		m := &members[i]
+		mm := m.Handle.(*entry).m
+		out[i] = MemberInfo{Name: m.Key, Weight: m.Weight, Workers: mm.Workers(), Target: running(m), Member: mm}
 	}
-	c.mu.Lock()
-	for i, e := range snap.entries {
-		out[i].pushed = e.pushed
-	}
-	c.mu.Unlock()
 	return out
 }
 
-// allocate computes the processor split for a snapshot into its own
-// buffers. It runs outside all locks: demandOf calls into member code
-// (Workers, Backlog, Executing).
-func (c *Coordinator) allocate(snap *snapshot) []int {
-	snap.demands = snap.demands[:0]
-	for _, e := range snap.entries {
-		snap.demands = append(snap.demands, demandOf(e, snap.loadAware))
-	}
-	snap.alloc = core.AllocateInto(snap.alloc, core.Available(snap.capacity, snap.external), snap.demands)
-	return snap.alloc
-}
-
-// notify recomputes targets for a snapshot, pushes them to every member
-// in it, entirely outside coordinator locks, and recycles the snapshot.
-// Concurrent calls (inline rebalances from several connections) are
-// ordered in the c.mu section between allocation and fan-out: a
-// rebalance skips — no changed entry, no push, no target record — every
-// slot a newer epoch has already decided and every slot retired since
-// its snapshot, records in the rest what it is about to push, and opens
-// its epoch in the convergence tracker before the next decision gets in,
-// so slots, journal and tracker agree, in epoch order. The pushes still
-// run unlocked and may land out of order: a socket member refuses a
-// target older than the one it holds; an in-process member that ignores
-// epochs may briefly run the older of two racing targets, until the next
-// rebalance (each pushes to every member it decides for) corrects it.
+// rebalanceNow performs one epoch immediately: it samples every member's
+// cap, decides, and pushes the targets to every member, the member calls
+// outside coordinator locks on its own copy of the handles. Concurrent
+// calls (inline rebalances from several connections) are ordered by the
+// c.mu section that decides: it takes the next epoch, runs
+// Registry.Decide over the membership as it stands, puts the targets
+// that moved into the flight ring and opens the epoch in the convergence
+// tracker before the next decision gets in, so registry, ring and
+// tracker agree, in epoch order. The pushes still run unlocked and may
+// land out of order: a socket member refuses a target older than the one
+// it holds; an in-process member that ignores epochs may briefly run the
+// older of two racing targets, until the next rebalance (each pushes to
+// every member) corrects it. Journal appends are file I/O and wait for
+// the fan-out too: records of two racing epochs may interleave there.
 //
-// start is when the triggering member event entered the coordinator:
-// the span from start to the snapshot's release is the "snapshot" stage
-// (lock wait plus state copy), then "recompute" (allocation), then
-// "notify" (the SetTarget fan-out — the stage that grows with fleet
-// size), with "total" covering the whole span. Each stage lands in
-// coordinator_rebalance_latency_micros{stage=...}; the completed span
-// and any target changes land in the flight recorder.
-func (c *Coordinator) notify(snap *snapshot, start time.Time) {
+// start is when the triggering member event entered the coordinator,
+// where the first of rebalanceStages begins; the completed span lands in
+// coordinator_rebalance_latency_micros{stage=...} and the flight ring.
+func (c *Coordinator) rebalanceNow(start time.Time) {
+	snap := c.snapshots.Get().(*snapshot)
+	pushes, changed, pending := snap.pushes[:0], snap.changed[:0], snap.pending[:0]
+	c.mu.Lock()
+	c.reg.Visit(func(m *core.Member[string]) { pushes = append(pushes, push{e: m.Handle.(*entry)}) })
+	loadAware := c.loadAware
+	c.mu.Unlock()
 	snapDone := time.Now()
 	c.met.rebalanceCount.Inc()
-	alloc := c.allocate(snap)
-	recomputeDone := time.Now()
-
-	entries, epoch := snap.entries, snap.epoch
-	changed, pending := snap.changed[:0], snap.pending[:0]
-	c.mu.Lock()
-	for i, e := range entries {
-		if e.gone || e.examined > epoch {
-			entries[i] = nil
-			continue
+	for _, p := range pushes {
+		if p.e.remote {
+			continue // a socket member's count is its registration's: sampled then
 		}
-		e.examined = epoch
-		if !e.hasPushed || e.pushed != alloc[i] {
-			changed = append(changed, changedPush{idx: i, old: e.pushed, name: e.name})
-			pending = append(pending, pendingMember{name: e.name, remote: e.remote})
-			c.targetsSum += int64(alloc[i] - e.pushed)
-			e.pushed, e.hasPushed = alloc[i], true
+		// A store is a locked instruction and a cap rarely moves.
+		if limit := int64(demandCap(p.e.m, loadAware)); p.e.cap.Load() != limit {
+			p.e.cap.Store(limit)
 		}
 	}
+
+	sampled := len(pushes)
+	pushes = pushes[:0] // the membership may have changed
+	c.mu.Lock()
+	// Decide asks every member's cap once, in registration order, before
+	// it moves a target: the same visit lists whom to push to.
+	moves := c.reg.Decide(0, func(m *core.Member[string]) int {
+		e := m.Handle.(*entry)
+		pushes = append(pushes, push{e: e, target: m.Target})
+		return int(e.cap.Load())
+	})
+	epoch := uint64(c.reg.Decisions)
+	decided := time.Now()
+	i := 0
+	for _, mv := range moves {
+		e := mv.Handle.(*entry)
+		for pushes[i].e != e { // moves are in registration order too
+			i++
+		}
+		pushes[i].target = mv.Target
+		c.targetsSum += int64(mv.Target - mv.Prev)
+		ev := flight.Event{At: decided.UnixMicro(), Kind: flight.KindTarget,
+			App: mv.Key, A: int64(mv.Target), B: int64(mv.Prev), Epoch: epoch}
+		c.rec.Append(ev)
+		changed = append(changed, changedPush{idx: i, ev: ev})
+		pending = append(pending, pendingMember{name: mv.Key, remote: e.remote})
+	}
 	// The epoch must be open before any member can ack it.
-	c.conv.Open(epoch, recomputeDone.UnixMicro(), pending)
+	c.conv.Open(epoch, decided.UnixMicro(), pending)
 	c.mu.Unlock()
-	snap.changed, snap.pending = changed, pending
 
 	next := 0 // the changed entry the fan-out reaches next
-	for i, e := range entries {
-		if e == nil {
-			continue
-		}
+	for i, p := range pushes {
 		applied := true
-		if e.epochM != nil {
-			applied = e.epochM.SetTargetEpoch(alloc[i], epoch)
+		if p.e.epochM != nil {
+			applied = p.e.epochM.SetTargetEpoch(p.target, epoch)
 		} else {
-			e.m.SetTarget(alloc[i])
+			p.e.m.SetTarget(p.target)
 		}
 		if next < len(changed) && changed[next].idx == i {
 			changed[next].applied = applied
@@ -754,31 +687,24 @@ func (c *Coordinator) notify(snap *snapshot, start time.Time) {
 		}
 	}
 	end := time.Now()
-	for i, d := range []time.Duration{snapDone.Sub(start), recomputeDone.Sub(snapDone), end.Sub(recomputeDone), end.Sub(start)} {
+	for i, d := range []time.Duration{snapDone.Sub(start), decided.Sub(snapDone), end.Sub(decided), end.Sub(start)} {
 		c.met.observeStage(i, d)
 	}
 	c.RecordEvent(flight.Event{At: end.UnixMicro(), Kind: flight.KindRebalance,
-		A: end.Sub(start).Microseconds(), B: int64(len(entries)), Epoch: epoch})
+		A: end.Sub(start).Microseconds(), B: int64(len(pushes)), Epoch: epoch})
 	for _, ch := range changed {
-		c.RecordEvent(flight.Event{At: end.UnixMicro(), Kind: flight.KindTarget,
-			App: ch.name, A: int64(alloc[ch.idx]), B: int64(ch.old), Epoch: epoch})
-	}
-	// Synchronous appliers ack after their change is on record, so the
-	// converge event never precedes its target event in the ring.
-	for _, ch := range changed {
-		if ch.applied {
-			c.conv.Ack(ch.name, epoch, end.UnixMicro())
+		c.journalAppend(ch.ev)
+		if ch.applied { // a synchronous applier acks as soon as its push returned
+			c.conv.Ack(ch.ev.App, epoch, end.UnixMicro())
 		}
 	}
-	c.release(snap)
-}
 
-// changedPush is one target change a rebalance fan-out delivers.
-type changedPush struct {
-	idx     int // index into the snapshot's entries
-	old     int // previous pushed target (0 if never pushed)
-	applied bool
-	name    string
+	// A pooled working set keeps no departed member or name alive.
+	clear(pushes[:max(sampled, len(pushes))])
+	clear(changed)
+	clear(pending)
+	snap.pushes, snap.changed, snap.pending = pushes, changed, pending
+	c.snapshots.Put(snap)
 }
 
 // AckApplied records that the named member has applied the target it
@@ -827,23 +753,18 @@ func (c *Coordinator) SetLoadAware(on bool) {
 	c.requestRebalance(start)
 }
 
-// demandOf computes a member's Demand. It calls into member code and
-// must therefore never run under a coordinator lock.
-func demandOf(e *entry, loadAware bool) core.Demand {
-	d := core.Demand{Max: e.m.Workers(), Weight: e.weight}
+// demandCap computes the cap on a member's target. It calls into member
+// code and must therefore never run under a coordinator lock.
+func demandCap(m Member, loadAware bool) int {
+	limit := m.Workers()
 	if !loadAware {
-		return d
+		return limit
 	}
-	if l, ok := e.m.(Loader); ok {
-		load := l.Backlog() + l.Executing()
-		if load < 1 {
-			load = 1 // keep one worker warm for arrival latency
-		}
-		if load < d.Max {
-			d.Max = load
-		}
+	if l, ok := m.(Loader); ok {
+		// Keep one worker warm for arrival latency.
+		limit = min(limit, max(l.Backlog()+l.Executing(), 1))
 	}
-	return d
+	return limit
 }
 
 // StartAutoRebalance recomputes targets every interval until the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"procctl/internal/core"
@@ -14,14 +13,16 @@ import (
 
 // modelProgram runs one seeded random program of control-plane calls
 // against a Coordinator with in-process stub members and inline
-// rebalancing, mirrored call for call on the pure core.Registry — the
-// state machine the simulated server and journal recovery run on — with
-// one Decide wherever the coordinator rebalances. After every step the
-// shell (slots, shards, order table, push dedup, locks) must have done
-// exactly what the state machine says: same members in the same order,
-// every member's last pushed target the Registry's and the one its stub
-// last received, the same decision count, no target above its member's
-// process count and no more handed out than there is.
+// rebalancing, mirrored call for call on a core.Registry of the test's
+// own with one Decide wherever the coordinator rebalances. The
+// coordinator decides on a Registry too, so its membership, order and
+// last targets are not held against the mirror's — that would compare the
+// state machine with itself. What is checked after every step is the
+// shell around it: every member's stub last received the target the
+// mirror decided (caps sampled from the right member, pushes delivered to
+// the current stub of a re-registered name), one decision per call that
+// should make one, no target above its member's process count and no
+// more handed out than there is.
 //
 // With a journal directory the program is recorded, and at its end what
 // recovery folds out of the records must be, byte for byte, the snapshot
@@ -44,7 +45,7 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		names[i] = fmt.Sprintf("m%02d", i)
 	}
 	stubs := make(map[string]*fakeMember) // the stub each registered name currently answers with
-	workersOf := func(name string, _ int) int { return stubs[name].Workers() }
+	workersOf := func(m *core.Member[string]) int { return stubs[m.Key].Workers() }
 	register := func(name string, workers, weight int) {
 		stubs[name] = &fakeMember{name: name, workers: workers}
 		c.RegisterWeighted(stubs[name], weight)
@@ -99,15 +100,11 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 			reg.Decide(0, workersOf)
 		}
 
-		members := reg.Members()
-		order := make([]string, len(members))
 		sum, floor := 0, 0
-		for i, m := range members {
-			order[i] = m.Key
-			pushed, ok := c.LastPushed(m.Key)
-			if got := stubs[m.Key].got(); !ok || pushed != m.Target || got != m.Target {
-				t.Fatalf("seed %d step %d: after %s: %s has target %d in the registry, LastPushed = %d, %v, its stub received %d",
-					seed, step, what, m.Key, m.Target, pushed, ok, got)
+		for _, m := range reg.Members() {
+			if got := stubs[m.Key].got(); got != m.Target {
+				t.Fatalf("seed %d step %d: after %s: %s has target %d in the registry, its stub received %d",
+					seed, step, what, m.Key, m.Target, got)
 			}
 			procs := stubs[m.Key].Workers()
 			if m.Target > procs {
@@ -117,9 +114,6 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 			if procs > 0 {
 				floor++
 			}
-		}
-		if got := c.Members(); !slices.Equal(got, order) {
-			t.Fatalf("seed %d step %d: after %s: Members() = %v, registry order %v", seed, step, what, got, order)
 		}
 		if got := c.Rebalances(); got != reg.Decisions {
 			t.Fatalf("seed %d step %d: after %s: %d rebalances, %d registry decisions", seed, step, what, got, reg.Decisions)
@@ -140,14 +134,11 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		t.Fatalf("seed %d: Recover: %v, notes %v", seed, err, res.Notes)
 	}
 	// The journal knows a capacity only from a setcapacity record (the
-	// daemon writes one at boot), and stamps each member with its own
-	// register record where the live snapshot stamps them all with now.
+	// daemon writes one at boot). Both sides stamp a member with the
+	// instant of its registration.
 	recovered, live := res.State, NewServerWith(c, nil, ServerConfig{}).JournalState(0)
 	if recovered.Capacity == 0 {
 		live.Capacity = 0
-	}
-	for i := range recovered.Members {
-		recovered.Members[i].LastSeen = 0
 	}
 	recovered.LastSeq, recovered.At = 0, 0
 	got, err := json.Marshal(recovered)
@@ -163,8 +154,8 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 	}
 }
 
-// TestCoordinatorMatchesRegistryModel is ROADMAP item 3's model test for
-// the single-caller shell: 10⁶ steps (10⁵ under the race detector, a
+// TestCoordinatorMatchesRegistryModel is the model test for the
+// single-caller shell: 10⁶ steps (10⁵ under the race detector, a
 // smoke under -short) of seeded programs, no divergence.
 func TestCoordinatorMatchesRegistryModel(t *testing.T) {
 	programs := 5000

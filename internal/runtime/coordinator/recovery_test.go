@@ -268,9 +268,9 @@ func TestRestoredTargetsMatchJournal(t *testing.T) {
 	srv1.Close()
 
 	srv2, _ := startJournaledServer(t, 8, dir, ServerConfig{})
+	targets := srv2.coord.Targets()
 	for _, m := range before {
-		got, ok := srv2.coord.LastPushed(m.Name)
-		if !ok || got != m.Target {
+		if got, ok := targets[m.Name]; !ok || got != m.Target {
 			t.Errorf("restored target for %s: got %d (%v), journal says %d", m.Name, got, ok, m.Target)
 		}
 	}

@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -86,14 +85,17 @@ type remoteMember struct {
 	// tpack holds the pending target and the epoch that computed it in
 	// one word (epoch high 48 bits, target low 16), so a poll can never
 	// pair a new epoch with a stale target — the torn read that would
-	// make a client ack an epoch whose target it never applied. Targets
-	// are processor counts; 16 bits is not a real bound.
+	// make a client ack an epoch whose target it never applied. A target
+	// never exceeds procs, which registration holds to maxTarget.
 	tpack   atomic.Uint64
 	spin    atomic.Uint64 // math.Float64bits of the reported spin%
 	spinSet atomic.Bool   // false until the client first reports one
 }
 
-const targetBits = 16
+const (
+	targetBits = 16
+	maxTarget  = 1<<targetBits - 1
+)
 
 func (r *remoteMember) Name() string    { return r.name }
 func (r *remoteMember) Workers() int    { return r.procs }
@@ -108,7 +110,7 @@ func (r *remoteMember) SetTarget(n int) { r.SetTargetEpoch(n, 0) }
 // all come from this daemon's counter.) Epoch 0, the placeholder before
 // the first rebalance, always stores.
 func (r *remoteMember) SetTargetEpoch(n int, epoch uint64) bool {
-	v := epoch<<targetBits | uint64(n)&(1<<targetBits-1)
+	v := epoch<<targetBits | uint64(n)&maxTarget
 	for {
 		held := r.tpack.Load()
 		if epoch != 0 && held>>targetBits > epoch {
@@ -124,7 +126,7 @@ func (r *remoteMember) SetTargetEpoch(n int, epoch uint64) bool {
 // consistent pair.
 func (r *remoteMember) targetEpoch() (int, uint64) {
 	v := r.tpack.Load()
-	return int(v & (1<<targetBits - 1)), v >> targetBits
+	return int(v & maxTarget), v >> targetBits
 }
 
 // noteSpin records a client-reported spin%. Requests without one (old
@@ -259,58 +261,38 @@ type recoveredEntry struct {
 
 // Restore re-seats a recovered registry before the server starts
 // accepting: every journaled member comes back as a connection-less
-// remote member holding its last pushed target, and the coordinator's
-// scalar state (external load, rebalance count) resumes where the old
-// incarnation left off. Recovered members get a fresh lease from now —
-// the daemon cannot know which clients survived its downtime, and the
-// persisted LastSeen predates it — so each has one full lease to
-// re-register before the sweep reclaims its processors. Returns how
-// many members were restored.
+// remote member holding its last decided target (so the first rebalance
+// journals only genuine changes), and external load and the rebalance
+// count resume where the old incarnation left off. Recovered members get
+// a fresh lease from now — the daemon cannot know which clients survived
+// its downtime, and the persisted LastSeen predates it — so each has one
+// full lease to re-register before the sweep reclaims its processors.
+// Returns how many members were restored.
 //
 // Restore neither rebalances nor journals; the caller attaches the
 // journal and triggers the first rebalance once boot-time state (a
 // restart record, the capacity flag) has been appended.
 func (s *Server) Restore(st journal.State, now time.Time) int {
-	s.coord.RestoreState(st.External, st.Rebalances)
-	for _, jm := range st.Members {
-		m := &remoteMember{name: jm.Name, procs: jm.Procs}
-		m.SetTargetEpoch(jm.Target, 0) // the restoring epoch is unknown; nothing to ack
-		s.coord.RestoreMember(m, jm.Weight, jm.Target)
-		if s.cfg.Lease > 0 {
-			s.mu.Lock()
-			s.recovered[jm.Name] = recoveredEntry{m: m, deadline: now.Add(s.cfg.Lease)}
-			s.mu.Unlock()
+	members := s.coord.restore(st)
+	if s.cfg.Lease > 0 {
+		deadline := now.Add(s.cfg.Lease)
+		s.mu.Lock()
+		for _, m := range members {
+			s.recovered[m.name] = recoveredEntry{m: m, deadline: deadline}
 		}
+		s.mu.Unlock()
 	}
-	return len(st.Members)
+	return len(members)
 }
 
-// JournalState assembles the snapshot the journal persists: every
-// member's registration facts plus its last pushed target, the scalar
-// settings, and the lifetime rebalance count. Members are sorted by
-// name, matching how journal replay reconstructs the same state, so a
-// snapshot and a replayed prefix of equal history marshal to equal
-// bytes. Member code runs with no server or coordinator lock held.
+// JournalState is the snapshot the journal persists: a copy of the
+// registry — every member's registration facts and last decided target,
+// the scalar settings, the lifetime rebalance count — written out by
+// journal.Snapshot, members sorted by name as journal replay
+// reconstructs the same state, so a snapshot and a replayed prefix of
+// equal history marshal to equal bytes.
 func (s *Server) JournalState(at int64) journal.State {
-	st := journal.State{
-		Capacity:   s.coord.Capacity(),
-		External:   s.coord.ExternalLoad(),
-		Rebalances: s.coord.Rebalances(),
-		At:         at,
-	}
-	infos := s.coord.MemberInfos()
-	st.Members = make([]journal.Member, 0, len(infos))
-	for _, info := range infos {
-		st.Members = append(st.Members, journal.Member{
-			Name:     info.Name,
-			Procs:    info.Workers,
-			Weight:   info.Weight,
-			Target:   info.pushed,
-			LastSeen: at,
-		})
-	}
-	sort.Slice(st.Members, func(i, j int) bool { return st.Members[i].Name < st.Members[j].Name })
-	return st
+	return journal.Snapshot(s.coord.registryCopy(), 0, at)
 }
 
 // maybeSnapshot writes a registry snapshot when the journal's cadence
@@ -593,8 +575,10 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 	owned := cs.owned
 	switch req.Op {
 	case OpRegister:
-		if req.App == "" || req.Procs < 1 {
-			return errResp(errors.New("register needs app and procs >= 1"))
+		// A target never exceeds procs, and maxTarget is what fits beside
+		// the epoch in a remote member's one word.
+		if req.App == "" || req.Procs < 1 || req.Procs > maxTarget {
+			return errResp(fmt.Errorf("register needs app and procs in [1, %d]", maxTarget))
 		}
 		if !validAppName(req.App) {
 			return errResp(fmt.Errorf("register: app name %q is not 1-%d characters of [A-Za-z0-9._:-]", req.App, maxAppName))
@@ -690,17 +674,7 @@ func (s *Server) status(withShards bool) *Status {
 		LeaseSeconds: s.cfg.Lease.Seconds(),
 	}
 	if withShards {
-		for _, sh := range s.coord.ShardStats() {
-			st.Shards = append(st.Shards, ShardStatus{
-				Shard:          sh.Shard,
-				Members:        sh.Members,
-				Weight:         sh.Weight,
-				Registers:      sh.Registers,
-				Unregisters:    sh.Unregisters,
-				Polls:          sh.Polls,
-				LockWaitMicros: sh.LockWaitMicros,
-			})
-		}
+		st.Shards = s.coord.ShardStats()
 		st.Admission = s.admissionStatus()
 	}
 	now := time.Now()

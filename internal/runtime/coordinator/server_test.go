@@ -99,6 +99,28 @@ func TestServerRegisterValidation(t *testing.T) {
 	}
 }
 
+// A register reply carries the member's pending target out of the one
+// word it shares with the epoch, and inside a batch window that target
+// is procs itself: a count the word's target bits cannot hold used to
+// come back truncated (65536 as 0, 70000 as 4464). It is refused.
+func TestServerRegisterRefusesProcsATargetCannotCarry(t *testing.T) {
+	srv, sock := startServer(t, 8)
+	t.Cleanup(srv.coord.StartBatching(time.Hour))
+	c, _ := Dial("unix", sock)
+	defer c.Close()
+	for _, procs := range []int{maxTarget + 1, 70000} {
+		if target, err := c.Register("big", procs); err == nil {
+			t.Errorf("register with procs %d answered target %d, want an error reply", procs, target)
+		}
+	}
+	if got := srv.coord.Members(); len(got) != 0 {
+		t.Errorf("refused registrations left %v registered", got)
+	}
+	if target, err := c.Register("big", maxTarget); err != nil || target != maxTarget {
+		t.Errorf("register with procs %d = target %d, %v; want it to run uncontrolled until the first flush", maxTarget, target, err)
+	}
+}
+
 func TestServerConnDropUnregisters(t *testing.T) {
 	srv, sock := startServer(t, 8)
 	c1, _ := Dial("unix", sock)

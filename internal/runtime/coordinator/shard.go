@@ -1,32 +1,23 @@
 package coordinator
 
-// Sharded member registry: the name index of the membership is split
-// across a fixed power-of-two number of shards hashed by member name, so
-// finding a member's slot — register, unregister — searches one
-// sixteenth of the fleet under one shard lock, and a poll touches no lock
-// at all (two atomics on its shard). Shards say nothing about order: the
-// slots also sit, in registration order, in the coordinator's order table
-// (coordinator.go), which a membership change edits under its shard lock
-// and a rebalance copies as it stands. Allocation order, which the
-// weighted round-robin in core.Allocate depends on, is therefore what a
-// single flat table would have produced, with nothing to re-sort. No two
-// shard locks are ever held at once (all shards share one lock class;
-// nesting them would be a self-deadlock under a different hash seed, and
-// the lockorder analyzer rejects it).
+// Shards: member names hash onto a fixed power-of-two number of shards,
+// which own no membership — that is the registry's, under c.mu
+// (coordinator.go) — only traffic counters: registrations,
+// unregistrations and polls of the names that land there, and how long
+// those membership changes waited for c.mu. They are atomics, so a poll
+// touches no lock at all (a hash and one add), and a status read
+// (procctl-top -shards) derives each shard's members and weight by
+// hashing a copy of the membership.
 
 import (
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"procctl/internal/journal"
 )
 
-// shardCount is the fixed shard fan-out. Sixteen shards keep a name
-// search to ~625 slots at 10k members and the registry's lock
-// granularity well below the contention point.
+// shardCount is the fixed shard fan-out, a power of two.
 const shardCount = 16
-
-const shardMask = shardCount - 1
 
 // shardIndex hashes a member name onto its shard: inline FNV-1a, which
 // unlike hash/fnv needs no allocation and no Hash64 indirection on the
@@ -41,79 +32,50 @@ func shardIndex(name string) int {
 		h ^= uint64(name[i])
 		h *= prime64
 	}
-	return int(h & shardMask)
+	return int(h & (shardCount - 1))
 }
 
-// shard is one slice of the membership table plus its demand
-// aggregates and traffic counters. mu guards entries, weightSum, and
-// the register/unregister counts; polls and lockWaitNanos are atomics
-// so the poll fast path and the contention probe never take the lock.
+// shard is the traffic of the member names that hash to it.
 type shard struct {
-	mu          sync.Mutex
-	entries     []*entry
-	weightSum   int
-	registers   int64
-	unregisters int64
-
-	polls         atomic.Int64
-	lockWaitNanos atomic.Int64
+	registers, unregisters, polls atomic.Int64
+	lockWaitNanos                 atomic.Int64
 }
 
-// lock acquires the shard mutex, accumulating contended wait time into
-// lockWaitNanos. The uncontended path is a bare TryLock — no clock
-// reads — so steady-state polls and registers pay nothing for the
-// probe.
-func (sh *shard) lock() {
-	if sh.mu.TryLock() {
+// lockFor acquires c.mu for a membership change of a name in sh,
+// accumulating contended wait time into the shard's lockWaitNanos. The
+// uncontended path is a bare TryLock — no clock reads — so a steady
+// registration pays nothing for the probe.
+func (c *Coordinator) lockFor(sh *shard) {
+	if c.mu.TryLock() {
 		return
 	}
 	start := time.Now()
-	sh.mu.Lock()
+	c.mu.Lock()
 	sh.lockWaitNanos.Add(time.Since(start).Nanoseconds())
 }
 
-// removeLocked drops the named member's slot from this shard and returns
-// it, or nil if the name is not registered. Callers hold sh.mu.
-func (sh *shard) removeLocked(name string) *entry {
-	for i, e := range sh.entries {
-		if e.name == name {
-			sh.weightSum -= e.weight
-			sh.entries = slices.Delete(sh.entries, i, i+1)
-			return e
-		}
-	}
-	return nil
-}
-
 // ShardStat is one shard's status snapshot for introspection
-// (procctl-top -shards).
-type ShardStat struct {
-	Shard          int
-	Members        int
-	Weight         int
-	Registers      int64
-	Unregisters    int64
-	Polls          int64
-	LockWaitMicros int64
-}
+// (procctl-top -shards), in the form the wire carries it.
+type ShardStat = ShardStatus
 
-// ShardStats snapshots every shard's membership and traffic counters,
-// one shard lock at a time.
+// ShardStats snapshots every shard's traffic counters and counts the
+// membership into the shards its names hash to.
 func (c *Coordinator) ShardStats() []ShardStat {
 	out := make([]ShardStat, shardCount)
-	for i := range c.shards {
+	for i := range out {
 		sh := &c.shards[i]
-		sh.lock()
 		out[i] = ShardStat{
-			Shard:       i,
-			Members:     len(sh.entries),
-			Weight:      sh.weightSum,
-			Registers:   sh.registers,
-			Unregisters: sh.unregisters,
+			Shard:          i,
+			Registers:      sh.registers.Load(),
+			Unregisters:    sh.unregisters.Load(),
+			Polls:          sh.polls.Load(),
+			LockWaitMicros: sh.lockWaitNanos.Load() / 1e3,
 		}
-		sh.mu.Unlock()
-		out[i].Polls = sh.polls.Load()
-		out[i].LockWaitMicros = sh.lockWaitNanos.Load() / 1e3
+	}
+	for _, m := range c.members() {
+		st := &out[shardIndex(m.Key)]
+		st.Members++
+		st.Weight += m.Weight
 	}
 	return out
 }
@@ -131,7 +93,6 @@ func (c *Coordinator) NotePoll(name string) {
 // what the server does per steady-state OpPoll. Mirrors ConvergeBench.
 type PollBench struct {
 	c       *Coordinator
-	names   []string
 	members []*remoteMember
 
 	// The codec half (WirePoll): each member's poll line, the connection
@@ -143,19 +104,21 @@ type PollBench struct {
 	reply []byte
 }
 
-// NewPollBench builds a coordinator with the given number of restored
-// remote members, each holding an already-settled epoch so Poll
-// exercises the no-open-epochs ack path.
+// NewPollBench builds a coordinator with the given number of remote
+// members, seated the way Server.Restore seats a recovered fleet, each
+// then holding an already-settled epoch so Poll exercises the
+// no-open-epochs ack path.
 func NewPollBench(members int) *PollBench {
 	if members < 1 {
 		members = 1
 	}
 	b := &PollBench{c: New(64), cs: connState{owned: make(map[string]*remoteMember)}}
+	var st journal.State
 	for i := 0; i < members; i++ {
-		m := &remoteMember{name: benchName(i), procs: 4}
+		st.Members = append(st.Members, journal.Member{Name: benchName(i), Procs: 4, Weight: 1, Target: 2})
+	}
+	for _, m := range b.c.restore(st) {
 		m.SetTargetEpoch(2, 1)
-		b.c.RestoreMember(m, 1, 2)
-		b.names = append(b.names, m.name)
 		b.members = append(b.members, m)
 		b.cs.owned[m.name] = m
 		line, _ := appendRequest(nil, &Request{Op: OpPoll, App: m.name, Applied: 1})
@@ -178,10 +141,10 @@ func benchName(i int) string {
 // Poll runs one steady-state poll for the i-th member and returns its
 // target. Allocation-free: the 0-alloc gate in procctl-bench pins it.
 func (b *PollBench) Poll(i int, at int64) int {
-	k := i % len(b.members)
-	b.c.NotePoll(b.names[k])
-	t, epoch := b.members[k].targetEpoch()
-	b.c.AckApplied(b.names[k], epoch, at)
+	m := b.members[i%len(b.members)]
+	b.c.NotePoll(m.name)
+	t, epoch := m.targetEpoch()
+	b.c.AckApplied(m.name, epoch, at)
 	return t
 }
 

@@ -2,9 +2,13 @@ package coordinator
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"procctl/internal/core"
 	"procctl/internal/flight"
 )
 
@@ -34,92 +38,105 @@ func ackAll(c *Coordinator, members []*remoteMember) {
 	}
 }
 
-// Two inline rebalances from two connections: the one that snapshotted
-// first may reach its fan-out second. It must not put anybody back on
-// its older targets (ROADMAP 3e: Σ targets 8002 of 8000, or an epoch no
-// ack can close).
-func TestNotifyNewestEpochWins(t *testing.T) {
-	c := New(64)
-	members := remoteFleet(t, c, 8)
+// TestConcurrentChurnSettlesOnRegistry runs registrations, same-name
+// re-registrations, unregistrations, capacity changes and plain
+// rebalances from several goroutines at once, inline, over names in all
+// sixteen shards (run it under -race). Whatever the interleaving, a
+// decision takes its epoch, makes its moves and opens its epoch in one
+// critical section, so when the callers have all returned the last
+// epoch's fan-out has reached exactly the final membership: every member
+// holds the registry's target for it, stamped with that epoch; the
+// targets fit the capacity and the members' process counts; acking what
+// each member holds leaves no epoch open; and the flight ring's target
+// events of any one name are in epoch order.
+func TestConcurrentChurnSettlesOnRegistry(t *testing.T) {
+	names := make([]string, 48)
+	var shardsHit [shardCount]bool
+	for i := range names {
+		names[i] = fmt.Sprintf("p-%03d", i)
+		shardsHit[shardIndex(names[i])] = true
+	}
+	if slices.Contains(shardsHit[:], false) {
+		t.Fatalf("the names miss a shard: %v", shardsHit)
+	}
 
-	s1 := c.snapshotNext() // decides on capacity 64: 8 each
-	c.mu.Lock()
-	c.capacity = 16
-	c.mu.Unlock()
-	s2 := c.snapshotNext() // decides on capacity 16: 2 each
-	e1, e2 := s1.epoch, s2.epoch
-	c.notify(s2, time.Now())
-	c.notify(s1, time.Now())
+	// Never fewer processors than names: the one-process floor cannot
+	// push Σ targets above what there is to hand out.
+	c := New(2 * len(names))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 400; i++ {
+				name := names[rng.Intn(len(names))]
+				switch op := rng.Intn(10); {
+				case op < 5: // new, or present and replaced
+					m := &remoteMember{name: name, procs: 1 + rng.Intn(16)}
+					m.SetTargetEpoch(m.procs, 0)
+					c.RegisterWeighted(m, 1+rng.Intn(4))
+				case op < 8: // known or not
+					c.Unregister(name)
+				case op < 9:
+					if err := c.SetCapacity(len(names) + rng.Intn(len(names))); err != nil {
+						t.Error(err)
+					}
+				default:
+					c.Rebalance()
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
 
+	last := uint64(c.Rebalances())
+	members := c.members()
+	if len(members) == 0 {
+		t.Fatal("the churn left nobody registered")
+	}
 	sum := 0
 	for _, m := range members {
-		target, epoch := m.targetEpoch()
-		if target != 2 || epoch != e2 {
-			t.Errorf("%s holds target %d of epoch %d, want 2 of epoch %d", m.name, target, epoch, e2)
+		rm := m.Handle.(*entry).m.(*remoteMember)
+		target, epoch := rm.targetEpoch()
+		if !m.HasTarget || target != m.Target || epoch != last {
+			t.Errorf("%s holds target %d of epoch %d; the registry decided %d (%v), the last epoch is %d",
+				m.Key, target, epoch, m.Target, m.HasTarget, last)
 		}
-		sum += target
-		if pushed, ok := c.LastPushed(m.name); !ok || pushed != target {
-			t.Errorf("%s: LastPushed = %d (%v), the member holds %d", m.name, pushed, ok, target)
+		if m.Target > rm.procs {
+			t.Errorf("%s: target %d above its %d processes", m.Key, m.Target, rm.procs)
 		}
+		sum += m.Target
+		c.AckApplied(m.Key, epoch, time.Now().UnixMicro())
 	}
-	if sum > 16 {
-		t.Errorf("targets sum to %d, above the capacity of 16", sum)
+	if available := core.Available(c.Capacity(), c.ExternalLoad()); sum > available {
+		t.Errorf("targets sum to %d, above the %d available", sum, available)
 	}
-	ackAll(c, members)
+	if m := c.Snapshot().Get("coordinator_targets_sum"); m == nil || m.Value != int64(sum) {
+		t.Errorf("coordinator_targets_sum = %+v, the members hold %d", m, sum)
+	}
 	if n := c.OpenEpochs(); n != 0 {
-		t.Errorf("%d epochs open after every member acked epoch %d", n, e2)
+		t.Errorf("%d epochs open after every member acked epoch %d", n, last)
 	}
+	newest := make(map[string]uint64)
 	for _, ev := range c.Events(0) {
-		if ev.Kind == flight.KindTarget && ev.Epoch == e1 {
-			t.Errorf("overtaken epoch %d recorded a target change: %+v", e1, ev)
+		if ev.Kind != flight.KindTarget {
+			continue
 		}
+		if ev.Epoch < newest[ev.App] {
+			t.Errorf("%s: target event of epoch %d after one of epoch %d: %+v", ev.App, ev.Epoch, newest[ev.App], ev)
+		}
+		newest[ev.App] = ev.Epoch
 	}
 }
 
-// A member that unregisters between a rebalance's snapshot and its
-// push decision gets no push, no target record and no place in the
-// epoch; its push state goes with its slot.
-func TestNotifySkipsDepartedSlot(t *testing.T) {
-	c := New(64)
-	members := remoteFleet(t, c, 4)
-	gone := members[3]
-
-	c.mu.Lock()
-	c.capacity = 8 // so that the snapshot below wants to re-target everyone
-	c.mu.Unlock()
-	snap := c.snapshotNext()
-	epoch := snap.epoch
-	c.Unregister(gone.name) // rebalances the other three under a newer epoch
-	held, heldEpoch := gone.targetEpoch()
-	c.notify(snap, time.Now())
-
-	if target, e := gone.targetEpoch(); target != held || e != heldEpoch {
-		t.Errorf("departed member was pushed %d (epoch %d) after it left", target, e)
-	}
-	if _, ok := c.LastPushed(gone.name); ok {
-		t.Error("departed member still has a last pushed target")
-	}
-	for _, ev := range c.Events(0) {
-		if ev.Kind == flight.KindTarget && ev.Epoch == epoch {
-			t.Errorf("overtaken epoch %d recorded a target change: %+v", epoch, ev)
-		}
-	}
-	ackAll(c, members[:3])
-	if n := c.OpenEpochs(); n != 0 {
-		t.Errorf("%d epochs open after the remaining members acked", n)
-	}
-	if m := c.Snapshot().Get("coordinator_targets_sum"); m == nil || m.Value != 8 {
-		t.Errorf("coordinator_targets_sum = %+v, want the 8 processors the three members hold", m)
-	}
-}
-
-// A same-name re-registration starts from the old slot's last pushed
-// target: the next target record still journals the change from it.
+// A same-name re-registration starts from the target the name was last
+// decided: the next target record still journals the change from it.
 func TestReRegisterInheritsLastPushed(t *testing.T) {
 	c := New(8)
 	c.Register(&fakeMember{name: "solo", workers: 8})
-	if pushed, ok := c.LastPushed("solo"); !ok || pushed != 8 {
-		t.Fatalf("LastPushed = %d (%v), want 8", pushed, ok)
+	if got := c.Targets()["solo"]; got != 8 {
+		t.Fatalf("Targets()[solo] = %d, want 8", got)
 	}
 	c.Register(&fakeMember{name: "solo", workers: 3})
 	var last flight.Event
