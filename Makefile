@@ -108,11 +108,16 @@ DAEMON_SMOKE_OUT ?= /tmp/procctl-daemon-smoke
 daemon-smoke:
 	OUT=$(DAEMON_SMOKE_OUT) ./scripts/daemon-smoke.sh
 
-# ROADMAP aim 2's two numbers: non-test Go lines of the root module, by
-# the convention EXPERIMENTS.md has used since PERF-6 (every *.go outside
+# ROADMAP aim 2's numbers: non-test Go lines of the root module, by the
+# convention EXPERIMENTS.md has used since PERF-6 (every *.go outside
 # _test.go files, testdata/, the benchmark module and its build cache),
-# and how many of them are in internal/runtime.
+# how many of them are in internal/runtime, and that layer's exported
+# surface: the declarations and methods `go doc -all` lists for its
+# packages (struct fields are not counted).
 loc_of = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
 	! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+exported_of = for p in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' $(1)); do \
+	$(GO) doc -all $$p; done | grep -cE '^(func|type) '
 loc:
-	@echo "$$($(call loc_of,.)) root module, $$($(call loc_of,./internal/runtime)) of them internal/runtime"
+	@echo "$$($(call loc_of,.)) root module, $$($(call loc_of,./internal/runtime)) of them internal/runtime," \
+		"$$($(call exported_of,./internal/runtime/...)) exported declarations and methods in internal/runtime"

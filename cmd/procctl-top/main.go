@@ -8,14 +8,13 @@
 // machine-readable with -json (the JSONL procctl-trace's daemon export
 // reads). With -converge it renders the daemon's epoch convergence
 // report: how long each rebalance decision took to reach every member.
-// With -shards it shows the daemon's registry shard table (membership,
-// traffic, contended lock wait per shard) and admission counters (how
-// much of a registration storm was admitted versus shed).
+// (Registrations admitted and shed, and open connections, are
+// coordinator_admission_* and coordinator_open_conns under -metrics.)
 //
 // Usage:
 //
 //	procctl-top [-connect unix:/tmp/procctld.sock] [-watch 2s] [-metrics] [-setload N]
-//	            [-events N [-since SEQ] [-epoch N] [-json]] [-converge N] [-shards]
+//	            [-events N [-since SEQ] [-epoch N] [-json]] [-converge N]
 //	            [-hold NAME:PROCS[:WEIGHT] [-hold-interval 1s] [-hold-events FILE]]
 package main
 
@@ -54,7 +53,6 @@ func main() {
 		epoch    = flag.Uint64("epoch", 0, "with -events: only events stamped with this rebalance epoch")
 		jsonOut  = flag.Bool("json", false, "with -events: one JSON event per line (procctl-trace export -source daemon input)")
 		converge = flag.Int("converge", -1, "show the daemon's newest N closed convergence epochs (0 = all retained) and exit")
-		shards   = flag.Bool("shards", false, "show the daemon's registry shard table and admission counters and exit")
 		setload  = flag.Int("setload", -1, "report this uncontrollable load to the daemon and exit")
 		hold     = flag.String("hold", "", "register NAME:PROCS[:WEIGHT] and run a worker pool under the daemon's control until interrupted (a minimal durable client, for recovery drills)")
 		holdIvl  = flag.Duration("hold-interval", time.Second, "with -hold: the driver's poll interval")
@@ -109,15 +107,6 @@ func main() {
 			log.Fatalf("procctl-top: %v", err)
 		}
 		fmt.Fprint(os.Stdout, convergeTable(cs))
-		return
-	}
-
-	if *shards {
-		st, err := client.ShardStatus()
-		if err != nil {
-			log.Fatalf("procctl-top: %v", err)
-		}
-		fmt.Fprint(os.Stdout, shardsTable(st))
 		return
 	}
 
@@ -317,36 +306,6 @@ func statusTable(st *coordinator.Status) string {
 		for _, sl := range st.Rebalance {
 			fmt.Fprintf(&b, "%-12s %8d %8d %8d %8d %8d\n", sl.Stage, sl.Count, sl.P50, sl.P90, sl.P99, sl.P999)
 		}
-	}
-	return b.String()
-}
-
-// shardsTable renders the registry shard table — per shard: members,
-// demand weight, lifetime register/unregister/poll traffic, and
-// contended lock wait — plus the admission summary line. Daemons
-// predating the sharded registry answer a plain status; the table
-// degrades to a note instead of sixteen empty rows.
-func shardsTable(st *coordinator.Status) string {
-	var b strings.Builder
-	if len(st.Shards) == 0 {
-		b.WriteString("daemon reports no shard table (predates the sharded registry?)\n")
-		return b.String()
-	}
-	if ad := st.Admission; ad != nil {
-		fmt.Fprintf(&b, "conns %d", ad.OpenConns)
-		if ad.MaxConns > 0 {
-			fmt.Fprintf(&b, "/%d", ad.MaxConns)
-		}
-		fmt.Fprintf(&b, ", admitted %d, shed %d conns + %d registers", ad.Admitted, ad.ShedConns, ad.ShedRegisters)
-		if ad.AdmitLimit > 0 {
-			fmt.Fprintf(&b, " (admit limit %d)", ad.AdmitLimit)
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "%5s %8s %7s %10s %10s %10s %12s\n", "SHARD", "MEMBERS", "WEIGHT", "REGISTERS", "UNREGS", "POLLS", "LOCKWAIT(µS)")
-	for _, sh := range st.Shards {
-		fmt.Fprintf(&b, "%5d %8d %7d %10d %10d %10d %12d\n",
-			sh.Shard, sh.Members, sh.Weight, sh.Registers, sh.Unregisters, sh.Polls, sh.LockWaitMicros)
 	}
 	return b.String()
 }

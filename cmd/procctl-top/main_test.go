@@ -195,41 +195,6 @@ func TestConvergeTable(t *testing.T) {
 	}
 }
 
-func TestShardsTable(t *testing.T) {
-	st := &coordinator.Status{
-		Capacity: 8,
-		Admission: &coordinator.AdmissionStatus{
-			OpenConns: 3, MaxConns: 64, AdmitLimit: 16,
-			Admitted: 120, ShedConns: 5, ShedRegisters: 7,
-		},
-		Shards: []coordinator.ShardStatus{
-			{Shard: 0, Members: 2, Weight: 3, Registers: 12, Unregisters: 10, Polls: 400, LockWaitMicros: 15},
-			{Shard: 1, Members: 0, Weight: 0, Registers: 0, Unregisters: 0, Polls: 0, LockWaitMicros: 0},
-		},
-	}
-	got := shardsTable(st)
-	for _, want := range []string{
-		"conns 3/64", "admitted 120", "shed 5 conns + 7 registers", "admit limit 16",
-		"SHARD", "MEMBERS", "WEIGHT", "REGISTERS", "UNREGS", "POLLS", "LOCKWAIT(µS)",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("shards table missing %q:\n%s", want, got)
-		}
-	}
-	rows := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if len(rows) != 4 {
-		t.Fatalf("shards table has %d lines, want summary + header + 2 rows:\n%s", len(rows), got)
-	}
-	if f := strings.Fields(rows[2]); f[0] != "0" || f[1] != "2" || f[2] != "3" || f[3] != "12" || f[4] != "10" || f[5] != "400" || f[6] != "15" {
-		t.Errorf("shard row malformed: %q", rows[2])
-	}
-
-	old := shardsTable(&coordinator.Status{Capacity: 8})
-	if !strings.Contains(old, "no shard table") {
-		t.Errorf("pre-shard daemon fallback = %q", old)
-	}
-}
-
 func TestWriteEventsJSONL(t *testing.T) {
 	evs := []flight.Event{
 		{Seq: 1, At: 10, Kind: "target", App: "web", A: 3, B: 4, Epoch: 2},

@@ -20,8 +20,6 @@ import (
 //     called with the mutex held (they are walked held=true and never
 //     flagged themselves);
 //   - defer mu.Unlock() keeps the lock held to the end of the method;
-//   - a call to one of the struct's own lock*-named methods (a helper
-//     that times or counts the wait) returns with the mutex held;
 //   - a func literal inherits the lockset at its definition point,
 //     except `go func` literals, which start unlocked;
 //   - branches are walked with a copy of the lockset (an unlock inside
@@ -302,8 +300,8 @@ func (w *locksetWalker) walkStmt(s ast.Stmt, held bool) bool {
 	return held
 }
 
-// mutexOp recognizes recv.mu.Lock()/RLock() and recv.lockX() (→ true)
-// and recv.mu.Unlock()/RUnlock() (→ false) calls.
+// mutexOp recognizes recv.mu.Lock()/RLock() (→ true) and
+// recv.mu.Unlock()/RUnlock() (→ false) calls.
 func (w *locksetWalker) mutexOp(e ast.Expr) (heldAfter, ok bool) {
 	call, isCall := e.(*ast.CallExpr)
 	if !isCall {
@@ -312,9 +310,6 @@ func (w *locksetWalker) mutexOp(e ast.Expr) (heldAfter, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return false, false
-	}
-	if w.isRecv(sel.X) && strings.HasPrefix(sel.Sel.Name, "lock") {
-		return true, true
 	}
 	inner, isSel := sel.X.(*ast.SelectorExpr)
 	if !isSel || inner.Sel.Name != w.gs.mutexField || !w.isRecv(inner.X) {

@@ -1,5 +1,5 @@
 // Package good shows the accepted lock-discipline idioms: defer
-// unlock, *Locked and lock* helpers, early-unlock branches, immutable fields, and
+// unlock, *Locked helpers, early-unlock branches, immutable fields, and
 // the justified pragma.
 package good
 
@@ -42,22 +42,6 @@ func (c *Counter) AddPositive(d int) bool {
 	c.n += d
 	c.mu.Unlock()
 	return true
-}
-
-// lockTimed is the struct's own acquiring helper: uncontended it is a
-// bare TryLock, contended it would time the wait.
-func (c *Counter) lockTimed() {
-	if !c.mu.TryLock() {
-		c.mu.Lock()
-	}
-}
-
-// AddTimed takes the lock through the helper; the walker treats a
-// lock*-named method of the receiver as returning with the mutex held.
-func (c *Counter) AddTimed(d int) {
-	c.lockTimed()
-	c.n += d
-	c.mu.Unlock()
 }
 
 // Racy demonstrates the justified escape hatch.

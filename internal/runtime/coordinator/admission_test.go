@@ -1,108 +1,14 @@
 package coordinator
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 )
-
-func TestShardIndexStableAndInRange(t *testing.T) {
-	names := []string{"", "a", "fft", "sort-worker", "app00042"}
-	for _, name := range names {
-		i := shardIndex(name)
-		if i < 0 || i >= shardCount {
-			t.Fatalf("shardIndex(%q) = %d, out of [0,%d)", name, i, shardCount)
-		}
-		if j := shardIndex(name); j != i {
-			t.Errorf("shardIndex(%q) unstable: %d then %d", name, i, j)
-		}
-	}
-}
-
-func TestShardStatsAccountForMembership(t *testing.T) {
-	c := New(32)
-	const n = 40
-	for i := 0; i < n; i++ {
-		c.RegisterWeighted(&fakeMember{name: fmt.Sprintf("m%02d", i), workers: 4}, 2)
-	}
-	stats := c.ShardStats()
-	if len(stats) != shardCount {
-		t.Fatalf("got %d shard stats, want %d", len(stats), shardCount)
-	}
-	members, weight, registers := 0, 0, int64(0)
-	for _, st := range stats {
-		members += st.Members
-		weight += st.Weight
-		registers += st.Registers
-	}
-	if members != n {
-		t.Errorf("shard members sum %d, want %d", members, n)
-	}
-	if weight != 2*n {
-		t.Errorf("shard weight sum %d, want %d", weight, 2*n)
-	}
-	if registers != n {
-		t.Errorf("shard registers sum %d, want %d", registers, n)
-	}
-
-	c.Unregister("m00")
-	c.Unregister("m01")
-	members, unregisters := 0, int64(0)
-	for _, st := range c.ShardStats() {
-		members += st.Members
-		unregisters += st.Unregisters
-	}
-	if members != n-2 {
-		t.Errorf("after unregister, members sum %d, want %d", members, n-2)
-	}
-	if unregisters != 2 {
-		t.Errorf("unregisters sum %d, want 2", unregisters)
-	}
-}
-
-func TestNotePollCountsIntoShard(t *testing.T) {
-	c := New(8)
-	c.Register(&fakeMember{name: "pollster", workers: 4})
-	for i := 0; i < 5; i++ {
-		c.NotePoll("pollster")
-	}
-	polls := int64(0)
-	for _, st := range c.ShardStats() {
-		polls += st.Polls
-	}
-	if polls != 5 {
-		t.Errorf("polls sum %d, want 5", polls)
-	}
-}
-
-// Registration order must survive sharding: the allocation policy is a
-// weighted round-robin over members in registration order, so the order
-// table has to be exactly what a flat table would have had — including a
-// re-registered member moving to the end.
-func TestGatherPreservesRegistrationOrder(t *testing.T) {
-	c := New(8)
-	names := []string{"delta", "alpha", "echo", "bravo", "charlie", "foxtrot"}
-	for _, name := range names {
-		c.Register(&fakeMember{name: name, workers: 4})
-	}
-	got := c.Members()
-	if len(got) != len(names) {
-		t.Fatalf("got %d members, want %d", len(got), len(names))
-	}
-	for i := range names {
-		if got[i] != names[i] {
-			t.Fatalf("member order %v, want %v", got, names)
-		}
-	}
-	// Re-registration moves the member to the end of allocation order,
-	// as remove-then-append did in the flat table.
-	c.Register(&fakeMember{name: "alpha", workers: 4})
-	got = c.Members()
-	if got[len(got)-1] != "alpha" {
-		t.Errorf("re-registered member order %v, want alpha last", got)
-	}
-}
 
 func TestBatchingCoalescesRegistrations(t *testing.T) {
 	c := New(16)
@@ -236,7 +142,11 @@ func TestMaxConnsShedsWholeConnection(t *testing.T) {
 	}
 }
 
-func TestShardStatusOverWire(t *testing.T) {
+// A request that still carries the removed "shards" field — an older
+// procctl-top -shards — is a plain status request: the field is unknown,
+// so the line goes through the encoding/json fallback, and the reply has
+// no shard table or admission block to put in it.
+func TestStatusIgnoresShardsField(t *testing.T) {
 	_, sock := startServerWith(t, 8, ServerConfig{AdmitLimit: 4})
 	c, err := Dial("unix", sock)
 	if err != nil {
@@ -246,42 +156,43 @@ func TestShardStatusOverWire(t *testing.T) {
 	if _, err := c.Register("wired", 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Poll("wired"); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := c.ShardStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Shards) != shardCount {
-		t.Fatalf("shard status rows = %d, want %d", len(st.Shards), shardCount)
-	}
-	members, polls := 0, int64(0)
-	for _, sh := range st.Shards {
-		members += sh.Members
-		polls += sh.Polls
-	}
-	if members != 1 {
-		t.Errorf("shard members sum %d, want 1", members)
-	}
-	if polls != 1 {
-		t.Errorf("shard polls sum %d, want 1", polls)
-	}
-	if st.Admission == nil {
-		t.Fatal("admission status missing")
-	}
-	if st.Admission.AdmitLimit != 4 || st.Admission.Admitted != 1 {
-		t.Errorf("admission = %+v, want limit 4, admitted 1", st.Admission)
-	}
-
-	// The plain status op stays lean: no shard table unless asked.
 	plain, err := c.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Shards != nil || plain.Admission != nil {
-		t.Error("plain status unexpectedly carries shard/admission data")
+
+	line := []byte(`{"op":"status","shards":true}`)
+	var req Request
+	var spin float64
+	if scanRequest(line, &req, &spin, allocName) {
+		t.Errorf("the scanner took %s: \"shards\" is not a field any more", line)
+	}
+	if err := decodeRequest(line, &req, &spin, allocName); err != nil || req != (Request{Op: OpStatus}) {
+		t.Fatalf("decodeRequest(%s) = %+v, %v; want a plain status request", line, req, err)
+	}
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	rd := lineReader{r: conn}
+	reply, err := rd.readLine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := json.Unmarshal(reply, &resp); err != nil || !resp.OK || resp.Status == nil {
+		t.Fatalf("reply %.200s: %v", reply, err)
+	}
+	if bytes.Contains(reply, []byte(`"shards"`)) || bytes.Contains(reply, []byte(`"admission"`)) {
+		t.Errorf("status reply still carries a shard table or admission block: %.300s", reply)
+	}
+	if len(resp.Status.Apps) != len(plain.Apps) || resp.Status.Apps[0].Name != "wired" {
+		t.Errorf("status with the old field lists %+v, a plain one %+v", resp.Status.Apps, plain.Apps)
 	}
 }
 

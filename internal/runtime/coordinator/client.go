@@ -235,20 +235,6 @@ func (c *Client) Status() (*Status, error) {
 	return resp.Status, nil
 }
 
-// ShardStatus is Status with the per-shard registry statistics and
-// admission counters included (procctl-top -shards). Daemons predating
-// the sharded registry answer with a plain status: Shards stays nil.
-func (c *Client) ShardStatus() (*Status, error) {
-	resp, err := c.roundTrip(&Request{Op: OpStatus, Shards: true})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status == nil {
-		return nil, errors.New("coordinator: empty status")
-	}
-	return resp.Status, nil
-}
-
 // Metrics fetches the daemon's metrics snapshot (every registry series,
 // stamped with the daemon's wall clock in Unix microseconds).
 func (c *Client) Metrics() (*metrics.Snapshot, error) {

@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"slices"
 	"sync"
 
 	"procctl/internal/flight"
@@ -52,18 +51,11 @@ type pendingMember struct {
 	remote bool
 }
 
-// memberWait is one open epoch a member has yet to acknowledge.
+// memberWait is one member's entry in the tracker's index: the open
+// epoch it has yet to acknowledge, nil between epochs.
 type memberWait struct {
 	o      *openEpoch
 	remote bool
-}
-
-// memberWaits is one member's entry in the tracker's index: the open
-// epochs it is pending in, ascending, held by pointer so an Open or an
-// Ack is one map probe; first is the list's initial storage.
-type memberWaits struct {
-	list  []memberWait
-	first [1]memberWait
 }
 
 // closedRing bounds how many closed-epoch reports the converge op can
@@ -104,15 +96,16 @@ func newConvergeMetrics(reg *metrics.Registry) convergeMetrics {
 // never across member code or journal I/O (converge events are
 // observability-only and are not journaled).
 //
-// waits is the per-member index: the open epochs each member is pending
-// in — one, the coordinator opening them in epoch order. Open, Ack and
-// Drop visit the named member's epochs and no others. A member keeps its
-// (empty) entry between epochs, so re-opening allocates nothing.
+// waits is the per-member index. A member is pending in at most one open
+// epoch — the coordinator opens them in epoch order under c.mu, and an
+// Open takes the members it names out of the older epoch they were still
+// pending in — so Open, Ack and Drop are one map probe per member named. A
+// member keeps its (empty) entry between epochs: re-opening allocates nothing.
 type convergeTracker struct {
 	mu    sync.Mutex
 	open  int // epochs still awaiting acks
 	free  []*openEpoch
-	waits map[string]*memberWaits
+	waits map[string]*memberWait
 
 	closed     [closedRing]ConvergeInfo
 	closedNext int
@@ -123,17 +116,17 @@ type convergeTracker struct {
 }
 
 func newConvergeTracker(reg *metrics.Registry, rec *flight.Recorder) *convergeTracker {
-	cv := &convergeTracker{rec: rec, met: newConvergeMetrics(reg), waits: make(map[string]*memberWaits)}
+	cv := &convergeTracker{rec: rec, met: newConvergeMetrics(reg), waits: make(map[string]*memberWait)}
 	openGauge := reg.Gauge("coordinator_convergence_open_epochs", "rebalance epochs still awaiting member acks")
 	reg.OnCollect(func() { openGauge.Set(int64(cv.OpenEpochs())) })
 	return cv
 }
 
-// Open starts tracking an epoch waiting on the given changed members.
-// Members of *older* open epochs that appear in changed are superseded
-// out of them first: their old targets will never be acknowledged. An
-// epoch with no changed members is not tracked — nothing propagates, so
-// there is nothing to converge.
+// Open starts tracking an epoch waiting on the given changed members,
+// each named once. Epochs are opened in ascending order. A member still
+// pending in an older epoch is superseded out of it first: its old target
+// will never be acknowledged. An epoch with no changed members is not
+// tracked — nothing propagates, so there is nothing to converge.
 func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember) {
 	if cv == nil || len(changed) == 0 {
 		return
@@ -147,14 +140,11 @@ func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember)
 	for _, ch := range changed {
 		w := cv.waits[ch.name]
 		if w == nil {
-			w = new(memberWaits)
-			w.list = w.first[:0]
+			w = new(memberWait)
 			cv.waits[ch.name] = w
 		}
-		// What supersession leaves is newer than epoch: the list stays
-		// ascending (the coordinator opens in epoch order and leaves none).
-		rest := cv.removeLocked(w.list, ch.name, at, epoch, ConvergeSuperseded)
-		w.list = slices.Insert(rest, 0, memberWait{o: o, remote: ch.remote})
+		cv.leaveLocked(w, ch.name, at, ConvergeSuperseded)
+		w.o, w.remote = o, ch.remote
 	}
 	cv.open++
 	cv.mu.Unlock()
@@ -162,49 +152,46 @@ func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember)
 
 // Ack acknowledges that name has applied the target it was pushed in
 // epoch `through`; because targets are delivered newest-wins, this also
-// acknowledges every older epoch still waiting on the member. With
-// nothing open — a steady fleet's every poll — it is a lock and a check.
+// acknowledges an older epoch still waiting on the member. With nothing
+// open — a steady fleet's every poll — it is a lock and a check.
 func (cv *convergeTracker) Ack(name string, through uint64, at int64) {
 	if cv == nil || through == 0 {
 		return
 	}
 	cv.mu.Lock()
 	if cv.open > 0 {
-		if w := cv.waits[name]; w != nil && len(w.list) > 0 && w.list[0].o.epoch <= through {
-			w.list = cv.removeLocked(w.list, name, at, through+1, ConvergeSettled)
+		if w := cv.waits[name]; w != nil && w.o != nil && w.o.epoch <= through {
+			cv.leaveLocked(w, name, at, ConvergeSettled)
 		}
 	}
 	cv.mu.Unlock()
 }
 
 // Drop removes a departed member (unregister, lease expiry, shutdown)
-// from every open epoch; epochs that were waiting only on it close as
-// expired.
+// from the epoch it is pending in, which closes as expired if it was
+// waiting only on it.
 func (cv *convergeTracker) Drop(name string, at int64) {
 	if cv == nil {
 		return
 	}
 	cv.mu.Lock()
 	if w := cv.waits[name]; w != nil {
-		cv.removeLocked(w.list, name, at, ^uint64(0), ConvergeExpired)
+		cv.leaveLocked(w, name, at, ConvergeExpired)
 		delete(cv.waits, name)
 	}
 	cv.mu.Unlock()
 }
 
-// removeLocked takes name out of the epochs below limit on its list ws,
-// oldest first, closing the ones it empties with the given outcome, and
-// returns the rest of the list. It is the only way a member leaves an
-// epoch.
-func (cv *convergeTracker) removeLocked(ws []memberWait, name string, at int64, limit uint64, outcome string) []memberWait {
-	n := 0
-	for ; n < len(ws) && ws[n].o.epoch < limit; n++ {
-		o := ws[n].o
+// leaveLocked takes name out of the epoch it is pending in, if any,
+// closing the epoch with the given outcome when name was the last it
+// waited on. It is the only way a member leaves an epoch.
+func (cv *convergeTracker) leaveLocked(w *memberWait, name string, at int64, outcome string) {
+	if o := w.o; o != nil {
+		w.o = nil
 		if o.waiting--; o.waiting == 0 {
-			cv.closeLocked(o, at, outcome, name, ws[n].remote)
+			cv.closeLocked(o, at, outcome, name, w.remote)
 		}
 	}
-	return ws[:copy(ws, ws[n:])]
 }
 
 // closeLocked records an epoch's closure: histogram, counters, the

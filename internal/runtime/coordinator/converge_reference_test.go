@@ -20,6 +20,13 @@ import (
 // below the line is the old converge.go verbatim but for the type names
 // and the scanLimit field that lets a test move the fork.
 //
+// The oracle also took epochs opened out of order, which the coordinator
+// stopped doing when a decision became one c.mu section. The tracker no
+// longer does: opened in epoch order a member is pending in at most one
+// open epoch (TestMemberPendingInOneOpenEpoch holds the oracle to that),
+// and its index entry is that one epoch. The streams below open in epoch
+// order only.
+//
 // The two old paths did not agree with each other: when one Open closed
 // several epochs the scan closed them in the order its changed list
 // emptied them and named the changed member that did, the sweep closed
@@ -57,11 +64,11 @@ func (r trackerRig) metricText(t *testing.T, at int64) string {
 }
 
 // TestTrackerMatchesReference drives the tracker and its predecessor
-// with the same seeded Open/Ack/Drop stream — epochs opened out of
-// order, fan-outs on both sides of the old 32-member fork, acks for
-// names nobody registered and for `through` values that fall between
-// epochs — and requires the same closed-report stream, flight events and
-// metric text after every step.
+// with the same seeded Open/Ack/Drop stream — epochs opened in order,
+// some numbers skipped, fan-outs on both sides of the old 32-member fork,
+// acks for names nobody registered and for `through` values that fall
+// between epochs — and requires the same closed-report stream, flight
+// events and metric text after every step.
 func TestTrackerMatchesReference(t *testing.T) {
 	steps := 120_000
 	if testing.Short() {
@@ -69,18 +76,20 @@ func TestTrackerMatchesReference(t *testing.T) {
 	}
 	t.Run("scan", func(t *testing.T) {
 		// The oracle scans at every fan-out: everything must match.
-		driveTrackers(t, 1, steps, math.MaxInt)
+		driveTrackers(t, 1, steps, math.MaxInt, nil)
 	})
 	t.Run("fork", func(t *testing.T) {
 		// The oracle forks at 32 as it used to. A step that took the
 		// sweep and closed epochs is compared as a set (order within the
 		// step and the straggler's name set aside — see the header),
 		// every other step strictly.
-		driveTrackers(t, 2, steps, referenceScanLimit)
+		driveTrackers(t, 2, steps, referenceScanLimit, nil)
 	})
 }
 
-func driveTrackers(t *testing.T, seed int64, steps, scanLimit int) {
+// driveTrackers runs one seeded stream on both trackers; afterOpen, if
+// given, gets a look at the oracle after every Open.
+func driveTrackers(t *testing.T, seed int64, steps, scanLimit int, afterOpen func(step int, ref *referenceTracker)) {
 	newRig := func(mk func(*metrics.Registry, *flight.Recorder) trackerUnderTest) trackerRig {
 		reg, rec := metrics.NewRegistry(), flight.New(flight.DefaultSize)
 		return trackerRig{tr: mk(reg, rec), reg: reg, rec: rec}
@@ -88,8 +97,9 @@ func driveTrackers(t *testing.T, seed int64, steps, scanLimit int) {
 	got := newRig(func(reg *metrics.Registry, rec *flight.Recorder) trackerUnderTest {
 		return newConvergeTracker(reg, rec)
 	})
+	var ref *referenceTracker
 	want := newRig(func(reg *metrics.Registry, rec *flight.Recorder) trackerUnderTest {
-		ref := newReferenceTracker(reg, rec)
+		ref = newReferenceTracker(reg, rec)
 		ref.scanLimit = scanLimit
 		return ref
 	})
@@ -105,31 +115,21 @@ func driveTrackers(t *testing.T, seed int64, steps, scanLimit int) {
 	// coordinator_convergence_stragglers_total out of that difference.
 	remote := func(i int) bool { return scanLimit != math.MaxInt || i%3 != 0 }
 	var (
-		next    uint64   = 1 // next unused epoch
-		skipped []uint64     // epochs passed over, to be opened late
-		at      int64
-		events  uint64 // flight events compared so far
-		closed  int    // epochs closed so far, by the reference's count
+		next   uint64 = 1 // next unused epoch
+		at     int64
+		events uint64 // flight events compared so far
+		closed int    // epochs closed so far, by the reference's count
 	)
 	for step := 0; step < steps; step++ {
 		at += rng.Int63n(40)
 		swept := false
 		switch r := rng.Intn(100); {
 		case r < 40:
-			epoch := next
-			switch k := rng.Intn(10); {
-			case k == 0: // leave a gap for a later out-of-order open
-				skipped = append(skipped, next)
-				next++
-				epoch = next
-				next++
-			case k == 1 && len(skipped) > 0:
-				i := rng.Intn(len(skipped))
-				epoch = skipped[i]
-				skipped = append(skipped[:i], skipped[i+1:]...)
-			default:
-				next++
+			if rng.Intn(10) == 0 {
+				next++ // a decision that moved nothing opened no epoch
 			}
+			epoch := next
+			next++
 			var n int
 			switch k := rng.Intn(10); {
 			case k < 6:
@@ -149,6 +149,9 @@ func driveTrackers(t *testing.T, seed int64, steps, scanLimit int) {
 			swept = n > scanLimit
 			got.tr.Open(epoch, at, changed)
 			want.tr.Open(epoch, at, changed)
+			if afterOpen != nil {
+				afterOpen(step, ref)
+			}
 		case r < 88:
 			name := "stranger"
 			if i := rng.Intn(fleet + 2); i < fleet {
@@ -204,6 +207,29 @@ func driveTrackers(t *testing.T, seed int64, steps, scanLimit int) {
 	}
 	if closed < steps/20 {
 		t.Fatalf("only %d epochs closed in %d steps: the stream is not exercising the tracker", closed, steps)
+	}
+}
+
+// TestMemberPendingInOneOpenEpoch is why the tracker's index holds one
+// epoch per member: in the oracle, which keeps every open epoch's whole
+// pending list, no member is on two of them after any Open of a stream
+// that opens in epoch order.
+func TestMemberPendingInOneOpenEpoch(t *testing.T) {
+	opens := 0
+	driveTrackers(t, 3, 5_000, math.MaxInt, func(step int, ref *referenceTracker) {
+		opens++
+		in := make(map[string]uint64)
+		for _, o := range ref.open {
+			for _, p := range o.pending {
+				if other, ok := in[p.name]; ok {
+					t.Fatalf("step %d: %s is pending in epochs %d and %d", step, p.name, other, o.epoch)
+				}
+				in[p.name] = o.epoch
+			}
+		}
+	})
+	if opens < 1000 {
+		t.Fatalf("only %d opens: the stream is not exercising the tracker", opens)
 	}
 }
 

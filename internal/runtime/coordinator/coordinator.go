@@ -3,7 +3,10 @@
 // registered adaptive pools (internal/runtime/pool) using the allocation
 // policy in internal/core, pushing targets to in-process members and
 // serving polled targets to remote ones over a JSON-lines socket
-// protocol — the modern analogue of the paper's UMAX socket IPC.
+// protocol — the modern analogue of the paper's UMAX socket IPC — with
+// the resilient client that polls it (the paper's 6-second loop). The
+// chaos suite one directory up runs it and pool, the real-process side of
+// procctl, together under injected failures.
 //
 // Locking discipline: the membership — who is registered, in what order,
 // with what weight and what last decided target — is one core.Registry
@@ -94,8 +97,6 @@ type Coordinator struct {
 	reg        *core.Registry[string]
 	loadAware  bool
 	targetsSum int64 // Σ last decided target over the members
-
-	shards [shardCount]shard
 
 	met coordMetrics
 
@@ -350,28 +351,28 @@ func (c *Coordinator) RegisterWeighted(m Member, weight int) {
 	name, procs := m.Name(), m.Workers() // interface calls before taking any lock
 	e := newEntry(m, procs)
 	start := time.Now()
-	sh := &c.shards[shardIndex(name)]
-	c.lockFor(sh)
+	c.mu.Lock()
 	// A name already registered moves to the end of allocation order and
 	// keeps its target: its next target record journals the change from it.
+	// Its handle is replaced: whoever held the name holds it no more.
 	c.reg.Register(name, procs, weight, start.UnixMicro()).Handle = e
 	c.mu.Unlock()
-	sh.registers.Add(1)
 	c.RecordEvent(flight.Event{At: start.UnixMicro(), Kind: flight.KindRegister, App: name, A: int64(procs), B: int64(weight)})
 	c.requestRebalance(start)
 }
 
 // restore adopts the registry recovered from a journal in place of the
 // coordinator's own, keeping only the capacity it was created with, and
-// returns the connection-less remote members it seated, in the state's
-// (name) order. It neither rebalances, flight-records nor journals:
-// recovery replays history, it does not create it. See Server.Restore.
-func (c *Coordinator) restore(st journal.State) []*remoteMember {
+// returns the placeholders it seated (remote members of no connection,
+// for clients to claim by claimBy), in the state's (name) order. It neither
+// rebalances, flight-records nor journals: recovery replays history, it
+// does not create it. See Server.Restore.
+func (c *Coordinator) restore(st journal.State, claimBy time.Time) []*remoteMember {
 	reg := st.Registry()
 	members := make([]*remoteMember, 0, reg.Len())
 	var sum int64
 	reg.Visit(func(m *core.Member[string]) {
-		rm := &remoteMember{name: m.Key, procs: m.Procs}
+		rm := &remoteMember{name: m.Key, procs: m.Procs, claimBy: claimBy}
 		rm.SetTargetEpoch(m.Target, 0) // the restoring epoch is unknown; nothing to ack
 		m.Handle = newEntry(rm, m.Procs)
 		members = append(members, rm)
@@ -410,38 +411,47 @@ func (c *Coordinator) registryCopy() *core.Registry[string] {
 
 // Unregister removes the named member and redistributes its processors.
 func (c *Coordinator) Unregister(name string) {
-	c.unregister(name, true)
+	c.unregister(name, nil, true)
 }
 
-// UnregisterQuiet is Unregister without the journal append — and
-// without the departure rebalance. The server's clean-shutdown path
-// uses it: members dropped because the daemon is exiting are not
-// leaving the fleet, so journaling their departure would make recovery
-// reconstruct an empty registry, and rebalancing over the shrinking
-// remainder would journal target decisions that a replay of the
-// (deliberately unjournaled) departures cannot explain. The flight
-// event still lands in the ring for post-mortems.
-func (c *Coordinator) UnregisterQuiet(name string) {
-	c.unregister(name, false)
-}
-
-func (c *Coordinator) unregister(name string, durable bool) {
+// unregister removes the named member — when only is given, only if the
+// name is still only's: a socket member is made per registration, so a
+// name registered again since (a restarted client, a claimed placeholder)
+// has another handle and stays. It reports whether a member left; cause,
+// the lease expiry behind a sweep's removal, is recorded only then, ahead
+// of the unregister event.
+//
+// A removal that is not durable skips the journal append and the
+// departure rebalance. The server's clean-shutdown path asks for that:
+// members dropped because the daemon is exiting are not leaving the
+// fleet, so journaling their departure would make recovery reconstruct an
+// empty registry, and rebalancing over the shrinking remainder would
+// journal target decisions that a replay of the (deliberately
+// unjournaled) departures cannot explain. The flight event still lands
+// in the ring for post-mortems.
+func (c *Coordinator) unregister(name string, only *remoteMember, durable bool, cause ...flight.Event) bool {
 	start := time.Now()
-	sh := &c.shards[shardIndex(name)]
-	c.lockFor(sh)
-	m, ok := c.reg.Remove(name)
+	c.mu.Lock()
+	m, ok := c.reg.Get(name)
+	if only != nil && !(ok && m.Handle.(*entry).m == Member(only)) {
+		c.mu.Unlock()
+		return false
+	}
 	if ok {
+		c.reg.Remove(name)
 		c.targetsSum -= int64(m.Target)
 		if durable {
-			// A departed member will never ack: it leaves every epoch
-			// still waiting on it as it leaves the registry, so no epoch
-			// decided from here on can find it in either.
+			// A departed member will never ack: it leaves the epoch still
+			// waiting on it as it leaves the registry, so no epoch decided
+			// from here on can find it in either.
 			c.conv.Drop(name, start.UnixMicro())
 		}
 	}
 	c.mu.Unlock()
 	if ok {
-		sh.unregisters.Add(1)
+		for _, ev := range cause {
+			c.RecordEvent(ev)
+		}
 		ev := flight.Event{At: start.UnixMicro(), Kind: flight.KindUnregister, App: name, A: int64(m.Target)}
 		c.rec.Append(ev)
 		if durable {
@@ -451,6 +461,7 @@ func (c *Coordinator) unregister(name string, durable bool) {
 	if durable {
 		c.requestRebalance(start)
 	}
+	return ok
 }
 
 // Members returns the registered member names in registration order.

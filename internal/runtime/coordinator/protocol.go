@@ -55,7 +55,10 @@ import (
 //
 // Registrations are owned by their connection: when the connection
 // drops, its applications are unregistered and their processors are
-// redistributed, so a crashed application cannot pin capacity. Clients
+// redistributed, so a crashed application cannot pin capacity. A name
+// registered again — on any connection — is a new registration that
+// takes the name over: the connection that held it before can no longer
+// unregister it, by request or by dropping. Clients
 // that die without dropping the connection (SIGSTOP, half-open TCP) are
 // caught by the lease: a connection silent for longer than the server's
 // lease (default 18 s, three missed polls) is closed by the sweep and
@@ -109,11 +112,6 @@ type Request struct {
 	// Epoch filters an "events" dump to records stamped with this epoch
 	// (0 = no filter).
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Shards asks a "status" request to include per-shard registry
-	// statistics and admission counters (procctl-top -shards). Opt-in
-	// because the shard table is operator diagnostics, not something
-	// every watch tick needs serialized.
-	Shards bool `json:"shards,omitempty"`
 }
 
 // Response is one server reply.
@@ -152,33 +150,6 @@ type Status struct {
 	// quantiles (absent on daemons predating the spans, or before the
 	// first rebalance).
 	Rebalance []StageLatency `json:"rebalance,omitempty"`
-	// Shards and Admission are served only when the request set
-	// Request.Shards (absent on daemons predating the sharded registry).
-	Shards    []ShardStatus    `json:"shards,omitempty"`
-	Admission *AdmissionStatus `json:"admission,omitempty"`
-}
-
-// ShardStatus is one registry shard's statistics: membership, demand
-// weight, lifetime traffic, and accumulated contended lock wait.
-type ShardStatus struct {
-	Shard          int   `json:"shard"`
-	Members        int   `json:"members"`
-	Weight         int   `json:"weight"`
-	Registers      int64 `json:"registers"`
-	Unregisters    int64 `json:"unregisters"`
-	Polls          int64 `json:"polls"`
-	LockWaitMicros int64 `json:"lock_wait_us"`
-}
-
-// AdmissionStatus reports the server's backpressure state: connection
-// and registration limits, and how much load was admitted versus shed.
-type AdmissionStatus struct {
-	OpenConns     int   `json:"open_conns"`
-	MaxConns      int   `json:"max_conns,omitempty"`
-	AdmitLimit    int   `json:"admit_limit,omitempty"`
-	Admitted      int64 `json:"admitted"`
-	ShedConns     int64 `json:"shed_conns"`
-	ShedRegisters int64 `json:"shed_registers"`
 }
 
 // StageLatency summarizes one rebalance stage's latency distribution in

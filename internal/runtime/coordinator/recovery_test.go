@@ -150,8 +150,10 @@ func TestRestartRecoversRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := journalMembers(t, dir)
-	c.Close()
+	// The daemon goes first: a client that hangs up before the shutdown
+	// has left the fleet, durably, if its handler gets to it in time.
 	srv1.Close()
+	c.Close()
 
 	srv2, _ := startJournaledServer(t, 8, dir, ServerConfig{})
 	infos := srv2.coord.MemberInfos()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"procctl/internal/core"
 	"procctl/internal/flight"
 	"procctl/internal/journal"
 	"procctl/internal/metrics"
@@ -75,13 +76,21 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// remoteMember represents an application registered over a socket. Its
+// remoteMember represents an application registered over a socket, and
+// lives for one registration: registering a name again makes another. Its
 // target is stored for the application's next poll, mirroring the
 // paper's poll-based delivery; its spin% is whatever the client last
 // piggybacked on a register or poll.
 type remoteMember struct {
 	name  string
 	procs int
+	// conn is the connection that registered the member. nil marks a
+	// placeholder: a member restored from the journal, which a client has
+	// until claimBy (zero = forever) to register again before the sweep
+	// presumes it dead. So a name is whose member the registry holds for
+	// it, and no table beside the registry says who owns what.
+	conn    *connState
+	claimBy time.Time
 	// tpack holds the pending target and the epoch that computed it in
 	// one word (epoch high 48 bits, target low 16), so a poll can never
 	// pair a new epoch with a stale target — the torn read that would
@@ -147,8 +156,11 @@ func (r *remoteMember) spinPct() (float64, bool) {
 // connState is the server's bookkeeping for one client connection: the
 // members it registered and when it last said anything.
 type connState struct {
-	conn  net.Conn
-	owned map[string]*remoteMember // touched only by the handler goroutine
+	conn net.Conn
+	// owned is what this connection's requests may name: what it registered
+	// and has not unregistered, so a poll finds its target without c.mu. The
+	// registry says whose a name is now. Touched only by the handler goroutine.
+	owned map[string]*remoteMember
 
 	accepted time.Time
 	lastSeen atomic.Int64 // nanoseconds after accepted, on its monotonic clock
@@ -173,16 +185,12 @@ type Server struct {
 	ln    net.Listener
 	cfg   ServerConfig
 
-	mu     sync.Mutex
-	conns  map[net.Conn]*connState
-	owners map[string]*connState // app name -> owning connection
-	// recovered holds journal-restored members that no client has
-	// claimed yet. They have no connection, so the sweep owns their
-	// expiry: each gets one fresh lease from the restart instant to be
-	// re-claimed (an OpRegister for the name) before being presumed
-	// dead.
-	recovered map[string]recoveredEntry
-	closed    bool
+	mu    sync.Mutex
+	conns map[net.Conn]*connState
+	// unclaimedBy is the claim deadline of the placeholders Restore seated,
+	// until the sweep that follows it has reclaimed the unclaimed.
+	unclaimedBy time.Time
+	closed      bool
 
 	handlers sync.WaitGroup // joins per-connection handler goroutines
 	expiries *metrics.Counter
@@ -222,16 +230,14 @@ func NewServer(coord *Coordinator, ln net.Listener) *Server {
 // NewServerWith is NewServer with explicit lease and timeout settings.
 func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Server {
 	s := &Server{
-		coord:     coord,
-		ln:        ln,
-		cfg:       cfg.withDefaults(),
-		conns:     make(map[net.Conn]*connState),
-		owners:    make(map[string]*connState),
-		recovered: make(map[string]recoveredEntry),
-		expiries:  coord.Metrics().Counter("coordinator_lease_expiries_total", "members unregistered because their connection went silent past its lease"),
-		admitted:  coord.Metrics().Counter("coordinator_admission_admitted_total", "registrations admitted"),
-		shedConn:  coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "conns"), "connections shed with a busy reply at the connection cap"),
-		shedReg:   coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "register"), "registrations shed with a busy reply at the admission limit"),
+		coord:    coord,
+		ln:       ln,
+		cfg:      cfg.withDefaults(),
+		conns:    make(map[net.Conn]*connState),
+		expiries: coord.Metrics().Counter("coordinator_lease_expiries_total", "members unregistered because their connection went silent past its lease"),
+		admitted: coord.Metrics().Counter("coordinator_admission_admitted_total", "registrations admitted"),
+		shedConn: coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "conns"), "connections shed with a busy reply at the connection cap"),
+		shedReg:  coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "register"), "registrations shed with a busy reply at the admission limit"),
 	}
 	if s.cfg.AdmitLimit > 0 {
 		s.admit = make(chan struct{}, s.cfg.AdmitLimit)
@@ -251,37 +257,29 @@ func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Serve
 	return s
 }
 
-// recoveredEntry is one journal-restored member awaiting a client: the
-// connection-less remote member re-seated in the coordinator and the
-// deadline by which a client must claim the name.
-type recoveredEntry struct {
-	m        *remoteMember
-	deadline time.Time
-}
-
 // Restore re-seats a recovered registry before the server starts
-// accepting: every journaled member comes back as a connection-less
-// remote member holding its last decided target (so the first rebalance
-// journals only genuine changes), and external load and the rebalance
-// count resume where the old incarnation left off. Recovered members get
-// a fresh lease from now — the daemon cannot know which clients survived
-// its downtime, and the persisted LastSeen predates it — so each has one
-// full lease to re-register before the sweep reclaims its processors.
-// Returns how many members were restored.
+// accepting: every journaled member comes back as a placeholder — a
+// remote member of no connection — holding its last decided target (so
+// the first rebalance journals only genuine changes), and external load
+// and the rebalance count resume where the old incarnation left off.
+// Placeholders get a fresh lease from now — the daemon cannot know which
+// clients survived its downtime, and the persisted LastSeen predates it —
+// so each has one full lease to be claimed (an OpRegister for its name)
+// before the sweep reclaims its processors. Returns how many members were
+// restored.
 //
 // Restore neither rebalances nor journals; the caller attaches the
 // journal and triggers the first rebalance once boot-time state (a
 // restart record, the capacity flag) has been appended.
 func (s *Server) Restore(st journal.State, now time.Time) int {
-	members := s.coord.restore(st)
+	var claimBy time.Time
 	if s.cfg.Lease > 0 {
-		deadline := now.Add(s.cfg.Lease)
-		s.mu.Lock()
-		for _, m := range members {
-			s.recovered[m.name] = recoveredEntry{m: m, deadline: deadline}
-		}
-		s.mu.Unlock()
+		claimBy = now.Add(s.cfg.Lease)
 	}
+	members := s.coord.restore(st, claimBy)
+	s.mu.Lock()
+	s.unclaimedBy = claimBy
+	s.mu.Unlock()
 	return len(members)
 }
 
@@ -409,62 +407,71 @@ func (s *Server) sweepLoop(done chan struct{}) {
 	}
 }
 
+// leases is the lease sweep's one pass over the membership, one c.mu
+// section: it files the members of the connections that are keys of
+// silent under them and returns the placeholders no client claimed before
+// now, in registry order — by name, as Restore seated them. Either may be
+// stale by the time the sweep acts on it, so its removals are by identity.
+func (c *Coordinator) leases(now time.Time, silent map[*connState][]string) (unclaimed []*remoteMember) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reg.Visit(func(m *core.Member[string]) {
+		switch rm, _ := m.Handle.(*entry).m.(*remoteMember); {
+		case rm == nil: // an in-process member has no lease
+		case rm.conn != nil:
+			if names, ok := silent[rm.conn]; ok {
+				silent[rm.conn] = append(names, rm.name)
+			}
+		case !rm.claimBy.IsZero() && rm.claimBy.Before(now):
+			unclaimed = append(unclaimed, rm)
+		}
+	})
+	return unclaimed
+}
+
 // sweep closes every connection silent since before now-Lease and
-// counts the member leases that expired with it. It also reclaims
-// journal-recovered members whose grace lease lapsed without a client
-// claiming them — they have no connection to close, so the sweep
-// unregisters them directly.
+// counts the member leases that expired with it. It also reclaims the
+// placeholders whose grace lease lapsed without a client claiming them —
+// they have no connection to close, so the sweep unregisters them itself,
+// each only if its name is still its own. The membership is walked once,
+// and only when there is something to find in it.
 func (s *Server) sweep(now time.Time) {
 	deadline := now.Add(-s.cfg.Lease)
-	var victims []*connState
+	silent := make(map[*connState][]string)
 	s.mu.Lock()
 	for _, cs := range s.conns {
 		if cs.seen().Before(deadline) {
-			victims = append(victims, cs)
+			silent[cs] = nil
 		}
 	}
+	reap := !s.unclaimedBy.IsZero() && s.unclaimedBy.Before(now)
+	if reap {
+		s.unclaimedBy = time.Time{}
+	}
 	s.mu.Unlock()
-	for _, cs := range victims {
-		var expired []string
-		s.mu.Lock()
-		for name, owner := range s.owners {
-			if owner == cs {
-				expired = append(expired, name)
+	if len(silent) > 0 || reap {
+		unclaimed := s.coord.leases(now, silent)
+		for cs, names := range silent {
+			s.expiries.Add(int64(len(names)))
+			sort.Strings(names) // registration order is not the event log's business
+			for _, name := range names {
+				s.coord.RecordEvent(leaseExpiry(now, name, len(names)))
 			}
+			cs.conn.Close()
 		}
-		s.mu.Unlock()
-		s.expiries.Add(int64(len(expired)))
-		sort.Strings(expired) // map order must not leak into the event log
-		for _, name := range expired {
-			s.coord.RecordEvent(flight.Event{
-				At: now.UnixMicro(), Kind: flight.KindLeaseExpiry, App: name, A: int64(len(expired)),
-			})
-		}
-		cs.conn.Close()
-	}
-
-	var stale []string
-	s.mu.Lock()
-	for name, re := range s.recovered {
-		if re.deadline.Before(now) {
-			stale = append(stale, name)
-			delete(s.recovered, name)
-		}
-	}
-	s.mu.Unlock()
-	if len(stale) > 0 {
-		s.expiries.Add(int64(len(stale)))
-		sort.Strings(stale)
-		for _, name := range stale {
-			s.coord.RecordEvent(flight.Event{
-				At: now.UnixMicro(), Kind: flight.KindLeaseExpiry, App: name, A: int64(len(stale)),
-			})
-		}
-		for _, name := range stale {
-			s.coord.Unregister(name)
+		for _, m := range unclaimed {
+			if s.coord.unregister(m.name, m, true, leaseExpiry(now, m.name, len(unclaimed))) {
+				s.expiries.Inc()
+			}
 		}
 	}
 	s.maybeSnapshot()
+}
+
+// leaseExpiry is the event of app presumed dead, one of with members that
+// expired together: a connection's, or one sweep's placeholders.
+func leaseExpiry(now time.Time, app string, with int) flight.Event {
+	return flight.Event{At: now.UnixMicro(), Kind: flight.KindLeaseExpiry, App: app, A: int64(with)}
 }
 
 // Close stops the listener, drops every connection (unregistering
@@ -486,36 +493,29 @@ func (s *Server) Close() error {
 	return err
 }
 
+// release forgets a dropped connection and unregisters what it registered
+// and still holds: a restarted client may have registered one of the
+// names again from a fresh connection while this one was dying.
+func (s *Server) release(cs *connState) {
+	s.mu.Lock()
+	closed := s.closed
+	delete(s.conns, cs.conn)
+	s.mu.Unlock()
+	for name, m := range cs.owned {
+		// Server shutdown is not member departure: the journal's registry
+		// stays intact for the next incarnation.
+		s.coord.unregister(name, m, !closed)
+	}
+}
+
 // handle serves one connection until it drops (EOF, error, or lease
-// sweep), then unregisters the applications it registered.
+// sweep), then releases it.
 func (s *Server) handle(cs *connState) {
 	defer s.handlers.Done()
 	conn := cs.conn
 	defer func() {
 		conn.Close()
-		var mine []string
-		s.mu.Lock()
-		closed := s.closed
-		delete(s.conns, conn)
-		for name := range cs.owned {
-			// Only tear down names this connection still owns: a
-			// restarted client may have re-registered one of them from
-			// a fresh connection while this one was dying.
-			if s.owners[name] == cs {
-				delete(s.owners, name)
-				mine = append(mine, name)
-			}
-		}
-		s.mu.Unlock()
-		for _, name := range mine {
-			if closed {
-				// Server shutdown, not member departure: keep the
-				// journal's registry intact for the next incarnation.
-				s.coord.UnregisterQuiet(name)
-			} else {
-				s.coord.Unregister(name)
-			}
-		}
+		s.release(cs)
 	}()
 
 	// Everything a request needs lives as long as the connection, so a
@@ -593,7 +593,7 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 			}
 		}
 		s.admitted.Inc()
-		m := &remoteMember{name: req.App, procs: req.Procs}
+		m := &remoteMember{name: req.App, procs: req.Procs, conn: cs}
 		// Until the first rebalance lands (immediately below when
 		// rebalancing inline, at the next flush when batching), the
 		// member's pending target is its own process count: run
@@ -602,16 +602,10 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		if req.SpinPct != nil {
 			m.noteSpin(*req.SpinPct)
 		}
+		// The name is m's from here on, whoever held it: a dying predecessor's
+		// release and the sweep pass over a name that is no longer theirs.
 		s.coord.RegisterWeighted(m, req.Weight)
 		owned[req.App] = m
-		s.mu.Lock()
-		// Taking ownership also handles a restarted client racing its
-		// dying predecessor: the old connection's cleanup skips names
-		// it no longer owns. A journal-recovered placeholder for the
-		// name is likewise superseded by the live registration.
-		s.owners[req.App] = cs
-		delete(s.recovered, req.App)
-		s.mu.Unlock()
 		if req.Applied > 0 {
 			// A reconnecting client may still be acking an epoch the
 			// previous incarnation of its registration was pushed.
@@ -625,7 +619,6 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		if !ok {
 			return errResp(fmt.Errorf("app %q not registered on this connection", req.App))
 		}
-		s.coord.NotePoll(req.App)
 		if req.SpinPct != nil {
 			m.noteSpin(*req.SpinPct)
 		}
@@ -636,14 +629,12 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		return Response{OK: true, Target: target, Epoch: epoch}
 
 	case OpUnregister:
-		if _, ok := owned[req.App]; !ok {
+		m, ok := owned[req.App]
+		if !ok {
 			return errResp(fmt.Errorf("app %q not registered on this connection", req.App))
 		}
 		delete(owned, req.App)
-		s.mu.Lock()
-		delete(s.owners, req.App)
-		s.mu.Unlock()
-		s.coord.Unregister(req.App)
+		s.coord.unregister(req.App, m, true)
 		return Response{OK: true}
 
 	case OpSetLoad:
@@ -651,7 +642,7 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		return Response{OK: true}
 
 	case OpStatus:
-		return Response{OK: true, Status: s.status(req.Shards)}
+		return Response{OK: true, Status: s.status()}
 
 	case OpMetrics:
 		return Response{OK: true, Metrics: s.coord.Snapshot()}
@@ -667,36 +658,15 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 	}
 }
 
-func (s *Server) status(withShards bool) *Status {
+func (s *Server) status() *Status {
 	st := &Status{
 		Capacity:     s.coord.Capacity(),
 		ExternalLoad: s.coord.ExternalLoad(),
 		LeaseSeconds: s.cfg.Lease.Seconds(),
 	}
-	if withShards {
-		st.Shards = s.coord.ShardStats()
-		st.Admission = s.admissionStatus()
-	}
 	now := time.Now()
-	s.mu.Lock()
-	remaining := make(map[string]float64, len(s.owners)+len(s.recovered))
-	for name, cs := range s.owners {
-		rem := (s.cfg.Lease - now.Sub(cs.seen())).Seconds()
-		if rem < 0 {
-			rem = 0
-		}
-		remaining[name] = rem
-	}
-	for name, re := range s.recovered {
-		rem := re.deadline.Sub(now).Seconds()
-		if rem < 0 {
-			rem = 0
-		}
-		remaining[name] = rem
-	}
-	s.mu.Unlock()
 	// MemberInfos probes member code (Workers, targets) with no
-	// coordinator lock held; the spin sampling below is likewise
+	// coordinator lock held; the lease and spin sampling below is likewise
 	// lock-free here.
 	for _, info := range s.coord.MemberInfos() {
 		app := AppStatus{
@@ -706,11 +676,15 @@ func (s *Server) status(withShards bool) *Status {
 			Target:         info.Target,
 			LeaseRemaining: -1, // in-process members have no lease
 		}
-		if rem, ok := remaining[info.Name]; ok && s.cfg.Lease > 0 {
-			app.LeaseRemaining = rem
-		}
 		switch mm := info.Member.(type) {
 		case *remoteMember:
+			if s.cfg.Lease > 0 {
+				end := mm.claimBy // a placeholder's lease is its claim deadline
+				if mm.conn != nil {
+					end = mm.conn.seen().Add(s.cfg.Lease)
+				}
+				app.LeaseRemaining = max(end.Sub(now).Seconds(), 0)
+			}
 			// Remote members report over the wire; stay nil until the
 			// first report so old clients render as "-" not "0%".
 			if v, ok := mm.spinPct(); ok {
@@ -790,22 +764,6 @@ func (s *Server) convergeStatus(limit int) *ConvergeStatus {
 		cs.P999 = m.Quantile(999)
 	}
 	return cs
-}
-
-// admissionStatus snapshots the backpressure counters for the shards
-// view.
-func (s *Server) admissionStatus() *AdmissionStatus {
-	s.mu.Lock()
-	open := len(s.conns)
-	s.mu.Unlock()
-	return &AdmissionStatus{
-		OpenConns:     open,
-		MaxConns:      s.cfg.MaxConns,
-		AdmitLimit:    s.cfg.AdmitLimit,
-		Admitted:      s.admitted.Value(),
-		ShedConns:     s.shedConn.Value(),
-		ShedRegisters: s.shedReg.Value(),
-	}
 }
 
 func errResp(err error) Response {

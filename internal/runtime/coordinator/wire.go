@@ -256,8 +256,6 @@ func scanRequest(line []byte, req *Request, spin *float64, name func([]byte) str
 			return c.uint(&req.Since)
 		case "epoch":
 			return c.uint(&req.Epoch)
-		case "shards":
-			return c.bool(&req.Shards)
 		}
 		return false
 	})
@@ -357,9 +355,6 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 	dst = appendField(dst, `,"applied_epoch":`, req.Applied)
 	dst = appendField(dst, `,"since":`, req.Since)
 	dst = appendField(dst, `,"epoch":`, req.Epoch)
-	if req.Shards {
-		dst = append(dst, `,"shards":true`...)
-	}
 	return append(dst, '}', '\n'), nil
 }
 

@@ -87,7 +87,7 @@ func checkEncoding(t *testing.T, v any, got []byte, gerr error) []byte {
 
 const (
 	flagA = 1 << iota // request: spin_pct present; response: ok
-	flagB             // request: shards; response: busy
+	flagB             // response: busy
 	flagC             // response: carries a converge report (the json path)
 )
 
@@ -106,7 +106,7 @@ func FuzzWireRequest(f *testing.F) {
 		spin float64, applied, since, epoch uint64, flags uint8) {
 		checkRequestLine(t, line)
 		req := Request{Op: op, App: app, Procs: procs, Weight: weight, Load: load, Limit: limit,
-			Applied: applied, Since: since, Epoch: epoch, Shards: flags&flagB != 0}
+			Applied: applied, Since: since, Epoch: epoch}
 		if flags&flagA != 0 {
 			req.SpinPct = &spin
 		}
@@ -207,7 +207,7 @@ func TestWireFleetTrafficIsPlain(t *testing.T) {
 		{Op: OpRegister, App: "fft", Procs: 16, Weight: 3, SpinPct: new(float64), Applied: 2},
 		{Op: OpUnregister, App: "fft"},
 		{Op: OpSetLoad, Load: 2},
-		{Op: OpStatus, Shards: true},
+		{Op: OpStatus},
 		{Op: OpEvents, Limit: 100, Since: 42, Epoch: 7},
 	} {
 		line, err := json.Marshal(&req)
@@ -360,7 +360,7 @@ func TestOldClientNewServer(t *testing.T) {
 		{Request{Op: OpPoll, App: "ghost"}, `{"ok":false,"error":"app \"ghost\" not registered on this connection"}`},
 		{Request{Op: OpSetLoad, Load: 2}, `{"ok":true}`},
 		{Request{Op: OpPoll, App: "old"}, `{"ok":true,"target":6,"epoch":2}`},
-		{Request{Op: OpStatus, Shards: true}, ""},
+		{Request{Op: OpStatus}, ""},
 		{Request{Op: OpMetrics}, ""},
 		{Request{Op: OpEvents, Limit: 10, Since: 1}, ""},
 		{Request{Op: OpConverge, Limit: 4}, ""},
@@ -489,8 +489,8 @@ func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
 // The server's whole path from a poll's line to its reply's write —
-// framing, decode, lease touch, dispatch, shard counter, spin, ack,
-// encode — allocates nothing, with or without the optional fields.
+// framing, decode, lease touch, dispatch, spin, ack, encode — allocates
+// nothing, with or without the optional fields.
 func TestServerPollAllocatesNothing(t *testing.T) {
 	srv, _ := startServer(t, 8)
 	for _, tc := range []struct{ name, poll string }{

@@ -206,14 +206,19 @@ func (p *Pool) SetTargetEpoch(n int, epoch uint64) bool {
 		n = p.workers
 	}
 	p.mu.Lock()
-	if n != p.target {
+	moved := n != p.target
+	if moved {
 		p.target = n
 		p.epoch = epoch
 		p.settled = false
 		p.maybeSettleLocked()
 	}
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	// Only a target that moved gives parked and idle workers something to
+	// re-check, and most of a coordinator's pushes repeat the target held.
+	if moved {
+		p.cond.Broadcast()
+	}
 	return true
 }
 

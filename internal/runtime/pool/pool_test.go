@@ -394,3 +394,52 @@ func TestSetTargetEpochSettles(t *testing.T) {
 		t.Errorf("second settle event = %+v, want target 4, epoch 11", ev)
 	}
 }
+
+// A coordinator pushes to every member on every rebalance, and most of
+// those pushes repeat the target held: they must wake nobody. A worker
+// accrues its idle or parked time when it wakes, so while nobody wakes
+// the accrued totals stand still.
+func TestRepeatedTargetWakesNobody(t *testing.T) {
+	p := New(Config{Workers: 4})
+	defer func() {
+		p.Close()
+		p.Wait()
+	}()
+	accrued := func() int64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.idleNanos + p.parkNanos
+	}
+	// settled waits out the wake-ups still in flight from the last change.
+	settled := func() int64 {
+		for {
+			a := accrued()
+			time.Sleep(10 * time.Millisecond)
+			if b := accrued(); a == b {
+				return b
+			}
+		}
+	}
+	p.SetTarget(2) // two park, two idle
+	deadline := time.Now().Add(2 * time.Second)
+	for p.Runnable() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("runnable = %d, want 2", p.Runnable())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := settled()
+	for epoch := uint64(1); epoch <= 100; epoch++ {
+		p.SetTargetEpoch(2, epoch)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := accrued(); got != before {
+		t.Errorf("100 pushes of the target already held woke workers: accrued wait went from %d to %d ns", before, got)
+	}
+	p.SetTarget(3) // a target that moved still does
+	for deadline = time.Now().Add(2 * time.Second); accrued() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a raised target woke nobody")
+		}
+	}
+}

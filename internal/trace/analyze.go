@@ -160,7 +160,7 @@ func ReadAttribution(rd io.Reader) (*Attribution, error) {
 	}
 
 	att := &Attribution{}
-	hdr, err := readTrace(rd, true, func(ev Event) error {
+	hdr, err := readTrace(rd, func(ev Event) error {
 		att.Events++
 		if ev.T > att.End {
 			att.End = ev.T
@@ -258,16 +258,12 @@ func pids(m map[kernel.PID]*procAttr) []kernel.PID {
 
 // Render prints the attribution as a table, one row per application.
 func (a *Attribution) Render() string {
-	title := fmt.Sprintf("Wasted-cycle attribution: %d events over %v", a.Events, a.End)
-	if h := a.Header; h != nil {
-		ctl := "off"
-		if h.Control {
-			ctl = "on"
-		}
-		title = fmt.Sprintf("Wasted-cycle attribution: %v on %d cpus (policy %s, seed %d, control %s)",
-			a.End, h.CPUs, h.Policy, h.Seed, ctl)
+	h, ctl := a.Header, "off"
+	if h.Control {
+		ctl = "on"
 	}
-	t := NewTable(title,
+	t := NewTable(fmt.Sprintf("Wasted-cycle attribution: %v on %d cpus (policy %s, seed %d, control %s)",
+		a.End, h.CPUs, h.Policy, h.Seed, ctl),
 		"app", "total", "useful", "spin-preempt", "spin-run", "switch", "reload",
 		"ready-wait", "suspended", "blocked")
 	for _, app := range a.Apps {

@@ -104,7 +104,7 @@ func WriteChrome(rd io.Reader, w io.Writer) error {
 	}
 
 	var end sim.Time
-	hdr, err := readTrace(rd, true, func(ev Event) error {
+	hdr, err := readTrace(rd, func(ev Event) error {
 		if ev.T > end {
 			end = ev.T
 		}

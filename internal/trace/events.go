@@ -15,8 +15,8 @@ import (
 // FormatVersion is the trace file format emitted by Recorder. Version 2
 // added the header line, lock/overhead/annotation events, and the
 // pointer encoding of CPU (v1 could not distinguish CPU 0 from "no
-// CPU"). Readers accept headerless v1 traces where the analysis permits
-// it (ReadSummary) and reject them where it does not (analyze, export).
+// CPU"). Every reader requires the header and rejects a headerless v1
+// trace.
 const FormatVersion = 2
 
 // Header is the first line of a v2 trace: enough provenance to detect a
@@ -382,12 +382,12 @@ func (r *Recorder) Flush() error {
 	return r.w.Flush()
 }
 
-// readTrace decodes a JSONL trace, validating the header if present: a
-// header on any line but the first, or a version mismatch, is an error.
-// If requireHeader is set, a legacy headerless (v1) trace is also an
-// error — analyses that depend on v2 events use it to fail loudly
-// instead of mis-aggregating. Every non-header event is passed to fn.
-func readTrace(rd io.Reader, requireHeader bool, fn func(Event) error) (*Header, error) {
+// readTrace decodes a JSONL trace and validates its header: a header on
+// any line but the first, a version mismatch, or no header at all — a
+// legacy v1 trace, which no build has written since FormatVersion 2, or an
+// empty file — is an error, so nothing aggregates what it cannot read.
+// Every non-header event is passed to fn.
+func readTrace(rd io.Reader, fn func(Event) error) (*Header, error) {
 	dec := json.NewDecoder(bufio.NewReader(rd))
 	var hdr *Header
 	line := 0
@@ -417,14 +417,14 @@ func readTrace(rd io.Reader, requireHeader bool, fn func(Event) error) (*Header,
 			hdr = &h
 			continue
 		}
-		if line == 1 && requireHeader {
+		if line == 1 {
 			return nil, fmt.Errorf("trace: no header line — legacy v1 traces carry too little to analyze; re-record with this build")
 		}
 		if err := fn(ev); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 	}
-	if requireHeader && hdr == nil {
+	if hdr == nil {
 		return nil, fmt.Errorf("trace: empty trace (no header line)")
 	}
 	return hdr, nil
@@ -445,16 +445,15 @@ type AppSummary struct {
 
 // Summary is the analysis of a recorded trace.
 type Summary struct {
-	Header *Header // nil for a legacy v1 trace
+	Header *Header
 	Events int64
 	End    sim.Time
 	Apps   []AppSummary // sorted by AppID (AppNone first)
 }
 
 // ReadSummary parses a JSONL trace and aggregates per-application state
-// residency. It reads both v1 (headerless) and v2 traces; unknown event
-// kinds are an error, and a trace truncated mid-run is fine (open
-// intervals are dropped).
+// residency. Unknown event kinds are an error, and a trace truncated
+// mid-run is fine (open intervals are dropped).
 func ReadSummary(rd io.Reader) (*Summary, error) {
 	type pstate struct {
 		app   kernel.AppID
@@ -472,7 +471,7 @@ func ReadSummary(rd io.Reader) (*Summary, error) {
 		return s
 	}
 	sum := &Summary{}
-	hdr, err := readTrace(rd, false, func(ev Event) error {
+	hdr, err := readTrace(rd, func(ev Event) error {
 		sum.Events++
 		if ev.T > sum.End {
 			sum.End = ev.T
@@ -537,16 +536,12 @@ func ReadSummary(rd io.Reader) (*Summary, error) {
 
 // Render prints the summary as a table.
 func (s *Summary) Render() string {
-	title := fmt.Sprintf("Trace summary: %d events over %v", s.Events, s.End)
-	if h := s.Header; h != nil {
-		ctl := "off"
-		if h.Control {
-			ctl = "on"
-		}
-		title = fmt.Sprintf("Trace summary: %d events over %v (policy %s, seed %d, %d cpus, control %s)",
-			s.Events, s.End, h.Policy, h.Seed, h.CPUs, ctl)
+	h, ctl := s.Header, "off"
+	if h.Control {
+		ctl = "on"
 	}
-	t := NewTable(title,
+	t := NewTable(fmt.Sprintf("Trace summary: %d events over %v (policy %s, seed %d, %d cpus, control %s)",
+		s.Events, s.End, h.Policy, h.Seed, h.CPUs, ctl),
 		"app", "procs", "running", "ready-wait", "blocked", "dispatches", "span")
 	for _, a := range s.Apps {
 		label := fmt.Sprintf("app %d", a.App)

@@ -109,36 +109,50 @@ func TestSummaryRejectsVersionMismatch(t *testing.T) {
 		t.Errorf("unhelpful version error: %v", err)
 	}
 	// A header anywhere but line 1 is a corrupt or concatenated trace.
-	in = `{"t":1,"kind":"spawn","pid":1,"app":1,"name":"p"}` + "\n" +
+	in = testHeader + `{"t":1,"kind":"spawn","pid":1,"app":1,"name":"p"}` + "\n" +
 		`{"kind":"header","version":2}` + "\n"
 	if _, err := ReadSummary(strings.NewReader(in)); err == nil {
 		t.Error("mid-stream header accepted")
+	} else if !strings.Contains(err.Error(), "header on line 3") {
+		t.Errorf("unhelpful mid-stream header error: %v", err)
 	}
 }
+
+// testHeader is the first line of a hand-written trace.
+const testHeader = `{"kind":"header","version":2,"seed":1,"policy":"timeshare","cpus":2,"control":false}` + "\n"
 
 func TestSummaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadSummary(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadSummary(strings.NewReader(`{"t":1,"kind":"martian","pid":1}` + "\n")); err == nil {
+	if _, err := ReadSummary(strings.NewReader(testHeader + `{"t":1,"kind":"martian","pid":1}` + "\n")); err == nil {
 		t.Error("unknown kind accepted")
+	} else if !strings.Contains(err.Error(), "martian") {
+		t.Errorf("unhelpful unknown-kind error: %v", err)
 	}
 }
 
+// A trace is at least its header: an empty file and a headerless (v1)
+// trace are refused, a header alone summarizes to nothing.
 func TestSummaryEmptyTrace(t *testing.T) {
-	sum, err := ReadSummary(strings.NewReader(""))
+	for _, in := range []string{"", `{"t":0,"kind":"spawn","pid":1,"app":1,"name":"p"}` + "\n"} {
+		if _, err := ReadSummary(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "header") {
+			t.Errorf("ReadSummary(%q): %v, want an error naming the missing header", in, err)
+		}
+	}
+	sum, err := ReadSummary(strings.NewReader(testHeader))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Events != 0 || len(sum.Apps) != 0 {
-		t.Errorf("empty trace summary %+v", sum)
+	if sum.Events != 0 || len(sum.Apps) != 0 || sum.Header == nil {
+		t.Errorf("header-only trace summary %+v", sum)
 	}
 }
 
 func TestSummaryMidRunTrace(t *testing.T) {
 	// A state event for a PID with no spawn (trace started mid-run)
 	// must not crash or corrupt accounting.
-	in := `{"t":1000,"kind":"state","pid":7,"app":2,"from":"runnable","to":"running","cpu":0}
+	in := testHeader + `{"t":1000,"kind":"state","pid":7,"app":2,"from":"runnable","to":"running","cpu":0}
 {"t":2000,"kind":"state","pid":7,"app":2,"from":"running","to":"runnable"}
 `
 	sum, err := ReadSummary(strings.NewReader(in))
