@@ -8,6 +8,7 @@ package procctl_test
 // EXPERIMENTS.md records paper-vs-measured values from these runs.
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -227,6 +228,32 @@ func BenchmarkEngineChurn(b *testing.B) {
 		j := rng.Intn(population)
 		eng.Cancel(ids[j])
 		ids[j] = eng.Schedule(sim.Time(1+rng.Intn(1_000_000)), fn)
+	}
+}
+
+// BenchmarkEnginePopulation measures fire-and-reschedule against n
+// standing timers, each landing at a random rank among the others (the
+// shape of the repo benchmark's sim.bare_ns_per_event, which runs 64):
+// where in n the engine's sorted window hands over to its heap.
+func BenchmarkEnginePopulation(b *testing.B) {
+	for _, n := range []int{16, 64, 256, 1024, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			eng := sim.NewEngine(1)
+			rng := sim.NewRNG(7)
+			left := b.N
+			var tick func()
+			tick = func() {
+				if left--; left >= n {
+					eng.After(sim.Duration(1+rng.Intn(2*n)), tick)
+				}
+			}
+			for i := 0; i < n; i++ {
+				eng.After(sim.Duration(1+rng.Intn(2*n)), tick)
+			}
+			b.ResetTimer()
+			eng.RunUntilIdle()
+		})
 	}
 }
 

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"procctl/internal/apps"
 	"procctl/internal/flight"
+	"procctl/internal/kernel"
+	"procctl/internal/sim"
 )
 
 // The figure calls the repo benchmark times, at its sizes: sim_sweep is
@@ -46,6 +49,60 @@ func BenchmarkFigureCalls(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "GCs/op")
 		})
+	}
+}
+
+// engineWindow is sim's unexported window: how many of the earliest
+// pending events the engine keeps in its sorted array, ahead of the heap.
+// sim.TestWindowIsTheMeasuredSize fails if the constant moves without it.
+const engineWindow = 64
+
+// engineSpy is a policy that notes the engine of every kernel it is
+// attached to: a figure call builds its simulations out of sight.
+type engineSpy struct {
+	kernel.Policy
+	mu      *sync.Mutex
+	engines *[]*sim.Engine
+}
+
+func (p engineSpy) Attach(k *kernel.Kernel) {
+	p.mu.Lock()
+	*p.engines = append(*p.engines, k.Engine())
+	p.mu.Unlock()
+	p.Policy.Attach(k)
+}
+
+// TestFigureQueuesFitTheWindow pins the traffic the engine's window was
+// sized for (EXPERIMENTS.md PERF-9): no simulation of the benchmark's
+// figure calls ever has more events pending than the window holds (34
+// and 37 when it was sized), so a figure's heap stays empty and every
+// Schedule is a short insertion.
+func TestFigureQueuesFitTheWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the benchmark-size figures")
+	}
+	for _, c := range []struct {
+		name string
+		call func(Options)
+	}{{"Fig1+Fig3", sweepCall}, {"Fig4", fig4Call}} {
+		var mu sync.Mutex
+		var engines []*sim.Engine
+		c.call(Options{Seed: 1, Seeds: 1, NewPolicy: func() kernel.Policy {
+			return engineSpy{kernel.NewTimeshare(), &mu, &engines}
+		}})
+		most := 0
+		for _, e := range engines {
+			most = max(most, e.HighWater())
+		}
+		t.Logf("%s: %d simulations, at most %d events pending", c.name, len(engines), most)
+		if len(engines) == 0 || most == 0 {
+			t.Errorf("%s: saw %d engines with at most %d events pending", c.name, len(engines), most)
+		}
+		if most > engineWindow {
+			t.Errorf("%s holds %d events pending, more than the engine's window of %d: its queue now spills to the heap. "+
+				"Before changing sim's window constant, redo PERF-9's window-size measurement (BenchmarkFigureCalls, "+
+				"BenchmarkEngineChurn and BenchmarkEnginePopulation at each candidate size)", c.name, most, engineWindow)
+		}
 	}
 }
 

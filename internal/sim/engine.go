@@ -14,28 +14,33 @@ import (
 //     intrusive free list, so Schedule reuses memory instead of
 //     allocating, and EventID is a value (slot index + generation), not
 //     a pointer.
-//  2. The priority queue is a specialized 4-ary min-heap of inline
-//     entries ordered by (at, seq) — no container/heap interface
-//     boxing, shallower than a binary heap (log₄ vs log₂ levels), and
-//     sift-down's four-child scan stays within one cache line.
-//  3. Cancel removes the entry from the heap immediately (O(log n) via
-//     the slot's back-pointer) instead of leaving a tombstone, so the
-//     run loop never drains dead events and Pending reports live count.
-//  4. Fire-and-reschedule is one heap operation. Run leaves the event
-//     it fires at the root as a hole, and the first Schedule from inside
-//     the callback puts its entry there with one sift-down (replace-top):
-//     nearly every event of a figure run schedules exactly one successor,
-//     so a pop's full-depth sift of the last leaf and the new entry's
-//     sift-up are both gone. A callback that schedules nothing pays the
-//     old pop on return. Cancel (once per ten thousand events) closes
-//     the hole first, so that removal only sees live entries instead of
-//     leaning on the fired key still ordering before them.
+//  2. The queue is two tiers ordered by (at, seq). The earliest pending
+//     events live in near, a fixed array inside Engine sorted
+//     latest-first, so the next event is its last element and firing
+//     is n--; everything later waits in a specialized 4-ary min-heap of
+//     inline entries (no container/heap boxing, log₄ levels), and every
+//     window entry orders before every heap entry. A figure's queue
+//     fits the window; the heap keeps thousands of events logarithmic.
+//  3. Cancel removes the entry at once instead of leaving a tombstone,
+//     so the run loop never drains dead events and Pending reports the
+//     live count: a record's heapIdx is its position in the heap (an
+//     O(log n) removal), or -1 for "in the window" (a bounded scan).
+//  4. Schedule into the window is an insertion from the back comparing
+//     at only: a new event has the largest seq, so it goes in front of
+//     the first entry with a later instant, and half of what a figure
+//     schedules fires next. An event goes to the heap instead when it
+//     is not earlier than the heap's minimum, or when the window is
+//     full and it is not earlier than the window's latest entry;
+//     otherwise a full window spills that latest entry to the heap, and
+//     an empty one refills half of itself from the heap. Worst case
+//     O(window + log n).
 //
 // Determinism is unchanged: (at, seq) is a total order (seq is unique),
 // so firing order is bit-identical to the old boxed binary heap.
 
 // event is one pooled event record. While scheduled, heapIdx is the
-// record's position in the heap; while free, next links the free list.
+// record's position in the heap, or -1 when its entry is in the window;
+// while free, next links the free list.
 type event struct {
 	fn      func()
 	gen     uint32
@@ -43,8 +48,8 @@ type event struct {
 	next    int32
 }
 
-// heapEntry is an inline heap element: the ordering key plus the slot
-// of its event record. Keeping the key inline means sift comparisons
+// heapEntry is an inline element of either tier: the ordering key plus
+// the slot of its event record. Keeping the key inline means comparisons
 // never chase a pointer.
 type heapEntry struct {
 	at   Time
@@ -70,19 +75,23 @@ func (id EventID) Valid() bool { return id.gen != 0 }
 // coroutine rendezvous in the kernel package guarantees that simulated
 // process bodies never run concurrently with the engine).
 type Engine struct {
-	now    Time
-	seq    uint64
-	heap   []heapEntry
-	events []event
-	free   int32 // head of the free-record list, -1 when empty
-	// hole: heap[0] is the entry of the event now firing, no longer
-	// live and not yet removed. Run sets it for the length of a callback.
-	hole      bool
+	now       Time
+	seq       uint64
+	n         int         // live entries of near; near[n-1] fires next
+	heap      []heapEntry // everything later than near[0]
+	events    []event
+	free      int32 // head of the free-record list, -1 when empty
 	rng       *RNG
 	stopped   bool
 	nfired    uint64
 	ncanceled uint64
+	near      [window]heapEntry
 }
+
+// window is how many of the earliest pending events near holds, chosen
+// by measurement (EXPERIMENTS.md PERF-9); the figures never hold more
+// (experiments.TestFigureQueuesFitTheWindow).
+const window = 64
 
 // NewEngine returns an engine with the clock at zero and an RNG seeded
 // with seed.
@@ -107,12 +116,11 @@ func (e *Engine) Canceled() uint64 { return e.ncanceled }
 // Pending reports how many live events are scheduled but not yet fired.
 // Canceled events are removed from the queue immediately, so they are
 // never included, and neither is the event that is firing.
-func (e *Engine) Pending() int {
-	if e.hole {
-		return len(e.heap) - 1
-	}
-	return len(e.heap)
-}
+func (e *Engine) Pending() int { return e.n + len(e.heap) }
+
+// HighWater reports the most events that were ever pending at once: the
+// length of the record slab, which grows only when every record is live.
+func (e *Engine) HighWater() int { return len(e.events) }
 
 // alloc takes a record slot from the free list, or grows the slab.
 func (e *Engine) alloc() int32 {
@@ -121,7 +129,7 @@ func (e *Engine) alloc() int32 {
 		e.free = e.events[slot].next
 		return slot
 	}
-	e.events = append(e.events, event{gen: 1})
+	e.events = append(e.events, event{gen: 1, heapIdx: -1})
 	return int32(len(e.events) - 1)
 }
 
@@ -152,11 +160,24 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 	seq := e.seq
 	e.seq++
 	en := heapEntry{at: at, seq: seq, slot: slot}
-	if e.hole {
-		e.hole = false
-		e.siftDown(0, en)
-	} else {
+	i := e.n
+	switch {
+	case len(e.heap) > 0 && at >= e.heap[0].at, i == window && at >= e.near[0].at:
 		e.siftUp(len(e.heap), en)
+	case i < window:
+		for ; i > 0 && e.near[i-1].at <= at; i-- {
+			e.near[i] = e.near[i-1]
+		}
+		e.near[i] = en
+		e.n++
+	default:
+		// Spill: the window's latest entry becomes the heap's minimum,
+		// and the entries between it and en move down over it.
+		e.siftUp(len(e.heap), e.near[0])
+		for i = 1; i < window && e.near[i].at > at; i++ {
+			e.near[i-1] = e.near[i]
+		}
+		e.near[i-1] = en
 	}
 	return EventID{slot: slot, gen: rec.gen}
 }
@@ -178,8 +199,16 @@ func (e *Engine) Cancel(id EventID) {
 	if rec.gen != id.gen {
 		return // already fired or canceled; the slot moved on
 	}
-	e.closeHole()
-	e.removeAt(rec.heapIdx)
+	if rec.heapIdx >= 0 {
+		e.removeAt(rec.heapIdx)
+	} else {
+		i := e.n - 1
+		for e.near[i].slot != id.slot {
+			i--
+		}
+		e.n--
+		copy(e.near[i:e.n], e.near[i+1:])
+	}
 	e.release(id.slot)
 	e.ncanceled++
 }
@@ -192,23 +221,29 @@ func (e *Engine) Stop() { e.stopped = true }
 // stopped. Events scheduled exactly at until do fire.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
-	e.closeHole() // left by a callback that unwound the last Run by panicking
-	for len(e.heap) > 0 && !e.stopped {
-		top := e.heap[0]
+	for !e.stopped {
+		if e.n == 0 {
+			if len(e.heap) == 0 {
+				break
+			}
+			e.refill()
+		}
+		top := e.near[e.n-1]
 		if top.at > until {
 			e.now = until
 			return e.now
 		}
-		// Free the record before invoking the callback: the callback may
-		// cancel its own (now stale) ID or schedule a new event into the
-		// just-freed slot, and both must be safe. The heap entry stays.
+		// Remove the entry and free the record before invoking the
+		// callback: the callback may cancel its own (now stale) ID or
+		// schedule a new event into the just-freed slot, and both must be
+		// safe — and a callback that panics out of Run leaves the queue
+		// exact.
+		e.n--
 		fn := e.events[top.slot].fn
 		e.release(top.slot)
-		e.hole = true
 		e.now = top.at
 		e.nfired++
 		fn()
-		e.closeHole() // it scheduled nothing
 	}
 	// Either the queue drained before the horizon (the simulation is
 	// quiescent) or Stop was called; both report the last fired instant.
@@ -240,7 +275,19 @@ func (e *Engine) Every(d Duration, fn func() bool) (cancel func()) {
 	return func() { canceled = true }
 }
 
-// ---- 4-ary min-heap over (at, seq) ----
+// refill moves the heap's earliest entries, up to half a window of them,
+// into the empty window.
+func (e *Engine) refill() {
+	k := min(window/2, len(e.heap))
+	for i := k - 1; i >= 0; i-- {
+		e.near[i] = e.heap[0]
+		e.events[e.heap[0].slot].heapIdx = -1
+		e.popMin()
+	}
+	e.n = k
+}
+
+// ---- the far tier: a 4-ary min-heap over (at, seq) ----
 //
 // Children of i are 4i+1..4i+4; parent of i is (i-1)/4. Less is strict
 // (at, seq) ordering; seq is unique, so there are never ties and the
@@ -260,7 +307,7 @@ func (e *Engine) place(i int, en heapEntry) {
 }
 
 // siftUp inserts en at index i (which must be len(heap) for an append,
-// or a hole created by removal) and moves it toward the root.
+// or the index a removal vacated) and moves it toward the root.
 func (e *Engine) siftUp(i int, en heapEntry) {
 	if i == len(e.heap) {
 		e.heap = append(e.heap, heapEntry{})
@@ -301,14 +348,6 @@ func (e *Engine) siftDown(i int, en heapEntry) {
 		i = min
 	}
 	e.place(i, en)
-}
-
-// closeHole removes the fired root that no Schedule replaced.
-func (e *Engine) closeHole() {
-	if e.hole {
-		e.hole = false
-		e.popMin()
-	}
 }
 
 // popMin removes the root entry.

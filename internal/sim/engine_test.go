@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -243,6 +244,83 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 		e.RunUntilIdle()
 	}); n != 0 {
 		t.Errorf("Schedule+Run cycle allocates %.1f per op in steady state, want 0", n)
+	}
+
+	// Both tiers: three windows' worth of events latest-first, so all but
+	// the first window spill; a cancel in the window and one in the heap;
+	// then a run that drains the window and refills it, twice over.
+	ids = make([]EventID, 3*window)
+	cycle := func() {
+		for i := range ids {
+			ids[i] = e.After(Duration(len(ids)-i), fn)
+		}
+		if got := len(e.heap); got != 2*window {
+			t.Fatalf("%d events in the heap, want %d", got, 2*window)
+		}
+		e.Cancel(ids[0])          // the latest: spilled first
+		e.Cancel(ids[len(ids)-1]) // the earliest: in the window
+		fired := e.Fired()
+		e.RunUntilIdle()
+		if got := e.Fired() - fired; got != uint64(len(ids)-2) {
+			t.Fatalf("fired %d, want %d", got, len(ids)-2)
+		}
+	}
+	cycle() // grows the slab and the heap's backing array
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("spill, cancel in both tiers and refill allocate %.1f per cycle in steady state, want 0", n)
+	}
+}
+
+// TestRunResumesAfterCallbackPanic: a callback that panics out of Run
+// leaves nothing to repair. The firing event left the queue before its
+// callback ran, so Pending is exact and the next Run fires the rest in
+// order — with the survivors in the window and in the heap.
+func TestRunResumesAfterCallbackPanic(t *testing.T) {
+	e := NewEngine(1)
+	const events = 2 * window
+	var got []int
+	for i := 0; i < events; i++ {
+		e.Schedule(Time(10+i), func() {
+			got = append(got, i)
+			if i == 3 {
+				e.After(1, func() { got = append(got, -1) }) // scheduled, then the panic
+				panic("callback failed")
+			}
+		})
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "callback failed" {
+				t.Fatalf("recovered %v, want the callback's panic", r)
+			}
+		}()
+		e.RunUntilIdle()
+	}()
+	if e.Pending() != events-3 || e.Fired() != 4 || e.Now() != 13 {
+		t.Fatalf("after the panic: Pending %d, Fired %d, Now %v; want %d, 4, 13", e.Pending(), e.Fired(), e.Now(), events-3)
+	}
+	if len(e.heap) == 0 {
+		t.Fatal("no survivor in the heap: the test no longer covers both tiers")
+	}
+	e.RunUntilIdle()
+	want := []int{0, 1, 2, 3, 4, -1} // -1 was scheduled for 14 after event 4 was
+	for i := 5; i < events; i++ {
+		want = append(want, i)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("fired %v, want %v", got, want)
+	}
+	if e.Pending() != 0 || e.Fired() != events+1 {
+		t.Errorf("at idle: Pending %d, Fired %d; want 0, %d", e.Pending(), e.Fired(), events+1)
+	}
+}
+
+// TestWindowIsTheMeasuredSize: experiments.TestFigureQueuesFitTheWindow
+// holds the figures' queues under this size and cannot see the constant,
+// so the two move together.
+func TestWindowIsTheMeasuredSize(t *testing.T) {
+	if window != 64 {
+		t.Errorf("window = %d: update engineWindow in internal/experiments/alloc_test.go with it", window)
 	}
 }
 

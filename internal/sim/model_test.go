@@ -9,9 +9,11 @@ import (
 // one to fire found by scanning for the (at, seq) minimum. An op program
 // (bytes; reads past the end yield 0) drives the engine and the model
 // side by side — before Run, between the horizon chunks a caller such as
-// experiments.Sim.RunUntil cuts a run into, and above all from inside
-// the callbacks, where the fired event's heap entry is a hole that the
-// first Schedule fills and a Cancel or the callback's return closes.
+// experiments.Sim.RunUntil cuts a run into, and from inside the
+// callbacks — with bursts that push the population past the window, so
+// that events spill to the heap, are routed there, come back by refill
+// and are canceled in either tier. The model also reads the engine's
+// two tiers after every step and holds them to their invariants.
 // TestEngineMatchesReferenceModel feeds it seeded random programs,
 // FuzzEngineModel whatever the fuzzer finds.
 
@@ -19,17 +21,25 @@ type modelEvent struct {
 	at  Time
 	seq int // scheduling order: the tie-break at equal instants
 	id  EventID
+
+	inHeap            bool // the tier it was last seen in
+	evicted, refilled bool // has moved window → heap, heap → window
 }
 
 // modelCoverage counts what the programs reached, so the seeded test can
-// insist that every path of the hole was taken.
+// insist that every path between the two tiers was taken.
 type modelCoverage struct {
 	scheduledNone, scheduledOne, scheduledMany int // per callback
-	cancelFirst                                int // a Cancel found the hole still open
 	cancelOwn                                  int // canceled an event scheduled by the same callback
 	cancelStale                                int
 	earlier, equal, later                      int // a callback's Schedule against everything pending
 	stops, chunks                              int
+
+	spills                         int // window full, new event earlier than its latest: that one moved to the heap
+	heapLater, heapEqual, heapFull int // a Schedule routed to the heap: after its minimum, at its instant, behind a full window
+	refills                        int // entries that moved from the heap into the window
+	cancelWindow, cancelHeap       int
+	cancelEvicted, cancelRefilled  int // canceled in the heap after a spill, in the window after a refill
 }
 
 type engineModel struct {
@@ -63,11 +73,15 @@ func (m *engineModel) fatalf(format string, args ...any) {
 	m.t.Fatalf("at program byte %d of %d: "+format, append([]any{m.pc, len(m.prog)}, args...)...)
 }
 
+func modelLess(a, b *modelEvent) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
 // min returns the live event that must fire next, or nil.
 func (m *engineModel) min() *modelEvent {
 	var best *modelEvent
 	for _, ev := range m.live {
-		if best == nil || ev.at < best.at || ev.at == best.at && ev.seq < best.seq {
+		if best == nil || modelLess(ev, best) {
 			best = ev
 		}
 	}
@@ -85,11 +99,47 @@ func (m *engineModel) unlive(ev *modelEvent) {
 	m.fatalf("event (at %v, seq %d) is not live", ev.at, ev.seq)
 }
 
+// tiers reads which tier every live event is in, counts the moves since
+// the last look, and holds the queue to its shape: the window sorted
+// latest-first, all of it ahead of the heap's minimum, back-pointers
+// exact.
+func (m *engineModel) tiers() {
+	m.t.Helper()
+	e := m.e
+	for _, ev := range m.live {
+		inHeap := e.events[ev.id.slot].heapIdx >= 0
+		if inHeap && !ev.inHeap {
+			ev.evicted = true
+			m.cov.spills++
+		} else if !inHeap && ev.inHeap {
+			ev.refilled = true
+			m.cov.refills++
+		}
+		ev.inHeap = inHeap
+	}
+	for i := 0; i < e.n; i++ {
+		if e.events[e.near[i].slot].heapIdx != -1 {
+			m.fatalf("window entry %d has heapIdx %d", i, e.events[e.near[i].slot].heapIdx)
+		}
+		if i > 0 && !entryLess(e.near[i], e.near[i-1]) {
+			m.fatalf("window entries %d and %d are out of order", i-1, i)
+		}
+	}
+	if e.n > 0 && len(e.heap) > 0 && !entryLess(e.near[0], e.heap[0]) {
+		m.fatalf("the heap's minimum is not after the window's latest entry")
+	}
+	for i, en := range e.heap {
+		if e.events[en.slot].heapIdx != int32(i) {
+			m.fatalf("heap entry %d has heapIdx %d", i, e.events[en.slot].heapIdx)
+		}
+	}
+}
+
 // check compares the engine's accounting with the model's; it runs after
-// every operation and every callback, so Pending is read with the hole
-// open, filled and closed.
+// every operation and at the top of every callback.
 func (m *engineModel) check(after string) {
 	m.t.Helper()
+	m.tiers()
 	if got := m.e.Pending(); got != len(m.live) {
 		m.fatalf("after %s: Pending = %d, want %d", after, got, len(m.live))
 	}
@@ -125,18 +175,69 @@ func (m *engineModel) pickTime() Time {
 	}
 }
 
+// pickLive chooses a live event: any one, or (selectors from 128 up)
+// one of the eight soonest to fire — a timer cleared just before it is
+// due, and after a refill an entry that came back from the heap.
+func (m *engineModel) pickLive() *modelEvent {
+	b := m.next()
+	if b < 128 {
+		return m.live[b%len(m.live)]
+	}
+	var pick *modelEvent
+	for k := b % 8; ; k-- {
+		var next *modelEvent
+		for _, ev := range m.live {
+			if (pick == nil || modelLess(pick, ev)) && (next == nil || modelLess(ev, next)) {
+				next = ev
+			}
+		}
+		if next == nil {
+			return pick // fewer than eight live: the last to fire
+		}
+		if pick = next; k == 0 {
+			return pick
+		}
+	}
+}
+
 func (m *engineModel) schedule(at Time) *modelEvent {
 	ev := &modelEvent{at: at, seq: m.nsched}
 	m.nsched++
+	hadHeap := len(m.e.heap) > 0
+	var heapMin Time
+	if hadHeap {
+		heapMin = m.e.heap[0].at
+	}
 	ev.id = m.e.Schedule(at, func() { m.fire(ev) })
 	if !ev.id.Valid() {
 		m.fatalf("Schedule returned an invalid ID")
+	}
+	if ev.inHeap = m.e.events[ev.id.slot].heapIdx >= 0; ev.inHeap {
+		switch {
+		case hadHeap && at > heapMin:
+			m.cov.heapLater++
+		case hadHeap && at == heapMin:
+			m.cov.heapEqual++
+		default:
+			m.cov.heapFull++
+		}
 	}
 	m.live = append(m.live, ev)
 	return ev
 }
 
 func (m *engineModel) cancel(ev *modelEvent) {
+	if ev.inHeap {
+		m.cov.cancelHeap++
+		if ev.evicted {
+			m.cov.cancelEvicted++
+		}
+	} else {
+		m.cov.cancelWindow++
+		if ev.refilled {
+			m.cov.cancelRefilled++
+		}
+	}
 	m.e.Cancel(ev.id)
 	m.unlive(ev)
 	m.ncanceled++
@@ -146,7 +247,6 @@ func (m *engineModel) cancel(ev *modelEvent) {
 type callbackState struct {
 	mine      []*modelEvent // scheduled by this callback
 	scheduled int
-	holeOpen  bool // nothing has touched the heap yet
 }
 
 // op runs one operation of the program. cb is nil outside callbacks.
@@ -167,19 +267,13 @@ func (m *engineModel) op(cb *callbackState) {
 		if cb != nil {
 			cb.mine = append(cb.mine, ev)
 			cb.scheduled++
-			cb.holeOpen = false
 		}
 	case 3:
 		if len(m.live) > 0 {
-			if cb != nil && cb.holeOpen {
-				m.cov.cancelFirst++
-				cb.holeOpen = false
-			}
-			m.cancel(m.live[m.next()%len(m.live)])
+			m.cancel(m.pickLive())
 		}
 	case 4:
-		// An event this callback scheduled itself — with one Schedule
-		// so far, the entry sitting where the hole was.
+		// An event this callback scheduled itself.
 		if cb != nil && len(cb.mine) > 0 {
 			ev := cb.mine[m.next()%len(cb.mine)]
 			for _, l := range m.live {
@@ -204,7 +298,20 @@ func (m *engineModel) op(cb *callbackState) {
 			m.cov.stops++
 		}
 	case 7:
-		// Only the check below: Pending, Fired and Canceled read as they are.
+		// A burst, so that the population outgrows the window: up to 79
+		// events over a few instants from now on, ties included. (The caps
+		// on live and on total events keep the quadratic model affordable.)
+		n, span, stride := 16+m.next()%64, 1+m.next()%32, 1+m.next()%7
+		if len(m.live) > 4*window || m.nsched > 16*window {
+			break
+		}
+		for i := 0; i < n; i++ {
+			ev := m.schedule(m.e.Now().Add(Duration(i * stride % span)))
+			if cb != nil {
+				cb.mine = append(cb.mine, ev)
+				cb.scheduled++
+			}
+		}
 	}
 	m.check("op")
 }
@@ -225,7 +332,7 @@ func (m *engineModel) fire(ev *modelEvent) {
 	m.nfired++
 	m.lastFired = ev.at
 	m.check("firing")
-	cb := callbackState{holeOpen: true}
+	var cb callbackState
 	for n := m.next() % 4; n > 0; n-- {
 		m.op(&cb)
 	}
@@ -246,7 +353,6 @@ func runEngineModel(t testing.TB, prog []byte, cov *modelCoverage) {
 	}
 	m.check("the initial population")
 	for {
-		// Between chunks no hole is open: the old paths.
 		for n := m.next() % 3; n > 0; n-- {
 			m.op(nil)
 		}
@@ -287,15 +393,16 @@ func runEngineModel(t testing.TB, prog []byte, cov *modelCoverage) {
 }
 
 // TestEngineMatchesReferenceModel runs seeded random programs through
-// the model and insists they reached every way a callback can leave the
-// hole: filled by one Schedule (earlier than, equal to and later than
-// everything pending), followed by more, closed by a Cancel, closed by
-// returning, and with Stop and stale Cancels in between.
+// the model and insists they reached every way an event moves between
+// the tiers — spilled, routed to the heap, refilled — every place a
+// Cancel can find it, and callbacks that schedule nothing, one event
+// (earlier than, equal to and later than everything pending) and
+// several, with Stop and stale Cancels in between.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	rng := NewRNG(99)
 	var cov modelCoverage
 	for trial := 0; trial < 300; trial++ {
-		prog := make([]byte, 32+rng.Intn(480))
+		prog := make([]byte, 32+rng.Intn(2016))
 		for i := range prog {
 			prog[i] = byte(rng.Intn(256))
 		}
@@ -308,7 +415,6 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		{"callbacks scheduling nothing", cov.scheduledNone},
 		{"callbacks scheduling one event", cov.scheduledOne},
 		{"callbacks scheduling several", cov.scheduledMany},
-		{"cancels into an open hole", cov.cancelFirst},
 		{"cancels of a just-scheduled event", cov.cancelOwn},
 		{"stale cancels", cov.cancelStale},
 		{"schedules before everything pending", cov.earlier},
@@ -316,6 +422,15 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		{"schedules after the earliest pending instant", cov.later},
 		{"stops", cov.stops},
 		{"horizon chunks", cov.chunks},
+		{"spills of the window's latest entry", cov.spills},
+		{"schedules into the heap after its minimum", cov.heapLater},
+		{"schedules into the heap at its minimum's instant", cov.heapEqual},
+		{"schedules into the heap behind a full window", cov.heapFull},
+		{"entries refilled from the heap", cov.refills},
+		{"cancels in the window", cov.cancelWindow},
+		{"cancels in the heap", cov.cancelHeap},
+		{"cancels of a spilled entry", cov.cancelEvicted},
+		{"cancels of a refilled entry", cov.cancelRefilled},
 	} {
 		if c.n < 100 {
 			t.Errorf("the programs reached only %d %s, want at least 100", c.n, c.what)
@@ -326,7 +441,9 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 // FuzzEngineModel is the same oracle over fuzzer-chosen programs. The
 // committed corpus under testdata/fuzz/FuzzEngineModel starts it on the
 // shapes that matter: every callback rescheduling once over a standing
-// population, cancel-then-schedule, callbacks that schedule nothing.
+// population, cancel-then-schedule, callbacks that schedule nothing, and
+// bursts past the window that spill, refill and are canceled in both
+// tiers.
 func FuzzEngineModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{47, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
