@@ -31,7 +31,9 @@ benchmark-test:
 
 # The real-concurrency layer under the race detector (its first line
 # also runs the coordinator-against-core.Registry model test, at a tenth
-# of its `make test` length) — and the simulator's core. A figure run's own bodies (threads workers,
+# of its `make test` length, and internal/ctrl, whose replay tests boot a
+# live daemon and drive it from four callers at once) — and the
+# simulator's core. A figure run's own bodies (threads workers,
 # background load) are resumable: they run on the engine's goroutine and
 # there is nothing to race. But function bodies (Kernel.Spawn: tests,
 # the reference worker of the threads differential test) still run as
@@ -44,7 +46,7 @@ benchmark-test:
 # recorder's appends while its ring is still growing, the third the
 # sharing.
 race:
-	$(GO) test -race ./internal/runtime/...
+	$(GO) test -race ./internal/runtime/... ./internal/ctrl/...
 	$(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...
 	$(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns' ./internal/experiments
 

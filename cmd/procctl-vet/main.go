@@ -17,7 +17,7 @@
 //
 // The per-package analyzers (nondeterminism, maporder, lockdiscipline,
 // ctxleak) run over each requested package; the whole-program analyzers
-// (lockorder, blockinglocked, simpurity) run once over the call graph
+// (lockorder, blockinglocked) run once over the call graph
 // of every package loaded — including packages pulled in as imports of
 // the requested set.
 //
@@ -73,8 +73,6 @@ func main() {
 		fmt.Println("  internal/runtime/*  real concurrency by design; guarded by lockdiscipline,")
 		fmt.Println("                      ctxleak, lockorder, blockinglocked, and")
 		fmt.Println("                      `go test -race ./internal/runtime/...`")
-		fmt.Println("  internal/trace      post-hoc analysis; maporder still applies, and simpurity")
-		fmt.Println("                      rejects sim-side paths into any wall-clock use here")
 		return
 	}
 

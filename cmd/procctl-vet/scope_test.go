@@ -3,17 +3,16 @@ package main
 import (
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"procctl/internal/analysis"
 )
 
-// `make procctl-vet` is one run over "./...". These packages used to be
-// passed to it a second time by name, in case a scope regression dropped
-// one from that run without anything failing; this is that guard: each
-// must be among the packages "./..." expands to, and still be held to
-// the policy it is listed under.
-func TestDefaultPatternKeepsEveryPackageInScope(t *testing.T) {
+// expandAll returns a loader at the module root and the packages "./..."
+// expands to: what `make procctl-vet` looks at.
+func expandAll(t *testing.T) (*analysis.Loader, []string) {
+	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -30,17 +29,27 @@ func TestDefaultPatternKeepsEveryPackageInScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loader, paths
+}
+
+// `make procctl-vet` is one run over "./...". These packages used to be
+// passed to it a second time by name, in case a scope regression dropped
+// one from that run without anything failing; this is that guard: each
+// must be among the packages "./..." expands to, and still be held to
+// the policy it is listed under.
+func TestDefaultPatternKeepsEveryPackageInScope(t *testing.T) {
+	_, paths := expandAll(t)
 	for _, c := range []struct {
-		path         string
-		sim, ordered bool // seed-deterministic; map order must not leak
+		path string
+		sim  bool // seed-deterministic, and map order must not leak
 	}{
-		{"procctl/internal/core", true, true},
-		{"procctl/internal/flight", true, true},
-		{"procctl/internal/metrics", true, true},
-		{"procctl/internal/faultinject", true, true},
-		{"procctl/internal/journal", true, true},
-		{"procctl/internal/trace", false, true},
-		{"procctl/cmd/procctl-bench", false, false},
+		{"procctl/internal/core", true},
+		{"procctl/internal/flight", true},
+		{"procctl/internal/metrics", true},
+		{"procctl/internal/faultinject", true},
+		{"procctl/internal/journal", true},
+		{"procctl/internal/trace", true},
+		{"procctl/cmd/procctl-bench", false},
 	} {
 		if !slices.Contains(paths, c.path) {
 			t.Errorf("./... no longer reaches %s: procctl-vet would pass without looking at it", c.path)
@@ -48,8 +57,34 @@ func TestDefaultPatternKeepsEveryPackageInScope(t *testing.T) {
 		if got := analysis.IsSimPath(c.path); got != c.sim {
 			t.Errorf("%s: in the determinism scope = %v, want %v", c.path, got, c.sim)
 		}
-		if got := analysis.IsOrderedPath(c.path); got != c.ordered {
-			t.Errorf("%s: in the map-order scope = %v, want %v", c.path, got, c.ordered)
+	}
+}
+
+// The determinism scope is closed under imports: no package in it imports
+// a module package outside it. The nondeterminism and maporder analyzers
+// look at one package at a time, so this is what makes "every sim package
+// is clean" mean "nothing a simulation calls reads a clock" — the
+// property a whole-program pass (simpurity) used to chase across the
+// scope's frontier when internal/trace sat outside it.
+func TestSimScopeIsClosedUnderImports(t *testing.T) {
+	loader, paths := expandAll(t)
+	sims := 0
+	for _, path := range paths {
+		if !analysis.IsSimPath(path) {
+			continue
 		}
+		sims++
+		pkg, err := loader.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range pkg.Types.Imports() {
+			if strings.HasPrefix(imp.Path(), loader.ModulePath+"/") && !analysis.IsSimPath(imp.Path()) {
+				t.Errorf("%s imports %s, which is outside the determinism scope", path, imp.Path())
+			}
+		}
+	}
+	if sims < len(analysis.SimPackages) {
+		t.Errorf("./... reached %d packages of the determinism scope, which lists %d", sims, len(analysis.SimPackages))
 	}
 }

@@ -78,7 +78,7 @@ type Analyzer struct {
 // All returns every analyzer in presentation order: the per-package
 // passes first, then the interprocedural (call-graph) passes.
 func All() []*Analyzer {
-	return []*Analyzer{Nondeterminism, MapOrder, LockDiscipline, CtxLeak, LockOrder, BlockingLocked, SimPurity}
+	return []*Analyzer{Nondeterminism, MapOrder, LockDiscipline, CtxLeak, LockOrder, BlockingLocked}
 }
 
 // PackageAnalyzers returns the subset of analyzers that run one package
@@ -106,8 +106,10 @@ func ProgramAnalyzers(analyzers []*Analyzer) []*Analyzer {
 }
 
 // SimPackages lists the module-relative package prefixes whose behaviour
-// must be a pure function of the experiment seed. The nondeterminism
-// analyzer applies to these packages (and their subpackages) only.
+// must be a pure function of the experiment seed. The nondeterminism and
+// maporder analyzers apply to these packages (and their subpackages)
+// only. The list is closed under imports — no package on it imports a
+// module package off it — so nothing a simulation calls escapes them.
 var SimPackages = []string{
 	"internal/sim",
 	"internal/machine",
@@ -125,11 +127,8 @@ var SimPackages = []string{
 	// iteration) so journal replay is a pure function of the record
 	// stream.
 	"internal/journal",
-}
-
-// OrderedPackages lists additional package prefixes where map-iteration
-// order must not leak into output (reports, tables), beyond SimPackages.
-var OrderedPackages = []string{
+	// trace is imported by experiments, and its reports and tables must
+	// not leak map-iteration order.
 	"internal/trace",
 }
 
@@ -156,12 +155,6 @@ func underAny(importPath string, prefixes []string) bool {
 // simulation set.
 func IsSimPath(importPath string) bool { return underAny(importPath, SimPackages) }
 
-// IsOrderedPath reports whether map-iteration order is constrained in
-// the package (sim set plus report-producing packages).
-func IsOrderedPath(importPath string) bool {
-	return IsSimPath(importPath) || underAny(importPath, OrderedPackages)
-}
-
 // Pass is one analyzer run over one type-checked package.
 type Pass struct {
 	Analyzer *Analyzer
@@ -173,9 +166,6 @@ type Pass struct {
 	Path string
 	// IsSim marks packages whose behaviour must be seed-deterministic.
 	IsSim bool
-	// IsOrdered marks packages where map-iteration order must not leak
-	// into results (IsSim plus report producers like internal/trace).
-	IsOrdered bool
 
 	pragmas  pragmaIndex
 	findings []Finding
@@ -301,15 +291,14 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
 	}
 	for _, az := range PackageAnalyzers(analyzers) {
 		pass := &Pass{
-			Analyzer:  az,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			Info:      pkg.Info,
-			Path:      pkg.Path,
-			IsSim:     IsSimPath(pkg.Path),
-			IsOrdered: IsOrderedPath(pkg.Path),
-			pragmas:   pragmas,
+			Analyzer: az,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			Path:     pkg.Path,
+			IsSim:    IsSimPath(pkg.Path),
+			pragmas:  pragmas,
 		}
 		az.Run(pass)
 		out = append(out, pass.findings...)

@@ -190,31 +190,13 @@ func TestBlockingLockedFixtures(t *testing.T) {
 	checkProgramFixture(t, []*Package{good})
 }
 
-func TestSimPurityFixtures(t *testing.T) {
-	l := sharedLoader(t)
-	bad := loadFixture(t, "simpurity/bad", "procctl/internal/sim/puritybad")
-	badHelper, err := l.Load("procctl/internal/analysis/testdata/src/simpurity/bad/helper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := checkProgramFixture(t, []*Package{bad, badHelper})
-	requireMultiHop(t, findings)
-
-	good := loadFixture(t, "simpurity/good", "procctl/internal/sim/puritygood")
-	goodHelper, err := l.Load("procctl/internal/analysis/testdata/src/simpurity/good/helper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkProgramFixture(t, []*Package{good, goodHelper})
-}
-
-// TestAllAnalyzers pins the analyzer roster: seven analyzers, distinct
-// names and pragmas, each documented, split four per-package and three
+// TestAllAnalyzers pins the analyzer roster: six analyzers, distinct
+// names and pragmas, each documented, split four per-package and two
 // whole-program.
 func TestAllAnalyzers(t *testing.T) {
 	all := All()
-	if len(all) != 7 {
-		t.Fatalf("All() has %d analyzers, want 7", len(all))
+	if len(all) != 6 {
+		t.Fatalf("All() has %d analyzers, want 6", len(all))
 	}
 	names := make(map[string]bool)
 	for _, az := range all {
@@ -232,8 +214,8 @@ func TestAllAnalyzers(t *testing.T) {
 	if got := len(PackageAnalyzers(all)); got != 4 {
 		t.Errorf("PackageAnalyzers = %d, want 4", got)
 	}
-	if got := len(ProgramAnalyzers(all)); got != 3 {
-		t.Errorf("ProgramAnalyzers = %d, want 3", got)
+	if got := len(ProgramAnalyzers(all)); got != 2 {
+		t.Errorf("ProgramAnalyzers = %d, want 2", got)
 	}
 }
 
@@ -349,25 +331,22 @@ func TestVetTimingBudget(t *testing.T) {
 
 func TestScopePredicates(t *testing.T) {
 	cases := []struct {
-		path         string
-		sim, ordered bool
+		path string
+		sim  bool
 	}{
-		{"procctl/internal/sim", true, true},
-		{"procctl/internal/kernel", true, true},
-		{"procctl/internal/experiments", true, true},
-		{"procctl/internal/metrics", true, true},
-		{"procctl/internal/trace", false, true},
-		{"procctl/internal/runtime/coordinator", false, false},
-		{"procctl/internal/runtime/pool", false, false},
-		{"procctl/cmd/procctl-sim", false, false},
-		{"procctl", false, false},
+		{"procctl/internal/sim", true},
+		{"procctl/internal/kernel", true},
+		{"procctl/internal/experiments", true},
+		{"procctl/internal/metrics", true},
+		{"procctl/internal/trace", true},
+		{"procctl/internal/runtime/coordinator", false},
+		{"procctl/internal/runtime/pool", false},
+		{"procctl/cmd/procctl-sim", false},
+		{"procctl", false},
 	}
 	for _, c := range cases {
 		if got := IsSimPath(c.path); got != c.sim {
 			t.Errorf("IsSimPath(%q) = %v, want %v", c.path, got, c.sim)
-		}
-		if got := IsOrderedPath(c.path); got != c.ordered {
-			t.Errorf("IsOrderedPath(%q) = %v, want %v", c.path, got, c.ordered)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package analysis
 
 // Call-graph construction for the interprocedural analyzers (lockorder,
-// blockinglocked, simpurity). The graph is built from the ASTs of every
+// blockinglocked). The graph is built from the ASTs of every
 // module-local package the loader has seen, using only go/ast and
 // go/types:
 //
@@ -17,9 +17,8 @@ package analysis
 // Each function gets one summary (cached, computed once per run): the
 // locks it acquires, the "acquires B while holding A" edges it creates
 // locally, every resolved call site with the lockset held at that point,
-// the potentially blocking operations it performs, and the impure
-// operations (wall clock, global math/rand, goroutine spawns, map-order
-// leaks) it contains. The interprocedural analyzers combine summaries
+// and the potentially blocking operations it performs. The
+// interprocedural analyzers combine summaries
 // transitively, carrying a witness chain so diagnostics can show the
 // full caller → callee path to the offending site.
 
@@ -40,12 +39,11 @@ type Program struct {
 	nodes map[*types.Func]*FuncNode
 	all   []*FuncNode // deterministic order: package path, then file, then position
 
-	namedOnce  bool
-	named      []*types.Named // module-local named types, for CHA
-	implCache  map[implKey][]*FuncNode
-	lockMemo   map[*summary]map[string]*lockWitness
-	blockMemo  map[*summary]*blockWitness
-	impureMemo map[*summary]map[string]*impureWitness
+	namedOnce bool
+	named     []*types.Named // module-local named types, for CHA
+	implCache map[implKey][]*FuncNode
+	lockMemo  map[*summary]map[string]*lockWitness
+	blockMemo map[*summary]*blockWitness
 }
 
 // FuncNode is one function or method with a body in the program.
@@ -84,13 +82,12 @@ func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	sorted := append([]*Package(nil), pkgs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	prog := &Program{
-		Fset:       fset,
-		Pkgs:       sorted,
-		nodes:      make(map[*types.Func]*FuncNode),
-		implCache:  make(map[implKey][]*FuncNode),
-		lockMemo:   make(map[*summary]map[string]*lockWitness),
-		blockMemo:  make(map[*summary]*blockWitness),
-		impureMemo: make(map[*summary]map[string]*impureWitness),
+		Fset:      fset,
+		Pkgs:      sorted,
+		nodes:     make(map[*types.Func]*FuncNode),
+		implCache: make(map[implKey][]*FuncNode),
+		lockMemo:  make(map[*summary]map[string]*lockWitness),
+		blockMemo: make(map[*summary]*blockWitness),
 	}
 	for _, pkg := range sorted {
 		for _, file := range pkg.Files {
@@ -217,19 +214,10 @@ type lockEdge struct {
 	toPos    token.Pos // where To was acquired under it
 }
 
-// impureOp is one operation that would break sim determinism.
-type impureOp struct {
-	pos  token.Pos
-	kind string // "wall-clock", "math/rand", "goroutine", "map-order"
-	desc string
-}
-
 // summary is the per-function abstraction all interprocedural analyzers
 // consume. literals holds sub-summaries for func literals that are NOT
 // invoked at their definition site (callbacks): their lock behaviour is
-// analyzed as independent roots, while their impure operations are also
-// folded into the enclosing function (a callback handed to a callee is
-// normally run by it).
+// analyzed as independent roots.
 type summary struct {
 	node     *FuncNode // nil for literal sub-summaries
 	name     string    // display name ("pool.(*Pool).worker", "func literal at …")
@@ -237,7 +225,6 @@ type summary struct {
 	edges    []lockEdge
 	calls    []callSite
 	blocks   []blockOp
-	impure   []impureOp
 	literals []*summary
 }
 
@@ -309,7 +296,6 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		w.walkExpr(s.Value, held, false)
 		w.block(held, s.Pos(), "channel send")
 	case *ast.GoStmt:
-		w.out.impure = append(w.out.impure, impureOp{pos: s.Pos(), kind: "goroutine", desc: "goroutine spawn"})
 		// The spawned goroutine starts with an empty lockset; its body
 		// (if a literal) is analyzed as an independent root.
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
@@ -342,11 +328,8 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 	case *ast.RangeStmt:
 		w.walkExpr(s.X, held, false)
 		if t := w.pkg.Info.TypeOf(s.X); t != nil {
-			switch t.Underlying().(type) {
-			case *types.Chan:
+			if _, ok := t.Underlying().(*types.Chan); ok {
 				w.block(held, s.Pos(), "channel receive (range)")
-			case *types.Map:
-				w.mapRange(s)
 			}
 		}
 		w.walkStmts(s.Body.List, copyHeld(held))
@@ -454,7 +437,6 @@ func (w *sumWalker) walkExpr(e ast.Expr, held []heldLock, stmtPos bool) []heldLo
 		}
 		w.walkExpr(e.X, held, false)
 	case *ast.SelectorExpr:
-		w.impureSelector(e)
 		w.walkExpr(e.X, held, false)
 	case *ast.BinaryExpr:
 		w.walkExpr(e.X, held, false)
@@ -487,8 +469,6 @@ func (w *sumWalker) walkExpr(e ast.Expr, held []heldLock, stmtPos bool) []heldLo
 
 // literal records a non-invoked func literal as an independent root
 // sub-summary (empty initial lockset: callbacks run later, elsewhere).
-// Its impure operations are also folded into the enclosing summary —
-// a callback handed to a callee is normally executed by it.
 func (w *sumWalker) literal(lit *ast.FuncLit) {
 	pos := w.prog.Fset.Position(lit.Pos())
 	sub := &summary{name: fmt.Sprintf("func literal at %s:%d", shortFile(pos.Filename), pos.Line)}
@@ -497,7 +477,6 @@ func (w *sumWalker) literal(lit *ast.FuncLit) {
 	w.out.literals = append(w.out.literals, sub)
 	w.out.literals = append(w.out.literals, sub.literals...)
 	sub.literals = nil
-	w.out.impure = append(w.out.impure, sub.impure...)
 }
 
 func shortFile(path string) string {
@@ -701,7 +680,6 @@ func (w *sumWalker) call(call *ast.CallExpr, held []heldLock) {
 		w.block(held, call.Pos(), desc)
 		return
 	}
-	w.impureLeaf(obj, call.Pos())
 
 	sig, ok := obj.Type().(*types.Signature)
 	if !ok {
@@ -757,69 +735,6 @@ func (w *sumWalker) inModule(pkg *types.Package) bool {
 		}
 	}
 	return false
-}
-
-// impureLeaf records calls whose result depends on the wall clock or on
-// process-global random state.
-func (w *sumWalker) impureLeaf(obj *types.Func, pos token.Pos) {
-	pkg := obj.Pkg()
-	if pkg == nil || obj.Type().(*types.Signature).Recv() != nil {
-		return
-	}
-	switch pkg.Path() {
-	case "time":
-		for _, bad := range forbiddenTimeFuncs {
-			if obj.Name() == bad {
-				w.out.impure = append(w.out.impure, impureOp{pos: pos, kind: "wall-clock", desc: "time." + obj.Name()})
-			}
-		}
-	case "math/rand", "math/rand/v2":
-		w.out.impure = append(w.out.impure, impureOp{pos: pos, kind: "math/rand", desc: pkg.Path() + "." + obj.Name() + " (process-global state)"})
-	}
-}
-
-// impureSelector records value references to forbidden time functions
-// (e.g. clock := time.Now) that are not in call position — the call path
-// records those via impureLeaf.
-func (w *sumWalker) impureSelector(sel *ast.SelectorExpr) {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	pkg := pkgNameOf(w.pkg.Info, id)
-	if pkg == nil || pkg.Path() != "time" {
-		return
-	}
-	for _, bad := range forbiddenTimeFuncs {
-		if sel.Sel.Name == bad {
-			w.out.impure = append(w.out.impure, impureOp{pos: sel.Pos(), kind: "wall-clock", desc: "time." + sel.Sel.Name})
-		}
-	}
-}
-
-// mapRange applies the maporder leak heuristic to a map range in a
-// package outside the ordered scope (inside it, the maporder analyzer
-// reports directly). The enclosing FuncDecl is found by position.
-func (w *sumWalker) mapRange(rng *ast.RangeStmt) {
-	if IsOrderedPath(w.pkg.Path) {
-		return
-	}
-	for _, file := range w.pkg.Files {
-		if file.Pos() <= rng.Pos() && rng.End() <= file.End() {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fd.Pos() <= rng.Pos() && rng.End() <= fd.End() {
-					for _, leak := range mapRangeLeaks(w.pkg.Info, fd, rng) {
-						w.out.impure = append(w.out.impure, impureOp{pos: leak.pos, kind: "map-order", desc: leak.msg})
-					}
-					return
-				}
-			}
-		}
-	}
 }
 
 // --- transitive queries ----------------------------------------------
@@ -926,52 +841,4 @@ func (prog *Program) transBlocking(s *summary) *blockWitness {
 	}
 	prog.blockMemo[s] = found
 	return found
-}
-
-// impureWitness is a transitively reachable impure operation.
-type impureWitness struct {
-	kind  string
-	desc  string
-	chain []chainStep
-}
-
-// transImpure returns the impure operations reachable from s through
-// non-simulation module code, keyed by kind+site. Callees inside the
-// simulation scope are skipped: their bodies are already policed by the
-// intra-package nondeterminism/maporder analyzers (including pragmas).
-func (prog *Program) transImpure(s *summary) map[string]*impureWitness {
-	if out, ok := prog.impureMemo[s]; ok {
-		return out
-	}
-	out := make(map[string]*impureWitness)
-	prog.impureMemo[s] = out
-	for _, imp := range s.impure {
-		pos := prog.Fset.Position(imp.pos)
-		key := imp.kind + "@" + pos.Filename + fmt.Sprint(pos.Line)
-		if _, ok := out[key]; !ok {
-			out[key] = &impureWitness{
-				kind:  imp.kind,
-				desc:  imp.desc,
-				chain: []chainStep{{fn: s.name + ": " + imp.desc, pos: pos}},
-			}
-		}
-	}
-	for _, cs := range s.calls {
-		for _, t := range cs.targets {
-			if IsSimPath(t.Pkg.Path) {
-				continue
-			}
-			for key, w := range prog.transImpure(prog.Summary(t)) {
-				if _, ok := out[key]; ok {
-					continue
-				}
-				out[key] = &impureWitness{
-					kind:  w.kind,
-					desc:  w.desc,
-					chain: append([]chainStep{{fn: s.name + " calls " + cs.desc, pos: prog.Fset.Position(cs.pos)}}, w.chain...),
-				}
-			}
-		}
-	}
-	return out
 }

@@ -25,7 +25,7 @@ var MapOrder = &Analyzer{
 }
 
 func runMapOrder(pass *Pass) {
-	if !pass.IsOrdered {
+	if !pass.IsSim {
 		return
 	}
 	for _, file := range pass.Files {
@@ -67,9 +67,6 @@ type mapLeak struct {
 }
 
 // mapRangeLeaks scans one map-range body for order-dependent effects.
-// It is shared by the per-package maporder analyzer and the simpurity
-// call-graph walker (which applies it to map ranges in non-sim packages
-// reachable from simulation code).
 func mapRangeLeaks(info *types.Info, fn *ast.FuncDecl, rng *ast.RangeStmt) []mapLeak {
 	var leaks []mapLeak
 	report := func(pos token.Pos, msg string) {

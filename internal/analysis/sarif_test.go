@@ -65,7 +65,7 @@ func TestWriteSARIF(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, name := range []string{"lockorder", "blockinglocked", "simpurity", "nondeterminism", "pragma"} {
+	for _, name := range []string{"lockorder", "blockinglocked", "nondeterminism", "pragma"} {
 		if !ruleIDs[name] {
 			t.Errorf("missing rule %q", name)
 		}

@@ -2,7 +2,6 @@ package ctrl
 
 import (
 	"fmt"
-	"slices"
 
 	"procctl/internal/core"
 	"procctl/internal/journal"
@@ -27,13 +26,6 @@ type DiffResult struct {
 // identically.
 func (d *DiffResult) OK() bool { return len(d.Mismatches) == 0 }
 
-// epochQueue is the replay's pending decisions for one replayed
-// rebalance epoch, awaiting the journal's matching target records.
-type epochQueue struct {
-	epoch     uint64
-	decisions []core.Move[string]
-}
-
 // DiffJournal replays a captured record stream and diffs every target
 // decision the live daemon journaled against what the registry state
 // machine (core.Registry, the one the simulated server runs on) decides
@@ -41,149 +33,69 @@ type epochQueue struct {
 // are folded in through journal.Fold exactly as recovery folds them
 // (a re-register moves the member to the end of the tie-break order, a
 // restart re-seats the members in name order); a rebalance record is not
-// believed but re-derived with Registry.Decide, and the target changes
-// that produces are held against the target records the daemon wrote.
-// Both sides run the same policy over the same inputs in the same order,
-// so any diff is a real divergence: a decision the daemon's shell —
-// batching, sharding, locking — made that the state machine does not
-// explain. Leases play no part: expiries were the daemon's to decide and
-// arrive as records.
+// believed but re-derived with Registry.Decide, and the target records
+// that follow it must be the moves that produces, one for one and in
+// order: key, target, previous target and — when the record is stamped —
+// epoch. The daemon writes its journal in the order its registry changed
+// (a rebalance record at its decision, then that decision's targets), and
+// both sides run the same policy over the same inputs in that order, so
+// any diff is a real divergence: a decision the daemon's shell —
+// batching, locking — made that the state machine does not explain.
+// Leases play no part: expiries were the daemon's to decide and arrive
+// as records. Matching is by position, so the epoch-less records of a v1
+// daemon — and a v1 prefix continued by an upgraded one, which stamps the
+// running rebalance count the replay keeps — diff the same way. Journals
+// of daemons older than the ordering guarantee still recover (Fold is
+// unchanged) but may report the interleavings they were written with.
 //
 // base and recs come from journal.ReadAll; capacity is the divisible
 // total until the first setcapacity record (a journaled daemon always
 // writes one at boot) unless base carries one.
-//
-// Decisions are matched by epoch: each rebalance record opens a
-// decision queue under its epoch ID, and every target record is held
-// against its own epoch's queue first — so a target journaled under an
-// epoch whose replay decided differently is a mismatch even when a
-// FIFO pairing would have lined up. When the record's own queue is
-// exhausted (or absent), it falls back FIFO to the oldest queue with
-// pending decisions: concurrent notifies journal their record groups
-// in snapshot order, not journal order, so a decision can land one
-// epoch away from where the replay computed it (a register record, for
-// example, may be appended after a scan whose snapshot already saw the
-// member). The overlap window is one epoch — see flush — so anything
-// skewed further is still a divergence. Epoch-less v1 records use
-// synthetic epochs (the running rebalance count, which is exactly what
-// a v2 daemon would have stamped) and always take the FIFO path, so
-// mixed-version journals — a v1 prefix continued by an upgraded daemon
-// — still diff cleanly.
 func DiffJournal(base journal.State, recs []journal.Record, capacity int) *DiffResult {
 	reg := base.Registry()
 	if base.Capacity <= 0 {
 		reg.Capacity = max(capacity, 1)
 	}
-	// departed remembers the last target a member held when an
-	// unregister or lease-expiry record dropped it: the anchor for
-	// explaining a phantom re-push journaled by a departure that raced
-	// the daemon's own fan-out (below).
-	departed := make(map[string]int)
-	standingTarget := func(app string) (int, bool) {
-		if m, ok := reg.Get(app); ok && m.HasTarget {
-			return m.Target, true
-		}
-		t, ok := departed[app]
-		return t, ok
-	}
 	res := &DiffResult{}
-	var queues []epochQueue
-	lastEpoch := uint64(base.Rebalances)
-	flush := func(keep int, seq uint64) {
-		for len(queues) > keep {
-			q := queues[0]
-			queues = queues[1:]
-			for _, d := range q.decisions {
-				res.Mismatches = append(res.Mismatches, Mismatch{Seq: seq,
-					What: fmt.Sprintf("replay decided %s -> %d (was %d) in epoch %d but the journal records no matching target", d.Key, d.Target, d.Prev, q.epoch)})
-			}
+	mismatch := func(seq uint64, format string, args ...any) {
+		res.Mismatches = append(res.Mismatches, Mismatch{Seq: seq, What: fmt.Sprintf(format, args...)})
+	}
+	var want []core.Move[string] // the last rebalance's moves the journal has yet to record
+	unrecorded := func(seq uint64) {
+		for _, d := range want {
+			mismatch(seq, "replay decided %s -> %d (was %d) in epoch %d but the journal records no matching target", d.Key, d.Target, d.Prev, reg.Decisions)
 		}
+		want = nil
 	}
 	for _, rec := range recs {
 		res.Records++
+		if rec.Kind != journal.KindTarget {
+			unrecorded(rec.Seq)
+		}
 		switch rec.Kind {
 		case journal.KindTarget:
 			res.Decisions++
-			qi := -1
-			if rec.Epoch != 0 {
-				for i := range queues {
-					if queues[i].epoch == rec.Epoch && len(queues[i].decisions) > 0 {
-						qi = i
-						break
-					}
-				}
-			}
-			if qi < 0 {
-				// Own-epoch queue exhausted or absent (v1 records always
-				// land here): FIFO against the oldest pending queue.
-				for i := range queues {
-					if len(queues[i].decisions) > 0 {
-						qi = i
-						break
-					}
-				}
-			}
-			if qi < 0 {
-				// No pending decision anywhere. One journal shape still
-				// explains that: a target record with no pushed-target
-				// memory (was-0) whose value is the target the replay
-				// already attributes to the app. A departure racing the
-				// fan-out wipes the daemon's memory of the member's last
-				// push mid-rebalance, so the daemon re-delivers — and
-				// journals — the member's standing target as if it were
-				// new, while the serial replay of the same records
-				// correctly sees no change. The value must still match;
-				// a remembered prev or a different target is a real
-				// divergence.
-				if rec.B == 0 {
-					if cur, ok := standingTarget(rec.App); ok && int64(cur) == rec.A {
-						continue
-					}
-				}
-				res.Mismatches = append(res.Mismatches, Mismatch{Seq: rec.Seq,
-					What: fmt.Sprintf("journal says %s -> %d but replay made no further decision in epoch %d", rec.App, rec.A, rec.Epoch)})
+			if len(want) == 0 {
+				mismatch(rec.Seq, "journal says %s -> %d but replay made no further decision in epoch %d", rec.App, rec.A, reg.Decisions)
 				continue
 			}
-			d := queues[qi].decisions[0]
-			queues[qi].decisions = queues[qi].decisions[1:]
-			// The previous-target field participates only when both sides
-			// remember one. Zero means "no pushed-target memory", and a
-			// departure racing the fan-out legally empties it on one side
-			// only: the daemon's unregister deletes the memory between a
-			// concurrent rebalance's snapshot and its push, journaling
-			// was-0 where the serial replay of the same records still
-			// remembers the old target (or vice versa, when the target
-			// record lands after the unregister it raced). The decision —
-			// this app, this target, this epoch — is what replay must
-			// explain; a remembered-vs-remembered disagreement is still a
-			// divergence.
-			if d.Key != rec.App || int64(d.Target) != rec.A ||
-				(rec.B != 0 && d.Prev != 0 && int64(d.Prev) != rec.B) {
-				res.Mismatches = append(res.Mismatches, Mismatch{Seq: rec.Seq,
-					What: fmt.Sprintf("journal says %s -> %d (was %d); replay decided %s -> %d (was %d)",
-						rec.App, rec.A, rec.B, d.Key, d.Target, d.Prev)})
+			d := want[0]
+			want = want[1:]
+			if d.Key != rec.App || int64(d.Target) != rec.A || int64(d.Prev) != rec.B ||
+				(rec.Epoch != 0 && rec.Epoch != uint64(reg.Decisions)) {
+				mismatch(rec.Seq, "journal says %s -> %d (was %d) in epoch %d; replay decided %s -> %d (was %d) in epoch %d",
+					rec.App, rec.A, rec.B, rec.Epoch, d.Key, d.Target, d.Prev, reg.Decisions)
 			}
 		case journal.KindRebalance:
-			// One epoch of overlap is legal — two concurrent notifies may
-			// interleave their records — but anything older is a decision
-			// the daemon never delivered.
-			flush(1, rec.Seq)
 			res.Scans++
-			epoch := rec.Epoch
-			if epoch == 0 {
-				epoch = lastEpoch + 1 // v1 record: the count a v2 daemon would have stamped
+			want = reg.Decide(0, nil) // consumed before the registry is touched again
+			if rec.Epoch != 0 && rec.Epoch != uint64(reg.Decisions) {
+				mismatch(rec.Seq, "journal's rebalance is epoch %d, replay's %d", rec.Epoch, reg.Decisions)
 			}
-			lastEpoch = epoch
-			queues = append(queues, epochQueue{epoch: epoch, decisions: slices.Clone(reg.Decide(0, nil))})
 		default:
-			if rec.Kind == journal.KindUnregister || rec.Kind == journal.KindLeaseExpiry {
-				if m, ok := reg.Get(rec.App); ok && m.HasTarget {
-					departed[rec.App] = m.Target
-				}
-			}
 			journal.Fold(reg, rec)
 		}
 	}
-	flush(0, 0)
+	unrecorded(0)
 	return res
 }

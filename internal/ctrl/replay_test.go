@@ -246,141 +246,3 @@ func TestDiffJournalMixedVersions(t *testing.T) {
 		t.Fatalf("decisions=%d scans=%d, want 6 and 5", res.Decisions, res.Scans)
 	}
 }
-
-// TestDiffJournalEpochInterleave is the case epoch matching exists for:
-// two overlapping rebalance epochs whose target records interleave out
-// of epoch order in the journal (concurrent notifies append in snapshot
-// order, not journal order). FIFO-only matching would pair epoch 5's
-// record against epoch 4's oldest decision and mis-diagnose a
-// divergence; keying by the record's stamped epoch pairs each record
-// with its own epoch's queue.
-func TestDiffJournalEpochInterleave(t *testing.T) {
-	recs := []journal.Record{
-		{Seq: 1, Kind: journal.KindSetCapacity, A: 8},
-		{Seq: 2, Kind: journal.KindRebalance, Epoch: 1},
-		{Seq: 3, Kind: journal.KindRegister, App: "web", A: 6, B: 1},
-		{Seq: 4, Kind: journal.KindRebalance, Epoch: 2},
-		{Seq: 5, Kind: journal.KindTarget, App: "web", A: 6, B: 0, Epoch: 2},
-		{Seq: 6, Kind: journal.KindRegister, App: "batch", A: 6, B: 1},
-		{Seq: 7, Kind: journal.KindRebalance, Epoch: 3},
-		{Seq: 8, Kind: journal.KindTarget, App: "web", A: 4, B: 6, Epoch: 3},
-		{Seq: 9, Kind: journal.KindTarget, App: "batch", A: 4, B: 0, Epoch: 3},
-		// Epochs 4 and 5 overlap: epoch 5's record lands first.
-		{Seq: 10, Kind: journal.KindSetLoad, A: 2},
-		{Seq: 11, Kind: journal.KindRebalance, Epoch: 4},
-		{Seq: 12, Kind: journal.KindUnregister, App: "batch", A: 4},
-		{Seq: 13, Kind: journal.KindRebalance, Epoch: 5},
-		{Seq: 14, Kind: journal.KindTarget, App: "web", A: 6, B: 3, Epoch: 5},
-		{Seq: 15, Kind: journal.KindTarget, App: "web", A: 3, B: 4, Epoch: 4},
-		{Seq: 16, Kind: journal.KindTarget, App: "batch", A: 3, B: 4, Epoch: 4},
-	}
-	res := ctrl.DiffJournal(journal.State{}, recs, 8)
-	if !res.OK() {
-		t.Fatalf("interleaved epochs diverged: %+v", res.Mismatches)
-	}
-	if res.Decisions != 6 {
-		t.Fatalf("decisions=%d, want 6", res.Decisions)
-	}
-}
-
-// TestDiffJournalConcurrentDeparture replays a journal captured from a
-// real daemon whose two members' connections dropped at the same
-// instant: alpha's unregister deleted the daemon's pushed-target
-// memory for alpha *between* the beta-departure rebalance's snapshot
-// and its push, so the daemon journaled "alpha -> 4 (was 0)" where a
-// serial replay of the same records still remembers alpha at 3. The
-// previous-target field is bookkeeping, not a decision — the diff must
-// accept the empty-memory side and still hold the target itself (and
-// remembered-vs-remembered prevs) strict.
-func TestDiffJournalConcurrentDeparture(t *testing.T) {
-	recs := []journal.Record{
-		{Seq: 1, Kind: journal.KindSetCapacity, A: 8},
-		{Seq: 2, Kind: journal.KindRebalance, Epoch: 1},
-		{Seq: 3, Kind: journal.KindSetLoad, A: 2},
-		{Seq: 4, Kind: journal.KindRebalance, Epoch: 2},
-		{Seq: 5, Kind: journal.KindRegister, App: "beta", A: 4, B: 1},
-		{Seq: 6, Kind: journal.KindRebalance, Epoch: 3},
-		{Seq: 7, Kind: journal.KindTarget, App: "beta", A: 4, B: 0, Epoch: 3},
-		{Seq: 8, Kind: journal.KindRegister, App: "alpha", A: 4, B: 1},
-		{Seq: 9, Kind: journal.KindRebalance, Epoch: 4},
-		{Seq: 10, Kind: journal.KindTarget, App: "beta", A: 3, B: 4, Epoch: 4},
-		{Seq: 11, Kind: journal.KindTarget, App: "alpha", A: 3, B: 0, Epoch: 4},
-		{Seq: 12, Kind: journal.KindSetLoad, A: 1},
-		{Seq: 13, Kind: journal.KindRebalance, Epoch: 5},
-		{Seq: 14, Kind: journal.KindTarget, App: "beta", A: 4, B: 3, Epoch: 5},
-		// The race: beta's departure rebalance pushes alpha -> 4, but
-		// alpha's own concurrent unregister has already emptied the
-		// daemon's memory of alpha's last push, so the record says was-0.
-		{Seq: 15, Kind: journal.KindUnregister, App: "beta", A: 4},
-		{Seq: 16, Kind: journal.KindRebalance, Epoch: 6},
-		{Seq: 17, Kind: journal.KindTarget, App: "alpha", A: 4, B: 0, Epoch: 6},
-		{Seq: 18, Kind: journal.KindUnregister, App: "alpha", A: 3},
-		{Seq: 19, Kind: journal.KindRebalance, Epoch: 7},
-	}
-	res := ctrl.DiffJournal(journal.State{}, recs, 8)
-	if !res.OK() {
-		t.Fatalf("concurrent-departure journal diverged: %+v", res.Mismatches)
-	}
-	if res.Decisions != 5 {
-		t.Fatalf("decisions=%d, want 5", res.Decisions)
-	}
-
-	// Same shape, but the target itself disagrees: still a divergence.
-	recs[16].A = 5
-	if res := ctrl.DiffJournal(journal.State{}, recs, 8); res.OK() {
-		t.Fatal("wrong target under empty prev memory not flagged")
-	}
-}
-
-// TestDiffJournalPhantomRepush is the other face of the same race,
-// captured from a real daemon: the departure that raced the fan-out
-// wiped the daemon's pushed-target memory of a member whose target was
-// NOT changing, so the rebalance re-delivered — and journaled — the
-// member's standing target as if it were a fresh decision ("alpha -> 4
-// (was 0)"), and the record landed after the member's own unregister.
-// The serial replay correctly decides nothing for that epoch; the
-// record is explained only by the standing target the replay already
-// attributes to the (by then departed) member.
-func TestDiffJournalPhantomRepush(t *testing.T) {
-	recs := []journal.Record{
-		{Seq: 1, Kind: journal.KindSetCapacity, A: 8},
-		{Seq: 2, Kind: journal.KindRebalance, Epoch: 1},
-		{Seq: 3, Kind: journal.KindSetLoad, A: 2},
-		{Seq: 4, Kind: journal.KindRebalance, Epoch: 2},
-		{Seq: 5, Kind: journal.KindRegister, App: "alpha", A: 4, B: 1},
-		{Seq: 6, Kind: journal.KindRebalance, Epoch: 3},
-		{Seq: 7, Kind: journal.KindTarget, App: "alpha", A: 4, B: 0, Epoch: 3},
-		{Seq: 8, Kind: journal.KindRegister, App: "beta", A: 4, B: 1},
-		{Seq: 9, Kind: journal.KindRebalance, Epoch: 4},
-		{Seq: 10, Kind: journal.KindTarget, App: "alpha", A: 3, B: 4, Epoch: 4},
-		{Seq: 11, Kind: journal.KindTarget, App: "beta", A: 3, B: 0, Epoch: 4},
-		{Seq: 12, Kind: journal.KindSetLoad, A: 1},
-		{Seq: 13, Kind: journal.KindRebalance, Epoch: 5},
-		{Seq: 14, Kind: journal.KindTarget, App: "alpha", A: 4, B: 3, Epoch: 5},
-		{Seq: 15, Kind: journal.KindUnregister, App: "beta", A: 3},
-		{Seq: 16, Kind: journal.KindRebalance, Epoch: 6},
-		{Seq: 17, Kind: journal.KindUnregister, App: "alpha", A: 4},
-		{Seq: 18, Kind: journal.KindRebalance, Epoch: 7},
-		// The phantom: epoch 6's record, appended after epoch 7's
-		// rebalance and after alpha's own unregister.
-		{Seq: 19, Kind: journal.KindTarget, App: "alpha", A: 4, B: 0, Epoch: 6},
-	}
-	res := ctrl.DiffJournal(journal.State{}, recs, 8)
-	if !res.OK() {
-		t.Fatalf("phantom re-push journal diverged: %+v", res.Mismatches)
-	}
-	if res.Decisions != 5 {
-		t.Fatalf("decisions=%d, want 5", res.Decisions)
-	}
-
-	// A phantom whose value is NOT the standing target is a divergence,
-	// as is one claiming remembered prev memory.
-	recs[18].A = 5
-	if res := ctrl.DiffJournal(journal.State{}, recs, 8); res.OK() {
-		t.Fatal("phantom with wrong target not flagged")
-	}
-	recs[18].A, recs[18].B = 4, 3
-	if res := ctrl.DiffJournal(journal.State{}, recs, 8); res.OK() {
-		t.Fatal("unexplained record with remembered prev not flagged")
-	}
-}

@@ -31,7 +31,7 @@ const (
 	KindUnregister  = "unregister"   // App withdrew; A = its last pushed target (0 if none)
 	KindLeaseExpiry = "lease_expiry" // App presumed dead, its lease lapsed; A = members expired with it
 	KindTarget      = "target"       // App's target changed; A = new target, B = previous (0 if none)
-	KindRebalance   = "rebalance"    // one recompute-and-notify epoch; A = total span µs, B = members notified
+	KindRebalance   = "rebalance"    // one epoch decided, its targets follow; A = µs from trigger to decision, B = members decided over
 	KindRedial      = "redial"       // client lost the daemon and is re-dialing; A = attempt count
 	KindReconnect   = "reconnect"    // client re-dialed and re-registered; A = applied target
 	KindScan        = "scan"         // sim ctrl recompute; A = scan number, B = targets changed

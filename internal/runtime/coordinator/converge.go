@@ -45,10 +45,12 @@ type openEpoch struct {
 	waiting  int   // members still pending
 }
 
-// pendingMember is one member an epoch opens waiting on.
+// pendingMember is one member an epoch opens waiting on; applied is the
+// rebalance's note of whether its push applied the target synchronously.
 type pendingMember struct {
-	name   string
-	remote bool
+	name    string
+	remote  bool
+	applied bool
 }
 
 // memberWait is one member's entry in the tracker's index: the open

@@ -11,20 +11,25 @@
 // Locking discipline: the membership — who is registered, in what order,
 // with what weight and what last decided target — is one core.Registry
 // under c.mu, the state machine the simulated server and journal
-// recovery run on. Locks nest only as c.mu → convergeTracker.mu (the
-// flight ring's own mutex is a leaf under both). A membership change is
-// one c.mu section. A rebalance is two: the first copies the members'
-// handles in registration order; the second bumps the epoch, decides,
-// records what moved and opens the epoch in the convergence tracker, so
-// epoch order is decision order and an epoch never waits on a member
-// that had left when it was decided. Every Member interface call (Name
-// at registration aside) — Workers, Backlog, SetTarget — happens OUTSIDE
-// all critical sections, on the rebalance's own copy of the handles:
-// the caps a decision divides under are sampled between the two
-// sections, the targets pushed after the second. Members are arbitrary
-// application code; calling them while holding a coordinator lock would
-// make the critical section as slow as the slowest member, the convoy
-// pattern the blockinglocked analyzer rejects.
+// recovery run on. Locks nest only as jmu → c.mu → convergeTracker.mu
+// (the flight ring's own mutex is a leaf under all three). A membership
+// change is one c.mu section. A rebalance is two: the first copies the
+// members' handles in registration order; the second bumps the epoch,
+// decides, records what moved and opens the epoch in the convergence
+// tracker, so epoch order is decision order and an epoch never waits on a
+// member that had left when it was decided. Every event that changes the
+// registry is emitted inside the c.mu section that makes the change
+// (emitLocked: the flight ring, and a queue of the durable ones); the
+// journal's file I/O stays outside c.mu, in journalFlush, which drains the
+// queue under jmu, the journal's order lock — so ring and journal are in
+// registry order, and a snapshot cut there holds exactly the records
+// before it. Every Member interface call (Name at registration aside) —
+// Workers, Backlog, SetTarget — happens OUTSIDE all critical sections, on
+// the rebalance's own copy of the handles: the caps a decision divides
+// under are sampled between the two sections, the targets pushed after
+// the second. Members are arbitrary application code; calling them under
+// a coordinator lock would make the critical section as slow as the
+// slowest member, the convoy pattern the blockinglocked analyzer rejects.
 package coordinator
 
 import (
@@ -110,11 +115,13 @@ type Coordinator struct {
 
 	rec *flight.Recorder
 
-	// jrn, when set, tees every durable flight event (see
-	// journal.Durable) into the write-ahead journal. The pointer is
-	// atomic so appends never serialize on a coordinator lock, and
-	// journal I/O always happens outside all coordinator locks.
-	jrn atomic.Pointer[journal.Writer]
+	// jrn, when set, is the write-ahead journal the durable flight events
+	// (journal.Durable) go to; jq, under c.mu, those emitted since the last
+	// drain (journalFlush, serialized by jmu); jspare, under jmu, its spare.
+	jrn    atomic.Pointer[journal.Writer]
+	jq     []flight.Event
+	jmu    sync.Mutex
+	jspare []flight.Event
 
 	// conv tracks open rebalance epochs until every changed member acks
 	// its applied target (see converge.go).
@@ -128,25 +135,18 @@ type Coordinator struct {
 // snapshot is one rebalance's working set, recycled so a steady
 // rebalance allocates nothing: the members' handles in registration
 // order — first those whose caps it samples, then, with their targets,
-// those it pushes to — and the targets its decision moved.
+// those it pushes to — and, in the same order, whose targets it moved.
 type snapshot struct {
 	pushes  []push
-	changed []changedPush
 	pending []pendingMember
 }
 
-// push is one member's share of a fan-out.
+// push is one member's share of a fan-out; moved marks the targets the
+// decision changed, the ones the epoch waits on.
 type push struct {
 	e      *entry
 	target int
-}
-
-// changedPush is one target a decision moved: its event, already in the
-// flight ring, and where in the fan-out its push is.
-type changedPush struct {
-	idx     int // index into the snapshot's pushes
-	applied bool
-	ev      flight.Event
+	moved  bool
 }
 
 // Rebalance span stages, in causal order: the member event waiting on
@@ -179,6 +179,7 @@ const DefaultBatchWindow = 5 * time.Millisecond
 type coordMetrics struct {
 	reg            *metrics.Registry
 	rebalanceCount *metrics.Counter
+	leaseExpiries  *metrics.Counter
 
 	// Batch coalescing: flushes is epochs actually recomputed by the
 	// batch goroutine, coalesced is membership/load events that were
@@ -200,6 +201,7 @@ func newCoordMetrics(reg *metrics.Registry) coordMetrics {
 	m := coordMetrics{
 		reg:            reg,
 		rebalanceCount: reg.Counter("coordinator_rebalances_total", "target recomputations"),
+		leaseExpiries:  reg.Counter("coordinator_lease_expiries_total", "members unregistered because their connection went silent past its lease"),
 		batchFlushes:   reg.Counter("coordinator_batch_flushes_total", "batched rebalance windows flushed"),
 		batchCoalesced: reg.Counter("coordinator_batch_coalesced_total", "rebalance triggers absorbed into an already-pending batch"),
 		targetsSum:     reg.Gauge("coordinator_targets_sum", "processors allotted across all members, by last pushed target"),
@@ -257,11 +259,14 @@ func (c *Coordinator) Metrics() *metrics.Registry { return c.met.reg }
 // SetJournal attaches a write-ahead journal: from this point on, every
 // durable control-plane event (registrations, unregistrations, lease
 // expiries, target changes, rebalances, load and capacity changes) is
-// persisted as well as flight-recorded. Pass nil to detach. Journal
-// I/O failures are sticky inside the Writer and never fail the control
-// plane: the daemon keeps rebalancing with durability degraded (see
-// journal_append_errors_total).
-func (c *Coordinator) SetJournal(w *journal.Writer) { c.jrn.Store(w) }
+// persisted as well as flight-recorded, in the order the registry changed.
+// Pass nil to detach. Journal I/O failures are sticky inside the Writer
+// and never fail the control plane: the daemon keeps rebalancing with
+// durability degraded (see journal_append_errors_total).
+func (c *Coordinator) SetJournal(w *journal.Writer) {
+	c.journalFlush(false) // what the outgoing journal is still owed
+	c.jrn.Store(w)
+}
 
 // Journal returns the attached journal writer, if any.
 func (c *Coordinator) Journal() *journal.Writer { return c.jrn.Load() }
@@ -270,20 +275,71 @@ func (c *Coordinator) Journal() *journal.Writer { return c.jrn.Load() }
 // durable and a journal is attached, persists it. Callers must not
 // hold coordinator locks (journal appends do file I/O).
 func (c *Coordinator) RecordEvent(ev flight.Event) {
-	c.rec.Append(ev)
-	c.journalAppend(ev)
+	c.mu.Lock()
+	c.emitLocked(ev)
+	c.mu.Unlock()
+	c.journalFlush(false)
 }
 
-// journalAppend tees one flight event into the journal, if attached
-// and the kind is durable. Append errors are deliberately dropped
-// here: the Writer makes them sticky and counts them.
-func (c *Coordinator) journalAppend(ev flight.Event) {
+// emitLocked records an event inside the c.mu section that makes the
+// change it describes: in the flight ring and, if durable, on the queue.
+func (c *Coordinator) emitLocked(ev flight.Event) {
+	c.rec.Append(ev)
+	if journal.Durable(ev.Kind) && c.jrn.Load() != nil {
+		c.jq = append(c.jq, ev)
+	}
+}
+
+// journalFlush appends the queued events to the journal in the order they
+// were emitted. Every path that may have queued one calls it once it holds
+// no coordinator lock; when it returns, everything emitted before the call
+// is in. With state, or when a snapshot has come due, the c.mu section
+// that takes the queue also copies the registry: the copy — returned, and
+// snapshotted when due — has seen exactly the records up to the queue's
+// last, and jmu keeps any other from landing before the snapshot.
+func (c *Coordinator) journalFlush(state bool) (reg *core.Registry[string]) {
 	w := c.jrn.Load()
-	if w == nil {
+	if w == nil && !state {
+		return nil
+	}
+	c.jmu.Lock()
+	defer c.jmu.Unlock()
+	due := w != nil && w.ShouldSnapshot()
+	var members []core.Member[string]
+	c.mu.Lock()
+	evs := c.jq
+	c.jq = c.jspare[:0]
+	if state || due {
+		reg = core.NewRegistry[string](c.reg.Capacity)
+		reg.External, reg.Decisions = c.reg.External, c.reg.Decisions
+		members = c.reg.Members()
+	}
+	c.mu.Unlock()
+	for _, m := range members {
+		reg.Register(m.Key, m.Procs, m.Weight, m.LastSeen)
+		reg.SetTarget(m.Key, m.Target)
+	}
+	if w != nil {
+		//procctl:allow-blockinglocked jmu is the journal's order serializer; file I/O under it is what it is for
+		c.journalWrite(w, evs, due, reg)
+	}
+	clear(evs) // the spare buffer keeps no name alive
+	c.jspare = evs
+	return reg
+}
+
+// journalWrite is the only place the journal is written from. Append
+// errors are deliberately dropped: the Writer makes them sticky and
+// counts them.
+func (c *Coordinator) journalWrite(w *journal.Writer, evs []flight.Event, snapshot bool, reg *core.Registry[string]) {
+	for _, ev := range evs {
+		_, _ = w.Append(ev) // the Writer assigns the durable Seq
+	}
+	if !snapshot {
 		return
 	}
-	if journal.Durable(ev.Kind) {
-		_, _ = w.Append(ev) // the Writer assigns the durable Seq
+	if st := journal.Snapshot(reg, 0, time.Now().UnixMicro()); w.WriteSnapshot(st) == nil {
+		c.rec.Append(flight.Event{At: st.At, Kind: flight.KindSnapshot, A: int64(w.NextSeq() - 1)})
 	}
 }
 
@@ -308,8 +364,8 @@ func (c *Coordinator) SetCapacity(n int) error {
 	start := time.Now()
 	c.mu.Lock()
 	c.reg.Capacity = n
+	c.emitLocked(flight.Event{At: start.UnixMicro(), Kind: flight.KindSetCapacity, A: int64(n)})
 	c.mu.Unlock()
-	c.RecordEvent(flight.Event{At: start.UnixMicro(), Kind: flight.KindSetCapacity, A: int64(n)})
 	c.requestRebalance(start)
 	return nil
 }
@@ -324,8 +380,8 @@ func (c *Coordinator) SetExternalLoad(n int) {
 	start := time.Now()
 	c.mu.Lock()
 	c.reg.External = n
+	c.emitLocked(flight.Event{At: start.UnixMicro(), Kind: flight.KindSetLoad, A: int64(n)})
 	c.mu.Unlock()
-	c.RecordEvent(flight.Event{At: start.UnixMicro(), Kind: flight.KindSetLoad, A: int64(n)})
 	c.requestRebalance(start)
 }
 
@@ -356,17 +412,17 @@ func (c *Coordinator) RegisterWeighted(m Member, weight int) {
 	// keeps its target: its next target record journals the change from it.
 	// Its handle is replaced: whoever held the name holds it no more.
 	c.reg.Register(name, procs, weight, start.UnixMicro()).Handle = e
+	c.emitLocked(flight.Event{At: start.UnixMicro(), Kind: flight.KindRegister, App: name, A: int64(procs), B: int64(weight)})
 	c.mu.Unlock()
-	c.RecordEvent(flight.Event{At: start.UnixMicro(), Kind: flight.KindRegister, App: name, A: int64(procs), B: int64(weight)})
 	c.requestRebalance(start)
 }
 
 // restore adopts the registry recovered from a journal in place of the
 // coordinator's own, keeping only the capacity it was created with, and
 // returns the placeholders it seated (remote members of no connection,
-// for clients to claim by claimBy), in the state's (name) order. It neither
-// rebalances, flight-records nor journals: recovery replays history, it
-// does not create it. See Server.Restore.
+// for clients to claim by claimBy), in the state's (name) order. It
+// neither rebalances nor records: recovery replays history, it does not
+// create it. See Server.Restore.
 func (c *Coordinator) restore(st journal.State, claimBy time.Time) []*remoteMember {
 	reg := st.Registry()
 	members := make([]*remoteMember, 0, reg.Len())
@@ -393,75 +449,74 @@ func (c *Coordinator) members() []core.Member[string] {
 	return c.reg.Members()
 }
 
-// registryCopy returns a registry of its own holding what c.reg holds
-// now, seated outside c.mu the way journal.State.Registry seats one:
-// what the journal snapshots.
-func (c *Coordinator) registryCopy() *core.Registry[string] {
-	c.mu.Lock()
-	cp := core.NewRegistry[string](c.reg.Capacity)
-	cp.External, cp.Decisions = c.reg.External, c.reg.Decisions
-	members := c.reg.Members()
-	c.mu.Unlock()
-	for _, m := range members {
-		cp.Register(m.Key, m.Procs, m.Weight, m.LastSeen)
-		cp.SetTarget(m.Key, m.Target)
-	}
-	return cp
-}
-
 // Unregister removes the named member and redistributes its processors.
 func (c *Coordinator) Unregister(name string) {
-	c.unregister(name, nil, true)
-}
-
-// unregister removes the named member — when only is given, only if the
-// name is still only's: a socket member is made per registration, so a
-// name registered again since (a restarted client, a claimed placeholder)
-// has another handle and stays. It reports whether a member left; cause,
-// the lease expiry behind a sweep's removal, is recorded only then, ahead
-// of the unregister event.
-//
-// A removal that is not durable skips the journal append and the
-// departure rebalance. The server's clean-shutdown path asks for that:
-// members dropped because the daemon is exiting are not leaving the
-// fleet, so journaling their departure would make recovery reconstruct an
-// empty registry, and rebalancing over the shrinking remainder would
-// journal target decisions that a replay of the (deliberately
-// unjournaled) departures cannot explain. The flight event still lands
-// in the ring for post-mortems.
-func (c *Coordinator) unregister(name string, only *remoteMember, durable bool, cause ...flight.Event) bool {
 	start := time.Now()
 	c.mu.Lock()
-	m, ok := c.reg.Get(name)
-	if only != nil && !(ok && m.Handle.(*entry).m == Member(only)) {
-		c.mu.Unlock()
-		return false
+	if m, ok := c.reg.Get(name); ok {
+		c.removeLocked(&m, true, start, 0, 0)
 	}
-	if ok {
-		c.reg.Remove(name)
-		c.targetsSum -= int64(m.Target)
-		if durable {
-			// A departed member will never ack: it leaves the epoch still
-			// waiting on it as it leaves the registry, so no epoch decided
-			// from here on can find it in either.
-			c.conv.Drop(name, start.UnixMicro())
+	c.mu.Unlock()
+	c.requestRebalance(start)
+}
+
+// drop removes, in one c.mu section, those of members that still hold
+// their names — a socket member is made per registration, so a name
+// registered again since (a restarted client, a claimed placeholder) has
+// another handle and stays — and redistributes their processors. With
+// expired set (Unix microseconds) the sweep of that instant presumed them
+// dead: each one's lease_expiry event, saying how many expired together,
+// goes ahead of its unregister event in the section that removes it.
+//
+// A removal that is not durable skips the journal and the departure
+// rebalance — the server's clean-shutdown path: members dropped because
+// the daemon is exiting are not leaving the fleet, so journaling their
+// departure would make recovery reconstruct an empty registry, and a
+// rebalance over the remainder would journal decisions no replay of the
+// journal can explain. The flight event still lands in the ring.
+func (c *Coordinator) drop(members []*remoteMember, durable bool, expired int64) {
+	start, n := time.Now(), 0
+	c.mu.Lock()
+	for _, rm := range members {
+		if _, ok := c.heldLocked(rm); ok {
+			n++
+		}
+	}
+	for _, rm := range members {
+		if m, ok := c.heldLocked(rm); ok {
+			c.removeLocked(&m, durable, start, expired, n)
 		}
 	}
 	c.mu.Unlock()
-	if ok {
-		for _, ev := range cause {
-			c.RecordEvent(ev)
-		}
-		ev := flight.Event{At: start.UnixMicro(), Kind: flight.KindUnregister, App: name, A: int64(m.Target)}
-		c.rec.Append(ev)
-		if durable {
-			c.journalAppend(ev)
-		}
-	}
-	if durable {
+	if durable && n > 0 {
 		c.requestRebalance(start)
 	}
-	return ok
+}
+
+// heldLocked returns the registry's member of rm's name if it is still rm.
+func (c *Coordinator) heldLocked(rm *remoteMember) (core.Member[string], bool) {
+	m, ok := c.reg.Get(rm.name)
+	return m, ok && m.Handle.(*entry).m == Member(rm)
+}
+
+// removeLocked takes m, a member the registry holds, out of it and emits
+// its events (see drop).
+func (c *Coordinator) removeLocked(m *core.Member[string], durable bool, at time.Time, expired int64, with int) {
+	c.reg.Remove(m.Key)
+	c.targetsSum -= int64(m.Target)
+	ev := flight.Event{At: at.UnixMicro(), Kind: flight.KindUnregister, App: m.Key, A: int64(m.Target)}
+	if !durable {
+		c.rec.Append(ev)
+		return
+	}
+	// A departed member will never ack: it leaves the epoch still waiting
+	// on it as it leaves the registry, so no later epoch finds it in either.
+	c.conv.Drop(m.Key, at.UnixMicro())
+	if expired != 0 {
+		c.met.leaseExpiries.Inc()
+		c.emitLocked(flight.Event{At: expired, Kind: flight.KindLeaseExpiry, App: m.Key, A: int64(with)})
+	}
+	c.emitLocked(ev)
 }
 
 // Members returns the registered member names in registration order.
@@ -483,12 +538,14 @@ func (c *Coordinator) Rebalance() {
 // membership or load event rebalances synchronously, so callers
 // observe fresh targets on return) or, when batching is on, marks the
 // fleet dirty and kicks the batch goroutine, which coalesces all
-// events arriving within one window into a single epoch.
+// events arriving within one window into a single epoch. Either way it
+// sees what the caller queued into the journal.
 func (c *Coordinator) requestRebalance(start time.Time) {
 	if !c.batching.Load() {
 		c.rebalanceNow(start)
 		return
 	}
+	c.journalFlush(false)
 	if c.dirty.CompareAndSwap(false, true) {
 		select {
 		case c.kick <- struct{}{}:
@@ -622,22 +679,23 @@ func (c *Coordinator) MemberInfos() []MemberInfo {
 // outside coordinator locks on its own copy of the handles. Concurrent
 // calls (inline rebalances from several connections) are ordered by the
 // c.mu section that decides: it takes the next epoch, runs
-// Registry.Decide over the membership as it stands, puts the targets
-// that moved into the flight ring and opens the epoch in the convergence
-// tracker before the next decision gets in, so registry, ring and
-// tracker agree, in epoch order. The pushes still run unlocked and may
-// land out of order: a socket member refuses a target older than the one
-// it holds; an in-process member that ignores epochs may briefly run the
-// older of two racing targets, until the next rebalance (each pushes to
-// every member) corrects it. Journal appends are file I/O and wait for
-// the fan-out too: records of two racing epochs may interleave there.
+// Registry.Decide over the membership as it stands, emits the epoch's
+// rebalance event (A = µs from the trigger to the decision, B = members
+// decided over) and then a target event for each target that moved, and
+// opens the epoch in the convergence tracker before the next decision
+// gets in — so registry, ring, journal and tracker agree, in epoch order.
+// The pushes run unlocked and may land out of order: a socket member
+// refuses a target older than the one it holds; an in-process member that
+// ignores epochs may briefly run the older of two racing targets, until
+// the next rebalance (each pushes to every member) corrects it. The
+// journal's file I/O waits for the fan-out.
 //
 // start is when the triggering member event entered the coordinator,
 // where the first of rebalanceStages begins; the completed span lands in
-// coordinator_rebalance_latency_micros{stage=...} and the flight ring.
+// coordinator_rebalance_latency_micros{stage=...}.
 func (c *Coordinator) rebalanceNow(start time.Time) {
 	snap := c.snapshots.Get().(*snapshot)
-	pushes, changed, pending := snap.pushes[:0], snap.changed[:0], snap.pending[:0]
+	pushes, pending := snap.pushes[:0], snap.pending[:0]
 	c.mu.Lock()
 	c.reg.Visit(func(m *core.Member[string]) { pushes = append(pushes, push{e: m.Handle.(*entry)}) })
 	loadAware := c.loadAware
@@ -664,57 +722,53 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 		pushes = append(pushes, push{e: e, target: m.Target})
 		return int(e.cap.Load())
 	})
-	epoch := uint64(c.reg.Decisions)
-	decided := time.Now()
+	epoch, decided := uint64(c.reg.Decisions), time.Now()
+	c.emitLocked(flight.Event{At: decided.UnixMicro(), Kind: flight.KindRebalance,
+		A: decided.Sub(start).Microseconds(), B: int64(len(pushes)), Epoch: epoch})
 	i := 0
 	for _, mv := range moves {
 		e := mv.Handle.(*entry)
 		for pushes[i].e != e { // moves are in registration order too
 			i++
 		}
-		pushes[i].target = mv.Target
+		pushes[i].target, pushes[i].moved = mv.Target, true
 		c.targetsSum += int64(mv.Target - mv.Prev)
-		ev := flight.Event{At: decided.UnixMicro(), Kind: flight.KindTarget,
-			App: mv.Key, A: int64(mv.Target), B: int64(mv.Prev), Epoch: epoch}
-		c.rec.Append(ev)
-		changed = append(changed, changedPush{idx: i, ev: ev})
+		c.emitLocked(flight.Event{At: decided.UnixMicro(), Kind: flight.KindTarget,
+			App: mv.Key, A: int64(mv.Target), B: int64(mv.Prev), Epoch: epoch})
 		pending = append(pending, pendingMember{name: mv.Key, remote: e.remote})
 	}
 	// The epoch must be open before any member can ack it.
 	c.conv.Open(epoch, decided.UnixMicro(), pending)
 	c.mu.Unlock()
 
-	next := 0 // the changed entry the fan-out reaches next
-	for i, p := range pushes {
+	moved := 0 // how many of pending the fan-out has passed
+	for _, p := range pushes {
 		applied := true
 		if p.e.epochM != nil {
 			applied = p.e.epochM.SetTargetEpoch(p.target, epoch)
 		} else {
 			p.e.m.SetTarget(p.target)
 		}
-		if next < len(changed) && changed[next].idx == i {
-			changed[next].applied = applied
-			next++
+		if p.moved {
+			pending[moved].applied = applied
+			moved++
 		}
 	}
 	end := time.Now()
 	for i, d := range []time.Duration{snapDone.Sub(start), decided.Sub(snapDone), end.Sub(decided), end.Sub(start)} {
 		c.met.observeStage(i, d)
 	}
-	c.RecordEvent(flight.Event{At: end.UnixMicro(), Kind: flight.KindRebalance,
-		A: end.Sub(start).Microseconds(), B: int64(len(pushes)), Epoch: epoch})
-	for _, ch := range changed {
-		c.journalAppend(ch.ev)
-		if ch.applied { // a synchronous applier acks as soon as its push returned
-			c.conv.Ack(ch.ev.App, epoch, end.UnixMicro())
+	for _, pm := range pending {
+		if pm.applied { // a synchronous applier acks as soon as its push returned
+			c.conv.Ack(pm.name, epoch, end.UnixMicro())
 		}
 	}
+	c.journalFlush(false)
 
 	// A pooled working set keeps no departed member or name alive.
 	clear(pushes[:max(sampled, len(pushes))])
-	clear(changed)
 	clear(pending)
-	snap.pushes, snap.changed, snap.pending = pushes, changed, pending
+	snap.pushes, snap.pending = pushes, pending
 	c.snapshots.Put(snap)
 }
 

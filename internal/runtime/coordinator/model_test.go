@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"procctl/internal/core"
@@ -24,14 +27,16 @@ import (
 // should make one, no target above its member's process count and no
 // more handed out than there is.
 //
-// With a journal directory the program is recorded, and at its end what
-// recovery folds out of the records must be, byte for byte, the snapshot
-// the live server would write.
+// With a journal directory the program is recorded: after every step the
+// records appended so far must fold to the mirror's state, and at the
+// program's end what recovery folds out of them must be, byte for byte,
+// the snapshot the live server would write.
 func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 	rng := rand.New(rand.NewSource(seed))
 	capacity := 1 + rng.Intn(24)
 	c := New(capacity)
 	reg := core.NewRegistry[string](capacity)
+	var tail *journalTail
 	if journalDir != "" {
 		w, err := journal.Open(journalDir, 1, journal.Options{})
 		if err != nil {
@@ -39,6 +44,7 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		}
 		defer w.Close()
 		c.SetJournal(w)
+		tail = newJournalTail(t, journalDir)
 	}
 	names := make([]string, 2+rng.Intn(10))
 	for i := range names {
@@ -121,11 +127,81 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		if limit := max(core.Available(reg.Capacity, reg.External), floor); sum > limit {
 			t.Fatalf("seed %d step %d: after %s: targets sum to %d, over max(available, members with processes) = %d", seed, step, what, sum, limit)
 		}
+		if tail != nil {
+			got, want := tail.state(t, c.Journal()), journal.Snapshot(reg, 0, 0)
+			if got.Capacity == 0 {
+				want.Capacity = 0 // the journal learns a capacity only from a setcapacity record
+			}
+			if g, w := unstamped(got), unstamped(want); !bytes.Equal(g, w) {
+				t.Fatalf("seed %d step %d: after %s: the journal so far does not fold to the mirror\n journal %s\n mirror  %s", seed, step, what, g, w)
+			}
+		}
 	}
 
 	if journalDir != "" {
 		requireJournalFoldsToLive(t, c, journalDir, fmt.Sprintf("seed %d", seed))
 	}
+}
+
+// journalTail folds a journal's first segment as it grows.
+type journalTail struct {
+	f   *os.File
+	reg *core.Registry[string]
+}
+
+func newJournalTail(t *testing.T, dir string) *journalTail {
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("segments %v, want the one just opened", segs)
+	}
+	f, err := os.Open(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if _, err := f.Seek(8, io.SeekStart); err != nil { // past the magic
+		t.Fatal(err)
+	}
+	return &journalTail{f: f, reg: core.NewRegistry[string](0)}
+}
+
+// state syncs w, folds the records the segment has gained since the last
+// call and returns the registry they have folded to so far.
+func (jt *journalTail) state(t *testing.T, w *journal.Writer) journal.State {
+	t.Helper()
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(jt.f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(data) > 0 {
+		payload, n, err := journal.DecodeFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := journal.DecodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Fold(jt.reg, rec)
+		data = data[n:]
+	}
+	return journal.Snapshot(jt.reg, 0, 0)
+}
+
+// unstamped marshals a state without the registration stamps, which the
+// mirror does not keep.
+func unstamped(st journal.State) []byte {
+	for i := range st.Members {
+		st.Members[i].LastSeen = 0
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // requireJournalFoldsToLive syncs c's journal and requires what recovery

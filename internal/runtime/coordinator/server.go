@@ -1,15 +1,15 @@
 package coordinator
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"procctl/internal/core"
 	"procctl/internal/flight"
 	"procctl/internal/journal"
 	"procctl/internal/metrics"
@@ -164,6 +164,7 @@ type connState struct {
 
 	accepted time.Time
 	lastSeen atomic.Int64 // nanoseconds after accepted, on its monotonic clock
+	expired  atomic.Int64 // Unix microseconds of the sweep that found its lease lapsed and closed it; 0 = none did
 }
 
 func (cs *connState) touch(now time.Time) { cs.lastSeen.Store(int64(now.Sub(cs.accepted))) }
@@ -187,13 +188,13 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]*connState
-	// unclaimedBy is the claim deadline of the placeholders Restore seated,
-	// until the sweep that follows it has reclaimed the unclaimed.
-	unclaimedBy time.Time
-	closed      bool
+	// placeholders are those Restore seated and unclaimedBy their claim
+	// deadline, until the sweep that follows it has reclaimed the unclaimed.
+	placeholders []*remoteMember
+	unclaimedBy  time.Time
+	closed       bool
 
 	handlers sync.WaitGroup // joins per-connection handler goroutines
-	expiries *metrics.Counter
 	// rpcs holds the request counters of every op in wireOps, resolved
 	// once; a request naming any other op counts under rpcUnknown, so a
 	// client cannot mint series.
@@ -234,7 +235,6 @@ func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Serve
 		ln:       ln,
 		cfg:      cfg.withDefaults(),
 		conns:    make(map[net.Conn]*connState),
-		expiries: coord.Metrics().Counter("coordinator_lease_expiries_total", "members unregistered because their connection went silent past its lease"),
 		admitted: coord.Metrics().Counter("coordinator_admission_admitted_total", "registrations admitted"),
 		shedConn: coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "conns"), "connections shed with a busy reply at the connection cap"),
 		shedReg:  coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "register"), "registrations shed with a busy reply at the admission limit"),
@@ -278,34 +278,19 @@ func (s *Server) Restore(st journal.State, now time.Time) int {
 	}
 	members := s.coord.restore(st, claimBy)
 	s.mu.Lock()
-	s.unclaimedBy = claimBy
+	s.placeholders, s.unclaimedBy = members, claimBy
 	s.mu.Unlock()
 	return len(members)
 }
 
 // JournalState is the snapshot the journal persists: a copy of the
 // registry — every member's registration facts and last decided target,
-// the scalar settings, the lifetime rebalance count — written out by
-// journal.Snapshot, members sorted by name as journal replay
-// reconstructs the same state, so a snapshot and a replayed prefix of
-// equal history marshal to equal bytes.
+// the scalar settings, the lifetime rebalance count — taken as the journal
+// receives the last record that led to it, members sorted by name as
+// journal replay reconstructs the same state, so a snapshot and a replayed
+// prefix of equal history marshal to equal bytes.
 func (s *Server) JournalState(at int64) journal.State {
-	return journal.Snapshot(s.coord.registryCopy(), 0, at)
-}
-
-// maybeSnapshot writes a registry snapshot when the journal's cadence
-// says one is due. Called after ops and sweeps, outside all locks.
-func (s *Server) maybeSnapshot() {
-	w := s.coord.Journal()
-	if w == nil || !w.ShouldSnapshot() {
-		return
-	}
-	st := s.JournalState(time.Now().UnixMicro())
-	if err := w.WriteSnapshot(st); err == nil {
-		s.coord.FlightRecorder().Append(flight.Event{
-			At: st.At, Kind: flight.KindSnapshot, A: int64(st.LastSeq),
-		})
-	}
+	return journal.Snapshot(s.coord.journalFlush(true), 0, at)
 }
 
 // Addr returns the listener address.
@@ -390,10 +375,7 @@ func (s *Server) reply(conn net.Conn, buf []byte, resp *Response, now time.Time)
 	return buf, err
 }
 
-// sweepLoop periodically closes connections whose lease lapsed. Closing
-// is the whole intervention: the handler's read fails immediately and
-// its deferred cleanup — the same path as a clean disconnect —
-// unregisters the members and rebalances the survivors.
+// sweepLoop runs the lease sweep every SweepInterval until done closes.
 func (s *Server) sweepLoop(done chan struct{}) {
 	ticker := time.NewTicker(s.cfg.SweepInterval)
 	defer ticker.Stop()
@@ -407,71 +389,31 @@ func (s *Server) sweepLoop(done chan struct{}) {
 	}
 }
 
-// leases is the lease sweep's one pass over the membership, one c.mu
-// section: it files the members of the connections that are keys of
-// silent under them and returns the placeholders no client claimed before
-// now, in registry order — by name, as Restore seated them. Either may be
-// stale by the time the sweep acts on it, so its removals are by identity.
-func (c *Coordinator) leases(now time.Time, silent map[*connState][]string) (unclaimed []*remoteMember) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reg.Visit(func(m *core.Member[string]) {
-		switch rm, _ := m.Handle.(*entry).m.(*remoteMember); {
-		case rm == nil: // an in-process member has no lease
-		case rm.conn != nil:
-			if names, ok := silent[rm.conn]; ok {
-				silent[rm.conn] = append(names, rm.name)
-			}
-		case !rm.claimBy.IsZero() && rm.claimBy.Before(now):
-			unclaimed = append(unclaimed, rm)
-		}
-	})
-	return unclaimed
-}
-
-// sweep closes every connection silent since before now-Lease and
-// counts the member leases that expired with it. It also reclaims the
-// placeholders whose grace lease lapsed without a client claiming them —
-// they have no connection to close, so the sweep unregisters them itself,
-// each only if its name is still its own. The membership is walked once,
-// and only when there is something to find in it.
+// sweep marks every connection silent since before now-Lease expired and
+// closes it: the handler's read fails and its release removes the members,
+// their lease expiries recorded with their removal. It also reclaims the
+// placeholders whose grace lease lapsed — they have no connection to
+// close, so the sweep drops them itself, those a client claimed (the name
+// is another member's now) passed over.
 func (s *Server) sweep(now time.Time) {
 	deadline := now.Add(-s.cfg.Lease)
-	silent := make(map[*connState][]string)
+	var silent []*connState
+	var reap []*remoteMember
 	s.mu.Lock()
 	for _, cs := range s.conns {
 		if cs.seen().Before(deadline) {
-			silent[cs] = nil
+			silent = append(silent, cs)
 		}
 	}
-	reap := !s.unclaimedBy.IsZero() && s.unclaimedBy.Before(now)
-	if reap {
-		s.unclaimedBy = time.Time{}
+	if !s.unclaimedBy.IsZero() && s.unclaimedBy.Before(now) {
+		reap, s.placeholders, s.unclaimedBy = s.placeholders, nil, time.Time{}
 	}
 	s.mu.Unlock()
-	if len(silent) > 0 || reap {
-		unclaimed := s.coord.leases(now, silent)
-		for cs, names := range silent {
-			s.expiries.Add(int64(len(names)))
-			sort.Strings(names) // registration order is not the event log's business
-			for _, name := range names {
-				s.coord.RecordEvent(leaseExpiry(now, name, len(names)))
-			}
-			cs.conn.Close()
-		}
-		for _, m := range unclaimed {
-			if s.coord.unregister(m.name, m, true, leaseExpiry(now, m.name, len(unclaimed))) {
-				s.expiries.Inc()
-			}
-		}
+	for _, cs := range silent {
+		cs.expired.Store(now.UnixMicro())
+		cs.conn.Close()
 	}
-	s.maybeSnapshot()
-}
-
-// leaseExpiry is the event of app presumed dead, one of with members that
-// expired together: a connection's, or one sweep's placeholders.
-func leaseExpiry(now time.Time, app string, with int) flight.Event {
-	return flight.Event{At: now.UnixMicro(), Kind: flight.KindLeaseExpiry, App: app, A: int64(with)}
+	s.coord.drop(reap, true, now.UnixMicro())
 }
 
 // Close stops the listener, drops every connection (unregistering
@@ -493,19 +435,22 @@ func (s *Server) Close() error {
 	return err
 }
 
-// release forgets a dropped connection and unregisters what it registered
-// and still holds: a restarted client may have registered one of the
-// names again from a fresh connection while this one was dying.
+// release forgets a dropped connection and removes what it registered
+// and still holds, names ascending: a restarted client may have registered
+// one of the names again from a fresh connection while this one was dying.
 func (s *Server) release(cs *connState) {
 	s.mu.Lock()
 	closed := s.closed
 	delete(s.conns, cs.conn)
 	s.mu.Unlock()
-	for name, m := range cs.owned {
-		// Server shutdown is not member departure: the journal's registry
-		// stays intact for the next incarnation.
-		s.coord.unregister(name, m, !closed)
+	members := make([]*remoteMember, 0, len(cs.owned))
+	for _, m := range cs.owned {
+		members = append(members, m)
 	}
+	slices.SortFunc(members, func(a, b *remoteMember) int { return cmp.Compare(a.name, b.name) })
+	// Server shutdown is not member departure: the journal's registry
+	// stays intact for the next incarnation.
+	s.coord.drop(members, !closed, cs.expired.Load())
 }
 
 // handle serves one connection until it drops (EOF, error, or lease
@@ -567,7 +512,6 @@ func (s *Server) dispatch(req *Request, cs *connState, now time.Time) Response {
 	if !resp.OK {
 		n.rejected.Inc()
 	}
-	s.maybeSnapshot()
 	return resp
 }
 
@@ -634,7 +578,7 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 			return errResp(fmt.Errorf("app %q not registered on this connection", req.App))
 		}
 		delete(owned, req.App)
-		s.coord.unregister(req.App, m, true)
+		s.coord.drop([]*remoteMember{m}, true, 0)
 		return Response{OK: true}
 
 	case OpSetLoad:

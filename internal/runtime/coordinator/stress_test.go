@@ -258,11 +258,9 @@ func (rig placeholderRig) outcome(t *testing.T, client *connState) (expired bool
 // placeholder's) or expired and unregistered, with the client's
 // registration a new one — never both, never neither.
 //
-// Taken one after the other, in either order, the journal then folds to
-// the live registry by bytes. Raced, the two leave their records in the
-// journal after their c.mu sections, not within them, so the records'
-// order is not the registry's to the byte (see rebalanceNow); there the
-// outcome is held to the live registry and the event log.
+// Taken one after the other, in either order, or raced, the journal then
+// folds to the live registry by bytes: the two queue their records within
+// their c.mu sections, so the records' order is the registry's.
 func TestPlaceholderClaimedAsLeaseLapses(t *testing.T) {
 	for _, claimFirst := range []bool{true, false} {
 		rig, client := newPlaceholderRig(t), newTestConn()
@@ -310,6 +308,7 @@ func TestPlaceholderClaimedAsLeaseLapses(t *testing.T) {
 		} else {
 			claimed++
 		}
+		requireJournalFoldsToLive(t, rig.srv.coord, rig.dir, fmt.Sprintf("round %d", round))
 		// Whichever it was, it is over: a later sweep finds nothing.
 		rig.srv.sweep(rig.lapse.Add(time.Hour))
 		rig.outcome(t, client)
@@ -363,6 +362,7 @@ func TestMassLeaseExpiry(t *testing.T) {
 	if v, _ := c.Metrics().Value("coordinator_lease_expiries_total"); v != conns*each {
 		t.Errorf("coordinator_lease_expiries_total = %d, want %d", v, conns*each)
 	}
+	c.journalFlush(false) // the members are gone; a handler may still be on its way to the journal
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
