@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet procctl-vet test benchmark-test race fuzz-smoke bench bench-go trace-smoke daemon-smoke loc
+.PHONY: check build vet procctl-vet test benchmark-test bench-smoke race fuzz-smoke bench bench-go trace-smoke daemon-smoke loc
 
 # The full verification gate: what CI runs, in dependency order.
-check: build vet procctl-vet test benchmark-test race fuzz-smoke trace-smoke
+check: build vet procctl-vet test benchmark-test bench-smoke race fuzz-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -14,8 +14,8 @@ vet:
 # Repo-specific analyzers: determinism, map order, lock discipline,
 # goroutine joins. Exit 1 on findings — see README.md / DESIGN.md.
 # One run over the whole module. That ./... still reaches the packages
-# whose scope matters most (metrics, faultinject, trace, journal,
-# procctl-bench), and that each is still under its policy, is held by
+# whose scope matters most (metrics, faultinject, trace, journal), and
+# that each is still under its policy, is held by
 # cmd/procctl-vet's own test, which `make test` runs.
 procctl-vet:
 	$(GO) run ./cmd/procctl-vet ./...
@@ -67,25 +67,19 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireResponse -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
 	$(GO) test -run='^$$' -fuzz=FuzzEngineModel -fuzztime=$(FUZZ_TIME) ./internal/sim
 
-# Performance-regression harness: run the engine/kernel microbenchmarks
-# and the Fig4 end-to-end benchmark, write a schema'd BENCH_<date>.json,
-# and fail on >BENCH_THRESHOLD regression against the committed
-# baseline. Regenerate the baseline on a quiet machine with:
-#   go run ./cmd/procctl-bench -out bench/BENCH_baseline.json
-BENCH_BASELINE ?= bench/BENCH_baseline.json
-BENCH_THRESHOLD ?= 0.10
-BENCH_TIME ?= 1s
-# FLEET sizes the Fleet10k storm benchmark. The committed baseline is
-# recorded at the full 10000; a reduced fleet (CI smoke: FLEET=1000)
-# renames the benchmark so the gate reports it uncompared instead of
-# mistaking a 10x-smaller run for a speedup.
-FLEET ?= 10000
-bench:
-	$(GO) run ./cmd/procctl-bench -benchtime $(BENCH_TIME) -fleet $(FLEET) \
-		-baseline $(BENCH_BASELINE) -threshold $(BENCH_THRESHOLD)
+# Every package benchmark run once: proof that each still compiles and
+# runs, not a timing.
+bench-smoke:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# The raw go-test benchmark suite (every figure + ablation), for ad-hoc
-# profiling runs; the regression gate above is the curated subset.
+# Every workload at full length; for one, or for the per-layer metrics,
+# pass flags to run.sh directly (benchmark/README.md).
+bench:
+	bash benchmark/run.sh
+
+# The root package's figure and ablation benchmarks, for ad-hoc
+# profiling runs; each layer's own benchmarks sit beside the code they
+# time (go test -run '^$' -bench . ./internal/...).
 bench-go:
 	$(GO) test -bench=. -benchmem
 

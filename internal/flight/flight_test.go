@@ -95,6 +95,16 @@ func TestAppendZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkRecorderAppend is one event into the always-on ring.
+func BenchmarkRecorderAppend(b *testing.B) {
+	b.ReportAllocs()
+	rec := New(DefaultSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Append(Event{At: int64(i), Kind: KindTarget, App: "bench", A: 8, B: 4})
+	}
+}
+
 // TestGrowthIsADozenAllocations bounds what reaching the capacity costs:
 // a recorder nothing was appended to has no array at all, and the array
 // doubles, so a DefaultSize ring is complete after nine allocations.

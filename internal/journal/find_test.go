@@ -104,40 +104,58 @@ func TestFindMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// BenchmarkRecover replays 20,000 records of membership traffic over a
-// fleet of m: the cost per record must not grow with m (what is left is
-// decoding each record).
+// BenchmarkRecover is boot-time fsck and replay. The m= cases replay
+// 20,000 records of membership traffic over a fleet of m: the cost per
+// record must not grow with m (what is left is decoding each record).
+// records=10k is the restart-latency budget: 10,000 target records over
+// 32 applications, one in fifty a registration.
 func BenchmarkRecover(b *testing.B) {
 	for _, m := range []int{200, 2000} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			const records = 20000
-			dir := b.TempDir()
-			w, err := Open(dir, 1, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
 			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < m; i++ { // seat the whole fleet first
-				if _, err := w.Append(Record{Kind: KindRegister, App: fmt.Sprintf("app%05d", i), A: 4, B: 1}); err != nil {
-					b.Fatal(err)
+			benchRecover(b, 20000, func(seq uint64) Record {
+				if seq <= uint64(m) { // seat the whole fleet first
+					return Record{Kind: KindRegister, App: fmt.Sprintf("app%05d", seq-1), A: 4, B: 1}
 				}
-			}
-			for seq := uint64(m + 1); seq <= records; seq++ {
-				if _, err := w.Append(churnRecord(rng, seq, m)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := Recover(dir)
-				if err != nil || res.Replayed != records {
-					b.Fatalf("Recover replayed %d of %d records: %v", res.Replayed, records, err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+				return churnRecord(rng, seq, m)
+			})
 		})
 	}
+	b.Run("records=10k", func(b *testing.B) {
+		benchRecover(b, 10_000, func(seq uint64) Record {
+			i := int64(seq - 1)
+			r := Record{At: i, Kind: KindTarget, App: fmt.Sprintf("app%d", i%32), A: i % 16, B: (i + 1) % 16}
+			if i%50 == 0 {
+				r.Kind = KindRegister
+			}
+			return r
+		})
+	})
+}
+
+// benchRecover journals records records, the seq-th made by record, and
+// times Recover over them.
+func benchRecover(b *testing.B, records uint64, record func(seq uint64) Record) {
+	b.ReportAllocs()
+	dir := b.TempDir()
+	w, err := Open(dir, 1, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for seq := uint64(1); seq <= records; seq++ {
+		if _, err := w.Append(record(seq)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Recover(dir)
+		if err != nil || res.Replayed != int(records) {
+			b.Fatalf("Recover replayed %d of %d records: %v", res.Replayed, records, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 }

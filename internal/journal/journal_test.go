@@ -365,6 +365,24 @@ func TestAppendZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkJournalAppend is the daemon's durability hot path under the
+// default options.
+func BenchmarkJournalAppend(b *testing.B) {
+	b.ReportAllocs()
+	w, err := Open(b.TempDir(), 1, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	rec := Record{At: 1, Kind: KindTarget, App: "bench-app", A: 7, B: 3}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestWriterStickyError(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, 1, Options{SyncEvery: 1})

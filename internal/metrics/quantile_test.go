@@ -89,6 +89,32 @@ func TestLatencyBucketsTakeBinarySearchPath(t *testing.T) {
 	}
 }
 
+// latencyHistogram is a span histogram of the daemon's kind.
+func latencyHistogram() *Histogram {
+	return NewRegistry().Histogram(Name("bench_latency_micros", "stage", "total"),
+		"benchmark histogram", LatencyBuckets)
+}
+
+// BenchmarkHistogramObserve is one observation on the binary-search path:
+// the per-event cost of the daemon's span instrumentation.
+func BenchmarkHistogramObserve(b *testing.B) {
+	b.ReportAllocs()
+	h := latencyHistogram()
+	rng := sim.NewRNG(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(int64(rng.Intn(10_000_000)))
+	}
+}
+
+func TestHistogramObserveAllocatesNothing(t *testing.T) {
+	h := latencyHistogram()
+	rng := sim.NewRNG(1)
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(int64(rng.Intn(10_000_000))) }); n != 0 {
+		t.Errorf("Observe on LatencyBuckets allocates %.0f times, want 0", n)
+	}
+}
+
 // exactQuantile is the reference: the ceil-rank order statistic of the
 // raw sample.
 func exactQuantile(sorted []int64, perMille int64) int64 {

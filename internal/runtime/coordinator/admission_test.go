@@ -239,7 +239,7 @@ func TestDriveWithRetriesBusyRegistration(t *testing.T) {
 }
 
 func TestPollBenchFastPathZeroAlloc(t *testing.T) {
-	b := NewPollBench(64)
+	b := newPollBench(64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		b.Poll(7, 1)
 	})

@@ -267,27 +267,3 @@ func (cv *convergeTracker) Reports(limit int) []ConvergeInfo {
 	}
 	return out
 }
-
-// ConvergeBench drives open→ack→close cycles on a standalone tracker for
-// procctl-bench's ConvergeTrack gate, which pins the steady-state cycle —
-// index entry, free list, closed ring — at zero allocations.
-type ConvergeBench struct {
-	cv      *convergeTracker
-	pending [1]pendingMember
-}
-
-// NewConvergeBench returns a bench harness around a fresh tracker with
-// its own registry and flight ring.
-func NewConvergeBench() *ConvergeBench {
-	return &ConvergeBench{
-		cv:      newConvergeTracker(metrics.NewRegistry(), flight.New(flight.DefaultSize)),
-		pending: [1]pendingMember{{name: "bench", remote: true}},
-	}
-}
-
-// Cycle opens one single-member epoch at the given instant and settles
-// it one microsecond later.
-func (b *ConvergeBench) Cycle(epoch uint64, at int64) {
-	b.cv.Open(epoch, at, b.pending[:])
-	b.cv.Ack("bench", epoch, at+1)
-}

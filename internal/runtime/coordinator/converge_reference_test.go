@@ -275,11 +275,42 @@ func normalizeSweepReports(rs []ConvergeInfo) {
 	}
 }
 
+// convergeBench drives open→ack→close cycles on a standalone tracker:
+// index entry, free list, closed ring.
+type convergeBench struct {
+	cv      *convergeTracker
+	pending [1]pendingMember
+}
+
+func newConvergeBench() *convergeBench {
+	return &convergeBench{
+		cv:      newConvergeTracker(metrics.NewRegistry(), flight.New(flight.DefaultSize)),
+		pending: [1]pendingMember{{name: "bench", remote: true}},
+	}
+}
+
+// Cycle opens one single-member epoch at the given instant and settles
+// it one microsecond later.
+func (b *convergeBench) Cycle(epoch uint64, at int64) {
+	b.cv.Open(epoch, at, b.pending[:])
+	b.cv.Ack("bench", epoch, at+1)
+}
+
+// BenchmarkConvergeTrack is one steady open→ack→close cycle.
+func BenchmarkConvergeTrack(b *testing.B) {
+	b.ReportAllocs()
+	cb := newConvergeBench()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb.Cycle(uint64(i+1), int64(i))
+	}
+}
+
 // TestTrackerCycleAllocatesNothing pins the steady open→ack→close cycle
-// (the ConvergeTrack gate's subject) and the nothing-open poll at zero
+// (BenchmarkConvergeTrack's subject) and the nothing-open poll at zero
 // allocations.
 func TestTrackerCycleAllocatesNothing(t *testing.T) {
-	b := NewConvergeBench()
+	b := newConvergeBench()
 	epoch := uint64(0)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		epoch++

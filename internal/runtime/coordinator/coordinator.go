@@ -781,6 +781,11 @@ func (c *Coordinator) AckApplied(name string, epoch uint64, at int64) {
 	c.conv.Ack(name, epoch, at)
 }
 
+// NotePoll counted a poll against its name's shard when there were
+// shards. coordinator_rpcs_total{op="poll"} counts polls; what is left is
+// the name benchmark/ compiles against, for ROADMAP item 1(d) to delete.
+func (c *Coordinator) NotePoll(name string) {}
+
 // OpenEpochs returns how many rebalance epochs are still awaiting acks.
 func (c *Coordinator) OpenEpochs() int { return c.conv.OpenEpochs() }
 

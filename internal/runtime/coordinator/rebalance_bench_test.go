@@ -5,12 +5,17 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"procctl/internal/journal"
 )
 
 // The profiling entry points of EXPERIMENTS.md PERF-6:
 //
 //	go test -run '^$' -bench 'RegisterStorm|Rebalance' -benchmem \
 //	    -cpuprofile /tmp/coord.prof ./internal/runtime/coordinator
+//
+// and, one rung each below a served poll, BenchmarkPollShard and
+// BenchmarkWirePoll.
 
 // stubMember is an in-process member that accepts targets and does
 // nothing with them.
@@ -74,5 +79,85 @@ func BenchmarkRegisterStorm(b *testing.B) {
 			m.SetTargetEpoch(m.procs, 0)
 			c.RegisterWeighted(m, weights[j])
 		}
+	}
+}
+
+// pollBench is the per-poll fast path with the socket stripped away: the
+// member's packed target+epoch read and the convergence ack, exactly what
+// the server does per steady-state OpPoll.
+type pollBench struct {
+	c       *Coordinator
+	members []*remoteMember
+
+	// The codec half (WirePoll): each member's poll line, the connection
+	// state that owns them all, and the buffers a handler reuses.
+	lines [][]byte
+	cs    connState
+	req   Request
+	spin  float64
+	reply []byte
+}
+
+// newPollBench builds a coordinator with the given number of remote
+// members, seated the way Server.Restore seats a recovered fleet, each
+// then holding an already-settled epoch so Poll exercises the
+// no-open-epochs ack path.
+func newPollBench(members int) *pollBench {
+	b := &pollBench{c: New(64), cs: connState{owned: make(map[string]*remoteMember)}}
+	var st journal.State
+	for i := 0; i < members; i++ {
+		st.Members = append(st.Members, journal.Member{Name: fmt.Sprintf("bm%06d", i), Procs: 4, Weight: 1, Target: 2})
+	}
+	for _, m := range b.c.restore(st, time.Time{}) {
+		m.SetTargetEpoch(2, 1)
+		b.members = append(b.members, m)
+		b.cs.owned[m.name] = m
+		line, _ := appendRequest(nil, &Request{Op: OpPoll, App: m.name, Applied: 1})
+		b.lines = append(b.lines, line[:len(line)-1])
+	}
+	return b
+}
+
+// Poll runs one steady-state poll for the i-th member and returns its
+// target.
+func (b *pollBench) Poll(i int, at int64) int {
+	m := b.members[i%len(b.members)]
+	t, epoch := m.targetEpoch()
+	b.c.AckApplied(m.name, epoch, at)
+	return t
+}
+
+// WirePoll runs the codec's share of the i-th member's poll — its
+// request line decoded, its reply encoded — and returns the reply's
+// length. With Poll it is everything a served poll costs but the socket.
+func (b *pollBench) WirePoll(i int) int {
+	k := i % len(b.members)
+	if decodeRequest(b.lines[k], &b.req, &b.spin, b.cs.appName) != nil {
+		return 0
+	}
+	t, epoch := b.cs.owned[b.req.App].targetEpoch()
+	b.reply, _ = appendResponse(b.reply[:0], &Response{OK: true, Target: t, Epoch: epoch})
+	return len(b.reply)
+}
+
+// BenchmarkPollShard is one steady-state poll's coordinator work: the
+// target read and the convergence ack.
+func BenchmarkPollShard(b *testing.B) {
+	b.ReportAllocs()
+	pb := newPollBench(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb.Poll(i&63, int64(i))
+	}
+}
+
+// BenchmarkWirePoll is the line codec's share of a served poll: one
+// request decoded and its reply encoded.
+func BenchmarkWirePoll(b *testing.B) {
+	b.ReportAllocs()
+	pb := newPollBench(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb.WirePoll(i & 63)
 	}
 }

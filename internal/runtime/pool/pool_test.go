@@ -395,6 +395,37 @@ func TestSetTargetEpochSettles(t *testing.T) {
 	}
 }
 
+// BenchmarkEpochStamp is one epoch-stamped target delivery that moves the
+// target — the pool-side half of what a DriveWith poll round applies:
+// epoch recorded, settle tracking re-armed, workers re-converging.
+func BenchmarkEpochStamp(b *testing.B) {
+	b.ReportAllocs()
+	p := New(Config{Name: "bench", Workers: 2, Flight: flight.New(flight.DefaultSize)})
+	defer p.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.SetTargetEpoch(1+i%2, uint64(i+1))
+	}
+}
+
+// Once the flight ring has grown to its capacity, a target that moves on
+// every push allocates nothing.
+func TestEpochStampAllocatesNothing(t *testing.T) {
+	p := New(Config{Name: "bench", Workers: 2, Flight: flight.New(flight.DefaultSize)})
+	defer p.Close()
+	epoch := uint64(0)
+	stamp := func() {
+		epoch++
+		p.SetTargetEpoch(1+int(epoch%2), epoch)
+	}
+	for i := 0; i < 2*flight.DefaultSize; i++ {
+		stamp()
+	}
+	if n := testing.AllocsPerRun(1000, stamp); n != 0 {
+		t.Errorf("a moving SetTargetEpoch allocates %.0f times, want 0", n)
+	}
+}
+
 // A coordinator pushes to every member on every rebalance, and most of
 // those pushes repeat the target held: they must wake nobody. A worker
 // accrues its idle or parked time when it wakes, so while nobody wakes
