@@ -11,8 +11,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific analyzers: determinism, map order, lock discipline,
-# goroutine joins. Exit 1 on findings — see README.md / DESIGN.md.
+# Repo-specific analyzers, each kept because no test catches what it
+# does (EXPERIMENTS.md SIMPL-6): map order in the simulator, lock
+# discipline, lock-order cycles, blocking under a lock. Exit 1 on
+# findings — see README.md / DESIGN.md.
 # One run over the whole module. That ./... still reaches the packages
 # whose scope matters most (metrics, faultinject, trace, journal), and
 # that each is still under its policy, is held by
@@ -51,7 +53,8 @@ race:
 	$(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns' ./internal/experiments
 
 # Short fuzz passes over the journal's frame decoder and fsck, over the
-# control plane's line codec (differential against encoding/json) and
+# control plane's line codec (differential against encoding/json), over
+# the daemon's connection handler (arbitrary bytes from a peer) and
 # over the simulator's event engine (op programs against a flat-list
 # reference model), on top of the committed corpora under
 # internal/journal/testdata/fuzz, internal/runtime/coordinator/testdata/fuzz
@@ -65,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFsck -fuzztime=$(FUZZ_TIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzWireRequest -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
 	$(GO) test -run='^$$' -fuzz=FuzzWireResponse -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
+	$(GO) test -run='^$$' -fuzz=FuzzServerConn -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
 	$(GO) test -run='^$$' -fuzz=FuzzEngineModel -fuzztime=$(FUZZ_TIME) ./internal/sim
 
 # Every package benchmark run once: proof that each still compiles and

@@ -1,13 +1,14 @@
 // Command procctl-vet runs this repository's custom static-analysis
-// pass: the determinism, lock-discipline, and interprocedural analyzers
-// in internal/analysis. The simulator's experimental claims hold only
-// if identical seeds yield identical schedules, and the runtime's
-// scalability claims hold only if no lock is held across blocking work;
-// procctl-vet enforces the invariants behind both statically, in CI.
+// pass: the analyzers in internal/analysis, each of which catches a bug
+// that no test, golden or race run in `make check` does (EXPERIMENTS.md
+// SIMPL-6). The simulator's experimental claims hold only if identical
+// seeds yield identical schedules, and the runtime's scalability claims
+// hold only if no lock is held across blocking work; procctl-vet
+// enforces what the tests cannot, statically, in CI.
 //
 // Usage:
 //
-//	procctl-vet [-list] [-format text|sarif] [pattern ...]
+//	procctl-vet [-list] [pattern ...]
 //
 // Patterns are package directories relative to the module root
 // ("./...", "./internal/sim", "internal/kernel/..."); the default is
@@ -15,14 +16,10 @@
 // reported, 2 means the analysis itself failed (bad pattern, code that
 // does not type-check).
 //
-// The per-package analyzers (nondeterminism, maporder, lockdiscipline,
-// ctxleak) run over each requested package; the whole-program analyzers
-// (lockorder, blockinglocked) run once over the call graph
-// of every package loaded — including packages pulled in as imports of
-// the requested set.
-//
-// -format sarif writes SARIF 2.1.0 to stdout for GitHub code scanning;
-// the exit-code contract is unchanged.
+// The per-package analyzers (maporder, lockdiscipline) run over each
+// requested package; the whole-program analyzers (lockorder,
+// blockinglocked) run once over the call graph of every package loaded
+// — including packages pulled in as imports of the requested set.
 //
 // Findings are suppressed line-by-line with a justified pragma:
 //
@@ -30,7 +27,7 @@
 //
 // on the offending line or the line above, where <name> is the
 // analyzer's pragma (printed by -list). A pragma without a
-// justification is itself a finding.
+// justification, or naming no analyzer, is itself a finding.
 package main
 
 import (
@@ -43,15 +40,11 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and the exemption policy, then exit")
-	format := flag.String("format", "text", "output format: text or sarif")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: procctl-vet [-list] [-format text|sarif] [pattern ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: procctl-vet [-list] [pattern ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *format != "text" && *format != "sarif" {
-		fatal(fmt.Errorf("unknown -format %q (want text or sarif)", *format))
-	}
 
 	if *list {
 		fmt.Println("procctl-vet analyzers (per-package):")
@@ -62,17 +55,16 @@ func main() {
 		for _, az := range analysis.ProgramAnalyzers(analysis.All()) {
 			fmt.Printf("\n  %s (pragma: //procctl:allow-%s <reason>)\n    %s\n", az.Name, az.Pragma, az.Doc)
 		}
-		fmt.Println("\nDeterminism scope (identical seed must imply identical schedule):")
+		fmt.Println("\nmaporder scope (identical seed must imply identical schedule):")
 		for _, p := range analysis.SimPackages {
 			fmt.Printf("  %s\n", p)
 		}
 		fmt.Println("\nExplicit exemptions (policy, not accident):")
-		fmt.Println("  cmd/*               wall-clock timing for user-facing progress output only")
-		fmt.Println("                      (cmd/procctl-sim times each experiment with time.Now;")
-		fmt.Println("                      nothing in cmd/ feeds back into simulation state)")
-		fmt.Println("  internal/runtime/*  real concurrency by design; guarded by lockdiscipline,")
-		fmt.Println("                      ctxleak, lockorder, blockinglocked, and")
-		fmt.Println("                      `go test -race ./internal/runtime/...`")
+		fmt.Println("  cmd/*               outside the maporder scope: nothing in cmd/ feeds back")
+		fmt.Println("                      into simulation state")
+		fmt.Println("  internal/runtime/*  outside the maporder scope: real concurrency by design;")
+		fmt.Println("                      guarded by lockdiscipline, lockorder, blockinglocked,")
+		fmt.Println("                      and `go test -race ./internal/runtime/...`")
 		return
 	}
 
@@ -110,15 +102,8 @@ func main() {
 	// requested packages plus their module-local imports).
 	findings = append(findings, analysis.RunProgramAnalyzers(loader.Fset, loader.Loaded(), analysis.All())...)
 
-	switch *format {
-	case "sarif":
-		if err := analysis.WriteSARIF(os.Stdout, root, analysis.All(), findings); err != nil {
-			fatal(err)
-		}
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "procctl-vet: %d finding(s) in %d package(s) examined\n", len(findings), len(paths))

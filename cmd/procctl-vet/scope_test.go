@@ -57,11 +57,11 @@ func TestDefaultPatternKeepsEveryPackageInScope(t *testing.T) {
 }
 
 // The determinism scope is closed under imports: no package in it imports
-// a module package outside it. The nondeterminism and maporder analyzers
-// look at one package at a time, so this is what makes "every sim package
-// is clean" mean "nothing a simulation calls reads a clock" — the
-// property a whole-program pass (simpurity) used to chase across the
-// scope's frontier when internal/trace sat outside it.
+// a module package outside it. The maporder analyzer looks at one package
+// at a time, so this is what makes "every sim package is clean" mean
+// "nothing a simulation calls leaks map order" — the property a
+// whole-program pass (simpurity) used to chase across the scope's
+// frontier when internal/trace sat outside it.
 func TestSimScopeIsClosedUnderImports(t *testing.T) {
 	loader, paths := expandAll(t)
 	sims := 0

@@ -1,28 +1,22 @@
 // Package analysis is a stdlib-only static-analysis framework for this
-// repository. It exists because the entire experimental claim of the
-// reproduction rests on the simulator being deterministic: identical
-// seeds must yield identical schedules, or the paper's figures are not
-// reproducible. The four analyzers (nondeterminism, maporder,
-// lockdiscipline, ctxleak) enforce that invariant — plus basic lock
-// discipline in the real-concurrency runtime — at vet time, with
-// findings suitable for CI. The cmd/procctl-vet command is the driver.
+// repository, holding the checks that no test, golden or race run in
+// `make check` does. Four analyzers remain, each because it alone caught
+// a bug seeded into the tree (EXPERIMENTS.md SIMPL-6): maporder (map
+// iteration order leaking into simulation event order) and
+// lockdiscipline (a mutex-guarded field read without the mutex, on a
+// path no -race test runs) look at one package at a time; lockorder (a
+// lock-order cycle) and blockinglocked (member code or a channel send
+// under a lock) walk a call graph of the whole program. A wall-clock
+// read, math/rand or a goroutine in a simulation package, and an
+// unjoined goroutine in the runtime, are left to the same-seed goldens,
+// the benchmark's serial-pass check and the race and leak tests, which
+// caught each. The cmd/procctl-vet command is the driver.
 //
-// # Determinism policy and exemptions
-//
-// The determinism analyzers apply only to the simulation packages (see
-// SimPackages). The exemptions are explicit policy, not accidents:
-//
-//   - cmd/... is exempt: wall-clock timing for user-facing progress
-//     output is fine there (cmd/procctl-sim uses time.Now to print
-//     "[fig1 took 1.2s]" banners); nothing in cmd/ feeds back into
-//     simulation state, so it cannot perturb event order.
-//   - internal/runtime/... is exempt from nondeterminism: it is real
-//     concurrency by design (the paper's user-level runtime transplanted
-//     to modern Go). It is guarded instead by lockdiscipline, ctxleak,
-//     and the -race stress tests under internal/runtime.
-//   - internal/trace is exempt from nondeterminism (it is post-hoc
-//     analysis, not simulation) but maporder still applies: rendering a
-//     table from map-iteration order would make reports unstable.
+// maporder applies only to the simulation packages (SimPackages), where
+// an order leak changes a seed's schedule or report; cmd/... and
+// internal/runtime/... are outside them by policy (nothing there feeds
+// back into a simulation). The lock analyzers root in the packages with
+// real concurrency (internal/runtime, internal/ctrl, internal/metrics).
 //
 // # Suppression pragmas
 //
@@ -31,9 +25,9 @@
 //
 //	//procctl:allow-<pragma> <one-line justification>
 //
-// where <pragma> is the analyzer's pragma name (nondeterminism,
-// maporder, unlocked, ctxleak). The justification is mandatory; a
-// pragma without one is itself reported.
+// where <pragma> is the analyzer's pragma name (maporder, unlocked,
+// lockorder, blockinglocked). The justification is mandatory; a pragma
+// without one, or naming no analyzer, is itself reported.
 package analysis
 
 import (
@@ -78,7 +72,7 @@ type Analyzer struct {
 // All returns every analyzer in presentation order: the per-package
 // passes first, then the interprocedural (call-graph) passes.
 func All() []*Analyzer {
-	return []*Analyzer{Nondeterminism, MapOrder, LockDiscipline, CtxLeak, LockOrder, BlockingLocked}
+	return []*Analyzer{MapOrder, LockDiscipline, LockOrder, BlockingLocked}
 }
 
 // PackageAnalyzers returns the subset of analyzers that run one package
@@ -106,10 +100,10 @@ func ProgramAnalyzers(analyzers []*Analyzer) []*Analyzer {
 }
 
 // SimPackages lists the module-relative package prefixes whose behaviour
-// must be a pure function of the experiment seed. The nondeterminism and
-// maporder analyzers apply to these packages (and their subpackages)
-// only. The list is closed under imports — no package on it imports a
-// module package off it — so nothing a simulation calls escapes them.
+// must be a pure function of the experiment seed. The maporder analyzer
+// applies to these packages (and their subpackages) only. The list is
+// closed under imports — no package on it imports a module package off
+// it — so nothing a simulation calls escapes them.
 var SimPackages = []string{
 	"internal/sim",
 	"internal/machine",
@@ -160,10 +154,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
-	// Path is the package import path.
-	Path string
 	// IsSim marks packages whose behaviour must be seed-deterministic.
 	IsSim bool
 
@@ -194,32 +185,6 @@ func pkgNameOf(info *types.Info, id *ast.Ident) *types.Package {
 		}
 	}
 	return nil
-}
-
-func (p *Pass) pkgNameOf(id *ast.Ident) *types.Package {
-	return pkgNameOf(p.Info, id)
-}
-
-// isPkgFunc reports whether call is pkgPath.<one of names>(...).
-func (p *Pass) isPkgFunc(call *ast.CallExpr, pkgPath string, names ...string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pkg := p.pkgNameOf(id)
-	if pkg == nil || pkg.Path() != pkgPath {
-		return "", false
-	}
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			return n, true
-		}
-	}
-	return "", false
 }
 
 // pragma is one //procctl:allow-<name> <reason> comment.
@@ -273,19 +238,26 @@ func (idx pragmaIndex) suppresses(name string, pos token.Position) bool {
 
 // RunAnalyzers runs the given analyzers over a loaded package and
 // returns the findings sorted by position. Pragmas with no
-// justification are reported unconditionally: the escape hatch requires
-// a reason.
+// justification, and pragmas that name no analyzer in All(), are
+// reported unconditionally: the escape hatch requires a reason, and a
+// misspelled or orphaned pragma suppresses nothing.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
 	pragmas := collectPragmas(pkg.Fset, pkg.Files)
+	known := make(map[string]bool)
+	for _, az := range All() {
+		known[az.Pragma] = true
+	}
 	var out []Finding
+	pragmaFinding := func(pr pragma, format string) {
+		out = append(out, Finding{Analyzer: "pragma", Pos: pr.pos, Message: fmt.Sprintf(format, pr.name)})
+	}
 	for _, byLine := range pragmas {
 		for _, pr := range byLine {
+			if !known[pr.name] {
+				pragmaFinding(pr, "procctl:allow-%s names no analyzer (procctl-vet -list prints each one's pragma)")
+			}
 			if pr.reason == "" {
-				out = append(out, Finding{
-					Analyzer: "pragma",
-					Pos:      pr.pos,
-					Message:  fmt.Sprintf("procctl:allow-%s pragma needs a one-line justification", pr.name),
-				})
+				pragmaFinding(pr, "procctl:allow-%s pragma needs a one-line justification")
 			}
 		}
 	}
@@ -294,9 +266,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
 			Analyzer: az,
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
-			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Path:     pkg.Path,
 			IsSim:    IsSimPath(pkg.Path),
 			pragmas:  pragmas,
 		}

@@ -4,16 +4,26 @@ package bad
 
 import "sync"
 
+type Server struct {
+	mu        sync.Mutex
+	closed    bool
+	stopSweep chan struct{}
+}
+
+// Close tells the sweep loop to stop while it holds the lock: the bug
+// seeded into Server.Close (EXPERIMENTS.md SIMPL-6). A sweep waiting for
+// mu never receives, and Close never returns; no test hit that
+// interleaving.
+func (s *Server) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	s.stopSweep <- struct{}{} // want "channel send while holding"
+}
+
 type Q struct {
 	mu sync.Mutex
 	ch chan int
-}
-
-// SendLocked blocks on a channel send with the lock held.
-func (q *Q) SendLocked() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.ch <- 1 // want "channel send while holding"
 }
 
 // SelectLocked parks in a select (no default) with the lock held.
@@ -41,19 +51,26 @@ func (q *Q) recvOne() {
 	<-q.ch
 }
 
-// Notifier is a module-defined interface: a call to it under a lock
-// dispatches to an open-ended callee set.
-type Notifier interface {
-	Notify(v int)
+// Member is application code: a call to it under a lock dispatches to an
+// open-ended callee set.
+type Member interface {
+	SetTarget(n int)
 }
 
-type Hub struct {
-	mu sync.Mutex
-	n  Notifier
+type Coordinator struct {
+	mu      sync.Mutex
+	members []Member
+	targets []int
 }
 
-func (h *Hub) Publish(v int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.n.Notify(v) // want "interface method Notifier.Notify"
+// Rebalance pushes the targets inside its critical section: the bug
+// seeded into rebalanceNow (SIMPL-6). The section lasts as long as the
+// slowest member, the convoy the coordinator exists to avoid, and no test
+// notices.
+func (c *Coordinator) Rebalance() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, m := range c.members {
+		m.SetTarget(c.targets[i]) // want "interface method Member.SetTarget"
+	}
 }

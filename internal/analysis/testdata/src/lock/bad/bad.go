@@ -1,7 +1,10 @@
 // Package bad accesses mutex-guarded fields without the lock.
 package bad
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 type Counter struct {
 	mu sync.Mutex
@@ -19,8 +22,11 @@ func (c *Counter) Add(d int) {
 	c.mu.Unlock()
 }
 
-func (c *Counter) Peek() int {
-	return c.n // want "read Counter.n without holding Counter.mu"
+// String reads guarded fields without the lock: the bug seeded into
+// pool.Pool.String (EXPERIMENTS.md SIMPL-6). Its one caller in the tests
+// runs after the pool has gone quiet, so the race detector never sees it.
+func (c *Counter) String() string {
+	return fmt.Sprintf("%d (high %d)", c.n, c.hi) // want "without holding Counter.mu"
 }
 
 func (c *Counter) Reset() {

@@ -5,33 +5,45 @@ package bad
 
 import "sync"
 
-type A struct{ mu sync.Mutex }
-
-type B struct{ mu sync.Mutex }
-
-type Pair struct {
-	a A
-	b B
+// Tracker is a coordinator's convergence tracker, with a lock of its own.
+type Tracker struct {
+	mu   sync.Mutex
+	open int
 }
 
-// LockAB takes A then (inside lockB) B: edge A→B, two hops deep.
-func (p *Pair) LockAB() {
-	p.a.mu.Lock()
-	defer p.a.mu.Unlock()
-	p.lockB() // want "lock-order cycle"
+func (t *Tracker) Open() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.open++
 }
 
-func (p *Pair) lockB() {
-	p.b.mu.Lock()
-	defer p.b.mu.Unlock()
+type Coordinator struct {
+	mu      sync.Mutex
+	members int
+	conv    *Tracker
 }
 
-// LockBA takes B then A directly: edge B→A, closing the cycle.
-func (p *Pair) LockBA() {
-	p.b.mu.Lock()
-	defer p.b.mu.Unlock()
-	p.a.mu.Lock()
-	defer p.a.mu.Unlock()
+// Decide opens an epoch while it holds the coordinator's lock: edge
+// Coordinator.mu → Tracker.mu, two hops deep.
+func (c *Coordinator) Decide() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.conv.Open() // want "lock-order cycle"
+}
+
+// OpenEpochs takes the tracker's lock and then the coordinator's, closing
+// the cycle: the inversion seeded into Coordinator.OpenEpochs
+// (EXPERIMENTS.md SIMPL-6). A decision racing it deadlocks both; no test
+// run hit that interleaving.
+func (c *Coordinator) OpenEpochs() int {
+	c.conv.mu.Lock()
+	defer c.conv.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.members == 0 {
+		return 0
+	}
+	return c.conv.open
 }
 
 type R struct{ mu sync.Mutex }

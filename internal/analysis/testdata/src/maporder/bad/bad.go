@@ -3,12 +3,18 @@ package bad
 
 import "fmt"
 
-func Keys(m map[string]int) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k) // want "append to ks inside map iteration"
+// Announce collects the moved targets in a map and announces them in its
+// iteration order: the bug seeded into the simulated server's scan
+// (EXPERIMENTS.md SIMPL-6). A seed's event stream then differs from run
+// to run, and the same-seed goldens notice in only some of their runs.
+func Announce(moved map[int][2]int, announce func(app, target, prev int)) {
+	var order []int
+	for app := range moved {
+		order = append(order, app) // want "append to order inside map iteration"
 	}
-	return ks
+	for _, app := range order {
+		announce(app, moved[app][0], moved[app][1])
+	}
 }
 
 func Emit(m map[string]int) {

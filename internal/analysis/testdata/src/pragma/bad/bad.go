@@ -1,5 +1,6 @@
 // Package bad carries a pragma with no justification, which is itself
-// a finding: the escape hatch requires a reason.
+// a finding: the escape hatch requires a reason. It also carries a pragma
+// naming no analyzer, which suppresses nothing and is a finding too.
 package bad
 
 import "sync"
@@ -17,5 +18,12 @@ func (b *Box) Set(v int) {
 
 func (b *Box) Get() int {
 	//procctl:allow-unlocked
+	return b.v
+}
+
+func (b *Box) Peek() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	//procctl:allow-unlockd a misspelled pragma still carries a reason
 	return b.v
 }

@@ -51,11 +51,11 @@ func runTraced(t *testing.T, seed uint64) []byte {
 	return buf.Bytes()
 }
 
-// TestSameSeedByteIdenticalTrace is the dynamic counterpart of the
-// procctl-vet determinism analyzers: an identical seed must yield a
+// TestSameSeedByteIdenticalTrace: an identical seed must yield a
 // byte-identical scheduling event trace. Any wall-clock read, map-order
 // leak, or untracked goroutine in the simulation path shows up here as
-// a diverging trace.
+// a diverging trace — a map-order leak only in some runs, which is why
+// procctl-vet's maporder analyzer stays (EXPERIMENTS.md SIMPL-6).
 func TestSameSeedByteIdenticalTrace(t *testing.T) {
 	first := runTraced(t, 42)
 	second := runTraced(t, 42)

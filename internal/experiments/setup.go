@@ -257,7 +257,6 @@ func parallelFor(n int, fn func(i int)) {
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//procctl:allow-nondeterminism host parallelism over independent runs: each fn(i) owns its engine, results depend only on the per-run seed
 		go func() {
 			defer wg.Done()
 			for i := range next {

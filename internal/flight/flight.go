@@ -15,7 +15,7 @@
 // Determinism contract: the package never reads a clock; the caller
 // supplies every timestamp. Sequence numbers are assigned in append
 // order, so two same-seed simulated runs produce identical event logs
-// (the recorder is in procctl-vet's sim scope via internal/ctrl).
+// (asserted by internal/ctrl's TestFlightEventsDeterministic).
 package flight
 
 import "sync"

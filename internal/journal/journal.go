@@ -32,8 +32,8 @@
 // Determinism contract: the package never reads a clock — callers stamp
 // every record, and fsync latency is timed only through the injected
 // Options.NowMicros — and never iterates a map or spawns a goroutine,
-// so it is safe inside procctl-vet's simulation scope (internal/ctrl
-// replays journal records).
+// so journal replay (internal/ctrl replays journal records) is a pure
+// function of the record stream.
 package journal
 
 import (

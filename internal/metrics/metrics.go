@@ -9,8 +9,8 @@
 // values are int64, so rendering never goes through float formatting.
 // Two same-seed simulation runs therefore produce byte-identical
 // snapshots (asserted by internal/experiments). The package is in
-// procctl-vet's SimPackages set: wall-clock reads, math/rand, and
-// goroutine spawns inside it are build failures.
+// procctl-vet's SimPackages set: a map-order leak inside it is a vet
+// failure.
 //
 // Concurrency: metric updates are lock-free (sync/atomic), so simulated
 // hot paths pay one atomic add; the registry mutex guards only the name

@@ -1,6 +1,8 @@
 package coordinator
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
@@ -280,4 +282,86 @@ func TestServerRefusesUnusableAppNames(t *testing.T) {
 	if _, err := c.Poll("a b"); err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Errorf(`Poll("a b"): err = %v, want "not registered"`, err)
 	}
+}
+
+// fuzzConn is an in-memory connection whose peer sends a fixed byte string
+// and then hangs up: reads drain in and end in io.EOF, writes collect in
+// out.
+type fuzzConn struct {
+	net.Conn // nil: the handler touches only the methods below
+	in       *bytes.Reader
+	out      bytes.Buffer
+}
+
+func (c *fuzzConn) Read(p []byte) (int, error)       { return c.in.Read(p) }
+func (c *fuzzConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
+func (c *fuzzConn) Close() error                     { return nil }
+func (c *fuzzConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *fuzzConn) SetWriteDeadline(time.Time) error { return nil }
+
+// serveBytes runs the server's connection handler over one connection
+// that sends in, and returns everything the server wrote back.
+func serveBytes(t *testing.T, srv *Server, in []byte) []byte {
+	t.Helper()
+	conn := &fuzzConn{in: bytes.NewReader(in)}
+	done := make(chan struct{})
+	srv.handlers.Add(1)
+	go func() {
+		defer close(done)
+		srv.handle(&connState{conn: conn, owned: make(map[string]*remoteMember), accepted: time.Now()})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the handler did not return at EOF of %q", in)
+	}
+	return conn.out.Bytes()
+}
+
+// FuzzServerConn feeds arbitrary bytes to a fresh server's connection
+// handler. Whatever arrives, the handler must not panic, must return once
+// the peer hangs up, must answer only in lines that decode as a Response,
+// and must mint no metric series beyond those a warm-up that sends every
+// op once has created: the socket is hostile input. A reply that carries
+// an epoch (register, poll) must carry a target of at least one, the
+// starvation floor; the server's capacity is more than any one
+// registration can claim, so a lone register is answered its own process
+// count.
+func FuzzServerConn(f *testing.F) {
+	var warmUp bytes.Buffer
+	for _, op := range wireOps {
+		fmt.Fprintf(&warmUp, `{"op":%q,"app":"warm","procs":4,"applied_epoch":1}`+"\n", op)
+	}
+	f.Add([]byte(`{"op":"register","app":"fft","procs":4}` + "\n" + `{"op":"poll","app":"fft","spin_pct":12.5,"applied_epoch":1}` + "\n" +
+		`{"op":"unregister","app":"fft"}` + "\n"))
+	// Found by hand before the fuzzer existed: a register of more processes
+	// than a target can hold was answered target 0, and an app name with a
+	// space panicked the registry.
+	f.Add([]byte(`{"op":"register","app":"big","procs":65536}` + "\n" + `{"op":"poll","app":"big"}` + "\n"))
+	f.Add([]byte(`{"op":"register","app":"two words","procs":4}` + "\n" + `{"op":"two words"}` + "\n"))
+	f.Add([]byte(`{"op":"poll","app":"` + strings.Repeat("x", maxRequestLine) + `"}` + "\n"))
+	f.Add([]byte(`{"op":"register","app":"a","procs":2}{"op":"poll","app":"a"}` + "\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		srv := NewServerWith(New(2*maxTarget), nil, ServerConfig{})
+		serveBytes(t, srv, warmUp.Bytes())
+		series := len(srv.coord.Snapshot().Metrics)
+		out := serveBytes(t, srv, in)
+		if len(out) > 0 && out[len(out)-1] != '\n' {
+			t.Fatalf("the last reply is not a whole line: %q", out)
+		}
+		for len(out) > 0 {
+			i := bytes.IndexByte(out, '\n')
+			var resp Response
+			if err := decodeResponse(out[:i], &resp); err != nil {
+				t.Fatalf("reply %q does not decode: %v", out[:i], err)
+			}
+			if resp.Epoch > 0 && resp.Target < 1 {
+				t.Fatalf("reply %q hands out no processor", out[:i])
+			}
+			out = out[i+1:]
+		}
+		if n := len(srv.coord.Snapshot().Metrics); n > series {
+			t.Fatalf("the input grew the registry from %d to %d series", series, n)
+		}
+	})
 }
