@@ -88,8 +88,9 @@ bench-go:
 	$(GO) test -bench=. -benchmem
 
 # End-to-end pipeline over the trace toolchain: record a short causal
-# trace of the Figure 4 mix, attribute its wasted cycles, and export a
-# Perfetto timeline. Artifacts land in $(TRACE_OUT); CI uploads them.
+# trace of the Figure 4 mix, attribute its wasted cycles, export a
+# Perfetto timeline and validate it (the daemon smoke validates the
+# daemon export). Artifacts land in $(TRACE_OUT); CI uploads them.
 TRACE_OUT ?= /tmp/procctl-trace-smoke
 trace-smoke:
 	mkdir -p $(TRACE_OUT)
@@ -98,6 +99,7 @@ trace-smoke:
 	$(TRACE_OUT)/procctl-trace summary -in $(TRACE_OUT)/fig4.jsonl
 	$(TRACE_OUT)/procctl-trace analyze -in $(TRACE_OUT)/fig4.jsonl
 	$(TRACE_OUT)/procctl-trace export -format chrome -in $(TRACE_OUT)/fig4.jsonl -out $(TRACE_OUT)/fig4.chrome.json
+	$(TRACE_OUT)/procctl-trace check -in $(TRACE_OUT)/fig4.chrome.json
 
 # End-to-end smoke of the live daemon's observability surface: start
 # procctld with the introspection HTTP listener, hit /metrics,

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -92,7 +91,7 @@ func main() {
 			log.Fatalf("procctl-top: %v", err)
 		}
 		if *jsonOut {
-			if err := writeEventsJSONL(os.Stdout, evs); err != nil {
+			if err := flight.WriteJSONL(os.Stdout, evs); err != nil {
 				log.Fatalf("procctl-top: %v", err)
 			}
 			return
@@ -222,23 +221,7 @@ loop:
 			return err
 		}
 		defer f.Close()
-		if err := writeEventsJSONL(f, rec.Snapshot(0)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeEventsJSONL emits one flight event per line — the exchange
-// format between -events -json / -hold-events and procctl-trace's
-// daemon export.
-func writeEventsJSONL(w io.Writer, evs []flight.Event) error {
-	for _, ev := range evs {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s\n", b); err != nil {
+		if err := flight.WriteJSONL(f, rec.Snapshot(0)); err != nil {
 			return err
 		}
 	}

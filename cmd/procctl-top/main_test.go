@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -192,29 +191,5 @@ func TestConvergeTable(t *testing.T) {
 	empty := convergeTable(&coordinator.ConvergeStatus{})
 	if !strings.Contains(empty, "no closed epochs") {
 		t.Errorf("empty report = %q", empty)
-	}
-}
-
-func TestWriteEventsJSONL(t *testing.T) {
-	evs := []flight.Event{
-		{Seq: 1, At: 10, Kind: "target", App: "web", A: 3, B: 4, Epoch: 2},
-		{Seq: 2, At: 20, Kind: "settle", App: "web", A: 3, Epoch: 2},
-	}
-	var b strings.Builder
-	if err := writeEventsJSONL(&b, evs); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2: %q", len(lines), b.String())
-	}
-	for i, line := range lines {
-		var ev flight.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("line %d not valid JSON: %v", i, err)
-		}
-		if ev != evs[i] {
-			t.Errorf("round trip changed event %d: %+v != %+v", i, ev, evs[i])
-		}
 	}
 }

@@ -18,8 +18,9 @@
 //	    one wall-clock Perfetto timeline with decision→apply→settle flow
 //	    arrows across process boundaries
 //	procctl-trace check [-in out.json] [-require-flows]
-//	    validates an exported daemon timeline (well-formed JSON, balanced
-//	    flow arrows; -require-flows also demands a cross-process flow)
+//	    validates an export from either source (well-formed trace events,
+//	    balanced flow arrows; -require-flows also demands a cross-process
+//	    flow, which only the daemon export draws)
 //
 // With no file flags, record writes to stdout and the readers read
 // stdin, so the stages compose:
@@ -215,14 +216,9 @@ func loadDaemonTimeline(daemonPath, clientPaths, journalDir string) (trace.Daemo
 		return tl, fmt.Errorf("daemon export needs -daemon-events and/or -journal")
 	}
 	if daemonPath != "" {
-		f, err := os.Open(daemonPath)
+		evs, err := readDump(daemonPath)
 		if err != nil {
 			return tl, err
-		}
-		evs, err := trace.ReadFlightJSONL(f)
-		f.Close()
-		if err != nil {
-			return tl, fmt.Errorf("%s: %w", daemonPath, err)
 		}
 		tl.Daemon = evs
 	}
@@ -235,19 +231,28 @@ func loadDaemonTimeline(daemonPath, clientPaths, journalDir string) (trace.Daemo
 	}
 	if clientPaths != "" {
 		for _, path := range strings.Split(clientPaths, ",") {
-			f, err := os.Open(path)
+			evs, err := readDump(path)
 			if err != nil {
 				return tl, err
-			}
-			evs, err := trace.ReadFlightJSONL(f)
-			f.Close()
-			if err != nil {
-				return tl, fmt.Errorf("%s: %w", path, err)
 			}
 			tl.Clients = append(tl.Clients, trace.ClientTimeline{Name: clientLabel(path, evs), Events: evs})
 		}
 	}
 	return tl, nil
+}
+
+// readDump reads one flight-ring dump file.
+func readDump(path string) ([]flight.Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	evs, err := flight.ReadJSONL(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return evs, nil
 }
 
 // clientLabel names a client track after the member the dump belongs
@@ -263,8 +268,9 @@ func clientLabel(path string, evs []flight.Event) string {
 	return strings.TrimSuffix(base, filepath.Ext(base))
 }
 
-// check validates an exported daemon timeline: CI runs it against the
-// smoke script's merged export instead of shelling out to jq/python.
+// check validates an exported timeline of either source: CI runs it
+// against the trace smoke's sim export and the daemon smoke's merged
+// export instead of shelling out to jq/python.
 func check(args []string) {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	var (
@@ -274,7 +280,7 @@ func check(args []string) {
 	fs.Parse(args)
 	r := openInput(*in)
 	defer r.Close()
-	ck, err := trace.CheckDaemonChrome(r)
+	ck, err := trace.CheckChrome(r)
 	if err != nil {
 		log.Fatalf("procctl-trace: check: %v", err)
 	}

@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
@@ -60,6 +61,8 @@ type spinLeg struct {
 	pendR sim.Duration // accrued while the holder was running
 }
 
+// procAttr is the one per-process residency state machine, under both
+// ReadSummary and ReadAttribution.
 type procAttr struct {
 	app       kernel.AppID
 	state     string // "running", "runnable", "blocked", "" once exited
@@ -68,28 +71,63 @@ type procAttr struct {
 	leg       *spinLeg
 }
 
+// appFold is one application's totals: the attribution's categories,
+// and the summary's columns beside them.
+type appFold struct {
+	AppAttribution
+	sum AppSummary
+}
+
+// fold is one pass over a trace, the input of both its views.
+type fold struct {
+	hdr    *Header
+	events int64
+	end    sim.Time
+	apps   map[kernel.AppID]*appFold
+}
+
 // ReadAttribution parses a v2 JSONL trace and attributes every
 // process's time to a wasted-cycle category. It requires the versioned
 // header: attribution depends on lock and overhead events that v1
 // traces do not carry, so a headerless trace fails loudly.
+func ReadAttribution(rd io.Reader) (*Attribution, error) {
+	f, err := foldTrace(rd)
+	if err != nil {
+		return nil, err
+	}
+	att := &Attribution{Header: f.hdr, Events: f.events, End: f.end}
+	for _, app := range sortedKeys(f.apps) {
+		a := f.apps[app].AppAttribution
+		a.Useful = a.Running - a.SpinPreempted - a.SpinRunnable - a.Switch - a.Reload
+		att.Apps = append(att.Apps, a)
+	}
+	return att, nil
+}
+
+// foldTrace walks a trace once, accruing every process's residency.
 //
 // The attribution is exact, not sampled: at every event the elapsed
 // time since the previous event is accrued to each spinning process's
 // open leg, categorized by the lock holder's run state during that
 // slice (the holder's state can change mid-spin; each slice is
 // categorized by the state in force while it elapsed).
-func ReadAttribution(rd io.Reader) (*Attribution, error) {
+//
+// The summary differs from the attribution in one rule: an interval
+// still open at the "end" event is credited to the attribution (the
+// kernel's Finalize credits the same trailing CPU time) and dropped
+// from the summary, which counts only intervals a transition closed.
+func foldTrace(rd io.Reader) (*fold, error) {
 	procs := make(map[kernel.PID]*procAttr)
-	agg := make(map[kernel.AppID]*AppAttribution)
+	f := &fold{apps: make(map[kernel.AppID]*appFold)}
 	holders := make(map[string]kernel.PID) // lock name -> current holder
 	var spinning []kernel.PID              // procs with an open leg, in open order
 	var lastCut sim.Time
 
-	get := func(app kernel.AppID) *AppAttribution {
-		a, ok := agg[app]
+	get := func(app kernel.AppID) *appFold {
+		a, ok := f.apps[app]
 		if !ok {
-			a = &AppAttribution{App: app}
-			agg[app] = a
+			a = &appFold{AppAttribution: AppAttribution{App: app}, sum: AppSummary{App: app, FirstSpawn: -1}}
+			f.apps[app] = a
 		}
 		return a
 	}
@@ -134,19 +172,23 @@ func ReadAttribution(rd io.Reader) (*Attribution, error) {
 			}
 		}
 	}
-	// closeInterval credits pid's current residency interval up to now.
-	closeInterval := func(pid kernel.PID, now sim.Time) {
+	// closeInterval credits pid's current residency interval up to now;
+	// at the horizon, to the attribution only.
+	closeInterval := func(pid kernel.PID, now sim.Time, horizon bool) {
 		ps := procs[pid]
 		if ps == nil || ps.state == "" {
 			return
 		}
 		a := get(ps.app)
 		d := now.Sub(ps.since)
+		var col *sim.Duration // the summary's column for this state
 		switch ps.state {
 		case "running":
 			a.Running += d
+			col = &a.sum.Running
 		case "runnable":
 			a.ReadyWait += d
+			col = &a.sum.Runnable
 		case "blocked":
 			if ps.suspended {
 				a.Suspended += d
@@ -154,16 +196,19 @@ func ReadAttribution(rd io.Reader) (*Attribution, error) {
 			} else {
 				a.OtherBlocked += d
 			}
+			col = &a.sum.Blocked
+		}
+		if col != nil && !horizon {
+			*col += d
 		}
 		a.Total += d
 		ps.since = now
 	}
 
-	att := &Attribution{}
 	hdr, err := readTrace(rd, func(ev Event) error {
-		att.Events++
-		if ev.T > att.End {
-			att.End = ev.T
+		f.events++
+		if ev.T > f.end {
+			f.end = ev.T
 		}
 		cut(ev.T)
 		switch ev.Kind {
@@ -171,12 +216,17 @@ func ReadAttribution(rd io.Reader) (*Attribution, error) {
 			if _, ok := procs[ev.PID]; !ok {
 				procs[ev.PID] = &procAttr{app: ev.App, state: "runnable", since: ev.T}
 			}
-			get(ev.App).Procs++
+			a := get(ev.App)
+			a.Procs++
+			if a.sum.FirstSpawn < 0 {
+				a.sum.FirstSpawn = ev.T
+			}
 		case "state":
 			ps, ok := procs[ev.PID]
 			if !ok {
 				// The embryo->runnable transition precedes the spawn
-				// event (and full v2 traces always carry both).
+				// event; a trace that began mid-run starts a process at
+				// its first transition.
 				procs[ev.PID] = &procAttr{app: ev.App, state: ev.To, since: ev.T}
 				break
 			}
@@ -185,16 +235,22 @@ func ReadAttribution(rd io.Reader) (*Attribution, error) {
 				// credits the same slice at preemption/stall/kill time.
 				closeLeg(ev.PID, true)
 			}
-			closeInterval(ev.PID, ev.T)
+			closeInterval(ev.PID, ev.T, false)
+			if ev.To == "running" {
+				get(ps.app).sum.Dispatches++
+			}
 			if ev.To == "exited" {
 				ps.state = ""
 			} else {
 				ps.state = ev.To
 			}
 		case "exit":
-			closeInterval(ev.PID, ev.T)
+			closeInterval(ev.PID, ev.T, false)
 			if ps := procs[ev.PID]; ps != nil {
 				ps.state = ""
+			}
+			if a := get(ev.App); ev.T > a.sum.LastExit {
+				a.sum.LastExit = ev.T
 			}
 		case "contend":
 			closeLeg(ev.PID, true) // defensive: one open leg per process
@@ -218,16 +274,15 @@ func ReadAttribution(rd io.Reader) (*Attribution, error) {
 				ps.suspended = true
 			}
 		case "end":
-			// Horizon: close every open interval (Finalize credits the
-			// same trailing CPU time) and discard open spin legs
-			// (Finalize does not credit them).
-			for _, pid := range pids(procs) {
+			// Horizon: close every open interval and discard open spin
+			// legs (Finalize does not credit them).
+			for _, pid := range sortedKeys(procs) {
 				closeLeg(pid, false)
-				closeInterval(pid, ev.T)
+				closeInterval(pid, ev.T, true)
 			}
 		case "dispatch", "task_start", "task_done", "barrier_wait",
 			"resume", "poll", "target":
-			// Carried for timelines and causal links; attribution does
+			// Carried for timelines and causal links; residency does
 			// not need them.
 		default:
 			return fmt.Errorf("unknown event kind %q", ev.Kind)
@@ -237,22 +292,17 @@ func ReadAttribution(rd io.Reader) (*Attribution, error) {
 	if err != nil {
 		return nil, err
 	}
-	att.Header = hdr
-	for _, a := range agg {
-		a.Useful = a.Running - a.SpinPreempted - a.SpinRunnable - a.Switch - a.Reload
-		att.Apps = append(att.Apps, *a)
-	}
-	sort.Slice(att.Apps, func(i, j int) bool { return att.Apps[i].App < att.Apps[j].App })
-	return att, nil
+	f.hdr = hdr
+	return f, nil
 }
 
-// pids returns the map's keys sorted, for deterministic iteration.
-func pids(m map[kernel.PID]*procAttr) []kernel.PID {
-	out := make([]kernel.PID, 0, len(m))
-	for pid := range m {
-		out = append(out, pid)
+// sortedKeys returns m's keys in order, for deterministic iteration.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -135,6 +135,47 @@ func TestAttributionRequiresHeader(t *testing.T) {
 	}
 }
 
+// TestSummaryDropsWhatAttributionCreditsAtHorizon pins the one rule on
+// which the two views of the fold differ. App 1's process exits before
+// the end, so both agree on its residency; app 2's is still running at
+// the end event, so the attribution credits that interval and the
+// summary drops it.
+func TestSummaryDropsWhatAttributionCreditsAtHorizon(t *testing.T) {
+	in := testHeader + `{"t":0,"kind":"spawn","pid":1,"app":1,"name":"done"}
+{"t":0,"kind":"spawn","pid":2,"app":2,"name":"open"}
+{"t":100,"kind":"state","pid":1,"app":1,"from":"runnable","to":"running","cpu":0}
+{"t":200,"kind":"state","pid":2,"app":2,"from":"runnable","to":"running","cpu":1}
+{"t":600,"kind":"state","pid":1,"app":1,"from":"running","to":"exited"}
+{"t":600,"kind":"exit","pid":1,"app":1,"name":"done"}
+{"t":1000,"kind":"end"}
+`
+	sum, err := ReadSummary(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, err := ReadAttribution(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Apps) != 2 || len(att.Apps) != 2 {
+		t.Fatalf("apps: summary %+v, attribution %+v", sum.Apps, att.Apps)
+	}
+	done, doneAtt := sum.Apps[0], att.Apps[0]
+	if done.Running != 500 || doneAtt.Running != done.Running ||
+		done.Runnable != 100 || doneAtt.ReadyWait != done.Runnable {
+		t.Errorf("exited app: summary running %v ready %v, attribution running %v ready %v; want 500 and 100 in both",
+			done.Running, done.Runnable, doneAtt.Running, doneAtt.ReadyWait)
+	}
+	open, openAtt := sum.Apps[1], att.Apps[1]
+	if open.Running != 0 || openAtt.Running != 800 {
+		t.Errorf("app open at the horizon: summary running %v (want 0, dropped), attribution %v (want 800, credited)",
+			open.Running, openAtt.Running)
+	}
+	if open.Runnable != 200 || openAtt.ReadyWait != 200 {
+		t.Errorf("closed ready wait: summary %v, attribution %v, want 200 in both", open.Runnable, openAtt.ReadyWait)
+	}
+}
+
 // runMix records the Figure 4-style mix (matmul + FFT, 12 processes
 // each, plus uncontrollable background load) on the paper's 16-CPU
 // Multimax for 2 virtual seconds and returns its attribution alongside

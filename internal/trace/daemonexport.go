@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -38,32 +36,6 @@ type DaemonTimeline struct {
 	Clients []ClientTimeline
 }
 
-// ReadFlightJSONL decodes one flight.Event per line, the format
-// `procctl-top -events -json` and `-hold-events` write. Blank lines are
-// skipped; any malformed line fails the read (dumps are machine-written).
-func ReadFlightJSONL(r io.Reader) ([]flight.Event, error) {
-	var out []flight.Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var ev flight.Event
-		if err := json.Unmarshal(b, &ev); err != nil {
-			return nil, fmt.Errorf("flight jsonl line %d: %w", line, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MergeFlightEvents unions two event streams, dropping duplicates (the
 // journal persists a subset of what the flight ring holds, so merging
 // the two must not double-draw events) and returning the result in
@@ -90,10 +62,7 @@ func MergeFlightEvents(a, b []flight.Event) []flight.Event {
 // flowAnchor is one hop of an epoch's propagation chain.
 type flowAnchor struct {
 	phase int // 0 decision, 1 apply, 2 settle, 3 converge
-	ts    int64
-	pid   int
-	tid   int
-	name  string
+	flowHop
 }
 
 // daemon track ids.
@@ -118,46 +87,23 @@ func WriteDaemonChrome(tl DaemonTimeline, w io.Writer) error {
 			}
 		}
 	}
+	cw := openChrome(w)
 
-	first := true
-	var werr error
-	emit := func(ev chromeEvent) {
-		if werr != nil {
-			return
-		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			werr = err
-			return
-		}
-		sep := ",\n"
-		if first {
-			sep = "\n"
-			first = false
-		}
-		_, werr = fmt.Fprintf(w, "%s%s", sep, b)
-	}
-
-	if _, err := fmt.Fprint(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return err
-	}
-
-	// chains collects the per-(epoch, member) propagation anchors in
-	// pass one; pass two draws the arrows. Epoch 0 events (legacy pushes
-	// and degraded-mode decay) carry no provenance and join no chain.
+	// chains collects the per-(epoch, member) propagation anchors while
+	// the events are drawn; the arrows follow. Epoch 0 events (legacy
+	// pushes and degraded-mode decay) carry no provenance and join no chain.
 	type chainKey struct {
 		epoch uint64
 		app   string
 	}
 	chains := make(map[chainKey][]flowAnchor)
-	addAnchor := func(epoch uint64, app string, a flowAnchor) {
-		if epoch == 0 || app == "" {
+	addAnchor := func(ev flight.Event, phase int, pid, tid int) {
+		if ev.Epoch == 0 || ev.App == "" {
 			return
 		}
-		k := chainKey{epoch, app}
-		chains[k] = append(chains[k], a)
+		k := chainKey{ev.Epoch, ev.App}
+		chains[k] = append(chains[k], flowAnchor{phase, flowHop{ev.At - t0, pid, tid}})
 	}
-
 	argsOf := func(ev flight.Event) map[string]any {
 		args := map[string]any{"seq": ev.Seq, "a": ev.A, "b": ev.B}
 		if ev.Epoch != 0 {
@@ -173,42 +119,31 @@ func WriteDaemonChrome(tl DaemonTimeline, w io.Writer) error {
 		ts := ev.At - t0
 		switch ev.Kind {
 		case flight.KindRebalance:
-			dur := ev.A
-			if dur < 1 {
-				dur = 1
-			}
-			emit(chromeEvent{Name: fmt.Sprintf("rebalance #%d", ev.Epoch), Cat: "epoch", Ph: "X",
-				Ts: ts - dur, Dur: &dur, Pid: 0, Tid: tidRebalance, Args: argsOf(ev)})
+			dur := max(ev.A, 1)
+			cw.slice(fmt.Sprintf("rebalance #%d", ev.Epoch), "epoch", ts-dur, dur, 0, tidRebalance, argsOf(ev))
 		case flight.KindTarget:
-			name := fmt.Sprintf("target %s -> %d", ev.App, ev.A)
-			emit(chromeEvent{Name: name, Cat: "ctrl", Ph: "i", Ts: ts, Pid: 0, Tid: tidControl, S: "p", Args: argsOf(ev)})
-			addAnchor(ev.Epoch, ev.App, flowAnchor{phase: 0, ts: ts, pid: 0, tid: tidControl, name: name})
+			cw.instant(fmt.Sprintf("target %s -> %d", ev.App, ev.A), "ctrl", "p", ts, 0, tidControl, argsOf(ev))
+			addAnchor(ev, 0, 0, tidControl)
 		case flight.KindConverge:
-			name := fmt.Sprintf("converge #%d", ev.Epoch)
-			emit(chromeEvent{Name: name, Cat: "epoch", Ph: "i", Ts: ts, Pid: 0, Tid: tidRebalance, S: "p", Args: argsOf(ev)})
-			addAnchor(ev.Epoch, ev.App, flowAnchor{phase: 3, ts: ts, pid: 0, tid: tidRebalance, name: name})
+			cw.instant(fmt.Sprintf("converge #%d", ev.Epoch), "epoch", "p", ts, 0, tidRebalance, argsOf(ev))
+			addAnchor(ev, 3, 0, tidRebalance)
 		default:
-			emit(chromeEvent{Name: ev.Kind + label(ev.App), Cat: "ctrl", Ph: "i",
-				Ts: ts, Pid: 0, Tid: tidControl, S: "p", Args: argsOf(ev)})
+			cw.instant(ev.Kind+label(ev.App), "ctrl", "p", ts, 0, tidControl, argsOf(ev))
 		}
 	}
-
 	for ci, c := range tl.Clients {
 		pid := ci + 1
 		for _, ev := range c.Events {
 			ts := ev.At - t0
 			switch ev.Kind {
 			case flight.KindApply:
-				name := fmt.Sprintf("apply %d", ev.A)
-				emit(chromeEvent{Name: name, Cat: "client", Ph: "i", Ts: ts, Pid: pid, Tid: 0, S: "p", Args: argsOf(ev)})
-				addAnchor(ev.Epoch, ev.App, flowAnchor{phase: 1, ts: ts, pid: pid, tid: 0, name: name})
+				cw.instant(fmt.Sprintf("apply %d", ev.A), "client", "p", ts, pid, 0, argsOf(ev))
+				addAnchor(ev, 1, pid, 0)
 			case flight.KindSettle:
-				name := fmt.Sprintf("settle %d", ev.A)
-				emit(chromeEvent{Name: name, Cat: "client", Ph: "i", Ts: ts, Pid: pid, Tid: 0, S: "p", Args: argsOf(ev)})
-				addAnchor(ev.Epoch, ev.App, flowAnchor{phase: 2, ts: ts, pid: pid, tid: 0, name: name})
+				cw.instant(fmt.Sprintf("settle %d", ev.A), "client", "p", ts, pid, 0, argsOf(ev))
+				addAnchor(ev, 2, pid, 0)
 			default:
-				emit(chromeEvent{Name: ev.Kind + label(ev.App), Cat: "client", Ph: "i",
-					Ts: ts, Pid: pid, Tid: 0, S: "p", Args: argsOf(ev)})
+				cw.instant(ev.Kind+label(ev.App), "client", "p", ts, pid, 0, argsOf(ev))
 			}
 		}
 	}
@@ -229,46 +164,34 @@ func WriteDaemonChrome(tl DaemonTimeline, w io.Writer) error {
 	})
 	for _, k := range keys {
 		anchors := chains[k]
+		if len(anchors) < 2 {
+			continue
+		}
 		sort.SliceStable(anchors, func(i, j int) bool {
 			if anchors[i].phase != anchors[j].phase {
 				return anchors[i].phase < anchors[j].phase
 			}
 			return anchors[i].ts < anchors[j].ts
 		})
-		if len(anchors) < 2 {
-			continue
+		hops := make([]flowHop, len(anchors))
+		for i, a := range anchors {
+			hops[i] = a.flowHop
 		}
 		id := fmt.Sprintf("epoch%d:%s", k.epoch, k.app)
-		for i, a := range anchors {
-			ph := "t"
-			bp := ""
-			switch i {
-			case 0:
-				ph = "s"
-			case len(anchors) - 1:
-				ph = "f"
-				bp = "e"
-			}
-			emit(chromeEvent{Name: id, Cat: "epoch-flow", Ph: ph, BP: bp,
-				Ts: a.ts, Pid: a.pid, Tid: a.tid, ID: id})
-		}
+		cw.flow(id, "epoch-flow", id, hops...)
 	}
 
-	emit(chromeEvent{Name: "process_name", Ph: "M", Pid: 0, Tid: 0, Args: map[string]any{"name": "procctld"}})
-	emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: tidControl, Args: map[string]any{"name": "control"}})
-	emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: tidRebalance, Args: map[string]any{"name": "epochs"}})
+	cw.meta("process_name", 0, 0, "procctld")
+	cw.meta("thread_name", 0, tidControl, "control")
+	cw.meta("thread_name", 0, tidRebalance, "epochs")
 	for ci, c := range tl.Clients {
 		name := c.Name
 		if name == "" {
 			name = fmt.Sprintf("client %d", ci+1)
 		}
-		emit(chromeEvent{Name: "process_name", Ph: "M", Pid: ci + 1, Tid: 0, Args: map[string]any{"name": name}})
+		cw.meta("process_name", ci+1, 0, name)
 	}
-	if werr != nil {
-		return werr
-	}
-	_, err := fmt.Fprint(w, "\n]}\n")
-	return err
+	return cw.close()
 }
 
 // label renders an optional app suffix for instant-event names.
@@ -277,72 +200,4 @@ func label(app string) string {
 		return ""
 	}
 	return " " + app
-}
-
-// DaemonCheck summarizes a CheckDaemonChrome validation pass.
-type DaemonCheck struct {
-	Events       int // trace events of any phase
-	Processes    int // distinct pids
-	Flows        int // flow chains with both a start and a finish
-	CrossProcess int // flows that visit more than one process
-}
-
-// CheckDaemonChrome validates an exported timeline without external
-// tooling: the JSON must parse, hold at least one event, and every flow
-// id that starts must finish. CI asserts CrossProcess > 0 — the whole
-// point of the merged export is arrows that leave the daemon's process.
-func CheckDaemonChrome(r io.Reader) (*DaemonCheck, error) {
-	var doc struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("malformed trace JSON: %w", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		return nil, fmt.Errorf("trace has no events")
-	}
-	ck := &DaemonCheck{}
-	pids := make(map[int]bool)
-	type flowEnds struct {
-		started, finished bool
-		pids              map[int]bool
-	}
-	flows := make(map[string]*flowEnds)
-	for _, ev := range doc.TraceEvents {
-		ck.Events++
-		pids[ev.Pid] = true
-		switch ev.Ph {
-		case "s", "t", "f":
-			fl := flows[ev.ID]
-			if fl == nil {
-				fl = &flowEnds{pids: make(map[int]bool)}
-				flows[ev.ID] = fl
-			}
-			fl.pids[ev.Pid] = true
-			if ev.Ph == "s" {
-				fl.started = true
-			}
-			if ev.Ph == "f" {
-				fl.finished = true
-			}
-		}
-	}
-	ck.Processes = len(pids)
-	ids := make([]string, 0, len(flows))
-	for id := range flows {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		fl := flows[id]
-		if fl.started != fl.finished {
-			return nil, fmt.Errorf("flow %q has a start without a finish (or vice versa)", id)
-		}
-		ck.Flows++
-		if len(fl.pids) > 1 {
-			ck.CrossProcess++
-		}
-	}
-	return ck, nil
 }

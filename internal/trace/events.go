@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"procctl/internal/kernel"
@@ -432,15 +431,14 @@ func readTrace(rd io.Reader, fn func(Event) error) (*Header, error) {
 
 // AppSummary aggregates one application's trace.
 type AppSummary struct {
-	App         kernel.AppID
-	Procs       int
-	Running     sim.Duration // total process-time in Running
-	Runnable    sim.Duration // total process-time waiting on a run queue
-	Blocked     sim.Duration // total process-time asleep (incl. suspension)
-	Dispatches  int64
-	FirstSpawn  sim.Time
-	LastExit    sim.Time
-	exitedProcs int
+	App        kernel.AppID
+	Procs      int
+	Running    sim.Duration // total process-time in Running
+	Runnable   sim.Duration // total process-time waiting on a run queue
+	Blocked    sim.Duration // total process-time asleep (incl. suspension)
+	Dispatches int64
+	FirstSpawn sim.Time
+	LastExit   sim.Time
 }
 
 // Summary is the analysis of a recorded trace.
@@ -452,85 +450,21 @@ type Summary struct {
 }
 
 // ReadSummary parses a JSONL trace and aggregates per-application state
-// residency. Unknown event kinds are an error, and a trace truncated
-// mid-run is fine (open intervals are dropped).
+// residency: the same fold as ReadAttribution, without the intervals
+// still open at the recording horizon. Unknown event kinds are an
+// error, and a trace truncated mid-run is fine (open intervals are
+// dropped).
 func ReadSummary(rd io.Reader) (*Summary, error) {
-	type pstate struct {
-		app   kernel.AppID
-		state string
-		since sim.Time
-	}
-	procs := make(map[kernel.PID]*pstate)
-	agg := make(map[kernel.AppID]*AppSummary)
-	get := func(app kernel.AppID) *AppSummary {
-		s, ok := agg[app]
-		if !ok {
-			s = &AppSummary{App: app, FirstSpawn: -1}
-			agg[app] = s
-		}
-		return s
-	}
-	sum := &Summary{}
-	hdr, err := readTrace(rd, func(ev Event) error {
-		sum.Events++
-		if ev.T > sum.End {
-			sum.End = ev.T
-		}
-		switch ev.Kind {
-		case "spawn":
-			procs[ev.PID] = &pstate{app: ev.App, state: "runnable", since: ev.T}
-			a := get(ev.App)
-			a.Procs++
-			if a.FirstSpawn < 0 {
-				a.FirstSpawn = ev.T
-			}
-		case "state":
-			ps, ok := procs[ev.PID]
-			if !ok {
-				// State before spawn (trace began mid-run): start now.
-				ps = &pstate{app: ev.App, state: ev.To, since: ev.T}
-				procs[ev.PID] = ps
-				break
-			}
-			a := get(ev.App)
-			d := ev.T.Sub(ps.since)
-			switch ps.state {
-			case "running":
-				a.Running += d
-			case "runnable":
-				a.Runnable += d
-			case "blocked":
-				a.Blocked += d
-			}
-			if ev.To == "running" {
-				a.Dispatches++
-			}
-			ps.state = ev.To
-			ps.since = ev.T
-		case "exit":
-			a := get(ev.App)
-			a.exitedProcs++
-			if ev.T > a.LastExit {
-				a.LastExit = ev.T
-			}
-			delete(procs, ev.PID)
-		case "dispatch", "overhead", "contend", "acquire", "release",
-			"task_start", "task_done", "barrier_wait",
-			"suspend", "resume", "poll", "target", "end":
-			// v2 events; residency comes from state transitions alone.
-		default:
-			return fmt.Errorf("unknown event kind %q", ev.Kind)
-		}
-		return nil
-	})
+	f, err := foldTrace(rd)
 	if err != nil {
 		return nil, err
 	}
-	sum.Header = hdr
-	for _, a := range agg {
-		sum.Apps = append(sum.Apps, *a)
+	sum := &Summary{Header: f.hdr, Events: f.events, End: f.end}
+	for _, app := range sortedKeys(f.apps) {
+		a := f.apps[app]
+		a.sum.Procs = a.Procs
+		sum.Apps = append(sum.Apps, a.sum)
 	}
-	sort.Slice(sum.Apps, func(i, j int) bool { return sum.Apps[i].App < sum.Apps[j].App })
 	return sum, nil
 }
 
