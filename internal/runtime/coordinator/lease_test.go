@@ -1,6 +1,8 @@
 package coordinator
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"path/filepath"
 	"testing"
@@ -8,7 +10,7 @@ import (
 )
 
 // startServerWith runs a daemon with explicit lease settings.
-func startServerWith(t *testing.T, capacity int, cfg ServerConfig) (*Server, string) {
+func startServerWith(t testing.TB, capacity int, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
 	ln, err := net.Listen("unix", sock)
@@ -193,11 +195,65 @@ func TestServerLeaseDisabled(t *testing.T) {
 	if _, err := c.Register("app", 4); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(500 * time.Millisecond) // silent, but no lease to expire
+	// Silent through 25 sweeps: the sweep runs with leases disabled too,
+	// since it also bounds reply writes, but has no lease to expire.
+	time.Sleep(25 * cfg.SweepInterval)
 	if _, err := c.Poll("app"); err != nil {
 		t.Fatalf("silent member dropped with leases disabled: %v", err)
 	}
 	if got := srv.coord.Members(); len(got) != 1 {
 		t.Errorf("members = %v, want the one registration", got)
+	}
+	if v, _ := srv.coord.Metrics().Value("coordinator_lease_expiries_total"); v != 0 {
+		t.Errorf("%d lease expiries with leases disabled", v)
+	}
+}
+
+// A peer that stops draining its socket is cut off within IOTimeout +
+// SweepInterval of the reply write that blocked, leases on or off, and its
+// member leaves as a departure, not a lease expiry.
+func TestServerCutsStuckWriter(t *testing.T) {
+	const ioTimeout, sweep = 200 * time.Millisecond, 50 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		lease time.Duration
+	}{
+		{"leases off", -1},
+		{"leases on", time.Minute},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, sock := startServerWith(t, 8, ServerConfig{Lease: tc.lease, SweepInterval: sweep, IOTimeout: ioTimeout})
+			conn, err := net.Dial("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := io.WriteString(conn, `{"op":"register","app":"stuck","procs":4}`+"\n"); err != nil {
+				t.Fatal(err)
+			}
+			rd := lineReader{r: conn}
+			if _, err := rd.readLine(); err != nil {
+				t.Fatal(err)
+			}
+			// Poll without reading a reply. Once the replies fill the socket
+			// the server's write blocks and it stops reading, so the polls
+			// fill the other direction and a write of ours stalls too.
+			polls := bytes.Repeat([]byte(`{"op":"poll","app":"stuck"}`+"\n"), 1024)
+			for {
+				_ = conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+				if _, err := conn.Write(polls); err != nil {
+					break // stalled, or the server has already cut us off
+				}
+			}
+			waitFor(t, ioTimeout+sweep+500*time.Millisecond, func() bool {
+				srv.mu.Lock()
+				n := len(srv.conns)
+				srv.mu.Unlock()
+				return n == 0 && len(srv.coord.Members()) == 0
+			}, "stuck writer still served past IOTimeout + SweepInterval")
+			if v, _ := srv.coord.Metrics().Value("coordinator_lease_expiries_total"); v != 0 {
+				t.Errorf("a stuck writer counted as %d lease expiries", v)
+			}
+		})
 	}
 }
