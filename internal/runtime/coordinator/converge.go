@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"procctl/internal/flight"
 	"procctl/internal/metrics"
@@ -103,9 +104,14 @@ func newConvergeMetrics(reg *metrics.Registry) convergeMetrics {
 // Open takes the members it names out of the older epoch they were still
 // pending in — so Open, Ack and Drop are one map probe per member named. A
 // member keeps its (empty) entry between epochs: re-opening allocates nothing.
+//
+// open is written only under mu but read without it, so an ack with
+// nothing open takes no lock. That is safe because Open(E) runs under c.mu
+// before the fan-out that carries E: an ack that could close E cannot
+// arrive before E is counted.
 type convergeTracker struct {
 	mu    sync.Mutex
-	open  int // epochs still awaiting acks
+	open  atomic.Int64 // epochs still awaiting acks
 	free  []*openEpoch
 	waits map[string]*memberWait
 
@@ -148,23 +154,21 @@ func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember)
 		cv.leaveLocked(w, ch.name, at, ConvergeSuperseded)
 		w.o, w.remote = o, ch.remote
 	}
-	cv.open++
+	cv.open.Add(1)
 	cv.mu.Unlock()
 }
 
 // Ack acknowledges that name has applied the target it was pushed in
 // epoch `through`; because targets are delivered newest-wins, this also
 // acknowledges an older epoch still waiting on the member. With nothing
-// open — a steady fleet's every poll — it is a lock and a check.
+// open — a steady fleet's every poll — it is one atomic load.
 func (cv *convergeTracker) Ack(name string, through uint64, at int64) {
-	if cv == nil || through == 0 {
+	if cv == nil || through == 0 || cv.open.Load() == 0 {
 		return
 	}
 	cv.mu.Lock()
-	if cv.open > 0 {
-		if w := cv.waits[name]; w != nil && w.o != nil && w.o.epoch <= through {
-			cv.leaveLocked(w, name, at, ConvergeSettled)
-		}
+	if w := cv.waits[name]; w != nil && w.o != nil && w.o.epoch <= through {
+		cv.leaveLocked(w, name, at, ConvergeSettled)
 	}
 	cv.mu.Unlock()
 }
@@ -231,7 +235,7 @@ func (cv *convergeTracker) closeLocked(o *openEpoch, at int64, outcome, straggle
 		cv.rec.Append(flight.Event{At: at, Kind: flight.KindConverge,
 			App: straggler, A: latency, B: int64(o.members), Epoch: o.epoch})
 	}
-	cv.open--
+	cv.open.Add(-1)
 	cv.free = append(cv.free, o)
 }
 
@@ -246,11 +250,7 @@ func (cv *convergeTracker) acquireLocked() *openEpoch {
 }
 
 // OpenEpochs returns how many epochs are still awaiting acks.
-func (cv *convergeTracker) OpenEpochs() int {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	return cv.open
-}
+func (cv *convergeTracker) OpenEpochs() int { return int(cv.open.Load()) }
 
 // Reports returns up to limit of the most recently closed epochs,
 // newest first (limit <= 0 returns everything retained).

@@ -1,6 +1,8 @@
 package coordinator
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,6 +148,66 @@ func TestConvergeTrackerNilSafe(t *testing.T) {
 	cv.Open(1, 0, []pendingMember{{name: "a"}})
 	cv.Ack("a", 1, 0)
 	cv.Drop("a", 0)
+}
+
+// An ack reads the open-epoch count without the tracker's lock. Acks for
+// names no epoch waits on race open → ack → close cycles whose acks come
+// from other goroutines, handed each epoch after its Open as a poll is by
+// the fan-out; every epoch must still close settled.
+func TestConvergeTrackerLockFreeAckRacesOpen(t *testing.T) {
+	cv, reg, _ := newTestTracker()
+	const epochs = 2000
+	stop := make(chan struct{})
+	var idle sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		idle.Add(1)
+		go func() {
+			defer idle.Done()
+			name := fmt.Sprintf("idle-%d", g)
+			for e := uint64(1); ; e++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cv.Ack(name, e, int64(e))
+				_ = cv.OpenEpochs()
+			}
+		}()
+	}
+	members := []pendingMember{{name: "a", remote: true}, {name: "b", remote: true}}
+	feeds := make([]chan uint64, len(members))
+	var acked sync.WaitGroup
+	for i, m := range members {
+		feeds[i] = make(chan uint64)
+		go func() {
+			for e := range feeds[i] {
+				cv.Ack(m.name, e, int64(e)+1)
+				acked.Done()
+			}
+		}()
+	}
+	for e := uint64(1); e <= epochs; e++ {
+		cv.Open(e, int64(e), members)
+		acked.Add(len(members))
+		for _, f := range feeds {
+			f <- e
+		}
+		acked.Wait()
+		if n := cv.OpenEpochs(); n != 0 {
+			t.Fatalf("epoch %d: %d open after every member acked", e, n)
+		}
+	}
+	for _, f := range feeds {
+		close(f)
+	}
+	close(stop)
+	idle.Wait()
+	for outcome, want := range map[string]int64{ConvergeSettled: epochs, ConvergeSuperseded: 0, ConvergeExpired: 0} {
+		if v, _ := reg.Value(metrics.Name("coordinator_convergence_epochs_total", "outcome", outcome)); v != want {
+			t.Errorf("%s epochs = %d, want %d", outcome, v, want)
+		}
+	}
 }
 
 func TestConvergeTrackerReportRing(t *testing.T) {

@@ -3,6 +3,7 @@ package coordinator
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 //	    -cpuprofile /tmp/coord.prof ./internal/runtime/coordinator
 //
 // and, one rung each below a served poll, BenchmarkPollShard and
-// BenchmarkWirePoll.
+// BenchmarkWirePoll; BenchmarkServedPoll is the served poll itself.
 
 // stubMember is an in-process member that accepts targets and does
 // nothing with them.
@@ -160,4 +161,71 @@ func BenchmarkWirePoll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pb.WirePoll(i & 63)
 	}
+}
+
+// BenchmarkServedPoll is a whole served poll, the rung between
+// PollShard+WirePoll and the repo benchmark's fleet_poll: Client.PollEpoch
+// against Server over a unix socket, both sides in this process, on two
+// connections of 64 members each polling at once, every poll acking the
+// settled epoch its member holds. The allocation count is both sides'.
+func BenchmarkServedPoll(b *testing.B) {
+	const conns, members = 2, 64
+	srv, sock := startServerWith(b, conns*members, ServerConfig{})
+	type polled struct {
+		name  string
+		epoch uint64
+	}
+	fleet := make([][]polled, conns)
+	clients := make([]*Client, conns)
+	for i := range clients {
+		c, err := Dial("unix", sock)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		clients[i] = c
+		for j := 0; j < members; j++ {
+			name := fmt.Sprintf("served-%d-%02d", i, j)
+			if _, err := c.Register(name, 4); err != nil {
+				b.Fatal(err)
+			}
+			fleet[i] = append(fleet[i], polled{name: name})
+		}
+	}
+	for i, c := range clients {
+		for j := range fleet[i] {
+			m := &fleet[i][j]
+			var err error
+			if _, m.epoch, err = c.PollEpoch(m.name, 0); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err = c.PollEpoch(m.name, m.epoch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if n := srv.Coordinator().OpenEpochs(); n != 0 {
+		b.Fatalf("%d epochs still open after every member acked", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		n := b.N / conns
+		if i == 0 {
+			n += b.N % conns
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				m := &fleet[i][k%members]
+				if _, _, err := c.PollEpoch(m.name, m.epoch); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

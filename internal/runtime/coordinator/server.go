@@ -23,8 +23,9 @@ import (
 // peer panic, a hung poll loop.
 const DefaultLease = 3 * DefaultPollInterval
 
-// DefaultIOTimeout bounds a single read or write on a connection whose
-// peer has stopped draining its socket.
+// DefaultIOTimeout bounds a reply write to a peer that has stopped
+// draining its socket, and how long a connection over the cap may take to
+// send its first request.
 const DefaultIOTimeout = 10 * time.Second
 
 // DefaultBusyRetry is the advisory minimum backoff a busy reply asks
@@ -38,11 +39,14 @@ type ServerConfig struct {
 	// Lease is the maximum silence per connection. Any decoded request
 	// renews it for every application registered on that connection.
 	Lease time.Duration
-	// SweepInterval is how often expired leases are collected
-	// (default: Lease/6, at least 100 ms).
+	// SweepInterval is how often the sweep runs (default: Lease/6, at
+	// least 100 ms). A sweep closes the connections whose lease lapsed and
+	// those whose reply write has outrun IOTimeout; it runs with leases
+	// disabled too.
 	SweepInterval time.Duration
-	// IOTimeout bounds each response write (and each read once a
-	// request's first byte is due under the lease deadline).
+	// IOTimeout bounds a reply write, counted from its request's arrival.
+	// The sweep enforces it: a peer that stops draining its socket is cut
+	// off within IOTimeout + SweepInterval.
 	IOTimeout time.Duration
 	// MaxConns caps how many connections the server keeps open at once
 	// (0 = unlimited). A connection accepted over the cap gets one
@@ -154,7 +158,8 @@ func (r *remoteMember) spinPct() (float64, bool) {
 }
 
 // connState is the server's bookkeeping for one client connection: the
-// members it registered and when it last said anything.
+// members it registered, when it last said anything and whether a reply
+// to it is being written.
 type connState struct {
 	conn net.Conn
 	// owned is what this connection's requests may name: what it registered
@@ -164,6 +169,7 @@ type connState struct {
 
 	accepted time.Time
 	lastSeen atomic.Int64 // nanoseconds after accepted, on its monotonic clock
+	writing  atomic.Int64 // nanoseconds after accepted that the reply being written is counted from; 0 = not writing
 	expired  atomic.Int64 // Unix microseconds of the sweep that found its lease lapsed and closed it; 0 = none did
 }
 
@@ -299,15 +305,13 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // Coordinator exposes the server's coordinator (introspection, tests).
 func (s *Server) Coordinator() *Coordinator { return s.coord }
 
-// Serve accepts connections until Close, running the lease sweep in the
+// Serve accepts connections until Close, running the sweep in the
 // background. It always returns a non-nil error; after Close the error
 // is net.ErrClosed.
 func (s *Server) Serve() error {
-	if s.cfg.Lease > 0 {
-		done := make(chan struct{})
-		defer close(done)
-		go s.sweepLoop(done)
-	}
+	done := make(chan struct{})
+	defer close(done)
+	go s.sweepLoop(done)
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -360,22 +364,24 @@ func (s *Server) rejectBusy(cs *connState) {
 		return
 	}
 	resp := busyResp("connection limit reached")
-	_, _ = s.reply(conn, nil, &resp, time.Now())
+	_, _ = s.reply(cs, nil, &resp, time.Now())
 }
 
-// reply encodes resp into buf and sends it with one write, bounded by
-// the I/O timeout counted from now. It returns buf for the next reply.
-func (s *Server) reply(conn net.Conn, buf []byte, resp *Response, now time.Time) ([]byte, error) {
+// reply encodes resp into buf and sends it to cs with one write, marked
+// as in progress since now so that the sweep cuts the connection off if
+// the write outruns the I/O timeout. It returns buf for the next reply.
+func (s *Server) reply(cs *connState, buf []byte, resp *Response, now time.Time) ([]byte, error) {
 	buf, err := appendResponse(buf[:0], resp)
 	if err != nil {
 		return buf, err
 	}
-	_ = conn.SetWriteDeadline(now.Add(s.cfg.IOTimeout))
-	_, err = conn.Write(buf)
+	cs.writing.Store(int64(now.Sub(cs.accepted)))
+	_, err = cs.conn.Write(buf)
+	cs.writing.Store(0)
 	return buf, err
 }
 
-// sweepLoop runs the lease sweep every SweepInterval until done closes.
+// sweepLoop runs the sweep every SweepInterval until done closes.
 func (s *Server) sweepLoop(done chan struct{}) {
 	ticker := time.NewTicker(s.cfg.SweepInterval)
 	defer ticker.Stop()
@@ -389,20 +395,24 @@ func (s *Server) sweepLoop(done chan struct{}) {
 	}
 }
 
-// sweep marks every connection silent since before now-Lease expired and
-// closes it: the handler's read fails and its release removes the members,
-// their lease expiries recorded with their removal. It also reclaims the
-// placeholders whose grace lease lapsed — they have no connection to
-// close, so the sweep drops them itself, those a client claimed (the name
-// is another member's now) passed over.
+// sweep is each connection's only clock. With leases on, it marks every
+// connection silent since before now-Lease expired and closes it: the
+// handler's read fails and its release removes the members, their lease
+// expiries recorded with their removal. It closes a connection whose reply
+// write has outrun the I/O timeout the same way, as a plain departure. It
+// also reclaims the placeholders whose grace lease lapsed — they have no
+// connection to close, so the sweep drops them itself, those a client
+// claimed (the name is another member's now) passed over.
 func (s *Server) sweep(now time.Time) {
 	deadline := now.Add(-s.cfg.Lease)
-	var silent []*connState
+	var silent, stuck []*connState
 	var reap []*remoteMember
 	s.mu.Lock()
 	for _, cs := range s.conns {
-		if cs.seen().Before(deadline) {
+		if s.cfg.Lease > 0 && cs.seen().Before(deadline) {
 			silent = append(silent, cs)
+		} else if w := cs.writing.Load(); w != 0 && now.Sub(cs.accepted)-time.Duration(w) > s.cfg.IOTimeout {
+			stuck = append(stuck, cs)
 		}
 	}
 	if !s.unclaimedBy.IsZero() && s.unclaimedBy.Before(now) {
@@ -411,6 +421,9 @@ func (s *Server) sweep(now time.Time) {
 	s.mu.Unlock()
 	for _, cs := range silent {
 		cs.expired.Store(now.UnixMicro())
+		cs.conn.Close()
+	}
+	for _, cs := range stuck {
 		cs.conn.Close()
 	}
 	s.coord.drop(reap, true, now.UnixMicro())
@@ -464,8 +477,10 @@ func (s *Server) handle(cs *connState) {
 	}()
 
 	// Everything a request needs lives as long as the connection, so a
-	// steady-state poll allocates nothing. now is read once per request
-	// and serves the lease, both deadlines and the ack timestamp.
+	// steady-state poll allocates nothing, and it sets no deadline: the
+	// sweep bounds both the silence and the reply write. now is read once
+	// per request and serves the lease, the write's start and the ack
+	// timestamp.
 	var (
 		rd    = lineReader{r: conn, max: maxRequestLine}
 		name  = cs.appName
@@ -473,30 +488,23 @@ func (s *Server) handle(cs *connState) {
 		spin  float64
 		resp  Response
 		reply []byte
-		now   = cs.accepted
 	)
 	for {
-		// A healthy client speaks at least once per lease; allow one
-		// sweep interval of slack so the sweep, not the deadline, is
-		// the normal expiry path (its accounting is better).
-		if s.cfg.Lease > 0 {
-			_ = conn.SetReadDeadline(now.Add(s.cfg.Lease + 2*s.cfg.SweepInterval))
-		}
 		line, err := rd.readLine()
-		now = time.Now()
+		now := time.Now()
 		if err == errLineTooLong {
 			s.rpcUnknown.served.Inc()
 			s.rpcUnknown.rejected.Inc()
 			resp = errResp(err)
-			_, _ = s.reply(conn, reply, &resp, now)
+			_, _ = s.reply(cs, reply, &resp, now)
 			return
 		}
 		if err != nil || decodeRequest(line, &req, &spin, name) != nil {
-			return // EOF, timeout, or broken peer: drop the connection
+			return // EOF, closed by the sweep, or broken peer: drop the connection
 		}
 		cs.touch(now) // any op renews the connection's leases
 		resp = s.dispatch(&req, cs, now)
-		if reply, err = s.reply(conn, reply, &resp, now); err != nil {
+		if reply, err = s.reply(cs, reply, &resp, now); err != nil {
 			return
 		}
 	}

@@ -293,11 +293,9 @@ type fuzzConn struct {
 	out      bytes.Buffer
 }
 
-func (c *fuzzConn) Read(p []byte) (int, error)       { return c.in.Read(p) }
-func (c *fuzzConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
-func (c *fuzzConn) Close() error                     { return nil }
-func (c *fuzzConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *fuzzConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *fuzzConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
+func (c *fuzzConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+func (c *fuzzConn) Close() error                { return nil }
 
 // serveBytes runs the server's connection handler over one connection
 // that sends in, and returns everything the server wrote back.

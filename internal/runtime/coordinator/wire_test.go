@@ -10,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -460,6 +461,8 @@ type scriptConn struct {
 	pending  []byte
 	written  []byte
 	steps    chan struct{} // when non-nil, Read waits for a step and Write reports one
+
+	readDeadlines, writeDeadlines atomic.Int64 // calls to the setters
 }
 
 func (c *scriptConn) Read(p []byte) (int, error) {
@@ -485,8 +488,40 @@ func (c *scriptConn) Write(p []byte) (int, error) {
 }
 
 func (c *scriptConn) Close() error                     { return nil }
-func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *scriptConn) SetReadDeadline(time.Time) error  { c.readDeadlines.Add(1); return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { c.writeDeadlines.Add(1); return nil }
+
+// serveScript runs srv's connection handler on a scriptConn and returns it
+// with a step that sends the handler one request line and returns its
+// reply. The handler reads what the test "replies": the roles of
+// scriptConn are swapped. Closing conn.steps hangs up.
+func serveScript(srv *Server) (conn *scriptConn, step func(line string) string) {
+	conn = &scriptConn{steps: make(chan struct{})}
+	srv.handlers.Add(1)
+	go srv.handle(&connState{conn: conn, owned: make(map[string]*remoteMember), accepted: time.Now()})
+	return conn, func(line string) string {
+		conn.reply = []byte(line + "\n")
+		conn.steps <- struct{}{}
+		<-conn.steps
+		return string(conn.written)
+	}
+}
+
+// A served poll arms no timer: the sweep bounds a connection's silence
+// and its reply writes, so the handler never sets a deadline.
+func TestServerPollSetsNoDeadline(t *testing.T) {
+	srv, _ := startServer(t, 8)
+	conn, step := serveScript(srv)
+	defer close(conn.steps)
+	step(`{"op":"register","app":"app-00017-3fa2c1","procs":4}`)
+	r0, w0 := conn.readDeadlines.Load(), conn.writeDeadlines.Load()
+	for i := 0; i < 1000; i++ {
+		step(`{"op":"poll","app":"app-00017-3fa2c1","applied_epoch":1}`)
+	}
+	if r, w := conn.readDeadlines.Load()-r0, conn.writeDeadlines.Load()-w0; r != 0 || w != 0 {
+		t.Errorf("1000 served polls set %d read and %d write deadlines, want none", r, w)
+	}
+}
 
 // The server's whole path from a poll's line to its reply's write —
 // framing, decode, lease touch, dispatch, spin, ack, encode — allocates
@@ -497,18 +532,7 @@ func TestServerPollAllocatesNothing(t *testing.T) {
 		{"bare", `{"op":"poll","app":"app-00017-3fa2c1"}`},
 		{"ack+spin", `{"op":"poll","app":"app-00017-3fa2c1","spin_pct":33.333333333333336,"applied_epoch":1}`},
 	} {
-		// The handler reads what the test "replies" and the test steps it
-		// one request at a time: the roles of scriptConn are swapped.
-		conn := &scriptConn{steps: make(chan struct{})}
-		cs := &connState{conn: conn, owned: make(map[string]*remoteMember), accepted: time.Now()}
-		srv.handlers.Add(1)
-		go srv.handle(cs)
-		step := func(line string) string {
-			conn.reply = []byte(line + "\n")
-			conn.steps <- struct{}{}
-			<-conn.steps
-			return string(conn.written)
-		}
+		conn, step := serveScript(srv)
 		if got := step(`{"op":"register","app":"app-00017-3fa2c1","procs":4}`); !strings.HasPrefix(got, `{"ok":true,"target":4,"epoch":`) {
 			t.Fatalf("%s: register reply %q", tc.name, got)
 		}
