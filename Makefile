@@ -115,11 +115,13 @@ daemon-smoke:
 # _test.go files, testdata/, the benchmark module and its build cache),
 # how many of them are in internal/runtime, and that layer's exported
 # surface: the declarations and methods `go doc -all` lists for its
-# packages (struct fields are not counted).
+# packages (struct fields are not counted). Then ROADMAP item 7's
+# measure: the non-test lines of internal/analysis.
 loc_of = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
 	! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 exported_of = for p in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' $(1)); do \
 	$(GO) doc -all $$p; done | grep -cE '^(func|type) '
 loc:
 	@echo "$$($(call loc_of,.)) root module, $$($(call loc_of,./internal/runtime)) of them internal/runtime," \
-		"$$($(call exported_of,./internal/runtime/...)) exported declarations and methods in internal/runtime"
+		"$$($(call exported_of,./internal/runtime/...)) exported declarations and methods in internal/runtime," \
+		"$$($(call loc_of,./internal/analysis)) lines in internal/analysis"

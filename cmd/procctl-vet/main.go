@@ -16,10 +16,10 @@
 // reported, 2 means the analysis itself failed (bad pattern, code that
 // does not type-check).
 //
-// The per-package analyzers (maporder, lockdiscipline) run over each
-// requested package; the whole-program analyzers (lockorder,
-// blockinglocked) run once over the call graph of every package loaded
-// — including packages pulled in as imports of the requested set.
+// Every analyzer runs once over the call graph of every package loaded —
+// the requested ones plus their module-local imports. maporder and
+// lockdiscipline report only in the requested packages; lockorder and
+// blockinglocked follow calls into the imports too.
 //
 // Findings are suppressed line-by-line with a justified pragma:
 //
@@ -47,12 +47,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("procctl-vet analyzers (per-package):")
-		for _, az := range analysis.PackageAnalyzers(analysis.All()) {
-			fmt.Printf("\n  %s (pragma: //procctl:allow-%s <reason>)\n    %s\n", az.Name, az.Pragma, az.Doc)
-		}
-		fmt.Println("\nprocctl-vet analyzers (whole-program, call-graph):")
-		for _, az := range analysis.ProgramAnalyzers(analysis.All()) {
+		fmt.Println("procctl-vet analyzers:")
+		for _, az := range analysis.All() {
 			fmt.Printf("\n  %s (pragma: //procctl:allow-%s <reason>)\n    %s\n", az.Name, az.Pragma, az.Doc)
 		}
 		fmt.Println("\nmaporder scope (identical seed must imply identical schedule):")
@@ -90,18 +86,13 @@ func main() {
 		fatal(err)
 	}
 
-	var findings []analysis.Finding
-	for _, path := range paths {
-		pkg, err := loader.Load(path)
-		if err != nil {
+	pkgs := make([]*analysis.Package, len(paths))
+	for i, path := range paths {
+		if pkgs[i], err = loader.Load(path); err != nil {
 			fatal(err)
 		}
-		findings = append(findings, analysis.RunAnalyzers(pkg, analysis.All())...)
 	}
-	// Whole-program passes over everything the loader has seen (the
-	// requested packages plus their module-local imports).
-	findings = append(findings, analysis.RunProgramAnalyzers(loader.Fset, loader.Loaded(), analysis.All())...)
-
+	findings := analysis.Run(loader.Fset, pkgs, loader.Loaded(), analysis.All())
 	for _, f := range findings {
 		fmt.Println(f)
 	}

@@ -131,6 +131,7 @@ func main() {
 			SyncEvery:     *syncEvry,
 			SnapshotEvery: *snapEvry,
 			Metrics:       coord.Metrics(),
+			NowMicros:     func() int64 { return time.Now().UnixMicro() },
 		})
 		if err != nil {
 			fatal(logger, "journal open", err)

@@ -2,21 +2,28 @@
 // repository, holding the checks that no test, golden or race run in
 // `make check` does. Four analyzers remain, each because it alone caught
 // a bug seeded into the tree (EXPERIMENTS.md SIMPL-6): maporder (map
-// iteration order leaking into simulation event order) and
-// lockdiscipline (a mutex-guarded field read without the mutex, on a
-// path no -race test runs) look at one package at a time; lockorder (a
-// lock-order cycle) and blockinglocked (member code or a channel send
-// under a lock) walk a call graph of the whole program. A wall-clock
-// read, math/rand or a goroutine in a simulation package, and an
-// unjoined goroutine in the runtime, are left to the same-seed goldens,
-// the benchmark's serial-pass check and the race and leak tests, which
-// caught each. The cmd/procctl-vet command is the driver.
+// iteration order leaking into simulation event order), lockdiscipline
+// (a mutex-guarded field read without the mutex, on a path no -race test
+// runs), lockorder (a lock-order cycle) and blockinglocked (member code
+// or a channel send under a lock). A wall-clock read, math/rand or a
+// goroutine in a simulation package, and an unjoined goroutine in the
+// runtime, are left to the same-seed goldens, the benchmark's serial-pass
+// check and the race and leak tests, which caught each. The
+// cmd/procctl-vet command is the driver.
 //
-// maporder applies only to the simulation packages (SimPackages), where
-// an order leak changes a seed's schedule or report; cmd/... and
-// internal/runtime/... are outside them by policy (nothing there feeds
-// back into a simulation). The lock analyzers root in the packages with
-// real concurrency (internal/runtime, internal/ctrl, internal/metrics).
+// Every analyzer runs through one Pass over one Program, the call graph
+// of every loaded package. Its per-function summaries (callgraph.go) are
+// the one walk of a function body that tracks a lockset: lockdiscipline
+// reads the receiver-field accesses they record, lockorder and
+// blockinglocked their lock edges, calls and blocking operations.
+//
+// maporder and lockdiscipline report only in the packages asked for
+// (Pass.Pkgs). maporder applies only to the simulation packages
+// (SimPackages), where an order leak changes a seed's schedule or report;
+// cmd/... and internal/runtime/... are outside them by policy (nothing
+// there feeds back into a simulation). lockorder and blockinglocked root
+// in the loaded packages with real concurrency (internal/runtime,
+// internal/ctrl, internal/metrics).
 //
 // # Suppression pragmas
 //
@@ -51,8 +58,7 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Analyzer is one static check. Exactly one of Run (per-package) or
-// RunProgram (whole-program, interprocedural) is set.
+// Analyzer is one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in findings and in -list output.
 	Name string
@@ -61,42 +67,13 @@ type Analyzer struct {
 	// Pragma is the suffix accepted in //procctl:allow-<Pragma> comments
 	// to suppress this analyzer's findings.
 	Pragma string
-	// Run inspects the pass's package and reports findings.
+	// Run inspects the pass and reports findings.
 	Run func(*Pass)
-	// RunProgram inspects a whole-program call graph and reports
-	// findings. Program analyzers see every loaded package at once and
-	// may attach multi-hop call chains to diagnostics.
-	RunProgram func(*ProgramPass)
 }
 
-// All returns every analyzer in presentation order: the per-package
-// passes first, then the interprocedural (call-graph) passes.
+// All returns every analyzer in presentation order.
 func All() []*Analyzer {
 	return []*Analyzer{MapOrder, LockDiscipline, LockOrder, BlockingLocked}
-}
-
-// PackageAnalyzers returns the subset of analyzers that run one package
-// at a time.
-func PackageAnalyzers(analyzers []*Analyzer) []*Analyzer {
-	var out []*Analyzer
-	for _, az := range analyzers {
-		if az.Run != nil {
-			out = append(out, az)
-		}
-	}
-	return out
-}
-
-// ProgramAnalyzers returns the subset of analyzers that need the whole
-// program.
-func ProgramAnalyzers(analyzers []*Analyzer) []*Analyzer {
-	var out []*Analyzer
-	for _, az := range analyzers {
-		if az.RunProgram != nil {
-			out = append(out, az)
-		}
-	}
-	return out
 }
 
 // SimPackages lists the module-relative package prefixes whose behaviour
@@ -149,14 +126,14 @@ func underAny(importPath string, prefixes []string) bool {
 // simulation set.
 func IsSimPath(importPath string) bool { return underAny(importPath, SimPackages) }
 
-// Pass is one analyzer run over one type-checked package.
+// Pass is one analyzer's run over a program.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Info     *types.Info
-	// IsSim marks packages whose behaviour must be seed-deterministic.
-	IsSim bool
+	// Prog is the call graph of every loaded package.
+	Prog *Program
+	// Pkgs are the packages asked for, all of them in Prog: the ones
+	// maporder and lockdiscipline report in.
+	Pkgs []*Package
 
 	pragmas  pragmaIndex
 	findings []Finding
@@ -165,7 +142,7 @@ type Pass struct {
 // Reportf records a finding at pos unless a matching suppression pragma
 // covers that line.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	position := p.Fset.Position(pos)
+	position := p.Prog.Fset.Position(pos)
 	if p.pragmas.suppresses(p.Analyzer.Pragma, position) {
 		return
 	}
@@ -199,8 +176,8 @@ type pragmaIndex map[string]map[int]pragma
 
 var pragmaRE = regexp.MustCompile(`^//procctl:allow-([a-z]+)(?:\s+(.*))?$`)
 
-func collectPragmas(fset *token.FileSet, files []*ast.File) pragmaIndex {
-	idx := make(pragmaIndex)
+// add indexes the pragmas in files.
+func (idx pragmaIndex) add(fset *token.FileSet, files []*ast.File) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -218,7 +195,6 @@ func collectPragmas(fset *token.FileSet, files []*ast.File) pragmaIndex {
 			}
 		}
 	}
-	return idx
 }
 
 // suppresses reports whether a pragma named name covers the line of pos
@@ -236,13 +212,18 @@ func (idx pragmaIndex) suppresses(name string, pos token.Position) bool {
 	return false
 }
 
-// RunAnalyzers runs the given analyzers over a loaded package and
-// returns the findings sorted by position. Pragmas with no
-// justification, and pragmas that name no analyzer in All(), are
+// Run builds one call graph over loaded — the packages asked for, pkgs,
+// plus whatever they import from the module — runs the analyzers over
+// it, and returns their findings sorted by position. Pragmas in pkgs
+// with no justification, and pragmas that name no analyzer in All(), are
 // reported unconditionally: the escape hatch requires a reason, and a
 // misspelled or orphaned pragma suppresses nothing.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
-	pragmas := collectPragmas(pkg.Fset, pkg.Files)
+func Run(fset *token.FileSet, pkgs, loaded []*Package, analyzers []*Analyzer) []Finding {
+	prog := newProgram(fset, loaded)
+	pragmas := make(pragmaIndex)
+	for _, pkg := range prog.Pkgs {
+		pragmas.add(fset, pkg.Files)
+	}
 	known := make(map[string]bool)
 	for _, az := range All() {
 		known[az.Pragma] = true
@@ -251,33 +232,23 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
 	pragmaFinding := func(pr pragma, format string) {
 		out = append(out, Finding{Analyzer: "pragma", Pos: pr.pos, Message: fmt.Sprintf(format, pr.name)})
 	}
-	for _, byLine := range pragmas {
-		for _, pr := range byLine {
-			if !known[pr.name] {
-				pragmaFinding(pr, "procctl:allow-%s names no analyzer (procctl-vet -list prints each one's pragma)")
-			}
-			if pr.reason == "" {
-				pragmaFinding(pr, "procctl:allow-%s pragma needs a one-line justification")
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, pr := range pragmas[fset.Position(f.Pos()).Filename] {
+				if !known[pr.name] {
+					pragmaFinding(pr, "procctl:allow-%s names no analyzer (procctl-vet -list prints each one's pragma)")
+				}
+				if pr.reason == "" {
+					pragmaFinding(pr, "procctl:allow-%s pragma needs a one-line justification")
+				}
 			}
 		}
 	}
-	for _, az := range PackageAnalyzers(analyzers) {
-		pass := &Pass{
-			Analyzer: az,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Info:     pkg.Info,
-			IsSim:    IsSimPath(pkg.Path),
-			pragmas:  pragmas,
-		}
+	for _, az := range analyzers {
+		pass := &Pass{Analyzer: az, Prog: prog, Pkgs: pkgs, pragmas: pragmas}
 		az.Run(pass)
 		out = append(out, pass.findings...)
 	}
-	sortFindings(out)
-	return out
-}
-
-func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -294,55 +265,5 @@ func sortFindings(out []Finding) {
 		}
 		return out[i].Message < out[j].Message
 	})
-}
-
-// ProgramPass is one program analyzer's run over a whole-program call
-// graph. Suppression pragmas from every package in the program apply.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-
-	pragmas  pragmaIndex
-	findings []Finding
-}
-
-// Reportf records a finding at pos unless a matching suppression pragma
-// covers that line in any loaded package.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	position := p.Prog.Fset.Position(pos)
-	if p.pragmas.suppresses(p.Analyzer.Pragma, position) {
-		return
-	}
-	p.findings = append(p.findings, Finding{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// RunProgramAnalyzers builds one call graph over pkgs and runs every
-// program analyzer in analyzers over it, returning findings sorted by
-// position. (Reasonless-pragma findings are reported by RunAnalyzers,
-// which the driver always runs per package; they are not duplicated
-// here.)
-func RunProgramAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	program := ProgramAnalyzers(analyzers)
-	if len(program) == 0 {
-		return nil
-	}
-	prog := NewProgram(fset, pkgs)
-	pragmas := make(pragmaIndex)
-	for _, pkg := range prog.Pkgs {
-		for file, byLine := range collectPragmas(pkg.Fset, pkg.Files) {
-			pragmas[file] = byLine
-		}
-	}
-	var out []Finding
-	for _, az := range program {
-		pass := &ProgramPass{Analyzer: az, Prog: prog, pragmas: pragmas}
-		az.RunProgram(pass)
-		out = append(out, pass.findings...)
-	}
-	sortFindings(out)
 	return out
 }

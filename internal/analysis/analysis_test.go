@@ -52,9 +52,10 @@ func loadFixture(t *testing.T, dir, importPath string) *Package {
 
 var wantRE = regexp.MustCompile(`want "([^"]+)"`)
 
-// checkFixture runs all analyzers over the fixture and matches findings
-// against its `// want "substring"` comments, both directions.
-func checkFixture(t *testing.T, pkg *Package) {
+// checkFixture runs every analyzer over the fixture package, with a
+// call graph of it alone, and matches findings against its
+// `// want "substring"` comments, both directions.
+func checkFixture(t *testing.T, pkg *Package) []Finding {
 	t.Helper()
 	type key struct {
 		file string
@@ -73,53 +74,8 @@ func checkFixture(t *testing.T, pkg *Package) {
 			}
 		}
 	}
-	findings := RunAnalyzers(pkg, All())
-	matched := make(map[key]bool)
-	for _, f := range findings {
-		k := key{f.Pos.Filename, f.Pos.Line}
-		want, ok := wants[k]
-		if !ok {
-			t.Errorf("unexpected finding: %s", f)
-			continue
-		}
-		if !strings.Contains(f.Message, want) {
-			t.Errorf("finding at %s:%d = %q, want substring %q", k.file, k.line, f.Message, want)
-		}
-		matched[k] = true
-	}
-	for k, want := range wants {
-		if !matched[k] {
-			t.Errorf("missing finding at %s:%d matching %q", filepath.Base(k.file), k.line, want)
-		}
-	}
-}
-
-// checkProgramFixture builds one whole-program call graph over the
-// given fixture packages, runs the interprocedural analyzers, and
-// matches findings against `// want "substring"` comments in any of the
-// packages, both directions.
-func checkProgramFixture(t *testing.T, pkgs []*Package) []Finding {
-	t.Helper()
-	type key struct {
-		file string
-		line int
-	}
-	wants := make(map[key]string)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := wantRE.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					wants[key{pos.Filename, pos.Line}] = m[1]
-				}
-			}
-		}
-	}
-	findings := RunProgramAnalyzers(pkgs[0].Fset, pkgs, All())
+	pkgs := []*Package{pkg}
+	findings := Run(pkg.Fset, pkgs, pkgs, All())
 	matched := make(map[key]bool)
 	for _, f := range findings {
 		k := key{f.Pos.Filename, f.Pos.Line}
@@ -165,52 +121,34 @@ func TestLockDisciplineFixtures(t *testing.T) {
 }
 
 func TestLockOrderFixtures(t *testing.T) {
-	bad := loadFixture(t, "lockorder/bad", "procctl/internal/runtime/lockorderbad")
-	findings := checkProgramFixture(t, []*Package{bad})
-	requireMultiHop(t, findings)
-	good := loadFixture(t, "lockorder/good", "procctl/internal/runtime/lockordergood")
-	checkProgramFixture(t, []*Package{good})
+	requireMultiHop(t, checkFixture(t, loadFixture(t, "lockorder/bad", "procctl/internal/runtime/lockorderbad")))
+	checkFixture(t, loadFixture(t, "lockorder/good", "procctl/internal/runtime/lockordergood"))
 }
 
 func TestBlockingLockedFixtures(t *testing.T) {
-	bad := loadFixture(t, "blockinglocked/bad", "procctl/internal/runtime/blockbad")
-	findings := checkProgramFixture(t, []*Package{bad})
-	requireMultiHop(t, findings)
-	good := loadFixture(t, "blockinglocked/good", "procctl/internal/runtime/blockgood")
-	checkProgramFixture(t, []*Package{good})
+	requireMultiHop(t, checkFixture(t, loadFixture(t, "blockinglocked/bad", "procctl/internal/runtime/blockbad")))
+	checkFixture(t, loadFixture(t, "blockinglocked/good", "procctl/internal/runtime/blockgood"))
 }
 
 // TestAllAnalyzers pins the analyzer roster: the four analyzers that
 // each alone caught a seeded bug (EXPERIMENTS.md SIMPL-6), in
-// presentation order, each documented with its own pragma, the first two
-// per-package and the last two whole-program.
+// presentation order, each documented with its own pragma, and all of
+// one shape — a Run over one Pass.
 func TestAllAnalyzers(t *testing.T) {
-	want := []struct {
-		name, pragma string
-		program      bool
-	}{
-		{"maporder", "maporder", false},
-		{"lockdiscipline", "unlocked", false},
-		{"lockorder", "lockorder", true},
-		{"blockinglocked", "blockinglocked", true},
+	want := []struct{ name, pragma string }{
+		{"maporder", "maporder"},
+		{"lockdiscipline", "unlocked"},
+		{"lockorder", "lockorder"},
+		{"blockinglocked", "blockinglocked"},
 	}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(all), len(want))
 	}
 	for i, az := range all {
-		if az.Name != want[i].name || az.Pragma != want[i].pragma || az.Doc == "" {
-			t.Errorf("All()[%d] = %s (pragma %q), want %s (pragma %q), documented", i, az.Name, az.Pragma, want[i].name, want[i].pragma)
+		if az.Name != want[i].name || az.Pragma != want[i].pragma || az.Doc == "" || az.Run == nil {
+			t.Errorf("All()[%d] = %s (pragma %q), want %s (pragma %q), documented and runnable", i, az.Name, az.Pragma, want[i].name, want[i].pragma)
 		}
-		if (az.Run == nil) == (az.RunProgram == nil) || (az.RunProgram != nil) != want[i].program {
-			t.Errorf("analyzer %s must set exactly one of Run/RunProgram, RunProgram %v", az.Name, want[i].program)
-		}
-	}
-	if got := len(PackageAnalyzers(all)); got != 2 {
-		t.Errorf("PackageAnalyzers = %d, want 2", got)
-	}
-	if got := len(ProgramAnalyzers(all)); got != 2 {
-		t.Errorf("ProgramAnalyzers = %d, want 2", got)
 	}
 }
 
@@ -222,11 +160,9 @@ func TestVetSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range RunAnalyzers(pkg, All()) {
-		t.Errorf("per-package: %s", f)
-	}
-	for _, f := range RunProgramAnalyzers(l.Fset, []*Package{pkg}, All()) {
-		t.Errorf("program: %s", f)
+	pkgs := []*Package{pkg}
+	for _, f := range Run(l.Fset, pkgs, pkgs, All()) {
+		t.Errorf("%s", f)
 	}
 }
 
@@ -235,8 +171,8 @@ func TestVetSelfCheck(t *testing.T) {
 // justification is written), and so is a pragma that names no analyzer:
 // a misspelling, or one left behind by a deleted analyzer.
 func TestPragmaNeedsReason(t *testing.T) {
-	pkg := loadFixture(t, "pragma/bad", "procctl/internal/runtime/pragmabad")
-	findings := RunAnalyzers(pkg, All())
+	pkgs := []*Package{loadFixture(t, "pragma/bad", "procctl/internal/runtime/pragmabad")}
+	findings := Run(pkgs[0].Fset, pkgs, pkgs, All())
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings %v, want exactly 2", len(findings), findings)
 	}
@@ -248,8 +184,8 @@ func TestPragmaNeedsReason(t *testing.T) {
 }
 
 // moduleRun is one cold run of every analyzer over the whole module —
-// parse, type-check (the stdlib from source), per-package passes, call
-// graph, interprocedural passes — which is what `make procctl-vet` does.
+// parse, type-check (the stdlib from source), call graph, the one pass —
+// which is what `make procctl-vet` does.
 // TestRepoIsClean checks its findings and TestVetTimingBudget its
 // duration, so `make test` pays for one such run, not two.
 var moduleRun struct {
@@ -281,15 +217,16 @@ func runModule(t *testing.T) {
 			moduleRun.err = err
 			return
 		}
+		var pkgs []*Package
 		for _, path := range moduleRun.paths {
 			pkg, err := l.Load(path)
 			if err != nil {
 				moduleRun.err = fmt.Errorf("loading %s: %w", path, err)
 				return
 			}
-			moduleRun.findings = append(moduleRun.findings, RunAnalyzers(pkg, All())...)
+			pkgs = append(pkgs, pkg)
 		}
-		moduleRun.findings = append(moduleRun.findings, RunProgramAnalyzers(l.Fset, l.Loaded(), All())...)
+		moduleRun.findings = Run(l.Fset, pkgs, l.Loaded(), All())
 		moduleRun.elapsed = time.Since(start)
 	})
 	if moduleRun.err != nil {

@@ -20,11 +20,11 @@ var BlockingLocked = &Analyzer{
 		"the critical section's duration is unbounded. sync.Cond.Wait (releases " +
 		"the lock) and selects with a default case are exempt. Suppress " +
 		"deliberate cases with //procctl:allow-blockinglocked <reason>.",
-	Pragma:     "blockinglocked",
-	RunProgram: runBlockingLocked,
+	Pragma: "blockinglocked",
+	Run:    runBlockingLocked,
 }
 
-func runBlockingLocked(pass *ProgramPass) {
+func runBlockingLocked(pass *Pass) {
 	prog := pass.Prog
 	for _, root := range prog.Funcs() {
 		if !inLockScope(root.Pkg.Path) {

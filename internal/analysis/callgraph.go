@@ -1,7 +1,8 @@
 package analysis
 
-// Call-graph construction for the interprocedural analyzers (lockorder,
-// blockinglocked). The graph is built from the ASTs of every
+// Call-graph construction for the analyzers that track a lockset
+// (lockdiscipline, lockorder, blockinglocked). The graph is built from
+// the ASTs of every
 // module-local package the loader has seen, using only go/ast and
 // go/types:
 //
@@ -17,8 +18,9 @@ package analysis
 // Each function gets one summary (cached, computed once per run): the
 // locks it acquires, the "acquires B while holding A" edges it creates
 // locally, every resolved call site with the lockset held at that point,
-// and the potentially blocking operations it performs. The
-// interprocedural analyzers combine summaries
+// the potentially blocking operations it performs, and every access to a
+// field of its receiver with the lockset held there (what lockdiscipline
+// reads). The interprocedural analyzers combine summaries
 // transitively, carrying a witness chain so diagnostics can show the
 // full caller → callee path to the offending site.
 
@@ -27,6 +29,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -76,9 +79,9 @@ type implKey struct {
 	name  string
 }
 
-// NewProgram indexes the packages (typically Loader.Loaded()) into a
+// newProgram indexes the packages (typically Loader.Loaded()) into a
 // whole-program call graph. Summaries are computed lazily and cached.
-func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
+func newProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	sorted := append([]*Package(nil), pkgs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	prog := &Program{
@@ -189,6 +192,20 @@ type lockClass struct {
 type heldLock struct {
 	class lockClass
 	pos   token.Pos
+	// assumed marks a lock the function did not take itself: a *Locked
+	// method's receiver mutex, or what a callback literal's definition
+	// site holds. Field accesses see it; lock edges, call sites and
+	// blocking operations do not — to lockorder and blockinglocked the
+	// function is an independent root.
+	assumed bool
+}
+
+// fieldAccess is one read or write of a field of the receiver.
+type fieldAccess struct {
+	field string
+	pos   token.Pos
+	write bool
+	held  []heldLock
 }
 
 // callSite is one resolved call with the lockset held at that point.
@@ -214,10 +231,11 @@ type lockEdge struct {
 	toPos    token.Pos // where To was acquired under it
 }
 
-// summary is the per-function abstraction all interprocedural analyzers
-// consume. literals holds sub-summaries for func literals that are NOT
-// invoked at their definition site (callbacks): their lock behaviour is
-// analyzed as independent roots.
+// summary is the per-function abstraction the lock analyzers consume.
+// literals holds sub-summaries for func literals that are NOT invoked at
+// their definition site (callbacks): their lock behaviour is analyzed as
+// independent roots, and their field accesses are the enclosing
+// method's receiver's.
 type summary struct {
 	node     *FuncNode // nil for literal sub-summaries
 	name     string    // display name ("pool.(*Pool).worker", "func literal at …")
@@ -225,6 +243,7 @@ type summary struct {
 	edges    []lockEdge
 	calls    []callSite
 	blocks   []blockOp
+	fields   []fieldAccess
 	literals []*summary
 }
 
@@ -239,19 +258,32 @@ func (prog *Program) Summary(n *FuncNode) *summary {
 func (prog *Program) summarize(n *FuncNode) *summary {
 	s := &summary{node: n, name: n.Name()}
 	w := &sumWalker{prog: prog, pkg: n.Pkg, out: s}
-	w.walkStmts(n.Decl.Body.List, nil)
+	var held []heldLock
+	if recv := n.Decl.Recv; recv != nil && len(recv.List[0].Names) == 1 {
+		w.recv = n.Pkg.Info.Defs[recv.List[0].Names[0]]
+		if assumedHeld(n.Decl) {
+			if g, ok := guardOf(n.Obj); ok {
+				held = []heldLock{{class: g.class, assumed: true}}
+			}
+		}
+	}
+	w.walkStmts(n.Decl.Body.List, held)
 	return s
 }
 
-// sumWalker walks one function body tracking the held lockset.
+// sumWalker walks one function body tracking the held lockset. A held
+// slice is never changed in place — acquire and release return new ones
+// — so a branch may share it and a record may keep it.
 type sumWalker struct {
 	prog *Program
 	pkg  *Package
 	out  *summary
+	recv types.Object // the method's receiver, nil in a function
 }
 
-func copyHeld(held []heldLock) []heldLock {
-	return append([]heldLock(nil), held...)
+// taken copies the locks of held the function took itself.
+func taken(held []heldLock) []heldLock {
+	return slices.DeleteFunc(slices.Clone(held), func(h heldLock) bool { return h.assumed })
 }
 
 func (w *sumWalker) walkStmts(stmts []ast.Stmt, held []heldLock) []heldLock {
@@ -270,6 +302,7 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		// function; other deferred calls are approximated as running
 		// with the lockset current at the defer statement.
 		if cls, op, ok := w.lockOp(s.Call); ok {
+			w.walkExpr(s.Call.Fun, held, false) // s.f.mu reads the field f
 			if op == opUnlock {
 				return held // held until return
 			}
@@ -282,11 +315,11 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			w.walkExpr(e, held, false)
 		}
 		for _, e := range s.Lhs {
-			w.walkExpr(e, held, false)
+			w.walkLHS(e, held)
 		}
 		return held
 	case *ast.IncDecStmt:
-		w.walkExpr(s.X, held, false)
+		w.walkLHS(s.X, held)
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
 			w.walkExpr(e, held, false)
@@ -296,13 +329,14 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		w.walkExpr(s.Value, held, false)
 		w.block(held, s.Pos(), "channel send")
 	case *ast.GoStmt:
-		// The spawned goroutine starts with an empty lockset; its body
-		// (if a literal) is analyzed as an independent root.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.literal(lit)
-		} else {
-			for _, a := range s.Call.Args {
-				w.walkExpr(a, held, false)
+		// The function and its arguments are evaluated here, but the
+		// spawned goroutine starts with an empty lockset: a literal it
+		// runs, as its body or as an argument, inherits nothing.
+		for _, e := range append([]ast.Expr{s.Call.Fun}, s.Call.Args...) {
+			if lit, ok := e.(*ast.FuncLit); ok {
+				w.literal(lit, nil)
+			} else {
+				w.walkExpr(e, held, false)
 			}
 		}
 	case *ast.IfStmt:
@@ -310,9 +344,9 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			held = w.walkStmt(s.Init, held)
 		}
 		w.walkExpr(s.Cond, held, false)
-		w.walkStmts(s.Body.List, copyHeld(held))
+		w.walkStmts(s.Body.List, held)
 		if s.Else != nil {
-			w.walkStmt(s.Else, copyHeld(held))
+			w.walkStmt(s.Else, held)
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -321,7 +355,7 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		if s.Cond != nil {
 			w.walkExpr(s.Cond, held, false)
 		}
-		inner := w.walkStmts(s.Body.List, copyHeld(held))
+		inner := w.walkStmts(s.Body.List, held)
 		if s.Post != nil {
 			w.walkStmt(s.Post, inner)
 		}
@@ -332,7 +366,7 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 				w.block(held, s.Pos(), "channel receive (range)")
 			}
 		}
-		w.walkStmts(s.Body.List, copyHeld(held))
+		w.walkStmts(s.Body.List, held)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			held = w.walkStmt(s.Init, held)
@@ -345,7 +379,7 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 				for _, e := range cc.List {
 					w.walkExpr(e, held, false)
 				}
-				w.walkStmts(cc.Body, copyHeld(held))
+				w.walkStmts(cc.Body, held)
 			}
 		}
 	case *ast.TypeSwitchStmt:
@@ -355,7 +389,7 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		w.walkStmt(s.Assign, held)
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, copyHeld(held))
+				w.walkStmts(cc.Body, held)
 			}
 		}
 	case *ast.SelectStmt:
@@ -370,17 +404,23 @@ func (w *sumWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					// The comm op itself: a send/receive case inside a
-					// select is covered by the select report above.
-					switch comm := cc.Comm.(type) {
-					case *ast.AssignStmt:
-						for _, e := range comm.Rhs {
-							w.walkExprShallow(e, held)
-						}
+				// The comm op itself: a send/receive case inside a
+				// select is covered by the select report above.
+				switch comm := cc.Comm.(type) {
+				case *ast.SendStmt:
+					w.walkExpr(comm.Chan, held, false)
+					w.walkExpr(comm.Value, held, false)
+				case *ast.ExprStmt:
+					w.walkExprShallow(comm.X, held)
+				case *ast.AssignStmt:
+					for _, e := range comm.Rhs {
+						w.walkExprShallow(e, held)
+					}
+					for _, e := range comm.Lhs {
+						w.walkLHS(e, held)
 					}
 				}
-				w.walkStmts(cc.Body, copyHeld(held))
+				w.walkStmts(cc.Body, held)
 			}
 		}
 	case *ast.BlockStmt:
@@ -411,6 +451,7 @@ func (w *sumWalker) walkExpr(e ast.Expr, held []heldLock, stmtPos bool) []heldLo
 	switch e := e.(type) {
 	case *ast.CallExpr:
 		if cls, op, ok := w.lockOp(e); ok {
+			w.walkExpr(e.Fun, held, false) // s.f.mu reads the field f
 			if !stmtPos {
 				return held // mutex op in value position: ignore
 			}
@@ -421,7 +462,7 @@ func (w *sumWalker) walkExpr(e ast.Expr, held []heldLock, stmtPos bool) []heldLo
 		}
 		if lit, ok := e.Fun.(*ast.FuncLit); ok {
 			// Immediately-invoked literal: inline with the current lockset.
-			w.walkStmts(lit.Body.List, copyHeld(held))
+			w.walkStmts(lit.Body.List, held)
 		} else {
 			w.call(e, held)
 			w.walkExpr(e.Fun, held, false)
@@ -430,13 +471,17 @@ func (w *sumWalker) walkExpr(e ast.Expr, held []heldLock, stmtPos bool) []heldLo
 			w.walkExpr(a, held, false)
 		}
 	case *ast.FuncLit:
-		w.literal(e)
+		w.literal(e, held)
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
 			w.block(held, e.Pos(), "channel receive")
 		}
 		w.walkExpr(e.X, held, false)
 	case *ast.SelectorExpr:
+		if w.isRecv(e.X) {
+			w.field(e, held, false)
+			return held
+		}
 		w.walkExpr(e.X, held, false)
 	case *ast.BinaryExpr:
 		w.walkExpr(e.X, held, false)
@@ -467,13 +512,54 @@ func (w *sumWalker) walkExpr(e ast.Expr, held []heldLock, stmtPos bool) []heldLo
 	return held
 }
 
+// walkLHS walks an assignment target: s.f = x, s.f[k] = x and s.f.g++
+// all write the receiver field f; index expressions within are reads.
+func (w *sumWalker) walkLHS(e ast.Expr, held []heldLock) {
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		if w.isRecv(e.X) {
+			w.field(e, held, true)
+			return
+		}
+		w.walkLHS(e.X, held)
+	case *ast.IndexExpr:
+		w.walkLHS(e.X, held)
+		w.walkExpr(e.Index, held, false)
+	case *ast.StarExpr:
+		w.walkLHS(e.X, held)
+	default:
+		w.walkExpr(e, held, false)
+	}
+}
+
+func (w *sumWalker) isRecv(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && w.recv != nil && w.pkg.Info.Uses[id] == w.recv
+}
+
+// field records an access to the receiver field sel names (a method
+// value is no field access).
+func (w *sumWalker) field(sel *ast.SelectorExpr, held []heldLock, write bool) {
+	if _, ok := w.pkg.Info.Uses[sel.Sel].(*types.Var); ok {
+		w.out.fields = append(w.out.fields, fieldAccess{field: sel.Sel.Name, pos: sel.Pos(), write: write, held: held})
+	}
+}
+
 // literal records a non-invoked func literal as an independent root
-// sub-summary (empty initial lockset: callbacks run later, elsewhere).
-func (w *sumWalker) literal(lit *ast.FuncLit) {
+// sub-summary: callbacks run later, elsewhere, so its lock edges, calls
+// and blocking operations start from an empty lockset. Its accesses to
+// the enclosing receiver's fields see inherited, the locks held where it
+// is defined.
+func (w *sumWalker) literal(lit *ast.FuncLit, inherited []heldLock) {
 	pos := w.prog.Fset.Position(lit.Pos())
 	sub := &summary{name: fmt.Sprintf("func literal at %s:%d", shortFile(pos.Filename), pos.Line)}
-	lw := &sumWalker{prog: w.prog, pkg: w.pkg, out: sub}
-	lw.walkStmts(lit.Body.List, nil)
+	lw := &sumWalker{prog: w.prog, pkg: w.pkg, out: sub, recv: w.recv}
+	var held []heldLock
+	for _, h := range inherited {
+		h.assumed = true
+		held = append(held, h)
+	}
+	lw.walkStmts(lit.Body.List, held)
 	w.out.literals = append(w.out.literals, sub)
 	w.out.literals = append(w.out.literals, sub.literals...)
 	sub.literals = nil
@@ -491,24 +577,25 @@ func shortFile(path string) string {
 func (w *sumWalker) acquire(held []heldLock, cls lockClass, pos token.Pos) []heldLock {
 	w.out.acquires = append(w.out.acquires, heldLock{class: cls, pos: pos})
 	for _, h := range held {
-		w.out.edges = append(w.out.edges, lockEdge{from: h.class, to: cls, fromPos: h.pos, toPos: pos})
+		if !h.assumed {
+			w.out.edges = append(w.out.edges, lockEdge{from: h.class, to: cls, fromPos: h.pos, toPos: pos})
+		}
 	}
-	return append(copyHeld(held), heldLock{class: cls, pos: pos})
+	return append(held[:len(held):len(held)], heldLock{class: cls, pos: pos})
 }
 
 // release drops the most recent acquisition of cls.
 func (w *sumWalker) release(held []heldLock, cls lockClass) []heldLock {
 	for i := len(held) - 1; i >= 0; i-- {
 		if held[i].class.Key == cls.Key {
-			out := copyHeld(held[:i])
-			return append(out, held[i+1:]...)
+			return append(held[:i:i], held[i+1:]...)
 		}
 	}
 	return held
 }
 
 func (w *sumWalker) block(held []heldLock, pos token.Pos, desc string) {
-	w.out.blocks = append(w.out.blocks, blockOp{held: copyHeld(held), pos: pos, desc: desc})
+	w.out.blocks = append(w.out.blocks, blockOp{held: taken(held), pos: pos, desc: desc})
 }
 
 type mutexOpKind int
@@ -704,7 +791,7 @@ func (w *sumWalker) call(call *ast.CallExpr, held []heldLock) {
 		}
 		targets := w.prog.implementers(iface, obj.Name())
 		cs := callSite{
-			held:    copyHeld(held),
+			held:    taken(held),
 			targets: targets,
 			desc:    ifaceName + "." + obj.Name(),
 			pos:     call.Pos(),
@@ -720,7 +807,7 @@ func (w *sumWalker) call(call *ast.CallExpr, held []heldLock) {
 		return // non-module concrete function with no body here
 	}
 	w.out.calls = append(w.out.calls, callSite{
-		held:    copyHeld(held),
+		held:    taken(held),
 		targets: []*FuncNode{n},
 		desc:    n.Name(),
 		pos:     call.Pos(),

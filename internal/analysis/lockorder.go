@@ -37,8 +37,8 @@ var LockOrder = &Analyzer{
 		"edge on the cycle. Locks are classified per (type, field), so all " +
 		"instances of a struct share a class; calls through function values are " +
 		"not tracked (see DESIGN.md for soundness limits).",
-	Pragma:     "lockorder",
-	RunProgram: runLockOrder,
+	Pragma: "lockorder",
+	Run:    runLockOrder,
 }
 
 // orderEdge is one A→B observation with its witness chain.
@@ -50,7 +50,7 @@ type orderEdge struct {
 	chain    []chainStep // path from the holder to the inner Lock()
 }
 
-func runLockOrder(pass *ProgramPass) {
+func runLockOrder(pass *Pass) {
 	prog := pass.Prog
 	edges := make(map[string]orderEdge) // "from→to" -> first witness
 

@@ -25,28 +25,27 @@ var MapOrder = &Analyzer{
 }
 
 func runMapOrder(pass *Pass) {
-	if !pass.IsSim {
-		return
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for _, pkg := range pass.Pkgs {
+		if !IsSimPath(pkg.Path) {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					rng, ok := n.(*ast.RangeStmt)
+					if !ok || !isMapType(pkg.Info, rng.X) {
+						return true
+					}
+					for _, leak := range mapRangeLeaks(pkg.Info, fd, rng) {
+						pass.Reportf(leak.pos, "%s", leak.msg)
+					}
+					return true
+				})
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				if !isMapType(pass.Info, rng.X) {
-					return true
-				}
-				for _, leak := range mapRangeLeaks(pass.Info, fd, rng) {
-					pass.Reportf(leak.pos, "%s", leak.msg)
-				}
-				return true
-			})
 		}
 	}
 }

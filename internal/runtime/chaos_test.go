@@ -183,11 +183,14 @@ func TestChaosHungAndKilledClientsReclaimed(t *testing.T) {
 // TestChaosDaemonRestartMidTraffic kills and restarts the daemon while
 // two pools are executing a steady stream of tasks. Both drivers must
 // ride through it — degraded while the daemon is down, transparently
-// re-registered after it returns — without user code noticing.
+// re-registered after it returns — without user code noticing. The
+// restarted daemon has no journal: it counts epochs from 1 again, far
+// below what the pools last applied, and decides a different split,
+// which the pools must take up rather than refuse as old.
 func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	_, srv1 := startDaemon(t, sock, 8, coordinator.ServerConfig{})
+	coord1, srv1 := startDaemon(t, sock, 8, coordinator.ServerConfig{})
 
 	stopTraffic := make(chan struct{})
 	t.Cleanup(func() { close(stopTraffic) })
@@ -220,6 +223,13 @@ func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 
 	waitFor(t, 3*time.Second, func() bool { return pa.Target() == 4 && pb.Target() == 4 },
 		"two members never settled on the 4/4 split")
+	// Run the epoch count up, and wait until both pools have applied it.
+	for i := 0; i < 20; i++ {
+		coord1.Rebalance()
+	}
+	last := uint64(coord1.Rebalances())
+	waitFor(t, 3*time.Second, func() bool { return da.Applied() == last && db.Applied() == last },
+		"drivers never applied the last epoch before the outage")
 
 	// Daemon dies mid-traffic.
 	srv1.Close()
@@ -227,8 +237,9 @@ func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 		"drivers never noticed the daemon dying")
 	doneAtOutage := pa.Stats().Completed + pb.Stats().Completed
 
-	// Daemon restarts on the same socket with an empty member table.
-	coord2, srv2 := startDaemon(t, sock, 8, coordinator.ServerConfig{})
+	// Daemon restarts on the same socket with an empty member table and
+	// fewer processors to divide.
+	coord2, srv2 := startDaemon(t, sock, 6, coordinator.ServerConfig{})
 	t.Cleanup(func() { srv2.Close() })
 
 	waitFor(t, 5*time.Second, func() bool {
@@ -237,8 +248,8 @@ func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 			len(coord2.Members()) == 2
 	}, "drivers never re-registered with the restarted daemon")
 	waitFor(t, 3*time.Second, func() bool {
-		return pa.Target() == 4 && pb.Target() == 4 && sumTargets(coord2) == 8
-	}, "targets never re-summed to capacity after the restart")
+		return pa.Target() == 3 && pb.Target() == 3 && sumTargets(coord2) == 6
+	}, "pools never took up the restarted daemon's 3/3 split")
 
 	// Work kept flowing across the outage and after recovery.
 	waitFor(t, 3*time.Second, func() bool {

@@ -510,6 +510,16 @@ func (d *Driver) apply(target int, epoch uint64) (newEpoch bool) {
 	d.mu.Lock()
 	prev := d.stats.Target
 	d.mu.Unlock()
+	if epoch != 0 && epoch < d.applied.Load() {
+		// A daemon's epochs only grow, and one that recovers its journal
+		// resumes its count: an older epoch means the daemon restarted
+		// without its journal and counts from 1 again. Start the
+		// watermark over, and the application's refusal of old epochs.
+		d.applied.Store(0)
+		if r, ok := d.t.(interface{ ResetEpoch() }); ok {
+			r.ResetEpoch()
+		}
+	}
 	start := time.Now()
 	if em, ok := d.t.(EpochMember); ok && epoch != 0 {
 		em.SetTargetEpoch(target, epoch)
@@ -633,7 +643,8 @@ func (d *Driver) loop() {
 				// the member. Either way the fresh target applies. The
 				// applied-epoch ack rides along: a restarted daemon
 				// resumes its epoch counter from the journal, so the
-				// watermark stays meaningful across the gap.
+				// watermark stays meaningful across the gap (one without
+				// a journal counts from 1 again, which apply detects).
 				if target, epoch, err := d.c.registerEpoch(d.app, d.procs, d.opts.Weight, spinOf(d.t), d.applied.Load()); err == nil {
 					d.count(func(s *DriveStats) { s.Reconnects++ }, d.reconnects)
 					if rec := d.opts.Flight; rec != nil {

@@ -684,11 +684,11 @@ func (c *Coordinator) MemberInfos() []MemberInfo {
 // decided over) and then a target event for each target that moved, and
 // opens the epoch in the convergence tracker before the next decision
 // gets in — so registry, ring, journal and tracker agree, in epoch order.
-// The pushes run unlocked and may land out of order: a socket member
-// refuses a target older than the one it holds; an in-process member that
-// ignores epochs may briefly run the older of two racing targets, until
-// the next rebalance (each pushes to every member) corrects it. The
-// journal's file I/O waits for the fan-out.
+// The pushes run unlocked and may land out of order: a socket member and
+// a *pool.Pool refuse a target older than the newest they were pushed; a
+// member that ignores epochs may briefly run the older of two racing
+// targets, until the next rebalance (each pushes to every member)
+// corrects it. The journal's file I/O waits for the fan-out.
 //
 // start is when the triggering member event entered the coordinator,
 // where the first of rebalanceStages begins; the completed span lands in

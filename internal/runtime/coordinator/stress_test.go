@@ -14,6 +14,37 @@ import (
 	"procctl/internal/runtime/pool"
 )
 
+// Two rebalances that decide different targets race from two goroutines.
+// Their fan-outs run unlocked, so the older epoch's push can land on a
+// pool second; the pool must refuse it and end every round on the newest
+// epoch's target, the one the registry holds.
+func TestRacingRebalancesEndOnNewestEpoch(t *testing.T) {
+	c := New(8)
+	pools := make([]*pool.Pool, 4)
+	for i := range pools {
+		pools[i] = pool.New(pool.Config{Name: fmt.Sprintf("p%d", i), Workers: 8})
+		defer pools[i].Close()
+		c.Register(pools[i])
+	}
+	for round := 0; round < 500; round++ {
+		var wg sync.WaitGroup
+		for _, load := range []int{round % 5, (round + 2) % 5} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.SetExternalLoad(load)
+			}()
+		}
+		wg.Wait()
+		targets := c.Targets()
+		for _, p := range pools {
+			if got, want := p.Target(), targets[p.Name()]; got != want {
+				t.Fatalf("round %d: pool %s runs target %d, but the newest epoch decided %d", round, p.Name(), got, want)
+			}
+		}
+	}
+}
+
 // TestCoordinatorRaceStress hammers one coordinator from many host
 // goroutines at once — local members registering and unregistering,
 // remote clients polling over the socket protocol, and a driver

@@ -69,9 +69,11 @@ type Pool struct {
 	stats     Stats
 
 	// Epoch provenance, under mu: the rebalance epoch of the current
-	// target and whether the runnable count has reached it yet. rec is
-	// Config.Flight (nil = no settle events).
+	// target and whether the runnable count has reached it yet; floor is
+	// the newest non-zero epoch pushed, whether or not it moved the
+	// target. rec is Config.Flight (nil = no settle events).
 	epoch   uint64
+	floor   uint64
 	settled bool
 	rec     *flight.Recorder
 
@@ -195,9 +197,13 @@ func (p *Pool) SetTarget(n int) {
 // recorded when the runnable count reaches the target is stamped with
 // it. Re-pushes of an unchanged target keep the epoch that set it and
 // settle nothing — only genuine changes have propagation to observe.
-// The target itself is applied before returning (workers converge to
-// it at their next safe suspension point), so it reports true —
-// in-process members acknowledge their epoch synchronously.
+// Newest epoch wins: rebalances push outside the coordinator's locks, so
+// the older of two racing pushes can arrive second, and a non-zero epoch
+// below the newest one pushed is refused. Epoch 0 always applies. The
+// target is applied before returning (workers converge to it at their
+// next safe suspension point), so it reports true — in-process members
+// acknowledge their epoch synchronously, and a refused one is answered
+// by the newer target already in force.
 func (p *Pool) SetTargetEpoch(n int, epoch uint64) bool {
 	if n < 1 {
 		n = 1
@@ -206,6 +212,11 @@ func (p *Pool) SetTargetEpoch(n int, epoch uint64) bool {
 		n = p.workers
 	}
 	p.mu.Lock()
+	if epoch != 0 && epoch < p.floor {
+		p.mu.Unlock()
+		return true
+	}
+	p.floor = max(p.floor, epoch)
 	moved := n != p.target
 	if moved {
 		p.target = n
@@ -227,6 +238,15 @@ func (p *Pool) Target() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.target
+}
+
+// ResetEpoch forgets the newest epoch pushed, so that the next push
+// applies whatever its epoch. A coordinator that restarts without its
+// journal numbers its epochs from 1 again.
+func (p *Pool) ResetEpoch() {
+	p.mu.Lock()
+	p.floor = 0
+	p.mu.Unlock()
 }
 
 // Epoch returns the rebalance epoch of the current target (0 when the

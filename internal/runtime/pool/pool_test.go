@@ -395,6 +395,36 @@ func TestSetTargetEpochSettles(t *testing.T) {
 	}
 }
 
+// The floor is the newest non-zero epoch pushed, whether or not that push
+// moved the target: an older epoch arriving after it is refused (and
+// answered applied, since a newer target is in force), epoch 0 always
+// applies, and ResetEpoch starts the count over.
+func TestSetTargetEpochRefusesOlderEpoch(t *testing.T) {
+	p := New(Config{Name: "web", Workers: 8})
+	defer p.Close()
+	p.SetTargetEpoch(4, 5)
+	p.SetTargetEpoch(4, 7) // moves nothing, but raises the floor to 7
+	if applied := p.SetTargetEpoch(2, 6); !applied {
+		t.Error("a refused older epoch was answered not applied")
+	}
+	if got, e := p.Target(), p.Epoch(); got != 4 || e != 5 {
+		t.Fatalf("after pushes (4, epoch 5), (4, 7), (2, 6): target %d epoch %d, want target 4 epoch 5", got, e)
+	}
+	p.SetTarget(3)
+	if got := p.Target(); got != 3 {
+		t.Fatalf("epoch-less push: target %d, want 3", got)
+	}
+	p.SetTargetEpoch(2, 1)
+	if got := p.Target(); got != 3 {
+		t.Fatalf("epoch 1 after epoch 7 moved the target to %d", got)
+	}
+	p.ResetEpoch() // the coordinator restarted without its journal
+	p.SetTargetEpoch(2, 1)
+	if got, e := p.Target(), p.Epoch(); got != 2 || e != 1 {
+		t.Fatalf("after ResetEpoch, (2, epoch 1): target %d epoch %d, want target 2 epoch 1", got, e)
+	}
+}
+
 // BenchmarkEpochStamp is one epoch-stamped target delivery that moves the
 // target — the pool-side half of what a DriveWith poll round applies:
 // epoch recorded, settle tracking re-armed, workers re-converging.

@@ -74,6 +74,9 @@ grep -q 'coordinator_rebalance_latency_micros_count{stage="total"}' "$OUT/metric
     || fail "/metrics missing the rebalance-span histogram"
 grep -q 'coordinator_rebalance_latency_micros_p99{stage="total"}' "$OUT/metrics.txt" \
     || fail "/metrics missing the derived p99 gauge"
+# -fsync-every 1: the setload's records were fsynced, and each fsync timed.
+grep -Eq '^journal_fsync_micros_count [1-9]' "$OUT/metrics.txt" \
+    || fail "/metrics shows no timed journal fsync (journal_fsync_micros_count is 0)"
 
 # /debug/pprof/: the profiling index and one real profile.
 curl -sf "http://$METRICS_ADDR/debug/pprof/" | grep goroutine >/dev/null \
