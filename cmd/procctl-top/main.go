@@ -1,8 +1,8 @@
 // Command procctl-top inspects a running procctld daemon: capacity,
 // external load, each registered application's process count and
-// current target, and the daemon's rebalance-latency quantiles — a tiny
-// "top" for the paper's central server. With -metrics it prints the
-// daemon's full metrics snapshot instead; with -events it dumps the
+// current target, and the daemon's rebalance-latency quantiles (from its
+// metrics snapshot) — a tiny "top" for the paper's central server. With
+// -metrics it prints the daemon's full metrics snapshot instead; with -events it dumps the
 // daemon's flight recorder (the ring of recent control-plane events),
 // filterable by ring sequence (-since) and rebalance epoch (-epoch) and
 // machine-readable with -json (the JSONL procctl-trace's daemon export
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"procctl/internal/flight"
+	"procctl/internal/metrics"
 	"procctl/internal/runtime/coordinator"
 	"procctl/internal/runtime/pool"
 )
@@ -101,20 +102,24 @@ func main() {
 	}
 
 	if *converge >= 0 {
-		cs, err := client.Converge(*converge)
+		epochs, err := client.Converge(*converge)
 		if err != nil {
 			log.Fatalf("procctl-top: %v", err)
 		}
-		fmt.Fprint(os.Stdout, convergeTable(cs))
+		snap, err := client.Metrics()
+		if err != nil {
+			log.Fatalf("procctl-top: %v", err)
+		}
+		fmt.Fprint(os.Stdout, convergeTable(epochs, snap))
 		return
 	}
 
 	refresh := func() error {
+		snap, err := client.Metrics()
+		if err != nil {
+			return err
+		}
 		if *metrics {
-			snap, err := client.Metrics()
-			if err != nil {
-				return err
-			}
 			snap.WriteText(os.Stdout)
 			return nil
 		}
@@ -122,7 +127,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		print(st)
+		fmt.Fprint(os.Stdout, statusTable(st, snap))
 		return nil
 	}
 
@@ -253,15 +258,21 @@ func retryMessage(err error, attempt, max int) string {
 	return fmt.Sprintf("procctl-top: transient error: %v (retry %d/%d)", err, attempt, max)
 }
 
-func print(st *coordinator.Status) {
-	fmt.Fprint(os.Stdout, statusTable(st))
+// series returns the named series of snap, or an empty one: a quantile
+// of it reads 0, as of a series that has recorded nothing.
+func series(snap *metrics.Snapshot, name string) *metrics.Metric {
+	if m := snap.Get(name); m != nil {
+		return m
+	}
+	return &metrics.Metric{}
 }
 
 // statusTable renders the status snapshot, including each leased
 // member's remaining lease and last reported spin% ("-" for members
 // without one — older daemons and clients never report spin, so the
-// column degrades gracefully instead of showing a false 0%).
-func statusTable(st *coordinator.Status) string {
+// column degrades gracefully instead of showing a false 0%), and the
+// rebalance-latency quantiles of every stage that has recorded a span.
+func statusTable(st *coordinator.Status, snap *metrics.Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "capacity %d, external load %d, %d application(s)",
 		st.Capacity, st.ExternalLoad, len(st.Apps))
@@ -283,12 +294,17 @@ func statusTable(st *coordinator.Status) string {
 			fmt.Fprintf(&b, "%-20s %6d %6d %6d %6s %6s\n", a.Name, a.Procs, a.Weight, a.Target, spin, lease)
 		}
 	}
-	if len(st.Rebalance) > 0 {
-		fmt.Fprintf(&b, "\nrebalance latency (µs)\n")
-		fmt.Fprintf(&b, "%-12s %8s %8s %8s %8s %8s\n", "STAGE", "COUNT", "P50", "P90", "P99", "P999")
-		for _, sl := range st.Rebalance {
-			fmt.Fprintf(&b, "%-12s %8d %8d %8d %8d %8d\n", sl.Stage, sl.Count, sl.P50, sl.P90, sl.P99, sl.P999)
+	header := "\nrebalance latency (µs)\n" +
+		fmt.Sprintf("%-12s %8s %8s %8s %8s %8s\n", "STAGE", "COUNT", "P50", "P90", "P99", "P999")
+	for _, stage := range []string{coordinator.StageSnapshot, coordinator.StageRecompute, coordinator.StageNotify, coordinator.StageTotal} {
+		m := series(snap, metrics.Name("coordinator_rebalance_latency_micros", "stage", stage))
+		if m.Count == 0 {
+			continue
 		}
+		b.WriteString(header)
+		header = ""
+		fmt.Fprintf(&b, "%-12s %8d %8d %8d %8d %8d\n", stage, m.Count,
+			m.Quantile(500), m.Quantile(900), m.Quantile(990), m.Quantile(999))
 	}
 	return b.String()
 }
@@ -321,18 +337,21 @@ func eventsTable(evs []flight.Event) string {
 
 // convergeTable renders the daemon's convergence report: per closed
 // epoch, how many members the decision re-targeted, how it closed, how
-// long it took, and which member closed it — plus the settled-epoch
-// latency quantiles and the count of epochs still waiting.
-func convergeTable(cs *coordinator.ConvergeStatus) string {
+// long it took, and which member closed it — plus, from the metrics
+// snapshot, the settled-epoch latency quantiles and the count of epochs
+// still waiting.
+func convergeTable(epochs []coordinator.ConvergeInfo, snap *metrics.Snapshot) string {
 	var b strings.Builder
+	settled := series(snap, metrics.Name("coordinator_convergence_latency_micros", "outcome", coordinator.ConvergeSettled))
 	fmt.Fprintf(&b, "open epochs %d, settled %d (p50 %dµs p99 %dµs p999 %dµs)\n",
-		cs.Open, cs.Settled, cs.P50, cs.P99, cs.P999)
-	if len(cs.Epochs) == 0 {
+		series(snap, "coordinator_convergence_open_epochs").Value, settled.Count,
+		settled.Quantile(500), settled.Quantile(990), settled.Quantile(999))
+	if len(epochs) == 0 {
 		b.WriteString("no closed epochs retained\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%8s %8s %-11s %12s %-20s %-8s\n", "EPOCH", "MEMBERS", "OUTCOME", "SETTLED(µS)", "STRAGGLER", "KIND")
-	for _, e := range cs.Epochs {
+	for _, e := range epochs {
 		straggler := e.Straggler
 		if straggler == "" {
 			straggler = "-"

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 
 	"procctl/internal/flight"
+	"procctl/internal/metrics"
 	"procctl/internal/runtime/coordinator"
 )
 
@@ -70,7 +72,7 @@ func TestStatusTableShowsLease(t *testing.T) {
 			{Name: "local", Procs: 4, Weight: 1, Target: 3, LeaseRemaining: -1},
 		},
 	}
-	got := statusTable(st)
+	got := statusTable(st, &metrics.Snapshot{})
 	for _, want := range []string{"capacity 8", "external load 1", "lease 18s", "LEASE", "12s", "SPIN%", "38%"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("status table missing %q:\n%s", want, got)
@@ -93,30 +95,31 @@ func TestStatusTableShowsRebalanceLatency(t *testing.T) {
 	st := &coordinator.Status{
 		Capacity: 8,
 		Apps:     []coordinator.AppStatus{{Name: "fft", Procs: 8, Weight: 1, Target: 8, LeaseRemaining: -1}},
-		Rebalance: []coordinator.StageLatency{
-			{Stage: "snapshot", Count: 42, P50: 3, P90: 7, P99: 12, P999: 30},
-			{Stage: "total", Count: 42, P50: 55, P90: 90, P99: 140, P999: 400},
-		},
 	}
-	got := statusTable(st)
+	snap := knownSnapshot()
+	got := statusTable(st, snap)
 	for _, want := range []string{"rebalance latency (µs)", "STAGE", "P999", "snapshot", "total"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("status table missing %q:\n%s", want, got)
 		}
 	}
+	total := snap.Get(metrics.Name("coordinator_rebalance_latency_micros", "stage", coordinator.StageTotal))
 	for _, line := range strings.Split(got, "\n") {
 		if !strings.HasPrefix(line, "total") {
 			continue
 		}
 		f := strings.Fields(line)
-		if len(f) != 6 || f[1] != "42" || f[2] != "55" || f[5] != "400" {
+		if len(f) != 6 || f[1] != strconv.FormatInt(total.Count, 10) || f[2] != strconv.FormatInt(total.Quantile(500), 10) ||
+			f[5] != strconv.FormatInt(total.Quantile(999), 10) {
 			t.Errorf("total stage row malformed: %q", line)
 		}
 	}
-	// Daemons predating the spans send no Rebalance section at all.
-	st.Rebalance = nil
-	if got := statusTable(st); strings.Contains(got, "rebalance latency") {
-		t.Errorf("latency section shown without data:\n%s", got)
+	// A daemon that has not rebalanced yet has recorded no span, and one
+	// predating the spans has no such series at all.
+	for _, snap := range []*metrics.Snapshot{emptySnapshot(), {}} {
+		if got := statusTable(st, snap); strings.Contains(got, "rebalance latency") {
+			t.Errorf("latency section shown without data:\n%s", got)
+		}
 	}
 }
 
@@ -153,7 +156,7 @@ func TestEventsTable(t *testing.T) {
 
 func TestStatusTableWithoutLease(t *testing.T) {
 	st := &coordinator.Status{Capacity: 4, Apps: nil}
-	got := statusTable(st)
+	got := statusTable(st, &metrics.Snapshot{})
 	if strings.Contains(got, "lease") {
 		t.Errorf("lease shown with expiry disabled:\n%s", got)
 	}
@@ -163,16 +166,9 @@ func TestStatusTableWithoutLease(t *testing.T) {
 }
 
 func TestConvergeTable(t *testing.T) {
-	cs := &coordinator.ConvergeStatus{
-		Open: 1, Settled: 12, P50: 180, P99: 950, P999: 2100,
-		Epochs: []coordinator.ConvergeInfo{
-			{Epoch: 9, Members: 3, Outcome: "settled", LatencyMicros: 240, Straggler: "web", StragglerKind: "remote"},
-			{Epoch: 8, Members: 2, Outcome: "superseded", LatencyMicros: 90, Straggler: "bat", StragglerKind: "inproc"},
-		},
-	}
-	got := convergeTable(cs)
+	got := convergeTable(knownEpochs, knownSnapshot())
 	for _, want := range []string{
-		"open epochs 1", "settled 12", "p50 180µs", "p99 950µs", "p999 2100µs",
+		"open epochs 2", "settled 120", "p50 ", "p99 ", "p999 ",
 		"EPOCH", "MEMBERS", "OUTCOME", "SETTLED(µS)", "STRAGGLER",
 		"settled", "superseded", "web", "remote",
 	} {
@@ -188,8 +184,8 @@ func TestConvergeTable(t *testing.T) {
 		t.Errorf("epoch row malformed: %q", rows[2])
 	}
 
-	empty := convergeTable(&coordinator.ConvergeStatus{})
-	if !strings.Contains(empty, "no closed epochs") {
+	empty := convergeTable(nil, &metrics.Snapshot{})
+	if !strings.Contains(empty, "open epochs 0, settled 0") || !strings.Contains(empty, "no closed epochs") {
 		t.Errorf("empty report = %q", empty)
 	}
 }

@@ -125,6 +125,10 @@ func TestDumpFlight(t *testing.T) {
 	if !strings.Contains(out, `"kind":"register"`) || !strings.Contains(out, `"app":"dumpme"`) {
 		t.Errorf("flight dump missing the registration: %q", out)
 	}
+	// The registration's rebalance is epoch 1; its events carry it.
+	if !strings.Contains(out, `"kind":"rebalance"`) || !strings.Contains(out, `"epoch":1`) {
+		t.Errorf("flight dump missing the rebalance epoch: %q", out)
+	}
 	if !strings.Contains(out, "flight recorder dump") {
 		t.Errorf("flight dump missing its header line: %q", out)
 	}

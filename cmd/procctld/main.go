@@ -6,11 +6,9 @@
 //
 // Observability: the -metrics HTTP listener serves the Prometheus
 // exposition at /metrics, Go's profiling endpoints at /debug/pprof/, and
-// expvar (including a live coordinator snapshot) at /debug/vars. SIGUSR1
-// dumps the flight recorder — the ring of recent control-plane events —
-// to the log without stopping anything.
-//
-// Usage:
+// expvar's memstats at /debug/vars. SIGUSR1 dumps the flight recorder —
+// the ring of recent control-plane events — to the log without stopping
+// anything.
 //
 // Durability: with -journal-dir, every membership and target transition
 // is appended to a CRC-framed write-ahead log with periodic snapshots.
@@ -18,8 +16,6 @@
 // replays it, and serves the recovered registry immediately — clients
 // re-poll, they never re-register. procctl-replay audits the same
 // journal offline.
-//
-// Usage:
 //
 // Scale: -rebalance-batch coalesces membership storms into one
 // recompute+notify per window, and -max-conns/-admit bound how much of
@@ -36,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -168,11 +165,6 @@ func main() {
 		"capacity", *capacity, "addr", ln.Addr().String(), "lease", lease.String(),
 		"rebalance_batch", batchWin.String(), "max_conns", *maxConns, "admit", *admit)
 
-	// Expose the coordinator's live state through expvar alongside the
-	// runtime's built-ins. Publish here (not in metricsHandler) — expvar
-	// panics on duplicate names, and tests build the handler repeatedly.
-	expvar.Publish("coordinator", expvar.Func(func() any { return coord.Snapshot() }))
-
 	var metricsSrv *http.Server
 	if *metrics != "" {
 		mln, err := net.Listen("tcp", *metrics)
@@ -243,7 +235,7 @@ func main() {
 		<-shutdownDone
 	default:
 	}
-	if err != nil && !isClosed(err) {
+	if err != nil && !errors.Is(err, net.ErrClosed) {
 		fatal(logger, "serve", err)
 	}
 }
@@ -277,7 +269,7 @@ func dumpFlight(logger *slog.Logger, coord *coordinator.Coordinator) {
 		"events", len(evs), "total", rec.Total(), "dropped", rec.Dropped())
 	for _, ev := range evs {
 		logger.Info("flight event",
-			"seq", ev.Seq, "at_us", ev.At, "kind", ev.Kind, "app", ev.App, "a", ev.A, "b", ev.B)
+			"seq", ev.Seq, "at_us", ev.At, "kind", ev.Kind, "app", ev.App, "a", ev.A, "b", ev.B, "epoch", ev.Epoch)
 	}
 }
 
@@ -294,10 +286,6 @@ func splitListen(s string) (network, addr string, err error) {
 	default:
 		return "", "", fmt.Errorf("unsupported network %q", network)
 	}
-}
-
-func isClosed(err error) bool {
-	return strings.Contains(err.Error(), "use of closed network connection")
 }
 
 // metricsHandler serves the daemon's introspection surface: the

@@ -164,7 +164,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{`coordinator_rpcs_total{op="poll"}`, 1},
 		{`coordinator_rpcs_total{op="status"}`, 1},
 		{`coordinator_rpcs_total{op="metrics"}`, 1},
-		{`coordinator_rebalances_total`, 1},
 		{`coordinator_rebalance_latency_micros_count{stage="total"}`, 1},
 		{`coordinator_members`, 1},
 		{`coordinator_capacity`, 4},

@@ -10,17 +10,15 @@
 // Membership, registration order, leases, targets and the division
 // itself are core.Registry; Server adds the kernel-scan adapter (live
 // process counts, uncontrollable load, partition sizes), the virtual
-// clock, and the flight events and trace annotations. The package also
+// clock, and a trace annotation for every target it decides, caused by
+// the scan that decided it. The package also
 // holds the replay audit of a live daemon's journal (DiffJournal), which
 // runs the same Registry over journal records and needs no simulator,
 // and the decentralized controller the paper rejected.
 package ctrl
 
 import (
-	"strconv"
-
 	"procctl/internal/core"
-	"procctl/internal/flight"
 	"procctl/internal/kernel"
 	"procctl/internal/metrics"
 	"procctl/internal/sim"
@@ -65,10 +63,6 @@ type Server struct {
 	scans    *metrics.Counter
 	polls    *metrics.Counter
 	expiries *metrics.Counter
-
-	// rec is the simulated analogue of the daemon's flight recorder,
-	// stamped with virtual time: same-seed runs log identical events.
-	rec *flight.Recorder
 }
 
 // NewServer creates the server and installs its periodic scan on the
@@ -84,7 +78,6 @@ func NewServer(k *kernel.Kernel, interval sim.Duration) *Server {
 		scans:    k.Metrics().Counter("sim_ctrl_scans_total", "central-server target recomputations"),
 		polls:    k.Metrics().Counter("sim_ctrl_polls_total", "application polls served"),
 		expiries: k.Metrics().Counter("sim_ctrl_lease_expiries_total", "applications unregistered because their lease lapsed"),
-		rec:      flight.New(flight.DefaultSize),
 	}
 	k.Engine().Every(interval, func() bool {
 		s.Scan()
@@ -110,15 +103,13 @@ func (s *Server) Register(id kernel.AppID, procs int) {
 // (non-positive means 1, matching core.Demand).
 func (s *Server) RegisterWeighted(id kernel.AppID, procs, weight int) {
 	s.reg.Register(id, procs, weight, s.now())
-	s.record(flight.Event{Kind: flight.KindRegister, App: appLabel(id), A: int64(procs)})
 	s.setTarget(id, procs) // until the first scan, let it run everything
 	s.Scan()               // the paper's server reacts to creation promptly
 }
 
 // Unregister implements threads.Controller.
 func (s *Server) Unregister(id kernel.AppID) {
-	m, _ := s.reg.Remove(id)
-	s.record(flight.Event{Kind: flight.KindUnregister, App: appLabel(id), A: int64(m.Target)})
+	s.reg.Remove(id)
 	s.Scan() // freed processors are redistributed promptly
 }
 
@@ -147,25 +138,7 @@ func (s *Server) Target(id kernel.AppID) int {
 	return m.Target
 }
 
-// Events returns up to limit of the most recent flight-recorder events,
-// oldest first (limit <= 0 means everything retained).
-func (s *Server) Events(limit int) []flight.Event { return s.rec.Snapshot(limit) }
-
-// FlightRecorder exposes the server's recorder for dump tooling.
-func (s *Server) FlightRecorder() *flight.Recorder { return s.rec }
-
 func (s *Server) now() int64 { return int64(s.k.Engine().Now()) }
-
-// record stamps ev with the current virtual time and appends it. The
-// recorder is pure state: it never feeds back into scheduling or the
-// trace/annotation stream, so goldens are unaffected.
-func (s *Server) record(ev flight.Event) {
-	ev.At = s.now()
-	s.rec.Append(ev)
-}
-
-// appLabel renders a sim application id the way traces do.
-func appLabel(id kernel.AppID) string { return "app" + strconv.Itoa(int(id)) }
 
 // Registered returns the number of registered applications.
 func (s *Server) Registered() int { return s.reg.Len() }
@@ -176,7 +149,6 @@ func (s *Server) Scan() {
 	s.Scans++
 	s.scans.Inc()
 	s.expireLeases()
-	changed := 0
 	members := s.reg.Members()
 	if sizer, ok := s.k.Policy().(PartitionSizer); ok {
 		for _, m := range members {
@@ -187,9 +159,7 @@ func (s *Server) Scan() {
 				// scheduled); do not throttle on stale data.
 				t = limit
 			}
-			if s.setTarget(m.Key, max(min(t, limit), 1)) {
-				changed++
-			}
+			s.setTarget(m.Key, max(min(t, limit), 1))
 		}
 	} else {
 		// Runnable processes of parallel applications that never
@@ -202,30 +172,25 @@ func (s *Server) Scan() {
 			uncontrolled += n
 		}
 		for _, mv := range s.reg.Decide(uncontrolled, s.liveCap) {
-			s.announce(mv.Key, mv.Target, mv.Prev)
-			changed++
+			s.announce(mv.Key, mv.Target)
 		}
 	}
-	s.record(flight.Event{Kind: flight.KindScan, A: s.Scans, B: int64(changed), Epoch: uint64(s.Scans)})
 }
 
 // setTarget records a target the server set outside the fair division
 // (a registration's let-it-run-everything, a partition's size) and
 // announces it if it moved.
-func (s *Server) setTarget(app kernel.AppID, t int) bool {
-	prev, moved := s.reg.SetTarget(app, t)
-	if moved {
-		s.announce(app, t, prev)
+func (s *Server) setTarget(app kernel.AppID, t int) {
+	if _, moved := s.reg.SetTarget(app, t); moved {
+		s.announce(app, t)
 	}
-	return moved
 }
 
 // announce stamps a moved target into the trace stream as a
 // target-decision annotation with the scan number as the causal
-// reference, and into the flight recorder with the scan number as its
-// epoch — the sim analogue of the daemon's rebalance-epoch provenance.
-func (s *Server) announce(app kernel.AppID, t, prev int) {
-	s.record(flight.Event{Kind: flight.KindTarget, App: appLabel(app), A: int64(t), B: int64(prev), Epoch: uint64(s.Scans)})
+// reference — the sim analogue of the daemon's rebalance-epoch
+// provenance.
+func (s *Server) announce(app kernel.AppID, t int) {
 	s.k.Annotate(kernel.Annotation{
 		Layer:  "ctrl",
 		Kind:   "target",
@@ -246,9 +211,6 @@ func (s *Server) expireLeases() {
 	expired := s.reg.Expire(s.now(), int64(s.lease))
 	s.LeaseExpiries += int64(len(expired))
 	s.expiries.Add(int64(len(expired)))
-	for _, app := range expired {
-		s.record(flight.Event{Kind: flight.KindLeaseExpiry, App: appLabel(app), A: int64(len(expired))})
-	}
 }
 
 // liveCap is the cap on an application's target: the processes it still

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"procctl/internal/apps"
-	"procctl/internal/flight"
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
 )
@@ -140,25 +138,5 @@ func TestFigureAllocationBudget(t *testing.T) {
 		if got := allocatedBy(func() { c.call(o) }); got > c.budget {
 			t.Errorf("%s allocates %.2f MB per call, budget %.2f MB", c.name, float64(got)/mb, float64(c.budget)/mb)
 		}
-	}
-
-	// A controlled single-application run records a handful of events:
-	// a recorder of the server's capacity holding them must cost what
-	// they take, not the daemon's 295 KB ring.
-	s := NewSim(fastOpts(), true)
-	app := s.LaunchNow(1, apps.TinyMatmul(), 4)
-	s.mustFinish(s.RunUntil(app.Done), "matmul")
-	events := s.Server.Events(0)
-	if len(events) == 0 || s.Server.FlightRecorder().Cap() != flight.DefaultSize {
-		t.Fatalf("controlled run: %d flight events in a ring of %d", len(events), s.Server.FlightRecorder().Cap())
-	}
-	got := allocatedBy(func() {
-		rec := flight.New(flight.DefaultSize)
-		for _, ev := range events {
-			rec.Append(ev)
-		}
-	})
-	if got >= 4<<10 {
-		t.Errorf("a flight recorder holding a controlled run's %d events took %d bytes, want < 4 KB", len(events), got)
 	}
 }

@@ -4,18 +4,23 @@
 // mutexed struct copy per event and allocates nothing once the ring has
 // reached its capacity. Until then the storage doubles with what is
 // recorded: a daemon's ring is whole within seconds (nine allocations in
-// its lifetime), and a simulated server that ends its run holding nine
-// events pays for sixteen, not for the 295 KB of a full ring.
-// Both control servers keep one — the coordinator daemon stamps events
-// with wall-clock Unix microseconds, the simulated ctrl server with
-// virtual sim.Time microseconds — so a post-mortem can always ask "what
-// were the last few thousand decisions" without any tracing having been
-// enabled in advance.
+// its lifetime), and a client's or a pool's ring that holds nine events
+// pays for sixteen, not for the 295 KB of a full ring.
+// The coordinator daemon keeps one, stamped with wall-clock Unix
+// microseconds, so a post-mortem can always ask "what were the last few
+// thousand decisions" without any tracing having been enabled in
+// advance; a client driver and a pool record their side of each epoch
+// into one of their own. Per-decision events are stored here (and, for
+// the converge op's last 64 epochs, in the convergence tracker's report
+// ring); counts and latencies live in the metrics registry, and the
+// simulated server's decisions in the sim's trace stream.
+//
+// One encoder writes an Event as JSON (AppendJSON): the journal's record
+// payloads and the JSONL dumps are its bytes.
 //
 // Determinism contract: the package never reads a clock; the caller
 // supplies every timestamp. Sequence numbers are assigned in append
-// order, so two same-seed simulated runs produce identical event logs
-// (asserted by internal/ctrl's TestFlightEventsDeterministic).
+// order, so a given sequence of appends always yields the same log.
 package flight
 
 import "sync"
@@ -34,7 +39,6 @@ const (
 	KindRebalance   = "rebalance"    // one epoch decided, its targets follow; A = µs from trigger to decision, B = members decided over
 	KindRedial      = "redial"       // client lost the daemon and is re-dialing; A = attempt count
 	KindReconnect   = "reconnect"    // client re-dialed and re-registered; A = applied target
-	KindScan        = "scan"         // sim ctrl recompute; A = scan number, B = targets changed
 	KindSetLoad     = "setload"      // external load reported; A = new load
 	KindSetCapacity = "setcapacity"  // managed capacity changed; A = new capacity
 	KindRestart     = "restart"      // daemon recovered its journal; A = members restored, B = bytes fsck truncated

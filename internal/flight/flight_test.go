@@ -141,7 +141,7 @@ func TestConcurrentAppend(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Append(Event{At: int64(i), Kind: KindScan})
+				r.Append(Event{At: int64(i), Kind: KindApply})
 			}
 		}()
 	}

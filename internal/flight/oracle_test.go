@@ -78,7 +78,7 @@ func (r *eagerRecorder) Snapshot(limit int) []Event {
 // below), programs long enough to wrap small rings many times and short
 // enough to leave big ones still growing, reads between any two appends.
 func TestRecorderMatchesEagerRing(t *testing.T) {
-	kinds := []string{KindRegister, KindTarget, KindScan, KindRebalance}
+	kinds := []string{KindRegister, KindTarget, KindApply, KindRebalance}
 	apps := []string{"", "", "fleet-member-1", "fleet-member-2", "matmul"}
 	wrapped, growing := 0, 0
 	for seed := int64(0); seed < 240; seed++ {

@@ -33,7 +33,7 @@ func foldRecord(rng *rand.Rand, seq uint64, m int) Record {
 	case 9:
 		r.Kind, r.App, r.A, r.B = KindRestart, "", int64(rng.Intn(m)), int64(rng.Intn(100))
 	case 10:
-		r.Kind = []string{"mystery", flight.KindScan, flight.KindConverge, flight.KindSnapshot}[rng.Intn(4)]
+		r.Kind = []string{"mystery", flight.KindApply, flight.KindConverge, flight.KindSnapshot}[rng.Intn(4)]
 	default:
 		r.Kind, r.A, r.B, r.Epoch = KindTarget, int64(rng.Intn(16)), int64(rng.Intn(16)), seq/4
 	}
@@ -113,7 +113,7 @@ func TestRecordIsFlightEvent(t *testing.T) {
 			t.Errorf("event %+v\n EncodeRecord %s\n json.Marshal %s\n on disk      %s", c.ev, enc, std, c.payload)
 		}
 	}
-	for _, kind := range []string{flight.KindScan, flight.KindRedial, flight.KindReconnect, flight.KindSnapshot,
+	for _, kind := range []string{flight.KindRedial, flight.KindReconnect, flight.KindSnapshot,
 		flight.KindApply, flight.KindSettle, flight.KindConverge, "", "mystery"} {
 		if Durable(kind) {
 			t.Errorf("Durable(%q): an observation-only kind would be journaled", kind)

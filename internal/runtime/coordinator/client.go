@@ -3,10 +3,12 @@ package coordinator
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"procctl/internal/flight"
@@ -197,16 +199,14 @@ func (c *Client) pollEpoch(app string, spin *float64, applied uint64) (int, uint
 	return resp.Target, resp.Epoch, nil
 }
 
-// Converge fetches the daemon's convergence report, with up to limit
-// closed epochs (0 = everything retained). Daemons predating the op
-// answer with an error.
-func (c *Client) Converge(limit int) (*ConvergeStatus, error) {
+// Converge fetches up to limit of the daemon's most recently closed
+// epochs, newest first (0 = everything retained). Daemons predating the
+// op answer with an error. The open-epoch count and the latency
+// quantiles are series of the metrics op.
+func (c *Client) Converge(limit int) ([]ConvergeInfo, error) {
 	resp, err := c.roundTrip(&Request{Op: OpConverge, Limit: limit})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Converge == nil {
-		return nil, errors.New("coordinator: empty converge report")
 	}
 	return resp.Converge, nil
 }
@@ -444,33 +444,37 @@ func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions)
 // protocol: a busy reply means the daemon shed the registration under
 // load, so the client backs off (jittered exponential, with the
 // server's advisory retry-after as a floor) and tries again until
-// AdmitPatience runs out. A connection-cap shed closes the connection
-// behind the reply, so each retry re-dials when the client can.
+// AdmitPatience runs out. It retries on the same connection: an
+// admission-limit shed leaves it live, with every other application the
+// client registered on it, and re-dialing would drop them all. Only a
+// connection-cap shed closes the connection behind its reply; once a
+// retry finds it closed, the client re-dials when it can.
 func (c *Client) registerWithRetry(app string, procs, weight int, spin *float64, opts DriveOptions) (int, uint64, error) {
 	backoff := opts.BackoffMin
 	deadline := time.Now().Add(opts.AdmitPatience)
+	shed := false
 	for {
 		target, epoch, err := c.registerEpoch(app, procs, weight, spin, 0)
 		var busy *BusyError
-		if err == nil || !errors.As(err, &busy) || !time.Now().Before(deadline) {
+		switch {
+		case err == nil || !time.Now().Before(deadline):
+			return target, epoch, err
+		case errors.As(err, &busy):
+			shed = true
+			time.Sleep(max(jitter(backoff), busy.RetryAfter))
+			backoff = min(2*backoff, opts.BackoffMax)
+		case shed && connClosed(err) && c.Redial() == nil:
+			// A connection-cap shed closed it: retry at once on the new one.
+		default:
 			return target, epoch, err
 		}
-		wait := jitter(backoff)
-		if busy.RetryAfter > wait {
-			wait = busy.RetryAfter
-		}
-		time.Sleep(wait)
-		backoff *= 2
-		if backoff > opts.BackoffMax {
-			backoff = opts.BackoffMax
-		}
-		c.mu.Lock()
-		redialable := c.network != ""
-		c.mu.Unlock()
-		if redialable {
-			_ = c.Redial() // shed connections are closed server-side
-		}
 	}
+}
+
+// connClosed reports whether a round trip failed because the daemon had
+// closed the connection, rather than on an answer.
+func connClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET)
 }
 
 // Applied returns the highest rebalance epoch this driver has applied.

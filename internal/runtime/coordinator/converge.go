@@ -17,8 +17,8 @@ import (
 // members supersedes it (their old targets will never be acked), and a
 // pending member that unregisters or loses its lease expires out of it.
 //
-// Outcome label values of coordinator_convergence_latency_micros and
-// coordinator_convergence_epochs_total.
+// Outcome label values of coordinator_convergence_latency_micros, whose
+// _count is the number of epochs closed so.
 const (
 	ConvergeSettled    = "settled"    // last pending member acked its applied target
 	ConvergeSuperseded = "superseded" // a newer epoch re-targeted every pending member
@@ -66,26 +66,21 @@ type memberWait struct {
 const closedRing = 64
 
 // convergeMetrics is the tracker's slice of the coordinator registry:
-// per-outcome latency histograms and epoch counters, per-kind straggler
-// counters, and an open-epochs gauge. All label values come from the
-// closed sets above.
+// per-outcome latency histograms, per-kind straggler counters, and an
+// open-epochs gauge. All label values come from the closed sets above.
 type convergeMetrics struct {
 	latency    map[string]*metrics.Histogram
-	epochs     map[string]*metrics.Counter
 	stragglers map[string]*metrics.Counter
 }
 
 func newConvergeMetrics(reg *metrics.Registry) convergeMetrics {
 	m := convergeMetrics{
 		latency:    make(map[string]*metrics.Histogram, 3),
-		epochs:     make(map[string]*metrics.Counter, 3),
 		stragglers: make(map[string]*metrics.Counter, 3),
 	}
 	for _, outcome := range []string{ConvergeSettled, ConvergeSuperseded, ConvergeExpired} {
 		m.latency[outcome] = reg.Histogram(metrics.Name("coordinator_convergence_latency_micros", "outcome", outcome),
 			"decision-to-closed latency of a rebalance epoch", metrics.LatencyBuckets)
-		m.epochs[outcome] = reg.Counter(metrics.Name("coordinator_convergence_epochs_total", "outcome", outcome),
-			"rebalance epochs closed")
 	}
 	for _, kind := range []string{StragglerInproc, StragglerRemote, StragglerExpired} {
 		m.stragglers[kind] = reg.Counter(metrics.Name("coordinator_convergence_stragglers_total", "kind", kind),
@@ -200,7 +195,7 @@ func (cv *convergeTracker) leaveLocked(w *memberWait, name string, at int64, out
 	}
 }
 
-// closeLocked records an epoch's closure: histogram, counters, the
+// closeLocked records an epoch's closure: histogram, straggler counter, the
 // closed-report ring, and a converge flight event naming the straggler.
 // The flight append acquires only the ring's own leaf mutex.
 func (cv *convergeTracker) closeLocked(o *openEpoch, at int64, outcome, straggler string, remote bool) {
@@ -216,7 +211,6 @@ func (cv *convergeTracker) closeLocked(o *openEpoch, at int64, outcome, straggle
 		kind = StragglerRemote
 	}
 	cv.met.latency[outcome].Observe(latency)
-	cv.met.epochs[outcome].Inc()
 	cv.met.stragglers[kind].Inc()
 	cv.closed[cv.closedNext] = ConvergeInfo{
 		Epoch:         o.epoch,

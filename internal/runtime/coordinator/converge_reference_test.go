@@ -489,7 +489,7 @@ func (cv *referenceTracker) removeLocked(name string, at int64, limit uint64, ou
 	cv.open = keep
 }
 
-// closeLocked records an epoch's closure: histogram, counters, the
+// closeLocked records an epoch's closure: histogram, straggler counter, the
 // closed-report ring, and a converge flight event naming the straggler.
 // The flight append acquires only the ring's own leaf mutex.
 func (cv *referenceTracker) closeLocked(o *referenceEpoch, at int64, outcome, straggler string, remote bool) {
@@ -505,7 +505,6 @@ func (cv *referenceTracker) closeLocked(o *referenceEpoch, at int64, outcome, st
 		kind = StragglerRemote
 	}
 	cv.met.latency[outcome].Observe(latency)
-	cv.met.epochs[outcome].Inc()
 	cv.met.stragglers[kind].Inc()
 	cv.closed[cv.closedNext] = ConvergeInfo{
 		Epoch:         o.epoch,

@@ -11,6 +11,12 @@ import (
 	"procctl/internal/runtime/pool"
 )
 
+// closedEpochs is how many epochs closed with outcome: the count of its
+// latency histogram.
+func closedEpochs(reg *metrics.Registry, outcome string) int64 {
+	return reg.Snapshot(0).Get(metrics.Name("coordinator_convergence_latency_micros", "outcome", outcome)).Count
+}
+
 func newTestTracker() (*convergeTracker, *metrics.Registry, *flight.Recorder) {
 	reg := metrics.NewRegistry()
 	rec := flight.New(flight.DefaultSize)
@@ -47,8 +53,8 @@ func TestConvergeTrackerSettle(t *testing.T) {
 		t.Errorf("straggler = %s/%s, want b/remote", r.Straggler, r.StragglerKind)
 	}
 
-	if v, ok := reg.Value(metrics.Name("coordinator_convergence_epochs_total", "outcome", ConvergeSettled)); !ok || v != 1 {
-		t.Errorf("settled epochs counter = %d (ok=%v), want 1", v, ok)
+	if v := closedEpochs(reg, ConvergeSettled); v != 1 {
+		t.Errorf("settled epochs = %d, want 1", v)
 	}
 	if v, _ := reg.Value(metrics.Name("coordinator_convergence_stragglers_total", "kind", StragglerRemote)); v != 1 {
 		t.Errorf("remote straggler counter = %d, want 1", v)
@@ -88,7 +94,7 @@ func TestConvergeTrackerSupersede(t *testing.T) {
 	if r.LatencyMicros != 100 {
 		t.Errorf("superseded latency = %dµs, want 100 (open 0 -> superseded 100)", r.LatencyMicros)
 	}
-	if v, _ := reg.Value(metrics.Name("coordinator_convergence_epochs_total", "outcome", ConvergeSuperseded)); v != 1 {
+	if v := closedEpochs(reg, ConvergeSuperseded); v != 1 {
 		t.Errorf("superseded counter = %d, want 1", v)
 	}
 
@@ -113,7 +119,7 @@ func TestConvergeTrackerExpire(t *testing.T) {
 	if r.Outcome != ConvergeExpired || r.StragglerKind != StragglerExpired {
 		t.Errorf("report = %+v, want expired/expired (departure outranks remoteness)", r)
 	}
-	if v, _ := reg.Value(metrics.Name("coordinator_convergence_epochs_total", "outcome", ConvergeExpired)); v != 1 {
+	if v := closedEpochs(reg, ConvergeExpired); v != 1 {
 		t.Errorf("expired counter = %d, want 1", v)
 	}
 }
@@ -204,7 +210,7 @@ func TestConvergeTrackerLockFreeAckRacesOpen(t *testing.T) {
 	close(stop)
 	idle.Wait()
 	for outcome, want := range map[string]int64{ConvergeSettled: epochs, ConvergeSuperseded: 0, ConvergeExpired: 0} {
-		if v, _ := reg.Value(metrics.Name("coordinator_convergence_epochs_total", "outcome", outcome)); v != want {
+		if v := closedEpochs(reg, outcome); v != want {
 			t.Errorf("%s epochs = %d, want %d", outcome, v, want)
 		}
 	}
@@ -283,23 +289,23 @@ func TestServerEpochWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs, err := c1.Converge(0)
+	epochs, err := c1.Converge(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Open != 0 {
-		t.Errorf("converge reports %d open epochs, want 0", cs.Open)
+	if n := srv.Coordinator().OpenEpochs(); n != 0 {
+		t.Errorf("%d open epochs, want 0", n)
 	}
-	if cs.Settled != 1 {
-		t.Errorf("converge reports %d settled closures, want 1", cs.Settled)
+	if n := closedEpochs(srv.Coordinator().Metrics(), ConvergeSettled); n != 1 {
+		t.Errorf("%d settled closures, want 1", n)
 	}
 	var settled, superseded *ConvergeInfo
-	for i := range cs.Epochs {
-		switch cs.Epochs[i].Epoch {
+	for i := range epochs {
+		switch epochs[i].Epoch {
 		case e2:
-			settled = &cs.Epochs[i]
+			settled = &epochs[i]
 		case e1:
-			superseded = &cs.Epochs[i]
+			superseded = &epochs[i]
 		}
 	}
 	if settled == nil || settled.Outcome != ConvergeSettled || settled.Members != 2 {
@@ -359,7 +365,7 @@ func TestServerEpochExpiresOnDisconnect(t *testing.T) {
 		t.Fatalf("open epochs = %d after departure settled, want 0", n)
 	}
 	var expired *ConvergeInfo
-	for _, r := range srv.Coordinator().ConvergeReports(0) {
+	for _, r := range srv.Coordinator().conv.Reports(0) {
 		if r.Epoch == e2 {
 			r := r
 			expired = &r
@@ -381,7 +387,7 @@ func TestServerInprocSettle(t *testing.T) {
 	if n := srv.Coordinator().OpenEpochs(); n != 0 {
 		t.Fatalf("open epochs = %d, want 0: in-process members ack synchronously", n)
 	}
-	reports := srv.Coordinator().ConvergeReports(1)
+	reports := srv.Coordinator().conv.Reports(1)
 	if len(reports) != 1 {
 		t.Fatalf("no converge report after in-process registration")
 	}

@@ -177,9 +177,8 @@ const DefaultBatchWindow = 5 * time.Millisecond
 // bottlenecks (lock wait? allocation? fan-out?), with stage "total" the
 // whole rebalance.
 type coordMetrics struct {
-	reg            *metrics.Registry
-	rebalanceCount *metrics.Counter
-	leaseExpiries  *metrics.Counter
+	reg           *metrics.Registry
+	leaseExpiries *metrics.Counter
 
 	// Batch coalescing: flushes is epochs actually recomputed by the
 	// batch goroutine, coalesced is membership/load events that were
@@ -193,14 +192,13 @@ type coordMetrics struct {
 	// label values. All four are set when a snapshot is collected.
 	targetsSum, members, capacity, external *metrics.Gauge
 
+	// stageMicros' _count is also the count of rebalances recorded.
 	stageMicros [len(rebalanceStages)]*metrics.Histogram
-	stageCount  [len(rebalanceStages)]*metrics.Counter
 }
 
 func newCoordMetrics(reg *metrics.Registry) coordMetrics {
 	m := coordMetrics{
 		reg:            reg,
-		rebalanceCount: reg.Counter("coordinator_rebalances_total", "target recomputations"),
 		leaseExpiries:  reg.Counter("coordinator_lease_expiries_total", "members unregistered because their connection went silent past its lease"),
 		batchFlushes:   reg.Counter("coordinator_batch_flushes_total", "batched rebalance windows flushed"),
 		batchCoalesced: reg.Counter("coordinator_batch_coalesced_total", "rebalance triggers absorbed into an already-pending batch"),
@@ -212,17 +210,8 @@ func newCoordMetrics(reg *metrics.Registry) coordMetrics {
 	for i, stage := range rebalanceStages {
 		m.stageMicros[i] = reg.Histogram(metrics.Name("coordinator_rebalance_latency_micros", "stage", stage),
 			"wall-clock rebalance span latency by stage", metrics.LatencyBuckets)
-		m.stageCount[i] = reg.Counter(metrics.Name("coordinator_rebalance_stages_total", "stage", stage),
-			"rebalance span stages recorded")
 	}
 	return m
-}
-
-// observeStage records one stage's duration into its histogram and
-// counter.
-func (m *coordMetrics) observeStage(i int, d time.Duration) {
-	m.stageMicros[i].Observe(d.Microseconds())
-	m.stageCount[i].Inc()
 }
 
 // New creates a coordinator managing the given processor capacity. A
@@ -649,31 +638,6 @@ func running(m *core.Member[string]) int {
 	return m.Procs
 }
 
-// MemberInfo describes one registered member for status reporting.
-type MemberInfo struct {
-	Name    string
-	Weight  int
-	Workers int
-	Target  int
-	// Member is the registered implementation, for optional-interface
-	// probes (spin sampling). Call it only outside coordinator locks.
-	Member Member
-}
-
-// MemberInfos returns a consistent status view of the membership: names
-// and weights as registered, the last decided targets, and live Workers
-// counts. Member methods run after all coordinator locks are released.
-func (c *Coordinator) MemberInfos() []MemberInfo {
-	members := c.members()
-	out := make([]MemberInfo, len(members))
-	for i := range members {
-		m := &members[i]
-		mm := m.Handle.(*entry).m
-		out[i] = MemberInfo{Name: m.Key, Weight: m.Weight, Workers: mm.Workers(), Target: running(m), Member: mm}
-	}
-	return out
-}
-
 // rebalanceNow performs one epoch immediately: it samples every member's
 // cap, decides, and pushes the targets to every member, the member calls
 // outside coordinator locks on its own copy of the handles. Concurrent
@@ -701,7 +665,6 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 	loadAware := c.loadAware
 	c.mu.Unlock()
 	snapDone := time.Now()
-	c.met.rebalanceCount.Inc()
 	for _, p := range pushes {
 		if p.e.remote {
 			continue // a socket member's count is its registration's: sampled then
@@ -756,7 +719,7 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 	}
 	end := time.Now()
 	for i, d := range []time.Duration{snapDone.Sub(start), decided.Sub(snapDone), end.Sub(decided), end.Sub(start)} {
-		c.met.observeStage(i, d)
+		c.met.stageMicros[i].Observe(d.Microseconds())
 	}
 	for _, pm := range pending {
 		if pm.applied { // a synchronous applier acks as soon as its push returned
@@ -788,10 +751,6 @@ func (c *Coordinator) NotePoll(name string) {}
 
 // OpenEpochs returns how many rebalance epochs are still awaiting acks.
 func (c *Coordinator) OpenEpochs() int { return c.conv.OpenEpochs() }
-
-// ConvergeReports returns up to limit of the most recently closed
-// epochs, newest first (limit <= 0 returns everything retained).
-func (c *Coordinator) ConvergeReports(limit int) []ConvergeInfo { return c.conv.Reports(limit) }
 
 // Events returns up to limit of the most recent flight-recorder events,
 // oldest first (limit <= 0 returns everything retained). The recorder

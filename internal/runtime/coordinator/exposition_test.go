@@ -31,7 +31,6 @@ func TestConvergenceExposition(t *testing.T) {
 
 	for _, typ := range []string{
 		"# TYPE coordinator_convergence_latency_micros histogram",
-		"# TYPE coordinator_convergence_epochs_total counter",
 		"# TYPE coordinator_convergence_stragglers_total counter",
 		"# TYPE coordinator_convergence_open_epochs gauge",
 	} {
@@ -43,7 +42,6 @@ func TestConvergenceExposition(t *testing.T) {
 	// Settled closures happened, so their series carry samples and the
 	// histogram has derived quantile gauge families.
 	for _, want := range []string{
-		`coordinator_convergence_epochs_total{outcome="settled"} `,
 		`coordinator_convergence_stragglers_total{kind="inproc"} `,
 		`coordinator_convergence_latency_micros_count{outcome="settled"} `,
 		`coordinator_convergence_open_epochs 0`,

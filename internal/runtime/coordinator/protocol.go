@@ -25,7 +25,7 @@ import (
 //	-> {"op":"events","limit":100,"since":42,"epoch":7}
 //	<- {"ok":true,"events":[{"seq":...,"at":...,"kind":"register",...},...]}
 //	-> {"op":"converge","limit":8}
-//	<- {"ok":true,"converge":{"open":0,"epochs":[...],"p99_us":...}}
+//	<- {"ok":true,"converge":[{"epoch":7,"members":2,"outcome":"settled",...},...]}
 //
 // Framing is one message per newline-terminated line, and wire.go is
 // the only code that frames, encodes or decodes: the everyday messages
@@ -128,8 +128,9 @@ type Response struct {
 	// Events is the flight-recorder dump served by the "events" op,
 	// oldest first.
 	Events []flight.Event `json:"events,omitempty"`
-	// Converge is the convergence report served by the "converge" op.
-	Converge *ConvergeStatus `json:"converge,omitempty"`
+	// Converge is the converge op's report: the most recently closed
+	// epochs, newest first.
+	Converge []ConvergeInfo `json:"converge,omitempty"`
 	// Busy marks a retryable admission rejection: the server shed this
 	// request under load (connection cap or registration-admission
 	// limit) rather than failing it. Clients should back off and retry;
@@ -138,7 +139,9 @@ type Response struct {
 	RetryAfterMs int  `json:"retry_after_ms,omitempty"`
 }
 
-// Status is the coordinator state snapshot served to inspectors.
+// Status is the coordinator state snapshot served to inspectors: the
+// membership as the registry holds it. Latencies are not in it; they are
+// series of the metrics op.
 type Status struct {
 	Capacity     int `json:"capacity"`
 	ExternalLoad int `json:"external_load"`
@@ -146,21 +149,6 @@ type Status struct {
 	// disabled).
 	LeaseSeconds float64     `json:"lease_seconds,omitempty"`
 	Apps         []AppStatus `json:"apps"`
-	// Rebalance carries the daemon's per-stage rebalance-latency
-	// quantiles (absent on daemons predating the spans, or before the
-	// first rebalance).
-	Rebalance []StageLatency `json:"rebalance,omitempty"`
-}
-
-// StageLatency summarizes one rebalance stage's latency distribution in
-// microseconds, estimated from the daemon's log-bucketed histograms.
-type StageLatency struct {
-	Stage string `json:"stage"`
-	Count int64  `json:"count"`
-	P50   int64  `json:"p50_us"`
-	P90   int64  `json:"p90_us"`
-	P99   int64  `json:"p99_us"`
-	P999  int64  `json:"p999_us"`
 }
 
 // AppStatus describes one registered application.
@@ -191,18 +179,6 @@ type ConvergeInfo struct {
 	Straggler     string `json:"straggler,omitempty"`
 	StragglerKind string `json:"straggler_kind,omitempty"` // inproc | remote | expired
 	ClosedAt      int64  `json:"closed_at,omitempty"`
-}
-
-// ConvergeStatus is the convergence report the "converge" op serves:
-// the open-epoch count, recently closed epochs (newest first), and the
-// settled-latency quantiles from the daemon's histograms.
-type ConvergeStatus struct {
-	Open    int            `json:"open"`
-	Epochs  []ConvergeInfo `json:"epochs,omitempty"`
-	Settled int64          `json:"settled"`
-	P50     int64          `json:"p50_us,omitempty"`
-	P99     int64          `json:"p99_us,omitempty"`
-	P999    int64          `json:"p999_us,omitempty"`
 }
 
 // Protocol op names.

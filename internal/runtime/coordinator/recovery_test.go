@@ -156,18 +156,18 @@ func TestRestartRecoversRegistry(t *testing.T) {
 	c.Close()
 
 	srv2, _ := startJournaledServer(t, 8, dir, ServerConfig{})
-	infos := srv2.coord.MemberInfos()
-	if len(infos) != 2 {
-		t.Fatalf("restored %d members, want 2: %+v", len(infos), infos)
+	apps := srv2.status().Apps
+	if len(apps) != 2 {
+		t.Fatalf("restored %d members, want 2: %+v", len(apps), apps)
 	}
-	byName := map[string]MemberInfo{}
-	for _, info := range infos {
-		byName[info.Name] = info
+	byName := map[string]AppStatus{}
+	for _, app := range apps {
+		byName[app.Name] = app
 	}
-	if w := byName["web"]; w.Workers != 4 || w.Weight != 2 {
+	if w := byName["web"]; w.Procs != 4 || w.Weight != 2 {
 		t.Errorf("web restored as %+v", w)
 	}
-	if b := byName["batch"]; b.Workers != 8 || b.Weight != 1 {
+	if b := byName["batch"]; b.Procs != 8 || b.Weight != 1 {
 		t.Errorf("batch restored as %+v", b)
 	}
 

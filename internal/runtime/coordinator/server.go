@@ -212,7 +212,6 @@ type Server struct {
 	// registration, try-acquired so a full house sheds instead of
 	// queueing.
 	admit    chan struct{}
-	admitted *metrics.Counter
 	shedConn *metrics.Counter
 	shedReg  *metrics.Counter
 }
@@ -241,7 +240,6 @@ func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Serve
 		ln:       ln,
 		cfg:      cfg.withDefaults(),
 		conns:    make(map[net.Conn]*connState),
-		admitted: coord.Metrics().Counter("coordinator_admission_admitted_total", "registrations admitted"),
 		shedConn: coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "conns"), "connections shed with a busy reply at the connection cap"),
 		shedReg:  coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "register"), "registrations shed with a busy reply at the admission limit"),
 	}
@@ -544,7 +542,6 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 				return busyResp("registration admission limit reached")
 			}
 		}
-		s.admitted.Inc()
 		m := &remoteMember{name: req.App, procs: req.Procs, conn: cs}
 		// Until the first rebalance lands (immediately below when
 		// rebalancing inline, at the next flush when batching), the
@@ -603,13 +600,15 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		return Response{OK: true, Events: filterEvents(s.coord.Events(0), req.Since, req.Epoch, req.Limit)}
 
 	case OpConverge:
-		return Response{OK: true, Converge: s.convergeStatus(req.Limit)}
+		return Response{OK: true, Converge: s.coord.conv.Reports(req.Limit)}
 
 	default:
 		return errResp(fmt.Errorf("unknown op %q", req.Op))
 	}
 }
 
+// status reads the registry and then, with no coordinator lock held, the
+// members themselves: live Workers counts, leases and spin%.
 func (s *Server) status() *Status {
 	st := &Status{
 		Capacity:     s.coord.Capacity(),
@@ -617,18 +616,16 @@ func (s *Server) status() *Status {
 		LeaseSeconds: s.cfg.Lease.Seconds(),
 	}
 	now := time.Now()
-	// MemberInfos probes member code (Workers, targets) with no
-	// coordinator lock held; the lease and spin sampling below is likewise
-	// lock-free here.
-	for _, info := range s.coord.MemberInfos() {
+	for _, m := range s.coord.members() {
+		mm := m.Handle.(*entry).m
 		app := AppStatus{
-			Name:           info.Name,
-			Procs:          info.Workers,
-			Weight:         info.Weight,
-			Target:         info.Target,
+			Name:           m.Key,
+			Procs:          mm.Workers(),
+			Weight:         m.Weight,
+			Target:         running(&m),
 			LeaseRemaining: -1, // in-process members have no lease
 		}
-		switch mm := info.Member.(type) {
+		switch mm := mm.(type) {
 		case *remoteMember:
 			if s.cfg.Lease > 0 {
 				end := mm.claimBy // a placeholder's lease is its claim deadline
@@ -642,39 +639,14 @@ func (s *Server) status() *Status {
 			if v, ok := mm.spinPct(); ok {
 				app.SpinPct = &v
 			}
-		default:
+		case interface{ SpinPercent() float64 }:
 			// In-process members (e.g. *pool.Pool) are sampled live.
-			if sp, ok := info.Member.(interface{ SpinPercent() float64 }); ok {
-				v := sp.SpinPercent()
-				app.SpinPct = &v
-			}
+			v := mm.SpinPercent()
+			app.SpinPct = &v
 		}
 		st.Apps = append(st.Apps, app)
 	}
-	st.Rebalance = stageLatencies(s.coord.Snapshot())
 	return st
-}
-
-// stageLatencies extracts the per-stage rebalance-latency quantiles
-// from a metrics snapshot, in causal stage order; stages that have not
-// recorded a span yet are skipped.
-func stageLatencies(snap *metrics.Snapshot) []StageLatency {
-	var out []StageLatency
-	for _, stage := range rebalanceStages {
-		m := snap.Get(metrics.Name("coordinator_rebalance_latency_micros", "stage", stage))
-		if m == nil || m.Count == 0 {
-			continue
-		}
-		out = append(out, StageLatency{
-			Stage: stage,
-			Count: m.Count,
-			P50:   m.Quantile(500),
-			P90:   m.Quantile(900),
-			P99:   m.Quantile(990),
-			P999:  m.Quantile(999),
-		})
-	}
-	return out
 }
 
 // filterEvents applies the events op's selection: sequence numbers >=
@@ -699,23 +671,6 @@ func filterEvents(evs []flight.Event, since, epoch uint64, limit int) []flight.E
 		evs = evs[len(evs)-limit:]
 	}
 	return evs
-}
-
-// convergeStatus assembles the converge op's report: open epochs,
-// recently closed ones, and the settled-latency quantiles.
-func (s *Server) convergeStatus(limit int) *ConvergeStatus {
-	cs := &ConvergeStatus{
-		Open:   s.coord.OpenEpochs(),
-		Epochs: s.coord.ConvergeReports(limit),
-	}
-	snap := s.coord.Snapshot()
-	if m := snap.Get(metrics.Name("coordinator_convergence_latency_micros", "outcome", ConvergeSettled)); m != nil && m.Count > 0 {
-		cs.Settled = m.Count
-		cs.P50 = m.Quantile(500)
-		cs.P99 = m.Quantile(990)
-		cs.P999 = m.Quantile(999)
-	}
-	return cs
 }
 
 func errResp(err error) Response {

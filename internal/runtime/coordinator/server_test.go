@@ -274,7 +274,7 @@ func TestServerRefusesUnusableAppNames(t *testing.T) {
 	if v, _ := reg.Value(metrics.Name("coordinator_rpc_errors_total", "op", OpRegister)); v != int64(len(bad)) {
 		t.Errorf(`coordinator_rpc_errors_total{op="register"} = %d, want %d`, v, len(bad))
 	}
-	if n := len(srv.coord.MemberInfos()); n != 4 {
+	if n := len(srv.coord.Members()); n != 4 {
 		t.Errorf("%d members registered, want the 4 well-named ones", n)
 	}
 	// The connection survived every refusal, and poll has no such check:

@@ -360,7 +360,7 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 
 // appendResponse is appendRequest for a reply.
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
-	if resp.Status != nil || resp.Metrics != nil || len(resp.Events) > 0 || resp.Converge != nil ||
+	if resp.Status != nil || resp.Metrics != nil || len(resp.Events) > 0 || len(resp.Converge) > 0 ||
 		!plainString(resp.Error) || resp.Target|resp.RetryAfterMs < 0 {
 		return appendJSON(dst, *resp)
 	}

@@ -133,7 +133,7 @@ func FuzzWireResponse(f *testing.F) {
 		resp := Response{OK: flags&flagA != 0, Error: errStr, Target: target, Epoch: epoch,
 			Busy: flags&flagB != 0, RetryAfterMs: retry}
 		if flags&flagC != 0 {
-			resp.Converge = &ConvergeStatus{Open: target}
+			resp.Converge = []ConvergeInfo{{Members: target, Straggler: errStr}}
 		}
 		got, err := appendResponse(nil, &resp)
 		if enc := checkEncoding(t, &resp, got, err); enc != nil {

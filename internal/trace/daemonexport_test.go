@@ -113,7 +113,7 @@ func TestCheckChromeRejects(t *testing.T) {
 func TestFlightDumpRoundTrip(t *testing.T) {
 	target := flight.Event{At: 30, Kind: flight.KindTarget, App: "web", A: 3, B: 4, Epoch: 2}
 	ring := flight.New(8)
-	ring.Append(flight.Event{At: 20, Kind: flight.KindScan, A: 1})
+	ring.Append(flight.Event{At: 20, Kind: flight.KindRedial, App: "web", A: 1})
 	ring.Append(target)
 	var dump bytes.Buffer
 	if err := flight.WriteJSONL(&dump, ring.Snapshot(0)); err != nil {
@@ -153,7 +153,7 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	for _, ev := range got {
 		kinds = append(kinds, ev.Kind)
 	}
-	if want := "register scan target"; strings.Join(kinds, " ") != want {
+	if want := "register redial target"; strings.Join(kinds, " ") != want {
 		t.Fatalf("merged kinds %v, want %s: %+v", kinds, want, got)
 	}
 }
