@@ -141,3 +141,39 @@ func TestRequestPathGolden(t *testing.T) {
 			got, requestPathGoldenSHA256, len(out), bytes.Count(out, []byte("\n")))
 	}
 }
+
+// spawnProbeGoldenSHA256 pins what the repo benchmark's kernel.spawn_us
+// probe does to a kernel: 256 idle processes spawned through Spawn on
+// the default machine, each dispatched once and exiting at its first
+// resume. It was recorded while Spawn still ran its body as a
+// coroutine; Spawn's resumable adapter must not move a line.
+const spawnProbeGoldenSHA256 = "b5ef4612639487522370d5f6deb7c76f9be59e43f75c3bb80f1fad7da958eef5"
+
+func TestSpawnProbeGolden(t *testing.T) {
+	eng := sim.NewEngine(1)
+	k := New(eng, machine.New(machine.Multimax16()), NewTimeshare(), DefaultConfig())
+	var buf bytes.Buffer
+	k.OnSpawn = func(p *Process) { fmt.Fprintf(&buf, "%d spawn %d\n", k.Now(), p.ID()) }
+	k.OnExit = func(p *Process) { fmt.Fprintf(&buf, "%d exit %d\n", k.Now(), p.ID()) }
+	k.OnStateChange = func(p *Process, old, next ProcState) {
+		fmt.Fprintf(&buf, "%d state %d %v>%v\n", k.Now(), p.ID(), old, next)
+	}
+	k.OnDispatch = func(p *Process, cpu int, wait sim.Duration) {
+		fmt.Fprintf(&buf, "%d dispatch %d cpu%d wait=%d\n", k.Now(), p.ID(), cpu, wait)
+	}
+	for i := 0; i < 256; i++ {
+		k.Spawn("probe", AppNone, 0, func(*Env) {})
+	}
+	eng.RunUntilIdle()
+	k.Finalize()
+	k.Shutdown()
+	fmt.Fprintf(&buf, "end %d fired=%d canceled=%d live=%d\n", k.Now(), eng.Fired(), eng.Canceled(), k.Live())
+	for _, p := range k.Processes() {
+		fmt.Fprintf(&buf, "proc %d %v %+v\n", p.ID(), p.State(), p.Stats)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != spawnProbeGoldenSHA256 {
+		t.Fatalf("spawn probe drifted from the golden:\n  got  %s\n  want %s\n(%d bytes, %d lines)",
+			got, spawnProbeGoldenSHA256, buf.Len(), bytes.Count(buf.Bytes(), []byte("\n")))
+	}
+}
