@@ -35,18 +35,14 @@ benchmark-test:
 # also runs the coordinator-against-core.Registry model test, at a tenth
 # of its `make test` length, and internal/ctrl, whose replay tests boot a
 # live daemon and drive it from four callers at once) — and the
-# simulator's core. A figure run's own bodies (threads workers,
-# background load) are resumable: they run on the engine's goroutine and
-# there is nothing to race. But function bodies (Kernel.Spawn: tests,
-# the reference worker of the threads differential test) still run as
-# coroutines, writing kernel state themselves for requests that take no
-# virtual time, ordered only by the coroutine switches (iter.Pull) to
-# and from the engine — "one at a time" is a protocol there, not a
-# construction — and one immutable threads.Workload backs the concurrent
-# runs of a figure sweep. The second line checks the hand-off protocol
-# (and runs the differential test under the detector) and the flight
-# recorder's appends while its ring is still growing, the third the
-# sharing.
+# simulator's core. No kernel or sim body runs off the engine's
+# goroutine any more: every body is a state machine the engine calls.
+# What is left to check there is the threads differential test, whose
+# reference worker runs on a goroutine of its own and hands control to
+# and from the engine over channels, the flight recorder's appends while
+# its ring is still growing (the second line), and the one immutable
+# threads.Workload that backs the concurrent runs of a figure sweep (the
+# third). The package list stays whole, so no race coverage is dropped.
 race:
 	$(GO) test -race ./internal/runtime/... ./internal/ctrl/...
 	$(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...

@@ -265,17 +265,12 @@ func BenchmarkKernelContextSwitch(b *testing.B) {
 	mac := machine.New(machine.Config{NumCPU: 1})
 	k := kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{Quantum: sim.Millisecond, QuantumJitter: -1})
 	for i := 0; i < 2; i++ {
-		k.Spawn("p", 1, 0, func(env *kernel.Env) {
-			for {
-				env.Compute(10 * sim.Millisecond)
-			}
-		})
+		k.SpawnResumable("p", 1, 0, func(*kernel.Env) kernel.Request { return kernel.Compute(10 * sim.Millisecond) })
 	}
 	b.ResetTimer()
 	// Each quantum is 1 ms of virtual time; b.N quanta.
 	eng.Run(sim.Time(sim.Duration(b.N) * sim.Millisecond))
 	b.StopTimer()
-	k.Shutdown()
 }
 
 // BenchmarkSimulatedSpinlock measures lock handoff cost in the simulator.
@@ -286,12 +281,22 @@ func BenchmarkSimulatedSpinlock(b *testing.B) {
 	k := kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{Quantum: 100 * sim.Millisecond, QuantumJitter: -1})
 	l := kernel.NewSpinLock("bench")
 	for i := 0; i < 4; i++ {
-		k.Spawn("p", 1, 0, func(env *kernel.Env) {
-			for {
-				env.Acquire(l)
-				env.Compute(10 * sim.Microsecond)
+		pc := 0 // forever: take l, compute inside, release, compute outside
+		k.SpawnResumable("p", 1, 0, func(env *kernel.Env) kernel.Request {
+			switch pc {
+			case 0:
+				pc = 1
+				if !env.TryAcquire(l) {
+					return kernel.Acquire(l)
+				}
+				fallthrough
+			case 1:
+				pc = 2
+				return kernel.Compute(10 * sim.Microsecond)
+			default:
+				pc = 0
 				env.Release(l)
-				env.Compute(10 * sim.Microsecond)
+				return kernel.Compute(10 * sim.Microsecond)
 			}
 		})
 	}
@@ -301,7 +306,6 @@ func BenchmarkSimulatedSpinlock(b *testing.B) {
 		eng.Run(eng.Now().Add(10 * sim.Millisecond))
 	}
 	b.StopTimer()
-	k.Shutdown()
 }
 
 // BenchmarkAllocate measures the core allocation policy.

@@ -129,7 +129,6 @@ func record(args []string) {
 	if err := rec.Close(); err != nil {
 		log.Fatalf("procctl-trace: %v", err)
 	}
-	s.K.Shutdown()
 	fmt.Fprintf(os.Stderr, "procctl-trace: %d events over %.1fs virtual time\n", rec.Events(), *seconds)
 }
 

@@ -156,7 +156,6 @@ func TestTinyInstancesExecute(t *testing.T) {
 		for !a.Done() && eng.Now() < sim.Time(60*sim.Second) {
 			eng.Run(eng.Now().Add(sim.Second))
 		}
-		k.Shutdown()
 		if !a.Done() {
 			t.Errorf("%s did not finish", wl.Name)
 		}
@@ -182,7 +181,6 @@ func TestBackgroundLoad(t *testing.T) {
 			t.Errorf("background CPU time %.2fs over 1s, want ≈0.5", cpu)
 		}
 	}
-	k.Shutdown()
 }
 
 func TestBackgroundFullyBusy(t *testing.T) {
@@ -195,5 +193,4 @@ func TestBackgroundFullyBusy(t *testing.T) {
 	if cpu < 0.95 {
 		t.Errorf("zero-idle background only used %.2fs of CPU in 1s", cpu)
 	}
-	k.Shutdown()
 }

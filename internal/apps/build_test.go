@@ -55,7 +55,6 @@ func TestGeneratorsRetireInTheSameOrder(t *testing.T) {
 			OnTaskDone: func(id threads.TaskID) { put(int64(id)) },
 		})
 		eng.RunUntilIdle()
-		k.Shutdown()
 		if !a.Done() {
 			t.Errorf("%s did not finish", name)
 			continue

@@ -35,7 +35,6 @@ func announceRun(t *testing.T) ([]announcement, *Server) {
 	k.Engine().Every(6*sim.Second, func() bool { s.Poll(2); return true })
 	k.Engine().Schedule(sim.Time(5*sim.Second), func() { k.KillApp(1) })
 	k.Engine().Run(sim.Time(30 * sim.Second))
-	k.Shutdown()
 	return out, s
 }
 

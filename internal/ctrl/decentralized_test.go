@@ -15,7 +15,6 @@ func TestDecentralizedSoloTakesMachine(t *testing.T) {
 	if got := d.Poll(1); got != 8 {
 		t.Errorf("solo target %d, want 8", got)
 	}
-	k.Shutdown()
 }
 
 func TestDecentralizedFirstArrivalCaptures(t *testing.T) {
@@ -33,7 +32,6 @@ func TestDecentralizedFirstArrivalCaptures(t *testing.T) {
 		t.Errorf("late arrival target %d, want the floor 1", got)
 	}
 	k.Engine().Run(sim.Time(3 * sim.Second))
-	k.Shutdown()
 }
 
 func TestDecentralizedCountsUncontrolled(t *testing.T) {
@@ -45,7 +43,6 @@ func TestDecentralizedCountsUncontrolled(t *testing.T) {
 	if got := d.Poll(1); got != 5 {
 		t.Errorf("target %d with 3 uncontrolled runnable, want 5", got)
 	}
-	k.Shutdown()
 }
 
 func TestDecentralizedDamping(t *testing.T) {
@@ -57,7 +54,7 @@ func TestDecentralizedDamping(t *testing.T) {
 	// limits the step to +2.
 	q := kernel.NewWaitQueue("suspend")
 	for i := 0; i < 4; i++ {
-		k.Spawn("s", 1, 0, func(env *kernel.Env) { env.Sleep(q) })
+		k.SpawnResumable("s", 1, 0, kernel.Script(kernel.Sleep(q)))
 	}
 	spin(k, 1, 4, sim.Second)
 	k.Engine().Run(sim.Time(5 * sim.Millisecond)) // let the sleepers block
@@ -71,7 +68,6 @@ func TestDecentralizedDamping(t *testing.T) {
 	}
 	k.WakeQueue(q, 4)
 	k.Engine().Run(sim.Time(3 * sim.Second))
-	k.Shutdown()
 }
 
 func TestDecentralizedCapsAtLiveProcs(t *testing.T) {
@@ -82,7 +78,6 @@ func TestDecentralizedCapsAtLiveProcs(t *testing.T) {
 	if got := d.Poll(1); got != 3 {
 		t.Errorf("target %d exceeds live processes", got)
 	}
-	k.Shutdown()
 }
 
 func TestDecentralizedScansPerPoll(t *testing.T) {
@@ -104,5 +99,4 @@ func TestDecentralizedScansPerPoll(t *testing.T) {
 	if d.Registered() != 1 {
 		t.Errorf("Registered after unregister = %d", d.Registered())
 	}
-	k.Shutdown()
 }

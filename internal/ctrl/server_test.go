@@ -17,7 +17,7 @@ func newKernel(ncpu int, pol kernel.Policy) *kernel.Kernel {
 // spin spawns n CPU-bound processes for app.
 func spin(k *kernel.Kernel, app kernel.AppID, n int, d sim.Duration) {
 	for i := 0; i < n; i++ {
-		k.Spawn("w", app, 0, func(env *kernel.Env) { env.Compute(d) })
+		k.SpawnResumable("w", app, 0, kernel.Script(kernel.Compute(d)))
 	}
 }
 
@@ -32,7 +32,6 @@ func TestServerEquipartition(t *testing.T) {
 	if s.Target(1) != 8 || s.Target(2) != 8 {
 		t.Errorf("targets %d/%d, want 8/8", s.Target(1), s.Target(2))
 	}
-	k.Shutdown()
 }
 
 func TestServerSubtractsUncontrolled(t *testing.T) {
@@ -45,7 +44,6 @@ func TestServerSubtractsUncontrolled(t *testing.T) {
 	if s.Target(1) != 12 {
 		t.Errorf("target %d, want 12 (16 CPUs - 4 uncontrolled)", s.Target(1))
 	}
-	k.Shutdown()
 }
 
 func TestServerUnregisteredAppIsUncontrolled(t *testing.T) {
@@ -58,7 +56,6 @@ func TestServerUnregisteredAppIsUncontrolled(t *testing.T) {
 	if s.Target(1) != 10 {
 		t.Errorf("target %d, want 10 (its 6 processes count as load)", s.Target(1))
 	}
-	k.Shutdown()
 }
 
 func TestServerCapsAtProcessCount(t *testing.T) {
@@ -70,7 +67,6 @@ func TestServerCapsAtProcessCount(t *testing.T) {
 	if s.Target(1) != 3 {
 		t.Errorf("target %d exceeds the app's 3 processes", s.Target(1))
 	}
-	k.Shutdown()
 }
 
 func TestServerStarvationFloor(t *testing.T) {
@@ -83,7 +79,6 @@ func TestServerStarvationFloor(t *testing.T) {
 	if s.Target(1) != 1 {
 		t.Errorf("target %d, want the floor of 1", s.Target(1))
 	}
-	k.Shutdown()
 }
 
 func TestServerUnregisterRedistributes(t *testing.T) {
@@ -107,7 +102,6 @@ func TestServerUnregisterRedistributes(t *testing.T) {
 	if s.Registered() != 1 {
 		t.Errorf("Registered = %d", s.Registered())
 	}
-	k.Shutdown()
 }
 
 func TestServerPollUnknownApp(t *testing.T) {
@@ -116,7 +110,6 @@ func TestServerPollUnknownApp(t *testing.T) {
 	if got := s.Poll(42); got != 0 {
 		t.Errorf("Poll(unknown) = %d, want 0", got)
 	}
-	k.Shutdown()
 }
 
 func TestServerSuspendedProcsDontCount(t *testing.T) {
@@ -126,7 +119,7 @@ func TestServerSuspendedProcsDontCount(t *testing.T) {
 	s := NewServer(k, 0)
 	q := kernel.NewWaitQueue("suspend")
 	for i := 0; i < 4; i++ {
-		k.Spawn("s", 1, 0, func(env *kernel.Env) { env.Sleep(q) })
+		k.SpawnResumable("s", 1, 0, kernel.Script(kernel.Sleep(q)))
 	}
 	spin(k, 1, 2, sim.Second)
 	spin(k, 2, 8, sim.Second)
@@ -140,7 +133,6 @@ func TestServerSuspendedProcsDontCount(t *testing.T) {
 	}
 	k.WakeQueue(q, 4)
 	k.Engine().Run(sim.Time(3 * sim.Second))
-	k.Shutdown()
 }
 
 func TestServerPeriodicScan(t *testing.T) {
@@ -154,7 +146,6 @@ func TestServerPeriodicScan(t *testing.T) {
 		t.Errorf("only %d periodic scans in 550ms at 100ms interval", s.Scans-before)
 	}
 	k.Engine().Run(sim.Time(3 * sim.Second))
-	k.Shutdown()
 }
 
 func TestServerPartitionAware(t *testing.T) {
@@ -172,7 +163,6 @@ func TestServerPartitionAware(t *testing.T) {
 		t.Errorf("partition-aware targets %d/%d, want 4/4", s.Target(1), s.Target(2))
 	}
 	k.Engine().Run(sim.Time(3 * sim.Second))
-	k.Shutdown()
 }
 
 func TestServerPartitionNotMaterialized(t *testing.T) {
@@ -185,7 +175,6 @@ func TestServerPartitionNotMaterialized(t *testing.T) {
 	if got := s.Target(1); got != 8 {
 		t.Errorf("pre-materialization target %d, want 8 (no throttling on stale data)", got)
 	}
-	k.Shutdown()
 }
 
 func TestServerLeaseExpiresSilentApp(t *testing.T) {
@@ -220,7 +209,6 @@ func TestServerLeaseExpiresSilentApp(t *testing.T) {
 	if s.Target(1) != 0 {
 		t.Errorf("expired app still has target %d", s.Target(1))
 	}
-	k.Shutdown()
 }
 
 func TestServerPollRenewsLease(t *testing.T) {
@@ -235,7 +223,6 @@ func TestServerPollRenewsLease(t *testing.T) {
 	if s.Registered() != 1 || s.LeaseExpiries != 0 {
 		t.Errorf("polling app expired: registered=%d expiries=%d", s.Registered(), s.LeaseExpiries)
 	}
-	k.Shutdown()
 }
 
 func TestServerSetLeaseZeroDisablesExpiry(t *testing.T) {
@@ -248,7 +235,6 @@ func TestServerSetLeaseZeroDisablesExpiry(t *testing.T) {
 	if s.Registered() != 1 {
 		t.Error("app expired despite lease expiry being disabled")
 	}
-	k.Shutdown()
 }
 
 func TestServerPollsServedCounter(t *testing.T) {
@@ -261,7 +247,6 @@ func TestServerPollsServedCounter(t *testing.T) {
 	if s.PollsServed != 5 {
 		t.Errorf("PollsServed = %d", s.PollsServed)
 	}
-	k.Shutdown()
 }
 
 func TestServerExpiryForgetsWeight(t *testing.T) {
@@ -286,7 +271,6 @@ func TestServerExpiryForgetsWeight(t *testing.T) {
 	if s.Target(1) != 8 || s.Target(2) != 8 {
 		t.Errorf("targets after the unweighted re-registration %d/%d, want 8/8", s.Target(1), s.Target(2))
 	}
-	k.Shutdown()
 }
 
 func TestServerReadmitsLivePoller(t *testing.T) {
@@ -309,5 +293,4 @@ func TestServerReadmitsLivePoller(t *testing.T) {
 	if s.Registered() != 2 || s.Target(1) != 10 || s.Target(2) != 6 {
 		t.Errorf("after re-admission: registered %d, targets %d/%d, want 2 and 10/6", s.Registered(), s.Target(1), s.Target(2))
 	}
-	k.Shutdown()
 }

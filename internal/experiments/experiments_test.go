@@ -315,7 +315,6 @@ func TestSimRespectsKernelOptions(t *testing.T) {
 	if s.K.Config().Quantum != 5*sim.Millisecond {
 		t.Errorf("quantum %v", s.K.Config().Quantum)
 	}
-	s.K.Shutdown()
 }
 
 func TestGanttDemo(t *testing.T) {

@@ -35,7 +35,6 @@ func GanttDemo(o Options, policy string, control bool, window sim.Duration) stri
 	s.Eng.Run(sim.Time(window))
 	g.Close()
 	s.K.Finalize()
-	s.K.Shutdown()
 	_, _ = a, b
 
 	label := "no process control"

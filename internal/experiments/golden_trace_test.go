@@ -52,7 +52,6 @@ func recordFig4Golden(t *testing.T) []byte {
 	if err := rec.Close(); err != nil {
 		t.Fatalf("closing recorder: %v", err)
 	}
-	s.K.Shutdown()
 	return buf.Bytes()
 }
 

@@ -175,8 +175,8 @@ func (s *Sim) LaunchAt(at sim.Time, id kernel.AppID, wl *threads.Workload, procs
 }
 
 // RunUntil steps the engine in 250 ms chunks until done reports true or
-// the horizon passes; it finalizes kernel accounting and unwinds process
-// bodies, and reports whether done was reached.
+// the horizon passes; it finalizes kernel accounting and reports whether
+// done was reached.
 func (s *Sim) RunUntil(done func() bool) bool {
 	horizon := sim.Time(0).Add(s.Opts.Horizon)
 	for !done() && s.Eng.Now() < horizon {
@@ -185,7 +185,6 @@ func (s *Sim) RunUntil(done func() bool) bool {
 	ok := done()
 	s.K.Finalize()
 	s.CloseTrace() // after Finalize so trailing accounting is included
-	s.K.Shutdown()
 	return ok
 }
 

@@ -21,11 +21,10 @@ func TestCrashAppKillsAtInstant(t *testing.T) {
 	k := newKernel(4)
 	inj := New(k, 7)
 	for i := 0; i < 3; i++ {
-		k.Spawn("w", 1, 0, func(env *kernel.Env) { env.Compute(3600 * sim.Second) })
+		k.SpawnResumable("w", 1, 0, kernel.Script(kernel.Compute(3600*sim.Second)))
 	}
 	inj.CrashApp(sim.Time(10*sim.Millisecond), 1)
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if inj.Crashes != 3 {
 		t.Errorf("Crashes = %d, want 3", inj.Crashes)
 	}
@@ -45,20 +44,21 @@ func TestCrashAppInLockWaitsForCriticalSection(t *testing.T) {
 	l := kernel.NewSpinLock("shared")
 	inj := New(k, 7)
 	var crashedAt sim.Time
-	k.Spawn("victim", 1, 0, func(env *kernel.Env) {
-		env.Compute(10 * sim.Millisecond)
-		env.Acquire(l)
-		env.Compute(3600 * sim.Second) // crash lands in here
-		env.Release(l)
-	})
+	release := func(env *kernel.Env) { env.Release(l) }
+	k.SpawnResumable("victim", 1, 0, kernel.Script(
+		kernel.Compute(10*sim.Millisecond),
+		kernel.Acquire(l),
+		kernel.Compute(3600*sim.Second), // crash lands in here
+		release,
+	))
 	var peerDone sim.Time
-	k.Spawn("peer", 2, 0, func(env *kernel.Env) {
-		env.Compute(15 * sim.Millisecond)
-		env.Acquire(l)
-		env.Compute(sim.Millisecond)
-		env.Release(l)
-		peerDone = env.Now()
-	})
+	k.SpawnResumable("peer", 2, 0, kernel.Script(
+		kernel.Compute(15*sim.Millisecond),
+		kernel.Acquire(l),
+		kernel.Compute(sim.Millisecond),
+		release,
+		func(env *kernel.Env) { peerDone = env.Now() },
+	))
 	inj.CrashAppInLock(0, 1)
 	k.Engine().Every(sim.Millisecond, func() bool {
 		if crashedAt == 0 && inj.LockCrashes > 0 {
@@ -67,7 +67,6 @@ func TestCrashAppInLockWaitsForCriticalSection(t *testing.T) {
 		return crashedAt == 0
 	})
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if inj.LockCrashes != 1 || inj.Crashes != 1 {
 		t.Fatalf("LockCrashes=%d Crashes=%d, want 1/1", inj.LockCrashes, inj.Crashes)
 	}
@@ -87,10 +86,9 @@ func TestCrashAppInLockGivesUpWhenAppExits(t *testing.T) {
 	// stop probing, or RunUntilIdle would never return.
 	k := newKernel(2)
 	inj := New(k, 7)
-	k.Spawn("w", 1, 0, func(env *kernel.Env) { env.Compute(5 * sim.Millisecond) })
+	k.SpawnResumable("w", 1, 0, kernel.Script(kernel.Compute(5*sim.Millisecond)))
 	inj.CrashAppInLock(0, 1)
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if inj.LockCrashes != 0 || inj.Crashes != 0 {
 		t.Errorf("phantom crash: LockCrashes=%d Crashes=%d", inj.LockCrashes, inj.Crashes)
 	}
@@ -100,13 +98,12 @@ func TestStallAppFreezesAndResumes(t *testing.T) {
 	k := newKernel(2)
 	inj := New(k, 7)
 	var done sim.Time
-	k.Spawn("w", 1, 0, func(env *kernel.Env) {
-		env.Compute(100 * sim.Millisecond)
-		done = env.Now()
-	})
+	k.SpawnResumable("w", 1, 0, kernel.Script(
+		kernel.Compute(100*sim.Millisecond),
+		func(env *kernel.Env) { done = env.Now() },
+	))
 	inj.StallApp(sim.Time(10*sim.Millisecond), 1, 50*sim.Millisecond)
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if inj.Stalls != 1 {
 		t.Errorf("Stalls = %d, want 1", inj.Stalls)
 	}
@@ -151,7 +148,6 @@ func TestFlakyDropNeverReachesServer(t *testing.T) {
 	if inner.regs != 1 {
 		t.Errorf("registration did not pass through")
 	}
-	k.Shutdown()
 }
 
 func TestFlakyDelaySlipsOnePoll(t *testing.T) {
@@ -173,7 +169,6 @@ func TestFlakyDelaySlipsOnePoll(t *testing.T) {
 	if f.Delayed != 2 {
 		t.Errorf("Delayed = %d, want 2", f.Delayed)
 	}
-	k.Shutdown()
 }
 
 func TestFlakySilenceExpiresLease(t *testing.T) {
@@ -200,7 +195,6 @@ func TestFlakySilenceExpiresLease(t *testing.T) {
 	if !app.Done() {
 		t.Error("app never finished under total poll loss")
 	}
-	k.Shutdown()
 }
 
 func TestInjectorDeterministic(t *testing.T) {
@@ -218,7 +212,6 @@ func TestInjectorDeterministic(t *testing.T) {
 		inj.StallApp(sim.Time(5*sim.Millisecond), 1, 10*sim.Millisecond)
 		eng.Run(sim.Time(0).Add(60 * sim.Second))
 		k.Finalize()
-		k.Shutdown()
 		out := []int64{inj.Crashes, inj.LockCrashes, inj.Stalls, flaky.Dropped, flaky.Delayed, int64(a.Elapsed())}
 		kills, _ := k.Metrics().Value(kernel.MetricKills)
 		forced, _ := k.Metrics().Value(kernel.MetricForcedReleases)

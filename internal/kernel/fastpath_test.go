@@ -7,7 +7,7 @@ import (
 	"procctl/internal/sim"
 )
 
-// Requests that take no virtual time run on the body's goroutine: an
+// Requests that take no virtual time are performed by the body: an
 // uncontended Acquire/Release/Wake sequence costs no rendezvous at all,
 // a contended Acquire exactly one.
 func TestZeroTimeRequestsSkipTheRendezvous(t *testing.T) {
@@ -15,37 +15,39 @@ func TestZeroTimeRequestsSkipTheRendezvous(t *testing.T) {
 	l, held := NewSpinLock("free"), NewSpinLock("held")
 	q := NewWaitQueue("q")
 	var uncontended, contended, atRelease uint64
-	k.Spawn("sleeper", 1, 0, func(env *Env) { env.Sleep(q) })
-	k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(held)
-		env.Compute(10 * sim.Millisecond)
-		atRelease = k.rendezvous
-		env.Release(held)
-	})
-	k.Spawn("p", 1, 0, func(env *Env) {
-		env.Compute(sim.Millisecond) // sleeper asleep, holder inside its critical section
-		before := k.rendezvous
-		for i := 0; i < 3; i++ {
-			env.Acquire(l)
-			env.Release(l)
-		}
-		env.Wake(q, 1)
-		env.Wake(q, 1) // nobody left: still no rendezvous
-		uncontended = k.rendezvous - before
-
-		before = k.rendezvous
-		env.Acquire(held) // spins for 9 ms: virtual time must pass
-		// The holder's Compute returning is the one rendezvous that is
-		// not ours; from its Release to our holding the lock there is
-		// exactly one, the continuation after the grant.
-		if atRelease-before != 1 {
-			t.Errorf("%d rendezvous before the holder's Release, want 1 (its Compute returning)", atRelease-before)
-		}
-		contended = k.rendezvous - atRelease
-		env.Release(held)
-	})
+	k.SpawnResumable("sleeper", 1, 0, Script(Sleep(q)))
+	k.SpawnResumable("holder", 1, 0, Script(
+		Acquire(held),
+		Compute(10*sim.Millisecond),
+		func(*Env) { atRelease = k.rendezvous },
+		release(held),
+	))
+	var before uint64
+	k.SpawnResumable("p", 1, 0, Script(
+		Compute(sim.Millisecond), // sleeper asleep, holder inside its critical section
+		func(*Env) { before = k.rendezvous },
+		Acquire(l), release(l),
+		Acquire(l), release(l),
+		Acquire(l), release(l),
+		wake(q, 1),
+		wake(q, 1), // nobody left: still no rendezvous
+		func(*Env) {
+			uncontended = k.rendezvous - before
+			before = k.rendezvous
+		},
+		Acquire(held), // spins for 9 ms: virtual time must pass
+		func(*Env) {
+			// The holder's Compute returning is the one rendezvous that
+			// is not ours; from its Release to our holding the lock there
+			// is exactly one, the continuation after the grant.
+			if atRelease-before != 1 {
+				t.Errorf("%d rendezvous before the holder's Release, want 1 (its Compute returning)", atRelease-before)
+			}
+			contended = k.rendezvous - atRelease
+		},
+		release(held),
+	))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if uncontended != 0 {
 		t.Errorf("uncontended Acquire/Release/Wake sequence made %d rendezvous, want 0", uncontended)
 	}
@@ -72,20 +74,23 @@ func TestInlineRequestsFireHooks(t *testing.T) {
 	k.OnLockRelease = func(p *Process, l *SpinLock, held sim.Duration, forced bool) {
 		log = append(log, "release@"+k.Now().String()+" held="+held.String())
 	}
-	k.Spawn("p", 1, 0, func(env *Env) {
-		env.Compute(2 * sim.Millisecond)
-		env.Acquire(l)
-		if !env.Proc().HoldingLocks() || l.Holder() != env.Proc() {
-			t.Error("inline Acquire did not make the process the holder")
-		}
-		env.Compute(3 * sim.Millisecond)
-		env.Release(l)
-		if env.Proc().HoldingLocks() || l.Holder() != nil {
-			t.Error("inline Release left the lock held")
-		}
-	})
+	k.SpawnResumable("p", 1, 0, Script(
+		Compute(2*sim.Millisecond),
+		Acquire(l),
+		func(env *Env) {
+			if !env.Proc().HoldingLocks() || l.Holder() != env.Proc() {
+				t.Error("inline Acquire did not make the process the holder")
+			}
+		},
+		Compute(3*sim.Millisecond),
+		func(env *Env) {
+			env.Release(l)
+			if env.Proc().HoldingLocks() || l.Holder() != nil {
+				t.Error("inline Release left the lock held")
+			}
+		},
+	))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	want := "acquire@" + sim.Time(2*sim.Millisecond).String() + " spun=" + sim.Duration(0).String() +
 		" release@" + sim.Time(5*sim.Millisecond).String() + " held=" + (3 * sim.Millisecond).String()
 	if got := strings.Join(log, " "); got != want {
@@ -98,7 +103,7 @@ func TestInlineRequestsFireHooks(t *testing.T) {
 
 // Releasing a lock the process does not hold is a model bug, detected
 // in the body; like every body panic it must come out of Engine.Run,
-// where a driver can see it (coroutine_test.go has the general case).
+// where a driver can see it (resumable_test.go has the general case).
 func TestReleaseOfUnheldLockPanicsOnEngineGoroutine(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -108,23 +113,20 @@ func TestReleaseOfUnheldLockPanicsOnEngineGoroutine(t *testing.T) {
 			k := testKernel(2)
 			l := NewSpinLock("l")
 			if tc.holder {
-				k.Spawn("holder", 1, 0, func(env *Env) {
-					env.Acquire(l)
-					env.Compute(sim.Second)
-					env.Release(l)
-				})
+				k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(sim.Second), release(l)))
 			}
-			k.Spawn("buggy", 1, 0, func(env *Env) {
-				env.Compute(sim.Millisecond)
-				env.Release(l)
-				t.Error("Release of an unheld lock returned")
-			})
+			k.SpawnResumable("buggy", 1, 0, Script(
+				Compute(sim.Millisecond),
+				func(env *Env) {
+					env.Release(l)
+					t.Error("Release of an unheld lock returned")
+				},
+			))
 			var recovered any
 			func() {
 				defer func() { recovered = recover() }()
 				k.Engine().RunUntilIdle()
 			}()
-			k.Shutdown()
 			msg, _ := recovered.(string)
 			if !strings.Contains(msg, "releasing") || !strings.Contains(msg, `"l"`) {
 				t.Fatalf("Engine.Run recovered %v, want the kernel's release panic", recovered)
@@ -140,21 +142,21 @@ func TestKillHolderOfInlineLockGrantsToSpinner(t *testing.T) {
 	k := testKernel(2)
 	outer, inner := NewSpinLock("outer"), NewSpinLock("inner")
 	var peerGot, peerDone sim.Time
-	victim := k.Spawn("victim", 1, 0, func(env *Env) {
-		env.Acquire(outer) // both free: taken on this goroutine
-		env.Acquire(inner)
-		env.Compute(3600 * sim.Second)
-	})
-	peer := k.Spawn("peer", 1, 0, func(env *Env) {
-		env.Compute(sim.Millisecond)
-		env.Acquire(inner) // held: spins through the engine
-		peerGot = env.Now()
-		env.Acquire(outer) // freed by the same kill: inline again
-		env.Compute(sim.Millisecond)
-		env.Release(outer)
-		env.Release(inner)
-		peerDone = env.Now()
-	})
+	victim := k.SpawnResumable("victim", 1, 0, Script(
+		Acquire(outer), // both free: taken in the body
+		Acquire(inner),
+		Compute(3600*sim.Second),
+	))
+	peer := k.SpawnResumable("peer", 1, 0, Script(
+		Compute(sim.Millisecond),
+		Acquire(inner), // held: spins through the engine
+		func(env *Env) { peerGot = env.Now() },
+		Acquire(outer), // freed by the same kill: inline again
+		Compute(sim.Millisecond),
+		release(outer),
+		release(inner),
+		func(env *Env) { peerDone = env.Now() },
+	))
 	k.Engine().Schedule(sim.Time(20*sim.Millisecond), func() {
 		if victim.lockDepth != 2 || len(victim.held) != 2 {
 			t.Errorf("victim tracks %d/%d held locks before the kill, want 2", victim.lockDepth, len(victim.held))
@@ -165,7 +167,6 @@ func TestKillHolderOfInlineLockGrantsToSpinner(t *testing.T) {
 		k.Kill(victim)
 	})
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if inner.ForcedReleases != 1 || outer.ForcedReleases != 1 {
 		t.Errorf("forced releases inner=%d outer=%d, want 1 each", inner.ForcedReleases, outer.ForcedReleases)
 	}

@@ -10,7 +10,7 @@ import (
 // internal/faultinject to model misbehaving applications. Both are
 // engine-side operations — they must be called from simulation setup
 // code or event callbacks, never from inside a process body (a body
-// crashes itself by returning).
+// ends itself by returning Exit).
 //
 // Semantics of a crash: the process disappears at the current instant.
 // Spinlocks it holds are force-released and handed to the next running
@@ -65,9 +65,9 @@ func (k *Kernel) Kill(p *Process) bool {
 		k.setState(p, Exited)
 		k.finishKill(p)
 	case Runnable:
-		// Still in a policy queue; reaped at the next PickNext (or by
-		// Shutdown if the run ends first). Nothing else to do now: the
-		// locks are already released and the state gauges skip it.
+		// Still in a policy queue; reaped at the next PickNext. Nothing
+		// else to do now: the locks are already released and the state
+		// gauges skip it.
 	}
 	return true
 }
@@ -176,7 +176,6 @@ func (k *Kernel) finishKill(p *Process) {
 	if k.OnExit != nil {
 		k.OnExit(p)
 	}
-	p.env.unwind()
 }
 
 // Killed reports whether the process was crashed by fault injection.

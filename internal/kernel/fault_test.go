@@ -14,25 +14,20 @@ func TestKillRunningForceReleasesLock(t *testing.T) {
 	k := testKernel(2)
 	l := NewSpinLock("l")
 	var peerDone sim.Time
-	victim := k.Spawn("victim", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(3600 * sim.Second)
-		env.Release(l)
-	})
-	k.Spawn("peer", 1, 0, func(env *Env) {
-		env.Compute(sim.Millisecond) // let the victim win the lock
-		env.Acquire(l)
-		env.Compute(sim.Millisecond)
-		env.Release(l)
-		peerDone = env.Now()
-	})
+	victim := k.SpawnResumable("victim", 1, 0, Script(Acquire(l), Compute(3600*sim.Second), release(l)))
+	k.SpawnResumable("peer", 1, 0, Script(
+		Compute(sim.Millisecond), // let the victim win the lock
+		Acquire(l),
+		Compute(sim.Millisecond),
+		release(l),
+		func(env *Env) { peerDone = env.Now() },
+	))
 	k.Engine().Schedule(sim.Time(20*sim.Millisecond), func() {
 		if !k.Kill(victim) {
 			t.Error("Kill returned false for a live process")
 		}
 	})
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if victim.State() != Exited || !victim.Killed() {
 		t.Errorf("victim state %v killed=%v, want exited killed", victim.State(), victim.Killed())
 	}
@@ -56,16 +51,13 @@ func TestKillRunningForceReleasesLock(t *testing.T) {
 func TestKillBlockedProcess(t *testing.T) {
 	k := testKernel(2)
 	q := NewWaitQueue("q")
-	sleeper := k.Spawn("sleeper", 1, 0, func(env *Env) {
-		env.Sleep(q) // never woken
-	})
+	sleeper := k.SpawnResumable("sleeper", 1, 0, Script(Sleep(q))) // never woken
 	k.Engine().Run(sim.Time(5 * sim.Millisecond))
 	if sleeper.State() != Blocked {
 		t.Fatalf("sleeper state %v, want blocked", sleeper.State())
 	}
 	k.Engine().Schedule(sim.Time(10*sim.Millisecond), func() { k.Kill(sleeper) })
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if sleeper.State() != Exited {
 		t.Errorf("sleeper state %v, want exited", sleeper.State())
 	}
@@ -82,8 +74,8 @@ func TestKillRunnableReapedAtNextPick(t *testing.T) {
 	// it must stop counting as runnable immediately and be reaped when
 	// the scheduler next touches the queue, without ever running again.
 	k := testKernel(1)
-	a := k.Spawn("a", 1, 0, func(env *Env) { env.Compute(300 * sim.Millisecond) })
-	b := k.Spawn("b", 1, 0, func(env *Env) { env.Compute(300 * sim.Millisecond) })
+	a := k.SpawnResumable("a", 1, 0, Script(Compute(300*sim.Millisecond)))
+	b := k.SpawnResumable("b", 1, 0, Script(Compute(300*sim.Millisecond)))
 	_ = a
 	k.Engine().Schedule(sim.Time(10*sim.Millisecond), func() {
 		if b.State() != Runnable {
@@ -96,7 +88,6 @@ func TestKillRunnableReapedAtNextPick(t *testing.T) {
 		}
 	})
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if b.State() != Exited {
 		t.Errorf("b state %v, want exited (reaped)", b.State())
 	}
@@ -111,16 +102,15 @@ func TestKillRunnableReapedAtNextPick(t *testing.T) {
 func TestKillAppKillsEveryProcess(t *testing.T) {
 	k := testKernel(4)
 	for i := 0; i < 6; i++ {
-		k.Spawn("w", 7, 0, func(env *Env) { env.Compute(3600 * sim.Second) })
+		k.SpawnResumable("w", 7, 0, Script(Compute(3600*sim.Second)))
 	}
-	surv := k.Spawn("other", 8, 0, func(env *Env) { env.Compute(50 * sim.Millisecond) })
+	surv := k.SpawnResumable("other", 8, 0, Script(Compute(50*sim.Millisecond)))
 	k.Engine().Schedule(sim.Time(10*sim.Millisecond), func() {
 		if n := k.KillApp(7); n != 6 {
 			t.Errorf("KillApp = %d, want 6", n)
 		}
 	})
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	for _, p := range k.Processes() {
 		if p.App() == 7 && p.State() != Exited {
 			t.Errorf("%v not exited after KillApp", p)
@@ -136,10 +126,10 @@ func TestStallRunningProcess(t *testing.T) {
 	// machine: completion must slip from 100 ms to exactly 150 ms.
 	k := testKernel(1)
 	var done sim.Time
-	p := k.Spawn("p", 1, 0, func(env *Env) {
-		env.Compute(100 * sim.Millisecond)
-		done = env.Now()
-	})
+	p := k.SpawnResumable("p", 1, 0, Script(
+		Compute(100*sim.Millisecond),
+		func(env *Env) { done = env.Now() },
+	))
 	k.Engine().Schedule(sim.Time(10*sim.Millisecond), func() {
 		if !k.Stall(p, 50*sim.Millisecond) {
 			t.Error("Stall returned false for a running process")
@@ -149,7 +139,6 @@ func TestStallRunningProcess(t *testing.T) {
 		}
 	})
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if done != sim.Time(150*sim.Millisecond) {
 		t.Errorf("done at %v, want 150ms (no work lost, 50ms frozen)", done)
 	}
@@ -160,14 +149,13 @@ func TestStallRunnableAppliedAtPick(t *testing.T) {
 	// Runnable must freeze b when it would first be dispatched.
 	k := testKernel(1)
 	var bDone sim.Time
-	k.Spawn("a", 1, 0, func(env *Env) { env.Compute(150 * sim.Millisecond) })
-	b := k.Spawn("b", 1, 0, func(env *Env) {
-		env.Compute(10 * sim.Millisecond)
-		bDone = env.Now()
-	})
+	k.SpawnResumable("a", 1, 0, Script(Compute(150*sim.Millisecond)))
+	b := k.SpawnResumable("b", 1, 0, Script(
+		Compute(10*sim.Millisecond),
+		func(env *Env) { bDone = env.Now() },
+	))
 	k.Engine().Schedule(sim.Time(5*sim.Millisecond), func() { k.Stall(b, 200*sim.Millisecond) })
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if bDone == 0 {
 		t.Fatal("b never completed")
 	}
@@ -181,16 +169,24 @@ func TestStallRunnableAppliedAtPick(t *testing.T) {
 	}
 }
 
-func TestKillThenImmediateShutdownDoesNotHang(t *testing.T) {
-	// A killed Runnable husk never picked before the run ends must
-	// still be unwound by Shutdown.
+func TestKilledHuskNeverPickedIsNeverResumed(t *testing.T) {
+	// A Runnable process killed before it ever ran, and never picked
+	// before the run ends, stays a husk: its body is never called, and it
+	// no longer counts as runnable.
 	k := testKernel(1)
-	k.Spawn("a", 1, 0, func(env *Env) { env.Compute(3600 * sim.Second) })
-	b := k.Spawn("b", 1, 0, func(env *Env) { env.Compute(3600 * sim.Second) })
+	k.SpawnResumable("a", 1, 0, Script(Compute(3600*sim.Second)))
+	b := k.SpawnResumable("b", 1, 0, func(*Env) Request {
+		t.Error("the husk's body was called")
+		return Exit()
+	})
 	k.Engine().Run(sim.Time(sim.Millisecond))
-	k.Kill(b)
-	k.Engine().Stop()
-	k.Shutdown() // must not deadlock on b's goroutine
+	if !k.Kill(b) {
+		t.Fatal("Kill = false")
+	}
+	k.Engine().Run(sim.Time(50 * sim.Millisecond))
+	if perApp, _ := k.CountByApp(); perApp[1] != 1 || b.State() != Runnable || !b.Killed() {
+		t.Errorf("runnable count %d, husk %v killed=%v", perApp[1], b, b.Killed())
+	}
 }
 
 func TestKillDeterministic(t *testing.T) {
@@ -200,18 +196,18 @@ func TestKillDeterministic(t *testing.T) {
 		k := New(eng, mac, NewTimeshare(), DefaultConfig())
 		l := NewSpinLock("shared")
 		for i := 0; i < 12; i++ {
-			k.Spawn("p", AppID(1+i%2), 64<<10, func(env *Env) {
-				for j := 0; j < 50; j++ {
-					env.Compute(env.Rand().Duration(sim.Millisecond, 4*sim.Millisecond))
-					env.Acquire(l)
-					env.Compute(200 * sim.Microsecond)
-					env.Release(l)
-				}
-			})
+			var steps []any
+			for j := 0; j < 50; j++ {
+				steps = append(steps,
+					func(env *Env) Request { return Compute(env.Rand().Duration(sim.Millisecond, 4*sim.Millisecond)) },
+					Acquire(l),
+					Compute(200*sim.Microsecond),
+					release(l))
+			}
+			k.SpawnResumable("p", AppID(1+i%2), 64<<10, Script(steps...))
 		}
 		eng.Schedule(sim.Time(30*sim.Millisecond), func() { k.KillApp(1) })
 		eng.RunUntilIdle()
-		k.Shutdown()
 		var out []int64
 		for _, p := range k.Processes() {
 			out = append(out, int64(p.Stats.CPUTime), int64(p.Stats.SpinTime), p.Stats.Dispatches)

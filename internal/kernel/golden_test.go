@@ -19,7 +19,8 @@ import (
 // timed sleep, a yield, a Stall of a runnable process and of a running
 // lock holder, and a Kill of a lock holder with a running waiter. It was recorded on the tree where
 // every request was an engine-side rendezvous; moving the zero-time
-// requests onto the body goroutine must not move a single line.
+// requests into the body, and the bodies from coroutines to Script,
+// must not move a single line.
 const requestPathGoldenSHA256 = "cb67bcdcfcbd5a695e7d507ec01f531f27d664d644395826036da562bcaba359"
 
 // recordRequestPathScenario runs the scenario and returns one line per
@@ -62,57 +63,49 @@ func recordRequestPathScenario() []byte {
 	var workers []*Process
 	for i := 0; i < 6; i++ {
 		i := i
-		workers = append(workers, k.Spawn(fmt.Sprintf("w%d", i), 1, 48<<10, func(env *Env) {
-			for round := 0; round < 12; round++ {
-				env.Compute(sim.Duration(300+70*i) * sim.Microsecond)
-				env.Acquire(hot)
-				cs := 400 * sim.Microsecond
-				if (round+i)%4 == 0 {
-					cs = 9 * sim.Millisecond // outlives the quantum
-				}
-				env.Compute(cs)
-				if round%5 == 2 {
-					env.Acquire(cold) // nested, uncontended
-					env.Compute(50 * sim.Microsecond)
-					env.Release(cold)
-				}
-				env.Release(hot)
-				switch {
-				case i == 5 && round == 3:
-					env.Sleep(q) // suspended until worker 0 resumes it
-				case i == 0 && round == 8:
-					env.Wake(q, 4) // more than are asleep
-				case i == 2 && round == 6:
-					env.Yield()
-				case i == 3 && round%6 == 1:
-					env.SleepFor(3 * sim.Millisecond)
-				}
+		var steps []any
+		for round := 0; round < 12; round++ {
+			cs := 400 * sim.Microsecond
+			if (round+i)%4 == 0 {
+				cs = 9 * sim.Millisecond // outlives the quantum
 			}
-		}))
+			steps = append(steps, Compute(sim.Duration(300+70*i)*sim.Microsecond), Acquire(hot), Compute(cs))
+			if round%5 == 2 {
+				// nested, uncontended
+				steps = append(steps, Acquire(cold), Compute(50*sim.Microsecond), release(cold))
+			}
+			steps = append(steps, release(hot))
+			switch {
+			case i == 5 && round == 3:
+				steps = append(steps, Sleep(q)) // suspended until worker 0 resumes it
+			case i == 0 && round == 8:
+				steps = append(steps, wake(q, 4)) // more than are asleep
+			case i == 2 && round == 6:
+				steps = append(steps, Yield())
+			case i == 3 && round%6 == 1:
+				steps = append(steps, SleepFor(3*sim.Millisecond))
+			}
+		}
+		workers = append(workers, k.SpawnResumable(fmt.Sprintf("w%d", i), 1, 48<<10, Script(steps...)))
 	}
 	// A second application whose holder is crashed mid-critical-section
 	// while its peer spins on the lock, and a first-application worker
 	// stalled while runnable; whoever runs on CPU 0 at 44 ms is stalled
 	// while running.
 	crashLock := NewSpinLock("crash")
-	victim := k.Spawn("victim", 2, 16<<10, func(env *Env) {
-		env.Acquire(crashLock)
-		env.Compute(sim.Second)
-		env.Release(crashLock)
-	})
-	k.Spawn("peer", 2, 16<<10, func(env *Env) {
-		env.Compute(2 * sim.Millisecond)
-		env.Acquire(crashLock)
-		env.Compute(sim.Millisecond)
-		env.Release(crashLock)
-	})
+	victim := k.SpawnResumable("victim", 2, 16<<10, Script(Acquire(crashLock), Compute(sim.Second), release(crashLock)))
+	k.SpawnResumable("peer", 2, 16<<10, Script(
+		Compute(2*sim.Millisecond),
+		Acquire(crashLock),
+		Compute(sim.Millisecond),
+		release(crashLock),
+	))
 	eng.Schedule(sim.Time(31*sim.Millisecond), func() { k.Kill(victim) })
 	eng.Schedule(sim.Time(17*sim.Millisecond), func() { k.Stall(workers[4], 30*sim.Millisecond) })
 	eng.Schedule(sim.Time(44*sim.Millisecond), func() { k.Stall(k.RunningOn(0), 4*sim.Millisecond) })
 
 	eng.RunUntilIdle()
 	k.Finalize()
-	k.Shutdown()
 
 	fmt.Fprintf(&buf, "end %d fired=%d canceled=%d live=%d\n", k.Now(), eng.Fired(), eng.Canceled(), k.Live())
 	for _, l := range []*SpinLock{hot, cold, crashLock} {
@@ -166,7 +159,6 @@ func TestSpawnProbeGolden(t *testing.T) {
 	}
 	eng.RunUntilIdle()
 	k.Finalize()
-	k.Shutdown()
 	fmt.Fprintf(&buf, "end %d fired=%d canceled=%d live=%d\n", k.Now(), eng.Fired(), eng.Canceled(), k.Live())
 	for _, p := range k.Processes() {
 		fmt.Fprintf(&buf, "proc %d %v %+v\n", p.ID(), p.State(), p.Stats)

@@ -75,11 +75,10 @@ type Kernel struct {
 	rendezvous uint64
 
 	// Optional hooks for tracing. Invoked synchronously at the instant of
-	// the event, on whichever goroutine of the simulation is running —
-	// the engine's, or a function body's coroutine for the requests that
-	// body performs itself (OnLockAcquire, OnLockRelease, and the state
-	// changes and dispatches a Wake causes). A hook must not call Kill,
-	// Stall or Preempt.
+	// the event — inside a body's call for the requests the body performs
+	// itself (OnLockAcquire, OnLockRelease, and the state changes and
+	// dispatches a Wake causes). A hook must not call Kill, Stall or
+	// Preempt.
 	// Installers that replace a hook must chain the previous value.
 	OnSpawn       func(*Process)
 	OnExit        func(*Process)
@@ -168,9 +167,9 @@ func (k *Kernel) Lookup(id PID) *Process { return k.byID[id] }
 // time, when it first runs — the engine calls resume and the process
 // carries out the Request it returns; Exit() ends it. Between two
 // requests resume may take a free lock (Env.TryAcquire), Release, Wake
-// and read the Env; it must not call the Env's blocking methods. It runs
-// on the engine's goroutine and owns no stack between calls, so Kill and
-// Shutdown have nothing to unwind: they just never resume it again.
+// and read the Env. It runs on the engine's goroutine and owns no stack
+// between calls, so Kill has nothing to unwind: it just never calls it
+// again.
 func (k *Kernel) SpawnResumable(name string, app AppID, workingSet int64, resume func(*Env) Request) *Process {
 	k.nextID++
 	p := &Process{
@@ -200,54 +199,26 @@ func (k *Kernel) SpawnResumable(name string, app AppID, workingSet int64, resume
 	return p
 }
 
-// Spawn creates a process like SpawnResumable whose body is an ordinary
-// Go function making its blocking requests through the Env's methods. It
-// is for general bodies and tests; hot bodies use SpawnResumable. The
-// function runs as a coroutine in strict alternation with the engine —
-// an adapter whose resume switches to it until it parks in its next
-// request — so each blocking request costs two coroutine switches, and
-// Kill and Shutdown unwind it.
+// Spawn creates a process like SpawnResumable whose body runs once, at
+// the process's first resume, and then exits: it cannot block. It is
+// kept only for the repo benchmark's kernel.spawn_us probe; ROADMAP item
+// 2(a) deletes both.
 func (k *Kernel) Spawn(name string, app AppID, workingSet int64, body func(*Env)) *Process {
-	var e *Env
-	next, stop := newCoroutine(func(yield func(Request) bool) {
-		defer func() { // a kill is a plain return; any other panic goes on to next's caller
-			if r := recover(); r != nil && r != any(killedError{}) {
-				panic(r)
-			}
-		}()
-		e.yield = yield
-		body(e)
-	})
-	p := k.SpawnResumable(name, app, workingSet, func(*Env) Request {
-		r, ok := next()
-		if !ok {
-			return Exit() // the function returned
-		}
-		return r
-	})
-	e = &p.env // the body first runs from an engine event, after this
-	e.stop = stop
-	return p
+	return k.SpawnResumable(name, app, workingSet, func(e *Env) Request { body(e); return Exit() })
 }
 
-// Shutdown unwinds the function bodies of all still-live processes, one
-// after the other (Env.unwind; a resumable body has nothing to unwind).
-// Call it after the engine has returned from Run; it must not be called
-// from an event callback.
-func (k *Kernel) Shutdown() {
-	for _, p := range k.procs {
-		p.env.unwind()
-	}
-}
+// Shutdown does nothing: a body holds no goroutine and no stack, so a
+// run that ends leaves nothing to unwind. It is kept only for the repo
+// benchmark's kernel.spawn_us probe; ROADMAP item 2(a) deletes both.
+func (k *Kernel) Shutdown() {}
 
-// advance resumes p's body until its next blocking request and
-// initializes the request's progress state. This is the rendezvous: the
-// only place the engine hands control to a body and waits for it. A
-// Compute or SleepFor of no duration is satisfied on the spot — the body
-// is resumed again, nothing else having happened — which is the one
-// place that rule lives. Requests that take no virtual time never get
-// here: the body performs them itself (Env.TryAcquire, Env.Release,
-// Env.Wake).
+// advance calls p's body for its next blocking request and initializes
+// the request's progress state. This is the rendezvous: the only place
+// the engine hands control to a body. A Compute or SleepFor of no
+// duration is satisfied on the spot — the body is called again, nothing
+// else having happened — which is the one place that rule lives.
+// Requests that take no virtual time never get here: the body performs
+// them itself (Env.TryAcquire, Env.Release, Env.Wake).
 func (k *Kernel) advance(p *Process) {
 	k.rendezvous++
 	e := &p.env
@@ -494,7 +465,7 @@ func (k *Kernel) computeDone(p *Process) {
 
 // takeLock makes p the holder of the free lock l at the current
 // instant; spun is the busy-wait time of the leg that won it. It is the
-// one definition of "acquire": runProc, Env.Acquire and grantLock all
+// one definition of "acquire": runProc, Env.TryAcquire and grantLock all
 // end here.
 func (k *Kernel) takeLock(l *SpinLock, p *Process, spun sim.Duration) {
 	l.removeWaiter(p)

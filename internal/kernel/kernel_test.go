@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
 	"procctl/internal/machine"
@@ -22,15 +23,28 @@ func testKernelPolicy(ncpu int, pol Policy, cfg Config) *Kernel {
 	return New(eng, mac, pol, cfg)
 }
 
+// release and wake are Script steps for the requests a body performs
+// itself; repeat lays steps out n times over, for a body that loops.
+func release(l *SpinLock) func(*Env) { return func(e *Env) { e.Release(l) } }
+
+func wake(q *WaitQueue, n int) func(*Env) { return func(e *Env) { e.Wake(q, n) } }
+
+func repeat(n int, steps ...any) []any {
+	var out []any
+	for i := 0; i < n; i++ {
+		out = append(out, steps...)
+	}
+	return out
+}
+
 func TestComputeExactDuration(t *testing.T) {
 	k := testKernel(1)
 	var finished sim.Time
-	k.Spawn("p", 1, 0, func(env *Env) {
-		env.Compute(30 * sim.Millisecond)
-		finished = env.Now()
-	})
+	k.SpawnResumable("p", 1, 0, Script(
+		Compute(30*sim.Millisecond),
+		func(env *Env) { finished = env.Now() },
+	))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if finished != sim.Time(30*sim.Millisecond) {
 		t.Errorf("compute finished at %v, want 30ms", finished)
 	}
@@ -42,13 +56,12 @@ func TestComputeSurvivesPreemption(t *testing.T) {
 	k := testKernel(1)
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
-		k.Spawn("p", 1, 0, func(env *Env) {
-			env.Compute(250 * sim.Millisecond)
-			done = append(done, env.Now())
-		})
+		k.SpawnResumable("p", 1, 0, Script(
+			Compute(250*sim.Millisecond),
+			func(env *Env) { done = append(done, env.Now()) },
+		))
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if len(done) != 2 {
 		t.Fatalf("finished %d of 2", len(done))
 	}
@@ -69,8 +82,8 @@ func TestComputeSurvivesPreemption(t *testing.T) {
 func TestQuantumExpiryRoundRobins(t *testing.T) {
 	k := testKernel(1)
 	var first *Process
-	k.Spawn("a", 1, 0, func(env *Env) { env.Compute(sim.Second) })
-	k.Spawn("b", 1, 0, func(env *Env) { env.Compute(sim.Second) })
+	k.SpawnResumable("a", 1, 0, Script(Compute(sim.Second)))
+	k.SpawnResumable("b", 1, 0, Script(Compute(sim.Second)))
 	k.Engine().Run(sim.Time(150 * sim.Millisecond))
 	// After one quantum (100 ms) the second process must have run.
 	first = k.Processes()[1]
@@ -78,23 +91,18 @@ func TestQuantumExpiryRoundRobins(t *testing.T) {
 		t.Error("second process never dispatched after quantum expiry")
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 }
 
 func TestSleepWake(t *testing.T) {
 	k := testKernel(2)
 	q := NewWaitQueue("q")
 	var wokeAt sim.Time
-	k.Spawn("sleeper", 1, 0, func(env *Env) {
-		env.Sleep(q)
-		wokeAt = env.Now()
-	})
-	k.Spawn("waker", 1, 0, func(env *Env) {
-		env.Compute(40 * sim.Millisecond)
-		env.Wake(q, 1)
-	})
+	k.SpawnResumable("sleeper", 1, 0, Script(
+		Sleep(q),
+		func(env *Env) { wokeAt = env.Now() },
+	))
+	k.SpawnResumable("waker", 1, 0, Script(Compute(40*sim.Millisecond), wake(q, 1)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if wokeAt != sim.Time(40*sim.Millisecond) {
 		t.Errorf("woke at %v, want 40ms", wokeAt)
 	}
@@ -113,21 +121,15 @@ func TestWakeFIFOOrder(t *testing.T) {
 	var order []PID
 	for i := 0; i < 3; i++ {
 		d := sim.Duration(i+1) * sim.Millisecond
-		k.Spawn("s", 1, 0, func(env *Env) {
-			env.Compute(d) // stagger arrival on the queue
-			env.Sleep(q)
-			order = append(order, env.Proc().ID())
-		})
+		k.SpawnResumable("s", 1, 0, Script(
+			Compute(d), // stagger arrival on the queue
+			Sleep(q),
+			func(env *Env) { order = append(order, env.Proc().ID()) },
+		))
 	}
-	k.Spawn("waker", 1, 0, func(env *Env) {
-		env.Compute(10 * sim.Millisecond)
-		for i := 0; i < 3; i++ {
-			env.Wake(q, 1)
-			env.Compute(sim.Millisecond)
-		}
-	})
+	k.SpawnResumable("waker", 1, 0, Script(append([]any{Compute(10 * sim.Millisecond)},
+		repeat(3, wake(q, 1), Compute(sim.Millisecond))...)...))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if len(order) != 3 {
 		t.Fatalf("woke %d of 3", len(order))
 	}
@@ -142,16 +144,12 @@ func TestWakeMoreThanSleeping(t *testing.T) {
 	k := testKernel(2)
 	q := NewWaitQueue("q")
 	woke := false
-	k.Spawn("s", 1, 0, func(env *Env) {
-		env.Sleep(q)
-		woke = true
-	})
-	k.Spawn("w", 1, 0, func(env *Env) {
-		env.Compute(sim.Millisecond)
-		env.Wake(q, 100) // only one sleeper exists
-	})
+	k.SpawnResumable("s", 1, 0, Script(Sleep(q), func(*Env) { woke = true }))
+	k.SpawnResumable("w", 1, 0, Script(
+		Compute(sim.Millisecond),
+		wake(q, 100), // only one sleeper exists
+	))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if !woke {
 		t.Error("sleeper not woken")
 	}
@@ -160,14 +158,13 @@ func TestWakeMoreThanSleeping(t *testing.T) {
 func TestSleepFor(t *testing.T) {
 	k := testKernel(1)
 	var resumed sim.Time
-	k.Spawn("p", 1, 0, func(env *Env) {
-		env.Compute(10 * sim.Millisecond)
-		env.SleepFor(50 * sim.Millisecond)
-		resumed = env.Now()
-		env.Compute(5 * sim.Millisecond)
-	})
+	k.SpawnResumable("p", 1, 0, Script(
+		Compute(10*sim.Millisecond),
+		SleepFor(50*sim.Millisecond),
+		func(env *Env) { resumed = env.Now() },
+		Compute(5*sim.Millisecond),
+	))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if resumed != sim.Time(60*sim.Millisecond) {
 		t.Errorf("resumed at %v, want 60ms", resumed)
 	}
@@ -176,15 +173,12 @@ func TestSleepFor(t *testing.T) {
 func TestSleepForFreesCPU(t *testing.T) {
 	k := testKernel(1)
 	var otherDone sim.Time
-	k.Spawn("sleeper", 1, 0, func(env *Env) {
-		env.SleepFor(sim.Second)
-	})
-	k.Spawn("worker", 2, 0, func(env *Env) {
-		env.Compute(50 * sim.Millisecond)
-		otherDone = env.Now()
-	})
+	k.SpawnResumable("sleeper", 1, 0, Script(SleepFor(sim.Second)))
+	k.SpawnResumable("worker", 2, 0, Script(
+		Compute(50*sim.Millisecond),
+		func(env *Env) { otherDone = env.Now() },
+	))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if otherDone > sim.Time(51*sim.Millisecond) {
 		t.Errorf("worker blocked by a sleeping process until %v", otherDone)
 	}
@@ -193,17 +187,16 @@ func TestSleepForFreesCPU(t *testing.T) {
 func TestYield(t *testing.T) {
 	k := testKernel(1)
 	var order []string
-	k.Spawn("a", 1, 0, func(env *Env) {
-		env.Compute(sim.Millisecond)
-		env.Yield()
-		order = append(order, "a")
-	})
-	k.Spawn("b", 1, 0, func(env *Env) {
-		env.Compute(sim.Millisecond)
-		order = append(order, "b")
-	})
+	k.SpawnResumable("a", 1, 0, Script(
+		Compute(sim.Millisecond),
+		Yield(),
+		func(*Env) { order = append(order, "a") },
+	))
+	k.SpawnResumable("b", 1, 0, Script(
+		Compute(sim.Millisecond),
+		func(*Env) { order = append(order, "b") },
+	))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if len(order) != 2 || order[0] != "b" {
 		t.Errorf("yield did not hand over the CPU: order %v", order)
 	}
@@ -211,14 +204,11 @@ func TestYield(t *testing.T) {
 
 func TestExitAccounting(t *testing.T) {
 	k := testKernel(2)
-	p := k.Spawn("p", 1, 0, func(env *Env) {
-		env.Compute(10 * sim.Millisecond)
-	})
+	p := k.SpawnResumable("p", 1, 0, Script(Compute(10*sim.Millisecond)))
 	if k.Live() != 1 {
 		t.Fatalf("Live = %d", k.Live())
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if p.State() != Exited {
 		t.Errorf("state %v, want exited", p.State())
 	}
@@ -233,14 +223,10 @@ func TestExitAccounting(t *testing.T) {
 func TestExitHoldingLockPanics(t *testing.T) {
 	k := testKernel(1)
 	l := NewSpinLock("l")
-	k.Spawn("bad", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		// exit without release
-	})
+	k.SpawnResumable("bad", 1, 0, Script(Acquire(l))) // exit without release
 	defer func() {
-		k.Shutdown()
-		if recover() == nil {
-			t.Error("exit holding a lock did not panic")
+		if msg, _ := recover().(string); !strings.Contains(msg, "exited holding 1 lock(s)") {
+			t.Errorf("exit holding a lock panicked with %q, want the kernel's exit panic", msg)
 		}
 	}()
 	k.Engine().RunUntilIdle()
@@ -249,11 +235,8 @@ func TestExitHoldingLockPanics(t *testing.T) {
 func TestReleaseNotHeldPanics(t *testing.T) {
 	k := testKernel(1)
 	l := NewSpinLock("l")
-	k.Spawn("bad", 1, 0, func(env *Env) {
-		env.Release(l)
-	})
+	k.SpawnResumable("bad", 1, 0, Script(release(l)))
 	defer func() {
-		k.Shutdown()
 		if recover() == nil {
 			t.Error("release of unheld lock did not panic")
 		}
@@ -266,13 +249,10 @@ func TestCPUAccountingBalances(t *testing.T) {
 	// must equal elapsed × NumCPU after Finalize.
 	k := testKernel(2)
 	for i := 0; i < 4; i++ {
-		k.Spawn("p", 1, 0, func(env *Env) {
-			env.Compute(70 * sim.Millisecond)
-		})
+		k.SpawnResumable("p", 1, 0, Script(Compute(70*sim.Millisecond)))
 	}
 	end := k.Engine().RunUntilIdle()
 	k.Finalize()
-	k.Shutdown()
 	var busy, idle sim.Duration
 	for i := 0; i < k.NumCPU(); i++ {
 		busy += k.Machine().CPU(i).BusyTime
@@ -294,17 +274,14 @@ func TestDeterminism(t *testing.T) {
 		k := New(eng, mac, NewTimeshare(), DefaultConfig())
 		l := NewSpinLock("shared")
 		for i := 0; i < 20; i++ {
-			k.Spawn("p", AppID(1+i%3), 64<<10, func(env *Env) {
-				for j := 0; j < 10; j++ {
-					env.Compute(env.Rand().Duration(sim.Millisecond, 5*sim.Millisecond))
-					env.Acquire(l)
-					env.Compute(100 * sim.Microsecond)
-					env.Release(l)
-				}
-			})
+			k.SpawnResumable("p", AppID(1+i%3), 64<<10, Script(repeat(10,
+				func(env *Env) Request { return Compute(env.Rand().Duration(sim.Millisecond, 5*sim.Millisecond)) },
+				Acquire(l),
+				Compute(100*sim.Microsecond),
+				release(l),
+			)...))
 		}
 		eng.RunUntilIdle()
-		k.Shutdown()
 		var out []sim.Duration
 		for _, p := range k.Processes() {
 			out = append(out, p.Stats.CPUTime, p.Stats.SpinTime, p.Stats.ReadyTime)
@@ -322,11 +299,11 @@ func TestDeterminism(t *testing.T) {
 func TestCountByApp(t *testing.T) {
 	k := testKernel(8)
 	q := NewWaitQueue("q")
-	k.Spawn("bg", AppNone, 0, func(env *Env) { env.Compute(sim.Second) })
+	k.SpawnResumable("bg", AppNone, 0, Script(Compute(sim.Second)))
 	for i := 0; i < 3; i++ {
-		k.Spawn("a1", 1, 0, func(env *Env) { env.Compute(sim.Second) })
+		k.SpawnResumable("a1", 1, 0, Script(Compute(sim.Second)))
 	}
-	k.Spawn("a2-blocked", 2, 0, func(env *Env) { env.Sleep(q) })
+	k.SpawnResumable("a2-blocked", 2, 0, Script(Sleep(q)))
 	k.Engine().Run(sim.Time(10 * sim.Millisecond))
 	perApp, un := k.CountByApp()
 	if un != 1 {
@@ -340,20 +317,18 @@ func TestCountByApp(t *testing.T) {
 	}
 	// The sleeper never exits; bound the run instead of waiting for idle.
 	k.Engine().Run(sim.Time(2 * sim.Second))
-	k.Shutdown()
 }
 
 func TestSpawnDuringRun(t *testing.T) {
 	k := testKernel(2)
 	var childDone bool
 	k.Engine().Schedule(sim.Time(50*sim.Millisecond), func() {
-		k.Spawn("late", 1, 0, func(env *Env) {
-			env.Compute(10 * sim.Millisecond)
-			childDone = true
-		})
+		k.SpawnResumable("late", 1, 0, Script(
+			Compute(10*sim.Millisecond),
+			func(*Env) { childDone = true },
+		))
 	})
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if !childDone {
 		t.Error("process spawned from an event never ran")
 	}
@@ -361,7 +336,7 @@ func TestSpawnDuringRun(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	k := testKernel(1)
-	p := k.Spawn("p", 1, 0, func(env *Env) {})
+	p := k.SpawnResumable("p", 1, 0, Script())
 	if k.Lookup(p.ID()) != p {
 		t.Error("Lookup failed")
 	}
@@ -369,7 +344,6 @@ func TestLookup(t *testing.T) {
 		t.Error("Lookup of unknown PID returned a process")
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 }
 
 func TestStateChangeHook(t *testing.T) {
@@ -378,9 +352,8 @@ func TestStateChangeHook(t *testing.T) {
 	k.OnStateChange = func(p *Process, old, next ProcState) {
 		transitions = append(transitions, next)
 	}
-	k.Spawn("p", 1, 0, func(env *Env) { env.Compute(sim.Millisecond) })
+	k.SpawnResumable("p", 1, 0, Script(Compute(sim.Millisecond)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	want := []ProcState{Runnable, Running, Exited}
 	if len(transitions) != len(want) {
 		t.Fatalf("transitions %v, want %v", transitions, want)

@@ -40,17 +40,16 @@ func TestTimesharePrefersFreshProcesses(t *testing.T) {
 	ts := NewTimeshare()
 	k := testKernelPolicy(1, ts, Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
 	var firstRunOfLate sim.Time
-	k.Spawn("old", 1, 0, func(env *Env) { env.Compute(2 * sim.Second) })
-	k.Spawn("old2", 1, 0, func(env *Env) { env.Compute(2 * sim.Second) })
+	k.SpawnResumable("old", 1, 0, Script(Compute(2*sim.Second)))
+	k.SpawnResumable("old2", 1, 0, Script(Compute(2*sim.Second)))
 	k.Engine().Schedule(sim.Time(900*sim.Millisecond), func() {
-		k.Spawn("late", 2, 0, func(env *Env) {
-			firstRunOfLate = env.Now()
-			env.Compute(10 * sim.Millisecond)
-		})
+		k.SpawnResumable("late", 2, 0, Script(
+			func(env *Env) { firstRunOfLate = env.Now() },
+			Compute(10*sim.Millisecond),
+		))
 	})
 	k.Engine().Run(sim.Time(1200 * sim.Millisecond))
 	k.Engine().Run(sim.Time(5 * sim.Second))
-	k.Shutdown()
 	// The late arrival has zero usage, so it should run at the next
 	// quantum boundary, ahead of the queued old process.
 	if firstRunOfLate == 0 || firstRunOfLate > sim.Time(1000*sim.Millisecond) {
@@ -61,17 +60,16 @@ func TestTimesharePrefersFreshProcesses(t *testing.T) {
 func TestTimeshareUsageDecays(t *testing.T) {
 	ts := NewTimeshare()
 	k := testKernelPolicy(2, ts, Config{Quantum: 100 * sim.Millisecond, QuantumJitter: -1})
-	p := k.Spawn("p", 1, 0, func(env *Env) {
-		env.Compute(300 * sim.Millisecond)
-		env.SleepFor(3 * sim.Second) // idle: usage should decay
-		env.Compute(sim.Millisecond)
-	})
+	p := k.SpawnResumable("p", 1, 0, Script(
+		Compute(300*sim.Millisecond),
+		SleepFor(3*sim.Second), // idle: usage should decay
+		Compute(sim.Millisecond),
+	))
 	k.Engine().Run(sim.Time(320 * sim.Millisecond))
 	usageBusy := p.Usage()
 	k.Engine().Run(sim.Time(3 * sim.Second))
 	usageIdle := p.Usage()
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if usageBusy < float64(250*sim.Millisecond) {
 		t.Errorf("usage after 300ms of CPU = %v, too low", usageBusy)
 	}
@@ -88,7 +86,7 @@ func TestCoschedGangsRunTogether(t *testing.T) {
 	k := testKernelPolicy(4, cs, Config{Quantum: 100 * sim.Millisecond, QuantumJitter: -1})
 	for app := AppID(1); app <= 2; app++ {
 		for i := 0; i < 4; i++ {
-			k.Spawn("w", app, 0, func(env *Env) { env.Compute(400 * sim.Millisecond) })
+			k.SpawnResumable("w", app, 0, Script(Compute(400*sim.Millisecond)))
 		}
 	}
 	mixed, pure, both := 0, 0, 0
@@ -116,7 +114,6 @@ func TestCoschedGangsRunTogether(t *testing.T) {
 		}
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if pure < mixed {
 		t.Errorf("coscheduling rarely ran gangs together: pure=%d mixed=%d", pure, mixed)
 	}
@@ -130,14 +127,13 @@ func TestCoschedBothGangsProgress(t *testing.T) {
 	for app := AppID(1); app <= 2; app++ {
 		app := app
 		for i := 0; i < 2; i++ {
-			k.Spawn("w", app, 0, func(env *Env) {
-				env.Compute(100 * sim.Millisecond)
-				done[app] = env.Now()
-			})
+			k.SpawnResumable("w", app, 0, Script(
+				Compute(100*sim.Millisecond),
+				func(env *Env) { done[app] = env.Now() },
+			))
 		}
 	}
 	k.Engine().Run(sim.Time(2 * sim.Second))
-	k.Shutdown()
 	if len(done) != 2 {
 		t.Fatalf("only %d gangs finished", len(done))
 	}
@@ -157,15 +153,14 @@ func TestSpinFlagHolderNotPreempted(t *testing.T) {
 	k := testKernelPolicy(1, sf, Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("l")
 	var releaseAt sim.Time
-	holder := k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(70 * sim.Millisecond) // quantum is 50 ms
-		env.Release(l)
-		releaseAt = env.Now()
-	})
-	k.Spawn("other", 2, 0, func(env *Env) { env.Compute(200 * sim.Millisecond) })
+	holder := k.SpawnResumable("holder", 1, 0, Script(
+		Acquire(l),
+		Compute(70*sim.Millisecond), // quantum is 50 ms
+		release(l),
+		func(env *Env) { releaseAt = env.Now() },
+	))
+	k.SpawnResumable("other", 2, 0, Script(Compute(200*sim.Millisecond)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if releaseAt != sim.Time(70*sim.Millisecond) {
 		t.Errorf("critical section ended at %v, want 70ms (no preemption inside CS)", releaseAt)
 	}
@@ -180,12 +175,12 @@ func TestSpinFlagExtensionCapped(t *testing.T) {
 	sf.MaxExtensions = 3
 	k := testKernelPolicy(1, sf, Config{Quantum: 10 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("l")
-	greedy := k.Spawn("greedy", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(500 * sim.Millisecond) // would hold forever if uncapped
-		env.Release(l)
-	})
-	k.Spawn("victim", 2, 0, func(env *Env) { env.Compute(20 * sim.Millisecond) })
+	greedy := k.SpawnResumable("greedy", 1, 0, Script(
+		Acquire(l),
+		Compute(500*sim.Millisecond), // would hold forever if uncapped
+		release(l),
+	))
+	k.SpawnResumable("victim", 2, 0, Script(Compute(20*sim.Millisecond)))
 	k.Engine().Run(sim.Time(100 * sim.Millisecond))
 	victim := k.Processes()[1]
 	if victim.Stats.CPUTime == 0 {
@@ -195,7 +190,6 @@ func TestSpinFlagExtensionCapped(t *testing.T) {
 		t.Error("greedy holder never preempted despite the cap")
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 }
 
 func TestSpinFlagSkipsDoomedSpinners(t *testing.T) {
@@ -205,18 +199,10 @@ func TestSpinFlagSkipsDoomedSpinners(t *testing.T) {
 	sf.MaxExtensions = 0 // disable extensions; we want the holder preempted
 	k := testKernelPolicy(1, sf, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("l")
-	k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(50 * sim.Millisecond)
-		env.Release(l)
-	})
-	k.Spawn("spinner", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Release(l)
-	})
-	indep := k.Spawn("independent", 2, 0, func(env *Env) { env.Compute(30 * sim.Millisecond) })
+	k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(50*sim.Millisecond), release(l)))
+	k.SpawnResumable("spinner", 1, 0, Script(Acquire(l), release(l)))
+	indep := k.SpawnResumable("independent", 2, 0, Script(Compute(30*sim.Millisecond)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	spinner := k.Processes()[1]
 	// The independent process should finish with minimal delay beyond
 	// fair sharing, and the spinner should have burned little CPU
@@ -236,7 +222,7 @@ func TestAffinityReschedulesOnSameCPU(t *testing.T) {
 	// redispatched on its previous CPU most of the time.
 	procs := make([]*Process, 4)
 	for i := range procs {
-		procs[i] = k.Spawn("p", 1, 0, func(env *Env) { env.Compute(500 * sim.Millisecond) })
+		procs[i] = k.SpawnResumable("p", 1, 0, Script(Compute(500*sim.Millisecond)))
 	}
 	type move struct{ same, total int }
 	var m move
@@ -253,7 +239,6 @@ func TestAffinityReschedulesOnSameCPU(t *testing.T) {
 		}
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if m.total == 0 {
 		t.Fatal("no redispatches observed")
 	}
@@ -268,11 +253,10 @@ func TestAffinityStealsFromLongQueue(t *testing.T) {
 	// Pin three processes' affinity to CPU 0 by letting them run there
 	// first, then watch CPU 1 steal rather than idle.
 	for i := 0; i < 3; i++ {
-		k.Spawn("p", 1, 0, func(env *Env) { env.Compute(300 * sim.Millisecond) })
+		k.SpawnResumable("p", 1, 0, Script(Compute(300*sim.Millisecond)))
 	}
 	end := k.Engine().RunUntilIdle()
 	k.Finalize()
-	k.Shutdown()
 	var idle sim.Duration
 	for i := 0; i < 2; i++ {
 		idle += k.CPUIdleTime(i)
@@ -290,7 +274,7 @@ func TestPartitionIsolation(t *testing.T) {
 	k := testKernelPolicy(4, pt, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	for app := AppID(1); app <= 2; app++ {
 		for i := 0; i < 4; i++ {
-			k.Spawn("w", app, 0, func(env *Env) { env.Compute(200 * sim.Millisecond) })
+			k.SpawnResumable("w", app, 0, Script(Compute(200*sim.Millisecond)))
 		}
 	}
 	// After the partition settles, each app owns 2 CPUs and processes
@@ -308,7 +292,6 @@ func TestPartitionIsolation(t *testing.T) {
 		}
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if violations > 0 {
 		t.Errorf("%d strict-isolation violations", violations)
 	}
@@ -322,10 +305,10 @@ func TestPartitionGrowsWhenAppExits(t *testing.T) {
 	pt.Interval = 10 * sim.Millisecond
 	k := testKernelPolicy(4, pt, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	for i := 0; i < 4; i++ {
-		k.Spawn("a", 1, 0, func(env *Env) { env.Compute(500 * sim.Millisecond) })
+		k.SpawnResumable("a", 1, 0, Script(Compute(500*sim.Millisecond)))
 	}
 	for i := 0; i < 4; i++ {
-		k.Spawn("b", 2, 0, func(env *Env) { env.Compute(50 * sim.Millisecond) })
+		k.SpawnResumable("b", 2, 0, Script(Compute(50*sim.Millisecond)))
 	}
 	k.Engine().Run(sim.Time(30 * sim.Millisecond))
 	if pt.CPUsOf(1) != 2 || pt.CPUsOf(2) != 2 {
@@ -336,7 +319,6 @@ func TestPartitionGrowsWhenAppExits(t *testing.T) {
 		t.Errorf("app 1 owns %d CPUs after app 2 exited, want 4", pt.CPUsOf(1))
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 }
 
 func TestPartitionBackfillUsesIdleCPUs(t *testing.T) {
@@ -346,10 +328,9 @@ func TestPartitionBackfillUsesIdleCPUs(t *testing.T) {
 	// One app with 8 processes: it should use all 4 CPUs even though
 	// other groups exist transiently.
 	for i := 0; i < 8; i++ {
-		k.Spawn("a", 1, 0, func(env *Env) { env.Compute(100 * sim.Millisecond) })
+		k.SpawnResumable("a", 1, 0, Script(Compute(100*sim.Millisecond)))
 	}
 	end := k.Engine().RunUntilIdle()
-	k.Shutdown()
 	// 800 ms of work on 4 CPUs ≈ 200 ms.
 	if end > sim.Time(280*sim.Millisecond) {
 		t.Errorf("finished at %v, want ≈200ms", end)

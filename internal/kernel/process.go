@@ -3,70 +3,45 @@
 // with time quanta, spinlocks whose waiters burn CPU, and sleep/wakeup
 // queues (the paper's signal-based suspension).
 //
-// A process body is something that, each time its last blocking request
-// has been satisfied, is resumed and returns the next one. It comes in
-// two forms with that one definition:
-//
-//   - A resumable body (SpawnResumable) is literally that: a function
-//     from *Env to Request — a state machine — called on the engine's
-//     goroutine. It holds no goroutine and no stack between calls. The
-//     hot bodies are written this way: the threads runtime's worker and
-//     the background load, so a figure run creates no coroutine at all.
-//   - A function body (Spawn) is an ordinary Go function that blocks in
-//     its Env's methods — Compute consumes CPU time, Acquire/Release
-//     operate a spinlock, Sleep and Wake block and unblock on a wait
-//     queue, Yield surrenders the processor. Spawn adapts it to the
-//     definition by running it as a coroutine (iter.Pull, see
-//     coroutine.go) whose resume is "switch to it until it parks in its
-//     next request". General bodies and tests use it.
-//
-// Either way exactly one of {the engine, one body} executes at any
+// A process body (SpawnResumable) is a function from *Env to Request — a
+// state machine — that the engine calls each time the process's last
+// blocking request has been satisfied, and that returns the next one. It
+// runs on the engine's goroutine and holds no goroutine and no stack
+// between calls. Exactly one of {the engine, one body} executes at any
 // moment, so bodies may freely share data structures and the simulation
-// stays deterministic.
+// stays deterministic. The threads runtime's worker and the background
+// load are written this way; Script builds a body from a list of steps.
 //
 // # The request path
 //
 // A body executes only while its process is Running, past its dispatch
 // overhead, and the engine is inside Kernel.advance — the only place a
-// body is resumed — until the body hands back its next request. While
-// it runs, the body therefore has exclusive access to the kernel. For a
-// resumable body that is a function call and its return; for a function
-// body it is two coroutine switches — a direct hand-off on the same
-// thread, which the Go scheduler never sees, ordering all memory between
-// the two with the happens-before edges of a channel hand-off (`make
-// race` checks the protocol).
+// body is called — until the body returns its next request. While it
+// runs, the body therefore has exclusive access to the kernel.
 //
 // A request whose completion needs virtual time to pass — Compute,
 // Sleep, SleepFor, Yield, Exit, Acquire of a held lock (spinning burns
-// time) — is a Request, handed to the engine: one rendezvous. (A Compute
-// or SleepFor of no duration is the exception that proves the rule:
-// advance answers it by resuming the body again.) A request that
-// completes at the current instant — taking a free lock (Env.TryAcquire,
-// which Env.Acquire tries first), Release (including the hand-off to the
-// first spinning waiter), Wake — is performed by the body itself,
-// calling the same takeLock, releaseLock and WakeQueue the engine-side
-// paths call. It schedules the same events, fires the same hooks and
-// bumps the same counters in the same order, so event firing order does
-// not depend on the body's form or on who performed the request. What
-// follows from that:
+// time) — is a Request, returned to the engine. (A Compute or SleepFor
+// of no duration is the exception that proves the rule: advance answers
+// it by calling the body again.) A request that completes at the current
+// instant — taking a free lock (Env.TryAcquire, which a body tries before
+// it returns Acquire), Release (including the hand-off to the first
+// spinning waiter), Wake — is performed by the body itself, calling the
+// same takeLock, releaseLock and WakeQueue the engine-side paths call. It
+// schedules the same events, fires the same hooks and bumps the same
+// counters in the same order, so event firing order does not depend on
+// who performed the request. What follows from that:
 //
 //   - OnLockAcquire and OnLockRelease, and the OnStateChange and
-//     OnDispatch hooks a Wake causes, run on whatever goroutine the body
-//     runs on: the engine's for a resumable body, the coroutine's for a
-//     function body. Still one at a time, still at the instant of the
-//     event.
+//     OnDispatch hooks a Wake causes, run inside the body's call, at the
+//     instant of the event.
 //   - Kill, Stall and Preempt are engine-side only: call them from
 //     simulation setup code or engine events, never from a hook and
 //     never from a body.
 //   - A panic in a body — a model bug such as Release of a lock the
 //     process does not hold, or any other — comes out of advance, that
-//     is out of Engine.Run on the driver's goroutine, with its value.
-//   - Kill and Shutdown never resume a body again. A function body is
-//     unwound before they return: its deferred functions have run by
-//     then. A resumable body has nothing to unwind.
-//   - A resumable body must not call the Env's blocking methods
-//     (Compute, Acquire of a held lock, Sleep, SleepFor, Yield): it
-//     returns those requests. Doing so panics.
+//     is out of Engine.Run, with its value.
+//   - Kill never calls a body again; there is nothing to unwind.
 //   - Process.DebugPending reports the last blocking request; requests
 //     the body performed itself never appear in it.
 package kernel
@@ -264,11 +239,9 @@ const (
 	reqExit
 )
 
-// Request is a blocking request: what a body hands the engine when it
-// cannot go on until virtual time has passed. A function body (Spawn)
-// makes them through its Env's methods; a resumable body
-// (SpawnResumable) returns them, built by the constructors below. The
-// zero Request is not valid.
+// Request is a blocking request: what a body returns to the engine when
+// it cannot go on until virtual time has passed, built by the
+// constructors below. The zero Request is not valid.
 type Request struct {
 	kind reqKind
 	dur  sim.Duration // reqCompute, reqSleepFor
@@ -282,30 +255,58 @@ type Request struct {
 func Compute(d sim.Duration) Request { return Request{kind: reqCompute, dur: d} }
 
 // Acquire asks for the spinlock, busy-waiting (and burning CPU) while
-// another process holds it. A resumable body tries Env.TryAcquire first
-// and returns this only for a held lock, as Env.Acquire does.
+// another process holds it. Only running processes can win a released
+// lock; a waiter that is preempted resumes spinning when redispatched. A
+// body tries Env.TryAcquire first and returns this only for a held lock:
+// only spinning lets virtual time pass.
 func Acquire(l *SpinLock) Request { return Request{kind: reqAcquire, lock: l} }
 
-// Sleep blocks the process on q until another process wakes it.
+// Sleep blocks the process on q until another process wakes it. The
+// process consumes no CPU while asleep: the simulation analogue of the
+// paper's "wait for a signal that will not ordinarily be generated".
 func Sleep(q *WaitQueue) Request { return Request{kind: reqSleep, q: q} }
 
 // SleepFor blocks the process for d of virtual time without consuming
-// CPU. A non-positive d is satisfied at once, like Compute's.
+// CPU (e.g. waiting for terminal input or a timer). A non-positive d is
+// satisfied at once, like Compute's.
 func SleepFor(d sim.Duration) Request { return Request{kind: reqSleepFor, dur: d} }
 
 // Yield surrenders the processor, moving the process to the back of the
 // run queue.
 func Yield() Request { return Request{kind: reqYield} }
 
-// Exit ends the process: its body is never resumed again. Exiting while
-// holding a spinlock panics, as it does for a function body that returns.
+// Exit ends the process: its body is never called again. Exiting while
+// holding a spinlock panics.
 func Exit() Request { return Request{kind: reqExit} }
 
-// killedError unwinds a function body when its process is killed or the
-// kernel shuts down.
-type killedError struct{}
-
-func (killedError) Error() string { return "kernel: process killed at shutdown" }
+// Script returns a body that runs steps in order, then exits. A step is
+// a Request, a func(*Env), or a func(*Env) Request whose result, if not
+// the zero Request, is made like a given one. An Acquire tries
+// Env.TryAcquire first and blocks only on a held lock. Each call makes
+// one body, for one process.
+func Script(steps ...any) func(*Env) Request {
+	next := 0
+	return func(e *Env) Request {
+		for next < len(steps) {
+			var r Request
+			switch s := steps[next].(type) {
+			case Request:
+				r = s
+			case func(*Env):
+				s(e)
+			case func(*Env) Request:
+				r = s(e)
+			default:
+				panic(fmt.Sprintf("kernel: script step %d is a %T", next, s))
+			}
+			next++
+			if r.kind != reqNone && (r.kind != reqAcquire || !e.TryAcquire(r.lock)) {
+				return r
+			}
+		}
+		return Exit()
+	}
+}
 
 // Env is a simulated process's handle to the machine. All methods must be
 // called only from the process body.
@@ -317,34 +318,6 @@ type Env struct {
 	// resume is the body: called (only by Kernel.advance) each time the
 	// last blocking request has been satisfied, it returns the next one.
 	resume func(*Env) Request
-
-	// A function body's coroutine (Spawn), nil for a resumable body: the
-	// engine side calls stop (kill, shutdown), the body — once started —
-	// yield, which parks it until resume's next switch.
-	stop  func()
-	yield func(Request) bool
-}
-
-// do performs the rendezvous of a function body: hand the request to the
-// kernel and wait for it to be satisfied.
-func (e *Env) do(r Request) {
-	if e.yield == nil {
-		panic(fmt.Sprintf("kernel: %v is a resumable body: it returns its blocking requests, it cannot call them", e.p))
-	}
-	if !e.yield(r) {
-		panic(killedError{})
-	}
-}
-
-// unwind ends a function body that is parked in a request (or never
-// started): the request panics killedError out through the body's
-// deferred functions, which have run when unwind returns. It is a no-op
-// on a body that has returned or been unwound, and on a resumable body,
-// which holds nothing: that one is just never resumed again.
-func (e *Env) unwind() {
-	if e.stop != nil {
-		e.stop()
-	}
 }
 
 // Proc returns the process this environment belongs to.
@@ -360,26 +333,9 @@ func (e *Env) Now() sim.Time { return e.k.eng.Now() }
 // Rand returns the process's private random stream.
 func (e *Env) Rand() *sim.RNG { return e.rng }
 
-// Compute consumes d of CPU time. The call returns when the process has
-// accumulated d of execution, however many preemptions that takes.
-// Non-positive durations return at the same instant.
-func (e *Env) Compute(d sim.Duration) { e.do(Compute(d)) }
-
-// Acquire takes the spinlock, busy-waiting (and burning CPU) while it is
-// held by another process. Only running processes can win a released
-// lock; a waiter that is preempted resumes spinning when redispatched.
-// A free lock is taken here, by the body itself (see the package
-// comment); only a held one costs a rendezvous, because only spinning
-// lets virtual time pass.
-func (e *Env) Acquire(l *SpinLock) {
-	if !e.TryAcquire(l) {
-		e.do(Acquire(l))
-	}
-}
-
 // TryAcquire takes the spinlock if it is free and reports whether it
-// did. It takes no virtual time, so either body form calls it; a
-// resumable body that gets false returns Acquire(l).
+// did. It takes no virtual time; a body that gets false returns
+// Acquire(l).
 func (e *Env) TryAcquire(l *SpinLock) bool {
 	if l.holder != nil {
 		return false
@@ -398,17 +354,6 @@ func (e *Env) Release(l *SpinLock) {
 	e.k.releaseLock(l, e.p, false)
 }
 
-// Sleep blocks the process on q until another process wakes it. The
-// process consumes no CPU while asleep. This is the simulation analogue
-// of the paper's "wait for a signal that will not ordinarily be
-// generated".
-func (e *Env) Sleep(q *WaitQueue) { e.do(Sleep(q)) }
-
-// SleepFor blocks the process for d of virtual time without consuming
-// CPU (e.g. waiting for terminal input or a timer). Non-positive
-// durations return at the same instant.
-func (e *Env) SleepFor(d sim.Duration) { e.do(SleepFor(d)) }
-
 // Wake unblocks up to n processes sleeping on q, in FIFO order. It
 // takes no virtual time, so the body performs it itself.
 func (e *Env) Wake(q *WaitQueue, n int) {
@@ -417,10 +362,6 @@ func (e *Env) Wake(q *WaitQueue, n int) {
 	}
 	e.k.WakeQueue(q, n)
 }
-
-// Yield surrenders the processor, moving the process to the back of the
-// run queue.
-func (e *Env) Yield() { e.do(Yield()) }
 
 // DebugPending describes the process's last blocking request — the one
 // it is still waiting on, if it is waiting — for tests and diagnostics

@@ -27,18 +27,15 @@ func TestRegressionGrantDuringDispatchOverhead(t *testing.T) {
 	l := NewSpinLock("l")
 	acquisitions := 0
 	for i := 0; i < 3; i++ {
-		k.Spawn("p", 1, 64<<10, func(env *Env) {
-			for j := 0; j < 20; j++ {
-				env.Acquire(l)
-				acquisitions++
-				env.Compute(3 * sim.Millisecond)
-				env.Release(l)
-				env.Compute(sim.Millisecond)
-			}
-		})
+		k.SpawnResumable("p", 1, 64<<10, Script(repeat(20,
+			Acquire(l),
+			func(*Env) { acquisitions++ },
+			Compute(3*sim.Millisecond),
+			release(l),
+			Compute(sim.Millisecond),
+		)...))
 	}
 	eng.RunUntilIdle()
-	k.Shutdown()
 	if acquisitions != 60 {
 		t.Errorf("acquisitions = %d, want 60", acquisitions)
 	}
@@ -56,21 +53,15 @@ func TestRegressionWokenProcessResumes(t *testing.T) {
 	q := NewWaitQueue("q")
 	resumed := 0
 	for i := 0; i < 3; i++ {
-		k.Spawn("sleeper", 1, 0, func(env *Env) {
-			env.Sleep(q)
-			resumed++
-			env.Compute(sim.Millisecond)
-		})
+		k.SpawnResumable("sleeper", 1, 0, Script(
+			Sleep(q),
+			func(*Env) { resumed++ },
+			Compute(sim.Millisecond),
+		))
 	}
-	k.Spawn("waker", 2, 0, func(env *Env) {
-		for i := 0; i < 3; i++ {
-			env.Compute(5 * sim.Millisecond)
-			env.Wake(q, 1)
-		}
-	})
+	k.SpawnResumable("waker", 2, 0, Script(repeat(3, Compute(5*sim.Millisecond), wake(q, 1))...))
 	eng := k.Engine()
 	eng.RunUntilIdle()
-	k.Shutdown()
 	if resumed != 3 {
 		t.Errorf("resumed = %d, want 3 (woken processes re-slept?)", resumed)
 	}
@@ -83,23 +74,22 @@ func TestRegressionWokenProcessResumes(t *testing.T) {
 // critical-section compute whose completion lands exactly on the
 // quantum boundary used to get two completion events (the extension
 // rescheduled one while the original stayed armed), double-advancing
-// the coroutine. The tie must resolve to a single completion.
+// the body. The tie must resolve to a single completion.
 func TestRegressionExtensionCompletionTie(t *testing.T) {
 	sf := NewSpinFlag()
 	sf.Extension = 5 * sim.Millisecond
 	k := testKernelPolicy(1, sf, Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("l")
 	releases := 0
-	k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(50 * sim.Millisecond) // completion exactly at quantum end
-		env.Release(l)
-		releases++
-		env.Compute(10 * sim.Millisecond)
-	})
-	k.Spawn("other", 2, 0, func(env *Env) { env.Compute(100 * sim.Millisecond) })
+	k.SpawnResumable("holder", 1, 0, Script(
+		Acquire(l),
+		Compute(50*sim.Millisecond), // completion exactly at quantum end
+		release(l),
+		func(*Env) { releases++ },
+		Compute(10*sim.Millisecond),
+	))
+	k.SpawnResumable("other", 2, 0, Script(Compute(100*sim.Millisecond)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if releases != 1 {
 		t.Errorf("releases = %d, want 1", releases)
 	}
@@ -122,21 +112,13 @@ func TestRegressionNoConvoyLivelock(t *testing.T) {
 	done := 0
 	const procs, rounds = 48, 40
 	for i := 0; i < procs; i++ {
-		k.Spawn("w", AppID(1+i%3), 64<<10, func(env *Env) {
-			for j := 0; j < rounds; j++ {
-				env.Acquire(l)
-				env.Compute(150 * sim.Microsecond)
-				env.Release(l)
-				env.Compute(4 * sim.Millisecond)
-			}
-			done++
-		})
+		steps := repeat(rounds, Acquire(l), Compute(150*sim.Microsecond), release(l), Compute(4*sim.Millisecond))
+		k.SpawnResumable("w", AppID(1+i%3), 64<<10, Script(append(steps, func(*Env) { done++ })...))
 	}
 	horizon := sim.Time(300 * sim.Second)
 	for k.Live() > 0 && eng.Now() < horizon {
 		eng.Run(eng.Now().Add(sim.Second))
 	}
-	k.Shutdown()
 	if done != procs {
 		t.Fatalf("only %d/%d workers finished by %v: convoy livelock", done, procs, eng.Now())
 	}
@@ -151,17 +133,9 @@ func TestRegressionPreemptedWaiterSpinAccounting(t *testing.T) {
 	mac := machine.New(machine.Config{NumCPU: 1, ContextSwitch: sim.Millisecond})
 	k := New(eng, mac, NewTimeshare(), Config{Quantum: 10 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("l")
-	k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(40 * sim.Millisecond)
-		env.Release(l)
-	})
-	waiter := k.Spawn("waiter", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Release(l)
-	})
+	k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(40*sim.Millisecond), release(l)))
+	waiter := k.SpawnResumable("waiter", 1, 0, Script(Acquire(l), release(l)))
 	end := eng.RunUntilIdle()
-	k.Shutdown()
 	// The waiter can never have spun longer than the total elapsed time.
 	if waiter.Stats.SpinTime > sim.Duration(end) {
 		t.Errorf("spin %v exceeds elapsed %v: double-counted episodes", waiter.Stats.SpinTime, sim.Duration(end))
@@ -178,16 +152,13 @@ func TestRegressionSleepForWhilePreempted(t *testing.T) {
 	wakes := 0
 	for i := 0; i < 4; i++ {
 		d := sim.Duration(i+1) * 10 * sim.Millisecond
-		k.Spawn("p", 1, 0, func(env *Env) {
-			for j := 0; j < 5; j++ {
-				env.Compute(7 * sim.Millisecond)
-				env.SleepFor(d)
-				wakes++
-			}
-		})
+		k.SpawnResumable("p", 1, 0, Script(repeat(5,
+			Compute(7*sim.Millisecond),
+			SleepFor(d),
+			func(*Env) { wakes++ },
+		)...))
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if wakes != 20 {
 		t.Errorf("wakes = %d, want 20", wakes)
 	}

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"procctl/internal/sim"
@@ -25,91 +24,8 @@ func (s *script) step(env *Env) Request {
 	return s.reqs[s.resumes-1]
 }
 
-// A resumable body sees the same machine as a function body making the
-// same requests: the adapter in Spawn and a hand-written resume function
-// are two spellings of one contract.
-func TestResumableBodyMatchesFunctionBody(t *testing.T) {
-	run := func(resumable bool) (times []sim.Time, fired uint64) {
-		k := testKernel(2) // the waker on its own CPU: p is asleep by 40 ms
-		l, q := NewSpinLock("l"), NewWaitQueue("q")
-		mark := func(env *Env) { times = append(times, env.Now()) }
-		k.Spawn("waker", 1, 0, func(env *Env) {
-			env.Compute(40 * sim.Millisecond)
-			env.Wake(q, 1)
-		})
-		if resumable {
-			pc := 0
-			k.SpawnResumable("p", 1, 0, func(env *Env) Request {
-				mark(env)
-				pc++
-				switch pc {
-				case 1:
-					return Compute(0) // skipped: resumed again at once
-				case 2:
-					return Compute(3 * sim.Millisecond)
-				case 3:
-					if !env.TryAcquire(l) {
-						t.Error("TryAcquire of a free lock failed")
-					}
-					return Compute(2 * sim.Millisecond)
-				case 4:
-					env.Release(l)
-					return SleepFor(5 * sim.Millisecond)
-				case 5:
-					return SleepFor(0) // skipped
-				case 6:
-					return Yield()
-				case 7:
-					return Sleep(q)
-				}
-				return Exit()
-			})
-		} else {
-			k.Spawn("p", 1, 0, func(env *Env) {
-				mark(env)
-				env.Compute(0)
-				mark(env)
-				env.Compute(3 * sim.Millisecond)
-				mark(env)
-				env.Acquire(l)
-				env.Compute(2 * sim.Millisecond)
-				mark(env)
-				env.Release(l)
-				env.SleepFor(5 * sim.Millisecond)
-				mark(env)
-				env.SleepFor(0)
-				mark(env)
-				env.Yield()
-				mark(env)
-				env.Sleep(q)
-				mark(env)
-			})
-		}
-		k.Engine().RunUntilIdle()
-		k.Shutdown()
-		if k.Live() != 0 {
-			t.Errorf("resumable=%v: %d processes still live", resumable, k.Live())
-		}
-		return times, k.Engine().Fired()
-	}
-	fnTimes, fnFired := run(false)
-	rsTimes, rsFired := run(true)
-	if len(fnTimes) != 8 || len(rsTimes) != len(fnTimes) {
-		t.Fatalf("function body marked %d instants, resumable %d, want 8 each", len(fnTimes), len(rsTimes))
-	}
-	for i := range fnTimes {
-		if fnTimes[i] != rsTimes[i] {
-			t.Errorf("resume %d: function body at %v, resumable at %v", i, fnTimes[i], rsTimes[i])
-		}
-	}
-	if fnFired != rsFired {
-		t.Errorf("engine fired %d events for the function body, %d for the resumable", fnFired, rsFired)
-	}
-}
-
-// Kill of a resumable process, whatever it is doing, never calls resume
-// again — there is nothing to unwind — and leaves locks and queues as a
-// killed function body would.
+// Kill of a process, whatever it is doing, never calls its body again —
+// there is nothing to unwind — and leaves its locks and queues clean.
 func TestKillNeverResumesAResumableBody(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -175,16 +91,12 @@ func TestKillNeverResumesAResumableBody(t *testing.T) {
 				resume = body.holding(l, t)
 			}
 			victim := k.SpawnResumable("victim", 1, 0, resume)
-			if n := liveCoroutines(); n != 0 {
-				t.Errorf("spawning resumable bodies created %d coroutines", n)
-			}
 			k.Engine().Schedule(sim.Time(10*sim.Millisecond), func() {
 				if !k.Kill(victim) {
 					t.Error("Kill = false")
 				}
 			})
 			k.Engine().RunUntilIdle()
-			k.Shutdown() // no-op
 			if body.resumes != 1 {
 				t.Errorf("resume was called %d times, want once (before the kill, never after)", body.resumes)
 			}
@@ -270,62 +182,30 @@ func TestResumePanicSurfacesFromEngineRun(t *testing.T) {
 	}
 }
 
-// Exit while holding a lock is the same model bug, reported by the same
-// panic, as a function body returning with one held.
-func TestExitHoldingALockPanicsForBothBodyForms(t *testing.T) {
-	exitPanic := func(spawn func(k *Kernel, l *SpinLock)) string {
-		k := testKernel(1)
-		spawn(k, NewSpinLock("l"))
-		var recovered any
-		func() {
-			defer func() { recovered = recover() }()
-			k.Engine().RunUntilIdle()
-		}()
-		k.Shutdown()
-		msg, _ := recovered.(string)
-		return msg
-	}
-	fn := exitPanic(func(k *Kernel, l *SpinLock) {
-		k.Spawn("p", 1, 0, func(env *Env) { env.Acquire(l) })
-	})
-	rs := exitPanic(func(k *Kernel, l *SpinLock) {
-		k.SpawnResumable("p", 1, 0, func(env *Env) Request {
-			env.TryAcquire(l)
-			return Exit()
+// A panic in a body comes out of Engine.Run, on the goroutine that
+// drives the simulation, with the value the body panicked with, while
+// another process is still live.
+func TestBodyPanicSurfacesFromEngineRun(t *testing.T) {
+	errBoom := errors.New("boom")
+	for _, tc := range []struct {
+		name  string
+		value any
+	}{{"string", "x"}, {"error", errBoom}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := testKernel(2)
+			k.SpawnResumable("bystander", 1, 0, Script(Compute(sim.Second)))
+			k.SpawnResumable("buggy", 1, 0, Script(Compute(sim.Millisecond), func(*Env) { panic(tc.value) }))
+			var recovered any
+			func() {
+				defer func() { recovered = recover() }()
+				k.Engine().RunUntilIdle()
+			}()
+			if recovered != tc.value {
+				t.Fatalf("Engine.Run recovered %v, want %v", recovered, tc.value)
+			}
+			if now := k.Now(); now != sim.Time(sim.Millisecond) {
+				t.Errorf("panic surfaced at %v, want the instant of the panic, 1ms", now)
+			}
 		})
-	})
-	if !strings.Contains(fn, "exited holding 1 lock(s)") || rs != fn {
-		t.Errorf("function body panicked with %q, resumable with %q, want the same exit panic", fn, rs)
-	}
-}
-
-// A resumable body returns its blocking requests; calling one on the Env
-// is a model bug with a message that says so.
-func TestBlockingEnvCallFromResumableBodyPanics(t *testing.T) {
-	k := testKernel(1)
-	k.SpawnResumable("confused", 1, 0, func(env *Env) Request {
-		env.Compute(sim.Millisecond)
-		return Exit()
-	})
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		k.Engine().RunUntilIdle()
-	}()
-	if msg, _ := recovered.(string); !strings.Contains(msg, "resumable body") {
-		t.Fatalf("Engine.Run recovered %v, want the resumable-body panic", recovered)
-	}
-}
-
-// Shutdown has nothing to unwind for a resumable body: a process cut off
-// by the horizon is left exactly where it was, and is not resumed.
-func TestShutdownLeavesResumableBodiesAlone(t *testing.T) {
-	k := testKernel(1)
-	body := &script{reqs: []Request{Compute(sim.Second)}}
-	p := k.SpawnResumable("p", 1, 0, body.step)
-	k.Engine().Run(sim.Time(10 * sim.Millisecond))
-	k.Shutdown()
-	if body.resumes != 1 || p.State() != Running || p.DebugPending() != "compute(left=1.000s, computing=true)" {
-		t.Errorf("after Shutdown: %d resumes, %v, pending %s", body.resumes, p, p.DebugPending())
 	}
 }

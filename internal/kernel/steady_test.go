@@ -12,27 +12,20 @@ import (
 // BenchmarkKernelContextSwitch), a Compute completing and its body's next
 // request with nothing else runnable (BenchmarkKernelRendezvous), and four
 // processes handing a spin lock around on four CPUs (the root package's
-// BenchmarkSimulatedSpinlock).
+// BenchmarkSimulatedSpinlock). Each body is a state machine that goes
+// round forever.
 
 func contextSwitchKernel() *Kernel {
 	k := testKernelPolicy(1, NewTimeshare(), Config{Quantum: sim.Millisecond, QuantumJitter: -1})
 	for i := 0; i < 2; i++ {
-		k.Spawn("p", 1, 0, func(env *Env) {
-			for {
-				env.Compute(10 * sim.Millisecond)
-			}
-		})
+		k.SpawnResumable("p", 1, 0, func(*Env) Request { return Compute(10 * sim.Millisecond) })
 	}
 	return k
 }
 
 func rendezvousKernel() *Kernel {
 	k := testKernelPolicy(1, NewTimeshare(), Config{Quantum: 3600 * sim.Second, QuantumJitter: -1})
-	k.Spawn("p", 1, 0, func(env *Env) {
-		for {
-			env.Compute(sim.Microsecond)
-		}
-	})
+	k.SpawnResumable("p", 1, 0, func(*Env) Request { return Compute(sim.Microsecond) })
 	return k
 }
 
@@ -40,12 +33,22 @@ func spinLockKernel() *Kernel {
 	k := testKernelPolicy(4, NewTimeshare(), Config{Quantum: 100 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("bench")
 	for i := 0; i < 4; i++ {
-		k.Spawn("p", 1, 0, func(env *Env) {
-			for {
-				env.Acquire(l)
-				env.Compute(10 * sim.Microsecond)
+		pc := 0
+		k.SpawnResumable("p", 1, 0, func(env *Env) Request {
+			switch pc {
+			case 0: // take the lock: a free one in the body, a held one by spinning
+				pc = 1
+				if !env.TryAcquire(l) {
+					return Acquire(l)
+				}
+				fallthrough
+			case 1:
+				pc = 2
+				return Compute(10 * sim.Microsecond)
+			default:
+				pc = 0
 				env.Release(l)
-				env.Compute(10 * sim.Microsecond)
+				return Compute(10 * sim.Microsecond)
 			}
 		})
 	}
@@ -53,15 +56,14 @@ func spinLockKernel() *Kernel {
 }
 
 // BenchmarkKernelRendezvous is one blocking request and nothing else: a
-// Compute completes, the engine switches to the body for its next
-// request and back, and the next completion is scheduled.
+// Compute completes, the engine calls the body for its next request,
+// and the next completion is scheduled.
 func BenchmarkKernelRendezvous(b *testing.B) {
 	b.ReportAllocs()
 	k := rendezvousKernel()
 	b.ResetTimer()
 	k.Engine().Run(sim.Time(sim.Duration(b.N) * sim.Microsecond))
 	b.StopTimer()
-	k.Shutdown()
 }
 
 // Once warm, none of the three paths allocates: a run of ten preemptions,
@@ -79,7 +81,6 @@ func TestSteadyRequestPathsAllocateNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := tc.k()
-			defer k.Shutdown()
 			eng := k.Engine()
 			eng.Run(eng.Now().Add(100 * tc.step))
 			if n := testing.AllocsPerRun(100, func() { eng.Run(eng.Now().Add(tc.step)) }); n != 0 {

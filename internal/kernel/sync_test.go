@@ -14,23 +14,24 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	inside := false
 	count := 0
 	for i := 0; i < 8; i++ {
-		k.Spawn("p", 1, 0, func(env *Env) {
-			for j := 0; j < 5; j++ {
-				env.Acquire(l)
+		k.SpawnResumable("p", 1, 0, Script(repeat(5,
+			Acquire(l),
+			func(*Env) {
 				if inside {
 					t.Error("two processes inside the critical section")
 				}
 				inside = true
-				env.Compute(3 * sim.Millisecond)
+			},
+			Compute(3*sim.Millisecond),
+			func(*Env) {
 				count++
 				inside = false
-				env.Release(l)
-				env.Compute(sim.Millisecond)
-			}
-		})
+			},
+			release(l),
+			Compute(sim.Millisecond),
+		)...))
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if count != 40 {
 		t.Errorf("count = %d, want 40", count)
 	}
@@ -41,17 +42,9 @@ func TestSpinningBurnsCPU(t *testing.T) {
 	// spins the whole time, so its CPUTime ≈ SpinTime ≈ 50 ms.
 	k := testKernel(2)
 	l := NewSpinLock("l")
-	k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(50 * sim.Millisecond)
-		env.Release(l)
-	})
-	waiter := k.Spawn("waiter", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Release(l)
-	})
+	k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(50*sim.Millisecond), release(l)))
+	waiter := k.SpawnResumable("waiter", 1, 0, Script(Acquire(l), release(l)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if waiter.Stats.SpinTime < 45*sim.Millisecond {
 		t.Errorf("waiter spin time %v, want ≈50ms", waiter.Stats.SpinTime)
 	}
@@ -67,13 +60,8 @@ func TestUncontendedAcquireIsInstant(t *testing.T) {
 	k := testKernel(1)
 	var at sim.Time
 	l := NewSpinLock("l")
-	k.Spawn("p", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Release(l)
-		at = env.Now()
-	})
+	k.SpawnResumable("p", 1, 0, Script(Acquire(l), release(l), func(env *Env) { at = env.Now() }))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if at != 0 {
 		t.Errorf("uncontended acquire/release took %v", at)
 	}
@@ -89,19 +77,14 @@ func TestPreemptedHolderStallsWaiters(t *testing.T) {
 	k := testKernel(1)
 	l := NewSpinLock("l")
 	var releaseAt sim.Time
-	k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(150 * sim.Millisecond) // > quantum: preempted inside CS
-		env.Release(l)
-		releaseAt = env.Now()
-	})
-	waiter := k.Spawn("waiter", 1, 0, func(env *Env) {
-		env.Compute(sim.Millisecond)
-		env.Acquire(l)
-		env.Release(l)
-	})
+	k.SpawnResumable("holder", 1, 0, Script(
+		Acquire(l),
+		Compute(150*sim.Millisecond), // > quantum: preempted inside CS
+		release(l),
+		func(env *Env) { releaseAt = env.Now() },
+	))
+	waiter := k.SpawnResumable("waiter", 1, 0, Script(Compute(sim.Millisecond), Acquire(l), release(l)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	// Holder runs [0,100), waiter runs [100,...): 1 ms of work then
 	// pure spinning until its quantum ends at 200 ms, holder finishes
 	// its remaining 50 ms at 250 ms.
@@ -119,22 +102,17 @@ func TestLockHandoffToEarliestActiveWaiter(t *testing.T) {
 	k := testKernel(4)
 	l := NewSpinLock("l")
 	var got []PID
-	k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(20 * sim.Millisecond)
-		env.Release(l)
-	})
+	k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(20*sim.Millisecond), release(l)))
 	for i := 0; i < 3; i++ {
 		d := sim.Duration(i+1) * sim.Millisecond
-		k.Spawn("w", 1, 0, func(env *Env) {
-			env.Compute(d)
-			env.Acquire(l)
-			got = append(got, env.Proc().ID())
-			env.Release(l)
-		})
+		k.SpawnResumable("w", 1, 0, Script(
+			Compute(d),
+			Acquire(l),
+			func(env *Env) { got = append(got, env.Proc().ID()) },
+			release(l),
+		))
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if len(got) != 3 {
 		t.Fatalf("%d acquisitions, want 3", len(got))
 	}
@@ -152,21 +130,16 @@ func TestPreemptedWaiterKeepsPlaceButMissesReleases(t *testing.T) {
 	k := testKernel(1)
 	l := NewSpinLock("l")
 	acquired := false
-	k.Spawn("holder", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(150 * sim.Millisecond)
-		env.Release(l)
+	k.SpawnResumable("holder", 1, 0, Script(
+		Acquire(l),
+		Compute(150*sim.Millisecond),
+		release(l),
 		// Keep the CPU busy past the release so the preempted waiter
 		// can only get the lock after being redispatched.
-		env.Compute(30 * sim.Millisecond)
-	})
-	k.Spawn("waiter", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		acquired = true
-		env.Release(l)
-	})
+		Compute(30*sim.Millisecond),
+	))
+	k.SpawnResumable("waiter", 1, 0, Script(Acquire(l), func(*Env) { acquired = true }, release(l)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if !acquired {
 		t.Error("preempted waiter never acquired the lock")
 	}
@@ -175,15 +148,8 @@ func TestPreemptedWaiterKeepsPlaceButMissesReleases(t *testing.T) {
 func TestSpinLockStats(t *testing.T) {
 	k := testKernel(1)
 	l := NewSpinLock("stats")
-	k.Spawn("p", 1, 0, func(env *Env) {
-		for i := 0; i < 3; i++ {
-			env.Acquire(l)
-			env.Compute(10 * sim.Millisecond)
-			env.Release(l)
-		}
-	})
+	k.SpawnResumable("p", 1, 0, Script(repeat(3, Acquire(l), Compute(10*sim.Millisecond), release(l))...))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if l.Acquires != 3 {
 		t.Errorf("Acquires = %d", l.Acquires)
 	}
@@ -200,21 +166,22 @@ func TestNestedLocks(t *testing.T) {
 	outer, inner := NewSpinLock("outer"), NewSpinLock("inner")
 	done := 0
 	for i := 0; i < 4; i++ {
-		k.Spawn("p", 1, 0, func(env *Env) {
-			env.Acquire(outer)
-			env.Compute(sim.Millisecond)
-			env.Acquire(inner)
-			env.Compute(sim.Millisecond)
-			if env.Proc().lockDepth != 2 {
-				t.Errorf("lockDepth = %d inside nested CS", env.Proc().lockDepth)
-			}
-			env.Release(inner)
-			env.Release(outer)
-			done++
-		})
+		k.SpawnResumable("p", 1, 0, Script(
+			Acquire(outer),
+			Compute(sim.Millisecond),
+			Acquire(inner),
+			Compute(sim.Millisecond),
+			func(env *Env) {
+				if env.Proc().lockDepth != 2 {
+					t.Errorf("lockDepth = %d inside nested CS", env.Proc().lockDepth)
+				}
+			},
+			release(inner),
+			release(outer),
+			func(*Env) { done++ },
+		))
 	}
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if done != 4 {
 		t.Errorf("done = %d", done)
 	}
@@ -223,13 +190,9 @@ func TestNestedLocks(t *testing.T) {
 func TestWaitQueueStats(t *testing.T) {
 	k := testKernel(2)
 	q := NewWaitQueue("wq")
-	k.Spawn("s", 1, 0, func(env *Env) { env.Sleep(q) })
-	k.Spawn("w", 1, 0, func(env *Env) {
-		env.Compute(sim.Millisecond)
-		env.Wake(q, 1)
-	})
+	k.SpawnResumable("s", 1, 0, Script(Sleep(q)))
+	k.SpawnResumable("w", 1, 0, Script(Compute(sim.Millisecond), wake(q, 1)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if q.Sleeps != 1 || q.Wakes != 1 {
 		t.Errorf("sleeps=%d wakes=%d", q.Sleeps, q.Wakes)
 	}
@@ -245,17 +208,12 @@ func TestHolderAccessor(t *testing.T) {
 	k := testKernel(2)
 	l := NewSpinLock("l")
 	var holderSeen *Process
-	p := k.Spawn("p", 1, 0, func(env *Env) {
-		env.Acquire(l)
-		env.Compute(10 * sim.Millisecond)
-		env.Release(l)
-	})
-	k.Spawn("obs", 1, 0, func(env *Env) {
-		env.Compute(5 * sim.Millisecond)
-		holderSeen = l.Holder()
-	})
+	p := k.SpawnResumable("p", 1, 0, Script(Acquire(l), Compute(10*sim.Millisecond), release(l)))
+	k.SpawnResumable("obs", 1, 0, Script(
+		Compute(5*sim.Millisecond),
+		func(*Env) { holderSeen = l.Holder() },
+	))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if holderSeen != p {
 		t.Errorf("Holder() = %v, want %v", holderSeen, p)
 	}

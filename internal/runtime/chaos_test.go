@@ -669,7 +669,6 @@ func TestChaosSimFaultStormDeterministic(t *testing.T) {
 		inj.StallApp(sim.Time(3*sim.Millisecond), 3, 20*sim.Millisecond)
 		eng.Run(sim.Time(0).Add(120 * sim.Second))
 		k.Finalize()
-		k.Shutdown()
 		if !a.Done() {
 			t.Error("surviving app never finished under the fault storm")
 		}

@@ -72,8 +72,8 @@ func (id EventID) Valid() bool { return id.gen != 0 }
 
 // Engine is the discrete-event simulation driver. It is not safe for
 // concurrent use; the whole simulation runs on a single goroutine (the
-// coroutine rendezvous in the kernel package guarantees that simulated
-// process bodies never run concurrently with the engine).
+// kernel package calls simulated process bodies from engine events, so
+// they never run concurrently with the engine).
 type Engine struct {
 	now       Time
 	seq       uint64

@@ -27,7 +27,6 @@ func runApp(t *testing.T, k *kernel.Kernel, a *threads.App) {
 	for !a.Done() && k.Engine().Now() < horizon {
 		k.Engine().Run(k.Engine().Now().Add(sim.Second))
 	}
-	k.Shutdown()
 	if !a.Done() {
 		t.Fatalf("app %s did not finish", a.Name())
 	}
@@ -196,7 +195,6 @@ func TestUncontrolledHasNoOverhead(t *testing.T) {
 
 func TestLaunchValidations(t *testing.T) {
 	k := newSim(1)
-	defer k.Shutdown()
 	mustPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -239,7 +237,6 @@ func TestWithRealServer(t *testing.T) {
 			}
 		}
 	}
-	k.Shutdown()
 	if !(a1.Done() && a2.Done()) {
 		t.Fatal("apps did not finish")
 	}

@@ -120,7 +120,6 @@ func TestLaunchSizesItsStateToTheWorkload(t *testing.T) {
 		for !a.Done() && k.Engine().Now() < sim.Time(60*sim.Second) {
 			k.Engine().Run(k.Engine().Now().Add(sim.Second))
 		}
-		k.Shutdown()
 		if !a.Done() || cap(a.ready) != c.ready {
 			t.Errorf("%s: done %v with the ready array at %d slots, want it finished in the %d it started with", c.wl.Name, a.Done(), cap(a.ready), c.ready)
 		}

@@ -15,14 +15,65 @@ import (
 )
 
 // The threads runtime's scheduler loop as it was written before it
-// became workerState.step: one Go function per process, blocking in the
-// Env's methods, run by the kernel as a coroutine (Kernel.Spawn). It is
-// kept here, unchanged but for the names, as the oracle the state
-// machine is tested against: the function is the obviously-right
-// spelling of the loop, the state machine the fast one.
+// became workerState.step: one straight-line Go function per process,
+// blocking in its environment's methods. It is kept here, unchanged but
+// for the names, as the oracle the state machine is tested against: the
+// function is the obviously-right spelling of the loop, the state
+// machine the fast one. The kernel runs only resumable bodies, so
+// spawnBlocking adapts the function to one.
+
+// blockingEnv is a process's Env plus the blocking methods the
+// reference calls: each hands its request to the engine and waits until
+// the engine has satisfied it.
+type blockingEnv struct {
+	*kernel.Env
+	req    chan kernel.Request // body → engine: the next blocking request
+	resume chan struct{}       // engine → body: the last one is satisfied
+}
+
+func (e *blockingEnv) do(r kernel.Request) {
+	e.req <- r
+	<-e.resume
+}
+
+func (e *blockingEnv) Compute(d sim.Duration)    { e.do(kernel.Compute(d)) }
+func (e *blockingEnv) Sleep(q *kernel.WaitQueue) { e.do(kernel.Sleep(q)) }
+
+// Acquire takes a free lock at once and spins through the engine only
+// on a held one, as a resumable body does.
+func (e *blockingEnv) Acquire(l *kernel.SpinLock) {
+	if !e.TryAcquire(l) {
+		e.do(kernel.Acquire(l))
+	}
+}
+
+// spawnBlocking spawns a process whose body is the straight-line
+// function body. The body runs on a goroutine of its own, started at the
+// process's first resume; every later resume hands control to it and
+// waits for its next request over unbuffered channels, so exactly one of
+// {the engine, the body} runs at any moment and the two are ordered as
+// a channel hand-off orders them. It is the only place in the repository
+// a body runs off the engine's goroutine, and it is for this oracle only.
+// The goroutine ends when the body returns: every case runs its
+// application to completion, and that returns every worker.
+func spawnBlocking(k *kernel.Kernel, name string, app kernel.AppID, workingSet int64, body func(*blockingEnv)) *kernel.Process {
+	e := &blockingEnv{req: make(chan kernel.Request), resume: make(chan struct{})}
+	return k.SpawnResumable(name, app, workingSet, func(env *kernel.Env) kernel.Request {
+		if e.Env == nil {
+			e.Env = env
+			go func() {
+				body(e)
+				e.req <- kernel.Exit()
+			}()
+		} else {
+			e.resume <- struct{}{}
+		}
+		return <-e.req
+	})
+}
 
 // referenceWorker is the per-process body: the threads runtime's scheduler loop.
-func (a *App) referenceWorker(env *kernel.Env) {
+func (a *App) referenceWorker(env *blockingEnv) {
 	for {
 		if a.done {
 			return
@@ -54,17 +105,17 @@ func (a *App) referenceWorker(env *kernel.Env) {
 			// busy-waiting workers.
 			a.Stats.IdleSpins++
 			a.met.idleSpins.Inc()
-			a.annotate(env, "barrier_wait", -1, -1, a.cfg.IdleSpin)
+			a.annotate(env.Env, "barrier_wait", -1, -1, a.cfg.IdleSpin)
 			env.Compute(a.cfg.IdleSpin)
 			continue
 		}
 
 		serviceStart := env.Now()
-		a.annotate(env, "task_start", int(t), -1, 0)
+		a.annotate(env.Env, "task_start", int(t), -1, 0)
 		a.referenceExecute(env, t)
 		service := env.Now().Sub(serviceStart)
 		a.met.service.Observe(int64(service))
-		a.annotate(env, "task_done", int(t), -1, service)
+		a.annotate(env.Env, "task_done", int(t), -1, service)
 
 		env.Acquire(a.qlock)
 		env.Compute(a.cfg.CompleteCost)
@@ -80,14 +131,14 @@ func (a *App) referenceWorker(env *kernel.Env) {
 		a.met.tasks.Inc()
 
 		if finished {
-			a.finish(env)
+			a.finish(env.Env)
 			return
 		}
 	}
 }
 
 // referenceExecute runs one task's compute and critical-section legs.
-func (a *App) referenceExecute(env *kernel.Env, id TaskID) {
+func (a *App) referenceExecute(env *blockingEnv, id TaskID) {
 	t := a.wl.Task(id)
 	if t.Lock == NoLock || t.LockWork <= 0 {
 		env.Compute(t.Work)
@@ -108,7 +159,7 @@ func (a *App) referenceExecute(env *kernel.Env, id TaskID) {
 // unmodified package (nil controller) does nothing here, so the added
 // overhead in the controlled-but-unloaded case is a couple of integer
 // compares — the paper's "overhead of our implementation is negligible".
-func (a *App) referenceControlPoint(env *kernel.Env) {
+func (a *App) referenceControlPoint(env *blockingEnv) {
 	if a.cfg.Controller == nil {
 		return
 	}
@@ -119,14 +170,14 @@ func (a *App) referenceControlPoint(env *kernel.Env) {
 		a.target = a.cfg.Controller.Poll(a.id)
 		a.Stats.Polls++
 		a.met.polls.Inc()
-		a.annotate(env, "poll", -1, a.target, 0)
+		a.annotate(env.Env, "poll", -1, a.target, 0)
 	}
 	if a.target < a.runnable && a.runnable > 1 {
 		a.runnable--
 		a.Stats.Suspensions++
 		a.met.suspensions.Inc()
 		suspendedAt := now
-		a.annotate(env, "suspend", -1, a.target, 0)
+		a.annotate(env.Env, "suspend", -1, a.target, 0)
 		env.Sleep(a.suspendQ)
 		// Woken: either resumed by a peer (already counted in runnable
 		// by the waker) or the application finished. The observed span
@@ -134,7 +185,7 @@ func (a *App) referenceControlPoint(env *kernel.Env) {
 		// latency of the resume — the paper's suspend/resume cost.
 		span := env.Now().Sub(suspendedAt)
 		a.met.suspended.Observe(int64(span))
-		a.annotate(env, "resume", -1, a.target, span)
+		a.annotate(env.Env, "resume", -1, a.target, span)
 		return
 	}
 	for a.target > a.runnable && a.suspendQ.Len() > 0 {
@@ -303,7 +354,7 @@ func (s *hookStream) install() {
 }
 
 // run executes the case with the state machine (Launch's own spawn loop)
-// or with the reference function body.
+// or with the reference function.
 func (c workerCase) run(reference bool) workerRun {
 	policies := []func() kernel.Policy{
 		func() kernel.Policy { return kernel.NewTimeshare() },
@@ -332,7 +383,7 @@ func (c workerCase) run(reference bool) workerRun {
 	a.cfg.DequeueCost, a.cfg.EmptyCheckCost, a.cfg.CompleteCost, a.cfg.IdleSpin = c.dequeue, c.emptyCheck, c.complete, c.idleSpin
 	if reference {
 		for i := 0; i < a.cfg.Procs; i++ {
-			a.procs = append(a.procs, k.Spawn(a.workerName(i), a.id, a.cfg.WorkingSet, a.referenceWorker))
+			a.procs = append(a.procs, spawnBlocking(k, a.workerName(i), a.id, a.cfg.WorkingSet, a.referenceWorker))
 		}
 	} else {
 		a.spawnWorkers()
@@ -341,7 +392,6 @@ func (c workerCase) run(reference bool) workerRun {
 		eng.Run(eng.Now().Add(sim.Second))
 	}
 	k.Finalize()
-	k.Shutdown()
 
 	r := workerRun{
 		Hooks:     hex.EncodeToString(hooks.h.Sum(nil)),
@@ -363,7 +413,7 @@ func (c workerCase) run(reference bool) workerRun {
 }
 
 // TestWorkerStateMachineMatchesReference is the differential test of
-// workerState.step against the function-body loop above: over seeded
+// workerState.step against the straight-line loop above: over seeded
 // random workloads, runtime costs (zero included), process and CPU
 // counts, policies and controllers, the two must drive the kernel
 // through the same hook stream — every state change, dispatch, lock

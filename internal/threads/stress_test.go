@@ -82,7 +82,6 @@ func TestStressAllPoliciesCompleteRandomDAGs(t *testing.T) {
 		for !a.Done() && eng.Now() < horizon {
 			eng.Run(eng.Now().Add(sim.Second))
 		}
-		k.Shutdown()
 		if !a.Done() {
 			return fmt.Errorf("policy %s control=%v procs=%d seed=%d: did not finish", polName, control, procs, seed)
 		}
@@ -146,7 +145,6 @@ func TestStressMultiAppDeterminism(t *testing.T) {
 		for !done() && eng.Now() < sim.Time(120*sim.Second) {
 			eng.Run(eng.Now().Add(sim.Second))
 		}
-		k.Shutdown()
 		out := ""
 		for _, a := range apps {
 			out += fmt.Sprintf("%s=%v;", a.Name(), a.Elapsed())

@@ -205,7 +205,6 @@ func TestWorkloadSealedAfterValidate(t *testing.T) {
 	launched, la, lb := build("launched")
 	_, k := newTestKernel(2)
 	Launch(k, 1, launched, Config{Procs: 1})
-	k.Shutdown()
 
 	for _, tc := range []struct {
 		w    *Workload
@@ -259,7 +258,6 @@ func TestConcurrentFirstLaunchesValidateOnce(t *testing.T) {
 			<-start
 			app := Launch(k, 1, wl, Config{Procs: 4})
 			eng.RunUntilIdle()
-			k.Shutdown()
 			if !app.Done() {
 				t.Errorf("caller %d: the shared workload did not finish", i)
 				return

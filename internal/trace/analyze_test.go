@@ -13,6 +13,11 @@ import (
 	"procctl/internal/threads"
 )
 
+// release is a kernel.Script step that releases l.
+func release(l *kernel.SpinLock) func(*kernel.Env) {
+	return func(env *kernel.Env) { env.Release(l) }
+}
+
 // TestAttributionSpinOnPreemptedHolder pins the analyzer to a hand-
 // computed schedule: one CPU, 20 ms quantum, p1 holds a lock across
 // preemptions while p2 burns its whole quanta spinning on the preempted
@@ -26,22 +31,13 @@ func TestAttributionSpinOnPreemptedHolder(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(k, &buf, Meta{Seed: 1})
 	l := kernel.NewSpinLock("l")
-	k.Spawn("holder", 1, 0, func(env *kernel.Env) {
-		env.Acquire(l)
-		env.Compute(50 * sim.Millisecond)
-		env.Release(l)
-	})
-	k.Spawn("waiter", 2, 0, func(env *kernel.Env) {
-		env.Acquire(l)
-		env.Compute(10 * sim.Millisecond)
-		env.Release(l)
-	})
+	k.SpawnResumable("holder", 1, 0, kernel.Script(kernel.Acquire(l), kernel.Compute(50*sim.Millisecond), release(l)))
+	k.SpawnResumable("waiter", 2, 0, kernel.Script(kernel.Acquire(l), kernel.Compute(10*sim.Millisecond), release(l)))
 	eng.RunUntilIdle()
 	k.Finalize()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	k.Shutdown()
 
 	att, err := ReadAttribution(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -85,23 +81,18 @@ func TestAttributionSpinOnRunningHolder(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(k, &buf, Meta{Seed: 1})
 	l := kernel.NewSpinLock("l")
-	k.Spawn("holder", 1, 0, func(env *kernel.Env) {
-		env.Acquire(l)
-		env.Compute(30 * sim.Millisecond)
-		env.Release(l)
-	})
-	k.Spawn("waiter", 2, 0, func(env *kernel.Env) {
-		env.Compute(sim.Millisecond)
-		env.Acquire(l)
-		env.Compute(5 * sim.Millisecond)
-		env.Release(l)
-	})
+	k.SpawnResumable("holder", 1, 0, kernel.Script(kernel.Acquire(l), kernel.Compute(30*sim.Millisecond), release(l)))
+	k.SpawnResumable("waiter", 2, 0, kernel.Script(
+		kernel.Compute(sim.Millisecond),
+		kernel.Acquire(l),
+		kernel.Compute(5*sim.Millisecond),
+		release(l),
+	))
 	eng.RunUntilIdle()
 	k.Finalize()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	k.Shutdown()
 
 	att, err := ReadAttribution(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -199,7 +190,6 @@ func runMix(t *testing.T, seed uint64, control bool) (*Attribution, map[string]i
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	k.Shutdown()
 
 	att, err := ReadAttribution(bytes.NewReader(buf.Bytes()))
 	if err != nil {

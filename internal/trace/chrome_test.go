@@ -24,23 +24,18 @@ func recordContended(t *testing.T) []byte {
 	var buf bytes.Buffer
 	rec := NewRecorder(k, &buf, Meta{Seed: 1})
 	l := kernel.NewSpinLock("l")
-	k.Spawn("holder", 1, 0, func(env *kernel.Env) {
-		env.Acquire(l)
-		env.Compute(30 * sim.Millisecond)
-		env.Release(l)
-	})
-	k.Spawn("waiter", 2, 0, func(env *kernel.Env) {
-		env.Compute(sim.Millisecond)
-		env.Acquire(l)
-		env.Compute(5 * sim.Millisecond)
-		env.Release(l)
-	})
+	k.SpawnResumable("holder", 1, 0, kernel.Script(kernel.Acquire(l), kernel.Compute(30*sim.Millisecond), release(l)))
+	k.SpawnResumable("waiter", 2, 0, kernel.Script(
+		kernel.Compute(sim.Millisecond),
+		kernel.Acquire(l),
+		kernel.Compute(5*sim.Millisecond),
+		release(l),
+	))
 	eng.RunUntilIdle()
 	k.Finalize()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	k.Shutdown()
 	return buf.Bytes()
 }
 

@@ -20,21 +20,18 @@ func recordSmallRun(t *testing.T) (*bytes.Buffer, *Recorder) {
 	var buf bytes.Buffer
 	rec := NewRecorder(k, &buf, Meta{Seed: 1})
 	q := kernel.NewWaitQueue("q")
-	k.Spawn("a", 1, 0, func(env *kernel.Env) {
-		env.Compute(50 * sim.Millisecond)
-		env.Sleep(q)
-		env.Compute(10 * sim.Millisecond)
-	})
-	k.Spawn("b", 1, 0, func(env *kernel.Env) {
-		env.Compute(80 * sim.Millisecond)
-		env.Wake(q, 1)
-		env.Compute(10 * sim.Millisecond)
-	})
-	k.Spawn("bg", kernel.AppNone, 0, func(env *kernel.Env) {
-		env.Compute(30 * sim.Millisecond)
-	})
+	k.SpawnResumable("a", 1, 0, kernel.Script(
+		kernel.Compute(50*sim.Millisecond),
+		kernel.Sleep(q),
+		kernel.Compute(10*sim.Millisecond),
+	))
+	k.SpawnResumable("b", 1, 0, kernel.Script(
+		kernel.Compute(80*sim.Millisecond),
+		func(env *kernel.Env) { env.Wake(q, 1) },
+		kernel.Compute(10*sim.Millisecond),
+	))
+	k.SpawnResumable("bg", kernel.AppNone, 0, kernel.Script(kernel.Compute(30*sim.Millisecond)))
 	eng.RunUntilIdle()
-	k.Shutdown()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +180,8 @@ func TestRecorderChainsHooks(t *testing.T) {
 	k.OnExit = func(*kernel.Process) { exits++ }
 	var buf bytes.Buffer
 	NewRecorder(k, &buf, Meta{})
-	k.Spawn("p", 1, 0, func(env *kernel.Env) { env.Compute(sim.Millisecond) })
+	k.SpawnResumable("p", 1, 0, kernel.Script(kernel.Compute(sim.Millisecond)))
 	eng.RunUntilIdle()
-	k.Shutdown()
 	if spawns != 1 || states == 0 || exits != 1 {
 		t.Errorf("chained hooks not called: %d/%d/%d", spawns, states, exits)
 	}

@@ -20,11 +20,10 @@ func ganttKernel(ncpu int) *kernel.Kernel {
 func TestGanttRecordsSegments(t *testing.T) {
 	k := ganttKernel(1)
 	g := NewGantt(k)
-	k.Spawn("a", 1, 0, func(env *kernel.Env) { env.Compute(30 * sim.Millisecond) })
-	k.Spawn("b", 2, 0, func(env *kernel.Env) { env.Compute(30 * sim.Millisecond) })
+	k.SpawnResumable("a", 1, 0, kernel.Script(kernel.Compute(30*sim.Millisecond)))
+	k.SpawnResumable("b", 2, 0, kernel.Script(kernel.Compute(30*sim.Millisecond)))
 	k.Engine().RunUntilIdle()
 	g.Close()
-	k.Shutdown()
 	if g.Segments(0) != 2 {
 		t.Fatalf("segments = %d, want 2", g.Segments(0))
 	}
@@ -43,11 +42,10 @@ func TestGanttRecordsSegments(t *testing.T) {
 func TestGanttRender(t *testing.T) {
 	k := ganttKernel(2)
 	g := NewGantt(k)
-	k.Spawn("a", 1, 0, func(env *kernel.Env) { env.Compute(100 * sim.Millisecond) })
-	k.Spawn("bg", kernel.AppNone, 0, func(env *kernel.Env) { env.Compute(50 * sim.Millisecond) })
+	k.SpawnResumable("a", 1, 0, kernel.Script(kernel.Compute(100*sim.Millisecond)))
+	k.SpawnResumable("bg", kernel.AppNone, 0, kernel.Script(kernel.Compute(50*sim.Millisecond)))
 	k.Engine().RunUntilIdle()
 	g.Close()
-	k.Shutdown()
 	out := g.Render(0, sim.Time(100*sim.Millisecond), 20)
 	if !strings.Contains(out, "cpu0") || !strings.Contains(out, "cpu1") {
 		t.Fatalf("rows missing:\n%s", out)
@@ -66,14 +64,13 @@ func TestGanttRender(t *testing.T) {
 func TestGanttUtilization(t *testing.T) {
 	k := ganttKernel(1)
 	g := NewGantt(k)
-	k.Spawn("a", 1, 0, func(env *kernel.Env) {
-		env.Compute(25 * sim.Millisecond)
-		env.SleepFor(50 * sim.Millisecond)
-		env.Compute(25 * sim.Millisecond)
-	})
+	k.SpawnResumable("a", 1, 0, kernel.Script(
+		kernel.Compute(25*sim.Millisecond),
+		kernel.SleepFor(50*sim.Millisecond),
+		kernel.Compute(25*sim.Millisecond),
+	))
 	k.Engine().RunUntilIdle()
 	g.Close()
-	k.Shutdown()
 	u := g.Utilization(0, 0, sim.Time(100*sim.Millisecond))
 	if u < 0.49 || u > 0.51 {
 		t.Errorf("utilization %v, want 0.5", u)
@@ -88,9 +85,8 @@ func TestGanttChainsHooks(t *testing.T) {
 	calls := 0
 	k.OnStateChange = func(p *kernel.Process, old, next kernel.ProcState) { calls++ }
 	NewGantt(k)
-	k.Spawn("a", 1, 0, func(env *kernel.Env) { env.Compute(sim.Millisecond) })
+	k.SpawnResumable("a", 1, 0, kernel.Script(kernel.Compute(sim.Millisecond)))
 	k.Engine().RunUntilIdle()
-	k.Shutdown()
 	if calls == 0 {
 		t.Error("previous OnStateChange hook was clobbered")
 	}

@@ -33,6 +33,5 @@ func BenchmarkTraceRecord(b *testing.B) {
 		if err := rec.Close(); err != nil {
 			b.Fatal(err)
 		}
-		s.K.Shutdown()
 	}
 }

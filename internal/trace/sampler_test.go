@@ -21,9 +21,9 @@ func TestSamplerPerAppAndUncontrolled(t *testing.T) {
 	eng, k := newSamplerSim(1)
 	s := NewSampler(k, 25*sim.Millisecond)
 	for i := 0; i < 3; i++ {
-		k.Spawn("a1", 1, 0, func(env *kernel.Env) { env.Compute(200 * sim.Millisecond) })
+		k.SpawnResumable("a1", 1, 0, kernel.Script(kernel.Compute(200*sim.Millisecond)))
 	}
-	k.Spawn("bg", kernel.AppNone, 0, func(env *kernel.Env) { env.Compute(100 * sim.Millisecond) })
+	k.SpawnResumable("bg", kernel.AppNone, 0, kernel.Script(kernel.Compute(100*sim.Millisecond)))
 	eng.Run(sim.Time(50 * sim.Millisecond))
 	s.Stop()
 
@@ -48,7 +48,6 @@ func TestSamplerPerAppAndUncontrolled(t *testing.T) {
 		}
 	}
 	eng.Run(sim.Time(2 * sim.Second))
-	k.Shutdown()
 }
 
 // TestSamplerMatchesRunnableGauge ties the two observation paths
@@ -61,9 +60,9 @@ func TestSamplerMatchesRunnableGauge(t *testing.T) {
 	eng, k := newSamplerSim(7)
 	s := NewSampler(k, 1000*sim.Second) // only explicit take()s below
 	for i := 0; i < 4; i++ {
-		k.Spawn("w", 1, 0, func(env *kernel.Env) { env.Compute(120 * sim.Millisecond) })
+		k.SpawnResumable("w", 1, 0, kernel.Script(kernel.Compute(120*sim.Millisecond)))
 	}
-	k.Spawn("bg", kernel.AppNone, 0, func(env *kernel.Env) { env.Compute(60 * sim.Millisecond) })
+	k.SpawnResumable("bg", kernel.AppNone, 0, kernel.Script(kernel.Compute(60*sim.Millisecond)))
 
 	instants := []sim.Time{
 		sim.Time(10 * sim.Millisecond),  // everything runnable
@@ -90,5 +89,4 @@ func TestSamplerMatchesRunnableGauge(t *testing.T) {
 	if !sawNonzero {
 		t.Error("runnable gauge never nonzero; the comparison was vacuous")
 	}
-	k.Shutdown()
 }

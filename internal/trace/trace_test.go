@@ -15,12 +15,11 @@ func TestSamplerSeries(t *testing.T) {
 	k := kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{Quantum: 50 * sim.Millisecond})
 	s := NewSampler(k, 100*sim.Millisecond)
 	for i := 0; i < 2; i++ {
-		k.Spawn("a", 1, 0, func(env *kernel.Env) { env.Compute(250 * sim.Millisecond) })
+		k.SpawnResumable("a", 1, 0, kernel.Script(kernel.Compute(250*sim.Millisecond)))
 	}
-	k.Spawn("bg", kernel.AppNone, 0, func(env *kernel.Env) { env.Compute(150 * sim.Millisecond) })
+	k.SpawnResumable("bg", kernel.AppNone, 0, kernel.Script(kernel.Compute(150*sim.Millisecond)))
 	eng.Run(sim.Time(sim.Second))
 	s.Stop()
-	k.Shutdown()
 
 	times, counts := s.Series(1)
 	if len(times) != len(counts) || len(times) < 5 {
@@ -56,7 +55,7 @@ func TestSamplerStop(t *testing.T) {
 	mac := machine.New(machine.Config{NumCPU: 1})
 	k := kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{})
 	s := NewSampler(k, 10*sim.Millisecond)
-	k.Spawn("p", 1, 0, func(env *kernel.Env) { env.Compute(sim.Second) })
+	k.SpawnResumable("p", 1, 0, kernel.Script(kernel.Compute(sim.Second)))
 	eng.Run(sim.Time(50 * sim.Millisecond))
 	n := len(s.Samples)
 	s.Stop()
@@ -66,7 +65,6 @@ func TestSamplerStop(t *testing.T) {
 		t.Errorf("sampler kept sampling after Stop: %d -> %d", n, len(s.Samples))
 	}
 	eng.Run(sim.Time(2 * sim.Second))
-	k.Shutdown()
 }
 
 func TestTableRendering(t *testing.T) {
