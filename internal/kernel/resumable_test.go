@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"procctl/internal/sim"
@@ -207,5 +208,31 @@ func TestBodyPanicSurfacesFromEngineRun(t *testing.T) {
 				t.Errorf("panic surfaced at %v, want the instant of the panic, 1ms", now)
 			}
 		})
+	}
+}
+
+// Exit while holding a lock is the same model bug, reported by the same
+// panic, whether the body is a Script or a hand-written resumable body.
+func TestExitHoldingALockPanicsForBothBodyForms(t *testing.T) {
+	exitPanic := func(body func(l *SpinLock) func(*Env) Request) string {
+		k := testKernel(1)
+		k.SpawnResumable("p", 1, 0, body(NewSpinLock("l")))
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			k.Engine().RunUntilIdle()
+		}()
+		msg, _ := recovered.(string)
+		return msg
+	}
+	sc := exitPanic(func(l *SpinLock) func(*Env) Request { return Script(Acquire(l)) })
+	rs := exitPanic(func(l *SpinLock) func(*Env) Request {
+		return func(env *Env) Request {
+			env.TryAcquire(l)
+			return Exit()
+		}
+	})
+	if !strings.Contains(sc, "exited holding 1 lock(s)") || rs != sc {
+		t.Errorf("script body panicked with %q, hand-written body with %q, want the same exit panic", sc, rs)
 	}
 }
