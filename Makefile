@@ -8,8 +8,14 @@ check: build vet procctl-vet test benchmark-test bench-smoke race fuzz-smoke tra
 build:
 	$(GO) build ./...
 
+# The runtime's timing tests run on virtual time (testing/synctest),
+# which Go 1.24 builds only under this experiment; without it those
+# tests do not build and a guard test in their package fails instead.
+# Go 1.25 makes synctest standard and the flag goes away.
+SYNCTEST = GOEXPERIMENT=synctest
+
 vet:
-	$(GO) vet ./...
+	$(SYNCTEST) $(GO) vet ./...
 
 # Repo-specific analyzers, each kept because no test catches what it
 # does (EXPERIMENTS.md SIMPL-6): map order in the simulator, lock
@@ -23,7 +29,7 @@ procctl-vet:
 	$(GO) run ./cmd/procctl-vet ./...
 
 test:
-	$(GO) test ./...
+	$(SYNCTEST) $(GO) test ./...
 
 # The repo benchmark is its own module (benchmark/go.mod), so ./... above
 # does not reach it: its smoke test runs every workload at toy size
@@ -44,9 +50,9 @@ benchmark-test:
 # threads.Workload that backs the concurrent runs of a figure sweep (the
 # third). The package list stays whole, so no race coverage is dropped.
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/ctrl/...
-	$(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...
-	$(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns' ./internal/experiments
+	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/...
+	$(SYNCTEST) $(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...
+	$(SYNCTEST) $(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns' ./internal/experiments
 
 # Short fuzz passes over the journal's frame decoder and fsck, over the
 # control plane's line codec (differential against encoding/json), over

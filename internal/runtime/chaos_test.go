@@ -32,20 +32,15 @@ import (
 	"procctl/internal/threads"
 )
 
-// chaosLease is the shortened lease the wall-clock tests run under.
-const (
-	chaosLease = 300 * time.Millisecond
-	chaosSweep = 50 * time.Millisecond
-)
+// chaosLease is the shortened lease the wall-clock tests run under (the
+// sweep runs every 100 ms, its floor).
+const chaosLease = 300 * time.Millisecond
 
-// fastDrive returns DriveOptions scaled down for tests.
+// fastDrive polls every 50 ms instead of every DefaultPollInterval; the
+// driver's grace period scales with it (two intervals), its backoff
+// does not.
 func fastDrive() coordinator.DriveOptions {
-	return coordinator.DriveOptions{
-		Interval:   50 * time.Millisecond,
-		Grace:      10 * time.Second, // hold the last target; decay is tested elsewhere
-		BackoffMin: 20 * time.Millisecond,
-		BackoffMax: 100 * time.Millisecond,
-	}
+	return coordinator.DriveOptions{Interval: 50 * time.Millisecond}
 }
 
 // startDaemon runs a coordinator daemon on sock and returns its
@@ -112,7 +107,7 @@ func sumTargets(coord *coordinator.Coordinator) int {
 func TestChaosHungAndKilledClientsReclaimed(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	coord, srv := startDaemon(t, sock, 8, coordinator.ServerConfig{Lease: chaosLease, SweepInterval: chaosSweep})
+	coord, srv := startDaemon(t, sock, 8, coordinator.ServerConfig{Lease: chaosLease})
 	t.Cleanup(func() { srv.Close() })
 
 	healthy, err := coordinator.Dial("unix", sock)
@@ -271,7 +266,7 @@ func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 func TestChaosFlightRecorderTellsTheStory(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	coord, srv := startDaemon(t, sock, 8, coordinator.ServerConfig{Lease: chaosLease, SweepInterval: chaosSweep})
+	coord, srv := startDaemon(t, sock, 8, coordinator.ServerConfig{Lease: chaosLease})
 	t.Cleanup(func() { srv.Close() })
 
 	healthy, err := coordinator.Dial("unix", sock)
@@ -562,10 +557,8 @@ func TestChaosRegisterStormShedsAndConverges(t *testing.T) {
 			}
 			t.Cleanup(func() { c.Close() })
 			p := pool.New(pool.Config{Name: fmt.Sprintf("storm%02d", i), Workers: 4})
-			opts := fastDrive()
-			opts.AdmitPatience = 25 * time.Second
 			<-start
-			drv, err := c.DriveWith(fmt.Sprintf("storm%02d", i), 4, p, opts)
+			drv, err := c.DriveWith(fmt.Sprintf("storm%02d", i), 4, p, fastDrive())
 			results <- launched{drv: drv, p: p, err: err}
 		}(i)
 	}

@@ -4,68 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"testing"
 	"time"
 )
-
-func TestBatchingCoalescesRegistrations(t *testing.T) {
-	c := New(16)
-	stop := c.StartBatching(40 * time.Millisecond)
-	defer stop()
-	const n = 10
-	members := make([]*fakeMember, n)
-	for i := range members {
-		members[i] = &fakeMember{name: fmt.Sprintf("burst%d", i), workers: 4}
-		c.Register(members[i])
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		total := 0
-		for _, m := range members {
-			total += m.got()
-		}
-		if total == 16 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batched targets never converged: sum %d, want 16", total)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// All n registrations landed within (at most a couple of) windows,
-	// far fewer epochs than events.
-	if reb := c.Rebalances(); reb >= n {
-		t.Errorf("rebalances = %d for %d batched registrations, want coalescing", reb, n)
-	}
-	if v := c.met.batchFlushes.Value(); v < 1 {
-		t.Errorf("batch flushes = %d, want >= 1", v)
-	}
-	if v := c.met.batchCoalesced.Value(); v < 1 {
-		t.Errorf("batch coalesced = %d, want >= 1", v)
-	}
-}
-
-func TestBatchingStopFlushesPendingWork(t *testing.T) {
-	c := New(8)
-	stop := c.StartBatching(time.Hour) // never fires on its own
-	m := &fakeMember{name: "late", workers: 8}
-	c.Register(m)
-	if got := m.got(); got != 0 {
-		t.Fatalf("target pushed before any flush: %d", got)
-	}
-	stop()
-	if got := m.got(); got != 8 {
-		t.Errorf("target after stop-flush = %d, want 8", got)
-	}
-	// After stop, events rebalance inline again.
-	m2 := &fakeMember{name: "after", workers: 8}
-	c.Register(m2)
-	if got := m2.got(); got != 4 {
-		t.Errorf("post-batching inline target = %d, want 4", got)
-	}
-}
 
 // White-box: a full admission semaphore turns OpRegister into a
 // retryable busy reply without touching the registry.
@@ -194,93 +136,6 @@ func TestStatusIgnoresShardsField(t *testing.T) {
 	}
 	if len(resp.Status.Apps) != len(plain.Apps) || resp.Status.Apps[0].Name != "wired" {
 		t.Errorf("status with the old field lists %+v, a plain one %+v", resp.Status.Apps, plain.Apps)
-	}
-}
-
-func TestDriveWithRetriesBusyRegistration(t *testing.T) {
-	_, sock := startServerWith(t, 8, ServerConfig{MaxConns: 1})
-	holder, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := holder.Register("holder", 4); err != nil {
-		t.Fatal(err)
-	}
-
-	late, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer late.Close()
-	done := make(chan error, 1)
-	go func() {
-		d, err := late.DriveWith("late", 4, &fakeMember{name: "late", workers: 4}, DriveOptions{
-			Interval:      50 * time.Millisecond,
-			BackoffMin:    20 * time.Millisecond,
-			BackoffMax:    100 * time.Millisecond,
-			AdmitPatience: 10 * time.Second,
-		})
-		if err == nil {
-			d.Stop()
-		}
-		done <- err
-	}()
-
-	// Give the driver time to be shed at least once, then make room.
-	time.Sleep(150 * time.Millisecond)
-	holder.Close()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("DriveWith never recovered from busy: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("DriveWith still retrying after the connection slot freed")
-	}
-}
-
-// White-box: an admission-limit shed leaves the connection live, so the
-// retried registration must go out on it again. Re-dialing would close it,
-// and the daemon would unregister every other app the client holds there.
-func TestRetriedRegistrationKeepsOtherApps(t *testing.T) {
-	srv, sock := startServerWith(t, 8, ServerConfig{AdmitLimit: 1})
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Register("a", 2); err != nil {
-		t.Fatal(err)
-	}
-	srv.admit <- struct{}{} // occupy the only admission slot
-	done := make(chan error, 1)
-	go func() {
-		d, err := c.DriveWith("b", 2, &fakeMember{name: "b", workers: 2}, DriveOptions{
-			Interval:      time.Hour,
-			BackoffMin:    10 * time.Millisecond,
-			BackoffMax:    20 * time.Millisecond,
-			AdmitPatience: 10 * time.Second,
-		})
-		if err == nil {
-			d.Stop()
-		}
-		done <- err
-	}()
-	waitFor(t, 5*time.Second, func() bool { return srv.shedReg.Value() >= 2 }, "b was never shed twice")
-	<-srv.admit // free the slot
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("DriveWith(b) after the slot freed: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("DriveWith(b) still retrying after the slot freed")
-	}
-	if got := srv.Coordinator().Members(); len(got) != 1 || got[0] != "a" {
-		t.Errorf("members after b came and went = %v, want a still registered", got)
-	}
-	if _, err := c.Poll("a"); err != nil {
-		t.Errorf("poll a on its own connection: %v", err)
 	}
 }
 

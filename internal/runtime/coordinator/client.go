@@ -304,17 +304,6 @@ type DriveOptions struct {
 	// Interval is the poll period (default DefaultPollInterval, the
 	// paper's 6 s).
 	Interval time.Duration
-	// Grace is how long after losing the daemon the last target is
-	// held unchanged. Past it, the target decays toward the full
-	// process count — with no arbiter alive there is no longer anyone
-	// to be fair to, so the application drifts back to uncontrolled
-	// behaviour rather than idling forever on a stale small target.
-	// Default 2×Interval.
-	Grace time.Duration
-	// BackoffMin/BackoffMax bound the jittered exponential backoff
-	// between reconnection attempts (defaults 100 ms and 5 s).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// Metrics, when non-nil, receives per-app poll/reconnect counters,
 	// a degraded-mode gauge, and the client's slice of the rebalance
 	// span: poll round-trip latency and the "apply" stage (response
@@ -328,38 +317,23 @@ type DriveOptions struct {
 	// the client-side entries of the control plane's flight log, which
 	// procctl-trace's daemon export merges with the daemon's ring.
 	Flight *flight.Recorder
-	// AdmitPatience bounds how long the initial registration keeps
-	// retrying when the daemon sheds it with a retryable busy reply
-	// (jittered exponential backoff between attempts, honouring the
-	// server's advisory retry-after as a floor). Zero selects the
-	// default 30 s; negative fails on the first busy reply.
-	AdmitPatience time.Duration
 }
 
-func (o DriveOptions) withDefaults() DriveOptions {
-	if o.Interval <= 0 {
-		o.Interval = DefaultPollInterval
-	}
-	if o.Grace <= 0 {
-		o.Grace = 2 * o.Interval
-	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 100 * time.Millisecond
-	}
-	if o.BackoffMax < o.BackoffMin {
-		o.BackoffMax = 5 * time.Second
-		if o.BackoffMax < o.BackoffMin {
-			o.BackoffMax = o.BackoffMin
-		}
-	}
-	if o.AdmitPatience == 0 {
-		o.AdmitPatience = 30 * time.Second
-	}
-	if o.AdmitPatience < 0 {
-		o.AdmitPatience = 0
-	}
-	return o
-}
+// The driver's failure handling. admitPatience bounds how long
+// DriveWith's initial registration keeps retrying when the daemon sheds
+// it with a retryable busy reply. backoffMin and backoffMax bound the
+// jittered exponential backoff between those retries (with the server's
+// advisory retry-after as a floor) and between reconnection attempts.
+// For graceIntervals poll intervals after losing the daemon the last
+// target is held unchanged. Past that grace, the target decays toward
+// the full process count: with no arbiter alive there is no longer
+// anyone to be fair to, so the application drifts back to uncontrolled
+// behaviour rather than idling forever on a stale small target.
+const (
+	admitPatience          = 30 * time.Second
+	backoffMin, backoffMax = 100 * time.Millisecond, 5 * time.Second
+	graceIntervals         = 2
+)
 
 // DriveStats is a point-in-time snapshot of a Driver's health.
 type DriveStats struct {
@@ -409,12 +383,14 @@ type Driver struct {
 // re-dials with jittered exponential backoff and transparently
 // re-registers once the daemon is back (a restarted daemon has an empty
 // member table, so registration is repeated, not assumed). While
-// disconnected the driver applies the degraded-mode policy described on
-// DriveOptions.Grace. The initial registration must succeed; everything
+// disconnected the driver holds, then decays, its target (see
+// graceIntervals). The initial registration must succeed; everything
 // after that is handled.
 func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions) (*Driver, error) {
-	opts = opts.withDefaults()
-	target, epoch, err := c.registerWithRetry(app, procs, opts.Weight, spinOf(t), opts)
+	if opts.Interval <= 0 {
+		opts.Interval = DefaultPollInterval
+	}
+	target, epoch, err := c.registerWithRetry(app, procs, opts.Weight, spinOf(t))
 	if err != nil {
 		return nil, err
 	}
@@ -444,14 +420,14 @@ func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions)
 // protocol: a busy reply means the daemon shed the registration under
 // load, so the client backs off (jittered exponential, with the
 // server's advisory retry-after as a floor) and tries again until
-// AdmitPatience runs out. It retries on the same connection: an
+// admitPatience runs out. It retries on the same connection: an
 // admission-limit shed leaves it live, with every other application the
 // client registered on it, and re-dialing would drop them all. Only a
 // connection-cap shed closes the connection behind its reply; once a
 // retry finds it closed, the client re-dials when it can.
-func (c *Client) registerWithRetry(app string, procs, weight int, spin *float64, opts DriveOptions) (int, uint64, error) {
-	backoff := opts.BackoffMin
-	deadline := time.Now().Add(opts.AdmitPatience)
+func (c *Client) registerWithRetry(app string, procs, weight int, spin *float64) (int, uint64, error) {
+	backoff := backoffMin
+	deadline := time.Now().Add(admitPatience)
 	shed := false
 	for {
 		target, epoch, err := c.registerEpoch(app, procs, weight, spin, 0)
@@ -462,7 +438,7 @@ func (c *Client) registerWithRetry(app string, procs, weight int, spin *float64,
 		case errors.As(err, &busy):
 			shed = true
 			time.Sleep(max(jitter(backoff), busy.RetryAfter))
-			backoff = min(2*backoff, opts.BackoffMax)
+			backoff = min(2*backoff, backoffMax)
 		case shed && connClosed(err) && c.Redial() == nil:
 			// A connection-cap shed closed it: retry at once on the new one.
 		default:
@@ -586,7 +562,7 @@ func (d *Driver) loop() {
 	defer ticker.Stop()
 
 	connected := true
-	backoff := d.opts.BackoffMin
+	backoff := backoffMin
 	now := time.Now()
 	nextPoll := now.Add(d.opts.Interval)
 	if d.applied.Load() != 0 {
@@ -629,9 +605,9 @@ func (d *Driver) loop() {
 			d.count(func(s *DriveStats) { s.PollErrors++ }, d.pollErrors)
 			connected = false
 			lostAt = now
-			backoff = d.opts.BackoffMin
+			backoff = backoffMin
 			nextRedial = now
-			nextDecay = now.Add(d.opts.Grace)
+			nextDecay = now.Add(graceIntervals * d.opts.Interval)
 			d.setDegraded(true, now)
 		}
 
@@ -661,10 +637,7 @@ func (d *Driver) loop() {
 					continue
 				}
 			}
-			backoff *= 2
-			if backoff > d.opts.BackoffMax {
-				backoff = d.opts.BackoffMax
-			}
+			backoff = min(2*backoff, backoffMax)
 			nextRedial = now.Add(jitter(backoff))
 		}
 
@@ -672,7 +645,7 @@ func (d *Driver) loop() {
 		// full process count once per poll interval. With no arbiter
 		// alive, fairness has no counterparty; idling forever on a
 		// stale small target would waste the machine.
-		if now.Sub(lostAt) >= d.opts.Grace && !now.Before(nextDecay) {
+		if now.Sub(lostAt) >= graceIntervals*d.opts.Interval && !now.Before(nextDecay) {
 			d.mu.Lock()
 			cur := d.stats.Target
 			d.mu.Unlock()

@@ -17,15 +17,8 @@ type trackingTargeter struct {
 func (t *trackingTargeter) SetTarget(n int) { t.mu.Lock(); t.v = n; t.mu.Unlock() }
 func (t *trackingTargeter) last() int       { t.mu.Lock(); defer t.mu.Unlock(); return t.v }
 
-// fastDrive are DriveOptions scaled down for tests.
-func fastDrive() DriveOptions {
-	return DriveOptions{
-		Interval:   50 * time.Millisecond,
-		Grace:      100 * time.Millisecond,
-		BackoffMin: 20 * time.Millisecond,
-		BackoffMax: 100 * time.Millisecond,
-	}
-}
+// fastDrive polls every 50 ms instead of every DefaultPollInterval.
+func fastDrive() DriveOptions { return DriveOptions{Interval: 50 * time.Millisecond} }
 
 func TestDriveWithSurvivesDaemonRestart(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
@@ -85,63 +78,5 @@ func TestDriveWithSurvivesDaemonRestart(t *testing.T) {
 	}
 	if s.DegradedFor != 0 {
 		t.Errorf("DegradedFor = %v after reconnecting, want 0", s.DegradedFor)
-	}
-}
-
-func TestDriveWithDegradedDecayTowardFull(t *testing.T) {
-	srv, sock := startServerWith(t, 4, ServerConfig{})
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var tr trackingTargeter
-	d, err := c.DriveWith("app", 16, &tr, fastDrive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Stop()
-	if tr.last() != 4 {
-		t.Fatalf("initial target %d, want the capacity 4", tr.last())
-	}
-
-	// Daemon dies and never returns: past the grace period the target
-	// must decay from the stale 4 back up to the full 16 processes.
-	srv.Close()
-	waitFor(t, 3*time.Second, func() bool { return d.Stats().Degraded },
-		"driver never entered degraded mode")
-	waitFor(t, 5*time.Second, func() bool { return tr.last() == 16 },
-		"degraded target never decayed to the full process count")
-	s := d.Stats()
-	if !s.Degraded || s.DegradedFor <= 0 {
-		t.Errorf("stats = %+v, want degraded with a positive DegradedFor", s)
-	}
-	if s.Target != 16 {
-		t.Errorf("Stats().Target = %d, want 16", s.Target)
-	}
-}
-
-func TestDriveWithHoldsTargetThroughGrace(t *testing.T) {
-	srv, sock := startServerWith(t, 4, ServerConfig{})
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var tr trackingTargeter
-	opts := fastDrive()
-	opts.Grace = 10 * time.Second // effectively forever for this test
-	d, err := c.DriveWith("app", 16, &tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Stop()
-
-	srv.Close()
-	waitFor(t, 3*time.Second, func() bool { return d.Stats().Degraded },
-		"driver never entered degraded mode")
-	time.Sleep(300 * time.Millisecond) // several poll intervals, all inside grace
-	if got := tr.last(); got != 4 {
-		t.Errorf("target %d while inside the grace period, want the held 4", got)
 	}
 }

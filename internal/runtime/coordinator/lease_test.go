@@ -1,259 +1,464 @@
+//go:build goexperiment.synctest
+
 package coordinator
 
 import (
 	"bytes"
+	"fmt"
 	"io"
-	"net"
-	"path/filepath"
 	"testing"
+	"testing/synctest"
 	"time"
+
+	"procctl/internal/flight"
+	"procctl/internal/runtime/pool"
 )
 
-// startServerWith runs a daemon with explicit lease settings.
-func startServerWith(t testing.TB, capacity int, cfg ServerConfig) (*Server, string) {
-	t.Helper()
-	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	ln, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServerWith(New(capacity), ln, cfg)
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	return srv, sock
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal(msg)
-}
-
+// A silent member is still served at Lease and gone by Lease + one
+// sweep, while a member polling at the paper's interval keeps its own.
 func TestServerLeaseExpiresSilentMember(t *testing.T) {
-	cfg := ServerConfig{Lease: 300 * time.Millisecond, SweepInterval: 50 * time.Millisecond}
-	srv, sock := startServerWith(t, 8, cfg)
+	synctest.Run(func() {
+		srv := startPipeServer(8, ServerConfig{})
+		defer srv.Close()
+		silent := pipeClient(srv)
+		defer silent.Close()
+		if _, err := silent.Register("hung", 8); err != nil {
+			t.Fatal(err)
+		}
+		healthy := pipeClient(srv)
+		defer healthy.Close()
+		if _, err := healthy.Register("alive", 8); err != nil {
+			t.Fatal(err)
+		}
+		if tgt, _ := healthy.Poll("alive"); tgt != 4 {
+			t.Fatalf("pre-expiry target %d, want the 4/4 split", tgt)
+		}
 
-	silent, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer silent.Close()
-	if _, err := silent.Register("hung", 8); err != nil {
-		t.Fatal(err)
-	}
-
-	healthy, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer healthy.Close()
-	if _, err := healthy.Register("alive", 8); err != nil {
-		t.Fatal(err)
-	}
-	if tgt, _ := healthy.Poll("alive"); tgt != 4 {
-		t.Fatalf("pre-expiry target %d, want the 4/4 split", tgt)
-	}
-
-	// "hung" says nothing; "alive" keeps polling (renewing its lease).
-	waitFor(t, 3*time.Second, func() bool {
-		tgt, err := healthy.Poll("alive")
-		return err == nil && tgt == 8
-	}, "silent member's processors never reclaimed")
-
-	if got := srv.coord.Members(); len(got) != 1 || got[0] != "alive" {
-		t.Errorf("members after expiry: %v, want [alive]", got)
-	}
-	if v, ok := srv.coord.Metrics().Value("coordinator_lease_expiries_total"); !ok || v < 1 {
-		t.Errorf("coordinator_lease_expiries_total = %d, want >= 1", v)
-	}
-	// The sweep closed the silent connection, so its next op fails.
-	if _, err := silent.Poll("hung"); err == nil {
-		t.Error("poll on a swept connection succeeded")
-	}
+		// "hung" says nothing; "alive" polls every DefaultPollInterval.
+		for elapsed := time.Duration(0); elapsed < DefaultLease; elapsed += DefaultPollInterval {
+			time.Sleep(DefaultPollInterval)
+			if _, err := healthy.Poll("alive"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		synctest.Wait()
+		if got := srv.coord.Members(); len(got) != 2 {
+			t.Fatalf("members at exactly the lease: %v, want both", got)
+		}
+		time.Sleep(sweepEvery(DefaultLease))
+		synctest.Wait()
+		if got := srv.coord.Members(); len(got) != 1 || got[0] != "alive" {
+			t.Errorf("members one sweep past the lease: %v, want [alive]", got)
+		}
+		if tgt, err := healthy.Poll("alive"); err != nil || tgt != 8 {
+			t.Errorf("survivor's poll = %d, %v; want the whole machine", tgt, err)
+		}
+		if v := leaseExpiries(srv); v != 1 {
+			t.Errorf("coordinator_lease_expiries_total = %d, want 1", v)
+		}
+		// The sweep closed the silent connection, so its next op fails.
+		if _, err := silent.Poll("hung"); err == nil {
+			t.Error("poll on a swept connection succeeded")
+		}
+	})
 }
 
+// A member silent for exactly its lease between polls is never expired:
+// the sweep cuts silence past the lease, not at it.
 func TestServerLeaseRenewedByPolls(t *testing.T) {
-	cfg := ServerConfig{Lease: 250 * time.Millisecond, SweepInterval: 50 * time.Millisecond}
-	srv, sock := startServerWith(t, 4, cfg)
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Register("steady", 4); err != nil {
-		t.Fatal(err)
-	}
-	// Poll at half the lease for four leases' worth of wall time.
-	for i := 0; i < 8; i++ {
-		time.Sleep(125 * time.Millisecond)
-		if _, err := c.Poll("steady"); err != nil {
-			t.Fatalf("poll %d on a healthy connection: %v", i, err)
+	synctest.Run(func() {
+		srv := startPipeServer(4, ServerConfig{})
+		defer srv.Close()
+		c := pipeClient(srv)
+		defer c.Close()
+		if _, err := c.Register("steady", 4); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if v, _ := srv.coord.Metrics().Value("coordinator_lease_expiries_total"); v != 0 {
-		t.Errorf("healthy member expired %d times", v)
-	}
+		for i := 0; i < 4; i++ {
+			time.Sleep(DefaultLease)
+			if _, err := c.Poll("steady"); err != nil {
+				t.Fatalf("poll %d on a healthy connection: %v", i, err)
+			}
+		}
+		if v := leaseExpiries(srv); v != 0 {
+			t.Errorf("healthy member expired %d times", v)
+		}
+	})
 }
 
 func TestServerStatusReportsLease(t *testing.T) {
-	cfg := ServerConfig{Lease: 10 * time.Second}
-	_, sock := startServerWith(t, 4, cfg)
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Register("app", 4); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LeaseSeconds != 10 {
-		t.Errorf("LeaseSeconds = %v, want 10", st.LeaseSeconds)
-	}
-	if len(st.Apps) != 1 {
-		t.Fatalf("Apps = %v", st.Apps)
-	}
-	rem := st.Apps[0].LeaseRemaining
-	if rem < 0 || rem > 10 {
-		t.Errorf("LeaseRemaining = %v, want within [0, 10]", rem)
-	}
-	// A freshly-registered member has nearly its whole lease left.
-	if rem < 5 {
-		t.Errorf("LeaseRemaining = %v right after registering, want close to 10", rem)
-	}
+	synctest.Run(func() {
+		srv := startPipeServer(4, ServerConfig{})
+		defer srv.Close()
+		c := pipeClient(srv)
+		defer c.Close()
+		if _, err := c.Register("app", 4); err != nil {
+			t.Fatal(err)
+		}
+		// Any op renews its connection's lease, so ask from another one.
+		observer := pipeClient(srv)
+		defer observer.Close()
+		const waited = 5 * time.Second
+		for _, want := range []time.Duration{DefaultLease, DefaultLease - waited} {
+			st, err := observer.Status()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LeaseSeconds != DefaultLease.Seconds() {
+				t.Errorf("LeaseSeconds = %v, want %v", st.LeaseSeconds, DefaultLease.Seconds())
+			}
+			if len(st.Apps) != 1 {
+				t.Fatalf("Apps = %v", st.Apps)
+			}
+			if rem := st.Apps[0].LeaseRemaining; rem != want.Seconds() {
+				t.Errorf("LeaseRemaining = %v, want %v", rem, want.Seconds())
+			}
+			time.Sleep(waited)
+		}
+	})
 }
 
+// A restarted client re-registers its app from a fresh connection while
+// the hung predecessor still holds the old one. The predecessor is swept
+// one lease later, and the name survives it: no expiry is recorded.
 func TestServerReRegisterTakesOverName(t *testing.T) {
-	// A restarted client re-registers its app from a fresh connection
-	// while the hung predecessor still holds the old one. The name must
-	// survive the predecessor's sweep.
-	cfg := ServerConfig{Lease: 300 * time.Millisecond, SweepInterval: 50 * time.Millisecond}
-	srv, sock := startServerWith(t, 8, cfg)
-
-	old, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	if _, err := old.Register("app", 4); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if _, err := fresh.Register("app", 4); err != nil {
-		t.Fatal(err)
-	}
-
-	// The old connection goes silent and gets swept (polling it would
-	// renew its lease, so watch the server's connection count instead);
-	// the fresh one keeps polling to stay alive.
-	waitFor(t, 3*time.Second, func() bool {
-		if _, err := fresh.Poll("app"); err != nil {
-			return false
+	synctest.Run(func() {
+		srv := startPipeServer(8, ServerConfig{})
+		defer srv.Close()
+		old := pipeClient(srv)
+		defer old.Close()
+		if _, err := old.Register("app", 4); err != nil {
+			t.Fatal(err)
 		}
-		srv.mu.Lock()
-		n := len(srv.conns)
-		srv.mu.Unlock()
-		return n == 1
-	}, "predecessor connection never swept")
-	if _, err := old.Poll("app"); err == nil {
-		t.Error("poll on the swept predecessor connection succeeded")
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := fresh.Poll("app"); err != nil {
-			t.Fatalf("successor lost its registration after predecessor sweep: %v", err)
+		fresh := pipeClient(srv)
+		defer fresh.Close()
+		if _, err := fresh.Register("app", 4); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if got := srv.coord.Members(); len(got) != 1 || got[0] != "app" {
-		t.Errorf("members = %v, want [app]", got)
-	}
+
+		// The old connection goes silent (polling it would renew its
+		// lease); the fresh one polls at the paper's interval.
+		for elapsed := time.Duration(0); elapsed < DefaultLease+2*sweepEvery(DefaultLease); elapsed += DefaultPollInterval {
+			time.Sleep(DefaultPollInterval)
+			if _, err := fresh.Poll("app"); err != nil {
+				t.Fatalf("successor's poll at %v: %v", elapsed+DefaultPollInterval, err)
+			}
+		}
+		synctest.Wait()
+		if n := openConns(srv); n != 1 {
+			t.Fatalf("%d connections one sweep past the predecessor's lease, want 1", n)
+		}
+		if _, err := old.Poll("app"); err == nil {
+			t.Error("poll on the swept predecessor connection succeeded")
+		}
+		if got := srv.coord.Members(); len(got) != 1 || got[0] != "app" {
+			t.Errorf("members = %v, want [app]", got)
+		}
+		if v := leaseExpiries(srv); v != 0 {
+			t.Errorf("the swept predecessor counted %d lease expiries against a name it no longer held", v)
+		}
+	})
 }
 
 func TestServerLeaseDisabled(t *testing.T) {
-	cfg := ServerConfig{Lease: -1, SweepInterval: 20 * time.Millisecond}
-	srv, sock := startServerWith(t, 4, cfg)
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Register("app", 4); err != nil {
-		t.Fatal(err)
-	}
-	// Silent through 25 sweeps: the sweep runs with leases disabled too,
-	// since it also bounds reply writes, but has no lease to expire.
-	time.Sleep(25 * cfg.SweepInterval)
-	if _, err := c.Poll("app"); err != nil {
-		t.Fatalf("silent member dropped with leases disabled: %v", err)
-	}
-	if got := srv.coord.Members(); len(got) != 1 {
-		t.Errorf("members = %v, want the one registration", got)
-	}
-	if v, _ := srv.coord.Metrics().Value("coordinator_lease_expiries_total"); v != 0 {
-		t.Errorf("%d lease expiries with leases disabled", v)
-	}
+	synctest.Run(func() {
+		srv := startPipeServer(4, ServerConfig{Lease: -1})
+		defer srv.Close()
+		c := pipeClient(srv)
+		defer c.Close()
+		if _, err := c.Register("app", 4); err != nil {
+			t.Fatal(err)
+		}
+		// Silent for ten production leases: the sweep runs with leases
+		// disabled too, since it also bounds reply writes, but has no
+		// lease to expire.
+		time.Sleep(10 * DefaultLease)
+		if _, err := c.Poll("app"); err != nil {
+			t.Fatalf("silent member dropped with leases disabled: %v", err)
+		}
+		if got := srv.coord.Members(); len(got) != 1 {
+			t.Errorf("members = %v, want the one registration", got)
+		}
+		if v := leaseExpiries(srv); v != 0 {
+			t.Errorf("%d lease expiries with leases disabled", v)
+		}
+	})
 }
 
-// A peer that stops draining its socket is cut off within IOTimeout +
-// SweepInterval of the reply write that blocked, leases on or off, and its
-// member leaves as a departure, not a lease expiry.
+// A peer that stops draining its connection is still served at
+// DefaultIOTimeout after the reply write that blocked and cut off one
+// sweep later, leases on or off, and its member leaves as a departure,
+// not a lease expiry. The reply here is to a request that arrives at the
+// accept instant.
 func TestServerCutsStuckWriter(t *testing.T) {
-	const ioTimeout, sweep = 200 * time.Millisecond, 50 * time.Millisecond
 	for _, tc := range []struct {
 		name  string
 		lease time.Duration
 	}{
 		{"leases off", -1},
-		{"leases on", time.Minute},
+		{"leases on", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, sock := startServerWith(t, 8, ServerConfig{Lease: tc.lease, SweepInterval: sweep, IOTimeout: ioTimeout})
-			conn, err := net.Dial("unix", sock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if _, err := io.WriteString(conn, `{"op":"register","app":"stuck","procs":4}`+"\n"); err != nil {
-				t.Fatal(err)
-			}
-			rd := lineReader{r: conn}
-			if _, err := rd.readLine(); err != nil {
-				t.Fatal(err)
-			}
-			// Poll without reading a reply. Once the replies fill the socket
-			// the server's write blocks and it stops reading, so the polls
-			// fill the other direction and a write of ours stalls too.
-			polls := bytes.Repeat([]byte(`{"op":"poll","app":"stuck"}`+"\n"), 1024)
-			for {
-				_ = conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-				if _, err := conn.Write(polls); err != nil {
-					break // stalled, or the server has already cut us off
+			synctest.Run(func() {
+				srv := startPipeServer(8, ServerConfig{Lease: tc.lease})
+				defer srv.Close()
+				conn := srv.ln.(*pipeListener).dial()
+				defer conn.Close()
+				// Register and never read the reply: its write blocks.
+				if _, err := io.WriteString(conn, `{"op":"register","app":"stuck","procs":4}`+"\n"); err != nil {
+					t.Fatal(err)
 				}
-			}
-			waitFor(t, ioTimeout+sweep+500*time.Millisecond, func() bool {
-				srv.mu.Lock()
-				n := len(srv.conns)
-				srv.mu.Unlock()
-				return n == 0 && len(srv.coord.Members()) == 0
-			}, "stuck writer still served past IOTimeout + SweepInterval")
-			if v, _ := srv.coord.Metrics().Value("coordinator_lease_expiries_total"); v != 0 {
-				t.Errorf("a stuck writer counted as %d lease expiries", v)
-			}
+				time.Sleep(DefaultIOTimeout)
+				synctest.Wait()
+				if n, m := openConns(srv), len(srv.coord.Members()); n != 1 || m != 1 {
+					t.Fatalf("at the I/O bound: %d connections, %d members; want the stuck writer still served", n, m)
+				}
+				time.Sleep(sweepEvery(srv.cfg.Lease))
+				synctest.Wait()
+				if n, m := openConns(srv), len(srv.coord.Members()); n != 0 || m != 0 {
+					t.Errorf("one sweep past the I/O bound: %d connections, %d members; want none", n, m)
+				}
+				if v := leaseExpiries(srv); v != 0 {
+					t.Errorf("a stuck writer counted as %d lease expiries", v)
+				}
+			})
 		})
 	}
+}
+
+// journaledPipeServer is startJournaledServer on a pipeListener; stop
+// closes the server, then its journal.
+func journaledPipeServer(t *testing.T, capacity int, dir string) (srv *Server, stop func()) {
+	srv, w := bootJournaledServer(t, capacity, dir, ServerConfig{}, newPipeListener())
+	return srv, func() {
+		srv.Close()
+		w.Close()
+	}
+}
+
+// TestRecoveredMemberLeaseExpires gives restored members one fresh
+// lease: with no client claiming the name, the first sweep past it
+// reclaims the member and journals the expiry.
+func TestRecoveredMemberLeaseExpires(t *testing.T) {
+	dir := t.TempDir()
+	synctest.Run(func() {
+		srv1, stop1 := journaledPipeServer(t, 8, dir)
+		// The connection stays open across the shutdown: Close-path
+		// cleanup is quiet, so "ghost" survives in the journal.
+		c := pipeClient(srv1)
+		defer c.Close()
+		if _, err := c.Register("ghost", 4); err != nil {
+			t.Fatal(err)
+		}
+		stop1()
+
+		srv2, stop2 := journaledPipeServer(t, 8, dir)
+		defer stop2()
+		time.Sleep(DefaultLease)
+		synctest.Wait()
+		if n := len(srv2.coord.Members()); n != 1 {
+			t.Fatalf("%d members at exactly the recovery lease, want the restored one", n)
+		}
+		time.Sleep(sweepEvery(DefaultLease))
+		synctest.Wait()
+		if n := len(srv2.coord.Members()); n != 0 {
+			t.Fatalf("%d members one sweep past the recovery lease, want 0", n)
+		}
+		if members := journalMembers(t, dir); len(members) != 0 {
+			t.Errorf("journal still holds expired member: %+v", members)
+		}
+	})
+}
+
+// TestRecoveredMemberTakeover: a client re-registering a restored name
+// claims it; the member must not expire afterwards.
+func TestRecoveredMemberTakeover(t *testing.T) {
+	dir := t.TempDir()
+	synctest.Run(func() {
+		srv1, stop1 := journaledPipeServer(t, 8, dir)
+		c := pipeClient(srv1)
+		defer c.Close()
+		if _, err := c.Register("phoenix", 4); err != nil {
+			t.Fatal(err)
+		}
+		stop1()
+
+		srv2, stop2 := journaledPipeServer(t, 8, dir)
+		defer stop2()
+		c2 := pipeClient(srv2)
+		defer c2.Close()
+		if _, err := c2.Register("phoenix", 4); err != nil {
+			t.Fatal(err)
+		}
+		// Poll past three recovery leases: the claimed member stays.
+		for elapsed := time.Duration(0); elapsed < 3*DefaultLease; elapsed += DefaultPollInterval {
+			time.Sleep(DefaultPollInterval)
+			if _, err := c2.Poll("phoenix"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(srv2.coord.Members()); n != 1 {
+			t.Fatalf("claimed member expired: %d members", n)
+		}
+		if v := leaseExpiries(srv2); v != 0 {
+			t.Errorf("%d lease expiries after the claim", v)
+		}
+		if members := journalMembers(t, dir); len(members) != 1 || members[0].Name != "phoenix" {
+			t.Errorf("journal members = %+v, want phoenix", members)
+		}
+	})
+}
+
+// Member names never become label values (ROADMAP 3c′): the registry
+// has the same series whatever the fleet's size, through registration,
+// polling, lease expiry and unregistration.
+func TestMetricsSeriesIndependentOfFleetSize(t *testing.T) {
+	small, large := seriesThroughLifecycle(t, 20), seriesThroughLifecycle(t, 2000)
+	for i, phase := range []string{"registered and polled", "lease expired", "re-registered", "unregistered"} {
+		if small[i] != large[i] {
+			t.Errorf("%s: %d series with 20 members, %d with 2000", phase, small[i], large[i])
+		}
+	}
+}
+
+// seriesThroughLifecycle runs a fleet of n members through a daemon and
+// returns the registry's series count after each phase.
+func seriesThroughLifecycle(t *testing.T, n int) (counts [4]int) {
+	t.Helper()
+	synctest.Run(func() {
+		srv := startPipeServer(4*n, ServerConfig{})
+		defer srv.Close()
+		// Batched, as a daemon serving a fleet runs: the subject is the
+		// registry, not two thousand inline rebalances.
+		stop := srv.coord.StartBatching(0)
+		defer stop()
+		series := func() int { return len(srv.coord.Snapshot().Metrics) }
+		name := func(i int) string { return fmt.Sprintf("app-%04d", i) }
+		register := func() *Client {
+			cl := pipeClient(srv)
+			for i := 0; i < n; i++ {
+				if _, err := cl.Register(name(i), 4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return cl
+		}
+
+		cl := register()
+		defer cl.Close()
+		for i := 0; i < n; i++ {
+			if _, err := cl.Poll(name(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counts[0] = series()
+
+		// Silence: the lease lapses and the sweep drops the whole connection.
+		time.Sleep(DefaultLease + sweepEvery(DefaultLease))
+		synctest.Wait()
+		if m := len(srv.coord.Members()); m != 0 {
+			t.Fatalf("%d of %d silent members left one sweep past the lease", m, n)
+		}
+		counts[1] = series()
+
+		cl2 := register()
+		defer cl2.Close()
+		counts[2] = series()
+		for i := 0; i < n; i++ {
+			if err := cl2.Unregister(name(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counts[3] = series()
+	})
+	return counts
+}
+
+// The lease half of internal/runtime's wall-clock
+// TestChaosHungAndKilledClientsReclaimed, on virtual time with the
+// production lease: a pool driven at the paper's poll interval, a hung
+// client and a killed one. The killed client's processors come back at
+// once, the hung one's within Lease + one sweep, and the pool learns of
+// the whole machine at its next poll. Two runs leave the coordinator's
+// flight log byte for byte the same.
+func TestChaosHungAndKilledClientsReclaimedVirtual(t *testing.T) {
+	first, second := hungAndKilled(t), hungAndKilled(t)
+	if !bytes.Equal(first, second) {
+		t.Errorf("two runs of one scenario recorded different flight logs:\n%s\n---\n%s", first, second)
+	}
+}
+
+// hungAndKilled runs the scenario once and returns the coordinator's
+// flight log as JSONL. synctest fakes time, not goroutine order, so each
+// step waits until the bubble is idle before the next client moves.
+func hungAndKilled(t *testing.T) []byte {
+	var log bytes.Buffer
+	synctest.Run(func() {
+		srv := startPipeServer(8, ServerConfig{})
+		defer srv.Close()
+		coord := srv.coord
+		sum := func() (n int) {
+			for _, v := range coord.Targets() {
+				n += v
+			}
+			return n
+		}
+
+		healthy := pipeClient(srv)
+		defer healthy.Close()
+		p := pool.New(pool.Config{Name: "healthy", Workers: 8})
+		defer p.Wait()
+		defer p.Close()
+		drv, err := healthy.DriveWith("healthy", 8, p, DriveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer drv.Stop()
+		synctest.Wait()
+		hung := pipeClient(srv)
+		defer hung.Close()
+		if _, err := hung.Register("hung", 8); err != nil {
+			t.Fatal(err)
+		}
+		synctest.Wait()
+		killed := pipeClient(srv)
+		if _, err := killed.Register("killed", 8); err != nil {
+			t.Fatal(err)
+		}
+		synctest.Wait()
+		if n := len(coord.Members()); n != 3 || sum() != 8 {
+			t.Fatalf("%d members holding %d processors, want three splitting 8", n, sum())
+		}
+
+		// The killed client's connection drops: it leaves on the spot.
+		killed.Close()
+		synctest.Wait()
+		if n := len(coord.Members()); n != 2 || sum() != 8 {
+			t.Fatalf("after the kill: %d members holding %d processors, want two holding 8", n, sum())
+		}
+
+		// The hung client is silent; only the sweep can reclaim it.
+		time.Sleep(DefaultLease)
+		synctest.Wait()
+		if n := len(coord.Members()); n != 2 {
+			t.Fatalf("%d members at exactly the lease, want the hung one still there", n)
+		}
+		time.Sleep(sweepEvery(DefaultLease))
+		synctest.Wait()
+		if m := coord.Members(); len(m) != 1 || m[0] != "healthy" || coord.Targets()["healthy"] != 8 {
+			t.Fatalf("one sweep past the lease: members %v, targets %v; want healthy alone with 8", m, coord.Targets())
+		}
+		if v := leaseExpiries(srv); v != 1 {
+			t.Errorf("coordinator_lease_expiries_total = %d, want 1", v)
+		}
+		time.Sleep(DefaultPollInterval)
+		synctest.Wait()
+		if got := p.Target(); got != 8 {
+			t.Errorf("pool target %d a poll interval after the reclaim, want the whole machine", got)
+		}
+		if err := flight.WriteJSONL(&log, coord.Events(0)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return log.Bytes()
 }

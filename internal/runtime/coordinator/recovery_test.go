@@ -10,16 +10,29 @@ import (
 	"procctl/internal/journal"
 )
 
-// startJournaledServer runs a daemon with a journal attached the way
-// procctld does at boot: recover, restore, open, attach, rebalance.
+// startJournaledServer runs a daemon on a unix socket with a journal
+// attached the way procctld does at boot (see bootJournaledServer).
 func startJournaledServer(t *testing.T, capacity int, dir string, cfg ServerConfig) (*Server, string) {
 	t.Helper()
-	res, err := journal.Recover(dir)
+	sock := filepath.Join(t.TempDir(), "procctld.sock")
+	ln, err := net.Listen("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	ln, err := net.Listen("unix", sock)
+	srv, w := bootJournaledServer(t, capacity, dir, cfg, ln)
+	t.Cleanup(func() {
+		srv.Close()
+		w.Close()
+	})
+	return srv, sock
+}
+
+// bootJournaledServer starts a server on ln the way procctld boots:
+// recover, restore, open the journal, attach it, rebalance, serve. The
+// caller closes the server and then the journal.
+func bootJournaledServer(t *testing.T, capacity int, dir string, cfg ServerConfig, ln net.Listener) (*Server, *journal.Writer) {
+	t.Helper()
+	res, err := journal.Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +62,7 @@ func startJournaledServer(t *testing.T, capacity int, dir string, cfg ServerConf
 	}
 	coord.Rebalance()
 	go srv.Serve()
-	t.Cleanup(func() {
-		srv.Close()
-		w.Close()
-	})
-	return srv, sock
+	return srv, w
 }
 
 // journalMembers recovers dir and returns the member list.
@@ -175,77 +184,6 @@ func TestRestartRecoversRegistry(t *testing.T) {
 	after := journalMembers(t, dir)
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("registry changed across restart\n before %+v\n after  %+v", before, after)
-	}
-}
-
-// TestRecoveredMemberLeaseExpires gives restored members one fresh
-// lease: with no client claiming the name, the sweep reclaims it and
-// journals the expiry.
-func TestRecoveredMemberLeaseExpires(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ServerConfig{Lease: 300 * time.Millisecond, SweepInterval: 50 * time.Millisecond}
-	srv1, sock1 := startJournaledServer(t, 8, dir, cfg)
-	// The connection stays open across the shutdown: Close-path cleanup
-	// is quiet, so "ghost" survives in the journal.
-	c, err := Dial("unix", sock1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Register("ghost", 4); err != nil {
-		t.Fatal(err)
-	}
-	srv1.Close()
-
-	srv2, _ := startJournaledServer(t, 8, dir, cfg)
-	if n := len(srv2.coord.Members()); n != 1 {
-		t.Fatalf("restored %d members, want 1", n)
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		return len(srv2.coord.Members()) == 0
-	}, "recovered member never lease-expired")
-
-	members := journalMembers(t, dir)
-	if len(members) != 0 {
-		t.Errorf("journal still holds expired member: %+v", members)
-	}
-}
-
-// TestRecoveredMemberTakeover: a client re-registering a restored name
-// claims it; the member must not expire afterwards.
-func TestRecoveredMemberTakeover(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ServerConfig{Lease: 400 * time.Millisecond, SweepInterval: 50 * time.Millisecond}
-	srv1, sock1 := startJournaledServer(t, 8, dir, cfg)
-	c, err := Dial("unix", sock1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Register("phoenix", 4); err != nil {
-		t.Fatal(err)
-	}
-	srv1.Close()
-
-	srv2, sock2 := startJournaledServer(t, 8, dir, cfg)
-	c2, err := Dial("unix", sock2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, err := c2.Register("phoenix", 4); err != nil {
-		t.Fatal(err)
-	}
-	// Poll past the original recovery lease: the claimed member stays.
-	deadline := time.Now().Add(3 * cfg.Lease)
-	for time.Now().Before(deadline) {
-		if _, err := c2.Poll("phoenix"); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if n := len(srv2.coord.Members()); n != 1 {
-		t.Fatalf("claimed member expired: %d members", n)
 	}
 }
 

@@ -39,15 +39,6 @@ type ServerConfig struct {
 	// Lease is the maximum silence per connection. Any decoded request
 	// renews it for every application registered on that connection.
 	Lease time.Duration
-	// SweepInterval is how often the sweep runs (default: Lease/6, at
-	// least 100 ms). A sweep closes the connections whose lease lapsed and
-	// those whose reply write has outrun IOTimeout; it runs with leases
-	// disabled too.
-	SweepInterval time.Duration
-	// IOTimeout bounds a reply write, counted from its request's arrival.
-	// The sweep enforces it: a peer that stops draining its socket is cut
-	// off within IOTimeout + SweepInterval.
-	IOTimeout time.Duration
 	// MaxConns caps how many connections the server keeps open at once
 	// (0 = unlimited). A connection accepted over the cap gets one
 	// retryable busy reply to its first request and is closed — shed,
@@ -68,16 +59,15 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Lease < 0 {
 		c.Lease = 0 // expiry disabled
 	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.Lease / 6
-		if c.SweepInterval < 100*time.Millisecond {
-			c.SweepInterval = 100 * time.Millisecond
-		}
-	}
-	if c.IOTimeout <= 0 {
-		c.IOTimeout = DefaultIOTimeout
-	}
 	return c
+}
+
+// sweepEvery is how often the sweep runs: a sixth of the lease, at least
+// 100 ms. A sweep closes the connections whose lease lapsed and those
+// whose reply write has outrun DefaultIOTimeout; it runs with leases
+// disabled (lease 0) too.
+func sweepEvery(lease time.Duration) time.Duration {
+	return max(lease/6, 100*time.Millisecond)
 }
 
 // remoteMember represents an application registered over a socket, and
@@ -169,7 +159,7 @@ type connState struct {
 
 	accepted time.Time
 	lastSeen atomic.Int64 // nanoseconds after accepted, on its monotonic clock
-	writing  atomic.Int64 // nanoseconds after accepted that the reply being written is counted from; 0 = not writing
+	writing  atomic.Int64 // 1 + nanoseconds after accepted that the reply being written is counted from; 0 = not writing
 	expired  atomic.Int64 // Unix microseconds of the sweep that found its lease lapsed and closed it; 0 = none did
 }
 
@@ -350,7 +340,7 @@ func (s *Server) rejectBusy(cs *connState) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	_ = conn.SetReadDeadline(cs.accepted.Add(s.cfg.IOTimeout))
+	_ = conn.SetReadDeadline(cs.accepted.Add(DefaultIOTimeout))
 	rd := lineReader{r: conn, max: maxRequestLine}
 	line, err := rd.readLine()
 	if err != nil {
@@ -367,21 +357,23 @@ func (s *Server) rejectBusy(cs *connState) {
 
 // reply encodes resp into buf and sends it to cs with one write, marked
 // as in progress since now so that the sweep cuts the connection off if
-// the write outruns the I/O timeout. It returns buf for the next reply.
+// the write outruns the I/O timeout. The mark is one past now's offset,
+// so that a reply counted from the accept instant is not taken for the
+// "not writing" zero. It returns buf for the next reply.
 func (s *Server) reply(cs *connState, buf []byte, resp *Response, now time.Time) ([]byte, error) {
 	buf, err := appendResponse(buf[:0], resp)
 	if err != nil {
 		return buf, err
 	}
-	cs.writing.Store(int64(now.Sub(cs.accepted)))
+	cs.writing.Store(1 + int64(now.Sub(cs.accepted)))
 	_, err = cs.conn.Write(buf)
 	cs.writing.Store(0)
 	return buf, err
 }
 
-// sweepLoop runs the sweep every SweepInterval until done closes.
+// sweepLoop runs the sweep every sweepEvery(Lease) until done closes.
 func (s *Server) sweepLoop(done chan struct{}) {
-	ticker := time.NewTicker(s.cfg.SweepInterval)
+	ticker := time.NewTicker(sweepEvery(s.cfg.Lease))
 	defer ticker.Stop()
 	for {
 		select {
@@ -409,7 +401,7 @@ func (s *Server) sweep(now time.Time) {
 	for _, cs := range s.conns {
 		if s.cfg.Lease > 0 && cs.seen().Before(deadline) {
 			silent = append(silent, cs)
-		} else if w := cs.writing.Load(); w != 0 && now.Sub(cs.accepted)-time.Duration(w) > s.cfg.IOTimeout {
+		} else if w := cs.writing.Load(); w != 0 && now.Sub(cs.accepted)-time.Duration(w-1) > DefaultIOTimeout {
 			stuck = append(stuck, cs)
 		}
 	}

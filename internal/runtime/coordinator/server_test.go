@@ -27,6 +27,33 @@ func startServer(t *testing.T, capacity int) (*Server, string) {
 	return srv, sock
 }
 
+// startServerWith runs a daemon with explicit settings.
+func startServerWith(t testing.TB, capacity int, cfg ServerConfig) (*Server, string) {
+	t.Helper()
+	sock := filepath.Join(t.TempDir(), "procctld.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWith(New(capacity), ln, cfg)
+	go srv.Serve()
+	t.Cleanup(func() { srv.Close() })
+	return srv, sock
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal(msg)
+}
+
 func TestServerRegisterPoll(t *testing.T) {
 	_, sock := startServer(t, 8)
 	c1, err := Dial("unix", sock)

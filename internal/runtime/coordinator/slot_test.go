@@ -165,66 +165,6 @@ func TestRemoteMemberRefusesOlderEpoch(t *testing.T) {
 	}
 }
 
-// Member names never become label values (ROADMAP 3c′): the registry
-// has the same series whatever the fleet's size, through registration,
-// polling, lease expiry and unregistration.
-func TestMetricsSeriesIndependentOfFleetSize(t *testing.T) {
-	small, large := seriesThroughLifecycle(t, 20), seriesThroughLifecycle(t, 2000)
-	for i, phase := range []string{"registered and polled", "lease expired", "re-registered", "unregistered"} {
-		if small[i] != large[i] {
-			t.Errorf("%s: %d series with 20 members, %d with 2000", phase, small[i], large[i])
-		}
-	}
-}
-
-// seriesThroughLifecycle runs a fleet of n members through a daemon and
-// returns the registry's series count after each phase.
-func seriesThroughLifecycle(t *testing.T, n int) (counts [4]int) {
-	t.Helper()
-	cfg := ServerConfig{Lease: 400 * time.Millisecond, SweepInterval: 50 * time.Millisecond}
-	srv, sock := startServerWith(t, 4*n, cfg)
-	// Batched, as a daemon serving a fleet runs: the subject is the
-	// registry, not two thousand inline rebalances.
-	t.Cleanup(srv.coord.StartBatching(time.Millisecond))
-	series := func() int { return len(srv.coord.Snapshot().Metrics) }
-	name := func(i int) string { return fmt.Sprintf("app-%04d", i) }
-	register := func() *Client {
-		cl, err := Dial("unix", sock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		for i := 0; i < n; i++ {
-			if _, err := cl.Register(name(i), 4); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return cl
-	}
-
-	cl := register()
-	for i := 0; i < n; i++ {
-		if _, err := cl.Poll(name(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts[0] = series()
-
-	// Silence: the lease lapses and the sweep drops the whole connection.
-	waitFor(t, 10*time.Second, func() bool { return len(srv.coord.Members()) == 0 }, "silent fleet never expired")
-	counts[1] = series()
-
-	cl = register()
-	counts[2] = series()
-	for i := 0; i < n; i++ {
-		if err := cl.Unregister(name(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts[3] = series()
-	return counts
-}
-
 // Steady-state Rebalance() allocates the same small number of objects
 // whatever the fleet's size: its working set is recycled, and nothing on
 // the path is sized by the fleet. (The count-based form of

@@ -203,12 +203,9 @@ func TestDriverRecordsApplyStageAndFlight(t *testing.T) {
 	rec := flight.New(128)
 	m := &fakeMember{name: "app", workers: 4}
 	d, err := client.DriveWith("app", 4, m, DriveOptions{
-		Interval:   20 * time.Millisecond,
-		Grace:      10 * time.Second,
-		BackoffMin: 10 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond,
-		Metrics:    reg,
-		Flight:     rec,
+		Interval: 20 * time.Millisecond,
+		Metrics:  reg,
+		Flight:   rec,
 	})
 	if err != nil {
 		t.Fatal(err)

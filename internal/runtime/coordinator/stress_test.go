@@ -368,7 +368,7 @@ func TestMassLeaseExpiry(t *testing.T) {
 	defer w.Close()
 	c.SetJournal(w)
 	defer c.StartBatching(DefaultBatchWindow)() // 2,000 inline rebalances of up to 2,000 members otherwise
-	srv := NewServerWith(c, ln, ServerConfig{Lease: time.Hour, SweepInterval: time.Hour})
+	srv := NewServerWith(c, ln, ServerConfig{Lease: time.Hour})
 	go srv.Serve()
 	defer srv.Close()
 
