@@ -9,9 +9,10 @@ build:
 	$(GO) build ./...
 
 # The runtime's timing tests run on virtual time (testing/synctest),
-# which Go 1.24 builds only under this experiment; without it those
-# tests do not build and a guard test in their package fails instead.
-# Go 1.25 makes synctest standard and the flag goes away.
+# which Go 1.24 builds only under this experiment. With it they run in
+# the test binary itself; without it each builds its package's tests
+# with the flag and runs there, which costs a second build. Go 1.25
+# makes synctest standard and the flag goes away.
 SYNCTEST = GOEXPERIMENT=synctest
 
 vet:

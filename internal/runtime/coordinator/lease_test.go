@@ -1,5 +1,3 @@
-//go:build goexperiment.synctest
-
 package coordinator
 
 import (
@@ -7,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"testing/synctest"
 	"time"
 
 	"procctl/internal/flight"
@@ -17,7 +14,7 @@ import (
 // A silent member is still served at Lease and gone by Lease + one
 // sweep, while a member polling at the paper's interval keeps its own.
 func TestServerLeaseExpiresSilentMember(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv := startPipeServer(8, ServerConfig{})
 		defer srv.Close()
 		silent := pipeClient(srv)
@@ -41,12 +38,12 @@ func TestServerLeaseExpiresSilentMember(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		synctest.Wait()
+		waitBubble()
 		if got := srv.coord.Members(); len(got) != 2 {
 			t.Fatalf("members at exactly the lease: %v, want both", got)
 		}
 		time.Sleep(sweepEvery(DefaultLease))
-		synctest.Wait()
+		waitBubble()
 		if got := srv.coord.Members(); len(got) != 1 || got[0] != "alive" {
 			t.Errorf("members one sweep past the lease: %v, want [alive]", got)
 		}
@@ -66,7 +63,7 @@ func TestServerLeaseExpiresSilentMember(t *testing.T) {
 // A member silent for exactly its lease between polls is never expired:
 // the sweep cuts silence past the lease, not at it.
 func TestServerLeaseRenewedByPolls(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv := startPipeServer(4, ServerConfig{})
 		defer srv.Close()
 		c := pipeClient(srv)
@@ -87,7 +84,7 @@ func TestServerLeaseRenewedByPolls(t *testing.T) {
 }
 
 func TestServerStatusReportsLease(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv := startPipeServer(4, ServerConfig{})
 		defer srv.Close()
 		c := pipeClient(srv)
@@ -122,7 +119,7 @@ func TestServerStatusReportsLease(t *testing.T) {
 // the hung predecessor still holds the old one. The predecessor is swept
 // one lease later, and the name survives it: no expiry is recorded.
 func TestServerReRegisterTakesOverName(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv := startPipeServer(8, ServerConfig{})
 		defer srv.Close()
 		old := pipeClient(srv)
@@ -144,7 +141,7 @@ func TestServerReRegisterTakesOverName(t *testing.T) {
 				t.Fatalf("successor's poll at %v: %v", elapsed+DefaultPollInterval, err)
 			}
 		}
-		synctest.Wait()
+		waitBubble()
 		if n := openConns(srv); n != 1 {
 			t.Fatalf("%d connections one sweep past the predecessor's lease, want 1", n)
 		}
@@ -161,7 +158,7 @@ func TestServerReRegisterTakesOverName(t *testing.T) {
 }
 
 func TestServerLeaseDisabled(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv := startPipeServer(4, ServerConfig{Lease: -1})
 		defer srv.Close()
 		c := pipeClient(srv)
@@ -199,7 +196,7 @@ func TestServerCutsStuckWriter(t *testing.T) {
 		{"leases on", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			synctest.Run(func() {
+			runBubble(t, func() {
 				srv := startPipeServer(8, ServerConfig{Lease: tc.lease})
 				defer srv.Close()
 				conn := srv.ln.(*pipeListener).dial()
@@ -209,12 +206,12 @@ func TestServerCutsStuckWriter(t *testing.T) {
 					t.Fatal(err)
 				}
 				time.Sleep(DefaultIOTimeout)
-				synctest.Wait()
+				waitBubble()
 				if n, m := openConns(srv), len(srv.coord.Members()); n != 1 || m != 1 {
 					t.Fatalf("at the I/O bound: %d connections, %d members; want the stuck writer still served", n, m)
 				}
 				time.Sleep(sweepEvery(srv.cfg.Lease))
-				synctest.Wait()
+				waitBubble()
 				if n, m := openConns(srv), len(srv.coord.Members()); n != 0 || m != 0 {
 					t.Errorf("one sweep past the I/O bound: %d connections, %d members; want none", n, m)
 				}
@@ -241,7 +238,7 @@ func journaledPipeServer(t *testing.T, capacity int, dir string) (srv *Server, s
 // reclaims the member and journals the expiry.
 func TestRecoveredMemberLeaseExpires(t *testing.T) {
 	dir := t.TempDir()
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv1, stop1 := journaledPipeServer(t, 8, dir)
 		// The connection stays open across the shutdown: Close-path
 		// cleanup is quiet, so "ghost" survives in the journal.
@@ -255,12 +252,12 @@ func TestRecoveredMemberLeaseExpires(t *testing.T) {
 		srv2, stop2 := journaledPipeServer(t, 8, dir)
 		defer stop2()
 		time.Sleep(DefaultLease)
-		synctest.Wait()
+		waitBubble()
 		if n := len(srv2.coord.Members()); n != 1 {
 			t.Fatalf("%d members at exactly the recovery lease, want the restored one", n)
 		}
 		time.Sleep(sweepEvery(DefaultLease))
-		synctest.Wait()
+		waitBubble()
 		if n := len(srv2.coord.Members()); n != 0 {
 			t.Fatalf("%d members one sweep past the recovery lease, want 0", n)
 		}
@@ -274,7 +271,7 @@ func TestRecoveredMemberLeaseExpires(t *testing.T) {
 // claims it; the member must not expire afterwards.
 func TestRecoveredMemberTakeover(t *testing.T) {
 	dir := t.TempDir()
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv1, stop1 := journaledPipeServer(t, 8, dir)
 		c := pipeClient(srv1)
 		defer c.Close()
@@ -325,7 +322,7 @@ func TestMetricsSeriesIndependentOfFleetSize(t *testing.T) {
 // returns the registry's series count after each phase.
 func seriesThroughLifecycle(t *testing.T, n int) (counts [4]int) {
 	t.Helper()
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv := startPipeServer(4*n, ServerConfig{})
 		defer srv.Close()
 		// Batched, as a daemon serving a fleet runs: the subject is the
@@ -355,7 +352,7 @@ func seriesThroughLifecycle(t *testing.T, n int) (counts [4]int) {
 
 		// Silence: the lease lapses and the sweep drops the whole connection.
 		time.Sleep(DefaultLease + sweepEvery(DefaultLease))
-		synctest.Wait()
+		waitBubble()
 		if m := len(srv.coord.Members()); m != 0 {
 			t.Fatalf("%d of %d silent members left one sweep past the lease", m, n)
 		}
@@ -393,7 +390,7 @@ func TestChaosHungAndKilledClientsReclaimedVirtual(t *testing.T) {
 // step waits until the bubble is idle before the next client moves.
 func hungAndKilled(t *testing.T) []byte {
 	var log bytes.Buffer
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv := startPipeServer(8, ServerConfig{})
 		defer srv.Close()
 		coord := srv.coord
@@ -414,37 +411,37 @@ func hungAndKilled(t *testing.T) []byte {
 			t.Fatal(err)
 		}
 		defer drv.Stop()
-		synctest.Wait()
+		waitBubble()
 		hung := pipeClient(srv)
 		defer hung.Close()
 		if _, err := hung.Register("hung", 8); err != nil {
 			t.Fatal(err)
 		}
-		synctest.Wait()
+		waitBubble()
 		killed := pipeClient(srv)
 		if _, err := killed.Register("killed", 8); err != nil {
 			t.Fatal(err)
 		}
-		synctest.Wait()
+		waitBubble()
 		if n := len(coord.Members()); n != 3 || sum() != 8 {
 			t.Fatalf("%d members holding %d processors, want three splitting 8", n, sum())
 		}
 
 		// The killed client's connection drops: it leaves on the spot.
 		killed.Close()
-		synctest.Wait()
+		waitBubble()
 		if n := len(coord.Members()); n != 2 || sum() != 8 {
 			t.Fatalf("after the kill: %d members holding %d processors, want two holding 8", n, sum())
 		}
 
 		// The hung client is silent; only the sweep can reclaim it.
 		time.Sleep(DefaultLease)
-		synctest.Wait()
+		waitBubble()
 		if n := len(coord.Members()); n != 2 {
 			t.Fatalf("%d members at exactly the lease, want the hung one still there", n)
 		}
 		time.Sleep(sweepEvery(DefaultLease))
-		synctest.Wait()
+		waitBubble()
 		if m := coord.Members(); len(m) != 1 || m[0] != "healthy" || coord.Targets()["healthy"] != 8 {
 			t.Fatalf("one sweep past the lease: members %v, targets %v; want healthy alone with 8", m, coord.Targets())
 		}
@@ -452,7 +449,7 @@ func hungAndKilled(t *testing.T) []byte {
 			t.Errorf("coordinator_lease_expiries_total = %d, want 1", v)
 		}
 		time.Sleep(DefaultPollInterval)
-		synctest.Wait()
+		waitBubble()
 		if got := p.Target(); got != 8 {
 			t.Errorf("pool target %d a poll interval after the reclaim, want the whole machine", got)
 		}

@@ -1,19 +1,16 @@
-//go:build goexperiment.synctest
-
 package coordinator
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
-	"testing/synctest"
 	"time"
 )
 
 // Ten registrations inside one production batch window land as one
 // epoch, flushed exactly DefaultBatchWindow after they arrived.
 func TestBatchingCoalescesRegistrations(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		c := New(16)
 		stop := c.StartBatching(0)
 		defer stop()
@@ -30,12 +27,12 @@ func TestBatchingCoalescesRegistrations(t *testing.T) {
 			return total
 		}
 		time.Sleep(DefaultBatchWindow - time.Nanosecond)
-		synctest.Wait()
+		waitBubble()
 		if got, reb := sum(), c.Rebalances(); got != 0 || reb != 0 {
 			t.Fatalf("a nanosecond before the window closes: targets sum to %d after %d rebalances, want nothing pushed", got, reb)
 		}
 		time.Sleep(time.Nanosecond)
-		synctest.Wait()
+		waitBubble()
 		if got := sum(); got != 16 {
 			t.Errorf("as the window closes: targets sum to %d, want 16", got)
 		}
@@ -54,13 +51,13 @@ func TestBatchingCoalescesRegistrations(t *testing.T) {
 // Stopping batching flushes what the open window holds at once, without
 // waiting the window out, and rebalances inline from then on.
 func TestBatchingStopFlushesPendingWork(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		c := New(8)
 		stop := c.StartBatching(0)
 		start := time.Now()
 		m := &fakeMember{name: "late", workers: 8}
 		c.Register(m)
-		synctest.Wait()
+		waitBubble()
 		if got := m.got(); got != 0 {
 			t.Fatalf("target pushed before any flush: %d", got)
 		}
@@ -114,14 +111,14 @@ func TestDriveWithRetriesBusyRegistration(t *testing.T) {
 	if _, err := holder.Register("holder", 4); err != nil {
 		t.Fatal(err)
 	}
-	synctest.Run(func() {
+	runBubble(t, func() {
 		late, err := Dial("unix", sock)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer late.Close()
 		done := driveInBackground(late, "late", 4)
-		synctest.Wait() // shed once, the driver waits out the retry hint
+		waitBubble() // shed once, the driver waits out the retry hint
 		if v := srv.shedConn.Value(); v != 1 {
 			t.Errorf("%d connections shed before the holder left, want 1", v)
 		}
@@ -146,7 +143,7 @@ func TestDriveWithRetriesBusyRegistration(t *testing.T) {
 // and the daemon would unregister every other app the client holds there.
 // Each retry waits out the server's advisory DefaultBusyRetry.
 func TestRetriedRegistrationKeepsOtherApps(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		srv := startPipeServer(8, ServerConfig{AdmitLimit: 1})
 		defer srv.Close()
 		c := pipeClient(srv)
@@ -159,7 +156,7 @@ func TestRetriedRegistrationKeepsOtherApps(t *testing.T) {
 		// Shed at 0 and at DefaultBusyRetry; free the slot between then
 		// and the third attempt.
 		time.Sleep(DefaultBusyRetry + DefaultBusyRetry/2)
-		synctest.Wait()
+		waitBubble()
 		if v := srv.shedReg.Value(); v != 2 {
 			t.Fatalf("b shed %d times in its first one and a half retry waits, want 2", v)
 		}
@@ -198,7 +195,7 @@ func orphan(t *testing.T, tr *trackingTargeter) (c *Client, d *Driver, lostFor t
 	time.Sleep(time.Second)
 	srv.Close()
 	time.Sleep(DefaultPollInterval)
-	synctest.Wait()
+	waitBubble()
 	s := d.Stats()
 	if !s.Degraded || s.DegradedFor <= 0 || s.PollErrors != 1 {
 		t.Errorf("stats one poll interval after the daemon died: %+v, want degraded after one failed poll", s)
@@ -209,19 +206,19 @@ func orphan(t *testing.T, tr *trackingTargeter) (c *Client, d *Driver, lostFor t
 // Inside the grace period, 2×DefaultPollInterval, the driver holds the
 // daemon's last target; the first decay step lands as the grace ends.
 func TestDriveWithHoldsTargetThroughGrace(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		var tr trackingTargeter
 		c, d, lostFor := orphan(t, &tr)
 		defer c.Close()
 		defer d.Stop()
 		const grace = 2 * DefaultPollInterval
 		time.Sleep(grace - lostFor - time.Nanosecond)
-		synctest.Wait()
+		waitBubble()
 		if got := tr.last(); got != 4 {
 			t.Errorf("target %d a nanosecond before the grace ends, want the held 4", got)
 		}
 		time.Sleep(time.Nanosecond)
-		synctest.Wait()
+		waitBubble()
 		if got := tr.last(); got != 10 {
 			t.Errorf("target %d as the grace ends, want the first decay step to 10", got)
 		}
@@ -231,7 +228,7 @@ func TestDriveWithHoldsTargetThroughGrace(t *testing.T) {
 // Past the grace period the target halves its gap to the full process
 // count once per poll interval: 4 → 10 → 13 → 15 → 16.
 func TestDriveWithDegradedDecayTowardFull(t *testing.T) {
-	synctest.Run(func() {
+	runBubble(t, func() {
 		var tr trackingTargeter
 		c, d, lostFor := orphan(t, &tr)
 		defer c.Close()
@@ -239,12 +236,12 @@ func TestDriveWithDegradedDecayTowardFull(t *testing.T) {
 		time.Sleep(2*DefaultPollInterval - lostFor - time.Nanosecond)
 		prev := 4
 		for _, want := range []int{10, 13, 15, 16} {
-			synctest.Wait()
+			waitBubble()
 			if got := tr.last(); got != prev {
 				t.Errorf("target %d a nanosecond before the step to %d, want %d", got, want, prev)
 			}
 			time.Sleep(time.Nanosecond)
-			synctest.Wait()
+			waitBubble()
 			if got := tr.last(); got != want {
 				t.Errorf("target %d at the step, want %d", got, want)
 			}

@@ -1,22 +1,20 @@
-//go:build goexperiment.synctest
-
 // The timing tests run the unchanged runtime, with its production
-// defaults, on virtual time: each starts a testing/synctest bubble, whose
-// clock moves only when every goroutine in it is durably blocked, and
-// talks to the server over net.Pipe, which blocks on channels the bubble
-// can see (a goroutine parked in netpoll is not durably blocked, so a
-// unix socket would stop the clock). Servers and clients are closed
-// inside the bubble, by defer: t.Cleanup runs outside it, where touching
-// its channels panics. A t.Fatal in a bubble ends the bubble's root
-// goroutine, as in the standard library's own synctest tests: the
-// deferred closes run, the bubble drains, and synctest.Run returns.
+// defaults, on virtual time: each runs its body in a testing/synctest
+// bubble (runBubble), whose clock moves only when every goroutine in it
+// is durably blocked, and talks to the server over net.Pipe, which
+// blocks on channels the bubble can see (a goroutine parked in netpoll is
+// not durably blocked, so a unix socket would stop the clock). Servers
+// and clients are closed inside the bubble, by defer: t.Cleanup runs
+// outside it, where touching its channels panics. A t.Fatal in a bubble
+// ends the bubble's root goroutine, as in the standard library's own
+// synctest tests: the deferred closes run, the bubble drains, and
+// synctest.Run returns.
 //
-// Go 1.24 has synctest behind GOEXPERIMENT=synctest (virtual_guard_test.go
-// fails the package without it), and synctest.Run refuses the pre-1.23
-// asynchronous timer channels that go.mod's `go 1.22` line selects for
-// this test binary, hence the go:debug line below.
-
-//go:debug asynctimerchan=0
+// Go 1.24 has synctest behind GOEXPERIMENT=synctest. Built with the
+// flag, runBubble is synctest.Run (synctest_on_test.go); built without
+// it, each such test builds the package's tests with the flag and runs
+// itself there (synctest_off_test.go), so plain `go test` runs them on
+// virtual time too.
 
 package coordinator
 
