@@ -35,6 +35,14 @@ const DefaultScanInterval = sim.Second
 // poll interval.
 const DefaultLease = 18 * sim.Second
 
+// Metric names the server registers on its kernel's registry, the only
+// store of its counts.
+const (
+	MetricScans         = "sim_ctrl_scans_total"
+	MetricPolls         = "sim_ctrl_polls_total"
+	MetricLeaseExpiries = "sim_ctrl_lease_expiries_total"
+)
+
 // PartitionSizer is implemented by scheduling policies that dedicate a
 // processor partition to each application (kernel.Partition). When the
 // kernel runs such a policy, the server aligns each application's target
@@ -55,11 +63,6 @@ type Server struct {
 	reg   *core.Registry[kernel.AppID]
 	lease sim.Duration
 
-	// Stats.
-	Scans         int64
-	PollsServed   int64
-	LeaseExpiries int64
-
 	scans    *metrics.Counter
 	polls    *metrics.Counter
 	expiries *metrics.Counter
@@ -75,9 +78,9 @@ func NewServer(k *kernel.Kernel, interval sim.Duration) *Server {
 		k:        k,
 		reg:      core.NewRegistry[kernel.AppID](k.NumCPU()),
 		lease:    DefaultLease,
-		scans:    k.Metrics().Counter("sim_ctrl_scans_total", "central-server target recomputations"),
-		polls:    k.Metrics().Counter("sim_ctrl_polls_total", "application polls served"),
-		expiries: k.Metrics().Counter("sim_ctrl_lease_expiries_total", "applications unregistered because their lease lapsed"),
+		scans:    k.Metrics().Counter(MetricScans, "central-server target recomputations"),
+		polls:    k.Metrics().Counter(MetricPolls, "application polls served"),
+		expiries: k.Metrics().Counter(MetricLeaseExpiries, "applications unregistered because their lease lapsed"),
 	}
 	k.Engine().Every(interval, func() bool {
 		s.Scan()
@@ -120,7 +123,6 @@ func (s *Server) Unregister(id kernel.AppID) {
 // still has, the way a procctld client answers "not registered", and
 // gets the fresh target; one with no processes left gets 0.
 func (s *Server) Poll(id kernel.AppID) int {
-	s.PollsServed++
 	s.polls.Inc()
 	if !s.reg.Touch(id, s.now()) {
 		live := liveProcs(s.k, id)
@@ -146,7 +148,6 @@ func (s *Server) Registered() int { return s.reg.Len() }
 // Scan recomputes every application's target from current kernel state.
 // It runs periodically but is exported so tests can force a recompute.
 func (s *Server) Scan() {
-	s.Scans++
 	s.scans.Inc()
 	s.expireLeases()
 	members := s.reg.Members()
@@ -197,7 +198,7 @@ func (s *Server) announce(app kernel.AppID, t int) {
 		App:    app,
 		Task:   -1,
 		Target: t,
-		Cause:  s.Scans,
+		Cause:  s.scans.Value(),
 	})
 }
 
@@ -209,7 +210,6 @@ func (s *Server) announce(app kernel.AppID, t int) {
 // freed capacity in the caller's recompute.
 func (s *Server) expireLeases() {
 	expired := s.reg.Expire(s.now(), int64(s.lease))
-	s.LeaseExpiries += int64(len(expired))
 	s.expiries.Add(int64(len(expired)))
 }
 

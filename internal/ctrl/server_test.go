@@ -140,10 +140,10 @@ func TestServerPeriodicScan(t *testing.T) {
 	s := NewServer(k, 100*sim.Millisecond)
 	spin(k, 1, 8, 2*sim.Second)
 	s.Register(1, 8)
-	before := s.Scans
+	before := s.scans.Value()
 	k.Engine().Run(sim.Time(550 * sim.Millisecond))
-	if s.Scans-before < 5 {
-		t.Errorf("only %d periodic scans in 550ms at 100ms interval", s.Scans-before)
+	if s.scans.Value()-before < 5 {
+		t.Errorf("only %d periodic scans in 550ms at 100ms interval", s.scans.Value()-before)
 	}
 	k.Engine().Run(sim.Time(3 * sim.Second))
 }
@@ -203,8 +203,8 @@ func TestServerLeaseExpiresSilentApp(t *testing.T) {
 		}
 	})
 	k.Engine().Run(sim.Time(30 * sim.Second))
-	if s.LeaseExpiries != 1 {
-		t.Errorf("LeaseExpiries = %d, want 1", s.LeaseExpiries)
+	if s.expiries.Value() != 1 {
+		t.Errorf("%d lease expiries, want 1", s.expiries.Value())
 	}
 	if s.Target(1) != 0 {
 		t.Errorf("expired app still has target %d", s.Target(1))
@@ -220,8 +220,8 @@ func TestServerPollRenewsLease(t *testing.T) {
 	s.Register(1, 8)
 	k.Engine().Every(6*sim.Second, func() bool { s.Poll(1); return true })
 	k.Engine().Run(sim.Time(120 * sim.Second))
-	if s.Registered() != 1 || s.LeaseExpiries != 0 {
-		t.Errorf("polling app expired: registered=%d expiries=%d", s.Registered(), s.LeaseExpiries)
+	if s.Registered() != 1 || s.expiries.Value() != 0 {
+		t.Errorf("polling app expired: registered=%d expiries=%d", s.Registered(), s.expiries.Value())
 	}
 }
 
@@ -244,8 +244,8 @@ func TestServerPollsServedCounter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Poll(1)
 	}
-	if s.PollsServed != 5 {
-		t.Errorf("PollsServed = %d", s.PollsServed)
+	if s.polls.Value() != 5 {
+		t.Errorf("sim_ctrl_polls_total = %d", s.polls.Value())
 	}
 }
 
@@ -264,8 +264,8 @@ func TestServerExpiryForgetsWeight(t *testing.T) {
 	}
 	k.Engine().Every(6*sim.Second, func() bool { s.Poll(2); return true })
 	k.Engine().Run(sim.Time(20 * sim.Second))
-	if s.LeaseExpiries != 1 || s.Registered() != 1 {
-		t.Fatalf("expiries %d, registered %d: app 1 should have lapsed alone", s.LeaseExpiries, s.Registered())
+	if s.expiries.Value() != 1 || s.Registered() != 1 {
+		t.Fatalf("expiries %d, registered %d: app 1 should have lapsed alone", s.expiries.Value(), s.Registered())
 	}
 	s.Register(1, 16)
 	if s.Target(1) != 8 || s.Target(2) != 8 {

@@ -50,7 +50,7 @@ func Decentral(o Options, mix []Fig4Arrival) *DecentralResult {
 	modes := []mode{
 		{"centralized", func(k *kernel.Kernel) (threads.Controller, func() int64) {
 			s := ctrl.NewServer(k, o.ScanInterval)
-			return s, func() int64 { return s.Scans }
+			return s, func() int64 { n, _ := k.Metrics().Value(ctrl.MetricScans); return n }
 		}},
 		{"decentralized", func(k *kernel.Kernel) (threads.Controller, func() int64) {
 			d := ctrl.NewDecentralized(k)

@@ -32,7 +32,8 @@ type FaultsResult struct {
 	// regression tests: at most one lease (plus a scan interval).
 	RecoveredIn sim.Duration
 
-	// Fault and recovery counters at the end of the run.
+	// Fault and recovery counters at the end of the run, read from the
+	// series.
 	Crashes        int64
 	LockCrashes    int64
 	ForcedReleases int64
@@ -64,10 +65,11 @@ func Faults(o Options) *FaultsResult {
 
 	res := &FaultsResult{Seed: o.Seed, Lease: s.Server.Lease()}
 	full := s.K.NumCPU()
+	count := func(name string) int64 { n, _ := s.K.Metrics().Value(name); return n }
 	s.Eng.Every(50*sim.Millisecond, func() bool {
 		if res.CrashedAt == 0 {
 			res.TargetBefore = s.Server.Target(1)
-			if inj.LockCrashes > 0 {
+			if count(faultinject.MetricLockCrashes) > 0 {
 				res.CrashedAt = s.Eng.Now()
 			}
 			return true
@@ -82,10 +84,10 @@ func Faults(o Options) *FaultsResult {
 	ok := s.RunUntil(survivor.Done)
 	s.mustFinish(ok, "faults survivor")
 
-	res.Crashes = inj.Crashes
-	res.LockCrashes = inj.LockCrashes
-	res.ForcedReleases, _ = s.K.Metrics().Value(kernel.MetricForcedReleases)
-	res.LeaseExpiries = s.Server.LeaseExpiries
+	res.Crashes = count(faultinject.MetricCrashes)
+	res.LockCrashes = count(faultinject.MetricLockCrashes)
+	res.ForcedReleases = count(kernel.MetricForcedReleases)
+	res.LeaseExpiries = count(ctrl.MetricLeaseExpiries)
 	res.SurvivorElapsed = survivor.Elapsed()
 	var buf bytes.Buffer
 	s.K.MetricsSnapshot().WriteText(&buf)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,10 +41,42 @@ func TestFaultsRecoversWithinOneLease(t *testing.T) {
 		kernel.MetricKills,
 		kernel.MetricForcedReleases,
 		faultinject.MetricLockCrashes,
-		"sim_ctrl_lease_expiries_total",
+		ctrl.MetricLeaseExpiries,
 	} {
 		if !strings.Contains(r.Snapshot, name) {
 			t.Errorf("snapshot is missing %s", name)
+		}
+	}
+}
+
+// TestFaultsCountsAreTheSeries checks that the showcase's counts are its
+// series: the fault injector's and the central server's counts live in
+// the kernel's registry only, and every count the result reports moved
+// in the run and equals the series in the run's own end-of-run export.
+func TestFaultsCountsAreTheSeries(t *testing.T) {
+	r := Faults(Options{Seed: 1})
+	series := map[string]int64{}
+	for _, line := range strings.Split(r.Snapshot, "\n") {
+		var name string
+		var v int64
+		if n, _ := fmt.Sscan(line, &name, &v); n == 2 {
+			series[name] = v
+		}
+	}
+	for name, got := range map[string]int64{
+		faultinject.MetricCrashes:     r.Crashes,
+		faultinject.MetricLockCrashes: r.LockCrashes,
+		kernel.MetricForcedReleases:   r.ForcedReleases,
+		ctrl.MetricLeaseExpiries:      r.LeaseExpiries,
+	} {
+		if got <= 0 || got != series[name] {
+			t.Errorf("result reports %d for %s, the series reads %d; want equal and > 0", got, name, series[name])
+		}
+	}
+	// The server's own counts: every poll it served and every scan it ran.
+	for _, name := range []string{ctrl.MetricPolls, ctrl.MetricScans} {
+		if series[name] <= 0 {
+			t.Errorf("%s = %d after a 60 s controlled run", name, series[name])
 		}
 	}
 }
@@ -102,7 +135,8 @@ func stalledPastLease(t *testing.T, lease sim.Duration) (stalled, other sim.Dura
 	if a1.Done() {
 		other = a1.Elapsed()
 	}
-	return stalled, other, s.Server.LeaseExpiries
+	expiries, _ = s.K.Metrics().Value(ctrl.MetricLeaseExpiries)
+	return stalled, other, expiries
 }
 
 // TestStalledAppIsReadmittedAfterLeaseExpiry: an application that was

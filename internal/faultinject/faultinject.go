@@ -38,11 +38,6 @@ type Injector struct {
 	k   *kernel.Kernel
 	rng *sim.RNG
 
-	// Stats.
-	Crashes     int64 // processes killed
-	LockCrashes int64 // app crashes that landed mid-critical-section
-	Stalls      int64 // stall faults applied
-
 	crashes     *metrics.Counter
 	lockCrashes *metrics.Counter
 	stalls      *metrics.Counter
@@ -72,7 +67,6 @@ func (i *Injector) Rand() *sim.RNG { return i.rng }
 func (i *Injector) CrashProc(at sim.Time, p *kernel.Process) {
 	i.k.Engine().Schedule(at, func() {
 		if i.k.Kill(p) {
-			i.Crashes++
 			i.crashes.Inc()
 		}
 	})
@@ -82,9 +76,7 @@ func (i *Injector) CrashProc(at sim.Time, p *kernel.Process) {
 // the whole program dying at once (SIGKILL, OOM, a node panic).
 func (i *Injector) CrashApp(at sim.Time, app kernel.AppID) {
 	i.k.Engine().Schedule(at, func() {
-		n := i.k.KillApp(app)
-		i.Crashes += int64(n)
-		i.crashes.Add(int64(n))
+		i.crashes.Add(int64(i.k.KillApp(app)))
 	})
 }
 
@@ -107,11 +99,8 @@ func (i *Injector) lockCrashProbe(app kernel.AppID) {
 		}
 		live = true
 		if p.State() == kernel.Running && p.HoldingLocks() {
-			i.LockCrashes++
 			i.lockCrashes.Inc()
-			n := i.k.KillApp(app)
-			i.Crashes += int64(n)
-			i.crashes.Add(int64(n))
+			i.crashes.Add(int64(i.k.KillApp(app)))
 			return
 		}
 	}
@@ -128,7 +117,6 @@ func (i *Injector) StallApp(at sim.Time, app kernel.AppID, d sim.Duration) {
 	i.k.Engine().Schedule(at, func() {
 		for _, p := range i.k.Processes() {
 			if p.App() == app && i.k.Stall(p, d) {
-				i.Stalls++
 				i.stalls.Inc()
 			}
 		}
@@ -139,7 +127,6 @@ func (i *Injector) StallApp(at sim.Time, app kernel.AppID, d sim.Duration) {
 func (i *Injector) StallProc(at sim.Time, p *kernel.Process, d sim.Duration) {
 	i.k.Engine().Schedule(at, func() {
 		if i.k.Stall(p, d) {
-			i.Stalls++
 			i.stalls.Inc()
 		}
 	})
@@ -158,10 +145,6 @@ type FlakyController struct {
 
 	DropProb  float64 // probability a poll is lost entirely
 	DelayProb float64 // probability a reply slips one poll
-
-	// Stats.
-	Dropped int64
-	Delayed int64
 
 	last map[kernel.AppID]int // last target each app actually received
 }
@@ -196,13 +179,11 @@ func (f *FlakyController) Unregister(id kernel.AppID) {
 func (f *FlakyController) Poll(id kernel.AppID) int {
 	stale, seen := f.last[id]
 	if seen && f.DropProb > 0 && f.rng.Float64() < f.DropProb {
-		f.Dropped++
 		f.inj.drops.Inc()
 		return stale // lost in transit: server unaware, target unchanged
 	}
 	fresh := f.inner.Poll(id)
 	if seen && f.DelayProb > 0 && f.rng.Float64() < f.DelayProb {
-		f.Delayed++
 		f.inj.delays.Inc()
 		f.last[id] = fresh
 		return stale // reply late: acts on it at the next poll

@@ -17,6 +17,13 @@ func newKernel(ncpu int) *kernel.Kernel {
 	return kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
 }
 
+// count reads one of k's counters: the injector's and the server's
+// counts live in the registry only.
+func count(k *kernel.Kernel, name string) int64 {
+	n, _ := k.Metrics().Value(name)
+	return n
+}
+
 func TestCrashAppKillsAtInstant(t *testing.T) {
 	k := newKernel(4)
 	inj := New(k, 7)
@@ -25,10 +32,7 @@ func TestCrashAppKillsAtInstant(t *testing.T) {
 	}
 	inj.CrashApp(sim.Time(10*sim.Millisecond), 1)
 	k.Engine().RunUntilIdle()
-	if inj.Crashes != 3 {
-		t.Errorf("Crashes = %d, want 3", inj.Crashes)
-	}
-	if got, _ := k.Metrics().Value(MetricCrashes); got != 3 {
+	if got := count(k, MetricCrashes); got != 3 {
 		t.Errorf("crash counter = %d, want 3", got)
 	}
 	if k.Live() != 0 {
@@ -61,14 +65,14 @@ func TestCrashAppInLockWaitsForCriticalSection(t *testing.T) {
 	))
 	inj.CrashAppInLock(0, 1)
 	k.Engine().Every(sim.Millisecond, func() bool {
-		if crashedAt == 0 && inj.LockCrashes > 0 {
+		if crashedAt == 0 && count(k, MetricLockCrashes) > 0 {
 			crashedAt = k.Engine().Now()
 		}
 		return crashedAt == 0
 	})
 	k.Engine().RunUntilIdle()
-	if inj.LockCrashes != 1 || inj.Crashes != 1 {
-		t.Fatalf("LockCrashes=%d Crashes=%d, want 1/1", inj.LockCrashes, inj.Crashes)
+	if lock, all := count(k, MetricLockCrashes), count(k, MetricCrashes); lock != 1 || all != 1 {
+		t.Fatalf("LockCrashes=%d Crashes=%d, want 1/1", lock, all)
 	}
 	if crashedAt < sim.Time(10*sim.Millisecond) {
 		t.Errorf("crash fired at %v, before the critical section opened", crashedAt)
@@ -89,8 +93,8 @@ func TestCrashAppInLockGivesUpWhenAppExits(t *testing.T) {
 	k.SpawnResumable("w", 1, 0, kernel.Script(kernel.Compute(5*sim.Millisecond)))
 	inj.CrashAppInLock(0, 1)
 	k.Engine().RunUntilIdle()
-	if inj.LockCrashes != 0 || inj.Crashes != 0 {
-		t.Errorf("phantom crash: LockCrashes=%d Crashes=%d", inj.LockCrashes, inj.Crashes)
+	if lock, all := count(k, MetricLockCrashes), count(k, MetricCrashes); lock != 0 || all != 0 {
+		t.Errorf("phantom crash: LockCrashes=%d Crashes=%d", lock, all)
 	}
 }
 
@@ -104,8 +108,8 @@ func TestStallAppFreezesAndResumes(t *testing.T) {
 	))
 	inj.StallApp(sim.Time(10*sim.Millisecond), 1, 50*sim.Millisecond)
 	k.Engine().RunUntilIdle()
-	if inj.Stalls != 1 {
-		t.Errorf("Stalls = %d, want 1", inj.Stalls)
+	if got := count(k, MetricStalls); got != 1 {
+		t.Errorf("Stalls = %d, want 1", got)
 	}
 	if done != sim.Time(150*sim.Millisecond) {
 		t.Errorf("done at %v, want 150ms (100ms work + 50ms frozen)", done)
@@ -142,8 +146,8 @@ func TestFlakyDropNeverReachesServer(t *testing.T) {
 	if inner.polls != 0 {
 		t.Errorf("server saw %d polls through a fully lossy channel", inner.polls)
 	}
-	if f.Dropped != 4 {
-		t.Errorf("Dropped = %d, want 4", f.Dropped)
+	if got := count(k, MetricPollsDropped); got != 4 {
+		t.Errorf("Dropped = %d, want 4", got)
 	}
 	if inner.regs != 1 {
 		t.Errorf("registration did not pass through")
@@ -166,8 +170,8 @@ func TestFlakyDelaySlipsOnePoll(t *testing.T) {
 	if inner.polls != 2 {
 		t.Errorf("server saw %d polls, want 2 (delays still reach it)", inner.polls)
 	}
-	if f.Delayed != 2 {
-		t.Errorf("Delayed = %d, want 2", f.Delayed)
+	if got := count(k, MetricPollsDelayed); got != 2 {
+		t.Errorf("Delayed = %d, want 2", got)
 	}
 }
 
@@ -188,8 +192,8 @@ func TestFlakySilenceExpiresLease(t *testing.T) {
 		PollInterval: 6 * sim.Second,
 	})
 	eng.Run(sim.Time(0).Add(5 * sim.Second))
-	if srv.LeaseExpiries != 1 {
-		t.Errorf("LeaseExpiries = %d, want 1 (app silent past its lease)", srv.LeaseExpiries)
+	if got := count(k, ctrl.MetricLeaseExpiries); got != 1 {
+		t.Errorf("LeaseExpiries = %d, want 1 (app silent past its lease)", got)
 	}
 	eng.Run(sim.Time(0).Add(120 * sim.Second))
 	if !app.Done() {
@@ -212,10 +216,12 @@ func TestInjectorDeterministic(t *testing.T) {
 		inj.StallApp(sim.Time(5*sim.Millisecond), 1, 10*sim.Millisecond)
 		eng.Run(sim.Time(0).Add(60 * sim.Second))
 		k.Finalize()
-		out := []int64{inj.Crashes, inj.LockCrashes, inj.Stalls, flaky.Dropped, flaky.Delayed, int64(a.Elapsed())}
-		kills, _ := k.Metrics().Value(kernel.MetricKills)
-		forced, _ := k.Metrics().Value(kernel.MetricForcedReleases)
-		return append(out, kills, forced, srv.LeaseExpiries)
+		out := []int64{int64(a.Elapsed())}
+		for _, name := range []string{MetricCrashes, MetricLockCrashes, MetricStalls, MetricPollsDropped, MetricPollsDelayed,
+			kernel.MetricKills, kernel.MetricForcedReleases, ctrl.MetricLeaseExpiries} {
+			out = append(out, count(k, name))
+		}
+		return out
 	}
 	x, y := run(), run()
 	for i := range x {

@@ -304,10 +304,12 @@ type DriveOptions struct {
 	// Interval is the poll period (default DefaultPollInterval, the
 	// paper's 6 s).
 	Interval time.Duration
-	// Metrics, when non-nil, receives per-app poll/reconnect counters,
-	// a degraded-mode gauge, and the client's slice of the rebalance
-	// span: poll round-trip latency and the "apply" stage (response
-	// received → SetTarget done).
+	// Metrics receives per-app poll/reconnect counters, a degraded-mode
+	// gauge, and the client's slice of the rebalance span: poll
+	// round-trip latency and the "apply" stage (response received →
+	// SetTarget done). Nil creates a private registry. Drivers sharing
+	// one need distinct application names, or they count into the same
+	// series.
 	Metrics *metrics.Registry
 	// Weight is the fair-share weight the driver registers (and
 	// re-registers) with; non-positive means the default unit share.
@@ -335,7 +337,8 @@ const (
 	graceIntervals         = 2
 )
 
-// DriveStats is a point-in-time snapshot of a Driver's health.
+// DriveStats is a point-in-time snapshot of a Driver's health, read
+// from its series.
 type DriveStats struct {
 	Polls      int64 // successful polls
 	PollErrors int64 // polls that failed (connection lost)
@@ -361,7 +364,6 @@ type Driver struct {
 	opts  DriveOptions
 
 	mu     sync.Mutex
-	stats  DriveStats
 	lostAt time.Time // zero when connected
 
 	// applied is the highest rebalance epoch whose target this driver
@@ -398,18 +400,20 @@ func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions)
 		c: c, app: app, procs: procs, t: t, opts: opts,
 		done: make(chan struct{}),
 	}
-	if reg := opts.Metrics; reg != nil {
-		d.polls = reg.Counter(metrics.Name("coordinator_client_polls_total", "app", app), "successful target polls")
-		d.pollErrors = reg.Counter(metrics.Name("coordinator_client_poll_errors_total", "app", app), "polls that failed")
-		d.redials = reg.Counter(metrics.Name("coordinator_client_redials_total", "app", app), "reconnection attempts")
-		d.reconnects = reg.Counter(metrics.Name("coordinator_client_reconnects_total", "app", app), "successful re-dial + re-register cycles")
-		d.degraded = reg.Gauge(metrics.Name("coordinator_client_degraded", "app", app), "1 while running without a reachable daemon")
-		d.targetGauge = reg.Gauge(metrics.Name("coordinator_client_target", "app", app), "most recently applied worker target")
-		d.pollMicros = reg.Histogram(metrics.Name("coordinator_client_poll_micros", "app", app),
-			"poll round-trip latency", metrics.LatencyBuckets)
-		d.applyMicros = reg.Histogram(metrics.Name("coordinator_rebalance_latency_micros", "stage", StageApply, "app", app),
-			"rebalance span, client side: poll response received until SetTarget returned", metrics.LatencyBuckets)
+	if d.opts.Metrics == nil {
+		d.opts.Metrics = metrics.NewRegistry()
 	}
+	reg := d.opts.Metrics
+	d.polls = reg.Counter(metrics.Name("coordinator_client_polls_total", "app", app), "successful target polls")
+	d.pollErrors = reg.Counter(metrics.Name("coordinator_client_poll_errors_total", "app", app), "polls that failed")
+	d.redials = reg.Counter(metrics.Name("coordinator_client_redials_total", "app", app), "reconnection attempts")
+	d.reconnects = reg.Counter(metrics.Name("coordinator_client_reconnects_total", "app", app), "successful re-dial + re-register cycles")
+	d.degraded = reg.Gauge(metrics.Name("coordinator_client_degraded", "app", app), "1 while running without a reachable daemon")
+	d.targetGauge = reg.Gauge(metrics.Name("coordinator_client_target", "app", app), "most recently applied worker target")
+	d.pollMicros = reg.Histogram(metrics.Name("coordinator_client_poll_micros", "app", app),
+		"poll round-trip latency", metrics.LatencyBuckets)
+	d.applyMicros = reg.Histogram(metrics.Name("coordinator_rebalance_latency_micros", "stage", StageApply, "app", app),
+		"rebalance span, client side: poll response received until SetTarget returned", metrics.LatencyBuckets)
 	d.apply(target, epoch)
 	d.wg.Add(1)
 	go d.loop()
@@ -456,14 +460,19 @@ func connClosed(err error) bool {
 // Applied returns the highest rebalance epoch this driver has applied.
 func (d *Driver) Applied() uint64 { return d.applied.Load() }
 
-// Stats returns a snapshot of the driver's health.
+// Stats returns a snapshot of the driver's health: its counters and
+// gauges, and how long ago the daemon was lost.
 func (d *Driver) Stats() DriveStats {
+	s := DriveStats{
+		Polls: d.polls.Value(), PollErrors: d.pollErrors.Value(),
+		Redials: d.redials.Value(), Reconnects: d.reconnects.Value(),
+		Degraded: d.degraded.Value() == 1, Target: int(d.targetGauge.Value()),
+	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := d.stats
 	if !d.lostAt.IsZero() {
 		s.DegradedFor = time.Since(d.lostAt)
 	}
+	d.mu.Unlock()
 	return s
 }
 
@@ -477,7 +486,7 @@ func (d *Driver) Stop() {
 	})
 }
 
-// apply pushes a target to the application and the stats. The SetTarget
+// apply pushes a target to the application and its gauge. The SetTarget
 // call is the client half of the rebalance span ("apply" stage): it is
 // member code — a pool resizing, workers parking — and the histogram
 // shows when *it*, not the daemon, is the tail. A non-zero epoch is
@@ -487,9 +496,7 @@ func (d *Driver) Stop() {
 // applied-epoch watermark, so the loop can ack promptly instead of
 // waiting out the poll interval.
 func (d *Driver) apply(target int, epoch uint64) (newEpoch bool) {
-	d.mu.Lock()
-	prev := d.stats.Target
-	d.mu.Unlock()
+	prev := d.targetGauge.Value()
 	if epoch != 0 && epoch < d.applied.Load() {
 		// A daemon's epochs only grow, and one that recovers its journal
 		// resumes its count: an older epoch means the daemon restarted
@@ -506,22 +513,15 @@ func (d *Driver) apply(target int, epoch uint64) (newEpoch bool) {
 	} else {
 		d.t.SetTarget(target)
 	}
-	if d.applyMicros != nil {
-		d.applyMicros.Observe(time.Since(start).Microseconds())
-	}
-	d.mu.Lock()
-	d.stats.Target = target
-	d.mu.Unlock()
-	if d.targetGauge != nil {
-		d.targetGauge.Set(int64(target))
-	}
+	d.applyMicros.Observe(time.Since(start).Microseconds())
+	d.targetGauge.Set(int64(target))
 	if epoch != 0 && epoch > d.applied.Load() {
 		d.applied.Store(epoch)
 		newEpoch = true
 	}
 	if rec := d.opts.Flight; rec != nil {
 		rec.Append(flight.Event{At: time.Now().UnixMicro(), Kind: flight.KindApply,
-			App: d.app, A: int64(target), B: int64(prev), Epoch: epoch})
+			App: d.app, A: int64(target), B: prev, Epoch: epoch})
 	}
 	return newEpoch
 }
@@ -530,20 +530,14 @@ func (d *Driver) apply(target int, epoch uint64) (newEpoch bool) {
 // mode records when the daemon was lost.
 func (d *Driver) setDegraded(on bool, now time.Time) {
 	d.mu.Lock()
-	d.stats.Degraded = on
 	if on {
 		d.lostAt = now
+		d.degraded.Set(1)
 	} else {
 		d.lostAt = time.Time{}
+		d.degraded.Set(0)
 	}
 	d.mu.Unlock()
-	if d.degraded != nil {
-		v := int64(0)
-		if on {
-			v = 1
-		}
-		d.degraded.Set(v)
-	}
 }
 
 // loop is the poll/reconnect state machine. It ticks at a fraction of
@@ -586,10 +580,8 @@ func (d *Driver) loop() {
 			pollStart := time.Now()
 			target, epoch, err := d.c.pollEpoch(d.app, spinOf(d.t), d.applied.Load())
 			if err == nil {
-				if d.pollMicros != nil {
-					d.pollMicros.Observe(time.Since(pollStart).Microseconds())
-				}
-				d.count(func(s *DriveStats) { s.Polls++ }, d.polls)
+				d.pollMicros.Observe(time.Since(pollStart).Microseconds())
+				d.polls.Inc()
 				if d.apply(target, epoch) {
 					// A fresh epoch was applied: poll again on the next
 					// tick so the ack reaches the daemon's convergence
@@ -602,7 +594,7 @@ func (d *Driver) loop() {
 			}
 			// Daemon lost: hold the last target through the grace
 			// period, start the reconnect backoff immediately.
-			d.count(func(s *DriveStats) { s.PollErrors++ }, d.pollErrors)
+			d.pollErrors.Inc()
 			connected = false
 			lostAt = now
 			backoff = backoffMin
@@ -612,10 +604,9 @@ func (d *Driver) loop() {
 		}
 
 		if !now.Before(nextRedial) {
-			d.count(func(s *DriveStats) { s.Redials++ }, d.redials)
+			d.redials.Inc()
 			if rec := d.opts.Flight; rec != nil {
-				attempts := d.Stats().Redials
-				rec.Append(flight.Event{At: now.UnixMicro(), Kind: flight.KindRedial, App: d.app, A: attempts})
+				rec.Append(flight.Event{At: now.UnixMicro(), Kind: flight.KindRedial, App: d.app, A: d.redials.Value()})
 			}
 			if err := d.c.Redial(); err == nil {
 				// Transparent re-register: a restarted daemon has an
@@ -626,7 +617,7 @@ func (d *Driver) loop() {
 				// watermark stays meaningful across the gap (one without
 				// a journal counts from 1 again, which apply detects).
 				if target, epoch, err := d.c.registerEpoch(d.app, d.procs, d.opts.Weight, spinOf(d.t), d.applied.Load()); err == nil {
-					d.count(func(s *DriveStats) { s.Reconnects++ }, d.reconnects)
+					d.reconnects.Inc()
 					if rec := d.opts.Flight; rec != nil {
 						rec.Append(flight.Event{At: time.Now().UnixMicro(), Kind: flight.KindReconnect, App: d.app, A: int64(target)})
 					}
@@ -646,24 +637,11 @@ func (d *Driver) loop() {
 		// alive, fairness has no counterparty; idling forever on a
 		// stale small target would waste the machine.
 		if now.Sub(lostAt) >= graceIntervals*d.opts.Interval && !now.Before(nextDecay) {
-			d.mu.Lock()
-			cur := d.stats.Target
-			d.mu.Unlock()
-			if cur < d.procs {
+			if cur := int(d.targetGauge.Value()); cur < d.procs {
 				d.apply(cur+(d.procs-cur+1)/2, 0) // self-decided: no epoch to credit
 			}
 			nextDecay = now.Add(d.opts.Interval)
 		}
-	}
-}
-
-// count bumps a stats field and its optional metric together.
-func (d *Driver) count(bump func(*DriveStats), c *metrics.Counter) {
-	d.mu.Lock()
-	bump(&d.stats)
-	d.mu.Unlock()
-	if c != nil {
-		c.Inc()
 	}
 }
 

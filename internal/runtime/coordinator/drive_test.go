@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"procctl/internal/metrics"
 )
 
 // trackingTargeter records the most recent target it was handed.
@@ -78,5 +80,80 @@ func TestDriveWithSurvivesDaemonRestart(t *testing.T) {
 	}
 	if s.DegradedFor != 0 {
 		t.Errorf("DegradedFor = %v after reconnecting, want 0", s.DegradedFor)
+	}
+}
+
+// TestDriveStatsAreItsSeries checks that a driver's Stats is a view of
+// its series, the only store of its counts: DriveWith with nil Metrics
+// counts into a private registry, and across a daemon restart, which
+// moves every count and both gauges, the view reads what the series do.
+func TestDriveStatsAreItsSeries(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "procctld.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWith(New(8), ln, ServerConfig{})
+	go srv.Serve()
+	c, err := Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var tr trackingTargeter
+	d, err := c.DriveWith("app", 8, &tr, fastDrive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	reg := d.opts.Metrics
+	if reg == nil {
+		t.Fatal("DriveWith with nil Metrics made no private registry")
+	}
+	series := func() DriveStats {
+		v := func(base string) int64 {
+			n, ok := reg.Value(metrics.Name(base, "app", "app"))
+			if !ok {
+				t.Fatalf("%s not registered", base)
+			}
+			return n
+		}
+		return DriveStats{
+			Polls: v("coordinator_client_polls_total"), PollErrors: v("coordinator_client_poll_errors_total"),
+			Redials: v("coordinator_client_redials_total"), Reconnects: v("coordinator_client_reconnects_total"),
+			Degraded: v("coordinator_client_degraded") == 1, Target: int(v("coordinator_client_target")),
+		}
+	}
+	// The loop keeps counting while the test reads, so a live comparison
+	// waits for a quiet instant; a wrong mapping never has one.
+	viewIsSeries := func() bool {
+		s := d.Stats()
+		s.DegradedFor = 0
+		return s == series()
+	}
+	waitFor(t, 3*time.Second, func() bool { return d.Stats().Polls >= 1 && viewIsSeries() },
+		"driver never polled the healthy daemon, or its view never read its series")
+	srv.Close()
+	waitFor(t, 3*time.Second, func() bool { return d.Stats().Degraded && viewIsSeries() },
+		"driver never went degraded, or its view never read its series")
+
+	ln2, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := NewServerWith(New(4), ln2, ServerConfig{})
+	go srv2.Serve()
+	defer srv2.Close()
+	waitFor(t, 5*time.Second, func() bool {
+		s := d.Stats()
+		return s.Reconnects >= 1 && !s.Degraded && s.Target == 4
+	}, "driver never reconnected to the restarted daemon and applied its target")
+	d.Stop()
+	s, want := d.Stats(), series()
+	if s != want {
+		t.Errorf("Stats = %+v, series read %+v", s, want)
+	}
+	if s.Polls < 1 || s.PollErrors < 1 || s.Redials < 1 || s.Reconnects < 1 || s.Degraded || s.Target != 4 {
+		t.Errorf("Stats = %+v after a restart: want every count moved, connected, target 4", s)
 	}
 }

@@ -36,7 +36,8 @@ type Config struct {
 	// Metrics is the registry the pool instruments, labeled
 	// pool=<Name>; nil creates a private registry (read it with
 	// Metrics). Sharing one registry across pools and an in-process
-	// coordinator yields a single exportable snapshot.
+	// coordinator yields a single exportable snapshot; pools sharing one
+	// need distinct names, or they count into the same series.
 	Metrics *metrics.Registry
 	// Flight, when non-nil, receives an epoch-stamped settle event each
 	// time the pool's runnable-worker count actually reaches a changed
@@ -45,7 +46,7 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// Stats is a snapshot of pool accounting.
+// Stats is a snapshot of the pool's counters, read from its series.
 type Stats struct {
 	Submitted   int64
 	Completed   int64
@@ -66,7 +67,6 @@ type Pool struct {
 	runnable  int // workers not suspended by process control
 	executing int // workers currently inside a task
 	closed    bool
-	stats     Stats
 
 	// Epoch provenance, under mu: the rebalance epoch of the current
 	// target and whether the runnable count has reached it yet; floor is
@@ -89,25 +89,35 @@ type Pool struct {
 }
 
 // poolMetrics is the pool's slice of a metrics registry, labeled by
-// pool name. The runtime layer runs on the wall clock (unlike the
-// simulator's counters, which are in virtual time).
+// pool name, and the only store of its counts. The runtime layer runs
+// on the wall clock (unlike the simulator's counters, which are in
+// virtual time). The counters move under Pool.mu; the gauges mirror
+// state under it and are set by the collector.
 type poolMetrics struct {
-	reg       *metrics.Registry
-	submitted *metrics.Counter
-	completed *metrics.Counter
-	parks     *metrics.Counter
-	unparks   *metrics.Counter
-	service   *metrics.Histogram
+	reg                                  *metrics.Registry
+	submitted, completed, parks, unparks *metrics.Counter
+	service                              *metrics.Histogram
+	backlog, runnable, executing, target *metrics.Gauge
+	busy, idle, parked                   *metrics.Gauge
 }
 
 func newPoolMetrics(reg *metrics.Registry, name string) poolMetrics {
+	counter := func(base, help string) *metrics.Counter { return reg.Counter(metrics.Name(base, "pool", name), help) }
+	gauge := func(base, help string) *metrics.Gauge { return reg.Gauge(metrics.Name(base, "pool", name), help) }
 	return poolMetrics{
 		reg:       reg,
-		submitted: reg.Counter(metrics.Name("pool_tasks_submitted_total", "pool", name), "tasks queued"),
-		completed: reg.Counter(metrics.Name("pool_tasks_completed_total", "pool", name), "tasks finished"),
-		parks:     reg.Counter(metrics.Name("pool_parks_total", "pool", name), "workers parked by process control"),
-		unparks:   reg.Counter(metrics.Name("pool_unparks_total", "pool", name), "workers unparked by process control"),
+		submitted: counter("pool_tasks_submitted_total", "tasks queued"),
+		completed: counter("pool_tasks_completed_total", "tasks finished"),
+		parks:     counter("pool_parks_total", "workers parked by process control"),
+		unparks:   counter("pool_unparks_total", "workers unparked by process control"),
 		service:   reg.Histogram(metrics.Name("pool_task_micros", "pool", name), "per-task wall-clock execution time", nil),
+		backlog:   gauge("pool_backlog", "queued tasks not yet started"),
+		runnable:  gauge("pool_runnable", "workers not parked"),
+		executing: gauge("pool_executing", "workers inside a task"),
+		target:    gauge("pool_target", "runnable-worker target"),
+		busy:      gauge("pool_busy_micros", "wall-clock worker time inside tasks"),
+		idle:      gauge("pool_idle_micros", "wall-clock worker time waiting for work"),
+		parked:    gauge("pool_parked_micros", "wall-clock worker time parked by process control"),
 	}
 }
 
@@ -140,20 +150,16 @@ func New(cfg Config) *Pool {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	cfg.Metrics.OnCollect(func() {
-		reg := p.met.reg
+		m := &p.met
 		p.mu.Lock()
-		backlog, runnable, executing, target := len(p.queue), p.runnable, p.executing, p.target
-		p.mu.Unlock()
-		reg.Gauge(metrics.Name("pool_backlog", "pool", p.name), "queued tasks not yet started").Set(int64(backlog))
-		reg.Gauge(metrics.Name("pool_runnable", "pool", p.name), "workers not parked").Set(int64(runnable))
-		reg.Gauge(metrics.Name("pool_executing", "pool", p.name), "workers inside a task").Set(int64(executing))
-		reg.Gauge(metrics.Name("pool_target", "pool", p.name), "runnable-worker target").Set(int64(target))
-		p.mu.Lock()
-		busy, idle, parked := p.busyNanos, p.idleNanos, p.parkNanos
-		p.mu.Unlock()
-		reg.Gauge(metrics.Name("pool_busy_micros", "pool", p.name), "wall-clock worker time inside tasks").Set(busy / 1000)
-		reg.Gauge(metrics.Name("pool_idle_micros", "pool", p.name), "wall-clock worker time waiting for work").Set(idle / 1000)
-		reg.Gauge(metrics.Name("pool_parked_micros", "pool", p.name), "wall-clock worker time parked by process control").Set(parked / 1000)
+		defer p.mu.Unlock()
+		m.backlog.Set(int64(len(p.queue)))
+		m.runnable.Set(int64(p.runnable))
+		m.executing.Set(int64(p.executing))
+		m.target.Set(int64(p.target))
+		m.busy.Set(p.busyNanos / 1000)
+		m.idle.Set(p.idleNanos / 1000)
+		m.parked.Set(p.parkNanos / 1000)
 	})
 	p.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -180,7 +186,6 @@ func (p *Pool) Submit(t Task) error {
 		return ErrClosed
 	}
 	p.queue = append(p.queue, t)
-	p.stats.Submitted++
 	p.met.submitted.Inc()
 	p.cond.Broadcast()
 	return nil
@@ -317,11 +322,14 @@ func (p *Pool) SpinPercent() float64 {
 	return 100 * float64(p.idleNanos) / float64(total)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the pool's counters. They move under
+// p.mu, so it is of one instant: Completed never exceeds Submitted.
 func (p *Pool) Stats() Stats {
+	m := &p.met
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.stats
+	return Stats{Submitted: m.submitted.Value(), Completed: m.completed.Value(),
+		Suspensions: m.parks.Value(), Resumes: m.unparks.Value()}
 }
 
 // Close stops intake. Workers exit once the queue drains; Wait blocks
@@ -354,7 +362,6 @@ func (p *Pool) worker() {
 		// Safe suspension point: between tasks, holding no task state.
 		if p.runnable > p.target && p.runnable > 1 {
 			p.runnable--
-			p.stats.Suspensions++
 			p.met.parks.Inc()
 			p.maybeSettleLocked()
 			parked := time.Now()
@@ -363,7 +370,6 @@ func (p *Pool) worker() {
 			}
 			p.parkNanos += time.Since(parked).Nanoseconds()
 			p.runnable++
-			p.stats.Resumes++
 			p.met.unparks.Inc()
 			p.maybeSettleLocked()
 			continue
@@ -388,7 +394,6 @@ func (p *Pool) worker() {
 		p.mu.Lock()
 		p.busyNanos += busy.Nanoseconds()
 		p.executing--
-		p.stats.Completed++
 		p.met.completed.Inc()
 	}
 }

@@ -504,3 +504,68 @@ func TestRepeatedTargetWakesNobody(t *testing.T) {
 		}
 	}
 }
+
+// waitRunnable waits until n workers are runnable.
+func waitRunnable(t *testing.T, p *Pool, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); p.Runnable() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("runnable = %d, want %d", p.Runnable(), n)
+		}
+	}
+}
+
+// TestStatsAreTheSeries checks that Stats is a view of the pool's
+// series, the only store of its counts, after a run under retargets that
+// moves every count.
+func TestStatsAreTheSeries(t *testing.T) {
+	p := New(Config{Name: "r", Workers: 4})
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20; i++ {
+			p.Submit(func() { time.Sleep(100 * time.Microsecond) })
+		}
+		p.SetTarget(1)
+		waitRunnable(t, p, 1)
+		p.SetTarget(4)
+		waitRunnable(t, p, 4)
+	}
+	p.Close()
+	p.Wait()
+	value := func(base string) int64 {
+		v, ok := p.Metrics().Value(metrics.Name(base, "pool", "r"))
+		if !ok {
+			t.Fatalf("%s not registered", base)
+		}
+		return v
+	}
+	st := p.Stats()
+	want := Stats{Submitted: value("pool_tasks_submitted_total"), Completed: value("pool_tasks_completed_total"),
+		Suspensions: value("pool_parks_total"), Resumes: value("pool_unparks_total")}
+	if st != want {
+		t.Errorf("Stats = %+v, series read %+v", st, want)
+	}
+	if st.Submitted != 60 || st.Completed != 60 || st.Suspensions < 9 || st.Resumes < 9 {
+		t.Errorf("Stats = %+v, want 60 tasks and at least 9 parks and unparks (3 rounds of 4→1→4 workers)", st)
+	}
+}
+
+// TestPoolsSharingARegistryKeepSeparateStats: two pools with distinct
+// names count into distinct series of one registry.
+func TestPoolsSharingARegistryKeepSeparateStats(t *testing.T) {
+	reg := metrics.NewRegistry()
+	a := New(Config{Name: "a", Workers: 2, Metrics: reg})
+	b := New(Config{Name: "b", Workers: 2, Metrics: reg})
+	for i := 0; i < 5; i++ {
+		a.Submit(func() {})
+		if i < 3 {
+			b.Submit(func() {})
+		}
+	}
+	a.Close()
+	b.Close()
+	a.Wait()
+	b.Wait()
+	if sa, sb := a.Stats(), b.Stats(); sa.Submitted != 5 || sa.Completed != 5 || sb.Submitted != 3 || sb.Completed != 3 {
+		t.Errorf("a %+v, b %+v: want 5 and 3 tasks, each pool its own", sa, sb)
+	}
+}

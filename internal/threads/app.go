@@ -88,15 +88,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is per-application runtime accounting.
-type Stats struct {
-	TasksRun    int64
-	Suspensions int64 // process-control suspensions
-	Resumes     int64 // process-control resumes
-	Polls       int64 // server polls issued
-	IdleSpins   int64 // empty-queue spin episodes
-}
-
 // App is one running application instance: a workload being executed by
 // a set of kernel processes under the (optionally control-enabled)
 // threads runtime.
@@ -142,8 +133,6 @@ type App struct {
 	doneAt  []sim.Time
 
 	met appMetrics
-
-	Stats Stats
 }
 
 // appMetrics is the application's slice of the simulation's registry,
@@ -370,7 +359,6 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 				// Nothing ready (a dependency is still executing): spin a
 				// little and recheck, burning CPU like the paper's idle
 				// busy-waiting workers.
-				a.Stats.IdleSpins++
 				a.met.idleSpins.Inc()
 				a.annotate(env, "barrier_wait", -1, -1, a.cfg.IdleSpin)
 				w.pc = pcTop
@@ -427,7 +415,6 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 				a.cfg.OnTaskDone(w.task)
 			}
 			env.Release(a.qlock)
-			a.Stats.TasksRun++
 			a.met.tasks.Inc()
 			if finished {
 				a.finish(env)
@@ -523,20 +510,17 @@ func (a *App) controlPoint(env *kernel.Env) (suspend bool) {
 		a.polled = true
 		a.lastPoll = now
 		a.target = a.cfg.Controller.Poll(a.id)
-		a.Stats.Polls++
 		a.met.polls.Inc()
 		a.annotate(env, "poll", -1, a.target, 0)
 	}
 	if a.target < a.runnable && a.runnable > 1 {
 		a.runnable--
-		a.Stats.Suspensions++
 		a.met.suspensions.Inc()
 		a.annotate(env, "suspend", -1, a.target, 0)
 		return true
 	}
 	for a.target > a.runnable && a.suspendQ.Len() > 0 {
 		a.runnable++
-		a.Stats.Resumes++
 		a.met.resumes.Inc()
 		env.Wake(a.suspendQ, 1)
 	}

@@ -7,6 +7,7 @@ import (
 	"procctl/internal/ctrl"
 	"procctl/internal/kernel"
 	"procctl/internal/machine"
+	"procctl/internal/metrics"
 	"procctl/internal/sim"
 	"procctl/internal/threads"
 )
@@ -32,6 +33,13 @@ func runApp(t *testing.T, k *kernel.Kernel, a *threads.App) {
 	}
 }
 
+// appCount reads one of a's series: the runtime's counts live in the
+// registry only.
+func appCount(k *kernel.Kernel, base string, a *threads.App) int64 {
+	n, _ := k.Metrics().Value(metrics.Name(base, "app", a.Name()))
+	return n
+}
+
 func TestEveryTaskRunsExactlyOnce(t *testing.T) {
 	k := newSim(4)
 	wl := apps.TinyFFT()
@@ -49,8 +57,8 @@ func TestEveryTaskRunsExactlyOnce(t *testing.T) {
 			t.Errorf("task %d ran %d times", id, n)
 		}
 	}
-	if a.Stats.TasksRun != int64(wl.Len()) {
-		t.Errorf("TasksRun = %d, want %d", a.Stats.TasksRun, wl.Len())
+	if got := appCount(k, "sim_app_tasks_total", a); got != int64(wl.Len()) {
+		t.Errorf("TasksRun = %d, want %d", got, wl.Len())
 	}
 }
 
@@ -84,8 +92,8 @@ func TestSingleProcessRunsEverything(t *testing.T) {
 	wl := apps.TinyGauss()
 	a := threads.Launch(k, 1, wl, threads.Config{Procs: 1})
 	runApp(t, k, a)
-	if a.Stats.TasksRun != int64(wl.Len()) {
-		t.Errorf("TasksRun = %d, want %d", a.Stats.TasksRun, wl.Len())
+	if got := appCount(k, "sim_app_tasks_total", a); got != int64(wl.Len()) {
+		t.Errorf("TasksRun = %d, want %d", got, wl.Len())
 	}
 }
 
@@ -134,8 +142,8 @@ func TestSuspensionTracksTarget(t *testing.T) {
 		t.Errorf("after raise, runnable = %d, want 4", perApp[1])
 	}
 	runApp(t, k, a)
-	if a.Stats.Suspensions < 2 || a.Stats.Resumes < 2 {
-		t.Errorf("suspensions=%d resumes=%d", a.Stats.Suspensions, a.Stats.Resumes)
+	if sus, res := appCount(k, "sim_app_suspensions_total", a), appCount(k, "sim_app_resumes_total", a); sus < 2 || res < 2 {
+		t.Errorf("suspensions=%d resumes=%d", sus, res)
 	}
 	if !fc.registered || !fc.unregistered {
 		t.Error("register/unregister not called")
