@@ -119,9 +119,11 @@ daemon-smoke:
 # how many of them are in internal/runtime, and that layer's exported
 # surface: the declarations and methods `go doc -all` lists for its
 # packages (struct fields are not counted). Then ROADMAP item 7's
-# measure: the non-test lines of internal/analysis. Last, the root
+# measure: the non-test lines of internal/analysis. Then the root
 # module's _test.go lines (outside testdata/), for a SIMPL entry's
-# test-line delta.
+# test-line delta. Last, the same `go doc -all` count over every
+# package of the root module (commands list nothing), so an accessor
+# deleted or added anywhere shows.
 loc_of = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
 	! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 test_loc = find . -name '*_test.go' ! -path '*/testdata/*' \
@@ -132,4 +134,5 @@ loc:
 	@echo "$$($(call loc_of,.)) root module, $$($(call loc_of,./internal/runtime)) of them internal/runtime," \
 		"$$($(call exported_of,./internal/runtime/...)) exported declarations and methods in internal/runtime," \
 		"$$($(call loc_of,./internal/analysis)) lines in internal/analysis," \
-		"$$($(test_loc)) test lines"
+		"$$($(test_loc)) test lines," \
+		"$$($(call exported_of,./...)) exported declarations and methods in the root module"

@@ -344,7 +344,7 @@ func BenchmarkCoordinatorRebalance(b *testing.B) {
 	for i := 0; i < 32; i++ {
 		p := procctl.NewPool(procctl.PoolConfig{Name: "p" + itoa(i), Workers: 8})
 		defer func() { p.Close(); p.Wait() }()
-		c.Register(p)
+		c.RegisterWeighted(p, 1)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

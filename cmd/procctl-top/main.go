@@ -87,7 +87,7 @@ func main() {
 	}
 
 	if *events >= 0 {
-		evs, err := client.EventsFiltered(*events, *since, *epoch)
+		evs, err := client.Events(*events, *since, *epoch)
 		if err != nil {
 			log.Fatalf("procctl-top: %v", err)
 		}

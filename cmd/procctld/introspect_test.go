@@ -114,7 +114,7 @@ func TestNewLogger(t *testing.T) {
 func TestDumpFlight(t *testing.T) {
 	coord := coordinator.New(4)
 	c := make(chan int, 1)
-	coord.Register(chanMember{name: "dumpme", workers: 2, c: c})
+	coord.RegisterWeighted(chanMember{name: "dumpme", workers: 2, c: c}, 1)
 	var buf bytes.Buffer
 	logger, err := newLogger(&buf, "info", true, false)
 	if err != nil {

@@ -263,8 +263,8 @@ func fatal(logger *slog.Logger, msg string, err error) {
 
 // dumpFlight logs every retained flight-recorder event, oldest first.
 func dumpFlight(logger *slog.Logger, coord *coordinator.Coordinator) {
-	evs := coord.Events(0)
 	rec := coord.FlightRecorder()
+	evs := rec.Snapshot(0)
 	logger.Info("flight recorder dump",
 		"events", len(evs), "total", rec.Total(), "dropped", rec.Dropped())
 	for _, ev := range evs {

@@ -111,7 +111,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	defer client.Close()
 	p := pool.New(pool.Config{Name: "e2e", Workers: 3})
-	stop, err := client.Drive("e2e", p.Workers(), p, 10*time.Millisecond)
+	d, err := client.DriveWith("e2e", p.Workers(), p, coordinator.DriveOptions{Interval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("drive: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 
 	// Unregistering must take the member's target out of the fleet sum.
-	stop()
+	d.Stop()
 	resp2, err := http.Get(fmt.Sprintf("http://%s/metrics", mln.Addr()))
 	if err != nil {
 		t.Fatalf("GET /metrics after stop: %v", err)

@@ -3,7 +3,7 @@
 //
 // The program starts an in-process coordinator server on a Unix socket
 // (exactly what cmd/procctld runs), then launches two "applications"
-// that connect as clients, register, and let Client.Drive poll their
+// that connect as clients, register, and let Client.DriveWith poll their
 // targets — the paper's application/server split over real IPC.
 package main
 
@@ -45,11 +45,11 @@ func main() {
 		p := procctl.NewPool(procctl.PoolConfig{Name: name, Workers: workers})
 		// Poll fast so the demo converges in seconds; the paper (and
 		// the default) uses 6 s.
-		stop, err := client.Drive(name, workers, p, 100*time.Millisecond)
+		d, err := client.DriveWith(name, workers, p, procctl.DriveOptions{Interval: 100 * time.Millisecond})
 		if err != nil {
 			panic(err)
 		}
-		defer stop()
+		defer d.Stop()
 
 		for i := 0; i < tasks; i++ {
 			if err := p.Submit(func() { time.Sleep(taskDur) }); err != nil {

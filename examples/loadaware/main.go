@@ -24,8 +24,8 @@ func main() {
 
 	api := procctl.NewPool(procctl.PoolConfig{Name: "api", Workers: capacity})
 	batch := procctl.NewPool(procctl.PoolConfig{Name: "batch", Workers: capacity})
-	coord.Register(api)
-	coord.Register(batch)
+	coord.RegisterWeighted(api, 1)
+	coord.RegisterWeighted(batch, 1)
 
 	var batchDone atomic.Int64
 	for i := 0; i < 400; i++ {

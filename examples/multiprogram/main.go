@@ -63,7 +63,7 @@ func main() {
 			mu.Lock()
 			pools[a.name] = p
 			mu.Unlock()
-			coord.Register(p)
+			coord.RegisterWeighted(p, 1)
 			for t := 0; t < a.tasks; t++ {
 				if err := p.Submit(busyTask(i*1000 + t)); err != nil {
 					panic(err)

@@ -18,7 +18,7 @@ import (
 func main() {
 	coord := procctl.NewCoordinator(8)
 	p := procctl.NewPool(procctl.PoolConfig{Name: "pi", Workers: 8})
-	coord.Register(p)
+	coord.RegisterWeighted(p, 1)
 
 	// Each task sums a slice of the Leibniz series.
 	const tasks, terms = 400, 1_000_000

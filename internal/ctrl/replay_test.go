@@ -14,7 +14,7 @@ import (
 // bootJournaled starts a live daemon on dir exactly the way procctld
 // does: recover, restore, open, attach, rebalance. It returns the
 // server and socket path; cleanup shuts down quietly (registry kept).
-func bootJournaled(t *testing.T, capacity int, dir string) (*coordinator.Server, string) {
+func bootJournaled(t *testing.T, capacity int, dir string) (*coordinator.Server, *coordinator.Coordinator, string) {
 	t.Helper()
 	res, err := journal.Recover(dir)
 	if err != nil {
@@ -52,7 +52,7 @@ func bootJournaled(t *testing.T, capacity int, dir string) (*coordinator.Server,
 		srv.Close()
 		w.Close()
 	})
-	return srv, sock
+	return srv, coord, sock
 }
 
 func dial(t *testing.T, sock string) *coordinator.Client {
@@ -79,7 +79,7 @@ func mustDiff(t *testing.T, dir string, capacity int) *ctrl.DiffResult {
 // the sim replay of the same record stream.
 func TestDiffJournalLiveParity(t *testing.T) {
 	dir := t.TempDir()
-	_, sock := bootJournaled(t, 8, dir)
+	_, _, sock := bootJournaled(t, 8, dir)
 	c := dial(t, sock)
 
 	must := func(err error) {
@@ -90,10 +90,10 @@ func TestDiffJournalLiveParity(t *testing.T) {
 	}
 	_, err := c.RegisterWeighted("web", 6, 2)
 	must(err)
-	_, err = c.Register("batch", 6)
+	_, err = c.RegisterWeighted("batch", 6, 0)
 	must(err)
 	must(c.SetExternalLoad(2))
-	_, err = c.Register("cron", 3)
+	_, err = c.RegisterWeighted("cron", 3, 0)
 	must(err)
 	must(c.SetExternalLoad(0))
 	must(c.Unregister("batch"))
@@ -114,9 +114,9 @@ func TestDiffJournalLiveParity(t *testing.T) {
 // same way the recovering daemon re-seats its members.
 func TestDiffJournalAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	srv1, sock1 := bootJournaled(t, 8, dir)
+	srv1, _, sock1 := bootJournaled(t, 8, dir)
 	c := dial(t, sock1)
-	if _, err := c.Register("zeta", 5); err != nil {
+	if _, err := c.RegisterWeighted("zeta", 5, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RegisterWeighted("alpha", 5, 3); err != nil {
@@ -124,9 +124,9 @@ func TestDiffJournalAcrossRestart(t *testing.T) {
 	}
 	srv1.Close() // quiet: registry survives in the journal
 
-	_, sock2 := bootJournaled(t, 8, dir)
+	_, _, sock2 := bootJournaled(t, 8, dir)
 	c2 := dial(t, sock2)
-	if _, err := c2.Register("mid", 4); err != nil {
+	if _, err := c2.RegisterWeighted("mid", 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.SetExternalLoad(1); err != nil {
@@ -146,12 +146,12 @@ func TestDiffJournalAcrossRestart(t *testing.T) {
 // one recorded decision must surface a mismatch.
 func TestDiffJournalDetectsTamper(t *testing.T) {
 	dir := t.TempDir()
-	_, sock := bootJournaled(t, 8, dir)
+	_, _, sock := bootJournaled(t, 8, dir)
 	c := dial(t, sock)
-	if _, err := c.Register("a", 8); err != nil {
+	if _, err := c.RegisterWeighted("a", 8, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register("b", 8); err != nil {
+	if _, err := c.RegisterWeighted("b", 8, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,24 +180,24 @@ func TestDiffJournalDetectsTamper(t *testing.T) {
 // re-seated order) stays exact for the records that follow.
 func TestDiffJournalSnapshotAnchor(t *testing.T) {
 	dir := t.TempDir()
-	srv1, sock1 := bootJournaled(t, 8, dir)
+	srv1, _, sock1 := bootJournaled(t, 8, dir)
 	c := dial(t, sock1)
-	if _, err := c.Register("b", 6); err != nil {
+	if _, err := c.RegisterWeighted("b", 6, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register("a", 6); err != nil {
+	if _, err := c.RegisterWeighted("a", 6, 0); err != nil {
 		t.Fatal(err)
 	}
 	srv1.Close()
 
-	srv2, sock2 := bootJournaled(t, 8, dir)
+	srv2, coord2, sock2 := bootJournaled(t, 8, dir)
 	// Snapshot right after boot: members are name-sorted on both sides.
 	st := srv2.JournalState(time.Now().UnixMicro())
-	if err := srv2.Coordinator().Journal().WriteSnapshot(st); err != nil {
+	if err := coord2.Journal().WriteSnapshot(st); err != nil {
 		t.Fatal(err)
 	}
 	c2 := dial(t, sock2)
-	if _, err := c2.Register("c", 4); err != nil {
+	if _, err := c2.RegisterWeighted("c", 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.SetExternalLoad(2); err != nil {

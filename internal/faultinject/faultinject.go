@@ -59,19 +59,6 @@ func New(k *kernel.Kernel, seed uint64) *Injector {
 	}
 }
 
-// Rand returns the injector's private random stream (for callers that
-// want to derive fault times from the same seed).
-func (i *Injector) Rand() *sim.RNG { return i.rng }
-
-// CrashProc kills one process at the given instant.
-func (i *Injector) CrashProc(at sim.Time, p *kernel.Process) {
-	i.k.Engine().Schedule(at, func() {
-		if i.k.Kill(p) {
-			i.crashes.Inc()
-		}
-	})
-}
-
 // CrashApp kills every process of an application at the given instant —
 // the whole program dying at once (SIGKILL, OOM, a node panic).
 func (i *Injector) CrashApp(at sim.Time, app kernel.AppID) {
@@ -119,15 +106,6 @@ func (i *Injector) StallApp(at sim.Time, app kernel.AppID, d sim.Duration) {
 			if p.App() == app && i.k.Stall(p, d) {
 				i.stalls.Inc()
 			}
-		}
-	})
-}
-
-// StallProc freezes one process for d starting at the given instant.
-func (i *Injector) StallProc(at sim.Time, p *kernel.Process, d sim.Duration) {
-	i.k.Engine().Schedule(at, func() {
-		if i.k.Stall(p, d) {
-			i.stalls.Inc()
 		}
 	})
 }

@@ -123,9 +123,6 @@ func Open(dir string, nextSeq uint64, opts Options) (*Writer, error) {
 	return w, nil
 }
 
-// Dir returns the journal directory.
-func (w *Writer) Dir() string { return w.dir }
-
 // NextSeq returns the sequence number the next Append will be assigned.
 func (w *Writer) NextSeq() uint64 {
 	w.mu.Lock()

@@ -200,17 +200,11 @@ func (p *Process) App() AppID { return p.app }
 // State returns the current scheduling state.
 func (p *Process) State() ProcState { return p.state }
 
-// WorkingSet returns the cache footprint in bytes.
-func (p *Process) WorkingSet() int64 { return p.workingSet }
-
 // LastCPU returns the index of the CPU the process last ran on, or -1.
 func (p *Process) LastCPU() int { return p.lastCPU }
 
 // Usage returns the policy-maintained decayed CPU usage estimate.
 func (p *Process) Usage() float64 { return p.usage }
-
-// Priority returns the policy-maintained priority (lower is better).
-func (p *Process) Priority() int { return p.priority }
 
 // HoldingLocks reports whether the process currently holds any spinlock.
 func (p *Process) HoldingLocks() bool { return p.lockDepth > 0 }
@@ -323,9 +317,6 @@ type Env struct {
 // Proc returns the process this environment belongs to.
 func (e *Env) Proc() *Process { return e.p }
 
-// Kernel returns the owning kernel (for read-only inspection).
-func (e *Env) Kernel() *Kernel { return e.k }
-
 // Now returns the current virtual time. Bodies only execute while the
 // engine waits in advance, so the read is race-free.
 func (e *Env) Now() sim.Time { return e.k.eng.Now() }
@@ -385,7 +376,3 @@ func (p *Process) DebugPending() string {
 		return "none"
 	}
 }
-
-// Active reports whether the process is past its dispatch overhead and
-// actually executing instructions (diagnostics).
-func (p *Process) Active() bool { return p.active }

@@ -46,7 +46,7 @@ func TestKillNeverResumesAResumableBody(t *testing.T) {
 			reqs: func(l *SpinLock, _ *WaitQueue) []Request { return []Request{Acquire(l)} },
 			check: func(t *testing.T, k *Kernel, victim *Process, l *SpinLock, _ *WaitQueue) {
 				if l.Waiters() != 0 {
-					t.Errorf("the corpse is still on the waiter list: %v", l.DebugWaiters())
+					t.Errorf("the corpse is still on the waiter list: %v", l.waiters)
 				}
 				if l.Acquires != 1 || l.Holder() != nil || victim.Stats.LockAcquires != 0 {
 					t.Errorf("lock acquires=%d holder=%v: the peer's release granted it to the corpse", l.Acquires, l.Holder())

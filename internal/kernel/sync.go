@@ -122,12 +122,3 @@ func (q *WaitQueue) pop() *Process {
 	q.Wakes++
 	return p
 }
-
-// DebugWaiters lists waiter PIDs in arrival order, for diagnostics.
-func (l *SpinLock) DebugWaiters() []PID {
-	var ids []PID
-	for _, w := range l.waiters {
-		ids = append(ids, w.id)
-	}
-	return ids
-}

@@ -101,6 +101,3 @@ func (t *Timeshare) QuantumFor(p *Process) sim.Duration { return 0 }
 
 // OnExit implements Policy.
 func (t *Timeshare) OnExit(p *Process) {}
-
-// QueueLen reports the current run-queue length (for tests and traces).
-func (t *Timeshare) QueueLen() int { return t.q.len() }

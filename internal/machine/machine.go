@@ -105,9 +105,6 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // NumCPU returns the processor count.
 func (m *Machine) NumCPU() int { return m.cfg.NumCPU }
 

@@ -126,14 +126,14 @@ func TestChaosHungAndKilledClientsReclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { hung.Close() })
-	if _, err := hung.Register("hung", 8); err != nil {
+	if _, err := hung.RegisterWeighted("hung", 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	killed, err := coordinator.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := killed.Register("killed", 8); err != nil {
+	if _, err := killed.RegisterWeighted("killed", 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	reclaimStart := time.Now() // both failures are "in progress" from here
@@ -285,7 +285,7 @@ func TestChaosFlightRecorderTellsTheStory(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { hung.Close() })
-	if _, err := hung.Register("hangs", 8); err != nil {
+	if _, err := hung.RegisterWeighted("hangs", 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, func() bool { return len(coord.Members()) == 2 },
@@ -296,7 +296,7 @@ func TestChaosFlightRecorderTellsTheStory(t *testing.T) {
 	waitFor(t, 3*time.Second, func() bool { return p.Target() == 8 },
 		"survivor never reclaimed the machine")
 
-	evs, err := healthy.Events(0)
+	evs, err := healthy.Events(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestChaosSIGKILLRecovery(t *testing.T) {
 	// re-seats members sorted by name, and allocation hands out
 	// processors in member order, so any other order would make the
 	// boot rebalance legitimately shift targets (see DESIGN.md).
-	if _, err := c.Register("batch", 6); err != nil {
+	if _, err := c.RegisterWeighted("batch", 6, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RegisterWeighted("web", 6, 2); err != nil {
@@ -538,7 +538,7 @@ func TestChaosRegisterStormShedsAndConverges(t *testing.T) {
 
 	// Already-resident slow member: most registrations change its
 	// target, so the fan-out holds the admission slot for ~delay.
-	coord.Register(&slowMember{name: "resident", delay: 20 * time.Millisecond})
+	coord.RegisterWeighted(&slowMember{name: "resident", delay: 20 * time.Millisecond}, 1)
 
 	const storm = 12
 	type launched struct {
@@ -617,7 +617,7 @@ func TestChaosBatchedRegisterStormCoalesces(t *testing.T) {
 			}
 			t.Cleanup(func() { c.Close() })
 			<-start
-			_, err = c.Register(fmt.Sprintf("burst%02d", i), 4)
+			_, err = c.RegisterWeighted(fmt.Sprintf("burst%02d", i), 4, 0)
 			errs <- err
 		}(i)
 	}
@@ -699,10 +699,10 @@ func TestChaosSIGKILLMidEpochProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Register("batch", 6); err != nil {
+	if _, err := c.RegisterWeighted("batch", 6, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register("web", 6); err != nil {
+	if _, err := c.RegisterWeighted("web", 6, 0); err != nil {
 		t.Fatal(err)
 	}
 	// web's registration re-split the machine (batch 6->4, web ->4) and
@@ -750,7 +750,7 @@ func TestChaosSIGKILLMidEpochProvenance(t *testing.T) {
 	if err := c2.SetExternalLoad(2); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := c2.Events(0)
+	evs, err := c2.Events(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestAdmitLimitShedsRegistration(t *testing.T) {
 	if resp.RetryAfterMs <= 0 {
 		t.Errorf("busy reply RetryAfterMs = %d, want > 0", resp.RetryAfterMs)
 	}
-	if got := len(srv.Coordinator().Members()); got != 0 {
+	if got := len(srv.coord.Members()); got != 0 {
 		t.Errorf("shed registration still registered %d members", got)
 	}
 	if v := srv.shedReg.Value(); v != 1 {
@@ -46,7 +46,7 @@ func TestMaxConnsShedsWholeConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	if _, err := c1.Register("first", 4); err != nil {
+	if _, err := c1.RegisterWeighted("first", 4, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,7 +55,7 @@ func TestMaxConnsShedsWholeConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	_, err = c2.Register("second", 4)
+	_, err = c2.RegisterWeighted("second", 4, 0)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("register over the connection cap: err = %v, want ErrBusy", err)
 	}
@@ -69,7 +69,7 @@ func TestMaxConnsShedsWholeConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = c3.Register("third", 4)
+		_, err = c3.RegisterWeighted("third", 4, 0)
 		if err == nil {
 			c3.Close()
 			return
@@ -96,7 +96,7 @@ func TestStatusIgnoresShardsField(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Register("wired", 4); err != nil {
+	if _, err := c.RegisterWeighted("wired", 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	plain, err := c.Status()

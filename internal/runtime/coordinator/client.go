@@ -22,19 +22,19 @@ const DefaultPollInterval = 6 * time.Second
 // the daemon shed the request under load rather than failing it.
 var ErrBusy = errors.New("coordinator: busy")
 
-// BusyError is the client-side form of a busy reply. It wraps the
+// busyError is the client-side form of a busy reply. It wraps the
 // server's reason and advisory retry wait; errors.Is(err, ErrBusy)
 // identifies it without unwrapping.
-type BusyError struct {
-	Reason     string
-	RetryAfter time.Duration
+type busyError struct {
+	reason     string
+	retryAfter time.Duration
 }
 
-func (e *BusyError) Error() string {
-	return "coordinator: " + e.Reason
+func (e *busyError) Error() string {
+	return "coordinator: " + e.reason
 }
 
-func (e *BusyError) Is(target error) bool { return target == ErrBusy }
+func (e *busyError) Is(target error) bool { return target == ErrBusy }
 
 // Client is an application's connection to a coordinator daemon.
 type Client struct {
@@ -42,25 +42,25 @@ type Client struct {
 	conn    net.Conn
 	rd      lineReader // replies; unbounded, the daemon is trusted
 	out     []byte     // the request line, reused
-	network string     // for Redial; empty when built from NewClient
+	network string     // for redial; empty when built from newClient
 	addr    string
 }
 
 // Dial connects to a coordinator daemon, e.g. Dial("unix",
-// "/run/procctld.sock") or Dial("tcp", "localhost:7717"). Clients made
-// by Dial can Redial after the daemon restarts.
+// "/run/procctld.sock") or Dial("tcp", "localhost:7717"). A client's
+// DriveWith loop re-dials the same address after the daemon restarts.
 func Dial(network, addr string) (*Client, error) {
 	conn, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: dial %s %s: %w", network, addr, err)
 	}
-	c := NewClient(conn)
+	c := newClient(conn)
 	c.network, c.addr = network, addr
 	return c, nil
 }
 
-// NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client {
+// newClient wraps an established connection.
+func newClient(conn net.Conn) *Client {
 	return &Client{conn: conn, rd: lineReader{r: conn}}
 }
 
@@ -72,12 +72,11 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// Redial replaces the connection with a fresh dial to the original
+// redial replaces the connection with a fresh dial to the original
 // address — after a daemon restart, or after the daemon swept this
-// connection's lease. Registrations do not carry over: re-register
-// every application after a successful Redial (DriveWith does this
-// automatically).
-func (c *Client) Redial() error {
+// connection's lease. Registrations do not carry over: the caller
+// re-registers every application after a successful redial.
+func (c *Client) redial() error {
 	// Dial with no lock held: a slow or timing-out dial must not block
 	// concurrent roundTrip/Close callers on c.mu. The address fields are
 	// set once in Dial before the client is shared, so the copy under
@@ -130,9 +129,9 @@ func (c *Client) roundTrip(req *Request) (resp Response, err error) {
 	}
 	if !resp.OK {
 		if resp.Busy {
-			return resp, &BusyError{
-				Reason:     resp.Error,
-				RetryAfter: time.Duration(resp.RetryAfterMs) * time.Millisecond,
+			return resp, &busyError{
+				reason:     resp.Error,
+				retryAfter: time.Duration(resp.RetryAfterMs) * time.Millisecond,
 			}
 		}
 		return resp, errors.New("coordinator: " + resp.Error)
@@ -140,29 +139,16 @@ func (c *Client) roundTrip(req *Request) (resp Response, err error) {
 	return resp, nil
 }
 
-// Register announces an application with the given process count and
-// returns its initial target.
-func (c *Client) Register(app string, procs int) (int, error) {
-	return c.register(app, procs, nil)
-}
-
-// RegisterWeighted is Register with an explicit fair-share weight
-// (weights below 1 are treated as 1 by the coordinator).
+// RegisterWeighted announces an application with the given process
+// count and fair-share weight, and returns its initial target. Weights
+// below 1 (0 for the unit share) are treated as 1 by the coordinator.
 func (c *Client) RegisterWeighted(app string, procs, weight int) (int, error) {
-	resp, err := c.roundTrip(&Request{Op: OpRegister, App: app, Procs: procs, Weight: weight})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Target, nil
-}
-
-func (c *Client) register(app string, procs int, spin *float64) (int, error) {
-	target, _, err := c.registerEpoch(app, procs, 0, spin, 0)
+	target, _, err := c.registerEpoch(app, procs, weight, nil, 0)
 	return target, err
 }
 
-// registerEpoch is register carrying an optional fair-share weight,
-// the applied-epoch ack, and returning the epoch of the rebalance that
+// registerEpoch is RegisterWeighted carrying the driver's spin% and
+// applied-epoch ack, and returning the epoch of the rebalance that
 // computed the target (0 from daemons predating epochs).
 func (c *Client) registerEpoch(app string, procs, weight int, spin *float64, applied uint64) (int, uint64, error) {
 	resp, err := c.roundTrip(&Request{Op: OpRegister, App: app, Procs: procs, Weight: weight, SpinPct: spin, Applied: applied})
@@ -170,12 +156,6 @@ func (c *Client) registerEpoch(app string, procs, weight int, spin *float64, app
 		return 0, 0, err
 	}
 	return resp.Target, resp.Epoch, nil
-}
-
-// Poll returns the application's current target.
-func (c *Client) Poll(app string) (int, error) {
-	t, _, err := c.pollEpoch(app, nil, 0)
-	return t, err
 }
 
 // PollEpoch polls for the current target and its epoch while
@@ -186,11 +166,7 @@ func (c *Client) PollEpoch(app string, applied uint64) (int, uint64, error) {
 	return c.pollEpoch(app, nil, applied)
 }
 
-func (c *Client) poll(app string, spin *float64) (int, error) {
-	t, _, err := c.pollEpoch(app, spin, 0)
-	return t, err
-}
-
+// pollEpoch is PollEpoch carrying the driver's spin%.
 func (c *Client) pollEpoch(app string, spin *float64, applied uint64) (int, uint64, error) {
 	resp, err := c.roundTrip(&Request{Op: OpPoll, App: app, SpinPct: spin, Applied: applied})
 	if err != nil {
@@ -250,16 +226,12 @@ func (c *Client) Metrics() (*metrics.Snapshot, error) {
 
 // Events fetches up to limit of the daemon's most recent flight-recorder
 // events, oldest first (limit <= 0 fetches everything the ring
-// retains). Daemons predating the op answer with an error.
-func (c *Client) Events(limit int) ([]flight.Event, error) {
-	return c.EventsFiltered(limit, 0, 0)
-}
-
-// EventsFiltered is Events with the post-mortem filters: only events
-// with sequence numbers >= since, and (when epoch is non-zero) only
-// events stamped with that epoch. Daemons predating the filters ignore
-// them and answer with the plain limited dump.
-func (c *Client) EventsFiltered(limit int, since, epoch uint64) ([]flight.Event, error) {
+// retains), with the post-mortem filters: only events with sequence
+// numbers >= since, and (when epoch is non-zero) only events stamped
+// with that epoch. Daemons predating the op answer with an error; those
+// predating the filters ignore them and answer with the plain limited
+// dump.
+func (c *Client) Events(limit int, since, epoch uint64) ([]flight.Event, error) {
 	resp, err := c.roundTrip(&Request{Op: OpEvents, Limit: limit, Since: since, Epoch: epoch})
 	if err != nil {
 		return nil, err
@@ -284,18 +256,6 @@ func spinOf(t Targeter) *float64 {
 		return &v
 	}
 	return nil
-}
-
-// Drive registers the application and then polls every interval,
-// applying each target to t — the paper's poll loop, run for the caller,
-// with automatic reconnection. It returns a stop function that
-// unregisters and ends the loop.
-func (c *Client) Drive(app string, procs int, t Targeter, interval time.Duration) (stop func(), err error) {
-	d, err := c.DriveWith(app, procs, t, DriveOptions{Interval: interval})
-	if err != nil {
-		return nil, err
-	}
-	return d.Stop, nil
 }
 
 // DriveOptions tunes DriveWith's poll loop and its failure handling.
@@ -435,15 +395,15 @@ func (c *Client) registerWithRetry(app string, procs, weight int, spin *float64)
 	shed := false
 	for {
 		target, epoch, err := c.registerEpoch(app, procs, weight, spin, 0)
-		var busy *BusyError
+		var busy *busyError
 		switch {
 		case err == nil || !time.Now().Before(deadline):
 			return target, epoch, err
 		case errors.As(err, &busy):
 			shed = true
-			time.Sleep(max(jitter(backoff), busy.RetryAfter))
+			time.Sleep(max(jitter(backoff), busy.retryAfter))
 			backoff = min(2*backoff, backoffMax)
-		case shed && connClosed(err) && c.Redial() == nil:
+		case shed && connClosed(err) && c.redial() == nil:
 			// A connection-cap shed closed it: retry at once on the new one.
 		default:
 			return target, epoch, err
@@ -608,7 +568,8 @@ func (d *Driver) loop() {
 			if rec := d.opts.Flight; rec != nil {
 				rec.Append(flight.Event{At: now.UnixMicro(), Kind: flight.KindRedial, App: d.app, A: d.redials.Value()})
 			}
-			if err := d.c.Redial(); err == nil {
+			var floor time.Duration
+			if err := d.c.redial(); err == nil {
 				// Transparent re-register: a restarted daemon has an
 				// empty member table; a surviving daemon just replaces
 				// the member. Either way the fresh target applies. The
@@ -616,7 +577,8 @@ func (d *Driver) loop() {
 				// resumes its epoch counter from the journal, so the
 				// watermark stays meaningful across the gap (one without
 				// a journal counts from 1 again, which apply detects).
-				if target, epoch, err := d.c.registerEpoch(d.app, d.procs, d.opts.Weight, spinOf(d.t), d.applied.Load()); err == nil {
+				target, epoch, err := d.c.registerEpoch(d.app, d.procs, d.opts.Weight, spinOf(d.t), d.applied.Load())
+				if err == nil {
 					d.reconnects.Inc()
 					if rec := d.opts.Flight; rec != nil {
 						rec.Append(flight.Event{At: time.Now().UnixMicro(), Kind: flight.KindReconnect, App: d.app, A: int64(target)})
@@ -627,9 +589,17 @@ func (d *Driver) loop() {
 					nextPoll = now.Add(d.opts.Interval)
 					continue
 				}
+				// A restarted daemon that sheds the registration under
+				// load advises when to come back: as in
+				// registerWithRetry, that is the floor of the wait, so
+				// the next attempt does not re-dial into the same shed.
+				var busy *busyError
+				if errors.As(err, &busy) {
+					floor = busy.retryAfter
+				}
 			}
 			backoff = min(2*backoff, backoffMax)
-			nextRedial = now.Add(jitter(backoff))
+			nextRedial = now.Add(max(jitter(backoff), floor))
 		}
 
 		// Degraded decay: past the grace period, halve the gap to the

@@ -271,7 +271,7 @@ func TestServerEpochWire(t *testing.T) {
 
 	// Epoch e2 changed both targets (alpha 8->4, beta 0->4) and is
 	// waiting on both; e1 closed superseded when e2 re-targeted alpha.
-	if n := srv.Coordinator().OpenEpochs(); n != 1 {
+	if n := srv.coord.OpenEpochs(); n != 1 {
 		t.Fatalf("open epochs = %d, want 1", n)
 	}
 
@@ -282,7 +282,7 @@ func TestServerEpochWire(t *testing.T) {
 	if target != 4 || pe != e2 {
 		t.Fatalf("alpha poll = %d @ epoch %d, want 4 @ %d", target, pe, e2)
 	}
-	if n := srv.Coordinator().OpenEpochs(); n != 1 {
+	if n := srv.coord.OpenEpochs(); n != 1 {
 		t.Fatalf("epoch settled with beta still pending (open = %d)", n)
 	}
 	if _, _, err := c2.PollEpoch("beta", e2); err != nil {
@@ -293,10 +293,10 @@ func TestServerEpochWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := srv.Coordinator().OpenEpochs(); n != 0 {
+	if n := srv.coord.OpenEpochs(); n != 0 {
 		t.Errorf("%d open epochs, want 0", n)
 	}
-	if n := closedEpochs(srv.Coordinator().Metrics(), ConvergeSettled); n != 1 {
+	if n := closedEpochs(srv.coord.Metrics(), ConvergeSettled); n != 1 {
 		t.Errorf("%d settled closures, want 1", n)
 	}
 	var settled, superseded *ConvergeInfo
@@ -361,11 +361,11 @@ func TestServerEpochExpiresOnDisconnect(t *testing.T) {
 	if _, _, err := c1.PollEpoch("alpha", e3); err != nil {
 		t.Fatal(err)
 	}
-	if n := srv.Coordinator().OpenEpochs(); n != 0 {
+	if n := srv.coord.OpenEpochs(); n != 0 {
 		t.Fatalf("open epochs = %d after departure settled, want 0", n)
 	}
 	var expired *ConvergeInfo
-	for _, r := range srv.Coordinator().conv.Reports(0) {
+	for _, r := range srv.coord.conv.Reports(0) {
 		if r.Epoch == e2 {
 			r := r
 			expired = &r
@@ -383,11 +383,11 @@ func TestServerInprocSettle(t *testing.T) {
 	srv, _ := startServer(t, 8)
 	p := pool.New(pool.Config{Name: "local", Workers: 8})
 	defer p.Close()
-	srv.Coordinator().Register(p)
-	if n := srv.Coordinator().OpenEpochs(); n != 0 {
+	srv.coord.RegisterWeighted(p, 1)
+	if n := srv.coord.OpenEpochs(); n != 0 {
 		t.Fatalf("open epochs = %d, want 0: in-process members ack synchronously", n)
 	}
-	reports := srv.Coordinator().conv.Reports(1)
+	reports := srv.coord.conv.Reports(1)
 	if len(reports) != 1 {
 		t.Fatalf("no converge report after in-process registration")
 	}
@@ -445,10 +445,10 @@ func TestServerEventsFilterWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Register("a", 8)
-	c.Register("b", 8)
+	c.RegisterWeighted("a", 8, 0)
+	c.RegisterWeighted("b", 8, 0)
 
-	all, err := c.EventsFiltered(0, 0, 0)
+	all, err := c.Events(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestServerEventsFilterWire(t *testing.T) {
 		t.Fatalf("only %d events after two registrations", len(all))
 	}
 	mid := all[len(all)/2].Seq
-	tail, err := c.EventsFiltered(0, mid, 0)
+	tail, err := c.Events(0, mid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestServerEventsFilterWire(t *testing.T) {
 			t.Errorf("since filter leaked seq %d < %d", ev.Seq, mid)
 		}
 	}
-	none, err := c.EventsFiltered(0, 0, 424242)
+	none, err := c.Events(0, 0, 424242)
 	if err != nil {
 		t.Fatal(err)
 	}

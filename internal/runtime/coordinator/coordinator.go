@@ -338,8 +338,8 @@ func (c *Coordinator) Snapshot() *metrics.Snapshot {
 	return c.met.reg.Snapshot(time.Now().UnixMicro())
 }
 
-// Capacity returns the managed processor count.
-func (c *Coordinator) Capacity() int {
+// capacity returns the managed processor count.
+func (c *Coordinator) capacity() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reg.Capacity
@@ -381,14 +381,10 @@ func (c *Coordinator) ExternalLoad() int {
 	return c.reg.External
 }
 
-// Register adds a member (replacing any member with the same name) and
-// rebalances, pushing fresh targets to every member.
-func (c *Coordinator) Register(m Member) {
-	c.RegisterWeighted(m, 1)
-}
-
-// RegisterWeighted adds a member whose fair share is weight times a unit
-// share. Weights below 1 are treated as 1.
+// RegisterWeighted adds a member (replacing any member with the same
+// name) whose fair share is weight times a unit share, and rebalances,
+// pushing fresh targets to every member. Weights below 1 are treated
+// as 1.
 func (c *Coordinator) RegisterWeighted(m Member, weight int) {
 	if weight < 1 {
 		weight = 1
@@ -752,15 +748,11 @@ func (c *Coordinator) NotePoll(name string) {}
 // OpenEpochs returns how many rebalance epochs are still awaiting acks.
 func (c *Coordinator) OpenEpochs() int { return c.conv.OpenEpochs() }
 
-// Events returns up to limit of the most recent flight-recorder events,
-// oldest first (limit <= 0 returns everything retained). The recorder
-// is always on: registrations, lease expiries, target changes, and
-// rebalance spans are captured with no tracing enabled in advance.
-func (c *Coordinator) Events(limit int) []flight.Event { return c.rec.Snapshot(limit) }
-
 // FlightRecorder exposes the coordinator's recorder so co-located
 // layers (the socket server, the daemon binary) append into the same
-// timeline.
+// timeline and read it back. The recorder is always on: registrations,
+// lease expiries, target changes, and rebalance spans are captured with
+// no tracing enabled in advance.
 func (c *Coordinator) FlightRecorder() *flight.Recorder { return c.rec }
 
 // Loader is an optional Member extension: a member that can report how

@@ -34,8 +34,8 @@ func TestCoordinatorEqualSplit(t *testing.T) {
 	c := New(16)
 	a := &fakeMember{name: "a", workers: 16}
 	b := &fakeMember{name: "b", workers: 16}
-	c.Register(a)
-	c.Register(b)
+	c.RegisterWeighted(a, 1)
+	c.RegisterWeighted(b, 1)
 	if a.got() != 8 || b.got() != 8 {
 		t.Errorf("targets %d/%d, want 8/8", a.got(), b.got())
 	}
@@ -44,7 +44,7 @@ func TestCoordinatorEqualSplit(t *testing.T) {
 func TestCoordinatorSoloGetsAll(t *testing.T) {
 	c := New(8)
 	a := &fakeMember{name: "a", workers: 12}
-	c.Register(a)
+	c.RegisterWeighted(a, 1)
 	if a.got() != 8 {
 		t.Errorf("solo target %d, want 8", a.got())
 	}
@@ -54,8 +54,8 @@ func TestCoordinatorCap(t *testing.T) {
 	c := New(16)
 	small := &fakeMember{name: "small", workers: 2}
 	big := &fakeMember{name: "big", workers: 16}
-	c.Register(small)
-	c.Register(big)
+	c.RegisterWeighted(small, 1)
+	c.RegisterWeighted(big, 1)
 	if small.got() != 2 {
 		t.Errorf("small target %d, want its cap 2", small.got())
 	}
@@ -68,8 +68,8 @@ func TestCoordinatorUnregisterRedistributes(t *testing.T) {
 	c := New(8)
 	a := &fakeMember{name: "a", workers: 8}
 	b := &fakeMember{name: "b", workers: 8}
-	c.Register(a)
-	c.Register(b)
+	c.RegisterWeighted(a, 1)
+	c.RegisterWeighted(b, 1)
 	c.Unregister("b")
 	if a.got() != 8 {
 		t.Errorf("after unregister, target %d, want 8", a.got())
@@ -82,7 +82,7 @@ func TestCoordinatorUnregisterRedistributes(t *testing.T) {
 func TestCoordinatorExternalLoad(t *testing.T) {
 	c := New(8)
 	a := &fakeMember{name: "a", workers: 8}
-	c.Register(a)
+	c.RegisterWeighted(a, 1)
 	c.SetExternalLoad(6)
 	if a.got() != 2 {
 		t.Errorf("target %d with external load 6, want 2", a.got())
@@ -102,7 +102,7 @@ func TestCoordinatorStarvationFloor(t *testing.T) {
 	for _, n := range []string{"a", "b", "c"} {
 		m := &fakeMember{name: n, workers: 4}
 		members = append(members, m)
-		c.Register(m)
+		c.RegisterWeighted(m, 1)
 	}
 	c.SetExternalLoad(100)
 	for _, m := range members {
@@ -130,8 +130,8 @@ func TestCoordinatorReplaceSameName(t *testing.T) {
 	c := New(8)
 	a1 := &fakeMember{name: "a", workers: 2}
 	a2 := &fakeMember{name: "a", workers: 8}
-	c.Register(a1)
-	c.Register(a2)
+	c.RegisterWeighted(a1, 1)
+	c.RegisterWeighted(a2, 1)
 	if len(c.Members()) != 1 {
 		t.Fatalf("members = %v", c.Members())
 	}
@@ -142,11 +142,11 @@ func TestCoordinatorReplaceSameName(t *testing.T) {
 
 func TestCoordinatorCapacity(t *testing.T) {
 	c := New(0) // selects GOMAXPROCS
-	if c.Capacity() < 1 {
-		t.Errorf("default capacity %d", c.Capacity())
+	if c.capacity() < 1 {
+		t.Errorf("default capacity %d", c.capacity())
 	}
 	a := &fakeMember{name: "a", workers: 64}
-	c.Register(a)
+	c.RegisterWeighted(a, 1)
 	if err := c.SetCapacity(4); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestCoordinatorTargets(t *testing.T) {
 	c := New(6)
 	a := &fakeMember{name: "a", workers: 6}
 	b := &fakeMember{name: "b", workers: 6}
-	c.Register(a)
-	c.Register(b)
+	c.RegisterWeighted(a, 1)
+	c.RegisterWeighted(b, 1)
 	targets := c.Targets()
 	if targets["a"] != 3 || targets["b"] != 3 {
 		t.Errorf("Targets = %v", targets)
@@ -183,7 +183,7 @@ func TestCoordinatorConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			m := &fakeMember{name: string(rune('a' + g)), workers: 8}
 			for i := 0; i < 50; i++ {
-				c.Register(m)
+				c.RegisterWeighted(m, 1)
 				c.SetExternalLoad(i % 4)
 				c.Targets()
 				c.Unregister(m.name)
@@ -210,8 +210,8 @@ func TestCoordinatorLoadAware(t *testing.T) {
 	busy := &loadedMember{fakeMember: fakeMember{name: "busy", workers: 8}}
 	busy.backlog.Store(100)
 	idle := &loadedMember{fakeMember: fakeMember{name: "idle", workers: 8}}
-	c.Register(busy)
-	c.Register(idle)
+	c.RegisterWeighted(busy, 1)
+	c.RegisterWeighted(idle, 1)
 	// Fair mode: 4/4.
 	if busy.got() != 4 || idle.got() != 4 {
 		t.Fatalf("fair targets %d/%d", busy.got(), idle.got())
@@ -231,7 +231,7 @@ func TestCoordinatorLoadAware(t *testing.T) {
 	}
 	// Members without a Load method keep their full demand.
 	plain := &fakeMember{name: "plain", workers: 8}
-	c.Register(plain)
+	c.RegisterWeighted(plain, 1)
 	if plain.got() < 2 {
 		t.Errorf("plain member target %d", plain.got())
 	}
@@ -244,8 +244,8 @@ func TestCoordinatorAutoRebalance(t *testing.T) {
 	idle := &loadedMember{fakeMember: fakeMember{name: "idle", workers: 8}}
 	idle.backlog.Store(100)
 	c.SetLoadAware(true)
-	c.Register(busy)
-	c.Register(idle)
+	c.RegisterWeighted(busy, 1)
+	c.RegisterWeighted(idle, 1)
 	stop := c.StartAutoRebalance(5 * time.Millisecond)
 	defer stop()
 	idle.backlog.Store(0)

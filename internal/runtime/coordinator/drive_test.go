@@ -1,9 +1,11 @@
 package coordinator
 
 import (
+	"bufio"
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,5 +157,73 @@ func TestDriveStatsAreItsSeries(t *testing.T) {
 	}
 	if s.Polls < 1 || s.PollErrors < 1 || s.Redials < 1 || s.Reconnects < 1 || s.Degraded || s.Target != 4 {
 		t.Errorf("Stats = %+v after a restart: want every count moved, connected, target 4", s)
+	}
+}
+
+// A restarted daemon that sheds the driver's re-registration with a busy
+// reply says when to come back, and the reconnect loop waits that long:
+// it does not re-dial on its own 100 ms backoff, closing each time a
+// connection the daemon had accepted. The fake daemon answers the first
+// registration, drops the connection, and sheds every later request
+// with a 1 s retry-after, so in the 2 s after the drop the driver dials
+// at most three times (its first re-dial, then about once a second); a
+// doubling 100 ms backoff would dial four times or more. Wall clock: the
+// re-dials go through netpoll, which stops a synctest bubble's clock.
+func TestDriveReconnectHonoursBusyReply(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "procctld.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials atomic.Int64
+	dropped := make(chan struct{})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			first := dials.Add(1) == 1
+			go func() {
+				defer conn.Close()
+				rd := bufio.NewReader(conn)
+				for {
+					if _, err := rd.ReadBytes('\n'); err != nil {
+						return
+					}
+					if first {
+						conn.Write([]byte(`{"ok":true,"target":4}` + "\n"))
+						conn.Close()
+						close(dropped)
+						return
+					}
+					if _, err := conn.Write([]byte(`{"ok":false,"error":"busy: admission limit","busy":true,"retry_after_ms":1000}` + "\n")); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	c, err := Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var tr trackingTargeter
+	d, err := c.DriveWith("app", 8, &tr, fastDrive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	<-dropped
+	time.Sleep(2 * time.Second)
+	redials := dials.Load() - 1
+	if redials < 1 || redials > 3 {
+		t.Errorf("driver dialed %d times in the 2 s after the drop, want 1 to 3 under a 1 s retry-after", redials)
+	}
+	if s := d.Stats(); !s.Degraded || s.Reconnects != 0 {
+		t.Errorf("stats = %+v, want degraded with no reconnect: every registration was shed", s)
 	}
 }

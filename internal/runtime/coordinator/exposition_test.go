@@ -19,8 +19,8 @@ func TestConvergenceExposition(t *testing.T) {
 	defer web.Close()
 	batch := pool.New(pool.Config{Name: "batch", Workers: 8})
 	defer batch.Close()
-	c.Register(web)
-	c.Register(batch)
+	c.RegisterWeighted(web, 1)
+	c.RegisterWeighted(batch, 1)
 	c.Unregister("batch") // another change set; the epoch settles in-process
 
 	var b strings.Builder

@@ -19,22 +19,22 @@ func TestServerLeaseExpiresSilentMember(t *testing.T) {
 		defer srv.Close()
 		silent := pipeClient(srv)
 		defer silent.Close()
-		if _, err := silent.Register("hung", 8); err != nil {
+		if _, err := silent.RegisterWeighted("hung", 8, 0); err != nil {
 			t.Fatal(err)
 		}
 		healthy := pipeClient(srv)
 		defer healthy.Close()
-		if _, err := healthy.Register("alive", 8); err != nil {
+		if _, err := healthy.RegisterWeighted("alive", 8, 0); err != nil {
 			t.Fatal(err)
 		}
-		if tgt, _ := healthy.Poll("alive"); tgt != 4 {
+		if tgt, _, _ := healthy.PollEpoch("alive", 0); tgt != 4 {
 			t.Fatalf("pre-expiry target %d, want the 4/4 split", tgt)
 		}
 
 		// "hung" says nothing; "alive" polls every DefaultPollInterval.
 		for elapsed := time.Duration(0); elapsed < DefaultLease; elapsed += DefaultPollInterval {
 			time.Sleep(DefaultPollInterval)
-			if _, err := healthy.Poll("alive"); err != nil {
+			if _, _, err := healthy.PollEpoch("alive", 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -47,14 +47,14 @@ func TestServerLeaseExpiresSilentMember(t *testing.T) {
 		if got := srv.coord.Members(); len(got) != 1 || got[0] != "alive" {
 			t.Errorf("members one sweep past the lease: %v, want [alive]", got)
 		}
-		if tgt, err := healthy.Poll("alive"); err != nil || tgt != 8 {
+		if tgt, _, err := healthy.PollEpoch("alive", 0); err != nil || tgt != 8 {
 			t.Errorf("survivor's poll = %d, %v; want the whole machine", tgt, err)
 		}
 		if v := leaseExpiries(srv); v != 1 {
 			t.Errorf("coordinator_lease_expiries_total = %d, want 1", v)
 		}
 		// The sweep closed the silent connection, so its next op fails.
-		if _, err := silent.Poll("hung"); err == nil {
+		if _, _, err := silent.PollEpoch("hung", 0); err == nil {
 			t.Error("poll on a swept connection succeeded")
 		}
 	})
@@ -68,12 +68,12 @@ func TestServerLeaseRenewedByPolls(t *testing.T) {
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()
-		if _, err := c.Register("steady", 4); err != nil {
+		if _, err := c.RegisterWeighted("steady", 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
 			time.Sleep(DefaultLease)
-			if _, err := c.Poll("steady"); err != nil {
+			if _, _, err := c.PollEpoch("steady", 0); err != nil {
 				t.Fatalf("poll %d on a healthy connection: %v", i, err)
 			}
 		}
@@ -89,7 +89,7 @@ func TestServerStatusReportsLease(t *testing.T) {
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()
-		if _, err := c.Register("app", 4); err != nil {
+		if _, err := c.RegisterWeighted("app", 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		// Any op renews its connection's lease, so ask from another one.
@@ -124,12 +124,12 @@ func TestServerReRegisterTakesOverName(t *testing.T) {
 		defer srv.Close()
 		old := pipeClient(srv)
 		defer old.Close()
-		if _, err := old.Register("app", 4); err != nil {
+		if _, err := old.RegisterWeighted("app", 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		fresh := pipeClient(srv)
 		defer fresh.Close()
-		if _, err := fresh.Register("app", 4); err != nil {
+		if _, err := fresh.RegisterWeighted("app", 4, 0); err != nil {
 			t.Fatal(err)
 		}
 
@@ -137,7 +137,7 @@ func TestServerReRegisterTakesOverName(t *testing.T) {
 		// lease); the fresh one polls at the paper's interval.
 		for elapsed := time.Duration(0); elapsed < DefaultLease+2*sweepEvery(DefaultLease); elapsed += DefaultPollInterval {
 			time.Sleep(DefaultPollInterval)
-			if _, err := fresh.Poll("app"); err != nil {
+			if _, _, err := fresh.PollEpoch("app", 0); err != nil {
 				t.Fatalf("successor's poll at %v: %v", elapsed+DefaultPollInterval, err)
 			}
 		}
@@ -145,7 +145,7 @@ func TestServerReRegisterTakesOverName(t *testing.T) {
 		if n := openConns(srv); n != 1 {
 			t.Fatalf("%d connections one sweep past the predecessor's lease, want 1", n)
 		}
-		if _, err := old.Poll("app"); err == nil {
+		if _, _, err := old.PollEpoch("app", 0); err == nil {
 			t.Error("poll on the swept predecessor connection succeeded")
 		}
 		if got := srv.coord.Members(); len(got) != 1 || got[0] != "app" {
@@ -163,14 +163,14 @@ func TestServerLeaseDisabled(t *testing.T) {
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()
-		if _, err := c.Register("app", 4); err != nil {
+		if _, err := c.RegisterWeighted("app", 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		// Silent for ten production leases: the sweep runs with leases
 		// disabled too, since it also bounds reply writes, but has no
 		// lease to expire.
 		time.Sleep(10 * DefaultLease)
-		if _, err := c.Poll("app"); err != nil {
+		if _, _, err := c.PollEpoch("app", 0); err != nil {
 			t.Fatalf("silent member dropped with leases disabled: %v", err)
 		}
 		if got := srv.coord.Members(); len(got) != 1 {
@@ -244,7 +244,7 @@ func TestRecoveredMemberLeaseExpires(t *testing.T) {
 		// cleanup is quiet, so "ghost" survives in the journal.
 		c := pipeClient(srv1)
 		defer c.Close()
-		if _, err := c.Register("ghost", 4); err != nil {
+		if _, err := c.RegisterWeighted("ghost", 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		stop1()
@@ -275,7 +275,7 @@ func TestRecoveredMemberTakeover(t *testing.T) {
 		srv1, stop1 := journaledPipeServer(t, 8, dir)
 		c := pipeClient(srv1)
 		defer c.Close()
-		if _, err := c.Register("phoenix", 4); err != nil {
+		if _, err := c.RegisterWeighted("phoenix", 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		stop1()
@@ -284,13 +284,13 @@ func TestRecoveredMemberTakeover(t *testing.T) {
 		defer stop2()
 		c2 := pipeClient(srv2)
 		defer c2.Close()
-		if _, err := c2.Register("phoenix", 4); err != nil {
+		if _, err := c2.RegisterWeighted("phoenix", 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		// Poll past three recovery leases: the claimed member stays.
 		for elapsed := time.Duration(0); elapsed < 3*DefaultLease; elapsed += DefaultPollInterval {
 			time.Sleep(DefaultPollInterval)
-			if _, err := c2.Poll("phoenix"); err != nil {
+			if _, _, err := c2.PollEpoch("phoenix", 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -334,7 +334,7 @@ func seriesThroughLifecycle(t *testing.T, n int) (counts [4]int) {
 		register := func() *Client {
 			cl := pipeClient(srv)
 			for i := 0; i < n; i++ {
-				if _, err := cl.Register(name(i), 4); err != nil {
+				if _, err := cl.RegisterWeighted(name(i), 4, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -344,7 +344,7 @@ func seriesThroughLifecycle(t *testing.T, n int) (counts [4]int) {
 		cl := register()
 		defer cl.Close()
 		for i := 0; i < n; i++ {
-			if _, err := cl.Poll(name(i)); err != nil {
+			if _, _, err := cl.PollEpoch(name(i), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -414,12 +414,12 @@ func hungAndKilled(t *testing.T) []byte {
 		waitBubble()
 		hung := pipeClient(srv)
 		defer hung.Close()
-		if _, err := hung.Register("hung", 8); err != nil {
+		if _, err := hung.RegisterWeighted("hung", 8, 0); err != nil {
 			t.Fatal(err)
 		}
 		waitBubble()
 		killed := pipeClient(srv)
-		if _, err := killed.Register("killed", 8); err != nil {
+		if _, err := killed.RegisterWeighted("killed", 8, 0); err != nil {
 			t.Fatal(err)
 		}
 		waitBubble()
@@ -453,7 +453,7 @@ func hungAndKilled(t *testing.T) []byte {
 		if got := p.Target(); got != 8 {
 			t.Errorf("pool target %d a poll interval after the reclaim, want the whole machine", got)
 		}
-		if err := flight.WriteJSONL(&log, coord.Events(0)); err != nil {
+		if err := flight.WriteJSONL(&log, coord.rec.Snapshot(0)); err != nil {
 			t.Fatal(err)
 		}
 	})

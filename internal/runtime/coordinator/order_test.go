@@ -92,7 +92,7 @@ func TestOrderTableMatchesCallOrder(t *testing.T) {
 			if i%3 == 2 {
 				c.Unregister(name)
 			} else {
-				c.Register(&fakeMember{name: name, workers: 1 + rng.Intn(8)})
+				c.RegisterWeighted(&fakeMember{name: name, workers: 1 + rng.Intn(8)}, 1)
 			}
 		}
 	}()
@@ -136,7 +136,7 @@ func TestGatherPreservesRegistrationOrder(t *testing.T) {
 	c := New(8)
 	names := []string{"delta", "alpha", "echo", "bravo", "charlie", "foxtrot"}
 	for _, name := range names {
-		c.Register(&fakeMember{name: name, workers: 4})
+		c.RegisterWeighted(&fakeMember{name: name, workers: 4}, 1)
 	}
 	got := c.Members()
 	if len(got) != len(names) {
@@ -149,7 +149,7 @@ func TestGatherPreservesRegistrationOrder(t *testing.T) {
 	}
 	// Re-registration moves the member to the end of allocation order,
 	// as remove-then-append did in the flat table.
-	c.Register(&fakeMember{name: "alpha", workers: 4})
+	c.RegisterWeighted(&fakeMember{name: "alpha", workers: 4}, 1)
 	got = c.Members()
 	if got[len(got)-1] != "alpha" {
 		t.Errorf("re-registered member order %v, want alpha last", got)

@@ -186,7 +186,7 @@ func BenchmarkServedPoll(b *testing.B) {
 		clients[i] = c
 		for j := 0; j < members; j++ {
 			name := fmt.Sprintf("served-%d-%02d", i, j)
-			if _, err := c.Register(name, 4); err != nil {
+			if _, err := c.RegisterWeighted(name, 4, 0); err != nil {
 				b.Fatal(err)
 			}
 			fleet[i] = append(fleet[i], polled{name: name})
@@ -204,7 +204,7 @@ func BenchmarkServedPoll(b *testing.B) {
 			}
 		}
 	}
-	if n := srv.Coordinator().OpenEpochs(); n != 0 {
+	if n := srv.coord.OpenEpochs(); n != 0 {
 		b.Fatalf("%d epochs still open after every member acked", n)
 	}
 	b.ReportAllocs()

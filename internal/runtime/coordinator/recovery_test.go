@@ -90,7 +90,7 @@ func TestJournalCapturesTransitions(t *testing.T) {
 	if _, err := c.RegisterWeighted("web", 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register("batch", 6); err != nil {
+	if _, err := c.RegisterWeighted("batch", 6, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SetExternalLoad(2); err != nil {
@@ -131,7 +131,7 @@ func TestCleanShutdownPreservesRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Register("keepme", 4); err != nil {
+	if _, err := c.RegisterWeighted("keepme", 4, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,7 +155,7 @@ func TestRestartRecoversRegistry(t *testing.T) {
 	if _, err := c.RegisterWeighted("web", 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register("batch", 8); err != nil {
+	if _, err := c.RegisterWeighted("batch", 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := journalMembers(t, dir)
@@ -198,10 +198,10 @@ func TestRestoredTargetsMatchJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Register("a", 8); err != nil {
+	if _, err := c.RegisterWeighted("a", 8, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register("b", 8); err != nil {
+	if _, err := c.RegisterWeighted("b", 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := journalMembers(t, dir)
@@ -255,7 +255,7 @@ func TestJournalStateSnapshotRoundTrip(t *testing.T) {
 func TestJournalDetached(t *testing.T) {
 	c := New(4)
 	m := &fakeMember{name: "solo", workers: 4}
-	c.Register(m)
+	c.RegisterWeighted(m, 1)
 	if got := m.got(); got != 4 {
 		t.Fatalf("solo target %d, want 4", got)
 	}

@@ -18,7 +18,7 @@ func TestBatchingCoalescesRegistrations(t *testing.T) {
 		members := make([]*fakeMember, n)
 		for i := range members {
 			members[i] = &fakeMember{name: fmt.Sprintf("burst%d", i), workers: 4}
-			c.Register(members[i])
+			c.RegisterWeighted(members[i], 1)
 		}
 		sum := func() (total int) {
 			for _, m := range members {
@@ -56,7 +56,7 @@ func TestBatchingStopFlushesPendingWork(t *testing.T) {
 		stop := c.StartBatching(0)
 		start := time.Now()
 		m := &fakeMember{name: "late", workers: 8}
-		c.Register(m)
+		c.RegisterWeighted(m, 1)
 		waitBubble()
 		if got := m.got(); got != 0 {
 			t.Fatalf("target pushed before any flush: %d", got)
@@ -66,7 +66,7 @@ func TestBatchingStopFlushesPendingWork(t *testing.T) {
 			t.Errorf("target after stop-flush = %d at %v, want 8 at once", got, at)
 		}
 		m2 := &fakeMember{name: "after", workers: 8}
-		c.Register(m2)
+		c.RegisterWeighted(m2, 1)
 		if got := m2.got(); got != 4 {
 			t.Errorf("post-batching inline target = %d, want 4", got)
 		}
@@ -108,7 +108,7 @@ func TestDriveWithRetriesBusyRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer holder.Close()
-	if _, err := holder.Register("holder", 4); err != nil {
+	if _, err := holder.RegisterWeighted("holder", 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	runBubble(t, func() {
@@ -148,7 +148,7 @@ func TestRetriedRegistrationKeepsOtherApps(t *testing.T) {
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()
-		if _, err := c.Register("a", 2); err != nil {
+		if _, err := c.RegisterWeighted("a", 2, 0); err != nil {
 			t.Fatal(err)
 		}
 		srv.admit <- struct{}{} // occupy the only admission slot
@@ -168,10 +168,10 @@ func TestRetriedRegistrationKeepsOtherApps(t *testing.T) {
 		if r.at != 2*DefaultBusyRetry {
 			t.Errorf("b admitted at %v, want at its third attempt, %v", r.at, 2*DefaultBusyRetry)
 		}
-		if got := srv.Coordinator().Members(); len(got) != 1 || got[0] != "a" {
+		if got := srv.coord.Members(); len(got) != 1 || got[0] != "a" {
 			t.Errorf("members after b came and went = %v, want a still registered", got)
 		}
-		if _, err := c.Poll("a"); err != nil {
+		if _, _, err := c.PollEpoch("a", 0); err != nil {
 			t.Errorf("poll a on its own connection: %v", err)
 		}
 	})

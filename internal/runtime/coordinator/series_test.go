@@ -17,7 +17,7 @@ import (
 // testdata/daemon_series.golden; edit it only for an intended change.
 func TestDaemonSeriesGolden(t *testing.T) {
 	srv, sock := startServer(t, 8)
-	coord := srv.Coordinator()
+	coord := srv.coord
 	jw, err := journal.Open(t.TempDir(), 1, journal.Options{
 		Metrics:   coord.Metrics(),
 		NowMicros: func() int64 { return time.Now().UnixMicro() },
@@ -35,7 +35,7 @@ func TestDaemonSeriesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Register("web", 4); err != nil {
+	if _, err := c.RegisterWeighted("web", 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	coord.Rebalance()

@@ -290,9 +290,6 @@ func (s *Server) JournalState(at int64) journal.State {
 // Addr returns the listener address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Coordinator exposes the server's coordinator (introspection, tests).
-func (s *Server) Coordinator() *Coordinator { return s.coord }
-
 // Serve accepts connections until Close, running the sweep in the
 // background. It always returns a non-nil error; after Close the error
 // is net.ErrClosed.
@@ -589,7 +586,7 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		return Response{OK: true, Metrics: s.coord.Snapshot()}
 
 	case OpEvents:
-		return Response{OK: true, Events: filterEvents(s.coord.Events(0), req.Since, req.Epoch, req.Limit)}
+		return Response{OK: true, Events: filterEvents(s.coord.rec.Snapshot(0), req.Since, req.Epoch, req.Limit)}
 
 	case OpConverge:
 		return Response{OK: true, Converge: s.coord.conv.Reports(req.Limit)}
@@ -603,7 +600,7 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 // members themselves: live Workers counts, leases and spin%.
 func (s *Server) status() *Status {
 	st := &Status{
-		Capacity:     s.coord.Capacity(),
+		Capacity:     s.coord.capacity(),
 		ExternalLoad: s.coord.ExternalLoad(),
 		LeaseSeconds: s.cfg.Lease.Seconds(),
 	}

@@ -67,18 +67,18 @@ func TestServerRegisterPoll(t *testing.T) {
 	}
 	defer c2.Close()
 
-	target, err := c1.Register("alpha", 8)
+	target, err := c1.RegisterWeighted("alpha", 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if target != 8 {
 		t.Errorf("solo target %d, want 8", target)
 	}
-	if _, err := c2.Register("beta", 8); err != nil {
+	if _, err := c2.RegisterWeighted("beta", 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	// After beta arrives, alpha's next poll sees the split.
-	target, err = c1.Poll("alpha")
+	target, _, err = c1.PollEpoch("alpha", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestServerUnregister(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Register("a", 8)
-	c.Register("b", 8)
+	c.RegisterWeighted("a", 8, 0)
+	c.RegisterWeighted("b", 8, 0)
 	if err := c.Unregister("b"); err != nil {
 		t.Fatal(err)
 	}
-	if target, _ := c.Poll("a"); target != 8 {
+	if target, _, _ := c.PollEpoch("a", 0); target != 8 {
 		t.Errorf("target %d after unregister, want 8", target)
 	}
 	if err := c.Unregister("b"); err == nil {
@@ -111,7 +111,7 @@ func TestServerPollUnknown(t *testing.T) {
 	_, sock := startServer(t, 8)
 	c, _ := Dial("unix", sock)
 	defer c.Close()
-	if _, err := c.Poll("ghost"); err == nil {
+	if _, _, err := c.PollEpoch("ghost", 0); err == nil {
 		t.Error("poll of unregistered app succeeded")
 	}
 }
@@ -120,10 +120,10 @@ func TestServerRegisterValidation(t *testing.T) {
 	_, sock := startServer(t, 8)
 	c, _ := Dial("unix", sock)
 	defer c.Close()
-	if _, err := c.Register("", 4); err == nil {
+	if _, err := c.RegisterWeighted("", 4, 0); err == nil {
 		t.Error("empty app name accepted")
 	}
-	if _, err := c.Register("x", 0); err == nil {
+	if _, err := c.RegisterWeighted("x", 0, 0); err == nil {
 		t.Error("zero procs accepted")
 	}
 }
@@ -138,14 +138,14 @@ func TestServerRegisterRefusesProcsATargetCannotCarry(t *testing.T) {
 	c, _ := Dial("unix", sock)
 	defer c.Close()
 	for _, procs := range []int{maxTarget + 1, 70000} {
-		if target, err := c.Register("big", procs); err == nil {
+		if target, err := c.RegisterWeighted("big", procs, 0); err == nil {
 			t.Errorf("register with procs %d answered target %d, want an error reply", procs, target)
 		}
 	}
 	if got := srv.coord.Members(); len(got) != 0 {
 		t.Errorf("refused registrations left %v registered", got)
 	}
-	if target, err := c.Register("big", maxTarget); err != nil || target != maxTarget {
+	if target, err := c.RegisterWeighted("big", maxTarget, 0); err != nil || target != maxTarget {
 		t.Errorf("register with procs %d = target %d, %v; want it to run uncontrolled until the first flush", maxTarget, target, err)
 	}
 }
@@ -155,16 +155,16 @@ func TestServerConnDropUnregisters(t *testing.T) {
 	c1, _ := Dial("unix", sock)
 	c2, _ := Dial("unix", sock)
 	defer c2.Close()
-	c1.Register("doomed", 8)
-	c2.Register("survivor", 8)
-	if target, _ := c2.Poll("survivor"); target != 4 {
+	c1.RegisterWeighted("doomed", 8, 0)
+	c2.RegisterWeighted("survivor", 8, 0)
+	if target, _, _ := c2.PollEpoch("survivor", 0); target != 4 {
 		t.Fatalf("pre-drop target %d", target)
 	}
 	c1.Close()
 	// The server notices the drop asynchronously.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if target, _ := c2.Poll("survivor"); target == 8 {
+		if target, _, _ := c2.PollEpoch("survivor", 0); target == 8 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -179,7 +179,7 @@ func TestServerSetLoadAndStatus(t *testing.T) {
 	_, sock := startServer(t, 8)
 	c, _ := Dial("unix", sock)
 	defer c.Close()
-	c.Register("app", 8)
+	c.RegisterWeighted("app", 8, 0)
 	if err := c.SetExternalLoad(6); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestServerUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	c := NewClient(conn)
+	c := newClient(conn)
 	if _, err := c.roundTrip(&Request{Op: "bogus"}); err == nil {
 		t.Error("unknown op accepted")
 	}
@@ -221,7 +221,7 @@ func TestServerTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if target, err := c.Register("tcp-app", 4); err != nil || target != 4 {
+	if target, err := c.RegisterWeighted("tcp-app", 4, 0); err != nil || target != 4 {
 		t.Errorf("target=%d err=%v", target, err)
 	}
 }
@@ -237,7 +237,7 @@ func TestClientDrive(t *testing.T) {
 	}
 	defer c.Close()
 	p := pool.New(pool.Config{Name: "driven", Workers: 4})
-	stop, err := c.Drive("driven", 4, p, 10*time.Millisecond)
+	d, err := c.DriveWith("driven", 4, p, DriveOptions{Interval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestClientDrive(t *testing.T) {
 		t.Errorf("initial driven target %d", p.Target())
 	}
 	// A second app arrives; the poller must shrink the pool's target.
-	cOther.Register("other", 4)
+	cOther.RegisterWeighted("other", 4, 0)
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Target() != 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -253,10 +253,10 @@ func TestClientDrive(t *testing.T) {
 	if p.Target() != 2 {
 		t.Fatalf("driven target %d, want 2", p.Target())
 	}
-	stop()
-	stop() // idempotent
+	d.Stop()
+	d.Stop() // idempotent
 	// After stop, the app is unregistered: the other app gets everything.
-	if target, _ := cOther.Poll("other"); target != 4 {
+	if target, _, _ := cOther.PollEpoch("other", 0); target != 4 {
 		t.Errorf("other's target %d after stop, want 4", target)
 	}
 	p.Close()
@@ -266,9 +266,9 @@ func TestClientDrive(t *testing.T) {
 func TestServerCloseDropsConnections(t *testing.T) {
 	srv, sock := startServer(t, 8)
 	c, _ := Dial("unix", sock)
-	c.Register("a", 4)
+	c.RegisterWeighted("a", 4, 0)
 	srv.Close()
-	if _, err := c.Poll("a"); err == nil {
+	if _, _, err := c.PollEpoch("a", 0); err == nil {
 		t.Error("poll succeeded after server close")
 	}
 	c.Close()
@@ -288,12 +288,12 @@ func TestServerRefusesUnusableAppNames(t *testing.T) {
 	defer c.Close()
 	bad := []string{"a b", `a"b`, "a{b}", "a\nb", "a/b", "é", strings.Repeat("x", maxAppName+1)}
 	for _, name := range bad {
-		if _, err := c.Register(name, 4); err == nil || !strings.Contains(err.Error(), "app name") {
+		if _, err := c.RegisterWeighted(name, 4, 0); err == nil || !strings.Contains(err.Error(), "app name") {
 			t.Errorf("Register(%q): err = %v, want the name refused", name, err)
 		}
 	}
 	for _, name := range []string{"web", "app-00017-3fa2c1", "Batch_2.v1:blue", strings.Repeat("x", maxAppName)} {
-		if _, err := c.Register(name, 4); err != nil {
+		if _, err := c.RegisterWeighted(name, 4, 0); err != nil {
 			t.Errorf("Register(%q): %v", name, err)
 		}
 	}
@@ -306,7 +306,7 @@ func TestServerRefusesUnusableAppNames(t *testing.T) {
 	}
 	// The connection survived every refusal, and poll has no such check:
 	// an unregistered name is simply not found.
-	if _, err := c.Poll("a b"); err == nil || !strings.Contains(err.Error(), "not registered") {
+	if _, _, err := c.PollEpoch("a b", 0); err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Errorf(`Poll("a b"): err = %v, want "not registered"`, err)
 	}
 }

@@ -19,7 +19,7 @@ func remoteFleet(t *testing.T, c *Coordinator, n int) []*remoteMember {
 	for i := range members {
 		members[i] = &remoteMember{name: fmt.Sprintf("app-%02d", i), procs: 16}
 		members[i].SetTargetEpoch(16, 0)
-		c.Register(members[i])
+		c.RegisterWeighted(members[i], 1)
 	}
 	ackAll(c, members)
 	if n := c.OpenEpochs(); n != 0 {
@@ -103,7 +103,7 @@ func TestConcurrentChurnSettlesOnRegistry(t *testing.T) {
 		sum += m.Target
 		c.AckApplied(m.Key, epoch, time.Now().UnixMicro())
 	}
-	if available := core.Available(c.Capacity(), c.ExternalLoad()); sum > available {
+	if available := core.Available(c.capacity(), c.ExternalLoad()); sum > available {
 		t.Errorf("targets sum to %d, above the %d available", sum, available)
 	}
 	if m := c.Snapshot().Get("coordinator_targets_sum"); m == nil || m.Value != int64(sum) {
@@ -113,7 +113,7 @@ func TestConcurrentChurnSettlesOnRegistry(t *testing.T) {
 		t.Errorf("%d epochs open after every member acked epoch %d", n, last)
 	}
 	newest := make(map[string]uint64)
-	for _, ev := range c.Events(0) {
+	for _, ev := range c.rec.Snapshot(0) {
 		if ev.Kind != flight.KindTarget {
 			continue
 		}
@@ -128,13 +128,13 @@ func TestConcurrentChurnSettlesOnRegistry(t *testing.T) {
 // decided: the next target record still journals the change from it.
 func TestReRegisterInheritsLastPushed(t *testing.T) {
 	c := New(8)
-	c.Register(&fakeMember{name: "solo", workers: 8})
+	c.RegisterWeighted(&fakeMember{name: "solo", workers: 8}, 1)
 	if got := c.Targets()["solo"]; got != 8 {
 		t.Fatalf("Targets()[solo] = %d, want 8", got)
 	}
-	c.Register(&fakeMember{name: "solo", workers: 3})
+	c.RegisterWeighted(&fakeMember{name: "solo", workers: 3}, 1)
 	var last flight.Event
-	for _, ev := range c.Events(0) {
+	for _, ev := range c.rec.Snapshot(0) {
 		if ev.Kind == flight.KindTarget {
 			last = ev
 		}

@@ -15,8 +15,8 @@ import (
 // rebalance, with exported quantiles.
 func TestRebalanceSpansRecorded(t *testing.T) {
 	c := New(8)
-	c.Register(&fakeMember{name: "a", workers: 8})
-	c.Register(&fakeMember{name: "b", workers: 8})
+	c.RegisterWeighted(&fakeMember{name: "a", workers: 8}, 1)
+	c.RegisterWeighted(&fakeMember{name: "b", workers: 8}, 1)
 	for i := 0; i < 10; i++ {
 		c.Rebalance()
 	}
@@ -51,11 +51,11 @@ func TestRebalanceSpansRecorded(t *testing.T) {
 // target changes, rebalance spans, and the unregister, in order.
 func TestFlightRecorderCapturesMembershipStory(t *testing.T) {
 	c := New(4)
-	c.Register(&fakeMember{name: "fft", workers: 4})
-	c.Register(&fakeMember{name: "sort", workers: 4})
+	c.RegisterWeighted(&fakeMember{name: "fft", workers: 4}, 1)
+	c.RegisterWeighted(&fakeMember{name: "sort", workers: 4}, 1)
 	c.Unregister("sort")
 
-	evs := c.Events(0)
+	evs := c.rec.Snapshot(0)
 	if len(evs) == 0 {
 		t.Fatal("flight recorder empty after membership churn")
 	}
@@ -100,9 +100,9 @@ func TestFlightRecorderCapturesMembershipStory(t *testing.T) {
 
 	// Steady-state rebalances (no target movement) must not log target
 	// events — only spans.
-	before := len(c.Events(0))
+	before := len(c.rec.Snapshot(0))
 	c.Rebalance()
-	after := c.Events(0)
+	after := c.rec.Snapshot(0)
 	var fresh []flight.Event
 	for _, ev := range after {
 		if int(ev.Seq) >= before {
@@ -133,11 +133,11 @@ func TestEventsOpOverSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Register("wire", 3); err != nil {
+	if _, err := client.RegisterWeighted("wire", 3, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	evs, err := client.Events(0)
+	evs, err := client.Events(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestEventsOpOverSocket(t *testing.T) {
 	}
 
 	// Limit trims from the oldest side.
-	limited, err := client.Events(1)
+	limited, err := client.Events(1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

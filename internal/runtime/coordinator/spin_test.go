@@ -34,10 +34,10 @@ func TestSpinReportedOverWire(t *testing.T) {
 	defer c.Close()
 
 	v := 37.5
-	if _, err := c.register("noisy", 4, &v); err != nil {
+	if _, _, err := c.registerEpoch("noisy", 4, 0, &v, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register("quiet", 4); err != nil {
+	if _, err := c.RegisterWeighted("quiet", 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	spin := statusSpin(t, c)
@@ -50,10 +50,10 @@ func TestSpinReportedOverWire(t *testing.T) {
 
 	// A poll refreshes the stored report; a spin-less poll keeps it.
 	v2 := 12.0
-	if _, err := c.poll("noisy", &v2); err != nil {
+	if _, _, err := c.pollEpoch("noisy", &v2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Poll("noisy"); err != nil {
+	if _, _, err := c.PollEpoch("noisy", 0); err != nil {
 		t.Fatal(err)
 	}
 	spin = statusSpin(t, c)
@@ -68,7 +68,7 @@ func TestStatusSamplesInProcessSpin(t *testing.T) {
 	srv, sock := startServer(t, 8)
 	p := pool.New(pool.Config{Name: "inproc", Workers: 2})
 	defer func() { p.Close(); p.Wait() }()
-	srv.coord.Register(p)
+	srv.coord.RegisterWeighted(p, 1)
 
 	c, err := Dial("unix", sock)
 	if err != nil {

@@ -24,7 +24,7 @@ func TestRacingRebalancesEndOnNewestEpoch(t *testing.T) {
 	for i := range pools {
 		pools[i] = pool.New(pool.Config{Name: fmt.Sprintf("p%d", i), Workers: 8})
 		defer pools[i].Close()
-		c.Register(pools[i])
+		c.RegisterWeighted(pools[i], 1)
 	}
 	for round := 0; round < 500; round++ {
 		var wg sync.WaitGroup
@@ -106,7 +106,7 @@ func TestCoordinatorRaceStress(t *testing.T) {
 				}
 				c.Rebalance()
 				_ = c.Targets()
-				_ = c.Capacity()
+				_ = c.capacity()
 				c.SetExternalLoad(j % 3)
 				c.Unregister(p.Name())
 			}
@@ -126,12 +126,12 @@ func TestCoordinatorRaceStress(t *testing.T) {
 			}
 			defer cl.Close()
 			app := fmt.Sprintf("remote-%d", i)
-			if _, err := cl.Register(app, 8); err != nil {
+			if _, err := cl.RegisterWeighted(app, 8, 0); err != nil {
 				t.Errorf("register: %v", err)
 				return
 			}
 			for j := 0; j < iters; j++ {
-				if _, err := cl.Poll(app); err != nil {
+				if _, _, err := cl.PollEpoch(app, 0); err != nil {
 					t.Errorf("poll: %v", err)
 					return
 				}
@@ -270,7 +270,7 @@ func (rig placeholderRig) outcome(t *testing.T, client *connState) (expired bool
 		t.Fatalf("ghost is held by %+v, not by the client's registration", m)
 	}
 	counts := make(map[string]int64)
-	for _, ev := range c.Events(0) {
+	for _, ev := range c.rec.Snapshot(0) {
 		if ev.App == "ghost" {
 			counts[ev.Kind]++
 		}
@@ -382,7 +382,7 @@ func TestMassLeaseExpiry(t *testing.T) {
 		for _, j := range rand.Perm(each) { // registration order is not name order
 			name := fmt.Sprintf("c%03d-m%d", i, j)
 			connOf[name] = i
-			if _, err := cl.Register(name, 2); err != nil {
+			if _, err := cl.RegisterWeighted(name, 2, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -67,7 +67,7 @@ func startPipeServer(capacity int, cfg ServerConfig) *Server {
 }
 
 // pipeClient dials srv, a server on a pipeListener.
-func pipeClient(srv *Server) *Client { return NewClient(srv.ln.(*pipeListener).dial()) }
+func pipeClient(srv *Server) *Client { return newClient(srv.ln.(*pipeListener).dial()) }
 
 // openConns counts the connections srv still serves.
 func openConns(srv *Server) int {

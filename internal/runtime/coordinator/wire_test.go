@@ -425,7 +425,7 @@ func TestNewClientOldServer(t *testing.T) {
 			}
 		}
 	}()
-	c := NewClient(cconn)
+	c := newClient(cconn)
 	defer c.Close()
 	spin := 1e-7 // outside the plain floats: the request takes the json path
 	if target, epoch, err := c.registerEpoch("q\"é", 5, 2, &spin, 6); err != nil || target != 8 || epoch != 7 {
@@ -443,8 +443,8 @@ func TestNewClientOldServer(t *testing.T) {
 	if st, err := c.Status(); err != nil || st.Capacity != 8 || len(st.Apps) != 1 || st.Apps[0].Name != "a<b" {
 		t.Errorf("status = %+v, %v", st, err)
 	}
-	var busy *BusyError
-	if err := c.SetExternalLoad(1); !errors.As(err, &busy) || busy.RetryAfter != DefaultBusyRetry {
+	var busy *busyError
+	if err := c.SetExternalLoad(1); !errors.As(err, &busy) || busy.retryAfter != DefaultBusyRetry {
 		t.Errorf("setload = %v, want a busy error with the advisory wait", err)
 	}
 	if err := c.Unregister("x"); err == nil || !strings.Contains(err.Error(), `unknown op "unregister"`) {
@@ -553,7 +553,7 @@ func TestServerPollAllocatesNothing(t *testing.T) {
 
 func TestClientPollAllocatesNothing(t *testing.T) {
 	conn := &scriptConn{reply: []byte(`{"ok":true,"target":3,"epoch":12}` + "\n")}
-	c := NewClient(conn)
+	c := newClient(conn)
 	var target int
 	var epoch uint64
 	var err error

@@ -254,14 +254,6 @@ func (p *Pool) ResetEpoch() {
 	p.mu.Unlock()
 }
 
-// Epoch returns the rebalance epoch of the current target (0 when the
-// target was set without one).
-func (p *Pool) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
-
 // Settled reports whether the runnable count has reached the current
 // target.
 func (p *Pool) Settled() bool {

@@ -10,6 +10,14 @@ import (
 	"procctl/internal/metrics"
 )
 
+// epochOf reads the rebalance epoch of the pool's current target (0
+// when the target was set without one).
+func epochOf(p *Pool) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.epoch
+}
+
 func TestAllTasksRun(t *testing.T) {
 	p := New(Config{Name: "t", Workers: 4})
 	var n atomic.Int64
@@ -346,7 +354,7 @@ func TestSetTargetEpochSettles(t *testing.T) {
 	if applied := p.SetTargetEpoch(2, 9); !applied {
 		t.Fatal("in-process member did not report the epoch applied")
 	}
-	if e := p.Epoch(); e != 9 {
+	if e := epochOf(p); e != 9 {
 		t.Fatalf("epoch = %d, want 9", e)
 	}
 	// Workers park at their next suspension point; the settle instant
@@ -369,7 +377,7 @@ func TestSetTargetEpochSettles(t *testing.T) {
 	// Re-pushing the unchanged target keeps the epoch that set it and
 	// settles nothing: only genuine changes have propagation to observe.
 	p.SetTargetEpoch(2, 10)
-	if e := p.Epoch(); e != 9 {
+	if e := epochOf(p); e != 9 {
 		t.Errorf("unchanged re-push moved the epoch to %d, want 9 kept", e)
 	}
 	if n := len(settleEvents(rec)); n != 1 {
@@ -407,7 +415,7 @@ func TestSetTargetEpochRefusesOlderEpoch(t *testing.T) {
 	if applied := p.SetTargetEpoch(2, 6); !applied {
 		t.Error("a refused older epoch was answered not applied")
 	}
-	if got, e := p.Target(), p.Epoch(); got != 4 || e != 5 {
+	if got, e := p.Target(), epochOf(p); got != 4 || e != 5 {
 		t.Fatalf("after pushes (4, epoch 5), (4, 7), (2, 6): target %d epoch %d, want target 4 epoch 5", got, e)
 	}
 	p.SetTarget(3)
@@ -420,7 +428,7 @@ func TestSetTargetEpochRefusesOlderEpoch(t *testing.T) {
 	}
 	p.ResetEpoch() // the coordinator restarted without its journal
 	p.SetTargetEpoch(2, 1)
-	if got, e := p.Target(), p.Epoch(); got != 2 || e != 1 {
+	if got, e := p.Target(), epochOf(p); got != 2 || e != 1 {
 		t.Fatalf("after ResetEpoch, (2, epoch 1): target %d epoch %d, want target 2 epoch 1", got, e)
 	}
 }

@@ -122,7 +122,6 @@ type App struct {
 	lastPoll sim.Time
 	polled   bool
 
-	procs    []*kernel.Process
 	started  sim.Time
 	finished sim.Time
 	done     bool
@@ -176,7 +175,7 @@ func (a *App) spawnWorkers() {
 	workers := make([]workerState, a.cfg.Procs)
 	for i := range workers {
 		workers[i].a = a
-		a.procs = append(a.procs, a.k.SpawnResumable(a.workerName(i), a.id, a.cfg.WorkingSet, workers[i].step))
+		a.k.SpawnResumable(a.workerName(i), a.id, a.cfg.WorkingSet, workers[i].step)
 	}
 }
 
@@ -240,17 +239,8 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 // workerName is the debug name of the application's i-th process.
 func (a *App) workerName(i int) string { return fmt.Sprintf("%s/w%d", a.name, i) }
 
-// ID returns the application's kernel AppID.
-func (a *App) ID() kernel.AppID { return a.id }
-
 // Name returns the workload name.
 func (a *App) Name() string { return a.name }
-
-// Workload returns the workload being executed.
-func (a *App) Workload() *Workload { return a.wl }
-
-// Procs returns the kernel processes, in creation order.
-func (a *App) Procs() []*kernel.Process { return a.procs }
 
 // Done reports whether every task has finished.
 func (a *App) Done() bool { return a.done }
@@ -263,9 +253,6 @@ func (a *App) Elapsed() sim.Duration {
 	}
 	return a.finished.Sub(a.started)
 }
-
-// QueueLock exposes the ready-queue lock for instrumentation.
-func (a *App) QueueLock() *kernel.SpinLock { return a.qlock }
 
 // Runnable returns the number of workers currently not suspended by
 // process control.
@@ -540,9 +527,6 @@ func (a *App) annotate(env *kernel.Env, kind string, task, target int, d sim.Dur
 		Dur:    d,
 	})
 }
-
-// DebugState reports internal queue state for diagnostics.
-func (a *App) DebugState() (ready, remain int) { return a.queued(), a.remain }
 
 // LatencyStats summarizes per-task timing from a RecordLatency run:
 // Wait is each task's time from becoming ready to being dequeued (the

@@ -380,7 +380,7 @@ func (c workerCase) run(reference bool) workerRun {
 	a.cfg.DequeueCost, a.cfg.EmptyCheckCost, a.cfg.CompleteCost, a.cfg.IdleSpin = c.dequeue, c.emptyCheck, c.complete, c.idleSpin
 	if reference {
 		for i := 0; i < a.cfg.Procs; i++ {
-			a.procs = append(a.procs, spawnBlocking(k, a.workerName(i), a.id, a.cfg.WorkingSet, a.referenceWorker))
+			spawnBlocking(k, a.workerName(i), a.id, a.cfg.WorkingSet, a.referenceWorker)
 		}
 	} else {
 		a.spawnWorkers()

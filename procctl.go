@@ -21,7 +21,7 @@
 //
 //	coord := procctl.NewCoordinator(0) // manage GOMAXPROCS processors
 //	p := procctl.NewPool(procctl.PoolConfig{Name: "render", Workers: 16})
-//	coord.Register(p)
+//	coord.RegisterWeighted(p, 1)
 //	p.Submit(func() { ... })
 package procctl
 
@@ -67,6 +67,10 @@ type Client = coordinator.Client
 // Dial connects to a procctld daemon (e.g. "unix",
 // "/tmp/procctld.sock").
 func Dial(network, addr string) (*Client, error) { return coordinator.Dial(network, addr) }
+
+// DriveOptions tunes Client.DriveWith, the poll loop that applies the
+// daemon's targets to a Pool.
+type DriveOptions = coordinator.DriveOptions
 
 // Server bridges a net.Listener to a Coordinator; cmd/procctld wraps it.
 type Server = coordinator.Server

@@ -14,8 +14,8 @@ func TestFacadePoolAndCoordinator(t *testing.T) {
 	coord := procctl.NewCoordinator(4)
 	a := procctl.NewPool(procctl.PoolConfig{Name: "a", Workers: 4})
 	b := procctl.NewPool(procctl.PoolConfig{Name: "b", Workers: 4})
-	coord.Register(a)
-	coord.Register(b)
+	coord.RegisterWeighted(a, 1)
+	coord.RegisterWeighted(b, 1)
 	if a.Target() != 2 || b.Target() != 2 {
 		t.Errorf("targets %d/%d, want 2/2", a.Target(), b.Target())
 	}
@@ -67,11 +67,11 @@ func TestFacadeDaemonRoundTrip(t *testing.T) {
 	defer client.Close()
 
 	p := procctl.NewPool(procctl.PoolConfig{Name: "remote", Workers: 8})
-	stop, err := client.Drive("remote", 8, p, 10*time.Millisecond)
+	d, err := client.DriveWith("remote", 8, p, procctl.DriveOptions{Interval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
+	defer d.Stop()
 	if p.Target() != 8 {
 		t.Errorf("target %d, want 8", p.Target())
 	}
