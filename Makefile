@@ -47,13 +47,15 @@ benchmark-test:
 # What is left to check there is the threads differential test, whose
 # reference worker runs on a goroutine of its own and hands control to
 # and from the engine over channels, the flight recorder's appends while
-# its ring is still growing (the second line), and the one immutable
-# threads.Workload that backs the concurrent runs of a figure sweep (the
-# third). The package list stays whole, so no race coverage is dropped.
+# its ring is still growing (the second line), and, on the third, the
+# one immutable threads.Workload that backs the concurrent runs of a
+# figure sweep and every figure's fanOut with two seeds per point
+# (TestFiguresGolden, ~10 s under -race on two cores). The package list
+# stays whole, so no race coverage is dropped.
 race:
 	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/...
 	$(SYNCTEST) $(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...
-	$(SYNCTEST) $(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns' ./internal/experiments
+	$(SYNCTEST) $(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns|TestFiguresGolden' ./internal/experiments
 
 # Short fuzz passes over the journal's frame decoder and fsck, over the
 # control plane's line codec (differential against encoding/json), over
@@ -118,8 +120,9 @@ daemon-smoke:
 # _test.go files, testdata/, the benchmark module and its build cache),
 # how many of them are in internal/runtime, and that layer's exported
 # surface: the declarations and methods `go doc -all` lists for its
-# packages (struct fields are not counted). Then ROADMAP item 7's
-# measure: the non-test lines of internal/analysis. Then the root
+# packages (struct fields are not counted). Then the size of
+# procctl-vet's analyzers: the non-test lines of internal/analysis
+# (EXPERIMENTS.md SIMPL-6 and SIMPL-8 cut them). Then the root
 # module's _test.go lines (outside testdata/), for a SIMPL entry's
 # test-line delta. Last, the same `go doc -all` count over every
 # package of the root module (commands list nothing), so an accessor

@@ -38,13 +38,11 @@ import (
 	"path/filepath"
 	"strings"
 
-	"procctl/internal/apps"
 	"procctl/internal/experiments"
 	"procctl/internal/flight"
 	"procctl/internal/journal"
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
-	"procctl/internal/threads"
 	"procctl/internal/trace"
 )
 
@@ -114,19 +112,12 @@ func record(args []string) {
 	}
 	o.NewPolicy = factory
 
-	s := experiments.NewSim(o, *control)
-	rec := trace.NewRecorder(s.K, w, trace.Meta{Seed: *seed, Control: *control})
-	cfg := threads.Config{Procs: 12}
-	if s.Server != nil {
-		cfg.Controller = s.Server
-	}
-	threads.Launch(s.K, kernel.AppID(1), apps.PaperMatmul(), cfg)
-	threads.Launch(s.K, kernel.AppID(2), apps.PaperFFT(), cfg)
-	apps.Background(s.K, 2, 20*sim.Millisecond, 30*sim.Millisecond)
-
-	s.Eng.Run(sim.Time(sim.DurationOf(*seconds)))
-	s.K.Finalize()
-	if err := rec.Close(); err != nil {
+	var rec *trace.Recorder
+	experiments.DemoMix(o, *control, sim.DurationOf(*seconds), func(k *kernel.Kernel) func() {
+		rec = trace.NewRecorder(k, w, trace.Meta{Seed: *seed, Control: *control})
+		return nil
+	})
+	if err := rec.Close(); err != nil { // after the kernel's final accounting
 		log.Fatalf("procctl-trace: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "procctl-trace: %d events over %.1fs virtual time\n", rec.Events(), *seconds)

@@ -18,13 +18,14 @@ import (
 func main() {
 	o := experiments.Options{Seed: 42, Seeds: 1}
 
-	t1 := experiments.SeqTime(o, apps.PaperGauss)
+	gauss := apps.PaperGauss()
+	t1 := experiments.Solo(o, gauss, 1, false)
 	fmt.Printf("gauss: %.1fs sequential on the simulated Multimax\n\n", t1.Seconds())
 	fmt.Printf("%6s  %10s  %10s\n", "procs", "original", "controlled")
 
 	for _, procs := range []int{1, 2, 4, 8, 12, 16, 20, 24} {
-		off := experiments.Solo(o, apps.PaperGauss(), procs, false)
-		on := experiments.Solo(o, apps.PaperGauss(), procs, true)
+		off := experiments.Solo(o, gauss, procs, false)
+		on := experiments.Solo(o, gauss, procs, true)
 		fmt.Printf("%6d  %9.2fx  %9.2fx\n", procs,
 			t1.Seconds()/off.Seconds(), t1.Seconds()/on.Seconds())
 	}

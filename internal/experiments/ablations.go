@@ -33,33 +33,22 @@ func PollSweep(o Options, intervals []sim.Duration) *PollSweepResult {
 		}
 	}
 	mix := DefaultFig4Mix()
-	wls := mixWorkloads(mix)
-	res := &PollSweepResult{Mix: mix, Intervals: intervals}
+	mixRun := simRun{o: o, control: true, apps: mixLaunches(mix), staggered: true, sample: true}
+	var runs []simRun
 	for _, iv := range intervals {
-		oo := o
-		oo.PollInterval = iv
-		run := fig4Run(oo, mix, wls, true)
+		mixRun.o.PollInterval = iv
+		runs = append(runs, perSeed(mixRun)...)
+	}
+	outs := fanOut(runs)
+	res := &PollSweepResult{Mix: mix, Intervals: intervals}
+	for i := range intervals {
+		seeds := outs[i*o.Seeds:][:o.Seeds]
 		var sum sim.Duration
-		for _, e := range run.Elapsed {
+		for _, e := range meanElapsed(seeds) {
 			sum += e
 		}
-		res.MeanElapsed = append(res.MeanElapsed, sum/sim.Duration(len(run.Elapsed)))
-
-		ncpu := oo.Machine.NumCPU
-		if ncpu == 0 {
-			ncpu = machine.Multimax16().NumCPU
-		}
-		over, n := 0.0, 0
-		for _, smp := range run.Samples {
-			if smp.Total > ncpu {
-				over += float64(smp.Total - ncpu)
-			}
-			n++
-		}
-		if n > 0 {
-			over /= float64(n)
-		}
-		res.MeanOverload = append(res.MeanOverload, over)
+		res.MeanElapsed = append(res.MeanElapsed, sum/sim.Duration(len(mix)))
+		res.MeanOverload = append(res.MeanOverload, meanOverload(seeds[0].samples, o.Machine.NumCPU))
 	}
 	return res
 }
@@ -91,22 +80,25 @@ func CacheSweep(o Options, factors []float64) *CacheSweepResult {
 	if len(factors) == 0 {
 		factors = []float64{1, 2, 5, 10}
 	}
-	res := &CacheSweepResult{Factors: factors}
 	const procs = 24
 	mm := apps.PaperMatmul()
+	var runs []simRun
 	for _, f := range factors {
 		oo := o
 		oo.Machine = machine.Scalable(f)
-		t1 := Solo(oo, mm, 1, false)
-		var off, on []float64
-		for si := 0; si < o.Seeds; si++ {
-			os := oo
-			os.Seed = o.Seed + uint64(si)
-			off = append(off, t1.Seconds()/Solo(os, mm, procs, false).Seconds())
-			on = append(on, t1.Seconds()/Solo(os, mm, procs, true).Seconds())
-		}
-		res.Uncontrolled = append(res.Uncontrolled, mean(off))
-		res.Controlled = append(res.Controlled, mean(on))
+		runs = append(runs, solo(oo, mm, 1, false))
+		runs = append(runs, perSeed(solo(oo, mm, procs, false))...)
+		runs = append(runs, perSeed(solo(oo, mm, procs, true))...)
+	}
+	outs := fanOut(runs)
+	res := &CacheSweepResult{Factors: factors}
+	for range factors {
+		t1 := outs[0].elapsed[0]
+		outs = outs[1:]
+		off, on := outs[:o.Seeds], outs[o.Seeds:][:o.Seeds]
+		res.Uncontrolled = append(res.Uncontrolled, meanSpeedup(t1, off, 0))
+		res.Controlled = append(res.Controlled, meanSpeedup(t1, on, 0))
+		outs = outs[2*o.Seeds:]
 	}
 	return res
 }
@@ -139,27 +131,23 @@ func QuantumSweep(o Options, quanta []sim.Duration) *QuantumSweepResult {
 			300 * sim.Millisecond, 1000 * sim.Millisecond,
 		}
 	}
-	res := &QuantumSweepResult{Quanta: quanta}
 	const procs = 24
-	wlmm, wlff := apps.PaperMatmul(), apps.PaperFFT()
+	mm, ff := apps.PaperMatmul(), apps.PaperFFT()
+	var runs []simRun
 	for _, q := range quanta {
 		oo := o
 		oo.Kernel.Quantum = q
-		t1mm, t1ff := Solo(oo, wlmm, 1, false), Solo(oo, wlff, 1, false)
-		var mms, ffs []float64
-		for si := 0; si < o.Seeds; si++ {
-			os := oo
-			os.Seed = o.Seed + uint64(si)
-			s := NewSim(os, false)
-			mm := s.LaunchNow(1, wlmm, procs)
-			ff := s.LaunchNow(2, wlff, procs)
-			ok := s.RunUntil(func() bool { return mm.Done() && ff.Done() })
-			s.mustFinish(ok, "quantum sweep mix")
-			mms = append(mms, t1mm.Seconds()/mm.Elapsed().Seconds())
-			ffs = append(ffs, t1ff.Seconds()/ff.Elapsed().Seconds())
-		}
-		res.Matmul = append(res.Matmul, mean(mms))
-		res.FFT = append(res.FFT, mean(ffs))
+		runs = append(runs, solo(oo, mm, 1, false), solo(oo, ff, 1, false))
+		runs = append(runs, perSeed(simRun{o: oo, apps: []launch{{wl: mm, procs: procs}, {wl: ff, procs: procs}}})...)
+	}
+	outs := fanOut(runs)
+	res := &QuantumSweepResult{Quanta: quanta}
+	for range quanta {
+		t1mm, t1ff := outs[0].elapsed[0], outs[1].elapsed[0]
+		outs = outs[2:]
+		res.Matmul = append(res.Matmul, meanSpeedup(t1mm, outs[:o.Seeds], 0))
+		res.FFT = append(res.FFT, meanSpeedup(t1ff, outs[:o.Seeds], 1))
+		outs = outs[o.Seeds:]
 	}
 	return res
 }
@@ -190,62 +178,49 @@ type UncontrolledMixResult struct {
 // timeshare and partition policies.
 func UncontrolledMix(o Options) *UncontrolledMixResult {
 	o = o.withDefaults()
-	res := &UncontrolledMixResult{}
-	wlGauss, wlMatmul := apps.BigGauss(), apps.BigMatmul()
-	policies := []struct {
-		name string
-		make func() kernel.Policy
-	}{
-		{"timeshare", func() kernel.Policy { return kernel.NewTimeshare() }},
-		{"partition", func() kernel.Policy { return kernel.NewPartition() }},
+	policies := []string{"timeshare", "partition"}
+	_, factories := NamedPolicies()
+	// Only gauss registers with the server; the greedy matmul bypasses it.
+	mixRun := simRun{o: o, control: true, apps: []launch{
+		{wl: apps.BigGauss(), procs: 16},
+		{wl: apps.BigMatmul(), procs: 16, greedy: true},
+	}}
+	var runs []simRun
+	shares := make([]float64, len(policies)*o.Seeds)
+	for p, name := range policies {
+		mixRun.o.NewPolicy = factories[name]
+		for si, r := range perSeed(mixRun) {
+			r.read = func(s *Sim, _ []*threads.App) { shares[p*o.Seeds+si] = gaussShare(s.K) }
+			runs = append(runs, r)
+		}
 	}
-	for _, pol := range policies {
-		oo := o
-		oo.NewPolicy = pol.make
-		type out struct {
-			g, m  sim.Duration
-			share float64
-		}
-		outs := make([]out, o.Seeds)
-		parallelFor(o.Seeds, func(si int) {
-			os := oo
-			os.Seed = o.Seed + uint64(si)
-			s := NewSim(os, true) // server present; only gauss registers
-			gauss := s.LaunchNow(1, wlGauss, 16)
-			// The greedy application bypasses the controller.
-			cfg := os.Threads
-			cfg.Procs = 16
-			matmul := threads.Launch(s.K, 2, wlMatmul, cfg)
-			ok := s.RunUntil(func() bool { return gauss.Done() && matmul.Done() })
-			s.mustFinish(ok, "uncontrolled mix under "+pol.name)
-			var gcpu, mcpu sim.Duration
-			for _, p := range s.K.Processes() {
-				switch p.App() {
-				case 1:
-					gcpu += p.Stats.CPUTime
-				case 2:
-					mcpu += p.Stats.CPUTime
-				}
-			}
-			share := 0.0
-			if gcpu+mcpu > 0 {
-				share = float64(gcpu) / float64(gcpu+mcpu)
-			}
-			outs[si] = out{g: gauss.Elapsed(), m: matmul.Elapsed(), share: share}
-		})
-		var gsum, msum sim.Duration
-		var shares []float64
-		for _, ot := range outs {
-			gsum += ot.g
-			msum += ot.m
-			shares = append(shares, ot.share)
-		}
-		res.Policies = append(res.Policies, pol.name)
-		res.ControlledApp = append(res.ControlledApp, gsum/sim.Duration(o.Seeds))
-		res.UncontrolledApp = append(res.UncontrolledApp, msum/sim.Duration(o.Seeds))
-		res.ControlledShare = append(res.ControlledShare, mean(shares))
+	outs := fanOut(runs)
+	res := &UncontrolledMixResult{Policies: policies}
+	for p := range policies {
+		elapsed := meanElapsed(outs[p*o.Seeds:][:o.Seeds])
+		res.ControlledApp = append(res.ControlledApp, elapsed[0])
+		res.UncontrolledApp = append(res.UncontrolledApp, elapsed[1])
+		res.ControlledShare = append(res.ControlledShare, mean(shares[p*o.Seeds:][:o.Seeds]))
 	}
 	return res
+}
+
+// gaussShare is application 1's fraction of the CPU time applications 1
+// and 2 received.
+func gaussShare(k *kernel.Kernel) float64 {
+	var gcpu, mcpu sim.Duration
+	for _, p := range k.Processes() {
+		switch p.App() {
+		case 1:
+			gcpu += p.Stats.CPUTime
+		case 2:
+			mcpu += p.Stats.CPUTime
+		}
+	}
+	if gcpu+mcpu == 0 {
+		return 0
+	}
+	return float64(gcpu) / float64(gcpu+mcpu)
 }
 
 // Render prints the comparison.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 
 	"procctl/internal/ctrl"
 	"procctl/internal/kernel"
@@ -40,107 +41,45 @@ func Decentral(o Options, mix []Fig4Arrival) *DecentralResult {
 	if len(mix) == 0 {
 		mix = DefaultFig4Mix()
 	}
-	res := &DecentralResult{Mix: mix}
-	wls := mixWorkloads(mix)
-
-	type mode struct {
-		name string
-		make func(k *kernel.Kernel) (threads.Controller, func() int64)
-	}
-	modes := []mode{
-		{"centralized", func(k *kernel.Kernel) (threads.Controller, func() int64) {
-			s := ctrl.NewServer(k, o.ScanInterval)
-			return s, func() int64 { n, _ := k.Metrics().Value(ctrl.MetricScans); return n }
-		}},
-		{"decentralized", func(k *kernel.Kernel) (threads.Controller, func() int64) {
+	res := &DecentralResult{Mix: mix, Modes: []string{"centralized", "decentralized", "decentralized+damping"}}
+	decentral := func(damping int) func(*kernel.Kernel) threads.Controller {
+		return func(k *kernel.Kernel) threads.Controller {
 			d := ctrl.NewDecentralized(k)
-			return d, func() int64 { return d.Scans }
-		}},
-		{"decentralized+damping", func(k *kernel.Kernel) (threads.Controller, func() int64) {
-			d := ctrl.NewDecentralized(k)
-			d.Damping = 2
-			return d, func() int64 { return d.Scans }
-		}},
+			d.Damping = damping
+			return d
+		}
 	}
-
-	for _, m := range modes {
-		elapsed, overload, osc, scans := runControlledMix(o, mix, wls, m.make)
-		res.Modes = append(res.Modes, m.name)
-		res.Elapsed = append(res.Elapsed, elapsed)
-		res.MeanOverload = append(res.MeanOverload, overload)
-		res.Oscillation = append(res.Oscillation, osc)
-		lo, hi := elapsed[0], elapsed[0]
-		for _, e := range elapsed {
-			if e < lo {
-				lo = e
-			}
-			if e > hi {
-				hi = e
+	mixRun := simRun{o: o, apps: mixLaunches(mix), staggered: true, sample: true}
+	runs := []simRun{mixRun, mixRun, mixRun} // first seed only
+	runs[0].control = true
+	runs[1].ctl, runs[2].ctl = decentral(0), decentral(2)
+	res.Scans = make([]int64, len(runs))
+	for m := range runs {
+		runs[m].read = func(s *Sim, _ []*threads.App) {
+			if d, ok := s.ctl.(*ctrl.Decentralized); ok {
+				res.Scans[m] = d.Scans
+			} else {
+				res.Scans[m], _ = s.K.Metrics().Value(ctrl.MetricScans)
 			}
 		}
+	}
+
+	lastStart := mix[len(mix)-1].At
+	for _, out := range fanOut(runs) {
+		res.Elapsed = append(res.Elapsed, out.elapsed)
+		res.MeanOverload = append(res.MeanOverload, meanOverload(out.samples, o.Machine.NumCPU))
+		// The runnable count's spread while every application runs.
+		var window []float64
+		for _, smp := range out.samples {
+			if smp.At >= lastStart && smp.At <= lastStart.Add(10*sim.Second) {
+				window = append(window, float64(smp.Total))
+			}
+		}
+		res.Oscillation = append(res.Oscillation, stddev(window))
+		lo, hi := slices.Min(out.elapsed), slices.Max(out.elapsed)
 		res.Unfairness = append(res.Unfairness, float64(hi)/float64(lo))
-		res.Scans = append(res.Scans, scans)
 	}
 	return res
-}
-
-// runControlledMix runs the mix (wls: its prebuilt workloads) once
-// (first seed) under a custom controller factory and returns per-app
-// elapsed, mean overload, runnable-count standard deviation over the
-// overlapped window, and the controller's scan count.
-func runControlledMix(o Options, mix []Fig4Arrival, wls []*threads.Workload,
-	makeCtl func(k *kernel.Kernel) (threads.Controller, func() int64)) ([]sim.Duration, float64, float64, int64) {
-
-	s := NewSim(o, false)
-	controller, scans := makeCtl(s.K)
-	sampler := trace.NewSampler(s.K, 250*sim.Millisecond)
-
-	slots := make([]**threads.App, len(mix))
-	for i, arr := range mix {
-		i, arr := i, arr
-		slot := new(*threads.App)
-		slots[i] = slot
-		s.Eng.Schedule(arr.At, func() {
-			cfg := s.Opts.Threads
-			cfg.Procs = arr.Procs
-			cfg.PollInterval = s.Opts.PollInterval
-			cfg.Controller = controller
-			*slot = threads.Launch(s.K, kernel.AppID(i+1), wls[i], cfg)
-		})
-	}
-	ok := s.RunUntil(func() bool {
-		for _, sl := range slots {
-			if *sl == nil || !(*sl).Done() {
-				return false
-			}
-		}
-		return true
-	})
-	s.mustFinish(ok, "controlled mix")
-	sampler.Stop()
-
-	var elapsed []sim.Duration
-	for _, sl := range slots {
-		elapsed = append(elapsed, (*sl).Elapsed())
-	}
-
-	ncpu := s.K.NumCPU()
-	over, n := 0.0, 0
-	var window []float64
-	lastStart := mix[len(mix)-1].At
-	for _, smp := range sampler.Samples {
-		if smp.Total > ncpu {
-			over += float64(smp.Total - ncpu)
-		}
-		n++
-		if smp.At >= lastStart && smp.At <= lastStart.Add(10*sim.Second) {
-			window = append(window, float64(smp.Total))
-		}
-	}
-	if n > 0 {
-		over /= float64(n)
-	}
-	return elapsed, over, stddev(window), scans()
 }
 
 func stddev(xs []float64) float64 {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"procctl/internal/kernel"
 	"procctl/internal/metrics"
 	"procctl/internal/sim"
+	"procctl/internal/threads"
 )
 
 // fastOpts keeps test runs short: one seed, aggressive control timing.
@@ -260,16 +263,87 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestLaunchAt(t *testing.T) {
+// stubController records which applications registered with it and
+// grants each its full request.
+type stubController struct{ registered []kernel.AppID }
+
+func (c *stubController) Register(id kernel.AppID, procs int) {
+	c.registered = append(c.registered, id)
+}
+func (c *stubController) Unregister(kernel.AppID) {}
+func (c *stubController) Poll(kernel.AppID) int   { return 16 }
+
+// TestRunSim: the one runner launches each application as its simRun
+// says. A staggered application starts from an engine event at its
+// start time: the sampler sees none of its processes before it and all
+// of them at the next sample. A run's own controller replaces the
+// server, and a greedy application never registers with it.
+func TestRunSim(t *testing.T) {
 	o := fastOpts()
-	s := NewSim(o, false)
-	slot := s.LaunchAt(sim.Time(100*sim.Millisecond), 1, apps.TinyMatmul(), 2)
-	if *slot != nil {
-		t.Fatal("app launched before its start time")
+	wl := apps.Matmul(8, 2, 100*sim.Millisecond) // 0.8 s on two processes
+	late := sim.Time(300 * sim.Millisecond)
+
+	t.Run("staggered", func(t *testing.T) {
+		out := runSim(simRun{o: o, staggered: true, sample: true, apps: []launch{
+			{wl: wl, procs: 2}, {wl: wl, procs: 2, at: late},
+		}})
+		if len(out.elapsed) != 2 || out.elapsed[1] <= 0 {
+			t.Fatalf("elapsed %v", out.elapsed)
+		}
+		seen := false
+		for _, smp := range out.samples {
+			n := smp.PerApp[2]
+			if smp.At < late && n != 0 {
+				t.Errorf("at %v, before its start time, the late application has %d processes", smp.At, n)
+			}
+			if smp.At == late.Add(200*sim.Millisecond) {
+				seen = true
+				if n != 2 {
+					t.Errorf("at %v the late application has %d processes, want 2", smp.At, n)
+				}
+			}
+		}
+		if !seen {
+			t.Errorf("no sample at %v", late.Add(200*sim.Millisecond))
+		}
+	})
+
+	t.Run("controller", func(t *testing.T) {
+		ctl := &stubController{}
+		var server bool
+		runSim(simRun{o: o, control: true,
+			ctl:  func(*kernel.Kernel) threads.Controller { return ctl },
+			apps: []launch{{wl: wl, procs: 2, greedy: true}, {wl: wl, procs: 2}},
+			read: func(s *Sim, apps []*threads.App) { server = s.Server != nil },
+		})
+		if !reflect.DeepEqual(ctl.registered, []kernel.AppID{2}) {
+			t.Errorf("registered with the run's controller: %v, want only the non-greedy application 2", ctl.registered)
+		}
+		if !server {
+			t.Error("control on started no server")
+		}
+	})
+}
+
+// TestFanOutKeepsRunOrder: fanOut starts the runs with the most
+// processes first, on several goroutines, and still returns each run's
+// output at that run's index.
+func TestFanOutKeepsRunOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	o := fastOpts()
+	wl := apps.TinyMatmul()
+	var runs []simRun
+	for _, procs := range []int{1, 8, 2, 24, 4} {
+		runs = append(runs, solo(o, wl, procs, false))
 	}
-	ok := s.RunUntil(func() bool { return *slot != nil && (*slot).Done() })
-	if !ok {
-		t.Fatal("late-launched app never finished")
+	got := fanOut(runs)
+	for i, r := range runs {
+		if want := runSim(r); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("run %d (%d procs): fanOut gave %v, alone it gives %v", i, r.apps[0].procs, got[i], want)
+		}
+	}
+	if len(fanOut(nil)) != 0 {
+		t.Error("no runs, some outputs")
 	}
 }
 
@@ -284,17 +358,6 @@ func TestNamedPolicies(t *testing.T) {
 			t.Errorf("factory %q built policy %q", n, p.Name())
 		}
 	}
-}
-
-func TestParallelFor(t *testing.T) {
-	out := make([]int, 100)
-	parallelFor(100, func(i int) { out[i] = i + 1 })
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("index %d not processed", i)
-		}
-	}
-	parallelFor(0, func(i int) { t.Error("called for n=0") })
 }
 
 func TestMustFinishPanics(t *testing.T) {

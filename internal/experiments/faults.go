@@ -110,14 +110,3 @@ func (r *FaultsResult) Render() string {
 	t.Row("survivor elapsed", r.SurvivorElapsed)
 	return t.String()
 }
-
-// RecoveredWithinLease reports the experiment's headline contract: the
-// survivor reached the full machine within one lease (plus one server
-// scan and the 50 ms sampling grain) of the crash.
-func (r *FaultsResult) RecoveredWithinLease() bool {
-	if r.CrashedAt == 0 || r.RecoveredIn == 0 {
-		return false
-	}
-	slack := ctrl.DefaultScanInterval + 100*sim.Millisecond
-	return r.RecoveredIn <= r.Lease+slack
-}

@@ -34,7 +34,10 @@ func TestFaultsRecoversWithinOneLease(t *testing.T) {
 	if r.TargetAfter != 16 {
 		t.Errorf("survivor target after recovery = %d, want the full machine", r.TargetAfter)
 	}
-	if !r.RecoveredWithinLease() {
+	// The headline contract: the survivor reached the full machine within
+	// one lease, plus one server scan and the 50 ms sampling grain, of
+	// the crash.
+	if slack := ctrl.DefaultScanInterval + 100*sim.Millisecond; r.RecoveredIn == 0 || r.RecoveredIn > r.Lease+slack {
 		t.Errorf("recovery took %v, want within one lease (%v)", r.RecoveredIn, r.Lease)
 	}
 	for _, name := range []string{

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"procctl/internal/apps"
-	"procctl/internal/sim"
-	"procctl/internal/threads"
 	"procctl/internal/trace"
 )
 
@@ -23,32 +21,16 @@ func Fig1(o Options, procsList []int) *Fig1Result {
 	if len(procsList) == 0 {
 		procsList = []int{1, 2, 4, 8, 12, 16, 20, 24}
 	}
-	// One DAG per application for the whole figure, and one flat fan-out
-	// over every simulation: the two one-process baselines and the
-	// (procs, seed) cells.
-	builders := []func() *threads.Workload{apps.PaperMatmul, apps.PaperFFT}
-	wls := make([]*threads.Workload, len(builders))
-	parallelFor(len(wls), func(i int) { wls[i] = builders[i]() })
-
-	var t1 [2]sim.Duration
-	cells := make([][2]sim.Duration, len(procsList)*o.Seeds) // [procs][seed][matmul, fft]
-	runs := []simRun{
-		{1, func() { t1[0] = Solo(o, wls[0], 1, false) }},
-		{1, func() { t1[1] = Solo(o, wls[1], 1, false) }},
+	// One DAG per application for the whole figure, and one fan-out
+	// over every simulation: the two one-process baselines, then the
+	// pair at each process count on each seed.
+	mm, ff := apps.PaperMatmul(), apps.PaperFFT()
+	runs := []simRun{solo(o, mm, 1, false), solo(o, ff, 1, false)}
+	for _, procs := range procsList {
+		runs = append(runs, perSeed(simRun{o: o, apps: []launch{{wl: mm, procs: procs}, {wl: ff, procs: procs}}})...)
 	}
-	for i := range cells {
-		procs, oo := procsList[i/o.Seeds], o
-		oo.Seed = o.Seed + uint64(i%o.Seeds)
-		runs = append(runs, simRun{procs, func() {
-			s := NewSim(oo, false)
-			mm := s.LaunchNow(1, wls[0], procs)
-			ff := s.LaunchNow(2, wls[1], procs)
-			ok := s.RunUntil(func() bool { return mm.Done() && ff.Done() })
-			s.mustFinish(ok, "fig1 mix")
-			cells[i] = [2]sim.Duration{mm.Elapsed(), ff.Elapsed()}
-		}})
-	}
-	fanOut(runs)
+	outs := fanOut(runs)
+	t1mm, t1ff := outs[0].elapsed[0], outs[1].elapsed[0]
 
 	r := &Fig1Result{
 		Procs:  procsList,
@@ -56,13 +38,9 @@ func Fig1(o Options, procsList []int) *Fig1Result {
 		FFT:    make([]float64, len(procsList)),
 	}
 	for pi := range procsList {
-		var mms, ffs []float64
-		for _, c := range cells[pi*o.Seeds : (pi+1)*o.Seeds] {
-			mms = append(mms, t1[0].Seconds()/c[0].Seconds())
-			ffs = append(ffs, t1[1].Seconds()/c[1].Seconds())
-		}
-		r.Matmul[pi] = mean(mms)
-		r.FFT[pi] = mean(ffs)
+		cells := outs[2+pi*o.Seeds:][:o.Seeds]
+		r.Matmul[pi] = meanSpeedup(t1mm, cells, 0)
+		r.FFT[pi] = meanSpeedup(t1ff, cells, 1)
 	}
 	return r
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"procctl/internal/sim"
 	"procctl/internal/threads"
 	"procctl/internal/trace"
 )
@@ -36,7 +35,9 @@ func Fig3(o Options, procsList []int, appNames ...string) *Fig3Result {
 		appNames = Fig3Apps
 	}
 	wls := make([]*threads.Workload, len(appNames))
-	parallelFor(len(wls), func(i int) { wls[i] = mustWorkload(appNames[i]) })
+	for i, name := range appNames {
+		wls[i] = mustWorkload(name)
+	}
 	return &Fig3Result{Curves: fig3Curves(o, wls, procsList)}
 }
 
@@ -49,42 +50,33 @@ func Custom(o Options, builder func() *threads.Workload, procsList []int) Fig3Cu
 	return fig3Curves(o.withDefaults(), []*threads.Workload{builder()}, procsList)[0]
 }
 
-// fig3Curves runs every simulation behind the panels of wls as one flat
-// fan-out: per application a one-process baseline and, per (procs,
-// seed), control off and control on as separate runs.
+// fig3Curves runs every simulation behind the panels of wls as one
+// fan-out: per application a one-process baseline and, per process
+// count, control off and control on on each seed.
 func fig3Curves(o Options, wls []*threads.Workload, procsList []int) []Fig3Curve {
 	if len(procsList) == 0 {
 		procsList = []int{1, 2, 4, 8, 12, 16, 20, 24}
 	}
-	np, ns := len(procsList), o.Seeds
-	t1 := make([]sim.Duration, len(wls))
-	cells := make([][2]sim.Duration, len(wls)*np*ns) // [app][procs][seed][off, on]
 	var runs []simRun
-	for a, wl := range wls {
-		runs = append(runs, simRun{1, func() { t1[a] = Solo(o, wl, 1, false) }})
-		for pi, procs := range procsList {
-			for si := 0; si < ns; si++ {
-				oo, cell := o, &cells[(a*np+pi)*ns+si]
-				oo.Seed = o.Seed + uint64(si)
-				runs = append(runs,
-					simRun{procs, func() { cell[0] = Solo(oo, wl, procs, false) }},
-					simRun{procs, func() { cell[1] = Solo(oo, wl, procs, true) }})
-			}
+	for _, wl := range wls {
+		runs = append(runs, solo(o, wl, 1, false))
+		for _, procs := range procsList {
+			runs = append(runs, perSeed(solo(o, wl, procs, false))...)
+			runs = append(runs, perSeed(solo(o, wl, procs, true))...)
 		}
 	}
-	fanOut(runs)
+	outs := fanOut(runs)
 
 	curves := make([]Fig3Curve, len(wls))
 	for a, wl := range wls {
+		t1 := outs[0].elapsed[0]
+		outs = outs[1:]
 		c := Fig3Curve{App: wl.Name, Procs: procsList}
-		for pi := range procsList {
-			var offs, ons []float64
-			for _, cell := range cells[(a*np+pi)*ns:][:ns] {
-				offs = append(offs, t1[a].Seconds()/cell[0].Seconds())
-				ons = append(ons, t1[a].Seconds()/cell[1].Seconds())
-			}
-			c.Uncontrolled = append(c.Uncontrolled, mean(offs))
-			c.Controlled = append(c.Controlled, mean(ons))
+		for range procsList {
+			off, on := outs[:o.Seeds], outs[o.Seeds:][:o.Seeds]
+			c.Uncontrolled = append(c.Uncontrolled, meanSpeedup(t1, off, 0))
+			c.Controlled = append(c.Controlled, meanSpeedup(t1, on, 0))
+			outs = outs[2*o.Seeds:]
 		}
 		curves[a] = c
 	}

@@ -6,7 +6,6 @@ import (
 
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
-	"procctl/internal/threads"
 	"procctl/internal/trace"
 )
 
@@ -62,65 +61,24 @@ func Fig4(o Options, mix []Fig4Arrival) *Fig4Result {
 	if len(mix) == 0 {
 		mix = DefaultFig4Mix()
 	}
+	mixRun := simRun{o: o, apps: mixLaunches(mix), staggered: true, sample: true}
 	res := &Fig4Result{Mix: mix}
-	wls := mixWorkloads(mix)
-	res.Off = fig4Run(o, mix, wls, false)
-	res.On = fig4Run(o, mix, wls, true)
+	// Control off finishes before control on starts: running the two
+	// together blows up the spread of the benchmark that times this call
+	// (EXPERIMENTS.md PERF-4, "The Fig4 fan-out, withdrawn").
+	res.Off = fig4Fold(mix, fanOut(perSeed(mixRun)), false)
+	mixRun.control = true
+	res.On = fig4Fold(mix, fanOut(perSeed(mixRun)), true)
 	return res
 }
 
-// fig4Run executes the mix once per seed; wls are the mix's prebuilt
-// workloads (mixWorkloads), shared by every seed.
-func fig4Run(o Options, mix []Fig4Arrival, wls []*threads.Workload, control bool) Fig4Run {
-	run := Fig4Run{Control: control, Elapsed: make([]sim.Duration, len(mix))}
-	sums := make([]sim.Duration, len(mix))
-	type out struct {
-		elapsed []sim.Duration
-		finish  []sim.Time
-		samples []trace.Sample
-		ids     []kernel.AppID
+// fig4Fold folds the runs of the mix on every seed into one Fig4Run.
+func fig4Fold(mix []Fig4Arrival, outs []simOut, control bool) Fig4Run {
+	run := Fig4Run{Control: control, Elapsed: meanElapsed(outs), Samples: outs[0].samples}
+	for i, arr := range mix {
+		run.Finish = append(run.Finish, arr.At.Add(outs[0].elapsed[i]))
+		run.AppIDs = append(run.AppIDs, kernel.AppID(i+1))
 	}
-	outs := make([]out, o.Seeds)
-	parallelFor(o.Seeds, func(si int) {
-		oo := o
-		oo.Seed = o.Seed + uint64(si)
-		s := NewSim(oo, control)
-		sampler := trace.NewSampler(s.K, 250*sim.Millisecond)
-		slots := make([]**threads.App, len(mix))
-		ids := make([]kernel.AppID, len(mix))
-		for i, arr := range mix {
-			ids[i] = kernel.AppID(i + 1)
-			slots[i] = s.LaunchAt(arr.At, ids[i], wls[i], arr.Procs)
-		}
-		ok := s.RunUntil(func() bool {
-			for _, sl := range slots {
-				if *sl == nil || !(*sl).Done() {
-					return false
-				}
-			}
-			return true
-		})
-		s.mustFinish(ok, "fig4 mix")
-		sampler.Stop()
-		var e []sim.Duration
-		var f []sim.Time
-		for i := range mix {
-			e = append(e, (*slots[i]).Elapsed())
-			f = append(f, mix[i].At.Add((*slots[i]).Elapsed()))
-		}
-		outs[si] = out{elapsed: e, finish: f, samples: sampler.Samples, ids: ids}
-	})
-	for si := range outs {
-		for i := range mix {
-			sums[i] += outs[si].elapsed[i]
-		}
-	}
-	for i := range mix {
-		run.Elapsed[i] = sums[i] / sim.Duration(o.Seeds)
-	}
-	run.Finish = outs[0].finish
-	run.Samples = outs[0].samples
-	run.AppIDs = outs[0].ids
 	return run
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"procctl/internal/sim"
@@ -17,6 +18,9 @@ import (
 // render; there is no update flag: the hashes change only with an
 // intended change to the simulator or to a render, and then by hand.
 func TestFiguresGolden(t *testing.T) {
+	// fanOut sizes itself by GOMAXPROCS; make sure the runs really are
+	// concurrent, whatever the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	o := fastOpts()
 	o.Seed, o.Seeds = 1, 2
 	mix := []Fig4Arrival{

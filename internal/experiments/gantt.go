@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"procctl/internal/apps"
+	"procctl/internal/kernel"
 	"procctl/internal/sim"
 	"procctl/internal/trace"
 )
@@ -15,7 +16,6 @@ import (
 // bands, plain timesharing confetti, and process control one steady
 // band per application.
 func GanttDemo(o Options, policy string, control bool, window sim.Duration) string {
-	o = o.withDefaults()
 	if window <= 0 {
 		window = 3 * sim.Second
 	}
@@ -27,21 +27,38 @@ func GanttDemo(o Options, policy string, control bool, window sim.Duration) stri
 		}
 		o.NewPolicy = f
 	}
-	s := NewSim(o, control)
-	g := trace.NewGantt(s.K)
-	a := s.LaunchNow(1, apps.PaperMatmul(), 12)
-	b := s.LaunchNow(2, apps.PaperFFT(), 12)
-	apps.Background(s.K, 2, 20*sim.Millisecond, 30*sim.Millisecond)
-	s.Eng.Run(sim.Time(window))
-	g.Close()
-	s.K.Finalize()
-	_, _ = a, b
+	var g *trace.Gantt
+	k := DemoMix(o, control, window, func(k *kernel.Kernel) func() {
+		g = trace.NewGantt(k)
+		return g.Close
+	})
 
 	label := "no process control"
 	if control {
 		label = "process control on"
 	}
 	header := fmt.Sprintf("Policy %s (%s): matmul (A, 12 procs) + fft (B, 12 procs) + 2 background (*) on %d CPUs\n",
-		s.K.Policy().Name(), label, s.K.NumCPU())
+		k.Policy().Name(), label, k.NumCPU())
 	return header + g.Render(0, sim.Time(window), 96)
+}
+
+// DemoMix runs the demo scenario of GanttDemo and procctl-trace record:
+// matmul and fft with 12 processes each and two background processes,
+// for window of virtual time. attach is called with the kernel before
+// anything starts, to hook an observer to it; the function it returns,
+// if not nil, is called when the window ends, before the kernel's final
+// accounting.
+func DemoMix(o Options, control bool, window sim.Duration, attach func(*kernel.Kernel) func()) *kernel.Kernel {
+	s := NewSim(o, control)
+	detach := attach(s.K)
+	s.LaunchNow(1, apps.PaperMatmul(), 12)
+	s.LaunchNow(2, apps.PaperFFT(), 12)
+	apps.Background(s.K, 2, 20*sim.Millisecond, 30*sim.Millisecond)
+	s.Eng.Run(sim.Time(window))
+	if detach != nil {
+		detach()
+	}
+	s.K.Finalize()
+	s.CloseTrace()
+	return s.K
 }

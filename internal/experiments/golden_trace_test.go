@@ -9,10 +9,8 @@ import (
 	"os"
 	"testing"
 
-	"procctl/internal/apps"
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
-	"procctl/internal/threads"
 	"procctl/internal/trace"
 )
 
@@ -32,23 +30,16 @@ const fig4GoldenSHA256 = "544b6a5fe8de812437bfa6e052544f40f53e3692c1065924ba9ba2
 
 var updateGolden = flag.Bool("update-golden", false, "print the new Fig4 trace golden hash instead of failing")
 
-// recordFig4Golden reproduces cmd/procctl-trace's record path for the
-// golden: seed 1, timeshare, process control on, one virtual second.
+// recordFig4Golden records the demo scenario as `procctl-trace record`
+// does: seed 1, timeshare, process control on, one virtual second.
 func recordFig4Golden(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	o := Options{Seed: 1, Seeds: 1}
-	s := NewSim(o, true)
-	rec := trace.NewRecorder(s.K, &buf, trace.Meta{Seed: 1, Control: true})
-	cfg := threads.Config{Procs: 12}
-	if s.Server != nil {
-		cfg.Controller = s.Server
-	}
-	threads.Launch(s.K, kernel.AppID(1), apps.PaperMatmul(), cfg)
-	threads.Launch(s.K, kernel.AppID(2), apps.PaperFFT(), cfg)
-	apps.Background(s.K, 2, 20*sim.Millisecond, 30*sim.Millisecond)
-	s.Eng.Run(sim.Time(sim.Second))
-	s.K.Finalize()
+	var rec *trace.Recorder
+	DemoMix(Options{Seed: 1, Seeds: 1}, true, sim.Second, func(k *kernel.Kernel) func() {
+		rec = trace.NewRecorder(k, &buf, trace.Meta{Seed: 1, Control: true})
+		return nil
+	})
 	if err := rec.Close(); err != nil {
 		t.Fatalf("closing recorder: %v", err)
 	}

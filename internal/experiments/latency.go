@@ -7,6 +7,7 @@ import (
 	"procctl/internal/apps"
 	"procctl/internal/metrics"
 	"procctl/internal/sim"
+	"procctl/internal/threads"
 )
 
 // LatencyResult is the ABL-LATENCY experiment: per-task queueing-delay
@@ -32,20 +33,21 @@ func Latency(o Options, procs int) *LatencyResult {
 	if procs <= 0 {
 		procs = 24
 	}
+	mm := launch{wl: apps.PaperMatmul(), procs: procs, latency: true}
+	var waits [2][]sim.Duration
+	runs := make([]simRun, 2)
+	for i := range runs {
+		runs[i] = simRun{o: o, control: i == 1, apps: []launch{mm}, read: func(_ *Sim, apps []*threads.App) {
+			waits[i], _ = apps[0].LatencyStats()
+		}}
+	}
+	fanOut(runs)
 	reg := metrics.NewRegistry()
 	names := [2]string{
 		metrics.Name("task_wait_micros", "control", "off"),
 		metrics.Name("task_wait_micros", "control", "on"),
 	}
-	for i, control := range []bool{false, true} {
-		s := NewSim(o, control)
-		cfg := s.Opts.Threads
-		cfg.Procs = procs
-		cfg.RecordLatency = true
-		app := s.LaunchWith(1, apps.PaperMatmul(), cfg)
-		ok := s.RunUntil(app.Done)
-		s.mustFinish(ok, "latency run")
-		wait, _ := app.LatencyStats()
+	for i, wait := range waits {
 		h := reg.Histogram(names[i], "task wait, ready to dequeued", metrics.LatencyBuckets)
 		for _, w := range wait {
 			h.Observe(int64(w))

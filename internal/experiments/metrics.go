@@ -7,6 +7,7 @@ import (
 	"procctl/internal/apps"
 	"procctl/internal/metrics"
 	"procctl/internal/sim"
+	"procctl/internal/threads"
 )
 
 // MetricsResult is the full metrics snapshot of one short controlled
@@ -37,12 +38,12 @@ func MetricsDemo(o Options) *MetricsResult {
 	if o.PollInterval == 0 {
 		o.PollInterval = 2 * sim.Second
 	}
-	s := NewSim(o, true)
-	a := s.LaunchNow(1, apps.Matmul(8, 2, 20*sim.Millisecond), 4)
-	b := s.LaunchNow(2, apps.Matmul(6, 3, 15*sim.Millisecond), 4)
-	ok := s.RunUntil(func() bool { return a.Done() && b.Done() })
-	s.mustFinish(ok, "metrics demo mix")
-	return &MetricsResult{Snap: s.K.MetricsSnapshot()}
+	var snap *metrics.Snapshot
+	runSim(simRun{o: o, control: true, apps: []launch{
+		{wl: apps.Matmul(8, 2, 20*sim.Millisecond), procs: 4},
+		{wl: apps.Matmul(6, 3, 15*sim.Millisecond), procs: 4},
+	}, read: func(s *Sim, _ []*threads.App) { snap = s.K.MetricsSnapshot() }})
+	return &MetricsResult{Snap: snap}
 }
 
 // Render prints the snapshot as the sorted text table.

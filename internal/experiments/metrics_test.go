@@ -52,7 +52,7 @@ func firstDiffLine(a, b string) string {
 // TestMetricsAgreeWithProcStats cross-checks the registry counters
 // against the original per-process and per-CPU accounting they are
 // maintained alongside — the correctness condition that let
-// runPolicyMix read the registry instead of walking Processes().
+// PolicyComparison read the registry instead of walking Processes().
 func TestMetricsAgreeWithProcStats(t *testing.T) {
 	o := Options{Seed: 11, Seeds: 1}
 	if o.Machine.NumCPU == 0 {

@@ -49,81 +49,41 @@ func PolicyComparison(o Options, mix []Fig4Arrival) *PolicyResult {
 		mix = DefaultFig4Mix()
 	}
 	res := &PolicyResult{Mix: mix}
-	wls := mixWorkloads(mix)
+	mixRun := simRun{o: o, apps: mixLaunches(mix), staggered: true}
 	names, factories := NamedPolicies()
+	var runs []simRun
 	for _, name := range names {
-		oo := o
-		oo.NewPolicy = factories[name]
-		res.Rows = append(res.Rows, runPolicyMix(oo, mix, wls, name, false))
+		r := mixRun
+		r.o.NewPolicy = factories[name]
+		runs = append(runs, perSeed(r)...)
+		res.Rows = append(res.Rows, PolicyRow{Name: name})
 	}
-	res.Rows = append(res.Rows, runPolicyMix(o, mix, wls, "timeshare", true))
+	mixRun.control = true
+	runs = append(runs, perSeed(mixRun)...)
+	res.Rows = append(res.Rows, PolicyRow{Name: "timeshare", Control: true})
+
+	for i := range res.Rows {
+		row := &res.Rows[i]
+		// The first seed's run also reads the kernel's spin, CPU and
+		// switch counters.
+		runs[i*o.Seeds].read = func(s *Sim, _ []*threads.App) {
+			spin, _ := s.K.Metrics().Value(kernel.MetricSpinMicros)
+			cpu, _ := s.K.Metrics().Value(kernel.MetricCPUMicros)
+			row.Switches, _ = s.K.Metrics().Value(kernel.MetricCtxSwitches)
+			if cpu > 0 {
+				row.SpinFrac = float64(spin) / float64(cpu)
+			}
+		}
+	}
+	outs := fanOut(runs)
+	for i := range res.Rows {
+		row, seeds := &res.Rows[i], outs[i*o.Seeds:][:o.Seeds]
+		row.Elapsed = meanElapsed(seeds)
+		for a, arr := range mix {
+			row.Makespan = max(row.Makespan, sim.Duration(arr.At.Add(seeds[0].elapsed[a])))
+		}
+	}
 	return res
-}
-
-// runPolicyMix executes the mix (wls: its prebuilt workloads) under one
-// policy setting.
-func runPolicyMix(o Options, mix []Fig4Arrival, wls []*threads.Workload, name string, control bool) PolicyRow {
-	row := PolicyRow{Name: name, Control: control, Elapsed: make([]sim.Duration, len(mix))}
-	type out struct {
-		elapsed  []sim.Duration
-		makespan sim.Duration
-		spinFrac float64
-		switches int64
-	}
-	outs := make([]out, o.Seeds)
-	parallelFor(o.Seeds, func(si int) {
-		oo := o
-		oo.Seed = o.Seed + uint64(si)
-		s := NewSim(oo, control)
-		slots := make([]**threads.App, len(mix))
-		for i, arr := range mix {
-			slots[i] = s.LaunchAt(arr.At, kernel.AppID(i+1), wls[i], arr.Procs)
-		}
-		ok := s.RunUntil(func() bool {
-			for _, sl := range slots {
-				if *sl == nil || !(*sl).Done() {
-					return false
-				}
-			}
-			return true
-		})
-		s.mustFinish(ok, "policy mix under "+name)
-
-		var e []sim.Duration
-		var last sim.Time
-		for i := range mix {
-			el := (*slots[i]).Elapsed()
-			e = append(e, el)
-			if f := mix[i].At.Add(el); f > last {
-				last = f
-			}
-		}
-		// The metrics registry replaced the hand-rolled tallies that used
-		// to walk Processes() and CPUs() here; the counters are maintained
-		// next to the same ProcStats/machine accounting (cross-checked by
-		// TestMetricsAgreeWithProcStats).
-		spin, _ := s.K.Metrics().Value(kernel.MetricSpinMicros)
-		cpu, _ := s.K.Metrics().Value(kernel.MetricCPUMicros)
-		switches, _ := s.K.Metrics().Value(kernel.MetricCtxSwitches)
-		frac := 0.0
-		if cpu > 0 {
-			frac = float64(spin) / float64(cpu)
-		}
-		outs[si] = out{elapsed: e, makespan: sim.Duration(last), spinFrac: frac, switches: switches}
-	})
-	sums := make([]sim.Duration, len(mix))
-	for _, ot := range outs {
-		for i := range mix {
-			sums[i] += ot.elapsed[i]
-		}
-	}
-	for i := range mix {
-		row.Elapsed[i] = sums[i] / sim.Duration(o.Seeds)
-	}
-	row.Makespan = outs[0].makespan
-	row.SpinFrac = outs[0].spinFrac
-	row.Switches = outs[0].switches
-	return row
 }
 
 // Row returns the named row (control distinguishes the two timeshare

@@ -41,9 +41,6 @@ type Options struct {
 	ScanInterval sim.Duration
 	// PollInterval is the applications' server poll period (paper: 6 s).
 	PollInterval sim.Duration
-	// Threads overrides threads runtime cost parameters; Procs,
-	// Controller and PollInterval fields are ignored (set per run).
-	Threads threads.Config
 	// Horizon bounds each run's virtual time (default 600 s).
 	Horizon sim.Duration
 	// Seeds is how many independent seeds to average over in the
@@ -80,6 +77,9 @@ type Sim struct {
 	Mac    *machine.Machine
 	K      *kernel.Kernel
 	Server *ctrl.Server // nil when control is off
+	// ctl is what launched applications register with: Server, or
+	// another controller (Decentral), or nil.
+	ctl threads.Controller
 
 	rec       *trace.Recorder // non-nil when Opts.TraceDir is set
 	traceFile *os.File
@@ -101,6 +101,7 @@ func NewSim(o Options, control bool) *Sim {
 	s.K = kernel.New(s.Eng, s.Mac, o.NewPolicy(), o.Kernel)
 	if control {
 		s.Server = ctrl.NewServer(s.K, o.ScanInterval)
+		s.ctl = s.Server
 	}
 	if o.TraceDir != "" {
 		if err := os.MkdirAll(o.TraceDir, 0o755); err != nil {
@@ -139,39 +140,18 @@ func (s *Sim) CloseTrace() {
 	s.rec, s.traceFile = nil, nil
 }
 
-// LaunchNow starts wl with the given process count under this sim's
-// control setting (server if present).
+// LaunchNow starts wl with the given process count, registered with
+// this sim's controller if it has one.
 func (s *Sim) LaunchNow(id kernel.AppID, wl *threads.Workload, procs int) *threads.App {
-	cfg := s.Opts.Threads
-	cfg.Procs = procs
-	cfg.PollInterval = s.Opts.PollInterval
-	if s.Server != nil {
-		cfg.Controller = s.Server
-	}
-	return threads.Launch(s.K, id, wl, cfg)
+	return s.launch(id, launch{wl: wl, procs: procs})
 }
 
-// LaunchWith starts wl under a fully specified runtime config (e.g. to
-// enable latency recording), attaching this sim's controller when the
-// config has none and control is on.
-func (s *Sim) LaunchWith(id kernel.AppID, wl *threads.Workload, cfg threads.Config) *threads.App {
-	if cfg.Controller == nil && s.Server != nil {
-		cfg.Controller = s.Server
+func (s *Sim) launch(id kernel.AppID, l launch) *threads.App {
+	cfg := threads.Config{Procs: l.procs, PollInterval: s.Opts.PollInterval, RecordLatency: l.latency}
+	if !l.greedy {
+		cfg.Controller = s.ctl
 	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = s.Opts.PollInterval
-	}
-	return threads.Launch(s.K, id, wl, cfg)
-}
-
-// LaunchAt schedules wl to start at virtual time at; the returned pointer
-// is filled in when the launch fires.
-func (s *Sim) LaunchAt(at sim.Time, id kernel.AppID, wl *threads.Workload, procs int) **threads.App {
-	slot := new(*threads.App)
-	s.Eng.Schedule(at, func() {
-		*slot = s.LaunchNow(id, wl, procs)
-	})
-	return slot
+	return threads.Launch(s.K, id, l.wl, cfg)
 }
 
 // RunUntil steps the engine in 250 ms chunks until done reports true or
@@ -208,80 +188,196 @@ func mustWorkload(name string) *threads.Workload {
 	return wl
 }
 
-// mixWorkloads builds the DAG of every application of mix, once, in
+// launch is one application of a simulation: its workload, how many
+// processes it runs, and when it starts.
+type launch struct {
+	wl    *threads.Workload
+	procs int
+	at    sim.Time
+	// greedy applications never register with the controller
+	// (UncontrolledMix's matmul); latency ones keep per-task timing.
+	greedy, latency bool
+}
+
+// mixLaunches builds the DAG of every application of mix, once, in
 // arrival order. A built threads.Workload is immutable, so a figure
-// hands the same values to each of its runs — control off and on, every
-// seed, every policy — including runs on concurrent parallelFor
-// goroutines, instead of rebuilding identical DAGs per run.
-func mixWorkloads(mix []Fig4Arrival) []*threads.Workload {
-	wls := make([]*threads.Workload, len(mix))
+// hands the same launches to each of its runs — control off and on,
+// every seed, every policy — concurrent ones included.
+func mixLaunches(mix []Fig4Arrival) []launch {
+	ls := make([]launch, len(mix))
 	for i, arr := range mix {
-		wls[i] = mustWorkload(arr.App)
+		ls[i] = launch{wl: mustWorkload(arr.App), procs: arr.Procs, at: arr.At}
 	}
-	return wls
+	return ls
+}
+
+// simRun is one simulation of a figure; runSim runs it.
+type simRun struct {
+	o    Options
+	apps []launch
+	// control starts the central server; ctl, if set, builds the
+	// controller the applications register with instead (Decentral).
+	control bool
+	ctl     func(*kernel.Kernel) threads.Controller
+	// staggered launches every application from an engine event at its
+	// start time, as Figures 4 and 5 do; otherwise all of them start
+	// before the engine runs. sample records the runnable-process series
+	// every 250 ms, its timer scheduled ahead of the launches.
+	staggered, sample bool
+	// read, if set, takes what the figure needs from the finished
+	// simulation beyond its simOut.
+	read func(s *Sim, apps []*threads.App)
+}
+
+// simOut is what a figure reads from every finished simulation: each
+// application's elapsed time, in launch order, and the sampled series.
+type simOut struct {
+	elapsed []sim.Duration
+	samples []trace.Sample
+}
+
+// solo is wl alone on the machine with procs processes.
+func solo(o Options, wl *threads.Workload, procs int, control bool) simRun {
+	return simRun{o: o, control: control, apps: []launch{{wl: wl, procs: procs}}}
+}
+
+// perSeed is r once for each of its options' seeds, from Seed upwards.
+func perSeed(r simRun) []simRun {
+	runs := make([]simRun, r.o.Seeds)
+	for si := range runs {
+		runs[si] = r
+		runs[si].o.Seed += uint64(si)
+	}
+	return runs
+}
+
+// runSim creates the simulation r describes, launches its applications,
+// runs it until every one has finished and returns what they took. It
+// panics if one is still running at the horizon.
+func runSim(r simRun) simOut {
+	s := NewSim(r.o, r.control)
+	if r.ctl != nil {
+		s.ctl = r.ctl(s.K)
+	}
+	var sampler *trace.Sampler
+	if r.sample {
+		sampler = trace.NewSampler(s.K, 250*sim.Millisecond)
+	}
+	apps := make([]*threads.App, len(r.apps))
+	for i, l := range r.apps {
+		if r.staggered {
+			s.Eng.Schedule(l.at, func() { apps[i] = s.launch(kernel.AppID(i+1), l) })
+		} else {
+			apps[i] = s.launch(kernel.AppID(i+1), l)
+		}
+	}
+	s.RunUntil(func() bool {
+		for _, a := range apps {
+			if a == nil || !a.Done() {
+				return false
+			}
+		}
+		return true
+	})
+	out := simOut{elapsed: make([]sim.Duration, len(apps))}
+	for i, a := range apps {
+		s.mustFinish(a != nil && a.Done(), r.apps[i].wl.Name)
+		out.elapsed[i] = a.Elapsed()
+	}
+	if sampler != nil {
+		sampler.Stop()
+		out.samples = sampler.Samples
+	}
+	if r.read != nil {
+		r.read(s, apps)
+	}
+	return out
 }
 
 // Solo runs wl alone with the given process count and returns its
 // elapsed virtual time.
 func Solo(o Options, wl *threads.Workload, procs int, control bool) sim.Duration {
-	s := NewSim(o, control)
-	app := s.LaunchNow(1, wl, procs)
-	ok := s.RunUntil(app.Done)
-	s.mustFinish(ok, wl.Name)
-	return app.Elapsed()
+	return runSim(solo(o, wl, procs, control)).elapsed[0]
 }
 
-// SeqTime returns the single-process, no-control run time of wl — the
-// numerator of every speedup in the paper's figures.
-func SeqTime(o Options, wl func() *threads.Workload) sim.Duration {
-	return Solo(o, wl(), 1, false)
-}
-
-// parallelFor runs fn(0..n-1) on up to GOMAXPROCS host goroutines. Each
-// experiment run owns an independent engine, so runs are trivially
-// parallel; results stay deterministic because they depend only on the
-// per-run seed.
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// fanOut runs every simulation of a figure on up to GOMAXPROCS host
+// goroutines and returns their outputs in the order of runs. Each owns
+// an independent engine, so the runs are trivially parallel, and what
+// each returns depends only on its own seed. The runs with the most
+// processes start first, so that the long ones do not end up alone at
+// the tail; the order cannot show in the results.
+func fanOut(runs []simRun) []simOut {
+	order := make([]int, len(runs))
+	for i := range order {
+		order[i] = i
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+	procs := func(r simRun) (n int) {
+		for _, l := range r.apps {
+			n += l.procs
 		}
-		return
+		return n
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return procs(runs[b]) - procs(runs[a]) })
+	outs := make([]simOut, len(runs))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(order); i = int(next.Add(1) - 1) {
+			outs[order[i]] = runSim(runs[order[i]])
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(runs))
+	if workers <= 1 {
+		work()
+		return outs
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
+	return outs
 }
 
-// simRun is one simulation of a sweep, and the process count it runs.
-type simRun struct {
-	procs int
-	run   func()
+// meanElapsed is each application's elapsed time averaged over outs,
+// the runs of one simulation on successive seeds.
+func meanElapsed(outs []simOut) []sim.Duration {
+	means := make([]sim.Duration, len(outs[0].elapsed))
+	for i := range means {
+		for _, out := range outs {
+			means[i] += out.elapsed[i]
+		}
+		means[i] /= sim.Duration(len(outs))
+	}
+	return means
 }
 
-// fanOut runs every simulation of a figure through one parallelFor, the
-// largest process counts first so that the long runs do not end up alone
-// at the tail. The order cannot show in the results (see parallelFor).
-func fanOut(runs []simRun) {
-	slices.SortStableFunc(runs, func(a, b simRun) int { return b.procs - a.procs })
-	parallelFor(len(runs), func(i int) { runs[i].run() })
+// meanSpeedup is t1 over application app's elapsed time, averaged over
+// outs.
+func meanSpeedup(t1 sim.Duration, outs []simOut, app int) float64 {
+	sum := 0.0
+	for _, out := range outs {
+		sum += t1.Seconds() / out.elapsed[app].Seconds()
+	}
+	return sum / float64(len(outs))
+}
+
+// meanOverload is the time-averaged excess of runnable processes over
+// the machine's ncpu processors in a sampled series.
+func meanOverload(samples []trace.Sample, ncpu int) float64 {
+	over := 0.0
+	for _, smp := range samples {
+		if smp.Total > ncpu {
+			over += float64(smp.Total - ncpu)
+		}
+	}
+	if len(samples) == 0 {
+		return 0
+	}
+	return over / float64(len(samples))
 }
 
 // mean averages a slice.

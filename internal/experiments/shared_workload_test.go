@@ -16,7 +16,7 @@ import (
 // state touched by two goroutines at once now that bodies perform their
 // own zero-time requests, fails there.
 func TestCustomSharesOneWorkloadAcrossConcurrentRuns(t *testing.T) {
-	// parallelFor sizes itself by GOMAXPROCS; make sure the runs really
+	// fanOut sizes itself by GOMAXPROCS; make sure the runs really
 	// are concurrent, whatever the host.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 

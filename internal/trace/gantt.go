@@ -82,9 +82,6 @@ func (g *Gantt) Close() {
 	}
 }
 
-// Segments returns the number of recorded segments on CPU i.
-func (g *Gantt) Segments(i int) int { return len(g.segs[i]) }
-
 // appGlyph maps an application to a timeline letter: A-Z for controlled
 // applications, '*' for uncontrollable processes, '.' for idle.
 func appGlyph(app kernel.AppID) byte {
@@ -138,25 +135,4 @@ func (g *Gantt) Render(from, to sim.Time, width int) string {
 	}
 	b.WriteString("A.. = applications, * = uncontrolled, . = idle\n")
 	return b.String()
-}
-
-// Utilization returns the busy fraction of CPU i over [from, to).
-func (g *Gantt) Utilization(cpu int, from, to sim.Time) float64 {
-	if to <= from {
-		return 0
-	}
-	var busy sim.Duration
-	for _, s := range g.segs[cpu] {
-		lo, hi := s.start, s.end
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
-		if hi > lo {
-			busy += hi.Sub(lo)
-		}
-	}
-	return float64(busy) / float64(to.Sub(from))
 }

@@ -24,8 +24,8 @@ func TestGanttRecordsSegments(t *testing.T) {
 	k.SpawnResumable("b", 2, 0, kernel.Script(kernel.Compute(30*sim.Millisecond)))
 	k.Engine().RunUntilIdle()
 	g.Close()
-	if g.Segments(0) != 2 {
-		t.Fatalf("segments = %d, want 2", g.Segments(0))
+	if n := len(g.segs[0]); n != 2 {
+		t.Fatalf("segments = %d, want 2", n)
 	}
 	// a ran [0,30ms), b ran [30,60ms).
 	if got := g.glyphAt(0, sim.Time(10*sim.Millisecond)); got != 'A' {
@@ -61,7 +61,9 @@ func TestGanttRender(t *testing.T) {
 	}
 }
 
-func TestGanttUtilization(t *testing.T) {
+// TestGanttLeavesSleepIdle: a process that sleeps between two compute
+// legs leaves its CPU idle in between, as two segments.
+func TestGanttLeavesSleepIdle(t *testing.T) {
 	k := ganttKernel(1)
 	g := NewGantt(k)
 	k.SpawnResumable("a", 1, 0, kernel.Script(
@@ -71,12 +73,16 @@ func TestGanttUtilization(t *testing.T) {
 	))
 	k.Engine().RunUntilIdle()
 	g.Close()
-	u := g.Utilization(0, 0, sim.Time(100*sim.Millisecond))
-	if u < 0.49 || u > 0.51 {
-		t.Errorf("utilization %v, want 0.5", u)
+	if n := len(g.segs[0]); n != 2 {
+		t.Fatalf("segments = %d, want 2", n)
 	}
-	if g.Utilization(0, 5, 5) != 0 {
-		t.Error("empty window utilization should be 0")
+	for _, c := range []struct {
+		at   sim.Duration
+		want byte
+	}{{10 * sim.Millisecond, 'A'}, {50 * sim.Millisecond, '.'}, {90 * sim.Millisecond, 'A'}} {
+		if got := g.glyphAt(0, sim.Time(c.at)); got != c.want {
+			t.Errorf("glyph at %v = %c, want %c", c.at, got, c.want)
+		}
 	}
 }
 

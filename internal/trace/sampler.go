@@ -56,47 +56,3 @@ func (s *Sampler) take() {
 		Total:        total,
 	})
 }
-
-// Series extracts one application's time series (zero where absent).
-func (s *Sampler) Series(app kernel.AppID) (times []sim.Time, counts []int) {
-	for _, smp := range s.Samples {
-		times = append(times, smp.At)
-		counts = append(counts, smp.PerApp[app])
-	}
-	return times, counts
-}
-
-// TotalSeries extracts the system-wide runnable count series.
-func (s *Sampler) TotalSeries() (times []sim.Time, counts []int) {
-	for _, smp := range s.Samples {
-		times = append(times, smp.At)
-		counts = append(counts, smp.Total)
-	}
-	return times, counts
-}
-
-// MaxTotal returns the peak system-wide runnable count observed.
-func (s *Sampler) MaxTotal() int {
-	max := 0
-	for _, smp := range s.Samples {
-		if smp.Total > max {
-			max = smp.Total
-		}
-	}
-	return max
-}
-
-// MeanTotalBetween averages the total runnable count over [from, to].
-func (s *Sampler) MeanTotalBetween(from, to sim.Time) float64 {
-	sum, n := 0, 0
-	for _, smp := range s.Samples {
-		if smp.At >= from && smp.At <= to {
-			sum += smp.Total
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}

@@ -37,14 +37,10 @@ func TestSamplerPerAppAndUncontrolled(t *testing.T) {
 	if last.Total != 4 {
 		t.Errorf("total = %d, want 4", last.Total)
 	}
-	// An application that never existed reads as all-zero, same length.
-	times, counts := s.Series(99)
-	if len(times) != len(s.Samples) {
-		t.Errorf("absent-app series has %d points, want %d", len(times), len(s.Samples))
-	}
-	for i, c := range counts {
-		if c != 0 {
-			t.Errorf("absent-app count[%d] = %d, want 0", i, c)
+	// An application that never existed reads as zero in every sample.
+	for i, smp := range s.Samples {
+		if n := smp.PerApp[99]; n != 0 {
+			t.Errorf("absent-app count[%d] = %d, want 0", i, n)
 		}
 	}
 	eng.Run(sim.Time(2 * sim.Second))

@@ -37,9 +37,6 @@ func (t *Table) Row(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns how many data rows have been added.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.header))

@@ -21,32 +21,27 @@ func TestSamplerSeries(t *testing.T) {
 	eng.Run(sim.Time(sim.Second))
 	s.Stop()
 
-	times, counts := s.Series(1)
-	if len(times) != len(counts) || len(times) < 5 {
-		t.Fatalf("series sizes %d/%d", len(times), len(counts))
+	if len(s.Samples) < 5 {
+		t.Fatalf("%d samples", len(s.Samples))
 	}
 	// Sample at t=0 (before anything ran... processes spawn at t=0, so
 	// first sample may already see them) and at 100ms: app 1 has 2.
-	if counts[1] != 2 {
-		t.Errorf("app 1 count at 100ms = %d, want 2", counts[1])
+	if n := s.Samples[1].PerApp[1]; n != 2 {
+		t.Errorf("app 1 count at 100ms = %d, want 2", n)
 	}
-	_, totals := s.TotalSeries()
-	if totals[1] != 3 {
-		t.Errorf("total at 100ms = %d, want 3", totals[1])
+	if n := s.Samples[1].Total; n != 3 {
+		t.Errorf("total at 100ms = %d, want 3", n)
 	}
 	// After 300 ms everything exited.
-	if totals[len(totals)-1] != 0 {
-		t.Errorf("final total = %d, want 0", totals[len(totals)-1])
+	if n := s.Samples[len(s.Samples)-1].Total; n != 0 {
+		t.Errorf("final total = %d, want 0", n)
 	}
-	if s.MaxTotal() != 3 {
-		t.Errorf("MaxTotal = %d", s.MaxTotal())
+	peak := 0
+	for _, smp := range s.Samples {
+		peak = max(peak, smp.Total)
 	}
-	mean := s.MeanTotalBetween(sim.Time(100*sim.Millisecond), sim.Time(200*sim.Millisecond))
-	if mean < 2 || mean > 3 {
-		t.Errorf("MeanTotalBetween = %v", mean)
-	}
-	if s.MeanTotalBetween(sim.Time(900*sim.Second), sim.Time(901*sim.Second)) != 0 {
-		t.Error("mean over empty window should be 0")
+	if peak != 3 {
+		t.Errorf("peak total = %d, want 3", peak)
 	}
 }
 
@@ -86,8 +81,8 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 5 {
 		t.Errorf("rendered %d lines:\n%s", len(lines), out)
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("%d rows", len(tb.rows))
 	}
 	// Columns align: header and row share the position of the last column.
 	if len(lines[1]) != len(lines[3]) {
