@@ -1,7 +1,9 @@
 // Command procctl-top inspects a running procctld daemon: capacity,
-// external load, each registered application's process count and
-// current target, and the daemon's rebalance-latency quantiles (from its
-// metrics snapshot) — a tiny "top" for the paper's central server. With
+// external load, each registered application's process count, current
+// target and SPIN% (the share of its runnable workers' time spent parked
+// waiting for work — its workers block, they do not spin), and the
+// daemon's rebalance-latency quantiles (from its metrics snapshot) — a
+// tiny "top" for the paper's central server. With
 // -metrics it prints the daemon's full metrics snapshot instead; with -events it dumps the
 // daemon's flight recorder (the ring of recent control-plane events),
 // filterable by ring sequence (-since) and rebalance epoch (-epoch) and
@@ -268,8 +270,9 @@ func series(snap *metrics.Snapshot, name string) *metrics.Metric {
 }
 
 // statusTable renders the status snapshot, including each leased
-// member's remaining lease and last reported spin% ("-" for members
-// without one — older daemons and clients never report spin, so the
+// member's remaining lease and last reported SPIN% — the share of its
+// runnable workers' time parked waiting for work ("-" for members
+// without one — older daemons and clients never report it, so the
 // column degrades gracefully instead of showing a false 0%), and the
 // rebalance-latency quantiles of every stage that has recorded a span.
 func statusTable(st *coordinator.Status, snap *metrics.Snapshot) string {

@@ -18,8 +18,9 @@ import (
 	"procctl/internal/runtime/coordinator"
 )
 
-// stubMember is an in-process member of a fixed process count: what a
-// register record says of it stays true, as it does of a socket member.
+// stubMember is an in-process member. The coordinator reads its Workers
+// count once, at registration, as its register record says it, the way a
+// socket member's count is the one it registered with.
 type stubMember struct {
 	name    string
 	workers int

@@ -109,6 +109,27 @@ func TestDiffJournalLiveParity(t *testing.T) {
 	}
 }
 
+// TestDiffJournalInProcessWorkersChange: an in-process member whose
+// Workers count changes after it registered moves no target the journal
+// cannot explain. The coordinator decides from the count its register
+// record carries, so the replay of the record stream decides the same.
+func TestDiffJournalInProcessWorkersChange(t *testing.T) {
+	dir := t.TempDir()
+	_, coord, _ := bootJournaled(t, 8, dir)
+	a := &stubMember{name: "a", workers: 6}
+	coord.RegisterWeighted(a, 1)
+	coord.RegisterWeighted(&stubMember{name: "b", workers: 6}, 1)
+	a.workers = 1 // no register record says so
+	coord.Rebalance()
+
+	if d := mustDiff(t, dir, 8); !d.OK() {
+		t.Fatalf("live/replay diverged: %+v", d.Mismatches)
+	}
+	if got := a.target.Load(); got != 4 {
+		t.Errorf("a's target %d after Rebalance, want 4 from its registered 6 processes", got)
+	}
+}
+
 // TestDiffJournalAcrossRestart replays a journal spanning a daemon
 // restart: the restart record re-sorts the sim's tie-break order the
 // same way the recovering daemon re-seats its members.

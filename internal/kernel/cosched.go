@@ -11,10 +11,6 @@ import "procctl/internal/sim"
 type Cosched struct {
 	// Slice is the gang rotation period (default: kernel quantum).
 	Slice sim.Duration
-	// Backfill lets leftover processors run processes from gangs
-	// outside the current activation ("fragments"), keeping the machine
-	// busy (default true).
-	Backfill bool
 
 	k      *Kernel
 	gangs  map[AppID]*fifoQueue
@@ -24,7 +20,7 @@ type Cosched struct {
 }
 
 // NewCosched returns a coscheduling policy with default parameters.
-func NewCosched() *Cosched { return &Cosched{Backfill: true} }
+func NewCosched() *Cosched { return &Cosched{} }
 
 // Name implements Policy.
 func (c *Cosched) Name() string { return "cosched" }
@@ -121,14 +117,12 @@ func (c *Cosched) rotate() {
 	c.k.kickIdle()
 }
 
-// PickNext implements Policy: serve the activation first, then (if
-// Backfill) any other runnable process in rotation order.
+// PickNext implements Policy: serve the activation first, then backfill
+// leftover processors with any other runnable process in rotation order
+// ("fragments"), keeping the machine busy.
 func (c *Cosched) PickNext(cpu int) *Process {
 	if p := c.active.pop(); p != nil {
 		return p
-	}
-	if !c.Backfill {
-		return nil
 	}
 	for step := 0; step < len(c.order); step++ {
 		app := c.order[(c.rot+step)%len(c.order)]

@@ -26,8 +26,6 @@ type Partition struct {
 	queues map[AppID]*fifoQueue
 	order  []AppID // group creation order, for deterministic iteration
 	owner  []AppID // CPU index -> owning group
-
-	Repartitions int64 // stat: times the assignment changed
 }
 
 // NewPartition returns the policy with default parameters.
@@ -123,7 +121,6 @@ func (g *Partition) repartition() {
 		}
 	}
 
-	changed := false
 	// Release processors from groups over target (highest index first)
 	// and from inactive groups.
 	over := make(map[AppID]int)
@@ -140,7 +137,6 @@ func (g *Partition) repartition() {
 				over[o]--
 			}
 			g.owner[i] = ownerNone
-			changed = true
 		}
 	}
 	// Grant free processors to groups under target, in creation order.
@@ -150,12 +146,8 @@ func (g *Partition) repartition() {
 			if g.owner[i] == ownerNone {
 				g.owner[i] = app
 				need--
-				changed = true
 			}
 		}
-	}
-	if changed {
-		g.Repartitions++
 	}
 
 	// Evict running processes from processors their group no longer owns.

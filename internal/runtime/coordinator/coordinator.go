@@ -9,27 +9,27 @@
 // procctl, together under injected failures.
 //
 // Locking discipline: the membership — who is registered, in what order,
-// with what weight and what last decided target — is one core.Registry
-// under c.mu, the state machine the simulated server and journal
-// recovery run on. Locks nest only as jmu → c.mu → convergeTracker.mu
-// (the flight ring's own mutex is a leaf under all three). A membership
-// change is one c.mu section. A rebalance is two: the first copies the
-// members' handles in registration order; the second bumps the epoch,
-// decides, records what moved and opens the epoch in the convergence
-// tracker, so epoch order is decision order and an epoch never waits on a
-// member that had left when it was decided. Every event that changes the
-// registry is emitted inside the c.mu section that makes the change
-// (emitLocked: the flight ring, and a queue of the durable ones); the
-// journal's file I/O stays outside c.mu, in journalFlush, which drains the
-// queue under jmu, the journal's order lock — so ring and journal are in
-// registry order, and a snapshot cut there holds exactly the records
-// before it. Every Member interface call (Name at registration aside) —
-// Workers, Backlog, SetTarget — happens OUTSIDE all critical sections, on
-// the rebalance's own copy of the handles: the caps a decision divides
-// under are sampled between the two sections, the targets pushed after
-// the second. Members are arbitrary application code; calling them under
-// a coordinator lock would make the critical section as slow as the
-// slowest member, the convoy pattern the blockinglocked analyzer rejects.
+// with what process count, weight and last decided target — is one
+// core.Registry under c.mu, the state machine the simulated server and
+// journal recovery run on. Locks nest only as jmu → c.mu →
+// convergeTracker.mu (the flight ring's own mutex is a leaf under all
+// three). A membership change is one c.mu section, and so is a rebalance:
+// it bumps the epoch, decides from the process counts the members
+// registered with, records what moved and opens the epoch in the
+// convergence tracker, so epoch order is decision order and an epoch never
+// waits on a member that had left when it was decided. Every event that
+// changes the registry is emitted inside the c.mu section that makes the
+// change (emitLocked: the flight ring, and a queue of the durable ones);
+// the journal's file I/O stays outside c.mu, in journalFlush, which drains
+// the queue under jmu, the journal's order lock — so ring and journal are
+// in registry order, and a snapshot cut there holds exactly the records
+// before it. Every input to a decision is a journal record: a member's
+// Name and Workers are read once, at registration, before any lock, and
+// after that the only Member call is the target push, made on the
+// rebalance's own copy of the handles after its section. Members are
+// arbitrary application code; calling them under a coordinator lock would
+// make the critical section as slow as the slowest member, the convoy
+// pattern the blockinglocked analyzer rejects.
 package coordinator
 
 import (
@@ -51,7 +51,8 @@ type Member interface {
 	// Name identifies the member (unique within a coordinator). It is
 	// read once, at registration, and must not change afterwards.
 	Name() string
-	// Workers is the member's process count — the cap on its target.
+	// Workers is the member's process count — the cap on its target. It
+	// is read once, at registration: register again to change it.
 	Workers() int
 	// SetTarget tells the member how many workers it may run.
 	SetTarget(n int)
@@ -71,23 +72,17 @@ type EpochMember interface {
 
 // entry is a member's Handle in the registry: what the registry cannot
 // know about it — the member itself, cached at registration so no Member
-// method runs inside a critical section, and the cap the next decision
-// divides under. Allocated once per registration.
+// method runs inside a critical section. Allocated once per registration.
 type entry struct {
 	m      Member
 	epochM EpochMember // m's EpochMember side, nil if it has none
 	remote bool        // m is a socket member: its acks arrive on polls
-	// cap is the member's demand cap — its process count, or its load
-	// when load-aware — as last sampled outside all locks, at registration
-	// and by every rebalance before it decides.
-	cap atomic.Int64
 }
 
-func newEntry(m Member, cap int) *entry {
+func newEntry(m Member) *entry {
 	e := &entry{m: m}
 	e.epochM, _ = m.(EpochMember)
 	_, e.remote = m.(*remoteMember)
-	e.cap.Store(int64(cap))
 	return e
 }
 
@@ -100,7 +95,6 @@ type Coordinator struct {
 	// Restore resumes across daemon restarts, so epoch IDs never repeat
 	// within one journal's history) and last decided targets.
 	reg        *core.Registry[string]
-	loadAware  bool
 	targetsSum int64 // Σ last decided target over the members
 
 	met coordMetrics
@@ -134,8 +128,8 @@ type Coordinator struct {
 
 // snapshot is one rebalance's working set, recycled so a steady
 // rebalance allocates nothing: the members' handles in registration
-// order — first those whose caps it samples, then, with their targets,
-// those it pushes to — and, in the same order, whose targets it moved.
+// order, with the targets it pushes to them, and, in the same order,
+// whose targets it moved.
 type snapshot struct {
 	pushes  []push
 	pending []pendingMember
@@ -150,11 +144,11 @@ type push struct {
 }
 
 // Rebalance span stages, in causal order: the member event waiting on
-// c.mu and copying the handles (snapshot), the caps sampled and the
-// decision made (recompute), the SetTarget fan-out to every member — the
-// stage that grows with fleet size — (notify), and the whole span end to
-// end (total). The client side records a fifth stage, "apply", into its
-// own registry (see DriveOptions).
+// c.mu (snapshot), the decision made under it (recompute), the SetTarget
+// fan-out to every member — the stage that grows with fleet size —
+// (notify), and the whole span end to end (total). The client side
+// records a fifth stage, "apply", into its own registry (see
+// DriveOptions).
 var rebalanceStages = [...]string{StageSnapshot, StageRecompute, StageNotify, StageTotal}
 
 // Stage label values of coordinator_rebalance_latency_micros.
@@ -390,7 +384,7 @@ func (c *Coordinator) RegisterWeighted(m Member, weight int) {
 		weight = 1
 	}
 	name, procs := m.Name(), m.Workers() // interface calls before taking any lock
-	e := newEntry(m, procs)
+	e := newEntry(m)
 	start := time.Now()
 	c.mu.Lock()
 	// A name already registered moves to the end of allocation order and
@@ -415,7 +409,7 @@ func (c *Coordinator) restore(st journal.State, claimBy time.Time) []*remoteMemb
 	reg.Visit(func(m *core.Member[string]) {
 		rm := &remoteMember{name: m.Key, procs: m.Procs, claimBy: claimBy}
 		rm.SetTargetEpoch(m.Target, 0) // the restoring epoch is unknown; nothing to ack
-		m.Handle = newEntry(rm, m.Procs)
+		m.Handle = newEntry(rm)
 		members = append(members, rm)
 		sum += int64(m.Target)
 	})
@@ -513,8 +507,10 @@ func (c *Coordinator) Members() []string {
 	return names
 }
 
-// Rebalance recomputes and pushes all targets. Registration changes do
-// this automatically; call it after a member's Workers count changes.
+// Rebalance recomputes and pushes all targets. Membership, capacity and
+// load changes do this automatically. A member's process count is the one
+// it registered with: a member whose Workers count changes registers
+// again.
 func (c *Coordinator) Rebalance() {
 	c.requestRebalance(time.Now())
 }
@@ -634,11 +630,11 @@ func running(m *core.Member[string]) int {
 	return m.Procs
 }
 
-// rebalanceNow performs one epoch immediately: it samples every member's
-// cap, decides, and pushes the targets to every member, the member calls
-// outside coordinator locks on its own copy of the handles. Concurrent
-// calls (inline rebalances from several connections) are ordered by the
-// c.mu section that decides: it takes the next epoch, runs
+// rebalanceNow performs one epoch immediately: it decides from the
+// registered process counts and pushes the targets to every member, the
+// member calls outside coordinator locks on its own copy of the handles.
+// Concurrent calls (inline rebalances from several connections) are
+// ordered by the c.mu section that decides: it takes the next epoch, runs
 // Registry.Decide over the membership as it stands, emits the epoch's
 // rebalance event (A = µs from the trigger to the decision, B = members
 // decided over) and then a target event for each target that moved, and
@@ -657,29 +653,12 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 	snap := c.snapshots.Get().(*snapshot)
 	pushes, pending := snap.pushes[:0], snap.pending[:0]
 	c.mu.Lock()
-	c.reg.Visit(func(m *core.Member[string]) { pushes = append(pushes, push{e: m.Handle.(*entry)}) })
-	loadAware := c.loadAware
-	c.mu.Unlock()
-	snapDone := time.Now()
-	for _, p := range pushes {
-		if p.e.remote {
-			continue // a socket member's count is its registration's: sampled then
-		}
-		// A store is a locked instruction and a cap rarely moves.
-		if limit := int64(demandCap(p.e.m, loadAware)); p.e.cap.Load() != limit {
-			p.e.cap.Store(limit)
-		}
-	}
-
-	sampled := len(pushes)
-	pushes = pushes[:0] // the membership may have changed
-	c.mu.Lock()
+	locked := time.Now()
 	// Decide asks every member's cap once, in registration order, before
 	// it moves a target: the same visit lists whom to push to.
 	moves := c.reg.Decide(0, func(m *core.Member[string]) int {
-		e := m.Handle.(*entry)
-		pushes = append(pushes, push{e: e, target: m.Target})
-		return int(e.cap.Load())
+		pushes = append(pushes, push{e: m.Handle.(*entry), target: m.Target})
+		return m.Procs
 	})
 	epoch, decided := uint64(c.reg.Decisions), time.Now()
 	c.emitLocked(flight.Event{At: decided.UnixMicro(), Kind: flight.KindRebalance,
@@ -714,7 +693,7 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 		}
 	}
 	end := time.Now()
-	for i, d := range []time.Duration{snapDone.Sub(start), decided.Sub(snapDone), end.Sub(decided), end.Sub(start)} {
+	for i, d := range []time.Duration{locked.Sub(start), decided.Sub(locked), end.Sub(decided), end.Sub(start)} {
 		c.met.stageMicros[i].Observe(d.Microseconds())
 	}
 	for _, pm := range pending {
@@ -725,7 +704,7 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 	c.journalFlush(false)
 
 	// A pooled working set keeps no departed member or name alive.
-	clear(pushes[:max(sampled, len(pushes))])
+	clear(pushes)
 	clear(pending)
 	snap.pushes, snap.pending = pushes, pending
 	c.snapshots.Put(snap)
@@ -742,7 +721,7 @@ func (c *Coordinator) AckApplied(name string, epoch uint64, at int64) {
 
 // NotePoll counted a poll against its name's shard when there were
 // shards. coordinator_rpcs_total{op="poll"} counts polls; what is left is
-// the name benchmark/ compiles against, for ROADMAP item 1(d) to delete.
+// the name benchmark/ compiles against, for ROADMAP item 2(a) to delete.
 func (c *Coordinator) NotePoll(name string) {}
 
 // OpenEpochs returns how many rebalance epochs are still awaiting acks.
@@ -754,68 +733,3 @@ func (c *Coordinator) OpenEpochs() int { return c.conv.OpenEpochs() }
 // lease expiries, target changes, and rebalance spans are captured with
 // no tracing enabled in advance.
 func (c *Coordinator) FlightRecorder() *flight.Recorder { return c.rec }
-
-// Loader is an optional Member extension: a member that can report how
-// much work it actually has (queued + executing tasks). With
-// SetLoadAware(true), the coordinator caps an idle member's demand at
-// its load, so pools with no backlog stop holding processors that busy
-// pools could use. *pool.Pool implements it.
-type Loader interface {
-	Backlog() int
-	Executing() int
-}
-
-// SetLoadAware toggles load-aware allocation and rebalances.
-func (c *Coordinator) SetLoadAware(on bool) {
-	start := time.Now()
-	c.mu.Lock()
-	c.loadAware = on
-	c.mu.Unlock()
-	c.requestRebalance(start)
-}
-
-// demandCap computes the cap on a member's target. It calls into member
-// code and must therefore never run under a coordinator lock.
-func demandCap(m Member, loadAware bool) int {
-	limit := m.Workers()
-	if !loadAware {
-		return limit
-	}
-	if l, ok := m.(Loader); ok {
-		// Keep one worker warm for arrival latency.
-		limit = min(limit, max(l.Backlog()+l.Executing(), 1))
-	}
-	return limit
-}
-
-// StartAutoRebalance recomputes targets every interval until the
-// returned stop function is called. Use it with SetLoadAware, whose
-// inputs (pool backlogs) change without membership events.
-func (c *Coordinator) StartAutoRebalance(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				c.Rebalance()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-		})
-	}
-}

@@ -2,9 +2,7 @@ package coordinator
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // fakeMember records targets pushed to it.
@@ -196,66 +194,22 @@ func TestCoordinatorConcurrentUse(t *testing.T) {
 	}
 }
 
-// loadedMember is a fakeMember that reports a load.
-type loadedMember struct {
-	fakeMember
-	backlog, executing atomic.Int64
-}
-
-func (l *loadedMember) Backlog() int   { return int(l.backlog.Load()) }
-func (l *loadedMember) Executing() int { return int(l.executing.Load()) }
-
-func TestCoordinatorLoadAware(t *testing.T) {
-	c := New(8)
-	busy := &loadedMember{fakeMember: fakeMember{name: "busy", workers: 8}}
-	busy.backlog.Store(100)
-	idle := &loadedMember{fakeMember: fakeMember{name: "idle", workers: 8}}
-	c.RegisterWeighted(busy, 1)
-	c.RegisterWeighted(idle, 1)
-	// Fair mode: 4/4.
-	if busy.got() != 4 || idle.got() != 4 {
-		t.Fatalf("fair targets %d/%d", busy.got(), idle.got())
-	}
-	c.SetLoadAware(true)
-	if idle.got() != 1 {
-		t.Errorf("idle pool target %d under load-aware mode, want 1", idle.got())
-	}
-	if busy.got() != 7 {
-		t.Errorf("busy pool target %d, want 7", busy.got())
-	}
-	// Work arrives at the idle pool: the next rebalance restores it.
-	idle.backlog.Store(50)
+// TestWorkersReadOnceAtRegistration: a member's process count is the one
+// it registered with, as the journal records it. A Workers count that
+// changes afterwards moves no target until the member registers again.
+func TestWorkersReadOnceAtRegistration(t *testing.T) {
+	c := New(16)
+	a := &fakeMember{name: "a", workers: 16}
+	b := &fakeMember{name: "b", workers: 16}
+	c.RegisterWeighted(a, 1)
+	c.RegisterWeighted(b, 1)
+	a.workers = 2 // not re-registered: the coordinator must not see it
 	c.Rebalance()
-	if idle.got() != 4 || busy.got() != 4 {
-		t.Errorf("after load shift: %d/%d, want 4/4", busy.got(), idle.got())
+	if a.got() != 8 || b.got() != 8 {
+		t.Errorf("after Workers changed unregistered: targets %d/%d, want the registered 8/8", a.got(), b.got())
 	}
-	// Members without a Load method keep their full demand.
-	plain := &fakeMember{name: "plain", workers: 8}
-	c.RegisterWeighted(plain, 1)
-	if plain.got() < 2 {
-		t.Errorf("plain member target %d", plain.got())
+	c.RegisterWeighted(a, 1)
+	if a.got() != 2 || b.got() != 14 {
+		t.Errorf("after re-registering: targets %d/%d, want 2/14", a.got(), b.got())
 	}
-}
-
-func TestCoordinatorAutoRebalance(t *testing.T) {
-	c := New(8)
-	busy := &loadedMember{fakeMember: fakeMember{name: "busy", workers: 8}}
-	busy.backlog.Store(100)
-	idle := &loadedMember{fakeMember: fakeMember{name: "idle", workers: 8}}
-	idle.backlog.Store(100)
-	c.SetLoadAware(true)
-	c.RegisterWeighted(busy, 1)
-	c.RegisterWeighted(idle, 1)
-	stop := c.StartAutoRebalance(5 * time.Millisecond)
-	defer stop()
-	idle.backlog.Store(0)
-	deadline := time.Now().Add(5 * time.Second)
-	for idle.got() != 1 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if idle.got() != 1 {
-		t.Errorf("auto-rebalance never adapted: idle target %d", idle.got())
-	}
-	stop()
-	stop() // idempotent
 }

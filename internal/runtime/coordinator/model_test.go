@@ -22,10 +22,9 @@ import (
 // last targets are not held against the mirror's — that would compare the
 // state machine with itself. What is checked after every step is the
 // shell around it: every member's stub last received the target the
-// mirror decided (caps sampled from the right member, pushes delivered to
-// the current stub of a re-registered name), one decision per call that
-// should make one, no target above its member's process count and no
-// more handed out than there is.
+// mirror decided (pushes delivered to the current stub of a re-registered
+// name), one decision per call that should make one, no target above its
+// member's process count and no more handed out than there is.
 //
 // With a journal directory the program is recorded: after every step the
 // records appended so far must fold to the mirror's state, and at the
@@ -51,12 +50,6 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		names[i] = fmt.Sprintf("m%02d", i)
 	}
 	stubs := make(map[string]*fakeMember) // the stub each registered name currently answers with
-	workersOf := func(m *core.Member[string]) int { return stubs[m.Key].Workers() }
-	register := func(name string, workers, weight int) {
-		stubs[name] = &fakeMember{name: name, workers: workers}
-		c.RegisterWeighted(stubs[name], weight)
-		reg.Register(name, workers, max(weight, 1), 0)
-	}
 
 	for step := 0; step < steps; step++ {
 		name := names[rng.Intn(len(names))]
@@ -66,7 +59,9 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		case op < 3: // a new member, or a present one again with another stub, count and weight
 			workers, weight := rng.Intn(9), rng.Intn(5)
 			what = fmt.Sprintf("RegisterWeighted(%s procs %d, weight %d)", name, workers, weight)
-			register(name, workers, weight)
+			stubs[name] = &fakeMember{name: name, workers: workers}
+			c.RegisterWeighted(stubs[name], weight)
+			reg.Register(name, workers, max(weight, 1), 0)
 		case op < 5: // known or not
 			what = fmt.Sprintf("Unregister(%s)", name)
 			c.Unregister(name)
@@ -86,24 +81,12 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 			if decide = n >= 1; decide {
 				reg.Capacity = n
 			}
-		case op < 9 && stubs[name] != nil: // the member's process count changes under the coordinator
-			workers := rng.Intn(9)
-			what = fmt.Sprintf("%s.Workers() = %d; Rebalance()", name, workers)
-			if journalDir != "" {
-				// A journal learns a process count only from a register
-				// record, as it does from a real client.
-				m, _ := reg.Get(name)
-				register(name, workers, m.Weight)
-				break
-			}
-			stubs[name].workers = workers
-			c.Rebalance()
 		default:
 			what = "Rebalance()"
 			c.Rebalance()
 		}
 		if decide {
-			reg.Decide(0, workersOf)
+			reg.Decide(0, nil)
 		}
 
 		sum, floor := 0, 0

@@ -90,11 +90,12 @@ type Request struct {
 	Procs  int    `json:"procs,omitempty"`
 	Weight int    `json:"weight,omitempty"`
 	Load   int    `json:"load,omitempty"`
-	// SpinPct optionally reports what share of the application's worker
-	// time is currently idle-wait rather than useful work (pool
-	// SpinPercent). Both sides treat it as best-effort telemetry: old
-	// daemons ignore the field, old clients never send it, and the
-	// pointer distinguishes "not reported" from a genuine 0%.
+	// SpinPct optionally reports what share of the application's runnable
+	// worker time is spent parked waiting for work rather than executing
+	// it (pool SpinPercent: idle workers block, they do not spin). Both
+	// sides treat it as best-effort telemetry: old daemons ignore the
+	// field, old clients never send it, and the pointer distinguishes
+	// "not reported" from a genuine 0%.
 	SpinPct *float64 `json:"spin_pct,omitempty"`
 	// Limit caps how many flight-recorder events an "events" request
 	// returns (0 = everything the ring retains); the "converge" op
@@ -161,9 +162,10 @@ type AppStatus struct {
 	// before it is presumed dead; -1 for members without a lease
 	// (in-process members, or lease expiry disabled).
 	LeaseRemaining float64 `json:"lease_remaining_s"`
-	// SpinPct is the member's last reported idle-wait share (in-process
-	// members are sampled live); nil when the member has never reported
-	// one — remote clients predating the field, or daemons predating it.
+	// SpinPct is the member's last reported share of runnable worker time
+	// parked waiting for work (in-process members are sampled live); nil
+	// when the member has never reported one — remote clients predating
+	// the field, or daemons predating it.
 	SpinPct *float64 `json:"spin_pct,omitempty"`
 }
 

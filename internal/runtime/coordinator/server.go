@@ -597,7 +597,7 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 }
 
 // status reads the registry and then, with no coordinator lock held, the
-// members themselves: live Workers counts, leases and spin%.
+// members themselves: leases and spin%.
 func (s *Server) status() *Status {
 	st := &Status{
 		Capacity:     s.coord.capacity(),
@@ -609,7 +609,7 @@ func (s *Server) status() *Status {
 		mm := m.Handle.(*entry).m
 		app := AppStatus{
 			Name:           m.Key,
-			Procs:          mm.Workers(),
+			Procs:          m.Procs,
 			Weight:         m.Weight,
 			Target:         running(&m),
 			LeaseRemaining: -1, // in-process members have no lease

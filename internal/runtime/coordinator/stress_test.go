@@ -48,7 +48,7 @@ func TestRacingRebalancesEndOnNewestEpoch(t *testing.T) {
 // TestCoordinatorRaceStress hammers one coordinator from many host
 // goroutines at once — local members registering and unregistering,
 // remote clients polling over the socket protocol, and a driver
-// mutating capacity and load-awareness — so that `go test -race
+// mutating capacity and external load — so that `go test -race
 // ./internal/runtime/...` exercises every mutex-guarded path the
 // lockdiscipline analyzer reasons about statically. The static check
 // and this dynamic one are two halves of the same guarantee.
@@ -78,7 +78,7 @@ func TestCoordinatorRaceStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < iters; j++ {
-			c.SetLoadAware(j%2 == 0)
+			c.SetExternalLoad(j % 3)
 			if err := c.SetCapacity(8 + 8*(j%2)); err != nil {
 				t.Errorf("SetCapacity: %v", err)
 			}

@@ -31,8 +31,6 @@ type Config struct {
 	// Workers is the number of worker goroutines (the application's
 	// "processes"). Default: runtime.GOMAXPROCS(0).
 	Workers int
-	// Target is the initial number of runnable workers; 0 means all.
-	Target int
 	// Metrics is the registry the pool instruments, labeled
 	// pool=<Name>; nil creates a private registry (read it with
 	// Metrics). Sharing one registry across pools and an in-process
@@ -130,9 +128,6 @@ func New(cfg Config) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Target <= 0 || cfg.Target > cfg.Workers {
-		cfg.Target = cfg.Workers
-	}
 	if cfg.Name == "" {
 		cfg.Name = "pool"
 	}
@@ -142,9 +137,9 @@ func New(cfg Config) *Pool {
 	p := &Pool{
 		name:     cfg.Name,
 		workers:  cfg.Workers,
-		target:   cfg.Target,
+		target:   cfg.Workers,
 		runnable: cfg.Workers,
-		settled:  cfg.Target == cfg.Workers,
+		settled:  true,
 		rec:      cfg.Flight,
 		met:      newPoolMetrics(cfg.Metrics, cfg.Name),
 	}
@@ -283,27 +278,15 @@ func (p *Pool) Runnable() int {
 	return p.runnable
 }
 
-// Executing returns how many workers are currently inside a task.
-func (p *Pool) Executing() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.executing
-}
-
-// Backlog returns the number of queued (not yet started) tasks.
-func (p *Pool) Backlog() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
-// SpinPercent reports the share of the pool's active worker time spent
-// waiting for work rather than executing it: 100*idle/(busy+idle).
-// Time parked by process control is excluded — a parked worker is
-// deliberately yielding its processor, the opposite of wasting it. The
-// coordinator protocol forwards this as the per-app spin%% column in
-// procctl-top; it is the runtime analogue of the simulator's wasted-
-// cycle attribution. Returns 0 before any worker has done either.
+// SpinPercent reports the share of the pool's runnable worker time spent
+// parked waiting for work rather than executing it: 100*idle/(busy+idle).
+// An idle worker does not spin: it blocks on the pool's sync.Cond until a
+// Submit or a target change wakes it, and that wait is what idle counts.
+// Time parked by process control is excluded — a suspended worker is
+// deliberately yielding its processor. The coordinator protocol forwards
+// this as procctl-top's SPIN% column, a name kept from the simulator's
+// spin-waste metric, which it stands in for. Returns 0 before any worker
+// has done either.
 func (p *Pool) SpinPercent() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

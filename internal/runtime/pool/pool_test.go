@@ -86,7 +86,8 @@ func TestSetTargetClamps(t *testing.T) {
 
 func TestTargetLimitsConcurrency(t *testing.T) {
 	const workers = 8
-	p := New(Config{Workers: workers, Target: 2})
+	p := New(Config{Workers: workers})
+	p.SetTarget(2)
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
 	updatePeak := func(v int64) {
@@ -112,7 +113,8 @@ func TestTargetLimitsConcurrency(t *testing.T) {
 }
 
 func TestTargetRaiseResumesWorkers(t *testing.T) {
-	p := New(Config{Workers: 4, Target: 1})
+	p := New(Config{Workers: 4})
+	p.SetTarget(1)
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
 	block := make(chan struct{})
@@ -185,7 +187,8 @@ func TestWaitBlocksUntilDrained(t *testing.T) {
 }
 
 func TestSuspendedWorkersExitOnClose(t *testing.T) {
-	p := New(Config{Workers: 4, Target: 1})
+	p := New(Config{Workers: 4})
+	p.SetTarget(1)
 	for i := 0; i < 4; i++ {
 		p.Submit(func() { time.Sleep(time.Millisecond) })
 	}
@@ -230,26 +233,33 @@ func TestConcurrentSubmitAndRetarget(t *testing.T) {
 }
 
 func TestBacklogAndExecuting(t *testing.T) {
-	p := New(Config{Workers: 1})
+	p := New(Config{Name: "b", Workers: 1})
+	gauge := func(base string) int64 {
+		m := p.Metrics().Snapshot(0).Get(metrics.Name(base, "pool", "b"))
+		if m == nil {
+			t.Fatalf("%s not exported", base)
+		}
+		return m.Value
+	}
 	block := make(chan struct{})
 	p.Submit(func() { <-block })
 	p.Submit(func() {})
 	// Wait for the first task to start.
 	deadline := time.Now().Add(2 * time.Second)
-	for p.Executing() != 1 && time.Now().Before(deadline) {
+	for gauge("pool_executing") != 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if p.Executing() != 1 {
+	if gauge("pool_executing") != 1 {
 		t.Fatal("first task never started")
 	}
-	if p.Backlog() != 1 {
-		t.Errorf("Backlog = %d, want 1", p.Backlog())
+	if got := gauge("pool_backlog"); got != 1 {
+		t.Errorf("pool_backlog = %d, want 1", got)
 	}
 	close(block)
 	p.Close()
 	p.Wait()
-	if p.Backlog() != 0 {
-		t.Errorf("Backlog after drain = %d", p.Backlog())
+	if got := gauge("pool_backlog"); got != 0 {
+		t.Errorf("pool_backlog after drain = %d", got)
 	}
 }
 
@@ -297,7 +307,8 @@ func TestSpinPercentExcludesParkedTime(t *testing.T) {
 	// One of two workers parks immediately (runnable 2 > target 1) and
 	// stays parked to the end. Parked time is deliberate yielding, so it
 	// must not count as spin.
-	p := New(Config{Name: "park", Workers: 2, Target: 1})
+	p := New(Config{Name: "park", Workers: 2})
+	p.SetTarget(1)
 	time.Sleep(50 * time.Millisecond)
 	p.Submit(func() { time.Sleep(5 * time.Millisecond) })
 	p.Close()

@@ -102,7 +102,3 @@ type Group = pool.Group
 
 // NewGroup returns a Group submitting to p.
 func NewGroup(p *Pool) *Group { return pool.NewGroup(p) }
-
-// Loader is the optional Member extension for load-aware coordination;
-// *Pool implements it.
-type Loader = coordinator.Loader
