@@ -77,9 +77,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEngineModel -fuzztime=$(FUZZ_TIME) ./internal/sim
 
 # Every package benchmark run once: proof that each still compiles and
-# runs, not a timing.
+# runs, not a timing. -benchmem puts each one's allocation columns in the
+# log.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 # Every workload at full length; for one, or for the per-layer metrics,
 # pass flags to run.sh directly (benchmark/README.md).

@@ -54,7 +54,7 @@ type pendingMember struct {
 	applied bool
 }
 
-// memberWait is one member's entry in the tracker's index: the open
+// memberWait is one member's value in the tracker's index: the open
 // epoch it has yet to acknowledge, nil between epochs.
 type memberWait struct {
 	o      *openEpoch
@@ -97,8 +97,9 @@ func newConvergeMetrics(reg *metrics.Registry) convergeMetrics {
 // waits is the per-member index. A member is pending in at most one open
 // epoch — the coordinator opens them in epoch order under c.mu, and an
 // Open takes the members it names out of the older epoch they were still
-// pending in — so Open, Ack and Drop are one map probe per member named. A
-// member keeps its (empty) entry between epochs: re-opening allocates nothing.
+// pending in — so Open, Ack and Drop are one map probe per member named.
+// The index holds values: a member keeps its (empty) one between epochs,
+// and a name that departs and returns allocates nothing.
 //
 // open is written only under mu but read without it, so an ack with
 // nothing open takes no lock. That is safe because Open(E) runs under c.mu
@@ -108,7 +109,7 @@ type convergeTracker struct {
 	mu    sync.Mutex
 	open  atomic.Int64 // epochs still awaiting acks
 	free  []*openEpoch
-	waits map[string]*memberWait
+	waits map[string]memberWait
 
 	closed     [closedRing]ConvergeInfo
 	closedNext int
@@ -119,7 +120,7 @@ type convergeTracker struct {
 }
 
 func newConvergeTracker(reg *metrics.Registry, rec *flight.Recorder) *convergeTracker {
-	cv := &convergeTracker{rec: rec, met: newConvergeMetrics(reg), waits: make(map[string]*memberWait)}
+	cv := &convergeTracker{rec: rec, met: newConvergeMetrics(reg), waits: make(map[string]memberWait)}
 	openGauge := reg.Gauge("coordinator_convergence_open_epochs", "rebalance epochs still awaiting member acks")
 	reg.OnCollect(func() { openGauge.Set(int64(cv.OpenEpochs())) })
 	return cv
@@ -141,13 +142,8 @@ func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember)
 	o.members = len(changed)
 	o.waiting = len(changed)
 	for _, ch := range changed {
-		w := cv.waits[ch.name]
-		if w == nil {
-			w = new(memberWait)
-			cv.waits[ch.name] = w
-		}
-		cv.leaveLocked(w, ch.name, at, ConvergeSuperseded)
-		w.o, w.remote = o, ch.remote
+		cv.leaveLocked(cv.waits[ch.name], ch.name, at, ConvergeSuperseded)
+		cv.waits[ch.name] = memberWait{o: o, remote: ch.remote}
 	}
 	cv.open.Add(1)
 	cv.mu.Unlock()
@@ -162,8 +158,9 @@ func (cv *convergeTracker) Ack(name string, through uint64, at int64) {
 		return
 	}
 	cv.mu.Lock()
-	if w := cv.waits[name]; w != nil && w.o != nil && w.o.epoch <= through {
+	if w := cv.waits[name]; w.o != nil && w.o.epoch <= through {
 		cv.leaveLocked(w, name, at, ConvergeSettled)
+		cv.waits[name] = memberWait{}
 	}
 	cv.mu.Unlock()
 }
@@ -176,19 +173,17 @@ func (cv *convergeTracker) Drop(name string, at int64) {
 		return
 	}
 	cv.mu.Lock()
-	if w := cv.waits[name]; w != nil {
-		cv.leaveLocked(w, name, at, ConvergeExpired)
-		delete(cv.waits, name)
-	}
+	cv.leaveLocked(cv.waits[name], name, at, ConvergeExpired)
+	delete(cv.waits, name)
 	cv.mu.Unlock()
 }
 
-// leaveLocked takes name out of the epoch it is pending in, if any,
-// closing the epoch with the given outcome when name was the last it
-// waited on. It is the only way a member leaves an epoch.
-func (cv *convergeTracker) leaveLocked(w *memberWait, name string, at int64, outcome string) {
+// leaveLocked takes name, whose index value is w, out of the epoch it is
+// pending in, if any, closing the epoch with the given outcome when name
+// was the last it waited on. It is the only way a member leaves an epoch;
+// the caller writes name's new value back.
+func (cv *convergeTracker) leaveLocked(w memberWait, name string, at int64, outcome string) {
 	if o := w.o; o != nil {
-		w.o = nil
 		if o.waiting--; o.waiting == 0 {
 			cv.closeLocked(o, at, outcome, name, w.remote)
 		}

@@ -307,8 +307,8 @@ func BenchmarkConvergeTrack(b *testing.B) {
 }
 
 // TestTrackerCycleAllocatesNothing pins the steady open→ack→close cycle
-// (BenchmarkConvergeTrack's subject) and the nothing-open poll at zero
-// allocations.
+// (BenchmarkConvergeTrack's subject), the same cycle after the member left
+// and came back, and the nothing-open poll at zero allocations.
 func TestTrackerCycleAllocatesNothing(t *testing.T) {
 	b := newConvergeBench()
 	epoch := uint64(0)
@@ -317,6 +317,14 @@ func TestTrackerCycleAllocatesNothing(t *testing.T) {
 		b.Cycle(epoch, int64(epoch))
 	}); allocs != 0 {
 		t.Errorf("one Open+Ack cycle allocates %.1f, want 0", allocs)
+	}
+	// A name that departs and returns reuses its index slot.
+	if allocs := testing.AllocsPerRun(1000, func() {
+		epoch++
+		b.cv.Drop("bench", int64(epoch))
+		b.Cycle(epoch, int64(epoch))
+	}); allocs != 0 {
+		t.Errorf("one Drop+Open+Ack cycle allocates %.1f, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		b.cv.Ack("bench", epoch, 1)

@@ -26,10 +26,12 @@
 // before it. Every input to a decision is a journal record: a member's
 // Name and Workers are read once, at registration, before any lock, and
 // after that the only Member call is the target push, made on the
-// rebalance's own copy of the handles after its section. Members are
-// arbitrary application code; calling them under a coordinator lock would
-// make the critical section as slow as the slowest member, the convoy
-// pattern the blockinglocked analyzer rejects.
+// rebalance's own copy of the handles after its section. A member's
+// registry handle is the Member itself: the sections compare and
+// type-assert it, which calls no Member method. Members are arbitrary
+// application code; calling them under a coordinator lock would make the
+// critical section as slow as the slowest member, the convoy pattern the
+// blockinglocked analyzer rejects.
 package coordinator
 
 import (
@@ -46,7 +48,10 @@ import (
 )
 
 // Member is a controllable application: anything that can accept a
-// runnable-worker target. *pool.Pool implements it.
+// runnable-worker target. *pool.Pool implements it. The registry keeps the
+// Member itself as the member's handle and tells registrations apart with
+// ==, so a Member must be of a comparable type no other registered member
+// equals: a pointer, as *pool.Pool is.
 type Member interface {
 	// Name identifies the member (unique within a coordinator). It is
 	// read once, at registration, and must not change afterwards.
@@ -68,22 +73,6 @@ type Member interface {
 // only plain SetTarget are treated as applying synchronously.
 type EpochMember interface {
 	SetTargetEpoch(n int, epoch uint64) (applied bool)
-}
-
-// entry is a member's Handle in the registry: what the registry cannot
-// know about it — the member itself, cached at registration so no Member
-// method runs inside a critical section. Allocated once per registration.
-type entry struct {
-	m      Member
-	epochM EpochMember // m's EpochMember side, nil if it has none
-	remote bool        // m is a socket member: its acks arrive on polls
-}
-
-func newEntry(m Member) *entry {
-	e := &entry{m: m}
-	e.epochM, _ = m.(EpochMember)
-	_, e.remote = m.(*remoteMember)
-	return e
 }
 
 // Coordinator allocates capacity among members. All methods are safe
@@ -135,11 +124,11 @@ type snapshot struct {
 	pending []pendingMember
 }
 
-// push is one member's share of a fan-out; moved marks the targets the
-// decision changed, the ones the epoch waits on.
+// push is one member's share of a fan-out: its handle, the Member itself;
+// moved marks the targets the decision changed, the ones the epoch waits on.
 type push struct {
-	e      *entry
-	target int
+	m      any
+	target int32 // at most the member's process count; int32 keeps a push at three words
 	moved  bool
 }
 
@@ -384,13 +373,12 @@ func (c *Coordinator) RegisterWeighted(m Member, weight int) {
 		weight = 1
 	}
 	name, procs := m.Name(), m.Workers() // interface calls before taking any lock
-	e := newEntry(m)
 	start := time.Now()
 	c.mu.Lock()
 	// A name already registered moves to the end of allocation order and
 	// keeps its target: its next target record journals the change from it.
 	// Its handle is replaced: whoever held the name holds it no more.
-	c.reg.Register(name, procs, weight, start.UnixMicro()).Handle = e
+	c.reg.Register(name, procs, weight, start.UnixMicro()).Handle = m
 	c.emitLocked(flight.Event{At: start.UnixMicro(), Kind: flight.KindRegister, App: name, A: int64(procs), B: int64(weight)})
 	c.mu.Unlock()
 	c.requestRebalance(start)
@@ -409,7 +397,7 @@ func (c *Coordinator) restore(st journal.State, claimBy time.Time) []*remoteMemb
 	reg.Visit(func(m *core.Member[string]) {
 		rm := &remoteMember{name: m.Key, procs: m.Procs, claimBy: claimBy}
 		rm.SetTargetEpoch(m.Target, 0) // the restoring epoch is unknown; nothing to ack
-		m.Handle = newEntry(rm)
+		m.Handle = rm
 		members = append(members, rm)
 		sum += int64(m.Target)
 	})
@@ -475,7 +463,7 @@ func (c *Coordinator) drop(members []*remoteMember, durable bool, expired int64)
 // heldLocked returns the registry's member of rm's name if it is still rm.
 func (c *Coordinator) heldLocked(rm *remoteMember) (core.Member[string], bool) {
 	m, ok := c.reg.Get(rm.name)
-	return m, ok && m.Handle.(*entry).m == Member(rm)
+	return m, ok && m.Handle == any(rm)
 }
 
 // removeLocked takes m, a member the registry holds, out of it and emits
@@ -571,9 +559,12 @@ func (c *Coordinator) StartBatching(window time.Duration) (stop func()) {
 }
 
 // batchLoop sleeps until kicked, waits out the coalescing window, and
-// flushes. One timer allocation per flush is noise next to the fan-out
-// it batches.
+// flushes. It keeps one timer for its life, made at the first kick and
+// re-armed at each later one. Reset is safe under either timer-channel
+// semantics: the channel has either just fired and been read, or the loop
+// returns after Stop.
 func (c *Coordinator) batchLoop(window time.Duration, done chan struct{}) {
+	var t *time.Timer
 	for {
 		select {
 		case <-done:
@@ -581,7 +572,11 @@ func (c *Coordinator) batchLoop(window time.Duration, done chan struct{}) {
 			return
 		case <-c.kick:
 		}
-		t := time.NewTimer(window)
+		if t == nil {
+			t = time.NewTimer(window)
+		} else {
+			t.Reset(window)
+		}
 		select {
 		case <-done:
 			t.Stop()
@@ -657,7 +652,7 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 	// Decide asks every member's cap once, in registration order, before
 	// it moves a target: the same visit lists whom to push to.
 	moves := c.reg.Decide(0, func(m *core.Member[string]) int {
-		pushes = append(pushes, push{e: m.Handle.(*entry), target: m.Target})
+		pushes = append(pushes, push{m: m.Handle, target: int32(m.Target)})
 		return m.Procs
 	})
 	epoch, decided := uint64(c.reg.Decisions), time.Now()
@@ -665,15 +660,15 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 		A: decided.Sub(start).Microseconds(), B: int64(len(pushes)), Epoch: epoch})
 	i := 0
 	for _, mv := range moves {
-		e := mv.Handle.(*entry)
-		for pushes[i].e != e { // moves are in registration order too
+		for pushes[i].m != mv.Handle { // moves are in registration order too
 			i++
 		}
-		pushes[i].target, pushes[i].moved = mv.Target, true
+		pushes[i].target, pushes[i].moved = int32(mv.Target), true
 		c.targetsSum += int64(mv.Target - mv.Prev)
 		c.emitLocked(flight.Event{At: decided.UnixMicro(), Kind: flight.KindTarget,
 			App: mv.Key, A: int64(mv.Target), B: int64(mv.Prev), Epoch: epoch})
-		pending = append(pending, pendingMember{name: mv.Key, remote: e.remote})
+		_, remote := mv.Handle.(*remoteMember)
+		pending = append(pending, pendingMember{name: mv.Key, remote: remote})
 	}
 	// The epoch must be open before any member can ack it.
 	c.conv.Open(epoch, decided.UnixMicro(), pending)
@@ -682,10 +677,13 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 	moved := 0 // how many of pending the fan-out has passed
 	for _, p := range pushes {
 		applied := true
-		if p.e.epochM != nil {
-			applied = p.e.epochM.SetTargetEpoch(p.target, epoch)
-		} else {
-			p.e.m.SetTarget(p.target)
+		switch m := p.m.(type) {
+		case *remoteMember: // a direct call: the socket members are most of a large fleet
+			applied = m.SetTargetEpoch(int(p.target), epoch)
+		case EpochMember:
+			applied = m.SetTargetEpoch(int(p.target), epoch)
+		case Member:
+			m.SetTarget(int(p.target))
 		}
 		if p.moved {
 			pending[moved].applied = applied

@@ -606,7 +606,6 @@ func (s *Server) status() *Status {
 	}
 	now := time.Now()
 	for _, m := range s.coord.members() {
-		mm := m.Handle.(*entry).m
 		app := AppStatus{
 			Name:           m.Key,
 			Procs:          m.Procs,
@@ -614,7 +613,7 @@ func (s *Server) status() *Status {
 			Target:         running(&m),
 			LeaseRemaining: -1, // in-process members have no lease
 		}
-		switch mm := mm.(type) {
+		switch mm := m.Handle.(type) {
 		case *remoteMember:
 			if s.cfg.Lease > 0 {
 				end := mm.claimBy // a placeholder's lease is its claim deadline

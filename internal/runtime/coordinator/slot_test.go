@@ -91,7 +91,7 @@ func TestConcurrentChurnSettlesOnRegistry(t *testing.T) {
 	}
 	sum := 0
 	for _, m := range members {
-		rm := m.Handle.(*entry).m.(*remoteMember)
+		rm := m.Handle.(*remoteMember)
 		target, epoch := rm.targetEpoch()
 		if !m.HasTarget || target != m.Target || epoch != last {
 			t.Errorf("%s holds target %d of epoch %d; the registry decided %d (%v), the last epoch is %d",

@@ -63,12 +63,14 @@ func TestSpinReportedOverWire(t *testing.T) {
 }
 
 // In-process members that can report a spin%% (a *pool.Pool) are sampled
-// live at status time instead of waiting for a poll.
+// live at status time instead of waiting for a poll; one that cannot (a
+// SetTarget-only member) stays nil, rendered "-".
 func TestStatusSamplesInProcessSpin(t *testing.T) {
 	srv, sock := startServer(t, 8)
 	p := pool.New(pool.Config{Name: "inproc", Workers: 2})
 	defer func() { p.Close(); p.Wait() }()
 	srv.coord.RegisterWeighted(p, 1)
+	srv.coord.RegisterWeighted(&stubMember{name: "plain", procs: 2}, 1)
 
 	c, err := Dial("unix", sock)
 	if err != nil {
@@ -78,6 +80,9 @@ func TestStatusSamplesInProcessSpin(t *testing.T) {
 	spin := statusSpin(t, c)
 	if spin["inproc"] == nil {
 		t.Error("in-process pool member has no live spin sample")
+	}
+	if v, ok := spin["plain"]; !ok || v != nil {
+		t.Errorf("SetTarget-only member: spin %v (listed %v), want listed with none", v, ok)
 	}
 }
 

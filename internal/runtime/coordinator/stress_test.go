@@ -169,7 +169,7 @@ func holderOf(c *Coordinator, name string) *remoteMember {
 	if !ok {
 		return nil
 	}
-	return m.Handle.(*entry).m.(*remoteMember)
+	return m.Handle.(*remoteMember)
 }
 
 func newTestConn() *connState {

@@ -551,6 +551,47 @@ func TestServerPollAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A served unregister+register pair of one name allocates the new
+// registration's identity and nothing else: its remoteMember and its name.
+// The registry's handle is the member itself and the convergence index
+// holds values, so neither adds an object per registration — inline, where
+// the register rebalances and opens an epoch, or batched, where it only
+// marks the fleet dirty. (Under -race only the batched count is exact: the
+// inline rebalance takes its working set from a sync.Pool.)
+func TestReRegistrationAllocatesIdentityOnly(t *testing.T) {
+	unregister := []byte(`{"op":"unregister","app":"app-00017-3fa2c1"}` + "\n")
+	register := []byte(`{"op":"register","app":"app-00017-3fa2c1","procs":4}` + "\n")
+	for _, batched := range []bool{false, true} {
+		if raceDetector && !batched {
+			continue
+		}
+		srv, _ := startServer(t, 8)
+		if batched {
+			defer srv.coord.StartBatching(time.Hour)()
+		}
+		conn, step := serveScript(srv)
+		for i := 0; i < 4; i++ {
+			step(fmt.Sprintf(`{"op":"register","app":"peer-%d","procs":4}`, i))
+		}
+		step(string(register[:len(register)-1]))
+		allocs := testing.AllocsPerRun(1000, func() {
+			conn.reply = unregister
+			conn.steps <- struct{}{}
+			<-conn.steps
+			conn.reply = register
+			conn.steps <- struct{}{}
+			<-conn.steps
+		})
+		if got := string(conn.written); !strings.HasPrefix(got, `{"ok":true,"target":`) {
+			t.Errorf("batched=%v: register reply %q", batched, got)
+		}
+		if allocs != 2 {
+			t.Errorf("batched=%v: %v allocations per unregister+register, want 2 (the member and its name)", batched, allocs)
+		}
+		close(conn.steps)
+	}
+}
+
 func TestClientPollAllocatesNothing(t *testing.T) {
 	conn := &scriptConn{reply: []byte(`{"ok":true,"target":3,"epoch":12}` + "\n")}
 	c := newClient(conn)

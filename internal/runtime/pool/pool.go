@@ -182,6 +182,10 @@ func (p *Pool) Submit(t Task) error {
 	}
 	p.queue = append(p.queue, t)
 	p.met.submitted.Inc()
+	// This also wakes the suspended workers, which share the idle ones' cond
+	// and wait again. A second cond cut pool_tasks' retarget settle p99 3–6×
+	// but added ~1 µs (+25–30 %) to its task p50, so it is not taken; ROADMAP
+	// item 1 counts the context switches this costs pool children.
 	p.cond.Broadcast()
 	return nil
 }
