@@ -97,9 +97,9 @@ func newConvergeMetrics(reg *metrics.Registry) convergeMetrics {
 // waits is the per-member index. A member is pending in at most one open
 // epoch — the coordinator opens them in epoch order under c.mu, and an
 // Open takes the members it names out of the older epoch they were still
-// pending in — so Open, Ack and Drop are one map probe per member named.
-// The index holds values: a member keeps its (empty) one between epochs,
-// and a name that departs and returns allocates nothing.
+// pending in — so Open, Ack and Drop read and write back one value per
+// member named. The index holds values: a member keeps its (empty) one
+// between epochs, and a name that departs and returns allocates nothing.
 //
 // open is written only under mu but read without it, so an ack with
 // nothing open takes no lock. That is safe because Open(E) runs under c.mu

@@ -36,6 +36,7 @@ package coordinator
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -50,8 +51,8 @@ import (
 // Member is a controllable application: anything that can accept a
 // runnable-worker target. *pool.Pool implements it. The registry keeps the
 // Member itself as the member's handle and tells registrations apart with
-// ==, so a Member must be of a comparable type no other registered member
-// equals: a pointer, as *pool.Pool is.
+// ==, so a Member must be of a comparable type (RegisterWeighted panics if
+// not) that no other registered member equals: a pointer, as *pool.Pool is.
 type Member interface {
 	// Name identifies the member (unique within a coordinator). It is
 	// read once, at registration, and must not change afterwards.
@@ -369,9 +370,10 @@ func (c *Coordinator) ExternalLoad() int {
 // pushing fresh targets to every member. Weights below 1 are treated
 // as 1.
 func (c *Coordinator) RegisterWeighted(m Member, weight int) {
-	if weight < 1 {
-		weight = 1
+	if !reflect.TypeOf(m).Comparable() { // here, not as a runtime panic under c.mu in the fan-out's ==
+		panic(fmt.Sprintf("coordinator: Member of type %T is not comparable", m))
 	}
+	weight = max(weight, 1)
 	name, procs := m.Name(), m.Workers() // interface calls before taking any lock
 	start := time.Now()
 	c.mu.Lock()
@@ -678,7 +680,7 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 	for _, p := range pushes {
 		applied := true
 		switch m := p.m.(type) {
-		case *remoteMember: // a direct call: the socket members are most of a large fleet
+		case *remoteMember: // a type-word compare, not an interface lookup (PERF-11: BenchmarkRebalanceSocket)
 			applied = m.SetTargetEpoch(int(p.target), epoch)
 		case EpochMember:
 			applied = m.SetTargetEpoch(int(p.target), epoch)

@@ -1,6 +1,8 @@
 package coordinator
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -211,5 +213,42 @@ func TestWorkersReadOnceAtRegistration(t *testing.T) {
 	c.RegisterWeighted(a, 1)
 	if a.got() != 2 || b.got() != 14 {
 		t.Errorf("after re-registering: targets %d/%d, want 2/14", a.got(), b.got())
+	}
+}
+
+// sliceMember is a Member of a type that is not comparable: a struct with
+// a slice field.
+type sliceMember struct {
+	name   string
+	target *int
+	tags   []string
+}
+
+func (s sliceMember) Name() string    { return s.name }
+func (s sliceMember) Workers() int    { return 4 }
+func (s sliceMember) SetTarget(n int) { *s.target = n }
+
+// TestRegisterRefusesIncomparableMember: the fan-out tells handles apart
+// with ==, which panics on two values of a non-comparable type. Such a
+// Member is refused when it registers, before any lock, and the
+// coordinator stays usable; it never reaches a rebalance.
+func TestRegisterRefusesIncomparableMember(t *testing.T) {
+	c := New(8)
+	register := func(name string) (p any) {
+		defer func() { p = recover() }()
+		c.RegisterWeighted(sliceMember{name: name, target: new(int), tags: []string{name}}, 1)
+		return nil
+	}
+	for _, name := range []string{"x", "y"} {
+		// Anything else may have left c.mu held: stop before touching c again.
+		if p := register(name); !strings.Contains(fmt.Sprint(p), "coordinator.sliceMember is not comparable") {
+			t.Fatalf("RegisterWeighted(%s) panicked with %v, want the not-comparable refusal", name, p)
+		}
+	}
+	a := &fakeMember{name: "a", workers: 16}
+	c.RegisterWeighted(a, 1)
+	c.Rebalance()
+	if got := c.Targets(); len(got) != 1 || a.got() != 8 {
+		t.Errorf("after the refusals: targets %v, a %d, want only a at 8", got, a.got())
 	}
 }

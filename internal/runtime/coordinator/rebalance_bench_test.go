@@ -59,6 +59,23 @@ func BenchmarkRebalance(b *testing.B) {
 	}
 }
 
+// BenchmarkRebalanceSocket is BenchmarkRebalance over socket members,
+// seated as Server.Restore seats a recovered fleet: the fan-out's
+// *remoteMember case against its EpochMember lookup.
+func BenchmarkRebalanceSocket(b *testing.B) {
+	for _, n := range []int{2000, 10000} {
+		b.Run(fmt.Sprintf("m=%d", n), func(b *testing.B) {
+			c := newPollBench(n).c
+			c.Rebalance()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Rebalance()
+			}
+		})
+	}
+}
+
 // BenchmarkRegisterStorm is what a restarted daemon's fleet does to it,
 // and what the repo benchmark's fleet_poll set-up times: 2000 socket-style
 // members registering back to back without batching, each registration an
