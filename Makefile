@@ -40,8 +40,10 @@ benchmark-test:
 
 # The real-concurrency layer under the race detector (its first line
 # also runs the coordinator-against-core.Registry model test, at a tenth
-# of its `make test` length, and internal/ctrl, whose replay tests boot a
-# live daemon and drive it from four callers at once) — and the
+# of its `make test` length, internal/ctrl, whose replay tests boot a
+# live daemon and drive it from four callers at once, and
+# internal/journal, whose Writer takes appends from the journal's drain
+# and fsyncs from the coordinator's sync goroutine at once) — and the
 # simulator's core. No kernel or sim body runs off the engine's
 # goroutine any more: every body is a state machine the engine calls.
 # What is left to check there is the threads differential test, whose
@@ -53,7 +55,7 @@ benchmark-test:
 # (TestFiguresGolden, ~10 s under -race on two cores). The package list
 # stays whole, so no race coverage is dropped.
 race:
-	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/...
+	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/... ./internal/journal/...
 	$(SYNCTEST) $(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...
 	$(SYNCTEST) $(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns|TestFiguresGolden' ./internal/experiments
 

@@ -63,7 +63,7 @@ func main() {
 		maxConns = flag.Int("max-conns", 0, "cap concurrently served client connections; the excess is shed with a retryable busy reply (0 = unlimited)")
 		admit    = flag.Int("admit", 0, "cap concurrently admitted registrations; the excess is shed with a retryable busy reply (0 = unlimited)")
 		snapEvry = flag.Int("snapshot-every", 1024, "write a snapshot after this many journal records (0 disables periodic snapshots; a final one is still written on clean shutdown)")
-		syncEvry = flag.Int("fsync-every", 0, "fsync the journal after this many appends (1 = every append, 0 = the journal's default batch of 64)")
+		syncEvry = flag.Int("fsync-every", 0, "fsync the journal once this many appends wait (0 = the journal's default of 64; 1 = each write, before its operations are acknowledged; above 1 on a goroutine of its own, so no request waits on the disk). Every record reaches the kernel before its operation is acknowledged")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON lines instead of text")
 		verbose  = flag.Bool("v", false, "log registrations and rebalances (shorthand for -log-level debug)")

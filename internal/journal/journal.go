@@ -2,7 +2,11 @@
 // CRC32C-framed, length-prefixed record log of every membership and
 // target transition (register, unregister, lease expiry, target change,
 // epoch rebalance, load/capacity changes), with periodic snapshots of
-// the full registry, fsync batching, and segment rotation. On startup
+// the full registry, fsync batching, and segment rotation. A record is
+// in the kernel when its append returns and on disk within
+// Options.SyncEvery appends — before the append returns when that is 1;
+// above 1 the owner runs the fsync (Writer.Sync) off its append path,
+// since the package starts no goroutine. On startup
 // the daemon runs Recover — an fsck that truncates torn tails, verifies
 // frame CRCs, and validates snapshot/journal sequence continuity — and
 // replays the surviving prefix to reconstruct its registry without

@@ -336,9 +336,15 @@ func TestAppendZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	batch := []Record{rec, rec, rec, rec, rec, rec, rec, rec}
+	batchAllocs := testing.AllocsPerRun(2000, func() {
+		if _, err := w.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
 	w.Close()
-	if allocs != 0 {
-		t.Errorf("Append allocates %.2f/op, want 0", allocs)
+	if allocs != 0 || batchAllocs != 0 {
+		t.Errorf("Append allocates %.2f/op and AppendBatch of 8 %.2f/op, want 0", allocs, batchAllocs)
 	}
 }
 

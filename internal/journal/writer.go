@@ -1,7 +1,7 @@
 package journal
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,10 +16,14 @@ import (
 
 // Options tunes a Writer. The zero value selects the defaults.
 type Options struct {
-	// SyncEvery batches fsyncs: the file is fsynced after this many
-	// appends (default 64; 1 fsyncs every append). Snapshot and Close
-	// always sync. Records between fsyncs survive a process kill (the
-	// page cache holds them) but not a machine crash.
+	// SyncEvery is the fsync batch (default 64). A record is in the
+	// kernel when its append returns, so a process kill loses none, and
+	// on disk within SyncEvery appends, so a machine crash loses fewer
+	// than that. With 1, it is on disk before the append returns. Above
+	// 1, no append fsyncs: once SyncEvery appends wait, AppendBatch
+	// reports a sync due and the owner calls Sync, which runs beside
+	// later appends rather than in front of them. Snapshot and Close
+	// always sync.
 	SyncEvery int
 	// SegmentBytes rotates to a fresh segment once the current one
 	// grows past this size (default 4 MiB).
@@ -59,24 +63,29 @@ func (o Options) withDefaults() Options {
 
 // Writer appends records and snapshots to a journal directory. All
 // methods are safe for concurrent use; appends are serialized in call
-// order. I/O failures are sticky: after the first one every Append
+// order. An append holds mu for its write alone; Sync holds it only to
+// take and to settle what it fsyncs, so appends never wait on the disk.
+// Sync, WriteSnapshot and Close are serialized by smu (taken before mu),
+// which is what keeps a segment open while Sync fsyncs it.
+// I/O failures are sticky: after the first one every Append
 // returns it (and counts journal_append_errors_total), so a daemon can
 // keep serving with durability degraded rather than crash its control
 // plane on a full disk.
 type Writer struct {
+	smu     sync.Mutex
 	mu      sync.Mutex
 	dir     string
 	opts    Options
-	f       *os.File
-	bw      *bufio.Writer
-	payload []byte // record JSON scratch
-	frame   []byte // framed-record scratch (separate: appendFrame reads payload)
-	err     error  // first I/O failure, sticky
+	f       *os.File   // the active segment
+	retired []*os.File // rotated-out segments the next sync fsyncs and closes
+	payload []byte     // record JSON scratch
+	buf     []byte     // one append's frames, written with one write(2)
+	err     error      // first I/O failure, sticky
 
 	nextSeq   uint64
 	segStart  uint64 // first seq the current segment can hold
 	segBytes  int64
-	unsynced  int
+	unsynced  int // appends written since the last sync took its files
 	sinceSnap int
 
 	appends, fsyncs, snapshots, appendErrors, bytes *metrics.Counter
@@ -106,7 +115,7 @@ func Open(dir string, nextSeq uint64, opts Options) (*Writer, error) {
 		dir:     dir,
 		opts:    opts.withDefaults(),
 		payload: make([]byte, 0, 256),
-		frame:   make([]byte, 0, 256+frameHdr),
+		buf:     make([]byte, 0, 256+frameHdr),
 		nextSeq: nextSeq,
 	}
 	if reg := w.opts.Metrics; reg != nil {
@@ -150,11 +159,6 @@ func (w *Writer) openSegmentLocked() error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	w.f = f
-	if w.bw == nil {
-		w.bw = bufio.NewWriterSize(f, 64<<10)
-	} else {
-		w.bw.Reset(f)
-	}
 	w.segStart = w.nextSeq
 	w.segBytes = int64(magicLen)
 	return nil
@@ -162,101 +166,169 @@ func (w *Writer) openSegmentLocked() error {
 
 // Append assigns the next sequence number to rec, writes its frame, and
 // returns the sequence. Zero-alloc in steady state: the encoder reuses
-// the writer's scratch buffer and the frame goes through a fixed
-// bufio.Writer. Fsync batching and segment rotation happen inline.
+// the writer's scratch buffers. The frame is in the kernel when Append
+// returns, and on disk too with SyncEvery 1; see Options.SyncEvery.
 func (w *Writer) Append(rec Record) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		if w.appendErrors != nil {
-			w.appendErrors.Inc()
-		}
-		return 0, w.err
-	}
-	rec.Seq = w.nextSeq
-	w.payload = flight.AppendJSON(w.payload[:0], &rec)
-	w.frame = appendFrame(w.frame[:0], w.payload)
-	if _, err := w.bw.Write(w.frame); err != nil {
-		w.failLocked(err)
-		return 0, w.err
-	}
-	w.nextSeq++
-	w.segBytes += int64(len(w.frame))
-	w.unsynced++
-	w.sinceSnap++
-	if w.appends != nil {
-		w.appends.Inc()
-		w.bytes.Add(int64(len(w.frame)))
-	}
-	if w.unsynced >= w.opts.SyncEvery {
-		if err := w.syncLocked(); err != nil {
-			return 0, w.err
-		}
-	}
-	if w.segBytes >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return 0, w.err
-		}
-	}
-	return rec.Seq, nil
+	recs := [1]Record{rec}
+	seq, _, err := w.append(recs[:])
+	return seq, err
 }
 
-// failLocked records the first I/O error; later calls keep the original.
-func (w *Writer) failLocked(err error) {
+// AppendBatch appends recs in order, each as Append would, and writes
+// their frames with one write(2) per segment they land in. With
+// SyncEvery 1 the batch is fsynced, once, before AppendBatch returns.
+// Otherwise syncDue reports that SyncEvery appends (or a rotated-out
+// segment) wait for an fsync: the caller should run Sync, which it may
+// do off its own path, since appends do not wait for it.
+func (w *Writer) AppendBatch(recs []Record) (syncDue bool, err error) {
+	_, syncDue, err = w.append(recs)
+	return syncDue, err
+}
+
+// append is Append and AppendBatch: it returns the first record's seq.
+func (w *Writer) append(recs []Record) (first uint64, syncDue bool, err error) {
+	if len(recs) == 0 {
+		return 0, false, nil
+	}
+	w.mu.Lock()
+	first = w.nextSeq
+	err = w.writeLocked(recs)
+	syncDue = w.unsynced >= w.opts.SyncEvery || len(w.retired) > 0
+	w.mu.Unlock()
+	if err != nil {
+		return 0, false, err
+	}
+	if w.opts.SyncEvery == 1 {
+		return first, false, w.Sync()
+	}
+	return first, syncDue, nil
+}
+
+// writeLocked frames recs into buf and writes them to the active
+// segment: in one write, unless a segment fills first, in which case
+// the frames so far are written, the segment is retired for the next
+// sync to fsync and close, and a fresh one takes the rest.
+func (w *Writer) writeLocked(recs []Record) error {
+	if w.err != nil {
+		if w.appendErrors != nil {
+			w.appendErrors.Add(int64(len(recs)))
+		}
+		return w.err
+	}
+	framed := 0 // records in buf
+	for i, rec := range recs {
+		rec.Seq = w.nextSeq
+		w.payload = flight.AppendJSON(w.payload[:0], &rec)
+		n := len(w.buf)
+		w.buf = appendFrame(w.buf, w.payload)
+		w.nextSeq++
+		w.segBytes += int64(len(w.buf) - n)
+		framed++
+		full := w.segBytes >= w.opts.SegmentBytes
+		if !full && i < len(recs)-1 {
+			continue
+		}
+		if _, err := w.f.Write(w.buf); err != nil {
+			w.failLocked(err, framed+len(recs)-1-i)
+			return w.err
+		}
+		w.unsynced += framed
+		w.sinceSnap += framed
+		if w.appends != nil {
+			w.appends.Add(int64(framed))
+			w.bytes.Add(int64(len(w.buf)))
+		}
+		w.buf, framed = w.buf[:0], 0
+		if full {
+			w.retired = append(w.retired, w.f)
+			w.f = nil
+			if err := w.openSegmentLocked(); err != nil {
+				w.failLocked(err, len(recs)-1-i)
+				return w.err
+			}
+		}
+	}
+	return nil
+}
+
+// failLocked records the first I/O error (later calls keep the
+// original) and counts the records it cost.
+func (w *Writer) failLocked(err error, lost int) {
 	if w.err == nil {
 		w.err = fmt.Errorf("journal: %w", err)
 	}
 	if w.appendErrors != nil {
-		w.appendErrors.Inc()
+		w.appendErrors.Add(int64(lost))
 	}
 }
 
-// Sync flushes buffered frames and fsyncs the segment.
+// Sync fsyncs every record appended so far: the rotated-out segments
+// (closing them) and the active one. It holds mu only to take the files
+// and to settle the count, never across the fsync, so appends proceed
+// while it runs; smu keeps WriteSnapshot and Close from closing a file
+// under it. A failed fsync is sticky like a failed write: the next
+// append returns it.
 func (w *Writer) Sync() error {
+	w.smu.Lock()
+	defer w.smu.Unlock()
+	w.mu.Lock()
+	retired, active, n, err := w.takeLocked()
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = w.fsync(retired, active)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	return w.syncLocked()
+	return w.settleLocked(n, err)
 }
 
+// syncLocked is Sync for a caller holding smu and mu.
 func (w *Writer) syncLocked() error {
-	if err := w.bw.Flush(); err != nil {
-		w.failLocked(err)
-		return w.err
+	retired, active, n, err := w.takeLocked()
+	if err != nil {
+		return err
 	}
+	return w.settleLocked(n, w.fsync(retired, active))
+}
+
+// takeLocked hands a sync the rotated-out segments, the active one, and
+// the number of appends they hold. Callers hold smu and mu.
+func (w *Writer) takeLocked() (retired []*os.File, active *os.File, n int, err error) {
+	if w.err != nil {
+		return nil, nil, 0, w.err
+	}
+	retired, w.retired = w.retired, nil
+	return retired, w.f, w.unsynced, nil
+}
+
+// fsync syncs and closes the rotated-out segments, then syncs the active
+// one. Callers hold smu, which keeps every file open until it returns.
+func (w *Writer) fsync(retired []*os.File, active *os.File) error {
 	var start int64
 	if w.opts.NowMicros != nil {
 		start = w.opts.NowMicros()
 	}
-	if err := w.f.Sync(); err != nil {
-		w.failLocked(err)
-		return w.err
+	var err error
+	for _, f := range retired {
+		err = cmp.Or(err, f.Sync(), f.Close())
 	}
-	if w.fsyncs != nil {
+	if err = cmp.Or(err, active.Sync()); err == nil && w.fsyncs != nil {
 		w.fsyncs.Inc()
 		if w.opts.NowMicros != nil {
 			w.fsyncMicros.Observe(w.opts.NowMicros() - start)
 		}
 	}
-	w.unsynced = 0
-	return nil
+	return err
 }
 
-// rotateLocked syncs and closes the current segment and opens the next.
-func (w *Writer) rotateLocked() error {
-	if err := w.syncLocked(); err != nil {
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		w.failLocked(err)
+// settleLocked accounts for a sync of n appends that returned err.
+func (w *Writer) settleLocked(n int, err error) error {
+	if err != nil {
+		w.failLocked(err, n)
 		return w.err
 	}
-	if err := w.openSegmentLocked(); err != nil {
-		w.failLocked(err)
-		return w.err
-	}
+	w.unsynced -= n
 	return nil
 }
 
@@ -276,6 +348,8 @@ func (w *Writer) ShouldSnapshot() bool {
 // and renamed, so a torn snapshot write can never shadow an older good
 // one.
 func (w *Writer) WriteSnapshot(st State) error {
+	w.smu.Lock()
+	defer w.smu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -293,22 +367,22 @@ func (w *Writer) WriteSnapshot(st State) error {
 	buf := append([]byte(snapMagic), appendFrame(nil, payload)...)
 	tmp := filepath.Join(w.dir, "snap.tmp")
 	if err := writeFileSync(tmp, buf); err != nil {
-		w.failLocked(err)
+		w.failLocked(err, 0)
 		return w.err
 	}
 	if err := os.Rename(tmp, filepath.Join(w.dir, snapshotName(st.LastSeq))); err != nil {
-		w.failLocked(err)
+		w.failLocked(err, 0)
 		return w.err
 	}
 
 	// Start a fresh segment so every segment belongs wholly to one
 	// snapshot epoch, then prune.
 	if err := w.f.Close(); err != nil {
-		w.failLocked(err)
+		w.failLocked(err, 0)
 		return w.err
 	}
 	if err := w.openSegmentLocked(); err != nil {
-		w.failLocked(err)
+		w.failLocked(err, 0)
 		return w.err
 	}
 	w.sinceSnap = 0
@@ -351,12 +425,18 @@ func (w *Writer) pruneLocked() {
 
 // Close syncs and closes the journal. Further appends fail.
 func (w *Writer) Close() error {
+	w.smu.Lock()
+	defer w.smu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err == nil {
 		w.syncLocked()
 	}
 	err := w.err
+	for _, f := range w.retired { // left by a failure; already failed
+		f.Close()
+	}
+	w.retired = nil
 	if w.f != nil {
 		if cerr := w.f.Close(); cerr != nil && err == nil {
 			err = cerr

@@ -375,7 +375,6 @@ func startProcctld(t *testing.T, bin, sock, jdir string, extra ...string) *exec.
 		"-listen", "unix:" + sock,
 		"-capacity", "8",
 		"-journal-dir", jdir,
-		"-fsync-every", "1", // every transition durable before it is acked
 	}, extra...)...)
 	cmd.Stderr = io.Discard
 	if err := cmd.Start(); err != nil {
@@ -402,16 +401,31 @@ func startProcctld(t *testing.T, bin, sock, jdir string, extra ...string) *exec.
 // killed with SIGKILL mid-traffic and restarted on its journal. The
 // restarted daemon must serve the full registry — names, process
 // counts, weights, and last pushed targets, byte-for-byte what the
-// journal held at the kill — before any client re-registers.
+// journal held at the kill — before any client re-registers. It runs
+// at -fsync-every 1 and at the daemon's default batching: a process
+// kill loses nothing either way, since every drain is in the kernel
+// before the operations in it are acknowledged.
 func TestChaosSIGKILLRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and execs the real daemon")
 	}
 	bin := buildProcctld(t)
+	for _, tc := range []struct {
+		name  string
+		flags []string
+	}{
+		{"fsync-every=1", []string{"-fsync-every", "1"}},
+		{"default", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) { sigkillRecovery(t, bin, tc.flags) })
+	}
+}
+
+func sigkillRecovery(t *testing.T, bin string, flags []string) {
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
 	jdir := filepath.Join(t.TempDir(), "journal")
 
-	daemon1 := startProcctld(t, bin, sock, jdir)
+	daemon1 := startProcctld(t, bin, sock, jdir, flags...)
 	c, err := coordinator.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
@@ -437,8 +451,8 @@ func TestChaosSIGKILLRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// What the journal can prove at the moment of death (-fsync-every 1:
-	// every acked op is already on disk).
+	// What the journal can prove at the moment of death: every acked op
+	// is in the kernel (and, at -fsync-every 1, on disk).
 	pre, err := journal.Recover(jdir)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +470,7 @@ func TestChaosSIGKILLRecovery(t *testing.T) {
 	}
 	daemon1.Wait()
 
-	startProcctld(t, bin, sock, jdir)
+	startProcctld(t, bin, sock, jdir, flags...)
 	c2, err := coordinator.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
@@ -693,7 +707,7 @@ func TestChaosSIGKILLMidEpochProvenance(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
 	jdir := filepath.Join(t.TempDir(), "journal")
 
-	daemon1 := startProcctld(t, bin, sock, jdir)
+	daemon1 := startProcctld(t, bin, sock, jdir, "-fsync-every", "1") // every transition durable before it is acked
 	c, err := coordinator.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
@@ -727,7 +741,7 @@ func TestChaosSIGKILLMidEpochProvenance(t *testing.T) {
 
 	// Restart on the journal with a short lease: the dead clients'
 	// restored registrations must expire rather than linger.
-	startProcctld(t, bin, sock, jdir, "-lease", "500ms")
+	startProcctld(t, bin, sock, jdir, "-fsync-every", "1", "-lease", "500ms")
 	c2, err := coordinator.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)

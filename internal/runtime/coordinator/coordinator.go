@@ -101,11 +101,16 @@ type Coordinator struct {
 
 	// jrn, when set, is the write-ahead journal the durable flight events
 	// (journal.Durable) go to; jq, under c.mu, those emitted since the last
-	// drain (journalFlush, serialized by jmu); jspare, under jmu, its spare.
-	jrn    atomic.Pointer[journal.Writer]
-	jq     []flight.Event
-	jmu    sync.Mutex
-	jspare []flight.Event
+	// drain (journalFlush, serialized by jmu); jspare, under jmu, its spare;
+	// jsyncing, whether a journal fsync goroutine is running; jsync, its
+	// body, syncJournal, as a method value made once, so starting one
+	// allocates nothing.
+	jrn      atomic.Pointer[journal.Writer]
+	jq       []flight.Event
+	jmu      sync.Mutex
+	jspare   []flight.Event
+	jsyncing atomic.Bool
+	jsync    func()
 
 	// conv tracks open rebalance epochs until every changed member acks
 	// its applied target (see converge.go).
@@ -211,6 +216,7 @@ func New(capacity int) *Coordinator {
 		rec:  flight.New(flight.DefaultSize),
 	}
 	c.snapshots.New = func() any { return new(snapshot) }
+	c.jsync = c.syncJournal
 	c.met = newCoordMetrics(metrics.NewRegistry())
 	c.conv = newConvergeTracker(c.met.reg, c.rec)
 	c.met.reg.OnCollect(func() {
@@ -301,12 +307,16 @@ func (c *Coordinator) journalFlush(state bool) (reg *core.Registry[string]) {
 	return reg
 }
 
-// journalWrite is the only place the journal is written from. Append
-// errors are deliberately dropped: the Writer makes them sticky and
-// counts them.
+// journalWrite is the only place the journal is written from: the
+// drain goes to the kernel in one write (the Writer assigns the durable
+// Seqs). When the Writer reports an fsync due, it runs on a goroutine of
+// its own, at most one at a time, so neither jmu nor the RPCs queued on
+// it wait on the disk; with -fsync-every 1 the Writer fsyncs the drain
+// before AppendBatch returns instead. Errors are deliberately dropped:
+// the Writer makes them sticky, a failed fsync included, and counts them.
 func (c *Coordinator) journalWrite(w *journal.Writer, evs []flight.Event, snapshot bool, reg *core.Registry[string]) {
-	for _, ev := range evs {
-		_, _ = w.Append(ev) // the Writer assigns the durable Seq
+	if due, _ := w.AppendBatch(evs); due && c.jsyncing.CompareAndSwap(false, true) {
+		go c.jsync()
 	}
 	if !snapshot {
 		return
@@ -314,6 +324,17 @@ func (c *Coordinator) journalWrite(w *journal.Writer, evs []flight.Event, snapsh
 	if st := journal.Snapshot(reg, 0, time.Now().UnixMicro()); w.WriteSnapshot(st) == nil {
 		c.rec.Append(flight.Event{At: st.At, Kind: flight.KindSnapshot, A: int64(w.NextSeq() - 1)})
 	}
+}
+
+// syncJournal fsyncs the attached journal once and exits: the body of
+// the goroutine journalWrite starts when a sync comes due. A sync due
+// while one runs waits for the drain after it; Writer.Close waits for a
+// running one.
+func (c *Coordinator) syncJournal() {
+	if w := c.jrn.Load(); w != nil {
+		_ = w.Sync()
+	}
+	c.jsyncing.Store(false)
 }
 
 // Snapshot captures every metric stamped with the current wall-clock

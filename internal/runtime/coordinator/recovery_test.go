@@ -263,3 +263,31 @@ func TestJournalDetached(t *testing.T) {
 		t.Fatal("journal attached without SetJournal")
 	}
 }
+
+// With fsync batching the drain writes and returns, and the fsync it
+// makes due runs on a goroutine of its own: every record is readable at
+// once, and the fsync count rises without anyone calling Sync.
+func TestJournalFsyncRunsOffTheDrain(t *testing.T) {
+	dir := t.TempDir()
+	coord := New(8)
+	w, err := journal.Open(dir, 1, journal.Options{SyncEvery: 4, Metrics: coord.Metrics()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	coord.SetJournal(w)
+	for i := 1; i <= 10; i++ {
+		coord.SetExternalLoad(i)
+	}
+	res, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int(w.NextSeq() - 1); res.Replayed != want || res.State.External != 10 {
+		t.Fatalf("journal holds %d records, external load %d; want %d and 10", res.Replayed, res.State.External, want)
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		n, _ := coord.Metrics().Value("journal_fsyncs_total")
+		return n > 0
+	}, "no background fsync ran")
+}
