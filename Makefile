@@ -41,9 +41,11 @@ benchmark-test:
 # The real-concurrency layer under the race detector (its first line
 # also runs the coordinator-against-core.Registry model test, at a tenth
 # of its `make test` length, internal/ctrl, whose replay tests boot a
-# live daemon and drive it from four callers at once, and
+# live daemon and drive it from four callers at once,
 # internal/journal, whose Writer takes appends from the journal's drain
-# and fsyncs from the coordinator's sync goroutine at once) — and the
+# and fsyncs from the coordinator's sync goroutine at once, and
+# cmd/procctld and the root package, whose tests drive a pool.Pool
+# through Client.DriveWith against a live daemon) — and the
 # simulator's core. No kernel or sim body runs off the engine's
 # goroutine any more: every body is a state machine the engine calls.
 # What is left to check there is the threads differential test, whose
@@ -55,7 +57,7 @@ benchmark-test:
 # (TestFiguresGolden, ~10 s under -race on two cores). The package list
 # stays whole, so no race coverage is dropped.
 race:
-	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/... ./internal/journal/...
+	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/... ./internal/journal/... ./cmd/procctld/... .
 	$(SYNCTEST) $(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...
 	$(SYNCTEST) $(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns|TestFiguresGolden' ./internal/experiments
 

@@ -26,11 +26,11 @@
 // (internal/journal) folds records into a Registry keyed by name, and
 // the replay audit (ctrl.DiffJournal) folds the same records and
 // re-derives every journaled decision with Decide. The live coordinator
-// (internal/runtime/coordinator) keeps its own sharded, locked registry
-// and calls the policy (AllocateInto) directly; a model test holds it to
-// the Registry step by step. So the policy is defined once, and the
-// registry semantics once for everything that runs on virtual time or
-// on records.
+// (internal/runtime/coordinator) holds a Registry keyed by name under its
+// mutex and rebalances with Decide too, pushing the moved targets after
+// it unlocks; a model test holds it to a mirror Registry step by step.
+// So the policy is defined once, and the registry semantics once, for
+// the simulator, the records and the live coordinator alike.
 package core
 
 import "slices"

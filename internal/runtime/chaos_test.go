@@ -245,6 +245,12 @@ func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 	waitFor(t, 3*time.Second, func() bool {
 		return pa.Target() == 3 && pb.Target() == 3 && sumTargets(coord2) == 6
 	}, "pools never took up the restarted daemon's 3/3 split")
+	// The restarted daemon's epochs are acknowledged too, not only taken
+	// up: every one it opened closes, and each driver acks the newest.
+	waitFor(t, 3*time.Second, func() bool {
+		last := uint64(coord2.Rebalances())
+		return coord2.OpenEpochs() == 0 && da.Applied() == last && db.Applied() == last
+	}, "drivers never acknowledged the restarted daemon's epochs")
 
 	// Work kept flowing across the outage and after recovery.
 	waitFor(t, 3*time.Second, func() bool {

@@ -239,9 +239,18 @@ func (c *Client) Events(limit int, since, epoch uint64) ([]flight.Event, error) 
 	return resp.Events, nil
 }
 
-// Targeter accepts targets; *pool.Pool satisfies it.
+// Targeter is the application side of the push; *pool.Pool satisfies it.
 type Targeter interface {
-	SetTarget(n int)
+	// SetTargetEpoch sets how many workers the application may run, with
+	// the epoch of the rebalance that computed the target (0: none did, as
+	// in the driver's degraded-mode decay). It refuses a non-zero epoch
+	// below the newest pushed, and reports whether the target was applied
+	// before returning: the coordinator's fan-out then counts the epoch
+	// acked at once, else the ack comes through Coordinator.AckApplied.
+	SetTargetEpoch(n int, epoch uint64) (applied bool)
+	// ResetEpoch forgets the newest epoch pushed. The driver calls it when
+	// a daemon that restarted without its journal counts from 1 again.
+	ResetEpoch()
 }
 
 // spinOf samples the target's spin% when it can report one (*pool.Pool
@@ -267,7 +276,7 @@ type DriveOptions struct {
 	// Metrics receives per-app poll/reconnect counters, a degraded-mode
 	// gauge, and the client's slice of the rebalance span: poll
 	// round-trip latency and the "apply" stage (response received →
-	// SetTarget done). Nil creates a private registry. Drivers sharing
+	// SetTargetEpoch done). Nil creates a private registry. Drivers sharing
 	// one need distinct application names, or they count into the same
 	// series.
 	Metrics *metrics.Registry
@@ -373,7 +382,7 @@ func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions)
 	d.pollMicros = reg.Histogram(metrics.Name("coordinator_client_poll_micros", "app", app),
 		"poll round-trip latency", metrics.LatencyBuckets)
 	d.applyMicros = reg.Histogram(metrics.Name("coordinator_rebalance_latency_micros", "stage", StageApply, "app", app),
-		"rebalance span, client side: poll response received until SetTarget returned", metrics.LatencyBuckets)
+		"rebalance span, client side: poll response received until the push returned", metrics.LatencyBuckets)
 	d.apply(target, epoch)
 	d.wg.Add(1)
 	go d.loop()
@@ -446,12 +455,12 @@ func (d *Driver) Stop() {
 	})
 }
 
-// apply pushes a target to the application and its gauge. The SetTarget
-// call is the client half of the rebalance span ("apply" stage): it is
-// member code — a pool resizing, workers parking — and the histogram
-// shows when *it*, not the daemon, is the tail. A non-zero epoch is
-// handed through to epoch-aware applications (*pool.Pool), stamped into
-// the apply flight event, and remembered for the ack the next wire
+// apply pushes a target to the application and its gauge. The push is
+// the client half of the rebalance span ("apply" stage): it is member
+// code — a pool resizing, workers parking — and the histogram shows
+// when *it*, not the daemon, is the tail. The epoch (0 for the
+// degraded-mode decay) is handed through to the application, stamped
+// into the apply flight event, and remembered for the ack the next wire
 // round carries; newEpoch reports whether it advanced the driver's
 // applied-epoch watermark, so the loop can ack promptly instead of
 // waiting out the poll interval.
@@ -463,16 +472,10 @@ func (d *Driver) apply(target int, epoch uint64) (newEpoch bool) {
 		// without its journal and counts from 1 again. Start the
 		// watermark over, and the application's refusal of old epochs.
 		d.applied.Store(0)
-		if r, ok := d.t.(interface{ ResetEpoch() }); ok {
-			r.ResetEpoch()
-		}
+		d.t.ResetEpoch()
 	}
 	start := time.Now()
-	if em, ok := d.t.(EpochMember); ok && epoch != 0 {
-		em.SetTargetEpoch(target, epoch)
-	} else {
-		d.t.SetTarget(target)
-	}
+	d.t.SetTargetEpoch(target, epoch)
 	d.applyMicros.Observe(time.Since(start).Microseconds())
 	d.targetGauge.Set(int64(target))
 	if epoch != 0 && epoch > d.applied.Load() {

@@ -49,7 +49,9 @@ import (
 )
 
 // Member is a controllable application: anything that can accept a
-// runnable-worker target. *pool.Pool implements it. The registry keeps the
+// runnable-worker target. *pool.Pool implements it, and Targeter too, so
+// it is pushed each target with its epoch; a Member that is no Targeter
+// counts as applying synchronously. The registry keeps the
 // Member itself as the member's handle and tells registrations apart with
 // ==, so a Member must be of a comparable type (RegisterWeighted panics if
 // not) that no other registered member equals: a pointer, as *pool.Pool is.
@@ -62,18 +64,6 @@ type Member interface {
 	Workers() int
 	// SetTarget tells the member how many workers it may run.
 	SetTarget(n int)
-}
-
-// EpochMember is an optional Member extension: accept the target
-// together with the epoch of the rebalance that computed it, and report
-// whether the target was applied synchronously. In-process members
-// (*pool.Pool) apply before returning and answer true — the epoch acks
-// immediately. Asynchronous members (the server's socket members store
-// the target for the application's next poll) answer false; their ack
-// arrives later, through Coordinator.AckApplied. Members implementing
-// only plain SetTarget are treated as applying synchronously.
-type EpochMember interface {
-	SetTargetEpoch(n int, epoch uint64) (applied bool)
 }
 
 // Coordinator allocates capacity among members. All methods are safe
@@ -703,7 +693,7 @@ func (c *Coordinator) rebalanceNow(start time.Time) {
 		switch m := p.m.(type) {
 		case *remoteMember: // a type-word compare, not an interface lookup (PERF-11: BenchmarkRebalanceSocket)
 			applied = m.SetTargetEpoch(int(p.target), epoch)
-		case EpochMember:
+		case Targeter:
 			applied = m.SetTargetEpoch(int(p.target), epoch)
 		case Member:
 			m.SetTarget(int(p.target))

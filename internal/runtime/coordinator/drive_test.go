@@ -18,8 +18,14 @@ type trackingTargeter struct {
 	v  int
 }
 
-func (t *trackingTargeter) SetTarget(n int) { t.mu.Lock(); t.v = n; t.mu.Unlock() }
-func (t *trackingTargeter) last() int       { t.mu.Lock(); defer t.mu.Unlock(); return t.v }
+func (t *trackingTargeter) SetTargetEpoch(n int, _ uint64) bool {
+	t.mu.Lock()
+	t.v = n
+	t.mu.Unlock()
+	return true
+}
+func (t *trackingTargeter) ResetEpoch() {}
+func (t *trackingTargeter) last() int   { t.mu.Lock(); defer t.mu.Unlock(); return t.v }
 
 // fastDrive polls every 50 ms instead of every DefaultPollInterval.
 func fastDrive() DriveOptions { return DriveOptions{Interval: 50 * time.Millisecond} }

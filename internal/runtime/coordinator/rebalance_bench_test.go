@@ -3,6 +3,8 @@ package coordinator
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +18,8 @@ import (
 //	    -cpuprofile /tmp/coord.prof ./internal/runtime/coordinator
 //
 // and, one rung each below a served poll, BenchmarkPollShard and
-// BenchmarkWirePoll; BenchmarkServedPoll is the served poll itself.
+// BenchmarkWirePoll; BenchmarkServedPoll is the served poll itself, and
+// BenchmarkLineEcho its socket round trip alone.
 
 // stubMember is an in-process member that accepts targets and does
 // nothing with them.
@@ -61,7 +64,7 @@ func BenchmarkRebalance(b *testing.B) {
 
 // BenchmarkRebalanceSocket is BenchmarkRebalance over socket members,
 // seated as Server.Restore seats a recovered fleet: the fan-out's
-// *remoteMember case against its EpochMember lookup.
+// *remoteMember case against its Targeter lookup.
 func BenchmarkRebalanceSocket(b *testing.B) {
 	for _, n := range []int{2000, 10000} {
 		b.Run(fmt.Sprintf("m=%d", n), func(b *testing.B) {
@@ -178,6 +181,82 @@ func BenchmarkWirePoll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pb.WirePoll(i & 63)
 	}
+}
+
+// BenchmarkLineEcho is BenchmarkServedPoll with no coordinator behind the
+// socket: the connection round trip alone. Two connections of 64 names
+// each send their members' poll lines back to back over a unix socket,
+// framed by the same lineReader on both sides, and an echo server answers
+// every line with one fixed poll reply. What BenchmarkServedPoll costs
+// above this is procctl's: codec, dispatch, registry and ack.
+func BenchmarkLineEcho(b *testing.B) {
+	const conns, members = 2, 64
+	sock := filepath.Join(b.TempDir(), "echo.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ln.Close() })
+	reply, _ := appendResponse(nil, &Response{OK: true, Target: 2, Epoch: 1})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				rd := lineReader{r: conn, max: maxRequestLine}
+				for {
+					if _, err := rd.readLine(); err != nil {
+						return
+					}
+					if _, err := conn.Write(reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	lines := make([][][]byte, conns)
+	clients := make([]net.Conn, conns)
+	for i := range clients {
+		conn, err := net.Dial("unix", sock)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { conn.Close() })
+		clients[i] = conn
+		for j := 0; j < members; j++ {
+			line, _ := appendRequest(nil, &Request{Op: OpPoll, App: fmt.Sprintf("served-%d-%02d", i, j), Applied: 1})
+			lines[i] = append(lines[i], line)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i, conn := range clients {
+		n := b.N / conns
+		if i == 0 {
+			n += b.N % conns
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rd := lineReader{r: conn}
+			for k := 0; k < n; k++ {
+				if _, err := conn.Write(lines[i][k%members]); err != nil {
+					b.Error(err)
+					return
+				}
+				if _, err := rd.readLine(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkServedPoll is a whole served poll, the rung between

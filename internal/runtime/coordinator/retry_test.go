@@ -86,7 +86,7 @@ func driveInBackground(c *Client, app string, procs int) <-chan driveResult {
 	done := make(chan driveResult, 1)
 	start := time.Now()
 	go func() {
-		d, err := c.DriveWith(app, procs, &fakeMember{name: app, workers: procs}, DriveOptions{})
+		d, err := c.DriveWith(app, procs, &trackingTargeter{}, DriveOptions{})
 		at := time.Since(start)
 		if err == nil {
 			d.Stop()

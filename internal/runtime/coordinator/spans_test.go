@@ -201,8 +201,7 @@ func TestDriverRecordsApplyStageAndFlight(t *testing.T) {
 	defer client.Close()
 	reg := metrics.NewRegistry()
 	rec := flight.New(128)
-	m := &fakeMember{name: "app", workers: 4}
-	d, err := client.DriveWith("app", 4, m, DriveOptions{
+	d, err := client.DriveWith("app", 4, &trackingTargeter{}, DriveOptions{
 		Interval: 20 * time.Millisecond,
 		Metrics:  reg,
 		Flight:   rec,

@@ -183,9 +183,11 @@ func (p *Pool) Submit(t Task) error {
 	p.queue = append(p.queue, t)
 	p.met.submitted.Inc()
 	// This also wakes the suspended workers, which share the idle ones' cond
-	// and wait again. A second cond cut pool_tasks' retarget settle p99 3–6×
-	// but added ~1 µs (+25–30 %) to its task p50, so it is not taken; ROADMAP
-	// item 1 counts the context switches this costs pool children.
+	// and wait again. A second cond for them cut pool_tasks'
+	// pool.retarget_settle_us_p99 from 151 to 86 µs, but raised its
+	// latency_us, the settle p50, from 2.5 to 3.3 µs and cost 2 % of its
+	// ops_per_s (EXPERIMENTS.md SIMPL-16), so it is not taken; ROADMAP item
+	// 1 counts the context switches this costs pool children.
 	p.cond.Broadcast()
 	return nil
 }
