@@ -3,9 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -17,15 +15,9 @@ import (
 // /metrics itself: the pprof index and a real profile, expvar, and the
 // root index.
 func TestIntrospectionEndpoints(t *testing.T) {
-	coord := coordinator.New(4)
-	mln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: metricsHandler(coord)}
-	go srv.Serve(mln)
-	defer srv.Close()
-	base := fmt.Sprintf("http://%s", mln.Addr())
+	log := startDaemon(t, "introspection HTTP listener up",
+		"-listen", "unix:"+t.TempDir()+"/d.sock", "-metrics", "127.0.0.1:0")
+	base := strings.TrimSuffix(log.Metrics, "/metrics")
 
 	get := func(path string) (int, string) {
 		t.Helper()

@@ -109,60 +109,25 @@ func main() {
 		stopBatch = coord.StartBatching(*batchWin)
 	}
 
-	// Durability: recover the previous incarnation's registry from the
-	// journal, then attach a writer so this incarnation's transitions
-	// are captured too. Restored members get one fresh lease to be
-	// claimed by a re-connecting client before the sweep reclaims them.
-	var jw *journal.Writer
+	// Durability: recover the previous incarnation's registry, journal this one's.
 	if *jdir != "" {
 		start := time.Now()
-		res, err := journal.Recover(*jdir)
+		res, err := srv.Boot(*jdir, journal.Options{SyncEvery: *syncEvry, SnapshotEvery: *snapEvry,
+			Metrics: coord.Metrics(), NowMicros: func() int64 { return time.Now().UnixMicro() }})
 		if err != nil {
-			fatal(logger, "journal recover", err)
+			fatal(logger, "journal boot", err)
 		}
-		restored := 0
-		if res.Replayed > 0 || len(res.State.Members) > 0 {
-			restored = srv.Restore(res.State, start)
-		}
-		jw, err = journal.Open(*jdir, res.NextSeq, journal.Options{
-			SyncEvery:     *syncEvry,
-			SnapshotEvery: *snapEvry,
-			Metrics:       coord.Metrics(),
-			NowMicros:     func() int64 { return time.Now().UnixMicro() },
-		})
-		if err != nil {
-			fatal(logger, "journal open", err)
-		}
-		coord.SetJournal(jw)
-		reg := coord.Metrics()
-		reg.Gauge("journal_recovery_micros", "time the last boot spent recovering the journal").Set(time.Since(start).Microseconds())
-		reg.Gauge("journal_recovered_members", "members restored from the journal at the last boot").Set(int64(restored))
-		reg.Gauge("journal_recovered_records", "records replayed from the journal at the last boot").Set(int64(res.Replayed))
-		reg.Gauge("journal_truncated_bytes", "bytes of torn or corrupt tail discarded at the last boot").Set(res.TruncatedBytes)
-		// The restart record goes first so a replay re-sorts the
-		// membership the way Restore just did; then capacity, so the
-		// replayer divides the same total this incarnation does.
-		if restored > 0 {
-			coord.RecordEvent(journal.Record{
-				At: start.UnixMicro(), Kind: journal.KindRestart,
-				A: int64(restored), B: res.TruncatedBytes,
-			})
-		}
-		if err := coord.SetCapacity(*capacity); err != nil {
-			fatal(logger, "set capacity", err)
-		}
-		coord.Rebalance()
 		for _, note := range res.Notes {
 			logger.Warn("journal fsck", "note", note)
 		}
 		logger.Info("journal recovered",
-			"dir", *jdir, "members", restored, "records", res.Replayed,
+			"dir", *jdir, "members", len(res.State.Members), "records", res.Replayed,
 			"snapshot_seq", res.SnapshotSeq, "truncated_bytes", res.TruncatedBytes,
 			"took", time.Since(start).String())
 	}
 
 	logger.Info("procctld started",
-		"capacity", *capacity, "addr", ln.Addr().String(), "lease", lease.String(),
+		"capacity", coord.Snapshot().Get("coordinator_capacity").Value, "addr", ln.Addr().String(), "lease", lease.String(),
 		"rebalance_batch", batchWin.String(), "max_conns", *maxConns, "admit", *admit)
 
 	var metricsSrv *http.Server
@@ -212,7 +177,7 @@ func main() {
 		// Flush any rebalance still pending in the batch window before
 		// sealing the final snapshot, so no dirty fleet is stranded.
 		stopBatch()
-		if jw != nil {
+		if jw := coord.Journal(); jw != nil {
 			// Close-path unregisters are quiet, so the registry is
 			// still intact: seal it into a final snapshot for the next
 			// incarnation, then stop journaling.

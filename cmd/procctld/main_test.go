@@ -2,20 +2,76 @@ package main
 
 import (
 	"bufio"
-	"fmt"
+	"encoding/json"
 	"io"
-	"net"
 	"net/http"
+	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"procctl/internal/journal"
 	"procctl/internal/runtime/coordinator"
 	"procctl/internal/runtime/pool"
 )
+
+// TestMain runs procctld itself, on the arguments in PROCCTLD_ARGS (one a
+// line), when startDaemon starts this binary.
+func TestMain(m *testing.M) {
+	if args := os.Getenv("PROCCTLD_ARGS"); args != "" {
+		os.Args = append([]string{"procctld"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// daemonLog is what the tests read of procctld's JSON log, each line
+// decoded over the ones before it.
+type daemonLog struct {
+	Msg, Err, Addr, Metrics string
+	Capacity                int
+}
+
+// startDaemon runs procctld on args and -log-json, killed at cleanup, and
+// returns its log up to the line whose msg is until.
+func startDaemon(t *testing.T, until string, args ...string) daemonLog {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "PROCCTLD_ARGS="+strings.Join(append(args, "-log-json"), "\n"))
+	stderr, _ := cmd.StderrPipe() // fails only once Stderr is set or the process started
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
+	defer time.AfterFunc(10*time.Second, func() { cmd.Process.Kill() }).Stop()
+	var log daemonLog
+	for sc := bufio.NewScanner(stderr); log.Msg != until && sc.Scan(); {
+		json.Unmarshal(sc.Bytes(), &log)
+	}
+	if log.Msg != until {
+		t.Fatalf("procctld %v never logged %q: %+v", args, until, log)
+	}
+	return log
+}
+
+// -capacity 0 runs at GOMAXPROCS with a journal as it does without one:
+// the boot journals the resolved capacity, and the start line logs it.
+func TestZeroCapacityBootsWithJournal(t *testing.T) {
+	dir := t.TempDir()
+	log := startDaemon(t, "procctld started", "-listen", "unix:"+dir+"/d.sock", "-capacity", "0", "-journal-dir", dir)
+	res, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := runtime.GOMAXPROCS(0); log.Capacity != want || res.State.Capacity != want {
+		t.Fatalf("logged capacity %d and journaled %d, want GOMAXPROCS %d", log.Capacity, res.State.Capacity, want)
+	}
+}
 
 func TestSplitListen(t *testing.T) {
 	cases := []struct {
@@ -73,39 +129,16 @@ func parseExposition(t *testing.T, r io.Reader) map[string]int64 {
 	return out
 }
 
-// TestMetricsEndToEnd runs the daemon's pieces in-process — coordinator,
-// socket server, HTTP metrics listener — drives them with a live pool
-// client over the socket, and checks that the /metrics exposition is
-// parseable and reflects the traffic.
+// TestMetricsEndToEnd runs the daemon, drives it with a live pool client
+// over the socket, and checks that the /metrics exposition is parseable
+// and reflects the traffic.
 func TestMetricsEndToEnd(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	coord := coordinator.New(4)
-	srv := coordinator.NewServer(coord, ln)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.Serve()
-	}()
-	defer func() {
-		srv.Close()
-		wg.Wait()
-	}()
-
-	mln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("metrics listen: %v", err)
-	}
-	metricsSrv := &http.Server{Handler: metricsHandler(coord)}
-	go metricsSrv.Serve(mln)
-	defer metricsSrv.Close()
+	log := startDaemon(t, "introspection HTTP listener up",
+		"-listen", "unix:"+t.TempDir()+"/d.sock", "-capacity", "4", "-metrics", "127.0.0.1:0")
 
 	// A live application: an adaptive pool driven by the daemon over the
 	// socket, exactly as a real client would run.
-	client, err := coordinator.Dial("tcp", ln.Addr().String())
+	client, err := coordinator.Dial("unix", log.Addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -143,7 +176,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", mln.Addr()))
+	resp, err := http.Get(log.Metrics)
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
@@ -188,7 +221,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// Unregistering must take the member's target out of the fleet sum.
 	d.Stop()
-	resp2, err := http.Get(fmt.Sprintf("http://%s/metrics", mln.Addr()))
+	resp2, err := http.Get(log.Metrics)
 	if err != nil {
 		t.Fatalf("GET /metrics after stop: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -41,30 +40,11 @@ func (m *stubMember) SetTarget(n int) { m.target.Store(int64(n)) }
 func churnJournaled(t *testing.T, dir string, opts journal.Options, batch bool) *coordinator.Server {
 	t.Helper()
 	const callers, rounds = 4, 50
-	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	ln, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := coordinator.New(16)
-	srv := coordinator.NewServerWith(coord, ln, coordinator.ServerConfig{})
-	w, err := journal.Open(dir, 1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.SetJournal(w)
-	if err := coord.SetCapacity(16); err != nil {
-		t.Fatal(err)
-	}
+	srv, coord, sock := bootJournaled(t, 16, dir, opts)
 	stopBatch := func() {}
 	if batch {
 		stopBatch = coord.StartBatching(200 * time.Microsecond)
 	}
-	go srv.Serve()
-	t.Cleanup(func() {
-		srv.Close()
-		w.Close()
-	})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
@@ -108,7 +88,7 @@ func churnJournaled(t *testing.T, dir string, opts journal.Options, batch bool) 
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := w.Sync(); err != nil {
+	if err := coord.Journal().Sync(); err != nil {
 		t.Fatal(err)
 	}
 	return srv

@@ -12,45 +12,24 @@ import (
 )
 
 // bootJournaled starts a live daemon on dir exactly the way procctld
-// does: recover, restore, open, attach, rebalance. It returns the
-// server and socket path; cleanup shuts down quietly (registry kept).
-func bootJournaled(t *testing.T, capacity int, dir string) (*coordinator.Server, *coordinator.Coordinator, string) {
+// does (Server.Boot). It returns the server and socket path; cleanup
+// shuts down quietly (registry kept).
+func bootJournaled(t *testing.T, capacity int, dir string, opts journal.Options) (*coordinator.Server, *coordinator.Coordinator, string) {
 	t.Helper()
-	res, err := journal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
 	ln, err := net.Listen("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord := coordinator.New(capacity)
-	srv := coordinator.NewServerWith(coord, ln, coordinator.ServerConfig{})
-	now := time.Now()
-	restored := 0
-	if res.Replayed > 0 || len(res.State.Members) > 0 {
-		restored = srv.Restore(res.State, now)
-	}
-	w, err := journal.Open(dir, res.NextSeq, journal.Options{SyncEvery: 1})
-	if err != nil {
+	srv := coordinator.NewServer(coord, ln)
+	if _, err := srv.Boot(dir, opts); err != nil {
 		t.Fatal(err)
 	}
-	coord.SetJournal(w)
-	if restored > 0 {
-		coord.RecordEvent(journal.Record{
-			At: now.UnixMicro(), Kind: journal.KindRestart,
-			A: int64(restored), B: res.TruncatedBytes,
-		})
-	}
-	if err := coord.SetCapacity(capacity); err != nil {
-		t.Fatal(err)
-	}
-	coord.Rebalance()
 	go srv.Serve()
 	t.Cleanup(func() {
 		srv.Close()
-		w.Close()
+		coord.Journal().Close()
 	})
 	return srv, coord, sock
 }
@@ -79,7 +58,7 @@ func mustDiff(t *testing.T, dir string, capacity int) *ctrl.DiffResult {
 // the sim replay of the same record stream.
 func TestDiffJournalLiveParity(t *testing.T) {
 	dir := t.TempDir()
-	_, _, sock := bootJournaled(t, 8, dir)
+	_, _, sock := bootJournaled(t, 8, dir, journal.Options{})
 	c := dial(t, sock)
 
 	must := func(err error) {
@@ -115,7 +94,7 @@ func TestDiffJournalLiveParity(t *testing.T) {
 // record carries, so the replay of the record stream decides the same.
 func TestDiffJournalInProcessWorkersChange(t *testing.T) {
 	dir := t.TempDir()
-	_, coord, _ := bootJournaled(t, 8, dir)
+	_, coord, _ := bootJournaled(t, 8, dir, journal.Options{})
 	a := &stubMember{name: "a", workers: 6}
 	coord.RegisterWeighted(a, 1)
 	coord.RegisterWeighted(&stubMember{name: "b", workers: 6}, 1)
@@ -135,7 +114,7 @@ func TestDiffJournalInProcessWorkersChange(t *testing.T) {
 // same way the recovering daemon re-seats its members.
 func TestDiffJournalAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	srv1, _, sock1 := bootJournaled(t, 8, dir)
+	srv1, _, sock1 := bootJournaled(t, 8, dir, journal.Options{})
 	c := dial(t, sock1)
 	if _, err := c.RegisterWeighted("zeta", 5, 0); err != nil {
 		t.Fatal(err)
@@ -145,7 +124,7 @@ func TestDiffJournalAcrossRestart(t *testing.T) {
 	}
 	srv1.Close() // quiet: registry survives in the journal
 
-	_, _, sock2 := bootJournaled(t, 8, dir)
+	_, _, sock2 := bootJournaled(t, 8, dir, journal.Options{})
 	c2 := dial(t, sock2)
 	if _, err := c2.RegisterWeighted("mid", 4, 0); err != nil {
 		t.Fatal(err)
@@ -167,7 +146,7 @@ func TestDiffJournalAcrossRestart(t *testing.T) {
 // one recorded decision must surface a mismatch.
 func TestDiffJournalDetectsTamper(t *testing.T) {
 	dir := t.TempDir()
-	_, _, sock := bootJournaled(t, 8, dir)
+	_, _, sock := bootJournaled(t, 8, dir, journal.Options{})
 	c := dial(t, sock)
 	if _, err := c.RegisterWeighted("a", 8, 0); err != nil {
 		t.Fatal(err)
@@ -201,7 +180,7 @@ func TestDiffJournalDetectsTamper(t *testing.T) {
 // re-seated order) stays exact for the records that follow.
 func TestDiffJournalSnapshotAnchor(t *testing.T) {
 	dir := t.TempDir()
-	srv1, _, sock1 := bootJournaled(t, 8, dir)
+	srv1, _, sock1 := bootJournaled(t, 8, dir, journal.Options{})
 	c := dial(t, sock1)
 	if _, err := c.RegisterWeighted("b", 6, 0); err != nil {
 		t.Fatal(err)
@@ -211,7 +190,7 @@ func TestDiffJournalSnapshotAnchor(t *testing.T) {
 	}
 	srv1.Close()
 
-	srv2, coord2, sock2 := bootJournaled(t, 8, dir)
+	srv2, coord2, sock2 := bootJournaled(t, 8, dir, journal.Options{})
 	// Snapshot right after boot: members are name-sorted on both sides.
 	st := srv2.JournalState(time.Now().UnixMicro())
 	if err := coord2.Journal().WriteSnapshot(st); err != nil {

@@ -5,8 +5,8 @@
 // the full registry, fsync batching, and segment rotation. A record is
 // in the kernel when its append returns and on disk within
 // Options.SyncEvery appends — before the append returns when that is 1;
-// above 1 the owner runs the fsync (Writer.Sync) off its append path,
-// since the package starts no goroutine. On startup
+// above 1 the Writer runs the fsync (Writer.Sync) on a goroutine of its
+// own, off the append path, and Close joins it. On startup
 // the daemon runs Recover — an fsck that truncates torn tails, verifies
 // frame CRCs, and validates snapshot/journal sequence continuity — and
 // replays the surviving prefix to reconstruct its registry without
@@ -35,8 +35,9 @@
 //
 // Determinism contract: the package never reads a clock — callers stamp
 // every record, and fsync latency is timed only through the injected
-// Options.NowMicros — and never iterates a map or spawns a goroutine,
-// so journal replay (internal/ctrl replays journal records) is a pure
+// Options.NowMicros — and never iterates a map; its one goroutine, the
+// Writer's fsync, decides only when written bytes reach the disk, so
+// journal replay (internal/ctrl replays journal records) is a pure
 // function of the record stream.
 package journal
 

@@ -338,7 +338,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 	})
 	batch := []Record{rec, rec, rec, rec, rec, rec, rec, rec}
 	batchAllocs := testing.AllocsPerRun(2000, func() {
-		if _, err := w.AppendBatch(batch); err != nil {
+		if err := w.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	})

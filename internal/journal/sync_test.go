@@ -3,8 +3,11 @@ package journal
 import (
 	"errors"
 	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"procctl/internal/metrics"
 )
@@ -61,9 +64,8 @@ func TestSyncEveryOneFsyncsEachDrainBeforeReturn(t *testing.T) {
 	defer w.Close()
 	for i, n := range []int{5, 1, 64, 0, 3} {
 		before := counter(t, reg, "journal_fsyncs_total")
-		due, err := w.AppendBatch(loads(100*i, n))
-		if err != nil || due {
-			t.Fatalf("drain %d: due=%v err=%v", i, due, err)
+		if err := w.AppendBatch(loads(100*i, n)); err != nil {
+			t.Fatalf("drain %d: err=%v", i, err)
 		}
 		want := before + 1
 		if n == 0 {
@@ -82,8 +84,27 @@ func TestSyncEveryOneFsyncsEachDrainBeforeReturn(t *testing.T) {
 	}
 }
 
-// With SyncEvery above 1 no append fsyncs: it reports the sync due and
-// the count moves only when Sync runs.
+// syncing reports whether the Writer's sync goroutine runs.
+func syncing(w *Writer) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.syncing
+}
+
+// waitFor polls cond for up to two seconds.
+func waitFor(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+	}
+}
+
+// With SyncEvery above 1 no append fsyncs, and nobody need call Sync: the
+// append that makes SyncEvery wait starts the Writer's sync goroutine.
+// Appends made while that goroutine is held up return at once, and its
+// next fsync covers them all.
 func TestBatchedModeAppendsNeverFsync(t *testing.T) {
 	reg := metrics.NewRegistry()
 	w, err := Open(t.TempDir(), 1, Options{SyncEvery: 4, Metrics: reg})
@@ -91,28 +112,53 @@ func TestBatchedModeAppendsNeverFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if due, err := w.AppendBatch(loads(1, 3)); err != nil || due {
-		t.Fatalf("3 of 4: due=%v err=%v", due, err)
-	}
-	if due, err := w.AppendBatch(loads(4, 1)); err != nil || !due {
-		t.Fatalf("4 of 4: due=%v err=%v, want due", due, err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := w.Append(Record{At: 1, Kind: KindSetLoad, A: 1}); err != nil {
-			t.Fatal(err)
+	fsyncs := func() int64 { return counter(t, reg, "journal_fsyncs_total") }
+	appendN := func(n int) {
+		for _, r := range loads(1, n) {
+			if _, err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if got := counter(t, reg, "journal_fsyncs_total"); got != 0 {
-		t.Fatalf("appends fsynced %d times, want 0", got)
+	if appendN(3); syncing(w) || fsyncs() != 0 {
+		t.Fatalf("3 of 4: syncing=%v, %d fsyncs", syncing(w), fsyncs())
 	}
-	if err := w.Sync(); err != nil {
+	appendN(1)
+	waitFor(t, func() bool { return !syncing(w) && fsyncs() == 1 }, "4 of 4 appends were not fsynced once")
+	w.smu.Lock() // the sync goroutine waits here, before its fsync
+	if appendN(24); !syncing(w) || fsyncs() != 1 {
+		t.Fatalf("24 appends while the sync was held: syncing=%v, %d fsyncs, want a sync started and 1", syncing(w), fsyncs())
+	}
+	w.smu.Unlock()
+	waitFor(t, func() bool { return !syncing(w) }, "the sync goroutine never finished")
+	if err := w.Sync(); err != nil || fsyncs() != 3 {
+		t.Fatalf("after Sync: %d fsyncs, err %v; want one for the 24 appends and one for Sync", fsyncs(), err)
+	}
+	if err := w.AppendBatch(loads(30, 1)); err != nil || syncing(w) {
+		t.Fatalf("after Sync: syncing=%v err=%v, want no sync started", syncing(w), err)
+	}
+}
+
+// Close waits for the sync goroutine: once it returns, none runs.
+func TestCloseJoinsTheSyncGoroutine(t *testing.T) {
+	w, err := Open(t.TempDir(), 1, Options{SyncEvery: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := counter(t, reg, "journal_fsyncs_total"); got != 1 {
-		t.Fatalf("after Sync: %d fsyncs, want 1", got)
+	w.smu.Lock() // holds the sync goroutine the appends start
+	if err := w.AppendBatch(loads(1, 2)); err != nil || !syncing(w) {
+		t.Fatalf("syncing=%v err=%v, want a sync started", syncing(w), err)
 	}
-	if due, err := w.AppendBatch(loads(30, 1)); err != nil || due {
-		t.Fatalf("after Sync: due=%v err=%v, want not due", due, err)
+	closed := make(chan error)
+	go func() { closed <- w.Close() }()
+	time.Sleep(20 * time.Millisecond)
+	w.smu.Unlock()
+	if err := <-closed; err != nil || syncing(w) {
+		t.Fatalf("Close: %v, and its sync goroutine still runs: %v", err, syncing(w))
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*Writer).syncLoop") {
+		t.Fatalf("a sync goroutine outlived Close:\n%s", stacks)
 	}
 }
 
@@ -146,7 +192,7 @@ func TestSyncRacesAppendsRotationSnapshotAndClose(t *testing.T) {
 		if next+len(recs) > n+1 {
 			recs = recs[:n+1-next]
 		}
-		if _, err := w.AppendBatch(recs); err != nil {
+		if err := w.AppendBatch(recs); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
@@ -197,7 +243,7 @@ func TestFailedFsyncIsSticky(t *testing.T) {
 	seg := w.f
 	defer seg.Close()
 	w.f = p
-	if _, err := w.AppendBatch(loads(1, 2)); err != nil {
+	if err := w.AppendBatch(loads(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	syncErr := w.Sync()

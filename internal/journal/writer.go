@@ -20,10 +20,10 @@ type Options struct {
 	// kernel when its append returns, so a process kill loses none, and
 	// on disk within SyncEvery appends, so a machine crash loses fewer
 	// than that. With 1, it is on disk before the append returns. Above
-	// 1, no append fsyncs: once SyncEvery appends wait, AppendBatch
-	// reports a sync due and the owner calls Sync, which runs beside
-	// later appends rather than in front of them. Snapshot and Close
-	// always sync.
+	// 1, no append fsyncs: once SyncEvery appends (or a rotated-out
+	// segment) wait, the append starts the Writer's sync goroutine, which
+	// runs Sync beside later appends rather than in front of them.
+	// Snapshot and Close always sync.
 	SyncEvery int
 	// SegmentBytes rotates to a fresh segment once the current one
 	// grows past this size (default 4 MiB).
@@ -66,7 +66,9 @@ func (o Options) withDefaults() Options {
 // order. An append holds mu for its write alone; Sync holds it only to
 // take and to settle what it fsyncs, so appends never wait on the disk.
 // Sync, WriteSnapshot and Close are serialized by smu (taken before mu),
-// which is what keeps a segment open while Sync fsyncs it.
+// which is what keeps a segment open while Sync fsyncs it. Above
+// SyncEvery 1 the Writer schedules its own fsyncs: at most one sync
+// goroutine runs at a time, and Close joins it.
 // I/O failures are sticky: after the first one every Append
 // returns it (and counts journal_append_errors_total), so a daemon can
 // keep serving with durability degraded rather than crash its control
@@ -87,6 +89,12 @@ type Writer struct {
 	segBytes  int64
 	unsynced  int // appends written since the last sync took its files
 	sinceSnap int
+
+	// Under mu: syncing while the sync goroutine runs, closing once Close
+	// has begun (no goroutine starts after that). Close joins it by syncer.
+	syncing, closing bool
+	syncer           sync.WaitGroup
+	syncFn           func() // syncLoop, made once: starting it allocates nothing
 
 	appends, fsyncs, snapshots, appendErrors, bytes *metrics.Counter
 	fsyncMicros                                     *metrics.Histogram
@@ -118,6 +126,7 @@ func Open(dir string, nextSeq uint64, opts Options) (*Writer, error) {
 		buf:     make([]byte, 0, 256+frameHdr),
 		nextSeq: nextSeq,
 	}
+	w.syncFn = w.syncLoop
 	if reg := w.opts.Metrics; reg != nil {
 		w.appends = reg.Counter("journal_appends_total", "records appended to the durability journal")
 		w.fsyncs = reg.Counter("journal_fsyncs_total", "journal fsync batches flushed to disk")
@@ -170,38 +179,59 @@ func (w *Writer) openSegmentLocked() error {
 // returns, and on disk too with SyncEvery 1; see Options.SyncEvery.
 func (w *Writer) Append(rec Record) (uint64, error) {
 	recs := [1]Record{rec}
-	seq, _, err := w.append(recs[:])
-	return seq, err
+	return w.append(recs[:])
 }
 
 // AppendBatch appends recs in order, each as Append would, and writes
 // their frames with one write(2) per segment they land in. With
 // SyncEvery 1 the batch is fsynced, once, before AppendBatch returns.
-// Otherwise syncDue reports that SyncEvery appends (or a rotated-out
-// segment) wait for an fsync: the caller should run Sync, which it may
-// do off its own path, since appends do not wait for it.
-func (w *Writer) AppendBatch(recs []Record) (syncDue bool, err error) {
-	_, syncDue, err = w.append(recs)
-	return syncDue, err
+func (w *Writer) AppendBatch(recs []Record) error {
+	_, err := w.append(recs)
+	return err
 }
 
 // append is Append and AppendBatch: it returns the first record's seq.
-func (w *Writer) append(recs []Record) (first uint64, syncDue bool, err error) {
+func (w *Writer) append(recs []Record) (first uint64, err error) {
 	if len(recs) == 0 {
-		return 0, false, nil
+		return 0, nil
 	}
 	w.mu.Lock()
 	first = w.nextSeq
 	err = w.writeLocked(recs)
-	syncDue = w.unsynced >= w.opts.SyncEvery || len(w.retired) > 0
+	start := err == nil && w.opts.SyncEvery > 1 && !w.syncing && w.dueLocked()
+	if start {
+		w.syncing = true
+		w.syncer.Add(1)
+	}
 	w.mu.Unlock()
 	if err != nil {
-		return 0, false, err
+		return 0, err
+	}
+	if start {
+		go w.syncFn()
 	}
 	if w.opts.SyncEvery == 1 {
-		return first, false, w.Sync()
+		return first, w.Sync()
 	}
-	return first, syncDue, nil
+	return first, nil
+}
+
+// dueLocked reports whether SyncEvery appends or a rotated-out segment wait.
+func (w *Writer) dueLocked() bool {
+	return !w.closing && (w.unsynced >= w.opts.SyncEvery || len(w.retired) > 0)
+}
+
+// syncLoop is the sync goroutine: it runs Sync until none is due, so the
+// appends that found it running are covered too.
+func (w *Writer) syncLoop() {
+	defer w.syncer.Done()
+	for more := true; more; {
+		err := w.Sync()
+		w.mu.Lock()
+		more = err == nil && w.dueLocked()
+		w.syncing = more
+		w.mu.Unlock()
+	}
 }
 
 // writeLocked frames recs into buf and writes them to the active
@@ -423,8 +453,13 @@ func (w *Writer) pruneLocked() {
 	}
 }
 
-// Close syncs and closes the journal. Further appends fail.
+// Close joins the sync goroutine, then syncs and closes the journal.
+// Further appends fail.
 func (w *Writer) Close() error {
+	w.mu.Lock()
+	w.closing = true
+	w.mu.Unlock()
+	w.syncer.Wait()
 	w.smu.Lock()
 	defer w.smu.Unlock()
 	w.mu.Lock()

@@ -91,16 +91,11 @@ type Coordinator struct {
 
 	// jrn, when set, is the write-ahead journal the durable flight events
 	// (journal.Durable) go to; jq, under c.mu, those emitted since the last
-	// drain (journalFlush, serialized by jmu); jspare, under jmu, its spare;
-	// jsyncing, whether a journal fsync goroutine is running; jsync, its
-	// body, syncJournal, as a method value made once, so starting one
-	// allocates nothing.
-	jrn      atomic.Pointer[journal.Writer]
-	jq       []flight.Event
-	jmu      sync.Mutex
-	jspare   []flight.Event
-	jsyncing atomic.Bool
-	jsync    func()
+	// drain (journalFlush, serialized by jmu); jspare, under jmu, its spare.
+	jrn    atomic.Pointer[journal.Writer]
+	jq     []flight.Event
+	jmu    sync.Mutex
+	jspare []flight.Event
 
 	// conv tracks open rebalance epochs until every changed member acks
 	// its applied target (see converge.go).
@@ -206,7 +201,6 @@ func New(capacity int) *Coordinator {
 		rec:  flight.New(flight.DefaultSize),
 	}
 	c.snapshots.New = func() any { return new(snapshot) }
-	c.jsync = c.syncJournal
 	c.met = newCoordMetrics(metrics.NewRegistry())
 	c.conv = newConvergeTracker(c.met.reg, c.rec)
 	c.met.reg.OnCollect(func() {
@@ -239,16 +233,6 @@ func (c *Coordinator) SetJournal(w *journal.Writer) {
 
 // Journal returns the attached journal writer, if any.
 func (c *Coordinator) Journal() *journal.Writer { return c.jrn.Load() }
-
-// RecordEvent appends ev to the flight recorder and, when its kind is
-// durable and a journal is attached, persists it. Callers must not
-// hold coordinator locks (journal appends do file I/O).
-func (c *Coordinator) RecordEvent(ev flight.Event) {
-	c.mu.Lock()
-	c.emitLocked(ev)
-	c.mu.Unlock()
-	c.journalFlush(false)
-}
 
 // emitLocked records an event inside the c.mu section that makes the
 // change it describes: in the flight ring and, if durable, on the queue.
@@ -299,32 +283,16 @@ func (c *Coordinator) journalFlush(state bool) (reg *core.Registry[string]) {
 
 // journalWrite is the only place the journal is written from: the
 // drain goes to the kernel in one write (the Writer assigns the durable
-// Seqs). When the Writer reports an fsync due, it runs on a goroutine of
-// its own, at most one at a time, so neither jmu nor the RPCs queued on
-// it wait on the disk; with -fsync-every 1 the Writer fsyncs the drain
-// before AppendBatch returns instead. Errors are deliberately dropped:
-// the Writer makes them sticky, a failed fsync included, and counts them.
+// Seqs and schedules the fsync). Errors are deliberately dropped: the
+// Writer makes them sticky, a failed fsync included, and counts them.
 func (c *Coordinator) journalWrite(w *journal.Writer, evs []flight.Event, snapshot bool, reg *core.Registry[string]) {
-	if due, _ := w.AppendBatch(evs); due && c.jsyncing.CompareAndSwap(false, true) {
-		go c.jsync()
-	}
+	_ = w.AppendBatch(evs)
 	if !snapshot {
 		return
 	}
 	if st := journal.Snapshot(reg, 0, time.Now().UnixMicro()); w.WriteSnapshot(st) == nil {
 		c.rec.Append(flight.Event{At: st.At, Kind: flight.KindSnapshot, A: int64(w.NextSeq() - 1)})
 	}
-}
-
-// syncJournal fsyncs the attached journal once and exits: the body of
-// the goroutine journalWrite starts when a sync comes due. A sync due
-// while one runs waits for the drain after it; Writer.Close waits for a
-// running one.
-func (c *Coordinator) syncJournal() {
-	if w := c.jrn.Load(); w != nil {
-		_ = w.Sync()
-	}
-	c.jsyncing.Store(false)
 }
 
 // Snapshot captures every metric stamped with the current wall-clock

@@ -223,23 +223,13 @@ func TestServerCutsStuckWriter(t *testing.T) {
 	}
 }
 
-// journaledPipeServer is startJournaledServer on a pipeListener; stop
-// closes the server, then its journal.
-func journaledPipeServer(t *testing.T, capacity int, dir string) (srv *Server, stop func()) {
-	srv, w := bootJournaledServer(t, capacity, dir, ServerConfig{}, newPipeListener())
-	return srv, func() {
-		srv.Close()
-		w.Close()
-	}
-}
-
 // TestRecoveredMemberLeaseExpires gives restored members one fresh
 // lease: with no client claiming the name, the first sweep past it
 // reclaims the member and journals the expiry.
 func TestRecoveredMemberLeaseExpires(t *testing.T) {
 	dir := t.TempDir()
 	runBubble(t, func() {
-		srv1, stop1 := journaledPipeServer(t, 8, dir)
+		srv1, stop1 := bootJournaledServer(t, dir, newPipeListener())
 		// The connection stays open across the shutdown: Close-path
 		// cleanup is quiet, so "ghost" survives in the journal.
 		c := pipeClient(srv1)
@@ -249,7 +239,7 @@ func TestRecoveredMemberLeaseExpires(t *testing.T) {
 		}
 		stop1()
 
-		srv2, stop2 := journaledPipeServer(t, 8, dir)
+		srv2, stop2 := bootJournaledServer(t, dir, newPipeListener())
 		defer stop2()
 		time.Sleep(DefaultLease)
 		waitBubble()
@@ -272,7 +262,7 @@ func TestRecoveredMemberLeaseExpires(t *testing.T) {
 func TestRecoveredMemberTakeover(t *testing.T) {
 	dir := t.TempDir()
 	runBubble(t, func() {
-		srv1, stop1 := journaledPipeServer(t, 8, dir)
+		srv1, stop1 := bootJournaledServer(t, dir, newPipeListener())
 		c := pipeClient(srv1)
 		defer c.Close()
 		if _, err := c.RegisterWeighted("phoenix", 4, 0); err != nil {
@@ -280,7 +270,7 @@ func TestRecoveredMemberTakeover(t *testing.T) {
 		}
 		stop1()
 
-		srv2, stop2 := journaledPipeServer(t, 8, dir)
+		srv2, stop2 := bootJournaledServer(t, dir, newPipeListener())
 		defer stop2()
 		c2 := pipeClient(srv2)
 		defer c2.Close()

@@ -111,7 +111,7 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 			t.Fatalf("seed %d step %d: after %s: targets sum to %d, over max(available, members with processes) = %d", seed, step, what, sum, limit)
 		}
 		if tail != nil {
-			got, want := tail.state(t, c.Journal()), journal.Snapshot(reg, 0, 0)
+			got, want := tail.state(t), journal.Snapshot(reg, 0, 0)
 			if got.Capacity == 0 {
 				want.Capacity = 0 // the journal learns a capacity only from a setcapacity record
 			}
@@ -148,13 +148,11 @@ func newJournalTail(t *testing.T, dir string) *journalTail {
 	return &journalTail{f: f, reg: core.NewRegistry[string](0)}
 }
 
-// state syncs w, folds the records the segment has gained since the last
-// call and returns the registry they have folded to so far.
-func (jt *journalTail) state(t *testing.T, w *journal.Writer) journal.State {
+// state folds the records the segment has gained since the last call (an
+// append is in the kernel when it returns) and returns the registry they
+// have folded to so far.
+func (jt *journalTail) state(t *testing.T) journal.State {
 	t.Helper()
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	data, err := io.ReadAll(jt.f)
 	if err != nil {
 		t.Fatal(err)
@@ -187,14 +185,10 @@ func unstamped(st journal.State) []byte {
 	return b
 }
 
-// requireJournalFoldsToLive syncs c's journal and requires what recovery
-// folds out of dir to be, byte for byte, the snapshot the live server
-// would write.
+// requireJournalFoldsToLive requires what recovery folds out of dir to
+// be, byte for byte, the snapshot the live server would write.
 func requireJournalFoldsToLive(t *testing.T, c *Coordinator, dir, what string) {
 	t.Helper()
-	if err := c.Journal().Sync(); err != nil {
-		t.Fatal(err)
-	}
 	res, err := journal.Recover(dir)
 	if err != nil || res.Dirty() {
 		t.Fatalf("%s: Recover: %v, notes %v", what, err, res.Notes)

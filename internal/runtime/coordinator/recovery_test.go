@@ -1,68 +1,89 @@
 package coordinator
 
 import (
+	"cmp"
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"procctl/internal/journal"
 )
 
-// startJournaledServer runs a daemon on a unix socket with a journal
-// attached the way procctld does at boot (see bootJournaledServer).
-func startJournaledServer(t *testing.T, capacity int, dir string, cfg ServerConfig) (*Server, string) {
+// bootJournaledServer boots a server of capacity 8 on ln the way procctld
+// does (Server.Boot) and serves; stop closes the server, then its journal.
+func bootJournaledServer(t *testing.T, dir string, ln net.Listener) (srv *Server, stop func()) {
+	t.Helper()
+	srv = NewServer(New(8), ln)
+	if _, err := srv.Boot(dir, journal.Options{SyncEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	return srv, func() {
+		srv.Close()
+		srv.coord.Journal().Close()
+	}
+}
+
+// startJournaledServer is bootJournaledServer on a unix socket, stopped
+// at cleanup.
+func startJournaledServer(t *testing.T, dir string) (*Server, string) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
 	ln, err := net.Listen("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, w := bootJournaledServer(t, capacity, dir, cfg, ln)
-	t.Cleanup(func() {
-		srv.Close()
-		w.Close()
-	})
+	srv, stop := bootJournaledServer(t, dir, ln)
+	t.Cleanup(stop)
 	return srv, sock
 }
 
-// bootJournaledServer starts a server on ln the way procctld boots:
-// recover, restore, open the journal, attach it, rebalance, serve. The
-// caller closes the server and then the journal.
-func bootJournaledServer(t *testing.T, capacity int, dir string, cfg ServerConfig, ln net.Listener) (*Server, *journal.Writer) {
-	t.Helper()
-	res, err := journal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
+// Boot's records go ahead of its first decision: a restart record when
+// it restored members, then the capacity as New resolved it, then the
+// rebalance. A snapshot of no member still restores its external load.
+func TestBootRecordOrder(t *testing.T) {
+	dir := t.TempDir()
+	for i, want := range []struct {
+		capacity, journaled, external int
+		kinds                         []string
+	}{
+		{0, runtime.GOMAXPROCS(0), 0, []string{journal.KindSetCapacity, journal.KindRebalance}}, // an empty directory
+		{3, 3, 2, []string{journal.KindSetCapacity, journal.KindRebalance}},                     // a snapshot of no member
+		{3, 3, 2, []string{journal.KindRestart, journal.KindSetCapacity, journal.KindRebalance}},
+	} {
+		srv := NewServer(New(want.capacity), newPipeListener())
+		res, err := srv.Boot(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := srv.coord.Journal()
+		_, recs, err := journal.ReadAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		booted := recs[len(recs)-int(w.NextSeq()-res.NextSeq):]
+		var kinds []string
+		for _, r := range booted[:min(len(booted), len(want.kinds))] {
+			kinds = append(kinds, r.Kind)
+		}
+		if !slices.Equal(kinds, want.kinds) || booted[len(kinds)-2].A != int64(want.journaled) || srv.coord.ExternalLoad() != want.external {
+			t.Fatalf("boot %d appended %v first, capacity record %+v, external load %d; want %v, capacity %d, external load %d",
+				i, kinds, booted[len(kinds)-2], srv.coord.ExternalLoad(), want.kinds, want.journaled, want.external)
+		}
+		if i == 0 {
+			srv.coord.SetExternalLoad(2)
+			err = w.WriteSnapshot(srv.JournalState(0))
+		} else {
+			srv.coord.RegisterWeighted(&fakeMember{name: "m", workers: 2}, 1) // restored at the next boot
+		}
+		if err = cmp.Or(err, w.Close()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	coord := New(capacity)
-	srv := NewServerWith(coord, ln, cfg)
-	now := time.Now()
-	restored := 0
-	if res.Replayed > 0 || len(res.State.Members) > 0 {
-		restored = srv.Restore(res.State, now)
-	}
-	w, err := journal.Open(dir, res.NextSeq, journal.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.SetJournal(w)
-	// The restart record goes first: replay re-sorts the membership the
-	// way Restore just did, so the rebalances that follow see the same
-	// tie-break order on both sides.
-	if restored > 0 {
-		coord.RecordEvent(journal.Record{
-			At: now.UnixMicro(), Kind: journal.KindRestart,
-			A: int64(restored), B: res.TruncatedBytes,
-		})
-	}
-	if err := coord.SetCapacity(capacity); err != nil {
-		t.Fatal(err)
-	}
-	coord.Rebalance()
-	go srv.Serve()
-	return srv, w
 }
 
 // journalMembers recovers dir and returns the member list.
@@ -80,7 +101,7 @@ func journalMembers(t *testing.T, dir string) []journal.Member {
 // registry.
 func TestJournalCapturesTransitions(t *testing.T) {
 	dir := t.TempDir()
-	_, sock := startJournaledServer(t, 8, dir, ServerConfig{})
+	_, sock := startJournaledServer(t, dir)
 
 	c, err := Dial("unix", sock)
 	if err != nil {
@@ -119,35 +140,14 @@ func TestJournalCapturesTransitions(t *testing.T) {
 	}
 }
 
-// TestCleanShutdownPreservesRegistry is the satellite-critical
-// property: Close-path unregisters are quiet, so the journal still
-// holds the membership for the next incarnation.
-func TestCleanShutdownPreservesRegistry(t *testing.T) {
-	dir := t.TempDir()
-	srv, sock := startJournaledServer(t, 8, dir, ServerConfig{})
-
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.RegisterWeighted("keepme", 4, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	srv.Close() // clean shutdown: handler cleanup must not journal unregisters
-
-	members := journalMembers(t, dir)
-	if len(members) != 1 || members[0].Name != "keepme" {
-		t.Fatalf("clean shutdown lost the registry: %+v", members)
-	}
-}
-
 // TestRestartRecoversRegistry restarts a daemon on the same journal dir
-// and checks the registry comes back without any client traffic.
+// and checks the registry comes back without any client traffic. A clean
+// shutdown journals nothing: its Close-path unregisters are quiet, so the
+// journal holds the membership for the next incarnation. A restored
+// member's target is its last pushed one, served before any rebalance.
 func TestRestartRecoversRegistry(t *testing.T) {
 	dir := t.TempDir()
-	srv1, sock1 := startJournaledServer(t, 8, dir, ServerConfig{})
+	srv1, sock1 := startJournaledServer(t, dir)
 	c, err := Dial("unix", sock1)
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +162,18 @@ func TestRestartRecoversRegistry(t *testing.T) {
 	// The daemon goes first: a client that hangs up before the shutdown
 	// has left the fleet, durably, if its handler gets to it in time.
 	srv1.Close()
+	if shut := journalMembers(t, dir); !reflect.DeepEqual(before, shut) {
+		t.Fatalf("clean shutdown changed the journal\n before %+v\n after  %+v", before, shut)
+	}
 	c.Close()
 
-	srv2, _ := startJournaledServer(t, 8, dir, ServerConfig{})
+	srv2, _ := startJournaledServer(t, dir)
+	targets := srv2.coord.Targets()
+	for _, m := range before {
+		if got, ok := targets[m.Name]; !ok || got != m.Target {
+			t.Errorf("restored target for %s: got %d (%v), journal says %d", m.Name, got, ok, m.Target)
+		}
+	}
 	apps := srv2.status().Apps
 	if len(apps) != 2 {
 		t.Fatalf("restored %d members, want 2: %+v", len(apps), apps)
@@ -187,40 +196,11 @@ func TestRestartRecoversRegistry(t *testing.T) {
 	}
 }
 
-// TestRestoredTargetServedBeforeRebalance: a restored member's target
-// is its last pushed one, available to polls even before any client
-// re-registers (polls require registration, so check via status).
-func TestRestoredTargetsMatchJournal(t *testing.T) {
-	dir := t.TempDir()
-	srv1, sock1 := startJournaledServer(t, 8, dir, ServerConfig{})
-	c, err := Dial("unix", sock1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.RegisterWeighted("a", 8, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RegisterWeighted("b", 8, 0); err != nil {
-		t.Fatal(err)
-	}
-	before := journalMembers(t, dir)
-	srv1.Close()
-
-	srv2, _ := startJournaledServer(t, 8, dir, ServerConfig{})
-	targets := srv2.coord.Targets()
-	for _, m := range before {
-		if got, ok := targets[m.Name]; !ok || got != m.Target {
-			t.Errorf("restored target for %s: got %d (%v), journal says %d", m.Name, got, ok, m.Target)
-		}
-	}
-}
-
 // TestJournalStateSnapshotRoundTrip: a snapshot written from live state
 // recovers to that state with zero records replayed on top.
 func TestJournalStateSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	srv, sock := startJournaledServer(t, 8, dir, ServerConfig{})
+	srv, sock := startJournaledServer(t, dir)
 	c, err := Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)

@@ -260,11 +260,7 @@ func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Serve
 // clients survived its downtime, and the persisted LastSeen predates it —
 // so each has one full lease to be claimed (an OpRegister for its name)
 // before the sweep reclaims its processors. Returns how many members were
-// restored.
-//
-// Restore neither rebalances nor journals; the caller attaches the
-// journal and triggers the first rebalance once boot-time state (a
-// restart record, the capacity flag) has been appended.
+// restored. Restore neither rebalances nor journals; Boot does.
 func (s *Server) Restore(st journal.State, now time.Time) int {
 	var claimBy time.Time
 	if s.cfg.Lease > 0 {
@@ -275,6 +271,41 @@ func (s *Server) Restore(st journal.State, now time.Time) int {
 	s.placeholders, s.unclaimedBy = members, claimBy
 	s.mu.Unlock()
 	return len(members)
+}
+
+// Boot is the daemon's boot on the journal in dir, before the server
+// accepts: it Restores what the journal held, attaches a Writer opened
+// after it with opts, sets the journal_recover* and journal_truncated_bytes
+// gauges, and makes the first decision. Ahead of it go, in one section, a
+// restart record when members were restored (so a replay re-sorts them as
+// Restore did), then the capacity New resolved. The caller closes the
+// Writer (Coordinator.Journal) after the server.
+func (s *Server) Boot(dir string, opts journal.Options) (*journal.RecoverResult, error) {
+	start := time.Now()
+	res, err := journal.Recover(dir)
+	if err != nil {
+		return nil, err
+	}
+	restored := s.Restore(res.State, start)
+	w, err := journal.Open(dir, res.NextSeq, opts)
+	if err != nil {
+		return nil, err
+	}
+	c := s.coord
+	c.SetJournal(w)
+	reg := c.Metrics()
+	reg.Gauge("journal_recovery_micros", "time the last boot spent recovering the journal").Set(time.Since(start).Microseconds())
+	reg.Gauge("journal_recovered_members", "members restored from the journal at the last boot").Set(int64(restored))
+	reg.Gauge("journal_recovered_records", "records replayed from the journal at the last boot").Set(int64(res.Replayed))
+	reg.Gauge("journal_truncated_bytes", "bytes of torn or corrupt tail discarded at the last boot").Set(res.TruncatedBytes)
+	c.mu.Lock()
+	if restored > 0 {
+		c.emitLocked(flight.Event{At: start.UnixMicro(), Kind: flight.KindRestart, A: int64(restored), B: res.TruncatedBytes})
+	}
+	c.emitLocked(flight.Event{At: start.UnixMicro(), Kind: flight.KindSetCapacity, A: int64(c.reg.Capacity)})
+	c.mu.Unlock()
+	c.requestRebalance(start)
+	return res, nil
 }
 
 // JournalState is the snapshot the journal persists: a copy of the

@@ -19,7 +19,8 @@
 # boundaries (procctl-trace check -require-flows).
 #
 # Then the durability leg: a member is held open, the daemon is killed
-# with SIGKILL and restarted on its journal, and the registry must come
+# with SIGKILL and restarted on its journal (at the default fsync
+# batching), and the registry must come
 # back without the client re-registering; procctl-replay must audit the
 # journal as clean and decision-identical to the sim replay, and a clean
 # SIGTERM shutdown must leave a final snapshot.
@@ -44,13 +45,16 @@ go build -o "$OUT/procctl-top" ./cmd/procctl-top
 go build -o "$OUT/procctl-replay" ./cmd/procctl-replay
 go build -o "$OUT/procctl-trace" ./cmd/procctl-trace
 
+# start_daemon's arguments go to procctld: the first daemon fsyncs each
+# write (-fsync-every 1), the one restarted after SIGKILL boots at the
+# default batching, where the journal schedules its own fsyncs.
 start_daemon() {
     "$OUT/procctld" -listen "unix:$SOCK" -capacity 8 -metrics "$METRICS_ADDR" \
-        -journal-dir "$JOURNAL" -fsync-every 1 \
+        -journal-dir "$JOURNAL" "$@" \
         -log-level debug >>"$OUT/procctld.log" 2>&1 &
     DAEMON=$!
 }
-start_daemon
+start_daemon -fsync-every 1
 trap 'kill "$DAEMON" 2>/dev/null || true; kill "${HOLD:-0}" 2>/dev/null || true' EXIT
 
 # Wait for both listeners.
