@@ -62,7 +62,7 @@ func main() {
 		batchWin = flag.Duration("rebalance-batch", 0, "coalesce membership and load changes into one rebalance per this window (0 = rebalance on every event)")
 		maxConns = flag.Int("max-conns", 0, "cap concurrently served client connections; the excess is shed with a retryable busy reply (0 = unlimited)")
 		admit    = flag.Int("admit", 0, "cap concurrently admitted registrations; the excess is shed with a retryable busy reply (0 = unlimited)")
-		snapEvry = flag.Int("snapshot-every", 1024, "write a snapshot after this many journal records (0 disables periodic snapshots; a final one is still written on clean shutdown)")
+		snapEvry = flag.Int("snapshot-every", 1024, "cut a snapshot after this many journal records (0 disables periodic snapshots; a final one is still written on clean shutdown). The cut is made at the end of a journal drain; the snapshot is written by the journal's sync, so no request waits on its disk write above -fsync-every 1")
 		syncEvry = flag.Int("fsync-every", 0, "fsync the journal once this many appends wait (0 = the journal's default of 64; 1 = each write, before its operations are acknowledged; above 1 on a goroutine of its own, so no request waits on the disk). Every record reaches the kernel before its operation is acknowledged")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON lines instead of text")
@@ -184,7 +184,9 @@ func main() {
 			if err := jw.WriteSnapshot(srv.JournalState(time.Now().UnixMicro())); err != nil {
 				logger.Error("final snapshot failed", "err", err)
 			}
-			jw.Close()
+			if err := jw.Close(); err != nil {
+				logger.Error("journal close failed", "err", err)
+			}
 		}
 		if network == "unix" {
 			os.Remove(addr)

@@ -36,8 +36,9 @@ func (m *stubMember) SetTarget(n int) { m.target.Store(int64(n)) }
 // and unregistering names of its own and flipping the external load. It
 // returns with the callers joined, the batcher (if any) flushed and the
 // daemon still up, its socket members registered: the moment to compare
-// the journal with the live registry.
-func churnJournaled(t *testing.T, dir string, opts journal.Options, batch bool) *coordinator.Server {
+// the journal with the live registry. The coordinator comes back too, for
+// its journal.
+func churnJournaled(t *testing.T, dir string, opts journal.Options, batch bool) (*coordinator.Server, *coordinator.Coordinator) {
 	t.Helper()
 	const callers, rounds = 4, 50
 	srv, coord, sock := bootJournaled(t, 16, dir, opts)
@@ -91,7 +92,7 @@ func churnJournaled(t *testing.T, dir string, opts journal.Options, batch bool) 
 	if err := coord.Journal().Sync(); err != nil {
 		t.Fatal(err)
 	}
-	return srv
+	return srv, coord
 }
 
 // foldedOnto folds the records after base's last onto base and writes the
@@ -125,7 +126,7 @@ func TestJournalOrderUnderConcurrentCallers(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		t.Run(fmt.Sprintf("batching=%v", batch), func(t *testing.T) {
 			dir := t.TempDir()
-			srv := churnJournaled(t, dir, journal.Options{}, batch)
+			srv, _ := churnJournaled(t, dir, journal.Options{}, batch)
 			live := stateBytes(srv.JournalState(0))
 			base, recs, err := journal.ReadAll(dir)
 			if err != nil {
@@ -155,8 +156,12 @@ func TestSnapshotCutIsAnInstant(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		t.Run(fmt.Sprintf("batching=%v", batch), func(t *testing.T) {
 			dir := t.TempDir()
-			srv := churnJournaled(t, dir, journal.Options{SnapshotEvery: 40, Retain: 4}, batch)
+			srv, coord := churnJournaled(t, dir, journal.Options{SnapshotEvery: 40, Retain: 4}, batch)
 			live := stateBytes(srv.JournalState(0))
+			// The flush may have cut a snapshot; the journal's sync writes it.
+			if err := coord.Journal().Sync(); err != nil {
+				t.Fatal(err)
+			}
 			_, recs, err := journal.ReadAll(dir) // back to the oldest retained snapshot
 			if err != nil {
 				t.Fatal(err)

@@ -203,6 +203,9 @@ func TestDiffJournalSnapshotAnchor(t *testing.T) {
 	if err := c2.SetExternalLoad(2); err != nil {
 		t.Fatal(err)
 	}
+	if err := coord2.Journal().Sync(); err != nil {
+		t.Fatal(err)
+	}
 
 	d := mustDiff(t, dir, 8)
 	if !d.OK() {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // buildJournal writes a journal with churny membership traffic and
@@ -273,5 +274,86 @@ func TestRecoverMissingDir(t *testing.T) {
 	}
 	if res.NextSeq != 1 || len(res.State.Members) != 0 || res.Dirty() {
 		t.Errorf("missing dir: %+v", res)
+	}
+}
+
+// A kill between a snapshot's cut and its rename leaves a fresh segment
+// at the cut's LastSeq+1 with no snapshot there. The cut and the appends
+// after it must not wait for the sync that writes the snapshot (smu,
+// held here, stands in for one in flight), and a copy of the directory
+// taken meanwhile must recover to the live state from the snapshot
+// before the cut, or from genesis when there is none.
+func TestCrashBetweenSnapshotCutAndRename(t *testing.T) {
+	for _, earlier := range []bool{false, true} {
+		t.Run(fmt.Sprintf("earlier_snapshot=%v", earlier), func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, 1, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var live State
+			appendN := func(n int) {
+				for _, r := range loads(int(live.LastSeq)+1, n) {
+					seq, err := w.Append(r)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					r.Seq = seq
+					live.Apply(r)
+				}
+			}
+			appendN(5)
+			var floor uint64
+			if earlier {
+				if err := w.WriteSnapshot(live.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				floor = live.LastSeq
+				appendN(5)
+			}
+
+			w.smu.Lock()
+			returned := make(chan error, 1)
+			go func() {
+				err := w.WriteSnapshot(live.Clone())
+				appendN(3)
+				returned <- err
+			}()
+			select {
+			case err := <-returned:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				w.smu.Unlock()
+				<-returned
+				t.Fatal("WriteSnapshot and Append waited for the sync in flight")
+			}
+			crashed := cloneDir(t, dir)
+			w.smu.Unlock()
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			res, err := Recover(crashed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SnapshotSeq != floor || res.Dirty() || !sameState(res.State, live) {
+				t.Fatalf("killed before the rename: recovered from snapshot %d (want %d), notes %v, state %+v, want %+v",
+					res.SnapshotSeq, floor, res.Notes, res.State, live)
+			}
+			res, err = Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SnapshotSeq != live.LastSeq-3 || res.Dirty() || !sameState(res.State, live) {
+				t.Fatalf("after Close: recovered from snapshot %d (want %d), notes %v", res.SnapshotSeq, live.LastSeq-3, res.Notes)
+			}
+		})
 	}
 }

@@ -6,11 +6,13 @@
 // in the kernel when its append returns and on disk within
 // Options.SyncEvery appends — before the append returns when that is 1;
 // above 1 the Writer runs the fsync (Writer.Sync) on a goroutine of its
-// own, off the append path, and Close joins it. On startup
+// own, off the append path, and Close joins it. A snapshot takes the
+// same path: WriteSnapshot only cuts it, and Sync writes it. On startup
 // the daemon runs Recover — an fsck that truncates torn tails, verifies
 // frame CRCs, and validates snapshot/journal sequence continuity — and
 // replays the surviving prefix to reconstruct its registry without
-// waiting for client re-registration.
+// waiting for client re-registration, then opens its Writer from that
+// same result (RecoverResult.Open), so a boot reads the journal once.
 //
 // What a record does to a registry is defined once, by Fold, over
 // core.Registry — the state machine the simulated server runs on.

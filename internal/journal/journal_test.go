@@ -233,6 +233,9 @@ func TestSnapshotAndPrune(t *testing.T) {
 	}
 
 	appendN(10)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if snaps, _, _ := listDir(dir); len(snaps) != 1 {
 		t.Fatalf("expected 1 snapshot after first cadence, got %d", len(snaps))
 	}
@@ -243,6 +246,9 @@ func TestSnapshotAndPrune(t *testing.T) {
 	}
 
 	appendN(30)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	snaps, segs, _ := listDir(dir)
 	if len(snaps) != 2 {
 		t.Fatalf("Retain=2: got %d snapshots", len(snaps))
@@ -387,48 +393,63 @@ func TestWriterStickyError(t *testing.T) {
 	}
 }
 
+// Either open repairs (physically truncates) the torn tail Recover found
+// and resumes at NextSeq; a subsequent recovery sees a clean journal
+// with the new record.
 func TestOpenRepairsBeforeAppending(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := Open(dir, 1, Options{})
-	for i := 0; i < 3; i++ {
-		w.Append(Record{At: int64(i), Kind: KindSetLoad, A: int64(i)})
-	}
-	w.Close()
+	for _, tc := range []struct {
+		name string
+		open func(dir string, res *RecoverResult) (*Writer, error)
+	}{
+		{"Open", func(dir string, res *RecoverResult) (*Writer, error) { return Open(dir, res.NextSeq, Options{}) }},
+		{"RecoverResult.Open", func(dir string, res *RecoverResult) (*Writer, error) { return res.Open(dir, Options{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, _ := Open(dir, 1, Options{})
+			for i := 0; i < 3; i++ {
+				w.Append(Record{At: int64(i), Kind: KindSetLoad, A: int64(i)})
+			}
+			w.Close()
 
-	// Tear the tail of the only segment mid-frame.
-	_, segs, _ := listDir(dir)
-	path := filepath.Join(dir, segs[0].name)
-	fi, _ := os.Stat(path)
-	os.Truncate(path, fi.Size()-3)
+			// Tear the tail of the only segment mid-frame.
+			_, segs, _ := listDir(dir)
+			path := filepath.Join(dir, segs[0].name)
+			fi, _ := os.Stat(path)
+			os.Truncate(path, fi.Size()-3)
 
-	res, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Dirty() || res.TruncatedBytes == 0 || res.Replayed != 2 {
-		t.Fatalf("torn tail not detected: %+v", res)
-	}
+			res, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Dirty() || res.TruncatedBytes == 0 || res.Replayed != 2 {
+				t.Fatalf("torn tail not detected: %+v", res)
+			}
 
-	// Open must repair (physically truncate) and resume at NextSeq; a
-	// subsequent recovery sees a clean journal with the new record.
-	w2, err := Open(dir, res.NextSeq, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq, _ := w2.Append(Record{At: 9, Kind: KindSetLoad, A: 9}); seq != 3 {
-		t.Fatalf("resumed at seq %d, want 3", seq)
-	}
-	w2.Close()
+			w2, err := tc.open(dir, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn, _ := os.Stat(path)
+			if want := fi.Size() - 3 - res.TruncatedBytes; torn.Size() != want {
+				t.Fatalf("the open left the torn segment at %d bytes, want it truncated to %d", torn.Size(), want)
+			}
+			if seq, _ := w2.Append(Record{At: 9, Kind: KindSetLoad, A: 9}); seq != 3 {
+				t.Fatalf("resumed at seq %d, want 3", seq)
+			}
+			w2.Close()
 
-	res2, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Dirty() {
-		t.Errorf("journal still dirty after Open repair: %v", res2.Notes)
-	}
-	if res2.State.External != 9 || res2.State.LastSeq != 3 {
-		t.Errorf("post-repair state: %+v", res2.State)
+			res2, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res2.Dirty() {
+				t.Errorf("journal still dirty after the open's repair: %v", res2.Notes)
+			}
+			if res2.State.External != 9 || res2.State.LastSeq != 3 {
+				t.Errorf("post-repair state: %+v", res2.State)
+			}
+		})
 	}
 }
 

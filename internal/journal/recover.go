@@ -103,12 +103,10 @@ func Recover(dir string) (*RecoverResult, error) {
 			res.note("%s: beyond earlier break, dropping", seg.name)
 			continue
 		}
-		cut, reason := res.scanSegment(path, reg)
+		size, cut, reason := res.scanSegment(path, reg)
 		if cut >= 0 {
 			res.truncations = append(res.truncations, truncEntry{seg.name, cut})
-			if fi, err := os.Stat(path); err == nil {
-				res.TruncatedBytes += fi.Size() - cut
-			}
+			res.TruncatedBytes += size - cut
 			res.note("%s: %s, truncating to %d bytes", seg.name, reason, cut)
 			broken = true
 		}
@@ -118,19 +116,20 @@ func Recover(dir string) (*RecoverResult, error) {
 }
 
 // scanSegment folds one segment's valid prefix into reg, and its last
-// record's stamps into res.State. It returns the byte offset the file
-// must be truncated to and why, or (-1, "") if the whole segment is
-// clean.
-func (res *RecoverResult) scanSegment(path string, reg *core.Registry[string]) (cut int64, reason string) {
+// record's stamps into res.State. It returns the segment's size (0 if it
+// cannot be read), the byte offset the file must be truncated to and
+// why, or (-1, "") if the whole segment is clean.
+func (res *RecoverResult) scanSegment(path string, reg *core.Registry[string]) (size, cut int64, reason string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, fmt.Sprintf("unreadable (%v)", err)
+		return 0, 0, fmt.Sprintf("unreadable (%v)", err)
 	}
-	return walkSegment(data, &res.NextSeq, func(rec Record) {
+	cut, reason = walkSegment(data, &res.NextSeq, func(rec Record) {
 		Fold(reg, rec)
 		res.State.LastSeq, res.State.At = rec.Seq, rec.At
 		res.Replayed++
 	})
+	return int64(len(data)), cut, reason
 }
 
 // walkSegment is fsck rules 2 and 3 over one segment's bytes: it calls
@@ -176,8 +175,8 @@ func (res *RecoverResult) Dirty() bool {
 
 // Repair applies the result's physical repairs: truncates torn tails
 // and deletes files beyond the break. Stale damage left in place would
-// shadow fresh records on the NEXT recovery, so Open always repairs
-// before appending. Repair is idempotent.
+// shadow fresh records on the NEXT recovery, so Open (either one)
+// always repairs before appending. Repair is idempotent.
 func Repair(dir string, res *RecoverResult) error {
 	for _, t := range res.truncations {
 		path := filepath.Join(dir, t.name)
@@ -243,9 +242,7 @@ func ReadAll(dir string) (base State, recs []Record, err error) {
 	// Earliest segment decides how far back the record stream reaches.
 	var firstSeq uint64 = 1
 	if len(segs) > 0 {
-		if seq, ok := parseSeqName(segs[0].name, "wal-", ".log"); ok {
-			firstSeq = seq
-		}
+		firstSeq = segs[0].seq
 	}
 
 	// Oldest decodable snapshot whose LastSeq+1 >= firstSeq anchors the

@@ -22,8 +22,8 @@ type Options struct {
 	// than that. With 1, it is on disk before the append returns. Above
 	// 1, no append fsyncs: once SyncEvery appends (or a rotated-out
 	// segment) wait, the append starts the Writer's sync goroutine, which
-	// runs Sync beside later appends rather than in front of them.
-	// Snapshot and Close always sync.
+	// runs Sync beside later appends rather than in front of them. A
+	// snapshot reaches the disk the same way, and Close always syncs.
 	SyncEvery int
 	// SegmentBytes rotates to a fresh segment once the current one
 	// grows past this size (default 4 MiB).
@@ -63,12 +63,13 @@ func (o Options) withDefaults() Options {
 
 // Writer appends records and snapshots to a journal directory. All
 // methods are safe for concurrent use; appends are serialized in call
-// order. An append holds mu for its write alone; Sync holds it only to
-// take and to settle what it fsyncs, so appends never wait on the disk.
-// Sync, WriteSnapshot and Close are serialized by smu (taken before mu),
-// which is what keeps a segment open while Sync fsyncs it. Above
-// SyncEvery 1 the Writer schedules its own fsyncs: at most one sync
-// goroutine runs at a time, and Close joins it.
+// order. An append holds mu for its write alone, and WriteSnapshot for
+// its cut alone; Sync, the one path to the disk, holds it only to take
+// and to settle what it fsyncs and writes, so neither ever waits on the
+// disk. Syncs are serialized by smu (taken before mu), which is what
+// keeps a segment open while Sync fsyncs it. Above SyncEvery 1 the
+// Writer schedules its own syncs: at most one sync goroutine runs at a
+// time, and Close joins it.
 // I/O failures are sticky: after the first one every Append
 // returns it (and counts journal_append_errors_total), so a daemon can
 // keep serving with durability degraded rather than crash its control
@@ -80,18 +81,19 @@ type Writer struct {
 	opts    Options
 	f       *os.File   // the active segment
 	retired []*os.File // rotated-out segments the next sync fsyncs and closes
+	snaps   []State    // snapshots cut since the last sync took them
 	payload []byte     // record JSON scratch
 	buf     []byte     // one append's frames, written with one write(2)
 	err     error      // first I/O failure, sticky
 
 	nextSeq   uint64
-	segStart  uint64 // first seq the current segment can hold
 	segBytes  int64
 	unsynced  int // appends written since the last sync took its files
 	sinceSnap int
 
 	// Under mu: syncing while the sync goroutine runs, closing once Close
-	// has begun (no goroutine starts after that). Close joins it by syncer.
+	// has begun (no append lands and no goroutine starts after that).
+	// Close joins the goroutine by syncer.
 	syncing, closing bool
 	syncer           sync.WaitGroup
 	syncFn           func() // syncLoop, made once: starting it allocates nothing
@@ -101,20 +103,29 @@ type Writer struct {
 }
 
 // Open creates a Writer appending to dir at nextSeq — 1 for a fresh
-// journal, or RecoverResult.NextSeq to continue after recovery. Open
-// repairs the directory first (Repair: truncate torn tails, drop
-// post-break segments) so stale damage can never shadow fresh records,
-// then starts a new segment; it never appends into an old one.
+// journal. It runs Recover and opens as RecoverResult.Open does, but at
+// nextSeq rather than at the recovered position.
 func Open(dir string, nextSeq uint64, opts Options) (*Writer, error) {
-	if nextSeq < 1 {
-		nextSeq = 1
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
 	res, err := Recover(dir)
 	if err != nil {
 		return nil, err
+	}
+	return res.open(dir, max(nextSeq, 1), opts)
+}
+
+// Open creates a Writer appending to dir where res, Recover's result for
+// dir, ends (res.NextSeq), so a boot reads the journal once. It repairs
+// the directory first (Repair: truncate torn tails, drop post-break
+// segments) so stale damage can never shadow fresh records, then starts
+// a new segment; it never appends into an old one. Nothing may write to
+// dir between the Recover and the Open.
+func (res *RecoverResult) Open(dir string, opts Options) (*Writer, error) {
+	return res.open(dir, res.NextSeq, opts)
+}
+
+func (res *RecoverResult) open(dir string, nextSeq uint64, opts Options) (*Writer, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	if err := Repair(dir, res); err != nil {
 		return nil, err
@@ -168,7 +179,6 @@ func (w *Writer) openSegmentLocked() error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	w.f = f
-	w.segStart = w.nextSeq
 	w.segBytes = int64(magicLen)
 	return nil
 }
@@ -179,25 +189,46 @@ func (w *Writer) openSegmentLocked() error {
 // returns, and on disk too with SyncEvery 1; see Options.SyncEvery.
 func (w *Writer) Append(rec Record) (uint64, error) {
 	recs := [1]Record{rec}
-	return w.append(recs[:])
+	return w.append(recs[:], nil)
 }
 
 // AppendBatch appends recs in order, each as Append would, and writes
 // their frames with one write(2) per segment they land in. With
 // SyncEvery 1 the batch is fsynced, once, before AppendBatch returns.
 func (w *Writer) AppendBatch(recs []Record) error {
-	_, err := w.append(recs)
+	_, err := w.append(recs, nil)
 	return err
 }
 
-// append is Append and AppendBatch: it returns the first record's seq.
-func (w *Writer) append(recs []Record) (first uint64, err error) {
-	if len(recs) == 0 {
+// WriteSnapshot cuts a snapshot of st at the current sequence position:
+// under mu alone it stamps st's LastSeq, retires the active segment so
+// every segment belongs wholly to one snapshot epoch, and queues st for
+// the sync, which is scheduled as an append's is and writes it. With
+// SyncEvery 1 the snapshot is on disk when WriteSnapshot returns; above
+// it, once the sync goroutine, Sync or Close has run. The Writer keeps
+// st until then, so the caller must not modify its Members.
+func (w *Writer) WriteSnapshot(st State) error {
+	_, err := w.append(nil, &st)
+	return err
+}
+
+// append is Append and AppendBatch, and with snap WriteSnapshot's cut: it
+// returns the first record's seq. It starts the sync goroutine if a sync
+// is now due, and with SyncEvery 1 runs Sync itself.
+func (w *Writer) append(recs []Record, snap *State) (first uint64, err error) {
+	if len(recs) == 0 && snap == nil {
 		return 0, nil
 	}
 	w.mu.Lock()
 	first = w.nextSeq
 	err = w.writeLocked(recs)
+	if err == nil && snap != nil {
+		snap.LastSeq = w.nextSeq - 1
+		if err = w.rotateLocked(0); err == nil {
+			w.snaps = append(w.snaps, *snap)
+			w.sinceSnap = 0
+		}
+	}
 	start := err == nil && w.opts.SyncEvery > 1 && !w.syncing && w.dueLocked()
 	if start {
 		w.syncing = true
@@ -216,7 +247,8 @@ func (w *Writer) append(recs []Record) (first uint64, err error) {
 	return first, nil
 }
 
-// dueLocked reports whether SyncEvery appends or a rotated-out segment wait.
+// dueLocked reports whether SyncEvery appends or a rotated-out segment
+// (a snapshot's cut retires one) wait.
 func (w *Writer) dueLocked() bool {
 	return !w.closing && (w.unsynced >= w.opts.SyncEvery || len(w.retired) > 0)
 }
@@ -236,14 +268,14 @@ func (w *Writer) syncLoop() {
 
 // writeLocked frames recs into buf and writes them to the active
 // segment: in one write, unless a segment fills first, in which case
-// the frames so far are written, the segment is retired for the next
-// sync to fsync and close, and a fresh one takes the rest.
+// the frames so far are written, the segment is retired, and a fresh one
+// takes the rest. Once Close has begun it refuses them.
 func (w *Writer) writeLocked(recs []Record) error {
-	if w.err != nil {
+	if w.err != nil || w.closing {
 		if w.appendErrors != nil {
 			w.appendErrors.Add(int64(len(recs)))
 		}
-		return w.err
+		return cmp.Or(w.err, errClosed)
 	}
 	framed := 0 // records in buf
 	for i, rec := range recs {
@@ -270,13 +302,22 @@ func (w *Writer) writeLocked(recs []Record) error {
 		}
 		w.buf, framed = w.buf[:0], 0
 		if full {
-			w.retired = append(w.retired, w.f)
-			w.f = nil
-			if err := w.openSegmentLocked(); err != nil {
-				w.failLocked(err, len(recs)-1-i)
-				return w.err
+			if err := w.rotateLocked(len(recs) - 1 - i); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// rotateLocked retires the active segment for the next sync to fsync and
+// close, and starts a fresh one at nextSeq; failing, it costs lost records.
+func (w *Writer) rotateLocked(lost int) error {
+	w.retired = append(w.retired, w.f)
+	w.f = nil
+	if err := w.openSegmentLocked(); err != nil {
+		w.failLocked(err, lost)
+		return w.err
 	}
 	return nil
 }
@@ -292,44 +333,41 @@ func (w *Writer) failLocked(err error, lost int) {
 	}
 }
 
-// Sync fsyncs every record appended so far: the rotated-out segments
-// (closing them) and the active one. It holds mu only to take the files
-// and to settle the count, never across the fsync, so appends proceed
-// while it runs; smu keeps WriteSnapshot and Close from closing a file
-// under it. A failed fsync is sticky like a failed write: the next
-// append returns it.
+// Sync is the Writer's one path to the disk. It fsyncs every record
+// appended so far — the rotated-out segments (closing them) and the
+// active one — then writes the snapshots cut since the last sync and
+// prunes. It holds mu only to take the files and snapshots and to settle
+// the count, never across the disk work, so appends and cuts proceed
+// while it runs; smu keeps Close from closing a file under it. A failure
+// is sticky like a failed write: the next append returns it.
 func (w *Writer) Sync() error {
 	w.smu.Lock()
 	defer w.smu.Unlock()
+	return w.sync()
+}
+
+// sync is Sync for a caller holding smu.
+func (w *Writer) sync() error {
 	w.mu.Lock()
-	retired, active, n, err := w.takeLocked()
-	w.mu.Unlock()
-	if err != nil {
-		return err
+	if w.err != nil {
+		defer w.mu.Unlock()
+		return w.err
 	}
-	err = w.fsync(retired, active)
+	retired, active, snaps, n := w.retired, w.f, w.snaps, w.unsynced
+	w.retired, w.snaps = nil, nil
+	w.mu.Unlock()
+	lost, err := n, w.fsync(retired, active)
+	if err == nil {
+		lost, err = 0, w.writeSnapshots(snaps)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.settleLocked(n, err)
-}
-
-// syncLocked is Sync for a caller holding smu and mu.
-func (w *Writer) syncLocked() error {
-	retired, active, n, err := w.takeLocked()
+	w.unsynced -= n - lost
 	if err != nil {
-		return err
+		w.failLocked(err, lost)
+		return w.err
 	}
-	return w.settleLocked(n, w.fsync(retired, active))
-}
-
-// takeLocked hands a sync the rotated-out segments, the active one, and
-// the number of appends they hold. Callers hold smu and mu.
-func (w *Writer) takeLocked() (retired []*os.File, active *os.File, n int, err error) {
-	if w.err != nil {
-		return nil, nil, 0, w.err
-	}
-	retired, w.retired = w.retired, nil
-	return retired, w.f, w.unsynced, nil
+	return nil
 }
 
 // fsync syncs and closes the rotated-out segments, then syncs the active
@@ -352,13 +390,33 @@ func (w *Writer) fsync(retired []*os.File, active *os.File) error {
 	return err
 }
 
-// settleLocked accounts for a sync of n appends that returned err.
-func (w *Writer) settleLocked(n int, err error) error {
-	if err != nil {
-		w.failLocked(err, n)
-		return w.err
+// writeSnapshots writes the snapshots a sync took, in cut order, each to
+// a temp file that is fsynced and renamed, so a torn snapshot write can
+// never shadow an older good one, and prunes after each. Callers hold
+// smu.
+func (w *Writer) writeSnapshots(snaps []State) error {
+	for i := range snaps {
+		payload, err := json.Marshal(&snaps[i])
+		if err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+		tmp := filepath.Join(w.dir, "snap.tmp")
+		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+		if err != nil {
+			return err
+		}
+		_, err = f.Write(appendFrame([]byte(snapMagic), payload))
+		if err := cmp.Or(err, f.Sync(), f.Close()); err != nil {
+			return err
+		}
+		if err := os.Rename(tmp, filepath.Join(w.dir, snapshotName(snaps[i].LastSeq))); err != nil {
+			return err
+		}
+		if w.snapshots != nil {
+			w.snapshots.Inc()
+		}
+		w.prune(snaps[i].LastSeq)
 	}
-	w.unsynced -= n
 	return nil
 }
 
@@ -371,62 +429,12 @@ func (w *Writer) ShouldSnapshot() bool {
 	return w.opts.SnapshotEvery > 0 && w.sinceSnap >= w.opts.SnapshotEvery && w.err == nil
 }
 
-// WriteSnapshot durably stores st, stamped with the current sequence
-// position, rotates to a fresh segment, and prunes history: snapshots
-// beyond Retain and segments entirely covered by the oldest retained
-// snapshot are deleted. The snapshot is written to a temp file, fsynced,
-// and renamed, so a torn snapshot write can never shadow an older good
-// one.
-func (w *Writer) WriteSnapshot(st State) error {
-	w.smu.Lock()
-	defer w.smu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	st.LastSeq = w.nextSeq - 1
-	if err := w.syncLocked(); err != nil {
-		return err
-	}
-
-	payload, err := json.Marshal(&st)
-	if err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	buf := append([]byte(snapMagic), appendFrame(nil, payload)...)
-	tmp := filepath.Join(w.dir, "snap.tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
-		w.failLocked(err, 0)
-		return w.err
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, snapshotName(st.LastSeq))); err != nil {
-		w.failLocked(err, 0)
-		return w.err
-	}
-
-	// Start a fresh segment so every segment belongs wholly to one
-	// snapshot epoch, then prune.
-	if err := w.f.Close(); err != nil {
-		w.failLocked(err, 0)
-		return w.err
-	}
-	if err := w.openSegmentLocked(); err != nil {
-		w.failLocked(err, 0)
-		return w.err
-	}
-	w.sinceSnap = 0
-	if w.snapshots != nil {
-		w.snapshots.Inc()
-	}
-	w.pruneLocked()
-	return nil
-}
-
-// pruneLocked deletes snapshots beyond Retain and segments whose every
-// record is at or below the oldest retained snapshot's LastSeq. Pruning
-// is best-effort: a failed delete leaves extra history, never less.
-func (w *Writer) pruneLocked() {
+// prune deletes snapshots beyond Retain and segments whose every record
+// is at or below the oldest retained snapshot's LastSeq — never a segment
+// that starts after last, the LastSeq of the snapshot just written, as
+// the active one does. Pruning is best-effort: a failed delete leaves extra
+// history, never less. Callers hold smu.
+func (w *Writer) prune(last uint64) {
 	snaps, segs, err := listDir(w.dir)
 	if err != nil {
 		return
@@ -446,15 +454,15 @@ func (w *Writer) pruneLocked() {
 	for i := 0; i+1 < len(segs); i++ {
 		// A segment's records all precede the next segment's first seq,
 		// so it is covered by the anchor iff the next segment starts at
-		// or before anchor+1. Never touch the active segment.
-		if segs[i+1].seq <= anchor+1 && segs[i].seq != w.segStart {
+		// or before anchor+1.
+		if segs[i].seq <= last && segs[i+1].seq <= anchor+1 {
 			os.Remove(filepath.Join(w.dir, segs[i].name))
 		}
 	}
 }
 
-// Close joins the sync goroutine, then syncs and closes the journal.
-// Further appends fail.
+// Close refuses further appends and snapshots, joins the sync goroutine,
+// then syncs and closes the journal.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	w.closing = true
@@ -462,16 +470,14 @@ func (w *Writer) Close() error {
 	w.syncer.Wait()
 	w.smu.Lock()
 	defer w.smu.Unlock()
+	w.sync()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err == nil {
-		w.syncLocked()
-	}
 	err := w.err
 	for _, f := range w.retired { // left by a failure; already failed
 		f.Close()
 	}
-	w.retired = nil
+	w.retired, w.snaps = nil, nil
 	if w.f != nil {
 		if cerr := w.f.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -485,23 +491,6 @@ func (w *Writer) Close() error {
 }
 
 var errClosed = errors.New("journal: writer closed")
-
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // seqFile is one journal file with its embedded sequence number.
 type seqFile struct {

@@ -273,7 +273,7 @@ func (c *Coordinator) journalFlush(state bool) (reg *core.Registry[string]) {
 		reg.SetTarget(m.Key, m.Target)
 	}
 	if w != nil {
-		//procctl:allow-blockinglocked jmu is the journal's order serializer; file I/O under it is what it is for
+		//procctl:allow-blockinglocked jmu is the journal's order serializer: the drain's write and the snapshot cut run under it, the journal's fsync and snapshot write do not
 		c.journalWrite(w, evs, due, reg)
 	}
 	clear(evs) // the spare buffer keeps no name alive

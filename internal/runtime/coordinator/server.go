@@ -274,12 +274,12 @@ func (s *Server) Restore(st journal.State, now time.Time) int {
 }
 
 // Boot is the daemon's boot on the journal in dir, before the server
-// accepts: it Restores what the journal held, attaches a Writer opened
-// after it with opts, sets the journal_recover* and journal_truncated_bytes
-// gauges, and makes the first decision. Ahead of it go, in one section, a
-// restart record when members were restored (so a replay re-sorts them as
-// Restore did), then the capacity New resolved. The caller closes the
-// Writer (Coordinator.Journal) after the server.
+// accepts: it Restores what one pass over the journal held, attaches a
+// Writer opened from that pass with opts, sets the journal_recover* and
+// journal_truncated_bytes gauges, and makes the first decision. Ahead of
+// it go, in one section, a restart record when members were restored (so
+// a replay re-sorts them as Restore did), then the capacity New resolved.
+// The caller closes the Writer (Coordinator.Journal) after the server.
 func (s *Server) Boot(dir string, opts journal.Options) (*journal.RecoverResult, error) {
 	start := time.Now()
 	res, err := journal.Recover(dir)
@@ -287,7 +287,7 @@ func (s *Server) Boot(dir string, opts journal.Options) (*journal.RecoverResult,
 		return nil, err
 	}
 	restored := s.Restore(res.State, start)
-	w, err := journal.Open(dir, res.NextSeq, opts)
+	w, err := res.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -252,6 +252,9 @@ func newPlaceholderRig(t *testing.T) placeholderRig {
 	if err := w.WriteSnapshot(rig.srv.JournalState(boot.UnixMicro())); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	return rig
 }
 

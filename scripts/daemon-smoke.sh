@@ -20,10 +20,12 @@
 #
 # Then the durability leg: a member is held open, the daemon is killed
 # with SIGKILL and restarted on its journal (at the default fsync
-# batching), and the registry must come
-# back without the client re-registering; procctl-replay must audit the
-# journal as clean and decision-identical to the sim replay, and a clean
-# SIGTERM shutdown must leave a final snapshot.
+# batching, cutting a snapshot every 2 records), and the registry must
+# come back without the client re-registering; traffic on the restarted
+# daemon must get a periodic snapshot written by the journal's sync
+# goroutine; procctl-replay must audit the journal as clean and
+# decision-identical to the sim replay, and a clean SIGTERM shutdown must
+# leave a final snapshot.
 #
 # Fails (exit 1) on any missing endpoint, series, or event. Used by
 # `make daemon-smoke` and the daemon-smoke CI job.
@@ -47,7 +49,8 @@ go build -o "$OUT/procctl-trace" ./cmd/procctl-trace
 
 # start_daemon's arguments go to procctld: the first daemon fsyncs each
 # write (-fsync-every 1), the one restarted after SIGKILL boots at the
-# default batching, where the journal schedules its own fsyncs.
+# default batching, where the journal schedules its own fsyncs, and cuts
+# a snapshot every 2 records, so its own traffic brings one due.
 start_daemon() {
     "$OUT/procctld" -listen "unix:$SOCK" -capacity 8 -metrics "$METRICS_ADDR" \
         -journal-dir "$JOURNAL" "$@" \
@@ -183,7 +186,7 @@ wait "$DAEMON" 2>/dev/null || true
 kill "$HOLD" 2>/dev/null || true
 wait "$HOLD" 2>/dev/null || true
 
-start_daemon
+start_daemon -snapshot-every 2
 for i in $(seq 1 50); do
     [ -S "$SOCK" ] && "$OUT/procctl-top" -connect "unix:$SOCK" >/dev/null 2>&1 && break
     sleep 0.1
@@ -199,6 +202,18 @@ if curl -sf "http://$METRICS_ADDR/metrics" \
     | grep -E 'coordinator_rpcs_total\{op="register"\}' | grep -v ' 0$' >/dev/null; then
     fail "restarted daemon served register RPCs before the recovery check"
 fi
+
+# Live traffic on the restarted daemon crosses -snapshot-every: a drain
+# cuts the snapshot under the journal's order lock, and the journal's
+# sync goroutine writes it.
+"$OUT/procctl-top" -connect "unix:$SOCK" -setload 2
+for i in $(seq 1 50); do
+    curl -sf "http://$METRICS_ADDR/metrics" >"$OUT/metrics-restarted.txt" || true
+    grep -Eq '^journal_snapshots_total [1-9]' "$OUT/metrics-restarted.txt" && break
+    sleep 0.1
+done
+grep -Eq '^journal_snapshots_total [1-9]' "$OUT/metrics-restarted.txt" \
+    || fail "no periodic snapshot written under live traffic (journal_snapshots_total is 0)"
 
 # Offline audit: the journal is clean and every recorded decision
 # matches the deterministic sim replay.
