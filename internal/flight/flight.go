@@ -42,7 +42,7 @@ const (
 	KindSetLoad     = "setload"      // external load reported; A = new load
 	KindSetCapacity = "setcapacity"  // managed capacity changed; A = new capacity
 	KindRestart     = "restart"      // daemon recovered its journal; A = members restored, B = bytes fsck truncated
-	KindSnapshot    = "snapshot"     // registry snapshot written; A = last journaled seq
+	KindSnapshot    = "snapshot"     // registry snapshot cut; A = its last journaled seq. The journal's next sync writes it
 	KindApply       = "apply"        // client driver applied a pushed target; A = new target, B = previous
 	KindSettle      = "settle"       // pool's runnable count reached the applied target; A = target
 	KindConverge    = "converge"     // epoch closed; App = straggler, A = close latency µs, B = members tracked

@@ -300,6 +300,9 @@ func TestSnapshotFallbackWhenNewestCorrupt(t *testing.T) {
 	if err := w.WriteSnapshot(live.Clone()); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Sync(); err != nil { // else the next cut may supersede this one unwritten
+		t.Fatal(err)
+	}
 	mid := live.Clone()
 	for i := 0; i < 5; i++ {
 		r := Record{At: int64(10 + i), Kind: KindSetLoad, A: int64(i)}

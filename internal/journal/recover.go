@@ -116,13 +116,17 @@ func Recover(dir string) (*RecoverResult, error) {
 }
 
 // scanSegment folds one segment's valid prefix into reg, and its last
-// record's stamps into res.State. It returns the segment's size (0 if it
-// cannot be read), the byte offset the file must be truncated to and
-// why, or (-1, "") if the whole segment is clean.
+// record's stamps into res.State. It returns the segment's size (from
+// Stat if it cannot be read, 0 if that fails too), the byte offset the
+// file must be truncated to and why, or (-1, "") if the whole segment is
+// clean.
 func (res *RecoverResult) scanSegment(path string, reg *core.Registry[string]) (size, cut int64, reason string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, fmt.Sprintf("unreadable (%v)", err)
+		if fi, serr := os.Stat(path); serr == nil {
+			size = fi.Size()
+		}
+		return size, 0, fmt.Sprintf("unreadable (%v)", err)
 	}
 	cut, reason = walkSegment(data, &res.NextSeq, func(rec Record) {
 		Fold(reg, rec)

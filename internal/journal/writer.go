@@ -81,7 +81,7 @@ type Writer struct {
 	opts    Options
 	f       *os.File   // the active segment
 	retired []*os.File // rotated-out segments the next sync fsyncs and closes
-	snaps   []State    // snapshots cut since the last sync took them
+	snap    *State     // the newest snapshot cut since the last sync took one
 	payload []byte     // record JSON scratch
 	buf     []byte     // one append's frames, written with one write(2)
 	err     error      // first I/O failure, sticky
@@ -203,7 +203,8 @@ func (w *Writer) AppendBatch(recs []Record) error {
 // WriteSnapshot cuts a snapshot of st at the current sequence position:
 // under mu alone it stamps st's LastSeq, retires the active segment so
 // every segment belongs wholly to one snapshot epoch, and queues st for
-// the sync, which is scheduled as an append's is and writes it. With
+// the sync, which is scheduled as an append's is and writes it; a newer
+// cut replaces st if no sync has taken it yet. With
 // SyncEvery 1 the snapshot is on disk when WriteSnapshot returns; above
 // it, once the sync goroutine, Sync or Close has run. The Writer keeps
 // st until then, so the caller must not modify its Members.
@@ -225,7 +226,7 @@ func (w *Writer) append(recs []Record, snap *State) (first uint64, err error) {
 	if err == nil && snap != nil {
 		snap.LastSeq = w.nextSeq - 1
 		if err = w.rotateLocked(0); err == nil {
-			w.snaps = append(w.snaps, *snap)
+			w.snap = snap // supersedes a cut no sync has taken yet
 			w.sinceSnap = 0
 		}
 	}
@@ -335,8 +336,8 @@ func (w *Writer) failLocked(err error, lost int) {
 
 // Sync is the Writer's one path to the disk. It fsyncs every record
 // appended so far — the rotated-out segments (closing them) and the
-// active one — then writes the snapshots cut since the last sync and
-// prunes. It holds mu only to take the files and snapshots and to settle
+// active one — then writes the newest snapshot cut since the last sync
+// and prunes. It holds mu only to take the files and snapshot and to settle
 // the count, never across the disk work, so appends and cuts proceed
 // while it runs; smu keeps Close from closing a file under it. A failure
 // is sticky like a failed write: the next append returns it.
@@ -353,12 +354,15 @@ func (w *Writer) sync() error {
 		defer w.mu.Unlock()
 		return w.err
 	}
-	retired, active, snaps, n := w.retired, w.f, w.snaps, w.unsynced
-	w.retired, w.snaps = nil, nil
+	retired, active, snap, n := w.retired, w.f, w.snap, w.unsynced
+	w.retired, w.snap = nil, nil
 	w.mu.Unlock()
 	lost, err := n, w.fsync(retired, active)
 	if err == nil {
-		lost, err = 0, w.writeSnapshots(snaps)
+		lost = 0
+		if snap != nil {
+			err = w.writeSnapshot(snap)
+		}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -390,33 +394,30 @@ func (w *Writer) fsync(retired []*os.File, active *os.File) error {
 	return err
 }
 
-// writeSnapshots writes the snapshots a sync took, in cut order, each to
-// a temp file that is fsynced and renamed, so a torn snapshot write can
-// never shadow an older good one, and prunes after each. Callers hold
-// smu.
-func (w *Writer) writeSnapshots(snaps []State) error {
-	for i := range snaps {
-		payload, err := json.Marshal(&snaps[i])
-		if err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		tmp := filepath.Join(w.dir, "snap.tmp")
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		_, err = f.Write(appendFrame([]byte(snapMagic), payload))
-		if err := cmp.Or(err, f.Sync(), f.Close()); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, filepath.Join(w.dir, snapshotName(snaps[i].LastSeq))); err != nil {
-			return err
-		}
-		if w.snapshots != nil {
-			w.snapshots.Inc()
-		}
-		w.prune(snaps[i].LastSeq)
+// writeSnapshot writes the snapshot a sync took to a temp file that is
+// fsynced and renamed, so a torn snapshot write can never shadow an
+// older good one, then prunes. Callers hold smu.
+func (w *Writer) writeSnapshot(st *State) error {
+	payload, err := json.Marshal(st)
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
+	tmp := filepath.Join(w.dir, "snap.tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(appendFrame([]byte(snapMagic), payload))
+	if err := cmp.Or(err, f.Sync(), f.Close()); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(w.dir, snapshotName(st.LastSeq))); err != nil {
+		return err
+	}
+	if w.snapshots != nil {
+		w.snapshots.Inc()
+	}
+	w.prune(st.LastSeq)
 	return nil
 }
 
@@ -477,7 +478,7 @@ func (w *Writer) Close() error {
 	for _, f := range w.retired { // left by a failure; already failed
 		f.Close()
 	}
-	w.retired, w.snaps = nil, nil
+	w.retired, w.snap = nil, nil
 	if w.f != nil {
 		if cerr := w.f.Close(); cerr != nil && err == nil {
 			err = cerr

@@ -25,7 +25,8 @@
 # daemon must get a periodic snapshot written by the journal's sync
 # goroutine; procctl-replay must audit the journal as clean and
 # decision-identical to the sim replay, and a clean SIGTERM shutdown must
-# leave a final snapshot.
+# write a final snapshot, newer than the last periodic one and covering
+# the last record, without logging a journal failure.
 #
 # Fails (exit 1) on any missing endpoint, series, or event. Used by
 # `make daemon-smoke` and the daemon-smoke CI job.
@@ -223,10 +224,38 @@ grep -Eq '^journal_snapshots_total [1-9]' "$OUT/metrics-restarted.txt" \
     || fail "record/replay diff found divergent decisions"
 grep -q identical "$OUT/diff.txt" || fail "replay diff did not report identity"
 
-# Clean shutdown: SIGTERM must leave a final snapshot behind.
+# Clean shutdown: SIGTERM must leave a final snapshot behind, told
+# apart from the periodic ones. One more decision moves the journal on;
+# then wait until the newest cut (its flight event carries its seq) is on
+# disk, so no periodic snapshot is still pending when the marker is
+# touched and only the shutdown's snapshot can be newer than it (SIGTERM
+# writes one even when the newest periodic cut already covers the last
+# record).
+"$OUT/procctl-top" -connect "unix:$SOCK" -setload 3
+CUT_FILE=
+for i in $(seq 1 50); do
+    CUT=$("$OUT/procctl-top" -connect "unix:$SOCK" -events 0 -json \
+        | sed -n 's/.*"kind":"snapshot".*"a":\([0-9]*\).*/\1/p' | tail -1)
+    [ -n "$CUT" ] && CUT_FILE="$JOURNAL/$(printf 'snap-%020d.snap' "$CUT")"
+    [ -n "$CUT_FILE" ] && [ -e "$CUT_FILE" ] && break
+    sleep 0.1
+done
+[ -n "$CUT_FILE" ] && [ -e "$CUT_FILE" ] || fail "newest periodic snapshot cut never reached the disk"
+touch "$OUT/before-shutdown"
+sleep 1 # file times may be coarse: the final snapshot must be strictly newer
 kill "$DAEMON"
 wait "$DAEMON" 2>/dev/null || true
-ls "$JOURNAL"/snap-*.snap >/dev/null 2>&1 \
-    || fail "clean shutdown left no final snapshot"
+if grep -E 'final snapshot failed|journal close failed' "$OUT/procctld.log" >/dev/null; then
+    fail "shutdown reported a journal failure: $(grep -E 'final snapshot failed|journal close failed' "$OUT/procctld.log")"
+fi
+[ -n "$(find "$JOURNAL" -name 'snap-*.snap' -newer "$OUT/before-shutdown")" ] \
+    || fail "clean shutdown wrote no final snapshot (no snapshot newer than the SIGTERM)"
+# The final snapshot covers the last record: it is the newest snapshot,
+# and the segment after it holds nothing but its magic.
+LAST_SNAP=$(basename "$(find "$JOURNAL" -name 'snap-*.snap' | sort | tail -1)" .snap)
+LAST_WAL=$(find "$JOURNAL" -name 'wal-*.log' | sort | tail -1)
+[ "$((10#${LAST_SNAP#snap-} + 1))" -eq "$((10#$(basename "$LAST_WAL" .log | sed 's/^wal-//')))" ] \
+    && [ "$(stat -c %s "$LAST_WAL")" -eq 8 ] \
+    || fail "final snapshot $LAST_SNAP does not cover the journal's last record ($(basename "$LAST_WAL"))"
 trap - EXIT
 echo "daemon-smoke: OK"
