@@ -1,10 +1,15 @@
 package journal
 
 import (
+	"cmp"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"procctl/internal/metrics"
 )
 
 // sampleRecords covers every kind plus the omitempty edge cases.
@@ -213,7 +218,8 @@ func TestSegmentRotation(t *testing.T) {
 
 func TestSnapshotAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	w, _ := Open(dir, 1, Options{SnapshotEvery: 10, Retain: 2})
+	reg := metrics.NewRegistry()
+	w, _ := Open(dir, 1, Options{SnapshotEvery: 10, Retain: 2, Metrics: reg})
 	var live State
 	appendN := func(n int) {
 		for i := 0; i < n; i++ {
@@ -284,6 +290,41 @@ func TestSnapshotAndPrune(t *testing.T) {
 	}
 	if !reflect.DeepEqual(replay, live) {
 		t.Errorf("ReadAll replay\n got %+v\nwant %+v", replay, live)
+	}
+
+	// The last append brought a cut due, so a second cut with no record
+	// between is a no-op, as is one at the snapshot Recover starts from:
+	// neither rotates a segment nor writes a snapshot.
+	listing := func() (names []string) {
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			info, _ := e.Info()
+			names = append(names, fmt.Sprintf("%s %d %v", e.Name(), info.Size(), info.ModTime()))
+		}
+		return names
+	}
+	written, _ := reg.Value("journal_snapshots_total")
+	before := listing()
+	if err := cmp.Or(w.WriteSnapshot(live.Clone()), w.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := reg.Value("journal_snapshots_total"); n != written || !slices.Equal(listing(), before) {
+		t.Errorf("a cut at the newest cut's position wrote %d snapshots; directory %v, was %v", n-written, listing(), before)
+	}
+	if res, err = Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	reg2 := metrics.NewRegistry()
+	w2, err := res.Open(dir, Options{Metrics: reg2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = listing()
+	if err := cmp.Or(w2.WriteSnapshot(res.State), w2.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := reg2.Value("journal_snapshots_total"); n != 0 || !slices.Equal(listing(), before) {
+		t.Errorf("a cut at the recovered snapshot's position wrote %d snapshots; directory %v, was %v", n, listing(), before)
 	}
 }
 

@@ -87,6 +87,7 @@ type Writer struct {
 	err     error      // first I/O failure, sticky
 
 	nextSeq   uint64
+	cutAt     uint64 // nextSeq at the newest cut, this Writer's or Recover's snapshot; 0 = none
 	segBytes  int64
 	unsynced  int // appends written since the last sync took its files
 	sinceSnap int
@@ -136,6 +137,9 @@ func (res *RecoverResult) open(dir string, nextSeq uint64, opts Options) (*Write
 		payload: make([]byte, 0, 256),
 		buf:     make([]byte, 0, 256+frameHdr),
 		nextSeq: nextSeq,
+	}
+	if res.SnapshotSeq > 0 {
+		w.cutAt = res.SnapshotSeq + 1
 	}
 	w.syncFn = w.syncLoop
 	if reg := w.opts.Metrics; reg != nil {
@@ -204,7 +208,9 @@ func (w *Writer) AppendBatch(recs []Record) error {
 // under mu alone it stamps st's LastSeq, retires the active segment so
 // every segment belongs wholly to one snapshot epoch, and queues st for
 // the sync, which is scheduled as an append's is and writes it; a newer
-// cut replaces st if no sync has taken it yet. With
+// cut replaces st if no sync has taken it yet. A cut where the newest one
+// was — this Writer's, or the snapshot Recover started from — with no
+// record since is a no-op: it rotates nothing and writes nothing. With
 // SyncEvery 1 the snapshot is on disk when WriteSnapshot returns; above
 // it, once the sync goroutine, Sync or Close has run. The Writer keeps
 // st until then, so the caller must not modify its Members.
@@ -224,10 +230,15 @@ func (w *Writer) append(recs []Record, snap *State) (first uint64, err error) {
 	first = w.nextSeq
 	err = w.writeLocked(recs)
 	if err == nil && snap != nil {
+		if w.nextSeq == w.cutAt {
+			w.mu.Unlock()
+			return first, nil // nothing journaled since the newest cut
+		}
 		snap.LastSeq = w.nextSeq - 1
 		if err = w.rotateLocked(0); err == nil {
 			w.snap = snap // supersedes a cut no sync has taken yet
 			w.sinceSnap = 0
+			w.cutAt = w.nextSeq
 		}
 	}
 	start := err == nil && w.opts.SyncEvery > 1 && !w.syncing && w.dueLocked()

@@ -1,6 +1,9 @@
 package kernel
 
-import "procctl/internal/sim"
+import (
+	"procctl/internal/core"
+	"procctl/internal/sim"
+)
 
 // ownerNone marks a processor not assigned to any group.
 const ownerNone AppID = -1
@@ -159,38 +162,18 @@ func (g *Partition) repartition() {
 	g.k.kickIdle()
 }
 
-// equalShares splits ncpu among the active groups: one each first, then
-// round-robin while demand remains, never exceeding a group's demand
-// unless every group is saturated.
+// equalShares splits ncpu among the active groups by the paper's own
+// rule, core.Allocate at unit weight: one each first, then round-robin
+// while demand remains, never exceeding a group's demand. A processor
+// belongs to one group, so past ncpu groups get none, where Allocate's
+// floor would give each one.
 func equalShares(ncpu int, active []AppID, dem map[AppID]int) []int {
-	n := len(active)
-	out := make([]int, n)
-	left := ncpu
-	// Starvation floor.
-	for i := range active {
-		if left == 0 {
-			break
-		}
-		out[i] = 1
-		left--
+	demands := make([]core.Demand, len(active))
+	for i, app := range active {
+		demands[i].Max = dem[app]
 	}
-	// Round-robin up to demand.
-	for left > 0 {
-		gave := false
-		for i, app := range active {
-			if left == 0 {
-				break
-			}
-			if out[i] < dem[app] {
-				out[i]++
-				left--
-				gave = true
-			}
-		}
-		if !gave {
-			break // everyone saturated; leave the rest idle
-		}
-	}
+	out := core.Allocate(ncpu, demands)
+	clear(out[min(ncpu, len(out)):])
 	return out
 }
 

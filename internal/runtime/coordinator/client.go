@@ -271,7 +271,8 @@ func spinOf(t Targeter) *float64 {
 // The zero value selects the defaults.
 type DriveOptions struct {
 	// Interval is the poll period (default DefaultPollInterval, the
-	// paper's 6 s).
+	// paper's 6 s), kept exactly as given, also below 25 ms: the driver
+	// sleeps until its next poll, and acks a new epoch at once.
 	Interval time.Duration
 	// Metrics receives per-app poll/reconnect counters, a degraded-mode
 	// gauge, and the client's slice of the rebalance span: poll
@@ -332,8 +333,7 @@ type Driver struct {
 	t     Targeter
 	opts  DriveOptions
 
-	mu     sync.Mutex
-	lostAt time.Time // zero when connected
+	lostAt atomic.Pointer[time.Time] // when the daemon was lost; nil when connected
 
 	// applied is the highest rebalance epoch whose target this driver
 	// has pushed into the application — the value acked back to the
@@ -437,11 +437,9 @@ func (d *Driver) Stats() DriveStats {
 		Redials: d.redials.Value(), Reconnects: d.reconnects.Value(),
 		Degraded: d.degraded.Value() == 1, Target: int(d.targetGauge.Value()),
 	}
-	d.mu.Lock()
-	if !d.lostAt.IsZero() {
-		s.DegradedFor = time.Since(d.lostAt)
+	if at := d.lostAt.Load(); at != nil {
+		s.DegradedFor = time.Since(*at)
 	}
-	d.mu.Unlock()
 	return s
 }
 
@@ -489,81 +487,38 @@ func (d *Driver) apply(target int, epoch uint64) (newEpoch bool) {
 	return newEpoch
 }
 
-// setDegraded flips the degraded flag (and gauge); entering degraded
-// mode records when the daemon was lost.
-func (d *Driver) setDegraded(on bool, now time.Time) {
-	d.mu.Lock()
-	if on {
-		d.lostAt = now
-		d.degraded.Set(1)
-	} else {
-		d.lostAt = time.Time{}
-		d.degraded.Set(0)
-	}
-	d.mu.Unlock()
-}
-
-// loop is the poll/reconnect state machine. It ticks at a fraction of
-// the poll interval so reconnection attempts are not gated on the
-// (possibly long) poll period.
+// loop is the poll/reconnect state machine. It sleeps on one timer until
+// its next deadline, so the interval is kept exactly as given, also
+// below 25 ms. Connected, that is the next poll (nextPoll). Degraded, it
+// is the earlier of the next redial, at the backoff as drawn, and the
+// next decay step. The timer is reset only after its channel was read,
+// which is correct under both the asynchronous timer channels of
+// go.mod's `go 1.22` and the synchronous ones of later versions.
 func (d *Driver) loop() {
 	defer d.wg.Done()
-	step := d.opts.Interval / 10
-	if step < 25*time.Millisecond {
-		step = 25 * time.Millisecond
-	}
-	if step > time.Second {
-		step = time.Second
-	}
-	ticker := time.NewTicker(step)
-	defer ticker.Stop()
-
 	connected := true
 	backoff := backoffMin
-	now := time.Now()
-	nextPoll := now.Add(d.opts.Interval)
-	if d.applied.Load() != 0 {
-		// The registration response carried an epoch: ack it on the
-		// first tick rather than one full poll interval later.
-		nextPoll = now
-	}
-	var lostAt, nextRedial, nextDecay time.Time
+	var nextRedial, nextDecay time.Time
 
-	for {
-		select {
-		case <-d.done:
-			return
-		case now = <-ticker.C:
-		}
-
+	// step does what is due at now and returns the next deadline.
+	step := func(now time.Time) time.Time {
 		if connected {
-			if now.Before(nextPoll) {
-				continue
-			}
-			pollStart := time.Now()
 			target, epoch, err := d.c.pollEpoch(d.app, spinOf(d.t), d.applied.Load())
 			if err == nil {
-				d.pollMicros.Observe(time.Since(pollStart).Microseconds())
+				d.pollMicros.Observe(time.Since(now).Microseconds())
 				d.polls.Inc()
-				if d.apply(target, epoch) {
-					// A fresh epoch was applied: poll again on the next
-					// tick so the ack reaches the daemon's convergence
-					// tracker promptly instead of one poll interval late.
-					nextPoll = now
-					continue
-				}
-				nextPoll = now.Add(d.opts.Interval)
-				continue
+				return d.nextPoll(now, d.apply(target, epoch))
 			}
 			// Daemon lost: hold the last target through the grace
 			// period, start the reconnect backoff immediately.
 			d.pollErrors.Inc()
 			connected = false
-			lostAt = now
 			backoff = backoffMin
 			nextRedial = now
 			nextDecay = now.Add(graceIntervals * d.opts.Interval)
-			d.setDegraded(true, now)
+			lostAt := now
+			d.lostAt.Store(&lostAt)
+			d.degraded.Set(1)
 		}
 
 		if !now.Before(nextRedial) {
@@ -586,11 +541,10 @@ func (d *Driver) loop() {
 					if rec := d.opts.Flight; rec != nil {
 						rec.Append(flight.Event{At: time.Now().UnixMicro(), Kind: flight.KindReconnect, App: d.app, A: int64(target)})
 					}
-					d.setDegraded(false, now)
-					d.apply(target, epoch)
+					d.lostAt.Store(nil)
+					d.degraded.Set(0)
 					connected = true
-					nextPoll = now.Add(d.opts.Interval)
-					continue
+					return d.nextPoll(now, d.apply(target, epoch))
 				}
 				// A restarted daemon that sheds the registration under
 				// load advises when to come back: as in
@@ -609,13 +563,39 @@ func (d *Driver) loop() {
 		// full process count once per poll interval. With no arbiter
 		// alive, fairness has no counterparty; idling forever on a
 		// stale small target would waste the machine.
-		if now.Sub(lostAt) >= graceIntervals*d.opts.Interval && !now.Before(nextDecay) {
+		if !now.Before(nextDecay) {
 			if cur := int(d.targetGauge.Value()); cur < d.procs {
 				d.apply(cur+(d.procs-cur+1)/2, 0) // self-decided: no epoch to credit
 			}
 			nextDecay = now.Add(d.opts.Interval)
 		}
+		if nextDecay.Before(nextRedial) {
+			return nextDecay
+		}
+		return nextRedial
 	}
+
+	timer := time.NewTimer(time.Until(d.nextPoll(time.Now(), d.applied.Load() != 0)))
+	defer timer.Stop()
+	for {
+		select {
+		case <-d.done:
+			return
+		case <-timer.C:
+		}
+		timer.Reset(time.Until(step(time.Now())))
+	}
+}
+
+// nextPoll is when a connected loop polls after one at now: at once when
+// it has just applied a new epoch (a registration's too), so the ack
+// reaches the daemon's convergence tracker without waiting out the
+// interval; else one Interval later.
+func (d *Driver) nextPoll(now time.Time, newEpoch bool) time.Time {
+	if newEpoch {
+		return now
+	}
+	return now.Add(d.opts.Interval)
 }
 
 // jitter spreads a backoff uniformly over [d/2, d) so reconnecting

@@ -177,14 +177,14 @@ func TestRetriedRegistrationKeepsOtherApps(t *testing.T) {
 	})
 }
 
-// orphan drives app (16 processes) with the default options against a
+// orphan drives app (16 processes) at poll interval iv against a
 // capacity-4 server, closes the server a second in, and returns once the
 // driver has found out at its next poll, with how long ago that was.
 // Call it in a bubble; the caller stops the driver and closes c.
-func orphan(t *testing.T, tr *trackingTargeter) (c *Client, d *Driver, lostFor time.Duration) {
+func orphan(t *testing.T, tr *trackingTargeter, iv time.Duration) (c *Client, d *Driver, lostFor time.Duration) {
 	srv := startPipeServer(4, ServerConfig{})
 	c = pipeClient(srv)
-	d, err := c.DriveWith("app", 16, tr, DriveOptions{})
+	d, err := c.DriveWith("app", 16, tr, DriveOptions{Interval: iv})
 	if err != nil {
 		srv.Close()
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func orphan(t *testing.T, tr *trackingTargeter) (c *Client, d *Driver, lostFor t
 	}
 	time.Sleep(time.Second)
 	srv.Close()
-	time.Sleep(DefaultPollInterval)
+	time.Sleep(iv)
 	waitBubble()
 	s := d.Stats()
 	if !s.Degraded || s.DegradedFor <= 0 || s.PollErrors != 1 {
@@ -208,7 +208,7 @@ func orphan(t *testing.T, tr *trackingTargeter) (c *Client, d *Driver, lostFor t
 func TestDriveWithHoldsTargetThroughGrace(t *testing.T) {
 	runBubble(t, func() {
 		var tr trackingTargeter
-		c, d, lostFor := orphan(t, &tr)
+		c, d, lostFor := orphan(t, &tr, DefaultPollInterval)
 		defer c.Close()
 		defer d.Stop()
 		const grace = 2 * DefaultPollInterval
@@ -226,31 +226,94 @@ func TestDriveWithHoldsTargetThroughGrace(t *testing.T) {
 }
 
 // Past the grace period the target halves its gap to the full process
-// count once per poll interval: 4 → 10 → 13 → 15 → 16.
+// count once per poll interval, to the nanosecond at any interval: 4 →
+// 10 → 13 → 15 → 16. A pipe client's redials fail at once, so the
+// clock keeps moving while the driver retries them between the steps.
 func TestDriveWithDegradedDecayTowardFull(t *testing.T) {
+	for _, iv := range []time.Duration{DefaultPollInterval, 30 * time.Millisecond} {
+		t.Run(iv.String(), func(t *testing.T) {
+			runBubble(t, func() {
+				var tr trackingTargeter
+				c, d, lostFor := orphan(t, &tr, iv)
+				defer c.Close()
+				defer d.Stop()
+				time.Sleep(2*iv - lostFor - time.Nanosecond)
+				prev := 4
+				for _, want := range []int{10, 13, 15, 16} {
+					waitBubble()
+					if got := tr.last(); got != prev {
+						t.Errorf("target %d a nanosecond before the step to %d, want %d", got, want, prev)
+					}
+					time.Sleep(time.Nanosecond)
+					waitBubble()
+					if got := tr.last(); got != want {
+						t.Errorf("target %d at the step, want %d", got, want)
+					}
+					prev = want
+					time.Sleep(iv - time.Nanosecond)
+				}
+				s := d.Stats()
+				if !s.Degraded || s.Target != 16 {
+					t.Errorf("stats = %+v, want degraded at the full 16", s)
+				}
+			})
+		})
+	}
+}
+
+// At a 30 ms interval the driver polls every 30 ms to the nanosecond,
+// its first poll at once to ack the registration's epoch, so k polls
+// after that take k×30 ms. An epoch decided just after a poll settles at
+// the next one, exactly one interval later: the poll that brings the
+// new target is followed at once by the one that acks it.
+func TestDriveWithPollsAtItsInterval(t *testing.T) {
+	const iv = 30 * time.Millisecond
 	runBubble(t, func() {
-		var tr trackingTargeter
-		c, d, lostFor := orphan(t, &tr)
+		srv := startPipeServer(8, ServerConfig{})
+		defer srv.Close()
+		c := pipeClient(srv)
 		defer c.Close()
+		var tr trackingTargeter
+		d, err := c.DriveWith("app", 8, &tr, DriveOptions{Interval: iv})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer d.Stop()
-		time.Sleep(2*DefaultPollInterval - lostFor - time.Nanosecond)
-		prev := 4
-		for _, want := range []int{10, 13, 15, 16} {
+		waitBubble()
+		const k = 5
+		for i := int64(1); i <= k; i++ {
+			time.Sleep(iv - time.Nanosecond)
 			waitBubble()
-			if got := tr.last(); got != prev {
-				t.Errorf("target %d a nanosecond before the step to %d, want %d", got, want, prev)
+			if n := d.Stats().Polls; n != i {
+				t.Fatalf("%d polls a nanosecond before %d intervals, want %d", n, i, i)
 			}
 			time.Sleep(time.Nanosecond)
 			waitBubble()
-			if got := tr.last(); got != want {
-				t.Errorf("target %d at the step, want %d", got, want)
+			if n := d.Stats().Polls; n != i+1 {
+				t.Fatalf("%d polls at %d intervals, want %d", n, i, i+1)
 			}
-			prev = want
-			time.Sleep(DefaultPollInterval - time.Nanosecond)
 		}
-		s := d.Stats()
-		if !s.Degraded || s.Target != 16 {
-			t.Errorf("stats = %+v, want degraded at the full 16", s)
+
+		admin := pipeClient(srv)
+		defer admin.Close()
+		if err := admin.SetExternalLoad(2); err != nil {
+			t.Fatal(err)
+		}
+		// The ack's poll is due at the instant of the one before it, and a
+		// bubble runs a timer due now once every goroutine blocks: read a
+		// nanosecond on, so the report cannot overtake it.
+		time.Sleep(iv + time.Nanosecond)
+		waitBubble()
+		reports, err := admin.Converge(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reports) != 1 || reports[0].Outcome != ConvergeSettled || reports[0].Members != 1 ||
+			reports[0].LatencyMicros != iv.Microseconds() {
+			t.Errorf("newest closed epoch %+v, want settled by the one member %v after the decision", reports, iv)
+		}
+		if got, n := tr.last(), d.Stats().Polls; got != 6 || n != k+3 {
+			t.Errorf("target %d after %d polls, want 6 after %d (the one that brought it and the ack)", got, n, k+3)
 		}
 	})
 }

@@ -228,9 +228,10 @@ grep -q identical "$OUT/diff.txt" || fail "replay diff did not report identity"
 # apart from the periodic ones. One more decision moves the journal on;
 # then wait until the newest cut (its flight event carries its seq) is on
 # disk, so no periodic snapshot is still pending when the marker is
-# touched and only the shutdown's snapshot can be newer than it (SIGTERM
-# writes one even when the newest periodic cut already covers the last
-# record).
+# touched and only the shutdown's snapshot can be newer than it. A drain
+# makes the cut that the drain before it brought due, so the decision's
+# records follow the newest cut: a shutdown cut with no record since the
+# newest one writes nothing.
 "$OUT/procctl-top" -connect "unix:$SOCK" -setload 3
 CUT_FILE=
 for i in $(seq 1 50); do
