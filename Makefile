@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet procctl-vet test benchmark-test bench-smoke race fuzz-smoke bench bench-go trace-smoke daemon-smoke loc
+.PHONY: check build vet procctl-vet test examples benchmark-test bench-smoke race fuzz-smoke bench bench-go trace-smoke daemon-smoke loc
 
 # The full verification gate: what CI runs, in dependency order.
-check: build vet procctl-vet test benchmark-test bench-smoke race fuzz-smoke trace-smoke
+check: build vet procctl-vet test examples benchmark-test bench-smoke race fuzz-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,19 @@ procctl-vet:
 
 test:
 	$(SYNCTEST) $(GO) test ./...
+
+# Every program under examples/ built and run to completion: they have
+# no tests of their own. Each run is bounded at 60 s, so a
+# process-control deadlock fails the step instead of hanging it (all four
+# take about 4 s together on two cores, builds included). The loop takes
+# every directory under examples/.
+examples:
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	for dir in examples/*/; do \
+		ex=$$(basename "$$dir"); \
+		echo "== examples/$$ex"; \
+		$(GO) build -o "$$out/$$ex" "./$$dir" && timeout 60 "$$out/$$ex" || exit 1; \
+	done
 
 # The repo benchmark is its own module (benchmark/go.mod), so ./... above
 # does not reach it: its smoke test runs every workload at toy size

@@ -58,11 +58,10 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	}
 }
 
-// TestNewLogger covers level parsing, the -v override, and both handler
-// formats.
+// TestNewLogger covers level parsing and both handler formats.
 func TestNewLogger(t *testing.T) {
 	var buf bytes.Buffer
-	logger, err := newLogger(&buf, "warn", false, false)
+	logger, err := newLogger(&buf, "warn", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +72,17 @@ func TestNewLogger(t *testing.T) {
 	}
 
 	buf.Reset()
-	logger, err = newLogger(&buf, "error", false, true) // -v overrides to debug
+	logger, err = newLogger(&buf, "debug", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	logger.Debug("verbose")
 	if !strings.Contains(buf.String(), "verbose") {
-		t.Errorf("-v did not lower the level: %q", buf.String())
+		t.Errorf("debug-level text log = %q", buf.String())
 	}
 
 	buf.Reset()
-	logger, err = newLogger(&buf, "info", true, false)
+	logger, err = newLogger(&buf, "info", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestNewLogger(t *testing.T) {
 		t.Errorf("JSON log line = %v", line)
 	}
 
-	if _, err := newLogger(&buf, "loud", false, false); err == nil {
+	if _, err := newLogger(&buf, "loud", false); err == nil {
 		t.Error("bad level accepted")
 	}
 }
@@ -108,7 +107,7 @@ func TestDumpFlight(t *testing.T) {
 	c := make(chan int, 1)
 	coord.RegisterWeighted(chanMember{name: "dumpme", workers: 2, c: c}, 1)
 	var buf bytes.Buffer
-	logger, err := newLogger(&buf, "info", true, false)
+	logger, err := newLogger(&buf, "info", true)
 	if err != nil {
 		t.Fatal(err)
 	}

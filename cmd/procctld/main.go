@@ -27,7 +27,7 @@
 //	procctld [-listen unix:/tmp/procctld.sock] [-capacity N] [-metrics HOST:PORT]
 //	         [-journal-dir DIR] [-snapshot-every N] [-fsync-every N]
 //	         [-rebalance-batch D] [-max-conns N] [-admit N]
-//	         [-log-level debug|info|warn|error] [-log-json] [-v]
+//	         [-log-level debug|info|warn|error] [-log-json]
 package main
 
 import (
@@ -66,11 +66,10 @@ func main() {
 		syncEvry = flag.Int("fsync-every", 0, "fsync the journal once this many appends wait (0 = the journal's default of 64; 1 = each write, before its operations are acknowledged; above 1 on a goroutine of its own, so no request waits on the disk). Every record reaches the kernel before its operation is acknowledged")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON lines instead of text")
-		verbose  = flag.Bool("v", false, "log registrations and rebalances (shorthand for -log-level debug)")
 	)
 	flag.Parse()
 
-	logger, err := newLogger(os.Stderr, *logLevel, *logJSON, *verbose)
+	logger, err := newLogger(os.Stderr, *logLevel, *logJSON)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "procctld: %v\n", err)
 		os.Exit(1)
@@ -208,13 +207,10 @@ func main() {
 }
 
 // newLogger builds the daemon's slog.Logger from the log flags.
-func newLogger(w io.Writer, level string, json, verbose bool) (*slog.Logger, error) {
+func newLogger(w io.Writer, level string, json bool) (*slog.Logger, error) {
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(level)); err != nil {
 		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn, or error)", level)
-	}
-	if verbose {
-		lvl = slog.LevelDebug
 	}
 	opts := &slog.HandlerOptions{Level: lvl}
 	if json {

@@ -1,9 +1,11 @@
 package coordinator
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -226,7 +228,7 @@ func TestReRegisterRacesTeardown(t *testing.T) {
 	}
 }
 
-// placeholderRig is a journaled server restored with one placeholder,
+// placeholderRig is a journaled server booted with one placeholder,
 // "ghost", whose grace lease ends at lapse.
 type placeholderRig struct {
 	srv   *Server
@@ -234,28 +236,54 @@ type placeholderRig struct {
 	lapse time.Time
 }
 
-func newPlaceholderRig(t *testing.T) placeholderRig {
+// newPlaceholderRig boots a server, as procctld does, on a fresh journal
+// directory holding base's files (see placeholderBase). They are written
+// without an fsync: on a host whose filesystem discards freed blocks
+// (ext4 mounted with discard), unlinking a file that reached the disk
+// costs tens of milliseconds, and the rounds' temporary directories are
+// removed one file at a time.
+func newPlaceholderRig(t *testing.T, base map[string][]byte) placeholderRig {
 	t.Helper()
 	rig := placeholderRig{dir: t.TempDir(), srv: NewServerWith(New(8), nil, ServerConfig{Lease: time.Minute})}
-	boot := time.Now()
-	rig.lapse = boot.Add(time.Minute)
-	rig.srv.Restore(journal.State{Capacity: 8, Members: []journal.Member{
-		{Name: "ghost", Procs: 4, Weight: 1, Target: 4, LastSeen: 1},
-	}}, boot)
-	w, err := journal.Open(rig.dir, 1, journal.Options{})
+	for name, b := range base {
+		if err := os.WriteFile(filepath.Join(rig.dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rig.srv.Boot(rig.dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rig.srv.coord.Journal().Close() })
+	rig.lapse = holderOf(rig.srv.coord, "ghost").claimBy
+	return rig
+}
+
+// placeholderBase returns the files of a journal whose one snapshot
+// holds ghost (4 processes, target 4, capacity 8), by name.
+func placeholderBase(t *testing.T) map[string][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := journal.Open(dir, 1, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { w.Close() })
-	rig.srv.coord.SetJournal(w)
-	// What was restored is the journal's base; the race is folded onto it.
-	if err := w.WriteSnapshot(rig.srv.JournalState(boot.UnixMicro())); err != nil {
+	st := journal.State{Capacity: 8, Members: []journal.Member{
+		{Name: "ghost", Procs: 4, Weight: 1, Target: 4, LastSeen: 1},
+	}}
+	if err := cmp.Or(w.WriteSnapshot(st), w.Close()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Sync(); err != nil {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rig
+	base := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		if base[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return base
 }
 
 // outcome checks what every ending has in common — the name is held by
@@ -296,8 +324,9 @@ func (rig placeholderRig) outcome(t *testing.T, client *connState) (expired bool
 // folds to the live registry by bytes: the two queue their records within
 // their c.mu sections, so the records' order is the registry's.
 func TestPlaceholderClaimedAsLeaseLapses(t *testing.T) {
+	base := placeholderBase(t)
 	for _, claimFirst := range []bool{true, false} {
-		rig, client := newPlaceholderRig(t), newTestConn()
+		rig, client := newPlaceholderRig(t, base), newTestConn()
 		rig.srv.sweep(rig.lapse) // the instant itself is still inside the lease
 		if m := holderOf(rig.srv.coord, "ghost"); m == nil || m.conn != nil {
 			t.Fatalf("claim first %v: the placeholder did not last its whole lease: %+v", claimFirst, m)
@@ -321,7 +350,7 @@ func TestPlaceholderClaimedAsLeaseLapses(t *testing.T) {
 	}
 	var claimed, expired int
 	for round := 0; round < rounds; round++ {
-		rig, client := newPlaceholderRig(t), newTestConn()
+		rig, client := newPlaceholderRig(t, base), newTestConn()
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		wg.Add(2)

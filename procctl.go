@@ -95,10 +95,3 @@ func Allocate(capacity int, demands []Demand) []int {
 func Available(numCPU, uncontrolled int) int {
 	return core.Available(numCPU, uncontrolled)
 }
-
-// Group runs a batch of tasks on a Pool and collects the first error,
-// like errgroup.
-type Group = pool.Group
-
-// NewGroup returns a Group submitting to p.
-func NewGroup(p *Pool) *Group { return pool.NewGroup(p) }
