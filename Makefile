@@ -144,16 +144,22 @@ daemon-smoke:
 # module's _test.go lines (outside testdata/), for a SIMPL entry's
 # test-line delta. Last, the same `go doc -all` count over every
 # package of the root module (commands list nothing), so an accessor
-# deleted or added anywhere shows.
+# deleted or added anywhere shows, and the exported struct fields that
+# listing shows inside its `type … struct {` blocks: the settable values
+# (EXPERIMENTS.md SIMPL-21).
 loc_of = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
 	! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 test_loc = find . -name '*_test.go' ! -path '*/testdata/*' \
 	! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
-exported_of = for p in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' $(1)); do \
-	$(GO) doc -all $$p; done | grep -cE '^(func|type) '
+doc_of = for p in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' $(1)); do \
+	$(GO) doc -all $$p; done
+exported_of = $(doc_of) | grep -cE '^(func|type) '
+fields_of = $(doc_of) | awk '/^type .* struct \{$$/ { s = 1; next } s && /^}/ { s = 0 } \
+	s && /^\t[A-Z]/ { n++ } END { print n + 0 }'
 loc:
 	@echo "$$($(call loc_of,.)) root module, $$($(call loc_of,./internal/runtime)) of them internal/runtime," \
 		"$$($(call exported_of,./internal/runtime/...)) exported declarations and methods in internal/runtime," \
 		"$$($(call loc_of,./internal/analysis)) lines in internal/analysis," \
 		"$$($(test_loc)) test lines," \
-		"$$($(call exported_of,./...)) exported declarations and methods in the root module"
+		"$$($(call exported_of,./...)) exported declarations and methods in the root module," \
+		"$$($(call fields_of,./...)) exported struct fields in the root module"

@@ -149,15 +149,13 @@ func TestServerPeriodicScan(t *testing.T) {
 }
 
 func TestServerPartitionAware(t *testing.T) {
-	pt := kernel.NewPartition()
-	pt.Interval = 10 * sim.Millisecond
-	k := newKernel(8, pt)
+	k := newKernel(8, kernel.NewPartition())
 	s := NewServer(k, 0)
 	spin(k, 1, 8, sim.Second)
 	spin(k, 2, 8, sim.Second)
 	s.Register(1, 8)
 	s.Register(2, 8)
-	k.Engine().Run(sim.Time(50 * sim.Millisecond)) // let the partition settle
+	k.Engine().Run(sim.Time(260 * sim.Millisecond)) // let the partition settle at its 250 ms period
 	s.Scan()
 	if s.Target(1) != 4 || s.Target(2) != 4 {
 		t.Errorf("partition-aware targets %d/%d, want 4/4", s.Target(1), s.Target(2))

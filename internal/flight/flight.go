@@ -40,7 +40,7 @@ const (
 	KindRedial      = "redial"       // client lost the daemon and is re-dialing; A = attempt count
 	KindReconnect   = "reconnect"    // client re-dialed and re-registered; A = applied target
 	KindSetLoad     = "setload"      // external load reported; A = new load
-	KindSetCapacity = "setcapacity"  // managed capacity changed; A = new capacity
+	KindSetCapacity = "setcapacity"  // managed capacity, journaled by Server.Boot; A = capacity
 	KindRestart     = "restart"      // daemon recovered its journal; A = members restored, B = bytes fsck truncated
 	KindSnapshot    = "snapshot"     // registry snapshot cut; A = its last journaled seq. The journal's next sync writes it
 	KindApply       = "apply"        // client driver applied a pushed target; A = new target, B = previous

@@ -6,17 +6,17 @@ import "procctl/internal/sim"
 // paper's Section 3: a preempted process is requeued on the processor it
 // last ran on, so that it finds its working set still in that cache. To
 // avoid the load imbalance the paper notes, idle processors steal from
-// the longest remote queue once the imbalance exceeds StealThreshold.
+// the longest remote queue once the imbalance reaches stealThreshold.
 type Affinity struct {
-	// StealThreshold is the remote queue length above which an idle
-	// processor migrates a process instead of idling (default 2).
-	StealThreshold int
-
 	k     *Kernel
 	local []fifoQueue // one run queue per CPU
 }
 
-// NewAffinity returns the policy with default parameters.
+// stealThreshold is the remote queue length at which an idle processor
+// migrates a process instead of idling.
+const stealThreshold = 2
+
+// NewAffinity returns the policy.
 func NewAffinity() *Affinity { return &Affinity{} }
 
 // Name implements Policy.
@@ -25,9 +25,6 @@ func (a *Affinity) Name() string { return "affinity" }
 // Attach implements Policy.
 func (a *Affinity) Attach(k *Kernel) {
 	a.k = k
-	if a.StealThreshold <= 0 {
-		a.StealThreshold = 2
-	}
 	a.local = make([]fifoQueue, k.NumCPU())
 }
 
@@ -68,7 +65,7 @@ func (a *Affinity) PickNext(cpu int) *Process {
 		return p
 	}
 	victim := a.longest()
-	if a.local[victim].len() >= a.StealThreshold {
+	if a.local[victim].len() >= stealThreshold {
 		return a.local[victim].pop()
 	}
 	// Steal even a single waiting process rather than idle forever, but

@@ -8,10 +8,9 @@ import "procctl/internal/sim"
 // pathologies disappear (a lock holder's peers run whenever it does),
 // but context-switch overhead and cache corruption remain — the paper's
 // criticism — because whole applications still rotate across the CPUs.
+//
+// The gang rotation period (the slice) is the kernel quantum.
 type Cosched struct {
-	// Slice is the gang rotation period (default: kernel quantum).
-	Slice sim.Duration
-
 	k      *Kernel
 	gangs  map[AppID]*fifoQueue
 	order  []AppID // gang arrival order; rotation index walks this
@@ -19,7 +18,7 @@ type Cosched struct {
 	active fifoQueue // the current activation, popped by PickNext
 }
 
-// NewCosched returns a coscheduling policy with default parameters.
+// NewCosched returns a coscheduling policy.
 func NewCosched() *Cosched { return &Cosched{} }
 
 // Name implements Policy.
@@ -28,11 +27,8 @@ func (c *Cosched) Name() string { return "cosched" }
 // Attach implements Policy.
 func (c *Cosched) Attach(k *Kernel) {
 	c.k = k
-	if c.Slice <= 0 {
-		c.Slice = k.Config().Quantum
-	}
 	c.gangs = make(map[AppID]*fifoQueue)
-	k.Engine().Every(c.Slice, func() bool {
+	k.Engine().Every(k.cfg.Quantum, func() bool {
 		c.rotate()
 		return k.Live() > 0
 	})
@@ -139,7 +135,7 @@ func (c *Cosched) OnQuantumExpire(p *Process) sim.Duration { return 0 }
 
 // QuantumFor implements Policy: twice the slice, so rotation — not the
 // per-process quantum — is the normal preemption mechanism.
-func (c *Cosched) QuantumFor(p *Process) sim.Duration { return 2 * c.Slice }
+func (c *Cosched) QuantumFor(p *Process) sim.Duration { return 2 * c.k.cfg.Quantum }
 
 // OnExit implements Policy.
 func (c *Cosched) OnExit(p *Process) {}

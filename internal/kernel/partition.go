@@ -16,23 +16,21 @@ const ownerNone AppID = -1
 // least one — and each group schedules its own run queue on its own
 // processors. Controlled and uncontrolled applications can no longer
 // steal processors from each other, and processes stay on processors
-// that hold their application's working sets.
+// that hold their application's working sets. A processor whose group
+// queue is empty backfills: it runs work from the longest other queue
+// rather than idle.
 type Partition struct {
-	// Interval is the policy module's repartition period (default 250 ms).
-	Interval sim.Duration
-	// Backfill lets a processor whose group queue is empty run work
-	// from the longest other queue rather than idle (default true; set
-	// false for strict isolation).
-	Backfill bool
-
 	k      *Kernel
 	queues map[AppID]*fifoQueue
 	order  []AppID // group creation order, for deterministic iteration
 	owner  []AppID // CPU index -> owning group
 }
 
-// NewPartition returns the policy with default parameters.
-func NewPartition() *Partition { return &Partition{Backfill: true} }
+// repartitionInterval is the policy module's repartition period.
+const repartitionInterval = 250 * sim.Millisecond
+
+// NewPartition returns the policy.
+func NewPartition() *Partition { return &Partition{} }
 
 // Name implements Policy.
 func (g *Partition) Name() string { return "partition" }
@@ -40,15 +38,12 @@ func (g *Partition) Name() string { return "partition" }
 // Attach implements Policy.
 func (g *Partition) Attach(k *Kernel) {
 	g.k = k
-	if g.Interval <= 0 {
-		g.Interval = 250 * sim.Millisecond
-	}
 	g.queues = make(map[AppID]*fifoQueue)
 	g.owner = make([]AppID, k.NumCPU())
 	for i := range g.owner {
 		g.owner[i] = ownerNone
 	}
-	k.Engine().Every(g.Interval, func() bool {
+	k.Engine().Every(repartitionInterval, func() bool {
 		g.repartition()
 		return k.Live() > 0
 	})
@@ -69,7 +64,7 @@ func (g *Partition) Enqueue(p *Process) {
 	g.queue(p.app).push(p)
 	// A brand-new group gets processors at the next repartition; do it
 	// eagerly when the group has no processor at all so arrival latency
-	// is not a full Interval.
+	// is not a full repartitionInterval.
 	if g.cpuCount(p.app) == 0 {
 		g.repartition()
 	}
@@ -177,17 +172,14 @@ func equalShares(ncpu int, active []AppID, dem map[AppID]int) []int {
 	return out
 }
 
-// PickNext implements Policy: the owning group's queue first; with
-// Backfill, the longest other queue.
+// PickNext implements Policy: the owning group's queue first, then the
+// longest other queue.
 func (g *Partition) PickNext(cpu int) *Process {
 	own := g.owner[cpu]
 	if own != ownerNone {
 		if p := g.queues[own].pop(); p != nil {
 			return p
 		}
-	}
-	if !g.Backfill {
-		return nil
 	}
 	var best *fifoQueue
 	for _, app := range g.order {

@@ -80,10 +80,9 @@ func TestTimeshareUsageDecays(t *testing.T) {
 
 func TestCoschedGangsRunTogether(t *testing.T) {
 	// Two 4-process gangs on 4 CPUs: at any sampled instant, the
-	// running processes should all belong to one application.
-	cs := NewCosched()
-	cs.Slice = 50 * sim.Millisecond
-	k := testKernelPolicy(4, cs, Config{Quantum: 100 * sim.Millisecond, QuantumJitter: -1})
+	// running processes should all belong to one application. The
+	// gangs rotate every quantum (50 ms).
+	k := testKernelPolicy(4, NewCosched(), Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
 	for app := AppID(1); app <= 2; app++ {
 		for i := 0; i < 4; i++ {
 			k.SpawnResumable("w", app, 0, Script(Compute(400*sim.Millisecond)))
@@ -120,9 +119,7 @@ func TestCoschedGangsRunTogether(t *testing.T) {
 }
 
 func TestCoschedBothGangsProgress(t *testing.T) {
-	cs := NewCosched()
-	cs.Slice = 20 * sim.Millisecond
-	k := testKernelPolicy(2, cs, Config{Quantum: 100 * sim.Millisecond, QuantumJitter: -1})
+	k := testKernelPolicy(2, NewCosched(), Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	done := map[AppID]sim.Time{}
 	for app := AppID(1); app <= 2; app++ {
 		app := app
@@ -170,48 +167,66 @@ func TestSpinFlagHolderNotPreempted(t *testing.T) {
 }
 
 func TestSpinFlagExtensionCapped(t *testing.T) {
-	sf := NewSpinFlag()
-	sf.Extension = sim.Millisecond
-	sf.MaxExtensions = 3
-	k := testKernelPolicy(1, sf, Config{Quantum: 10 * sim.Millisecond, QuantumJitter: -1})
+	// A holder whose critical section outlasts every extension is
+	// preempted after its quantum plus 50 extensions of 2 ms.
+	const capped = sim.Time(10*sim.Millisecond + 50*2*sim.Millisecond)
+	k := testKernelPolicy(1, NewSpinFlag(), Config{Quantum: 10 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("l")
 	greedy := k.SpawnResumable("greedy", 1, 0, Script(
 		Acquire(l),
 		Compute(500*sim.Millisecond), // would hold forever if uncapped
 		release(l),
 	))
-	k.SpawnResumable("victim", 2, 0, Script(Compute(20*sim.Millisecond)))
-	k.Engine().Run(sim.Time(100 * sim.Millisecond))
-	victim := k.Processes()[1]
-	if victim.Stats.CPUTime == 0 {
-		t.Error("victim starved: extension cap not enforced")
+	victim := k.SpawnResumable("victim", 2, 0, Script(Compute(20*sim.Millisecond)))
+	var victimFirstRun sim.Time
+	k.OnDispatch = func(p *Process, cpu int, wait sim.Duration) {
+		if p == victim && victimFirstRun == 0 {
+			victimFirstRun = k.Now()
+		}
 	}
-	if greedy.Stats.Preemptions == 0 {
-		t.Error("greedy holder never preempted despite the cap")
+	k.Engine().Run(capped + sim.Time(5*sim.Millisecond))
+	if victimFirstRun != capped {
+		t.Errorf("victim first ran at %v, want %v (quantum + 50 × 2 ms of extensions)", victimFirstRun, capped)
+	}
+	if greedy.Stats.Preemptions != 1 {
+		t.Errorf("greedy holder preempted %d times by %v, want once, at the cap", greedy.Stats.Preemptions, k.Now())
 	}
 	k.Engine().RunUntilIdle()
 }
 
 func TestSpinFlagSkipsDoomedSpinners(t *testing.T) {
 	// With the holder preempted (off CPU), the policy should prefer
-	// dispatching a process that is not waiting on that lock.
-	sf := NewSpinFlag()
-	sf.MaxExtensions = 0 // disable extensions; we want the holder preempted
-	k := testKernelPolicy(1, sf, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
+	// dispatching a process that is not waiting on that lock. The
+	// holder's critical section (300 ms) outlasts a quantum plus every
+	// extension (20 ms + 50 × 2 ms), so it is preempted holding the lock
+	// twice: at 120 ms, before the spinner has tried the lock, and at
+	// 280 ms, with the spinner queued ahead of the independent process.
+	k := testKernelPolicy(1, NewSpinFlag(), Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("l")
-	k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(50*sim.Millisecond), release(l)))
-	k.SpawnResumable("spinner", 1, 0, Script(Acquire(l), release(l)))
+	holder := k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(300*sim.Millisecond), release(l)))
+	spinner := k.SpawnResumable("spinner", 1, 0, Script(Acquire(l), release(l)))
 	indep := k.SpawnResumable("independent", 2, 0, Script(Compute(30*sim.Millisecond)))
-	k.Engine().RunUntilIdle()
-	spinner := k.Processes()[1]
-	// The independent process should finish with minimal delay beyond
-	// fair sharing, and the spinner should have burned little CPU
-	// relative to a naive FIFO (which would hand it whole quanta).
-	if indep.Stats.ReadyTime > 120*sim.Millisecond {
-		t.Errorf("independent process waited %v", indep.Stats.ReadyTime)
+	doomed := 0
+	k.OnDispatch = func(p *Process, cpu int, wait sim.Duration) {
+		if p.waitingLock == l && l.holder == holder && holder.state != Running {
+			doomed++
+		}
 	}
-	if spinner.Stats.SpinTime > 60*sim.Millisecond {
-		t.Errorf("doomed spinner still burned %v", spinner.Stats.SpinTime)
+	k.Engine().RunUntilIdle()
+	if holder.Stats.Preemptions < 2 {
+		t.Fatalf("holder preempted %d times, want at least 2: the scenario never queued a doomed spinner", holder.Stats.Preemptions)
+	}
+	// A naive FIFO hands the spinner another whole quantum at 280 ms;
+	// here it spins only for the quantum it ran before it was known to
+	// wait on the lock, and the independent process runs in its place.
+	if doomed != 0 {
+		t.Errorf("dispatched the spinner %d times while the holder was off CPU", doomed)
+	}
+	if spinner.Stats.SpinTime > 20*sim.Millisecond {
+		t.Errorf("doomed spinner still burned %v, want at most one quantum", spinner.Stats.SpinTime)
+	}
+	if indep.Stats.ReadyTime > 260*sim.Millisecond {
+		t.Errorf("independent process waited %v, want at most 260 ms", indep.Stats.ReadyTime)
 	}
 }
 
@@ -267,54 +282,29 @@ func TestAffinityStealsFromLongQueue(t *testing.T) {
 	}
 }
 
-func TestPartitionIsolation(t *testing.T) {
-	pt := NewPartition()
-	pt.Backfill = false
-	pt.Interval = 10 * sim.Millisecond
-	k := testKernelPolicy(4, pt, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
-	for app := AppID(1); app <= 2; app++ {
-		for i := 0; i < 4; i++ {
-			k.SpawnResumable("w", app, 0, Script(Compute(200*sim.Millisecond)))
-		}
-	}
-	// After the partition settles, each app owns 2 CPUs and processes
-	// only run on their group's CPUs.
-	violations, assignedSeen := 0, 0
-	for step := 1; step <= 20; step++ {
-		k.Engine().Run(sim.Time(sim.Duration(step) * 15 * sim.Millisecond))
-		for i := 0; i < 4; i++ {
-			if p := k.RunningOn(i); p != nil && pt.Owner(i) != p.App() {
-				violations++
-			}
-		}
-		if pt.CPUsOf(1)+pt.CPUsOf(2) == 4 {
-			assignedSeen++
-		}
-	}
-	k.Engine().RunUntilIdle()
-	if violations > 0 {
-		t.Errorf("%d strict-isolation violations", violations)
-	}
-	if assignedSeen == 0 {
-		t.Error("partition never assigned all four CPUs during the run")
-	}
-}
-
 func TestPartitionGrowsWhenAppExits(t *testing.T) {
 	pt := NewPartition()
-	pt.Interval = 10 * sim.Millisecond
 	k := testKernelPolicy(4, pt, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	for i := 0; i < 4; i++ {
-		k.SpawnResumable("a", 1, 0, Script(Compute(500*sim.Millisecond)))
+		k.SpawnResumable("a", 1, 0, Script(Compute(2*sim.Second)))
 	}
+	var bDone sim.Time
 	for i := 0; i < 4; i++ {
-		k.SpawnResumable("b", 2, 0, Script(Compute(50*sim.Millisecond)))
+		k.SpawnResumable("b", 2, 0, Script(
+			Compute(300*sim.Millisecond),
+			func(env *Env) { bDone = max(bDone, env.Now()) },
+		))
 	}
-	k.Engine().Run(sim.Time(30 * sim.Millisecond))
+	// The first periodic repartition (250 ms) sees both groups whole.
+	k.Engine().Run(sim.Time(260 * sim.Millisecond))
 	if pt.CPUsOf(1) != 2 || pt.CPUsOf(2) != 2 {
-		t.Errorf("initial split %d/%d, want 2/2", pt.CPUsOf(1), pt.CPUsOf(2))
+		t.Errorf("split after the first repartition %d/%d, want 2/2", pt.CPUsOf(1), pt.CPUsOf(2))
 	}
-	k.Engine().Run(sim.Time(300 * sim.Millisecond)) // app 2 exits ~100 ms
+	// App 2 exits between the repartitions at 500 and 750 ms.
+	k.Engine().Run(sim.Time(760 * sim.Millisecond))
+	if bDone <= sim.Time(500*sim.Millisecond) || bDone > sim.Time(750*sim.Millisecond) {
+		t.Fatalf("app 2 finished at %v, want within (500 ms, 750 ms]", bDone)
+	}
 	if pt.CPUsOf(1) != 4 {
 		t.Errorf("app 1 owns %d CPUs after app 2 exited, want 4", pt.CPUsOf(1))
 	}
@@ -322,9 +312,7 @@ func TestPartitionGrowsWhenAppExits(t *testing.T) {
 }
 
 func TestPartitionBackfillUsesIdleCPUs(t *testing.T) {
-	pt := NewPartition()
-	pt.Interval = 10 * sim.Millisecond
-	k := testKernelPolicy(4, pt, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
+	k := testKernelPolicy(4, NewPartition(), Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	// One app with 8 processes: it should use all 4 CPUs even though
 	// other groups exist transiently.
 	for i := 0; i < 8; i++ {

@@ -76,9 +76,7 @@ func TestRegressionWokenProcessResumes(t *testing.T) {
 // rescheduled one while the original stayed armed), double-advancing
 // the body. The tie must resolve to a single completion.
 func TestRegressionExtensionCompletionTie(t *testing.T) {
-	sf := NewSpinFlag()
-	sf.Extension = 5 * sim.Millisecond
-	k := testKernelPolicy(1, sf, Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
+	k := testKernelPolicy(1, NewSpinFlag(), Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
 	l := NewSpinLock("l")
 	releases := 0
 	k.SpawnResumable("holder", 1, 0, Script(

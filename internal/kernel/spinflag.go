@@ -14,19 +14,21 @@ import "procctl/internal/sim"
 // table example), and neither context-switch overhead nor cache
 // corruption improves.
 type SpinFlag struct {
-	// Extension is how much extra time a flagged process gets each time
-	// its quantum expires inside a critical section (default 2 ms).
-	Extension sim.Duration
-	// MaxExtensions bounds consecutive extensions so a buggy or greedy
-	// process cannot monopolize a CPU (default 50).
-	MaxExtensions int
-
 	k          *Kernel
 	q          fifoQueue
 	extensions map[PID]int
 }
 
-// NewSpinFlag returns the policy with default parameters.
+const (
+	// extension is how much extra time a flagged process gets each time
+	// its quantum expires inside a critical section.
+	extension = 2 * sim.Millisecond
+	// maxExtensions bounds consecutive extensions so a buggy or greedy
+	// process cannot monopolize a CPU.
+	maxExtensions = 50
+)
+
+// NewSpinFlag returns the policy.
 func NewSpinFlag() *SpinFlag { return &SpinFlag{} }
 
 // Name implements Policy.
@@ -35,12 +37,6 @@ func (s *SpinFlag) Name() string { return "spinflag" }
 // Attach implements Policy.
 func (s *SpinFlag) Attach(k *Kernel) {
 	s.k = k
-	if s.Extension <= 0 {
-		s.Extension = 2 * sim.Millisecond
-	}
-	if s.MaxExtensions <= 0 {
-		s.MaxExtensions = 50
-	}
 	s.extensions = make(map[PID]int)
 }
 
@@ -67,11 +63,11 @@ func (s *SpinFlag) PickNext(cpu int) *Process {
 }
 
 // OnQuantumExpire implements Policy: extend the slice while the process
-// holds a lock, up to MaxExtensions times.
+// holds a lock, up to maxExtensions times.
 func (s *SpinFlag) OnQuantumExpire(p *Process) sim.Duration {
-	if p.lockDepth > 0 && s.extensions[p.id] < s.MaxExtensions {
+	if p.lockDepth > 0 && s.extensions[p.id] < maxExtensions {
 		s.extensions[p.id]++
-		return s.Extension
+		return extension
 	}
 	delete(s.extensions, p.id)
 	return 0

@@ -9,22 +9,24 @@ import "procctl/internal/sim"
 // have no accumulated usage and therefore outrank long-running ones —
 // the effect the paper invokes to explain matmul's Figure 4 anomaly.
 type Timeshare struct {
-	// Levels is the number of priority buckets (default 32).
-	Levels int
-	// DecayInterval is how often usage decays (default 1 s).
-	DecayInterval sim.Duration
-	// DecayFactor multiplies usage at each decay (default 0.66).
-	DecayFactor float64
-	// UsagePerLevel is the accumulated-CPU step between adjacent
-	// priority levels (default 100 ms).
-	UsagePerLevel sim.Duration
-
 	k   *Kernel
 	q   fifoQueue
 	seq uint64
 }
 
-// NewTimeshare returns the baseline policy with default parameters.
+const (
+	// timeshareLevels is the number of priority buckets.
+	timeshareLevels = 32
+	// decayInterval is how often usage decays.
+	decayInterval = sim.Second
+	// decayFactor multiplies usage at each decay.
+	decayFactor = 0.66
+	// usagePerLevel is the accumulated-CPU step between adjacent
+	// priority levels.
+	usagePerLevel = 100 * sim.Millisecond
+)
+
+// NewTimeshare returns the baseline policy.
 func NewTimeshare() *Timeshare { return &Timeshare{} }
 
 // Name implements Policy.
@@ -33,19 +35,7 @@ func (t *Timeshare) Name() string { return "timeshare" }
 // Attach implements Policy.
 func (t *Timeshare) Attach(k *Kernel) {
 	t.k = k
-	if t.Levels <= 0 {
-		t.Levels = 32
-	}
-	if t.DecayInterval <= 0 {
-		t.DecayInterval = sim.Second
-	}
-	if t.DecayFactor <= 0 || t.DecayFactor >= 1 {
-		t.DecayFactor = 0.66
-	}
-	if t.UsagePerLevel <= 0 {
-		t.UsagePerLevel = 100 * sim.Millisecond
-	}
-	k.Engine().Every(t.DecayInterval, func() bool {
+	k.Engine().Every(decayInterval, func() bool {
 		t.decay()
 		return k.Live() > 0
 	})
@@ -57,17 +47,13 @@ func (t *Timeshare) decay() {
 		if p.State() == Exited {
 			continue
 		}
-		p.usage *= t.DecayFactor
+		p.usage *= decayFactor
 		p.priority = t.prioOf(p)
 	}
 }
 
 func (t *Timeshare) prioOf(p *Process) int {
-	lvl := int(p.usage / float64(t.UsagePerLevel))
-	if lvl >= t.Levels {
-		lvl = t.Levels - 1
-	}
-	return lvl
+	return min(int(p.usage/float64(usagePerLevel)), timeshareLevels-1)
 }
 
 // Enqueue implements Policy.

@@ -247,14 +247,6 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 	return &Histogram{m: r.register(name, help, KindHistogram, bounds)}
 }
 
-// Remove deletes a series (e.g. a per-member gauge whose member
-// unregistered). Removing an unknown name is a no-op.
-func (r *Registry) Remove(name string) {
-	r.mu.Lock()
-	delete(r.byName, name)
-	r.mu.Unlock()
-}
-
 // Value returns the current value of a counter or gauge, and whether
 // the series exists (false also for histograms).
 func (r *Registry) Value(name string) (int64, bool) {

@@ -164,7 +164,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestValueAndRemove(t *testing.T) {
+func TestValue(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", "").Add(9)
 	if v, ok := r.Value("c"); !ok || v != 9 {
@@ -176,13 +176,6 @@ func TestValueAndRemove(t *testing.T) {
 	r.Histogram("h", "", nil)
 	if _, ok := r.Value("h"); ok {
 		t.Error("Value on histogram reported ok")
-	}
-	r.Remove("c")
-	if _, ok := r.Value("c"); ok {
-		t.Error("Value after Remove reported ok")
-	}
-	if r.Snapshot(0).Get("c") != nil {
-		t.Error("removed series still in snapshot")
 	}
 }
 

@@ -308,20 +308,6 @@ func (c *Coordinator) capacity() int {
 	return c.reg.Capacity
 }
 
-// SetCapacity changes the managed capacity and rebalances.
-func (c *Coordinator) SetCapacity(n int) error {
-	if n < 1 {
-		return fmt.Errorf("coordinator: capacity %d < 1", n)
-	}
-	start := time.Now()
-	c.mu.Lock()
-	c.reg.Capacity = n
-	c.emitLocked(flight.Event{At: start.UnixMicro(), Kind: flight.KindSetCapacity, A: int64(n)})
-	c.mu.Unlock()
-	c.requestRebalance(start)
-	return nil
-}
-
 // SetExternalLoad reports how many processors uncontrollable work is
 // consuming (the paper's "runnable processes not belonging to
 // controllable applications"); the coordinator divides only the rest.

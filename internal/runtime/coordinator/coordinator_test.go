@@ -141,20 +141,14 @@ func TestCoordinatorReplaceSameName(t *testing.T) {
 }
 
 func TestCoordinatorCapacity(t *testing.T) {
-	c := New(0) // selects GOMAXPROCS
-	if c.capacity() < 1 {
+	if c := New(0); c.capacity() < 1 { // selects GOMAXPROCS
 		t.Errorf("default capacity %d", c.capacity())
 	}
+	c := New(4)
 	a := &fakeMember{name: "a", workers: 64}
 	c.RegisterWeighted(a, 1)
-	if err := c.SetCapacity(4); err != nil {
-		t.Fatal(err)
-	}
 	if a.got() != 4 {
-		t.Errorf("target %d after capacity change, want 4", a.got())
-	}
-	if err := c.SetCapacity(0); err == nil {
-		t.Error("capacity 0 accepted")
+		t.Errorf("target %d at capacity 4, want 4", a.got())
 	}
 }
 

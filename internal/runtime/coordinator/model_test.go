@@ -54,7 +54,6 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 	for step := 0; step < steps; step++ {
 		name := names[rng.Intn(len(names))]
 		what := ""
-		decide := true
 		switch op := rng.Intn(10); {
 		case op < 3: // a new member, or a present one again with another stub, count and weight
 			workers, weight := rng.Intn(9), rng.Intn(5)
@@ -72,22 +71,11 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 			what = fmt.Sprintf("SetExternalLoad(%d)", load)
 			c.SetExternalLoad(load)
 			reg.External = max(load, 0)
-		case op < 7:
-			n := rng.Intn(26) - 1
-			what = fmt.Sprintf("SetCapacity(%d)", n)
-			if err := c.SetCapacity(n); (err != nil) != (n < 1) {
-				t.Fatalf("seed %d step %d: %s: err = %v", seed, step, what, err)
-			}
-			if decide = n >= 1; decide {
-				reg.Capacity = n
-			}
 		default:
 			what = "Rebalance()"
 			c.Rebalance()
 		}
-		if decide {
-			reg.Decide(0, nil)
-		}
+		reg.Decide(0, nil)
 
 		sum, floor := 0, 0
 		for _, m := range reg.Members() {
@@ -112,9 +100,7 @@ func modelProgram(t *testing.T, seed int64, steps int, journalDir string) {
 		}
 		if tail != nil {
 			got, want := tail.state(t), journal.Snapshot(reg, 0, 0)
-			if got.Capacity == 0 {
-				want.Capacity = 0 // the journal learns a capacity only from a setcapacity record
-			}
+			want.Capacity = 0 // the journal learns a capacity only from a setcapacity record, which Server.Boot writes
 			if g, w := unstamped(got), unstamped(want); !bytes.Equal(g, w) {
 				t.Fatalf("seed %d step %d: after %s: the journal so far does not fold to the mirror\n journal %s\n mirror  %s", seed, step, what, g, w)
 			}

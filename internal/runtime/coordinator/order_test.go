@@ -26,20 +26,25 @@ var updateTargetsGolden = flag.Bool("update-targets-golden", false, "rewrite tes
 // same-name re-registrations, each of which sends its member to the back.
 func TestTargetsGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	c := New(1)
+	type registration struct {
+		m      *fakeMember
+		weight int
+	}
+	var regs []registration
 	sumProcs := 0
 	members := make([]*fakeMember, 500)
 	for i := range members {
 		members[i] = &fakeMember{name: fmt.Sprintf("app-%03d", i), workers: 1 + rng.Intn(16)}
 		sumProcs += members[i].workers
-		c.RegisterWeighted(members[i], 1+rng.Intn(4))
+		regs = append(regs, registration{members[i], 1 + rng.Intn(4)})
 	}
 	for i := 0; i < 60; i++ {
 		m := members[rng.Intn(len(members))]
-		c.RegisterWeighted(&fakeMember{name: m.name, workers: m.workers}, 1+rng.Intn(4))
+		regs = append(regs, registration{&fakeMember{name: m.name, workers: m.workers}, 1 + rng.Intn(4)})
 	}
-	if err := c.SetCapacity(sumProcs * 3 / 5); err != nil {
-		t.Fatal(err)
+	c := New(sumProcs * 3 / 5)
+	for _, r := range regs {
+		c.RegisterWeighted(r.m, r.weight)
 	}
 
 	var got bytes.Buffer

@@ -38,7 +38,7 @@ func ackAll(c *Coordinator, members []*remoteMember) {
 }
 
 // TestConcurrentChurnSettlesOnRegistry runs registrations, same-name
-// re-registrations, unregistrations, capacity changes and plain
+// re-registrations, unregistrations, external-load changes and plain
 // rebalances from several goroutines at once, inline (run it under
 // -race). Whatever the interleaving, a
 // decision takes its epoch, makes its moves and opens its epoch in one
@@ -72,10 +72,8 @@ func TestConcurrentChurnSettlesOnRegistry(t *testing.T) {
 					c.RegisterWeighted(m, 1+rng.Intn(4))
 				case op < 8: // known or not
 					c.Unregister(name)
-				case op < 9:
-					if err := c.SetCapacity(len(names) + rng.Intn(len(names))); err != nil {
-						t.Error(err)
-					}
+				case op < 9: // never above the processors beyond one per name
+					c.SetExternalLoad(rng.Intn(len(names) + 1))
 				default:
 					c.Rebalance()
 				}

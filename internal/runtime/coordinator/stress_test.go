@@ -81,9 +81,6 @@ func TestCoordinatorRaceStress(t *testing.T) {
 		defer wg.Done()
 		for j := 0; j < iters; j++ {
 			c.SetExternalLoad(j % 3)
-			if err := c.SetCapacity(8 + 8*(j%2)); err != nil {
-				t.Errorf("SetCapacity: %v", err)
-			}
 			_ = c.Rebalances()
 			_ = c.Members()
 		}

@@ -30,30 +30,12 @@ type Config struct {
 	// Procs is the number of kernel processes to create (the
 	// user-specified process count in the paper's experiments).
 	Procs int
-	// WorkingSet is each process's cache footprint in bytes
-	// (default 256 KiB — a full Multimax cache, so multiplexing several
-	// processes on one CPU evicts each other's sets completely).
-	WorkingSet int64
 	// Controller enables process control; nil reproduces the original
 	// unmodified package.
 	Controller Controller
 	// PollInterval is how often the application asks the server for its
 	// target (the paper uses 6 s; default 6 s).
 	PollInterval sim.Duration
-	// DequeueCost is the CPU time spent inside the queue lock to take a
-	// task (default 150 µs).
-	DequeueCost sim.Duration
-	// EmptyCheckCost is the CPU time spent inside the queue lock to
-	// discover the queue is empty — a couple of loads, far cheaper than
-	// dequeueing (default 5 µs).
-	EmptyCheckCost sim.Duration
-	// CompleteCost is the CPU time spent inside the queue lock to
-	// retire a task and release its dependents (default 150 µs).
-	CompleteCost sim.Duration
-	// IdleSpin is how long a worker with no ready task busy-waits
-	// before rechecking the queue (default 500 µs). Idle workers burn
-	// CPU, as the Brown package's busy-waiting workers do.
-	IdleSpin sim.Duration
 	// OnTaskDone, if set, is called (inside the queue lock, at the
 	// task's retirement instant) for every completed task — tracing and
 	// tests use it to observe execution order.
@@ -67,26 +49,33 @@ func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
 		c.Procs = 1
 	}
-	if c.WorkingSet == 0 {
-		c.WorkingSet = 256 << 10
-	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 6 * sim.Second
 	}
-	if c.DequeueCost <= 0 {
-		c.DequeueCost = 150 * sim.Microsecond
-	}
-	if c.CompleteCost <= 0 {
-		c.CompleteCost = 150 * sim.Microsecond
-	}
-	if c.EmptyCheckCost <= 0 {
-		c.EmptyCheckCost = 5 * sim.Microsecond
-	}
-	if c.IdleSpin <= 0 {
-		c.IdleSpin = 500 * sim.Microsecond
-	}
 	return c
 }
+
+// The runtime's fixed costs, which newApp copies into every App.
+const (
+	// workingSet is each process's cache footprint in bytes: 256 KiB, a
+	// full Multimax cache, so multiplexing several processes on one CPU
+	// evicts each other's sets completely.
+	workingSet = 256 << 10
+	// dequeueCost is the CPU time spent inside the queue lock to take a
+	// task.
+	dequeueCost = 150 * sim.Microsecond
+	// emptyCheckCost is the CPU time spent inside the queue lock to
+	// discover the queue is empty — a couple of loads, far cheaper than
+	// dequeueing.
+	emptyCheckCost = 5 * sim.Microsecond
+	// completeCost is the CPU time spent inside the queue lock to retire
+	// a task and release its dependents.
+	completeCost = 150 * sim.Microsecond
+	// idleSpin is how long a worker with no ready task busy-waits before
+	// rechecking the queue. Idle workers burn CPU, as the Brown
+	// package's busy-waiting workers do.
+	idleSpin = 500 * sim.Microsecond
+)
 
 // App is one running application instance: a workload being executed by
 // a set of kernel processes under the (optionally control-enabled)
@@ -97,6 +86,11 @@ type App struct {
 	wl   *Workload
 	k    *kernel.Kernel
 	cfg  Config
+
+	// The runtime's costs: the constants above, except in the
+	// differential test, which varies them per case.
+	workingSet                                          int64
+	dequeueCost, emptyCheckCost, completeCost, idleSpin sim.Duration
 
 	qlock *kernel.SpinLock   // guards ready/depsLeft/remaining
 	locks []*kernel.SpinLock // application locks, by LockID
@@ -175,7 +169,7 @@ func (a *App) spawnWorkers() {
 	workers := make([]workerState, a.cfg.Procs)
 	for i := range workers {
 		workers[i].a = a
-		a.k.SpawnResumable(a.workerName(i), a.id, a.cfg.WorkingSet, workers[i].step)
+		a.k.SpawnResumable(a.workerName(i), a.id, a.workingSet, workers[i].step)
 	}
 }
 
@@ -190,19 +184,24 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 	}
 	cfg = cfg.withDefaults()
 	a := &App{
-		id:       id,
-		name:     wl.Name,
-		wl:       wl,
-		k:        k,
-		cfg:      cfg,
-		qlock:    kernel.NewSpinLock(fmt.Sprintf("%s/queue", wl.Name)),
-		suspendQ: kernel.NewWaitQueue(fmt.Sprintf("%s/suspend", wl.Name)),
-		depsLeft: make([]int32, wl.Len()),
-		remain:   wl.Len(),
-		target:   cfg.Procs,
-		runnable: cfg.Procs,
-		started:  k.Now(),
-		lastPoll: k.Now(),
+		id:             id,
+		name:           wl.Name,
+		wl:             wl,
+		k:              k,
+		cfg:            cfg,
+		workingSet:     workingSet,
+		dequeueCost:    dequeueCost,
+		emptyCheckCost: emptyCheckCost,
+		completeCost:   completeCost,
+		idleSpin:       idleSpin,
+		qlock:          kernel.NewSpinLock(fmt.Sprintf("%s/queue", wl.Name)),
+		suspendQ:       kernel.NewWaitQueue(fmt.Sprintf("%s/suspend", wl.Name)),
+		depsLeft:       make([]int32, wl.Len()),
+		remain:         wl.Len(),
+		target:         cfg.Procs,
+		runnable:       cfg.Procs,
+		started:        k.Now(),
+		lastPoll:       k.Now(),
 	}
 	for i := 0; i < wl.NumLocks(); i++ {
 		a.locks = append(a.locks, kernel.NewSpinLock(fmt.Sprintf("%s/lock%d", wl.Name, i)))
@@ -330,9 +329,9 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 			w.task = a.dequeue()
 			w.pc = pcDequeued
 			if w.task < 0 {
-				return kernel.Compute(a.cfg.EmptyCheckCost)
+				return kernel.Compute(a.emptyCheckCost)
 			}
-			return kernel.Compute(a.cfg.DequeueCost)
+			return kernel.Compute(a.dequeueCost)
 
 		case pcDequeued:
 			if w.task >= 0 && a.readyAt != nil {
@@ -347,9 +346,9 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 				// little and recheck, burning CPU like the paper's idle
 				// busy-waiting workers.
 				a.met.idleSpins.Inc()
-				a.annotate(env, "barrier_wait", -1, -1, a.cfg.IdleSpin)
+				a.annotate(env, "barrier_wait", -1, -1, a.idleSpin)
 				w.pc = pcTop
-				return kernel.Compute(a.cfg.IdleSpin)
+				return kernel.Compute(a.idleSpin)
 			}
 			w.since = env.Now()
 			a.annotate(env, "task_start", int(w.task), -1, 0)
@@ -391,7 +390,7 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 
 		case pcComplete:
 			w.pc = pcCompleted
-			return kernel.Compute(a.cfg.CompleteCost)
+			return kernel.Compute(a.completeCost)
 
 		case pcCompleted:
 			finished := a.complete(w.task)

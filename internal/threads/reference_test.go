@@ -87,9 +87,9 @@ func (a *App) referenceWorker(env *blockingEnv) {
 		env.Acquire(a.qlock)
 		t := a.dequeue()
 		if t < 0 {
-			env.Compute(a.cfg.EmptyCheckCost)
+			env.Compute(a.emptyCheckCost)
 		} else {
-			env.Compute(a.cfg.DequeueCost)
+			env.Compute(a.dequeueCost)
 			if a.readyAt != nil {
 				a.startAt[t] = env.Now()
 			}
@@ -104,8 +104,8 @@ func (a *App) referenceWorker(env *blockingEnv) {
 			// little and recheck, burning CPU like the paper's idle
 			// busy-waiting workers.
 			a.met.idleSpins.Inc()
-			a.annotate(env.Env, "barrier_wait", -1, -1, a.cfg.IdleSpin)
-			env.Compute(a.cfg.IdleSpin)
+			a.annotate(env.Env, "barrier_wait", -1, -1, a.idleSpin)
+			env.Compute(a.idleSpin)
 			continue
 		}
 
@@ -117,7 +117,7 @@ func (a *App) referenceWorker(env *blockingEnv) {
 		a.annotate(env.Env, "task_done", int(t), -1, service)
 
 		env.Acquire(a.qlock)
-		env.Compute(a.cfg.CompleteCost)
+		env.Compute(a.completeCost)
 		finished := a.complete(t)
 		if a.readyAt != nil {
 			a.doneAt[t] = env.Now()
@@ -217,9 +217,9 @@ type workerCase struct {
 	procs   int
 	policy  int
 	control bool
-	// The four runtime costs; zero is a value here, not "default" (the
-	// test writes them past withDefaults), so every zero-duration Compute
-	// of the loop is exercised.
+	// The four runtime costs; zero is a value here (the test writes
+	// them into the App after newApp), so every zero-duration Compute of
+	// the loop is exercised.
 	dequeue, emptyCheck, complete, idleSpin sim.Duration
 }
 
@@ -368,7 +368,6 @@ func (c workerCase) run(reference bool) workerRun {
 
 	cfg := Config{
 		Procs:         c.procs,
-		WorkingSet:    48 << 10,
 		PollInterval:  2 * sim.Millisecond,
 		RecordLatency: true,
 		OnTaskDone:    func(id TaskID) { hooks.logf("taskdone %d", id) },
@@ -377,10 +376,11 @@ func (c workerCase) run(reference bool) workerRun {
 		cfg.Controller = &scriptedController{k: k, period: 5 * sim.Millisecond, low: 1 + c.procs/4, high: c.procs}
 	}
 	a := newApp(k, 1, c.workload(), cfg)
-	a.cfg.DequeueCost, a.cfg.EmptyCheckCost, a.cfg.CompleteCost, a.cfg.IdleSpin = c.dequeue, c.emptyCheck, c.complete, c.idleSpin
+	a.workingSet = 48 << 10
+	a.dequeueCost, a.emptyCheckCost, a.completeCost, a.idleSpin = c.dequeue, c.emptyCheck, c.complete, c.idleSpin
 	if reference {
 		for i := 0; i < a.cfg.Procs; i++ {
-			spawnBlocking(k, a.workerName(i), a.id, a.cfg.WorkingSet, a.referenceWorker)
+			spawnBlocking(k, a.workerName(i), a.id, a.workingSet, a.referenceWorker)
 		}
 	} else {
 		a.spawnWorkers()
