@@ -10,8 +10,10 @@
 // machine-readable with -json (the JSONL procctl-trace's daemon export
 // reads). With -converge it renders the daemon's epoch convergence
 // report: how long each rebalance decision took to reach every member.
-// (Registrations admitted and shed, and open connections, are
-// coordinator_admission_* and coordinator_open_conns under -metrics.)
+// (Registrations served and refused, and open connections, are
+// coordinator_rpcs_total{op="register"},
+// coordinator_rpc_errors_total{op="register"} and coordinator_open_conns
+// under -metrics.)
 //
 // Usage:
 //

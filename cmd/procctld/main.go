@@ -18,15 +18,15 @@
 // journal offline.
 //
 // Scale: -rebalance-batch coalesces membership storms into one
-// recompute+notify per window, and -max-conns/-admit bound how much of
-// a registration storm is admitted at once — the excess is shed with a
-// retryable busy reply that clients back off and retry.
+// recompute+notify per window. Every registration is admitted: what
+// bounds a connection is its 64 KiB request line, the closed op set,
+// name validation, the lease and the reply-write timeout.
 //
 // Usage:
 //
 //	procctld [-listen unix:/tmp/procctld.sock] [-capacity N] [-metrics HOST:PORT]
 //	         [-journal-dir DIR] [-snapshot-every N] [-fsync-every N]
-//	         [-rebalance-batch D] [-max-conns N] [-admit N]
+//	         [-rebalance-batch D] [-lease D]
 //	         [-log-level debug|info|warn|error] [-log-json]
 package main
 
@@ -60,8 +60,6 @@ func main() {
 		lease    = flag.Duration("lease", coordinator.DefaultLease, "unregister members whose connection is silent this long (0 disables)")
 		jdir     = flag.String("journal-dir", "", "persist every membership and target transition here; on restart the registry is recovered without client re-registration")
 		batchWin = flag.Duration("rebalance-batch", 0, "coalesce membership and load changes into one rebalance per this window (0 = rebalance on every event)")
-		maxConns = flag.Int("max-conns", 0, "cap concurrently served client connections; the excess is shed with a retryable busy reply (0 = unlimited)")
-		admit    = flag.Int("admit", 0, "cap concurrently admitted registrations; the excess is shed with a retryable busy reply (0 = unlimited)")
 		snapEvry = flag.Int("snapshot-every", 1024, "cut a snapshot after this many journal records (0 disables periodic snapshots; a final one is still written on clean shutdown). The cut is made at the end of a journal drain; the snapshot is written by the journal's sync, so no request waits on its disk write above -fsync-every 1")
 		syncEvry = flag.Int("fsync-every", 0, "fsync the journal once this many appends wait (0 = the journal's default of 64; 1 = each write, before its operations are acknowledged; above 1 on a goroutine of its own, so no request waits on the disk). Every record reaches the kernel before its operation is acknowledged")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
@@ -94,11 +92,7 @@ func main() {
 		leaseCfg = -1 // flag 0 = disabled; config negative = disabled
 	}
 	coord := coordinator.New(*capacity)
-	srv := coordinator.NewServerWith(coord, ln, coordinator.ServerConfig{
-		Lease:      leaseCfg,
-		MaxConns:   *maxConns,
-		AdmitLimit: *admit,
-	})
+	srv := coordinator.NewServerWith(coord, ln, coordinator.ServerConfig{Lease: leaseCfg})
 
 	// Batching starts before recovery so even the boot-time rebalance
 	// storm of a large restored registry coalesces; stopBatch flushes
@@ -127,7 +121,7 @@ func main() {
 
 	logger.Info("procctld started",
 		"capacity", coord.Snapshot().Get("coordinator_capacity").Value, "addr", ln.Addr().String(), "lease", lease.String(),
-		"rebalance_batch", batchWin.String(), "max_conns", *maxConns, "admit", *admit)
+		"rebalance_batch", batchWin.String())
 
 	var metricsSrv *http.Server
 	if *metrics != "" {

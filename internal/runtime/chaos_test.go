@@ -527,9 +527,8 @@ func sigkillRecovery(t *testing.T, bin string, flags []string) {
 }
 
 // slowMember is an in-process member whose re-target takes real time:
-// the rebalance fan-out sleeps in SetTarget, so an admitted
-// registration occupies its admission slot long enough for a
-// simultaneous storm to collide with the limiter.
+// the rebalance fan-out sleeps in SetTarget, so each registration's
+// rebalance is slow and a simultaneous storm piles up behind it.
 type slowMember struct {
 	name   string
 	delay  time.Duration
@@ -543,21 +542,19 @@ func (s *slowMember) SetTarget(n int) {
 	s.target.Store(int64(n))
 }
 
-// TestChaosRegisterStormShedsAndConverges fires a burst of simultaneous
-// registrations at a daemon whose admission limiter is deliberately
-// tiny while a resident member makes each admitted registration's
-// rebalance slow. The limiter must shed some of the burst with
-// retryable busy replies, every shed client must retry its way in, and
-// the fleet must end converged — targets re-summed to capacity — with
-// no goroutine leaked by the retry machinery.
-func TestChaosRegisterStormShedsAndConverges(t *testing.T) {
+// TestChaosRegisterStormConverges fires a burst of simultaneous
+// registrations at a daemon while a resident member makes each
+// registration's rebalance slow. The daemon turns none of the burst away:
+// every client is admitted on its one registration, and the fleet ends
+// converged — targets re-summed to capacity — with no goroutine leaked.
+func TestChaosRegisterStormConverges(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	coord, srv := startDaemon(t, sock, 16, coordinator.ServerConfig{AdmitLimit: 2})
+	coord, srv := startDaemon(t, sock, 16, coordinator.ServerConfig{})
 	t.Cleanup(func() { srv.Close() })
 
 	// Already-resident slow member: most registrations change its
-	// target, so the fan-out holds the admission slot for ~delay.
+	// target, so each registration's fan-out takes ~delay.
 	coord.RegisterWeighted(&slowMember{name: "resident", delay: 20 * time.Millisecond}, 1)
 
 	const storm = 12
@@ -589,7 +586,7 @@ func TestChaosRegisterStormShedsAndConverges(t *testing.T) {
 		select {
 		case r := <-results:
 			if r.err != nil {
-				t.Fatalf("storm client never admitted: %v", r.err)
+				t.Fatalf("storm client refused: %v", r.err)
 			}
 			drivers = append(drivers, r)
 		case <-time.After(30 * time.Second):
@@ -597,13 +594,14 @@ func TestChaosRegisterStormShedsAndConverges(t *testing.T) {
 		}
 	}
 
-	// Everyone is in, and the burst really did trip the limiter.
+	// Everyone is in, each on its first and only registration.
 	waitFor(t, 10*time.Second, func() bool {
 		return len(coord.Members()) == storm+1 && sumTargets(coord) == 16
 	}, "storm fleet never converged to the full capacity")
-	shedName := metrics.Name("coordinator_admission_shed_total", "reason", "register")
-	if v, ok := coord.Metrics().Value(shedName); !ok || v < 1 {
-		t.Errorf("%s = %d, want >= 1: the storm never collided with the limiter", shedName, v)
+	served, _ := coord.Metrics().Value(metrics.Name("coordinator_rpcs_total", "op", "register"))
+	refused, _ := coord.Metrics().Value(metrics.Name("coordinator_rpc_errors_total", "op", "register"))
+	if served != storm || refused != 0 {
+		t.Errorf("registrations served %d, refused %d; want %d served, none refused", served, refused, storm)
 	}
 
 	for _, r := range drivers {

@@ -3,12 +3,10 @@ package coordinator
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"procctl/internal/flight"
@@ -18,24 +16,6 @@ import (
 // DefaultPollInterval matches the paper's 6-second application poll.
 const DefaultPollInterval = 6 * time.Second
 
-// ErrBusy matches (via errors.Is) any retryable admission rejection:
-// the daemon shed the request under load rather than failing it.
-var ErrBusy = errors.New("coordinator: busy")
-
-// busyError is the client-side form of a busy reply. It wraps the
-// server's reason and advisory retry wait; errors.Is(err, ErrBusy)
-// identifies it without unwrapping.
-type busyError struct {
-	reason     string
-	retryAfter time.Duration
-}
-
-func (e *busyError) Error() string {
-	return "coordinator: " + e.reason
-}
-
-func (e *busyError) Is(target error) bool { return target == ErrBusy }
-
 // Client is an application's connection to a coordinator daemon.
 type Client struct {
 	mu      sync.Mutex
@@ -44,6 +24,9 @@ type Client struct {
 	out     []byte     // the request line, reused
 	network string     // for redial; empty when built from newClient
 	addr    string
+	// deadline is the connection's I/O deadline, which roundTrip moves to
+	// DefaultIOTimeout on once less than half of that is left.
+	deadline time.Time
 }
 
 // Dial connects to a coordinator daemon, e.g. Dial("unix",
@@ -96,6 +79,7 @@ func (c *Client) redial() error {
 	old := c.conn
 	c.conn = conn
 	c.rd = lineReader{r: conn}
+	c.deadline = time.Time{}
 	c.mu.Unlock()
 	old.Close()
 	return nil
@@ -106,34 +90,41 @@ func (c *Client) redial() error {
 // protocol serializer: holding it across the write/read pair is what
 // guarantees responses pair with their requests. Concurrent callers
 // queueing on the mutex is therefore the intended behaviour, not a
-// convoy — hence the blockinglocked pragmas below. Neither req nor the
-// returned Response reaches the heap: a steady-state poll allocates
-// nothing on this side either.
+// convoy — hence the blockinglocked pragmas below. A daemon that stops
+// answering with its socket still open must not hold the caller, and
+// every caller queued behind it, forever: a round trip has at most
+// DefaultIOTimeout, the bound the server puts on its reply writes, and at
+// least half of it (re-arming the deadline per request would cost a
+// runtime timer reset each), and a connection a round trip failed on is
+// closed, so that a late reply can never pair with the next request.
+// Neither req nor the returned Response reaches the heap: a steady-state
+// poll allocates nothing on this side either.
 func (c *Client) roundTrip(req *Request) (resp Response, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.out, err = appendRequest(c.out[:0], req); err != nil {
 		return resp, fmt.Errorf("coordinator: send: %w", err)
 	}
+	if now := time.Now(); c.deadline.Sub(now) < DefaultIOTimeout/2 {
+		c.deadline = now.Add(DefaultIOTimeout)
+		_ = c.conn.SetDeadline(c.deadline) // fails on a closed connection only, where the write fails too
+	}
 	//procctl:allow-blockinglocked the mutex is the request/response wire serializer; I/O under it is the protocol
 	if _, err = c.conn.Write(c.out); err != nil {
+		c.conn.Close()
 		return resp, fmt.Errorf("coordinator: send: %w", err)
 	}
 	//procctl:allow-blockinglocked the mutex is the request/response wire serializer; I/O under it is the protocol
 	line, err := c.rd.readLine()
-	if err == nil {
+	if err != nil {
+		c.conn.Close()
+	} else {
 		err = decodeResponse(line, &resp)
 	}
 	if err != nil {
 		return resp, fmt.Errorf("coordinator: receive: %w", err)
 	}
 	if !resp.OK {
-		if resp.Busy {
-			return resp, &busyError{
-				reason:     resp.Error,
-				retryAfter: time.Duration(resp.RetryAfterMs) * time.Millisecond,
-			}
-		}
 		return resp, errors.New("coordinator: " + resp.Error)
 	}
 	return resp, nil
@@ -291,18 +282,14 @@ type DriveOptions struct {
 	Flight *flight.Recorder
 }
 
-// The driver's failure handling. admitPatience bounds how long
-// DriveWith's initial registration keeps retrying when the daemon sheds
-// it with a retryable busy reply. backoffMin and backoffMax bound the
-// jittered exponential backoff between those retries (with the server's
-// advisory retry-after as a floor) and between reconnection attempts.
-// For graceIntervals poll intervals after losing the daemon the last
+// The driver's failure handling. backoffMin and backoffMax bound the
+// jittered exponential backoff between reconnection attempts. For
+// graceIntervals poll intervals after losing the daemon the last
 // target is held unchanged. Past that grace, the target decays toward
 // the full process count: with no arbiter alive there is no longer
 // anyone to be fair to, so the application drifts back to uncontrolled
 // behaviour rather than idling forever on a stale small target.
 const (
-	admitPatience          = 30 * time.Second
 	backoffMin, backoffMax = 100 * time.Millisecond, 5 * time.Second
 	graceIntervals         = 2
 )
@@ -361,7 +348,7 @@ func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions)
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultPollInterval
 	}
-	target, epoch, err := c.registerWithRetry(app, procs, opts.Weight, spinOf(t))
+	target, epoch, err := c.registerEpoch(app, procs, opts.Weight, spinOf(t), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -387,43 +374,6 @@ func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions)
 	d.wg.Add(1)
 	go d.loop()
 	return d, nil
-}
-
-// registerWithRetry is registerEpoch plus the admission-backpressure
-// protocol: a busy reply means the daemon shed the registration under
-// load, so the client backs off (jittered exponential, with the
-// server's advisory retry-after as a floor) and tries again until
-// admitPatience runs out. It retries on the same connection: an
-// admission-limit shed leaves it live, with every other application the
-// client registered on it, and re-dialing would drop them all. Only a
-// connection-cap shed closes the connection behind its reply; once a
-// retry finds it closed, the client re-dials when it can.
-func (c *Client) registerWithRetry(app string, procs, weight int, spin *float64) (int, uint64, error) {
-	backoff := backoffMin
-	deadline := time.Now().Add(admitPatience)
-	shed := false
-	for {
-		target, epoch, err := c.registerEpoch(app, procs, weight, spin, 0)
-		var busy *busyError
-		switch {
-		case err == nil || !time.Now().Before(deadline):
-			return target, epoch, err
-		case errors.As(err, &busy):
-			shed = true
-			time.Sleep(max(jitter(backoff), busy.retryAfter))
-			backoff = min(2*backoff, backoffMax)
-		case shed && connClosed(err) && c.redial() == nil:
-			// A connection-cap shed closed it: retry at once on the new one.
-		default:
-			return target, epoch, err
-		}
-	}
-}
-
-// connClosed reports whether a round trip failed because the daemon had
-// closed the connection, rather than on an answer.
-func connClosed(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET)
 }
 
 // Applied returns the highest rebalance epoch this driver has applied.
@@ -526,7 +476,6 @@ func (d *Driver) loop() {
 			if rec := d.opts.Flight; rec != nil {
 				rec.Append(flight.Event{At: now.UnixMicro(), Kind: flight.KindRedial, App: d.app, A: d.redials.Value()})
 			}
-			var floor time.Duration
 			if err := d.c.redial(); err == nil {
 				// Transparent re-register: a restarted daemon has an
 				// empty member table; a surviving daemon just replaces
@@ -546,17 +495,9 @@ func (d *Driver) loop() {
 					connected = true
 					return d.nextPoll(now, d.apply(target, epoch))
 				}
-				// A restarted daemon that sheds the registration under
-				// load advises when to come back: as in
-				// registerWithRetry, that is the floor of the wait, so
-				// the next attempt does not re-dial into the same shed.
-				var busy *busyError
-				if errors.As(err, &busy) {
-					floor = busy.retryAfter
-				}
 			}
 			backoff = min(2*backoff, backoffMax)
-			nextRedial = now.Add(max(jitter(backoff), floor))
+			nextRedial = now.Add(jitter(backoff))
 		}
 
 		// Degraded decay: past the grace period, halve the gap to the

@@ -166,16 +166,15 @@ func TestDriveStatsAreItsSeries(t *testing.T) {
 	}
 }
 
-// A restarted daemon that sheds the driver's re-registration with a busy
-// reply says when to come back, and the reconnect loop waits that long:
-// it does not re-dial on its own 100 ms backoff, closing each time a
-// connection the daemon had accepted. The fake daemon answers the first
-// registration, drops the connection, and sheds every later request
-// with a 1 s retry-after, so in the 2 s after the drop the driver dials
-// at most three times (its first re-dial, then about once a second); a
-// doubling 100 ms backoff would dial four times or more. Wall clock: the
-// re-dials go through netpoll, which stops a synctest bubble's clock.
-func TestDriveReconnectHonoursBusyReply(t *testing.T) {
+// A restarted daemon that refuses the driver's re-registration leaves it
+// degraded, not reconnected, and the driver keeps re-dialing on its
+// doubling backoff. The fake daemon answers the first registration, drops
+// the connection, and refuses every later request. The driver's first
+// poll fails one interval after the drop, and it re-dials at once, then
+// after jittered waits of at least 100, 200, 400 and 800 ms: at most five
+// dials in the 2 s after the drop. Wall clock: the re-dials go through
+// netpoll, which stops a synctest bubble's clock.
+func TestDriveReconnectRefusedStaysDegraded(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
 	ln, err := net.Listen("unix", sock)
 	if err != nil {
@@ -204,7 +203,7 @@ func TestDriveReconnectHonoursBusyReply(t *testing.T) {
 						close(dropped)
 						return
 					}
-					if _, err := conn.Write([]byte(`{"ok":false,"error":"busy: admission limit","busy":true,"retry_after_ms":1000}` + "\n")); err != nil {
+					if _, err := conn.Write([]byte(`{"ok":false,"error":"register refused"}` + "\n")); err != nil {
 						return
 					}
 				}
@@ -226,10 +225,10 @@ func TestDriveReconnectHonoursBusyReply(t *testing.T) {
 	<-dropped
 	time.Sleep(2 * time.Second)
 	redials := dials.Load() - 1
-	if redials < 1 || redials > 3 {
-		t.Errorf("driver dialed %d times in the 2 s after the drop, want 1 to 3 under a 1 s retry-after", redials)
+	if redials < 1 || redials > 5 {
+		t.Errorf("driver dialed %d times in the 2 s after the drop, want 1 to 5 under the doubling backoff", redials)
 	}
 	if s := d.Stats(); !s.Degraded || s.Reconnects != 0 {
-		t.Errorf("stats = %+v, want degraded with no reconnect: every registration was shed", s)
+		t.Errorf("stats = %+v, want degraded with no reconnect: every registration was refused", s)
 	}
 }

@@ -132,12 +132,6 @@ type Response struct {
 	// Converge is the converge op's report: the most recently closed
 	// epochs, newest first.
 	Converge []ConvergeInfo `json:"converge,omitempty"`
-	// Busy marks a retryable admission rejection: the server shed this
-	// request under load (connection cap or registration-admission
-	// limit) rather than failing it. Clients should back off and retry;
-	// RetryAfterMs is the server's advisory minimum wait.
-	Busy         bool `json:"busy,omitempty"`
-	RetryAfterMs int  `json:"retry_after_ms,omitempty"`
 }
 
 // Status is the coordinator state snapshot served to inspectors: the

@@ -325,3 +325,13 @@ func BenchmarkServedPoll(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+func TestPollBenchFastPathZeroAlloc(t *testing.T) {
+	b := newPollBench(64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		b.Poll(7, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("poll fast path allocates %.1f per op, want 0", allocs)
+	}
+}

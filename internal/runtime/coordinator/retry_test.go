@@ -2,7 +2,8 @@ package coordinator
 
 import (
 	"fmt"
-	"runtime"
+	"io"
+	"net"
 	"testing"
 	"time"
 )
@@ -73,110 +74,6 @@ func TestBatchingStopFlushesPendingWork(t *testing.T) {
 	})
 }
 
-// driveResult is what a DriveWith run in the background came to, and
-// how long after its start it returned.
-type driveResult struct {
-	err error
-	at  time.Duration
-}
-
-// driveInBackground starts DriveWith(app) with the default options and
-// stops the driver as soon as it has registered.
-func driveInBackground(c *Client, app string, procs int) <-chan driveResult {
-	done := make(chan driveResult, 1)
-	start := time.Now()
-	go func() {
-		d, err := c.DriveWith(app, procs, &trackingTargeter{}, DriveOptions{})
-		at := time.Since(start)
-		if err == nil {
-			d.Stop()
-		}
-		done <- driveResult{err, at}
-	}()
-	return done
-}
-
-// A driver shed at the connection cap re-dials after the server's
-// advisory wait and is admitted once the cap has room: exactly
-// DefaultBusyRetry after its first attempt. The retry re-dials, so the
-// server runs outside the bubble on a unix socket; only the driver's
-// waits are virtual.
-func TestDriveWithRetriesBusyRegistration(t *testing.T) {
-	srv, sock := startServerWith(t, 8, ServerConfig{MaxConns: 1})
-	holder, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer holder.Close()
-	if _, err := holder.RegisterWeighted("holder", 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	runBubble(t, func() {
-		late, err := Dial("unix", sock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer late.Close()
-		done := driveInBackground(late, "late", 4)
-		waitBubble() // shed once, the driver waits out the retry hint
-		if v := srv.shedConn.Value(); v != 1 {
-			t.Errorf("%d connections shed before the holder left, want 1", v)
-		}
-		holder.Close()
-		// The server reaps the holder on its own clock. Spin rather than
-		// sleep, so that the bubble's clock stands still meanwhile.
-		for openConns(srv) != 0 {
-			runtime.Gosched()
-		}
-		r := <-done
-		if r.err != nil {
-			t.Fatalf("DriveWith never recovered from busy: %v", r.err)
-		}
-		if r.at != DefaultBusyRetry {
-			t.Errorf("admitted %v after the first attempt, want the advisory retry wait %v", r.at, DefaultBusyRetry)
-		}
-	})
-}
-
-// White-box: an admission-limit shed leaves the connection live, so the
-// retried registration must go out on it again. Re-dialing would close it,
-// and the daemon would unregister every other app the client holds there.
-// Each retry waits out the server's advisory DefaultBusyRetry.
-func TestRetriedRegistrationKeepsOtherApps(t *testing.T) {
-	runBubble(t, func() {
-		srv := startPipeServer(8, ServerConfig{AdmitLimit: 1})
-		defer srv.Close()
-		c := pipeClient(srv)
-		defer c.Close()
-		if _, err := c.RegisterWeighted("a", 2, 0); err != nil {
-			t.Fatal(err)
-		}
-		srv.admit <- struct{}{} // occupy the only admission slot
-		done := driveInBackground(c, "b", 2)
-		// Shed at 0 and at DefaultBusyRetry; free the slot between then
-		// and the third attempt.
-		time.Sleep(DefaultBusyRetry + DefaultBusyRetry/2)
-		waitBubble()
-		if v := srv.shedReg.Value(); v != 2 {
-			t.Fatalf("b shed %d times in its first one and a half retry waits, want 2", v)
-		}
-		<-srv.admit
-		r := <-done
-		if r.err != nil {
-			t.Fatalf("DriveWith(b) after the slot freed: %v", r.err)
-		}
-		if r.at != 2*DefaultBusyRetry {
-			t.Errorf("b admitted at %v, want at its third attempt, %v", r.at, 2*DefaultBusyRetry)
-		}
-		if got := srv.coord.Members(); len(got) != 1 || got[0] != "a" {
-			t.Errorf("members after b came and went = %v, want a still registered", got)
-		}
-		if _, _, err := c.PollEpoch("a", 0); err != nil {
-			t.Errorf("poll a on its own connection: %v", err)
-		}
-	})
-}
-
 // orphan drives app (16 processes) at poll interval iv against a
 // capacity-4 server, closes the server a second in, and returns once the
 // driver has found out at its next poll, with how long ago that was.
@@ -201,6 +98,69 @@ func orphan(t *testing.T, tr *trackingTargeter, iv time.Duration) (c *Client, d 
 		t.Errorf("stats one poll interval after the daemon died: %+v, want degraded after one failed poll", s)
 	}
 	return c, d, s.DegradedFor
+}
+
+// A daemon that answers the registration and then stops answering, its
+// connection still open (SIGSTOPped, or wedged), costs the driver one
+// poll: the round trip gives up at its deadline, closes the connection,
+// so that a late reply cannot pair with a later request, and the driver
+// goes degraded. Stop then returns. The registration arms the deadline
+// DefaultIOTimeout on; a poll 30 ms later finds more than half of it
+// left and keeps it, one DefaultPollInterval later finds less and
+// re-arms it.
+func TestDriveWithSurvivesHungDaemon(t *testing.T) {
+	for _, tc := range []struct{ iv, lost time.Duration }{
+		{30 * time.Millisecond, DefaultIOTimeout},
+		{DefaultPollInterval, DefaultPollInterval + DefaultIOTimeout},
+	} {
+		t.Run(tc.iv.String(), func(t *testing.T) {
+			runBubble(t, func() {
+				cconn, sconn := net.Pipe()
+				gone := make(chan struct{})
+				go func() {
+					defer close(gone)
+					defer sconn.Close()
+					rd := lineReader{r: sconn}
+					if _, err := rd.readLine(); err != nil {
+						return
+					}
+					if _, err := io.WriteString(sconn, `{"ok":true,"target":4}`+"\n"); err != nil {
+						return
+					}
+					for { // read every request, answer none
+						if _, err := rd.readLine(); err != nil {
+							return
+						}
+					}
+				}()
+				c := newClient(cconn)
+				defer c.Close()
+				var tr trackingTargeter
+				// The registration brings no epoch to ack, so the first poll
+				// goes out one interval on.
+				d, err := c.DriveWith("app", 16, &tr, DriveOptions{Interval: tc.iv})
+				if err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(tc.lost - time.Nanosecond)
+				waitBubble()
+				if s := d.Stats(); s.Degraded || s.Polls != 0 || s.PollErrors != 0 {
+					t.Errorf("stats a nanosecond before the poll's deadline: %+v, want connected with the poll pending", s)
+				}
+				time.Sleep(time.Nanosecond)
+				waitBubble()
+				if s := d.Stats(); !s.Degraded || s.Polls != 0 || s.PollErrors != 1 || s.Target != 4 {
+					t.Errorf("stats at the poll's deadline: %+v, want degraded after one failed poll, holding 4", s)
+				}
+				select {
+				case <-gone:
+				default:
+					t.Error("the client kept the connection to the daemon that stopped answering")
+				}
+				d.Stop()
+			})
+		})
+	}
 }
 
 // Inside the grace period, 2×DefaultPollInterval, the driver holds the

@@ -24,32 +24,17 @@ import (
 const DefaultLease = 3 * DefaultPollInterval
 
 // DefaultIOTimeout bounds a reply write to a peer that has stopped
-// draining its socket, and how long a connection over the cap may take to
-// send its first request.
+// draining its socket, and a client's round trip to a daemon that has
+// stopped answering.
 const DefaultIOTimeout = 10 * time.Second
 
-// DefaultBusyRetry is the advisory minimum backoff a busy reply asks
-// shed clients to wait before retrying.
-const DefaultBusyRetry = 500 * time.Millisecond
-
-// ServerConfig tunes the socket server's failure detection and
-// admission backpressure. The zero value selects the defaults; a
-// negative Lease disables lease expiry (EOF cleanup still applies).
+// ServerConfig tunes the socket server's failure detection. The zero
+// value selects the defaults; a negative Lease disables lease expiry (EOF
+// cleanup still applies).
 type ServerConfig struct {
 	// Lease is the maximum silence per connection. Any decoded request
 	// renews it for every application registered on that connection.
 	Lease time.Duration
-	// MaxConns caps how many connections the server keeps open at once
-	// (0 = unlimited). A connection accepted over the cap gets one
-	// retryable busy reply to its first request and is closed — shed,
-	// not errored, so a registration storm degrades into backoff rounds
-	// instead of an unbounded handler-goroutine population.
-	MaxConns int
-	// AdmitLimit bounds how many registrations may be admitted
-	// concurrently (0 = unlimited). Registrations arriving while the
-	// admission semaphore is full get a retryable busy reply on their
-	// live connection.
-	AdmitLimit int
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -196,14 +181,6 @@ type Server struct {
 	// client cannot mint series.
 	rpcs       map[string]rpcCounters
 	rpcUnknown rpcCounters
-
-	// admit is the registration-admission semaphore (nil = unlimited):
-	// a buffered channel holding one token per in-flight admitted
-	// registration, try-acquired so a full house sheds instead of
-	// queueing.
-	admit    chan struct{}
-	shedConn *metrics.Counter
-	shedReg  *metrics.Counter
 }
 
 // rpcCounters are one op's coordinator_rpcs_total and
@@ -223,18 +200,13 @@ func NewServer(coord *Coordinator, ln net.Listener) *Server {
 	return NewServerWith(coord, ln, ServerConfig{})
 }
 
-// NewServerWith is NewServer with explicit lease and timeout settings.
+// NewServerWith is NewServer with an explicit lease.
 func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Server {
 	s := &Server{
-		coord:    coord,
-		ln:       ln,
-		cfg:      cfg.withDefaults(),
-		conns:    make(map[net.Conn]*connState),
-		shedConn: coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "conns"), "connections shed with a busy reply at the connection cap"),
-		shedReg:  coord.Metrics().Counter(metrics.Name("coordinator_admission_shed_total", "reason", "register"), "registrations shed with a busy reply at the admission limit"),
-	}
-	if s.cfg.AdmitLimit > 0 {
-		s.admit = make(chan struct{}, s.cfg.AdmitLimit)
+		coord: coord,
+		ln:    ln,
+		cfg:   cfg.withDefaults(),
+		conns: make(map[net.Conn]*connState),
 	}
 	s.rpcs = make(map[string]rpcCounters, len(wireOps))
 	for _, op := range wireOps {
@@ -340,47 +312,13 @@ func (s *Server) Serve() error {
 			conn.Close()
 			return net.ErrClosed
 		}
-		shed := s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns
 		s.conns[conn] = cs
 		// Add inside the critical section that checks closed, so a
 		// concurrent Close cannot Wait between the check and the Add.
 		s.handlers.Add(1)
 		s.mu.Unlock()
-		if shed {
-			s.shedConn.Inc()
-			go s.rejectBusy(cs)
-			continue
-		}
 		go s.handle(cs)
 	}
-}
-
-// rejectBusy serves a connection accepted over the MaxConns cap: it
-// answers the first request with a retryable busy reply and closes.
-// The connection is tracked in s.conns (so Close tears it down) and in
-// the handlers WaitGroup (so Close waits for it), same as a served one.
-func (s *Server) rejectBusy(cs *connState) {
-	defer s.handlers.Done()
-	conn := cs.conn
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	_ = conn.SetReadDeadline(cs.accepted.Add(DefaultIOTimeout))
-	rd := lineReader{r: conn, max: maxRequestLine}
-	line, err := rd.readLine()
-	if err != nil {
-		return
-	}
-	var req Request
-	var spin float64
-	if decodeRequest(line, &req, &spin, cs.appName) != nil {
-		return
-	}
-	resp := busyResp("connection limit reached")
-	_, _ = s.reply(cs, nil, &resp, time.Now())
 }
 
 // reply encodes resp into buf and sends it to cs with one write, marked
@@ -553,15 +491,6 @@ func (s *Server) dispatchOp(req *Request, cs *connState, now time.Time) Response
 		if !validAppName(req.App) {
 			return errResp(fmt.Errorf("register: app name %q is not 1-%d characters of [A-Za-z0-9._:-]", req.App, maxAppName))
 		}
-		if s.admit != nil {
-			select {
-			case s.admit <- struct{}{}:
-				defer func() { <-s.admit }()
-			default:
-				s.shedReg.Inc()
-				return busyResp("registration admission limit reached")
-			}
-		}
 		m := &remoteMember{name: req.App, procs: req.Procs, conn: cs}
 		// Until the first rebalance lands (immediately below when
 		// rebalancing inline, at the next flush when batching), the
@@ -694,15 +623,4 @@ func filterEvents(evs []flight.Event, since, epoch uint64, limit int) []flight.E
 
 func errResp(err error) Response {
 	return Response{OK: false, Error: err.Error()}
-}
-
-// busyResp is the retryable shed reply: not an error the client should
-// surface, an instruction to back off and come again.
-func busyResp(why string) Response {
-	return Response{
-		OK:           false,
-		Error:        "busy: " + why,
-		Busy:         true,
-		RetryAfterMs: int(DefaultBusyRetry / time.Millisecond),
-	}
 }

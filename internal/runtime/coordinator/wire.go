@@ -277,10 +277,6 @@ func scanResponse(line []byte, resp *Response) bool {
 			return c.int(&resp.Target)
 		case "epoch":
 			return c.uint(&resp.Epoch)
-		case "busy":
-			return c.bool(&resp.Busy)
-		case "retry_after_ms":
-			return c.int(&resp.RetryAfterMs)
 		}
 		return false
 	})
@@ -361,7 +357,7 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 // appendResponse is appendRequest for a reply.
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	if resp.Status != nil || resp.Metrics != nil || len(resp.Events) > 0 || len(resp.Converge) > 0 ||
-		!plainString(resp.Error) || resp.Target|resp.RetryAfterMs < 0 {
+		!plainString(resp.Error) || resp.Target < 0 {
 		return appendJSON(dst, *resp)
 	}
 	if resp.OK {
@@ -372,9 +368,5 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	dst = appendString(dst, `,"error":"`, resp.Error)
 	dst = appendField(dst, `,"target":`, uint64(resp.Target))
 	dst = appendField(dst, `,"epoch":`, resp.Epoch)
-	if resp.Busy {
-		dst = append(dst, `,"busy":true`...)
-	}
-	dst = appendField(dst, `,"retry_after_ms":`, uint64(resp.RetryAfterMs))
 	return append(dst, '}', '\n'), nil
 }

@@ -3,7 +3,6 @@ package coordinator
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -88,8 +87,7 @@ func checkEncoding(t *testing.T, v any, got []byte, gerr error) []byte {
 
 const (
 	flagA = 1 << iota // request: spin_pct present; response: ok
-	flagB             // response: busy
-	flagC             // response: carries a converge report (the json path)
+	flagB             // response: carries a converge report (the json path)
 )
 
 func FuzzWireRequest(f *testing.F) {
@@ -123,16 +121,15 @@ func FuzzWireRequest(f *testing.F) {
 
 func FuzzWireResponse(f *testing.F) {
 	add := func(line, errStr string, target int, flags uint8) {
-		f.Add([]byte(line), errStr, target, 500, uint64(9), flags)
+		f.Add([]byte(line), errStr, target, uint64(9), flags)
 	}
 	// See FuzzWireRequest: the committed corpus carries the rest.
 	add(`{"ok":null,"error":null,"target":null}`, "<&>\u2028é\xff", -1, 0)
 	add(`{"ok":true,"target":8}x`, "", 1<<40, flagA)
-	f.Fuzz(func(t *testing.T, line []byte, errStr string, target, retry int, epoch uint64, flags uint8) {
+	f.Fuzz(func(t *testing.T, line []byte, errStr string, target int, epoch uint64, flags uint8) {
 		checkResponseLine(t, line)
-		resp := Response{OK: flags&flagA != 0, Error: errStr, Target: target, Epoch: epoch,
-			Busy: flags&flagB != 0, RetryAfterMs: retry}
-		if flags&flagC != 0 {
+		resp := Response{OK: flags&flagA != 0, Error: errStr, Target: target, Epoch: epoch}
+		if flags&flagB != 0 {
 			resp.Converge = []ConvergeInfo{{Members: target, Straggler: errStr}}
 		}
 		got, err := appendResponse(nil, &resp)
@@ -151,6 +148,8 @@ func TestWireScannersAgainstJSONGenerated(t *testing.T) {
 	floats := []string{`0`, `100`, `12.5`, `-12.5e-3`, `1.`, `.5`, `1.e2`, `1E-2`, `1e+2`, `1e`, `1e-`, `1e999`, `01.5`, `-`, `+1`, `0x10`, `Inf`, `NaN`, `1_0`}
 	bools := []string{`true`, `false`, `True`, `tru`, `truex`, `1`}
 	other := []string{`null`, `{}`, `[]`, `{"a":1}`, ``}
+	// "shards", "busy" and "retry_after_ms" are older peers' keys: the
+	// scanners decline them, and json decodes around them.
 	fields := []struct {
 		key    string
 		values []string
@@ -224,7 +223,6 @@ func TestWireFleetTrafficIsPlain(t *testing.T) {
 	for _, resp := range []Response{
 		{OK: true},
 		{OK: true, Target: 8, Epoch: 12},
-		busyResp("connection limit reached"),
 		errResp(errLineTooLong),
 	} {
 		line, err := json.Marshal(&resp)
@@ -398,6 +396,7 @@ func TestOldClientNewServer(t *testing.T) {
 // The new client against an old daemon: encoding/json's stream decoder
 // and encoder on the other end of the connection.
 func TestNewClientOldServer(t *testing.T) {
+	const oldBusy = `{"ok":false,"error":"busy: registration admission limit reached","busy":true,"retry_after_ms":500}`
 	cconn, sconn := net.Pipe()
 	seen := make(chan Request, 16) // every request of the test, so the stub never blocks
 	go func() {
@@ -416,7 +415,10 @@ func TestNewClientOldServer(t *testing.T) {
 			case OpStatus:
 				resp = Response{OK: true, Status: &Status{Capacity: 8, Apps: []AppStatus{{Name: "a<b", Procs: 4}}}}
 			case OpSetLoad:
-				resp = busyResp("try later")
+				if _, err := io.WriteString(sconn, oldBusy+"\n"); err != nil {
+					return
+				}
+				continue
 			default:
 				resp = errResp(fmt.Errorf("unknown op %q", req.Op))
 			}
@@ -443,9 +445,14 @@ func TestNewClientOldServer(t *testing.T) {
 	if st, err := c.Status(); err != nil || st.Capacity != 8 || len(st.Apps) != 1 || st.Apps[0].Name != "a<b" {
 		t.Errorf("status = %+v, %v", st, err)
 	}
-	var busy *busyError
-	if err := c.SetExternalLoad(1); !errors.As(err, &busy) || busy.retryAfter != DefaultBusyRetry {
-		t.Errorf("setload = %v, want a busy error with the advisory wait", err)
+	// An older daemon could shed a request with a busy reply. The scanner
+	// declines its two extra keys, json decodes around them, and the
+	// client returns an ordinary error with the daemon's reason.
+	if scanResponse([]byte(oldBusy), new(Response)) {
+		t.Errorf("the scanner took %s: \"busy\" and \"retry_after_ms\" are not fields any more", oldBusy)
+	}
+	if err := c.SetExternalLoad(1); err == nil || err.Error() != "coordinator: busy: registration admission limit reached" {
+		t.Errorf("setload = %v, want the daemon's busy reason as a plain error", err)
 	}
 	if err := c.Unregister("x"); err == nil || !strings.Contains(err.Error(), `unknown op "unregister"`) {
 		t.Errorf("unregister = %v, want the daemon's error", err)
@@ -490,6 +497,10 @@ func (c *scriptConn) Write(p []byte) (int, error) {
 func (c *scriptConn) Close() error                     { return nil }
 func (c *scriptConn) SetReadDeadline(time.Time) error  { c.readDeadlines.Add(1); return nil }
 func (c *scriptConn) SetWriteDeadline(time.Time) error { c.writeDeadlines.Add(1); return nil }
+func (c *scriptConn) SetDeadline(t time.Time) error {
+	c.SetReadDeadline(t)
+	return c.SetWriteDeadline(t)
+}
 
 // serveScript runs srv's connection handler on a scriptConn and returns it
 // with a step that sends the handler one request line and returns its
