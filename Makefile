@@ -80,9 +80,12 @@ race:
 # over the simulator's event engine (op programs against a flat-list
 # reference model), on top of the committed corpora under
 # internal/journal/testdata/fuzz, internal/runtime/coordinator/testdata/fuzz
-# and internal/sim/testdata/fuzz. Five seconds each is a
-# smoke, not a campaign — run longer campaigns with
-# e.g. `go test -fuzz=FuzzFsck -fuzztime=10m ./internal/journal`.
+# and internal/sim/testdata/fuzz. FuzzDecodeRecord is a differential
+# too: the record decoder's hand scanner must agree with json.Unmarshal
+# on every payload. Five seconds each is a smoke, not a campaign — run
+# longer campaigns with e.g. `go test -fuzz=FuzzFsck -fuzztime=10m
+# ./internal/journal`, and commit any input a campaign finds failing
+# under the fuzzer's testdata/fuzz directory as a seed.
 # (go test accepts one -fuzz pattern per invocation, hence one run each.)
 FUZZ_TIME ?= 5s
 fuzz-smoke:
@@ -146,7 +149,10 @@ daemon-smoke:
 # package of the root module (commands list nothing), so an accessor
 # deleted or added anywhere shows, and the exported struct fields that
 # listing shows inside its `type … struct {` blocks: the settable values
-# (EXPERIMENTS.md SIMPL-21).
+# (EXPERIMENTS.md SIMPL-21). Then the encoding/json call sites in the
+# root module's non-test code (comment lines aside): what is left once
+# the one JSON-lines codec in internal/flight handles the plain lines
+# (EXPERIMENTS.md SIMPL-23).
 loc_of = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
 	! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 test_loc = find . -name '*_test.go' ! -path '*/testdata/*' \
@@ -156,10 +162,14 @@ doc_of = for p in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' $(1))
 exported_of = $(doc_of) | grep -cE '^(func|type) '
 fields_of = $(doc_of) | awk '/^type .* struct \{$$/ { s = 1; next } s && /^}/ { s = 0 } \
 	s && /^\t[A-Z]/ { n++ } END { print n + 0 }'
+json_calls = find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
+	! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 grep -hE '\bjson\.[A-Z]\w*\(' | \
+	grep -vE '^\s*//' | grep -oE '\bjson\.[A-Z]\w*\(' | wc -l
 loc:
 	@echo "$$($(call loc_of,.)) root module, $$($(call loc_of,./internal/runtime)) of them internal/runtime," \
 		"$$($(call exported_of,./internal/runtime/...)) exported declarations and methods in internal/runtime," \
 		"$$($(call loc_of,./internal/analysis)) lines in internal/analysis," \
 		"$$($(test_loc)) test lines," \
 		"$$($(call exported_of,./...)) exported declarations and methods in the root module," \
-		"$$($(call fields_of,./...)) exported struct fields in the root module"
+		"$$($(call fields_of,./...)) exported struct fields in the root module," \
+		"$$($(json_calls)) encoding/json call sites in non-test code"

@@ -15,8 +15,8 @@
 // ring); counts and latencies live in the metrics registry, and the
 // simulated server's decisions in the sim's trace stream.
 //
-// One encoder writes an Event as JSON (AppendJSON): the journal's record
-// payloads and the JSONL dumps are its bytes.
+// One encoder writes an Event as JSON (AppendJSON) and one decoder reads
+// it (DecodeJSON): the journal's record payloads and the JSONL dumps.
 //
 // Determinism contract: the package never reads a clock; the caller
 // supplies every timestamp. Sequence numbers are assigned in append

@@ -11,8 +11,25 @@ import (
 // greppable and the zero-alloc encoder trustworthy: every event must
 // marshal byte-identically to encoding/json — every kind, the omitempty
 // edge cases, and the strings encoding/json escapes — and a dump must be
-// the lines a json.Encoder writes.
+// the lines a json.Encoder writes. The one string escape every hand
+// encoder shares is held to json.Marshal on its own too: every byte
+// alone and inside a plain name, the line and paragraph separators, and
+// invalid UTF-8.
 func TestEncoderPinnedToStdlib(t *testing.T) {
+	strs := []string{"", "web", "a\u2028b", "\u2029", "\xff", "a\xc3", "\xed\xa0\x80", "ünïcode\x80"}
+	for c := 0; c <= 0xff; c++ {
+		strs = append(strs, string([]byte{byte(c)}), "app"+string([]byte{byte(c)})+"1")
+	}
+	for _, s := range strs {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Errorf("AppendString(%q) = %s, json.Marshal %s", s, got[1:], want)
+		}
+	}
+
 	evs := []Event{
 		{Seq: 1, At: 1000, Kind: KindRegister, App: "web", A: 4, B: 2},
 		{Seq: 2, At: 1001, Kind: KindRebalance, A: 37, B: 1},
@@ -93,7 +110,45 @@ func TestReadJSONL(t *testing.T) {
 	if len(evs) != 2 || evs[0].Epoch != 2 || evs[1].Kind != KindSettle {
 		t.Fatalf("bad decode: %+v", evs)
 	}
-	if _, err := ReadJSONL(strings.NewReader("{broken\n")); err == nil {
-		t.Fatal("malformed line accepted")
+	for _, bad := range []string{"{broken\n", `{"seq":1,"at":2}` + "\n", "{\"seq\":1,\n\"kind\":\"target\"}\n"} {
+		if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
+			t.Errorf("ReadJSONL(%q) accepted a line that is not one event", bad)
+		}
+	}
+	// Lines the scanner declines get encoding/json's reading: an escaped
+	// name, whitespace, a later writer's key, a CRLF ending. Seq 0 is a
+	// recorder's first event.
+	in = `{"seq":0,"at":1,"kind":"target","app":"q\u003ca"}` + "\n" +
+		` { "seq": 1, "kind": "apply", "a": 2 } ` + "\n" +
+		`{"seq":2,"kind":"settle","extra":[1]}` + "\r\n"
+	evs, err = ReadJSONL(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{{At: 1, Kind: KindTarget, App: "q<a"}, {Seq: 1, Kind: KindApply, A: 2}, {Seq: 2, Kind: KindSettle}}
+	if len(evs) != len(want) || evs[0] != want[0] || evs[1] != want[1] || evs[2] != want[2] {
+		t.Errorf("fallback decode: got %+v, want %+v", evs, want)
+	}
+}
+
+// TestDecodeJSONInternsKinds: a line as AppendJSON writes it costs at
+// most its app name's string.
+func TestDecodeJSONInternsKinds(t *testing.T) {
+	for _, c := range []struct {
+		ev     Event
+		allocs float64
+	}{
+		{Event{Seq: 1, At: -5, Kind: KindRebalance, A: 37, B: 2, Epoch: 9}, 0},
+		{Event{Seq: 1 << 63, At: 1, Kind: KindTarget, App: "web", A: 8, B: -1}, 1},
+		{Event{Seq: 2, Kind: "future_kind"}, 1},
+	} {
+		line := AppendJSON(nil, &c.ev)
+		var got Event
+		if n := testing.AllocsPerRun(100, func() { got, _ = DecodeJSON(line) }); n != c.allocs {
+			t.Errorf("DecodeJSON(%s): %v allocations, want %v", line, n, c.allocs)
+		}
+		if got != c.ev {
+			t.Errorf("DecodeJSON(%s) = %+v, want %+v", line, got, c.ev)
+		}
 	}
 }

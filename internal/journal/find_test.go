@@ -137,19 +137,7 @@ func BenchmarkRecover(b *testing.B) {
 // times Recover over them.
 func benchRecover(b *testing.B, records uint64, record func(seq uint64) Record) {
 	b.ReportAllocs()
-	dir := b.TempDir()
-	w, err := Open(dir, 1, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for seq := uint64(1); seq <= records; seq++ {
-		if _, err := w.Append(record(seq)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
+	dir := writeJournal(b, records, record)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Recover(dir)
@@ -158,4 +146,54 @@ func benchRecover(b *testing.B, records uint64, record func(seq uint64) Record) 
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+}
+
+// writeJournal journals records records, the seq-th made by record, in a
+// fresh directory.
+func writeJournal(tb testing.TB, records uint64, record func(seq uint64) Record) string {
+	dir := tb.TempDir()
+	w, err := Open(dir, 1, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for seq := uint64(1); seq <= records; seq++ {
+		if _, err := w.Append(record(seq)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// TestRecoverAllocatesOnePerRecord: replaying a record costs at most
+// the string of its app name, so a record without one costs nothing.
+// The journal cycles through every durable kind over eight members;
+// what Recover allocates besides the names (reading the directory and
+// the segment, the registry, the State) is a small constant.
+func TestRecoverAllocatesOnePerRecord(t *testing.T) {
+	const records, setup = 1000, 64
+	kinds := []string{KindRegister, KindTarget, KindRebalance, KindSetLoad, KindTarget,
+		KindSetCapacity, KindUnregister, KindRegister, KindLeaseExpiry, KindRestart}
+	named := 0
+	dir := writeJournal(t, records, func(seq uint64) Record {
+		r := Record{At: int64(seq), Kind: kinds[seq%uint64(len(kinds))], A: int64(seq % 7), B: 1, Epoch: seq / 4}
+		switch r.Kind {
+		case KindRegister, KindTarget, KindUnregister, KindLeaseExpiry:
+			r.App = fmt.Sprintf("app%d", seq%8)
+			named++
+		case KindSetCapacity:
+			r.A = 16
+		}
+		return r
+	})
+	allocs := testing.AllocsPerRun(5, func() {
+		if res, err := Recover(dir); err != nil || res.Replayed != records {
+			t.Fatalf("Recover replayed %d of %d records: %v", res.Replayed, records, err)
+		}
+	})
+	if allocs > float64(named+setup) {
+		t.Errorf("Recover of %d records, %d of them named: %.0f allocations, want at most %d", records, named, allocs, named+setup)
+	}
 }

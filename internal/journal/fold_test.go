@@ -109,8 +109,8 @@ func TestRecordIsFlightEvent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if enc := EncodeRecord(c.ev); string(enc) != c.payload || string(std) != c.payload {
-			t.Errorf("event %+v\n EncodeRecord %s\n json.Marshal %s\n on disk      %s", c.ev, enc, std, c.payload)
+		if enc := flight.AppendJSON(nil, &c.ev); string(enc) != c.payload || string(std) != c.payload {
+			t.Errorf("event %+v\n AppendJSON   %s\n json.Marshal %s\n on disk      %s", c.ev, enc, std, c.payload)
 		}
 	}
 	for _, kind := range []string{flight.KindRedial, flight.KindReconnect, flight.KindSnapshot,

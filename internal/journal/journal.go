@@ -32,8 +32,9 @@
 //
 // A frame is: uint32 payload length, uint32 CRC32C (Castagnoli) of the
 // payload, payload bytes. Record payloads are compact JSON with a fixed
-// field order, so the log is greppable. flight.AppendJSON writes them —
-// the encoder the flight dumps use too — byte-identical to encoding/json.
+// field order, so the log is greppable: flight.AppendJSON writes them,
+// byte-identical to encoding/json, and flight.DecodeJSON reads them. A
+// snapshot, read once per boot, stays on encoding/json.
 //
 // Determinism contract: the package never reads a clock — callers stamp
 // every record, and fsync latency is timed only through the injected
@@ -46,7 +47,6 @@ package journal
 import (
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -66,8 +66,9 @@ import (
 // Epoch is the v2 field: the rebalance decision a target/rebalance
 // record belongs to. It is omitted when zero, so v2 writers produce
 // byte-identical payloads to v1 for epoch-less records and v1 decoders
-// (json.Unmarshal with the old struct) still read v2 journals — the
-// unknown field is simply dropped, matching Fold's unknown-kind rule.
+// (json.Unmarshal with the old struct, which DecodeRecord falls back to
+// for a later writer's field) still read v2 journals — the unknown
+// field is simply dropped, matching Fold's unknown-kind rule.
 type Record = flight.Event
 
 // The record kinds are the flight kinds that change the registry.
@@ -237,27 +238,19 @@ func DecodeFrame(b []byte) (payload []byte, n int, err error) {
 	return payload, end, nil
 }
 
-// DecodeRecord parses one record payload. It rejects payloads that are
-// not a JSON object, carry no kind, or carry a zero sequence number —
-// the invariants every Writer-produced record holds.
+// DecodeRecord parses one record payload with flight.DecodeJSON. It
+// rejects payloads that are not a JSON object, carry no kind, or carry a
+// zero sequence number — the invariants every Writer-produced record
+// holds.
 func DecodeRecord(payload []byte) (Record, error) {
-	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
+	r, err := flight.DecodeJSON(payload)
+	if err != nil {
 		return Record{}, fmt.Errorf("journal: bad record: %w", err)
-	}
-	if r.Kind == "" {
-		return Record{}, errors.New("journal: record has no kind")
 	}
 	if r.Seq == 0 {
 		return Record{}, errors.New("journal: record has no sequence number")
 	}
 	return r, nil
-}
-
-// EncodeRecord returns the record's canonical payload bytes (no frame):
-// the event's JSON, as flight.AppendJSON writes it.
-func EncodeRecord(r Record) []byte {
-	return flight.AppendJSON(nil, &r)
 }
 
 // segmentName and snapshotName fix the on-disk naming: the decimal

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"procctl/internal/flight"
 	"procctl/internal/metrics"
 )
 
@@ -32,7 +33,7 @@ func sampleRecords() []Record {
 
 func TestRecordRoundTrip(t *testing.T) {
 	for _, r := range sampleRecords() {
-		got, err := DecodeRecord(EncodeRecord(r))
+		got, err := DecodeRecord(flight.AppendJSON(nil, &r))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", r, err)
 		}

@@ -4,21 +4,12 @@ package coordinator
 // protocol. A message is one JSON object on one newline-terminated
 // line, and encoding/json is the reference for what the bytes mean. The
 // messages a fleet exchanges all day — register, poll, unregister and
-// their replies — lie in a plain subset that a hand-written scanner and
-// strconv appends handle without allocating:
-//
-//   - no whitespace, exact lower-case keys, each value of its field's type;
-//   - strings of printable ASCII other than " \ < > & (json escapes those);
-//   - integers as 1–9 plain decimal digits, no sign;
-//   - true / false, and for spin_pct any JSON number strconv.ParseFloat
-//     takes (encoded in 'f' form, which is what json emits for values
-//     in [1e-6, 1e21) and for 0);
-//   - requests naming one of the eight ops, replies without status,
-//     metrics, events or converge.
-//
-// The scanner declines anything else and json.Unmarshal / json.Marshal
-// run on the same line, so the bytes on the wire are exactly what
-// json.Encoder wrote and json.Decoder accepted before this file
+// their replies — are plain lines of the module's one JSON-lines codec
+// (internal/flight/codec.go) and cost no allocation. spin_pct is written
+// in 'f' form, which is what json emits for values in [1e-6, 1e21) and
+// for 0; other values, and replies with a status, metrics, events or
+// converge, are json.Marshal's. So the bytes on the wire are exactly
+// what json.Encoder wrote and json.Decoder accepted before this file
 // existed (wire_test.go fuzzes both directions against encoding/json).
 
 import (
@@ -28,6 +19,8 @@ import (
 	"io"
 	"math"
 	"strconv"
+
+	"procctl/internal/flight"
 )
 
 // maxRequestLine bounds one request on the server side, newline
@@ -38,20 +31,9 @@ const maxRequestLine = 64 << 10
 
 var errLineTooLong = errors.New("request line exceeds " + strconv.Itoa(maxRequestLine) + " bytes")
 
-// wireOps is the closed op set: what the scanner accepts as an op and
+// wireOps is the closed op set: what the scanner interns an op from and
 // what the server holds per-op metric handles for.
 var wireOps = [...]string{OpRegister, OpPoll, OpUnregister, OpSetLoad, OpStatus, OpMetrics, OpEvents, OpConverge}
-
-// wireOp returns the op constant b spells, so that decoding an op
-// allocates no string.
-func wireOp(b []byte) (string, bool) {
-	for _, op := range wireOps {
-		if string(b) == op {
-			return op, true
-		}
-	}
-	return "", false
-}
 
 // lineReader frames a connection into lines, reusing one buffer that
 // grows to the longest line seen and never past max (0 = no bound).
@@ -100,162 +82,41 @@ func (lr *lineReader) readLine() ([]byte, error) {
 	}
 }
 
-// plainByte reports whether json writes and reads ch inside a string as
-// the byte itself.
-func plainByte(ch byte) bool {
-	return ch >= 0x20 && ch <= 0x7e && ch != '"' && ch != '\\' && ch != '<' && ch != '>' && ch != '&'
-}
-
-func plainString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !plainByte(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// cursor scans one line of the plain subset. Every method reports false
-// on input outside the subset, and the line is then declined whole.
-type cursor struct {
-	b []byte
-	i int
-}
-
-// lit consumes s if the rest of the line starts with it.
-func (c *cursor) lit(s string) bool {
-	if len(c.b)-c.i < len(s) || string(c.b[c.i:c.i+len(s)]) != s {
-		return false
-	}
-	c.i += len(s)
-	return true
-}
-
-func (c *cursor) digits() int {
-	from := c.i
-	for c.i < len(c.b) && c.b[c.i]-'0' <= 9 {
-		c.i++
-	}
-	return c.i - from
-}
-
-// str scans a quoted plain string and returns the bytes between the
-// quotes.
-func (c *cursor) str() ([]byte, bool) {
-	if !c.lit(`"`) {
-		return nil, false
-	}
-	from := c.i
-	for c.i < len(c.b) && plainByte(c.b[c.i]) {
-		c.i++
-	}
-	return c.b[from:c.i], c.lit(`"`)
-}
-
-// uint scans 1–9 decimal digits: enough for every count and epoch a
-// fleet sends, and within an int on any platform.
-func (c *cursor) uint(dst *uint64) bool {
-	from := c.i
-	if n := c.digits(); n == 0 || n > 9 || n > 1 && c.b[from] == '0' {
-		return false
-	}
-	*dst = 0
-	for _, d := range c.b[from:c.i] {
-		*dst = *dst*10 + uint64(d-'0')
-	}
-	return true
-}
-
-func (c *cursor) int(dst *int) bool {
-	var v uint64
-	ok := c.uint(&v)
-	*dst = int(v)
-	return ok
-}
-
-// float scans a number by JSON's grammar and converts it the way
-// encoding/json does.
-func (c *cursor) float(dst *float64) bool {
-	from := c.i
-	c.lit("-")
-	if n := c.digits(); n == 0 || n > 1 && c.b[c.i-n] == '0' {
-		return false
-	}
-	if c.lit(".") && c.digits() == 0 {
-		return false
-	}
-	if c.lit("e") || c.lit("E") {
-		if !c.lit("+") {
-			c.lit("-")
-		}
-		if c.digits() == 0 {
-			return false
-		}
-	}
-	v, err := strconv.ParseFloat(string(c.b[from:c.i]), 64)
-	*dst = v
-	return err == nil
-}
-
-func (c *cursor) bool(dst *bool) bool {
-	*dst = c.lit("true")
-	return *dst || c.lit("false")
-}
-
-// object walks {"key":value,...} to the end of the line; value scans
-// the value of the key it is given.
-func (c *cursor) object(value func(key []byte) bool) bool {
-	if !c.lit("{") {
-		return false
-	}
-	for {
-		key, ok := c.str()
-		if !ok || !c.lit(":") || !value(key) {
-			return false
-		}
-		if !c.lit(",") {
-			return c.lit("}") && c.i == len(c.b)
-		}
-	}
-}
-
 // scanRequest decodes a plain request line into req, which must be
 // zero, or declines it. name makes the app name's string, so that the
 // server can hand back the one it already holds for a registered
 // member; spin is where req.SpinPct points when the line carries one.
 func scanRequest(line []byte, req *Request, spin *float64, name func([]byte) string) bool {
-	c := cursor{b: line}
-	return c.object(func(key []byte) bool {
+	var c flight.Cursor
+	return c.Object(line, func(key []byte) bool {
 		switch string(key) {
 		case "op":
-			v, ok := c.str()
-			if ok {
-				req.Op, ok = wireOp(v)
-			}
+			v, ok := c.Str()
+			req.Op = flight.Intern(v, wireOps[:])
 			return ok
 		case "app":
-			v, ok := c.str()
+			v, ok := c.Str()
 			if ok {
 				req.App = name(v)
 			}
 			return ok
 		case "procs":
-			return c.int(&req.Procs)
+			return c.Int(&req.Procs)
 		case "weight":
-			return c.int(&req.Weight)
+			return c.Int(&req.Weight)
 		case "load":
-			return c.int(&req.Load)
+			return c.Int(&req.Load)
 		case "spin_pct":
 			req.SpinPct = spin
-			return c.float(spin)
+			return c.Float(spin)
 		case "limit":
-			return c.int(&req.Limit)
+			return c.Int(&req.Limit)
 		case "applied_epoch":
-			return c.uint(&req.Applied)
+			return c.Uint64(&req.Applied)
 		case "since":
-			return c.uint(&req.Since)
+			return c.Uint64(&req.Since)
 		case "epoch":
-			return c.uint(&req.Epoch)
+			return c.Uint64(&req.Epoch)
 		}
 		return false
 	})
@@ -264,19 +125,19 @@ func scanRequest(line []byte, req *Request, spin *float64, name func([]byte) str
 // scanResponse decodes a plain reply line into resp, which must be
 // zero, or declines it.
 func scanResponse(line []byte, resp *Response) bool {
-	c := cursor{b: line}
-	return c.object(func(key []byte) bool {
+	var c flight.Cursor
+	return c.Object(line, func(key []byte) bool {
 		switch string(key) {
 		case "ok":
-			return c.bool(&resp.OK)
+			return c.Bool(&resp.OK)
 		case "error":
-			v, ok := c.str()
+			v, ok := c.Str()
 			resp.Error = string(v)
 			return ok
 		case "target":
-			return c.int(&resp.Target)
+			return c.Int(&resp.Target)
 		case "epoch":
-			return c.uint(&resp.Epoch)
+			return c.Uint64(&resp.Epoch)
 		}
 		return false
 	})
@@ -312,61 +173,58 @@ func appendJSON(dst []byte, v any) ([]byte, error) {
 	return append(append(dst, b...), '\n'), err
 }
 
-// appendField appends key and v unless v is zero (json's omitempty).
-func appendField(dst []byte, key string, v uint64) []byte {
+// appendInt appends key and v unless v is zero (json's omitempty).
+func appendInt(dst []byte, key string, v int) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), int64(v), 10)
+}
+
+func appendUint(dst []byte, key string, v uint64) []byte {
 	if v == 0 {
 		return dst
 	}
 	return strconv.AppendUint(append(dst, key...), v, 10)
 }
 
-func appendString(dst []byte, key, v string) []byte {
-	if v == "" {
-		return dst
-	}
-	return append(append(append(dst, key...), v...), '"')
-}
-
-// appendRequest appends req's line to dst: by hand when every field is
-// plain, through json.Marshal (on a copy, so that req need not escape)
-// when not.
+// appendRequest appends req's line to dst: by hand unless SpinPct is a
+// value json writes in exponent form, through json.Marshal (on a copy,
+// so that req need not escape) then.
 func appendRequest(dst []byte, req *Request) ([]byte, error) {
-	spin := 0.0
 	if req.SpinPct != nil {
-		spin = math.Abs(*req.SpinPct)
+		if spin := math.Abs(*req.SpinPct); spin != 0 && !(spin >= 1e-6 && spin < 1e21) {
+			return appendJSON(dst, *req)
+		}
 	}
-	if !plainString(req.Op) || !plainString(req.App) || req.Procs|req.Weight|req.Load|req.Limit < 0 ||
-		spin != 0 && !(spin >= 1e-6 && spin < 1e21) {
-		return appendJSON(dst, *req)
+	dst = flight.AppendString(append(dst, `{"op":`...), req.Op)
+	if req.App != "" {
+		dst = flight.AppendString(append(dst, `,"app":`...), req.App)
 	}
-	dst = append(append(append(dst, `{"op":"`...), req.Op...), '"')
-	dst = appendString(dst, `,"app":"`, req.App)
-	dst = appendField(dst, `,"procs":`, uint64(req.Procs))
-	dst = appendField(dst, `,"weight":`, uint64(req.Weight))
-	dst = appendField(dst, `,"load":`, uint64(req.Load))
+	dst = appendInt(dst, `,"procs":`, req.Procs)
+	dst = appendInt(dst, `,"weight":`, req.Weight)
+	dst = appendInt(dst, `,"load":`, req.Load)
 	if req.SpinPct != nil {
 		dst = strconv.AppendFloat(append(dst, `,"spin_pct":`...), *req.SpinPct, 'f', -1, 64)
 	}
-	dst = appendField(dst, `,"limit":`, uint64(req.Limit))
-	dst = appendField(dst, `,"applied_epoch":`, req.Applied)
-	dst = appendField(dst, `,"since":`, req.Since)
-	dst = appendField(dst, `,"epoch":`, req.Epoch)
+	dst = appendInt(dst, `,"limit":`, req.Limit)
+	dst = appendUint(dst, `,"applied_epoch":`, req.Applied)
+	dst = appendUint(dst, `,"since":`, req.Since)
+	dst = appendUint(dst, `,"epoch":`, req.Epoch)
 	return append(dst, '}', '\n'), nil
 }
 
-// appendResponse is appendRequest for a reply.
+// appendResponse is appendRequest for a reply, by hand unless it
+// carries a status, metrics, events or converge.
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
-	if resp.Status != nil || resp.Metrics != nil || len(resp.Events) > 0 || len(resp.Converge) > 0 ||
-		!plainString(resp.Error) || resp.Target < 0 {
+	if resp.Status != nil || resp.Metrics != nil || len(resp.Events) > 0 || len(resp.Converge) > 0 {
 		return appendJSON(dst, *resp)
 	}
-	if resp.OK {
-		dst = append(dst, `{"ok":true`...)
-	} else {
-		dst = append(dst, `{"ok":false`...)
+	dst = strconv.AppendBool(append(dst, `{"ok":`...), resp.OK)
+	if resp.Error != "" {
+		dst = flight.AppendString(append(dst, `,"error":`...), resp.Error)
 	}
-	dst = appendString(dst, `,"error":"`, resp.Error)
-	dst = appendField(dst, `,"target":`, uint64(resp.Target))
-	dst = appendField(dst, `,"epoch":`, resp.Epoch)
+	dst = appendInt(dst, `,"target":`, resp.Target)
+	dst = appendUint(dst, `,"epoch":`, resp.Epoch)
 	return append(dst, '}', '\n'), nil
 }

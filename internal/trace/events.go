@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 
+	"procctl/internal/flight"
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
 )
@@ -92,114 +93,62 @@ type Event struct {
 
 func intp(i int) *int { return &i }
 
-// appendString appends s as a JSON string, byte-identical to
-// encoding/json's output (including its HTML-safe escaping of <, >, and
-// &). Strings in a trace are almost always short ASCII identifiers, so
-// the common case is a copy between quotes; anything that needs
-// escaping falls back to encoding/json.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, err := json.Marshal(s)
-			if err != nil {
-				panic(err) // cannot happen for a string
-			}
-			return append(b, enc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
 // appendEvent appends ev's JSON-lines encoding to b, byte-identical to
 // encoding/json's (struct field order, the omitempty set, HTML-safe
-// string escaping, trailing newline) — same-seed traces must stay
-// byte-identical across versions, so the golden trace test and
-// TestAppendEventMatchesEncodingJSON both pin the equivalence. The
+// string escaping by flight.AppendString, trailing newline) — same-seed
+// traces must stay byte-identical across versions, so the golden trace
+// test and TestAppendEventMatchesEncodingJSON both pin the equivalence. The
 // hand-rolled path exists because the recorder serializes millions of
 // lines per run and reflection-driven marshaling dominated its profile.
 func appendEvent(b []byte, ev *Event) []byte {
-	b = append(b, `{"t":`...)
-	b = strconv.AppendInt(b, int64(ev.T), 10)
-	b = append(b, `,"kind":`...)
-	b = appendString(b, ev.Kind)
-	if ev.PID != 0 {
-		b = append(b, `,"pid":`...)
-		b = strconv.AppendInt(b, int64(ev.PID), 10)
-	}
-	if ev.App != 0 {
-		b = append(b, `,"app":`...)
-		b = strconv.AppendInt(b, int64(ev.App), 10)
-	}
-	if ev.Name != "" {
-		b = append(b, `,"name":`...)
-		b = appendString(b, ev.Name)
-	}
-	if ev.From != "" {
-		b = append(b, `,"from":`...)
-		b = appendString(b, ev.From)
-	}
-	if ev.To != "" {
-		b = append(b, `,"to":`...)
-		b = appendString(b, ev.To)
-	}
+	b = strconv.AppendInt(append(b, `{"t":`...), int64(ev.T), 10)
+	b = flight.AppendString(append(b, `,"kind":`...), ev.Kind)
+	b = appendIntField(b, `,"pid":`, int64(ev.PID))
+	b = appendIntField(b, `,"app":`, int64(ev.App))
+	b = appendStringField(b, `,"name":`, ev.Name)
+	b = appendStringField(b, `,"from":`, ev.From)
+	b = appendStringField(b, `,"to":`, ev.To)
 	if ev.CPU != nil {
-		b = append(b, `,"cpu":`...)
-		b = strconv.AppendInt(b, int64(*ev.CPU), 10)
+		b = strconv.AppendInt(append(b, `,"cpu":`...), int64(*ev.CPU), 10)
 	}
-	if ev.Lock != "" {
-		b = append(b, `,"lock":`...)
-		b = appendString(b, ev.Lock)
-	}
-	if ev.Holder != 0 {
-		b = append(b, `,"holder":`...)
-		b = strconv.AppendInt(b, int64(ev.Holder), 10)
-	}
-	if ev.HolderState != "" {
-		b = append(b, `,"holder_state":`...)
-		b = appendString(b, ev.HolderState)
-	}
+	b = appendStringField(b, `,"lock":`, ev.Lock)
+	b = appendIntField(b, `,"holder":`, int64(ev.Holder))
+	b = appendStringField(b, `,"holder_state":`, ev.HolderState)
 	if ev.First {
 		b = append(b, `,"first":true`...)
 	}
 	if ev.Forced {
 		b = append(b, `,"forced":true`...)
 	}
-	if ev.Dur != 0 {
-		b = append(b, `,"dur":`...)
-		b = strconv.AppendInt(b, int64(ev.Dur), 10)
-	}
-	if ev.Wait != 0 {
-		b = append(b, `,"wait":`...)
-		b = strconv.AppendInt(b, int64(ev.Wait), 10)
-	}
-	if ev.SW != 0 {
-		b = append(b, `,"sw":`...)
-		b = strconv.AppendInt(b, int64(ev.SW), 10)
-	}
-	if ev.RL != 0 {
-		b = append(b, `,"rl":`...)
-		b = strconv.AppendInt(b, int64(ev.RL), 10)
-	}
-	if ev.Layer != "" {
-		b = append(b, `,"layer":`...)
-		b = appendString(b, ev.Layer)
-	}
+	b = appendIntField(b, `,"dur":`, int64(ev.Dur))
+	b = appendIntField(b, `,"wait":`, int64(ev.Wait))
+	b = appendIntField(b, `,"sw":`, int64(ev.SW))
+	b = appendIntField(b, `,"rl":`, int64(ev.RL))
+	b = appendStringField(b, `,"layer":`, ev.Layer)
 	if ev.Task != nil {
-		b = append(b, `,"task":`...)
-		b = strconv.AppendInt(b, int64(*ev.Task), 10)
+		b = strconv.AppendInt(append(b, `,"task":`...), int64(*ev.Task), 10)
 	}
 	if ev.Target != nil {
-		b = append(b, `,"target":`...)
-		b = strconv.AppendInt(b, int64(*ev.Target), 10)
+		b = strconv.AppendInt(append(b, `,"target":`...), int64(*ev.Target), 10)
 	}
-	if ev.Cause != 0 {
-		b = append(b, `,"cause":`...)
-		b = strconv.AppendInt(b, ev.Cause, 10)
-	}
+	b = appendIntField(b, `,"cause":`, ev.Cause)
 	return append(b, '}', '\n')
+}
+
+// appendIntField and appendStringField append key and v unless v is
+// zero (json's omitempty).
+func appendIntField(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+func appendStringField(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return flight.AppendString(append(b, key...), v)
 }
 
 // Recorder streams cross-layer scheduling events as JSON lines — the
