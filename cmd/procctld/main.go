@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -79,8 +80,9 @@ func main() {
 		fatal(logger, "bad listen address", err)
 	}
 	if network == "unix" {
-		// A stale socket from an unclean shutdown blocks the listener.
-		os.Remove(addr)
+		if err := removeStaleSocket(addr); err != nil {
+			fatal(logger, "listen", err)
+		}
 	}
 	ln, err := net.Listen(network, addr)
 	if err != nil {
@@ -181,9 +183,7 @@ func main() {
 				logger.Error("journal close failed", "err", err)
 			}
 		}
-		if network == "unix" {
-			os.Remove(addr)
-		}
+		// srv.Close closed the listener, which unlinked its socket.
 		close(shutdownDone)
 	}()
 
@@ -228,6 +228,32 @@ func dumpFlight(logger *slog.Logger, coord *coordinator.Coordinator) {
 		logger.Info("flight event",
 			"seq", ev.Seq, "at_us", ev.At, "kind", ev.Kind, "app", ev.App, "a", ev.A, "b", ev.B, "epoch", ev.Epoch)
 	}
+}
+
+// removeStaleSocket removes the socket at path when no daemon answers on
+// it, as after an unclean shutdown, where it would block the listener. It
+// leaves a live daemon's socket, and anything that is not a socket, in
+// place and returns an error that names path.
+func removeStaleSocket(path string) error {
+	fi, err := os.Lstat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if fi.Mode().Type() != fs.ModeSocket {
+		return fmt.Errorf("%s exists and is not a socket", path)
+	}
+	conn, err := net.Dial("unix", path)
+	if err == nil {
+		conn.Close()
+		return fmt.Errorf("%s is in use: another daemon answers on it", path)
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return os.Remove(path)
 }
 
 // splitListen parses "unix:/path" or "tcp:host:port".

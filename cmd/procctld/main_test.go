@@ -2,8 +2,11 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -71,6 +74,83 @@ func TestZeroCapacityBootsWithJournal(t *testing.T) {
 	if want := runtime.GOMAXPROCS(0); log.Capacity != want || res.State.Capacity != want {
 		t.Fatalf("logged capacity %d and journaled %d, want GOMAXPROCS %d", log.Capacity, res.State.Capacity, want)
 	}
+}
+
+// runDaemon runs procctld on args and -log-json to its exit, killed after
+// 10 s, and returns its log and exit error.
+func runDaemon(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(), "PROCCTLD_ARGS="+strings.Join(append(args, "-log-json"), "\n"))
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// procctld replaces a stale socket at its -listen path, and nothing else:
+// a socket a live daemon answers on, or a regular file, makes it exit 1
+// with an error naming the path.
+func TestListenReplacesOnlyAStaleSocket(t *testing.T) {
+	status := func(sock string) error {
+		c, err := coordinator.Dial("unix", sock)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		_, err = c.Status()
+		return err
+	}
+	t.Run("live", func(t *testing.T) {
+		sock := t.TempDir() + "/d.sock"
+		startDaemon(t, "procctld started", "-listen", "unix:"+sock)
+		out, err := runDaemon(t, "-listen", "unix:"+sock)
+		if code := exitCode(err); code == 0 || !strings.Contains(out, sock) {
+			t.Errorf("second daemon on a live socket: exit %d (%v), log %q; want non-zero and the path named", code, err, out)
+		}
+		if err := status(sock); err != nil {
+			t.Errorf("first daemon no longer answers: %v", err)
+		}
+	})
+	t.Run("stale", func(t *testing.T) {
+		sock := t.TempDir() + "/d.sock"
+		ln, err := net.Listen("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.(*net.UnixListener).SetUnlinkOnClose(false)
+		ln.Close()
+		startDaemon(t, "procctld started", "-listen", "unix:"+sock)
+		if err := status(sock); err != nil {
+			t.Errorf("daemon on a replaced stale socket does not answer: %v", err)
+		}
+	})
+	t.Run("file", func(t *testing.T) {
+		path := t.TempDir() + "/d.sock"
+		if err := os.WriteFile(path, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := runDaemon(t, "-listen", "unix:"+path)
+		if code := exitCode(err); code == 0 || !strings.Contains(out, path) {
+			t.Errorf("daemon on a regular file: exit %d (%v), log %q; want non-zero and the path named", code, err, out)
+		}
+		if b, err := os.ReadFile(path); err != nil || string(b) != "keep" {
+			t.Errorf("regular file after the daemon ran: %q, %v; want it kept", b, err)
+		}
+	})
+}
+
+// exitCode is the exit status err reports, 0 for nil and -1 when the
+// process did not exit by itself.
+func exitCode(err error) int {
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		return -1
+	}
+	return 0
 }
 
 func TestSplitListen(t *testing.T) {
@@ -238,15 +318,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	p.Close()
 	p.Wait()
 
-	// The pool's own registry saw the work too.
-	ps := p.Metrics().Snapshot(0)
-	if m := ps.Get(`pool_tasks_submitted_total{pool="e2e"}`); m == nil || m.Value != 8 {
-		t.Errorf("pool submitted series = %+v, want 8", m)
-	}
-	if m := ps.Get(`pool_tasks_completed_total{pool="e2e"}`); m == nil || m.Value != 8 {
-		t.Errorf("pool completed series = %+v, want 8", m)
-	}
-	if m := ps.Get(`pool_task_micros{pool="e2e"}`); m == nil || m.Count != 8 {
-		t.Errorf("pool task histogram = %+v, want count 8", m)
+	// The pool counted the work too.
+	if st := p.Stats(); st.Submitted != 8 || st.Completed != 8 {
+		t.Errorf("pool stats = %+v, want 8 submitted and 8 completed", st)
 	}
 }

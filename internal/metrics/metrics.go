@@ -1,7 +1,7 @@
 // Package metrics is the repository's unified metrics layer: a
 // stdlib-only registry of counters, gauges, and fixed-bucket histograms
 // shared by the deterministic simulator (kernel, machine, threads,
-// ctrl) and the real runtime (coordinator, pool).
+// ctrl) and the real runtime (coordinator, its socket server, journal).
 //
 // Determinism contract: the package never reads a clock. Every snapshot
 // is keyed by a caller-supplied instant — sim.Time microseconds in the

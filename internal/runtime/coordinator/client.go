@@ -265,13 +265,6 @@ type DriveOptions struct {
 	// paper's 6 s), kept exactly as given, also below 25 ms: the driver
 	// sleeps until its next poll, and acks a new epoch at once.
 	Interval time.Duration
-	// Metrics receives per-app poll/reconnect counters, a degraded-mode
-	// gauge, and the client's slice of the rebalance span: poll
-	// round-trip latency and the "apply" stage (response received →
-	// SetTargetEpoch done). Nil creates a private registry. Drivers sharing
-	// one need distinct application names, or they count into the same
-	// series.
-	Metrics *metrics.Registry
 	// Weight is the fair-share weight the driver registers (and
 	// re-registers) with; non-positive means the default unit share.
 	Weight int
@@ -294,8 +287,7 @@ const (
 	graceIntervals         = 2
 )
 
-// DriveStats is a point-in-time snapshot of a Driver's health, read
-// from its series.
+// DriveStats is a point-in-time snapshot of a Driver's health.
 type DriveStats struct {
 	Polls      int64 // successful polls
 	PollErrors int64 // polls that failed (connection lost)
@@ -327,13 +319,13 @@ type Driver struct {
 	// daemon on every poll and register.
 	applied atomic.Uint64
 
+	// Counts of the loop's outcomes, and the most recently applied
+	// target; Stats reads them.
+	polls, pollErrors, redials, reconnects, target atomic.Int64
+
 	done chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
-
-	polls, pollErrors, redials, reconnects *metrics.Counter
-	degraded, targetGauge                  *metrics.Gauge
-	pollMicros, applyMicros                *metrics.Histogram
 }
 
 // DriveWith registers the application and runs the poll loop with
@@ -356,20 +348,6 @@ func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions)
 		c: c, app: app, procs: procs, t: t, opts: opts,
 		done: make(chan struct{}),
 	}
-	if d.opts.Metrics == nil {
-		d.opts.Metrics = metrics.NewRegistry()
-	}
-	reg := d.opts.Metrics
-	d.polls = reg.Counter(metrics.Name("coordinator_client_polls_total", "app", app), "successful target polls")
-	d.pollErrors = reg.Counter(metrics.Name("coordinator_client_poll_errors_total", "app", app), "polls that failed")
-	d.redials = reg.Counter(metrics.Name("coordinator_client_redials_total", "app", app), "reconnection attempts")
-	d.reconnects = reg.Counter(metrics.Name("coordinator_client_reconnects_total", "app", app), "successful re-dial + re-register cycles")
-	d.degraded = reg.Gauge(metrics.Name("coordinator_client_degraded", "app", app), "1 while running without a reachable daemon")
-	d.targetGauge = reg.Gauge(metrics.Name("coordinator_client_target", "app", app), "most recently applied worker target")
-	d.pollMicros = reg.Histogram(metrics.Name("coordinator_client_poll_micros", "app", app),
-		"poll round-trip latency", metrics.LatencyBuckets)
-	d.applyMicros = reg.Histogram(metrics.Name("coordinator_rebalance_latency_micros", "stage", StageApply, "app", app),
-		"rebalance span, client side: poll response received until the push returned", metrics.LatencyBuckets)
 	d.apply(target, epoch)
 	d.wg.Add(1)
 	go d.loop()
@@ -379,16 +357,16 @@ func (c *Client) DriveWith(app string, procs int, t Targeter, opts DriveOptions)
 // Applied returns the highest rebalance epoch this driver has applied.
 func (d *Driver) Applied() uint64 { return d.applied.Load() }
 
-// Stats returns a snapshot of the driver's health: its counters and
-// gauges, and how long ago the daemon was lost.
+// Stats returns a snapshot of the driver's health: its counts, its
+// target, and whether and how long ago the daemon was lost.
 func (d *Driver) Stats() DriveStats {
 	s := DriveStats{
-		Polls: d.polls.Value(), PollErrors: d.pollErrors.Value(),
-		Redials: d.redials.Value(), Reconnects: d.reconnects.Value(),
-		Degraded: d.degraded.Value() == 1, Target: int(d.targetGauge.Value()),
+		Polls: d.polls.Load(), PollErrors: d.pollErrors.Load(),
+		Redials: d.redials.Load(), Reconnects: d.reconnects.Load(),
+		Target: int(d.target.Load()),
 	}
 	if at := d.lostAt.Load(); at != nil {
-		s.DegradedFor = time.Since(*at)
+		s.Degraded, s.DegradedFor = true, time.Since(*at)
 	}
 	return s
 }
@@ -403,17 +381,14 @@ func (d *Driver) Stop() {
 	})
 }
 
-// apply pushes a target to the application and its gauge. The push is
-// the client half of the rebalance span ("apply" stage): it is member
-// code — a pool resizing, workers parking — and the histogram shows
-// when *it*, not the daemon, is the tail. The epoch (0 for the
+// apply pushes a target to the application. The epoch (0 for the
 // degraded-mode decay) is handed through to the application, stamped
 // into the apply flight event, and remembered for the ack the next wire
 // round carries; newEpoch reports whether it advanced the driver's
 // applied-epoch watermark, so the loop can ack promptly instead of
 // waiting out the poll interval.
 func (d *Driver) apply(target int, epoch uint64) (newEpoch bool) {
-	prev := d.targetGauge.Value()
+	prev := d.target.Load()
 	if epoch != 0 && epoch < d.applied.Load() {
 		// A daemon's epochs only grow, and one that recovers its journal
 		// resumes its count: an older epoch means the daemon restarted
@@ -422,10 +397,8 @@ func (d *Driver) apply(target int, epoch uint64) (newEpoch bool) {
 		d.applied.Store(0)
 		d.t.ResetEpoch()
 	}
-	start := time.Now()
 	d.t.SetTargetEpoch(target, epoch)
-	d.applyMicros.Observe(time.Since(start).Microseconds())
-	d.targetGauge.Set(int64(target))
+	d.target.Store(int64(target))
 	if epoch != 0 && epoch > d.applied.Load() {
 		d.applied.Store(epoch)
 		newEpoch = true
@@ -455,26 +428,24 @@ func (d *Driver) loop() {
 		if connected {
 			target, epoch, err := d.c.pollEpoch(d.app, spinOf(d.t), d.applied.Load())
 			if err == nil {
-				d.pollMicros.Observe(time.Since(now).Microseconds())
-				d.polls.Inc()
+				d.polls.Add(1)
 				return d.nextPoll(now, d.apply(target, epoch))
 			}
 			// Daemon lost: hold the last target through the grace
 			// period, start the reconnect backoff immediately.
-			d.pollErrors.Inc()
+			d.pollErrors.Add(1)
 			connected = false
 			backoff = backoffMin
 			nextRedial = now
 			nextDecay = now.Add(graceIntervals * d.opts.Interval)
 			lostAt := now
 			d.lostAt.Store(&lostAt)
-			d.degraded.Set(1)
 		}
 
 		if !now.Before(nextRedial) {
-			d.redials.Inc()
+			redials := d.redials.Add(1)
 			if rec := d.opts.Flight; rec != nil {
-				rec.Append(flight.Event{At: now.UnixMicro(), Kind: flight.KindRedial, App: d.app, A: d.redials.Value()})
+				rec.Append(flight.Event{At: now.UnixMicro(), Kind: flight.KindRedial, App: d.app, A: redials})
 			}
 			if err := d.c.redial(); err == nil {
 				// Transparent re-register: a restarted daemon has an
@@ -486,12 +457,11 @@ func (d *Driver) loop() {
 				// a journal counts from 1 again, which apply detects).
 				target, epoch, err := d.c.registerEpoch(d.app, d.procs, d.opts.Weight, spinOf(d.t), d.applied.Load())
 				if err == nil {
-					d.reconnects.Inc()
+					d.reconnects.Add(1)
 					if rec := d.opts.Flight; rec != nil {
 						rec.Append(flight.Event{At: time.Now().UnixMicro(), Kind: flight.KindReconnect, App: d.app, A: int64(target)})
 					}
 					d.lostAt.Store(nil)
-					d.degraded.Set(0)
 					connected = true
 					return d.nextPoll(now, d.apply(target, epoch))
 				}
@@ -505,7 +475,7 @@ func (d *Driver) loop() {
 		// alive, fairness has no counterparty; idling forever on a
 		// stale small target would waste the machine.
 		if !now.Before(nextDecay) {
-			if cur := int(d.targetGauge.Value()); cur < d.procs {
+			if cur := int(d.target.Load()); cur < d.procs {
 				d.apply(cur+(d.procs-cur+1)/2, 0) // self-decided: no epoch to credit
 			}
 			nextDecay = now.Add(d.opts.Interval)

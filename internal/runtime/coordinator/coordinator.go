@@ -126,9 +126,9 @@ type push struct {
 // Rebalance span stages, in causal order: the member event waiting on
 // c.mu (snapshot), the decision made under it (recompute), the SetTarget
 // fan-out to every member — the stage that grows with fleet size —
-// (notify), and the whole span end to end (total). The client side
-// records a fifth stage, "apply", into its own registry (see
-// DriveOptions).
+// (notify), and the whole span end to end (total). When a socket member
+// applies its target, its driver records an apply flight event (see
+// DriveOptions.Flight); no series times it.
 var rebalanceStages = [...]string{StageSnapshot, StageRecompute, StageNotify, StageTotal}
 
 // Stage label values of coordinator_rebalance_latency_micros.
@@ -137,8 +137,6 @@ const (
 	StageRecompute = "recompute"
 	StageNotify    = "notify"
 	StageTotal     = "total"
-	// StageApply is client-side: poll response received → SetTarget done.
-	StageApply = "apply"
 )
 
 // DefaultBatchWindow is the rebalance coalescing window StartBatching
@@ -214,9 +212,9 @@ func New(capacity int) *Coordinator {
 	return c
 }
 
-// Metrics returns the coordinator's registry. Pools sharing it (via
-// pool.Config.Metrics) and the socket server's RPC counters land in the
-// same exportable snapshot.
+// Metrics returns the coordinator's registry. The socket server's RPC
+// counters and procctld's journal count into it too, so one snapshot
+// exports the whole daemon.
 func (c *Coordinator) Metrics() *metrics.Registry { return c.met.reg }
 
 // SetJournal attaches a write-ahead journal: from this point on, every

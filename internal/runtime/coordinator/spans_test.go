@@ -179,9 +179,10 @@ func TestEventsOpOverSocket(t *testing.T) {
 	}
 }
 
-// TestDriverRecordsApplyStageAndFlight checks the client half: the
-// apply-stage histogram fills, and redial/reconnect events land in the
-// caller-supplied flight recorder after a daemon restart.
+// TestDriverRecordsApplyStageAndFlight checks the client half of the
+// flight log: the driver records an apply event for the target it
+// applies, and redial/reconnect events after a daemon restart, in the
+// caller-supplied flight recorder.
 func TestDriverRecordsApplyStageAndFlight(t *testing.T) {
 	sock := t.TempDir() + "/d.sock"
 	ln, err := net.Listen("unix", sock)
@@ -199,11 +200,9 @@ func TestDriverRecordsApplyStageAndFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	reg := metrics.NewRegistry()
 	rec := flight.New(128)
 	d, err := client.DriveWith("app", 4, &trackingTargeter{}, DriveOptions{
 		Interval: 20 * time.Millisecond,
-		Metrics:  reg,
 		Flight:   rec,
 	})
 	if err != nil {
@@ -211,13 +210,15 @@ func TestDriverRecordsApplyStageAndFlight(t *testing.T) {
 	}
 	defer d.Stop()
 
-	waitTrue(t, 5*time.Second, func() bool {
-		m := reg.Snapshot(0).Get(metrics.Name("coordinator_client_poll_micros", "app", "app"))
-		return m != nil && m.Count >= 1
-	}, "no poll round-trip recorded")
-	applied := reg.Snapshot(0).Get(metrics.Name("coordinator_rebalance_latency_micros", "stage", StageApply, "app", "app"))
-	if applied == nil || applied.Count < 1 {
-		t.Fatalf("apply-stage histogram empty: %+v", applied)
+	var apply *flight.Event
+	for _, ev := range rec.Snapshot(0) {
+		if ev.Kind == flight.KindApply {
+			apply = &ev
+			break
+		}
+	}
+	if apply == nil || apply.App != "app" || apply.A != 4 || apply.Epoch == 0 {
+		t.Fatalf("registration's apply event = %+v, want app, target 4, a rebalance epoch", apply)
 	}
 
 	// Restart the daemon; the driver's recovery must leave a redial and

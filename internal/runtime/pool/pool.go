@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"procctl/internal/flight"
-	"procctl/internal/metrics"
 )
 
 // Task is one unit of work (the paper's "task": a chunk of computation
@@ -31,12 +30,6 @@ type Config struct {
 	// Workers is the number of worker goroutines (the application's
 	// "processes"). Default: runtime.GOMAXPROCS(0).
 	Workers int
-	// Metrics is the registry the pool instruments, labeled
-	// pool=<Name>; nil creates a private registry (read it with
-	// Metrics). Sharing one registry across pools and an in-process
-	// coordinator yields a single exportable snapshot; pools sharing one
-	// need distinct names, or they count into the same series.
-	Metrics *metrics.Registry
 	// Flight, when non-nil, receives an epoch-stamped settle event each
 	// time the pool's runnable-worker count actually reaches a changed
 	// target — the last hop of a rebalance decision's propagation.
@@ -44,7 +37,7 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// Stats is a snapshot of the pool's counters, read from its series.
+// Stats is a snapshot of the pool's counters.
 type Stats struct {
 	Submitted   int64
 	Completed   int64
@@ -58,13 +51,12 @@ type Pool struct {
 	name    string
 	workers int
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	queue     []Task
-	target    int
-	runnable  int // workers not suspended by process control
-	executing int // workers currently inside a task
-	closed    bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []Task
+	target   int
+	runnable int // workers not suspended by process control
+	closed   bool
 
 	// Epoch provenance, under mu: the rebalance epoch of the current
 	// target and whether the runnable count has reached it yet; floor is
@@ -82,46 +74,11 @@ type Pool struct {
 	idleNanos int64
 	parkNanos int64
 
-	wg  sync.WaitGroup
-	met poolMetrics
-}
+	// Counts, under mu; Stats reads them.
+	submitted, completed, parks, unparks int64
 
-// poolMetrics is the pool's slice of a metrics registry, labeled by
-// pool name, and the only store of its counts. The runtime layer runs
-// on the wall clock (unlike the simulator's counters, which are in
-// virtual time). The counters move under Pool.mu; the gauges mirror
-// state under it and are set by the collector.
-type poolMetrics struct {
-	reg                                  *metrics.Registry
-	submitted, completed, parks, unparks *metrics.Counter
-	service                              *metrics.Histogram
-	backlog, runnable, executing, target *metrics.Gauge
-	busy, idle, parked                   *metrics.Gauge
+	wg sync.WaitGroup
 }
-
-func newPoolMetrics(reg *metrics.Registry, name string) poolMetrics {
-	counter := func(base, help string) *metrics.Counter { return reg.Counter(metrics.Name(base, "pool", name), help) }
-	gauge := func(base, help string) *metrics.Gauge { return reg.Gauge(metrics.Name(base, "pool", name), help) }
-	return poolMetrics{
-		reg:       reg,
-		submitted: counter("pool_tasks_submitted_total", "tasks queued"),
-		completed: counter("pool_tasks_completed_total", "tasks finished"),
-		parks:     counter("pool_parks_total", "workers parked by process control"),
-		unparks:   counter("pool_unparks_total", "workers unparked by process control"),
-		service:   reg.Histogram(metrics.Name("pool_task_micros", "pool", name), "per-task wall-clock execution time", nil),
-		backlog:   gauge("pool_backlog", "queued tasks not yet started"),
-		runnable:  gauge("pool_runnable", "workers not parked"),
-		executing: gauge("pool_executing", "workers inside a task"),
-		target:    gauge("pool_target", "runnable-worker target"),
-		busy:      gauge("pool_busy_micros", "wall-clock worker time inside tasks"),
-		idle:      gauge("pool_idle_micros", "wall-clock worker time waiting for work"),
-		parked:    gauge("pool_parked_micros", "wall-clock worker time parked by process control"),
-	}
-}
-
-// Metrics returns the registry this pool instruments (the one from
-// Config.Metrics, or the private one created for it).
-func (p *Pool) Metrics() *metrics.Registry { return p.met.reg }
 
 // New creates and starts a pool.
 func New(cfg Config) *Pool {
@@ -131,9 +88,6 @@ func New(cfg Config) *Pool {
 	if cfg.Name == "" {
 		cfg.Name = "pool"
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	p := &Pool{
 		name:     cfg.Name,
 		workers:  cfg.Workers,
@@ -141,21 +95,8 @@ func New(cfg Config) *Pool {
 		runnable: cfg.Workers,
 		settled:  true,
 		rec:      cfg.Flight,
-		met:      newPoolMetrics(cfg.Metrics, cfg.Name),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	cfg.Metrics.OnCollect(func() {
-		m := &p.met
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		m.backlog.Set(int64(len(p.queue)))
-		m.runnable.Set(int64(p.runnable))
-		m.executing.Set(int64(p.executing))
-		m.target.Set(int64(p.target))
-		m.busy.Set(p.busyNanos / 1000)
-		m.idle.Set(p.idleNanos / 1000)
-		m.parked.Set(p.parkNanos / 1000)
-	})
 	p.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go p.worker()
@@ -181,7 +122,7 @@ func (p *Pool) Submit(t Task) error {
 		return ErrClosed
 	}
 	p.queue = append(p.queue, t)
-	p.met.submitted.Inc()
+	p.submitted++
 	// This also wakes the suspended workers, which share the idle ones' cond
 	// and wait again. A second cond for them cut pool_tasks'
 	// pool.retarget_settle_us_p99 from 151 to 86 µs, but raised its
@@ -306,11 +247,10 @@ func (p *Pool) SpinPercent() float64 {
 // Stats returns a snapshot of the pool's counters. They move under
 // p.mu, so it is of one instant: Completed never exceeds Submitted.
 func (p *Pool) Stats() Stats {
-	m := &p.met
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return Stats{Submitted: m.submitted.Value(), Completed: m.completed.Value(),
-		Suspensions: m.parks.Value(), Resumes: m.unparks.Value()}
+	return Stats{Submitted: p.submitted, Completed: p.completed,
+		Suspensions: p.parks, Resumes: p.unparks}
 }
 
 // Close stops intake. Workers exit once the queue drains; Wait blocks
@@ -343,7 +283,7 @@ func (p *Pool) worker() {
 		// Safe suspension point: between tasks, holding no task state.
 		if p.runnable > p.target && p.runnable > 1 {
 			p.runnable--
-			p.met.parks.Inc()
+			p.parks++
 			p.maybeSettleLocked()
 			parked := time.Now()
 			for p.runnable >= p.target && !(p.closed && len(p.queue) == 0) {
@@ -351,7 +291,7 @@ func (p *Pool) worker() {
 			}
 			p.parkNanos += time.Since(parked).Nanoseconds()
 			p.runnable++
-			p.met.unparks.Inc()
+			p.unparks++
 			p.maybeSettleLocked()
 			continue
 		}
@@ -364,18 +304,15 @@ func (p *Pool) worker() {
 		t := p.queue[0]
 		p.queue[0] = nil
 		p.queue = p.queue[1:]
-		p.executing++
 		p.mu.Unlock()
 
 		start := time.Now()
 		t()
-		busy := time.Since(start)
-		p.met.service.Observe(busy.Microseconds())
+		busy := time.Since(start).Nanoseconds()
 
 		p.mu.Lock()
-		p.busyNanos += busy.Nanoseconds()
-		p.executing--
-		p.met.completed.Inc()
+		p.busyNanos += busy
+		p.completed++
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"procctl/internal/flight"
-	"procctl/internal/metrics"
 )
 
 // epochOf reads the rebalance epoch of the pool's current target (0
@@ -232,37 +231,6 @@ func TestConcurrentSubmitAndRetarget(t *testing.T) {
 	}
 }
 
-func TestBacklogAndExecuting(t *testing.T) {
-	p := New(Config{Name: "b", Workers: 1})
-	gauge := func(base string) int64 {
-		m := p.Metrics().Snapshot(0).Get(metrics.Name(base, "pool", "b"))
-		if m == nil {
-			t.Fatalf("%s not exported", base)
-		}
-		return m.Value
-	}
-	block := make(chan struct{})
-	p.Submit(func() { <-block })
-	p.Submit(func() {})
-	// Wait for the first task to start.
-	deadline := time.Now().Add(2 * time.Second)
-	for gauge("pool_executing") != 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if gauge("pool_executing") != 1 {
-		t.Fatal("first task never started")
-	}
-	if got := gauge("pool_backlog"); got != 1 {
-		t.Errorf("pool_backlog = %d, want 1", got)
-	}
-	close(block)
-	p.Close()
-	p.Wait()
-	if got := gauge("pool_backlog"); got != 0 {
-		t.Errorf("pool_backlog after drain = %d", got)
-	}
-}
-
 func TestRunnableReporting(t *testing.T) {
 	p := New(Config{Workers: 4})
 	if p.Runnable() != 4 {
@@ -322,22 +290,6 @@ func TestSpinPercentExcludesParkedTime(t *testing.T) {
 	want := 100 * float64(idle) / float64(busy+idle)
 	if got := p.SpinPercent(); got != want {
 		t.Errorf("SpinPercent = %v, want %v (parked time excluded)", got, want)
-	}
-}
-
-func TestPoolTimeGauges(t *testing.T) {
-	p := New(Config{Name: "g", Workers: 1})
-	p.Submit(func() { time.Sleep(2 * time.Millisecond) })
-	p.Close()
-	p.Wait()
-	snap := p.Metrics().Snapshot(0)
-	if m := snap.Get(metrics.Name("pool_busy_micros", "pool", "g")); m == nil || m.Value <= 0 {
-		t.Errorf("pool_busy_micros missing or zero: %+v", m)
-	}
-	for _, name := range []string{"pool_idle_micros", "pool_parked_micros"} {
-		if snap.Get(metrics.Name(name, "pool", "g")) == nil {
-			t.Errorf("%s not exported", name)
-		}
 	}
 }
 
@@ -534,10 +486,9 @@ func waitRunnable(t *testing.T, p *Pool, n int) {
 	}
 }
 
-// TestStatsAreTheSeries checks that Stats is a view of the pool's
-// series, the only store of its counts, after a run under retargets that
-// moves every count.
-func TestStatsAreTheSeries(t *testing.T) {
+// TestStatsCounts runs 60 tasks under 3 rounds of 4→1→4 workers, which
+// moves every count Stats reports.
+func TestStatsCounts(t *testing.T) {
 	p := New(Config{Name: "r", Workers: 4})
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 20; i++ {
@@ -550,41 +501,8 @@ func TestStatsAreTheSeries(t *testing.T) {
 	}
 	p.Close()
 	p.Wait()
-	value := func(base string) int64 {
-		v, ok := p.Metrics().Value(metrics.Name(base, "pool", "r"))
-		if !ok {
-			t.Fatalf("%s not registered", base)
-		}
-		return v
-	}
 	st := p.Stats()
-	want := Stats{Submitted: value("pool_tasks_submitted_total"), Completed: value("pool_tasks_completed_total"),
-		Suspensions: value("pool_parks_total"), Resumes: value("pool_unparks_total")}
-	if st != want {
-		t.Errorf("Stats = %+v, series read %+v", st, want)
-	}
 	if st.Submitted != 60 || st.Completed != 60 || st.Suspensions < 9 || st.Resumes < 9 {
 		t.Errorf("Stats = %+v, want 60 tasks and at least 9 parks and unparks (3 rounds of 4→1→4 workers)", st)
-	}
-}
-
-// TestPoolsSharingARegistryKeepSeparateStats: two pools with distinct
-// names count into distinct series of one registry.
-func TestPoolsSharingARegistryKeepSeparateStats(t *testing.T) {
-	reg := metrics.NewRegistry()
-	a := New(Config{Name: "a", Workers: 2, Metrics: reg})
-	b := New(Config{Name: "b", Workers: 2, Metrics: reg})
-	for i := 0; i < 5; i++ {
-		a.Submit(func() {})
-		if i < 3 {
-			b.Submit(func() {})
-		}
-	}
-	a.Close()
-	b.Close()
-	a.Wait()
-	b.Wait()
-	if sa, sb := a.Stats(), b.Stats(); sa.Submitted != 5 || sa.Completed != 5 || sb.Submitted != 3 || sb.Completed != 3 {
-		t.Errorf("a %+v, b %+v: want 5 and 3 tasks, each pool its own", sa, sb)
 	}
 }
