@@ -124,7 +124,7 @@ trace-smoke:
 	$(TRACE_OUT)/procctl-trace record -seed 1 -seconds 1 -control -out $(TRACE_OUT)/fig4.jsonl
 	$(TRACE_OUT)/procctl-trace summary -in $(TRACE_OUT)/fig4.jsonl
 	$(TRACE_OUT)/procctl-trace analyze -in $(TRACE_OUT)/fig4.jsonl
-	$(TRACE_OUT)/procctl-trace export -format chrome -in $(TRACE_OUT)/fig4.jsonl -out $(TRACE_OUT)/fig4.chrome.json
+	$(TRACE_OUT)/procctl-trace export -in $(TRACE_OUT)/fig4.jsonl -out $(TRACE_OUT)/fig4.chrome.json
 	$(TRACE_OUT)/procctl-trace check -in $(TRACE_OUT)/fig4.chrome.json
 
 # End-to-end smoke of the live daemon's observability surface: start

@@ -35,15 +35,13 @@ func main() {
 		workload = flag.String("workload", "", "JSON workload spec for the run experiment")
 		app      = flag.String("app", "fft", "built-in workload for the export experiment")
 		asJSON   = flag.Bool("json", false, "print the metrics experiment as JSON instead of a table")
-		traceDir = flag.String("trace", "", "record every run's causal event trace into this directory (analyze with procctl-trace)")
 	)
 	flag.Parse()
 
 	o := experiments.Options{
-		Seed:     *seed,
-		Seeds:    *seeds,
-		Horizon:  sim.DurationOf(*horizon),
-		TraceDir: *traceDir,
+		Seed:    *seed,
+		Seeds:   *seeds,
+		Horizon: sim.DurationOf(*horizon),
 	}
 
 	names := flag.Args()

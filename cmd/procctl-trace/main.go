@@ -9,7 +9,7 @@
 //	    attributes every process's time to the paper's wasted-cycle
 //	    categories (useful work, spin on preempted/running holder,
 //	    context switch, cache reload, ready-queue wait, suspension)
-//	procctl-trace export -format chrome [-in trace.jsonl] [-out out.json]
+//	procctl-trace export [-in trace.jsonl] [-out out.json]
 //	    converts a trace to Chrome trace-event JSON for ui.perfetto.dev
 //	procctl-trace export -source daemon -daemon-events d.jsonl [-client-events a.jsonl,b.jsonl]
 //	            [-journal DIR] [-out out.json]
@@ -156,16 +156,12 @@ func export(args []string) {
 	var (
 		in      = fs.String("in", "", "trace file (default stdin)")
 		out     = fs.String("out", "", "output file (default stdout)")
-		format  = fs.String("format", "chrome", "output format (chrome)")
 		source  = fs.String("source", "sim", "input source: sim (a scheduling trace) or daemon (flight/journal dumps)")
 		daemon  = fs.String("daemon-events", "", "daemon flight-ring dump, JSONL (procctl-top -events -json); daemon source only")
 		clients = fs.String("client-events", "", "comma-separated client ring dumps, JSONL (procctl-top -hold-events); daemon source only")
 		jdir    = fs.String("journal", "", "daemon journal directory to merge; daemon source only")
 	)
 	fs.Parse(args)
-	if *format != "chrome" {
-		log.Fatalf("procctl-trace: unknown export format %q (have: chrome)", *format)
-	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

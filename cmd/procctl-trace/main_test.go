@@ -112,7 +112,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 func TestExportChrome(t *testing.T) {
 	trace := recordTrace(t, "-seed", "1", "-seconds", "1", "-control")
 	path := filepath.Join(t.TempDir(), "out.json")
-	cmd := exec.Command(binPath, "export", "-format", "chrome", "-out", path)
+	cmd := exec.Command(binPath, "export", "-out", path)
 	cmd.Stdin = bytes.NewReader(trace)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("export: %v\n%s", err, out)
@@ -192,7 +192,7 @@ func TestUsageErrorsExitNonZero(t *testing.T) {
 		{"unknown policy", []string{"record", "-policy", "psychic"}, 1, "unknown policy"},
 		{"missing input file", []string{"summary", "-in", "/no/such/trace.jsonl"}, 1, "no such file"},
 		{"missing analyze input", []string{"analyze", "-in", "/no/such/trace.jsonl"}, 1, "no such file"},
-		{"unknown export format", []string{"export", "-format", "svg"}, 1, "unknown export format"},
+		{"unknown export flag", []string{"export", "-format", "svg"}, 2, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

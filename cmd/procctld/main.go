@@ -89,12 +89,8 @@ func main() {
 		fatal(logger, "listen", err)
 	}
 
-	leaseCfg := *lease
-	if leaseCfg == 0 {
-		leaseCfg = -1 // flag 0 = disabled; config negative = disabled
-	}
 	coord := coordinator.New(*capacity)
-	srv := coordinator.NewServerWith(coord, ln, coordinator.ServerConfig{Lease: leaseCfg})
+	srv := coordinator.NewServerWith(coord, ln, *lease)
 
 	// Batching starts before recovery so even the boot-time rebalance
 	// storm of a large restored registry coalesces; stopBatch flushes

@@ -80,13 +80,13 @@ func Available(numCPU, uncontrolled int) int {
 //     with Max > 0);
 //   - the result is deterministic: ties resolve in input order.
 func Allocate(capacity int, demands []Demand) []int {
-	return AllocateInto(nil, capacity, demands)
+	return allocateInto(nil, capacity, demands)
 }
 
-// AllocateInto is Allocate writing its result into out's storage, grown
+// allocateInto is Allocate writing its result into out's storage, grown
 // as append would when it is too small, for a caller that decides again
 // and again over a fleet of much the same size.
-func AllocateInto(out []int, capacity int, demands []Demand) []int {
+func allocateInto(out []int, capacity int, demands []Demand) []int {
 	n := len(demands)
 	if n == 0 {
 		return nil

@@ -195,7 +195,7 @@ func (r *Registry[K]) Decide(uncontrolled int, maxOf func(m *Member[K]) int) []M
 		}
 		r.demands = append(r.demands, d)
 	}
-	r.alloc = AllocateInto(r.alloc, Available(r.Capacity, uncontrolled+r.External), r.demands)
+	r.alloc = allocateInto(r.alloc, Available(r.Capacity, uncontrolled+r.External), r.demands)
 	r.moved = r.moved[:0]
 	next := 0
 	for i := range r.slots {

@@ -47,7 +47,7 @@ func TestFiguresGolden(t *testing.T) {
 		{"UncontrolledMix", "2ce735256ee7695a66f35a78dba8bfde9902c7e2e2dbd223d105d5c028245168", func() string { return UncontrolledMix(o).Render() }},
 		{"Decentral", "96a37ca260828747018dec7d35ab7d286758fd015e31bdaa0c43dfecea500443", func() string { return Decentral(o, mix).Render() }},
 		{"Latency", "1ec03a8c30edd3ac080dd6946f4d46f1b5b29a3a09c2319cab5cc9db3d7ba976", func() string { return Latency(o, 24).Render() }},
-		{"MetricsDemo", "1c0631d62c0f74a83b10d626c3e4c8e8b289d982b087516e6e3ea102f447b06e", func() string { return MetricsDemo(o).JSON() }},
+		{"MetricsDemo", "66ceaa7f7ce11bdf74fc281dc6ac8aa9ea0fa52e4d6291a01369fba779ec0e69", func() string { return MetricsDemo(o).JSON() }},
 		{"GanttDemo", "a9605d57ce6ad963b99c59155a7bedcb111bd3b46f11b158740179594a7abeed", func() string { return GanttDemo(o, "cosched", true, 500*sim.Millisecond) }},
 	} {
 		out := c.render()

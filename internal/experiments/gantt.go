@@ -59,6 +59,5 @@ func DemoMix(o Options, control bool, window sim.Duration, attach func(*kernel.K
 		detach()
 	}
 	s.K.Finalize()
-	s.CloseTrace()
 	return s.K
 }

@@ -7,8 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -46,11 +44,6 @@ type Options struct {
 	// Seeds is how many independent seeds to average over in the
 	// figure sweeps (default 3).
 	Seeds int
-	// TraceDir, when set, makes every simulation record its causal
-	// event trace into a uniquely numbered JSONL file under this
-	// directory (created if missing). Analyze the files with
-	// procctl-trace summary/analyze/export.
-	TraceDir string
 }
 
 func (o Options) withDefaults() Options {
@@ -80,16 +73,7 @@ type Sim struct {
 	// ctl is what launched applications register with: Server, or
 	// another controller (Decentral), or nil.
 	ctl threads.Controller
-
-	rec       *trace.Recorder // non-nil when Opts.TraceDir is set
-	traceFile *os.File
-	TracePath string // path of the recorded trace, if any
 }
-
-// traceSeq numbers trace files across every Sim of the process, so
-// concurrent sweep runs never collide on a filename. The numbering (not
-// the per-file content) depends on host goroutine order.
-var traceSeq atomic.Int64
 
 // NewSim builds a simulation. With control true it also starts the
 // central server.
@@ -103,41 +87,7 @@ func NewSim(o Options, control bool) *Sim {
 		s.Server = ctrl.NewServer(s.K, o.ScanInterval)
 		s.ctl = s.Server
 	}
-	if o.TraceDir != "" {
-		if err := os.MkdirAll(o.TraceDir, 0o755); err != nil {
-			panic(fmt.Sprintf("experiments: creating trace dir: %v", err))
-		}
-		ctl := ""
-		if control {
-			ctl = "-ctl"
-		}
-		name := fmt.Sprintf("trace-%04d-%s-seed%d%s.jsonl",
-			traceSeq.Add(1), s.K.Policy().Name(), o.Seed, ctl)
-		s.TracePath = filepath.Join(o.TraceDir, name)
-		f, err := os.Create(s.TracePath)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: creating trace file: %v", err))
-		}
-		s.traceFile = f
-		s.rec = trace.NewRecorder(s.K, f, trace.Meta{Seed: o.Seed, Control: control})
-	}
 	return s
-}
-
-// CloseTrace ends the recording (writing the horizon marker) and closes
-// the trace file. RunUntil calls it; it is exported for callers that
-// drive the engine themselves. It is a no-op without a recorder.
-func (s *Sim) CloseTrace() {
-	if s.rec == nil {
-		return
-	}
-	if err := s.rec.Close(); err != nil {
-		panic(fmt.Sprintf("experiments: writing trace: %v", err))
-	}
-	if err := s.traceFile.Close(); err != nil {
-		panic(fmt.Sprintf("experiments: closing trace: %v", err))
-	}
-	s.rec, s.traceFile = nil, nil
 }
 
 // LaunchNow starts wl with the given process count, registered with
@@ -164,7 +114,6 @@ func (s *Sim) RunUntil(done func() bool) bool {
 	}
 	ok := done()
 	s.K.Finalize()
-	s.CloseTrace() // after Finalize so trailing accounting is included
 	return ok
 }
 

@@ -204,10 +204,6 @@ func (g *Partition) QuantumFor(p *Process) sim.Duration { return 0 }
 // OnExit implements Policy.
 func (g *Partition) OnExit(p *Process) {}
 
-// Owner reports which group owns processor i (ownerNone if none); for
-// tests and traces.
-func (g *Partition) Owner(i int) AppID { return g.owner[i] }
-
 // CPUsOf reports how many processors app's group currently owns. The
 // central server uses it (via ctrl.PartitionSizer) to align
 // process-control targets with the partition, realizing the paper's

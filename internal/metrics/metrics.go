@@ -302,7 +302,6 @@ func (r *Registry) Snapshot(at int64) *Snapshot {
 				cum += m.buckets[i].Load()
 				e.Buckets[i] = cum // cumulative, Prometheus-style
 			}
-			e.Quantiles = e.quantilePoints()
 		default:
 			e.Value = m.val.Load()
 		}

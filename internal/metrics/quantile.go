@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // LogBuckets returns strictly ascending, geometrically spaced histogram
@@ -39,26 +38,17 @@ func LogBuckets(lo, hi int64, perDecade int) []int64 {
 // Layouts this size take the binary-search Observe path.
 var LatencyBuckets = LogBuckets(1, 10_000_000, 9)
 
-// quantiles is the standard export set: per-mille ranks and the
-// suffix/label spellings the renderers use.
+// quantiles is the standard export set: the family suffix each
+// renderer appends to a histogram's base name, and the per-mille rank
+// Quantile estimates for it.
 var quantiles = []struct {
 	suffix   string // text/Prometheus family suffix: base_p99
-	q        string // JSON/Prometheus quantile label value: "0.99"
 	perMille int64
 }{
-	{"p50", "0.5", 500},
-	{"p90", "0.9", 900},
-	{"p99", "0.99", 990},
-	{"p999", "0.999", 999},
-}
-
-// QuantilePoint is one estimated quantile in a snapshot: Q is the
-// quantile as a decimal string ("0.99"), V the estimated value in the
-// histogram's unit. Values are int64 like every other metric, so
-// rendering stays float-free and deterministic.
-type QuantilePoint struct {
-	Q string `json:"q"`
-	V int64  `json:"v"`
+	{"p50", 500},
+	{"p90", 900},
+	{"p99", 990},
+	{"p999", 999},
 }
 
 // Quantile estimates the perMille-th per-mille quantile (500 = median,
@@ -105,27 +95,6 @@ func (m *Metric) Quantile(perMille int64) int64 {
 	return lo + (hi-lo)*(rank-below)/in
 }
 
-// quantileSuffix maps a quantile label value to its family suffix:
-// "0.5" → "p50", "0.99" → "p99", "0.999" → "p999". It works from the
-// decimal string so snapshots decoded off the wire render the same as
-// locally built ones, whatever quantile set the sender exported.
-func quantileSuffix(q string) string {
-	s := strings.TrimPrefix(q, "0.")
-	if len(s) == 1 {
-		s += "0" // "0.5" reads p50, not p5
-	}
-	return "p" + s
-}
-
-// quantilePoints builds the standard export set for a histogram series,
-// or nil for empty/non-histogram series.
-func (m *Metric) quantilePoints() []QuantilePoint {
-	if m.Count <= 0 || len(m.Bounds) == 0 {
-		return nil
-	}
-	out := make([]QuantilePoint, len(quantiles))
-	for i, q := range quantiles {
-		out[i] = QuantilePoint{Q: q.q, V: m.Quantile(q.perMille)}
-	}
-	return out
-}
+// hasQuantiles reports whether the renderers export quantile rows for
+// the series: histograms that have data.
+func (m *Metric) hasQuantiles() bool { return m.Count > 0 && len(m.Bounds) > 0 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -193,8 +194,15 @@ func TestQuantileEdgeCases(t *testing.T) {
 	if got := empty.Quantile(500); got != 0 {
 		t.Errorf("empty histogram quantile = %d, want 0", got)
 	}
-	if empty.Quantiles != nil {
-		t.Errorf("empty histogram exported quantiles: %v", empty.Quantiles)
+	var et, ep bytes.Buffer
+	if err := r.Snapshot(0).WriteText(&et); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Snapshot(0).WritePrometheus(&ep); err != nil {
+		t.Fatal(err)
+	}
+	if out := et.String() + ep.String(); strings.Contains(out, "h_p") {
+		t.Errorf("empty histogram rendered quantiles:\n%s", out)
 	}
 
 	h.Observe(7)
@@ -240,39 +248,26 @@ func TestQuantileExportAllRenderings(t *testing.T) {
 	snap := r.Snapshot(42)
 
 	m := snap.Get(`lat_micros{stage="total"}`)
-	if len(m.Quantiles) != 4 {
-		t.Fatalf("exported %d quantile points, want 4: %v", len(m.Quantiles), m.Quantiles)
-	}
-	wantQ := []string{"0.5", "0.9", "0.99", "0.999"}
-	for i, qp := range m.Quantiles {
-		if qp.Q != wantQ[i] {
-			t.Errorf("quantile %d labeled %q, want %q", i, qp.Q, wantQ[i])
-		}
-		if qp.V != m.Quantile([]int64{500, 900, 990, 999}[i]) {
-			t.Errorf("quantile %s point %d disagrees with Quantile()", qp.Q, qp.V)
-		}
-	}
-
 	js, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(js), `"quantiles":[{"q":"0.5"`) {
-		t.Errorf("JSON missing quantiles array:\n%s", js)
+	if strings.Contains(string(js), "quantiles") {
+		t.Errorf("JSON stores quantiles beside the buckets they derive from:\n%s", js)
 	}
 
 	var tb bytes.Buffer
 	if err := snap.WriteText(&tb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`lat_micros_p50{stage="total"}`,
-		`lat_micros_p90{stage="total"}`,
-		`lat_micros_p99{stage="total"}`,
-		`lat_micros_p999{stage="total"}`,
-	} {
-		if !strings.Contains(tb.String(), want) {
-			t.Errorf("text rendering missing %q:\n%s", want, tb.String())
+	rows := textRows(tb.String())
+	for _, q := range wantQuantiles {
+		name := "lat_micros_" + q.suffix + `{stage="total"}`
+		v, ok := rows[name]
+		if !ok {
+			t.Errorf("text rendering missing %q:\n%s", name, tb.String())
+		} else if want := fmt.Sprint(m.Quantile(q.perMille)); v != want {
+			t.Errorf("text row %s = %s, want Quantile(%d) = %s", name, v, q.perMille, want)
 		}
 	}
 	if strings.Contains(tb.String(), `lat_micros_p50{stage="idle"}`) {
@@ -321,5 +316,104 @@ func TestQuantileExportAllRenderings(t *testing.T) {
 	}
 	if build() != build() {
 		t.Error("quantile-bearing snapshot renderings are not byte-identical")
+	}
+}
+
+// wantQuantiles is the export set the renderers must produce: each
+// family suffix and the per-mille rank its rows read.
+var wantQuantiles = []struct {
+	suffix   string
+	perMille int64
+}{{"p50", 500}, {"p90", 900}, {"p99", 990}, {"p999", 999}}
+
+// textRows maps each row name of a WriteText rendering to its value.
+func textRows(text string) map[string]string {
+	rows := make(map[string]string)
+	for _, line := range strings.Split(text, "\n")[1:] {
+		if f := strings.Fields(line); len(f) == 2 {
+			rows[f[0]] = f[1]
+		}
+	}
+	return rows
+}
+
+// TestDecodedSnapshotRendersLikeLocal is procctl-top's -metrics path:
+// a snapshot that crossed the wire as JSON carries only the buckets, and
+// must render the same text and Prometheus bytes as the local one on
+// both standard layouts, with quantile rows for the series that have
+// data and none for the empty one. A sender that still ships quantile
+// arrays decodes to the same snapshot.
+func TestDecodedSnapshotRendersLikeLocal(t *testing.T) {
+	r := NewRegistry()
+	wall := r.Histogram(Name("span_micros", "stage", "total"), "span", LatencyBuckets)
+	virt := r.Histogram("turnaround_micros", "virtual", TimeBuckets)
+	r.Histogram(Name("span_micros", "stage", "idle"), "span", LatencyBuckets)
+	r.Counter("polls_total", "polls").Add(3)
+	for i := int64(1); i <= 500; i++ {
+		wall.Observe(i * i)
+		virt.Observe(i * 7919)
+	}
+	local := r.Snapshot(99)
+
+	render := func(s *Snapshot) (string, string) {
+		var tb, pb bytes.Buffer
+		if err := s.WriteText(&tb); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WritePrometheus(&pb); err != nil {
+			t.Fatal(err)
+		}
+		return tb.String(), pb.String()
+	}
+	wantText, wantProm := render(local)
+
+	js, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := strings.ReplaceAll(string(js), `"buckets":[`, `"quantiles":[{"q":"0.5","v":1}],"buckets":[`)
+	if older == string(js) {
+		t.Fatal("no histogram in the JSON to give a quantile array")
+	}
+	for _, wire := range []struct{ name, line string }{
+		{"current", string(js)},
+		{"with quantile arrays", older},
+	} {
+		var decoded Snapshot
+		if err := json.Unmarshal([]byte(wire.line), &decoded); err != nil {
+			t.Fatalf("%s: %v", wire.name, err)
+		}
+		if text, prom := render(&decoded); text != wantText || prom != wantProm {
+			t.Errorf("%s: decoded snapshot renders differently:\n%s%s\nwant:\n%s%s", wire.name, text, prom, wantText, wantProm)
+		}
+	}
+
+	rows := textRows(wantText)
+	for _, series := range []struct{ base, labels string }{
+		{"span_micros", `{stage="total"}`},
+		{"turnaround_micros", ""},
+	} {
+		m := local.Get(series.base + series.labels)
+		for _, q := range wantQuantiles {
+			fam := series.base + "_" + q.suffix
+			want := fmt.Sprint(m.Quantile(q.perMille))
+			if got := rows[fam+series.labels]; got != want {
+				t.Errorf("text row %s%s = %q, want %s", fam, series.labels, got, want)
+			}
+			if sample := fam + series.labels + " " + want + "\n"; !strings.Contains(wantProm, sample) {
+				t.Errorf("exposition missing %q", sample)
+			}
+			if n := strings.Count(wantProm, "# TYPE "+fam+" gauge\n"); n != 1 {
+				t.Errorf("%s has %d TYPE lines, want 1", fam, n)
+			}
+		}
+	}
+	if strings.Contains(wantText+wantProm, `_p50{stage="idle"}`) || strings.Contains(wantText+wantProm, `_p999{stage="idle"}`) {
+		t.Errorf("empty series rendered quantiles:\n%s%s", wantText, wantProm)
+	}
+	for name := range rows {
+		if strings.HasPrefix(name, "polls_total_p") {
+			t.Errorf("counter rendered a quantile row %s", name)
+		}
 	}
 }

@@ -4,24 +4,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
 // Metric is one series in a snapshot. Counter and gauge values are in
 // Value; histograms carry Count, Sum, cumulative Buckets (one per
-// Bound, plus a final +Inf bucket equal to Count), and the estimated
-// Quantiles (p50/p90/p99/p999; absent while the series is empty).
+// Bound, plus a final +Inf bucket equal to Count). Quantile estimates
+// are not stored: Quantile derives them from Bounds and Buckets, so a
+// snapshot decoded off the wire renders the same rows as a local one.
 type Metric struct {
-	Name      string          `json:"name"`
-	Base      string          `json:"base,omitempty"`
-	Kind      string          `json:"kind"`
-	Help      string          `json:"help,omitempty"`
-	Value     int64           `json:"value,omitempty"`
-	Count     int64           `json:"count,omitempty"`
-	Sum       int64           `json:"sum,omitempty"`
-	Bounds    []int64         `json:"bounds,omitempty"`
-	Buckets   []int64         `json:"buckets,omitempty"`
-	Quantiles []QuantilePoint `json:"quantiles,omitempty"`
+	Name    string  `json:"name"`
+	Base    string  `json:"base,omitempty"`
+	Kind    string  `json:"kind"`
+	Help    string  `json:"help,omitempty"`
+	Value   int64   `json:"value,omitempty"`
+	Count   int64   `json:"count,omitempty"`
+	Sum     int64   `json:"sum,omitempty"`
+	Bounds  []int64 `json:"bounds,omitempty"`
+	Buckets []int64 `json:"buckets,omitempty"`
 }
 
 // labels returns the series' label block including braces, or "".
@@ -68,8 +69,10 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 			rows = append(rows,
 				row{m.Base + "_count" + m.labels(), m.Count},
 				row{m.Base + "_sum" + m.labels(), m.Sum})
-			for _, qp := range m.Quantiles {
-				rows = append(rows, row{m.Base + "_" + quantileSuffix(qp.Q) + m.labels(), qp.V})
+			if m.hasQuantiles() {
+				for _, q := range quantiles {
+					rows = append(rows, row{m.Base + "_" + q.suffix + m.labels(), m.Quantile(q.perMille)})
+				}
 			}
 			continue
 		}
@@ -171,25 +174,19 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 // sample per series that has data. Families whose every series is empty
 // are omitted entirely.
 func writeQuantileFamilies(w io.Writer, base string, group []*Metric) error {
-	// All series in the family export the same quantile set (or none);
-	// find a populated one to learn it.
-	var ref []QuantilePoint
-	for _, m := range group {
-		if len(m.Quantiles) > 0 {
-			ref = m.Quantiles
-			break
-		}
+	if !slices.ContainsFunc(group, (*Metric).hasQuantiles) {
+		return nil
 	}
-	for qi, qp := range ref {
-		fam := base + "_" + quantileSuffix(qp.Q)
+	for _, q := range quantiles {
+		fam := base + "_" + q.suffix
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", fam); err != nil {
 			return err
 		}
 		for _, m := range group {
-			if qi >= len(m.Quantiles) {
+			if !m.hasQuantiles() {
 				continue // empty series: no estimate to report
 			}
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", fam, m.labels(), m.Quantiles[qi].V); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %d\n", fam, m.labels(), m.Quantile(q.perMille)); err != nil {
 				return err
 			}
 		}

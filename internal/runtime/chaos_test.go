@@ -45,14 +45,14 @@ func fastDrive() coordinator.DriveOptions {
 
 // startDaemon runs a coordinator daemon on sock and returns its
 // coordinator for state assertions. Callers own srv.Close.
-func startDaemon(t *testing.T, sock string, capacity int, cfg coordinator.ServerConfig) (*coordinator.Coordinator, *coordinator.Server) {
+func startDaemon(t *testing.T, sock string, capacity int, lease time.Duration) (*coordinator.Coordinator, *coordinator.Server) {
 	t.Helper()
 	ln, err := net.Listen("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord := coordinator.New(capacity)
-	srv := coordinator.NewServerWith(coord, ln, cfg)
+	srv := coordinator.NewServerWith(coord, ln, lease)
 	go srv.Serve()
 	return coord, srv
 }
@@ -107,7 +107,7 @@ func sumTargets(coord *coordinator.Coordinator) int {
 func TestChaosHungAndKilledClientsReclaimed(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	coord, srv := startDaemon(t, sock, 8, coordinator.ServerConfig{Lease: chaosLease})
+	coord, srv := startDaemon(t, sock, 8, chaosLease)
 	t.Cleanup(func() { srv.Close() })
 
 	healthy, err := coordinator.Dial("unix", sock)
@@ -185,7 +185,7 @@ func TestChaosHungAndKilledClientsReclaimed(t *testing.T) {
 func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	coord1, srv1 := startDaemon(t, sock, 8, coordinator.ServerConfig{})
+	coord1, srv1 := startDaemon(t, sock, 8, coordinator.DefaultLease)
 
 	stopTraffic := make(chan struct{})
 	t.Cleanup(func() { close(stopTraffic) })
@@ -234,7 +234,7 @@ func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 
 	// Daemon restarts on the same socket with an empty member table and
 	// fewer processors to divide.
-	coord2, srv2 := startDaemon(t, sock, 6, coordinator.ServerConfig{})
+	coord2, srv2 := startDaemon(t, sock, 6, coordinator.DefaultLease)
 	t.Cleanup(func() { srv2.Close() })
 
 	waitFor(t, 5*time.Second, func() bool {
@@ -272,7 +272,7 @@ func TestChaosDaemonRestartMidTraffic(t *testing.T) {
 func TestChaosFlightRecorderTellsTheStory(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	coord, srv := startDaemon(t, sock, 8, coordinator.ServerConfig{Lease: chaosLease})
+	coord, srv := startDaemon(t, sock, 8, chaosLease)
 	t.Cleanup(func() { srv.Close() })
 
 	healthy, err := coordinator.Dial("unix", sock)
@@ -550,7 +550,7 @@ func (s *slowMember) SetTarget(n int) {
 func TestChaosRegisterStormConverges(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	coord, srv := startDaemon(t, sock, 16, coordinator.ServerConfig{})
+	coord, srv := startDaemon(t, sock, 16, coordinator.DefaultLease)
 	t.Cleanup(func() { srv.Close() })
 
 	// Already-resident slow member: most registrations change its
@@ -618,7 +618,7 @@ func TestChaosRegisterStormConverges(t *testing.T) {
 func TestChaosBatchedRegisterStormCoalesces(t *testing.T) {
 	guardGoroutines(t)
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	coord, srv := startDaemon(t, sock, 24, coordinator.ServerConfig{})
+	coord, srv := startDaemon(t, sock, 24, coordinator.DefaultLease)
 	t.Cleanup(func() { srv.Close() })
 	stopBatch := coord.StartBatching(100 * time.Millisecond)
 	t.Cleanup(stopBatch)

@@ -132,7 +132,7 @@ func newConvergeTracker(reg *metrics.Registry, rec *flight.Recorder) *convergeTr
 // will never be acknowledged. An epoch with no changed members is not
 // tracked — nothing propagates, so there is nothing to converge.
 func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember) {
-	if cv == nil || len(changed) == 0 {
+	if len(changed) == 0 {
 		return
 	}
 	cv.mu.Lock()
@@ -154,7 +154,7 @@ func (cv *convergeTracker) Open(epoch uint64, at int64, changed []pendingMember)
 // acknowledges an older epoch still waiting on the member. With nothing
 // open — a steady fleet's every poll — it is one atomic load.
 func (cv *convergeTracker) Ack(name string, through uint64, at int64) {
-	if cv == nil || through == 0 || cv.open.Load() == 0 {
+	if through == 0 || cv.open.Load() == 0 {
 		return
 	}
 	cv.mu.Lock()
@@ -169,9 +169,6 @@ func (cv *convergeTracker) Ack(name string, through uint64, at int64) {
 // from the epoch it is pending in, which closes as expired if it was
 // waiting only on it.
 func (cv *convergeTracker) Drop(name string, at int64) {
-	if cv == nil {
-		return
-	}
 	cv.mu.Lock()
 	cv.leaveLocked(cv.waits[name], name, at, ConvergeExpired)
 	delete(cv.waits, name)
@@ -220,10 +217,8 @@ func (cv *convergeTracker) closeLocked(o *openEpoch, at int64, outcome, straggle
 	if cv.closedN < closedRing {
 		cv.closedN++
 	}
-	if cv.rec != nil {
-		cv.rec.Append(flight.Event{At: at, Kind: flight.KindConverge,
-			App: straggler, A: latency, B: int64(o.members), Epoch: o.epoch})
-	}
+	cv.rec.Append(flight.Event{At: at, Kind: flight.KindConverge,
+		App: straggler, A: latency, B: int64(o.members), Epoch: o.epoch})
 	cv.open.Add(-1)
 	cv.free = append(cv.free, o)
 }

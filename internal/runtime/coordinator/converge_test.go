@@ -149,13 +149,6 @@ func TestConvergeTrackerNothingChangedNothingTracked(t *testing.T) {
 	}
 }
 
-func TestConvergeTrackerNilSafe(t *testing.T) {
-	var cv *convergeTracker
-	cv.Open(1, 0, []pendingMember{{name: "a"}})
-	cv.Ack("a", 1, 0)
-	cv.Drop("a", 0)
-}
-
 // An ack reads the open-epoch count without the tracker's lock. Acks for
 // names no epoch waits on race open → ack → close cycles whose acks come
 // from other goroutines, handed each epoch after its Open as a poll is by

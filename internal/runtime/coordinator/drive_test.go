@@ -34,7 +34,7 @@ func TestDriveWithSurvivesDaemonRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerWith(New(8), ln, ServerConfig{})
+	srv := NewServer(New(8), ln)
 	go srv.Serve()
 
 	c, err := Dial("unix", sock)
@@ -67,7 +67,7 @@ func TestDriveWithSurvivesDaemonRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := NewServerWith(New(4), ln2, ServerConfig{})
+	srv2 := NewServer(New(4), ln2)
 	go srv2.Serve()
 	defer srv2.Close()
 
@@ -98,7 +98,7 @@ func TestDriveStatsCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerWith(New(8), ln, ServerConfig{})
+	srv := NewServer(New(8), ln)
 	go srv.Serve()
 	c, err := Dial("unix", sock)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestDriveStatsCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := NewServerWith(New(4), ln2, ServerConfig{})
+	srv2 := NewServer(New(4), ln2)
 	go srv2.Serve()
 	defer srv2.Close()
 	waitFor(t, 5*time.Second, func() bool {

@@ -15,7 +15,7 @@ import (
 // sweep, while a member polling at the paper's interval keeps its own.
 func TestServerLeaseExpiresSilentMember(t *testing.T) {
 	runBubble(t, func() {
-		srv := startPipeServer(8, ServerConfig{})
+		srv := startPipeServer(8, DefaultLease)
 		defer srv.Close()
 		silent := pipeClient(srv)
 		defer silent.Close()
@@ -64,7 +64,7 @@ func TestServerLeaseExpiresSilentMember(t *testing.T) {
 // the sweep cuts silence past the lease, not at it.
 func TestServerLeaseRenewedByPolls(t *testing.T) {
 	runBubble(t, func() {
-		srv := startPipeServer(4, ServerConfig{})
+		srv := startPipeServer(4, DefaultLease)
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()
@@ -85,7 +85,7 @@ func TestServerLeaseRenewedByPolls(t *testing.T) {
 
 func TestServerStatusReportsLease(t *testing.T) {
 	runBubble(t, func() {
-		srv := startPipeServer(4, ServerConfig{})
+		srv := startPipeServer(4, DefaultLease)
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()
@@ -120,7 +120,7 @@ func TestServerStatusReportsLease(t *testing.T) {
 // one lease later, and the name survives it: no expiry is recorded.
 func TestServerReRegisterTakesOverName(t *testing.T) {
 	runBubble(t, func() {
-		srv := startPipeServer(8, ServerConfig{})
+		srv := startPipeServer(8, DefaultLease)
 		defer srv.Close()
 		old := pipeClient(srv)
 		defer old.Close()
@@ -159,7 +159,7 @@ func TestServerReRegisterTakesOverName(t *testing.T) {
 
 func TestServerLeaseDisabled(t *testing.T) {
 	runBubble(t, func() {
-		srv := startPipeServer(4, ServerConfig{Lease: -1})
+		srv := startPipeServer(4, 0)
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()
@@ -192,12 +192,12 @@ func TestServerCutsStuckWriter(t *testing.T) {
 		name  string
 		lease time.Duration
 	}{
-		{"leases off", -1},
-		{"leases on", 0},
+		{"leases off", 0},
+		{"leases on", DefaultLease},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runBubble(t, func() {
-				srv := startPipeServer(8, ServerConfig{Lease: tc.lease})
+				srv := startPipeServer(8, tc.lease)
 				defer srv.Close()
 				conn := srv.ln.(*pipeListener).dial()
 				defer conn.Close()
@@ -210,7 +210,7 @@ func TestServerCutsStuckWriter(t *testing.T) {
 				if n, m := openConns(srv), len(srv.coord.Members()); n != 1 || m != 1 {
 					t.Fatalf("at the I/O bound: %d connections, %d members; want the stuck writer still served", n, m)
 				}
-				time.Sleep(sweepEvery(srv.cfg.Lease))
+				time.Sleep(sweepEvery(srv.lease))
 				waitBubble()
 				if n, m := openConns(srv), len(srv.coord.Members()); n != 0 || m != 0 {
 					t.Errorf("one sweep past the I/O bound: %d connections, %d members; want none", n, m)
@@ -313,7 +313,7 @@ func TestMetricsSeriesIndependentOfFleetSize(t *testing.T) {
 func seriesThroughLifecycle(t *testing.T, n int) (counts [4]int) {
 	t.Helper()
 	runBubble(t, func() {
-		srv := startPipeServer(4*n, ServerConfig{})
+		srv := startPipeServer(4*n, DefaultLease)
 		defer srv.Close()
 		// Batched, as a daemon serving a fleet runs: the subject is the
 		// registry, not two thousand inline rebalances.
@@ -381,7 +381,7 @@ func TestChaosHungAndKilledClientsReclaimedVirtual(t *testing.T) {
 func hungAndKilled(t *testing.T) []byte {
 	var log bytes.Buffer
 	runBubble(t, func() {
-		srv := startPipeServer(8, ServerConfig{})
+		srv := startPipeServer(8, DefaultLease)
 		defer srv.Close()
 		coord := srv.coord
 		sum := func() (n int) {

@@ -182,7 +182,7 @@ func requireJournalFoldsToLive(t *testing.T, c *Coordinator, dir, what string) {
 	// The journal knows a capacity only from a setcapacity record (the
 	// daemon writes one at boot) or a snapshot. Both sides stamp a member
 	// with the instant of its registration.
-	recovered, live := res.State, NewServerWith(c, nil, ServerConfig{}).JournalState(0)
+	recovered, live := res.State, NewServer(c, nil).JournalState(0)
 	if recovered.Capacity == 0 {
 		live.Capacity = 0
 	}

@@ -13,7 +13,7 @@ import (
 // shows here as an op no call counts, or one counted twice.
 func TestEachClientCallIsOneOp(t *testing.T) {
 	runBubble(t, func() {
-		srv := startPipeServer(8, ServerConfig{})
+		srv := startPipeServer(8, DefaultLease)
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()

@@ -266,7 +266,7 @@ func BenchmarkLineEcho(b *testing.B) {
 // settled epoch its member holds. The allocation count is both sides'.
 func BenchmarkServedPoll(b *testing.B) {
 	const conns, members = 2, 64
-	srv, sock := startServerWith(b, conns*members, ServerConfig{})
+	srv, sock := startServer(b, conns*members)
 	type polled struct {
 		name  string
 		epoch uint64

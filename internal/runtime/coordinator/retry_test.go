@@ -79,7 +79,7 @@ func TestBatchingStopFlushesPendingWork(t *testing.T) {
 // driver has found out at its next poll, with how long ago that was.
 // Call it in a bubble; the caller stops the driver and closes c.
 func orphan(t *testing.T, tr *trackingTargeter, iv time.Duration) (c *Client, d *Driver, lostFor time.Duration) {
-	srv := startPipeServer(4, ServerConfig{})
+	srv := startPipeServer(4, DefaultLease)
 	c = pipeClient(srv)
 	d, err := c.DriveWith("app", 16, tr, DriveOptions{Interval: iv})
 	if err != nil {
@@ -229,7 +229,7 @@ func TestDriveWithDegradedDecayTowardFull(t *testing.T) {
 func TestDriveWithPollsAtItsInterval(t *testing.T) {
 	const iv = 30 * time.Millisecond
 	runBubble(t, func() {
-		srv := startPipeServer(8, ServerConfig{})
+		srv := startPipeServer(8, DefaultLease)
 		defer srv.Close()
 		c := pipeClient(srv)
 		defer c.Close()

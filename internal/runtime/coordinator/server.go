@@ -28,25 +28,6 @@ const DefaultLease = 3 * DefaultPollInterval
 // stopped answering.
 const DefaultIOTimeout = 10 * time.Second
 
-// ServerConfig tunes the socket server's failure detection. The zero
-// value selects the defaults; a negative Lease disables lease expiry (EOF
-// cleanup still applies).
-type ServerConfig struct {
-	// Lease is the maximum silence per connection. Any decoded request
-	// renews it for every application registered on that connection.
-	Lease time.Duration
-}
-
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.Lease == 0 {
-		c.Lease = DefaultLease
-	}
-	if c.Lease < 0 {
-		c.Lease = 0 // expiry disabled
-	}
-	return c
-}
-
 // sweepEvery is how often the sweep runs: a sixth of the lease, at least
 // 100 ms. A sweep closes the connections whose lease lapsed and those
 // whose reply write has outrun DefaultIOTimeout; it runs with leases
@@ -165,7 +146,10 @@ func (cs *connState) appName(b []byte) string {
 type Server struct {
 	coord *Coordinator
 	ln    net.Listener
-	cfg   ServerConfig
+	// lease is the maximum silence per connection; any decoded request
+	// renews it for every application registered on that connection.
+	// 0 disables lease expiry (EOF cleanup still applies).
+	lease time.Duration
 
 	mu    sync.Mutex
 	conns map[net.Conn]*connState
@@ -197,15 +181,16 @@ func newRPCCounters(reg *metrics.Registry, op string) rpcCounters {
 // NewServer wraps a coordinator and a listener with the default failure
 // detection (18 s leases). Call Serve to start accepting.
 func NewServer(coord *Coordinator, ln net.Listener) *Server {
-	return NewServerWith(coord, ln, ServerConfig{})
+	return NewServerWith(coord, ln, DefaultLease)
 }
 
-// NewServerWith is NewServer with an explicit lease.
-func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Server {
+// NewServerWith is NewServer with an explicit lease; a lease <= 0
+// disables lease expiry.
+func NewServerWith(coord *Coordinator, ln net.Listener, lease time.Duration) *Server {
 	s := &Server{
 		coord: coord,
 		ln:    ln,
-		cfg:   cfg.withDefaults(),
+		lease: max(lease, 0),
 		conns: make(map[net.Conn]*connState),
 	}
 	s.rpcs = make(map[string]rpcCounters, len(wireOps))
@@ -235,8 +220,8 @@ func NewServerWith(coord *Coordinator, ln net.Listener, cfg ServerConfig) *Serve
 // restored. Restore neither rebalances nor journals; Boot does.
 func (s *Server) Restore(st journal.State, now time.Time) int {
 	var claimBy time.Time
-	if s.cfg.Lease > 0 {
-		claimBy = now.Add(s.cfg.Lease)
+	if s.lease > 0 {
+		claimBy = now.Add(s.lease)
 	}
 	members := s.coord.restore(st, claimBy)
 	s.mu.Lock()
@@ -339,7 +324,7 @@ func (s *Server) reply(cs *connState, buf []byte, resp *Response, now time.Time)
 
 // sweepLoop runs the sweep every sweepEvery(Lease) until done closes.
 func (s *Server) sweepLoop(done chan struct{}) {
-	ticker := time.NewTicker(sweepEvery(s.cfg.Lease))
+	ticker := time.NewTicker(sweepEvery(s.lease))
 	defer ticker.Stop()
 	for {
 		select {
@@ -360,12 +345,12 @@ func (s *Server) sweepLoop(done chan struct{}) {
 // connection to close, so the sweep drops them itself, those a client
 // claimed (the name is another member's now) passed over.
 func (s *Server) sweep(now time.Time) {
-	deadline := now.Add(-s.cfg.Lease)
+	deadline := now.Add(-s.lease)
 	var silent, stuck []*connState
 	var reap []*remoteMember
 	s.mu.Lock()
 	for _, cs := range s.conns {
-		if s.cfg.Lease > 0 && cs.seen().Before(deadline) {
+		if s.lease > 0 && cs.seen().Before(deadline) {
 			silent = append(silent, cs)
 		} else if w := cs.writing.Load(); w != 0 && now.Sub(cs.accepted)-time.Duration(w-1) > DefaultIOTimeout {
 			stuck = append(stuck, cs)
@@ -562,7 +547,7 @@ func (s *Server) status() *Status {
 	st := &Status{
 		Capacity:     s.coord.capacity(),
 		ExternalLoad: s.coord.ExternalLoad(),
-		LeaseSeconds: s.cfg.Lease.Seconds(),
+		LeaseSeconds: s.lease.Seconds(),
 	}
 	now := time.Now()
 	for _, m := range s.coord.members() {
@@ -575,10 +560,10 @@ func (s *Server) status() *Status {
 		}
 		switch mm := m.Handle.(type) {
 		case *remoteMember:
-			if s.cfg.Lease > 0 {
+			if s.lease > 0 {
 				end := mm.claimBy // a placeholder's lease is its claim deadline
 				if mm.conn != nil {
-					end = mm.conn.seen().Add(s.cfg.Lease)
+					end = mm.conn.seen().Add(s.lease)
 				}
 				app.LeaseRemaining = max(end.Sub(now).Seconds(), 0)
 			}

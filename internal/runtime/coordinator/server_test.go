@@ -14,7 +14,7 @@ import (
 )
 
 // startServer runs a coordinator daemon on a Unix socket in a temp dir.
-func startServer(t *testing.T, capacity int) (*Server, string) {
+func startServer(t testing.TB, capacity int) (*Server, string) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "procctld.sock")
 	ln, err := net.Listen("unix", sock)
@@ -22,20 +22,6 @@ func startServer(t *testing.T, capacity int) (*Server, string) {
 		t.Fatal(err)
 	}
 	srv := NewServer(New(capacity), ln)
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	return srv, sock
-}
-
-// startServerWith runs a daemon with explicit settings.
-func startServerWith(t testing.TB, capacity int, cfg ServerConfig) (*Server, string) {
-	t.Helper()
-	sock := filepath.Join(t.TempDir(), "procctld.sock")
-	ln, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServerWith(New(capacity), ln, cfg)
 	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 	return srv, sock
@@ -367,7 +353,7 @@ func FuzzServerConn(f *testing.F) {
 	f.Add([]byte(`{"op":"poll","app":"` + strings.Repeat("x", maxRequestLine) + `"}` + "\n"))
 	f.Add([]byte(`{"op":"register","app":"a","procs":2}{"op":"poll","app":"a"}` + "\n"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		srv := NewServerWith(New(2*maxTarget), nil, ServerConfig{})
+		srv := NewServer(New(2*maxTarget), nil)
 		serveBytes(t, srv, warmUp.Bytes())
 		series := len(srv.coord.Snapshot().Metrics)
 		out := serveBytes(t, srv, in)

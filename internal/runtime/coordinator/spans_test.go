@@ -1,7 +1,10 @@
 package coordinator
 
 import (
+	"bytes"
+	"fmt"
 	"net"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +15,7 @@ import (
 
 // TestRebalanceSpansRecorded asserts every stage of the rebalance span
 // lands in coordinator_rebalance_latency_micros, one observation per
-// rebalance, with exported quantiles.
+// rebalance, and renders its four quantile rows.
 func TestRebalanceSpansRecorded(t *testing.T) {
 	c := New(8)
 	c.RegisterWeighted(&fakeMember{name: "a", workers: 8}, 1)
@@ -21,6 +24,10 @@ func TestRebalanceSpansRecorded(t *testing.T) {
 		c.Rebalance()
 	}
 	snap := c.Snapshot()
+	var text bytes.Buffer
+	if err := snap.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
 	var total int64
 	for _, stage := range rebalanceStages {
 		m := snap.Get(metrics.Name("coordinator_rebalance_latency_micros", "stage", stage))
@@ -31,8 +38,14 @@ func TestRebalanceSpansRecorded(t *testing.T) {
 		if m.Count != 12 {
 			t.Errorf("stage %q: %d spans, want 12", stage, m.Count)
 		}
-		if len(m.Quantiles) != 4 {
-			t.Errorf("stage %q: %d exported quantiles, want 4", stage, len(m.Quantiles))
+		for _, q := range []struct {
+			suffix   string
+			perMille int64
+		}{{"p50", 500}, {"p90", 900}, {"p99", 990}, {"p999", 999}} {
+			row := metrics.Name("coordinator_rebalance_latency_micros_"+q.suffix, "stage", stage)
+			if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(row) + ` +` + fmt.Sprint(m.Quantile(q.perMille)) + `$`).MatchString(text.String()) {
+				t.Errorf("stage %q: no %s row reading Quantile(%d):\n%s", stage, row, q.perMille, text.String())
+			}
 		}
 		if stage == StageTotal {
 			total = m.Sum

@@ -188,7 +188,7 @@ func register(t *testing.T, srv *Server, cs *connState, app string) {
 // — dropped, or (every other round) unregistering the name as its last
 // request. Exactly one registration survives, and it is the new one.
 func TestReRegisterRacesTeardown(t *testing.T) {
-	srv := NewServerWith(New(8), nil, ServerConfig{})
+	srv := NewServer(New(8), nil)
 	for round := 0; round < 1000; round++ {
 		old, fresh := newTestConn(), newTestConn()
 		register(t, srv, old, "app")
@@ -241,7 +241,7 @@ type placeholderRig struct {
 // removed one file at a time.
 func newPlaceholderRig(t *testing.T, base map[string][]byte) placeholderRig {
 	t.Helper()
-	rig := placeholderRig{dir: t.TempDir(), srv: NewServerWith(New(8), nil, ServerConfig{Lease: time.Minute})}
+	rig := placeholderRig{dir: t.TempDir(), srv: NewServerWith(New(8), nil, time.Minute)}
 	for name, b := range base {
 		if err := os.WriteFile(filepath.Join(rig.dir, name), b, 0o644); err != nil {
 			t.Fatal(err)
@@ -397,7 +397,7 @@ func TestMassLeaseExpiry(t *testing.T) {
 	defer w.Close()
 	c.SetJournal(w)
 	defer c.StartBatching(DefaultBatchWindow)() // 2,000 inline rebalances of up to 2,000 members otherwise
-	srv := NewServerWith(c, ln, ServerConfig{Lease: time.Hour})
+	srv := NewServerWith(c, ln, time.Hour)
 	go srv.Serve()
 	defer srv.Close()
 

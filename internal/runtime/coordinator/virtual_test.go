@@ -21,6 +21,7 @@ package coordinator
 import (
 	"net"
 	"sync"
+	"time"
 )
 
 // pipeListener is a net.Listener whose connections are net.Pipe pairs:
@@ -60,8 +61,8 @@ func (l *pipeListener) dial() net.Conn {
 
 // startPipeServer runs a server on a pipeListener. Call it inside a
 // bubble, and close the server there.
-func startPipeServer(capacity int, cfg ServerConfig) *Server {
-	srv := NewServerWith(New(capacity), newPipeListener(), cfg)
+func startPipeServer(capacity int, lease time.Duration) *Server {
+	srv := NewServerWith(New(capacity), newPipeListener(), lease)
 	go srv.Serve()
 	return srv
 }

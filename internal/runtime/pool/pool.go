@@ -67,12 +67,11 @@ type Pool struct {
 	settled bool
 	rec     *flight.Recorder
 
-	// Wall-clock worker-time accounting, all nanoseconds under mu:
-	// busy (inside a task), idle (runnable but waiting for work), and
-	// parked (suspended by process control — deliberate, not waste).
+	// Wall-clock worker-time accounting, nanoseconds under mu: busy
+	// (inside a task) and idle (runnable but waiting for work). Time
+	// parked by process control is deliberate, not waste, and not timed.
 	busyNanos int64
 	idleNanos int64
-	parkNanos int64
 
 	// Counts, under mu; Stats reads them.
 	submitted, completed, parks, unparks int64
@@ -285,11 +284,9 @@ func (p *Pool) worker() {
 			p.runnable--
 			p.parks++
 			p.maybeSettleLocked()
-			parked := time.Now()
 			for p.runnable >= p.target && !(p.closed && len(p.queue) == 0) {
 				p.cond.Wait()
 			}
-			p.parkNanos += time.Since(parked).Nanoseconds()
 			p.runnable++
 			p.unparks++
 			p.maybeSettleLocked()

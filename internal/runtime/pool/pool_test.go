@@ -281,12 +281,12 @@ func TestSpinPercentExcludesParkedTime(t *testing.T) {
 	p.Submit(func() { time.Sleep(5 * time.Millisecond) })
 	p.Close()
 	p.Wait()
-	p.mu.Lock()
-	busy, idle, park := p.busyNanos, p.idleNanos, p.parkNanos
-	p.mu.Unlock()
-	if park <= 0 {
-		t.Fatalf("no parked time recorded (busy=%d idle=%d park=%d)", busy, idle, park)
+	if st := p.Stats(); st.Suspensions <= 0 {
+		t.Fatalf("no worker parked: %+v", st)
 	}
+	p.mu.Lock()
+	busy, idle := p.busyNanos, p.idleNanos
+	p.mu.Unlock()
 	want := 100 * float64(idle) / float64(busy+idle)
 	if got := p.SpinPercent(); got != want {
 		t.Errorf("SpinPercent = %v, want %v (parked time excluded)", got, want)
@@ -428,22 +428,23 @@ func TestEpochStampAllocatesNothing(t *testing.T) {
 }
 
 // A coordinator pushes to every member on every rebalance, and most of
-// those pushes repeat the target held: they must wake nobody. A worker
-// accrues its idle or parked time when it wakes, so while nobody wakes
-// the accrued totals stand still.
+// those pushes repeat the target held: they must wake nobody. An idle
+// worker accrues its idle time when it wakes, and a parked one that
+// leaves its park counts a resume, so while nobody wakes both stand
+// still.
 func TestRepeatedTargetWakesNobody(t *testing.T) {
 	p := New(Config{Workers: 4})
 	defer func() {
 		p.Close()
 		p.Wait()
 	}()
-	accrued := func() int64 {
+	accrued := func() [2]int64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return p.idleNanos + p.parkNanos
+		return [2]int64{p.idleNanos, p.unparks}
 	}
 	// settled waits out the wake-ups still in flight from the last change.
-	settled := func() int64 {
+	settled := func() [2]int64 {
 		for {
 			a := accrued()
 			time.Sleep(10 * time.Millisecond)
@@ -466,7 +467,7 @@ func TestRepeatedTargetWakesNobody(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	if got := accrued(); got != before {
-		t.Errorf("100 pushes of the target already held woke workers: accrued wait went from %d to %d ns", before, got)
+		t.Errorf("100 pushes of the target already held woke workers: idle ns and resumes went from %v to %v", before, got)
 	}
 	p.SetTarget(3) // a target that moved still does
 	for deadline = time.Now().Add(2 * time.Second); accrued() == before; time.Sleep(time.Millisecond) {
