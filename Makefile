@@ -114,15 +114,15 @@ bench-go:
 	$(GO) test -bench=. -benchmem
 
 # End-to-end pipeline over the trace toolchain: record a short causal
-# trace of the Figure 4 mix, attribute its wasted cycles, export a
-# Perfetto timeline and validate it (the daemon smoke validates the
+# trace of the Figure 4 mix, draw its CPU timeline, attribute its
+# wasted cycles, export a Perfetto timeline and validate it (the daemon smoke validates the
 # daemon export). Artifacts land in $(TRACE_OUT); CI uploads them.
 TRACE_OUT ?= /tmp/procctl-trace-smoke
 trace-smoke:
 	mkdir -p $(TRACE_OUT)
 	$(GO) build -o $(TRACE_OUT)/procctl-trace ./cmd/procctl-trace
 	$(TRACE_OUT)/procctl-trace record -seed 1 -seconds 1 -control -out $(TRACE_OUT)/fig4.jsonl
-	$(TRACE_OUT)/procctl-trace summary -in $(TRACE_OUT)/fig4.jsonl
+	$(TRACE_OUT)/procctl-trace gantt -in $(TRACE_OUT)/fig4.jsonl
 	$(TRACE_OUT)/procctl-trace analyze -in $(TRACE_OUT)/fig4.jsonl
 	$(TRACE_OUT)/procctl-trace export -in $(TRACE_OUT)/fig4.jsonl -out $(TRACE_OUT)/fig4.chrome.json
 	$(TRACE_OUT)/procctl-trace check -in $(TRACE_OUT)/fig4.chrome.json

@@ -5,8 +5,12 @@
 //
 //	procctl-sim [flags] [experiment ...]
 //
-// Experiments: fig1 fig3 fig4 fig5 policies poll cache quantum unctl decentral latency faults gantt metrics run export all
+// Experiments: fig1 fig3 fig4 fig5 policies poll cache quantum unctl decentral latency faults metrics run export all
 // (default: fig1 fig3 fig4 fig5).
+//
+// procctl-sim prints tables and records no traces; procctl-trace
+// records a run of the Figure 4-style mix under any policy, and draws
+// its CPU timeline with `procctl-trace gantt`.
 package main
 
 import (
@@ -30,8 +34,6 @@ func main() {
 		seeds    = flag.Int("seeds", 3, "seeds averaged per data point")
 		quick    = flag.Bool("quick", false, "coarser sweeps for a fast run")
 		horizon  = flag.Float64("horizon", 600, "per-run virtual-time bound (seconds)")
-		policy   = flag.String("policy", "timeshare", "scheduling policy for the gantt experiment")
-		control  = flag.Bool("control", false, "enable process control in the gantt experiment")
 		workload = flag.String("workload", "", "JSON workload spec for the run experiment")
 		app      = flag.String("app", "fft", "built-in workload for the export experiment")
 		asJSON   = flag.Bool("json", false, "print the metrics experiment as JSON instead of a table")
@@ -93,8 +95,6 @@ func main() {
 			out = experiments.Decentral(o, nil).Render()
 		case "faults":
 			out = experiments.Faults(o).Render()
-		case "gantt":
-			out = experiments.GanttDemo(o, *policy, *control, 3*sim.Second)
 		case "metrics":
 			r := experiments.MetricsDemo(o)
 			if *asJSON {

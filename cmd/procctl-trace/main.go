@@ -3,12 +3,13 @@
 //
 //	procctl-trace record [-out trace.jsonl] [-control] [-policy P] [-seconds N]
 //	    runs the Figure 4-style mix and writes a JSONL scheduling trace
-//	procctl-trace summary [-in trace.jsonl]
-//	    aggregates a trace into per-application state residency
 //	procctl-trace analyze [-in trace.jsonl]
 //	    attributes every process's time to the paper's wasted-cycle
 //	    categories (useful work, spin on preempted/running holder,
 //	    context switch, cache reload, ready-queue wait, suspension)
+//	procctl-trace gantt [-in trace.jsonl]
+//	    draws a trace's CPU timeline as text, one row per CPU and one
+//	    letter per application
 //	procctl-trace export [-in trace.jsonl] [-out out.json]
 //	    converts a trace to Chrome trace-event JSON for ui.perfetto.dev
 //	procctl-trace export -source daemon -daemon-events d.jsonl [-client-events a.jsonl,b.jsonl]
@@ -26,6 +27,7 @@
 // stdin, so the stages compose:
 //
 //	procctl-trace record -control | procctl-trace analyze
+//	procctl-trace record -seconds 3 -policy cosched | procctl-trace gantt
 package main
 
 import (
@@ -53,10 +55,10 @@ func main() {
 	switch os.Args[1] {
 	case "record":
 		record(os.Args[2:])
-	case "summary":
-		summary(os.Args[2:])
 	case "analyze":
 		analyze(os.Args[2:])
+	case "gantt":
+		gantt(os.Args[2:])
 	case "export":
 		export(os.Args[2:])
 	case "check":
@@ -67,7 +69,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: procctl-trace record|summary|analyze|export|check [flags]")
+	fmt.Fprintln(os.Stderr, "usage: procctl-trace record|analyze|gantt|export|check [flags]")
 	os.Exit(2)
 }
 
@@ -113,28 +115,13 @@ func record(args []string) {
 	o.NewPolicy = factory
 
 	var rec *trace.Recorder
-	experiments.DemoMix(o, *control, sim.DurationOf(*seconds), func(k *kernel.Kernel) func() {
+	experiments.DemoMix(o, *control, sim.DurationOf(*seconds), func(k *kernel.Kernel) {
 		rec = trace.NewRecorder(k, w, trace.Meta{Seed: *seed, Control: *control})
-		return nil
 	})
 	if err := rec.Close(); err != nil { // after the kernel's final accounting
 		log.Fatalf("procctl-trace: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "procctl-trace: %d events over %.1fs virtual time\n", rec.Events(), *seconds)
-}
-
-func summary(args []string) {
-	fs := flag.NewFlagSet("summary", flag.ExitOnError)
-	in := fs.String("in", "", "trace file (default stdin)")
-	fs.Parse(args)
-
-	r := openInput(*in)
-	defer r.Close()
-	sum, err := trace.ReadSummary(r)
-	if err != nil {
-		log.Fatalf("procctl-trace: %v", err)
-	}
-	fmt.Print(sum.Render())
 }
 
 func analyze(args []string) {
@@ -149,6 +136,18 @@ func analyze(args []string) {
 		log.Fatalf("procctl-trace: %v", err)
 	}
 	fmt.Print(att.Render())
+}
+
+func gantt(args []string) {
+	fs := flag.NewFlagSet("gantt", flag.ExitOnError)
+	in := fs.String("in", "", "trace file (default stdin)")
+	fs.Parse(args)
+
+	r := openInput(*in)
+	defer r.Close()
+	if err := trace.WriteGantt(r, os.Stdout); err != nil {
+		log.Fatalf("procctl-trace: %v", err)
+	}
 }
 
 func export(args []string) {

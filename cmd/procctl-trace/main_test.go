@@ -79,13 +79,20 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func TestRecordSummaryGolden(t *testing.T) {
-	trace := recordTrace(t, "-seed", "1", "-seconds", "2", "-control")
-	checkGolden(t, "summary_seed1.golden", pipe(t, trace, "summary"))
+// TestRecordGanttGolden pins the CPU timeline of half a second of the
+// coscheduled mix under process control, rows and all.
+func TestRecordGanttGolden(t *testing.T) {
+	trace := recordTrace(t, "-seed", "1", "-seconds", "0.5", "-policy", "cosched", "-control")
+	checkGolden(t, "gantt_seed1.golden", pipe(t, trace, "gantt"))
 }
 
 func TestAnalyzeGolden(t *testing.T) {
 	trace := recordTrace(t, "-seed", "1", "-seconds", "2", "-control")
+	// The golden rests on record's bytes: pin how many events the
+	// recording holds (its lines, the header aside).
+	if n := bytes.Count(trace, []byte("\n")) - 1; n != 31838 {
+		t.Errorf("record wrote %d events, want 31838", n)
+	}
 	checkGolden(t, "analyze_seed1_ctl.golden", pipe(t, trace, "analyze"))
 }
 
@@ -144,18 +151,22 @@ func TestRecordDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestSummaryReadsFileFlag(t *testing.T) {
+// TestGanttReadsFileFlag: -in reads the named file, as stdin would.
+func TestGanttReadsFileFlag(t *testing.T) {
 	trace := recordTrace(t, "-seed", "1", "-seconds", "1")
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	if err := os.WriteFile(path, trace, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(binPath, "summary", "-in", path).Output()
+	out, err := exec.Command(binPath, "gantt", "-in", path).Output()
 	if err != nil {
-		t.Fatalf("summary -in: %v", err)
+		t.Fatalf("gantt -in: %v", err)
 	}
-	if !strings.Contains(string(out), "Trace summary:") {
-		t.Errorf("summary -in output missing header:\n%s", out)
+	if want := pipe(t, trace, "gantt"); !bytes.Equal(out, want) {
+		t.Errorf("gantt -in differs from gantt on stdin:\n%s\n%s", out, want)
+	}
+	if !strings.Contains(string(out), "CPU timeline 0.000s .. 1.000s") {
+		t.Errorf("gantt -in output missing its timeline:\n%s", out)
 	}
 }
 
@@ -187,10 +198,10 @@ func TestUsageErrorsExitNonZero(t *testing.T) {
 		{"no subcommand", nil, 2, "usage:"},
 		{"unknown subcommand", []string{"replay"}, 2, "usage:"},
 		{"unknown record flag", []string{"record", "-nope"}, 2, "flag provided but not defined"},
-		{"unknown summary flag", []string{"summary", "-nope"}, 2, "flag provided but not defined"},
+		{"unknown gantt flag", []string{"gantt", "-nope"}, 2, "flag provided but not defined"},
 		{"unknown analyze flag", []string{"analyze", "-nope"}, 2, "flag provided but not defined"},
 		{"unknown policy", []string{"record", "-policy", "psychic"}, 1, "unknown policy"},
-		{"missing input file", []string{"summary", "-in", "/no/such/trace.jsonl"}, 1, "no such file"},
+		{"missing input file", []string{"gantt", "-in", "/no/such/trace.jsonl"}, 1, "no such file"},
 		{"missing analyze input", []string{"analyze", "-in", "/no/such/trace.jsonl"}, 1, "no such file"},
 		{"unknown export flag", []string{"export", "-format", "svg"}, 2, "flag provided but not defined"},
 	}
@@ -210,14 +221,14 @@ func TestUsageErrorsExitNonZero(t *testing.T) {
 // TestAnalyzeRejectsLegacyTrace: a headerless v1 trace carries too
 // little to analyze and no build has written one since format version 2,
 // so every subcommand that reads a trace fails loudly on it instead of
-// mis-aggregating — summary included.
+// mis-aggregating — gantt included.
 func TestAnalyzeRejectsLegacyTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.jsonl")
 	v1 := `{"t":0,"kind":"spawn","pid":1,"app":1,"name":"p"}` + "\n"
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{"analyze", "export", "summary"} {
+	for _, sub := range []string{"analyze", "export", "gantt"} {
 		code, stderr := run(t, sub, "-in", path)
 		if code != 1 || !strings.Contains(stderr, "header") {
 			t.Errorf("%s on v1 trace: exit %d, stderr %q", sub, code, stderr)

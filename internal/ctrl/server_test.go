@@ -155,7 +155,9 @@ func TestServerPartitionAware(t *testing.T) {
 	spin(k, 2, 8, sim.Second)
 	s.Register(1, 8)
 	s.Register(2, 8)
-	k.Engine().Run(sim.Time(260 * sim.Millisecond)) // let the partition settle at its 250 ms period
+	// The partition splits 4/4 at the spawn instant, not at its first
+	// 250 ms period.
+	k.Engine().Run(sim.Time(sim.Millisecond))
 	s.Scan()
 	if s.Target(1) != 4 || s.Target(2) != 4 {
 		t.Errorf("partition-aware targets %d/%d, want 4/4", s.Target(1), s.Target(2))

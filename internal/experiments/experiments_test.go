@@ -380,20 +380,6 @@ func TestSimRespectsKernelOptions(t *testing.T) {
 	}
 }
 
-func TestGanttDemo(t *testing.T) {
-	o := fastOpts()
-	out := GanttDemo(o, "partition", false, 500*sim.Millisecond)
-	if !strings.Contains(out, "cpu0") || !strings.Contains(out, "partition") {
-		t.Errorf("gantt output malformed:\n%s", out)
-	}
-	if out := GanttDemo(o, "bogus", false, sim.Second); !strings.Contains(out, "unknown policy") {
-		t.Errorf("unknown policy not reported: %s", out)
-	}
-	if out := GanttDemo(o, "", true, 500*sim.Millisecond); !strings.Contains(out, "process control on") {
-		t.Error("control label missing")
-	}
-}
-
 func TestDecentralCapture(t *testing.T) {
 	o := fastOpts()
 	o.PollInterval = 6 * sim.Second

@@ -38,17 +38,16 @@ func TestFiguresGolden(t *testing.T) {
 		{"Fig3", "c5be7bca240c18b29b7be7ed0165db8d840df102c31efc5a785c839845539c46", func() string { return Fig3(o, procs).Render() }},
 		{"Fig4", "fcdf877a3f39c2fb18e02e4af933002fa9fc93318e54faf43b6d32cb20d7850b", func() string { fig4 = Fig4(o, mix); return fig4.Render() }},
 		{"Fig5", "89b5725a013dd1f7d484d0c46d48fef8adf60bf869e324bceb54d53216aabe97", func() string { return fig4.RenderFig5() }},
-		{"PolicyComparison", "13f258772c5d149c82410f194ec8d10430aa6523ee8c5d4fe3a290b800e45aea", func() string { return PolicyComparison(o, mix).Render() }},
+		{"PolicyComparison", "dbbd04f370ce6047173264cfc447864fe7a03096f8a141a6362aa25126352c66", func() string { return PolicyComparison(o, mix).Render() }},
 		{"PollSweep", "2eceba177887bda59684a95406463bcf8b93630132f5c2238146a6c7866f04a7", func() string { return PollSweep(o, []sim.Duration{sim.Second, 6 * sim.Second}).Render() }},
 		{"CacheSweep", "fd60568773f30ba9b6e5f537254c43f037e249d24fc53710f07e9f6ecfd1873f", func() string { return CacheSweep(o, []float64{1, 10}).Render() }},
 		{"QuantumSweep", "7aa18b397164bc35993b0d9cb8e76c5d8ac3acf51d7fbfaf8d9382ef83927118", func() string {
 			return QuantumSweep(o, []sim.Duration{30 * sim.Millisecond, 300 * sim.Millisecond}).Render()
 		}},
-		{"UncontrolledMix", "2ce735256ee7695a66f35a78dba8bfde9902c7e2e2dbd223d105d5c028245168", func() string { return UncontrolledMix(o).Render() }},
+		{"UncontrolledMix", "efe5e59c1077ef0a8e6f5addd7477fe9800cd60266613a0e493f68a76ec94204", func() string { return UncontrolledMix(o).Render() }},
 		{"Decentral", "96a37ca260828747018dec7d35ab7d286758fd015e31bdaa0c43dfecea500443", func() string { return Decentral(o, mix).Render() }},
 		{"Latency", "1ec03a8c30edd3ac080dd6946f4d46f1b5b29a3a09c2319cab5cc9db3d7ba976", func() string { return Latency(o, 24).Render() }},
 		{"MetricsDemo", "66ceaa7f7ce11bdf74fc281dc6ac8aa9ea0fa52e4d6291a01369fba779ec0e69", func() string { return MetricsDemo(o).JSON() }},
-		{"GanttDemo", "a9605d57ce6ad963b99c59155a7bedcb111bd3b46f11b158740179594a7abeed", func() string { return GanttDemo(o, "cosched", true, 500*sim.Millisecond) }},
 	} {
 		out := c.render()
 		sum := sha256.Sum256([]byte(out))

@@ -36,9 +36,8 @@ func recordFig4Golden(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var rec *trace.Recorder
-	DemoMix(Options{Seed: 1, Seeds: 1}, true, sim.Second, func(k *kernel.Kernel) func() {
+	DemoMix(Options{Seed: 1, Seeds: 1}, true, sim.Second, func(k *kernel.Kernel) {
 		rec = trace.NewRecorder(k, &buf, trace.Meta{Seed: 1, Control: true})
-		return nil
 	})
 	if err := rec.Close(); err != nil {
 		t.Fatalf("closing recorder: %v", err)

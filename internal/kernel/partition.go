@@ -20,10 +20,11 @@ const ownerNone AppID = -1
 // queue is empty backfills: it runs work from the longest other queue
 // rather than idle.
 type Partition struct {
-	k      *Kernel
-	queues map[AppID]*fifoQueue
-	order  []AppID // group creation order, for deterministic iteration
-	owner  []AppID // CPU index -> owning group
+	k       *Kernel
+	queues  map[AppID]*fifoQueue
+	order   []AppID // group creation order, for deterministic iteration
+	owner   []AppID // CPU index -> owning group
+	pending bool    // a repartition is scheduled for the current instant
 }
 
 // repartitionInterval is the policy module's repartition period.
@@ -62,11 +63,16 @@ func (g *Partition) queue(app AppID) *fifoQueue {
 // Enqueue implements Policy.
 func (g *Partition) Enqueue(p *Process) {
 	g.queue(p.app).push(p)
-	// A brand-new group gets processors at the next repartition; do it
-	// eagerly when the group has no processor at all so arrival latency
-	// is not a full repartitionInterval.
-	if g.cpuCount(p.app) == 0 {
-		g.repartition()
+	// A group with no processor at all gets its share at once, not a
+	// full repartitionInterval later: in an engine event at this
+	// instant, so that the rest of the group, spawned at the same
+	// instant, counts in its demand.
+	if !g.pending && g.cpuCount(p.app) == 0 {
+		g.pending = true
+		g.k.Engine().Schedule(g.k.Now(), func() {
+			g.pending = false
+			g.repartition()
+		})
 	}
 }
 

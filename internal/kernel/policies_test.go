@@ -311,6 +311,39 @@ func TestPartitionGrowsWhenAppExits(t *testing.T) {
 	k.Engine().RunUntilIdle()
 }
 
+// TestPartitionSplitsFromFirstDispatch: two 4-process apps spawned at
+// one instant on 4 CPUs split 2/2 from the start, not 3/1 until the
+// first periodic repartition. The first repartition must see each
+// group whole, not its first process alone.
+func TestPartitionSplitsFromFirstDispatch(t *testing.T) {
+	pt := NewPartition()
+	k := testKernelPolicy(4, pt, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
+	for _, app := range []AppID{1, 2} {
+		for i := 0; i < 4; i++ {
+			k.SpawnResumable("p", app, 0, Script(Compute(sim.Second)))
+		}
+	}
+	// Sample who runs where at the spawn instant, once the spawning is
+	// done, and every 5 ms up to the first periodic repartition.
+	check := func() bool {
+		running := map[AppID]int{}
+		for cpu := 0; cpu < k.NumCPU(); cpu++ {
+			if p := k.RunningOn(cpu); p != nil {
+				running[p.App()]++
+			}
+		}
+		if pt.CPUsOf(1) != 2 || pt.CPUsOf(2) != 2 || running[1] != 2 || running[2] != 2 {
+			t.Errorf("at %v: groups own %d/%d CPUs and run on %d/%d, want 2/2 and 2/2",
+				k.Now(), pt.CPUsOf(1), pt.CPUsOf(2), running[1], running[2])
+			return false
+		}
+		return k.Now() < sim.Time(repartitionInterval)
+	}
+	k.Engine().Schedule(0, func() { check() })
+	k.Engine().Every(5*sim.Millisecond, check)
+	k.Engine().Run(sim.Time(repartitionInterval))
+}
+
 func TestPartitionBackfillUsesIdleCPUs(t *testing.T) {
 	k := testKernelPolicy(4, NewPartition(), Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	// One app with 8 processes: it should use all 4 CPUs even though

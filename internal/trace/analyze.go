@@ -61,8 +61,7 @@ type spinLeg struct {
 	pendR sim.Duration // accrued while the holder was running
 }
 
-// procAttr is the one per-process residency state machine, under both
-// ReadSummary and ReadAttribution.
+// procAttr is the per-process residency state machine of ReadAttribution.
 type procAttr struct {
 	app       kernel.AppID
 	state     string // "running", "runnable", "blocked", "" once exited
@@ -71,63 +70,33 @@ type procAttr struct {
 	leg       *spinLeg
 }
 
-// appFold is one application's totals: the attribution's categories,
-// and the summary's columns beside them.
-type appFold struct {
-	AppAttribution
-	sum AppSummary
-}
-
-// fold is one pass over a trace, the input of both its views.
-type fold struct {
-	hdr    *Header
-	events int64
-	end    sim.Time
-	apps   map[kernel.AppID]*appFold
-}
-
 // ReadAttribution parses a v2 JSONL trace and attributes every
 // process's time to a wasted-cycle category. It requires the versioned
 // header: attribution depends on lock and overhead events that v1
-// traces do not carry, so a headerless trace fails loudly.
-func ReadAttribution(rd io.Reader) (*Attribution, error) {
-	f, err := foldTrace(rd)
-	if err != nil {
-		return nil, err
-	}
-	att := &Attribution{Header: f.hdr, Events: f.events, End: f.end}
-	for _, app := range sortedKeys(f.apps) {
-		a := f.apps[app].AppAttribution
-		a.Useful = a.Running - a.SpinPreempted - a.SpinRunnable - a.Switch - a.Reload
-		att.Apps = append(att.Apps, a)
-	}
-	return att, nil
-}
-
-// foldTrace walks a trace once, accruing every process's residency.
+// traces do not carry, so a headerless trace fails loudly. A trace
+// truncated mid-run is fine: intervals still open at its last event
+// are dropped.
 //
 // The attribution is exact, not sampled: at every event the elapsed
 // time since the previous event is accrued to each spinning process's
 // open leg, categorized by the lock holder's run state during that
 // slice (the holder's state can change mid-spin; each slice is
-// categorized by the state in force while it elapsed).
-//
-// The summary differs from the attribution in one rule: an interval
-// still open at the "end" event is credited to the attribution (the
-// kernel's Finalize credits the same trailing CPU time) and dropped
-// from the summary, which counts only intervals a transition closed.
-func foldTrace(rd io.Reader) (*fold, error) {
+// categorized by the state in force while it elapsed). An interval
+// still open at the "end" event is credited up to it, as the kernel's
+// Finalize credits the same trailing CPU time.
+func ReadAttribution(rd io.Reader) (*Attribution, error) {
 	procs := make(map[kernel.PID]*procAttr)
-	f := &fold{apps: make(map[kernel.AppID]*appFold)}
+	apps := make(map[kernel.AppID]*AppAttribution)
+	att := &Attribution{}
 	holders := make(map[string]kernel.PID) // lock name -> current holder
 	var spinning []kernel.PID              // procs with an open leg, in open order
 	var lastCut sim.Time
 
-	get := func(app kernel.AppID) *appFold {
-		a, ok := f.apps[app]
+	get := func(app kernel.AppID) *AppAttribution {
+		a, ok := apps[app]
 		if !ok {
-			a = &appFold{AppAttribution: AppAttribution{App: app}, sum: AppSummary{App: app, FirstSpawn: -1}}
-			f.apps[app] = a
+			a = &AppAttribution{App: app}
+			apps[app] = a
 		}
 		return a
 	}
@@ -172,23 +141,19 @@ func foldTrace(rd io.Reader) (*fold, error) {
 			}
 		}
 	}
-	// closeInterval credits pid's current residency interval up to now;
-	// at the horizon, to the attribution only.
-	closeInterval := func(pid kernel.PID, now sim.Time, horizon bool) {
+	// closeInterval credits pid's current residency interval up to now.
+	closeInterval := func(pid kernel.PID, now sim.Time) {
 		ps := procs[pid]
 		if ps == nil || ps.state == "" {
 			return
 		}
 		a := get(ps.app)
 		d := now.Sub(ps.since)
-		var col *sim.Duration // the summary's column for this state
 		switch ps.state {
 		case "running":
 			a.Running += d
-			col = &a.sum.Running
 		case "runnable":
 			a.ReadyWait += d
-			col = &a.sum.Runnable
 		case "blocked":
 			if ps.suspended {
 				a.Suspended += d
@@ -196,19 +161,15 @@ func foldTrace(rd io.Reader) (*fold, error) {
 			} else {
 				a.OtherBlocked += d
 			}
-			col = &a.sum.Blocked
-		}
-		if col != nil && !horizon {
-			*col += d
 		}
 		a.Total += d
 		ps.since = now
 	}
 
 	hdr, err := readTrace(rd, func(ev Event) error {
-		f.events++
-		if ev.T > f.end {
-			f.end = ev.T
+		att.Events++
+		if ev.T > att.End {
+			att.End = ev.T
 		}
 		cut(ev.T)
 		switch ev.Kind {
@@ -216,11 +177,7 @@ func foldTrace(rd io.Reader) (*fold, error) {
 			if _, ok := procs[ev.PID]; !ok {
 				procs[ev.PID] = &procAttr{app: ev.App, state: "runnable", since: ev.T}
 			}
-			a := get(ev.App)
-			a.Procs++
-			if a.sum.FirstSpawn < 0 {
-				a.sum.FirstSpawn = ev.T
-			}
+			get(ev.App).Procs++
 		case "state":
 			ps, ok := procs[ev.PID]
 			if !ok {
@@ -235,22 +192,16 @@ func foldTrace(rd io.Reader) (*fold, error) {
 				// credits the same slice at preemption/stall/kill time.
 				closeLeg(ev.PID, true)
 			}
-			closeInterval(ev.PID, ev.T, false)
-			if ev.To == "running" {
-				get(ps.app).sum.Dispatches++
-			}
+			closeInterval(ev.PID, ev.T)
 			if ev.To == "exited" {
 				ps.state = ""
 			} else {
 				ps.state = ev.To
 			}
 		case "exit":
-			closeInterval(ev.PID, ev.T, false)
+			closeInterval(ev.PID, ev.T)
 			if ps := procs[ev.PID]; ps != nil {
 				ps.state = ""
-			}
-			if a := get(ev.App); ev.T > a.sum.LastExit {
-				a.sum.LastExit = ev.T
 			}
 		case "contend":
 			closeLeg(ev.PID, true) // defensive: one open leg per process
@@ -278,7 +229,7 @@ func foldTrace(rd io.Reader) (*fold, error) {
 			// legs (Finalize does not credit them).
 			for _, pid := range sortedKeys(procs) {
 				closeLeg(pid, false)
-				closeInterval(pid, ev.T, true)
+				closeInterval(pid, ev.T)
 			}
 		case "dispatch", "task_start", "task_done", "barrier_wait",
 			"resume", "poll", "target":
@@ -292,8 +243,13 @@ func foldTrace(rd io.Reader) (*fold, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.hdr = hdr
-	return f, nil
+	att.Header = hdr
+	for _, app := range sortedKeys(apps) {
+		a := *apps[app]
+		a.Useful = a.Running - a.SpinPreempted - a.SpinRunnable - a.Switch - a.Reload
+		att.Apps = append(att.Apps, a)
+	}
+	return att, nil
 }
 
 // sortedKeys returns m's keys in order, for deterministic iteration.

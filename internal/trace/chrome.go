@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"procctl/internal/kernel"
-	"procctl/internal/sim"
 )
 
 // chromeEvent is one entry of the Chrome trace-event format (the legacy
@@ -105,25 +104,18 @@ func (cw *chromeWriter) close() error {
 	return err
 }
 
-// chromeSlice is an in-progress occupancy of a CPU by one process.
-type chromeSlice struct {
-	cpu   int
-	since sim.Time
-}
-
 // WriteChrome converts a v2 JSONL trace into Chrome trace-event JSON:
 // one track (thread) per CPU under a single "procctl" process, a
-// complete slice for every interval a process occupies a CPU, instant
-// events for control suspensions/resumes and server target decisions,
-// and flow arrows from each lock-contention event to the release that
-// freed the lock. The output opens directly in ui.perfetto.dev.
+// complete slice for every interval a process occupies a CPU (the runs
+// of runFold, which the Gantt timeline draws too), instant events for
+// control suspensions/resumes and server target decisions, and flow
+// arrows from each lock-contention event to the release that freed the
+// lock. The output opens directly in ui.perfetto.dev.
 //
 // Like ReadAttribution, it requires the versioned header and fails
 // loudly on legacy v1 traces.
 func WriteChrome(rd io.Reader, w io.Writer) error {
 	names := make(map[kernel.PID]string)
-	apps := make(map[kernel.PID]kernel.AppID)
-	open := make(map[kernel.PID]chromeSlice)
 	pend := make(map[string][]flowHop) // lock -> its waiters' contend points
 	flowSeq := 0
 	cw := openChrome(w)
@@ -134,37 +126,16 @@ func WriteChrome(rd io.Reader, w io.Writer) error {
 		}
 		return fmt.Sprintf("pid %d", pid)
 	}
-	closeSlice := func(pid kernel.PID, now sim.Time) {
-		sl, ok := open[pid]
-		if !ok {
-			return
-		}
-		delete(open, pid)
-		cw.slice(label(pid), "proc", int64(sl.since), int64(now.Sub(sl.since)), 0, sl.cpu,
-			map[string]any{"pid": int64(pid), "app": int64(apps[pid])})
-	}
+	runs := newRunFold(func(r cpuRun) {
+		cw.slice(label(r.pid), "proc", int64(r.start), int64(r.end.Sub(r.start)), 0, r.cpu,
+			map[string]any{"pid": int64(r.pid), "app": int64(r.app)})
+	})
 
-	var end sim.Time
 	hdr, err := readTrace(rd, func(ev Event) error {
-		if ev.T > end {
-			end = ev.T
-		}
+		runs.step(ev)
 		switch ev.Kind {
 		case "spawn":
 			names[ev.PID] = ev.Name
-			apps[ev.PID] = ev.App
-		case "state":
-			if ev.App != 0 {
-				apps[ev.PID] = ev.App
-			}
-			if ev.From == "running" {
-				closeSlice(ev.PID, ev.T)
-			}
-			if ev.To == "running" && ev.CPU != nil {
-				open[ev.PID] = chromeSlice{cpu: *ev.CPU, since: ev.T}
-			}
-		case "exit":
-			closeSlice(ev.PID, ev.T)
 		case "contend":
 			if ev.CPU != nil {
 				pend[ev.Lock] = append(pend[ev.Lock], flowHop{ts: int64(ev.T), tid: *ev.CPU})
@@ -191,21 +162,15 @@ func WriteChrome(rd io.Reader, w io.Writer) error {
 			}
 			cw.instant(fmt.Sprintf("target app %d -> %d", ev.App, tgt), "ctrl", "g", int64(ev.T), 0, 0,
 				map[string]any{"app": int64(ev.App), "target": int64(tgt), "scan": ev.Cause})
-		case "end":
-			for _, pid := range sortedKeys(open) {
-				closeSlice(pid, ev.T)
-			}
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	// Close slices left open by a truncated trace (no end event), then
+	// Close runs left open by a truncated trace (no end event), then
 	// name the process and its per-CPU tracks.
-	for _, pid := range sortedKeys(open) {
-		closeSlice(pid, end)
-	}
+	runs.finish()
 	ctl := "off"
 	if hdr.Control {
 		ctl = "on"

@@ -153,8 +153,8 @@ func appendStringField(b []byte, key, v string) []byte {
 
 // Recorder streams cross-layer scheduling events as JSON lines — the
 // simulator's equivalent of a kernel tracepoint log with user-level
-// annotations folded in. Analyze the output with ReadSummary,
-// ReadAttribution, or WriteChrome (or cmd/procctl-trace).
+// annotations folded in. Analyze the output with ReadAttribution,
+// WriteChrome or WriteGantt (or cmd/procctl-trace).
 type Recorder struct {
 	k      *kernel.Kernel
 	w      *bufio.Writer
@@ -376,66 +376,4 @@ func readTrace(rd io.Reader, fn func(Event) error) (*Header, error) {
 		return nil, fmt.Errorf("trace: empty trace (no header line)")
 	}
 	return hdr, nil
-}
-
-// AppSummary aggregates one application's trace.
-type AppSummary struct {
-	App        kernel.AppID
-	Procs      int
-	Running    sim.Duration // total process-time in Running
-	Runnable   sim.Duration // total process-time waiting on a run queue
-	Blocked    sim.Duration // total process-time asleep (incl. suspension)
-	Dispatches int64
-	FirstSpawn sim.Time
-	LastExit   sim.Time
-}
-
-// Summary is the analysis of a recorded trace.
-type Summary struct {
-	Header *Header
-	Events int64
-	End    sim.Time
-	Apps   []AppSummary // sorted by AppID (AppNone first)
-}
-
-// ReadSummary parses a JSONL trace and aggregates per-application state
-// residency: the same fold as ReadAttribution, without the intervals
-// still open at the recording horizon. Unknown event kinds are an
-// error, and a trace truncated mid-run is fine (open intervals are
-// dropped).
-func ReadSummary(rd io.Reader) (*Summary, error) {
-	f, err := foldTrace(rd)
-	if err != nil {
-		return nil, err
-	}
-	sum := &Summary{Header: f.hdr, Events: f.events, End: f.end}
-	for _, app := range sortedKeys(f.apps) {
-		a := f.apps[app]
-		a.sum.Procs = a.Procs
-		sum.Apps = append(sum.Apps, a.sum)
-	}
-	return sum, nil
-}
-
-// Render prints the summary as a table.
-func (s *Summary) Render() string {
-	h, ctl := s.Header, "off"
-	if h.Control {
-		ctl = "on"
-	}
-	t := NewTable(fmt.Sprintf("Trace summary: %d events over %v (policy %s, seed %d, %d cpus, control %s)",
-		s.Events, s.End, h.Policy, h.Seed, h.CPUs, ctl),
-		"app", "procs", "running", "ready-wait", "blocked", "dispatches", "span")
-	for _, a := range s.Apps {
-		label := fmt.Sprintf("app %d", a.App)
-		if a.App == kernel.AppNone {
-			label = "system"
-		}
-		span := sim.Duration(0)
-		if a.LastExit > 0 && a.FirstSpawn >= 0 {
-			span = a.LastExit.Sub(a.FirstSpawn)
-		}
-		t.Row(label, a.Procs, a.Running, a.Runnable, a.Blocked, a.Dispatches, span)
-	}
-	return t.String()
 }

@@ -38,24 +38,26 @@ func recordSmallRun(t *testing.T) (*bytes.Buffer, *Recorder) {
 	return &buf, rec
 }
 
+// TestRecorderAndSummary: the residency ReadAttribution folds from a
+// recorded run is the run's.
 func TestRecorderAndSummary(t *testing.T) {
 	buf, rec := recordSmallRun(t)
 	if rec.Events() < 10 {
 		t.Fatalf("only %d events recorded", rec.Events())
 	}
-	sum, err := ReadSummary(bytes.NewReader(buf.Bytes()))
+	att, err := ReadAttribution(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Events != rec.Events() {
-		t.Errorf("summary read %d events, recorder wrote %d", sum.Events, rec.Events())
+	if att.Events != rec.Events() {
+		t.Errorf("attribution read %d events, recorder wrote %d", att.Events, rec.Events())
 	}
-	if len(sum.Apps) != 2 {
-		t.Fatalf("apps = %d, want 2 (app 1 + system)", len(sum.Apps))
+	if len(att.Apps) != 2 {
+		t.Fatalf("apps = %d, want 2 (app 1 + system)", len(att.Apps))
 	}
-	app1 := sum.Apps[1] // sorted: AppNone first
+	app1 := att.Apps[1] // sorted: AppNone first
 	if app1.App != 1 || app1.Procs != 2 {
-		t.Fatalf("app1 summary %+v", app1)
+		t.Fatalf("app1 attribution %+v", app1)
 	}
 	// a computes 60ms, b computes 90ms: total running 150ms exactly.
 	if app1.Running != 150*sim.Millisecond {
@@ -63,14 +65,14 @@ func TestRecorderAndSummary(t *testing.T) {
 	}
 	// a sleeps from when its 50 ms of compute finishes until b's wake;
 	// with the background process competing, that's a few tens of ms.
-	if app1.Blocked < 10*sim.Millisecond || app1.Blocked > 80*sim.Millisecond {
-		t.Errorf("blocked %v, want tens of ms", app1.Blocked)
+	if app1.OtherBlocked < 10*sim.Millisecond || app1.OtherBlocked > 80*sim.Millisecond {
+		t.Errorf("blocked %v, want tens of ms", app1.OtherBlocked)
 	}
-	sys := sum.Apps[0]
+	sys := att.Apps[0]
 	if sys.App != kernel.AppNone || sys.Running != 30*sim.Millisecond {
-		t.Errorf("system summary %+v", sys)
+		t.Errorf("system attribution %+v", sys)
 	}
-	out := sum.Render()
+	out := att.Render()
 	if !strings.Contains(out, "system") || !strings.Contains(out, "app 1") {
 		t.Errorf("render missing rows:\n%s", out)
 	}
@@ -82,25 +84,28 @@ func TestRecorderWritesValidHeader(t *testing.T) {
 	if !bytes.Contains(first, []byte(`"kind":"header"`)) {
 		t.Fatalf("first line is not a header: %s", first)
 	}
-	sum, err := ReadSummary(bytes.NewReader(buf.Bytes()))
+	att, err := ReadAttribution(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sum.Header
+	h := att.Header
 	if h == nil {
-		t.Fatal("summary did not surface the header")
+		t.Fatal("attribution did not surface the header")
 	}
 	if h.Version != FormatVersion || h.Seed != 1 || h.CPUs != 2 || h.Policy != "timeshare" || h.Control {
 		t.Errorf("header %+v", h)
 	}
-	if got := sum.Render(); !strings.Contains(got, "seed 1") || !strings.Contains(got, "control off") {
+	if got := att.Render(); !strings.Contains(got, "seed 1") || !strings.Contains(got, "control off") {
 		t.Errorf("render missing header provenance:\n%s", got)
 	}
 }
 
+// The reader tests below hold readTrace, under every view of a trace,
+// through ReadAttribution.
+
 func TestSummaryRejectsVersionMismatch(t *testing.T) {
 	in := `{"kind":"header","version":99,"seed":1,"policy":"timeshare","cpus":2,"control":false}` + "\n"
-	if _, err := ReadSummary(strings.NewReader(in)); err == nil {
+	if _, err := ReadAttribution(strings.NewReader(in)); err == nil {
 		t.Error("future format version accepted")
 	} else if !strings.Contains(err.Error(), "version") {
 		t.Errorf("unhelpful version error: %v", err)
@@ -108,7 +113,7 @@ func TestSummaryRejectsVersionMismatch(t *testing.T) {
 	// A header anywhere but line 1 is a corrupt or concatenated trace.
 	in = testHeader + `{"t":1,"kind":"spawn","pid":1,"app":1,"name":"p"}` + "\n" +
 		`{"kind":"header","version":2}` + "\n"
-	if _, err := ReadSummary(strings.NewReader(in)); err == nil {
+	if _, err := ReadAttribution(strings.NewReader(in)); err == nil {
 		t.Error("mid-stream header accepted")
 	} else if !strings.Contains(err.Error(), "header on line 3") {
 		t.Errorf("unhelpful mid-stream header error: %v", err)
@@ -119,10 +124,10 @@ func TestSummaryRejectsVersionMismatch(t *testing.T) {
 const testHeader = `{"kind":"header","version":2,"seed":1,"policy":"timeshare","cpus":2,"control":false}` + "\n"
 
 func TestSummaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadSummary(strings.NewReader("not json\n")); err == nil {
+	if _, err := ReadAttribution(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadSummary(strings.NewReader(testHeader + `{"t":1,"kind":"martian","pid":1}` + "\n")); err == nil {
+	if _, err := ReadAttribution(strings.NewReader(testHeader + `{"t":1,"kind":"martian","pid":1}` + "\n")); err == nil {
 		t.Error("unknown kind accepted")
 	} else if !strings.Contains(err.Error(), "martian") {
 		t.Errorf("unhelpful unknown-kind error: %v", err)
@@ -130,19 +135,19 @@ func TestSummaryRejectsGarbage(t *testing.T) {
 }
 
 // A trace is at least its header: an empty file and a headerless (v1)
-// trace are refused, a header alone summarizes to nothing.
+// trace are refused, a header alone attributes nothing.
 func TestSummaryEmptyTrace(t *testing.T) {
 	for _, in := range []string{"", `{"t":0,"kind":"spawn","pid":1,"app":1,"name":"p"}` + "\n"} {
-		if _, err := ReadSummary(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "header") {
-			t.Errorf("ReadSummary(%q): %v, want an error naming the missing header", in, err)
+		if _, err := ReadAttribution(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "header") {
+			t.Errorf("ReadAttribution(%q): %v, want an error naming the missing header", in, err)
 		}
 	}
-	sum, err := ReadSummary(strings.NewReader(testHeader))
+	att, err := ReadAttribution(strings.NewReader(testHeader))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Events != 0 || len(sum.Apps) != 0 || sum.Header == nil {
-		t.Errorf("header-only trace summary %+v", sum)
+	if att.Events != 0 || len(att.Apps) != 0 || att.Header == nil {
+		t.Errorf("header-only trace attribution %+v", att)
 	}
 }
 
@@ -152,14 +157,14 @@ func TestSummaryMidRunTrace(t *testing.T) {
 	in := testHeader + `{"t":1000,"kind":"state","pid":7,"app":2,"from":"runnable","to":"running","cpu":0}
 {"t":2000,"kind":"state","pid":7,"app":2,"from":"running","to":"runnable"}
 `
-	sum, err := ReadSummary(strings.NewReader(in))
+	att, err := ReadAttribution(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var app2 *AppSummary
-	for i := range sum.Apps {
-		if sum.Apps[i].App == 2 {
-			app2 = &sum.Apps[i]
+	var app2 *AppAttribution
+	for i := range att.Apps {
+		if att.Apps[i].App == 2 {
+			app2 = &att.Apps[i]
 		}
 	}
 	if app2 == nil {

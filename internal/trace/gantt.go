@@ -2,85 +2,77 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
 )
 
-// gseg is one contiguous run of a process on a CPU.
-type gseg struct {
+// cpuRun is one contiguous run of a process on a CPU.
+type cpuRun struct {
+	pid        kernel.PID
 	app        kernel.AppID
+	cpu        int
 	start, end sim.Time
 }
 
-// Gantt records per-processor execution segments and renders them as a
-// text timeline — one row per CPU, one letter per application. It is
-// the quickest way to *see* a scheduling policy: coscheduling shows as
-// vertical stripes, partitioning as horizontal bands, uncontrolled
-// timesharing as confetti.
-type Gantt struct {
-	k    *kernel.Kernel
-	segs [][]gseg // per CPU, in time order
-	open []gseg   // currently running segment per CPU (end unset)
-	live []bool
+// runFold folds a trace's state, exit and end events into the runs
+// processes made on CPUs: a run opens when a process enters running
+// and closes when it leaves running or exits, or when the trace ends.
+// WriteChrome draws each run as a slice and WriteGantt as a bar, so
+// both read the one timeline. done is called as each run closes.
+type runFold struct {
+	open map[kernel.PID]cpuRun
+	end  sim.Time // the latest instant seen
+	done func(cpuRun)
 }
 
-// NewGantt installs a recorder on k. It chains any OnStateChange hook
-// already installed, so it composes with other observers.
-func NewGantt(k *kernel.Kernel) *Gantt {
-	g := &Gantt{
-		k:    k,
-		segs: make([][]gseg, k.NumCPU()),
-		open: make([]gseg, k.NumCPU()),
-		live: make([]bool, k.NumCPU()),
+func newRunFold(done func(cpuRun)) *runFold {
+	return &runFold{open: make(map[kernel.PID]cpuRun), done: done}
+}
+
+// step advances the fold past one event.
+func (f *runFold) step(ev Event) {
+	if ev.T > f.end {
+		f.end = ev.T
 	}
-	prev := k.OnStateChange
-	k.OnStateChange = func(p *kernel.Process, old, next kernel.ProcState) {
-		if prev != nil {
-			prev(p, old, next)
+	switch ev.Kind {
+	case "state":
+		if ev.From == "running" {
+			f.close(ev.PID, ev.T)
 		}
-		g.observe(p, old, next)
+		if ev.To == "running" && ev.CPU != nil {
+			f.open[ev.PID] = cpuRun{pid: ev.PID, app: ev.App, cpu: *ev.CPU, start: ev.T}
+		}
+	case "exit":
+		f.close(ev.PID, ev.T)
+	case "end":
+		f.finish()
 	}
-	return g
 }
 
-func (g *Gantt) observe(p *kernel.Process, old, next kernel.ProcState) {
-	now := g.k.Now()
-	cpu := p.LastCPU()
-	if cpu < 0 || cpu >= len(g.segs) {
+func (f *runFold) close(pid kernel.PID, now sim.Time) {
+	r, ok := f.open[pid]
+	if !ok {
 		return
 	}
-	if next == kernel.Running {
-		g.open[cpu] = gseg{app: p.App(), start: now}
-		g.live[cpu] = true
-		return
-	}
-	if old == kernel.Running && g.live[cpu] {
-		s := g.open[cpu]
-		s.end = now
-		g.live[cpu] = false
-		if s.end > s.start {
-			g.segs[cpu] = append(g.segs[cpu], s)
-		}
+	delete(f.open, pid)
+	r.end = now
+	f.done(r)
+}
+
+// finish closes every open run, in PID order, at the latest instant
+// seen: the end event's, or a truncated trace's last.
+func (f *runFold) finish() {
+	for _, pid := range sortedKeys(f.open) {
+		f.close(pid, f.end)
 	}
 }
 
-// Close finalizes any still-open segments at the current time. Call it
-// before rendering a window that extends to "now".
-func (g *Gantt) Close() {
-	now := g.k.Now()
-	for cpu := range g.open {
-		if g.live[cpu] {
-			s := g.open[cpu]
-			s.end = now
-			if s.end > s.start {
-				g.segs[cpu] = append(g.segs[cpu], s)
-			}
-			g.live[cpu] = false
-		}
-	}
-}
+// The Gantt timeline is ganttWidth columns wide; each cell shows the
+// run in force at the middle of its column.
+const ganttWidth = 96
 
 // appGlyph maps an application to a timeline letter: A-Z for controlled
 // applications, '*' for uncontrollable processes, '.' for idle.
@@ -94,45 +86,90 @@ func appGlyph(app kernel.AppID) byte {
 	return '#'
 }
 
+// timeline is a trace's runs by CPU, each CPU's in time order.
+type timeline struct {
+	hdr  *Header
+	end  sim.Time
+	cpus [][]cpuRun
+}
+
+// readTimeline reads a trace's runs. A run on a CPU the header does not
+// count is an error.
+func readTimeline(rd io.Reader) (*timeline, error) {
+	var runs []cpuRun
+	fold := newRunFold(func(r cpuRun) { runs = append(runs, r) })
+	hdr, err := readTrace(rd, func(ev Event) error {
+		fold.step(ev)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	fold.finish()
+	tl := &timeline{hdr: hdr, end: fold.end, cpus: make([][]cpuRun, max(hdr.CPUs, 0))}
+	for _, r := range runs {
+		if r.cpu < 0 || r.cpu >= len(tl.cpus) {
+			return nil, fmt.Errorf("trace: pid %d runs on cpu %d, the header counts %d", r.pid, r.cpu, hdr.CPUs)
+		}
+		tl.cpus[r.cpu] = append(tl.cpus[r.cpu], r)
+	}
+	return tl, nil
+}
+
 // glyphAt returns the glyph for CPU cpu at instant t.
-func (g *Gantt) glyphAt(cpu int, t sim.Time) byte {
-	segs := g.segs[cpu]
-	// Binary search the first segment ending after t.
-	lo, hi := 0, len(segs)
+func (tl *timeline) glyphAt(cpu int, t sim.Time) byte {
+	runs := tl.cpus[cpu]
+	// Binary search the first run ending after t.
+	lo, hi := 0, len(runs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if segs[mid].end <= t {
+		if runs[mid].end <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(segs) && segs[lo].start <= t {
-		return appGlyph(segs[lo].app)
+	if lo < len(runs) && runs[lo].start <= t {
+		return appGlyph(runs[lo].app)
 	}
 	return '.'
 }
 
-// Render draws the [from, to) window, width columns wide. Each cell
-// samples the instant at the middle of its column.
-func (g *Gantt) Render(from, to sim.Time, width int) string {
-	if width < 1 {
-		width = 80
+// render draws the whole trace, [0, end), one row per CPU. A trace
+// that spans no time draws the title alone.
+func (tl *timeline) render() string {
+	ctl := "no process control"
+	if tl.hdr.Control {
+		ctl = "process control on"
 	}
-	if to <= from {
-		return ""
-	}
-	span := to.Sub(from)
 	var b strings.Builder
-	fmt.Fprintf(&b, "CPU timeline %v .. %v  (column = %v)\n", from, to, span/sim.Duration(width))
-	for cpu := range g.segs {
+	fmt.Fprintf(&b, "Policy %s (%s), seed %d, on %d CPUs\n", tl.hdr.Policy, ctl, tl.hdr.Seed, tl.hdr.CPUs)
+	if tl.end <= 0 {
+		return b.String()
+	}
+	span := tl.end.Sub(0)
+	fmt.Fprintf(&b, "CPU timeline %v .. %v  (column = %v)\n", sim.Time(0), tl.end, span/ganttWidth)
+	for cpu := range tl.cpus {
 		fmt.Fprintf(&b, "cpu%-2d |", cpu)
-		for col := 0; col < width; col++ {
-			t := from.Add(span * sim.Duration(2*col+1) / sim.Duration(2*width))
-			b.WriteByte(g.glyphAt(cpu, t))
+		for col := 0; col < ganttWidth; col++ {
+			b.WriteByte(tl.glyphAt(cpu, sim.Time(span*sim.Duration(2*col+1)/(2*ganttWidth))))
 		}
 		b.WriteString("|\n")
 	}
 	b.WriteString("A.. = applications, * = uncontrolled, . = idle\n")
 	return b.String()
+}
+
+// WriteGantt renders a v2 JSONL trace as a text CPU timeline: one row
+// per CPU, one letter per application. It is the quickest way to *see*
+// a scheduling policy: coscheduling shows as vertical stripes,
+// partitioning as horizontal bands, uncontrolled timesharing as
+// confetti, and process control as one steady band per application.
+func WriteGantt(rd io.Reader, w io.Writer) error {
+	tl, err := readTimeline(rd)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, tl.render())
+	return err
 }
