@@ -25,6 +25,7 @@ type Partition struct {
 	order   []AppID // group creation order, for deterministic iteration
 	owner   []AppID // CPU index -> owning group
 	pending bool    // a repartition is scheduled for the current instant
+	ticking bool    // the periodic repartition is armed
 }
 
 // repartitionInterval is the policy module's repartition period.
@@ -44,9 +45,18 @@ func (g *Partition) Attach(k *Kernel) {
 	for i := range g.owner {
 		g.owner[i] = ownerNone
 	}
-	k.Engine().Every(repartitionInterval, func() bool {
+	g.arm()
+}
+
+// arm starts the periodic repartition. The first tick that finds no
+// live process stops it, so that an engine with nothing left to run
+// runs dry; the next Enqueue arms it again.
+func (g *Partition) arm() {
+	g.ticking = true
+	g.k.Engine().Every(repartitionInterval, func() bool {
 		g.repartition()
-		return k.Live() > 0
+		g.ticking = g.k.Live() > 0
+		return g.ticking
 	})
 }
 
@@ -66,12 +76,16 @@ func (g *Partition) Enqueue(p *Process) {
 	// A group with no processor at all gets its share at once, not a
 	// full repartitionInterval later: in an engine event at this
 	// instant, so that the rest of the group, spawned at the same
-	// instant, counts in its demand.
-	if !g.pending && g.cpuCount(p.app) == 0 {
+	// instant, counts in its demand. The same event re-arms a stopped
+	// period.
+	if !g.pending && (!g.ticking || g.cpuCount(p.app) == 0) {
 		g.pending = true
 		g.k.Engine().Schedule(g.k.Now(), func() {
 			g.pending = false
 			g.repartition()
+			if !g.ticking {
+				g.arm()
+			}
 		})
 	}
 }

@@ -344,6 +344,51 @@ func TestPartitionSplitsFromFirstDispatch(t *testing.T) {
 	k.Engine().Run(sim.Time(repartitionInterval))
 }
 
+// TestPartitionPeriodOutlivesAnEmptyMachine: the periodic repartition
+// still runs after a tick that found no live process. App 1 exits
+// before the 250 ms tick; apps 2 and 3 arrive after the gap and split
+// 2/2; app 3 exits soon after, and the next period hands its processors
+// to app 2 rather than leaving them with a group that has none.
+func TestPartitionPeriodOutlivesAnEmptyMachine(t *testing.T) {
+	pt := NewPartition()
+	k := testKernelPolicy(4, pt, Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
+	k.SpawnResumable("a", 1, 0, Script(Compute(100*sim.Millisecond)))
+	arrive := sim.Time(300 * sim.Millisecond)
+	k.Engine().Schedule(arrive, func() {
+		for i := 0; i < 4; i++ {
+			k.SpawnResumable("b", 2, 0, Script(Compute(2*sim.Second)))
+		}
+	})
+	var cDone sim.Time
+	k.Engine().Schedule(arrive.Add(20*sim.Millisecond), func() {
+		for i := 0; i < 4; i++ {
+			k.SpawnResumable("c", 3, 0, Script(
+				Compute(50*sim.Millisecond),
+				func(env *Env) { cDone = max(cDone, env.Now()) },
+			))
+		}
+	})
+	k.Engine().Run(arrive.Add(30 * sim.Millisecond))
+	if k.Live() != 8 || pt.CPUsOf(2) != 2 || pt.CPUsOf(3) != 2 {
+		t.Fatalf("after both arrivals: %d live, split %d/%d, want 8 live and 2/2",
+			k.Live(), pt.CPUsOf(2), pt.CPUsOf(3))
+	}
+	next := arrive.Add(repartitionInterval)
+	k.Engine().Run(next.Add(-sim.Millisecond))
+	if cDone == 0 || cDone >= next {
+		t.Fatalf("app 3 finished at %v, want before the period at %v", cDone, next)
+	}
+	k.Engine().Run(next.Add(sim.Millisecond))
+	if pt.CPUsOf(2) != 4 || pt.CPUsOf(3) != 0 {
+		t.Errorf("after the period at %v: split %d/%d, want 4/0", next, pt.CPUsOf(2), pt.CPUsOf(3))
+	}
+	// The period stops again once the machine is empty, so the engine
+	// still runs dry.
+	if end := k.Engine().RunUntilIdle(); k.Live() != 0 || end > sim.Time(3*sim.Second) {
+		t.Errorf("ran dry at %v with %d live, want ≈2.3 s and 0", end, k.Live())
+	}
+}
+
 func TestPartitionBackfillUsesIdleCPUs(t *testing.T) {
 	k := testKernelPolicy(4, NewPartition(), Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
 	// One app with 8 processes: it should use all 4 CPUs even though
