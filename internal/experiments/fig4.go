@@ -62,14 +62,11 @@ func Fig4(o Options, mix []Fig4Arrival) *Fig4Result {
 		mix = DefaultFig4Mix()
 	}
 	mixRun := simRun{o: o, apps: mixLaunches(mix), staggered: true, sample: true}
-	res := &Fig4Result{Mix: mix}
-	// Control off finishes before control on starts: running the two
-	// together blows up the spread of the benchmark that times this call
-	// (EXPERIMENTS.md PERF-4, "The Fig4 fan-out, withdrawn").
-	res.Off = fig4Fold(mix, fanOut(perSeed(mixRun)), false)
+	runs := perSeed(mixRun)
 	mixRun.control = true
-	res.On = fig4Fold(mix, fanOut(perSeed(mixRun)), true)
-	return res
+	outs := fanOut(append(runs, perSeed(mixRun)...))
+	n := len(outs) / 2
+	return &Fig4Result{Mix: mix, Off: fig4Fold(mix, outs[:n], false), On: fig4Fold(mix, outs[n:], true)}
 }
 
 // fig4Fold folds the runs of the mix on every seed into one Fig4Run.

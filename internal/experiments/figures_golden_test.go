@@ -12,15 +12,16 @@ import (
 // TestFiguresGolden pins every figure's rendered output at seed 1 with
 // two seeds per point, so seed averaging and the concurrent runs of a
 // sweep are both in the bytes. The sweeps are cut short to keep the
-// test near a second. Shape tests say a figure still shows the paper's
-// effect; this one says a refactor of how the figures run their
+// test near two seconds. Shape tests say a figure still shows the
+// paper's effect; this one says a refactor of how the figures run their
 // simulations changed nothing at all. A mismatch prints the whole
 // render; there is no update flag: the hashes change only with an
 // intended change to the simulator or to a render, and then by hand.
 func TestFiguresGolden(t *testing.T) {
-	// fanOut sizes itself by GOMAXPROCS; make sure the runs really are
-	// concurrent, whatever the host.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// fanOut sizes itself by GOMAXPROCS. At 4 the runs really are
+	// concurrent, whatever the host; at 1 the calling goroutine runs
+	// them all. Every figure must render the same bytes at both.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	o := fastOpts()
 	o.Seed, o.Seeds = 1, 2
 	mix := []Fig4Arrival{
@@ -30,7 +31,7 @@ func TestFiguresGolden(t *testing.T) {
 	}
 	procs := []int{4, 24}
 	var fig4 *Fig4Result
-	for _, c := range []struct {
+	cases := []struct {
 		name, sha string
 		render    func() string
 	}{
@@ -48,11 +49,16 @@ func TestFiguresGolden(t *testing.T) {
 		{"Decentral", "96a37ca260828747018dec7d35ab7d286758fd015e31bdaa0c43dfecea500443", func() string { return Decentral(o, mix).Render() }},
 		{"Latency", "1ec03a8c30edd3ac080dd6946f4d46f1b5b29a3a09c2319cab5cc9db3d7ba976", func() string { return Latency(o, 24).Render() }},
 		{"MetricsDemo", "66ceaa7f7ce11bdf74fc281dc6ac8aa9ea0fa52e4d6291a01369fba779ec0e69", func() string { return MetricsDemo(o).JSON() }},
-	} {
-		out := c.render()
-		sum := sha256.Sum256([]byte(out))
-		if got := hex.EncodeToString(sum[:]); got != c.sha {
-			t.Errorf("%s drifted from its golden:\n  got  %s\n  want %s\n%s", c.name, got, c.sha, out)
+	}
+	for _, maxprocs := range []int{4, 1} {
+		runtime.GOMAXPROCS(maxprocs)
+		for _, c := range cases {
+			out := c.render()
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != c.sha {
+				t.Errorf("%s at GOMAXPROCS %d drifted from its golden:\n  got  %s\n  want %s\n%s",
+					c.name, maxprocs, got, c.sha, out)
+			}
 		}
 	}
 }

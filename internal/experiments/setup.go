@@ -250,11 +250,12 @@ func Solo(o Options, wl *threads.Workload, procs int, control bool) sim.Duration
 }
 
 // fanOut runs every simulation of a figure on up to GOMAXPROCS host
-// goroutines and returns their outputs in the order of runs. Each owns
-// an independent engine, so the runs are trivially parallel, and what
-// each returns depends only on its own seed. The runs with the most
-// processes start first, so that the long ones do not end up alone at
-// the tail; the order cannot show in the results.
+// goroutines, the calling one among them, and returns their outputs in
+// the order of runs. Each owns an independent engine, so the runs are
+// trivially parallel, and what each returns depends only on its own
+// seed. The runs with the most processes start first, so that the long
+// ones do not end up alone at the tail; the order cannot show in the
+// results.
 func fanOut(runs []simRun) []simOut {
 	order := make([]int, len(runs))
 	for i := range order {
@@ -274,19 +275,15 @@ func fanOut(runs []simRun) []simOut {
 			outs[order[i]] = runSim(runs[order[i]])
 		}
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(runs))
-	if workers <= 1 {
-		work()
-		return outs
-	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(runs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return outs
 }
