@@ -77,8 +77,9 @@ func (g *Partition) Enqueue(p *Process) {
 	// full repartitionInterval later: in an engine event at this
 	// instant, so that the rest of the group, spawned at the same
 	// instant, counts in its demand. The same event re-arms a stopped
-	// period.
-	if !g.pending && (!g.ticking || g.cpuCount(p.app) == 0) {
+	// period: the tick that stopped it released every processor, so
+	// the next Enqueue comes here.
+	if !g.pending && g.cpuCount(p.app) == 0 {
 		g.pending = true
 		g.k.Engine().Schedule(g.k.Now(), func() {
 			g.pending = false
