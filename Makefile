@@ -66,9 +66,11 @@ benchmark-test:
 # and from the engine over channels, the flight recorder's appends while
 # its ring is still growing (the second line), and, on the third, the
 # one immutable threads.Workload that backs the concurrent runs of a
-# figure sweep and every figure's fanOut with two seeds per point
-# (TestFiguresGolden, ~10 s under -race on two cores). The package list
-# stays whole, so no race coverage is dropped.
+# figure sweep and every figure's fanOut with two seeds per point, Fig4's
+# control-off and control-on runs side by side among them
+# (TestFiguresGolden, at GOMAXPROCS 4 and again at 1, ~55 s under -race
+# on two cores). The package list stays whole, so no race coverage is
+# dropped.
 race:
 	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/... ./internal/journal/... ./cmd/procctld/... .
 	$(SYNCTEST) $(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...

@@ -276,7 +276,7 @@ func fanOut(runs []simRun) []simOut {
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(runs)); w++ {
+	for range min(runtime.GOMAXPROCS(0), len(runs)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -47,26 +47,32 @@ metrics=$(awk '
 [ -n "$metrics" ] || { echo "ab.sh: no end_to_end metrics in BENCHMARK.json" >&2; exit 1; }
 
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+child=
+trap '[ -z "$child" ] || kill "$child" 2>/dev/null; rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive --format=tar "$commit" | tar -x -C "$tmp/base"
 echo "base $rev = ${commit:0:12} in $tmp/base; change = $root" >&2
 
 # run SIDE DIR PAIR SEED appends "SIDE PAIR METRIC VALUE" lines to
-# $tmp/results and prints the run's line.
+# $tmp/results and prints the run's line. The benchmark runs as a
+# background child, so that the exit trap can stop it.
 run() {
-	local side=$1 dir=$2 pair=$3 seed=$4 out line row name better value
-	if ! out=$(cd "$dir" && bash benchmark/run.sh --workload "$workload" \
-		--seed "$seed" --seconds "$seconds" --trace 0 2>&1); then
-		printf '%s\n' "$out" >&2
+	local side=$1 dir=$2 pair=$3 seed=$4 line row name better value
+	(cd "$dir" && exec bash benchmark/run.sh --workload "$workload" \
+		--seed "$seed" --seconds "$seconds" --trace 0) >"$tmp/run.out" 2>&1 &
+	child=$!
+	if ! wait "$child"; then
+		child=
+		cat "$tmp/run.out" >&2
 		echo "ab.sh: the $side run of pair $pair (seed $seed) failed" >&2
 		exit 1
 	fi
-	line=$(printf '%s\n' "$out" | tail -n 1)
+	child=
+	line=$(tail -n 1 "$tmp/run.out")
 	case $line in
 	'{"correct":true,'*'"failed":0,'*) ;;
 	*)
-		printf '%s\n' "$out" >&2
+		cat "$tmp/run.out" >&2
 		echo "ab.sh: the $side run of pair $pair (seed $seed) is not correct" >&2
 		exit 1 ;;
 	esac
