@@ -29,10 +29,13 @@ if [ $# -lt 3 ] || [ $# -gt 5 ]; then
 	exit 2
 fi
 rev=$1 workload=$2 pairs=$3 seconds=${4:-15} first=${5:-101}
-case $pairs$seconds$first in *[!0-9]*)
-	echo "ab.sh: PAIRS, SECONDS and FIRST_SEED must be whole numbers" >&2
-	exit 2 ;;
-esac
+for n in "$pairs" "$seconds" "$first"; do
+	case $n in '' | *[!0-9]*)
+		echo "ab.sh: PAIRS, SECONDS and FIRST_SEED must be whole numbers" >&2
+		exit 2 ;;
+	esac
+done
+((pairs > 0)) || { echo "ab.sh: PAIRS must be at least 1" >&2; exit 2; }
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 commit=$(git -C "$root" rev-parse --verify --quiet "$rev^{commit}") ||
 	{ echo "ab.sh: $rev names no commit" >&2; exit 2; }
