@@ -15,13 +15,19 @@
 # change in even ones. Each side builds into its own .bench_build/, so
 # the base's first build starts from a cold cache.
 #
-# It prints one line per run with the four end-to-end metrics, then per
-# metric each side's median [first quartile, third quartile] (nearest
-# rank, as the harness computes them), change ÷ base of the medians, the
-# pairs the change won, and whether the change's median is better than
-# the base's by more than the base's interquartile distance. "Better" is read from BENCHMARK.json. A
-# run that exits non-zero or whose result line is not "correct" stops
-# the script with that run's output.
+# It prints one line per run with the four end-to-end metrics, followed
+# by any WARNING line the harness logged for that run (a host that
+# drifted while it ran, say). Then, per metric: each side's median
+# [first quartile, third quartile], change ÷ base of the medians, the
+# pairs the change won, whether the change's median is better than the
+# base's by more than the base's interquartile distance, and each side's
+# interquartile distance as a share of the metric's bound applied to the
+# base's median (bound × base median, the distance BENCHMARK.json
+# allows). The quartiles are Python's statistics.quantiles(xs, n=4),
+# the "exclusive" method, as benchmark/stats.go's quartiles computes
+# them; the median is their middle value. "Better" and the bound are
+# read from BENCHMARK.json. A run that exits non-zero or whose result
+# line is not "correct" stops the script with that run's output.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
@@ -40,12 +46,18 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 commit=$(git -C "$root" rev-parse --verify --quiet "$rev^{commit}") ||
 	{ echo "ab.sh: $rev names no commit" >&2; exit 2; }
 
-# name and "better" of each end-to-end metric, one pair a line
+# name, "better" and bound of each end-to-end metric, one metric a line
 metrics=$(awk '
 	/"end_to_end"/ { in_e2e = 1; next }
 	in_e2e && /^[[:space:]]*\]/ { exit }
-	in_e2e && /"name"/ { v = $0; sub(/.*"name":[[:space:]]*"/, "", v); sub(/".*/, "", v); name = v }
-	in_e2e && /"better"/ { v = $0; sub(/.*"better":[[:space:]]*"/, "", v); sub(/".*/, "", v); print name, v }
+	in_e2e && /"(name|better|bound)"/ {
+		key = $0; sub(/^[^"]*"/, "", key); sub(/".*/, "", key)
+		v = $0; sub(/^[^:]*:[[:space:]]*/, "", v); sub(/,?[[:space:]]*$/, "", v); gsub(/"/, "", v)
+		m[key] = v
+	}
+	in_e2e && /^[[:space:]]*}/ && ("name" in m) && ("better" in m) && ("bound" in m) {
+		print m["name"], m["better"], m["bound"]; delete m
+	}
 ' "$root/BENCHMARK.json")
 [ -n "$metrics" ] || { echo "ab.sh: no end_to_end metrics in BENCHMARK.json" >&2; exit 1; }
 
@@ -80,13 +92,14 @@ run() {
 		exit 1 ;;
 	esac
 	row=$(printf 'pair %2d seed %s %-6s' "$pair" "$seed" "$side")
-	while read -r name better; do
+	while read -r name better bound; do
 		value=$(printf '%s' "$line" | grep -o "\"$name\":{\"value\":[^,}]*" | sed 's/.*://')
 		[ -n "$value" ] || { echo "ab.sh: $side run of pair $pair reports no $name" >&2; exit 1; }
 		echo "$side $pair $name $value" >>"$tmp/results"
 		row+=$(printf '  %s %s' "$name" "$value")
 	done <<<"$metrics"
 	echo "$row"
+	grep 'WARNING:' "$tmp/run.out" | sed 's/^[[:space:]]*/    /' || true
 }
 
 echo "scripts/ab.sh $rev $workload $pairs $seconds $first"
@@ -110,28 +123,38 @@ printf '%s\n' "$metrics" | awk -v pairs="$pairs" -v results="$tmp/results" '
 			a[j + 1] = x
 		}
 	}
-	function median(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
-	function rank(n, q,    i) {
-		i = int(q * n); if (i < q * n) i++
-		return i < 1 ? 1 : (i > n ? n : i)
+	# quartile returns the i-th of the three quartiles of the sorted
+	# a[1..n] by the exclusive method, as benchmark/stats.go does.
+	function quartile(a, n, i,    m, j, d) {
+		if (n < 2) return a[1]
+		m = n + 1; j = int(i * m / 4)
+		if (j < 1) j = 1
+		if (j > n - 1) j = n - 1
+		d = i * m - j * 4
+		return (a[j] * (4 - d) + a[j + 1] * d) / 4
+	}
+	function summary(a) {
+		return sprintf("%.6g [%.6g, %.6g]", quartile(a, pairs, 2), quartile(a, pairs, 1), quartile(a, pairs, 3))
 	}
 	BEGIN {
 		while ((getline l < results) > 0) { split(l, f, " "); v[f[1], f[2], f[3]] = f[4] + 0 }
-		printf "%-14s %-6s %-36s %-36s %-12s %-10s %s\n", "metric", "better", "base median [Q1, Q3]",
-			"change median [Q1, Q3]", "change/base", "pairs won", "better by > base IQR"
+		printf "%-14s %-6s %-36s %-36s %-12s %-10s %-21s %s\n", "metric", "better", "base median [Q1, Q3]",
+			"change median [Q1, Q3]", "change/base", "pairs won", "better by > base IQR",
+			"IQR / (bound x base median), base change"
 	}
 	{
-		name = $1; better = $2; won = 0
+		name = $1; better = $2; bound = $3; won = 0
 		for (p = 1; p <= pairs; p++) {
 			b[p] = v["base", p, name]; c[p] = v["change", p, name]
 			if ((better == "lower" && c[p] < b[p]) || (better == "higher" && c[p] > b[p])) won++
 		}
 		sort(b, pairs); sort(c, pairs)
-		mb = median(b, pairs); mc = median(c, pairs)
-		iqr = b[rank(pairs, 0.75)] - b[rank(pairs, 0.25)]
+		mb = quartile(b, pairs, 2); mc = quartile(c, pairs, 2)
+		iqrb = quartile(b, pairs, 3) - quartile(b, pairs, 1)
+		iqrc = quartile(c, pairs, 3) - quartile(c, pairs, 1)
 		gain = better == "lower" ? mb - mc : mc - mb
-		printf "%-14s %-6s %-36s %-36s %-12.4f %-10s %s\n", name, better,
-			sprintf("%.6g [%.6g, %.6g]", mb, b[rank(pairs, 0.25)], b[rank(pairs, 0.75)]),
-			sprintf("%.6g [%.6g, %.6g]", mc, c[rank(pairs, 0.25)], c[rank(pairs, 0.75)]),
-			(mb ? mc / mb : 0), won "/" pairs, (gain > iqr ? "yes" : "no")
+		allowed = bound * (mb < 0 ? -mb : mb)
+		printf "%-14s %-6s %-36s %-36s %-12.4f %-10s %-21s %s\n", name, better, summary(b), summary(c),
+			(mb ? mc / mb : 0), won "/" pairs, (gain > iqrb ? "yes" : "no"),
+			(allowed ? sprintf("%.0f%% %.0f%%", 100 * iqrb / allowed, 100 * iqrc / allowed) : "-")
 	}'
