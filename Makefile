@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet procctl-vet test examples benchmark-test bench-smoke race fuzz-smoke bench bench-go trace-smoke daemon-smoke loc
+.PHONY: check build vet procctl-vet test examples benchmark-test bench-smoke race fuzz-smoke bench trace-smoke daemon-smoke loc
 
 # The full verification gate: what CI runs, in dependency order.
 check: build vet procctl-vet test examples benchmark-test bench-smoke race fuzz-smoke trace-smoke
@@ -108,12 +108,6 @@ bench-smoke:
 # pass flags to run.sh directly (benchmark/README.md).
 bench:
 	bash benchmark/run.sh
-
-# The root package's figure and ablation benchmarks, for ad-hoc
-# profiling runs; each layer's own benchmarks sit beside the code they
-# time (go test -run '^$' -bench . ./internal/...).
-bench-go:
-	$(GO) test -bench=. -benchmem
 
 # End-to-end pipeline over the trace toolchain: record a short causal
 # trace of the Figure 4 mix, draw its CPU timeline, attribute its

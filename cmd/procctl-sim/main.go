@@ -8,15 +8,18 @@
 // Experiments: fig1 fig3 fig4 fig5 policies poll cache quantum unctl decentral latency faults metrics run export all
 // (default: fig1 fig3 fig4 fig5).
 //
+// Stdout is the tables alone (wall times go to stderr): `procctl-sim all
+// > cmd/procctl-sim/testdata/all.golden` regenerates the published render.
+//
 // procctl-sim prints tables and records no traces; procctl-trace
 // records a run of the Figure 4-style mix under any policy, and draws
 // its CPU timeline with `procctl-trace gantt`.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -29,35 +32,35 @@ import (
 )
 
 func main() {
-	var (
-		seed     = flag.Uint64("seed", 1, "base random seed")
-		seeds    = flag.Int("seeds", 3, "seeds averaged per data point")
-		quick    = flag.Bool("quick", false, "coarser sweeps for a fast run")
-		horizon  = flag.Float64("horizon", 600, "per-run virtual-time bound (seconds)")
-		workload = flag.String("workload", "", "JSON workload spec for the run experiment")
-		app      = flag.String("app", "fft", "built-in workload for the export experiment")
-		asJSON   = flag.Bool("json", false, "print the metrics experiment as JSON instead of a table")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	o := experiments.Options{
-		Seed:    *seed,
-		Seeds:   *seeds,
-		Horizon: sim.DurationOf(*horizon),
+// run is the whole command: it renders each experiment that args names
+// to stdout and returns the exit status, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("procctl-sim", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed     = fs.Uint64("seed", 1, "base random seed")
+		seeds    = fs.Int("seeds", 3, "seeds averaged per data point")
+		horizon  = fs.Float64("horizon", 600, "per-run virtual-time bound (seconds)")
+		workload = fs.String("workload", "", "JSON workload spec for the run experiment")
+		app      = fs.String("app", "fft", "built-in workload for the export experiment")
+		asJSON   = fs.Bool("json", false, "print the metrics experiment as JSON instead of a table")
+	)
+	fs.Parse(args)
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "procctl-sim: "+format+"\n", a...)
+		return code
 	}
 
-	names := flag.Args()
+	o := experiments.Options{Seed: *seed, Seeds: *seeds, Horizon: sim.DurationOf(*horizon)}
+	names := fs.Args()
 	if len(names) == 0 {
 		names = []string{"fig1", "fig3", "fig4", "fig5"}
 	}
 	if len(names) == 1 && names[0] == "all" {
 		names = []string{"fig1", "fig3", "fig4", "fig5", "policies", "poll", "cache", "quantum", "unctl", "decentral", "latency", "faults"}
-	}
-
-	procsList := []int{1, 2, 4, 8, 12, 16, 20, 24}
-	if *quick {
-		procsList = []int{1, 8, 16, 24}
-		o.Seeds = 1
 	}
 
 	var fig4 *experiments.Fig4Result // shared by fig4 and fig5
@@ -66,9 +69,9 @@ func main() {
 		var out string
 		switch name {
 		case "fig1":
-			out = experiments.Fig1(o, procsList).Render()
+			out = experiments.Fig1(o, nil).Render()
 		case "fig3":
-			out = experiments.Fig3(o, procsList).Render()
+			out = experiments.Fig3(o, nil).Render()
 		case "fig4":
 			if fig4 == nil {
 				fig4 = experiments.Fig4(o, nil)
@@ -104,52 +107,49 @@ func main() {
 			}
 		case "run":
 			if *workload == "" {
-				fmt.Fprintln(os.Stderr, "procctl-sim: run needs -workload spec.json")
-				os.Exit(2)
+				return fail(2, "run needs -workload spec.json")
 			}
-			out = runCustom(o, *workload, procsList)
+			var err error
+			if out, err = runCustom(o, *workload); err != nil {
+				return fail(1, "%v", err)
+			}
 		case "export":
 			wl := apps.ByName(*app)
 			if wl == nil {
-				fmt.Fprintf(os.Stderr, "procctl-sim: unknown app %q\n", *app)
-				os.Exit(2)
+				return fail(2, "unknown app %q", *app)
 			}
-			if err := wl.WriteSpec(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "procctl-sim: %v\n", err)
-				os.Exit(1)
+			if err := wl.WriteSpec(stdout); err != nil {
+				return fail(1, "%v", err)
 			}
 			continue
 		default:
-			fmt.Fprintf(os.Stderr, "procctl-sim: unknown experiment %q\n", name)
-			os.Exit(2)
+			return fail(2, "unknown experiment %q", name)
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s took %v]\n%s\n", name, time.Since(start).Round(time.Millisecond), strings.Repeat("=", 72))
+		fmt.Fprintln(stdout, out)
+		fmt.Fprintf(stderr, "[%s took %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, strings.Repeat("=", 72))
 	}
+	return 0
 }
 
 // runCustom sweeps a user-supplied workload spec through the Figure 3
 // protocol.
-func runCustom(o experiments.Options, path string, procsList []int) string {
-	data, err := os.ReadFile(path)
+func runCustom(o experiments.Options, path string) (string, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "procctl-sim: %v\n", err)
-		os.Exit(1)
+		return "", err
 	}
-	builder := func() *threads.Workload {
-		wl, err := threads.ParseSpec(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "procctl-sim: %v\n", err)
-			os.Exit(1)
-		}
-		return wl
+	defer f.Close()
+	wl, err := threads.ParseSpec(f)
+	if err != nil {
+		return "", err
 	}
-	c := experiments.Custom(o, builder, procsList)
+	c := experiments.Custom(o, func() *threads.Workload { return wl }, nil)
 	t := trace.NewTable(
 		fmt.Sprintf("Custom workload %q: speed-up vs processes, original vs controlled", c.App),
 		"procs", "original", "controlled")
 	for i, p := range c.Procs {
 		t.Row(p, c.Uncontrolled[i], c.Controlled[i])
 	}
-	return t.String()
+	return t.String(), nil
 }

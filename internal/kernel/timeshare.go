@@ -6,8 +6,8 @@ import "procctl/internal/sim"
 // time-sharing discipline. Runnable processes sit on FIFO queues ordered
 // by a priority derived from decayed recent CPU usage; the scheduler is
 // oblivious to applications, locks, and caches. Newly started processes
-// have no accumulated usage and therefore outrank long-running ones —
-// the effect the paper invokes to explain matmul's Figure 4 anomaly.
+// have no accumulated usage and outrank long-running ones. The paper
+// explains matmul's Figure 4 row by this; that row does not reproduce here.
 type Timeshare struct {
 	k   *Kernel
 	q   fifoQueue

@@ -14,8 +14,8 @@
 //
 //   - A deterministic simulator of the paper's hardware and experiments
 //     (internal/sim, internal/kernel, internal/experiments), driven by
-//     cmd/procctl-sim and the benchmarks in bench_test.go, which
-//     regenerates every figure of the paper's evaluation.
+//     cmd/procctl-sim, which regenerates every figure of the paper's
+//     evaluation.
 //
 // Quick start:
 //
