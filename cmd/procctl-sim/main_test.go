@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -65,19 +66,20 @@ func TestDocsQuoteGolden(t *testing.T) {
 		for _, sec := range strings.Split("\n"+string(text), "\n## ") {
 			heading, _, _ := strings.Cut(sec, "\n")
 			for _, block := range procctlSimBlocks(sec) {
-				quoted[heading] = quoted[heading] || block != ""
+				if block != "" {
+					quoted[heading] = true
+				}
 				if strings.Contains(render, "\n"+block) {
 					continue
 				}
-				line := "(every line is there, but not consecutively)"
+				why := "its lines are all there, but not consecutively"
 				for _, l := range strings.SplitAfter(block, "\n") {
 					if l != "" && !strings.Contains(render, "\n"+l) {
-						line = strings.TrimSuffix(l, "\n")
+						why = fmt.Sprintf("this line is not:\n  %q", strings.TrimSuffix(l, "\n"))
 						break
 					}
 				}
-				t.Errorf("%s, %q: a procctl-sim block is not in testdata/all.golden verbatim; first line not found:\n  %q",
-					doc, heading, line)
+				t.Errorf("%s, %q: a procctl-sim block is not in testdata/all.golden verbatim; %s", doc, heading, why)
 			}
 		}
 		switch doc {
