@@ -69,12 +69,14 @@ benchmark-test:
 # figure sweep and every figure's fanOut with two seeds per point, Fig4's
 # control-off and control-on runs side by side among them
 # (TestFiguresGolden, at GOMAXPROCS 4 and again at 1, ~55 s under -race
-# on two cores). The package list stays whole, so no race coverage is
-# dropped.
+# on two cores), and the DAGs of the Fig4 mix, which mixLaunches builds
+# and seals on concurrent goroutines, one fanOut job each
+# (TestMixBuildsMatchSerialBuilds). The package list stays whole, so no
+# race coverage is dropped.
 race:
 	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/... ./internal/journal/... ./cmd/procctld/... .
 	$(SYNCTEST) $(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...
-	$(SYNCTEST) $(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns|TestFiguresGolden' ./internal/experiments
+	$(SYNCTEST) $(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns|TestFiguresGolden|TestMixBuildsMatchSerialBuilds' ./internal/experiments
 
 # Short fuzz passes over the journal's frame decoder and fsck, over the
 # control plane's line codec (differential against encoding/json), over

@@ -10,45 +10,16 @@ package apps
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"procctl/internal/kernel"
 	"procctl/internal/sim"
 	"procctl/internal/threads"
 )
 
-// namer assembles a workload's task names back to back in one builder
-// and hands each out as a slice of it, so a name costs no allocation of
-// its own — only the builder's occasional growth, which leaves the
-// names already handed out on the old buffer, valid because a builder
-// never rewrites what it holds. One string per task was a third of all
-// objects a figure sweep allocated (fmt.Sprintf per task, before that,
-// the largest source in building the Figure 4 mix of 103 k tasks).
-type namer struct {
-	b     strings.Builder
-	start int      // where the name being assembled begins
-	num   [20]byte // scratch for one decimal
-}
-
-// grow makes room for the names of that many tasks, so the builder does
-// not re-grow (and copy) on the way there. 12 bytes each is a guess, not
-// a bound — "row3327.11" is 10 — and a wrong one only costs a regrowth.
-func (n *namer) grow(tasks int) { n.b.Grow(12 * tasks) }
-
-// add appends s followed by v in decimal, like "%s%d".
-func (n *namer) add(s string, v int) *namer {
-	n.b.WriteString(s)
-	n.b.Write(strconv.AppendInt(n.num[:0], int64(v), 10))
-	return n
-}
-
-// done returns the assembled name and starts the next after it.
-func (n *namer) done() string {
-	name := n.b.String()[n.start:]
-	n.start = n.b.Len()
-	return name
-}
+// Each generator names its tasks through Workload.NameTasks with a
+// function of the TaskID, derived from the shape it built: a task stores
+// no name, and only a Spec export ever asks for one (a formatted name per
+// task was over a third of building the Figure 4 mix of 103 k tasks).
 
 // Matmul builds the paper's matrix multiplication: the multiplicand is
 // split by rows into independent tasks (no synchronization beyond the
@@ -58,13 +29,12 @@ func Matmul(rows, chunksPerRow int, perChunk sim.Duration) *threads.Workload {
 		panic("apps: Matmul needs positive dimensions")
 	}
 	w := threads.NewWorkload("matmul")
-	var names namer
-	w.Grow(rows * chunksPerRow)
-	names.grow(rows * chunksPerRow)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < chunksPerRow; c++ {
-			w.Add(names.add("row", r).add(".", c).done(), perChunk)
-		}
+	w.NameTasks(func(id threads.TaskID) string {
+		return fmt.Sprintf("row%d.%d", int(id)/chunksPerRow, int(id)%chunksPerRow)
+	})
+	w.Grow(rows*chunksPerRow, 0)
+	for i := 0; i < rows*chunksPerRow; i++ {
+		w.Add(perChunk)
 	}
 	return w
 }
@@ -78,17 +48,19 @@ func FFT(stages, tasksPerStage int, perTask sim.Duration) *threads.Workload {
 		panic("apps: FFT needs positive dimensions")
 	}
 	w := threads.NewWorkload("fft")
-	var names namer
-	w.Grow(stages * tasksPerStage)
-	names.grow(stages * tasksPerStage)
-	var prev []threads.TaskID
+	w.NameTasks(func(id threads.TaskID) string {
+		return fmt.Sprintf("s%d.t%d", int(id)/tasksPerStage, int(id)%tasksPerStage)
+	})
+	// A barrier is a span per near-side task. Barrier copies the far
+	// side, so one array per side serves every stage.
+	w.Grow(stages*tasksPerStage, (stages-1)*tasksPerStage)
+	prev, cur := make([]threads.TaskID, 0, tasksPerStage), make([]threads.TaskID, tasksPerStage)
 	for s := 0; s < stages; s++ {
-		cur := make([]threads.TaskID, tasksPerStage)
-		for t := 0; t < tasksPerStage; t++ {
-			cur[t] = w.Add(names.add("s", s).add(".t", t).done(), perTask)
+		for t := range cur {
+			cur[t] = w.Add(perTask)
 		}
 		w.Barrier(prev, cur)
-		prev = cur
+		prev = append(prev[:0], cur...)
 	}
 	return w
 }
@@ -105,22 +77,37 @@ func Gauss(n, rowsPerTask int, perElem sim.Duration) *threads.Workload {
 		panic("apps: Gauss needs n >= 2 and positive rowsPerTask")
 	}
 	const pivotLock threads.LockID = 0
+	// Step k updates the m-1 = n-k-1 rows below its pivot.
+	updates := func(k int) int { return (n - k - 1 + rowsPerTask - 1) / rowsPerTask }
 	w := threads.NewWorkload("gauss")
-	var names namer
-	tasks := 1 // backsub; then per step its pivot and ⌈rows/rowsPerTask⌉ updates
+	w.NameTasks(func(id threads.TaskID) string {
+		i := int(id)
+		for k := 0; k < n-1; k++ {
+			if i == 0 {
+				return fmt.Sprintf("pivot%d", k)
+			}
+			if i--; i < updates(k) {
+				return fmt.Sprintf("upd%d.%d", k, i*rowsPerTask)
+			}
+			i -= updates(k)
+		}
+		return "backsub"
+	})
+	// n-1 pivots and backsub, then every update: its edge from its
+	// pivot, and its edge into the next pivot (or backsub).
+	total := 0
 	for k := 0; k < n-1; k++ {
-		tasks += 1 + (n-k-1+rowsPerTask-1)/rowsPerTask
+		total += updates(k)
 	}
-	w.Grow(tasks)
-	names.grow(tasks)
-	var prev []threads.TaskID
+	w.Grow(n+total, 2*total)
+	var prev, cur []threads.TaskID
 	for k := 0; k < n-1; k++ {
 		m := n - k // active submatrix dimension
-		pivot := w.Add(names.add("pivot", k).done(), sim.Duration(m)*perElem/4+50*sim.Microsecond)
+		pivot := w.Add(sim.Duration(m)*perElem/4 + 50*sim.Microsecond)
 		w.Barrier(prev, []threads.TaskID{pivot})
 
 		rows := m - 1 // rows below the pivot to update
-		var updates []threads.TaskID
+		cur = cur[:0]
 		for r := 0; r < rows; r += rowsPerTask {
 			nr := rowsPerTask
 			if r+nr > rows {
@@ -131,17 +118,14 @@ func Gauss(n, rowsPerTask int, perElem sim.Duration) *threads.Workload {
 			if cs > work/4 {
 				cs = work / 4
 			}
-			id := w.AddLocked(names.add("upd", k).add(".", r).done(), work, pivotLock, cs)
+			id := w.AddLocked(work, pivotLock, cs)
 			w.Dep(pivot, id)
-			updates = append(updates, id)
+			cur = append(cur, id)
 		}
-		if len(updates) == 0 {
-			updates = []threads.TaskID{pivot}
-		}
-		prev = updates
+		prev, cur = cur, prev
 	}
 	// Back substitution: a short serial tail.
-	back := w.Add("backsub", sim.Duration(n)*perElem)
+	back := w.Add(sim.Duration(n) * perElem)
 	w.Barrier(prev, []threads.TaskID{back})
 	return w
 }
@@ -156,19 +140,30 @@ func MergeSort(leaves int, leafWork sim.Duration, leafItems int, perItem sim.Dur
 		panic("apps: MergeSort needs a power-of-two leaf count >= 2")
 	}
 	w := threads.NewWorkload("sort")
-	var names namer
-	w.Grow(2*leaves - 1)
-	names.grow(2*leaves - 1)
+	w.NameTasks(func(id threads.TaskID) string {
+		i := int(id)
+		if i < leaves {
+			return fmt.Sprintf("heap%d", i)
+		}
+		i -= leaves
+		lvl, width := 0, leaves/2
+		for ; i >= width; lvl, width = lvl+1, width/2 {
+			i -= width
+		}
+		return fmt.Sprintf("merge%d.%d", lvl, i)
+	})
+	// Every merge has two inbound edges.
+	w.Grow(2*leaves-1, 2*(leaves-1))
 	level := make([]threads.TaskID, leaves)
 	for i := range level {
-		level[i] = w.Add(names.add("heap", i).done(), leafWork)
+		level[i] = w.Add(leafWork)
 	}
 	items := int64(leafItems)
 	for lvl := 0; len(level) > 1; lvl++ {
 		next := make([]threads.TaskID, len(level)/2)
 		work := sim.Duration(2*items) * perItem
 		for i := range next {
-			next[i] = w.Add(names.add("merge", lvl).add(".", i).done(), work)
+			next[i] = w.Add(work)
 			w.Dep(level[2*i], next[i])
 			w.Dep(level[2*i+1], next[i])
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"procctl/internal/kernel"
@@ -67,12 +68,40 @@ func TestGeneratorsRetireInTheSameOrder(t *testing.T) {
 
 // TestBuildAllocatesPerWorkloadNotPerTask pins what the span arena is
 // for: building BigFFT's 49,152 tasks allocates the arrays (tasks,
-// spans, names, eleven barrier groups and their growth steps), not an
-// object per task.
+// spans, the far-side scratch, eleven barrier groups and two stage
+// arrays), not an object per task.
 func TestBuildAllocatesPerWorkloadNotPerTask(t *testing.T) {
 	tasks := BigFFT().Len()
 	if n := testing.AllocsPerRun(3, func() { BigFFT() }); n >= float64(tasks)/10 {
 		t.Errorf("building BigFFT allocates %.0f objects for %d tasks, want fewer than a tenth", n, tasks)
+	}
+}
+
+// buildFig4Mix builds the three DAGs of the default Figure 4 mix.
+func buildFig4Mix() {
+	for _, name := range []string{"bigfft", "biggauss", "bigmatmul"} {
+		if ByName(name) == nil {
+			panic(name)
+		}
+	}
+}
+
+// TestBuildFig4MixAllocation gates BenchmarkBuildFig4Mix's B/op: the mix's
+// 103 k tasks cost their task and span arrays, reserved exactly, and no
+// stored name. Before names were derived and spans reserved exactly a
+// build allocated 11.66 MB.
+func TestBuildFig4MixAllocation(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's runtime allocates more than the budget measures")
+	}
+	const budget = 7e6
+	buildFig4Mix() // lazy one-time set-up is not the build's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	buildFig4Mix()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("building the Fig4 mix allocates %.2f MB, budget %.2f MB", float64(got)/1e6, budget/1e6)
 	}
 }
 
@@ -81,10 +110,6 @@ func TestBuildAllocatesPerWorkloadNotPerTask(t *testing.T) {
 func BenchmarkBuildFig4Mix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, name := range []string{"bigfft", "biggauss", "bigmatmul"} {
-			if ByName(name) == nil {
-				b.Fatal(name)
-			}
-		}
+		buildFig4Mix()
 	}
 }

@@ -10,10 +10,13 @@ import (
 	"procctl/internal/threads"
 )
 
-// TestTaskNamesMatchFormat checks every generator's task names, up to
-// four-digit indices, against the fmt.Sprintf formats they were first
-// written with: the generators now assemble names by hand, and a name
-// is part of the Spec export.
+// TestTaskNamesMatchFormat checks every task name of every generator,
+// the Big* instances included, against the fmt.Sprintf formats the
+// generators first stored: a name is now derived from the TaskID by
+// index arithmetic over the generator's shape — a row or stage split, a
+// walk over gauss's shrinking steps or the merge tree's levels — where
+// an off-by-one at a stage, step or level boundary would hide, and a
+// name is part of the Spec export.
 func TestTaskNamesMatchFormat(t *testing.T) {
 	check := func(w *threads.Workload, id int, want string) {
 		t.Helper()
@@ -21,48 +24,65 @@ func TestTaskNamesMatchFormat(t *testing.T) {
 			t.Errorf("%s task %d is named %q, want %q", w.Name, id, got, want)
 		}
 	}
-
-	mm := Matmul(1003, 11, sim.Millisecond)
-	for r := 0; r < 1003; r++ {
-		for c := 0; c < 11; c++ {
-			check(mm, r*11+c, fmt.Sprintf("row%d.%d", r, c))
+	matmul := func(w *threads.Workload, rows, chunks int) {
+		for r := 0; r < rows; r++ {
+			for c := 0; c < chunks; c++ {
+				check(w, r*chunks+c, fmt.Sprintf("row%d.%d", r, c))
+			}
 		}
 	}
-
-	ff := FFT(11, 1003, sim.Millisecond)
-	for s := 0; s < 11; s++ {
-		for i := 0; i < 1003; i++ {
-			check(ff, s*1003+i, fmt.Sprintf("s%d.t%d", s, i))
+	fft := func(w *threads.Workload, stages, perStage int) {
+		for s := 0; s < stages; s++ {
+			for i := 0; i < perStage; i++ {
+				check(w, s*perStage+i, fmt.Sprintf("s%d.t%d", s, i))
+			}
 		}
 	}
-
-	const n, rowsPerTask = 114, 3
-	g := Gauss(n, rowsPerTask, sim.Microsecond)
-	id := 0
-	for k := 0; k < n-1; k++ {
-		check(g, id, fmt.Sprintf("pivot%d", k))
-		id++
-		for r := 0; r < n-k-1; r += rowsPerTask {
-			check(g, id, fmt.Sprintf("upd%d.%d", k, r))
+	gauss := func(w *threads.Workload, n, rowsPerTask int) {
+		id := 0
+		for k := 0; k < n-1; k++ {
+			check(w, id, fmt.Sprintf("pivot%d", k))
 			id++
+			for r := 0; r < n-k-1; r += rowsPerTask {
+				check(w, id, fmt.Sprintf("upd%d.%d", k, r))
+				id++
+			}
+		}
+		check(w, id, "backsub")
+		if id+1 != w.Len() {
+			t.Errorf("%s has %d tasks, walked %d", w.Name, w.Len(), id+1)
 		}
 	}
-	check(g, id, "backsub")
-	if id+1 != g.Len() {
-		t.Errorf("gauss has %d tasks, walked %d", g.Len(), id+1)
+	sort := func(w *threads.Workload, leaves int) {
+		for i := 0; i < leaves; i++ {
+			check(w, i, fmt.Sprintf("heap%d", i))
+		}
+		id := leaves
+		for lvl, width := 0, leaves/2; width >= 1; lvl, width = lvl+1, width/2 {
+			for i := 0; i < width; i++ {
+				check(w, id, fmt.Sprintf("merge%d.%d", lvl, i))
+				id++
+			}
+		}
+		if id != w.Len() {
+			t.Errorf("%s has %d tasks, walked %d", w.Name, w.Len(), id)
+		}
 	}
 
-	ms := MergeSort(1024, sim.Millisecond, 8, sim.Microsecond)
-	for i := 0; i < 1024; i++ {
-		check(ms, i, fmt.Sprintf("heap%d", i))
-	}
-	id = 1024
-	for lvl, width := 0, 512; width >= 1; lvl, width = lvl+1, width/2 {
-		for i := 0; i < width; i++ {
-			check(ms, id, fmt.Sprintf("merge%d.%d", lvl, i))
-			id++
-		}
-	}
+	matmul(Matmul(1003, 11, sim.Millisecond), 1003, 11)
+	fft(FFT(11, 1003, sim.Millisecond), 11, 1003)
+	gauss(Gauss(114, 3, sim.Microsecond), 114, 3)
+	sort(MergeSort(1024, sim.Millisecond, 8, sim.Microsecond), 1024)
+
+	// The instances the figures run, every task of each: every FFT
+	// stage boundary, every gauss step's pivot and last update (a short
+	// one where rowsPerTask does not divide the step's rows), backsub,
+	// every merge level. The dimensions are those of apps.go.
+	matmul(BigMatmul(), 3328, 12)
+	fft(BigFFT(), 12, 4096)
+	gauss(BigGauss(), 460, 8)
+	gauss(PaperGauss(), 256, 8)
+	sort(BigSort(), 1024)
 }
 
 // specSHA256 pins the byte-exact Spec export of the instances small

@@ -39,7 +39,7 @@ func PollSweep(o Options, intervals []sim.Duration) *PollSweepResult {
 		mixRun.o.PollInterval = iv
 		runs = append(runs, perSeed(mixRun)...)
 	}
-	outs := fanOut(runs)
+	outs := fanOut(runs, simRun.procs, runSim)
 	res := &PollSweepResult{Mix: mix, Intervals: intervals}
 	for i := range intervals {
 		seeds := outs[i*o.Seeds:][:o.Seeds]
@@ -90,7 +90,7 @@ func CacheSweep(o Options, factors []float64) *CacheSweepResult {
 		runs = append(runs, perSeed(solo(oo, mm, procs, false))...)
 		runs = append(runs, perSeed(solo(oo, mm, procs, true))...)
 	}
-	outs := fanOut(runs)
+	outs := fanOut(runs, simRun.procs, runSim)
 	res := &CacheSweepResult{Factors: factors}
 	for range factors {
 		t1 := outs[0].elapsed[0]
@@ -140,7 +140,7 @@ func QuantumSweep(o Options, quanta []sim.Duration) *QuantumSweepResult {
 		runs = append(runs, solo(oo, mm, 1, false), solo(oo, ff, 1, false))
 		runs = append(runs, perSeed(simRun{o: oo, apps: []launch{{wl: mm, procs: procs}, {wl: ff, procs: procs}}})...)
 	}
-	outs := fanOut(runs)
+	outs := fanOut(runs, simRun.procs, runSim)
 	res := &QuantumSweepResult{Quanta: quanta}
 	for range quanta {
 		t1mm, t1ff := outs[0].elapsed[0], outs[1].elapsed[0]
@@ -194,7 +194,7 @@ func UncontrolledMix(o Options) *UncontrolledMixResult {
 			runs = append(runs, r)
 		}
 	}
-	outs := fanOut(runs)
+	outs := fanOut(runs, simRun.procs, runSim)
 	res := &UncontrolledMixResult{Policies: policies}
 	for p := range policies {
 		elapsed := meanElapsed(outs[p*o.Seeds:][:o.Seeds])

@@ -65,7 +65,7 @@ func Decentral(o Options, mix []Fig4Arrival) *DecentralResult {
 	}
 
 	lastStart := mix[len(mix)-1].At
-	for _, out := range fanOut(runs) {
+	for _, out := range fanOut(runs, simRun.procs, runSim) {
 		res.Elapsed = append(res.Elapsed, out.elapsed)
 		res.MeanOverload = append(res.MeanOverload, meanOverload(out.samples, o.Machine.NumCPU))
 		// The runnable count's spread while every application runs.

@@ -337,13 +337,13 @@ func TestFanOutKeepsRunOrder(t *testing.T) {
 	for _, procs := range []int{1, 8, 2, 24, 4} {
 		runs = append(runs, solo(o, wl, procs, false))
 	}
-	got := fanOut(runs)
+	got := fanOut(runs, simRun.procs, runSim)
 	for i, r := range runs {
 		if want := runSim(r); !reflect.DeepEqual(got[i], want) {
 			t.Errorf("run %d (%d procs): fanOut gave %v, alone it gives %v", i, r.apps[0].procs, got[i], want)
 		}
 	}
-	if len(fanOut(nil)) != 0 {
+	if len(fanOut[simRun](nil, simRun.procs, runSim)) != 0 {
 		t.Error("no runs, some outputs")
 	}
 }

@@ -29,7 +29,7 @@ func Fig1(o Options, procsList []int) *Fig1Result {
 	for _, procs := range procsList {
 		runs = append(runs, perSeed(simRun{o: o, apps: []launch{{wl: mm, procs: procs}, {wl: ff, procs: procs}}})...)
 	}
-	outs := fanOut(runs)
+	outs := fanOut(runs, simRun.procs, runSim)
 	t1mm, t1ff := outs[0].elapsed[0], outs[1].elapsed[0]
 
 	r := &Fig1Result{

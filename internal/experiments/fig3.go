@@ -65,7 +65,7 @@ func fig3Curves(o Options, wls []*threads.Workload, procsList []int) []Fig3Curve
 			runs = append(runs, perSeed(solo(o, wl, procs, true))...)
 		}
 	}
-	outs := fanOut(runs)
+	outs := fanOut(runs, simRun.procs, runSim)
 
 	curves := make([]Fig3Curve, len(wls))
 	for a, wl := range wls {

@@ -64,7 +64,7 @@ func Fig4(o Options, mix []Fig4Arrival) *Fig4Result {
 	mixRun := simRun{o: o, apps: mixLaunches(mix), staggered: true, sample: true}
 	runs := perSeed(mixRun)
 	mixRun.control = true
-	outs := fanOut(append(runs, perSeed(mixRun)...))
+	outs := fanOut(append(runs, perSeed(mixRun)...), simRun.procs, runSim)
 	n := len(outs) / 2
 	return &Fig4Result{Mix: mix, Off: fig4Fold(mix, outs[:n], false), On: fig4Fold(mix, outs[n:], true)}
 }

@@ -41,7 +41,7 @@ func Latency(o Options, procs int) *LatencyResult {
 			waits[i], _ = apps[0].LatencyStats()
 		}}
 	}
-	fanOut(runs)
+	fanOut(runs, simRun.procs, runSim)
 	reg := metrics.NewRegistry()
 	names := [2]string{
 		metrics.Name("task_wait_micros", "control", "off"),

@@ -75,7 +75,7 @@ func PolicyComparison(o Options, mix []Fig4Arrival) *PolicyResult {
 			}
 		}
 	}
-	outs := fanOut(runs)
+	outs := fanOut(runs, simRun.procs, runSim)
 	for i := range res.Rows {
 		row, seeds := &res.Rows[i], outs[i*o.Seeds:][:o.Seeds]
 		row.Elapsed = meanElapsed(seeds)

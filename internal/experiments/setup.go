@@ -148,16 +148,21 @@ type launch struct {
 	greedy, latency bool
 }
 
-// mixLaunches builds the DAG of every application of mix, once, in
-// arrival order. A built threads.Workload is immutable, so a figure
-// hands the same launches to each of its runs — control off and on,
-// every seed, every policy — concurrent ones included.
+// mixLaunches builds the DAG of every application of mix, once, and
+// seals it with its first Validate, each as a job of its own through
+// fanOut. The jobs start in arrival order, which in the paper's mix is
+// largest first (bigfft, 49 k tasks). A sealed threads.Workload is
+// immutable, so a figure hands the same launches to each of its runs —
+// control off and on, every seed, every policy — concurrent ones
+// included.
 func mixLaunches(mix []Fig4Arrival) []launch {
-	ls := make([]launch, len(mix))
-	for i, arr := range mix {
-		ls[i] = launch{wl: mustWorkload(arr.App), procs: arr.Procs, at: arr.At}
-	}
-	return ls
+	return fanOut(mix, nil, func(arr Fig4Arrival) launch {
+		wl := mustWorkload(arr.App)
+		if err := wl.Validate(); err != nil {
+			panic(fmt.Sprintf("experiments: %s: %v", arr.App, err))
+		}
+		return launch{wl: wl, procs: arr.Procs, at: arr.At}
+	})
 }
 
 // simRun is one simulation of a figure; runSim runs it.
@@ -249,34 +254,40 @@ func Solo(o Options, wl *threads.Workload, procs int, control bool) sim.Duration
 	return runSim(solo(o, wl, procs, control)).elapsed[0]
 }
 
-// fanOut runs every simulation of a figure on up to GOMAXPROCS host
-// goroutines, the calling one among them, and returns their outputs in
-// the order of runs. Each owns an independent engine, so the runs are
-// trivially parallel, and what each returns depends only on its own
-// seed. The runs with the most processes start first, so that the long
-// ones do not end up alone at the tail; the order cannot show in the
-// results.
-func fanOut(runs []simRun) []simOut {
-	order := make([]int, len(runs))
+// procs is how many processes r's applications start with together.
+func (r simRun) procs() (n int) {
+	for _, l := range r.apps {
+		n += l.procs
+	}
+	return n
+}
+
+// fanOut runs run on every job on up to GOMAXPROCS host goroutines, the
+// calling one among them, and returns the results in the order of jobs.
+// It is the package's one parallel path: every figure's simulations go
+// through it (run is runSim, each job owns an independent engine, and
+// what each returns depends only on its own seed), and so do the DAG
+// builds of a mix (mixLaunches). With size set, the largest jobs start
+// first, so that the long ones do not end up alone at the tail (for a
+// figure, the runs with the most processes); otherwise they start in
+// the order given. The order cannot show in the results.
+func fanOut[J, O any](jobs []J, size func(J) int, run func(J) O) []O {
+	order := make([]int, len(jobs))
 	for i := range order {
 		order[i] = i
 	}
-	procs := func(r simRun) (n int) {
-		for _, l := range r.apps {
-			n += l.procs
-		}
-		return n
+	if size != nil {
+		slices.SortStableFunc(order, func(a, b int) int { return size(jobs[b]) - size(jobs[a]) })
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return procs(runs[b]) - procs(runs[a]) })
-	outs := make([]simOut, len(runs))
+	outs := make([]O, len(jobs))
 	var next atomic.Int64
 	work := func() {
 		for i := int(next.Add(1) - 1); i < len(order); i = int(next.Add(1) - 1) {
-			outs[order[i]] = runSim(runs[order[i]])
+			outs[order[i]] = run(jobs[order[i]])
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(runs)) - 1 {
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

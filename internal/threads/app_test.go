@@ -65,10 +65,10 @@ func TestEveryTaskRunsExactlyOnce(t *testing.T) {
 func TestDependencyOrderRespected(t *testing.T) {
 	k := newSim(8)
 	wl := threads.NewWorkload("dag")
-	a1 := wl.Add("a1", 5*sim.Millisecond)
-	a2 := wl.Add("a2", sim.Millisecond)
-	b := wl.Add("b", sim.Millisecond)
-	c := wl.Add("c", sim.Millisecond)
+	a1 := wl.Add(5 * sim.Millisecond)
+	a2 := wl.Add(sim.Millisecond)
+	b := wl.Add(sim.Millisecond)
+	c := wl.Add(sim.Millisecond)
 	wl.Dep(a1, b)
 	wl.Dep(a2, b)
 	wl.Dep(b, c)

@@ -47,7 +47,7 @@ func TestTaskIsSmallAndPointerFree(t *testing.T) {
 // later one adds nothing — instead of wrapping an index.
 func TestWorkloadRefusesCountsPast32Bits(t *testing.T) {
 	w := NewWorkload("huge")
-	a, b := w.Add("a", 1), w.Add("b", 1)
+	a, b := w.Add(1), w.Add(1)
 	w.Dep(a, b)
 	if !w.building(math.MaxInt32-2, 0) || !w.building(0, math.MaxInt32-1) {
 		t.Fatal("a count of exactly math.MaxInt32 was refused")
@@ -55,20 +55,20 @@ func TestWorkloadRefusesCountsPast32Bits(t *testing.T) {
 	if w.overflow != nil {
 		t.Fatal(w.overflow)
 	}
-	w.Grow(math.MaxInt32 - 1) // one task too many: refused before it allocates 80 GB
+	w.Grow(math.MaxInt32-1, 0) // one task too many: refused before it allocates 80 GB
 	if w.overflow == nil {
 		t.Fatal("Grow past math.MaxInt32 tasks was accepted")
 	}
 	// From here on the builder is inert, whatever it is handed.
-	if id := w.Add("c", 1); id != -1 {
+	if id := w.Add(1); id != -1 {
 		t.Errorf("Add after the overflow returned task %d, want -1", id)
 	}
 	w.Dep(a, -1)
 	w.Barrier([]TaskID{a, -1}, []TaskID{b, -1})
-	w.Grow(10)
-	if w.Len() != 2 || len(w.spans) != 1 || len(w.names) != 2 || len(w.groups) != 0 {
-		t.Errorf("after the overflow: %d tasks, %d names, %d spans, %d groups; want 2, 2, 1, 0",
-			w.Len(), len(w.names), len(w.spans), len(w.groups))
+	w.Grow(10, 10)
+	if w.Len() != 2 || len(w.spans) != 1 || len(w.groups) != 0 {
+		t.Errorf("after the overflow: %d tasks, %d spans, %d groups; want 2, 1, 0",
+			w.Len(), len(w.spans), len(w.groups))
 	}
 	err := w.Validate()
 	if err == nil || !strings.Contains(err.Error(), "more than 2147483647 tasks") {
@@ -79,7 +79,7 @@ func TestWorkloadRefusesCountsPast32Bits(t *testing.T) {
 	}
 
 	spans := NewWorkload("spans")
-	a, b = spans.Add("a", 1), spans.Add("b", 1)
+	a, b = spans.Add(1), spans.Add(1)
 	spans.Dep(a, b)
 	if !spans.building(0, math.MaxInt32-1) || spans.building(0, math.MaxInt32) || spans.Validate() == nil {
 		t.Error("math.MaxInt32 spans were refused, or one more accepted")
@@ -93,14 +93,14 @@ func TestWorkloadRefusesCountsPast32Bits(t *testing.T) {
 func TestLaunchSizesItsStateToTheWorkload(t *testing.T) {
 	flat := NewWorkload("flat")
 	for i := 0; i < 1000; i++ {
-		flat.Add("t", sim.Millisecond)
+		flat.Add(sim.Millisecond)
 	}
 	staged := NewWorkload("staged")
 	var prev []TaskID
 	for s := 0; s < 5; s++ {
 		cur := make([]TaskID, 48)
 		for i := range cur {
-			cur[i] = staged.Add("t", sim.Millisecond)
+			cur[i] = staged.Add(sim.Millisecond)
 		}
 		staged.Barrier(prev, cur)
 		prev = cur

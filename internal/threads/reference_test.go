@@ -264,7 +264,7 @@ func (c workerCase) workload() *Workload {
 	rng := sim.NewRNG(c.seed ^ 0x9e3779b97f4a7c15)
 	w := NewWorkload(fmt.Sprintf("case%d", c.seed))
 	if rng.Intn(12) == 0 {
-		w.AddLocked("only", rng.Duration(0, 3*sim.Millisecond), 0, 0)
+		w.AddLocked(rng.Duration(0, 3*sim.Millisecond), 0, 0)
 		return w
 	}
 	layers := 1 + rng.Intn(5)
@@ -273,16 +273,15 @@ func (c workerCase) workload() *Workload {
 		cur := make([]TaskID, 1+rng.Intn(12))
 		for i := range cur {
 			work := rng.Duration(0, 4*sim.Millisecond)
-			name := fmt.Sprintf("t%d.%d", l, i)
 			switch rng.Intn(6) {
 			case 0:
-				cur[i] = w.AddLocked(name, work, LockID(rng.Intn(2)), work)
+				cur[i] = w.AddLocked(work, LockID(rng.Intn(2)), work)
 			case 1:
-				cur[i] = w.AddLocked(name, work, LockID(rng.Intn(2)), work/sim.Duration(2+rng.Intn(6)))
+				cur[i] = w.AddLocked(work, LockID(rng.Intn(2)), work/sim.Duration(2+rng.Intn(6)))
 			case 2:
-				cur[i] = w.AddLocked(name, work, LockID(rng.Intn(2)), 0)
+				cur[i] = w.AddLocked(work, LockID(rng.Intn(2)), 0)
 			default:
-				cur[i] = w.Add(name, work)
+				cur[i] = w.Add(work)
 			}
 		}
 		if rng.Intn(2) == 0 {

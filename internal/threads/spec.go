@@ -55,11 +55,10 @@ func (s *Spec) Build() (*Workload, error) {
 		return nil, fmt.Errorf("threads: spec needs a name")
 	}
 	w := NewWorkload(s.Name)
+	// Only the names the spec gives are kept; an unnamed task takes
+	// TaskName's default, task<id>, the name it has always exported as.
+	var names map[TaskID]string
 	for i, t := range s.Tasks {
-		name := t.Name
-		if name == "" {
-			name = fmt.Sprintf("task%d", i)
-		}
 		if t.WorkUS < 0 || t.LockWorkUS < 0 {
 			return nil, fmt.Errorf("threads: task %d: negative work", i)
 		}
@@ -77,13 +76,22 @@ func (s *Spec) Build() (*Workload, error) {
 		} else if t.LockWorkUS != 0 {
 			return nil, fmt.Errorf("threads: task %d: lock_work_us without lock", i)
 		}
-		w.AddLocked(name, sim.Duration(t.WorkUS), lock, lockWork)
+		id := w.AddLocked(sim.Duration(t.WorkUS), lock, lockWork)
+		if t.Name != "" {
+			if names == nil {
+				names = make(map[TaskID]string)
+			}
+			names[id] = t.Name
+		}
 		for _, d := range t.Deps {
 			if d < 0 || d >= i {
 				return nil, fmt.Errorf("threads: task %d: dependency %d must reference an earlier task", i, d)
 			}
 			w.Dep(TaskID(d), TaskID(i))
 		}
+	}
+	if names != nil {
+		w.NameTasks(func(id TaskID) string { return names[id] })
 	}
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -40,6 +40,25 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// A spec's unnamed tasks are named task<id> at export, as Build used to
+// name them when it stored a name per task.
+func TestSpecNamesOnlyWhatItGives(t *testing.T) {
+	w, err := ParseSpec(strings.NewReader(`{"name":"partly","tasks":[{"name":"load","work_us":1},{"work_us":1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.TaskName(0) != "load" || w.TaskName(1) != "task1" {
+		t.Errorf("tasks named %q and %q, want load and task1", w.TaskName(0), w.TaskName(1))
+	}
+	var buf bytes.Buffer
+	if err := w.WriteSpec(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"name": "task1"`) {
+		t.Errorf("export does not name the unnamed task task1:\n%s", buf.String())
+	}
+}
+
 func TestParseSpecErrors(t *testing.T) {
 	cases := map[string]string{
 		"garbage":       `{`,
@@ -87,9 +106,9 @@ func TestBuiltinGeneratorsExport(t *testing.T) {
 	gen := NewWorkload("gen")
 	var layer []TaskID
 	for i := 0; i < 4; i++ {
-		layer = append(layer, gen.Add("a", sim.Millisecond))
+		layer = append(layer, gen.Add(sim.Millisecond))
 	}
-	sink := gen.AddLocked("sink", 2*sim.Millisecond, 1, sim.Millisecond/2)
+	sink := gen.AddLocked(2*sim.Millisecond, 1, sim.Millisecond/2)
 	gen.Barrier(layer, []TaskID{sink})
 
 	var buf bytes.Buffer

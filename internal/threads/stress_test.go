@@ -30,9 +30,9 @@ func randomWorkload(seed uint64, maxTasks int) *threads.Workload {
 			var id threads.TaskID
 			if rng.Intn(4) == 0 {
 				cs := work / sim.Duration(2+rng.Intn(6))
-				id = w.AddLocked(fmt.Sprintf("t%d.%d", l, i), work, threads.LockID(rng.Intn(2)), cs)
+				id = w.AddLocked(work, threads.LockID(rng.Intn(2)), cs)
 			} else {
-				id = w.Add(fmt.Sprintf("t%d.%d", l, i), work)
+				id = w.Add(work)
 			}
 			// Random edges from the previous layer.
 			for _, p := range prev {

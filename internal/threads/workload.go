@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"procctl/internal/sim"
@@ -33,7 +34,8 @@ const NoLock LockID = -1
 // how the paper's runtime requeues a partially executed thread. A Task
 // is 40 bytes and holds no pointer — the task array is a figure's biggest
 // allocation and the collector skips it — hence the 32-bit counts (see
-// Workload.building) and the name kept apart, in Workload.names.
+// Workload.building). A task stores no name: Workload.TaskName derives
+// it from the TaskID.
 type Task struct {
 	// Work is the CPU time the task consumes.
 	Work sim.Duration
@@ -91,24 +93,25 @@ func (w *Workload) eachSucc(t TaskID, fn func(TaskID)) {
 // Workload is a DAG of tasks plus the locks they use. Build one with the
 // Add/Dep/Barrier methods on a single goroutine. The first Validate —
 // the first Launch at the latest — seals it: the verdict is computed
-// once and kept, and Add, AddLocked, Dep, Barrier and Grow panic from
-// then on, so what was validated is what every launch runs. Every other
-// method — and the runtime, which keeps its progress state (dependency
-// counters, ready queue) in the App — only reads it, so one sealed
-// workload may back any number of launches, in any number of
+// once and kept, and Add, AddLocked, Dep, Barrier, Grow and NameTasks
+// panic from then on, so what was validated is what every launch runs.
+// Every other method — and the runtime, which keeps its progress state
+// (dependency counters, ready queue) in the App — only reads it, so one
+// sealed workload may back any number of launches, in any number of
 // simulations running on concurrent goroutines. The figure drivers rely
 // on this to build each DAG once per figure. Task returns a pointer into
 // the workload: treat it as read-only.
 //
-// It is a struct of arrays indexed by TaskID: tasks holds what the
-// runtime reads on every dispatch, names what only the Spec export does.
-// All successor spans live in one arena, spans, chained per task through
-// succSpan.next from Task.head to Task.tail: a build appends to one
-// array, not to a slice per task (96 % of a Fig4 call's allocations).
+// tasks, indexed by TaskID, holds what the runtime reads on every
+// dispatch. All successor spans live in one arena, spans, chained per
+// task through succSpan.next from Task.head to Task.tail: a build appends
+// to one array, not to a slice per task (96 % of a Fig4 call's
+// allocations). Task names, which only the Spec export reads, are not
+// stored at all: taskName derives them from the TaskID.
 type Workload struct {
 	Name      string
 	tasks     []Task
-	names     []string
+	taskName  func(TaskID) string
 	spans     []succSpan
 	groups    [][]TaskID // shared barrier successor groups
 	groupFrom []int32    // per group: how many near-side tasks feed it
@@ -130,29 +133,38 @@ func NewWorkload(name string) *Workload {
 	return &Workload{Name: name}
 }
 
-// Grow makes room for tasks more tasks, and a successor span for each,
-// so that a generator that knows its task count up front appends them
-// without re-growing (and copying, and clearing) the arrays on the way
-// there.
-func (w *Workload) Grow(tasks int) {
-	if !w.building(tasks, tasks) {
+// Grow makes room for tasks more tasks and spans more successor spans
+// (one per Dep, one per near-side task of each Barrier), so that a
+// generator that knows its counts up front appends them without
+// re-growing (and copying, and clearing) the arrays on the way there.
+func (w *Workload) Grow(tasks, spans int) {
+	if !w.building(tasks, spans) {
 		return
 	}
 	w.tasks = slices.Grow(w.tasks, tasks)
-	w.names = slices.Grow(w.names, tasks)
-	w.spans = slices.Grow(w.spans, tasks)
+	w.spans = slices.Grow(w.spans, spans)
+}
+
+// NameTasks sets how the workload's tasks are named: fn maps a TaskID to
+// its name, "" for the default task<id>. Generators derive the name from
+// the ID and the shape they built, so naming costs nothing until a Spec
+// export asks. fn must be safe for concurrent use: a sealed workload is
+// shared.
+func (w *Workload) NameTasks(fn func(TaskID) string) {
+	w.building(0, 0) // for its panic once sealed
+	w.taskName = fn
 }
 
 // Add appends a task with no critical section and returns its ID.
-func (w *Workload) Add(name string, work sim.Duration) TaskID {
-	return w.AddLocked(name, work, NoLock, 0)
+func (w *Workload) Add(work sim.Duration) TaskID {
+	return w.AddLocked(work, NoLock, 0)
 }
 
 // AddLocked appends a task that spends lockWork of its work holding the
 // given application lock.
-func (w *Workload) AddLocked(name string, work sim.Duration, lock LockID, lockWork sim.Duration) TaskID {
+func (w *Workload) AddLocked(work sim.Duration, lock LockID, lockWork sim.Duration) TaskID {
 	if work < 0 || lockWork < 0 || lockWork > work {
-		panic(fmt.Sprintf("threads: task %q has invalid work %v / lockWork %v", name, work, lockWork))
+		panic(fmt.Sprintf("threads: task %d has invalid work %v / lockWork %v", len(w.tasks), work, lockWork))
 	}
 	if !w.building(1, 0) {
 		return -1
@@ -163,7 +175,6 @@ func (w *Workload) AddLocked(name string, work sim.Duration, lock LockID, lockWo
 		}
 	}
 	w.tasks = append(w.tasks, Task{Work: work, Lock: lock, LockWork: lockWork, head: -1, tail: -1})
-	w.names = append(w.names, name)
 	return TaskID(len(w.tasks) - 1)
 }
 
@@ -226,8 +237,12 @@ func (w *Workload) Barrier(from, to []TaskID) {
 	// A task on both sides would wait for itself. One pass over each
 	// side, not a pass over `to` per `from` task: BigFFT's eleven
 	// 4096×4096 barriers were 184 M comparisons per build. The far side
-	// is a stamp per task in a scratch array, not a map per barrier.
-	w.mark = append(w.mark, make([]uint32, len(w.tasks)-len(w.mark))...)
+	// is a stamp per task in a scratch array, not a map per barrier,
+	// sized once to the task array's capacity: a generator that Grows
+	// first allocates it once, not at each of its barriers.
+	if len(w.mark) < len(w.tasks) {
+		w.mark = make([]uint32, cap(w.tasks))
+	}
 	w.markGen++
 	for _, t := range to {
 		w.mark[t] = w.markGen
@@ -258,8 +273,16 @@ func (w *Workload) NumLocks() int { return w.numLocks }
 // Task returns a read-only view of task id.
 func (w *Workload) Task(id TaskID) *Task { return &w.tasks[id] }
 
-// TaskName returns the name task id was added under.
-func (w *Workload) TaskName(id TaskID) string { return w.names[id] }
+// TaskName returns task id's name: what the NameTasks function gives
+// it, or task<id>.
+func (w *Workload) TaskName(id TaskID) string {
+	if w.taskName != nil {
+		if name := w.taskName(id); name != "" {
+			return name
+		}
+	}
+	return "task" + strconv.Itoa(int(id))
+}
 
 // TotalWork sums the work of all tasks — the sequential execution time,
 // used as the numerator of speedup.

@@ -20,9 +20,9 @@ func newTestKernel(ncpu int) (*sim.Engine, *kernel.Kernel) {
 
 // builder is what a random build program needs of either implementation.
 type builder interface {
-	Grow(tasks int)
-	Add(name string, work sim.Duration) TaskID
-	AddLocked(name string, work sim.Duration, lock LockID, lockWork sim.Duration) TaskID
+	Grow(tasks, spans int)
+	Add(work sim.Duration) TaskID
+	AddLocked(work sim.Duration, lock LockID, lockWork sim.Duration) TaskID
 	Dep(from, to TaskID)
 	Barrier(from, to []TaskID)
 }
@@ -52,12 +52,12 @@ func randomBuild(t *testing.T, rng *sim.RNG, w, ref builder, cyclic bool) {
 	}
 	n := 0
 	add := func() {
-		name, work := fmt.Sprintf("t%d", n), sim.Duration(1+rng.Intn(50))*sim.Millisecond
+		work := sim.Duration(1+rng.Intn(50)) * sim.Millisecond
 		if rng.Intn(3) == 0 {
 			lock, lockWork := LockID(rng.Intn(3)), work/sim.Duration(1+rng.Intn(4))
-			both("AddLocked", func(b builder) { b.AddLocked(name, work, lock, lockWork) })
+			both("AddLocked", func(b builder) { b.AddLocked(work, lock, lockWork) })
 		} else {
-			both("Add", func(b builder) { b.Add(name, work) })
+			both("Add", func(b builder) { b.Add(work) })
 		}
 		n++
 	}
@@ -69,7 +69,8 @@ func randomBuild(t *testing.T, rng *sim.RNG, w, ref builder, cyclic bool) {
 		return ids
 	}
 	if rng.Intn(2) == 0 {
-		both("Grow", func(b builder) { b.Grow(rng.Intn(64)) })
+		n := rng.Intn(64)
+		both("Grow", func(b builder) { b.Grow(n, n) })
 	}
 	for i := 0; i < 4; i++ {
 		add()
@@ -189,7 +190,7 @@ func TestWorkloadMatchesReference(t *testing.T) {
 func TestWorkloadSealedAfterValidate(t *testing.T) {
 	build := func(name string) (*Workload, TaskID, TaskID) {
 		w := NewWorkload(name)
-		a, b := w.Add("a", 10), w.Add("b", 10)
+		a, b := w.Add(10), w.Add(10)
 		w.Dep(a, b)
 		return w, a, b
 	}
@@ -212,12 +213,13 @@ func TestWorkloadSealedAfterValidate(t *testing.T) {
 	}{{valid, a, b}, {cyclic, ca, cb}, {launched, la, lb}} {
 		want := fmt.Sprintf("threads: workload %q modified after its first Validate or Launch", tc.w.Name)
 		for what, f := range map[string]func(){
-			"Add":                func() { tc.w.Add("late", 10) },
-			"AddLocked":          func() { tc.w.AddLocked("late", 10, 0, 5) },
+			"Add":                func() { tc.w.Add(10) },
+			"AddLocked":          func() { tc.w.AddLocked(10, 0, 5) },
 			"Dep":                func() { tc.w.Dep(tc.a, tc.b) },
 			"Barrier":            func() { tc.w.Barrier([]TaskID{tc.a}, []TaskID{tc.b}) },
 			"Barrier of nothing": func() { tc.w.Barrier(nil, nil) },
-			"Grow":               func() { tc.w.Grow(8) },
+			"Grow":               func() { tc.w.Grow(8, 8) },
+			"NameTasks":          func() { tc.w.NameTasks(nil) },
 		} {
 			if got := panicOf(f); got != want {
 				t.Errorf("%s: %s after the seal panicked with %v, want %q", tc.w.Name, what, got, want)
@@ -242,7 +244,7 @@ func TestConcurrentFirstLaunchesValidateOnce(t *testing.T) {
 	for stage := 0; stage < 6; stage++ {
 		cur := make([]TaskID, 32)
 		for i := range cur {
-			cur[i] = wl.AddLocked("t", sim.Millisecond, 0, 100*sim.Microsecond)
+			cur[i] = wl.AddLocked(sim.Millisecond, 0, 100*sim.Microsecond)
 		}
 		wl.Barrier(prev, cur)
 		prev = cur
@@ -281,7 +283,7 @@ func TestConcurrentFirstLaunchesValidateOnce(t *testing.T) {
 	}
 
 	bad := NewWorkload("cyclic")
-	a, b := bad.Add("a", 1), bad.Add("b", 1)
+	a, b := bad.Add(1), bad.Add(1)
 	bad.Dep(a, b)
 	bad.Dep(b, a)
 	errs := make([]error, callers)

@@ -12,7 +12,9 @@ import (
 // The workload builder as it was before the successor spans moved into
 // one arena: a succs slice per task, a map per barrier, a Validate that
 // walks on every call. Kept verbatim (types renamed ref*) as the oracle
-// of TestWorkloadMatchesReference.
+// of TestWorkloadMatchesReference, apart from the builder methods'
+// signatures, which follow the arena builder's: a task is added without
+// a name and named task<id>, TaskName's default.
 
 // refTask is one chunk of parallel computation ("thread" in Brown package
 // terms). Tasks run to completion; a logical thread that blocks is
@@ -92,21 +94,23 @@ func newRefWorkload(name string) *refWorkload {
 
 // Grow makes room for tasks more tasks, so that a generator that knows
 // its task count up front appends them without re-growing (and copying,
-// and clearing) the task array on the way there.
-func (w *refWorkload) Grow(tasks int) {
+// and clearing) the task array on the way there. The spans count is the
+// arena builder's; the reference has no arena.
+func (w *refWorkload) Grow(tasks, spans int) {
 	w.tasks = slices.Grow(w.tasks, tasks)
 }
 
 // Add appends a task with no critical section and returns its ID.
-func (w *refWorkload) Add(name string, work sim.Duration) TaskID {
-	return w.AddLocked(name, work, NoLock, 0)
+func (w *refWorkload) Add(work sim.Duration) TaskID {
+	return w.AddLocked(work, NoLock, 0)
 }
 
 // AddLocked appends a task that spends lockWork of its work holding the
 // given application lock.
-func (w *refWorkload) AddLocked(name string, work sim.Duration, lock LockID, lockWork sim.Duration) TaskID {
+func (w *refWorkload) AddLocked(work sim.Duration, lock LockID, lockWork sim.Duration) TaskID {
+	name := fmt.Sprintf("task%d", len(w.tasks))
 	if work < 0 || lockWork < 0 || lockWork > work {
-		panic(fmt.Sprintf("threads: task %q has invalid work %v / lockWork %v", name, work, lockWork))
+		panic(fmt.Sprintf("threads: task %d has invalid work %v / lockWork %v", len(w.tasks), work, lockWork))
 	}
 	if lock != NoLock {
 		if int(lock) >= w.numLocks {

@@ -9,9 +9,9 @@ import (
 
 func TestWorkloadBuild(t *testing.T) {
 	w := NewWorkload("test")
-	a := w.Add("a", 10*sim.Millisecond)
-	b := w.Add("b", 20*sim.Millisecond)
-	c := w.AddLocked("c", 30*sim.Millisecond, 0, 5*sim.Millisecond)
+	a := w.Add(10 * sim.Millisecond)
+	b := w.Add(20 * sim.Millisecond)
+	c := w.AddLocked(30*sim.Millisecond, 0, 5*sim.Millisecond)
 	w.Dep(a, b)
 	w.Dep(a, c)
 	if w.Len() != 3 {
@@ -40,12 +40,12 @@ func TestWorkloadInvalidTask(t *testing.T) {
 			t.Error("lockWork > work accepted")
 		}
 	}()
-	w.AddLocked("x", 10, 0, 20)
+	w.AddLocked(10, 0, 20)
 }
 
 func TestWorkloadSelfDep(t *testing.T) {
 	w := NewWorkload("bad")
-	a := w.Add("a", 10)
+	a := w.Add(10)
 	defer func() {
 		if recover() == nil {
 			t.Error("self-dependency accepted")
@@ -56,8 +56,8 @@ func TestWorkloadSelfDep(t *testing.T) {
 
 func TestWorkloadCycleDetected(t *testing.T) {
 	w := NewWorkload("cycle")
-	a := w.Add("a", 10)
-	b := w.Add("b", 10)
+	a := w.Add(10)
+	b := w.Add(10)
 	w.Dep(a, b)
 	w.Dep(b, a)
 	if err := w.Validate(); err == nil {
@@ -75,10 +75,10 @@ func TestBarrier(t *testing.T) {
 	w := NewWorkload("barrier")
 	var front, back []TaskID
 	for i := 0; i < 3; i++ {
-		front = append(front, w.Add("f", 10))
+		front = append(front, w.Add(10))
 	}
 	for i := 0; i < 2; i++ {
-		back = append(back, w.Add("b", 10))
+		back = append(back, w.Add(10))
 	}
 	w.Barrier(front, back)
 	for _, id := range back {
@@ -93,10 +93,10 @@ func TestBarrier(t *testing.T) {
 
 func TestCriticalPath(t *testing.T) {
 	w := NewWorkload("cp")
-	a := w.Add("a", 10*sim.Millisecond)
-	b := w.Add("b", 20*sim.Millisecond)
-	c := w.Add("c", 30*sim.Millisecond)
-	d := w.Add("d", 5*sim.Millisecond)
+	a := w.Add(10 * sim.Millisecond)
+	b := w.Add(20 * sim.Millisecond)
+	c := w.Add(30 * sim.Millisecond)
+	d := w.Add(5 * sim.Millisecond)
 	w.Dep(a, b) // chain a->b = 30
 	w.Dep(a, c) // chain a->c = 40
 	w.Dep(c, d) // chain a->c->d = 45
@@ -108,7 +108,7 @@ func TestCriticalPath(t *testing.T) {
 func TestCriticalPathIndependent(t *testing.T) {
 	w := NewWorkload("flat")
 	for i := 0; i < 5; i++ {
-		w.Add("t", sim.Duration(i+1)*sim.Millisecond)
+		w.Add(sim.Duration(i+1) * sim.Millisecond)
 	}
 	if got := w.CriticalPath(); got != 5*sim.Millisecond {
 		t.Errorf("CriticalPath = %v, want 5ms (longest single task)", got)
@@ -123,10 +123,10 @@ func TestBarrierOverlapPanics(t *testing.T) {
 		w := NewWorkload("overlap")
 		var from, to []TaskID
 		for i := 0; i < 4; i++ {
-			from = append(from, w.Add("f", 10))
+			from = append(from, w.Add(10))
 		}
 		for i := 0; i < 4; i++ {
-			to = append(to, w.Add("t", 10))
+			to = append(to, w.Add(10))
 		}
 		to[tc.toAt] = from[tc.fromAt]
 		func() {
@@ -154,10 +154,10 @@ func TestBarrierBuildsInLinearTime(t *testing.T) {
 		w := NewWorkload("wide")
 		from, to := make([]TaskID, n), make([]TaskID, n)
 		for i := range from {
-			from[i] = w.Add("f", 1)
+			from[i] = w.Add(1)
 		}
 		for i := range to {
-			to[i] = w.Add("t", 1)
+			to[i] = w.Add(1)
 		}
 		start := time.Now()
 		w.Barrier(from, to)
