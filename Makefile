@@ -80,11 +80,12 @@ race:
 
 # Short fuzz passes over the journal's frame decoder and fsck, over the
 # control plane's line codec (differential against encoding/json), over
-# the daemon's connection handler (arbitrary bytes from a peer) and
-# over the simulator's event engine (op programs against a flat-list
-# reference model), on top of the committed corpora under
-# internal/journal/testdata/fuzz, internal/runtime/coordinator/testdata/fuzz
-# and internal/sim/testdata/fuzz. FuzzDecodeRecord is a differential
+# the daemon's connection handler (arbitrary bytes from a peer), over
+# the simulator's event engine (op programs against a flat-list
+# reference model) and over its one queue type, kernel.FIFO (op programs
+# against a plain slice), on top of the committed corpora under
+# internal/journal/testdata/fuzz, internal/runtime/coordinator/testdata/fuzz,
+# internal/sim/testdata/fuzz and internal/kernel/testdata/fuzz. FuzzDecodeRecord is a differential
 # too: the record decoder's hand scanner must agree with json.Unmarshal
 # on every payload. Five seconds each is a smoke, not a campaign — run
 # longer campaigns with e.g. `go test -fuzz=FuzzFsck -fuzztime=10m
@@ -99,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireResponse -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
 	$(GO) test -run='^$$' -fuzz=FuzzServerConn -fuzztime=$(FUZZ_TIME) ./internal/runtime/coordinator
 	$(GO) test -run='^$$' -fuzz=FuzzEngineModel -fuzztime=$(FUZZ_TIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzFIFO -fuzztime=$(FUZZ_TIME) ./internal/kernel
 
 # Every package benchmark run once: proof that each still compiles and
 # runs, not a timing. -benchmem puts each one's allocation columns in the

@@ -1,15 +1,14 @@
 package kernel
 
-import "procctl/internal/sim"
-
 // Affinity is the Lazowska/Squillante cache-affinity discipline from the
 // paper's Section 3: a preempted process is requeued on the processor it
 // last ran on, so that it finds its working set still in that cache. To
 // avoid the load imbalance the paper notes, idle processors steal from
 // the longest remote queue once the imbalance reaches stealThreshold.
 type Affinity struct {
+	defaultHooks
 	k     *Kernel
-	local []fifoQueue // one run queue per CPU
+	local []FIFO[*Process] // one run queue per CPU
 }
 
 // stealThreshold is the remote queue length at which an idle processor
@@ -25,7 +24,7 @@ func (a *Affinity) Name() string { return "affinity" }
 // Attach implements Policy.
 func (a *Affinity) Attach(k *Kernel) {
 	a.k = k
-	a.local = make([]fifoQueue, k.NumCPU())
+	a.local = make([]FIFO[*Process], k.NumCPU())
 }
 
 // Enqueue implements Policy: back to the last CPU's queue; processes
@@ -35,13 +34,13 @@ func (a *Affinity) Enqueue(p *Process) {
 	if cpu < 0 {
 		cpu = a.shortest()
 	}
-	a.local[cpu].push(p)
+	a.local[cpu].Push(p)
 }
 
 func (a *Affinity) shortest() int {
 	best := 0
 	for i := 1; i < len(a.local); i++ {
-		if a.local[i].len() < a.local[best].len() {
+		if a.local[i].Len() < a.local[best].Len() {
 			best = i
 		}
 	}
@@ -51,7 +50,7 @@ func (a *Affinity) shortest() int {
 func (a *Affinity) longest() int {
 	best := 0
 	for i := 1; i < len(a.local); i++ {
-		if a.local[i].len() > a.local[best].len() {
+		if a.local[i].Len() > a.local[best].Len() {
 			best = i
 		}
 	}
@@ -61,26 +60,17 @@ func (a *Affinity) longest() int {
 // PickNext implements Policy: local queue first; otherwise steal from
 // the longest queue if it is long enough to justify losing affinity.
 func (a *Affinity) PickNext(cpu int) *Process {
-	if p := a.local[cpu].pop(); p != nil {
+	if p := a.local[cpu].Pop(); p != nil {
 		return p
 	}
 	victim := a.longest()
-	if a.local[victim].len() >= stealThreshold {
-		return a.local[victim].pop()
+	if a.local[victim].Len() >= stealThreshold {
+		return a.local[victim].Pop()
 	}
 	// Steal even a single waiting process rather than idle forever, but
 	// only from a queue whose own CPU is busy.
-	if a.local[victim].len() > 0 && a.k.RunningOn(victim) != nil {
-		return a.local[victim].pop()
+	if a.local[victim].Len() > 0 && a.k.RunningOn(victim) != nil {
+		return a.local[victim].Pop()
 	}
 	return nil
 }
-
-// OnQuantumExpire implements Policy: always preempt.
-func (a *Affinity) OnQuantumExpire(p *Process) sim.Duration { return 0 }
-
-// QuantumFor implements Policy: kernel default.
-func (a *Affinity) QuantumFor(p *Process) sim.Duration { return 0 }
-
-// OnExit implements Policy.
-func (a *Affinity) OnExit(p *Process) {}

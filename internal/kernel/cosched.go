@@ -9,13 +9,14 @@ import "procctl/internal/sim"
 // but context-switch overhead and cache corruption remain — the paper's
 // criticism — because whole applications still rotate across the CPUs.
 //
-// The gang rotation period (the slice) is the kernel quantum.
+// The gang rotation period (the slice) is the kernel quantum. Rotation
+// does the preempting: a quantum that expires mid-slice just requeues.
 type Cosched struct {
+	defaultHooks
 	k      *Kernel
-	gangs  map[AppID]*fifoQueue
-	order  []AppID // gang arrival order; rotation index walks this
+	gangs  appQueues // rotation index walks gangs.order
 	rot    int
-	active fifoQueue // the current activation, popped by PickNext
+	active FIFO[*Process] // the current activation, popped by PickNext
 }
 
 // NewCosched returns a coscheduling policy.
@@ -27,34 +28,23 @@ func (c *Cosched) Name() string { return "cosched" }
 // Attach implements Policy.
 func (c *Cosched) Attach(k *Kernel) {
 	c.k = k
-	c.gangs = make(map[AppID]*fifoQueue)
 	k.Engine().Every(k.cfg.Quantum, func() bool {
 		c.rotate()
 		return k.Live() > 0
 	})
 }
 
-func (c *Cosched) gang(app AppID) *fifoQueue {
-	g, ok := c.gangs[app]
-	if !ok {
-		g = &fifoQueue{}
-		c.gangs[app] = g
-		c.order = append(c.order, app)
-	}
-	return g
-}
-
 // Enqueue implements Policy.
-func (c *Cosched) Enqueue(p *Process) { c.gang(p.app).push(p) }
+func (c *Cosched) Enqueue(p *Process) { c.gangs.of(p.app).Push(p) }
 
 // rotate advances the gang window: it selects the applications to run
 // for the next slice, preempts running processes that are not part of
 // the selection, and exposes the selection to PickNext.
 func (c *Cosched) rotate() {
 	// Return any unconsumed activation entries to their gangs.
-	for c.active.len() > 0 {
-		p := c.active.pop()
-		c.gang(p.app).push(p)
+	for c.active.Len() > 0 {
+		p := c.active.Pop()
+		c.gangs.of(p.app).Push(p)
 	}
 
 	ncpu := c.k.NumCPU()
@@ -68,13 +58,11 @@ func (c *Cosched) rotate() {
 	}
 
 	// Advance rotation to the next gang with demand.
-	if len(c.order) > 0 {
-		for step := 0; step < len(c.order); step++ {
-			c.rot = (c.rot + 1) % len(c.order)
-			app := c.order[c.rot]
-			if c.gangs[app].len()+runningBy[app] > 0 {
-				break
-			}
+	order := c.gangs.order
+	for step := 0; step < len(order); step++ {
+		c.rot = (c.rot + 1) % len(order)
+		if app := order[c.rot]; c.gangs.byApp[app].Len()+runningBy[app] > 0 {
+			break
 		}
 	}
 
@@ -82,9 +70,9 @@ func (c *Cosched) rotate() {
 	// machine is full.
 	selected := make(map[AppID]bool)
 	slots := ncpu
-	for step := 0; step < len(c.order) && slots > 0; step++ {
-		app := c.order[(c.rot+step)%len(c.order)]
-		demand := c.gangs[app].len() + runningBy[app]
+	for step := 0; step < len(order) && slots > 0; step++ {
+		app := order[(c.rot+step)%len(order)]
+		demand := c.gangs.byApp[app].Len() + runningBy[app]
 		if demand == 0 || demand > slots {
 			continue
 		}
@@ -100,14 +88,14 @@ func (c *Cosched) rotate() {
 	}
 
 	// Move selected gangs' queued processes into the activation.
-	for step := 0; step < len(c.order); step++ {
-		app := c.order[(c.rot+step)%len(c.order)]
+	for step := 0; step < len(order); step++ {
+		app := order[(c.rot+step)%len(order)]
 		if !selected[app] {
 			continue
 		}
-		g := c.gangs[app]
-		for g.len() > 0 {
-			c.active.push(g.pop())
+		g := c.gangs.byApp[app]
+		for g.Len() > 0 {
+			c.active.Push(g.Pop())
 		}
 	}
 	c.k.kickIdle()
@@ -117,25 +105,19 @@ func (c *Cosched) rotate() {
 // leftover processors with any other runnable process in rotation order
 // ("fragments"), keeping the machine busy.
 func (c *Cosched) PickNext(cpu int) *Process {
-	if p := c.active.pop(); p != nil {
+	if p := c.active.Pop(); p != nil {
 		return p
 	}
-	for step := 0; step < len(c.order); step++ {
-		app := c.order[(c.rot+step)%len(c.order)]
-		if p := c.gangs[app].pop(); p != nil {
+	order := c.gangs.order
+	for step := 0; step < len(order); step++ {
+		app := order[(c.rot+step)%len(order)]
+		if p := c.gangs.byApp[app].Pop(); p != nil {
 			return p
 		}
 	}
 	return nil
 }
 
-// OnQuantumExpire implements Policy: rotation handles preemption; a
-// quantum expiry mid-slice just requeues normally.
-func (c *Cosched) OnQuantumExpire(p *Process) sim.Duration { return 0 }
-
 // QuantumFor implements Policy: twice the slice, so rotation — not the
 // per-process quantum — is the normal preemption mechanism.
 func (c *Cosched) QuantumFor(p *Process) sim.Duration { return 2 * c.k.cfg.Quantum }
-
-// OnExit implements Policy.
-func (c *Cosched) OnExit(p *Process) {}

@@ -43,7 +43,7 @@ func (k *Kernel) Kill(p *Process) bool {
 			p.Stats.SpinTime += now.Sub(p.spinStart)
 			k.met.spinMicros.Add(int64(now.Sub(p.spinStart)))
 		}
-		p.waitingLock.removeWaiter(p)
+		p.waitingLock.waiters.remove(p)
 		p.waitingLock = nil
 	}
 	k.forceReleaseLocks(p)
@@ -54,7 +54,7 @@ func (k *Kernel) Kill(p *Process) bool {
 		k.finishKill(p)
 	case Blocked:
 		if p.sleepQ != nil {
-			p.sleepQ.remove(p)
+			p.sleepQ.procs.remove(p) // not a wake
 			p.sleepQ = nil
 		}
 		if p.sleepEv.Valid() {
@@ -177,6 +177,3 @@ func (k *Kernel) finishKill(p *Process) {
 		k.OnExit(p)
 	}
 }
-
-// Killed reports whether the process was crashed by fault injection.
-func (p *Process) Killed() bool { return p.killed }

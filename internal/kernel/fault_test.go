@@ -28,8 +28,8 @@ func TestKillRunningForceReleasesLock(t *testing.T) {
 		}
 	})
 	k.Engine().RunUntilIdle()
-	if victim.State() != Exited || !victim.Killed() {
-		t.Errorf("victim state %v killed=%v, want exited killed", victim.State(), victim.Killed())
+	if victim.State() != Exited || !victim.killed {
+		t.Errorf("victim state %v killed=%v, want exited killed", victim.State(), victim.killed)
 	}
 	if l.ForcedReleases != 1 {
 		t.Errorf("ForcedReleases = %d, want 1", l.ForcedReleases)
@@ -184,8 +184,8 @@ func TestKilledHuskNeverPickedIsNeverResumed(t *testing.T) {
 		t.Fatal("Kill = false")
 	}
 	k.Engine().Run(sim.Time(50 * sim.Millisecond))
-	if perApp, _ := k.CountByApp(); perApp[1] != 1 || b.State() != Runnable || !b.Killed() {
-		t.Errorf("runnable count %d, husk %v killed=%v", perApp[1], b, b.Killed())
+	if perApp, _ := k.CountByApp(); perApp[1] != 1 || b.State() != Runnable || !b.killed {
+		t.Errorf("runnable count %d, husk %v killed=%v", perApp[1], b, b.killed)
 	}
 }
 

@@ -37,7 +37,7 @@ func recordRequestPathScenario() []byte {
 
 	var buf bytes.Buffer
 	k.OnSpawn = func(p *Process) { fmt.Fprintf(&buf, "%d spawn %d\n", k.Now(), p.ID()) }
-	k.OnExit = func(p *Process) { fmt.Fprintf(&buf, "%d exit %d killed=%v\n", k.Now(), p.ID(), p.Killed()) }
+	k.OnExit = func(p *Process) { fmt.Fprintf(&buf, "%d exit %d killed=%v\n", k.Now(), p.ID(), p.killed) }
 	k.OnStateChange = func(p *Process, old, next ProcState) {
 		fmt.Fprintf(&buf, "%d state %d %v>%v\n", k.Now(), p.ID(), old, next)
 	}

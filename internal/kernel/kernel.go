@@ -386,7 +386,7 @@ func (k *Kernel) runProc(p *Process) {
 				first := p.waitingLock == nil
 				if first {
 					p.waitingLock = l
-					l.addWaiter(p)
+					l.waiters.Push(p)
 					l.Contended++
 					p.Stats.LockSpins++
 				}
@@ -468,14 +468,17 @@ func (k *Kernel) computeDone(p *Process) {
 // one definition of "acquire": runProc, Env.TryAcquire and grantLock all
 // end here.
 func (k *Kernel) takeLock(l *SpinLock, p *Process, spun sim.Duration) {
-	l.removeWaiter(p)
+	if p.waitingLock == l {
+		// A waiter preempted mid-spin that finds the lock free when it
+		// runs again. grantLock takes its waiter off by position first.
+		l.waiters.remove(p)
+		p.waitingLock = nil
+	}
 	l.holder = p
 	l.lockedAt = k.eng.Now()
 	l.Acquires++
-	p.lockDepth++
 	p.held = append(p.held, l)
 	p.Stats.LockAcquires++
-	p.waitingLock = nil
 	if k.OnLockAcquire != nil {
 		k.OnLockAcquire(p, l, spun)
 	}
@@ -489,13 +492,13 @@ func (k *Kernel) takeLock(l *SpinLock, p *Process, spun sim.Duration) {
 func (k *Kernel) releaseLock(l *SpinLock, p *Process, forced bool) {
 	held := k.eng.Now().Sub(l.lockedAt)
 	l.HeldTime += held
-	p.lockDepth--
-	for i := len(p.held) - 1; i >= 0; i-- {
-		if p.held[i] == l {
-			p.held = append(p.held[:i], p.held[i+1:]...)
-			break
-		}
+	// Locks are mostly released innermost first: l is then the top of
+	// held, and the search ends at once.
+	i := len(p.held) - 1
+	for p.held[i] != l {
+		i--
 	}
+	p.held = append(p.held[:i], p.held[i+1:]...)
 	l.holder = nil
 	if forced {
 		l.ForcedReleases++
@@ -504,17 +507,19 @@ func (k *Kernel) releaseLock(l *SpinLock, p *Process, forced bool) {
 	if k.OnLockRelease != nil {
 		k.OnLockRelease(p, l, held, forced)
 	}
-	if w := l.firstRunningWaiter(); w != nil {
-		k.grantLock(l, w)
+	if i := l.firstRunningWaiter(); i >= 0 {
+		k.grantLock(l, l.waiters.removeAt(i))
 	}
 }
 
-// grantLock hands l to running waiter w and schedules w's continuation.
+// grantLock hands l to running waiter w, just taken off l's waiters, and
+// schedules w's continuation.
 func (k *Kernel) grantLock(l *SpinLock, w *Process) {
 	now := k.eng.Now()
 	spun := now.Sub(w.spinStart)
 	w.Stats.SpinTime += spun
 	k.met.spinMicros.Add(int64(spun))
+	w.waitingLock = nil
 	k.takeLock(l, w, spun)
 	if w.grantFn == nil {
 		w.grantFn = func() { k.grantRun(w) }
@@ -611,7 +616,7 @@ func (k *Kernel) Preempt(p *Process) {
 	}
 	p.Stats.Preemptions++
 	k.met.preemptions.Inc()
-	if p.lockDepth > 0 {
+	if len(p.held) > 0 {
 		k.met.preemptCrit.Inc()
 	}
 	k.unrun(p, Runnable)
@@ -651,13 +656,13 @@ func (k *Kernel) unrun(p *Process, next ProcState) {
 
 // exit terminates p.
 func (k *Kernel) exit(p *Process) {
-	if p.lockDepth != 0 {
-		panic(fmt.Sprintf("kernel: %v exited holding %d lock(s)", p, p.lockDepth))
+	if len(p.held) != 0 {
+		panic(fmt.Sprintf("kernel: %v exited holding %d lock(s)", p, len(p.held)))
 	}
 	if p.waitingLock != nil {
 		p.Stats.SpinTime += k.eng.Now().Sub(p.spinStart)
 		k.met.spinMicros.Add(int64(k.eng.Now().Sub(p.spinStart)))
-		p.waitingLock.removeWaiter(p)
+		p.waitingLock.waiters.remove(p)
 		p.waitingLock = nil
 	}
 	k.unrun(p, Exited)
@@ -690,10 +695,6 @@ func (k *Kernel) Finalize() {
 		}
 	}
 }
-
-// CPUIdleTime returns the accumulated idle time of processor i (valid
-// after Finalize).
-func (k *Kernel) CPUIdleTime(i int) sim.Duration { return k.cpus[i].idleTime }
 
 // RunningOn returns the process currently on processor i, or nil.
 func (k *Kernel) RunningOn(i int) *Process { return k.cpus[i].running }

@@ -256,7 +256,7 @@ func TestCPUAccountingBalances(t *testing.T) {
 	var busy, idle sim.Duration
 	for i := 0; i < k.NumCPU(); i++ {
 		busy += k.Machine().CPU(i).BusyTime
-		idle += k.CPUIdleTime(i)
+		idle += k.cpus[i].idleTime
 	}
 	total := sim.Duration(end) * sim.Duration(k.NumCPU())
 	if busy+idle != total {

@@ -20,12 +20,12 @@ const ownerNone AppID = -1
 // queue is empty backfills: it runs work from the longest other queue
 // rather than idle.
 type Partition struct {
+	defaultHooks
 	k       *Kernel
-	queues  map[AppID]*fifoQueue
-	order   []AppID // group creation order, for deterministic iteration
-	owner   []AppID // CPU index -> owning group
-	pending bool    // a repartition is scheduled for the current instant
-	ticking bool    // the periodic repartition is armed
+	queues  appQueues // one per group, in group creation order
+	owner   []AppID   // CPU index -> owning group
+	pending bool      // a repartition is scheduled for the current instant
+	ticking bool      // the periodic repartition is armed
 }
 
 // repartitionInterval is the policy module's repartition period.
@@ -40,7 +40,6 @@ func (g *Partition) Name() string { return "partition" }
 // Attach implements Policy.
 func (g *Partition) Attach(k *Kernel) {
 	g.k = k
-	g.queues = make(map[AppID]*fifoQueue)
 	g.owner = make([]AppID, k.NumCPU())
 	for i := range g.owner {
 		g.owner[i] = ownerNone
@@ -60,19 +59,9 @@ func (g *Partition) arm() {
 	})
 }
 
-func (g *Partition) queue(app AppID) *fifoQueue {
-	q, ok := g.queues[app]
-	if !ok {
-		q = &fifoQueue{}
-		g.queues[app] = q
-		g.order = append(g.order, app)
-	}
-	return q
-}
-
 // Enqueue implements Policy.
 func (g *Partition) Enqueue(p *Process) {
-	g.queue(p.app).push(p)
+	g.queues.of(p.app).Push(p)
 	// A group with no processor at all gets its share at once, not a
 	// full repartitionInterval later: in an engine event at this
 	// instant, so that the rest of the group, spawned at the same
@@ -115,14 +104,14 @@ func (g *Partition) demand() ([]AppID, map[AppID]int) {
 		}
 	}
 	var active []AppID
-	for _, app := range g.order {
+	for _, app := range g.queues.order {
 		if d[app] > 0 {
 			active = append(active, app)
 		}
 	}
 	// Apps can have demand before their first Enqueue reaches us only
-	// via Running processes, which implies a prior Enqueue; so g.order
-	// covers every app with demand.
+	// via Running processes, which implies a prior Enqueue; so
+	// g.queues.order covers every app with demand.
 	return active, d
 }
 
@@ -198,32 +187,22 @@ func equalShares(ncpu int, active []AppID, dem map[AppID]int) []int {
 func (g *Partition) PickNext(cpu int) *Process {
 	own := g.owner[cpu]
 	if own != ownerNone {
-		if p := g.queues[own].pop(); p != nil {
+		if p := g.queues.byApp[own].Pop(); p != nil {
 			return p
 		}
 	}
-	var best *fifoQueue
-	for _, app := range g.order {
-		q := g.queues[app]
-		if q.len() > 0 && (best == nil || q.len() > best.len()) {
+	var best *FIFO[*Process]
+	for _, app := range g.queues.order {
+		q := g.queues.byApp[app]
+		if q.Len() > 0 && (best == nil || q.Len() > best.Len()) {
 			best = q
 		}
 	}
 	if best != nil {
-		return best.pop()
+		return best.Pop()
 	}
 	return nil
 }
-
-// OnQuantumExpire implements Policy: always preempt (round-robin within
-// the group).
-func (g *Partition) OnQuantumExpire(p *Process) sim.Duration { return 0 }
-
-// QuantumFor implements Policy: kernel default.
-func (g *Partition) QuantumFor(p *Process) sim.Duration { return 0 }
-
-// OnExit implements Policy.
-func (g *Partition) OnExit(p *Process) {}
 
 // CPUsOf reports how many processors app's group currently owns. The
 // central server uses it (via ctrl.PartitionSizer) to align

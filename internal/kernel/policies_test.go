@@ -1,38 +1,10 @@
 package kernel
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 
 	"procctl/internal/sim"
 )
-
-func TestFifoQueueBasics(t *testing.T) {
-	q := &fifoQueue{}
-	if q.pop() != nil || q.peek() != nil || q.len() != 0 {
-		t.Fatal("empty queue misbehaves")
-	}
-	a, b, c := &Process{id: 1}, &Process{id: 2}, &Process{id: 3}
-	q.push(a)
-	q.push(b)
-	q.push(c)
-	if q.peek() != a || q.len() != 3 {
-		t.Fatal("peek/len wrong")
-	}
-	if !q.remove(b) || q.remove(b) {
-		t.Fatal("remove wrong")
-	}
-	if got := q.pop(); got != a {
-		t.Fatalf("pop = %v", got)
-	}
-	if got := q.popWhere(func(p *Process) bool { return p.id == 3 }); got != c {
-		t.Fatalf("popWhere = %v", got)
-	}
-	if q.len() != 0 {
-		t.Fatalf("len = %d", q.len())
-	}
-}
 
 func TestTimesharePrefersFreshProcesses(t *testing.T) {
 	// The paper's Figure 4 note: a newly started process outranks one
@@ -274,7 +246,7 @@ func TestAffinityStealsFromLongQueue(t *testing.T) {
 	k.Finalize()
 	var idle sim.Duration
 	for i := 0; i < 2; i++ {
-		idle += k.CPUIdleTime(i)
+		idle += k.cpus[i].idleTime
 	}
 	// 900 ms of work on 2 CPUs should take ~450 ms, not 900.
 	if end > sim.Time(600*sim.Millisecond) {
@@ -428,110 +400,6 @@ func TestEqualShares(t *testing.T) {
 				t.Errorf("case %d: equalShares = %v, want %v", i, got, c.want)
 				break
 			}
-		}
-	}
-}
-
-// Popping advances a head index and the storage rewinds when the queue
-// drains, so a queue in steady state never re-grows its array; removal
-// from the middle of the live window keeps arrival order.
-func TestFifoQueueReusesStorage(t *testing.T) {
-	q := &fifoQueue{}
-	procs := make([]*Process, 6)
-	for i := range procs {
-		procs[i] = &Process{id: PID(i + 1)}
-	}
-	for round := 0; round < 3; round++ {
-		for _, p := range procs[:4] {
-			q.push(p)
-		}
-		if q.pop() != procs[0] || q.pop() != procs[1] {
-			t.Fatal("pop order wrong")
-		}
-		q.push(procs[4])
-		q.push(procs[5])
-		if q.remove(procs[0]) {
-			t.Error("remove of an already popped process succeeded")
-		}
-		if !q.remove(procs[4]) || q.len() != 3 || q.peek() != procs[2] {
-			t.Fatalf("after removing from the middle: len %d, front %v", q.len(), q.peek())
-		}
-		if got := q.popWhere(func(p *Process) bool { return p.id > 3 }); got != procs[3] {
-			t.Fatalf("popWhere = %v, want pid 4", got)
-		}
-		if q.pop() != procs[2] || q.pop() != procs[5] || q.pop() != nil {
-			t.Fatal("drain order wrong")
-		}
-		if q.head != 0 || len(q.procs) != 0 {
-			t.Fatalf("drained queue did not rewind: head %d, len %d", q.head, len(q.procs))
-		}
-	}
-	if cap(q.procs) > 8 {
-		t.Errorf("array grew to %d slots for at most 4 queued processes", cap(q.procs))
-	}
-}
-
-// A run queue that never drains — an oversubscribed machine's — used to
-// grow its array with every dispatch: the rewind only happened on drain,
-// so push appended behind an ever longer dead prefix. A million pop/push
-// cycles with the queue never empty must stay in an array of at most
-// twice the longest the queue has been, in arrival order throughout.
-func TestFifoQueueThatNeverDrainsStaysBounded(t *testing.T) {
-	q := &fifoQueue{}
-	procs := make([]*Process, 48)
-	for i := range procs {
-		procs[i] = &Process{id: PID(i + 1)}
-	}
-	rng := rand.New(rand.NewSource(1))
-	var want []*Process // reference FIFO: plain slice, re-sliced
-	next, peak := 0, 0
-	push := func() {
-		p := procs[next%len(procs)]
-		next++
-		q.push(p)
-		want = append(want, p)
-		peak = max(peak, q.len())
-	}
-	for q.len() < 32 {
-		push()
-	}
-	for i := 0; i < 1_000_000; i++ {
-		// The queue hovers between 1 and 48 and takes from the middle now
-		// and then, as Timeshare.PickNext does.
-		switch {
-		case q.len() == 1 || (q.len() < len(procs) && rng.Intn(2) == 0):
-			push()
-		case rng.Intn(8) == 0:
-			at := rng.Intn(q.len())
-			if got := q.removeAt(at); got != want[at] {
-				t.Fatalf("cycle %d: removeAt(%d) = pid %d, want pid %d", i, at, got.id, want[at].id)
-			}
-			want = slices.Delete(want, at, at+1)
-		default:
-			if got := q.pop(); got != want[0] {
-				t.Fatalf("cycle %d: pop = pid %d, want pid %d", i, got.id, want[0].id)
-			}
-			want = want[1:]
-		}
-		if q.len() == 0 {
-			t.Fatalf("cycle %d: the queue drained; the test is about one that does not", i)
-		}
-		if cap(q.procs) > 2*peak {
-			t.Fatalf("cycle %d: array of %d slots for a queue that peaked at %d", i, cap(q.procs), peak)
-		}
-	}
-	if !slices.Equal(q.items(), want) {
-		t.Error("queue contents differ from the reference FIFO")
-	}
-	// Nothing dead is left for the collector to scan.
-	for i, p := range q.procs[:q.head] {
-		if p != nil {
-			t.Fatalf("dead slot %d still points at pid %d", i, p.id)
-		}
-	}
-	for i, p := range q.procs[len(q.procs):cap(q.procs)] {
-		if p != nil {
-			t.Fatalf("free slot %d still points at pid %d", len(q.procs)+i, p.id)
 		}
 	}
 }

@@ -42,8 +42,6 @@
 //     process does not hold, or any other — comes out of advance, that
 //     is out of Engine.Run, with its value.
 //   - Kill never calls a body again; there is nothing to unwind.
-//   - Process.DebugPending reports the last blocking request; requests
-//     the body performed itself never appear in it.
 package kernel
 
 import (
@@ -167,8 +165,9 @@ type Process struct {
 	waitingLock *SpinLock
 	spinStart   sim.Time
 
-	// Locks currently held, in acquisition order (fault injection
-	// force-releases them on a crash).
+	// Locks currently held, in acquisition order: how many a process
+	// holds is len(held) (the spin-flag policy and the preemption count
+	// read it), and fault injection force-releases them on a crash.
 	held []*SpinLock
 
 	// Sleep state.
@@ -179,10 +178,9 @@ type Process struct {
 	stallUntil sim.Time // frozen until this instant when picked
 
 	// Policy-visible state.
-	usage     float64 // decayed CPU usage (BSD-style)
-	priority  int
-	lastCPU   int
-	lockDepth int // spinlocks currently held (spin-flag policy reads this)
+	usage    float64 // decayed CPU usage (BSD-style)
+	priority int
+	lastCPU  int
 
 	// Stats is the accounting record; read it after the simulation.
 	Stats ProcStats
@@ -207,10 +205,7 @@ func (p *Process) LastCPU() int { return p.lastCPU }
 func (p *Process) Usage() float64 { return p.usage }
 
 // HoldingLocks reports whether the process currently holds any spinlock.
-func (p *Process) HoldingLocks() bool { return p.lockDepth > 0 }
-
-// Spinning reports whether the process is busy-waiting for a spinlock.
-func (p *Process) Spinning() bool { return p.waitingLock != nil }
+func (p *Process) HoldingLocks() bool { return len(p.held) > 0 }
 
 func (p *Process) String() string {
 	return fmt.Sprintf("proc %d (%s, app %d, %s)", p.id, p.name, p.app, p.state)
@@ -354,11 +349,11 @@ func (e *Env) Wake(q *WaitQueue, n int) {
 	e.k.WakeQueue(q, n)
 }
 
-// DebugPending describes the process's last blocking request — the one
-// it is still waiting on, if it is waiting — for tests and diagnostics
-// only. Requests the body performs itself (an uncontended Acquire,
-// Release, Wake) never show here.
-func (p *Process) DebugPending() string {
+// debugPending describes the process's last blocking request — the one
+// it is still waiting on, if it is waiting — for tests. Requests the
+// body performs itself (an uncontended Acquire, Release, Wake) never
+// show here.
+func (p *Process) debugPending() string {
 	switch p.pending.kind {
 	case reqCompute:
 		return fmt.Sprintf("compute(left=%v, computing=%v)", p.computeLeft, p.computing)

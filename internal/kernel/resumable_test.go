@@ -45,8 +45,8 @@ func TestKillNeverResumesAResumableBody(t *testing.T) {
 		{name: "while spinning on a held lock", held: true,
 			reqs: func(l *SpinLock, _ *WaitQueue) []Request { return []Request{Acquire(l)} },
 			check: func(t *testing.T, k *Kernel, victim *Process, l *SpinLock, _ *WaitQueue) {
-				if l.Waiters() != 0 {
-					t.Errorf("the corpse is still on the waiter list: %v", l.waiters)
+				if l.waiters.Len() != 0 {
+					t.Errorf("the corpse is still on the waiter list: %v", l.waiters.items())
 				}
 				if l.Acquires != 1 || l.Holder() != nil || victim.Stats.LockAcquires != 0 {
 					t.Errorf("lock acquires=%d holder=%v: the peer's release granted it to the corpse", l.Acquires, l.Holder())
@@ -101,8 +101,8 @@ func TestKillNeverResumesAResumableBody(t *testing.T) {
 			if body.resumes != 1 {
 				t.Errorf("resume was called %d times, want once (before the kill, never after)", body.resumes)
 			}
-			if victim.State() != Exited || !victim.Killed() || k.Live() != 0 {
-				t.Errorf("end state: %v, killed=%v, live=%d", victim, victim.Killed(), k.Live())
+			if victim.State() != Exited || !victim.killed || k.Live() != 0 {
+				t.Errorf("end state: %v, killed=%v, live=%d", victim, victim.killed, k.Live())
 			}
 			tc.check(t, k, victim, l, q)
 		})
@@ -134,7 +134,7 @@ func TestStallAndPreemptPreserveComputeLeftOfAResumableBody(t *testing.T) {
 	eng.Schedule(sim.Time(30*sim.Millisecond), func() {
 		k.Preempt(p)
 		if p.computeLeft != 70*sim.Millisecond || p.computing {
-			t.Errorf("after Preempt at 30ms: %s", p.DebugPending())
+			t.Errorf("after Preempt at 30ms: %s", p.debugPending())
 		}
 	})
 	eng.Schedule(sim.Time(50*sim.Millisecond), func() {
@@ -142,7 +142,7 @@ func TestStallAndPreemptPreserveComputeLeftOfAResumableBody(t *testing.T) {
 			t.Error("Stall = false")
 		}
 		if p.computeLeft != 50*sim.Millisecond || p.State() != Blocked {
-			t.Errorf("after Stall at 50ms: %s, %v", p.DebugPending(), p.State())
+			t.Errorf("after Stall at 50ms: %s, %v", p.debugPending(), p.State())
 		}
 	})
 	eng.RunUntilIdle()

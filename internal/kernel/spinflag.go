@@ -5,17 +5,18 @@ import "procctl/internal/sim"
 // SpinFlag is the Zahorjan et al. scheduler from the paper's Section 3:
 // a time-sharing policy that (i) refuses to preempt a process while it
 // holds a spinlock (the process "sets a flag" when entering a critical
-// section — here the kernel reads lockDepth directly), and (ii) avoids
-// dispatching a process that would only spin on a lock whose holder is
-// not running.
+// section — here the policy reads the kernel's list of the locks it
+// holds), and (ii) avoids dispatching a process that would only spin on
+// a lock whose holder is not running.
 //
 // The paper's criticisms are visible in this model: every lock holder is
 // exempt from preemption even when holders are independent (the hash
 // table example), and neither context-switch overhead nor cache
 // corruption improves.
 type SpinFlag struct {
+	defaultHooks
 	k          *Kernel
-	q          fifoQueue
+	q          FIFO[*Process]
 	extensions map[PID]int
 }
 
@@ -41,7 +42,7 @@ func (s *SpinFlag) Attach(k *Kernel) {
 }
 
 // Enqueue implements Policy.
-func (s *SpinFlag) Enqueue(p *Process) { s.q.push(p) }
+func (s *SpinFlag) Enqueue(p *Process) { s.q.Push(p) }
 
 // PickNext implements Policy: FIFO, but skip processes that would
 // immediately spin on a lock whose holder is off-processor.
@@ -57,7 +58,7 @@ func (s *SpinFlag) PickNext(cpu int) *Process {
 		// Everyone queued is a doomed spinner; run the FIFO head anyway
 		// rather than idling the machine (the holder may be queued on
 		// another CPU and about to run).
-		p = s.q.pop()
+		p = s.q.Pop()
 	}
 	return p
 }
@@ -65,16 +66,13 @@ func (s *SpinFlag) PickNext(cpu int) *Process {
 // OnQuantumExpire implements Policy: extend the slice while the process
 // holds a lock, up to maxExtensions times.
 func (s *SpinFlag) OnQuantumExpire(p *Process) sim.Duration {
-	if p.lockDepth > 0 && s.extensions[p.id] < maxExtensions {
+	if len(p.held) > 0 && s.extensions[p.id] < maxExtensions {
 		s.extensions[p.id]++
 		return extension
 	}
 	delete(s.extensions, p.id)
 	return 0
 }
-
-// QuantumFor implements Policy: kernel default.
-func (s *SpinFlag) QuantumFor(p *Process) sim.Duration { return 0 }
 
 // OnExit implements Policy.
 func (s *SpinFlag) OnExit(p *Process) { delete(s.extensions, p.id) }

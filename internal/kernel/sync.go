@@ -10,7 +10,7 @@ import "procctl/internal/sim"
 type SpinLock struct {
 	name    string
 	holder  *Process
-	waiters []*Process // FIFO arrival order; both running and preempted waiters
+	waiters FIFO[*Process] // arrival order; both running and preempted waiters
 
 	// Stats.
 	Acquires       int64
@@ -31,36 +31,17 @@ func (l *SpinLock) Name() string { return l.name }
 // Holder returns the process currently holding the lock, or nil.
 func (l *SpinLock) Holder() *Process { return l.holder }
 
-// Waiters returns the number of processes waiting (spinning or preempted
-// mid-spin).
-func (l *SpinLock) Waiters() int { return len(l.waiters) }
-
-// addWaiter appends p in FIFO order.
-func (l *SpinLock) addWaiter(p *Process) {
-	l.waiters = append(l.waiters, p)
-}
-
-// removeWaiter deletes p from the waiter list, preserving order.
-func (l *SpinLock) removeWaiter(p *Process) {
-	for i, w := range l.waiters {
-		if w == p {
-			l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// firstRunningWaiter returns the earliest-arrived waiter that is
-// actually executing on a processor (only a spinning process can observe
-// the release and win the lock; one still paying dispatch overhead has
-// not issued its spin load yet), or nil.
-func (l *SpinLock) firstRunningWaiter() *Process {
-	for _, w := range l.waiters {
+// firstRunningWaiter returns the position among the waiters of the
+// earliest-arrived one that is actually executing on a processor (only a
+// spinning process can observe the release and win the lock; one still
+// paying dispatch overhead has not issued its spin load yet), or -1.
+func (l *SpinLock) firstRunningWaiter() int {
+	for i, w := range l.waiters.items() {
 		if w.state == Running && w.active {
-			return w
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // WaitQueue is a FIFO sleep queue. Processes consume no CPU while
@@ -68,12 +49,8 @@ func (l *SpinLock) firstRunningWaiter() *Process {
 // suspension queue for process control, and the workload generators use
 // them for blocking synchronization.
 type WaitQueue struct {
-	name string
-	// procs[head:] are the sleepers, in arrival order. pop advances head
-	// instead of re-slicing the front away, so add reuses the array; the
-	// storage rewinds when the queue drains.
-	procs []*Process
-	head  int
+	name  string
+	procs FIFO[*Process] // the sleepers, in arrival order
 
 	// Stats.
 	Sleeps int64
@@ -89,36 +66,17 @@ func NewWaitQueue(name string) *WaitQueue {
 func (q *WaitQueue) Name() string { return q.name }
 
 // Len returns the number of sleeping processes.
-func (q *WaitQueue) Len() int { return len(q.procs) - q.head }
+func (q *WaitQueue) Len() int { return q.procs.Len() }
 
 func (q *WaitQueue) add(p *Process) {
-	q.procs = append(q.procs, p)
+	q.procs.Push(p)
 	q.Sleeps++
 }
 
-// remove deletes p if present, preserving order, and reports success.
-// It does not count as a wake (fault injection uses it to tear a
-// crashed process out of the queue).
-func (q *WaitQueue) remove(p *Process) bool {
-	for i := q.head; i < len(q.procs); i++ {
-		if q.procs[i] == p {
-			q.procs = append(q.procs[:i], q.procs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 func (q *WaitQueue) pop() *Process {
-	if q.head == len(q.procs) {
-		return nil
+	p := q.procs.Pop()
+	if p != nil {
+		q.Wakes++
 	}
-	p := q.procs[q.head]
-	q.procs[q.head] = nil
-	q.head++
-	if q.head == len(q.procs) {
-		q.procs, q.head = q.procs[:0], 0
-	}
-	q.Wakes++
 	return p
 }

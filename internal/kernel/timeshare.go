@@ -9,9 +9,9 @@ import "procctl/internal/sim"
 // have no accumulated usage and outrank long-running ones. The paper
 // explains matmul's Figure 4 row by this; that row does not reproduce here.
 type Timeshare struct {
-	k   *Kernel
-	q   fifoQueue
-	seq uint64
+	defaultHooks
+	k *Kernel
+	q FIFO[*Process]
 }
 
 const (
@@ -59,14 +59,14 @@ func (t *Timeshare) prioOf(p *Process) int {
 // Enqueue implements Policy.
 func (t *Timeshare) Enqueue(p *Process) {
 	p.priority = t.prioOf(p)
-	t.q.push(p)
+	t.q.Push(p)
 }
 
 // PickNext implements Policy: best (lowest) priority wins; FIFO order
 // breaks ties, so a long queue means a long requeue delay — the paper's
 // Section 2 FIFO observation.
 func (t *Timeshare) PickNext(cpu int) *Process {
-	if t.q.len() == 0 {
+	if t.q.Len() == 0 {
 		return nil
 	}
 	queued := t.q.items()
@@ -78,12 +78,3 @@ func (t *Timeshare) PickNext(cpu int) *Process {
 	}
 	return t.q.removeAt(best)
 }
-
-// OnQuantumExpire implements Policy: always preempt.
-func (t *Timeshare) OnQuantumExpire(p *Process) sim.Duration { return 0 }
-
-// QuantumFor implements Policy: kernel default.
-func (t *Timeshare) QuantumFor(p *Process) sim.Duration { return 0 }
-
-// OnExit implements Policy.
-func (t *Timeshare) OnExit(p *Process) {}

@@ -22,7 +22,7 @@ import (
 //     window entry orders before every heap entry. A figure's queue
 //     fits the window; the heap keeps thousands of events logarithmic.
 //  3. Cancel removes the entry at once instead of leaving a tombstone,
-//     so the run loop never drains dead events and Pending reports the
+//     so the run loop never drains dead events and pending reports the
 //     live count: a record's heapIdx is its position in the heap (an
 //     O(log n) removal), or -1 for "in the window" (a bounded scan).
 //  4. Schedule into the window is an insertion from the back comparing
@@ -113,10 +113,10 @@ func (e *Engine) Fired() uint64 { return e.nfired }
 // firing.
 func (e *Engine) Canceled() uint64 { return e.ncanceled }
 
-// Pending reports how many live events are scheduled but not yet fired.
+// pending reports how many live events are scheduled but not yet fired.
 // Canceled events are removed from the queue immediately, so they are
 // never included, and neither is the event that is firing.
-func (e *Engine) Pending() int { return e.n + len(e.heap) }
+func (e *Engine) pending() int { return e.n + len(e.heap) }
 
 // HighWater reports the most events that were ever pending at once: the
 // length of the record slab, which grows only when every record is live.
@@ -188,7 +188,7 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 }
 
 // Cancel stops a scheduled event, removing it from the queue at once:
-// no tombstone remains to drain, Pending drops immediately, and Fired
+// no tombstone remains to drain, pending drops immediately, and Fired
 // will never count it. Canceling an already-fired or already-canceled
 // event (or the zero EventID) is a no-op.
 func (e *Engine) Cancel(id EventID) {

@@ -107,8 +107,8 @@ func TestEngineRunHorizon(t *testing.T) {
 	if end != 20 {
 		t.Errorf("Run returned %v, want 20", end)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
+	if e.pending() != 1 {
+		t.Errorf("pending = %d, want 1", e.pending())
 	}
 	end = e.RunUntilIdle()
 	if end != 30 || len(fired) != 3 {
@@ -296,8 +296,8 @@ func TestRunResumesAfterCallbackPanic(t *testing.T) {
 		}()
 		e.RunUntilIdle()
 	}()
-	if e.Pending() != events-3 || e.Fired() != 4 || e.Now() != 13 {
-		t.Fatalf("after the panic: Pending %d, Fired %d, Now %v; want %d, 4, 13", e.Pending(), e.Fired(), e.Now(), events-3)
+	if e.pending() != events-3 || e.Fired() != 4 || e.Now() != 13 {
+		t.Fatalf("after the panic: Pending %d, Fired %d, Now %v; want %d, 4, 13", e.pending(), e.Fired(), e.Now(), events-3)
 	}
 	if len(e.heap) == 0 {
 		t.Fatal("no survivor in the heap: the test no longer covers both tiers")
@@ -310,8 +310,8 @@ func TestRunResumesAfterCallbackPanic(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("fired %v, want %v", got, want)
 	}
-	if e.Pending() != 0 || e.Fired() != events+1 {
-		t.Errorf("at idle: Pending %d, Fired %d; want 0, %d", e.Pending(), e.Fired(), events+1)
+	if e.pending() != 0 || e.Fired() != events+1 {
+		t.Errorf("at idle: Pending %d, Fired %d; want 0, %d", e.pending(), e.Fired(), events+1)
 	}
 }
 
@@ -352,8 +352,8 @@ func TestEngineFiredExcludesCanceled(t *testing.T) {
 	if e.Canceled() != 2 {
 		t.Errorf("Canceled = %d, want 2", e.Canceled())
 	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after idle, want 0", e.Pending())
+	if e.pending() != 0 {
+		t.Errorf("Pending = %d after idle, want 0", e.pending())
 	}
 }
 
@@ -366,13 +366,13 @@ func TestEnginePendingLiveOnly(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ids = append(ids, e.Schedule(Time(10+i), func() {}))
 	}
-	if e.Pending() != 8 {
-		t.Fatalf("Pending = %d, want 8", e.Pending())
+	if e.pending() != 8 {
+		t.Fatalf("Pending = %d, want 8", e.pending())
 	}
 	for i, id := range ids {
 		e.Cancel(id)
-		if want := 8 - i - 1; e.Pending() != want {
-			t.Fatalf("Pending = %d after %d cancels, want %d", e.Pending(), i+1, want)
+		if want := 8 - i - 1; e.pending() != want {
+			t.Fatalf("Pending = %d after %d cancels, want %d", e.pending(), i+1, want)
 		}
 	}
 	if e.Canceled() != 8 {
@@ -548,8 +548,8 @@ func TestEngineCancelRescheduleStress(t *testing.T) {
 		if e.Canceled() != uint64(ncanceled) {
 			t.Errorf("trial %d: Canceled = %d, want %d (pre-run %d)", trial, e.Canceled(), ncanceled, beforeCancels)
 		}
-		if e.Pending() != 0 {
-			t.Errorf("trial %d: Pending = %d after idle, want 0", trial, e.Pending())
+		if e.pending() != 0 {
+			t.Errorf("trial %d: Pending = %d after idle, want 0", trial, e.pending())
 		}
 		if uint64(nsched) != e.Fired()+e.Canceled() {
 			t.Errorf("trial %d: scheduled %d != fired %d + canceled %d", trial, nsched, e.Fired(), e.Canceled())

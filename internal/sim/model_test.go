@@ -140,7 +140,7 @@ func (m *engineModel) tiers() {
 func (m *engineModel) check(after string) {
 	m.t.Helper()
 	m.tiers()
-	if got := m.e.Pending(); got != len(m.live) {
+	if got := m.e.pending(); got != len(m.live) {
 		m.fatalf("after %s: Pending = %d, want %d", after, got, len(m.live))
 	}
 	if got := m.e.Fired(); got != uint64(m.nfired) {

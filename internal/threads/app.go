@@ -94,13 +94,8 @@ type App struct {
 
 	qlock *kernel.SpinLock   // guards ready/depsLeft/remaining
 	locks []*kernel.SpinLock // application locks, by LockID
-	// FIFO ready queue: ready[head:] are the queued tasks, at launch an
-	// array of exactly the root tasks. Popping advances head instead of
-	// re-slicing the front away, so the appends in readyDep reuse the
-	// array: the storage rewinds when it drains, and an append that
-	// finds it full goes through kernel.MakeRoom.
-	ready []TaskID
-	head  int
+	// The ready queue, at launch an array of exactly the root tasks.
+	ready kernel.FIFO[TaskID]
 	// depsLeft counts unresolved inbound *spans* per task (inline edges
 	// plus one per barrier group); groupsLeft counts unfinished
 	// near-side tasks per barrier group. Equivalent to per-edge
@@ -214,16 +209,16 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 	a.met = newAppMetrics(k.Metrics(), wl.Name)
 	k.Metrics().OnCollect(func() {
 		reg := k.Metrics()
-		reg.Gauge(metrics.Name("sim_app_queue_depth", "app", wl.Name), "ready tasks queued").Set(int64(a.queued()))
+		reg.Gauge(metrics.Name("sim_app_queue_depth", "app", wl.Name), "ready tasks queued").Set(int64(a.ready.Len()))
 		reg.Gauge(metrics.Name("sim_app_runnable", "app", wl.Name), "workers not suspended by process control").Set(int64(a.runnable))
 		reg.Gauge(metrics.Name("sim_app_target", "app", wl.Name), "most recently polled server target").Set(int64(a.target))
 	})
 	a.groupsLeft = slices.Clone(wl.groupFrom)
-	a.ready = make([]TaskID, 0, wl.roots)
+	a.ready.Reserve(wl.roots)
 	for i := range wl.tasks {
 		a.depsLeft[i] = wl.tasks[i].nspans
 		if a.depsLeft[i] == 0 {
-			a.ready = append(a.ready, TaskID(i))
+			a.ready.Push(TaskID(i))
 			if cfg.RecordLatency {
 				a.readyAt[i] = a.started
 			}
@@ -413,19 +408,11 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 
 // dequeue pops the next ready task, or -1. Callers hold qlock.
 func (a *App) dequeue() TaskID {
-	if a.head == len(a.ready) {
+	if a.ready.Len() == 0 {
 		return -1
 	}
-	t := a.ready[a.head]
-	a.head++
-	if a.head == len(a.ready) {
-		a.ready, a.head = a.ready[:0], 0
-	}
-	return t
+	return a.ready.Pop()
 }
-
-// queued returns the number of ready tasks waiting to be dequeued.
-func (a *App) queued() int { return len(a.ready) - a.head }
 
 // complete retires a task and readies its dependents; it reports whether
 // the workload just finished. Callers hold qlock.
@@ -457,10 +444,7 @@ func (a *App) complete(id TaskID) bool {
 func (a *App) readyDep(s TaskID) {
 	a.depsLeft[s]--
 	if a.depsLeft[s] == 0 {
-		if len(a.ready) == cap(a.ready) {
-			a.ready, a.head = kernel.MakeRoom(a.ready, a.head), 0
-		}
-		a.ready = append(a.ready, s)
+		a.ready.Push(s)
 		if a.readyAt != nil {
 			a.readyAt[s] = a.k.Now()
 		}

@@ -111,8 +111,8 @@ func TestLaunchSizesItsStateToTheWorkload(t *testing.T) {
 	}{{flat, 1000}, {staged, 48}} {
 		k := kernel.New(sim.NewEngine(1), machine.New(machine.Config{NumCPU: 4}), kernel.NewTimeshare(), kernel.Config{})
 		a := Launch(k, 1, c.wl, Config{Procs: 4})
-		if len(a.ready) != c.ready || cap(a.ready) != c.ready {
-			t.Errorf("%s: ready queue of %d in an array of %d at launch, want %d in %d", c.wl.Name, len(a.ready), cap(a.ready), c.ready, c.ready)
+		if a.ready.Len() != c.ready || readyCap(a) != c.ready {
+			t.Errorf("%s: ready queue of %d in an array of %d at launch, want %d in %d", c.wl.Name, a.ready.Len(), readyCap(a), c.ready, c.ready)
 		}
 		if reflect.TypeOf(a.depsLeft).Elem().Size() != 4 || reflect.TypeOf(a.groupsLeft).Elem().Size() != 4 {
 			t.Errorf("%s: dependency counters are not 32-bit", c.wl.Name)
@@ -120,8 +120,12 @@ func TestLaunchSizesItsStateToTheWorkload(t *testing.T) {
 		for !a.Done() && k.Engine().Now() < sim.Time(60*sim.Second) {
 			k.Engine().Run(k.Engine().Now().Add(sim.Second))
 		}
-		if !a.Done() || cap(a.ready) != c.ready {
-			t.Errorf("%s: done %v with the ready array at %d slots, want it finished in the %d it started with", c.wl.Name, a.Done(), cap(a.ready), c.ready)
+		if !a.Done() || readyCap(a) != c.ready {
+			t.Errorf("%s: done %v with the ready array at %d slots, want it finished in the %d it started with", c.wl.Name, a.Done(), readyCap(a), c.ready)
 		}
 	}
 }
+
+// readyCap is the capacity of the array behind a's ready queue, which
+// kernel.FIFO keeps unexported: reflect reads it.
+func readyCap(a *App) int { return reflect.ValueOf(a.ready).FieldByName("buf").Cap() }

@@ -351,18 +351,19 @@ func (w *Workload) walk() error {
 	}
 	gdeg := slices.Clone(w.groupFrom)
 	// Every task enters the queue at most once, and it is walked by
-	// index, never re-sliced from the front: one array, no copying.
-	queue := make([]TaskID, 0, len(w.tasks))
+	// index, never re-sliced from the front: one array, no copying, of
+	// 32-bit ids, as every id of a workload fits in 32 bits.
+	queue := make([]int32, 0, len(w.tasks))
 	for i := range w.tasks {
 		if deg[i] == 0 {
-			queue = append(queue, TaskID(i))
+			queue = append(queue, int32(i))
 		}
 	}
 	w.roots = len(queue)
 	ready := func(s TaskID) {
 		deg[s]--
 		if deg[s] == 0 {
-			queue = append(queue, s)
+			queue = append(queue, int32(s))
 		}
 	}
 	seen := 0
