@@ -109,7 +109,7 @@ func (m *fifoModel) check() error {
 }
 
 // The FIFO against a plain slice: seeded programs of every operation, the
-// queue filling and draining in turn, then a queue that never drains.
+// queue filling and draining in turn.
 func TestFIFOMatchesSliceModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -137,14 +137,63 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 			t.Fatalf("seed %d: the queue drained %d times and was at most %d long", seed, drains, longest)
 		}
 	}
+}
 
-	// A run queue that never drains — an oversubscribed machine's — once
-	// grew its array with every dispatch, the rewind happening only on
-	// drain. A million cycles hovering between 1 and 48 queued, taking
-	// from the middle now and then as Timeshare.PickNext does, must stay
-	// in an array of at most twice the longest the queue has been, and
-	// once that array is big enough, reclaim its dead prefix in place
-	// instead of moving.
+func TestFifoQueueBasics(t *testing.T) {
+	var q FIFO[*Process]
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("empty queue misbehaves")
+	}
+	a, b, c := &Process{id: 1}, &Process{id: 2}, &Process{id: 3}
+	q.Push(a)
+	q.Push(b)
+	q.Push(c)
+	if q.items()[0] != a || q.Len() != 3 {
+		t.Fatal("front/Len wrong")
+	}
+	if !q.remove(b) || q.remove(b) {
+		t.Fatal("remove wrong")
+	}
+	if got := q.Pop(); got != a {
+		t.Fatalf("Pop = %v", got)
+	}
+	if got := q.popWhere(func(p *Process) bool { return p.id == 3 }); got != c || q.Len() != 0 {
+		t.Fatalf("popWhere = %v, Len %d", got, q.Len())
+	}
+}
+
+// Popping advances a head index and the storage rewinds when the queue
+// drains (check holds that after every step), so a queue in steady state
+// never re-grows its array; removal from the middle keeps arrival order.
+func TestFifoQueueReusesStorage(t *testing.T) {
+	var m fifoModel
+	// Six values a round: push four, pop two, push two, remove the fifth
+	// and the long-gone first, take the first even value, remove the back
+	// one by position and pop the front.
+	round := [][2]int{{opPush, 0}, {opPush, 0}, {opPush, 0}, {opPush, 0}, {opPop, 0}, {opPop, 0},
+		{opPush, 0}, {opPush, 0}, {opRemove, 1}, {opRemove, 5}, {opPopWhere, 0}, {opRemoveAt, 1}, {opPop, 0}}
+	for r := 0; r < 3; r++ {
+		for i, s := range round {
+			if err := m.step(s[0], s[1]); err != nil {
+				t.Fatalf("round %d, step %d: %v", r, i, err)
+			}
+		}
+		if m.q.Len() != 0 {
+			t.Fatalf("round %d left %v queued", r, m.q.items())
+		}
+	}
+	if cap(m.q.buf) > 8 {
+		t.Errorf("array grew to %d slots for at most 4 queued values", cap(m.q.buf))
+	}
+}
+
+// A run queue that never drains — an oversubscribed machine's — once grew
+// its array with every dispatch, the rewind happening only on drain. A
+// million cycles hovering between 1 and 48 queued, taking from the middle
+// now and then as Timeshare.PickNext does, must stay in an array of at
+// most twice the longest the queue has been, and once that array is big
+// enough, reclaim its dead prefix in place instead of moving.
+func TestFifoQueueThatNeverDrainsStaysBounded(t *testing.T) {
 	var m fifoModel
 	for m.q.Len() < 32 {
 		m.step(opPush, 0)
@@ -165,7 +214,7 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 		}
 		peak = max(peak, m.q.Len())
 		if m.q.Len() == 0 {
-			t.Fatalf("cycle %d: the queue drained; this part is about one that does not", i)
+			t.Fatalf("cycle %d: the queue drained; the test is about one that does not", i)
 		}
 		if cap(m.q.buf) > 2*peak {
 			t.Fatalf("cycle %d: array of %d slots for a queue that peaked at %d", i, cap(m.q.buf), peak)

@@ -221,3 +221,54 @@ func TestHolderAccessor(t *testing.T) {
 		t.Error("lock still held at end")
 	}
 }
+
+// WaitQueue keeps its sleepers in a FIFO; wake order must stay strict
+// arrival order across interleaved sleeps, wakes and removals (a fault's
+// kill takes its sleeper off the queue without a wake).
+func TestWaitQueuePopsInArrivalOrder(t *testing.T) {
+	q := NewWaitQueue("q")
+	var want []*Process // reference FIFO
+	var id PID
+	add := func(n int) {
+		for ; n > 0; n-- {
+			id++
+			want = append(want, &Process{id: id})
+			q.add(want[len(want)-1])
+		}
+	}
+	pop := func(n int) {
+		for ; n > 0; n-- {
+			var front *Process
+			if len(want) > 0 {
+				front, want = want[0], want[1:]
+			}
+			if got := q.pop(); got != front {
+				t.Fatalf("pop returned %v, want %v", got, front)
+			}
+		}
+		if q.Len() != len(want) {
+			t.Fatalf("Len() = %d, want %d", q.Len(), len(want))
+		}
+	}
+	add(4)
+	pop(2)
+	add(3)
+	// Remove one from the middle and one already popped (refused).
+	if gone := want[1]; !q.procs.remove(gone) || q.procs.remove(gone) || q.procs.remove(&Process{id: 1}) {
+		t.Fatal("remove of a sleeper failed, or of a process not on the queue succeeded")
+	}
+	want = append(want[:1:1], want[2:]...)
+	pop(10) // drains, then pops an empty queue
+	add(2)
+	last := want[1]
+	pop(1)
+	if !q.procs.remove(last) || q.Len() != 0 || q.pop() != nil {
+		t.Errorf("removing the last sleeper left Len %d", q.Len())
+	}
+	want = nil
+	add(1) // a queue emptied by removal still works
+	pop(1)
+	if q.Sleeps != 10 || q.Wakes != 8 {
+		t.Errorf("sleeps=%d wakes=%d, want 10 and 8 (removals are not wakes)", q.Sleeps, q.Wakes)
+	}
+}

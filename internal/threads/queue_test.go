@@ -2,86 +2,71 @@ package threads
 
 import "testing"
 
-// The ready queue pops by advancing a head index; whatever the
-// interleaving of completions (appends) and dequeues, tasks must come
-// out in exactly the order they went in.
+// Whatever the interleaving of completions (enqueues) and dequeues, ready
+// tasks must come out in exactly the order they went in, and the queue's
+// array must not grow with the tasks that pass through it.
 func TestReadyQueuePopsInArrivalOrder(t *testing.T) {
 	// Every task has one unresolved dependency: readyDep enqueues it.
 	a := &App{depsLeft: make([]int32, 200_000)}
 	for i := range a.depsLeft {
 		a.depsLeft[i] = 1
 	}
-	var want []TaskID // reference FIFO: plain slice, re-sliced
-	next, peak := TaskID(0), 0
+	// Tasks are readied in id order, so the reference FIFO is the range
+	// [front, next).
+	front, next, peak := TaskID(0), TaskID(0), 0
 	push := func(n int) {
-		for i := 0; i < n; i++ {
+		for ; n > 0; n-- {
 			a.readyDep(next)
-			want = append(want, next)
 			next++
 		}
-		peak = max(peak, a.queued())
+		peak = max(peak, a.ready.Len())
 	}
 	pop := func(n int) {
-		for i := 0; i < n; i++ {
-			got := a.dequeue()
-			if len(want) == 0 {
-				if got != -1 {
-					t.Fatalf("dequeue on an empty queue returned %d, want -1", got)
-				}
-				continue
+		for ; n > 0; n-- {
+			want := TaskID(-1)
+			if front < next {
+				want = front
+				front++
 			}
-			if got != want[0] {
-				t.Fatalf("dequeue returned task %d, want %d", got, want[0])
+			if got := a.dequeue(); got != want {
+				t.Fatalf("dequeue returned task %d, want %d", got, want)
 			}
-			want = want[1:]
 		}
-		if a.queued() != len(want) {
-			t.Fatalf("queued() = %d, want %d", a.queued(), len(want))
+		if a.ready.Len() != int(next-front) {
+			t.Fatalf("Len() = %d, want %d", a.ready.Len(), next-front)
 		}
 	}
 	push(5)
 	pop(2)
 	push(3)
-	pop(6) // drains: storage rewinds
-	if a.head != 0 || len(a.ready) != 0 {
-		t.Errorf("drained queue did not rewind: head %d, len %d", a.head, len(a.ready))
-	}
-	pop(2) // empty
+	pop(8) // drains, then dequeues from an empty queue
 	push(4)
 	pop(1)
 	push(100)
 	pop(50)
 	push(7)
 	pop(200)
-	if a.queued() != 0 {
-		t.Errorf("%d tasks left", a.queued())
-	}
-	// A barrier-shaped burst must not grow the array past the burst:
-	// the drained storage is reused from the front.
+	// A barrier-shaped burst must not grow the array past the burst.
 	push(64)
 	pop(64)
-	before := cap(a.ready)
+	before := readyCap(a)
 	for i := 0; i < 1000; i++ {
 		push(64)
 		pop(64)
 	}
-	if cap(a.ready) != before {
-		t.Errorf("steady 64-task bursts grew the queue's array from %d to %d", before, cap(a.ready))
+	if readyCap(a) != before {
+		t.Errorf("steady 64-task bursts grew the queue's array from %d to %d", before, readyCap(a))
 	}
 	// Nor may a queue that never drains (a merge tree's: every two
-	// retirements ready one more task) grow with the tasks that pass
-	// through it: the dead prefix is reclaimed, the array stays within
-	// twice the longest the queue has been.
+	// retirements ready one more task): its array stays within twice
+	// the longest the queue has been.
 	push(100)
 	for i := 0; i < 50_000; i++ {
 		pop(2)
 		push(2)
-		if cap(a.ready) > 2*peak {
-			t.Fatalf("after %d tasks: array of %d slots for a queue that peaked at %d", next, cap(a.ready), peak)
+		if readyCap(a) > 2*peak {
+			t.Fatalf("after %d tasks: array of %d slots for a queue that peaked at %d", next, readyCap(a), peak)
 		}
 	}
 	pop(100)
-	if a.queued() != 0 {
-		t.Errorf("%d tasks left", a.queued())
-	}
 }
