@@ -114,7 +114,9 @@ bench:
 	bash benchmark/run.sh
 
 # End-to-end pipeline over the trace toolchain: record a short causal
-# trace of the Figure 4 mix, draw its CPU timeline, attribute its
+# trace of the demo mix `procctl-trace record` runs
+# (experiments.DemoMix: matmul and fft with 12 processes each plus 2
+# background processes, all from t = 0), draw its CPU timeline, attribute its
 # wasted cycles, export a Perfetto timeline and validate it (the daemon smoke validates the
 # daemon export). Artifacts land in $(TRACE_OUT); CI uploads them.
 TRACE_OUT ?= /tmp/procctl-trace-smoke

@@ -2,7 +2,9 @@
 // from the simulator.
 //
 //	procctl-trace record [-out trace.jsonl] [-control] [-policy P] [-seconds N]
-//	    runs the Figure 4-style mix and writes a JSONL scheduling trace
+//	    runs the demo mix (matmul and fft with 12 processes each plus 2
+//	    background processes, all from t = 0) and writes a JSONL
+//	    scheduling trace
 //	procctl-trace analyze [-in trace.jsonl]
 //	    attributes every process's time to the paper's wasted-cycle
 //	    categories (useful work, spin on preempted/running holder,

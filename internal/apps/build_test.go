@@ -77,19 +77,24 @@ func TestBuildAllocatesPerWorkloadNotPerTask(t *testing.T) {
 	}
 }
 
-// buildFig4Mix builds the three DAGs of the default Figure 4 mix.
+// buildFig4Mix builds and seals the three DAGs of the default Figure 4
+// mix, as experiments.mixLaunches does.
 func buildFig4Mix() {
 	for _, name := range []string{"bigfft", "biggauss", "bigmatmul"} {
-		if ByName(name) == nil {
+		wl := ByName(name)
+		if wl == nil {
 			panic(name)
+		}
+		if err := wl.Validate(); err != nil {
+			panic(err)
 		}
 	}
 }
 
 // TestBuildFig4MixAllocation gates BenchmarkBuildFig4Mix's B/op: the mix's
-// 103 k tasks cost their task and span arrays, reserved exactly, and no
-// stored name. Before names were derived and spans reserved exactly a
-// build allocated 11.66 MB.
+// 103 k tasks cost their task and span arrays, reserved exactly, no
+// stored name, and the seal's walk. Before names were derived and spans
+// reserved exactly a build alone allocated 11.66 MB.
 func TestBuildFig4MixAllocation(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's runtime allocates more than the budget measures")

@@ -14,9 +14,11 @@ import (
 	"procctl/internal/trace"
 )
 
-// fig4GoldenSHA256 pins the byte-exact JSONL trace of the Figure 4-style
-// mix (the same run `procctl-trace record -seed 1 -seconds 1 -control`
-// performs) against the current event engine and trace encoder. Unlike
+// fig4GoldenSHA256 pins the byte-exact JSONL trace of DemoMix — matmul
+// and fft with 12 processes each plus 2 background processes, all from
+// t = 0, not Figure 4's staggered mix — as `procctl-trace record -seed 1
+// -seconds 1 -control` runs it, against the current event engine and
+// trace encoder. Unlike
 // TestSameSeedByteIdenticalTrace, which compares two runs of the same
 // binary, this golden detects *cross-version* drift: an engine or
 // encoder change that altered the schedule or the serialization would
@@ -30,8 +32,8 @@ const fig4GoldenSHA256 = "544b6a5fe8de812437bfa6e052544f40f53e3692c1065924ba9ba2
 
 var updateGolden = flag.Bool("update-golden", false, "print the new Fig4 trace golden hash instead of failing")
 
-// recordFig4Golden records the demo scenario as `procctl-trace record`
-// does: seed 1, timeshare, process control on, one virtual second.
+// recordFig4Golden records DemoMix as `procctl-trace record` does: seed
+// 1, timeshare, process control on, one virtual second.
 func recordFig4Golden(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -67,9 +67,10 @@ func PolicyComparison(o Options, mix []Fig4Arrival) *PolicyResult {
 		// The first seed's run also reads the kernel's spin, CPU and
 		// switch counters.
 		runs[i*o.Seeds].read = func(s *Sim, _ []*threads.App) {
-			spin, _ := s.K.Metrics().Value(kernel.MetricSpinMicros)
-			cpu, _ := s.K.Metrics().Value(kernel.MetricCPUMicros)
-			row.Switches, _ = s.K.Metrics().Value(kernel.MetricCtxSwitches)
+			snap := s.K.MetricsSnapshot()
+			spin := snap.Get(kernel.MetricSpinMicros).Value
+			cpu := snap.Get(kernel.MetricCPUMicros).Value
+			row.Switches = snap.Get(kernel.MetricCtxSwitches).Value
 			if cpu > 0 {
 				row.SpinFrac = float64(spin) / float64(cpu)
 			}

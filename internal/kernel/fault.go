@@ -41,7 +41,6 @@ func (k *Kernel) Kill(p *Process) bool {
 	if p.waitingLock != nil {
 		if p.state == Running && p.active {
 			p.Stats.SpinTime += now.Sub(p.spinStart)
-			k.met.spinMicros.Add(int64(now.Sub(p.spinStart)))
 		}
 		p.waitingLock.waiters.remove(p)
 		p.waitingLock = nil
@@ -115,10 +114,8 @@ func (k *Kernel) Stall(p *Process, d sim.Duration) bool {
 	}
 	if p.waitingLock != nil && p.active {
 		p.Stats.SpinTime += now.Sub(p.spinStart)
-		k.met.spinMicros.Add(int64(now.Sub(p.spinStart)))
 	}
 	p.Stats.Preemptions++
-	k.met.preemptions.Inc()
 	k.unrun(p, Blocked)
 	k.scheduleUnstall(p)
 	return true

@@ -20,8 +20,10 @@ import (
 // lock holder, and a Kill of a lock holder with a running waiter. It was recorded on the tree where
 // every request was an engine-side rendezvous; moving the zero-time
 // requests into the body, and the bodies from coroutines to Script,
-// must not move a single line.
-const requestPathGoldenSHA256 = "cb67bcdcfcbd5a695e7d507ec01f531f27d664d644395826036da562bcaba359"
+// must not move a single line. It moved once, when ProcStats lost its
+// write-only SwitchTime, ReloadTime and LockSpins: the new text is the
+// old one with those three pairs cut from each proc line.
+const requestPathGoldenSHA256 = "b1dabd6455ab939df2936cbdbdcfe050fb04ac188d4b5fe963058af0b2a353b4"
 
 // recordRequestPathScenario runs the scenario and returns one line per
 // kernel hook invocation plus the closing counters.
@@ -41,7 +43,7 @@ func recordRequestPathScenario() []byte {
 	k.OnStateChange = func(p *Process, old, next ProcState) {
 		fmt.Fprintf(&buf, "%d state %d %v>%v\n", k.Now(), p.ID(), old, next)
 	}
-	k.OnDispatch = func(p *Process, cpu int, wait sim.Duration) {
+	k.OnDispatch = func(p *Process, cpu int, wait, _, _ sim.Duration) {
 		fmt.Fprintf(&buf, "%d dispatch %d cpu%d wait=%d\n", k.Now(), p.ID(), cpu, wait)
 	}
 	k.OnLockContend = func(p *Process, l *SpinLock, holder *Process, first bool) {
@@ -139,8 +141,10 @@ func TestRequestPathGolden(t *testing.T) {
 // probe does to a kernel: 256 idle processes spawned through Spawn on
 // the default machine, each dispatched once and exiting at its first
 // resume. It was recorded while Spawn still ran its body as a
-// coroutine; Spawn's resumable adapter must not move a line.
-const spawnProbeGoldenSHA256 = "b5ef4612639487522370d5f6deb7c76f9be59e43f75c3bb80f1fad7da958eef5"
+// coroutine; Spawn's resumable adapter must not move a line. Like
+// requestPathGoldenSHA256 it moved only to cut ProcStats's three
+// write-only pairs from each proc line.
+const spawnProbeGoldenSHA256 = "7495a93173b6a5db8cd75fe5f0d768e43033d320d0aa9c498667d92e0477f762"
 
 func TestSpawnProbeGolden(t *testing.T) {
 	eng := sim.NewEngine(1)
@@ -151,7 +155,7 @@ func TestSpawnProbeGolden(t *testing.T) {
 	k.OnStateChange = func(p *Process, old, next ProcState) {
 		fmt.Fprintf(&buf, "%d state %d %v>%v\n", k.Now(), p.ID(), old, next)
 	}
-	k.OnDispatch = func(p *Process, cpu int, wait sim.Duration) {
+	k.OnDispatch = func(p *Process, cpu int, wait, _, _ sim.Duration) {
 		fmt.Fprintf(&buf, "%d dispatch %d cpu%d wait=%d\n", k.Now(), p.ID(), cpu, wait)
 	}
 	for i := 0; i < 256; i++ {

@@ -41,11 +41,8 @@ func DefaultConfig() Config {
 // cpuState is the kernel's per-processor scheduling record, wrapping the
 // hardware model.
 type cpuState struct {
-	hw        *machine.CPU
-	running   *Process
-	idle      bool
-	idleSince sim.Time
-	idleTime  sim.Duration
+	hw      *machine.CPU
+	running *Process
 }
 
 // Kernel owns the processors and processes and drives dispatching. All
@@ -66,8 +63,9 @@ type Kernel struct {
 	nextID PID
 	nlive  int
 
-	rng *sim.RNG
-	met *kernelMetrics
+	rng  *sim.RNG
+	met  *kernelMetrics
+	born sim.Time // when New ran: the start of every CPU's busy + idle time
 
 	// rendezvous counts engine→body→engine hand-offs (calls to advance).
 	// Tests read it; it is deliberately not a metrics series, so the
@@ -85,8 +83,9 @@ type Kernel struct {
 	OnStateChange func(p *Process, old, new ProcState)
 	// OnDispatch fires after a process is placed on a CPU (its state is
 	// already Running); wait is the ready-queue latency the dispatch just
-	// ended.
-	OnDispatch func(p *Process, cpu int, wait sim.Duration)
+	// ended, switchCost and reloadCost the overhead the machine charged
+	// for it before the process runs.
+	OnDispatch func(p *Process, cpu int, wait, switchCost, reloadCost sim.Duration)
 	// OnLockContend fires when a running process starts a busy-wait leg
 	// on l: first marks the start of the whole contended acquisition,
 	// !first a leg resumed after preemption. holder is the process
@@ -124,9 +123,10 @@ func New(eng *sim.Engine, mac *machine.Machine, pol Policy, cfg Config) *Kernel 
 		byID: make(map[PID]*Process),
 		rng:  eng.RNG().Split(),
 		met:  newKernelMetrics(metrics.NewRegistry()),
+		born: eng.Now(),
 	}
 	for _, c := range mac.CPUs() {
-		k.cpus = append(k.cpus, &cpuState{hw: c, idle: true})
+		k.cpus = append(k.cpus, &cpuState{hw: c})
 	}
 	k.met.reg.OnCollect(k.collect)
 	pol.Attach(k)
@@ -290,27 +290,15 @@ func (k *Kernel) dispatch(cpu *cpuState) {
 		break
 	}
 	if p == nil {
-		if !cpu.idle {
-			cpu.idle = true
-			cpu.idleSince = now
-		}
-		return
+		return // idle: no record to keep, see busyIdle
 	}
 	if p.state != Runnable {
 		panic(fmt.Sprintf("kernel: policy %s picked %v", k.pol.Name(), p))
 	}
-	if cpu.idle {
-		cpu.idleTime += now.Sub(cpu.idleSince)
-		cpu.idle = false
-	}
-	k.met.dispatches.Inc()
 	wait := now.Sub(p.readySince)
 	k.met.runqWait.Observe(int64(wait))
 	if p.lastCPU >= 0 && p.lastCPU != cpu.hw.ID() {
 		k.met.migrations.Inc()
-	}
-	if cpu.hw.LastFootprint() != p.footprint() {
-		k.met.ctxSwitches.Inc()
 	}
 	cpu.running = p
 	p.cpu = cpu
@@ -318,15 +306,11 @@ func (k *Kernel) dispatch(cpu *cpuState) {
 	p.runStart = now
 	k.setState(p, Running) // after CPU assignment, so hooks see where
 	p.Stats.Dispatches++
-	if k.OnDispatch != nil {
-		k.OnDispatch(p, cpu.hw.ID(), wait)
-	}
 
 	sw, rl := cpu.hw.Dispatch(p.footprint(), p.workingSet)
-	p.Stats.SwitchTime += sw
-	p.Stats.ReloadTime += rl
-	k.met.switchMicros.Add(int64(sw))
-	k.met.reloadMicros.Add(int64(rl))
+	if k.OnDispatch != nil {
+		k.OnDispatch(p, cpu.hw.ID(), wait, sw, rl)
+	}
 	overhead := sw + rl
 
 	q := k.pol.QuantumFor(p)
@@ -388,7 +372,6 @@ func (k *Kernel) runProc(p *Process) {
 					p.waitingLock = l
 					l.waiters.Push(p)
 					l.Contended++
-					p.Stats.LockSpins++
 				}
 				p.spinStart = now
 				if k.OnLockContend != nil {
@@ -518,7 +501,6 @@ func (k *Kernel) grantLock(l *SpinLock, w *Process) {
 	now := k.eng.Now()
 	spun := now.Sub(w.spinStart)
 	w.Stats.SpinTime += spun
-	k.met.spinMicros.Add(int64(spun))
 	w.waitingLock = nil
 	k.takeLock(l, w, spun)
 	if w.grantFn == nil {
@@ -612,10 +594,8 @@ func (k *Kernel) Preempt(p *Process) {
 	}
 	if p.waitingLock != nil && p.active {
 		p.Stats.SpinTime += now.Sub(p.spinStart)
-		k.met.spinMicros.Add(int64(now.Sub(p.spinStart)))
 	}
 	p.Stats.Preemptions++
-	k.met.preemptions.Inc()
 	if len(p.held) > 0 {
 		k.met.preemptCrit.Inc()
 	}
@@ -631,7 +611,6 @@ func (k *Kernel) unrun(p *Process, next ProcState) {
 	cpu := p.cpu
 	ran := now.Sub(p.runStart)
 	p.Stats.CPUTime += ran
-	k.met.cpuMicros.Add(int64(ran))
 	p.usage += float64(ran)
 	cpu.hw.BusyTime += ran
 	p.epoch++
@@ -661,7 +640,6 @@ func (k *Kernel) exit(p *Process) {
 	}
 	if p.waitingLock != nil {
 		p.Stats.SpinTime += k.eng.Now().Sub(p.spinStart)
-		k.met.spinMicros.Add(int64(k.eng.Now().Sub(p.spinStart)))
 		p.waitingLock.waiters.remove(p)
 		p.waitingLock = nil
 	}
@@ -677,21 +655,16 @@ func (k *Kernel) exit(p *Process) {
 }
 
 // Finalize closes the accounting books at the end of a run: credits
-// trailing busy/idle periods so CPU utilization sums are exact. Call it
+// the legs still running so CPU utilization sums are exact. Call it
 // once after the engine returns.
 func (k *Kernel) Finalize() {
 	now := k.eng.Now()
 	for _, c := range k.cpus {
-		if c.running != nil {
-			p := c.running
+		if p := c.running; p != nil {
 			ran := now.Sub(p.runStart)
 			p.Stats.CPUTime += ran
-			k.met.cpuMicros.Add(int64(ran))
 			c.hw.BusyTime += ran
 			p.runStart = now
-		} else if c.idle {
-			c.idleTime += now.Sub(c.idleSince)
-			c.idleSince = now
 		}
 	}
 }

@@ -256,7 +256,8 @@ func TestCPUAccountingBalances(t *testing.T) {
 	var busy, idle sim.Duration
 	for i := 0; i < k.NumCPU(); i++ {
 		busy += k.Machine().CPU(i).BusyTime
-		idle += k.cpus[i].idleTime
+		_, cpuIdle := k.busyIdle(k.cpus[i])
+		idle += cpuIdle
 	}
 	total := sim.Duration(end) * sim.Duration(k.NumCPU())
 	if busy+idle != total {

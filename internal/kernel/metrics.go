@@ -4,27 +4,26 @@ import (
 	"strconv"
 
 	"procctl/internal/metrics"
+	"procctl/internal/sim"
 )
 
 // kernelMetrics holds the kernel's handles into the simulation's
-// metrics registry. Event counters are incremented inline on the
-// dispatch path, always in virtual time, next to the matching
-// ProcStats/CPU accounting so the two can be cross-checked; state
-// gauges (per-CPU busy/idle, runnable counts) are refreshed lazily by a
-// snapshot collector.
+// metrics registry for the facts it cannot derive from a record of its
+// own: they are counted inline, in virtual time (a forced release is
+// also counted on its SpinLock, but the kernel keeps no list of locks
+// to sum). Every other kernel series is derived by the snapshot
+// collector from the one record of its fact (DESIGN.md "Each fact is
+// stored once"): the machine-wide totals are sums of the per-process
+// ProcStats and the per-CPU machine.CPU accounting, and the state
+// gauges (per-CPU busy/idle, runnable counts) read the live state.
+// A derived series holds its last collected value until the next
+// snapshot.
 type kernelMetrics struct {
 	reg *metrics.Registry
 
-	dispatches   *metrics.Counter
-	preemptions  *metrics.Counter
-	preemptCrit  *metrics.Counter
-	migrations   *metrics.Counter
-	ctxSwitches  *metrics.Counter
-	switchMicros *metrics.Counter
-	reloadMicros *metrics.Counter
-	spinMicros   *metrics.Counter
-	cpuMicros    *metrics.Counter
-	runqWait     *metrics.Histogram
+	preemptCrit *metrics.Counter
+	migrations  *metrics.Counter
+	runqWait    *metrics.Histogram
 
 	// Fault-injection counters (internal/faultinject drives the events;
 	// the kernel owns the recovery machinery being counted).
@@ -56,17 +55,10 @@ const (
 
 func newKernelMetrics(reg *metrics.Registry) *kernelMetrics {
 	return &kernelMetrics{
-		reg:          reg,
-		dispatches:   reg.Counter(MetricDispatches, "processes placed on a CPU"),
-		preemptions:  reg.Counter(MetricPreemptions, "involuntary deschedules (quantum expiry or forced)"),
-		preemptCrit:  reg.Counter(MetricPreemptCrit, "preemptions of a process holding a spinlock (the paper's Section 2 hazard)"),
-		migrations:   reg.Counter(MetricMigrations, "dispatches onto a different CPU than the process last ran on"),
-		ctxSwitches:  reg.Counter(MetricCtxSwitches, "dispatches of a different process than the CPU ran last"),
-		switchMicros: reg.Counter(MetricSwitchMicros, "virtual time charged to context-switch overhead"),
-		reloadMicros: reg.Counter(MetricReloadMicros, "virtual time charged to cache reloads after corruption"),
-		spinMicros:   reg.Counter(MetricSpinMicros, "virtual CPU time burned spin-waiting on held locks"),
-		cpuMicros:    reg.Counter(MetricCPUMicros, "virtual CPU time consumed by processes (incl. spin and reload)"),
-		runqWait:     reg.Histogram(MetricRunqWait, "runnable-to-dispatched wait per dispatch", nil),
+		reg:         reg,
+		preemptCrit: reg.Counter(MetricPreemptCrit, "preemptions of a process holding a spinlock (the paper's Section 2 hazard)"),
+		migrations:  reg.Counter(MetricMigrations, "dispatches onto a different CPU than the process last ran on"),
+		runqWait:    reg.Histogram(MetricRunqWait, "runnable-to-dispatched wait per dispatch", nil),
 
 		kills:          reg.Counter(MetricKills, "processes crashed by fault injection"),
 		stalls:         reg.Counter(MetricStalls, "stall faults applied to processes"),
@@ -74,22 +66,35 @@ func newKernelMetrics(reg *metrics.Registry) *kernelMetrics {
 	}
 }
 
-// collect refreshes the state gauges. Installed as a registry collector
-// by New, so it runs (deterministically, on the simulation goroutine)
-// at every snapshot.
-func (k *Kernel) collect() {
+// busyIdle returns c's busy time, the leg in progress credited, and its
+// idle time: the rest of the time since the kernel was created. A CPU
+// is always running a process or idle, so idle needs no record of its
+// own.
+func (k *Kernel) busyIdle(c *cpuState) (busy, idle sim.Duration) {
 	now := k.eng.Now()
-	var hits, misses int64
+	busy = c.hw.BusyTime
+	if c.running != nil {
+		busy += now.Sub(c.running.runStart)
+	}
+	return busy, now.Sub(k.born) - busy
+}
+
+// total moves the machine-wide counter name to sum, the value of its
+// one record.
+func (k *Kernel) total(name, help string, sum int64) {
+	c := k.met.reg.Counter(name, help)
+	c.Add(sum - c.Value())
+}
+
+// collect derives the machine-wide totals and refreshes the state
+// gauges. Installed as a registry collector by New, so it runs
+// (deterministically, on the simulation goroutine) at every snapshot.
+func (k *Kernel) collect() {
+	var hits, misses, switches int64
+	var switchTime, reloadTime sim.Duration
 	for i, c := range k.cpus {
 		cpu := strconv.Itoa(i)
-		busy := c.hw.BusyTime
-		if c.running != nil {
-			busy += now.Sub(c.running.runStart) // credit the leg in progress
-		}
-		idle := c.idleTime
-		if c.idle {
-			idle += now.Sub(c.idleSince)
-		}
+		busy, idle := k.busyIdle(c)
 		k.met.reg.Gauge(metrics.Name("sim_cpu_busy_micros", "cpu", cpu), "virtual time executing processes").Set(int64(busy))
 		k.met.reg.Gauge(metrics.Name("sim_cpu_idle_micros", "cpu", cpu), "virtual time with no process to run").Set(int64(idle))
 		k.met.reg.Gauge(metrics.Name("sim_cpu_switch_micros", "cpu", cpu), "context-switch overhead paid on this CPU").Set(int64(c.hw.SwitchTime))
@@ -99,12 +104,21 @@ func (k *Kernel) collect() {
 		k.met.reg.Gauge(metrics.Name("sim_cpu_cache_misses", "cpu", cpu), "dispatches that paid a reload penalty").Set(c.hw.CacheMisses)
 		hits += c.hw.CacheHits
 		misses += c.hw.CacheMisses
+		switches += c.hw.Switches
+		switchTime += c.hw.SwitchTime
+		reloadTime += c.hw.ReloadTime
 	}
 	k.met.reg.Gauge("sim_cache_hits", "cache-resident dispatches across all CPUs").Set(hits)
 	k.met.reg.Gauge("sim_cache_misses", "reload-paying dispatches across all CPUs").Set(misses)
 
+	var dispatches, preemptions int64
+	var spinTime, cpuTime sim.Duration
 	runnable, live := 0, 0
 	for _, p := range k.procs {
+		dispatches += p.Stats.Dispatches
+		preemptions += p.Stats.Preemptions
+		spinTime += p.Stats.SpinTime
+		cpuTime += p.Stats.CPUTime
 		if p.killed && p.state != Exited {
 			continue // crashed husk awaiting reap: neither runnable nor live
 		}
@@ -118,6 +132,14 @@ func (k *Kernel) collect() {
 	}
 	k.met.reg.Gauge(MetricRunnable, "processes runnable or running (the paper's load measure)").Set(int64(runnable))
 	k.met.reg.Gauge(MetricLive, "processes not yet exited").Set(int64(live))
+
+	k.total(MetricDispatches, "processes placed on a CPU", dispatches)
+	k.total(MetricPreemptions, "involuntary deschedules (quantum expiry or forced)", preemptions)
+	k.total(MetricCtxSwitches, "dispatches of a different process than the CPU ran last", switches)
+	k.total(MetricSwitchMicros, "virtual time charged to context-switch overhead", int64(switchTime))
+	k.total(MetricReloadMicros, "virtual time charged to cache reloads after corruption", int64(reloadTime))
+	k.total(MetricSpinMicros, "virtual CPU time burned spin-waiting on held locks", int64(spinTime))
+	k.total(MetricCPUMicros, "virtual CPU time consumed by processes (incl. spin and reload)", int64(cpuTime))
 }
 
 // Metrics returns the simulation's metrics registry. The kernel, the

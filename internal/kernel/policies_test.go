@@ -151,7 +151,7 @@ func TestSpinFlagExtensionCapped(t *testing.T) {
 	))
 	victim := k.SpawnResumable("victim", 2, 0, Script(Compute(20*sim.Millisecond)))
 	var victimFirstRun sim.Time
-	k.OnDispatch = func(p *Process, cpu int, wait sim.Duration) {
+	k.OnDispatch = func(p *Process, cpu int, wait, _, _ sim.Duration) {
 		if p == victim && victimFirstRun == 0 {
 			victimFirstRun = k.Now()
 		}
@@ -179,7 +179,7 @@ func TestSpinFlagSkipsDoomedSpinners(t *testing.T) {
 	spinner := k.SpawnResumable("spinner", 1, 0, Script(Acquire(l), release(l)))
 	indep := k.SpawnResumable("independent", 2, 0, Script(Compute(30*sim.Millisecond)))
 	doomed := 0
-	k.OnDispatch = func(p *Process, cpu int, wait sim.Duration) {
+	k.OnDispatch = func(p *Process, cpu int, wait, _, _ sim.Duration) {
 		if p.waitingLock == l && l.holder == holder && holder.state != Running {
 			doomed++
 		}
@@ -246,7 +246,8 @@ func TestAffinityStealsFromLongQueue(t *testing.T) {
 	k.Finalize()
 	var idle sim.Duration
 	for i := 0; i < 2; i++ {
-		idle += k.cpus[i].idleTime
+		_, cpuIdle := k.busyIdle(k.cpus[i])
+		idle += cpuIdle
 	}
 	// 900 ms of work on 2 CPUs should take ~450 ms, not 900.
 	if end > sim.Time(600*sim.Millisecond) {

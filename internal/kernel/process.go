@@ -96,17 +96,14 @@ type PID int64
 
 // ProcStats accumulates per-process accounting, all in virtual time.
 type ProcStats struct {
-	CPUTime    sim.Duration // total time on a processor (incl. spin, reload)
-	SpinTime   sim.Duration // CPU time burned spinning on held locks
-	ReloadTime sim.Duration // CPU time refilling corrupted caches
-	SwitchTime sim.Duration // context-switch overhead charged to dispatches
-	ReadyTime  sim.Duration // time spent runnable but not running
-	BlockTime  sim.Duration // time spent asleep on wait queues
+	CPUTime   sim.Duration // total time on a processor (incl. spin, reload)
+	SpinTime  sim.Duration // CPU time burned spinning on held locks
+	ReadyTime sim.Duration // time spent runnable but not running
+	BlockTime sim.Duration // time spent asleep on wait queues
 
 	Dispatches   int64 // times placed on a CPU
 	Preemptions  int64 // involuntary descheduled (quantum expiry or forced)
 	LockAcquires int64
-	LockSpins    int64 // acquisitions that had to wait
 }
 
 // Process is a kernel-schedulable entity (the paper's "process": a

@@ -11,9 +11,8 @@ type FootprintID int64
 // owns scheduling state; the CPU only tracks cache residency and
 // utilization accounting.
 type CPU struct {
-	id    int
-	cfg   Config
-	owner *Machine
+	id  int
+	cfg Config
 
 	// resident maps a process's footprint ID to the number of its
 	// working-set bytes currently in this cache. The sum over all
@@ -47,10 +46,6 @@ func newCPU(id int, cfg Config) *CPU {
 // ID returns the processor index.
 func (c *CPU) ID() int { return c.id }
 
-// LastFootprint returns the footprint of the process most recently
-// dispatched on this CPU, or -1 if none. Affinity schedulers use it.
-func (c *CPU) LastFootprint() FootprintID { return c.lastFootprint }
-
 // Residency returns the fraction of working set ws (bytes) belonging to
 // footprint f that is still resident in this cache, in [0, 1].
 func (c *CPU) Residency(f FootprintID, ws int64) float64 {
@@ -71,14 +66,6 @@ func (c *CPU) Residency(f FootprintID, ws int64) float64 {
 // updates the cache contents (f's working set becomes fully resident,
 // evicting other footprints proportionally).
 func (c *CPU) Dispatch(f FootprintID, ws int64) (switchCost, reloadCost sim.Duration) {
-	switchCost, reloadCost = c.dispatch(f, ws)
-	if c.owner != nil && c.owner.OnDispatchCost != nil && switchCost+reloadCost > 0 {
-		c.owner.OnDispatchCost(c.id, switchCost, reloadCost)
-	}
-	return switchCost, reloadCost
-}
-
-func (c *CPU) dispatch(f FootprintID, ws int64) (switchCost, reloadCost sim.Duration) {
 	if f != c.lastFootprint {
 		switchCost = c.cfg.ContextSwitch
 		c.Switches++

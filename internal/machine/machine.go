@@ -82,12 +82,6 @@ func Scalable(factor float64) Config {
 type Machine struct {
 	cfg  Config
 	cpus []*CPU
-
-	// OnDispatchCost, if set, is invoked whenever a dispatch on some CPU
-	// charges a nonzero context-switch or cache-reload penalty. Tracing
-	// uses it to attribute machine-layer overhead; it runs synchronously
-	// on the simulation goroutine.
-	OnDispatchCost func(cpu int, switchCost, reloadCost sim.Duration)
 }
 
 // New builds a machine from cfg. It panics on an invalid configuration;
@@ -100,7 +94,6 @@ func New(cfg Config) *Machine {
 	m.cpus = make([]*CPU, cfg.NumCPU)
 	for i := range m.cpus {
 		m.cpus[i] = newCPU(i, cfg)
-		m.cpus[i].owner = m
 	}
 	return m
 }

@@ -145,8 +145,8 @@ func TestEvict(t *testing.T) {
 	if r := cpu.Residency(1, 64<<10); r != 0 {
 		t.Errorf("evicted residency %v, want 0", r)
 	}
-	if cpu.LastFootprint() != -1 {
-		t.Errorf("LastFootprint after evict = %v", cpu.LastFootprint())
+	if cpu.lastFootprint != -1 {
+		t.Errorf("lastFootprint after evict = %v", cpu.lastFootprint)
 	}
 	// Dispatch after evict pays the context switch again.
 	sw, _ := cpu.Dispatch(1, 64<<10)

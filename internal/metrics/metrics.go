@@ -12,9 +12,13 @@
 // procctl-vet's SimPackages set: a map-order leak inside it is a vet
 // failure.
 //
-// Concurrency: metric updates are lock-free (sync/atomic), so simulated
-// hot paths pay one atomic add; the registry mutex guards only the name
-// map and collector list. In the single-goroutine simulator the atomics
+// Concurrency: metric updates are lock-free (sync/atomic), so a hot
+// path that counts a fact here pays one atomic add; the registry mutex
+// guards only the name map and collector list. A layer that already
+// keeps a fact in a record of its own counts it nowhere else: a
+// collector (OnCollect) derives the series from that record at every
+// Snapshot, as the simulated kernel does for its machine-wide totals,
+// so its hot path pays nothing. In the single-goroutine simulator the atomics
 // are uncontended; in the real runtime they make the registry safe for
 // concurrent use.
 package metrics
@@ -248,7 +252,11 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 }
 
 // Value returns the current value of a counter or gauge, and whether
-// the series exists (false also for histograms).
+// the series exists (false also for histograms). It runs no collector:
+// a series a collector keeps (the simulated kernel's machine-wide
+// totals, its per-CPU gauges, the threads runtime's app gauges) holds
+// its last collected value until the next Snapshot, and does not exist
+// before the first. Read such a series from a Snapshot.
 func (r *Registry) Value(name string) (int64, bool) {
 	r.mu.Lock()
 	m, ok := r.byName[name]

@@ -334,7 +334,7 @@ func (s *hookStream) install() {
 	k.OnSpawn = func(p *kernel.Process) { s.logf("spawn %d %s", p.ID(), p.Name()) }
 	k.OnExit = func(p *kernel.Process) { s.logf("exit %d", p.ID()) }
 	k.OnStateChange = func(p *kernel.Process, old, next kernel.ProcState) { s.logf("state %d %v>%v", p.ID(), old, next) }
-	k.OnDispatch = func(p *kernel.Process, cpu int, wait sim.Duration) {
+	k.OnDispatch = func(p *kernel.Process, cpu int, wait, _, _ sim.Duration) {
 		s.logf("dispatch %d cpu%d wait=%d", p.ID(), cpu, wait)
 	}
 	k.OnLockContend = func(p *kernel.Process, l *kernel.SpinLock, holder *kernel.Process, first bool) {

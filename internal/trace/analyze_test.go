@@ -65,8 +65,8 @@ func TestAttributionSpinOnPreemptedHolder(t *testing.T) {
 	if a2.ReadyWait != 50*ms || a2.Total != 100*ms {
 		t.Errorf("app2 off-cpu %+v", a2)
 	}
-	if spin, ok := k.Metrics().Value(kernel.MetricSpinMicros); !ok || spin != int64(40*ms) {
-		t.Errorf("kernel spin counter %d, want %d", spin, int64(40*ms))
+	if spin := k.MetricsSnapshot().Get(kernel.MetricSpinMicros); spin == nil || spin.Value != int64(40*ms) {
+		t.Errorf("kernel spin counter %v, want %d", spin, int64(40*ms))
 	}
 }
 
@@ -155,13 +155,14 @@ func runMix(t *testing.T, seed uint64, control bool) (*Attribution, map[string]i
 		t.Fatal(err)
 	}
 	counters := make(map[string]int64)
+	snap := k.MetricsSnapshot()
 	for _, name := range []string{kernel.MetricCPUMicros, kernel.MetricSpinMicros,
 		kernel.MetricSwitchMicros, kernel.MetricReloadMicros} {
-		v, ok := k.Metrics().Value(name)
-		if !ok {
+		m := snap.Get(name)
+		if m == nil {
 			t.Fatalf("kernel counter %s missing", name)
 		}
-		counters[name] = v
+		counters[name] = m.Value
 	}
 	return att, counters, buf.Bytes()
 }

@@ -212,12 +212,16 @@ func NewRecorder(k *kernel.Kernel, w io.Writer, meta Meta) *Recorder {
 		r.emit(Event{T: k.Now(), Kind: "exit", PID: p.ID(), App: p.App(), Name: p.Name()})
 	}
 	prevDispatch := k.OnDispatch
-	k.OnDispatch = func(p *kernel.Process, cpu int, wait sim.Duration) {
+	k.OnDispatch = func(p *kernel.Process, cpu int, wait, sw, rl sim.Duration) {
 		if prevDispatch != nil {
-			prevDispatch(p, cpu, wait)
+			prevDispatch(p, cpu, wait, sw, rl)
 		}
 		r.emit(Event{T: k.Now(), Kind: "dispatch", PID: p.ID(), App: p.App(),
 			CPU: intp(cpu), Wait: wait})
+		if sw+rl > 0 {
+			r.emit(Event{T: k.Now(), Kind: "overhead", PID: p.ID(), App: p.App(),
+				CPU: intp(cpu), SW: sw, RL: rl})
+		}
 	}
 	prevContend := k.OnLockContend
 	k.OnLockContend = func(p *kernel.Process, l *kernel.SpinLock, holder *kernel.Process, first bool) {
@@ -276,21 +280,6 @@ func NewRecorder(k *kernel.Kernel, w io.Writer, meta Meta) *Recorder {
 			if p := k.Lookup(a.PID); p != nil && p.State() == kernel.Running {
 				ev.CPU = intp(p.LastCPU())
 			}
-		}
-		r.emit(ev)
-	}
-	mac := k.Machine()
-	prevCost := mac.OnDispatchCost
-	mac.OnDispatchCost = func(cpu int, sw, rl sim.Duration) {
-		if prevCost != nil {
-			prevCost(cpu, sw, rl)
-		}
-		ev := Event{T: k.Now(), Kind: "overhead", CPU: intp(cpu), SW: sw, RL: rl}
-		// The dispatch that charged the cost has already placed its
-		// process on the CPU, so the subject is whoever runs there now.
-		if p := k.RunningOn(cpu); p != nil {
-			ev.PID = p.ID()
-			ev.App = p.App()
 		}
 		r.emit(ev)
 	}
