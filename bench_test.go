@@ -119,7 +119,7 @@ func BenchmarkSimulatedSpinlock(b *testing.B) {
 	eng := sim.NewEngine(1)
 	mac := machine.New(machine.Config{NumCPU: 4})
 	k := kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{Quantum: 100 * sim.Millisecond, QuantumJitter: -1})
-	l := kernel.NewSpinLock("bench")
+	l := k.NewSpinLock("bench")
 	for i := 0; i < 4; i++ {
 		pc := 0 // forever: take l, compute inside, release, compute outside
 		k.SpawnResumable("p", 1, 0, func(env *kernel.Env) kernel.Request {

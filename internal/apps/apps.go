@@ -273,7 +273,7 @@ func Background(k *kernel.Kernel, n int, busy, idle sim.Duration) []*kernel.Proc
 	procs := make([]*kernel.Process, n)
 	for i := 0; i < n; i++ {
 		computing := false // the request the process is in, or was last in
-		procs[i] = k.SpawnResumable(fmt.Sprintf("bg%d", i), kernel.AppNone, 32<<10, func(*kernel.Env) kernel.Request {
+		procs[i] = k.SpawnMember("bg", "", i, kernel.AppNone, 32<<10, func(*kernel.Env) kernel.Request {
 			if computing = !computing; computing {
 				return kernel.Compute(busy)
 			}

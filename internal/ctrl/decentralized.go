@@ -28,6 +28,7 @@ type Decentralized struct {
 	k *kernel.Kernel
 
 	registered map[kernel.AppID]int
+	counts     []int // runnable processes per AppID, refilled by every Poll
 
 	// Damping makes the controller less aggressive: an application
 	// grows toward its greedy target by at most Damping processes per
@@ -60,17 +61,18 @@ func (d *Decentralized) Unregister(id kernel.AppID) {
 func (d *Decentralized) Poll(id kernel.AppID) int {
 	d.Polls++
 	d.Scans++ // every poll is a full process-table scan
-	perApp, uncontrolled := d.k.CountByApp()
+	d.counts = d.k.CountByApp(d.counts[:0])
 
-	others := uncontrolled
-	for app, n := range perApp {
-		if app != id {
+	others, mine := 0, 0
+	for app, n := range d.counts {
+		if kernel.AppID(app) == id {
+			mine = n
+		} else {
 			others += n
 		}
 	}
 	target := d.k.NumCPU() - others
 
-	mine := perApp[id]
 	if d.Damping > 0 && target > mine+d.Damping {
 		target = mine + d.Damping
 	}

@@ -66,6 +66,8 @@ type Server struct {
 	scans    *metrics.Counter
 	polls    *metrics.Counter
 	expiries *metrics.Counter
+
+	counts []int // runnable processes per AppID, refilled by every Scan
 }
 
 // NewServer creates the server and installs its periodic scan on the
@@ -165,11 +167,14 @@ func (s *Server) Scan() {
 	} else {
 		// Runnable processes of parallel applications that never
 		// registered count as uncontrollable load too.
-		perApp, uncontrolled := s.k.CountByApp()
+		s.counts = s.k.CountByApp(s.counts[:0])
 		for _, m := range members {
-			delete(perApp, m.Key)
+			if int(m.Key) < len(s.counts) {
+				s.counts[m.Key] = 0
+			}
 		}
-		for _, n := range perApp {
+		uncontrolled := 0
+		for _, n := range s.counts {
 			uncontrolled += n
 		}
 		for _, mv := range s.reg.Decide(uncontrolled, s.liveCap) {

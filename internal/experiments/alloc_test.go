@@ -3,9 +3,11 @@ package experiments
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"procctl/internal/kernel"
+	"procctl/internal/machine"
 	"procctl/internal/sim"
 )
 
@@ -26,17 +28,20 @@ func sweepCall(o Options) {
 func fig4Call(o Options) { Fig4(o, nil) }
 
 // BenchmarkFigureCalls is the profiling entry point for what a figure
-// allocates (EXPERIMENTS.md PERF-8):
+// allocates (EXPERIMENTS.md PERF-8, PERF-16); allocs/sim is allocs/op
+// over the simulations the call runs. Every allocation is sampled at
+// -memprofilerate 1, and alloc_objects ranks the sites by count:
 //
 //	go test -run '^$' -bench FigureCalls/sweep -benchtime 20x \
-//	    -memprofile mem.out -memprofilerate 4096 ./internal/experiments
-//	go tool pprof -sample_index=alloc_space -top mem.out
+//	    -memprofile mem.out -memprofilerate 1 ./internal/experiments
+//	go tool pprof -sample_index=alloc_objects -top mem.out
 func BenchmarkFigureCalls(b *testing.B) {
 	o := Options{Seed: 1, Seeds: 1}
 	for _, c := range []struct {
 		name string
 		call func(Options)
 	}{{"sweep", sweepCall}, {"fig4", fig4Call}} {
+		sims := simulationsOf(c.call)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
@@ -46,8 +51,19 @@ func BenchmarkFigureCalls(b *testing.B) {
 			}
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "GCs/op")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*sims), "allocs/sim")
 		})
 	}
+}
+
+// simulationsOf counts the simulations one call of a figure runs.
+func simulationsOf(call func(Options)) int {
+	var n atomic.Int64
+	call(Options{Seed: 1, Seeds: 1, NewPolicy: func() kernel.Policy {
+		n.Add(1)
+		return kernel.NewTimeshare()
+	}})
+	return int(n.Load())
 }
 
 // engineWindow is sim's unexported window: how many of the earliest
@@ -104,22 +120,26 @@ func TestFigureQueuesFitTheWindow(t *testing.T) {
 	}
 }
 
-// allocatedBy returns the bytes the heap handed out during fn, on every
-// goroutine (the figures fan out) — not the live heap: what the collector
-// has to be fed to keep up with.
-func allocatedBy(fn func()) uint64 {
+// allocatedBy returns the bytes and the objects the heap handed out
+// during fn, on every goroutine (the figures fan out) — not the live
+// heap: what the collector has to be fed to keep up with.
+func allocatedBy(fn func()) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
 // TestFigureAllocationBudget holds a simulation's memory to what it
-// uses. The budgets sit between what the figures allocated before the
-// flight ring, the per-launch arrays and the task array were sized to
-// their contents (12.28 MB per sweep call, 20.44 MB per Fig4 call) and
-// what they allocate now; most of what is left is the DAG builds.
+// uses. The byte budgets sit between what the figures allocated before
+// the flight ring, the per-launch arrays and the task array were sized
+// to their contents (12.28 MB per sweep call, 20.44 MB per Fig4 call)
+// and what they allocate now; most of what is left is the DAG builds.
+// The object ceilings are the counts measured once processes, CPUs,
+// metric handles and load samples stopped allocating one object each
+// (5,516 and 1,016; 10,765 and 2,703 before, EXPERIMENTS.md PERF-16),
+// plus 10 %.
 func TestFigureAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the benchmark-size figures")
@@ -127,16 +147,53 @@ func TestFigureAllocationBudget(t *testing.T) {
 	const mb = 1e6
 	o := Options{Seed: 1, Seeds: 1}
 	for _, c := range []struct {
-		name   string
-		call   func(Options)
-		budget uint64
+		name            string
+		call            func(Options)
+		budget, objects uint64
 	}{
-		{"Fig1+Fig3", sweepCall, 6.5 * mb},
-		{"Fig4", fig4Call, 16 * mb},
+		{"Fig1+Fig3", sweepCall, 6.5 * mb, 6068},
+		{"Fig4", fig4Call, 16 * mb, 1118},
 	} {
 		c.call(o) // lazy one-time set-up (metric name tables, goroutine stacks) is not the figure's
-		if got := allocatedBy(func() { c.call(o) }); got > c.budget {
-			t.Errorf("%s allocates %.2f MB per call, budget %.2f MB", c.name, float64(got)/mb, float64(c.budget)/mb)
+		bytes, objects := allocatedBy(func() { c.call(o) })
+		if bytes > c.budget {
+			t.Errorf("%s allocates %.2f MB per call, budget %.2f MB", c.name, float64(bytes)/mb, float64(c.budget)/mb)
 		}
+		if objects > c.objects {
+			t.Errorf("%s allocates %d objects per call, ceiling %d", c.name, objects, c.objects)
+		}
+	}
+}
+
+// TestLaunchAllocatesPerSimulation holds building a simulation and
+// launching an application to allocations per simulation and per
+// application, not per CPU or per process (EXPERIMENTS.md PERF-16):
+// NewSim + LaunchNow allocate the same on 4 CPUs as on 16, and a
+// process adds no more than its closures.
+func TestLaunchAllocatesPerSimulation(t *testing.T) {
+	wl := mustWorkload("fft")
+	if err := wl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(ncpu, procs int) float64 {
+		mc := machine.Multimax16()
+		mc.NumCPU = ncpu
+		o := Options{Seed: 1, Machine: mc}
+		return testing.AllocsPerRun(20, func() {
+			NewSim(o, false).LaunchNow(1, wl, procs)
+		})
+	}
+	// Four processes take four CPUs on either machine, so the engine and
+	// the run queue see the same traffic: only per-CPU state can differ.
+	if on4, on16 := allocs(4, 4), allocs(16, 4); on4 != on16 {
+		t.Errorf("NewSim + LaunchNow allocate %v times on 4 CPUs, %v on 16", on4, on16)
+	}
+	// Eight more processes on four CPUs wait in the run queue. Each
+	// brings its closures — the kernel's quantum, start and compute
+	// callbacks and the worker's step method value — and the queue's
+	// array doubles once.
+	const closures, doublings = 4, 1
+	if grow := allocs(4, 16) - allocs(4, 8); grow > 8*closures+doublings {
+		t.Errorf("8 more processes allocate %v more times, want at most %d", grow, 8*closures+doublings)
 	}
 }

@@ -72,7 +72,7 @@ func Decentral(o Options, mix []Fig4Arrival) *DecentralResult {
 		var window []float64
 		for _, smp := range out.samples {
 			if smp.At >= lastStart && smp.At <= lastStart.Add(10*sim.Second) {
-				window = append(window, float64(smp.Total))
+				window = append(window, float64(smp.Total()))
 			}
 		}
 		res.Oscillation = append(res.Oscillation, stddev(window))

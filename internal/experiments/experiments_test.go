@@ -115,13 +115,13 @@ func TestFig4And5Shape(t *testing.T) {
 	// reaches the full 48.
 	maxOn, maxOff := 0, 0
 	for _, s := range r.On.Samples {
-		if s.Total > maxOn {
-			maxOn = s.Total
+		if s.Total() > maxOn {
+			maxOn = s.Total()
 		}
 	}
 	for _, s := range r.Off.Samples {
-		if s.Total > maxOff {
-			maxOff = s.Total
+		if s.Total() > maxOff {
+			maxOff = s.Total()
 		}
 	}
 	if maxOff != 48 {
@@ -136,7 +136,7 @@ func TestFig4And5Shape(t *testing.T) {
 	for _, s := range r.On.Samples {
 		if s.At > sim.Time(25*sim.Second) && s.At < sim.Time(28*sim.Second) {
 			n++
-			if s.Total > 18 {
+			if s.Total() > 18 {
 				over++
 			}
 		}
@@ -293,7 +293,7 @@ func TestRunSim(t *testing.T) {
 		}
 		seen := false
 		for _, smp := range out.samples {
-			n := smp.PerApp[2]
+			n := smp.App(2)
 			if smp.At < late && n != 0 {
 				t.Errorf("at %v, before its start time, the late application has %d processes", smp.At, n)
 			}

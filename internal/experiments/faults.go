@@ -84,13 +84,16 @@ func Faults(o Options) *FaultsResult {
 	ok := s.RunUntil(survivor.Done)
 	s.mustFinish(ok, "faults survivor")
 
+	// The forced-release total is derived at snapshot time: read it
+	// from the snapshot.
+	snap := s.K.MetricsSnapshot()
 	res.Crashes = count(faultinject.MetricCrashes)
 	res.LockCrashes = count(faultinject.MetricLockCrashes)
-	res.ForcedReleases = count(kernel.MetricForcedReleases)
+	res.ForcedReleases = snap.Get(kernel.MetricForcedReleases).Value
 	res.LeaseExpiries = count(ctrl.MetricLeaseExpiries)
 	res.SurvivorElapsed = survivor.Elapsed()
 	var buf bytes.Buffer
-	s.K.MetricsSnapshot().WriteText(&buf)
+	snap.WriteText(&buf)
 	res.Snapshot = buf.String()
 	return res
 }

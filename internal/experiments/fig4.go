@@ -121,14 +121,14 @@ func (r *Fig4Result) RenderFig5() string {
 		var counts []int
 		for _, smp := range run.Samples {
 			times = append(times, smp.At)
-			counts = append(counts, smp.Total)
+			counts = append(counts, smp.Total())
 		}
 		b.WriteString(trace.AsciiSeries("Figure 5: total runnable processes, "+label, thinTimes(times), thinCounts(counts), 48))
 		b.WriteByte('\n')
 		for i, id := range run.AppIDs {
 			var per []int
 			for _, smp := range run.Samples {
-				per = append(per, smp.PerApp[id])
+				per = append(per, smp.App(id))
 			}
 			title := fmt.Sprintf("  %s runnable processes, %s", r.Mix[i].App, label)
 			b.WriteString(trace.AsciiSeries(title, thinTimes(times), thinCounts(per), 48))

@@ -96,7 +96,8 @@ func TestMetricsAgreeWithProcStats(t *testing.T) {
 			procs.cpu += int64(p.Stats.CPUTime)
 		}
 		var cpus struct{ switches, switchTime, reloadTime int64 }
-		for i, c := range s.Mac.CPUs() {
+		for i := 0; i < s.Mac.NumCPU(); i++ {
+			c := s.Mac.CPU(i)
 			cpus.switches += c.Switches
 			cpus.switchTime += int64(c.SwitchTime)
 			cpus.reloadTime += int64(c.ReloadTime)

@@ -327,8 +327,8 @@ func meanSpeedup(t1 sim.Duration, outs []simOut, app int) float64 {
 func meanOverload(samples []trace.Sample, ncpu int) float64 {
 	over := 0.0
 	for _, smp := range samples {
-		if smp.Total > ncpu {
-			over += float64(smp.Total - ncpu)
+		if total := smp.Total(); total > ncpu {
+			over += float64(total - ncpu)
 		}
 	}
 	if len(samples) == 0 {

@@ -45,7 +45,7 @@ func TestCrashAppInLockWaitsForCriticalSection(t *testing.T) {
 	// armed at time zero must hold its fire until then, and the lock
 	// must be force-released so the peer app finishes.
 	k := newKernel(2)
-	l := kernel.NewSpinLock("shared")
+	l := k.NewSpinLock("shared")
 	inj := New(k, 7)
 	var crashedAt sim.Time
 	release := func(env *kernel.Env) { env.Release(l) }

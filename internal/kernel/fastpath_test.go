@@ -12,7 +12,7 @@ import (
 // a contended Acquire exactly one.
 func TestZeroTimeRequestsSkipTheRendezvous(t *testing.T) {
 	k := testKernel(2)
-	l, held := NewSpinLock("free"), NewSpinLock("held")
+	l, held := k.NewSpinLock("free"), k.NewSpinLock("held")
 	q := NewWaitQueue("q")
 	var uncontended, contended, atRelease uint64
 	k.SpawnResumable("sleeper", 1, 0, Script(Sleep(q)))
@@ -66,7 +66,7 @@ func TestZeroTimeRequestsSkipTheRendezvous(t *testing.T) {
 // same arguments, as when the engine performed it.
 func TestInlineRequestsFireHooks(t *testing.T) {
 	k := testKernel(1)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	var log []string
 	k.OnLockAcquire = func(p *Process, l *SpinLock, spun sim.Duration) {
 		log = append(log, "acquire@"+k.Now().String()+" spun="+spun.String())
@@ -111,7 +111,7 @@ func TestReleaseOfUnheldLockPanicsOnEngineGoroutine(t *testing.T) {
 	}{{"free lock", false}, {"lock held by a peer", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := testKernel(2)
-			l := NewSpinLock("l")
+			l := k.NewSpinLock("l")
 			if tc.holder {
 				k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(sim.Second), release(l)))
 			}
@@ -140,7 +140,7 @@ func TestReleaseOfUnheldLockPanicsOnEngineGoroutine(t *testing.T) {
 // force-releases it and grants it to the spinner at the kill instant.
 func TestKillHolderOfInlineLockGrantsToSpinner(t *testing.T) {
 	k := testKernel(2)
-	outer, inner := NewSpinLock("outer"), NewSpinLock("inner")
+	outer, inner := k.NewSpinLock("outer"), k.NewSpinLock("inner")
 	var peerGot, peerDone sim.Time
 	victim := k.SpawnResumable("victim", 1, 0, Script(
 		Acquire(outer), // both free: taken in the body

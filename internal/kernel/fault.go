@@ -165,8 +165,8 @@ func (k *Kernel) reap(p *Process) {
 // finishKill performs the parts of process teardown shared by every
 // kill path. The process is already Exited.
 func (k *Kernel) finishKill(p *Process) {
-	for _, c := range k.cpus {
-		c.hw.Evict(p.footprint())
+	for i := range k.cpus {
+		k.cpus[i].hw.Evict(p.footprint())
 	}
 	k.nlive--
 	k.pol.OnExit(p)

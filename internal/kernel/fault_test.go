@@ -12,7 +12,7 @@ func TestKillRunningForceReleasesLock(t *testing.T) {
 	// it. Killing the victim mid-critical-section must hand the lock to
 	// the spinning peer so it can finish.
 	k := testKernel(2)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	var peerDone sim.Time
 	victim := k.SpawnResumable("victim", 1, 0, Script(Acquire(l), Compute(3600*sim.Second), release(l)))
 	k.SpawnResumable("peer", 1, 0, Script(
@@ -82,7 +82,7 @@ func TestKillRunnableReapedAtNextPick(t *testing.T) {
 			t.Fatalf("b state %v, want runnable (a holds the only CPU)", b.State())
 		}
 		k.Kill(b)
-		perApp, _ := k.CountByApp()
+		perApp := k.CountByApp(nil)
 		if perApp[1] != 1 {
 			t.Errorf("CountByApp = %d right after kill, want 1 (husk excluded)", perApp[1])
 		}
@@ -184,7 +184,7 @@ func TestKilledHuskNeverPickedIsNeverResumed(t *testing.T) {
 		t.Fatal("Kill = false")
 	}
 	k.Engine().Run(sim.Time(50 * sim.Millisecond))
-	if perApp, _ := k.CountByApp(); perApp[1] != 1 || b.State() != Runnable || !b.killed {
+	if perApp := k.CountByApp(nil); perApp[1] != 1 || b.State() != Runnable || !b.killed {
 		t.Errorf("runnable count %d, husk %v killed=%v", perApp[1], b, b.killed)
 	}
 }
@@ -194,7 +194,7 @@ func TestKillDeterministic(t *testing.T) {
 		eng := sim.NewEngine(42)
 		mac := machine.New(machine.Multimax16())
 		k := New(eng, mac, NewTimeshare(), DefaultConfig())
-		l := NewSpinLock("shared")
+		l := k.NewSpinLock("shared")
 		for i := 0; i < 12; i++ {
 			var steps []any
 			for j := 0; j < 50; j++ {

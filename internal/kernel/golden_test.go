@@ -56,7 +56,7 @@ func recordRequestPathScenario() []byte {
 		fmt.Fprintf(&buf, "%d release %d %s held=%d forced=%v\n", k.Now(), p.ID(), l.Name(), held, forced)
 	}
 
-	hot, cold := NewSpinLock("hot"), NewSpinLock("cold")
+	hot, cold := k.NewSpinLock("hot"), k.NewSpinLock("cold")
 	q := NewWaitQueue("suspend")
 
 	// Six workers on three CPUs hammer one lock with critical sections
@@ -94,7 +94,7 @@ func recordRequestPathScenario() []byte {
 	// while its peer spins on the lock, and a first-application worker
 	// stalled while runnable; whoever runs on CPU 0 at 44 ms is stalled
 	// while running.
-	crashLock := NewSpinLock("crash")
+	crashLock := k.NewSpinLock("crash")
 	victim := k.SpawnResumable("victim", 2, 16<<10, Script(Acquire(crashLock), Compute(sim.Second), release(crashLock)))
 	k.SpawnResumable("peer", 2, 16<<10, Script(
 		Compute(2*sim.Millisecond),

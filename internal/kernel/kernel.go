@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"procctl/internal/machine"
 	"procctl/internal/metrics"
@@ -56,15 +57,20 @@ type Kernel struct {
 	mac  *machine.Machine
 	pol  Policy
 	cfg  Config
-	cpus []*cpuState
+	cpus []cpuState
 
-	procs  []*Process // every process ever spawned, in spawn order
-	byID   map[PID]*Process
-	nextID PID
-	nlive  int
+	// procs holds every process ever spawned, in spawn order: process
+	// PID n is procs[n-1]. The processes themselves live in slab
+	// chunks (newProcess).
+	procs []*Process
+	slab  []Process // the chunk the next process comes from
+	nlive int
+	apps  AppID // the largest AppID spawned so far
+
+	locks []*SpinLock // every lock made by NewSpinLock/NewMemberLock
 
 	rng  *sim.RNG
-	met  *kernelMetrics
+	met  kernelMetrics
 	born sim.Time // when New ran: the start of every CPU's busy + idle time
 
 	// rendezvous counts engine→body→engine hand-offs (calls to advance).
@@ -120,13 +126,13 @@ func New(eng *sim.Engine, mac *machine.Machine, pol Policy, cfg Config) *Kernel 
 		mac:  mac,
 		pol:  pol,
 		cfg:  cfg,
-		byID: make(map[PID]*Process),
+		cpus: make([]cpuState, mac.NumCPU()),
 		rng:  eng.RNG().Split(),
 		met:  newKernelMetrics(metrics.NewRegistry()),
 		born: eng.Now(),
 	}
-	for _, c := range mac.CPUs() {
-		k.cpus = append(k.cpus, &cpuState{hw: c})
+	for i := range k.cpus {
+		k.cpus[i].hw = mac.CPU(i)
 	}
 	k.met.reg.OnCollect(k.collect)
 	pol.Attach(k)
@@ -158,37 +164,81 @@ func (k *Kernel) Live() int { return k.nlive }
 // must treat the slice as read-only.
 func (k *Kernel) Processes() []*Process { return k.procs }
 
-// Lookup returns the process with the given PID, or nil.
-func (k *Kernel) Lookup(id PID) *Process { return k.byID[id] }
+// Lookup returns the process with the given PID, or nil. PIDs are
+// handed out 1, 2, 3, … in spawn order.
+func (k *Kernel) Lookup(id PID) *Process {
+	if id < 1 || id > PID(len(k.procs)) {
+		return nil
+	}
+	return k.procs[id-1]
+}
 
-// SpawnResumable creates a runnable process belonging to app, with the
-// given cache working-set size in bytes, whose body is resume: each time
-// the process's last blocking request has been satisfied — the first
-// time, when it first runs — the engine calls resume and the process
-// carries out the Request it returns; Exit() ends it. Between two
-// requests resume may take a free lock (Env.TryAcquire), Release, Wake
-// and read the Env. It runs on the engine's goroutine and owns no stack
-// between calls, so Kill has nothing to unwind: it just never calls it
-// again.
+// SpawnResumable creates a runnable process named name belonging to
+// app, with the given cache working-set size in bytes, whose body is
+// resume: each time the process's last blocking request has been
+// satisfied — the first time, when it first runs — the engine calls
+// resume and the process carries out the Request it returns; Exit()
+// ends it. Between two requests resume may take a free lock
+// (Env.TryAcquire), Release, Wake and read the Env. It runs on the
+// engine's goroutine and owns no stack between calls, so Kill has
+// nothing to unwind: it just never calls it again.
 func (k *Kernel) SpawnResumable(name string, app AppID, workingSet int64, resume func(*Env) Request) *Process {
-	k.nextID++
-	p := &Process{
-		id:         k.nextID,
+	return k.spawn(label{name, "", -1}, app, workingSet, resume)
+}
+
+// SpawnMember is SpawnResumable for member nth of a family of
+// processes (an application's workers): the process is named family,
+// sep and nth in decimal — "fft", "/w", 3 is fft/w3 — but the name is
+// formatted only when read.
+func (k *Kernel) SpawnMember(family, sep string, nth int, app AppID, workingSet int64, resume func(*Env) Request) *Process {
+	return k.spawn(label{family, sep, nth}, app, workingSet, resume)
+}
+
+// procChunk and maxProcChunk bound the slab chunks processes are
+// allocated in: the first chunk of a kernel holds procChunk, each next
+// one twice as many as the last, up to maxProcChunk.
+const (
+	procChunk    = 16
+	maxProcChunk = 256
+)
+
+// newProcess returns a zeroed Process from the kernel's slab, and makes
+// room for it in procs. Spawning n processes allocates O(log n) times,
+// not n times; a chunk lives as long as any of its processes is
+// referenced.
+func (k *Kernel) newProcess() *Process {
+	if len(k.slab) == cap(k.slab) {
+		n := min(max(2*cap(k.slab), procChunk), maxProcChunk)
+		k.slab = make([]Process, 0, n)
+		k.procs = slices.Grow(k.procs, n)
+	}
+	k.slab = k.slab[:len(k.slab)+1]
+	return &k.slab[len(k.slab)-1]
+}
+
+func (k *Kernel) spawn(name label, app AppID, workingSet int64, resume func(*Env) Request) *Process {
+	if app < 0 {
+		panic(fmt.Sprintf("kernel: negative AppID %d", app))
+	}
+	p := k.newProcess()
+	*p = Process{
+		id:         PID(len(k.procs) + 1),
 		name:       name,
 		app:        app,
 		workingSet: workingSet,
 		lastCPU:    -1,
 		state:      Embryo,
 	}
+	p.held = p.heldBuf[:0]
 	e := &p.env
-	e.p, e.k, e.rng, e.resume = p, k, k.rng.Split(), resume
+	e.p, e.k, e.rng, e.resume = p, k, *k.rng.Split(), resume
 	// One closure per event kind for the process's whole lifetime; the
 	// dispatch hot path then schedules them with zero allocations.
 	p.quantumFn = func() { k.quantumExpire(p) }
 	p.startFn = func() { k.beginRun(p) }
 	p.computeFn = func() { k.computeDone(p) }
 	k.procs = append(k.procs, p)
-	k.byID[p.id] = p
+	k.apps = max(k.apps, app)
 	k.nlive++
 	k.setState(p, Runnable)
 	k.pol.Enqueue(p)
@@ -256,8 +306,8 @@ func (k *Kernel) setState(p *Process, next ProcState) {
 
 // kickIdle dispatches every idle CPU, in index order.
 func (k *Kernel) kickIdle() {
-	for _, c := range k.cpus {
-		if c.running == nil {
+	for i := range k.cpus {
+		if c := &k.cpus[i]; c.running == nil {
 			k.dispatch(c)
 		}
 	}
@@ -485,7 +535,6 @@ func (k *Kernel) releaseLock(l *SpinLock, p *Process, forced bool) {
 	l.holder = nil
 	if forced {
 		l.ForcedReleases++
-		k.met.forcedReleases.Inc()
 	}
 	if k.OnLockRelease != nil {
 		k.OnLockRelease(p, l, held, forced)
@@ -644,8 +693,8 @@ func (k *Kernel) exit(p *Process) {
 		p.waitingLock = nil
 	}
 	k.unrun(p, Exited)
-	for _, c := range k.cpus {
-		c.hw.Evict(p.footprint())
+	for i := range k.cpus {
+		k.cpus[i].hw.Evict(p.footprint())
 	}
 	k.nlive--
 	k.pol.OnExit(p)
@@ -659,7 +708,8 @@ func (k *Kernel) exit(p *Process) {
 // once after the engine returns.
 func (k *Kernel) Finalize() {
 	now := k.eng.Now()
-	for _, c := range k.cpus {
+	for i := range k.cpus {
+		c := &k.cpus[i]
 		if p := c.running; p != nil {
 			ran := now.Sub(p.runStart)
 			p.Stats.CPUTime += ran
@@ -673,10 +723,16 @@ func (k *Kernel) Finalize() {
 func (k *Kernel) RunningOn(i int) *Process { return k.cpus[i].running }
 
 // CountByApp tallies each application's runnable processes — Runnable
-// and Running both count, matching the paper's "runnable processes" —
-// and, separately, the uncontrollable (AppNone) ones.
-func (k *Kernel) CountByApp() (perApp map[AppID]int, uncontrolled int) {
-	perApp = make(map[AppID]int)
+// and Running both count, matching the paper's "runnable processes".
+// It appends one count per AppID, from AppNone (the uncontrollable
+// processes) up to the largest AppID spawned so far, to dst and returns
+// the extended slice: the caller owns the buffer, so a scan that reuses
+// one allocates nothing.
+func (k *Kernel) CountByApp(dst []int) []int {
+	n := len(dst)
+	dst = slices.Grow(dst, int(k.apps)+1)[:n+int(k.apps)+1]
+	counts := dst[n:]
+	clear(counts)
 	for _, p := range k.procs {
 		if p.state != Runnable && p.state != Running {
 			continue
@@ -684,11 +740,7 @@ func (k *Kernel) CountByApp() (perApp map[AppID]int, uncontrolled int) {
 		if p.killed {
 			continue // a crashed queue husk is not runnable work
 		}
-		if p.app == AppNone {
-			uncontrolled++
-		} else {
-			perApp[p.app]++
-		}
+		counts[p.app]++
 	}
-	return perApp, uncontrolled
+	return dst
 }

@@ -222,7 +222,7 @@ func TestExitAccounting(t *testing.T) {
 
 func TestExitHoldingLockPanics(t *testing.T) {
 	k := testKernel(1)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	k.SpawnResumable("bad", 1, 0, Script(Acquire(l))) // exit without release
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "exited holding 1 lock(s)") {
@@ -234,7 +234,7 @@ func TestExitHoldingLockPanics(t *testing.T) {
 
 func TestReleaseNotHeldPanics(t *testing.T) {
 	k := testKernel(1)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	k.SpawnResumable("bad", 1, 0, Script(release(l)))
 	defer func() {
 		if recover() == nil {
@@ -245,23 +245,34 @@ func TestReleaseNotHeldPanics(t *testing.T) {
 }
 
 func TestCPUAccountingBalances(t *testing.T) {
-	// On a 2-CPU machine with 4 CPU-bound processes, busy + idle time
-	// must equal elapsed × NumCPU after Finalize.
+	// On a 2-CPU machine with 4 processes that compute, sleep and
+	// compute again (so they move between CPUs), each CPU's busy time
+	// must equal the CPU time its processes were credited in ProcStats
+	// while on it, tallied from the hook at every leg's end.
 	k := testKernel(2)
+	tally := make([]sim.Duration, k.NumCPU())
+	last := map[*Process]sim.Duration{}
+	k.OnStateChange = func(p *Process, old, _ ProcState) {
+		if old == Running {
+			tally[p.LastCPU()] += p.Stats.CPUTime - last[p]
+			last[p] = p.Stats.CPUTime
+		}
+	}
 	for i := 0; i < 4; i++ {
-		k.SpawnResumable("p", 1, 0, Script(Compute(70*sim.Millisecond)))
+		k.SpawnResumable("p", 1, 0, Script(
+			Compute(sim.Duration(30+10*i)*sim.Millisecond),
+			SleepFor(5*sim.Millisecond),
+			Compute(sim.Duration(40-10*i)*sim.Millisecond)))
 	}
-	end := k.Engine().RunUntilIdle()
+	k.Engine().RunUntilIdle()
 	k.Finalize()
-	var busy, idle sim.Duration
+	var busy sim.Duration
 	for i := 0; i < k.NumCPU(); i++ {
-		busy += k.Machine().CPU(i).BusyTime
-		_, cpuIdle := k.busyIdle(k.cpus[i])
-		idle += cpuIdle
-	}
-	total := sim.Duration(end) * sim.Duration(k.NumCPU())
-	if busy+idle != total {
-		t.Errorf("busy %v + idle %v != elapsed×cpus %v", busy, idle, total)
+		got := k.Machine().CPU(i).BusyTime
+		if got != tally[i] || got == 0 {
+			t.Errorf("CPU %d busy %v, its processes' ProcStats credit %v on it", i, got, tally[i])
+		}
+		busy += got
 	}
 	if busy != 4*70*sim.Millisecond {
 		t.Errorf("busy %v, want 280ms", busy)
@@ -273,7 +284,7 @@ func TestDeterminism(t *testing.T) {
 		eng := sim.NewEngine(99)
 		mac := machine.New(machine.Multimax16())
 		k := New(eng, mac, NewTimeshare(), DefaultConfig())
-		l := NewSpinLock("shared")
+		l := k.NewSpinLock("shared")
 		for i := 0; i < 20; i++ {
 			k.SpawnResumable("p", AppID(1+i%3), 64<<10, Script(repeat(10,
 				func(env *Env) Request { return Compute(env.Rand().Duration(sim.Millisecond, 5*sim.Millisecond)) },
@@ -306,15 +317,25 @@ func TestCountByApp(t *testing.T) {
 	}
 	k.SpawnResumable("a2-blocked", 2, 0, Script(Sleep(q)))
 	k.Engine().Run(sim.Time(10 * sim.Millisecond))
-	perApp, un := k.CountByApp()
-	if un != 1 {
-		t.Errorf("uncontrolled = %d, want 1", un)
+	buf := []int{7}
+	buf = k.CountByApp(buf)
+	if len(buf) != 4 || buf[0] != 7 {
+		t.Fatalf("CountByApp appended to [7] gave %v, want [7] and one count per AppID 0..2", buf)
+	}
+	perApp := buf[1:]
+	if perApp[AppNone] != 1 {
+		t.Errorf("uncontrolled = %d, want 1", perApp[AppNone])
 	}
 	if perApp[1] != 3 {
 		t.Errorf("app 1 = %d, want 3", perApp[1])
 	}
 	if perApp[2] != 0 {
 		t.Errorf("app 2 = %d, want 0 (blocked doesn't count)", perApp[2])
+	}
+	// A buffer with room is filled in place: stale counts are cleared.
+	perApp[1] = 99
+	if again := k.CountByApp(buf[:1]); &again[1] != &perApp[0] || again[2] != 3 {
+		t.Errorf("CountByApp into a buffer with room gave %v, want it in place with app 1 = 3", again)
 	}
 	// The sleeper never exits; bound the run instead of waiting for idle.
 	k.Engine().Run(sim.Time(2 * sim.Second))
@@ -341,8 +362,11 @@ func TestLookup(t *testing.T) {
 	if k.Lookup(p.ID()) != p {
 		t.Error("Lookup failed")
 	}
-	if k.Lookup(9999) != nil {
-		t.Error("Lookup of unknown PID returned a process")
+	// PIDs are 1..n in spawn order: 0 and n+1 name no process.
+	for _, id := range []PID{0, p.ID() + 1, -1, 9999} {
+		if k.Lookup(id) != nil {
+			t.Errorf("Lookup(%d) of an unknown PID returned a process", id)
+		}
 	}
 	k.Engine().RunUntilIdle()
 }

@@ -9,13 +9,13 @@ import (
 
 // kernelMetrics holds the kernel's handles into the simulation's
 // metrics registry for the facts it cannot derive from a record of its
-// own: they are counted inline, in virtual time (a forced release is
-// also counted on its SpinLock, but the kernel keeps no list of locks
-// to sum). Every other kernel series is derived by the snapshot
-// collector from the one record of its fact (DESIGN.md "Each fact is
-// stored once"): the machine-wide totals are sums of the per-process
-// ProcStats and the per-CPU machine.CPU accounting, and the state
-// gauges (per-CPU busy/idle, runnable counts) read the live state.
+// own: they are counted inline, in virtual time. Every other kernel
+// series is derived by the snapshot collector from the one record of
+// its fact (DESIGN.md "Each fact is stored once"): the machine-wide
+// totals are sums of the per-process ProcStats, the per-CPU
+// machine.CPU accounting and the per-lock SpinLock counts, and the
+// state gauges (per-CPU busy/idle, runnable counts) read the live
+// state.
 // A derived series holds its last collected value until the next
 // snapshot.
 type kernelMetrics struct {
@@ -27,9 +27,8 @@ type kernelMetrics struct {
 
 	// Fault-injection counters (internal/faultinject drives the events;
 	// the kernel owns the recovery machinery being counted).
-	kills          *metrics.Counter
-	stalls         *metrics.Counter
-	forcedReleases *metrics.Counter
+	kills  *metrics.Counter
+	stalls *metrics.Counter
 }
 
 // Metric names exported by the kernel layer; see DESIGN.md for the
@@ -53,16 +52,15 @@ const (
 	MetricForcedReleases = "sim_kernel_forced_lock_releases_total"
 )
 
-func newKernelMetrics(reg *metrics.Registry) *kernelMetrics {
-	return &kernelMetrics{
+func newKernelMetrics(reg *metrics.Registry) kernelMetrics {
+	return kernelMetrics{
 		reg:         reg,
 		preemptCrit: reg.Counter(MetricPreemptCrit, "preemptions of a process holding a spinlock (the paper's Section 2 hazard)"),
 		migrations:  reg.Counter(MetricMigrations, "dispatches onto a different CPU than the process last ran on"),
 		runqWait:    reg.Histogram(MetricRunqWait, "runnable-to-dispatched wait per dispatch", nil),
 
-		kills:          reg.Counter(MetricKills, "processes crashed by fault injection"),
-		stalls:         reg.Counter(MetricStalls, "stall faults applied to processes"),
-		forcedReleases: reg.Counter(MetricForcedReleases, "spinlocks force-released because their holder crashed"),
+		kills:  reg.Counter(MetricKills, "processes crashed by fault injection"),
+		stalls: reg.Counter(MetricStalls, "stall faults applied to processes"),
 	}
 }
 
@@ -92,7 +90,8 @@ func (k *Kernel) total(name, help string, sum int64) {
 func (k *Kernel) collect() {
 	var hits, misses, switches int64
 	var switchTime, reloadTime sim.Duration
-	for i, c := range k.cpus {
+	for i := range k.cpus {
+		c := &k.cpus[i]
 		cpu := strconv.Itoa(i)
 		busy, idle := k.busyIdle(c)
 		k.met.reg.Gauge(metrics.Name("sim_cpu_busy_micros", "cpu", cpu), "virtual time executing processes").Set(int64(busy))
@@ -140,6 +139,12 @@ func (k *Kernel) collect() {
 	k.total(MetricReloadMicros, "virtual time charged to cache reloads after corruption", int64(reloadTime))
 	k.total(MetricSpinMicros, "virtual CPU time burned spin-waiting on held locks", int64(spinTime))
 	k.total(MetricCPUMicros, "virtual CPU time consumed by processes (incl. spin and reload)", int64(cpuTime))
+
+	var forced int64
+	for _, l := range k.locks {
+		forced += l.ForcedReleases
+	}
+	k.total(MetricForcedReleases, "spinlocks force-released because their holder crashed", forced)
 }
 
 // Metrics returns the simulation's metrics registry. The kernel, the

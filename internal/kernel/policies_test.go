@@ -120,7 +120,7 @@ func TestSpinFlagHolderNotPreempted(t *testing.T) {
 	// extends it so the holder finishes without a requeue delay.
 	sf := NewSpinFlag()
 	k := testKernelPolicy(1, sf, Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	var releaseAt sim.Time
 	holder := k.SpawnResumable("holder", 1, 0, Script(
 		Acquire(l),
@@ -143,7 +143,7 @@ func TestSpinFlagExtensionCapped(t *testing.T) {
 	// preempted after its quantum plus 50 extensions of 2 ms.
 	const capped = sim.Time(10*sim.Millisecond + 50*2*sim.Millisecond)
 	k := testKernelPolicy(1, NewSpinFlag(), Config{Quantum: 10 * sim.Millisecond, QuantumJitter: -1})
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	greedy := k.SpawnResumable("greedy", 1, 0, Script(
 		Acquire(l),
 		Compute(500*sim.Millisecond), // would hold forever if uncapped
@@ -174,7 +174,7 @@ func TestSpinFlagSkipsDoomedSpinners(t *testing.T) {
 	// twice: at 120 ms, before the spinner has tried the lock, and at
 	// 280 ms, with the spinner queued ahead of the independent process.
 	k := testKernelPolicy(1, NewSpinFlag(), Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	holder := k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(300*sim.Millisecond), release(l)))
 	spinner := k.SpawnResumable("spinner", 1, 0, Script(Acquire(l), release(l)))
 	indep := k.SpawnResumable("independent", 2, 0, Script(Compute(30*sim.Millisecond)))
@@ -246,7 +246,7 @@ func TestAffinityStealsFromLongQueue(t *testing.T) {
 	k.Finalize()
 	var idle sim.Duration
 	for i := 0; i < 2; i++ {
-		_, cpuIdle := k.busyIdle(k.cpus[i])
+		_, cpuIdle := k.busyIdle(&k.cpus[i])
 		idle += cpuIdle
 	}
 	// 900 ms of work on 2 CPUs should take ~450 ms, not 900.

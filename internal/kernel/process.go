@@ -46,6 +46,7 @@ package kernel
 
 import (
 	"fmt"
+	"strconv"
 
 	"procctl/internal/machine"
 	"procctl/internal/sim"
@@ -110,7 +111,7 @@ type ProcStats struct {
 // preemptively scheduled, memory-sharing execution vehicle).
 type Process struct {
 	id   PID
-	name string
+	name label
 	app  AppID
 
 	state ProcState
@@ -165,7 +166,10 @@ type Process struct {
 	// Locks currently held, in acquisition order: how many a process
 	// holds is len(held) (the spin-flag policy and the preemption count
 	// read it), and fault injection force-releases them on a crash.
-	held []*SpinLock
+	// held starts out on heldBuf: a process rarely holds more than two
+	// locks at once, so taking one allocates nothing.
+	held    []*SpinLock
+	heldBuf [2]*SpinLock
 
 	// Sleep state.
 	sleepQ *WaitQueue
@@ -186,8 +190,8 @@ type Process struct {
 // ID returns the process identifier.
 func (p *Process) ID() PID { return p.id }
 
-// Name returns the debug name given at Spawn.
-func (p *Process) Name() string { return p.name }
+// Name returns the debug name given at spawn.
+func (p *Process) Name() string { return p.name.String() }
 
 // App returns the owning application, or AppNone.
 func (p *Process) App() AppID { return p.app }
@@ -205,7 +209,24 @@ func (p *Process) Usage() float64 { return p.usage }
 func (p *Process) HoldingLocks() bool { return len(p.held) > 0 }
 
 func (p *Process) String() string {
-	return fmt.Sprintf("proc %d (%s, app %d, %s)", p.id, p.name, p.app, p.state)
+	return fmt.Sprintf("proc %d (%s, app %d, %s)", p.id, p.Name(), p.app, p.state)
+}
+
+// label is the debug name of a process or lock, kept as its parts and
+// formatted only when read (String): base, then sep and nth in decimal
+// unless nth is negative. The members of a family — an application's
+// workers, its locks — share base and sep, so naming one allocates
+// nothing; only the trace recorder and error messages read a name.
+type label struct {
+	base, sep string
+	nth       int
+}
+
+func (l label) String() string {
+	if l.nth < 0 {
+		return l.base + l.sep
+	}
+	return l.base + l.sep + strconv.Itoa(l.nth)
 }
 
 // footprint returns the cache footprint identity for the machine model.
@@ -299,7 +320,7 @@ func Script(steps ...any) func(*Env) Request {
 type Env struct {
 	p   *Process
 	k   *Kernel
-	rng *sim.RNG
+	rng sim.RNG
 
 	// resume is the body: called (only by Kernel.advance) each time the
 	// last blocking request has been satisfied, it returns the next one.
@@ -314,7 +335,7 @@ func (e *Env) Proc() *Process { return e.p }
 func (e *Env) Now() sim.Time { return e.k.eng.Now() }
 
 // Rand returns the process's private random stream.
-func (e *Env) Rand() *sim.RNG { return e.rng }
+func (e *Env) Rand() *sim.RNG { return &e.rng }
 
 // TryAcquire takes the spinlock if it is free and reports whether it
 // did. It takes no virtual time; a body that gets false returns
@@ -332,7 +353,7 @@ func (e *Env) TryAcquire(l *SpinLock) bool {
 // body panic it surfaces from Engine.Run.
 func (e *Env) Release(l *SpinLock) {
 	if l.holder != e.p {
-		panic(fmt.Sprintf("kernel: %v releasing %q held by %v", e.p, l.name, l.holder))
+		panic(fmt.Sprintf("kernel: %v releasing %q held by %v", e.p, l.Name(), l.holder))
 	}
 	e.k.releaseLock(l, e.p, false)
 }
@@ -355,7 +376,7 @@ func (p *Process) debugPending() string {
 	case reqCompute:
 		return fmt.Sprintf("compute(left=%v, computing=%v)", p.computeLeft, p.computing)
 	case reqAcquire:
-		return fmt.Sprintf("acquire(%s)", p.pending.lock.name)
+		return fmt.Sprintf("acquire(%s)", p.pending.lock.Name())
 	case reqSleep:
 		return "sleep"
 	case reqSleepFor:

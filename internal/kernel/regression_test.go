@@ -24,7 +24,7 @@ func TestRegressionGrantDuringDispatchOverhead(t *testing.T) {
 		CacheSize: 64 << 10, ReloadRate: 1,
 	})
 	k := New(eng, mac, NewTimeshare(), Config{Quantum: 20 * sim.Millisecond, QuantumJitter: -1})
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	acquisitions := 0
 	for i := 0; i < 3; i++ {
 		k.SpawnResumable("p", 1, 64<<10, Script(repeat(20,
@@ -77,7 +77,7 @@ func TestRegressionWokenProcessResumes(t *testing.T) {
 // the body. The tie must resolve to a single completion.
 func TestRegressionExtensionCompletionTie(t *testing.T) {
 	k := testKernelPolicy(1, NewSpinFlag(), Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	releases := 0
 	k.SpawnResumable("holder", 1, 0, Script(
 		Acquire(l),
@@ -106,7 +106,7 @@ func TestRegressionNoConvoyLivelock(t *testing.T) {
 	eng := sim.NewEngine(7)
 	mac := machine.New(machine.Multimax16())
 	k := New(eng, mac, NewTimeshare(), DefaultConfig()) // jitter on
-	l := NewSpinLock("hot")
+	l := k.NewSpinLock("hot")
 	done := 0
 	const procs, rounds = 48, 40
 	for i := 0; i < procs; i++ {
@@ -130,7 +130,7 @@ func TestRegressionPreemptedWaiterSpinAccounting(t *testing.T) {
 	eng := sim.NewEngine(3)
 	mac := machine.New(machine.Config{NumCPU: 1, ContextSwitch: sim.Millisecond})
 	k := New(eng, mac, NewTimeshare(), Config{Quantum: 10 * sim.Millisecond, QuantumJitter: -1})
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(40*sim.Millisecond), release(l)))
 	waiter := k.SpawnResumable("waiter", 1, 0, Script(Acquire(l), release(l)))
 	end := eng.RunUntilIdle()

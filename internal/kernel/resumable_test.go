@@ -82,7 +82,7 @@ func TestKillNeverResumesAResumableBody(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := testKernel(2)
-			l, q := NewSpinLock("l"), NewWaitQueue("q")
+			l, q := k.NewSpinLock("l"), NewWaitQueue("q")
 			if tc.held {
 				k.SpawnResumable("holder", 1, 0, (&script{reqs: []Request{Compute(50 * sim.Millisecond)}}).holding(l, t))
 			}
@@ -216,7 +216,7 @@ func TestBodyPanicSurfacesFromEngineRun(t *testing.T) {
 func TestExitHoldingALockPanicsForBothBodyForms(t *testing.T) {
 	exitPanic := func(body func(l *SpinLock) func(*Env) Request) string {
 		k := testKernel(1)
-		k.SpawnResumable("p", 1, 0, body(NewSpinLock("l")))
+		k.SpawnResumable("p", 1, 0, body(k.NewSpinLock("l")))
 		var recovered any
 		func() {
 			defer func() { recovered = recover() }()

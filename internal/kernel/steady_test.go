@@ -31,7 +31,7 @@ func rendezvousKernel() *Kernel {
 
 func spinLockKernel() *Kernel {
 	k := testKernelPolicy(4, NewTimeshare(), Config{Quantum: 100 * sim.Millisecond, QuantumJitter: -1})
-	l := NewSpinLock("bench")
+	l := k.NewSpinLock("bench")
 	for i := 0; i < 4; i++ {
 		pc := 0
 		k.SpawnResumable("p", 1, 0, func(env *Env) Request {

@@ -8,7 +8,7 @@ import "procctl/internal/sim"
 // consuming its quantum; if the holder is preempted, every running waiter
 // wastes its entire time slice.
 type SpinLock struct {
-	name    string
+	name    label
 	holder  *Process
 	waiters FIFO[*Process] // arrival order; both running and preempted waiters
 
@@ -20,13 +20,28 @@ type SpinLock struct {
 	lockedAt       sim.Time
 }
 
-// NewSpinLock returns an unlocked spinlock with a debug name.
-func NewSpinLock(name string) *SpinLock {
-	return &SpinLock{name: name}
+// NewSpinLock returns an unlocked spinlock with a debug name. The
+// kernel keeps every lock it makes, to sum their forced releases into
+// its metrics.
+func (k *Kernel) NewSpinLock(name string) *SpinLock {
+	return k.newLock(label{name, "", -1})
+}
+
+// NewMemberLock is NewSpinLock for member nth of a family of locks (an
+// application's): the lock is named family, sep and nth in decimal,
+// formatted only when read. A negative nth leaves the number off.
+func (k *Kernel) NewMemberLock(family, sep string, nth int) *SpinLock {
+	return k.newLock(label{family, sep, nth})
+}
+
+func (k *Kernel) newLock(name label) *SpinLock {
+	l := &SpinLock{name: name}
+	k.locks = append(k.locks, l)
+	return l
 }
 
 // Name returns the debug name.
-func (l *SpinLock) Name() string { return l.name }
+func (l *SpinLock) Name() string { return l.name.String() }
 
 // Holder returns the process currently holding the lock, or nil.
 func (l *SpinLock) Holder() *Process { return l.holder }

@@ -10,7 +10,7 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	// N processes increment a shared counter inside the lock; an
 	// in-critical-section flag catches any overlap.
 	k := testKernel(4)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	inside := false
 	count := 0
 	for i := 0; i < 8; i++ {
@@ -41,7 +41,7 @@ func TestSpinningBurnsCPU(t *testing.T) {
 	// One holder keeps the lock for 50 ms; a waiter on another CPU
 	// spins the whole time, so its CPUTime ≈ SpinTime ≈ 50 ms.
 	k := testKernel(2)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(50*sim.Millisecond), release(l)))
 	waiter := k.SpawnResumable("waiter", 1, 0, Script(Acquire(l), release(l)))
 	k.Engine().RunUntilIdle()
@@ -59,7 +59,7 @@ func TestSpinningBurnsCPU(t *testing.T) {
 func TestUncontendedAcquireIsInstant(t *testing.T) {
 	k := testKernel(1)
 	var at sim.Time
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	k.SpawnResumable("p", 1, 0, Script(Acquire(l), release(l), func(env *Env) { at = env.Now() }))
 	k.Engine().RunUntilIdle()
 	if at != 0 {
@@ -75,7 +75,7 @@ func TestPreemptedHolderStallsWaiters(t *testing.T) {
 	// mid-critical-section (by quantum expiry), and the waiter that
 	// replaces it spins its entire quantum before the holder can finish.
 	k := testKernel(1)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	var releaseAt sim.Time
 	k.SpawnResumable("holder", 1, 0, Script(
 		Acquire(l),
@@ -100,7 +100,7 @@ func TestLockHandoffToEarliestActiveWaiter(t *testing.T) {
 	// Three waiters arrive in a known order on separate CPUs; the
 	// release must grant the earliest.
 	k := testKernel(4)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	var got []PID
 	k.SpawnResumable("holder", 1, 0, Script(Acquire(l), Compute(20*sim.Millisecond), release(l)))
 	for i := 0; i < 3; i++ {
@@ -128,7 +128,7 @@ func TestPreemptedWaiterKeepsPlaceButMissesReleases(t *testing.T) {
 	// (only running processes observe the release), but re-acquires
 	// once redispatched.
 	k := testKernel(1)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	acquired := false
 	k.SpawnResumable("holder", 1, 0, Script(
 		Acquire(l),
@@ -147,7 +147,7 @@ func TestPreemptedWaiterKeepsPlaceButMissesReleases(t *testing.T) {
 
 func TestSpinLockStats(t *testing.T) {
 	k := testKernel(1)
-	l := NewSpinLock("stats")
+	l := k.NewSpinLock("stats")
 	k.SpawnResumable("p", 1, 0, Script(repeat(3, Acquire(l), Compute(10*sim.Millisecond), release(l))...))
 	k.Engine().RunUntilIdle()
 	if l.Acquires != 3 {
@@ -163,7 +163,7 @@ func TestSpinLockStats(t *testing.T) {
 
 func TestNestedLocks(t *testing.T) {
 	k := testKernel(2)
-	outer, inner := NewSpinLock("outer"), NewSpinLock("inner")
+	outer, inner := k.NewSpinLock("outer"), k.NewSpinLock("inner")
 	done := 0
 	for i := 0; i < 4; i++ {
 		k.SpawnResumable("p", 1, 0, Script(
@@ -206,7 +206,7 @@ func TestWaitQueueStats(t *testing.T) {
 
 func TestHolderAccessor(t *testing.T) {
 	k := testKernel(2)
-	l := NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	var holderSeen *Process
 	p := k.SpawnResumable("p", 1, 0, Script(Acquire(l), Compute(10*sim.Millisecond), release(l)))
 	k.SpawnResumable("obs", 1, 0, Script(

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"procctl/internal/sim"
 )
 
@@ -14,11 +16,13 @@ type CPU struct {
 	id  int
 	cfg Config
 
-	// resident maps a process's footprint ID to the number of its
-	// working-set bytes currently in this cache. The sum over all
-	// entries never exceeds cfg.CacheSize.
-	resident map[FootprintID]float64
-	total    float64 // sum of resident values
+	// resident lists the footprints with working-set bytes in this
+	// cache, oldest load first; the sum over all entries never exceeds
+	// cfg.CacheSize. A working set the size of the cache evicts every
+	// other one, so it rarely holds more than one or two entries, and a
+	// slice keeps its order — and so the rounding of total — fixed.
+	resident []residency
+	total    float64 // sum of resident bytes
 
 	lastFootprint FootprintID // footprint of the last process dispatched here
 
@@ -34,13 +38,26 @@ type CPU struct {
 	CacheMisses int64 // dispatches that paid a reload for an evicted fraction
 }
 
-func newCPU(id int, cfg Config) *CPU {
-	return &CPU{
-		id:            id,
-		cfg:           cfg,
-		resident:      make(map[FootprintID]float64),
-		lastFootprint: -1,
+// residency is how many bytes of footprint f's working set a cache
+// holds.
+type residency struct {
+	f     FootprintID
+	bytes float64
+}
+
+// residentSlots is the room each CPU's resident list starts with, in
+// one array the machine allocates for all its CPUs; a list that
+// outgrows it moves to an array of its own.
+const residentSlots = 4
+
+// find returns the position of footprint f in the resident list, or -1.
+func (c *CPU) find(f FootprintID) int {
+	for i := range c.resident {
+		if c.resident[i].f == f {
+			return i
+		}
 	}
+	return -1
 }
 
 // ID returns the processor index.
@@ -52,7 +69,11 @@ func (c *CPU) Residency(f FootprintID, ws int64) float64 {
 	if ws <= 0 || c.cfg.CacheSize == 0 {
 		return 1
 	}
-	r := c.resident[f] / float64(ws)
+	i := c.find(f)
+	if i < 0 {
+		return 0
+	}
+	r := c.resident[i].bytes / float64(ws)
 	if r > 1 {
 		r = 1
 	}
@@ -80,7 +101,11 @@ func (c *CPU) Dispatch(f FootprintID, ws int64) (switchCost, reloadCost sim.Dura
 	if want > float64(c.cfg.CacheSize) {
 		want = float64(c.cfg.CacheSize)
 	}
-	have := c.resident[f]
+	i := c.find(f)
+	have := 0.0
+	if i >= 0 {
+		have = c.resident[i].bytes
+	}
 	if have > want {
 		have = want
 	}
@@ -90,12 +115,12 @@ func (c *CPU) Dispatch(f FootprintID, ws int64) (switchCost, reloadCost sim.Dura
 		c.CacheMisses++
 	} else {
 		c.CacheHits++
-		if c.resident[f] == want {
+		if c.resident[i].bytes == want {
 			// Fully resident at exactly the target size: the eviction
-			// pass below would delete and re-insert f with identical
+			// pass below would remove and re-append f with identical
 			// sizes and evict nothing (free ≥ want after removing f).
-			// Skip the map churn — warm re-dispatch of the same process
-			// is the hottest case under affinity scheduling.
+			// Skip the churn — warm re-dispatch of the same process is
+			// the hottest case under affinity scheduling.
 			c.SwitchTime += switchCost
 			return switchCost, 0
 		}
@@ -103,26 +128,28 @@ func (c *CPU) Dispatch(f FootprintID, ws int64) (switchCost, reloadCost sim.Dura
 
 	// Bring f fully resident, evicting other footprints proportionally
 	// to make room.
-	c.total -= c.resident[f]
-	delete(c.resident, f)
+	if i >= 0 {
+		c.total -= c.resident[i].bytes
+		c.resident = slices.Delete(c.resident, i, i+1)
+	}
 	free := float64(c.cfg.CacheSize) - c.total
 	if want > free {
 		// Evict (want-free) bytes spread over current occupants.
 		shrink := (c.total - (want - free)) / c.total
-		for id, v := range c.resident {
-			nv := v * shrink
-			if nv < 1 {
-				delete(c.resident, id)
-			} else {
-				c.resident[id] = nv
+		kept := c.resident[:0]
+		for _, r := range c.resident {
+			r.bytes *= shrink
+			if r.bytes >= 1 {
+				kept = append(kept, r)
 			}
 		}
+		c.resident = kept
 		c.total = 0
-		for _, v := range c.resident {
-			c.total += v
+		for _, r := range kept {
+			c.total += r.bytes
 		}
 	}
-	c.resident[f] = want
+	c.resident = append(c.resident, residency{f, want})
 	c.total += want
 
 	c.SwitchTime += switchCost
@@ -132,9 +159,9 @@ func (c *CPU) Dispatch(f FootprintID, ws int64) (switchCost, reloadCost sim.Dura
 
 // Evict removes footprint f entirely (process exited).
 func (c *CPU) Evict(f FootprintID) {
-	if v, ok := c.resident[f]; ok {
-		c.total -= v
-		delete(c.resident, f)
+	if i := c.find(f); i >= 0 {
+		c.total -= c.resident[i].bytes
+		c.resident = slices.Delete(c.resident, i, i+1)
 	}
 	if c.lastFootprint == f {
 		c.lastFootprint = -1

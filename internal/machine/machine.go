@@ -81,7 +81,7 @@ func Scalable(factor float64) Config {
 // Machine is the instantiated hardware: a clock-independent array of CPUs.
 type Machine struct {
 	cfg  Config
-	cpus []*CPU
+	cpus []CPU
 }
 
 // New builds a machine from cfg. It panics on an invalid configuration;
@@ -90,10 +90,15 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{cfg: cfg}
-	m.cpus = make([]*CPU, cfg.NumCPU)
+	m := &Machine{cfg: cfg, cpus: make([]CPU, cfg.NumCPU)}
+	resident := make([]residency, cfg.NumCPU*residentSlots)
 	for i := range m.cpus {
-		m.cpus[i] = newCPU(i, cfg)
+		m.cpus[i] = CPU{
+			id:            i,
+			cfg:           cfg,
+			resident:      resident[i*residentSlots : i*residentSlots : (i+1)*residentSlots],
+			lastFootprint: -1,
+		}
 	}
 	return m
 }
@@ -102,7 +107,4 @@ func New(cfg Config) *Machine {
 func (m *Machine) NumCPU() int { return m.cfg.NumCPU }
 
 // CPU returns processor i.
-func (m *Machine) CPU(i int) *CPU { return m.cpus[i] }
-
-// CPUs returns all processors in index order.
-func (m *Machine) CPUs() []*CPU { return m.cpus }
+func (m *Machine) CPU(i int) *CPU { return &m.cpus[i] }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -40,11 +41,8 @@ func TestMachineShape(t *testing.T) {
 	if m.NumCPU() != 16 {
 		t.Fatalf("NumCPU = %d", m.NumCPU())
 	}
-	if len(m.CPUs()) != 16 {
-		t.Fatalf("CPUs() has %d entries", len(m.CPUs()))
-	}
-	for i, c := range m.CPUs() {
-		if c.ID() != i || m.CPU(i) != c {
+	for i := 0; i < m.NumCPU(); i++ {
+		if m.CPU(i).ID() != i {
 			t.Fatalf("CPU indexing broken at %d", i)
 		}
 	}
@@ -193,5 +191,46 @@ func TestDispatchAccounting(t *testing.T) {
 	}
 	if cpu.SwitchTime == 0 || cpu.ReloadTime == 0 {
 		t.Error("switch/reload time not accumulated")
+	}
+}
+
+// TestDispatchThreeFootprintsCoexist pins the eviction pass where it
+// spreads over more than one other footprint: working sets smaller than
+// the cache (96, 80 and 112 KiB in 256 KiB), so three coexist. The
+// resident list keeps its order — oldest load first, a re-dispatched
+// footprint moved to the end — so the shrunk sizes and the total they
+// sum to are the same on every run, to the last bit.
+func TestDispatchThreeFootprintsCoexist(t *testing.T) {
+	cpu := New(Multimax16()).CPU(0)
+	steps := []struct {
+		f        FootprintID
+		ws       int64
+		reload   sim.Duration
+		resident []residency
+	}{
+		{1, 96 << 10, 4096, []residency{{1, 98304}}},
+		{2, 80 << 10, 3413, []residency{{1, 98304}, {2, 81920}}},
+		{3, 112 << 10, 4778, []residency{{1, 80430.54545454546}, {2, 67025.45454545454}, {3, 114688}}},
+		{1, 96 << 10, 744, []residency{{2, 60432.78688524591}, {3, 103407.21311475411}, {1, 98304}}},
+		{2, 80 << 10, 895, []residency{{3, 92391.79760319575}, {1, 87832.20239680426}, {2, 81920}}},
+	}
+	for i, s := range steps {
+		_, rl := cpu.Dispatch(s.f, s.ws)
+		if rl != s.reload {
+			t.Errorf("step %d: dispatch of %d reloads %v, want %v", i, s.f, rl, s.reload)
+		}
+		if !slices.Equal(cpu.resident, s.resident) {
+			t.Errorf("step %d: resident %v, want %v", i, cpu.resident, s.resident)
+		}
+		want := 0.0
+		for _, r := range s.resident {
+			want += r.bytes
+		}
+		if cpu.total != want {
+			t.Errorf("step %d: total %v, want %v", i, cpu.total, want)
+		}
+	}
+	if cpu.total != float64(cpu.cfg.CacheSize) || cpu.CacheMisses != 5 || cpu.ReloadTime != 13926 {
+		t.Errorf("total %v, misses %d, reload %v; want a full cache, 5 and 13.926ms", cpu.total, cpu.CacheMisses, cpu.ReloadTime)
 	}
 }

@@ -70,6 +70,12 @@ type metric struct {
 	buckets []atomic.Int64 // one per bound, plus +Inf at the end
 	count   atomic.Int64
 	sum     atomic.Int64
+
+	// handle is the series' Counter, Gauge or Histogram (all three are
+	// this one pointer): the registry hands out its address, so asking
+	// for a series again — a collector does at every snapshot —
+	// allocates nothing.
+	handle struct{ m *metric }
 }
 
 // Counter is a monotonically increasing int64.
@@ -218,6 +224,7 @@ func (r *Registry) register(name, help string, kind Kind, bounds []int64) *metri
 	}
 	r.baseKind[base] = kind
 	m := &metric{name: name, base: base, help: help, kind: kind}
+	m.handle.m = m
 	if kind == KindHistogram {
 		if len(bounds) == 0 {
 			bounds = TimeBuckets
@@ -236,19 +243,19 @@ func (r *Registry) register(name, help string, kind Kind, bounds []int64) *metri
 
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	return &Counter{m: r.register(name, help, KindCounter, nil)}
+	return (*Counter)(&r.register(name, help, KindCounter, nil).handle)
 }
 
 // Gauge returns the named gauge, registering it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return &Gauge{m: r.register(name, help, KindGauge, nil)}
+	return (*Gauge)(&r.register(name, help, KindGauge, nil).handle)
 }
 
 // Histogram returns the named histogram, registering it on first use.
 // Nil bounds select TimeBuckets. The bucket layout is fixed at first
 // registration.
 func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
-	return &Histogram{m: r.register(name, help, KindHistogram, bounds)}
+	return (*Histogram)(&r.register(name, help, KindHistogram, bounds).handle)
 }
 
 // Value returns the current value of a counter or gauge, and whether

@@ -164,7 +164,7 @@ func (a *App) spawnWorkers() {
 	workers := make([]workerState, a.cfg.Procs)
 	for i := range workers {
 		workers[i].a = a
-		a.k.SpawnResumable(a.workerName(i), a.id, a.workingSet, workers[i].step)
+		a.k.SpawnMember(a.name, workerSep, i, a.id, a.workingSet, workers[i].step)
 	}
 }
 
@@ -189,7 +189,7 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 		emptyCheckCost: emptyCheckCost,
 		completeCost:   completeCost,
 		idleSpin:       idleSpin,
-		qlock:          kernel.NewSpinLock(fmt.Sprintf("%s/queue", wl.Name)),
+		qlock:          k.NewMemberLock(wl.Name, "/queue", -1),
 		suspendQ:       kernel.NewWaitQueue(fmt.Sprintf("%s/suspend", wl.Name)),
 		depsLeft:       make([]int32, wl.Len()),
 		remain:         wl.Len(),
@@ -199,7 +199,7 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 		lastPoll:       k.Now(),
 	}
 	for i := 0; i < wl.NumLocks(); i++ {
-		a.locks = append(a.locks, kernel.NewSpinLock(fmt.Sprintf("%s/lock%d", wl.Name, i)))
+		a.locks = append(a.locks, k.NewMemberLock(wl.Name, "/lock", i))
 	}
 	if cfg.RecordLatency {
 		a.readyAt = make([]sim.Time, wl.Len())
@@ -230,8 +230,9 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 	return a
 }
 
-// workerName is the debug name of the application's i-th process.
-func (a *App) workerName(i int) string { return fmt.Sprintf("%s/w%d", a.name, i) }
+// workerSep joins an application's name and a worker's index into the
+// worker process's name: fft/w0, fft/w1, …
+const workerSep = "/w"
 
 // Name returns the workload name.
 func (a *App) Name() string { return a.name }

@@ -128,7 +128,7 @@ func TestSuspensionTracksTarget(t *testing.T) {
 	k.Engine().Run(sim.Time(100 * sim.Millisecond))
 	// After a poll and suspensions, exactly 2 workers should be
 	// runnable (kernel view).
-	perApp, _ := k.CountByApp()
+	perApp := k.CountByApp(nil)
 	if perApp[1] != 2 {
 		t.Errorf("runnable workers = %d, want 2", perApp[1])
 	}
@@ -137,7 +137,7 @@ func TestSuspensionTracksTarget(t *testing.T) {
 	}
 	fc.target = 4
 	k.Engine().Run(sim.Time(250 * sim.Millisecond))
-	perApp, _ = k.CountByApp()
+	perApp = k.CountByApp(nil)
 	if perApp[1] != 4 {
 		t.Errorf("after raise, runnable = %d, want 4", perApp[1])
 	}
@@ -159,7 +159,7 @@ func TestTargetFloorKeepsOneRunnable(t *testing.T) {
 		PollInterval: sim.Millisecond,
 	})
 	k.Engine().Run(sim.Time(50 * sim.Millisecond))
-	perApp, _ := k.CountByApp()
+	perApp := k.CountByApp(nil)
 	if perApp[1] < 1 {
 		t.Fatal("application fully suspended: starvation")
 	}
@@ -238,7 +238,7 @@ func TestWithRealServer(t *testing.T) {
 	for !(a1.Done() && a2.Done()) && eng.Now() < sim.Time(60*sim.Second) {
 		eng.Run(eng.Now().Add(50 * sim.Millisecond))
 		if eng.Now() > sim.Time(400*sim.Millisecond) { // allow convergence
-			perApp, _ := k.CountByApp()
+			perApp := k.CountByApp(nil)
 			checks++
 			if perApp[1]+perApp[2] > 4 {
 				overLimit++

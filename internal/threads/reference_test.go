@@ -379,7 +379,7 @@ func (c workerCase) run(reference bool) workerRun {
 	a.dequeueCost, a.emptyCheckCost, a.completeCost, a.idleSpin = c.dequeue, c.emptyCheck, c.complete, c.idleSpin
 	if reference {
 		for i := 0; i < a.cfg.Procs; i++ {
-			spawnBlocking(k, a.workerName(i), a.id, a.workingSet, a.referenceWorker)
+			spawnBlocking(k, fmt.Sprintf("%s%s%d", a.name, workerSep, i), a.id, a.workingSet, a.referenceWorker)
 		}
 	} else {
 		a.spawnWorkers()

@@ -30,7 +30,7 @@ func TestAttributionSpinOnPreemptedHolder(t *testing.T) {
 	})
 	var buf bytes.Buffer
 	rec := NewRecorder(k, &buf, Meta{Seed: 1})
-	l := kernel.NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	k.SpawnResumable("holder", 1, 0, kernel.Script(kernel.Acquire(l), kernel.Compute(50*sim.Millisecond), release(l)))
 	k.SpawnResumable("waiter", 2, 0, kernel.Script(kernel.Acquire(l), kernel.Compute(10*sim.Millisecond), release(l)))
 	eng.RunUntilIdle()
@@ -80,7 +80,7 @@ func TestAttributionSpinOnRunningHolder(t *testing.T) {
 	})
 	var buf bytes.Buffer
 	rec := NewRecorder(k, &buf, Meta{Seed: 1})
-	l := kernel.NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	k.SpawnResumable("holder", 1, 0, kernel.Script(kernel.Acquire(l), kernel.Compute(30*sim.Millisecond), release(l)))
 	k.SpawnResumable("waiter", 2, 0, kernel.Script(
 		kernel.Compute(sim.Millisecond),

@@ -23,7 +23,7 @@ func recordContended(t *testing.T) []byte {
 	})
 	var buf bytes.Buffer
 	rec := NewRecorder(k, &buf, Meta{Seed: 1})
-	l := kernel.NewSpinLock("l")
+	l := k.NewSpinLock("l")
 	k.SpawnResumable("holder", 1, 0, kernel.Script(kernel.Acquire(l), kernel.Compute(30*sim.Millisecond), release(l)))
 	k.SpawnResumable("waiter", 2, 0, kernel.Script(
 		kernel.Compute(sim.Millisecond),

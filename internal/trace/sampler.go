@@ -8,12 +8,33 @@ import (
 	"procctl/internal/sim"
 )
 
-// Sample is one observation of system load.
+// Sample is one observation of system load: how many processes of
+// each application were runnable or running At that instant.
 type Sample struct {
-	At           sim.Time
-	PerApp       map[kernel.AppID]int // runnable+running processes per application
-	Uncontrolled int
-	Total        int
+	At sim.Time
+	// counts is indexed by AppID, from AppNone (the uncontrolled
+	// processes) to the largest AppID spawned so far
+	// (kernel.CountByApp); it is a window on the sampler's array.
+	counts []int
+}
+
+// App returns application id's runnable processes, or with AppNone the
+// uncontrolled ones; zero for an application not spawned yet.
+func (s Sample) App(id kernel.AppID) int {
+	if id < 0 || int(id) >= len(s.counts) {
+		return 0
+	}
+	return s.counts[id]
+}
+
+// Total returns the runnable processes of every application and the
+// uncontrolled ones together.
+func (s Sample) Total() int {
+	total := 0
+	for _, n := range s.counts {
+		total += n
+	}
+	return total
 }
 
 // Sampler periodically records how many runnable processes each
@@ -21,6 +42,7 @@ type Sample struct {
 type Sampler struct {
 	k       *kernel.Kernel
 	Samples []Sample
+	counts  []int // every sample's counts, back to back
 	cancel  func()
 }
 
@@ -43,16 +65,12 @@ func (s *Sampler) Stop() {
 	}
 }
 
+// take appends a sample whose counts go at the end of s.counts. A
+// sample's window stays valid when s.counts moves to a larger array:
+// the old one is never written again.
 func (s *Sampler) take() {
-	perApp, un := s.k.CountByApp()
-	total := un
-	for _, n := range perApp {
-		total += n
-	}
-	s.Samples = append(s.Samples, Sample{
-		At:           s.k.Now(),
-		PerApp:       perApp,
-		Uncontrolled: un,
-		Total:        total,
-	})
+	n := len(s.counts)
+	s.counts = s.k.CountByApp(s.counts)
+	end := len(s.counts)
+	s.Samples = append(s.Samples, Sample{At: s.k.Now(), counts: s.counts[n:end:end]})
 }

@@ -28,18 +28,18 @@ func TestSamplerPerAppAndUncontrolled(t *testing.T) {
 	s.Stop()
 
 	last := s.Samples[len(s.Samples)-1]
-	if last.PerApp[1] != 3 {
-		t.Errorf("app 1 = %d, want 3", last.PerApp[1])
+	if last.App(1) != 3 {
+		t.Errorf("app 1 = %d, want 3", last.App(1))
 	}
-	if last.Uncontrolled != 1 {
-		t.Errorf("uncontrolled = %d, want 1", last.Uncontrolled)
+	if last.App(kernel.AppNone) != 1 {
+		t.Errorf("uncontrolled = %d, want 1", last.App(kernel.AppNone))
 	}
-	if last.Total != 4 {
-		t.Errorf("total = %d, want 4", last.Total)
+	if last.Total() != 4 {
+		t.Errorf("total = %d, want 4", last.Total())
 	}
 	// An application that never existed reads as zero in every sample.
 	for i, smp := range s.Samples {
-		if n := smp.PerApp[99]; n != 0 {
+		if n := smp.App(99); n != 0 {
 			t.Errorf("absent-app count[%d] = %d, want 0", i, n)
 		}
 	}
@@ -75,8 +75,8 @@ func TestSamplerMatchesRunnableGauge(t *testing.T) {
 			t.Fatalf("at %v: %s missing from snapshot", at, kernel.MetricRunnable)
 		}
 		got := s.Samples[len(s.Samples)-1]
-		if int64(got.Total) != m.Value {
-			t.Errorf("at %v: sampler total %d != runnable gauge %d", at, got.Total, m.Value)
+		if int64(got.Total()) != m.Value {
+			t.Errorf("at %v: sampler total %d != runnable gauge %d", at, got.Total(), m.Value)
 		}
 		if m.Value > 0 {
 			sawNonzero = true

@@ -26,19 +26,19 @@ func TestSamplerSeries(t *testing.T) {
 	}
 	// Sample at t=0 (before anything ran... processes spawn at t=0, so
 	// first sample may already see them) and at 100ms: app 1 has 2.
-	if n := s.Samples[1].PerApp[1]; n != 2 {
+	if n := s.Samples[1].App(1); n != 2 {
 		t.Errorf("app 1 count at 100ms = %d, want 2", n)
 	}
-	if n := s.Samples[1].Total; n != 3 {
+	if n := s.Samples[1].Total(); n != 3 {
 		t.Errorf("total at 100ms = %d, want 3", n)
 	}
 	// After 300 ms everything exited.
-	if n := s.Samples[len(s.Samples)-1].Total; n != 0 {
+	if n := s.Samples[len(s.Samples)-1].Total(); n != 0 {
 		t.Errorf("final total = %d, want 0", n)
 	}
 	peak := 0
 	for _, smp := range s.Samples {
-		peak = max(peak, smp.Total)
+		peak = max(peak, smp.Total())
 	}
 	if peak != 3 {
 		t.Errorf("peak total = %d, want 3", peak)
