@@ -216,14 +216,24 @@ func TestInjectorDeterministic(t *testing.T) {
 		inj.StallApp(sim.Time(5*sim.Millisecond), 1, 10*sim.Millisecond)
 		eng.Run(sim.Time(0).Add(60 * sim.Second))
 		k.Finalize()
+		// One snapshot: the forced-release total is derived by the
+		// kernel's collector, so Metrics().Value would read it as 0.
+		snap := k.MetricsSnapshot()
 		out := []int64{int64(a.Elapsed())}
 		for _, name := range []string{MetricCrashes, MetricLockCrashes, MetricStalls, MetricPollsDropped, MetricPollsDelayed,
 			kernel.MetricKills, kernel.MetricForcedReleases, ctrl.MetricLeaseExpiries} {
-			out = append(out, count(k, name))
+			m := snap.Get(name)
+			if m == nil {
+				t.Fatalf("%s missing from the snapshot", name)
+			}
+			out = append(out, m.Value)
 		}
 		return out
 	}
 	x, y := run(), run()
+	if forced := x[7]; forced <= 0 {
+		t.Errorf("%s = %d, want > 0: the crash in a lock must force a release", kernel.MetricForcedReleases, forced)
+	}
 	for i := range x {
 		if x[i] != y[i] {
 			t.Fatalf("same-seed fault runs diverged at %d: %v vs %v", i, x, y)

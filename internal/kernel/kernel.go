@@ -67,7 +67,7 @@ type Kernel struct {
 	nlive int
 	apps  AppID // the largest AppID spawned so far
 
-	locks []*SpinLock // every lock made by NewSpinLock/NewMemberLock
+	locks []*SpinLock // every lock made by NewSpinLock
 
 	rng  *sim.RNG
 	met  kernelMetrics

@@ -212,11 +212,11 @@ func (p *Process) String() string {
 	return fmt.Sprintf("proc %d (%s, app %d, %s)", p.id, p.Name(), p.app, p.state)
 }
 
-// label is the debug name of a process or lock, kept as its parts and
-// formatted only when read (String): base, then sep and nth in decimal
-// unless nth is negative. The members of a family — an application's
-// workers, its locks — share base and sep, so naming one allocates
-// nothing; only the trace recorder and error messages read a name.
+// label is the debug name of a process, kept as its parts and formatted
+// only when read (String): base, then sep and nth in decimal unless nth
+// is negative. An application's workers share base and sep, so naming
+// one allocates nothing; only the trace recorder (at spawn and exit)
+// and error messages read a process name.
 type label struct {
 	base, sep string
 	nth       int

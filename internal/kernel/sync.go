@@ -8,7 +8,7 @@ import "procctl/internal/sim"
 // consuming its quantum; if the holder is preempted, every running waiter
 // wastes its entire time slice.
 type SpinLock struct {
-	name    label
+	name    string
 	holder  *Process
 	waiters FIFO[*Process] // arrival order; both running and preempted waiters
 
@@ -24,24 +24,13 @@ type SpinLock struct {
 // kernel keeps every lock it makes, to sum their forced releases into
 // its metrics.
 func (k *Kernel) NewSpinLock(name string) *SpinLock {
-	return k.newLock(label{name, "", -1})
-}
-
-// NewMemberLock is NewSpinLock for member nth of a family of locks (an
-// application's): the lock is named family, sep and nth in decimal,
-// formatted only when read. A negative nth leaves the number off.
-func (k *Kernel) NewMemberLock(family, sep string, nth int) *SpinLock {
-	return k.newLock(label{family, sep, nth})
-}
-
-func (k *Kernel) newLock(name label) *SpinLock {
 	l := &SpinLock{name: name}
 	k.locks = append(k.locks, l)
 	return l
 }
 
 // Name returns the debug name.
-func (l *SpinLock) Name() string { return l.name.String() }
+func (l *SpinLock) Name() string { return l.name }
 
 // Holder returns the process currently holding the lock, or nil.
 func (l *SpinLock) Holder() *Process { return l.holder }

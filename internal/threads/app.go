@@ -189,7 +189,7 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 		emptyCheckCost: emptyCheckCost,
 		completeCost:   completeCost,
 		idleSpin:       idleSpin,
-		qlock:          k.NewMemberLock(wl.Name, "/queue", -1),
+		qlock:          k.NewSpinLock(wl.Name + "/queue"),
 		suspendQ:       kernel.NewWaitQueue(fmt.Sprintf("%s/suspend", wl.Name)),
 		depsLeft:       make([]int32, wl.Len()),
 		remain:         wl.Len(),
@@ -199,7 +199,7 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 		lastPoll:       k.Now(),
 	}
 	for i := 0; i < wl.NumLocks(); i++ {
-		a.locks = append(a.locks, k.NewMemberLock(wl.Name, "/lock", i))
+		a.locks = append(a.locks, k.NewSpinLock(fmt.Sprintf("%s/lock%d", wl.Name, i)))
 	}
 	if cfg.RecordLatency {
 		a.readyAt = make([]sim.Time, wl.Len())
