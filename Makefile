@@ -64,7 +64,9 @@ benchmark-test:
 # What is left to check there is the threads differential test, whose
 # reference worker runs on a goroutine of its own and hands control to
 # and from the engine over channels, the flight recorder's appends while
-# its ring is still growing (the second line), and, on the third, the
+# its ring is still growing, the metrics registry's lock-free updates
+# from several goroutines while another takes snapshots (the second
+# line), and, on the third, the
 # one immutable threads.Workload that backs the concurrent runs of a
 # figure sweep and every figure's fanOut with two seeds per point, Fig4's
 # control-off and control-on runs side by side among them
@@ -75,7 +77,7 @@ benchmark-test:
 # race coverage is dropped.
 race:
 	$(SYNCTEST) $(GO) test -race ./internal/runtime/... ./internal/ctrl/... ./internal/journal/... ./cmd/procctld/... .
-	$(SYNCTEST) $(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/...
+	$(SYNCTEST) $(GO) test -race ./internal/sim/... ./internal/kernel/... ./internal/threads/... ./internal/flight/... ./internal/metrics/...
 	$(SYNCTEST) $(GO) test -race -run 'TestCustomSharesOneWorkloadAcrossConcurrentRuns|TestFiguresGolden|TestMixBuildsMatchSerialBuilds' ./internal/experiments
 
 # Short fuzz passes over the journal's frame decoder and fsck, over the

@@ -44,16 +44,16 @@ func announceRun(t *testing.T) ([]announcement, *Server) {
 // lease expiry of the crashed app.
 func TestTargetAnnotationsTellMembershipStory(t *testing.T) {
 	anns, s := announceRun(t)
-	if s.expiries.Value() != 1 {
-		t.Errorf("%d lease expiries, want 1", s.expiries.Value())
+	if s.expiries != 1 {
+		t.Errorf("%d lease expiries, want 1", s.expiries)
 	}
 	// Two registrations force scans, plus ~30 periodic ones.
-	if s.scans.Value() < 30 {
-		t.Errorf("%d scans over 30s at 1s interval, want >= 30", s.scans.Value())
+	if s.scans < 30 {
+		t.Errorf("%d scans over 30s at 1s interval, want >= 30", s.scans)
 	}
 	var app2Targets []int
 	for i, a := range anns {
-		if a.Kind != "target" || a.Task != -1 || a.Cause < 0 || a.Cause > s.scans.Value() {
+		if a.Kind != "target" || a.Task != -1 || a.Cause < 0 || a.Cause > s.scans {
 			t.Fatalf("annotation %+v is not a target decision caused by a scan", a)
 		}
 		if i > 0 && (a.At < anns[i-1].At || a.Cause < anns[i-1].Cause) {

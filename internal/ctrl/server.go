@@ -35,8 +35,8 @@ const DefaultScanInterval = sim.Second
 // poll interval.
 const DefaultLease = 18 * sim.Second
 
-// Metric names the server registers on its kernel's registry, the only
-// store of its counts.
+// Metric names of the series the server derives into its kernel's
+// registry at every snapshot, from its own counts.
 const (
 	MetricScans         = "sim_ctrl_scans_total"
 	MetricPolls         = "sim_ctrl_polls_total"
@@ -63,11 +63,11 @@ type Server struct {
 	reg   *core.Registry[kernel.AppID]
 	lease sim.Duration
 
-	scans    *metrics.Counter
-	polls    *metrics.Counter
-	expiries *metrics.Counter
+	// The server's counts, the only record of their facts.
+	scans, polls, expiries int64
 
-	counts []int // runnable processes per AppID, refilled by every Scan
+	counts  []int                       // runnable processes per AppID, refilled by every Scan
+	members []core.Member[kernel.AppID] // the members, copied by a partition Scan
 }
 
 // NewServer creates the server and installs its periodic scan on the
@@ -77,18 +77,23 @@ func NewServer(k *kernel.Kernel, interval sim.Duration) *Server {
 		interval = DefaultScanInterval
 	}
 	s := &Server{
-		k:        k,
-		reg:      core.NewRegistry[kernel.AppID](k.NumCPU()),
-		lease:    DefaultLease,
-		scans:    k.Metrics().Counter(MetricScans, "central-server target recomputations"),
-		polls:    k.Metrics().Counter(MetricPolls, "application polls served"),
-		expiries: k.Metrics().Counter(MetricLeaseExpiries, "applications unregistered because their lease lapsed"),
+		k:     k,
+		reg:   core.NewRegistry[kernel.AppID](k.NumCPU()),
+		lease: DefaultLease,
 	}
+	k.Metrics().OnCollect(s.collect)
 	k.Engine().Every(interval, func() bool {
 		s.Scan()
 		return true
 	})
 	return s
+}
+
+// collect derives the server's series into d.
+func (s *Server) collect(d *metrics.Registry) {
+	d.Counter(MetricScans, "central-server target recomputations").Add(s.scans)
+	d.Counter(MetricPolls, "application polls served").Add(s.polls)
+	d.Counter(MetricLeaseExpiries, "applications unregistered because their lease lapsed").Add(s.expiries)
 }
 
 // SetLease changes how long an application may stay silent before the
@@ -125,7 +130,7 @@ func (s *Server) Unregister(id kernel.AppID) {
 // still has, the way a procctld client answers "not registered", and
 // gets the fresh target; one with no processes left gets 0.
 func (s *Server) Poll(id kernel.AppID) int {
-	s.polls.Inc()
+	s.polls++
 	if !s.reg.Touch(id, s.now()) {
 		live := liveProcs(s.k, id)
 		if live == 0 {
@@ -150,12 +155,15 @@ func (s *Server) Registered() int { return s.reg.Len() }
 // Scan recomputes every application's target from current kernel state.
 // It runs periodically but is exported so tests can force a recompute.
 func (s *Server) Scan() {
-	s.scans.Inc()
+	s.scans++
 	s.expireLeases()
-	members := s.reg.Members()
 	if sizer, ok := s.k.Policy().(PartitionSizer); ok {
-		for _, m := range members {
-			t, limit := sizer.CPUsOf(m.Key), s.liveCap(&m)
+		// setTarget changes the registry, so walk a copy.
+		s.members = s.members[:0]
+		s.reg.Visit(func(m *core.Member[kernel.AppID]) { s.members = append(s.members, *m) })
+		for i := range s.members {
+			m := &s.members[i]
+			t, limit := sizer.CPUsOf(m.Key), s.liveCap(m)
 			if t == 0 {
 				// The partition has not materialized yet (the
 				// application registered before its processes were
@@ -168,11 +176,11 @@ func (s *Server) Scan() {
 		// Runnable processes of parallel applications that never
 		// registered count as uncontrollable load too.
 		s.counts = s.k.CountByApp(s.counts[:0])
-		for _, m := range members {
+		s.reg.Visit(func(m *core.Member[kernel.AppID]) {
 			if int(m.Key) < len(s.counts) {
 				s.counts[m.Key] = 0
 			}
-		}
+		})
 		uncontrolled := 0
 		for _, n := range s.counts {
 			uncontrolled += n
@@ -203,7 +211,7 @@ func (s *Server) announce(app kernel.AppID, t int) {
 		App:    app,
 		Task:   -1,
 		Target: t,
-		Cause:  s.scans.Value(),
+		Cause:  s.scans,
 	})
 }
 
@@ -214,8 +222,7 @@ func (s *Server) announce(app kernel.AppID, t int) {
 // forever. Expired apps lose their entry entirely; survivors absorb the
 // freed capacity in the caller's recompute.
 func (s *Server) expireLeases() {
-	expired := s.reg.Expire(s.now(), int64(s.lease))
-	s.expiries.Add(int64(len(expired)))
+	s.expiries += int64(len(s.reg.Expire(s.now(), int64(s.lease))))
 }
 
 // liveCap is the cap on an application's target: the processes it still

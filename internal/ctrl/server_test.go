@@ -140,10 +140,10 @@ func TestServerPeriodicScan(t *testing.T) {
 	s := NewServer(k, 100*sim.Millisecond)
 	spin(k, 1, 8, 2*sim.Second)
 	s.Register(1, 8)
-	before := s.scans.Value()
+	before := s.scans
 	k.Engine().Run(sim.Time(550 * sim.Millisecond))
-	if s.scans.Value()-before < 5 {
-		t.Errorf("only %d periodic scans in 550ms at 100ms interval", s.scans.Value()-before)
+	if s.scans-before < 5 {
+		t.Errorf("only %d periodic scans in 550ms at 100ms interval", s.scans-before)
 	}
 	k.Engine().Run(sim.Time(3 * sim.Second))
 }
@@ -163,6 +163,26 @@ func TestServerPartitionAware(t *testing.T) {
 		t.Errorf("partition-aware targets %d/%d, want 4/4", s.Target(1), s.Target(2))
 	}
 	k.Engine().Run(sim.Time(3 * sim.Second))
+}
+
+// TestServerScanAllocatesNothing: a steady Scan — members, processes
+// and buffers already at their size — allocates nothing under either
+// branch, the fair division or a partition's sizes.
+func TestServerScanAllocatesNothing(t *testing.T) {
+	for _, pol := range []kernel.Policy{kernel.NewTimeshare(), kernel.NewPartition()} {
+		k := newKernel(8, pol)
+		s := NewServer(k, 0)
+		spin(k, 1, 8, sim.Second)
+		spin(k, 2, 8, sim.Second)
+		spin(k, kernel.AppNone, 2, sim.Second)
+		s.Register(1, 8)
+		s.Register(2, 8)
+		k.Engine().Run(sim.Time(sim.Millisecond))
+		if n := testing.AllocsPerRun(50, s.Scan); n != 0 {
+			t.Errorf("%s: Scan allocates %v times, want 0", pol.Name(), n)
+		}
+		k.Engine().Run(sim.Time(3 * sim.Second))
+	}
 }
 
 func TestServerPartitionNotMaterialized(t *testing.T) {
@@ -203,8 +223,8 @@ func TestServerLeaseExpiresSilentApp(t *testing.T) {
 		}
 	})
 	k.Engine().Run(sim.Time(30 * sim.Second))
-	if s.expiries.Value() != 1 {
-		t.Errorf("%d lease expiries, want 1", s.expiries.Value())
+	if s.expiries != 1 {
+		t.Errorf("%d lease expiries, want 1", s.expiries)
 	}
 	if s.Target(1) != 0 {
 		t.Errorf("expired app still has target %d", s.Target(1))
@@ -220,8 +240,8 @@ func TestServerPollRenewsLease(t *testing.T) {
 	s.Register(1, 8)
 	k.Engine().Every(6*sim.Second, func() bool { s.Poll(1); return true })
 	k.Engine().Run(sim.Time(120 * sim.Second))
-	if s.Registered() != 1 || s.expiries.Value() != 0 {
-		t.Errorf("polling app expired: registered=%d expiries=%d", s.Registered(), s.expiries.Value())
+	if s.Registered() != 1 || s.expiries != 0 {
+		t.Errorf("polling app expired: registered=%d expiries=%d", s.Registered(), s.expiries)
 	}
 }
 
@@ -244,8 +264,8 @@ func TestServerPollsServedCounter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Poll(1)
 	}
-	if s.polls.Value() != 5 {
-		t.Errorf("sim_ctrl_polls_total = %d", s.polls.Value())
+	if s.polls != 5 {
+		t.Errorf("sim_ctrl_polls_total = %d", s.polls)
 	}
 }
 
@@ -264,8 +284,8 @@ func TestServerExpiryForgetsWeight(t *testing.T) {
 	}
 	k.Engine().Every(6*sim.Second, func() bool { s.Poll(2); return true })
 	k.Engine().Run(sim.Time(20 * sim.Second))
-	if s.expiries.Value() != 1 || s.Registered() != 1 {
-		t.Fatalf("expiries %d, registered %d: app 1 should have lapsed alone", s.expiries.Value(), s.Registered())
+	if s.expiries != 1 || s.Registered() != 1 {
+		t.Fatalf("expiries %d, registered %d: app 1 should have lapsed alone", s.expiries, s.Registered())
 	}
 	s.Register(1, 16)
 	if s.Target(1) != 8 || s.Target(2) != 8 {

@@ -65,11 +65,10 @@ func Faults(o Options) *FaultsResult {
 
 	res := &FaultsResult{Seed: o.Seed, Lease: s.Server.Lease()}
 	full := s.K.NumCPU()
-	count := func(name string) int64 { n, _ := s.K.Metrics().Value(name); return n }
 	s.Eng.Every(50*sim.Millisecond, func() bool {
 		if res.CrashedAt == 0 {
 			res.TargetBefore = s.Server.Target(1)
-			if count(faultinject.MetricLockCrashes) > 0 {
+			if n, _ := s.K.Metrics().Value(faultinject.MetricLockCrashes); n > 0 {
 				res.CrashedAt = s.Eng.Now()
 			}
 			return true
@@ -84,13 +83,11 @@ func Faults(o Options) *FaultsResult {
 	ok := s.RunUntil(survivor.Done)
 	s.mustFinish(ok, "faults survivor")
 
-	// The forced-release total is derived at snapshot time: read it
-	// from the snapshot.
 	snap := s.K.MetricsSnapshot()
-	res.Crashes = count(faultinject.MetricCrashes)
-	res.LockCrashes = count(faultinject.MetricLockCrashes)
+	res.Crashes = snap.Get(faultinject.MetricCrashes).Value
+	res.LockCrashes = snap.Get(faultinject.MetricLockCrashes).Value
 	res.ForcedReleases = snap.Get(kernel.MetricForcedReleases).Value
-	res.LeaseExpiries = count(ctrl.MetricLeaseExpiries)
+	res.LeaseExpiries = snap.Get(ctrl.MetricLeaseExpiries).Value
 	res.SurvivorElapsed = survivor.Elapsed()
 	var buf bytes.Buffer
 	snap.WriteText(&buf)

@@ -17,8 +17,8 @@ func newKernel(ncpu int) *kernel.Kernel {
 	return kernel.New(eng, mac, kernel.NewTimeshare(), kernel.Config{Quantum: 50 * sim.Millisecond, QuantumJitter: -1})
 }
 
-// count reads one of k's counters: the injector's and the server's
-// counts live in the registry only.
+// count reads one of k's counters: the injector's, or one the kernel
+// or the server derives when read.
 func count(k *kernel.Kernel, name string) int64 {
 	n, _ := k.Metrics().Value(name)
 	return n
@@ -216,8 +216,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		inj.StallApp(sim.Time(5*sim.Millisecond), 1, 10*sim.Millisecond)
 		eng.Run(sim.Time(0).Add(60 * sim.Second))
 		k.Finalize()
-		// One snapshot: the forced-release total is derived by the
-		// kernel's collector, so Metrics().Value would read it as 0.
+		// Every count from one snapshot.
 		snap := k.MetricsSnapshot()
 		out := []int64{int64(a.Elapsed())}
 		for _, name := range []string{MetricCrashes, MetricLockCrashes, MetricStalls, MetricPollsDropped, MetricPollsDelayed,

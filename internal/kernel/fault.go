@@ -35,7 +35,7 @@ func (k *Kernel) Kill(p *Process) bool {
 	}
 	now := k.eng.Now()
 	p.killed = true
-	k.met.kills.Inc()
+	k.met.kills++
 
 	// Account an in-progress spin episode and leave the waiter list.
 	if p.waitingLock != nil {
@@ -94,7 +94,7 @@ func (k *Kernel) Stall(p *Process, d sim.Duration) bool {
 		return false
 	}
 	now := k.eng.Now()
-	k.met.stalls.Inc()
+	k.met.stalls++
 	until := now.Add(d)
 	if p.stallUntil < until {
 		p.stallUntil = until

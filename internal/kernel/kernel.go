@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"procctl/internal/machine"
-	"procctl/internal/metrics"
 	"procctl/internal/sim"
 )
 
@@ -128,7 +127,6 @@ func New(eng *sim.Engine, mac *machine.Machine, pol Policy, cfg Config) *Kernel 
 		cfg:  cfg,
 		cpus: make([]cpuState, mac.NumCPU()),
 		rng:  eng.RNG().Split(),
-		met:  newKernelMetrics(metrics.NewRegistry()),
 		born: eng.Now(),
 	}
 	for i := range k.cpus {
@@ -348,7 +346,7 @@ func (k *Kernel) dispatch(cpu *cpuState) {
 	wait := now.Sub(p.readySince)
 	k.met.runqWait.Observe(int64(wait))
 	if p.lastCPU >= 0 && p.lastCPU != cpu.hw.ID() {
-		k.met.migrations.Inc()
+		k.met.migrations++
 	}
 	cpu.running = p
 	p.cpu = cpu
@@ -646,7 +644,7 @@ func (k *Kernel) Preempt(p *Process) {
 	}
 	p.Stats.Preemptions++
 	if len(p.held) > 0 {
-		k.met.preemptCrit.Inc()
+		k.met.preemptCrit++
 	}
 	k.unrun(p, Runnable)
 }

@@ -401,3 +401,28 @@ func TestProcStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestValueReadsDerivedSeriesNow: every kernel series is derived from
+// the kernel's own records when read, so Value, right after a run and
+// again after more running past a snapshot, reads the records as they
+// stand then, never a value left from an earlier read.
+func TestValueReadsDerivedSeriesNow(t *testing.T) {
+	k := testKernel(2)
+	for i := 0; i < 3; i++ {
+		k.SpawnResumable("w", 1, 0, Script(Compute(sim.Second)))
+	}
+	for _, until := range []sim.Duration{250 * sim.Millisecond, 2 * sim.Second} {
+		k.eng.Run(sim.Time(until))
+		var dispatches int64
+		for _, p := range k.Processes() {
+			dispatches += p.Stats.Dispatches
+		}
+		if v, ok := k.Metrics().Value(MetricDispatches); !ok || v != dispatches {
+			t.Errorf("at %v: Value(%s) = %d, %v; the processes' records hold %d", until, MetricDispatches, v, ok, dispatches)
+		}
+		if v, ok := k.Metrics().Value(MetricMigrations); !ok || v != k.met.migrations {
+			t.Errorf("at %v: Value(%s) = %d, %v; the kernel counted %d", until, MetricMigrations, v, ok, k.met.migrations)
+		}
+		k.MetricsSnapshot()
+	}
+}

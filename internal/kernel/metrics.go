@@ -7,28 +7,25 @@ import (
 	"procctl/internal/sim"
 )
 
-// kernelMetrics holds the kernel's handles into the simulation's
-// metrics registry for the facts it cannot derive from a record of its
-// own: they are counted inline, in virtual time. Every other kernel
-// series is derived by the snapshot collector from the one record of
-// its fact (DESIGN.md "Each fact is stored once"): the machine-wide
-// totals are sums of the per-process ProcStats, the per-CPU
-// machine.CPU accounting and the per-lock SpinLock counts, and the
-// state gauges (per-CPU busy/idle, runnable counts) read the live
-// state.
-// A derived series holds its last collected value until the next
-// snapshot.
+// kernelMetrics is the simulation's metrics registry and the kernel's
+// counts of the facts no other record keeps: plain fields, counted in
+// virtual time on the simulation goroutine. The registry holds no
+// kernel series: the snapshot collector (collect) derives every one
+// from the one record of its fact (DESIGN.md "Each fact is stored
+// once") — these counts, the per-process ProcStats, the per-CPU
+// machine.CPU accounting, the per-lock SpinLock counts, and the live
+// state for the gauges (per-CPU busy/idle, runnable counts).
 type kernelMetrics struct {
-	reg *metrics.Registry
+	reg metrics.Registry
 
-	preemptCrit *metrics.Counter
-	migrations  *metrics.Counter
-	runqWait    *metrics.Histogram
+	preemptCrit int64
+	migrations  int64
+	runqWait    metrics.Tally
 
-	// Fault-injection counters (internal/faultinject drives the events;
+	// Fault-injection counts (internal/faultinject drives the events;
 	// the kernel owns the recovery machinery being counted).
-	kills  *metrics.Counter
-	stalls *metrics.Counter
+	kills  int64
+	stalls int64
 }
 
 // Metric names exported by the kernel layer; see DESIGN.md for the
@@ -52,18 +49,6 @@ const (
 	MetricForcedReleases = "sim_kernel_forced_lock_releases_total"
 )
 
-func newKernelMetrics(reg *metrics.Registry) kernelMetrics {
-	return kernelMetrics{
-		reg:         reg,
-		preemptCrit: reg.Counter(MetricPreemptCrit, "preemptions of a process holding a spinlock (the paper's Section 2 hazard)"),
-		migrations:  reg.Counter(MetricMigrations, "dispatches onto a different CPU than the process last ran on"),
-		runqWait:    reg.Histogram(MetricRunqWait, "runnable-to-dispatched wait per dispatch", nil),
-
-		kills:  reg.Counter(MetricKills, "processes crashed by fault injection"),
-		stalls: reg.Counter(MetricStalls, "stall faults applied to processes"),
-	}
-}
-
 // busyIdle returns c's busy time, the leg in progress credited, and its
 // idle time: the rest of the time since the kernel was created. A CPU
 // is always running a process or idle, so idle needs no record of its
@@ -77,38 +62,31 @@ func (k *Kernel) busyIdle(c *cpuState) (busy, idle sim.Duration) {
 	return busy, now.Sub(k.born) - busy
 }
 
-// total moves the machine-wide counter name to sum, the value of its
-// one record.
-func (k *Kernel) total(name, help string, sum int64) {
-	c := k.met.reg.Counter(name, help)
-	c.Add(sum - c.Value())
-}
-
-// collect derives the machine-wide totals and refreshes the state
-// gauges. Installed as a registry collector by New, so it runs
-// (deterministically, on the simulation goroutine) at every snapshot.
-func (k *Kernel) collect() {
+// collect derives every kernel series into d. Installed as a registry
+// collector by New, so it runs (deterministically, on the simulation
+// goroutine) at every snapshot.
+func (k *Kernel) collect(d *metrics.Registry) {
 	var hits, misses, switches int64
 	var switchTime, reloadTime sim.Duration
 	for i := range k.cpus {
 		c := &k.cpus[i]
 		cpu := strconv.Itoa(i)
 		busy, idle := k.busyIdle(c)
-		k.met.reg.Gauge(metrics.Name("sim_cpu_busy_micros", "cpu", cpu), "virtual time executing processes").Set(int64(busy))
-		k.met.reg.Gauge(metrics.Name("sim_cpu_idle_micros", "cpu", cpu), "virtual time with no process to run").Set(int64(idle))
-		k.met.reg.Gauge(metrics.Name("sim_cpu_switch_micros", "cpu", cpu), "context-switch overhead paid on this CPU").Set(int64(c.hw.SwitchTime))
-		k.met.reg.Gauge(metrics.Name("sim_cpu_reload_micros", "cpu", cpu), "cache-reload penalty paid on this CPU").Set(int64(c.hw.ReloadTime))
-		k.met.reg.Gauge(metrics.Name("sim_cpu_switches", "cpu", cpu), "dispatches of a different process than last time").Set(c.hw.Switches)
-		k.met.reg.Gauge(metrics.Name("sim_cpu_cache_hits", "cpu", cpu), "dispatches with the working set fully resident").Set(c.hw.CacheHits)
-		k.met.reg.Gauge(metrics.Name("sim_cpu_cache_misses", "cpu", cpu), "dispatches that paid a reload penalty").Set(c.hw.CacheMisses)
+		d.Gauge(metrics.Name("sim_cpu_busy_micros", "cpu", cpu), "virtual time executing processes").Set(int64(busy))
+		d.Gauge(metrics.Name("sim_cpu_idle_micros", "cpu", cpu), "virtual time with no process to run").Set(int64(idle))
+		d.Gauge(metrics.Name("sim_cpu_switch_micros", "cpu", cpu), "context-switch overhead paid on this CPU").Set(int64(c.hw.SwitchTime))
+		d.Gauge(metrics.Name("sim_cpu_reload_micros", "cpu", cpu), "cache-reload penalty paid on this CPU").Set(int64(c.hw.ReloadTime))
+		d.Gauge(metrics.Name("sim_cpu_switches", "cpu", cpu), "dispatches of a different process than last time").Set(c.hw.Switches)
+		d.Gauge(metrics.Name("sim_cpu_cache_hits", "cpu", cpu), "dispatches with the working set fully resident").Set(c.hw.CacheHits)
+		d.Gauge(metrics.Name("sim_cpu_cache_misses", "cpu", cpu), "dispatches that paid a reload penalty").Set(c.hw.CacheMisses)
 		hits += c.hw.CacheHits
 		misses += c.hw.CacheMisses
 		switches += c.hw.Switches
 		switchTime += c.hw.SwitchTime
 		reloadTime += c.hw.ReloadTime
 	}
-	k.met.reg.Gauge("sim_cache_hits", "cache-resident dispatches across all CPUs").Set(hits)
-	k.met.reg.Gauge("sim_cache_misses", "reload-paying dispatches across all CPUs").Set(misses)
+	d.Gauge("sim_cache_hits", "cache-resident dispatches across all CPUs").Set(hits)
+	d.Gauge("sim_cache_misses", "reload-paying dispatches across all CPUs").Set(misses)
 
 	var dispatches, preemptions int64
 	var spinTime, cpuTime sim.Duration
@@ -129,29 +107,36 @@ func (k *Kernel) collect() {
 			live++
 		}
 	}
-	k.met.reg.Gauge(MetricRunnable, "processes runnable or running (the paper's load measure)").Set(int64(runnable))
-	k.met.reg.Gauge(MetricLive, "processes not yet exited").Set(int64(live))
+	d.Gauge(MetricRunnable, "processes runnable or running (the paper's load measure)").Set(int64(runnable))
+	d.Gauge(MetricLive, "processes not yet exited").Set(int64(live))
 
-	k.total(MetricDispatches, "processes placed on a CPU", dispatches)
-	k.total(MetricPreemptions, "involuntary deschedules (quantum expiry or forced)", preemptions)
-	k.total(MetricCtxSwitches, "dispatches of a different process than the CPU ran last", switches)
-	k.total(MetricSwitchMicros, "virtual time charged to context-switch overhead", int64(switchTime))
-	k.total(MetricReloadMicros, "virtual time charged to cache reloads after corruption", int64(reloadTime))
-	k.total(MetricSpinMicros, "virtual CPU time burned spin-waiting on held locks", int64(spinTime))
-	k.total(MetricCPUMicros, "virtual CPU time consumed by processes (incl. spin and reload)", int64(cpuTime))
+	d.Counter(MetricDispatches, "processes placed on a CPU").Add(dispatches)
+	d.Counter(MetricPreemptions, "involuntary deschedules (quantum expiry or forced)").Add(preemptions)
+	d.Counter(MetricCtxSwitches, "dispatches of a different process than the CPU ran last").Add(switches)
+	d.Counter(MetricSwitchMicros, "virtual time charged to context-switch overhead").Add(int64(switchTime))
+	d.Counter(MetricReloadMicros, "virtual time charged to cache reloads after corruption").Add(int64(reloadTime))
+	d.Counter(MetricSpinMicros, "virtual CPU time burned spin-waiting on held locks").Add(int64(spinTime))
+	d.Counter(MetricCPUMicros, "virtual CPU time consumed by processes (incl. spin and reload)").Add(int64(cpuTime))
 
 	var forced int64
 	for _, l := range k.locks {
 		forced += l.ForcedReleases
 	}
-	k.total(MetricForcedReleases, "spinlocks force-released because their holder crashed", forced)
+	d.Counter(MetricForcedReleases, "spinlocks force-released because their holder crashed").Add(forced)
+
+	d.Counter(MetricPreemptCrit, "preemptions of a process holding a spinlock (the paper's Section 2 hazard)").Add(k.met.preemptCrit)
+	d.Counter(MetricMigrations, "dispatches onto a different CPU than the process last ran on").Add(k.met.migrations)
+	d.Histogram(MetricRunqWait, "runnable-to-dispatched wait per dispatch", nil).Add(&k.met.runqWait)
+	d.Counter(MetricKills, "processes crashed by fault injection").Add(k.met.kills)
+	d.Counter(MetricStalls, "stall faults applied to processes").Add(k.met.stalls)
 }
 
-// Metrics returns the simulation's metrics registry. The kernel, the
-// machine gauges, the threads runtime, and the simulated central server
-// all share it; snapshot it with MetricsSnapshot (or directly with a
-// sim.Time stamp) after — or during — a run.
-func (k *Kernel) Metrics() *metrics.Registry { return k.met.reg }
+// Metrics returns the simulation's metrics registry. The kernel (with
+// the machine's gauges), the threads runtime and the simulated central
+// server derive their series into every read of it, and fault
+// injection counts into it; snapshot it with MetricsSnapshot (or
+// directly with a sim.Time stamp) after — or during — a run.
+func (k *Kernel) Metrics() *metrics.Registry { return &k.met.reg }
 
 // MetricsSnapshot captures every metric at the current virtual instant.
 // Same seed, same schedule, same snapshot — byte-identical across runs

@@ -12,20 +12,21 @@
 // procctl-vet's SimPackages set: a map-order leak inside it is a vet
 // failure.
 //
-// Concurrency: metric updates are lock-free (sync/atomic), so a hot
-// path that counts a fact here pays one atomic add; the registry mutex
-// guards only the name map and collector list. A layer that already
-// keeps a fact in a record of its own counts it nowhere else: a
-// collector (OnCollect) derives the series from that record at every
-// Snapshot, as the simulated kernel does for its machine-wide totals,
-// so its hot path pays nothing. In the single-goroutine simulator the atomics
-// are uncontended; in the real runtime they make the registry safe for
-// concurrent use.
+// Concurrency: a registered series is updated lock-free (sync/atomic),
+// so a hot path of the real runtime that counts a fact here pays one
+// atomic add, and the registry mutex guards only the name map and the
+// collector list. A layer that keeps a fact in a record of its own —
+// every simulated layer does: the kernel, the threads runtime, the
+// central server — registers nothing while it runs. Its collector
+// (OnCollect) derives the series from that record into a registry made
+// for one read, at every Snapshot, so its hot path pays a plain add
+// into its own struct (a Tally for a histogram) and a run nobody reads
+// metrics from names, allocates and updates no series at all.
 package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,8 +74,7 @@ type metric struct {
 
 	// handle is the series' Counter, Gauge or Histogram (all three are
 	// this one pointer): the registry hands out its address, so asking
-	// for a series again — a collector does at every snapshot —
-	// allocates nothing.
+	// for a series again allocates nothing.
 	handle struct{ m *metric }
 }
 
@@ -119,29 +119,47 @@ const linearScanMax = 16
 
 // Observe records v: the first bucket whose upper bound is >= v (the
 // Prometheus "le" convention), or the implicit +Inf bucket. Observe
-// sits on the kernel's dispatch path and the coordinator's rebalance
-// path; it costs one bounds scan plus three atomic adds.
+// sits on the coordinator's rebalance and request paths; it costs one
+// bounds scan plus three atomic adds.
 func (h *Histogram) Observe(v int64) {
-	bounds := h.m.bounds
+	h.m.buckets[bucketOf(h.m.bounds, v)].Add(1)
+	h.m.count.Add(1)
+	h.m.sum.Add(v)
+}
+
+// bucketOf returns the index of the bucket v falls in: the first bound
+// >= v, or len(bounds) for the +Inf bucket.
+func bucketOf(bounds []int64, v int64) int {
 	i := 0
 	if len(bounds) <= linearScanMax {
 		for i < len(bounds) && bounds[i] < v {
 			i++
 		}
-	} else {
-		j := len(bounds)
-		for i < j {
-			mid := int(uint(i+j) >> 1)
-			if bounds[mid] < v {
-				i = mid + 1
-			} else {
-				j = mid
-			}
+		return i
+	}
+	j := len(bounds)
+	for i < j {
+		mid := int(uint(i+j) >> 1)
+		if bounds[mid] < v {
+			i = mid + 1
+		} else {
+			j = mid
 		}
 	}
-	h.m.buckets[i].Add(1)
-	h.m.count.Add(1)
-	h.m.sum.Add(v)
+	return i
+}
+
+// Add adds t's observations to h, whose layout must be TimeBuckets': a
+// collector publishes a layer's Tally this way.
+func (h *Histogram) Add(t *Tally) {
+	if !slices.Equal(h.m.bounds, timeBounds[:]) {
+		panic(fmt.Sprintf("metrics: histogram %s does not have TimeBuckets' layout", h.m.name))
+	}
+	for i, n := range t.buckets {
+		h.m.buckets[i].Add(n)
+	}
+	h.m.count.Add(t.count)
+	h.m.sum.Add(t.sum)
 }
 
 // Count returns the number of observations.
@@ -152,24 +170,38 @@ func (h *Histogram) Sum() int64 { return h.m.sum.Load() }
 
 // TimeBuckets is the standard bucket layout for virtual- or wall-time
 // durations in microseconds: decades from 100 µs to 100 s.
-var TimeBuckets = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000}
+var TimeBuckets = timeBounds[:]
 
-// Registry holds named metrics. The zero value is not usable; call
-// NewRegistry.
+var timeBounds = [...]int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000}
+
+// Tally is a histogram over TimeBuckets that a single-goroutine layer
+// keeps in a record of its own: plain counts, no atomics and no series
+// until a collector publishes it with Histogram.Add. The zero value is
+// empty.
+type Tally struct {
+	buckets    [len(timeBounds) + 1]int64
+	count, sum int64
+}
+
+// Observe records v in the bucket Histogram.Observe would choose.
+func (t *Tally) Observe(v int64) {
+	t.buckets[bucketOf(timeBounds[:], v)]++
+	t.count++
+	t.sum += v
+}
+
+// Registry holds named metrics. The zero value is an empty registry;
+// its maps are made at the first registration, so one whose series are
+// all derived by collectors is one small struct.
 type Registry struct {
 	mu         sync.Mutex
 	byName     map[string]*metric
 	baseKind   map[string]Kind // kind per base name: one TYPE per family
-	collectors []func()
+	collectors []func(*Registry)
 }
 
-// NewRegistry returns an empty registry. The maps are pre-sized for a
-// typical simulation's series population (the kernel alone registers
-// dozens of per-CPU and per-app series) so startup registration does
-// not rehash repeatedly.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*metric, 128), baseKind: make(map[string]Kind, 64)}
-}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return new(Registry) }
 
 // Name formats a metric name with label pairs:
 //
@@ -212,6 +244,9 @@ func (r *Registry) register(name, help string, kind Kind, bounds []int64) *metri
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.byName == nil {
+		r.byName, r.baseKind = make(map[string]*metric), make(map[string]Kind)
+	}
 	if m, ok := r.byName[name]; ok {
 		if m.kind != kind {
 			panic(fmt.Sprintf("metrics: %s re-registered as %v (was %v)", name, kind, m.kind))
@@ -259,52 +294,72 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 }
 
 // Value returns the current value of a counter or gauge, and whether
-// the series exists (false also for histograms). It runs no collector:
-// a series a collector keeps (the simulated kernel's machine-wide
-// totals, its per-CPU gauges, the threads runtime's app gauges) holds
-// its last collected value until the next Snapshot, and does not exist
-// before the first. Read such a series from a Snapshot.
+// the series exists (false also for histograms). A series this registry
+// does not hold is looked for among the collectors' (OnCollect), which
+// then run: a derived series reads its value at this instant.
 func (r *Registry) Value(name string) (int64, bool) {
-	r.mu.Lock()
-	m, ok := r.byName[name]
-	r.mu.Unlock()
-	if !ok || m.kind == KindHistogram {
+	m := r.lookup(name)
+	if m == nil {
+		m = r.derive().lookup(name)
+	}
+	if m == nil || m.kind == KindHistogram {
 		return 0, false
 	}
 	return m.val.Load(), true
 }
 
-// OnCollect registers f to run at the start of every Snapshot, in
-// registration order — the hook layers use to refresh gauges that
-// mirror live state (per-CPU busy time, queue depths) lazily instead of
-// on every event. f must not call Snapshot, and Snapshot must not be
-// called while holding a lock f takes.
-func (r *Registry) OnCollect(f func()) {
+func (r *Registry) lookup(name string) *metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.byName[name]
+}
+
+// OnCollect registers f to run at every Snapshot, in registration
+// order. f derives its layer's series into d, a registry made for that
+// one read: it registers, names and fills them there, from the record
+// the layer keeps anyway. Series of one name from several collectors
+// add up (counters, histograms) or keep the last value set (gauges). f
+// may instead refresh gauges of this registry that mirror live state
+// (open connections, members). f must not call Snapshot or Value, and
+// neither may be called while holding a lock f takes.
+func (r *Registry) OnCollect(f func(d *Registry)) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, f)
 	r.mu.Unlock()
 }
 
-// Snapshot runs the collectors and returns every series, sorted by
-// name, stamped with the caller's instant: sim.Time microseconds in the
-// simulator, Unix microseconds in the real runtime.
-func (r *Registry) Snapshot(at int64) *Snapshot {
+// derive runs the collectors into a new registry and returns it.
+func (r *Registry) derive() *Registry {
 	r.mu.Lock()
-	collectors := append([]func(){}, r.collectors...)
+	collectors := slices.Clone(r.collectors)
 	r.mu.Unlock()
+	d := new(Registry)
 	for _, f := range collectors {
-		f()
+		f(d)
 	}
+	return d
+}
 
-	r.mu.Lock()
-	names := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		names = append(names, name)
+// Snapshot runs the collectors and returns every series, the registry's
+// own and the derived ones, sorted by name, stamped with the caller's
+// instant: sim.Time microseconds in the simulator, Unix microseconds in
+// the real runtime. A derived series named like one of the registry's
+// own is a naming bug and panics.
+func (r *Registry) Snapshot(at int64) *Snapshot {
+	var ms []*metric
+	for _, reg := range [...]*Registry{r, r.derive()} {
+		reg.mu.Lock()
+		for _, m := range reg.byName {
+			ms = append(ms, m)
+		}
+		reg.mu.Unlock()
 	}
-	sort.Strings(names)
-	s := &Snapshot{At: at, Metrics: make([]Metric, 0, len(names))}
-	for _, name := range names {
-		m := r.byName[name]
+	slices.SortFunc(ms, func(a, b *metric) int { return strings.Compare(a.name, b.name) })
+	s := &Snapshot{At: at, Metrics: make([]Metric, len(ms))}
+	for i, m := range ms {
+		if i > 0 && m.name == ms[i-1].name {
+			panic(fmt.Sprintf("metrics: %s is both registered and derived", m.name))
+		}
 		e := Metric{Name: m.name, Base: m.base, Kind: m.kind.String(), Help: m.help}
 		switch m.kind {
 		case KindHistogram:
@@ -320,8 +375,7 @@ func (r *Registry) Snapshot(at int64) *Snapshot {
 		default:
 			e.Value = m.val.Load()
 		}
-		s.Metrics = append(s.Metrics, e)
+		s.Metrics[i] = e
 	}
-	r.mu.Unlock()
 	return s
 }

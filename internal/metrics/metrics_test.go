@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -183,7 +184,7 @@ func TestOnCollect(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth", "")
 	depth := 0
-	r.OnCollect(func() { g.Set(int64(depth)) })
+	r.OnCollect(func(*Registry) { g.Set(int64(depth)) })
 	depth = 5
 	if got := r.Snapshot(0).Get("depth").Value; got != 5 {
 		t.Errorf("collected gauge = %d, want 5", got)
@@ -191,5 +192,148 @@ func TestOnCollect(t *testing.T) {
 	depth = 2
 	if got := r.Snapshot(1).Get("depth").Value; got != 2 {
 		t.Errorf("collected gauge = %d, want 2", got)
+	}
+}
+
+// TestDerivedSeries: series a collector derives exist only in the views
+// read from the registry, add up across collectors of one name (the
+// gauge keeps the last value set), read their value at that instant
+// through Value, and sit among the registry's own series in name order.
+func TestDerivedSeries(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("b_total", "registered").Add(3)
+	type record struct {
+		done  int64
+		depth int64
+		wait  Tally
+	}
+	var recs [2]record
+	for i := range recs {
+		rec := &recs[i]
+		r.OnCollect(func(d *Registry) {
+			d.Counter(Name("a_total", "app", "x"), "derived").Add(rec.done)
+			d.Gauge(Name("c_depth", "app", "x"), "derived").Set(rec.depth)
+			d.Histogram(Name("d_micros", "app", "x"), "derived", nil).Add(&rec.wait)
+		})
+	}
+	if r.byName["b_total"] == nil || len(r.byName) != 1 {
+		t.Fatalf("registry holds %d series before any read, want only b_total", len(r.byName))
+	}
+	recs[0].done, recs[1].done = 4, 6
+	recs[0].depth, recs[1].depth = 1, 2
+	recs[0].wait.Observe(50)
+	recs[1].wait.Observe(5_000)
+	recs[1].wait.Observe(1e9)
+	if v, ok := r.Value(Name("a_total", "app", "x")); !ok || v != 10 {
+		t.Errorf("Value(a_total) = %d, %v; want 10, true", v, ok)
+	}
+	recs[0].done++
+	s := r.Snapshot(7)
+	var names []string
+	for _, m := range s.Metrics {
+		names = append(names, m.Name)
+	}
+	if want := []string{`a_total{app="x"}`, "b_total", `c_depth{app="x"}`, `d_micros{app="x"}`}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("snapshot series %v, want %v", names, want)
+	}
+	if got := s.Metrics[0].Value; got != 11 {
+		t.Errorf("derived counter = %d, want 11: two collectors' counts add up at each read", got)
+	}
+	if got := s.Metrics[2].Value; got != 2 {
+		t.Errorf("derived gauge = %d, want the last collector's 2", got)
+	}
+	h := s.Metrics[3]
+	if h.Count != 3 || h.Sum != 1e9+5_050 || fmt.Sprint(h.Bounds) != fmt.Sprint(TimeBuckets) ||
+		fmt.Sprint(h.Buckets) != "[1 1 2 2 2 2 2 3]" {
+		t.Errorf("derived histogram = count %d sum %d bounds %v buckets %v", h.Count, h.Sum, h.Bounds, h.Buckets)
+	}
+	if len(r.byName) != 1 {
+		t.Errorf("reads registered %d series in the registry, want none", len(r.byName)-1)
+	}
+}
+
+// TestTallyMatchesHistogram: a Tally published with Histogram.Add reads
+// exactly as a histogram that observed the same values, at every bucket
+// edge.
+func TestTallyMatchesHistogram(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("direct", "", nil)
+	var tally Tally
+	for _, b := range TimeBuckets {
+		for _, v := range []int64{b - 1, b, b + 1} {
+			h.Observe(v)
+			tally.Observe(v)
+		}
+	}
+	r.Histogram("tallied", "", nil).Add(&tally)
+	s := r.Snapshot(0)
+	direct, tallied := s.Get("direct"), s.Get("tallied")
+	if direct.Count != tallied.Count || direct.Sum != tallied.Sum || fmt.Sprint(direct.Buckets) != fmt.Sprint(tallied.Buckets) {
+		t.Errorf("tallied %+v, observed %+v", *tallied, *direct)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Add into a histogram of another layout did not panic")
+		}
+	}()
+	r.Histogram("other", "", []int64{1, 2}).Add(&tally)
+}
+
+// TestConcurrentUpdates holds the promise of the package doc: counters
+// and histograms take lock-free updates from many goroutines while
+// another takes snapshots, and every update is counted. Run it under
+// -race (make race).
+func TestConcurrentUpdates(t *testing.T) {
+	const writers, each = 4, 2_000
+	r := NewRegistry()
+	c := r.Counter("ops_total", "")
+	h := r.Histogram("lat_micros", "", LatencyBuckets)
+	g := r.Gauge("writers", "")
+	r.OnCollect(func(d *Registry) { d.Gauge("collected", "").Set(g.Value()) })
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	snapped := make(chan int)
+	go func() {
+		n, last := 0, int64(0)
+		for {
+			select {
+			case <-stop:
+				snapped <- n
+				return
+			default:
+			}
+			v := r.Snapshot(int64(n)).Get("ops_total").Value
+			if v < last {
+				t.Errorf("snapshot %d: counter went back from %d to %d", n, last, v)
+			}
+			n, last = n+1, v
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Add(1)
+			for i := 0; i < each; i++ {
+				c.Inc()
+				h.Observe(int64(i))
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-snapped; n == 0 {
+		t.Log("no snapshot overlapped the writers")
+	}
+	s := r.Snapshot(0)
+	if got := s.Get("ops_total").Value; got != writers*each {
+		t.Errorf("counter = %d, want %d", got, writers*each)
+	}
+	m := s.Get("lat_micros")
+	if m.Count != writers*each || m.Sum != writers*each*(each-1)/2 || m.Buckets[len(m.Buckets)-1] != m.Count {
+		t.Errorf("histogram count %d sum %d, want %d and %d", m.Count, m.Sum, writers*each, writers*each*(each-1)/2)
+	}
+	if got := s.Get("collected").Value; got != writers {
+		t.Errorf("collected gauge = %d, want %d", got, writers)
 	}
 }

@@ -122,7 +122,7 @@ type convergeTracker struct {
 func newConvergeTracker(reg *metrics.Registry, rec *flight.Recorder) *convergeTracker {
 	cv := &convergeTracker{rec: rec, met: newConvergeMetrics(reg), waits: make(map[string]memberWait)}
 	openGauge := reg.Gauge("coordinator_convergence_open_epochs", "rebalance epochs still awaiting member acks")
-	reg.OnCollect(func() { openGauge.Set(int64(cv.OpenEpochs())) })
+	reg.OnCollect(func(*metrics.Registry) { openGauge.Set(int64(cv.OpenEpochs())) })
 	return cv
 }
 

@@ -367,7 +367,7 @@ type referenceTracker struct {
 func newReferenceTracker(reg *metrics.Registry, rec *flight.Recorder) *referenceTracker {
 	cv := &referenceTracker{rec: rec, met: newConvergeMetrics(reg), scanLimit: referenceScanLimit}
 	openGauge := reg.Gauge("coordinator_convergence_open_epochs", "rebalance epochs still awaiting member acks")
-	reg.OnCollect(func() { openGauge.Set(int64(cv.OpenEpochs())) })
+	reg.OnCollect(func(*metrics.Registry) { openGauge.Set(int64(cv.OpenEpochs())) })
 	return cv
 }
 

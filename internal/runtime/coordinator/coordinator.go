@@ -201,7 +201,7 @@ func New(capacity int) *Coordinator {
 	c.snapshots.New = func() any { return new(snapshot) }
 	c.met = newCoordMetrics(metrics.NewRegistry())
 	c.conv = newConvergeTracker(c.met.reg, c.rec)
-	c.met.reg.OnCollect(func() {
+	c.met.reg.OnCollect(func(*metrics.Registry) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.met.targetsSum.Set(c.targetsSum)

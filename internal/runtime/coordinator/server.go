@@ -199,7 +199,7 @@ func NewServerWith(coord *Coordinator, ln net.Listener, lease time.Duration) *Se
 	}
 	s.rpcUnknown = newRPCCounters(coord.Metrics(), "unknown")
 	openConns := coord.Metrics().Gauge("coordinator_open_conns", "client connections currently served")
-	coord.Metrics().OnCollect(func() {
+	coord.Metrics().OnCollect(func(*metrics.Registry) {
 		s.mu.Lock()
 		n := len(s.conns)
 		s.mu.Unlock()

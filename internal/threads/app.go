@@ -120,33 +120,11 @@ type App struct {
 	startAt []sim.Time
 	doneAt  []sim.Time
 
-	met appMetrics
-}
-
-// appMetrics is the application's slice of the simulation's registry,
-// labeled app=<workload name>. Two launches of the same workload name
-// share series (registration is idempotent), which matches how the
-// figures aggregate repeated runs.
-type appMetrics struct {
-	tasks       *metrics.Counter
-	service     *metrics.Histogram
-	suspended   *metrics.Histogram
-	suspensions *metrics.Counter
-	resumes     *metrics.Counter
-	polls       *metrics.Counter
-	idleSpins   *metrics.Counter
-}
-
-func newAppMetrics(reg *metrics.Registry, app string) appMetrics {
-	return appMetrics{
-		tasks:       reg.Counter(metrics.Name("sim_app_tasks_total", "app", app), "tasks retired by the threads runtime"),
-		service:     reg.Histogram(metrics.Name("sim_app_task_service_micros", "app", app), "per-task execution time (compute + critical sections)", nil),
-		suspended:   reg.Histogram(metrics.Name("sim_app_suspended_micros", "app", app), "safe-point suspension latency: suspend to running again", nil),
-		suspensions: reg.Counter(metrics.Name("sim_app_suspensions_total", "app", app), "workers suspended by process control"),
-		resumes:     reg.Counter(metrics.Name("sim_app_resumes_total", "app", app), "workers resumed by process control"),
-		polls:       reg.Counter(metrics.Name("sim_app_polls_total", "app", app), "server polls issued"),
-		idleSpins:   reg.Counter(metrics.Name("sim_app_idle_spins_total", "app", app), "empty-queue busy-wait episodes"),
-	}
+	// The runtime's counts, the only record of their facts; collect
+	// derives the application's series from them and from the state
+	// above (tasks retired: wl.Len() - remain).
+	suspensions, resumes, polls, idleSpins int64
+	service, suspended                     metrics.Tally
 }
 
 // Launch starts the workload on k as application id with cfg.Procs
@@ -206,13 +184,7 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 		a.startAt = make([]sim.Time, wl.Len())
 		a.doneAt = make([]sim.Time, wl.Len())
 	}
-	a.met = newAppMetrics(k.Metrics(), wl.Name)
-	k.Metrics().OnCollect(func() {
-		reg := k.Metrics()
-		reg.Gauge(metrics.Name("sim_app_queue_depth", "app", wl.Name), "ready tasks queued").Set(int64(a.ready.Len()))
-		reg.Gauge(metrics.Name("sim_app_runnable", "app", wl.Name), "workers not suspended by process control").Set(int64(a.runnable))
-		reg.Gauge(metrics.Name("sim_app_target", "app", wl.Name), "most recently polled server target").Set(int64(a.target))
-	})
+	k.Metrics().OnCollect(a.collect)
 	a.groupsLeft = slices.Clone(wl.groupFrom)
 	a.ready.Reserve(wl.roots)
 	for i := range wl.tasks {
@@ -228,6 +200,24 @@ func newApp(k *kernel.Kernel, id kernel.AppID, wl *Workload, cfg Config) *App {
 		cfg.Controller.Register(id, cfg.Procs)
 	}
 	return a
+}
+
+// collect derives the application's series into d, labeled app=<workload
+// name>. Two launches of the same workload name derive the same series,
+// so their counts and histograms add up and the later one's gauges
+// win, which matches how the figures aggregate repeated runs.
+func (a *App) collect(d *metrics.Registry) {
+	name := func(base string) string { return metrics.Name(base, "app", a.name) }
+	d.Counter(name("sim_app_tasks_total"), "tasks retired by the threads runtime").Add(int64(a.wl.Len() - a.remain))
+	d.Histogram(name("sim_app_task_service_micros"), "per-task execution time (compute + critical sections)", nil).Add(&a.service)
+	d.Histogram(name("sim_app_suspended_micros"), "safe-point suspension latency: suspend to running again", nil).Add(&a.suspended)
+	d.Counter(name("sim_app_suspensions_total"), "workers suspended by process control").Add(a.suspensions)
+	d.Counter(name("sim_app_resumes_total"), "workers resumed by process control").Add(a.resumes)
+	d.Counter(name("sim_app_polls_total"), "server polls issued").Add(a.polls)
+	d.Counter(name("sim_app_idle_spins_total"), "empty-queue busy-wait episodes").Add(a.idleSpins)
+	d.Gauge(name("sim_app_queue_depth"), "ready tasks queued").Set(int64(a.ready.Len()))
+	d.Gauge(name("sim_app_runnable"), "workers not suspended by process control").Set(int64(a.runnable))
+	d.Gauge(name("sim_app_target"), "most recently polled server target").Set(int64(a.target))
 }
 
 // workerSep joins an application's name and a worker's index into the
@@ -311,7 +301,7 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 			// runs to the redispatch instant, so it includes the requeue
 			// latency of the resume — the paper's suspend/resume cost.
 			span := env.Now().Sub(w.since)
-			a.met.suspended.Observe(int64(span))
+			a.suspended.Observe(int64(span))
 			a.annotate(env, "resume", -1, a.target, span)
 			if a.done {
 				return kernel.Exit()
@@ -341,7 +331,7 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 				// Nothing ready (a dependency is still executing): spin a
 				// little and recheck, burning CPU like the paper's idle
 				// busy-waiting workers.
-				a.met.idleSpins.Inc()
+				a.idleSpins++
 				a.annotate(env, "barrier_wait", -1, -1, a.idleSpin)
 				w.pc = pcTop
 				return kernel.Compute(a.idleSpin)
@@ -377,7 +367,7 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 
 		case pcTaskDone:
 			service := env.Now().Sub(w.since)
-			a.met.service.Observe(int64(service))
+			a.service.Observe(int64(service))
 			a.annotate(env, "task_done", int(w.task), -1, service)
 			w.pc = pcComplete
 			if !env.TryAcquire(a.qlock) {
@@ -397,7 +387,6 @@ func (w *workerState) step(env *kernel.Env) kernel.Request {
 				a.cfg.OnTaskDone(w.task)
 			}
 			env.Release(a.qlock)
-			a.met.tasks.Inc()
 			if finished {
 				a.finish(env)
 				return kernel.Exit()
@@ -481,18 +470,18 @@ func (a *App) controlPoint(env *kernel.Env) (suspend bool) {
 		a.polled = true
 		a.lastPoll = now
 		a.target = a.cfg.Controller.Poll(a.id)
-		a.met.polls.Inc()
+		a.polls++
 		a.annotate(env, "poll", -1, a.target, 0)
 	}
 	if a.target < a.runnable && a.runnable > 1 {
 		a.runnable--
-		a.met.suspensions.Inc()
+		a.suspensions++
 		a.annotate(env, "suspend", -1, a.target, 0)
 		return true
 	}
 	for a.target > a.runnable && a.suspendQ.Len() > 0 {
 		a.runnable++
-		a.met.resumes.Inc()
+		a.resumes++
 		env.Wake(a.suspendQ, 1)
 	}
 	return false

@@ -33,8 +33,8 @@ func runApp(t *testing.T, k *kernel.Kernel, a *threads.App) {
 	}
 }
 
-// appCount reads one of a's series: the runtime's counts live in the
-// registry only.
+// appCount reads one of a's series, derived from the runtime's counts
+// when read.
 func appCount(k *kernel.Kernel, base string, a *threads.App) int64 {
 	n, _ := k.Metrics().Value(metrics.Name(base, "app", a.Name()))
 	return n
@@ -59,6 +59,37 @@ func TestEveryTaskRunsExactlyOnce(t *testing.T) {
 	}
 	if got := appCount(k, "sim_app_tasks_total", a); got != int64(wl.Len()) {
 		t.Errorf("TasksRun = %d, want %d", got, wl.Len())
+	}
+}
+
+// TestSameNameLaunchesShareSeries: two launches of one workload name in
+// one kernel derive one set of series, which add up both runs' counts
+// (the figures aggregate repeated runs by name), and the service
+// histogram's count is the tasks both retired.
+func TestSameNameLaunchesShareSeries(t *testing.T) {
+	k := newSim(4)
+	wl := apps.TinyFFT()
+	a := threads.Launch(k, 1, wl, threads.Config{Procs: 2})
+	b := threads.Launch(k, 2, wl, threads.Config{Procs: 2})
+	runApp(t, k, a)
+	runApp(t, k, b)
+	snap := k.MetricsSnapshot()
+	tasks := snap.Get(metrics.Name("sim_app_tasks_total", "app", wl.Name))
+	service := snap.Get(metrics.Name("sim_app_task_service_micros", "app", wl.Name))
+	if tasks == nil || service == nil {
+		t.Fatalf("%s's series missing from the snapshot", wl.Name)
+	}
+	if want := int64(2 * wl.Len()); tasks.Value != want || service.Count != want {
+		t.Errorf("tasks_total %d, service count %d; want both %d", tasks.Value, service.Count, want)
+	}
+	n := 0
+	for _, m := range snap.Metrics {
+		if m.Base == "sim_app_tasks_total" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d sim_app_tasks_total series, want 1", n)
 	}
 }
 

@@ -103,7 +103,7 @@ func (a *App) referenceWorker(env *blockingEnv) {
 			// Nothing ready (a dependency is still executing): spin a
 			// little and recheck, burning CPU like the paper's idle
 			// busy-waiting workers.
-			a.met.idleSpins.Inc()
+			a.idleSpins++
 			a.annotate(env.Env, "barrier_wait", -1, -1, a.idleSpin)
 			env.Compute(a.idleSpin)
 			continue
@@ -113,7 +113,7 @@ func (a *App) referenceWorker(env *blockingEnv) {
 		a.annotate(env.Env, "task_start", int(t), -1, 0)
 		a.referenceExecute(env, t)
 		service := env.Now().Sub(serviceStart)
-		a.met.service.Observe(int64(service))
+		a.service.Observe(int64(service))
 		a.annotate(env.Env, "task_done", int(t), -1, service)
 
 		env.Acquire(a.qlock)
@@ -126,7 +126,6 @@ func (a *App) referenceWorker(env *blockingEnv) {
 			a.cfg.OnTaskDone(t)
 		}
 		env.Release(a.qlock)
-		a.met.tasks.Inc()
 
 		if finished {
 			a.finish(env.Env)
@@ -166,12 +165,12 @@ func (a *App) referenceControlPoint(env *blockingEnv) {
 		a.polled = true
 		a.lastPoll = now
 		a.target = a.cfg.Controller.Poll(a.id)
-		a.met.polls.Inc()
+		a.polls++
 		a.annotate(env.Env, "poll", -1, a.target, 0)
 	}
 	if a.target < a.runnable && a.runnable > 1 {
 		a.runnable--
-		a.met.suspensions.Inc()
+		a.suspensions++
 		suspendedAt := now
 		a.annotate(env.Env, "suspend", -1, a.target, 0)
 		env.Sleep(a.suspendQ)
@@ -180,13 +179,13 @@ func (a *App) referenceControlPoint(env *blockingEnv) {
 		// runs to the redispatch instant, so it includes the requeue
 		// latency of the resume — the paper's suspend/resume cost.
 		span := env.Now().Sub(suspendedAt)
-		a.met.suspended.Observe(int64(span))
+		a.suspended.Observe(int64(span))
 		a.annotate(env.Env, "resume", -1, a.target, span)
 		return
 	}
 	for a.target > a.runnable && a.suspendQ.Len() > 0 {
 		a.runnable++
-		a.met.resumes.Inc()
+		a.resumes++
 		env.Wake(a.suspendQ, 1)
 	}
 }
@@ -397,7 +396,7 @@ func (c workerCase) run(reference bool) workerRun {
 		Fired:     eng.Fired(),
 		Canceled:  eng.Canceled(),
 	}
-	r.Suspensions, r.Resumes, r.IdleSpins = a.met.suspensions.Value(), a.met.resumes.Value(), a.met.idleSpins.Value()
+	r.Suspensions, r.Resumes, r.IdleSpins = a.suspensions, a.resumes, a.idleSpins
 	for _, p := range k.Processes() {
 		r.Procs = append(r.Procs, p.Stats)
 	}
